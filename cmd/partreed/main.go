@@ -262,32 +262,6 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(doc)
 }
 
-// admissionRejected reports whether a result is an engine admission
-// rejection — the sentinel texts are the service contract for 503.
-func admissionRejected(res runner.Result) bool {
-	return res.Err != "" &&
-		(strings.Contains(res.Err, engine.ErrQueueFull.Error()) ||
-			strings.Contains(res.Err, engine.ErrDraining.Error()))
-}
-
-// decodeSpec parses and vets one spec for service execution.
-func decodeSpec(dec *json.Decoder) (runner.Spec, error) {
-	var spec runner.Spec
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("parsing spec: %w", err)
-	}
-	if spec.Trace != "" {
-		// A trace lands in the *server's* filesystem; refuse rather than
-		// surprise.
-		return spec, fmt.Errorf("trace is not supported over HTTP")
-	}
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
 func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
@@ -302,14 +276,14 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if rq != nil {
 		rstart = time.Now()
 	}
-	spec, err := decodeSpec(json.NewDecoder(req.Body))
+	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), false)
 	rq.SpanSince("read", rstart)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	res := d.r.Run(req.Context(), spec)
-	if admissionRejected(res) {
+	if engine.Rejected(res.Err) {
 		httpError(w, http.StatusServiceUnavailable, res.Err)
 		return
 	}
@@ -348,12 +322,8 @@ func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for i := range specs {
-		if specs[i].Trace != "" {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: trace is not supported over HTTP", i))
-			return
-		}
-		specs[i] = specs[i].Normalized()
-		if err := specs[i].Validate(); err != nil {
+		var err error
+		if specs[i], err = runner.VetServiceSpec(specs[i], false); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}

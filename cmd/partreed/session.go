@@ -282,6 +282,9 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 			}
 			s := rec.step
 			if s.Close {
+				// Release the lease before acknowledging: a client that
+				// has read "closed" must find the lease gone and counted.
+				lease.Close()
 				emit(sessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "close"})
 				return
 			}

@@ -6,121 +6,35 @@
 //
 // Usage:
 //
-//	treebench [-alg all] [-n 65536] [-p 1,2,4,8] [-reps 5] [-leafcap 8]
-//	          [-model plummer] [-timeout 0] [-check] [-trace out.json]
-//	          [-steps 0] [-adaptive] [-scenario-cells disk,hierarchical]
-//	          [-cluster]
-//	          [-benchout BENCH_treebuild.json]
-//	          [-benchcmp BENCH_treebuild.json] [-benchthreshold 0.30]
-//	          [-http :9090] [-v info] [-json]
+//	treebench [-alg all] [-n 65536] [-p 1,...,NumCPU] [-reps 5]
+//	          [-leafcap 8] [-model plummer] [-timeout 0] [-check]
+//	          [-trace out.json] [-http :9090] [-v info] [-json]
 //
 // -model accepts any workload scenario kind with a direct mass model:
-// plummer, uniform, twoclusters, disk, hierarchical. With
-// -scenario-cells the sweep appends one SPACE build cell per listed
-// scenario per processor count — the skewed-distribution regression
-// cells the -benchcmp gate watches alongside the algorithm grid.
+// plummer, uniform, twoclusters, disk, hierarchical. -p defaults to the
+// processor counts this host can actually run, 1 through NumCPU. With
+// -http the run can be watched and profiled live (make obs-smoke).
 //
-// With -steps k the sweep also benchmarks the session serving mode: k
-// drift timesteps against one resident tree, UPDATE repairing it step
-// over step versus a fresh rebuild forced every step, reported as ns per
-// step (step 0's unavoidable fresh build excluded). Adding -adaptive
-// appends a session-adaptive cell: the same repair loop with
-// measured-cost adaptive partitioning (internal/adapt) closing the
-// feedback path each step.
-//
-// With -cluster the sweep appends router-fronted cells per processor
-// count: the same SPACE build served through an in-process
-// internal/cluster fixture (router + 2 shards, plus a single-shard
-// control), reporting the merged tree_ns — the slowest shard's best
-// build — so sharded serving reads directly against the single-process
-// space row.
-//
-// With -benchcmp the sweep is taken from the named baseline file instead
-// of the flags, fresh timings are diffed against it, and the exit status
-// is non-zero if any cell regressed past -benchthreshold (make benchcmp).
-// With -http the run can be watched and profiled live (make obs-smoke).
+// treebench is an interactive table, not the regression gate: the
+// repository's one benchmark — end-to-end and per-layer, sessions and
+// the router-fronted cluster included — is benchmark/ (make bench).
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"partree/internal/adapt"
-	"partree/internal/cluster"
 	"partree/internal/core"
-	"partree/internal/phys"
 	"partree/internal/runner"
 	"partree/internal/stats"
-	"partree/internal/workload"
 )
-
-// benchFile is the machine-readable regression baseline -benchout emits
-// (committed as BENCH_treebuild.json; `make bench` regenerates it).
-type benchFile struct {
-	Bodies  int `json:"bodies"`
-	LeafCap int `json:"leafcap"`
-	Reps    int `json:"reps"`
-	// Steps is the session-mode step count (cells with a mode), 0 when
-	// the baseline has no session cells.
-	Steps   int         `json:"steps,omitempty"`
-	Spatial bool        `json:"spatial"`
-	Cells   []benchCell `json:"cells"`
-}
-
-type benchCell struct {
-	// Exactly one of Alg and Mode is set: Alg names a one-shot builder
-	// cell (ns per build), Mode a session cell (ns per step).
-	Alg  string `json:"alg,omitempty"`
-	Mode string `json:"mode,omitempty"`
-	// Scenario, on an Alg cell, marks a workload-scenario cell: the same
-	// build-only measurement but on that internal/workload scenario's
-	// mass model instead of -model (e.g. disk, hierarchical).
-	Scenario   string `json:"scenario,omitempty"`
-	P          int    `json:"p"`
-	NsPerBuild int64  `json:"ns_per_build"`
-	Locks      int64  `json:"locks"`
-}
-
-// Session-mode cell names: the same Stepper surface and the same motion,
-// differing in whether the resident tree is repaired or rebuilt and in
-// whether the partition comes from modeled or measured costs.
-const (
-	modeUpdate  = "session-update"  // resident UPDATE repairs step over step
-	modeRebuild = "session-rebuild" // fresh rebuild forced every step
-	// modeAdaptive repairs like modeUpdate but closes the feedback loop:
-	// each step's traced phase times correct the next step's costzones
-	// cut through an adapt.Controller (the daemon's -adaptive path).
-	modeAdaptive = "session-adaptive"
-	// Cluster cells (-cluster) run the same SPACE build through an
-	// in-process router-fronted fixture (internal/cluster): modeCluster
-	// fans out over two shards, modeClusterSingle puts the whole domain
-	// on one shard — the router-overhead control. NsPerBuild is the
-	// merged tree_ns (the slowest shard's best build), so the pair reads
-	// directly against the single-process space cell at the same p.
-	modeCluster       = "cluster"
-	modeClusterSingle = "cluster-single"
-)
-
-// sessionModes lists the session cells a sweep produces; the adaptive
-// cell is opt-in so existing baselines stay comparable.
-func sessionModes(adaptive bool) []string {
-	modes := []string{modeUpdate, modeRebuild}
-	if adaptive {
-		modes = append(modes, modeAdaptive)
-	}
-	return modes
-}
 
 // traceName derives a per-cell trace filename from the -trace argument
 // when the sweep has more than one cell (base.json -> base_ORIG_p4.json).
@@ -133,195 +47,14 @@ func traceName(base string, alg core.Algorithm, p int) string {
 	return fmt.Sprintf("%s_%s_p%d%s", stem, alg, p, ext)
 }
 
-// specContext returns the slog attrs that identify one sweep cell, so
-// every failure names the exact configuration that produced it.
-func specContext(sp runner.Spec) []any {
-	return []any{"alg", sp.Alg.String(), "n", sp.Bodies, "p", sp.Procs, "seed", sp.Seed}
-}
-
-// runCells executes the sweep one cell at a time, settling the heap
-// before each so a GC cycle provoked by an earlier cell's garbage (or by
-// the engine's retained builder stores) never lands inside a later
-// cell's measured phase — the same discipline testing.B applies between
-// benchmarks.
-func runCells(r *runner.Runner, specs []runner.Spec) []runner.Result {
-	results := make([]runner.Result, len(specs))
-	for i, sp := range specs {
-		runtime.GC()
-		results[i] = r.Run(context.Background(), sp)
+// hostProcs is the default -p grid: 1, 2, …, NumCPU, so every column is
+// a processor count this machine can run without oversubscription.
+func hostProcs() string {
+	ps := make([]string, runtime.NumCPU())
+	for i := range ps {
+		ps[i] = strconv.Itoa(i + 1)
 	}
-	return results
-}
-
-// runSessionCell benchmarks one session cell: steps drift timesteps
-// against a resident tree through core.Stepper at p processors — exactly
-// the surface partreed's /v1/session leases pin. Step 0's unavoidable
-// fresh build is excluded; the remaining steps either let UPDATE repair
-// the tree in place or (session-rebuild) force a fresh build each —
-// session-adaptive repairs with the measured-cost feedback loop in the
-// path — and the best mean ns per step over reps independent runs is
-// reported with the lock total of the winning run's measured steps.
-func runSessionCell(base runner.Spec, p, steps, reps int, mode string) (nsPerStep, locks int64) {
-	sp := base.Normalized()
-	model, _ := phys.ParseModel(sp.Model)
-	rebuild := mode == modeRebuild
-	best, bestLocks := int64(-1), int64(0)
-	for rep := 0; rep < reps; rep++ {
-		runtime.GC()
-		// Fresh bodies each rep so every rep walks the same trajectory.
-		bodies := phys.Generate(model, sp.Bodies, sp.Seed)
-		cfg := core.Config{P: p, LeafCap: sp.LeafCap}
-		var st *core.Stepper
-		if mode == modeAdaptive {
-			st = core.NewAdaptiveStepper(cfg, bodies, core.DefaultFallbackPolicy(),
-				adapt.NewController(cfg, adapt.Options{}))
-		} else {
-			st = core.NewStepper(cfg, bodies, core.DefaultFallbackPolicy())
-		}
-		st.Step(core.StepInput{})
-		var total, reqLocks int64
-		for i := 1; i < steps; i++ {
-			bodies.Drift(0, bodies.N(), sp.Dt)
-			res := st.Step(core.StepInput{Rebuild: rebuild})
-			total += res.Metrics.Timing.Total().Nanoseconds()
-			reqLocks += res.Metrics.TotalLocks()
-		}
-		ns := total / int64(steps-1)
-		if best < 0 || ns < best {
-			best, bestLocks = ns, reqLocks
-		}
-	}
-	return best, bestLocks
-}
-
-// clusterShards maps a cluster cell mode to its shard count.
-func clusterShards(mode string) int {
-	if mode == modeClusterSingle {
-		return 1
-	}
-	return 2
-}
-
-// runClusterCell benchmarks one router-fronted build: an in-process
-// fixture (router + shards on loopback), one /v1/build carrying the
-// same build-only spec the grid uses, best-of-reps inside the request
-// (the shard engines report their best build). The merged tree_ns is
-// the cluster's critical path — its slowest shard's best build — and
-// locks sum across shards under the conservation laws.
-func runClusterCell(base runner.Spec, p, shards, reps int) (benchCell, error) {
-	f, err := cluster.StartLocal(cluster.FixtureOptions{Shards: shards})
-	if err != nil {
-		return benchCell{}, fmt.Errorf("starting cluster fixture: %w", err)
-	}
-	defer f.Close()
-	sp := base
-	sp.Alg = core.SPACE
-	sp.Procs = p
-	sp.Steps = reps
-	sp.Trace = ""
-	buf, err := json.Marshal(sp)
-	if err != nil {
-		return benchCell{}, err
-	}
-	runtime.GC()
-	resp, err := http.Post(f.RouterURL()+"/v1/build", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return benchCell{}, fmt.Errorf("cluster build: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return benchCell{}, fmt.Errorf("cluster build: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var out cluster.ClusterResult
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return benchCell{}, fmt.Errorf("decoding cluster result: %w", err)
-	}
-	if out.Failed() {
-		return benchCell{}, fmt.Errorf("cluster build failed: %s%s", out.Err, out.CheckFailure)
-	}
-	mode := modeCluster
-	if shards == 1 {
-		mode = modeClusterSingle
-	}
-	return benchCell{Mode: mode, P: p, NsPerBuild: int64(out.TreeNs), Locks: out.LocksTotal}, nil
-}
-
-// runClusterCells produces the router-fronted cells: per processor
-// count, the two-shard fan-out and the single-shard control.
-func runClusterCells(base runner.Spec, ps []int, reps int) ([]benchCell, error) {
-	var cells []benchCell
-	for _, p := range ps {
-		for _, mode := range []string{modeCluster, modeClusterSingle} {
-			c, err := runClusterCell(base, p, clusterShards(mode), reps)
-			if err != nil {
-				return nil, fmt.Errorf("%s p=%d: %w", mode, p, err)
-			}
-			cells = append(cells, c)
-		}
-	}
-	return cells, nil
-}
-
-// scenarioCellDef pairs a canonical workload scenario name with the
-// phys model that regenerates it, for the -scenario-cells sweep.
-type scenarioCellDef struct {
-	name  string
-	model string
-}
-
-// parseScenarioCells resolves a comma-separated -scenario-cells list.
-// Cells must be plain scenario kinds (no options, no evolution): a
-// build-only runner spec regenerates bodies from (model, n, seed), so
-// only scenarios with a direct mass model are benchable here.
-func parseScenarioCells(arg string) ([]scenarioCellDef, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	var out []scenarioCellDef
-	for _, f := range strings.Split(arg, ",") {
-		sc, err := workload.ParseScenario(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		model, ok := sc.ServerModel()
-		if !ok {
-			return nil, fmt.Errorf("scenario %s carries options or evolution; scenario cells take plain kinds (%s)",
-				sc.Name(), strings.Join(workload.ScenarioNames(), ", "))
-		}
-		out = append(out, scenarioCellDef{name: sc.Name(), model: model})
-	}
-	return out, nil
-}
-
-// scenarioCellSpecs lays out the extra SPACE build cells, one per
-// scenario × processor count.
-func scenarioCellSpecs(base runner.Spec, defs []scenarioCellDef, ps []int) []runner.Spec {
-	var specs []runner.Spec
-	for _, def := range defs {
-		for _, p := range ps {
-			spec := base
-			spec.Alg = core.SPACE
-			spec.Procs = p
-			spec.Model = def.model
-			spec.Trace = ""
-			specs = append(specs, spec)
-		}
-	}
-	return specs
-}
-
-// runSessionCells produces the session-mode baseline cells for every
-// processor count, one cell per serving mode.
-func runSessionCells(base runner.Spec, ps []int, steps, reps int, modes []string) []benchCell {
-	var cells []benchCell
-	for _, p := range ps {
-		for _, mode := range modes {
-			ns, locks := runSessionCell(base, p, steps, reps, mode)
-			cells = append(cells, benchCell{Mode: mode, P: p, NsPerBuild: ns, Locks: locks})
-		}
-	}
-	return cells
+	return strings.Join(ps, ",")
 }
 
 func main() {
@@ -333,17 +66,10 @@ func main() {
 	}, "alg", "p", "steps", "theta", "dt")
 	obsFlags := runner.RegisterObsFlags(flag.CommandLine)
 	var (
-		algFlag   = flag.String("alg", "", "restrict the sweep to one tree builder: "+strings.Join(core.AlgorithmNames(), ", ")+" (default all)")
-		procs     = flag.String("p", "1,2,4,8", "comma-separated processor counts")
-		reps      = flag.Int("reps", 5, "builds per configuration (best time reported)")
-		spatial   = flag.Bool("spatial", true, "spatially coherent body partition (like settled costzones)")
-		steps     = flag.Int("steps", 0, "session-mode benchmark: drift timesteps per resident session, update vs rebuild-per-step (0 = off, min 2)")
-		adaptive  = flag.Bool("adaptive", false, "add a session-adaptive cell (measured-cost adaptive partitioning) to the session sweep")
-		scenarios = flag.String("scenario-cells", "", "comma-separated workload scenarios benchmarked as extra SPACE build cells, e.g. disk,hierarchical (valid kinds: "+strings.Join(workload.ScenarioNames(), ", ")+"; each must resolve to a server-side mass model)")
-		clusterF  = flag.Bool("cluster", false, "add router-fronted cluster cells: an in-process router + 2 shards fan-out and a single-shard control, per processor count")
-		benchout  = flag.String("benchout", "", "write a machine-readable ns-per-build baseline to this JSON file")
-		benchcmp  = flag.String("benchcmp", "", "diff a fresh run against this baseline JSON and fail past -benchthreshold")
-		benchthr  = flag.Float64("benchthreshold", 0.30, "allowed fractional ns-per-build regression for -benchcmp (0.30 = 30%)")
+		algFlag = flag.String("alg", "", "restrict the sweep to one tree builder: "+strings.Join(core.AlgorithmNames(), ", ")+" (default all)")
+		procs   = flag.String("p", hostProcs(), "comma-separated processor counts")
+		reps    = flag.Int("reps", 5, "builds per configuration (best time reported)")
+		spatial = flag.Bool("spatial", true, "spatially coherent body partition (like settled costzones)")
 	)
 	flag.Parse()
 	if _, err := obsFlags.SetupLogging("treebench"); err != nil {
@@ -359,10 +85,6 @@ func main() {
 	base.BuildOnly = true
 	base.Steps = *reps
 	base.Spatial = *spatial
-	if *steps == 1 || *steps < 0 {
-		slog.Error("bad -steps: a session needs at least 2 steps", "steps", *steps)
-		os.Exit(2)
-	}
 
 	// One worker: concurrent wall-clock benchmarks would contend for the
 	// same cores and corrupt each other's timings.
@@ -374,10 +96,6 @@ func main() {
 	}
 	if srv != nil {
 		defer srv.Close()
-	}
-
-	if *benchcmp != "" {
-		os.Exit(runBenchcmp(r, base, *benchcmp, *benchthr))
 	}
 
 	algs := core.Algorithms()
@@ -400,12 +118,6 @@ func main() {
 		ps = append(ps, v)
 	}
 
-	scDefs, err := parseScenarioCells(*scenarios)
-	if err != nil {
-		slog.Error("bad -scenario-cells", "err", err)
-		os.Exit(2)
-	}
-
 	var specs []runner.Spec
 	for _, alg := range algs {
 		for _, p := range ps {
@@ -421,62 +133,14 @@ func main() {
 		}
 	}
 
-	results := runCells(r, specs)
-	scenarioResults := runCells(r, scenarioCellSpecs(base, scDefs, ps))
-
-	modes := sessionModes(*adaptive)
-	var sessionCells []benchCell
-	if *steps > 0 {
-		sessionCells = runSessionCells(base, ps, *steps, *reps, modes)
-	}
-
-	var clusterCells []benchCell
-	if *clusterF {
-		if clusterCells, err = runClusterCells(base, ps, *reps); err != nil {
-			slog.Error("cluster cells failed", "err", err)
-			os.Exit(1)
-		}
-	}
-
-	if *benchout != "" {
-		bf := benchFile{Bodies: base.Bodies, LeafCap: base.LeafCap, Reps: base.Steps, Steps: *steps, Spatial: base.Spatial}
-		for _, res := range results {
-			if res.Failed() {
-				slog.Error("spec failed", append(specContext(res.Spec), "err", res.FailureMessage())...)
-				os.Exit(1)
-			}
-			bf.Cells = append(bf.Cells, benchCell{
-				Alg: res.Spec.Alg.String(), P: res.Spec.Procs,
-				NsPerBuild: int64(res.TreeNs), Locks: res.LocksTotal,
-			})
-		}
-		si := 0
-		for _, def := range scDefs {
-			for range ps {
-				res := scenarioResults[si]
-				si++
-				if res.Failed() {
-					slog.Error("scenario cell failed", append(specContext(res.Spec), "scenario", def.name, "err", res.FailureMessage())...)
-					os.Exit(1)
-				}
-				bf.Cells = append(bf.Cells, benchCell{
-					Alg: res.Spec.Alg.String(), Scenario: def.name, P: res.Spec.Procs,
-					NsPerBuild: int64(res.TreeNs), Locks: res.LocksTotal,
-				})
-			}
-		}
-		bf.Cells = append(bf.Cells, sessionCells...)
-		bf.Cells = append(bf.Cells, clusterCells...)
-		buf, err := json.MarshalIndent(bf, "", "  ")
-		if err != nil {
-			slog.Error("encoding baseline", "err", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchout, append(buf, '\n'), 0o644); err != nil {
-			slog.Error("writing baseline", "path", *benchout, "err", err)
-			os.Exit(1)
-		}
-		slog.Info("wrote baseline", "path", *benchout)
+	// Settle the heap before each cell so a GC cycle provoked by an
+	// earlier cell's garbage (or by the engine's retained builder stores)
+	// never lands inside a later cell's measured phase — the discipline
+	// testing.B applies between benchmarks.
+	results := make([]runner.Result, len(specs))
+	for i, sp := range specs {
+		runtime.GC()
+		results[i] = r.Run(context.Background(), sp)
 	}
 
 	if sf.JSON() {
@@ -499,7 +163,7 @@ func main() {
 	for _, p := range ps {
 		header = append(header, fmt.Sprintf("%dp", p))
 	}
-	header = append(header, "locks(8p)", "tree")
+	header = append(header, fmt.Sprintf("locks(%dp)", ps[len(ps)-1]), "tree")
 	t := stats.NewTable(header...)
 
 	i := 0
@@ -507,15 +171,16 @@ func main() {
 		row := []any{alg.String()}
 		var locks int64
 		var treeDesc string
-		for pi, p := range ps {
+		for pi := range ps {
 			res := results[i]
 			i++
 			if res.Failed() {
-				slog.Error("spec failed", append(specContext(res.Spec), "err", res.FailureMessage())...)
+				slog.Error("spec failed", "alg", res.Spec.Alg.String(), "n", res.Spec.Bodies,
+					"p", res.Spec.Procs, "seed", res.Spec.Seed, "err", res.FailureMessage())
 				row = append(row, "-")
 				continue
 			}
-			if p == 8 || (pi == len(ps)-1 && locks == 0) {
+			if pi == len(ps)-1 {
 				locks = res.LocksTotal
 				treeDesc = fmt.Sprintf("%dc/%dl d%d", res.Cells, res.Leaves, res.MaxDepth)
 			}
@@ -525,206 +190,4 @@ func main() {
 		t.Row(row...)
 	}
 	t.Write(os.Stdout)
-
-	if len(scDefs) > 0 {
-		fmt.Printf("\nscenario cells: SPACE build on workload scenarios\n\n")
-		sh := []string{"scenario"}
-		for _, p := range ps {
-			sh = append(sh, fmt.Sprintf("%dp", p))
-		}
-		ts := stats.NewTable(sh...)
-		si := 0
-		for _, def := range scDefs {
-			row := []any{def.name}
-			for range ps {
-				res := scenarioResults[si]
-				si++
-				if res.Failed() {
-					slog.Error("scenario cell failed", append(specContext(res.Spec), "scenario", def.name, "err", res.FailureMessage())...)
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, time.Duration(res.TreeNs).Round(10*time.Microsecond).String())
-			}
-			ts.Row(row...)
-		}
-		ts.Write(os.Stdout)
-	}
-
-	if len(sessionCells) > 0 {
-		fmt.Printf("\nsession mode: %d drift steps on one resident tree, ns/step (step 0 excluded)\n\n", *steps)
-		sh := []string{"mode"}
-		for _, p := range ps {
-			sh = append(sh, fmt.Sprintf("%dp", p))
-		}
-		sh = append(sh, "locks")
-		ts := stats.NewTable(sh...)
-		for mi, mode := range modes {
-			row := []any{mode}
-			var locks int64
-			for pi := range ps {
-				c := sessionCells[pi*len(modes)+mi]
-				row = append(row, time.Duration(c.NsPerBuild).Round(time.Microsecond).String())
-				locks = c.Locks
-			}
-			ts.Row(append(row, locks)...)
-		}
-		ts.Write(os.Stdout)
-	}
-
-	if len(clusterCells) > 0 {
-		fmt.Printf("\ncluster mode: router-fronted SPACE build, merged tree_ns (slowest shard's best)\n\n")
-		sh := []string{"mode"}
-		for _, p := range ps {
-			sh = append(sh, fmt.Sprintf("%dp", p))
-		}
-		sh = append(sh, "locks")
-		ts := stats.NewTable(sh...)
-		cmodes := []string{modeCluster, modeClusterSingle}
-		for mi, mode := range cmodes {
-			row := []any{mode}
-			var locks int64
-			for pi := range ps {
-				c := clusterCells[pi*len(cmodes)+mi]
-				row = append(row, time.Duration(c.NsPerBuild).Round(10*time.Microsecond).String())
-				locks = c.Locks
-			}
-			ts.Row(append(row, locks)...)
-		}
-		ts.Write(os.Stdout)
-	}
-}
-
-// runBenchcmp re-runs the sweep recorded in the baseline file and diffs
-// fresh ns-per-build against it. Returns the process exit code: 0 when
-// every cell is within threshold, 1 past it, 2 on a bad baseline.
-// Timings are machine-relative — regenerate the baseline on this machine
-// (make bench) before trusting small deltas.
-func runBenchcmp(r *runner.Runner, base runner.Spec, path string, threshold float64) int {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		slog.Error("reading baseline", "path", path, "err", err)
-		return 2
-	}
-	var bf benchFile
-	if err := json.Unmarshal(buf, &bf); err != nil {
-		slog.Error("parsing baseline", "path", path, "err", err)
-		return 2
-	}
-	if len(bf.Cells) == 0 {
-		slog.Error("baseline has no cells", "path", path)
-		return 2
-	}
-
-	// Session cells (a mode instead of an algorithm) re-run through the
-	// Stepper, not the runner; specIdx maps each baseline cell to its
-	// runner result, -1 for session cells.
-	specIdx := make([]int, len(bf.Cells))
-	var specs []runner.Spec
-	for i, c := range bf.Cells {
-		if c.Mode != "" {
-			switch c.Mode {
-			case modeUpdate, modeRebuild, modeAdaptive:
-				if bf.Steps < 2 {
-					slog.Error("baseline has session cells but no steps count", "path", path)
-					return 2
-				}
-			case modeCluster, modeClusterSingle:
-				// Re-run through the in-process fixture, not the runner.
-			default:
-				slog.Error("baseline names unknown mode", "path", path, "mode", c.Mode)
-				return 2
-			}
-			specIdx[i] = -1
-			continue
-		}
-		alg, err := core.ParseAlgorithm(c.Alg)
-		if err != nil {
-			slog.Error("baseline names unknown algorithm", "path", path, "err", err)
-			return 2
-		}
-		sp := base
-		sp.Alg = alg
-		sp.Procs = c.P
-		sp.Bodies = bf.Bodies
-		sp.LeafCap = bf.LeafCap
-		sp.Steps = bf.Reps
-		sp.Spatial = bf.Spatial
-		sp.Trace = ""
-		if c.Scenario != "" {
-			sc, err := workload.ParseScenario(c.Scenario)
-			if err != nil {
-				slog.Error("baseline names unknown scenario", "path", path, "err", err)
-				return 2
-			}
-			model, ok := sc.ServerModel()
-			if !ok {
-				slog.Error("baseline scenario cell has no direct mass model", "path", path, "scenario", c.Scenario)
-				return 2
-			}
-			sp.Model = model
-		}
-		specIdx[i] = len(specs)
-		specs = append(specs, sp)
-	}
-	results := runCells(r, specs)
-
-	sessBase := base
-	sessBase.Bodies = bf.Bodies
-	sessBase.LeafCap = bf.LeafCap
-
-	fmt.Printf("treebench: benchcmp vs %s (%d bodies, k=%d, best of %d, threshold +%.0f%%)\n\n",
-		path, bf.Bodies, bf.LeafCap, bf.Reps, 100*threshold)
-	t := stats.NewTable("cell", "p", "baseline", "fresh", "delta")
-	exit := 0
-	for i, c := range bf.Cells {
-		name := c.Alg
-		if c.Scenario != "" {
-			name = c.Scenario
-		}
-		var fresh int64
-		if j := specIdx[i]; j >= 0 {
-			res := results[j]
-			if res.Failed() {
-				slog.Error("spec failed", append(specContext(res.Spec), "err", res.FailureMessage())...)
-				exit = 1
-				t.Row(name, c.P, time.Duration(c.NsPerBuild).String(), "-", "FAILED")
-				continue
-			}
-			fresh = int64(res.TreeNs)
-		} else if c.Mode == modeCluster || c.Mode == modeClusterSingle {
-			name = c.Mode
-			cc, err := runClusterCell(sessBase, c.P, clusterShards(c.Mode), bf.Reps)
-			if err != nil {
-				slog.Error("cluster cell failed", "mode", c.Mode, "p", c.P, "err", err)
-				exit = 1
-				t.Row(name, c.P, time.Duration(c.NsPerBuild).String(), "-", "FAILED")
-				continue
-			}
-			fresh = cc.NsPerBuild
-		} else {
-			name = c.Mode
-			fresh, _ = runSessionCell(sessBase, c.P, bf.Steps, bf.Reps, c.Mode)
-		}
-		delta := float64(fresh-c.NsPerBuild) / float64(c.NsPerBuild)
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSED"
-			exit = 1
-			slog.Error("benchmark regression",
-				"cell", name, "p", c.P, "n", bf.Bodies,
-				"baseline", time.Duration(c.NsPerBuild).String(),
-				"fresh", time.Duration(fresh).String(),
-				"delta", fmt.Sprintf("%+.1f%%", 100*delta))
-		}
-		t.Row(name, c.P,
-			time.Duration(c.NsPerBuild).Round(10*time.Microsecond).String(),
-			time.Duration(fresh).Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%+.1f%%%s", 100*delta, mark))
-	}
-	t.Write(os.Stdout)
-	if exit != 0 {
-		slog.Error("benchcmp failed", "threshold", fmt.Sprintf("+%.0f%%", 100*threshold))
-	}
-	return exit
 }

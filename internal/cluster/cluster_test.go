@@ -275,6 +275,38 @@ func TestClusterSingleShard(t *testing.T) {
 	}
 }
 
+// TestShardBuildIsTheRunnersBuild pins that a shard executes its subset
+// through the runner's one build-repetition loop: with a single shard
+// owning every body, the shard's answer and runner.Run of the same
+// build-only spec agree on everything a build determines.
+func TestShardBuildIsTheRunnersBuild(t *testing.T) {
+	f := startFixture(t, FixtureOptions{Shards: 1})
+	for _, spec := range []runner.Spec{
+		// Lock counts depend on interleaving at p > 1; SPACE takes none.
+		{Alg: core.LOCAL, Procs: 1},
+		{Alg: core.SPACE, Procs: 2, Spatial: true},
+	} {
+		spec.Backend, spec.BuildOnly = runner.Native, true
+		spec.Bodies, spec.Steps, spec.Seed, spec.Check = 3000, 2, 7, true
+		want := runner.New(1).Run(context.Background(), spec)
+		if want.Failed() {
+			t.Fatalf("%v: runner build failed: %s", spec.Alg, want.FailureMessage())
+		}
+		res := clusterBuild(t, f, spec)
+		if res.Failed() || len(res.Shards) != 1 {
+			t.Fatalf("%v: shard build failed: %v %v (%d shards)", spec.Alg, res.Err, res.CheckFailure, len(res.Shards))
+		}
+		got := res.Shards[0]
+		if got.Cells != want.Cells || got.Leaves != want.Leaves || got.MaxDepth != want.MaxDepth ||
+			got.LocksTotal != want.LocksTotal || got.Retries != want.Retries ||
+			got.BodiesBuilt != want.BodiesBuilt || got.BodiesBuilt != int64(spec.Bodies) {
+			t.Errorf("%v: shard built cells=%d leaves=%d depth=%d locks=%d retries=%d bodies=%d,\nrunner built cells=%d leaves=%d depth=%d locks=%d retries=%d bodies=%d",
+				spec.Alg, got.Cells, got.Leaves, got.MaxDepth, got.LocksTotal, got.Retries, got.BodiesBuilt,
+				want.Cells, want.Leaves, want.MaxDepth, want.LocksTotal, want.Retries, want.BodiesBuilt)
+		}
+	}
+}
+
 // TestClusterBackpressure checks that engine admission composes across
 // the tier: a draining shard's 503 becomes the cluster's 503, with the
 // shard's reason surfaced.

@@ -13,9 +13,9 @@ import (
 
 // Fixture is a whole cluster inside one process: N shard servers and a
 // router, each on its own loopback listener, wired together by a real
-// addressed map. The e2e tests and cmd/treebench's cluster bench cell
-// run against it; scripts/cluster_smoke.sh runs the same topology with
-// real partreed and partree-router processes.
+// addressed map. The e2e tests run against it; scripts/cluster_smoke.sh
+// runs the same topology with real partreed and partree-router
+// processes.
 //
 // Caveat: the process-global build counters (partree_build_*) are
 // shared by every in-process shard, so each shard's /metrics reports

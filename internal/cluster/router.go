@@ -156,25 +156,6 @@ func (rt *Router) handleMap(w http.ResponseWriter, req *http.Request) {
 	w.Write(b)
 }
 
-// decodeClusterSpec vets a spec for cluster execution, mirroring
-// partreed's rules.
-func decodeClusterSpec(dec *json.Decoder) (runner.Spec, error) {
-	var spec runner.Spec
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("parsing spec: %w", err)
-	}
-	if spec.Trace != "" {
-		return spec, fmt.Errorf("trace is not supported over HTTP")
-	}
-	// Cluster builds are always native shard builds; see ShardServer.
-	spec.Backend = runner.Native
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
 // shardAnswer is one shard's build outcome in fan-out arrival order.
 type shardAnswer struct {
 	idx   int
@@ -234,7 +215,7 @@ func mergeBuild(spec runner.Spec, answers []shardAnswer) ClusterResult {
 			out.WallNs = r.WallNs
 		}
 		if r.CheckFailure != "" && out.CheckFailure == "" {
-			out.CheckFailure = r.CheckFailure
+			out.CheckFailure = fmt.Sprintf("shard %s: %s", r.Shard, r.CheckFailure)
 		}
 		if r.Err != "" && out.Err == "" {
 			out.Err = fmt.Sprintf("shard %s: %s", r.Shard, r.Err)
@@ -301,7 +282,8 @@ func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 		jsonError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
 		return
 	}
-	spec, err := decodeClusterSpec(json.NewDecoder(req.Body))
+	// Cluster builds are always native shard builds; see ShardServer.
+	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), true)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -325,13 +307,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for i := range specs {
-		if specs[i].Trace != "" {
-			jsonError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: trace is not supported over HTTP", i))
-			return
-		}
-		specs[i].Backend = runner.Native
-		specs[i] = specs[i].Normalized()
-		if err := specs[i].Validate(); err != nil {
+		var err error
+		if specs[i], err = runner.VetServiceSpec(specs[i], true); err != nil {
 			jsonError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}

@@ -1,25 +1,20 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/obs"
-	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/runner"
 	"partree/internal/vec"
-	"partree/internal/verify"
 )
 
 // BodyState is the per-body state a shard keeps resident and the
@@ -292,26 +287,23 @@ func (s *ShardServer) handleBody(w http.ResponseWriter, req *http.Request) {
 }
 
 // bodiesFor regenerates (or reuses) the deterministic full body set for
-// a spec. One memo entry suffices: cluster traffic repeats one spec
-// shape at a time, and regeneration is always correct.
-func (s *ShardServer) bodiesFor(spec runner.Spec) (*phys.Bodies, error) {
-	model, ok := phys.ParseModel(spec.Model)
-	if !ok {
-		return nil, fmt.Errorf("unknown model %q", spec.Model)
-	}
+// a vetted spec. One memo entry suffices: cluster traffic repeats one
+// spec shape at a time, and regeneration is always correct.
+func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
+	model, _ := phys.ParseModel(spec.Model) // vetted: the model parses
 	key := fmt.Sprintf("%s|%d|%d", spec.Model, spec.Bodies, spec.Seed)
 	s.mu.Lock()
 	if s.memoKey == key {
 		b := s.memo
 		s.mu.Unlock()
-		return b, nil
+		return b
 	}
 	s.mu.Unlock()
 	b := phys.Generate(model, spec.Bodies, spec.Seed)
 	s.mu.Lock()
 	s.memoKey, s.memo = key, b
 	s.mu.Unlock()
-	return b, nil
+	return b
 }
 
 func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
@@ -330,22 +322,13 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// The cluster tier executes real shard-local builds; the simulated
 	// backend has no meaning here, so the field is pinned rather than
 	// silently defaulting to a simulation.
-	br.Spec.Backend = runner.Native
-	spec := br.Spec.Normalized()
-	if spec.Trace != "" {
-		jsonError(w, http.StatusBadRequest, "trace is not supported over HTTP")
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	all, err := s.bodiesFor(spec)
+	spec, err := runner.VetServiceSpec(br.Spec, true)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+
+	all := s.bodiesFor(spec)
 	// Key the full set against the *map's* domain — every shard computes
 	// identical keys, so the owned subsets tile the body set exactly.
 	owned := make([]int32, 0, all.N()/len(s.m.Shards)+1)
@@ -358,10 +341,16 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	res := ShardBuildResult{Shard: s.ID(), N: len(owned)}
 	start := time.Now()
 	if len(owned) > 0 {
-		s.runBuild(req.Context(), spec, all, owned, &res)
+		// The owned subset is private to this request, so the build
+		// runs on it in place.
+		r := runner.BuildOnly(req.Context(), spec, subset(all, owned), s.eng)
+		res.BodiesBuilt, res.TreeNs = r.BodiesBuilt, r.TreeNs
+		res.LocksTotal, res.Retries = r.LocksTotal, r.Retries
+		res.Cells, res.Leaves, res.MaxDepth = r.Cells, r.Leaves, r.MaxDepth
+		res.Err, res.CheckFailure = r.Err, r.CheckFailure
 	}
 	res.WallNs = time.Since(start).Nanoseconds()
-	if res.Err != "" && engineRejected(res.Err) {
+	if engine.Rejected(res.Err) {
 		jsonError(w, http.StatusServiceUnavailable, res.Err)
 		return
 	}
@@ -388,24 +377,13 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, res)
 }
 
-// engineRejected reports whether a shard-build error is an engine
-// admission rejection — the sentinel texts are the 503 contract, same
-// as partreed's.
-func engineRejected(msg string) bool {
-	return strings.Contains(msg, engine.ErrQueueFull.Error()) ||
-		strings.Contains(msg, engine.ErrDraining.Error())
-}
-
 // vecOf converts the JSON-stable triple into the geometric type.
 func vecOf(p [3]float64) vec.V3 {
 	return vec.V3{X: p[0], Y: p[1], Z: p[2]}
 }
 
-// runBuild executes the owned subset's build through the engine,
-// mirroring the single-process build-only path: best-of-Steps wall
-// time, last repetition's tree metrics, optional per-shard verification
-// under the same conservation laws.
-func (s *ShardServer) runBuild(ctx context.Context, spec runner.Spec, all *phys.Bodies, owned []int32, res *ShardBuildResult) {
+// subset copies the owned bodies out of the full set.
+func subset(all *phys.Bodies, owned []int32) *phys.Bodies {
 	sub := phys.NewBodies(len(owned))
 	for j, i := range owned {
 		sub.Pos[j] = all.Pos[i]
@@ -414,54 +392,7 @@ func (s *ShardServer) runBuild(ctx context.Context, spec runner.Spec, all *phys.
 		sub.Mass[j] = all.Mass[i]
 		sub.Cost[j] = all.Cost[i]
 	}
-
-	ses, err := s.eng.Acquire(ctx, engine.Key{Alg: spec.Alg, P: spec.Procs, LeafCap: spec.LeafCap})
-	if err != nil {
-		res.Err = fmt.Sprintf("shard %s build: %v", s.ID(), err)
-		return
-	}
-	defer ses.Release()
-
-	assign := core.EvenAssign(sub.N(), spec.Procs)
-	if spec.Spatial {
-		assign = core.SpatialAssign(sub, spec.Procs)
-	}
-	in := &core.Input{Bodies: sub, Assign: assign}
-	best := time.Duration(1 << 62)
-	for rep := 0; rep < spec.Steps; rep++ {
-		if err := ctx.Err(); err != nil {
-			res.Err = fmt.Sprintf("shard %s build: %v after %d/%d reps", s.ID(), err, rep, spec.Steps)
-			return
-		}
-		in.Step = rep
-		t0 := time.Now()
-		tree, metrics := ses.Build(in)
-		if el := time.Since(t0); el < best {
-			best = el
-		}
-		if spec.Check {
-			if err := verify.Build(spec.Alg, tree, metrics, sub, rep); err != nil {
-				res.CheckFailure = fmt.Sprintf("shard %s: %v", s.ID(), err)
-				return
-			}
-		}
-		st := octree.CollectStats(tree)
-		res.Cells = int64(st.Cells)
-		res.Leaves = int64(st.Leaves)
-		res.MaxDepth = int64(st.MaxDepth)
-		res.LocksTotal = metrics.TotalLocks()
-		res.Retries = metrics.TotalRetries()
-		res.BodiesBuilt = totalBodiesBuilt(metrics)
-	}
-	res.TreeNs = float64(best)
-}
-
-func totalBodiesBuilt(m *core.Metrics) int64 {
-	var t int64
-	for i := range m.PerP {
-		t += m.PerP[i].BodiesBuilt
-	}
-	return t
+	return sub
 }
 
 func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {

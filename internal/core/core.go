@@ -142,6 +142,9 @@ type Builder interface {
 	// moments. The returned tree remains owned by the builder: it is
 	// valid until the next Build call.
 	Build(in *Input) (*octree.Tree, *Metrics)
+	// Store returns the octree store the builder retains across Build
+	// calls — the memory a pooled session keeps warm.
+	Store() *octree.Store
 }
 
 // Config carries the tuning parameters shared by the builders.
@@ -150,7 +153,7 @@ type Config struct {
 	LeafCap int // subdivision threshold k (bodies per leaf)
 	// SpaceThreshold is SPACE's subdivision threshold: a subspace with
 	// more bodies than this is split further. 0 selects the default
-	// max(LeafCap, N/(16·P)) at build time.
+	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
 	// Margin expands the root bounding cube (relative); all builders use
 	// the same value so trees stay comparable.
@@ -183,28 +186,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// New creates a builder for the given algorithm. The returned builder is
-// wrapped to publish each build's metrics into the package's live
-// per-algorithm totals (see obs.go); the wrapper adds a few atomic adds
-// per build, outside the timed phases.
+// New creates a builder for the given algorithm.
 func New(a Algorithm, cfg Config) Builder {
 	cfg = cfg.withDefaults()
-	var b Builder
 	switch a {
 	case ORIG:
-		b = newOrig(cfg)
+		return newOrig(cfg)
 	case LOCAL:
-		b = newLocal(cfg)
+		return newLocal(cfg)
 	case UPDATE:
-		b = newUpdate(cfg)
+		return newUpdate(cfg)
 	case PARTREE:
-		b = newPartree(cfg)
+		return newPartree(cfg)
 	case SPACE:
-		b = newSpace(cfg)
-	default:
-		panic("core: unknown algorithm")
+		return newSpace(cfg)
 	}
-	return obsBuilder{b}
+	panic("core: unknown algorithm")
 }
 
 // EvenAssign splits bodies 0..n-1 into p contiguous even chunks — the
@@ -249,25 +246,6 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 		out[w] = append([]int32(nil), idx[lo:hi]...)
 	}
 	return out
-}
-
-// traceStart opens a fresh trace window for one build and returns the
-// recorder, or nil when tracing is off. Builders thread the returned
-// value through their phases so the untraced path stays a nil check.
-func (c Config) traceStart() *trace.Recorder {
-	if !c.Trace.Active() {
-		return nil
-	}
-	c.Trace.Reset()
-	return c.Trace
-}
-
-// traceNow is tr.Now() tolerating a nil recorder.
-func traceNow(tr *trace.Recorder) int64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.Now()
 }
 
 // parallelBounds computes the root bounding cube with one goroutine per

@@ -151,6 +151,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			// Subdivide: build the replacement subtree privately,
 			// then publish it in place of the leaf.
 			cr := ins.subdivide(cur, ch, l, depth, pos)
+			ins.publishLeaves(cr)
 			c.SetChild(o, cr)
 			ins.unlockNode(mu)
 			cur = cr
@@ -189,7 +190,10 @@ func (ins *inserter) subdivide(parent, lr octree.Ref, l *octree.Leaf, depth int,
 }
 
 // insertPrivate inserts into a subtree that is not yet published, so no
-// locks are needed. It still maintains bodyLeaf.
+// locks are needed. It does not touch bodyLeaf: a body listed under a
+// leaf that is still being filled would let a concurrent remove lock
+// that leaf mid-fill (the filler holds only the *old* leaf's lock), so
+// the caller runs publishLeaves once the subtree is complete.
 func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos []vec.V3) {
 	s := ins.s
 	p := pos[b]
@@ -203,14 +207,12 @@ func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos 
 		case ch.IsNil():
 			nlr, nl := ins.allocLeaf(c.Cube.Child(o), cur)
 			nl.Bodies = append(nl.Bodies, b)
-			ins.setBodyLeaf(b, nlr)
 			c.SetChild(o, nlr)
 			return
 		case ch.IsLeaf():
 			nl := s.Leaf(ch)
 			if len(nl.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
 				nl.Bodies = append(nl.Bodies, b)
-				ins.setBodyLeaf(b, ch)
 				return
 			}
 			cr := ins.subdivide(cur, ch, nl, depth, pos)
@@ -220,6 +222,29 @@ func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos 
 		default:
 			cur = ch
 			depth++
+		}
+	}
+}
+
+// publishLeaves records, for every body under the privately built
+// subtree r, the leaf it ended up in. Call it after the last
+// insertPrivate into r and before r (or the lock guarding the slot it
+// replaces) is released to other processors. A no-op without a bodyLeaf
+// map.
+func (ins *inserter) publishLeaves(r octree.Ref) {
+	if ins.bodyLeaf == nil {
+		return
+	}
+	if r.IsLeaf() {
+		for _, b := range ins.s.Leaf(r).Bodies {
+			ins.setBodyLeaf(b, r)
+		}
+		return
+	}
+	c := ins.s.Cell(r)
+	for o := vec.Octant(0); o < vec.NOctants; o++ {
+		if ch := c.Child(o); !ch.IsNil() {
+			ins.publishLeaves(ch)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"partree/internal/octree"
-	"partree/internal/phys"
 	"partree/internal/trace"
 )
 
@@ -43,57 +40,32 @@ func newLocal(cfg Config) Builder {
 
 func (lb *loadBuilder) Algorithm() Algorithm { return lb.alg }
 
+func (lb *loadBuilder) Store() *octree.Store { return lb.store }
+
 func (lb *loadBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(lb.alg, in.P())
-	tree := buildShared(lb.store, in, lb.cfg, m, lb.arenaFor, nil)
-	return tree, m
+	return buildShared(lb.store, in, lb.cfg, m, lb.arenaFor, nil), m
 }
 
-// buildShared runs the concurrent-load build: size the root, load all
-// bodies with locking, compute moments in parallel. UPDATE reuses it for
-// its first step with a bodyLeaf map to maintain.
+// buildShared runs the concurrent-load build: every processor loads its
+// bodies into the shared tree with locking. UPDATE reuses it for its
+// first step with a bodyLeaf map to maintain.
 func buildShared(store *octree.Store, in *Input, cfg Config, m *Metrics,
 	arenaFor func(int) int, bodyLeaf []uint32) *octree.Tree {
 
-	p := in.P()
-	tr := cfg.traceStart()
-	t0 := time.Now()
-	cube := parallelBounds(in, cfg.Margin, tr)
-	store.Reset()
-	tree := octree.NewTree(store, arenaFor(0), 0, cube)
-	t1 := time.Now()
-
 	pos := in.Bodies.Pos
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
+	return runPhases(cfg, in, m, freshTree(store), func(tree *octree.Tree, w int, tp *trace.P) {
 		ins := &inserter{
 			s:        store,
 			arena:    arenaFor(w),
 			proc:     w,
 			pc:       &m.PerP[w],
 			bodyLeaf: bodyLeaf,
-			tp:       tr.Proc(w),
+			tp:       tp,
 		}
 		for _, b := range in.Assign[w] {
 			ins.insert(tree.Root, 0, b, pos)
 		}
 		m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
 	})
-	t2 := time.Now()
-
-	mt := traceNow(tr)
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
-	t3 := time.Now()
-
-	m.Timing.Bounds += t1.Sub(t0)
-	m.Timing.Insert += t2.Sub(t1)
-	m.Timing.Moments += t3.Sub(t2)
-	if tr != nil {
-		m.Trace = tr.Summarize()
-	}
-	return tree
-}
-
-func bodyData(b *phys.Bodies) octree.BodyData {
-	return octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 }

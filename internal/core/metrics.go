@@ -146,6 +146,16 @@ func (m *Metrics) TotalBodiesMoved() int64 {
 	return t
 }
 
+// TotalBodiesBuilt sums the bodies the processors loaded into the tree;
+// a correct build's total is the body count (verify's law 1).
+func (m *Metrics) TotalBodiesBuilt() int64 {
+	var t int64
+	for i := range m.PerP {
+		t += m.PerP[i].BodiesBuilt
+	}
+	return t
+}
+
 // String summarizes the metrics in one line.
 func (m *Metrics) String() string {
 	return fmt.Sprintf("%s: locks=%d cells=%d leaves=%d retries=%d moved=%d build=%v",

@@ -1,16 +1,12 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"partree/internal/octree"
-)
+import "sync/atomic"
 
 // Package-level per-algorithm build totals, fed from each completed
-// build's *Metrics by the wrapper New installs around every builder.
-// Builders themselves stay allocation-free and untouched: the only cost
-// is a handful of atomic adds per *build* (never per body insert), paid
-// after the build's timed phases have finished. The totals are monotone
+// build's *Metrics by the phase driver (runPhases), the single point
+// every build completes through. The only cost is a handful of atomic
+// adds per *build* (never per body insert), paid after the build's timed
+// phases have finished. The totals are monotone
 // process-lifetime counters; internal/obs exposes them over HTTP as the
 // partree_build_* series (see internal/runner's registration).
 //
@@ -51,11 +47,7 @@ func publishBuild(m *Metrics) {
 	t.leaves.Add(m.TotalLeaves())
 	t.retries.Add(m.TotalRetries())
 	t.moved.Add(m.TotalBodiesMoved())
-	var bodies int64
-	for i := range m.PerP {
-		bodies += m.PerP[i].BodiesBuilt
-	}
-	t.bodies.Add(bodies)
+	t.bodies.Add(m.TotalBodiesBuilt())
 }
 
 // BuildTotalsFor snapshots the cumulative totals for one algorithm.
@@ -70,38 +62,4 @@ func BuildTotalsFor(a Algorithm) BuildTotals {
 		Bodies:  t.bodies.Load(),
 		Moved:   t.moved.Load(),
 	}
-}
-
-// obsBuilder wraps a builder to publish its per-build metrics. It is
-// installed by New, so every builder constructed through the public API
-// feeds the live totals; whitebox constructions in tests bypass it.
-type obsBuilder struct {
-	Builder
-}
-
-func (b obsBuilder) Build(in *Input) (t *octree.Tree, m *Metrics) {
-	t, m = b.Builder.Build(in)
-	publishBuild(m)
-	return t, m
-}
-
-// StoresOf returns the octree stores a builder retains across Build
-// calls — the memory a pooled session keeps warm. It unwraps the obs
-// wrapper New installs; builders constructed outside this package (or
-// future algorithms without a persistent store) yield nil.
-func StoresOf(b Builder) []*octree.Store {
-	if ob, ok := b.(obsBuilder); ok {
-		b = ob.Builder
-	}
-	switch x := b.(type) {
-	case *loadBuilder:
-		return []*octree.Store{x.store}
-	case *updateBuilder:
-		return []*octree.Store{x.store}
-	case *partreeBuilder:
-		return []*octree.Store{x.store}
-	case *spaceBuilder:
-		return []*octree.Store{x.store}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"partree/internal/octree"
 	"partree/internal/trace"
 	"partree/internal/vec"
@@ -27,27 +25,20 @@ func newPartree(cfg Config) Builder {
 
 func (pb *partreeBuilder) Algorithm() Algorithm { return PARTREE }
 
+func (pb *partreeBuilder) Store() *octree.Store { return pb.store }
+
 func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
-	p := in.P()
-	m := newMetrics(PARTREE, p)
+	m := newMetrics(PARTREE, in.P())
 	s := pb.store
-
-	tr := pb.cfg.traceStart()
-	t0 := time.Now()
-	cube := parallelBounds(in, pb.cfg.Margin, tr)
-	s.Reset()
-	tree := octree.NewTree(s, 0, 0, cube)
-	t1 := time.Now()
-
 	pos := in.Bodies.Pos
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
-		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tr.Proc(w)}
+	tree := runPhases(pb.cfg, in, m, freshTree(s), func(tree *octree.Tree, w int, tp *trace.P) {
+		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp}
 
 		// Phase 1: private local tree; InsertParticlesInTree in the
 		// paper's skeleton. The local root's dimensions are precomputed
 		// to match the global root, so a cell in one tree represents
 		// exactly the same subspace as in any other.
-		localRoot, _ := ins.allocCell(cube, octree.Nil)
+		localRoot, _ := ins.allocCell(tree.RootCube(), octree.Nil)
 		for _, b := range in.Assign[w] {
 			ins.insertPrivate(localRoot, 0, b, pos)
 		}
@@ -61,19 +52,6 @@ func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 			}
 		}
 	})
-	t2 := time.Now()
-
-	mt := traceNow(tr)
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
-	t3 := time.Now()
-
-	m.Timing.Bounds += t1.Sub(t0)
-	m.Timing.Insert += t2.Sub(t1)
-	m.Timing.Moments += t3.Sub(t2)
-	if tr != nil {
-		m.Trace = tr.Summarize()
-	}
 	return tree, m
 }
 
@@ -120,9 +98,6 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= s.MaxDepth {
 					// Two part-full leaves combine into one.
 					l.Bodies = append(l.Bodies, ll.Bodies...)
-					for _, b := range ll.Bodies {
-						ins.setBodyLeaf(b, slot)
-					}
 					ins.unlockNode(mu)
 					return
 				}

@@ -1,0 +1,72 @@
+package core
+
+import (
+	"time"
+
+	"partree/internal/octree"
+	"partree/internal/phys"
+	"partree/internal/trace"
+	"partree/internal/vec"
+)
+
+// prepareFn is a build's first-phase hook: given the freshly computed
+// root cube it readies the tree the insert phase will load — a reset
+// store and a new root for the rebuilding algorithms (plus SPACE's
+// counting partition), a rescale of the resident tree for UPDATE's
+// repair. It runs inside the Bounds bracket.
+type prepareFn func(root vec.Cube, tr *trace.Recorder) *octree.Tree
+
+// insertFn is processor w's share of the insert phase; tp is its trace
+// handle (nil when tracing is off).
+type insertFn func(tree *octree.Tree, w int, tp *trace.P)
+
+// runPhases is the build skeleton all five algorithms share — size the
+// root, load the bodies, compute moments — and the only place it is
+// written down: the trace window, the three timed brackets, the moments
+// pass and its span, Metrics.Timing, the trace summary, and the
+// publication into the live per-algorithm totals all happen here. An
+// algorithm is its prepare and insert hooks.
+func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
+	p := in.P()
+	// A traced build opens a fresh trace window; untraced, tr stays nil
+	// and every hook downstream is a nil check.
+	var tr *trace.Recorder
+	if cfg.Trace.Active() {
+		cfg.Trace.Reset()
+		tr = cfg.Trace
+	}
+	t0 := time.Now()
+	tree := prepare(parallelBounds(in, cfg.Margin, tr), tr)
+	t1 := time.Now()
+
+	tracedDo(tr, trace.PhaseInsert, p, func(w int) { insert(tree, w, tr.Proc(w)) })
+	t2 := time.Now()
+
+	var mt int64
+	if tr != nil {
+		mt = tr.Now()
+	}
+	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
+	spanAll(tr, trace.PhaseMoments, mt, p)
+	t3 := time.Now()
+
+	m.Timing = Timing{Bounds: t1.Sub(t0), Insert: t2.Sub(t1), Moments: t3.Sub(t2)}
+	if tr != nil {
+		m.Trace = tr.Summarize()
+	}
+	publishBuild(m)
+	return tree
+}
+
+// freshTree is the prepare hook of a from-scratch build: reset the store
+// and root a new tree (in arena 0, processor 0's) at the given cube.
+func freshTree(s *octree.Store) prepareFn {
+	return func(root vec.Cube, _ *trace.Recorder) *octree.Tree {
+		s.Reset()
+		return octree.NewTree(s, 0, 0, root)
+	}
+}
+
+func bodyData(b *phys.Bodies) octree.BodyData {
+	return octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
+}

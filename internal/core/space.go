@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"partree/internal/octree"
 	"partree/internal/partition"
@@ -64,80 +63,68 @@ func spaceThreshold(cfg Config, n, p int) int {
 	return th
 }
 
+func (sb *spaceBuilder) Store() *octree.Store { return sb.store }
+
 func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
-	p := in.P()
-	m := newMetrics(SPACE, p)
+	m := newMetrics(SPACE, in.P())
 	s := sb.store
-
-	tr := sb.cfg.traceStart()
-	t0 := time.Now()
-	cube := parallelBounds(in, sb.cfg.Margin, tr)
-	s.Reset()
-	tree := octree.NewTree(s, 0, 0, cube)
-	subs := spacePartition(s, tree, in, spaceThreshold(sb.cfg, in.Bodies.N(), p), m, tr)
-	assignSubspaces(tree.RootCube(), subs, p)
-	t1 := time.Now()
-
-	spaceAttach(s, in, subs, m, tr, func(w int) *inserter {
-		return &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tr.Proc(w)}
+	tree := spaceBuild(s, sb.cfg, in, m, func(w int, tp *trace.P) *inserter {
+		return &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp}
 	})
-	t2 := time.Now()
-
-	mt := traceNow(tr)
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
-	t3 := time.Now()
-
-	m.Timing.Bounds += t1.Sub(t0)
-	m.Timing.Insert += t2.Sub(t1)
-	m.Timing.Moments += t3.Sub(t2)
-	if tr != nil {
-		m.Trace = tr.Summarize()
-	}
 	return tree, m
 }
 
-// spaceAttach builds and attaches one subtree per finalized subspace —
-// one processor per subspace, no locking: a given attachment slot
-// belongs to exactly one processor. mkIns supplies each worker's
-// inserter, so callers control the arena layout and whether a bodyLeaf
-// map is maintained (UPDATE's session fallback rebuild threads its
-// persistent map through here; plain SPACE passes none).
-func spaceAttach(s *octree.Store, in *Input, subs []subspace, m *Metrics,
-	tr *trace.Recorder, mkIns func(w int) *inserter) {
+// spaceBuild is SPACE's build over store s: the counting partition runs
+// in the prepare phase, then every processor builds and attaches the
+// subtrees of its subspaces. mkIns supplies each worker's inserter, so
+// callers control whether a bodyLeaf map is maintained (UPDATE's session
+// fallback rebuild threads its persistent map through here; plain SPACE
+// passes none).
+func spaceBuild(s *octree.Store, cfg Config, in *Input, m *Metrics,
+	mkIns func(w int, tp *trace.P) *inserter) *octree.Tree {
 
 	p := in.P()
+	var subs []subspace
+	return runPhases(cfg, in, m,
+		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
+			tree := freshTree(s)(root, tr)
+			subs = spacePartition(s, tree, in, spaceThreshold(cfg, in.Bodies.N(), p), m, tr)
+			assignSubspaces(root, subs, p)
+			return tree
+		},
+		func(_ *octree.Tree, w int, tp *trace.P) {
+			spaceAttach(s, in, subs, w, mkIns(w, tp))
+		})
+}
+
+// spaceAttach builds and attaches one subtree per finalized subspace
+// owned by processor w — no locking: a given attachment slot belongs to
+// exactly one processor.
+func spaceAttach(s *octree.Store, in *Input, subs []subspace, w int, ins *inserter) {
 	pos := in.Bodies.Pos
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
-		ins := mkIns(w)
-		for i := range subs {
-			ss := &subs[i]
-			if ss.owner != w {
-				continue
-			}
-			var node octree.Ref
-			if ss.count <= s.LeafCap || ss.depth >= s.MaxDepth {
-				lr, l := ins.allocLeaf(ss.cube, ss.parent)
-				l.Bodies = append(l.Bodies, ss.bodies...)
-				if ins.bodyLeaf != nil {
-					for _, b := range ss.bodies {
-						ins.setBodyLeaf(b, lr)
-					}
-				}
-				node = lr
-			} else {
-				cr, _ := ins.allocCell(ss.cube, ss.parent)
-				for _, b := range ss.bodies {
-					ins.insertPrivate(cr, ss.depth, b, pos)
-				}
-				node = cr
-			}
-			// Attach without locking: this slot is ours alone.
-			s.Cell(ss.parent).SetChild(ss.oct, node)
-			ins.pc.Attached++
-			m.PerP[w].BodiesBuilt += int64(ss.count)
+	for i := range subs {
+		ss := &subs[i]
+		if ss.owner != w {
+			continue
 		}
-	})
+		var node octree.Ref
+		if ss.count <= s.LeafCap || ss.depth >= s.MaxDepth {
+			lr, l := ins.allocLeaf(ss.cube, ss.parent)
+			l.Bodies = append(l.Bodies, ss.bodies...)
+			node = lr
+		} else {
+			cr, _ := ins.allocCell(ss.cube, ss.parent)
+			for _, b := range ss.bodies {
+				ins.insertPrivate(cr, ss.depth, b, pos)
+			}
+			node = cr
+		}
+		ins.publishLeaves(node)
+		// Attach without locking: this slot is ours alone.
+		s.Cell(ss.parent).SetChild(ss.oct, node)
+		ins.pc.Attached++
+		ins.pc.BodiesBuilt += int64(ss.count)
+	}
 }
 
 // spacePartition runs the parallel counting/subdivision rounds. Each round,

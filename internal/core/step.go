@@ -131,7 +131,7 @@ func resolveP(p int) int {
 func (st *Stepper) Bodies() *phys.Bodies { return st.bodies }
 
 // Builder exposes the pinned resident builder for storage accounting
-// (engine.Stats aggregates its store via StoresOf).
+// (engine.Stats aggregates its store).
 func (st *Stepper) Builder() Builder { return st.b }
 
 // Steps returns how many steps have been taken.
@@ -193,7 +193,7 @@ func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
 	if st.bodies.N() == 0 {
 		return
 	}
-	d := octree.BodyData{Pos: st.bodies.Pos, Mass: st.bodies.Mass, Cost: st.bodies.Cost}
+	d := bodyData(st.bodies)
 	if st.adapter == nil {
 		st.assign = partition.Costzones(tree, d, st.cfg.P)
 		return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"partree/internal/octree"
 	"partree/internal/trace"
@@ -37,6 +36,8 @@ func newUpdate(cfg Config) Builder {
 
 func (ub *updateBuilder) Algorithm() Algorithm { return UPDATE }
 
+func (ub *updateBuilder) Store() *octree.Store { return ub.store }
+
 // freshReason decides whether this build must start from scratch and
 // why; "" means the resident tree can be repaired incrementally.
 func (ub *updateBuilder) freshReason(in *Input) string {
@@ -60,9 +61,8 @@ func (ub *updateBuilder) freshReason(in *Input) string {
 }
 
 func (ub *updateBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
-	p := in.P()
-	m := newMetrics(UPDATE, p)
-	t, m := ub.build(in, m)
+	m := newMetrics(UPDATE, in.P())
+	t := ub.build(in, m)
 	ub.lastStep = in.Step
 	if ub.cfg.DepthStats {
 		st := octree.CollectStats(t)
@@ -71,121 +71,70 @@ func (ub *updateBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	return t, m
 }
 
-func (ub *updateBuilder) build(in *Input, m *Metrics) (*octree.Tree, *Metrics) {
+func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 	p := in.P()
+	s := ub.store
 	if reason := ub.freshReason(in); reason != "" {
 		m.FreshRebuild = true
 		m.FreshReason = reason
+		ub.bodyLeaf = make([]uint32, in.Bodies.N())
+		ub.insPerProc = make([]*inserter, p)
 		if reason == FreshRequested {
 			// A requested rebuild runs inside a live session: take
 			// SPACE's zero-lock path so the reset costs no lock traffic.
-			ub.rebuildSpace(in, m)
-			return ub.tree, m
+			// The inserters carry the persistent bodyLeaf map, so later
+			// steps resume incremental repair against the fresh tree.
+			ub.tree = spaceBuild(s, ub.cfg, in, m, func(w int, tp *trace.P) *inserter {
+				ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp, bodyLeaf: ub.bodyLeaf}
+				ub.insPerProc[w] = ins
+				return ins
+			})
+		} else {
+			ub.tree = buildShared(s, in, ub.cfg, m, func(w int) int { return w }, ub.bodyLeaf)
 		}
-		ub.bodyLeaf = make([]uint32, in.Bodies.N())
-		ub.insPerProc = make([]*inserter, p)
-		ub.tree = buildShared(ub.store, in, ub.cfg, m, func(w int) int { return w }, ub.bodyLeaf)
-		return ub.tree, m
+		return ub.tree
 	}
 
-	s := ub.store
-	tree := ub.tree
 	pos := in.Bodies.Pos
-
-	// Phase 1: refresh the root bounds and rescale every node's cube;
-	// the tree keeps its shape but the space it maps onto breathes.
-	tr := ub.cfg.traceStart()
-	t0 := time.Now()
-	cube := parallelBounds(in, ub.cfg.Margin, tr)
-	rescale(tree, cube, p, tr)
-	t1 := time.Now()
-
-	// Phase 2: move bodies that crossed their leaf boundary.
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
-		ins := ub.insPerProc[w]
-		if ins == nil {
-			ins = &inserter{s: s, arena: w, proc: w, bodyLeaf: ub.bodyLeaf}
-			ub.insPerProc[w] = ins
-		}
-		ins.pc = &m.PerP[w]
-		ins.tp = tr.Proc(w)
-		ins.promoteFreed()
-		for _, b := range in.Assign[w] {
-			lr := ins.getBodyLeaf(b)
-			if s.Leaf(lr).Cube.Contains(pos[b]) {
-				continue // still home; the common case
+	runPhases(ub.cfg, in, m,
+		// Refresh the root bounds and rescale every node's cube; the
+		// tree keeps its shape but the space it maps onto breathes.
+		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
+			rescale(ub.tree, root, p, tr)
+			return ub.tree
+		},
+		// Move the bodies that crossed their leaf boundary.
+		func(tree *octree.Tree, w int, tp *trace.P) {
+			ins := ub.insPerProc[w]
+			if ins == nil {
+				ins = &inserter{s: s, arena: w, proc: w, bodyLeaf: ub.bodyLeaf}
+				ub.insPerProc[w] = ins
 			}
-			ins.pc.BodiesMoved++
-			parent := ins.remove(b)
-			// Walk up until an enclosing cell is found (the root
-			// encloses everything by construction).
-			cur := parent
-			for {
-				c := s.Cell(cur)
-				if c.Cube.Contains(pos[b]) || c.Parent.IsNil() {
-					break
+			ins.pc = &m.PerP[w]
+			ins.tp = tp
+			ins.promoteFreed()
+			for _, b := range in.Assign[w] {
+				lr := ins.getBodyLeaf(b)
+				if s.Leaf(lr).Cube.Contains(pos[b]) {
+					continue // still home; the common case
 				}
-				cur = c.Parent
+				ins.pc.BodiesMoved++
+				parent := ins.remove(b)
+				// Walk up until an enclosing cell is found (the root
+				// encloses everything by construction).
+				cur := parent
+				for {
+					c := s.Cell(cur)
+					if c.Cube.Contains(pos[b]) || c.Parent.IsNil() {
+						break
+					}
+					cur = c.Parent
+				}
+				ins.insert(cur, depthOf(tree, s.Cell(cur).Cube), b, pos)
 			}
-			ins.insert(cur, depthOf(tree, s.Cell(cur).Cube), b, pos)
-		}
-		m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
-	})
-	t2 := time.Now()
-
-	mt := traceNow(tr)
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
-	t3 := time.Now()
-
-	m.Timing.Bounds += t1.Sub(t0)
-	m.Timing.Insert += t2.Sub(t1)
-	m.Timing.Moments += t3.Sub(t2)
-	if tr != nil {
-		m.Trace = tr.Summarize()
-	}
-	return tree, m
-}
-
-// rebuildSpace discards the resident tree and rebuilds it with SPACE's
-// zero-lock spatial partition — the session fallback path. The rebuild
-// runs in the builder's own store with inserters that carry the
-// persistent bodyLeaf map, so subsequent steps can resume incremental
-// repair against the fresh tree.
-func (ub *updateBuilder) rebuildSpace(in *Input, m *Metrics) {
-	p := in.P()
-	s := ub.store
-	ub.bodyLeaf = make([]uint32, in.Bodies.N())
-	ub.insPerProc = make([]*inserter, p)
-
-	tr := ub.cfg.traceStart()
-	t0 := time.Now()
-	cube := parallelBounds(in, ub.cfg.Margin, tr)
-	s.Reset()
-	tree := octree.NewTree(s, 0, 0, cube)
-	subs := spacePartition(s, tree, in, spaceThreshold(ub.cfg, in.Bodies.N(), p), m, tr)
-	assignSubspaces(tree.RootCube(), subs, p)
-	t1 := time.Now()
-
-	spaceAttach(s, in, subs, m, tr, func(w int) *inserter {
-		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tr.Proc(w), bodyLeaf: ub.bodyLeaf}
-		ub.insPerProc[w] = ins
-		return ins
-	})
-	t2 := time.Now()
-
-	mt := traceNow(tr)
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
-	t3 := time.Now()
-
-	m.Timing.Bounds += t1.Sub(t0)
-	m.Timing.Insert += t2.Sub(t1)
-	m.Timing.Moments += t3.Sub(t2)
-	if tr != nil {
-		m.Trace = tr.Summarize()
-	}
-	ub.tree = tree
+			m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
+		})
+	return ub.tree
 }
 
 // depthOf recovers a node's depth from its cube size: cubes halve exactly

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,14 @@ var (
 	// ErrDraining rejects every acquire after Drain has begun.
 	ErrDraining = errors.New("engine: draining")
 )
+
+// Rejected reports whether msg is (or wraps the text of) an admission
+// rejection. Layers above the engine carry failures in-band as strings
+// (runner.Result.Err, a shard's JSON error document), so the 503
+// contract is matched on the sentinel texts.
+func Rejected(msg string) bool {
+	return strings.Contains(msg, ErrQueueFull.Error()) || strings.Contains(msg, ErrDraining.Error())
+}
 
 // Key is a session's identity: two requests with equal keys can share a
 // pooled builder (and therefore its retained store). The fields mirror
@@ -462,14 +471,10 @@ func (e *Engine) Stats() Stats {
 		LeaseUnplanned:    e.leaseUnplanned.Load(),
 	}
 	for _, s := range sessions {
-		for _, store := range core.StoresOf(s.b) {
-			st.Store = st.Store.Add(store.Stats())
-		}
+		st.Store = st.Store.Add(s.b.Store().Stats())
 	}
 	for _, sp := range steppers {
-		for _, store := range core.StoresOf(sp.Builder()) {
-			st.Store = st.Store.Add(store.Stats())
-		}
+		st.Store = st.Store.Add(sp.Builder().Store().Stats())
 	}
 	return st
 }

@@ -41,7 +41,9 @@ func admissionResult(spec Spec, err error) Result {
 // build runs through a pooled session's persistent builder.
 func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	if spec.BuildOnly {
-		return runNativeBuild(ctx, spec, bodies, eng)
+		// The memoized body set is shared across specs; the build gets
+		// its own copy.
+		return BuildOnly(ctx, spec, bodies.Clone(), eng)
 	}
 	m, _ := phys.ParseModel(spec.Model)
 	opts := nbody.DefaultOptions()
@@ -120,12 +122,17 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 	return finalize()
 }
 
-// runNativeBuild benchmarks just the tree-building phase: Steps
-// repetitions of one build, reporting the best wall-clock time (what
-// cmd/treebench measures). With a non-nil engine, the repetitions run
-// through a pooled session, so only the first-ever rep for a key pays
-// store allocation.
-func runNativeBuild(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
+// BuildOnly benchmarks just the tree-building phase over bodies: Steps
+// repetitions of one build, reporting the best wall-clock time, the last
+// repetition's tree statistics and counters, and — with Check — a
+// verification of every repetition. It is the one build-repetition loop:
+// Run executes build-only specs through it, and a cluster shard calls it
+// directly on its owned subset. spec must be Normalized; bodies are
+// built in place, so a caller sharing them clones first. With a non-nil
+// engine the repetitions run through a pooled session, so only the
+// first-ever rep for a key pays store allocation; an admission rejection
+// comes back as a Result whose Err satisfies engine.Rejected.
+func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	var bld core.Builder
 	var rec *trace.Recorder
 	if ses, err, own := sessionFor(ctx, spec, eng); err != nil {
@@ -145,7 +152,7 @@ func runNativeBuild(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *en
 	if spec.Spatial {
 		assign = core.SpatialAssign(bodies, spec.Procs)
 	}
-	in := &core.Input{Bodies: bodies.Clone(), Assign: assign}
+	in := &core.Input{Bodies: bodies, Assign: assign}
 	rq := reqtrace.FromContext(ctx)
 	res := Result{Spec: spec, rec: rec}
 	best := time.Duration(1 << 62)
@@ -188,6 +195,7 @@ func runNativeBuild(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *en
 		res.LocksTotal = metrics.TotalLocks()
 		res.LocksPerProc = metrics.LocksPerProc()
 		res.Retries = metrics.TotalRetries()
+		res.BodiesBuilt = metrics.TotalBodiesBuilt()
 		res.StepsDone = rep + 1
 	}
 	res.TreeNs = float64(best)

@@ -33,6 +33,12 @@ type Result struct {
 	BarrierNsMean float64 `json:"barrier_ns_mean,omitempty"`
 	Interactions  int64   `json:"interactions,omitempty"`
 
+	// BodiesBuilt is the number of bodies the last build repetition
+	// loaded into its tree (build-only specs). A cluster shard reports it
+	// for the cross-shard conservation audit; it is not serialized — the
+	// wire shape of a Result is pinned.
+	BodiesBuilt int64 `json:"-"`
+
 	// StepsDone counts the steps (or build repetitions) that completed;
 	// it falls short of Spec.Steps only on cancellation or timeout.
 	StepsDone int `json:"steps_done"`

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,13 +35,8 @@ type Runner struct {
 	// requested from many goroutines runs exactly once.
 	execs int64
 
-	mu         sync.Mutex
-	cache      map[string]*entry
-	cacheLRU   *list.List // *entry, front = most recently used
-	maxResults int
-	bodies     map[string]*bodiesEntry
-	bodiesLRU  *list.List // *bodiesEntry, front = most recently used
-	maxBodies  int
+	results *cache[run]
+	bodies  *cache[bodySet]
 
 	// obs holds the live instrumentation counters (see obs.go). They are
 	// always maintained — a few atomic adds per spec — and surfaced over
@@ -48,30 +44,109 @@ type Runner struct {
 	obs *runnerObs
 }
 
-type entry struct {
-	key  string
+// run is a result-cache entry's payload.
+type run struct {
 	spec Spec // normalized
-	done chan struct{}
 	res  Result
-	elem *list.Element
 	// rq is the initiating request's span context. execute runs on its
 	// own goroutine with a fresh context, so the request handle is
 	// carried through the entry; cache-hit followers share the entry
 	// (and the execution's spans belong to the request that caused it).
 	rq *reqtrace.Req
-	// transient marks a result that must not be memoized (an engine
-	// admission rejection): waiters still observe it, but the entry is
-	// dropped so a later identical request retries.
-	transient bool
 }
 
-type bodiesEntry struct {
-	key   string
-	done  chan struct{}
+// bodySet is a body-memo entry's payload.
+type bodySet struct {
 	b     *phys.Bodies
 	genNs int64
 	err   error
-	elem  *list.Element
+}
+
+// flight is one cache entry: the value being built (or built) and done,
+// closed once val is final.
+type flight[V any] struct {
+	key  string
+	done chan struct{}
+	val  V
+	elem *list.Element // LRU position; nil once evicted or dropped
+}
+
+// cache is a single-flight bounded LRU: the first lookup of a key
+// creates its entry and that caller fills it and closes done; every
+// concurrent or later lookup shares the entry. Past max entries the
+// least recently used *completed* entries are evicted. In-flight entries
+// never are (their execution must publish somewhere), so under a burst
+// of distinct in-flight keys the cache may transiently exceed its bound
+// by the in-flight count. Evicting only drops the cache's reference;
+// holders of an entry keep using it.
+type cache[V any] struct {
+	mu        sync.Mutex
+	entries   map[string]*flight[V]
+	lru       *list.List // *flight[V], front = most recently used
+	max       int
+	evictions *atomic.Int64
+}
+
+func newCache[V any](max int, evictions *atomic.Int64) *cache[V] {
+	return &cache[V]{entries: map[string]*flight[V]{}, lru: list.New(), max: max, evictions: evictions}
+}
+
+// lookup returns key's entry; created reports that this call made it,
+// which obliges the caller to fill val and close done.
+func (c *cache[V]) lookup(key string) (f *flight[V], created bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(f.elem)
+		return f, false
+	}
+	f = &flight[V]{key: key, done: make(chan struct{})}
+	c.entries[key] = f
+	f.elem = c.lru.PushFront(f)
+	for el := c.lru.Back(); el != nil && c.lru.Len() > c.max; {
+		prev := el.Prev()
+		old := el.Value.(*flight[V])
+		select {
+		case <-old.done:
+			c.remove(old)
+			c.evictions.Add(1)
+		default: // still in flight; skip
+		}
+		el = prev
+	}
+	return f, true
+}
+
+// remove unlinks f. Caller holds c.mu.
+func (c *cache[V]) remove(f *flight[V]) {
+	c.lru.Remove(f.elem)
+	f.elem = nil
+	delete(c.entries, f.key)
+}
+
+// drop forgets f (if the cache still holds it) so the next lookup of its
+// key starts afresh; current waiters still observe f's value.
+func (c *cache[V]) drop(f *flight[V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f.elem != nil {
+		c.remove(f)
+	}
+}
+
+// completed snapshots the values of every finished entry.
+func (c *cache[V]) completed() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []V
+	for _, f := range c.entries {
+		select {
+		case <-f.done:
+			out = append(out, f.val)
+		default:
+		}
+	}
+	return out
 }
 
 // Config sizes a runner for its lifetime. The zero value of every field
@@ -115,17 +190,14 @@ func NewWithConfig(cfg Config) *Runner {
 		// ever seeing ErrQueueFull.
 		cfg.Engine = engine.New(engine.Options{MaxActive: cfg.Workers, MaxQueue: 2 * cfg.Workers})
 	}
+	o := newRunnerObs()
 	return &Runner{
-		workers:    cfg.Workers,
-		sem:        make(chan struct{}, cfg.Workers),
-		eng:        cfg.Engine,
-		cache:      map[string]*entry{},
-		cacheLRU:   list.New(),
-		maxResults: cfg.ResultCacheEntries,
-		bodies:     map[string]*bodiesEntry{},
-		bodiesLRU:  list.New(),
-		maxBodies:  cfg.BodiesCacheEntries,
-		obs:        newRunnerObs(),
+		workers: cfg.Workers,
+		sem:     make(chan struct{}, cfg.Workers),
+		eng:     cfg.Engine,
+		results: newCache[run](cfg.ResultCacheEntries, &o.resultEvictions),
+		bodies:  newCache[bodySet](cfg.BodiesCacheEntries, &o.bodyEvictions),
+		obs:     o,
 	}
 }
 
@@ -151,69 +223,20 @@ func (r *Runner) Run(ctx context.Context, spec Spec) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Spec: spec, Err: fmt.Sprintf("runner: %v", err)}
 	}
-	key := spec.Key()
 	r.obs.runs.Add(1)
-	r.mu.Lock()
-	e, ok := r.cache[key]
-	if !ok {
-		e = &entry{key: key, spec: spec, done: make(chan struct{}), rq: reqtrace.FromContext(ctx)}
-		r.cache[key] = e
-		e.elem = r.cacheLRU.PushFront(e)
-		r.evictResultsLocked()
+	e, created := r.results.lookup(spec.Key())
+	if created {
+		e.val.spec, e.val.rq = spec, reqtrace.FromContext(ctx)
 		r.obs.cacheMisses.Add(1)
 		go r.execute(e)
 	} else {
-		if e.elem != nil {
-			r.cacheLRU.MoveToFront(e.elem)
-		}
 		r.obs.cacheHits.Add(1)
 	}
-	r.mu.Unlock()
 	select {
 	case <-e.done:
-		return e.res
+		return e.val.res
 	case <-ctx.Done():
 		return Result{Spec: spec, Err: fmt.Sprintf("runner: %v", ctx.Err())}
-	}
-}
-
-// evictResultsLocked drops least-recently-used *completed* entries until
-// the result cache is back under its bound. In-flight entries are never
-// evicted (their execution must publish somewhere), so under a burst of
-// distinct in-flight specs the cache may transiently exceed the bound by
-// the in-flight count. Caller holds r.mu.
-func (r *Runner) evictResultsLocked() {
-	for el := r.cacheLRU.Back(); el != nil && r.cacheLRU.Len() > r.maxResults; {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		select {
-		case <-e.done:
-			r.cacheLRU.Remove(el)
-			e.elem = nil
-			delete(r.cache, e.key)
-			r.obs.resultEvictions.Add(1)
-		default: // still executing; skip
-		}
-		el = prev
-	}
-}
-
-// evictBodiesLocked is evictResultsLocked for the body memo. Evicting a
-// body set only drops the memo reference; executions already holding the
-// *phys.Bodies keep it alive until they finish.
-func (r *Runner) evictBodiesLocked() {
-	for el := r.bodiesLRU.Back(); el != nil && r.bodiesLRU.Len() > r.maxBodies; {
-		prev := el.Prev()
-		be := el.Value.(*bodiesEntry)
-		select {
-		case <-be.done:
-			r.bodiesLRU.Remove(el)
-			be.elem = nil
-			delete(r.bodies, be.key)
-			r.obs.bodyEvictions.Add(1)
-		default:
-		}
-		el = prev
 	}
 }
 
@@ -266,14 +289,15 @@ func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i i
 // make sweep-cell wall times incomparable. GenNs instead reports the full
 // generation time of the spec's body set, identically on every spec that
 // shares it.
-func (r *Runner) execute(e *entry) {
+func (r *Runner) execute(e *flight[run]) {
+	spec, rq := e.val.spec, e.val.rq
 	r.obs.queueDepth.Add(1)
 	var qstart time.Time
-	if e.rq != nil {
+	if rq != nil {
 		qstart = time.Now()
 	}
 	r.sem <- struct{}{}
-	e.rq.SpanSince("queue", qstart)
+	rq.SpanSince("queue", qstart)
 	r.obs.queueDepth.Add(-1)
 	r.obs.started.Add(1)
 	r.obs.inFlight.Add(1)
@@ -285,17 +309,10 @@ func (r *Runner) execute(e *entry) {
 	// published to waiters but dropped from the cache, so a later
 	// identical request retries once the pressure has passed.
 	finish := func(res Result) {
-		e.res = res
-		e.transient = res.transient
-		if e.transient {
-			r.mu.Lock()
-			if e.elem != nil {
-				r.cacheLRU.Remove(e.elem)
-				e.elem = nil
-			}
-			delete(r.cache, e.key)
+		e.val.res = res
+		if res.transient {
+			r.results.drop(e)
 			r.obs.transientDropped.Add(1)
-			r.mu.Unlock()
 		}
 		r.obs.observeExecuted(res)
 		r.obs.inFlight.Add(-1)
@@ -305,26 +322,26 @@ func (r *Runner) execute(e *entry) {
 	// The execution context is fresh (memoized results outlive their
 	// initiating request) but carries the initiator's span handle so
 	// the engine and backend can stamp queue/build spans onto it.
-	ctx := reqtrace.NewContext(context.Background(), e.rq)
-	if e.spec.Timeout > 0 {
+	ctx := reqtrace.NewContext(context.Background(), rq)
+	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.spec.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
-	bodies, genNs, err := r.bodiesFor(e.spec.Model, e.spec.Bodies, e.spec.Seed)
+	bodies, genNs, err := r.bodiesFor(spec.Model, spec.Bodies, spec.Seed)
 	if err != nil {
-		finish(Result{Spec: e.spec, Err: err.Error()})
+		finish(Result{Spec: spec, Err: err.Error()})
 		return
 	}
 	start := time.Now()
 	var res Result
-	switch e.spec.Backend {
+	switch spec.Backend {
 	case Native:
-		res = runNative(ctx, e.spec, bodies, r.eng)
+		res = runNative(ctx, spec, bodies, r.eng)
 	default:
-		res = runSimulated(ctx, e.spec, bodies)
+		res = runSimulated(ctx, spec, bodies)
 	}
-	res.Spec = e.spec
+	res.Spec = spec
 	res.GenNs = genNs
 	res.WallNs = time.Since(start).Nanoseconds()
 	// Trace files are written after the wall clock stops, so tracing a
@@ -344,52 +361,31 @@ func (r *Runner) Bodies(model phys.Model, n int, seed int64) *phys.Bodies {
 }
 
 func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64, error) {
-	key := fmt.Sprintf("%s|%d|%d", model, n, seed)
-	r.mu.Lock()
-	be, ok := r.bodies[key]
-	if !ok {
-		be = &bodiesEntry{key: key, done: make(chan struct{})}
-		r.bodies[key] = be
-		be.elem = r.bodiesLRU.PushFront(be)
-		r.evictBodiesLocked()
-		r.obs.memoMisses.Add(1)
-		r.mu.Unlock()
-		if m, ok := phys.ParseModel(model); ok {
-			start := time.Now()
-			be.b = phys.Generate(m, n, seed)
-			be.genNs = time.Since(start).Nanoseconds()
-		} else {
-			be.err = fmt.Errorf("runner: unknown mass model %q (valid: %s, %s, %s)",
-				model, phys.ModelPlummer, phys.ModelUniform, phys.ModelTwoClusters)
-		}
-		close(be.done)
-		return be.b, be.genNs, be.err
+	f, created := r.bodies.lookup(fmt.Sprintf("%s|%d|%d", model, n, seed))
+	if !created {
+		r.obs.memoHits.Add(1)
+		<-f.done
+		return f.val.b, f.val.genNs, f.val.err
 	}
-	if be.elem != nil {
-		r.bodiesLRU.MoveToFront(be.elem)
+	r.obs.memoMisses.Add(1)
+	if m, ok := phys.ParseModel(model); ok {
+		start := time.Now()
+		f.val.b = phys.Generate(m, n, seed)
+		f.val.genNs = time.Since(start).Nanoseconds()
+	} else {
+		f.val.err = fmt.Errorf("runner: unknown mass model %q (valid: %s)",
+			model, strings.Join(phys.ModelNames(), ", "))
 	}
-	r.obs.memoHits.Add(1)
-	r.mu.Unlock()
-	<-be.done
-	return be.b, be.genNs, be.err
+	close(f.done)
+	return f.val.b, f.val.genNs, f.val.err
 }
 
 // Results snapshots every completed result in the cache, sorted by spec
 // key, for CSV/JSON dumps.
 func (r *Runner) Results() []Result {
-	r.mu.Lock()
-	entries := make([]*entry, 0, len(r.cache))
-	for _, e := range r.cache {
-		entries = append(entries, e)
-	}
-	r.mu.Unlock()
 	var out []Result
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			out = append(out, e.res)
-		default:
-		}
+	for _, e := range r.results.completed() {
+		out = append(out, e.res)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Key() < out[j].Spec.Key() })
 	return out

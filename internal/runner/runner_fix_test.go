@@ -66,15 +66,15 @@ func TestRunAllBoundedFanOut(t *testing.T) {
 			default:
 			}
 			pending := int64(0)
-			r.mu.Lock()
-			for _, e := range r.cache {
+			r.results.mu.Lock()
+			for _, e := range r.results.entries {
 				select {
 				case <-e.done:
 				default:
 					pending++
 				}
 			}
-			r.mu.Unlock()
+			r.results.mu.Unlock()
 			if pending > atomic.LoadInt64(&peak) {
 				atomic.StoreInt64(&peak, pending)
 			}

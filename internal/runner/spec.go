@@ -11,6 +11,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -122,6 +123,32 @@ func (s Spec) withDefaults() Spec {
 // the form Run executes and caches. Validate a spec in this form;
 // cmd/partreed normalizes request specs before vetting them.
 func (s Spec) Normalized() Spec { return s.withDefaults() }
+
+// VetServiceSpec vets a spec received from a remote caller for execution
+// by a service: a trace is refused (it would land in the *server's*
+// filesystem), native pins the backend for tiers that only execute real
+// builds (the cluster's router and shards) rather than letting an empty
+// field default to a simulation, and the result is Normalized and
+// validated.
+func VetServiceSpec(spec Spec, native bool) (Spec, error) {
+	if spec.Trace != "" {
+		return spec, fmt.Errorf("trace is not supported over HTTP")
+	}
+	if native {
+		spec.Backend = Native
+	}
+	spec = spec.Normalized()
+	return spec, spec.Validate()
+}
+
+// DecodeServiceSpec reads one spec from dec and vets it (VetServiceSpec).
+func DecodeServiceSpec(dec *json.Decoder, native bool) (Spec, error) {
+	var spec Spec
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("parsing spec: %w", err)
+	}
+	return VetServiceSpec(spec, native)
+}
 
 // Validate reports whether the spec names a runnable cell.
 func (s Spec) Validate() error {

@@ -14,7 +14,7 @@ type Config struct {
 	Platform memsim.Platform
 	P        int
 	LeafCap  int
-	// SpaceThreshold tunes SPACE (0 = default max(LeafCap, N/(16·P))).
+	// SpaceThreshold tunes SPACE (0 = default max(LeafCap, N/(4·P))).
 	SpaceThreshold int
 
 	Theta float64

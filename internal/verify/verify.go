@@ -120,11 +120,7 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, opt Options) error {
 // CostConservation below — it needs the bodies, so it lives on Build's
 // path rather than here.)
 func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
-	var built int64
-	for i := range m.PerP {
-		built += m.PerP[i].BodiesBuilt
-	}
-	if built != int64(n) {
+	if built := m.TotalBodiesBuilt(); built != int64(n) {
 		return fmt.Errorf("verify: metrics: BodiesBuilt sums to %d, want %d", built, n)
 	}
 	if m.Alg == core.SPACE {
