@@ -13,19 +13,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrent layers: the native builders, the engine's
-# session pool, lease lifecycle (idle-eviction wheel, lease-vs-build
-# contention) and admission control, the runner's worker pool / result
-# cache, the differential verifier's algorithm cross-product, the tracing
-# layer's emit path under all five builders, the adaptive feedback loop
-# driving traced steppers, the partreed daemon's concurrent HTTP
-# serving, streaming-session e2e, and drain, the workload
-# generators' concurrent use from loadgen's per-arrival goroutines, and
-# the request flight recorder's lock-free ring under concurrent
-# writers and readers, and the cluster tier's fan-out/merge router and
-# shard servers under concurrent builds, moves, and metric rollups.
+# race runs every package under the race detector, so the engine's
+# admission and janitor paths are raced together with every caller.
 race:
-	$(GO) test -race ./internal/core ./internal/engine ./internal/runner ./internal/verify ./internal/trace ./internal/adapt ./internal/workload ./internal/reqtrace ./internal/cluster ./cmd/partreed
+	$(GO) test -race ./...
 
 # smoke builds real trees with every algorithm and verifies each against
 # the sequential reference (-check), end to end through cmd/treebench.

@@ -6,7 +6,7 @@
 //
 //	nbody [-n 16384] [-steps 5] [-p 8] [-alg SPACE] [-model plummer]
 //	      [-theta 1.0] [-leafcap 8] [-dt 0.025] [-timeout 0] [-check] [-json]
-//	      [-verify] [-energy] [-quad] [-fmm] [-load f] [-save f]
+//	      [-energy] [-quad] [-fmm] [-load f] [-save f]
 //	      [-http :9090] [-v info]
 //
 // With -json the run goes through the shared internal/runner engine and
@@ -39,7 +39,6 @@ func main() {
 		Seed:    1,
 	})
 	var (
-		verify = flag.Bool("verify", false, "check tree invariants every step")
 		energy = flag.Bool("energy", false, "report energy drift (O(N²), slow for large N)")
 		quad   = flag.Bool("quad", false, "use quadrupole cell expansions (better accuracy per θ)")
 		useFMM = flag.Bool("fmm", false, "use the cell-cell fast summation solver instead of Barnes-Hut traversal")
@@ -62,7 +61,7 @@ func main() {
 
 	if sf.JSON() {
 		for name, set := range map[string]bool{
-			"-verify": *verify, "-energy": *energy, "-quad": *quad,
+			"-energy": *energy, "-quad": *quad,
 			"-fmm": *useFMM, "-load": *load != "", "-save": *save != "",
 		} {
 			if set {
@@ -111,7 +110,6 @@ func main() {
 	opts.LeafCap = spec.LeafCap
 	opts.Dt = spec.Dt
 	opts.Seed = spec.Seed
-	opts.Verify = *verify
 	opts.Check = spec.Check
 	opts.Force.Theta = spec.Theta
 	opts.Force.Quadrupole = *quad

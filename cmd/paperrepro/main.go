@@ -1,7 +1,7 @@
 // Command paperrepro regenerates every table and figure from the paper's
 // evaluation section on the simulated platforms, writing each experiment's
 // output under -out and echoing it to stdout. Each experiment's sweep
-// cells run concurrently across the runner's worker pool; rendering stays
+// cells run concurrently, -workers at a time; rendering stays
 // serial so output is identical to a serial run.
 //
 // Usage:

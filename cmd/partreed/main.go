@@ -37,7 +37,9 @@
 //
 // Admission control is the engine's: at most max-active builds run, at
 // most max-queue more wait (honoring each request's context), and
-// overload or drain answers 503. SIGINT/SIGTERM triggers a graceful
+// overload or drain answers 503 — for every spec, simulated replays
+// included. A sweep runs max-active wide, so it never sheds its own
+// cells. SIGINT/SIGTERM triggers a graceful
 // drain — in-flight builds finish and are answered, new requests get
 // 503 — bounded by -drain-timeout.
 package main
@@ -158,12 +160,10 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		MaxActive: cfg.maxActive, MaxQueue: cfg.maxQueue, MaxIdle: cfg.maxIdle,
 		MaxLeases: cfg.maxSessions, LeaseIdle: cfg.sessionIdle, LeaseTick: cfg.leaseTick,
 	})
-	// The runner's worker pool sits above the engine; sized past
-	// active+queue it never gates, so the engine's admission control is
-	// the daemon's single source of backpressure and overflow surfaces
-	// as ErrQueueFull → 503 instead of waiting invisibly.
+	// The runner only memoizes over the engine, whose admission control
+	// is the daemon's single source of backpressure: overflow surfaces as
+	// ErrQueueFull → 503 instead of waiting invisibly.
 	r := runner.NewWithConfig(runner.Config{
-		Workers:            cfg.maxActive + cfg.maxQueue + 8,
 		ResultCacheEntries: cfg.resultCache,
 		BodiesCacheEntries: cfg.bodiesCache,
 		Engine:             eng,

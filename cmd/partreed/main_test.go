@@ -157,21 +157,28 @@ func TestDaemonSweepStreamsNDJSON(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("sweep: content-type %q", ct)
 	}
+	if got := countSweepRecords(t, resp.Body); got != len(specs) {
+		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
+	}
+}
+
+// countSweepRecords reads a sweep's NDJSON stream to its end, failing
+// the test on any record that does not decode or reports a failure.
+func countSweepRecords(t *testing.T, body io.Reader) int {
+	t.Helper()
 	var got int
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	for sc.Scan() {
 		var res runner.Result
 		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
 			t.Fatalf("record %d: %v", got, err)
 		}
 		if res.Failed() {
-			t.Fatalf("record %d failed: %s", got, res.FailureMessage())
+			t.Errorf("record %d failed: %s", got, res.FailureMessage())
 		}
 		got++
 	}
-	if got != len(specs) {
-		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
-	}
+	return got
 }
 
 func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
@@ -248,5 +255,68 @@ func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	// The listener is down: a fresh connection is refused.
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatalf("listener still accepting after drain")
+	}
+}
+
+// TestDaemonSweepNeverShedsItsOwnCells sends an idle daemon a sweep four
+// times wider than everything its engine admits (running + queued). The
+// sweep fans out max-active wide behind the one admission gate, so every
+// cell must come back built — none shed with "queue full" by the queue
+// the sweep itself filled.
+func TestDaemonSweepNeverShedsItsOwnCells(t *testing.T) {
+	cfg := daemonConfig{maxActive: 1, maxQueue: 1, drainTimeout: 10 * time.Second}
+	d := startDaemon(t, cfg)
+	specs := make([]map[string]any, 4*(cfg.maxActive+cfg.maxQueue))
+	for i := range specs {
+		specs[i] = buildSpec(1000+16*i, 1) // distinct: no memo collapse
+	}
+	resp := postJSON(t, d.srv.URL()+"/v1/sweep", specs)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+	if got := countSweepRecords(t, resp.Body); got != len(specs) {
+		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
+	}
+	if st := d.eng.Stats(); st.RejectedFull != 0 {
+		t.Fatalf("engine shed %d of the sweep's own cells", st.RejectedFull)
+	}
+}
+
+// TestDaemonAdmitsSimulatedSpecsLikeBuilds checks a simulated replay is
+// behind the same admission control as a native build: it waits for a
+// build slot, and past max-queue it is refused with 503.
+func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
+	d := startDaemon(t, daemonConfig{maxActive: 1, maxQueue: 1, drainTimeout: 10 * time.Second})
+	url := d.srv.URL()
+	sim := func(n int) map[string]any {
+		return map[string]any{"backend": "simulated", "platform": "origin",
+			"algorithm": "SPACE", "procs": 2, "bodies": n, "steps": 1}
+	}
+	release, err := d.eng.Admit(context.Background())
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	queued := make(chan int, 1)
+	go func() {
+		resp := postJSON(t, url+"/v1/build", sim(512))
+		resp.Body.Close()
+		queued <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.eng.Stats().Queued == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("simulated spec never queued for a build slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp := postJSON(t, url+"/v1/build", sim(768))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("simulated spec past max-queue: status %d, want 503", resp.StatusCode)
+	}
+	release()
+	if code := <-queued; code != http.StatusOK {
+		t.Fatalf("queued simulated spec: status %d, want 200", code)
 	}
 }

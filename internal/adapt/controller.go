@@ -37,22 +37,15 @@ type Controller struct {
 // NewController builds the adapter for a session configured with cfg.
 // cfg.P caps how far the tuner's recovery rule can restore parallelism.
 func NewController(cfg core.Config, opts Options) *Controller {
+	cfg = cfg.Normalized()
 	c := &Controller{
 		ledger: NewLedger(opts.Alpha),
-		tuner:  NewTuner(opts.Tuner, resolveP(cfg.P)),
+		tuner:  NewTuner(opts.Tuner, cfg.P),
 		opts:   opts,
 	}
 	totals.sessions.Add(1)
 	publishKnobs(cfg, resolveSpaceThreshold(cfg, 0))
 	return c
-}
-
-// resolveP mirrors core.Config's processor defaulting.
-func resolveP(p int) int {
-	if p < 1 {
-		return 1
-	}
-	return p
 }
 
 // Ledger exposes the controller's cost ledger for tests and diagnostics.

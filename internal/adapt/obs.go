@@ -69,13 +69,10 @@ func Snapshot() Totals {
 
 // publishKnobs records the knob gauges after construction or a retune.
 func publishKnobs(cfg core.Config, spaceThreshold int) {
-	lc := cfg.LeafCap
-	if lc <= 0 {
-		lc = 8
-	}
-	totals.leafCap.Store(int64(lc))
+	cfg = cfg.Normalized()
+	totals.leafCap.Store(int64(cfg.LeafCap))
 	totals.spaceThreshold.Store(int64(spaceThreshold))
-	totals.effectiveP.Store(int64(resolveP(cfg.P)))
+	totals.effectiveP.Store(int64(cfg.P))
 }
 
 func storeFloat(u *atomic.Uint64, v float64) { u.Store(math.Float64bits(v)) }

@@ -35,9 +35,6 @@ type TunerPolicy struct {
 	MaxLeafCap int
 }
 
-// DefaultTunerPolicy returns the documented defaults.
-func DefaultTunerPolicy() TunerPolicy { return TunerPolicy{}.withDefaults() }
-
 func (p TunerPolicy) withDefaults() TunerPolicy {
 	if p.MaxLockWaitFrac <= 0 {
 		p.MaxLockWaitFrac = 0.10
@@ -160,18 +157,13 @@ func (tn *Tuner) Propose(cur core.Config, n int) (core.Config, string, bool) {
 	return next, knob, true
 }
 
-// resolveSpaceThreshold mirrors core's spaceThreshold defaulting
-// (SpaceThreshold 0 means max(LeafCap, n/(4·P)) at build time), so the
-// tuner halves the *effective* threshold, not a literal zero.
+// resolveSpaceThreshold is the threshold a SPACE build of n bodies under
+// cfg would use (SpaceThreshold 0 means max(LeafCap, n/(4·P)) at build
+// time), so the tuner halves the *effective* threshold, not a literal
+// zero.
 func resolveSpaceThreshold(cfg core.Config, n int) int {
-	th := cfg.SpaceThreshold
-	if th <= 0 && cfg.P > 0 {
-		th = n / (4 * cfg.P)
-	}
-	if th < cfg.LeafCap {
-		th = cfg.LeafCap
-	}
-	return th
+	cfg = cfg.Normalized()
+	return core.SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, n, cfg.P)
 }
 
 // signals derives the tuner's three fractions from one step's summary.

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,15 +50,13 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("shard answered %d: %s", e.Code, e.Msg)
 }
 
-// Client speaks to one shard with per-attempt timeouts, transport-only
-// retries, and a consecutive-failure health count the router exports per
-// shard.
+// Client speaks to one shard with per-attempt timeouts and
+// transport-only retries.
 type Client struct {
-	id    string
-	base  string // http://host:port
-	hc    *http.Client
-	opts  ClientOptions
-	fails atomic.Int64 // consecutive transport failures; 0 = healthy
+	id   string
+	base string // http://host:port
+	hc   *http.Client
+	opts ClientOptions
 }
 
 // NewClient builds a client for one shard address.
@@ -73,12 +70,6 @@ func NewClient(id, addr string, o ClientOptions) *Client {
 
 // ID returns the shard ID this client fronts.
 func (c *Client) ID() string { return c.id }
-
-// Healthy reports whether the last attempt reached the shard.
-func (c *Client) Healthy() bool { return c.fails.Load() == 0 }
-
-// ConsecutiveFailures returns the current transport-failure streak.
-func (c *Client) ConsecutiveFailures() int64 { return c.fails.Load() }
 
 // Call POSTs (or GETs, with nil in) a JSON document and decodes the JSON
 // answer into out (skipped when out is nil). Transport failures are
@@ -99,17 +90,14 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 		}
 		err := c.attempt(ctx, method, path, body, out)
 		if err == nil {
-			c.fails.Store(0)
 			return nil
 		}
 		var se *StatusError
 		if isStatus := asStatusError(err, &se); isStatus {
 			// An HTTP answer means the shard is reachable and chose this
-			// response; it is final and counts as healthy transport.
-			c.fails.Store(0)
+			// response; it is final.
 			return err
 		}
-		c.fails.Add(1)
 		last = err
 	}
 	return fmt.Errorf("shard %s: %w", c.id, last)
@@ -177,14 +165,12 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.fails.Add(1)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard %s: GET /metrics: %s", c.id, resp.Status)
 	}
-	c.fails.Store(0)
 	out := map[string]float64{}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)

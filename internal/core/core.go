@@ -173,7 +173,12 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-func (c Config) withDefaults() Config {
+// Normalized returns c with the documented defaults filled in: at least
+// one processor, leaf capacity 8, root margin 1e-4. It is the one place
+// those defaults are written; New applies it, and callers that size
+// companion state before New runs (pool keys, trace recorders, tuners)
+// call it rather than restate them.
+func (c Config) Normalized() Config {
 	if c.P <= 0 {
 		c.P = 1
 	}
@@ -188,7 +193,7 @@ func (c Config) withDefaults() Config {
 
 // New creates a builder for the given algorithm.
 func New(a Algorithm, cfg Config) Builder {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
 	switch a {
 	case ORIG:
 		return newOrig(cfg)

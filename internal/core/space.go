@@ -37,28 +37,41 @@ func newSpace(cfg Config) Builder {
 
 func (sb *spaceBuilder) Algorithm() Algorithm { return SPACE }
 
-// subspace is one finalized partition unit: an unfilled child slot of a
+// SPACE's pure decisions — what a subspace and a frontier cell are, the
+// subdivision threshold, the subspace-to-processor assignment — are
+// exported because internal/simalg replays the same algorithm on the
+// platform models: it charges memory and barriers its own way, but must
+// decide exactly what the native builder decides.
+
+// Subspace is one finalized partition unit: an unfilled child slot of a
 // prefix cell, plus the bodies that belong in it.
-type subspace struct {
-	parent octree.Ref // prefix cell the subtree will attach to
-	oct    vec.Octant // slot within parent
-	cube   vec.Cube
-	depth  int // depth of the subspace node itself
-	count  int
-	owner  int
-	bodies []int32
+type Subspace struct {
+	Parent octree.Ref // prefix cell the subtree will attach to
+	Oct    vec.Octant // slot within Parent
+	Cube   vec.Cube
+	Depth  int // depth of the subspace node itself
+	Count  int
+	Owner  int
+	Bodies []int32
 }
 
-// spaceThreshold resolves the subdivision threshold for a SPACE-style
+// FrontierCell is a prefix cell the counting rounds may still subdivide.
+type FrontierCell struct {
+	Ref   octree.Ref
+	Cube  vec.Cube
+	Depth int
+}
+
+// SpaceThreshold resolves the subdivision threshold for a SPACE-style
 // partition: the configured value, or the documented default n/(4·p),
 // never below the leaf capacity.
-func spaceThreshold(cfg Config, n, p int) int {
-	th := cfg.SpaceThreshold
+func SpaceThreshold(configured, leafCap, n, p int) int {
+	th := configured
 	if th <= 0 {
 		th = n / (4 * p)
 	}
-	if th < cfg.LeafCap {
-		th = cfg.LeafCap
+	if th < leafCap {
+		th = leafCap
 	}
 	return th
 }
@@ -84,12 +97,12 @@ func spaceBuild(s *octree.Store, cfg Config, in *Input, m *Metrics,
 	mkIns func(w int, tp *trace.P) *inserter) *octree.Tree {
 
 	p := in.P()
-	var subs []subspace
+	var subs []Subspace
 	return runPhases(cfg, in, m,
 		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
 			tree := freshTree(s)(root, tr)
-			subs = spacePartition(s, tree, in, spaceThreshold(cfg, in.Bodies.N(), p), m, tr)
-			assignSubspaces(root, subs, p)
+			subs = spacePartition(s, tree, in, SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p), m, tr)
+			AssignSubspaces(root, subs, p)
 			return tree
 		},
 		func(_ *octree.Tree, w int, tp *trace.P) {
@@ -100,30 +113,30 @@ func spaceBuild(s *octree.Store, cfg Config, in *Input, m *Metrics,
 // spaceAttach builds and attaches one subtree per finalized subspace
 // owned by processor w — no locking: a given attachment slot belongs to
 // exactly one processor.
-func spaceAttach(s *octree.Store, in *Input, subs []subspace, w int, ins *inserter) {
+func spaceAttach(s *octree.Store, in *Input, subs []Subspace, w int, ins *inserter) {
 	pos := in.Bodies.Pos
 	for i := range subs {
 		ss := &subs[i]
-		if ss.owner != w {
+		if ss.Owner != w {
 			continue
 		}
 		var node octree.Ref
-		if ss.count <= s.LeafCap || ss.depth >= s.MaxDepth {
-			lr, l := ins.allocLeaf(ss.cube, ss.parent)
-			l.Bodies = append(l.Bodies, ss.bodies...)
+		if ss.Count <= s.LeafCap || ss.Depth >= s.MaxDepth {
+			lr, l := ins.allocLeaf(ss.Cube, ss.Parent)
+			l.Bodies = append(l.Bodies, ss.Bodies...)
 			node = lr
 		} else {
-			cr, _ := ins.allocCell(ss.cube, ss.parent)
-			for _, b := range ss.bodies {
-				ins.insertPrivate(cr, ss.depth, b, pos)
+			cr, _ := ins.allocCell(ss.Cube, ss.Parent)
+			for _, b := range ss.Bodies {
+				ins.insertPrivate(cr, ss.Depth, b, pos)
 			}
 			node = cr
 		}
 		ins.publishLeaves(node)
 		// Attach without locking: this slot is ours alone.
-		s.Cell(ss.parent).SetChild(ss.oct, node)
+		s.Cell(ss.Parent).SetChild(ss.Oct, node)
 		ins.pc.Attached++
-		ins.pc.BodiesBuilt += int64(ss.count)
+		ins.pc.BodiesBuilt += int64(ss.Count)
 	}
 }
 
@@ -132,16 +145,11 @@ func spaceAttach(s *octree.Store, in *Input, subs []subspace, w int, ins *insert
 // cells' octants (no synchronization beyond the round barrier); frontier
 // children above the threshold become new prefix cells, the rest become
 // finalized subspaces with their body lists bucketed per processor.
-func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []subspace {
+func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []Subspace {
 	p := in.P()
 	pos := in.Bodies.Pos
 
-	type frontierCell struct {
-		ref   octree.Ref
-		cube  vec.Cube
-		depth int
-	}
-	frontier := []frontierCell{{tree.Root, tree.RootCube(), 0}}
+	frontier := []FrontierCell{{tree.Root, tree.RootCube(), 0}}
 
 	// Per-processor routing state: which frontier cell each of my bodies
 	// currently belongs to.
@@ -152,7 +160,7 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 		myCell[w] = make([]int32, len(myBodies[w]))
 	})
 
-	var subs []subspace
+	var subs []Subspace
 	counts := make([][]int64, p) // per proc: frontier×8 histogram
 	octs := make([][]uint8, p)   // per proc: octant of each body this round
 
@@ -175,7 +183,7 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 			}
 			for i, b := range myBodies[w] {
 				fc := myCell[w][i]
-				o := frontier[fc].cube.OctantOf(pos[b])
+				o := frontier[fc].Cube.OctantOf(pos[b])
 				octs[w][i] = uint8(o)
 				counts[w][int(fc)*8+int(o)]++
 			}
@@ -183,7 +191,7 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 
 		// Reduce and decide (cheap, serial: the frontier is tiny).
 		newIndex := make([]int32, f*8) // >=0: new frontier idx; -1: nil; -2-k: subspace k
-		var next []frontierCell
+		var next []FrontierCell
 		for fc := 0; fc < f; fc++ {
 			for o := vec.Octant(0); o < vec.NOctants; o++ {
 				var total int64
@@ -194,20 +202,20 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 				switch {
 				case total == 0:
 					newIndex[slot] = -1
-				case int(total) > threshold && frontier[fc].depth+1 < s.MaxDepth:
-					cr, _ := s.AllocCell(0, frontier[fc].cube.Child(o), frontier[fc].ref, 0)
+				case int(total) > threshold && frontier[fc].Depth+1 < s.MaxDepth:
+					cr, _ := s.AllocCell(0, frontier[fc].Cube.Child(o), frontier[fc].Ref, 0)
 					m.PerP[0].Cells++
-					s.Cell(frontier[fc].ref).SetChild(o, cr)
+					s.Cell(frontier[fc].Ref).SetChild(o, cr)
 					newIndex[slot] = int32(len(next))
-					next = append(next, frontierCell{cr, frontier[fc].cube.Child(o), frontier[fc].depth + 1})
+					next = append(next, FrontierCell{cr, frontier[fc].Cube.Child(o), frontier[fc].Depth + 1})
 				default:
 					newIndex[slot] = int32(-2 - len(subs))
-					subs = append(subs, subspace{
-						parent: frontier[fc].ref,
-						oct:    o,
-						cube:   frontier[fc].cube.Child(o),
-						depth:  frontier[fc].depth + 1,
-						count:  int(total),
+					subs = append(subs, Subspace{
+						Parent: frontier[fc].Ref,
+						Oct:    o,
+						Cube:   frontier[fc].Cube.Child(o),
+						Depth:  frontier[fc].Depth + 1,
+						Count:  int(total),
 					})
 				}
 			}
@@ -241,7 +249,7 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 		for k := range subs {
 			for w := 0; w < p; w++ {
 				if len(final[w]) > k && len(final[w][k]) > 0 {
-					subs[k].bodies = append(subs[k].bodies, final[w][k]...)
+					subs[k].Bodies = append(subs[k].Bodies, final[w][k]...)
 				}
 			}
 		}
@@ -251,21 +259,21 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 	return subs
 }
 
-// assignSubspaces assigns subspaces to processors in spatially contiguous
+// AssignSubspaces assigns subspaces to processors in spatially contiguous
 // groups of roughly equal body count: sorted by Morton key (octree
 // depth-first order) and cut into P cost zones, the grouping the paper's
 // Figure 5 draws. Contiguity limits the locality loss SPACE trades for
 // its zero locking.
-func assignSubspaces(root vec.Cube, subs []subspace, p int) {
+func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
 	order := make([]int, len(subs))
 	total := 0
 	for i := range order {
 		order[i] = i
-		total += subs[i].count
+		total += subs[i].Count
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ka := partition.MortonKey(root, subs[order[a]].cube.Center)
-		kb := partition.MortonKey(root, subs[order[b]].cube.Center)
+		ka := partition.MortonKey(root, subs[order[a]].Cube.Center)
+		kb := partition.MortonKey(root, subs[order[b]].Cube.Center)
 		if ka != kb {
 			return ka < kb
 		}
@@ -280,7 +288,7 @@ func assignSubspaces(root vec.Cube, subs []subspace, p int) {
 		if w >= p {
 			w = p - 1
 		}
-		subs[i].owner = w
-		acc += subs[i].count
+		subs[i].Owner = w
+		acc += subs[i].Count
 	}
 }

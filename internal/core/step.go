@@ -92,6 +92,7 @@ type Stepper struct {
 // assignment is recut with costzones over the freshly built tree, so the
 // partition follows the bodies instead of freezing at step 0.
 func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
+	cfg = cfg.Normalized()
 	cfg.DepthStats = true
 	return &Stepper{
 		cfg:    cfg,
@@ -107,22 +108,14 @@ func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper
 // attribute, so when cfg.Trace is unset an enabled recorder is created;
 // an explicitly provided recorder is used as-is.
 func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy, a Adapter) *Stepper {
+	cfg = cfg.Normalized()
 	if cfg.Trace == nil && a != nil {
-		cfg.Trace = trace.New(resolveP(cfg.P))
+		cfg.Trace = trace.New(cfg.P)
 		cfg.Trace.SetEnabled(true)
 	}
 	st := NewStepper(cfg, bodies, policy)
 	st.adapter = a
 	return st
-}
-
-// resolveP mirrors Config.withDefaults's processor-count defaulting for
-// callers that size companion state (trace recorders) before New runs.
-func resolveP(p int) int {
-	if p <= 0 {
-		return 1
-	}
-	return p
 }
 
 // Bodies returns the resident body state for in-place mutation between
@@ -212,9 +205,10 @@ func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
 // too (verify's law 6 demands trace and metrics agree on processor
 // count), so a P change recreates it.
 func (st *Stepper) applyKnobs(cfg Config) {
+	cfg = cfg.Normalized()
 	cfg.DepthStats = true
 	if cfg.P != st.cfg.P && st.cfg.Trace != nil {
-		tr := trace.New(resolveP(cfg.P))
+		tr := trace.New(cfg.P)
 		tr.SetEnabled(true)
 		cfg.Trace = tr
 	}

@@ -15,9 +15,12 @@
 // (with the wait honoring the request context's deadline), anything
 // beyond is rejected immediately with ErrQueueFull, and once Drain
 // begins every new acquire is rejected with ErrDraining while in-flight
-// builds run to completion. internal/runner's native backend,
-// harness.Session sweeps, and cmd/partreed all execute through one
-// shared Engine, so the whole process observes a single budget.
+// builds run to completion. The engine is the process's one scheduler:
+// everything internal/runner executes (native builds through Acquire,
+// simulated replays and traced builds through Admit), harness.Session
+// sweeps, and cmd/partreed's requests and session steps all take their
+// CPU from one shared Engine's slots, so the whole process observes a
+// single budget.
 package engine
 
 import (
@@ -67,16 +70,14 @@ type Key struct {
 	Margin         float64
 }
 
+// config is the core.Config a session for k is built with.
+func (k Key) config() core.Config {
+	return core.Config{P: k.P, LeafCap: k.LeafCap, SpaceThreshold: k.SpaceThreshold, Margin: k.Margin}
+}
+
 func (k Key) normalized() Key {
-	if k.P <= 0 {
-		k.P = 1
-	}
-	if k.LeafCap <= 0 {
-		k.LeafCap = 8
-	}
-	if k.Margin <= 0 {
-		k.Margin = 1e-4
-	}
+	c := k.config().Normalized()
+	k.P, k.LeafCap, k.Margin = c.P, c.LeafCap, c.Margin
 	return k
 }
 
@@ -108,7 +109,7 @@ type Options struct {
 	// LeaseIdle is the idle-eviction timeout applied to leases opened
 	// without their own (0 = 2m).
 	LeaseIdle time.Duration
-	// LeaseTick is the deadline wheel's granularity — the idle janitor's
+	// LeaseTick is how often the idle janitor scans the open leases — its
 	// eviction resolution (0 = 100ms).
 	LeaseTick time.Duration
 }
@@ -138,13 +139,14 @@ func (o Options) withDefaults() Options {
 // Engine is the session pool. Create with New; safe for concurrent use.
 type Engine struct {
 	opts Options
-	// slots is the active-build semaphore: holding a token = holding a
-	// session. Drain seizes every token to wait out in-flight builds.
+	// slots is the active-build semaphore: a session, an Admit holder and
+	// a running lease step each hold one token. Drain seizes every token
+	// to wait out in-flight builds.
 	slots chan struct{}
 
-	// drainCh is closed the moment a drain begins, waking lease steps
-	// (and queued acquires) that would otherwise wait on a slot Drain is
-	// busy seizing.
+	// drainCh is closed the moment a drain begins: it is the draining
+	// flag, and it wakes everything queued in wait, which would otherwise
+	// sit behind the slots Drain is busy seizing.
 	drainCh chan struct{}
 
 	mu             sync.Mutex
@@ -153,12 +155,7 @@ type Engine struct {
 	sessions       map[*Session]struct{}
 	leases         map[*Lease]struct{}
 	janitorRunning bool
-	draining       bool
 	drainDone      chan struct{} // non-nil once a drain has started
-
-	// wheelMu guards the deadline wheel and every lease's deadline/slot.
-	wheelMu sync.Mutex
-	wheel   [wheelSlots]map[*Lease]struct{}
 
 	queued            atomic.Int64
 	inUse             atomic.Int64
@@ -198,6 +195,10 @@ func New(o Options) *Engine {
 	}
 }
 
+// MaxActive returns the concurrent-build bound: how wide a caller can
+// fan work out before its own requests start queueing behind each other.
+func (e *Engine) MaxActive() int { return e.opts.MaxActive }
+
 // Session is one exclusively-held pooled builder. Build through it (or
 // take Builder() and drive it directly), then Release it back to the
 // pool. A session is never handed to two holders at once.
@@ -222,62 +223,100 @@ func (s *Session) Build(in *core.Input) (*octree.Tree, *core.Metrics) {
 	return s.b.Build(in)
 }
 
+// isDraining reports whether Drain has begun. drainCh is closed under
+// e.mu, so a caller holding e.mu sees a drain atomically with the pool
+// being emptied.
 func (e *Engine) isDraining() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.draining
+	select {
+	case <-e.drainCh:
+		return true
+	default:
+		return false
+	}
 }
 
-// Acquire takes exclusive ownership of a session for key, reusing a
-// pooled one when available and creating one otherwise. It blocks while
-// MaxActive builds are running, up to ctx's deadline; it rejects
-// immediately with ErrQueueFull when MaxQueue acquires are already
-// waiting, and with ErrDraining once Drain has begun.
-func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
-	k = k.normalized()
-	if e.isDraining() {
-		e.rejectedDraining.Add(1)
-		return nil, ErrDraining
+// wait takes one build slot. It is the only place anything waits for
+// one, so every waiter is counted in Stats().Queued, stamps the wait
+// onto its request's span context as a "queue" span (the admission
+// queue is where a request's latency stops being its own fault; nil-safe
+// for untraced callers), and is woken by a drain. shed is the one policy
+// callers differ in: a one-shot arrival past MaxQueue is refused with
+// ErrQueueFull, while a lease was admitted at OpenLease, so its steps
+// queue unconditionally. Only real waiters count — a caller that finds a
+// slot free never does.
+func (e *Engine) wait(ctx context.Context, shed bool) error {
+	select {
+	case e.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	q := e.queued.Add(1)
+	defer e.queued.Add(-1)
+	if shed && int(q) > e.opts.MaxQueue {
+		e.rejectedFull.Add(1)
+		return ErrQueueFull
+	}
+	rq := reqtrace.FromContext(ctx)
+	var qstart time.Time
+	if rq != nil {
+		qstart = time.Now()
 	}
 	select {
 	case e.slots <- struct{}{}:
-		// Fast path: a build slot was free.
-	default:
-		// Every slot is busy; this acquire would wait. Only real waiters
-		// count against MaxQueue — fast-path acquires never do.
-		if q := e.queued.Add(1); int(q) > e.opts.MaxQueue {
-			e.queued.Add(-1)
-			e.rejectedFull.Add(1)
-			return nil, ErrQueueFull
-		}
-		// The admission queue is where a request's latency stops being
-		// its own fault; stamp the wait onto its span context (nil-safe
-		// no-op for untraced callers).
-		rq := reqtrace.FromContext(ctx)
-		var qstart time.Time
-		if rq != nil {
-			qstart = time.Now()
-		}
-		select {
-		case e.slots <- struct{}{}:
-			e.queued.Add(-1)
-			rq.SpanSince("queue", qstart)
-		case <-ctx.Done():
-			e.queued.Add(-1)
-			e.rejectedCancelled.Add(1)
-			return nil, fmt.Errorf("engine: acquire: %w", ctx.Err())
-		}
+		rq.SpanSince("queue", qstart)
+		return nil
+	case <-e.drainCh:
+		e.rejectedDraining.Add(1)
+		return ErrDraining
+	case <-ctx.Done():
+		e.rejectedCancelled.Add(1)
+		return fmt.Errorf("engine: acquire: %w", ctx.Err())
+	}
+}
+
+// Admit is the engine's admission gate for work that needs a build slot
+// but no pooled session (a simulated replay, a traced build that owns
+// its builder). It blocks while MaxActive slots are held, up to ctx's
+// deadline; it rejects immediately with ErrQueueFull when MaxQueue
+// callers are already waiting, and with ErrDraining once Drain has
+// begun. The caller runs its work, then calls release exactly once.
+func (e *Engine) Admit(ctx context.Context) (release func(), err error) {
+	if err := e.admit(ctx); err != nil {
+		return nil, err
+	}
+	return func() { <-e.slots }, nil
+}
+
+// admit is Admit without the release closure: on nil the caller holds a
+// slot and gives it back with <-e.slots.
+func (e *Engine) admit(ctx context.Context) error {
+	if e.isDraining() {
+		e.rejectedDraining.Add(1)
+		return ErrDraining
+	}
+	if err := e.wait(ctx, true); err != nil {
+		return err
+	}
+	if e.isDraining() {
+		// Drain began between the check above and a free slot; this
+		// caller must not start new work.
+		<-e.slots
+		e.rejectedDraining.Add(1)
+		return ErrDraining
+	}
+	return nil
+}
+
+// Acquire is Admit plus a session checkout: it takes exclusive ownership
+// of a session for key, reusing a pooled one when available and creating
+// one otherwise. Session.Release gives the slot back.
+func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
+	k = k.normalized()
+	if err := e.admit(ctx); err != nil {
+		return nil, err
 	}
 
 	e.mu.Lock()
-	if e.draining {
-		// Drain began while this acquire waited for a slot; it must not
-		// start a new build.
-		e.mu.Unlock()
-		<-e.slots
-		e.rejectedDraining.Add(1)
-		return nil, ErrDraining
-	}
 	var s *Session
 	if l := e.idle[k]; len(l) > 0 {
 		s = l[len(l)-1]
@@ -296,9 +335,7 @@ func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
 	if s == nil {
 		// Built outside the lock: store allocation is the expensive part
 		// pooling exists to amortize.
-		s = &Session{eng: e, key: k, b: core.New(k.Alg, core.Config{
-			P: k.P, LeafCap: k.LeafCap, SpaceThreshold: k.SpaceThreshold, Margin: k.Margin,
-		})}
+		s = &Session{eng: e, key: k, b: core.New(k.Alg, k.config())}
 		e.created.Add(1)
 		e.mu.Lock()
 		e.sessions[s] = struct{}{}
@@ -319,7 +356,7 @@ func (s *Session) Release() {
 	}
 	s.released = true
 	switch {
-	case e.draining || e.opts.MaxIdle < 0:
+	case e.isDraining() || e.opts.MaxIdle < 0:
 		delete(e.sessions, s)
 	default:
 		e.idle[s.key] = append(e.idle[s.key], s)
@@ -363,12 +400,9 @@ func (e *Engine) Drain(ctx context.Context) error {
 	first := e.drainDone == nil
 	if first {
 		e.drainDone = make(chan struct{})
-		// Wake lease steps and queued acquires blocked on a slot before
-		// the seize loop below starves them.
 		close(e.drainCh)
 	}
 	done := e.drainDone
-	e.draining = true
 	for _, l := range e.idle {
 		for _, s := range l {
 			delete(e.sessions, s)
@@ -449,7 +483,6 @@ func (e *Engine) Stats() Stats {
 		steppers = append(steppers, l.st)
 	}
 	idle := int64(e.lru.Len())
-	draining := e.draining
 	e.mu.Unlock()
 	st := Stats{
 		Created:           e.created.Load(),
@@ -461,7 +494,7 @@ func (e *Engine) Stats() Stats {
 		InUse:             e.inUse.Load(),
 		Idle:              idle,
 		Queued:            e.queued.Load(),
-		Draining:          draining,
+		Draining:          e.isDraining(),
 		LeasesActive:      int64(len(steppers)),
 		LeasesOpened:      e.leasesOpened.Load(),
 		LeasesClosed:      e.leasesClosed.Load(),

@@ -236,3 +236,88 @@ func TestUpdateSessionServesFreshRequests(t *testing.T) {
 	}
 	s2.Release()
 }
+
+// waitQueued polls until n callers are waiting for a build slot.
+func waitQueued(t *testing.T, e *Engine, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().Queued != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued = %d, never reached %d", e.Stats().Queued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainWakesQueuedAcquire pins the one wait's drain-wake for
+// one-shot callers: an Acquire queued behind a held slot must come back
+// with ErrDraining the moment Drain starts, not sit in the queue until
+// the holder releases and Drain has seized the slot.
+func TestDrainWakesQueuedAcquire(t *testing.T) {
+	e := New(Options{MaxActive: 1})
+	k := Key{Alg: core.LOCAL, P: 1, LeafCap: 8}
+	held := mustAcquire(t, e, k)
+
+	queuedErr := make(chan error, 1)
+	go func() {
+		_, err := e.Acquire(context.Background(), k)
+		queuedErr <- err
+	}()
+	waitQueued(t, e, 1)
+
+	drainErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drainErr <- e.Drain(ctx)
+	}()
+	// held is not released yet: only drainCh can wake the waiter.
+	select {
+	case err := <-queuedErr:
+		if !errors.Is(err, ErrDraining) {
+			t.Fatalf("queued acquire during drain: %v, want ErrDraining", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued acquire still waiting after Drain began (holder not released)")
+	}
+	held.Release()
+	if err := <-drainErr; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := e.Stats(); st.Queued != 0 || st.RejectedDraining != 1 {
+		t.Fatalf("post-drain queued=%d rejectedDraining=%d, want 0/1", st.Queued, st.RejectedDraining)
+	}
+}
+
+// TestAdmitSharesTheBudget checks the session-less gate is the same gate:
+// an Admit holder blocks an Acquire, is shed past MaxQueue like one, and
+// refuses once draining.
+func TestAdmitSharesTheBudget(t *testing.T) {
+	e := New(Options{MaxActive: 1, MaxQueue: 1})
+	k := Key{Alg: core.LOCAL, P: 1, LeafCap: 8}
+	release, err := e.Admit(context.Background())
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	got := make(chan *Session, 1)
+	go func() {
+		s, _ := e.Acquire(context.Background(), k)
+		got <- s
+	}()
+	waitQueued(t, e, 1)
+	if _, err := e.Admit(context.Background()); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-queue Admit: %v, want ErrQueueFull", err)
+	}
+	release()
+	s := <-got
+	if s == nil {
+		t.Fatal("Acquire queued behind an Admit holder was not served on release")
+	}
+	s.Release()
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if _, err := e.Admit(context.Background()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Admit after drain: %v, want ErrDraining", err)
+	}
+}

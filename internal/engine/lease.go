@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"partree/internal/core"
@@ -21,11 +22,6 @@ var (
 	// ErrLeaseEvicted rejects a Step on a lease the idle janitor evicted.
 	ErrLeaseEvicted = errors.New("engine: lease evicted (idle)")
 )
-
-// wheelSlots is the deadline wheel's size. Idle timeouts are coarse
-// (seconds to minutes) and the wheel re-checks a lease at most once per
-// revolution, so a small power of two is plenty.
-const wheelSlots = 64
 
 // Lease is one long-lived simulation session: a pinned core.Stepper
 // (resident UPDATE builder + body state + fallback controller) plus the
@@ -48,11 +44,9 @@ type Lease struct {
 	done    chan struct{}
 
 	idle time.Duration
-	// deadline is the idle eviction instant in unixnanos, refreshed
-	// (lazily — no wheel traffic) after every step. The wheel re-buckets
-	// when a bucket fires and finds the deadline moved.
-	deadline int64 // guarded by eng.wheelMu together with slot
-	slot     int   // current wheel bucket, -1 once removed
+	// deadline is the idle eviction instant in unixnanos, refreshed after
+	// every step and read by the janitor's scan.
+	deadline atomic.Int64
 }
 
 // Stepper returns the pinned stepper for callers that need the body
@@ -79,11 +73,12 @@ func (e *Engine) OpenLease(st *core.Stepper, idle time.Duration) (*Lease, error)
 	if idle <= 0 {
 		idle = e.opts.LeaseIdle
 	}
-	l := &Lease{eng: e, st: st, done: make(chan struct{}), idle: idle, slot: -1}
+	l := &Lease{eng: e, st: st, done: make(chan struct{}), idle: idle}
+	l.deadline.Store(time.Now().Add(idle).UnixNano())
 
 	e.mu.Lock()
 	switch {
-	case e.draining:
+	case e.isDraining():
 		e.mu.Unlock()
 		e.leaseRejected.Add(1)
 		return nil, ErrDraining
@@ -99,15 +94,14 @@ func (e *Engine) OpenLease(st *core.Stepper, idle time.Duration) (*Lease, error)
 		go e.leaseJanitor()
 	}
 	e.mu.Unlock()
-
-	e.armLease(l, time.Now().Add(idle))
 	return l, nil
 }
 
 // Step runs one timestep through the lease's pinned builder. It borrows
 // a build slot (waiting up to ctx, aborting with ErrDraining if a drain
 // starts first) so concurrent session steps and one-shot builds share
-// MaxActive.
+// MaxActive. The lease was admitted at OpenLease, so the wait is never
+// shed by MaxQueue.
 func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -118,7 +112,7 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 		return nil, ErrLeaseClosed
 	}
 	e := l.eng
-	if err := e.acquireSlot(ctx); err != nil {
+	if err := e.wait(ctx, false); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
@@ -152,9 +146,7 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 		e.leaseUnplanned.Add(1)
 	}
 
-	e.wheelMu.Lock()
-	l.deadline = time.Now().Add(l.idle).UnixNano()
-	e.wheelMu.Unlock()
+	l.deadline.Store(time.Now().Add(l.idle).UnixNano())
 	return res, nil
 }
 
@@ -176,13 +168,6 @@ func (l *Lease) closeLocked(evict bool) {
 	close(l.done)
 	e := l.eng
 
-	e.wheelMu.Lock()
-	if l.slot >= 0 {
-		delete(e.wheel[l.slot], l)
-		l.slot = -1
-	}
-	e.wheelMu.Unlock()
-
 	e.mu.Lock()
 	delete(e.leases, l)
 	e.mu.Unlock()
@@ -193,120 +178,46 @@ func (l *Lease) closeLocked(evict bool) {
 	}
 }
 
-// armLease places l in the wheel bucket for its deadline.
-func (e *Engine) armLease(l *Lease, deadline time.Time) {
-	e.wheelMu.Lock()
-	defer e.wheelMu.Unlock()
-	l.deadline = deadline.UnixNano()
-	slot := e.wheelSlot(l.deadline)
-	if l.slot == slot {
-		return
-	}
-	if l.slot >= 0 {
-		delete(e.wheel[l.slot], l)
-	}
-	if e.wheel[slot] == nil {
-		e.wheel[slot] = map[*Lease]struct{}{}
-	}
-	e.wheel[slot][l] = struct{}{}
-	l.slot = slot
-}
-
-func (e *Engine) wheelSlot(deadlineNanos int64) int {
-	return int((deadlineNanos / int64(e.opts.LeaseTick))) & (wheelSlots - 1)
-}
-
-// leaseJanitor is the deadline wheel driver: every LeaseTick it sweeps
-// the buckets whose turn came up, re-buckets leases whose deadline moved
-// (the lazy re-arm Step performs), and evicts the truly expired. It
-// exits when the engine drains or the last lease ends.
+// leaseJanitor evicts idle leases: every LeaseTick it scans the open
+// leases and closes those whose deadline has passed, so eviction lands
+// within one tick of the deadline. It exits when the engine drains or
+// the last lease ends.
 func (e *Engine) leaseJanitor() {
 	tk := time.NewTicker(e.opts.LeaseTick)
 	defer tk.Stop()
-	// Sweep only fully-elapsed tick quanta: bucket t is visited once
-	// now ≥ (t+1)·tick, so every deadline bucketed there has expired.
-	// Sweeping the still-running quantum would find deadlines a few ms
-	// in the future, fail to re-bucket them (same slot), and not come
-	// back until the wheel wraps — a full revolution late.
-	last := time.Now().UnixNano()/int64(e.opts.LeaseTick) - 1
 	for {
+		var now int64
 		select {
 		case <-e.drainCh:
-			e.mu.Lock()
+			return
+		case t := <-tk.C:
+			now = t.UnixNano()
+		}
+		var expired []*Lease
+		e.mu.Lock()
+		for l := range e.leases {
+			if l.deadline.Load() <= now {
+				expired = append(expired, l)
+			}
+		}
+		e.mu.Unlock()
+		for _, l := range expired {
+			// TryLock: a lease mid-step (or waiting for its slot) is busy,
+			// not idle — the step refreshes the deadline when it ends, and
+			// the next scan looks again.
+			if l.mu.TryLock() {
+				if l.deadline.Load() <= now {
+					l.closeLocked(true)
+				}
+				l.mu.Unlock()
+			}
+		}
+		e.mu.Lock()
+		if len(e.leases) == 0 {
 			e.janitorRunning = false
 			e.mu.Unlock()
 			return
-		case now := <-tk.C:
-			cur := now.UnixNano()/int64(e.opts.LeaseTick) - 1
-			var expired []*Lease
-			e.wheelMu.Lock()
-			for t := last + 1; t <= cur; t++ {
-				slot := int(t) & (wheelSlots - 1)
-				for l := range e.wheel[slot] {
-					if l.deadline > now.UnixNano() {
-						// Lazily re-armed (or a future revolution's
-						// tenant): move it to its deadline's bucket.
-						ns := e.wheelSlot(l.deadline)
-						if ns != slot {
-							delete(e.wheel[slot], l)
-							if e.wheel[ns] == nil {
-								e.wheel[ns] = map[*Lease]struct{}{}
-							}
-							e.wheel[ns][l] = struct{}{}
-							l.slot = ns
-						}
-						continue
-					}
-					expired = append(expired, l)
-				}
-			}
-			last = cur
-			e.wheelMu.Unlock()
-
-			for _, l := range expired {
-				// TryLock: a lease mid-step is busy, not idle — its
-				// deadline refreshes when the step ends, and its bucket
-				// comes round again next revolution.
-				if l.mu.TryLock() {
-					if !l.closed && l.deadline <= now.UnixNano() {
-						l.closeLocked(true)
-					}
-					l.mu.Unlock()
-				}
-			}
-
-			e.mu.Lock()
-			if len(e.leases) == 0 {
-				e.janitorRunning = false
-				e.mu.Unlock()
-				return
-			}
-			e.mu.Unlock()
 		}
-	}
-}
-
-// acquireSlot takes one build slot, waiting until ctx expires or a drain
-// begins. Lease steps use it directly; it is the same semaphore Acquire
-// fills, so session steps and one-shot builds share one budget.
-func (e *Engine) acquireSlot(ctx context.Context) error {
-	select {
-	case e.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	rq := reqtrace.FromContext(ctx)
-	var qstart time.Time
-	if rq != nil {
-		qstart = time.Now()
-	}
-	select {
-	case e.slots <- struct{}{}:
-		rq.SpanSince("queue", qstart)
-		return nil
-	case <-e.drainCh:
-		return ErrDraining
-	case <-ctx.Done():
-		return ctx.Err()
+		e.mu.Unlock()
 	}
 }

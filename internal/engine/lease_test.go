@@ -9,6 +9,7 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/phys"
+	"partree/internal/reqtrace"
 )
 
 func testStepper(t *testing.T, n, p int, seed int64) *core.Stepper {
@@ -215,5 +216,111 @@ func TestLeaseContention(t *testing.T) {
 	}
 	if st.LeasesActive != 0 || st.LeasesOpened != leases {
 		t.Fatalf("lease stats: active=%d opened=%d, want 0/%d", st.LeasesActive, st.LeasesOpened, leases)
+	}
+}
+
+// TestLeaseStepWaitIsTheOneQueue checks a step waiting for a build slot
+// goes through the same wait as a one-shot acquire: it is visible in
+// Stats().Queued (partree_engine_queue_depth), stamps exactly one
+// "queue" span on its request — and, admitted at OpenLease, is not shed
+// by a MaxQueue that refuses a one-shot arriving behind it.
+func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
+	e := New(Options{MaxActive: 1, MaxQueue: 1})
+	l, err := e.OpenLease(testStepper(t, 200, 1, 1), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l2, err := e.OpenLease(testStepper(t, 200, 1, 2), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	k := Key{Alg: core.ORIG, P: 1}
+	held := mustAcquire(t, e, k)
+	// Runs before the deferred Closes, which would otherwise block behind
+	// a step still waiting for the slot if an assertion fails early.
+	released := false
+	defer func() {
+		if !released {
+			held.Release()
+		}
+	}()
+
+	rq := reqtrace.NewRecorder(reqtrace.Options{}).Start("00000000000000000000000000000003", "/v1/session")
+	stepErr := make(chan error, 2)
+	go func() {
+		_, err := l.Step(reqtrace.NewContext(context.Background(), rq), core.StepInput{})
+		stepErr <- err
+	}()
+	waitQueued(t, e, 1)
+	// The queue is at MaxQueue: a one-shot is shed, a second step is not.
+	if _, err := e.Acquire(context.Background(), k); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("one-shot behind a waiting step: %v, want ErrQueueFull", err)
+	}
+	go func() {
+		_, err := l2.Step(context.Background(), core.StepInput{})
+		stepErr <- err
+	}()
+	waitQueued(t, e, 2)
+
+	held.Release()
+	released = true
+	for i := 0; i < 2; i++ {
+		if err := <-stepErr; err != nil {
+			t.Fatalf("waiting step: %v", err)
+		}
+	}
+	var queues int
+	for _, s := range rq.Spans() {
+		if s.Name == "queue" {
+			queues++
+		}
+	}
+	if queues != 1 {
+		t.Fatalf("waiting step stamped %d queue spans, want 1", queues)
+	}
+	if st := e.Stats(); st.Queued != 0 {
+		t.Fatalf("queued = %d after the steps ran, want 0", st.Queued)
+	}
+}
+
+// TestLeaseEvictionWithinTwoTicks pins the janitor's resolution in the
+// case that defers an eviction: a lease that is mid-step when its
+// deadline passes is skipped by that scan, and must then be evicted
+// within 2×LeaseTick of the deadline the step's end set.
+func TestLeaseEvictionWithinTwoTicks(t *testing.T) {
+	const tick, idle = 50 * time.Millisecond, 100 * time.Millisecond
+	// slack absorbs scheduler noise on a loaded host.
+	const slack = 500 * time.Millisecond
+	e := New(Options{MaxActive: 1, LeaseTick: tick})
+	l, err := e.OpenLease(testStepper(t, 200, 1, 1), idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the step waiting for its slot (holding the lease busy) until
+	// the open deadline is well past.
+	held := mustAcquire(t, e, Key{Alg: core.ORIG, P: 1})
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := l.Step(context.Background(), core.StepInput{})
+		stepped <- err
+	}()
+	time.Sleep(idle + 2*tick)
+	held.Release()
+	if err := <-stepped; err != nil {
+		t.Fatalf("busy lease was evicted under its own step: %v", err)
+	}
+	deadline := time.Now().Add(idle)
+	select {
+	case <-l.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("idle lease was never evicted")
+	}
+	if late := time.Since(deadline); late > 2*tick+slack {
+		t.Fatalf("evicted %v after its deadline, want within 2×LeaseTick (%v)", late, 2*tick)
+	}
+	if !l.Evicted() {
+		t.Fatal("Done fired but lease not marked evicted")
 	}
 }

@@ -139,17 +139,6 @@ func PointAccel(pos, q vec.V3, m float64, p Params) vec.V3 {
 	return pairAccel(pos, q, m, p.Eps*p.Eps, p.G)
 }
 
-// ExpansionAccel returns the acceleration at pos due to a multipole
-// expansion: mass at com, plus the quadrupole term when enabled —
-// exported for the message-passing baseline's mass-point contributions.
-func ExpansionAccel(pos, com vec.V3, mass float64, q octree.Quadrupole, p Params) vec.V3 {
-	a := pairAccel(pos, com, mass, p.Eps*p.Eps, p.G)
-	if p.Quadrupole {
-		a = a.Add(quadAccel(pos.Sub(com), q, p.Eps*p.Eps, p.G))
-	}
-	return a
-}
-
 // Direct computes the exact softened acceleration on body self by summing
 // over all bodies: the O(N²) reference used by accuracy tests.
 func Direct(d octree.BodyData, self int32, p Params) vec.V3 {

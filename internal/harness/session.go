@@ -204,7 +204,7 @@ func (s *Session) TreeSpeedup(pl memsim.Platform, alg core.Algorithm, p, n int) 
 
 // RunExperiment renders one experiment, computing its sweep cells
 // concurrently: a first silent pass records which cells the experiment
-// reads, the runner fans them out across its worker pool, and a second
+// reads, the runner fans them out across its engine's slots, and a second
 // pass renders from the now-warm cache. Output is identical to a serial
 // run because rendering is serial and the cache is keyed by spec.
 func (s *Session) RunExperiment(ctx context.Context, e Experiment, w io.Writer) {

@@ -189,15 +189,6 @@ func (r *Result) TotalLockWait() float64 {
 	return t
 }
 
-// TotalBarrierWait sums barrier wait time across processors.
-func (r *Result) TotalBarrierWait() float64 {
-	var t float64
-	for i := range r.PerProc {
-		t += r.PerProc[i].BarrierNs
-	}
-	return t
-}
-
 // Engine drives one simulation.
 type Engine struct {
 	P             int

@@ -203,16 +203,3 @@ func Step(b *phys.Bodies, opts Options) StepStats {
 	st.Update = t4.Sub(t3)
 	return st
 }
-
-// AccelOn evaluates the message-passing force on one body without
-// advancing the system — used by accuracy tests.
-func AccelOn(b *phys.Bodies, opts Options, body int32) vec.V3 {
-	saved := b.Clone()
-	Step(b, opts)
-	acc := b.Acc[body]
-	copy(b.Pos, saved.Pos)
-	copy(b.Vel, saved.Vel)
-	copy(b.Acc, saved.Acc)
-	copy(b.Cost, saved.Cost)
-	return acc
-}

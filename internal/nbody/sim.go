@@ -40,17 +40,12 @@ type Options struct {
 	// which consumes the same trees from the same builders.
 	FMM bool
 
-	// Verify makes every Step check the freshly built tree's invariants
-	// (and canonicality for the rebuilding algorithms) before using it,
-	// panicking on violation. For tests and debugging.
-	Verify bool
-
 	// Check runs the full differential verification (internal/verify) on
 	// every freshly built tree — structural invariants, node-for-node
 	// equality with the serial reference for rebuilding steps, and the
 	// metrics conservation laws — reporting the first violation in
-	// StepStats.CheckErr instead of panicking. Check time is excluded
-	// from every measured phase.
+	// StepStats.CheckErr. Check time is excluded from every measured
+	// phase.
 	Check bool
 
 	// Trace, when non-nil, records per-processor phase spans and lock
@@ -131,12 +126,8 @@ type Simulation struct {
 
 // New generates the bodies and prepares the builder.
 func New(opts Options) *Simulation {
-	if opts.P <= 0 {
-		opts.P = 1
-	}
-	if opts.LeafCap <= 0 {
-		opts.LeafCap = 8
-	}
+	c := core.Config{P: opts.P, LeafCap: opts.LeafCap}.Normalized()
+	opts.P, opts.LeafCap = c.P, c.LeafCap
 	if opts.Dt == 0 {
 		opts.Dt = 0.025
 	}
@@ -182,12 +173,6 @@ func (s *Simulation) Step() StepStats {
 	st.TreeBuild = t1.Sub(t0)
 
 	d := octree.BodyData{Pos: s.Bodies.Pos, Mass: s.Bodies.Mass, Cost: s.Bodies.Cost}
-	if s.Opts.Verify {
-		canonical := s.Opts.Alg != core.UPDATE
-		if err := octree.Check(tree, d, octree.CheckOptions{Canonical: canonical, Moments: true, Tol: 1e-9}); err != nil {
-			panic(fmt.Sprintf("nbody: step %d tree verification failed: %v", s.step, err))
-		}
-	}
 	if s.Opts.Check {
 		st.CheckErr = verify.Build(s.Opts.Alg, tree, m, s.Bodies, s.step)
 		// The serial reference build is not part of the step; restart the

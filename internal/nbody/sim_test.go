@@ -15,13 +15,16 @@ func TestSimulationRunsAllAlgorithms(t *testing.T) {
 		opts.N = 2000
 		opts.P = 4
 		opts.Alg = alg
-		opts.Verify = true // panics on any tree violation
+		opts.Check = true
 		sim := New(opts)
 		stats := sim.Run(4)
 		if len(stats) != 4 {
 			t.Fatalf("alg=%v: %d stats", alg, len(stats))
 		}
 		for _, st := range stats {
+			if st.CheckErr != nil {
+				t.Fatalf("alg=%v step %d: %v", alg, st.Step, st.CheckErr)
+			}
 			if st.Phase.Interactions == 0 {
 				t.Fatalf("alg=%v step %d: no interactions", alg, st.Step)
 			}
@@ -144,8 +147,12 @@ func TestUpdateBuilderLongRun(t *testing.T) {
 	opts.N = 1500
 	opts.P = 4
 	opts.Alg = core.UPDATE
-	opts.Verify = true
+	opts.Check = true
 	opts.Dt = 0.03
 	sim := New(opts)
-	sim.Run(10)
+	for _, st := range sim.Run(10) {
+		if st.CheckErr != nil {
+			t.Fatalf("step %d: %v", st.Step, st.CheckErr)
+		}
+	}
 }

@@ -105,13 +105,6 @@ func (c *Cell) SlotOf(r Ref) (vec.Octant, bool) {
 	return 0, false
 }
 
-// CASChild atomically replaces the child in octant o if it still equals
-// old. The concurrent builders use it to publish a freshly created node
-// without holding the cell lock across allocation.
-func (c *Cell) CASChild(o vec.Octant, old, new Ref) bool {
-	return atomic.CompareAndSwapUint32(&c.child[o], uint32(old), uint32(new))
-}
-
 // childSlice copies the eight child refs with atomic loads.
 func (c *Cell) childSlice() [vec.NOctants]Ref {
 	var out [vec.NOctants]Ref

@@ -52,10 +52,6 @@ type Store struct {
 
 	arenas []arena
 	locks  [nLockStripes]sync.Mutex
-	// lockCount counts acquisitions per stripe owner; the builders keep
-	// their own per-processor counters, this one exists for cheap global
-	// sanity checks.
-	lockCount int64
 }
 
 // NewStore creates a store with nArenas arenas (arena 0 is conventionally
@@ -74,9 +70,6 @@ func NewStore(nArenas, leafCap int) *Store {
 		arenas:   make([]arena, nArenas),
 	}
 }
-
-// NumArenas returns the number of arenas in the store.
-func (s *Store) NumArenas() int { return len(s.arenas) }
 
 // Cell resolves a cell reference. The reference must be a cell.
 func (s *Store) Cell(r Ref) *Cell {
@@ -166,12 +159,8 @@ func installChunk[T any](slot *atomic.Pointer[[chunkSize]T]) *[chunkSize]T {
 func (s *Store) Lock(r Ref) *sync.Mutex {
 	m := &s.locks[lockStripe(r)]
 	m.Lock()
-	atomic.AddInt64(&s.lockCount, 1)
 	return m
 }
-
-// LockCount reports total striped-lock acquisitions since the last Reset.
-func (s *Store) LockCount() int64 { return atomic.LoadInt64(&s.lockCount) }
 
 func lockStripe(r Ref) int {
 	// Fibonacci hashing spreads sequential indices across stripes.
@@ -264,7 +253,6 @@ func (s *Store) Reset() {
 		atomic.StoreInt64(&s.arenas[i].nCells, 0)
 		atomic.StoreInt64(&s.arenas[i].nLeaves, 0)
 	}
-	atomic.StoreInt64(&s.lockCount, 0)
 }
 
 // Tree couples a store with the root reference of a built tree.

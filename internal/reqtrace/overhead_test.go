@@ -35,7 +35,7 @@ func buildBare(bld core.Builder, in *core.Input, step int) float64 {
 }
 
 // buildHooked times the same build wrapped in the exact disabled-mode
-// hook sequence the serving path added (engine.acquireSlot, Lease.Step,
+// hook sequence the serving path added (the engine's slot wait, Lease.Step,
 // runner.runNativeBuild): context recalls that miss, guarded time
 // captures that stay zero, and nil-receiver method calls. This is the
 // code a request pays when the flight recorder is off.

@@ -16,29 +16,35 @@ import (
 	"partree/internal/verify"
 )
 
-// sessionFor acquires a pooled engine session for the spec, or reports
-// (nil, nil, true) when the spec must construct its own builder: traced
-// specs pin a recorder at construction, which a shared session cannot
-// carry. A non-nil error is an admission rejection.
-func sessionFor(ctx context.Context, spec Spec, eng *engine.Engine) (*engine.Session, error, bool) {
-	if eng == nil || spec.Trace != "" {
-		return nil, nil, true
+// admit takes the spec's build slot from the engine and returns the
+// builder to run it on plus the slot's release. An untraced spec builds
+// on a pooled session's persistent builder; a traced one pins a recorder
+// at construction, which a shared session cannot carry, so it is
+// admitted bare and b is nil — the caller constructs its own builder. A
+// non-nil error is an admission rejection.
+func admit(ctx context.Context, spec Spec, eng *engine.Engine) (b core.Builder, release func(), err error) {
+	if spec.Trace != "" {
+		release, err = eng.Admit(ctx)
+		return nil, release, err
 	}
 	s, err := eng.Acquire(ctx, engine.Key{Alg: spec.Alg, P: spec.Procs, LeafCap: spec.LeafCap})
-	return s, err, false
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Builder(), s.Release, nil
 }
 
 // admissionResult renders an engine admission rejection as a failed,
 // transient Result: waiters on the in-flight entry observe it, but the
 // cache drops it, so the same spec retried later is admitted fresh.
 func admissionResult(spec Spec, err error) Result {
-	return Result{Spec: spec, Err: fmt.Sprintf("native run %s: %v", spec, err), transient: true}
+	return Result{Spec: spec, Err: fmt.Sprintf("%s run %s: %v", spec.Backend, spec, err), transient: true}
 }
 
 // runNative executes the real concurrent implementation. Steps are
 // natural preemption points, so cancellation and timeouts yield a
-// partial Result carrying whatever completed. With a non-nil engine, the
-// build runs through a pooled session's persistent builder.
+// partial Result carrying whatever completed. An untraced build runs
+// through a pooled session's persistent builder.
 func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	if spec.BuildOnly {
 		// The memoized body set is shared across specs; the build gets
@@ -65,12 +71,12 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 		rec.SetEnabled(true)
 		opts.Trace = rec
 	}
-	if ses, err, own := sessionFor(ctx, spec, eng); err != nil {
+	bld, release, err := admit(ctx, spec, eng)
+	if err != nil {
 		return admissionResult(spec, err)
-	} else if !own {
-		defer ses.Release()
-		opts.Builder = ses.Builder()
 	}
+	defer release()
+	opts.Builder = bld
 	sim := nbody.NewFromBodies(opts, bodies.Clone())
 
 	rq := reqtrace.FromContext(ctx)
@@ -128,25 +134,24 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 // verification of every repetition. It is the one build-repetition loop:
 // Run executes build-only specs through it, and a cluster shard calls it
 // directly on its owned subset. spec must be Normalized; bodies are
-// built in place, so a caller sharing them clones first. With a non-nil
-// engine the repetitions run through a pooled session, so only the
+// built in place, so a caller sharing them clones first. The
+// repetitions run through a pooled session, so only the
 // first-ever rep for a key pays store allocation; an admission rejection
 // comes back as a Result whose Err satisfies engine.Rejected.
 func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
-	var bld core.Builder
-	var rec *trace.Recorder
-	if ses, err, own := sessionFor(ctx, spec, eng); err != nil {
+	bld, release, err := admit(ctx, spec, eng)
+	if err != nil {
 		return admissionResult(spec, err)
-	} else if own {
+	}
+	defer release()
+	var rec *trace.Recorder
+	if bld == nil {
 		cfg := core.Config{P: spec.Procs, LeafCap: spec.LeafCap}
 		if spec.Trace != "" {
 			rec = trace.New(spec.Procs)
 			cfg.Trace = rec
 		}
 		bld = core.New(spec.Alg, cfg)
-	} else {
-		defer ses.Release()
-		bld = ses.Builder()
 	}
 	assign := core.EvenAssign(bodies.N(), spec.Procs)
 	if spec.Spatial {

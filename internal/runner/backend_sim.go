@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"partree/internal/engine"
 	"partree/internal/phys"
 	"partree/internal/simalg"
 	"partree/internal/trace"
@@ -15,11 +16,18 @@ import (
 // implemented by racing the run against the context: on timeout the
 // caller gets a partial Result immediately and the abandoned run is left
 // to finish on its goroutine (it only touches its own clone of bodies).
-func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies) Result {
+func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	pl, err := ParsePlatform(spec.Platform, spec.Procs)
 	if err != nil {
 		return Result{Err: err.Error()}
 	}
+	// A replay needs no pooled builder, but it is CPU like any build: it
+	// holds one of the engine's slots for its duration.
+	release, err := eng.Admit(ctx)
+	if err != nil {
+		return admissionResult(spec, err)
+	}
+	defer release()
 	cfg := simalg.Config{
 		Platform:      pl,
 		P:             spec.Procs,

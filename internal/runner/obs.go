@@ -23,11 +23,10 @@ type runnerObs struct {
 	runs        atomic.Int64 // requests that reached the cache lookup
 	cacheHits   atomic.Int64 // requests answered by an existing entry
 	cacheMisses atomic.Int64 // requests that created an entry (one execution each)
-	started     atomic.Int64 // executions that acquired a worker slot
+	started     atomic.Int64 // executions begun (one per cache miss)
 	completed   atomic.Int64 // executions finished with a usable Result
 	failed      atomic.Int64 // executions finished with Result.Failed()
-	queueDepth  atomic.Int64 // executions waiting for a worker slot
-	inFlight    atomic.Int64 // executions currently holding a slot
+	inFlight    atomic.Int64 // executions begun and not yet published
 	memoHits    atomic.Int64 // body-set requests served from the memo
 	memoMisses  atomic.Int64 // body-set requests that generated bodies
 
@@ -71,7 +70,7 @@ func (o *runnerObs) observeExecuted(res Result) {
 type ObsSnapshot struct {
 	Runs, CacheHits, CacheMisses int64
 	Started, Completed, Failed   int64
-	QueueDepth, InFlight         int64
+	InFlight                     int64
 	BodyMemoHits, BodyMemoMisses int64
 	ResultEvictions              int64
 	BodyEvictions                int64
@@ -93,7 +92,6 @@ func (r *Runner) ObsSnapshot() ObsSnapshot {
 		Started:               o.started.Load(),
 		Completed:             o.completed.Load(),
 		Failed:                o.failed.Load(),
-		QueueDepth:            o.queueDepth.Load(),
 		InFlight:              o.inFlight.Load(),
 		BodyMemoHits:          o.memoHits.Load(),
 		BodyMemoMisses:        o.memoMisses.Load(),
@@ -111,8 +109,8 @@ func (r *Runner) ObsSnapshot() ObsSnapshot {
 func (r *Runner) AuditObs() error {
 	s := r.ObsSnapshot()
 	results := r.Results()
-	if s.QueueDepth != 0 || s.InFlight != 0 {
-		return fmt.Errorf("runner obs: not idle: queue=%d in-flight=%d", s.QueueDepth, s.InFlight)
+	if s.InFlight != 0 {
+		return fmt.Errorf("runner obs: not idle: in-flight=%d", s.InFlight)
 	}
 	if s.CacheHits+s.CacheMisses != s.Runs {
 		return fmt.Errorf("runner obs: hits(%d)+misses(%d) != runs(%d)", s.CacheHits, s.CacheMisses, s.Runs)
@@ -156,22 +154,17 @@ func (r *Runner) RegisterObs(reg *obs.Registry) error {
 	ctr := func(name, help string, v *atomic.Int64) obs.Collector {
 		return obs.NewCounterFunc(name, help, func() float64 { return float64(v.Load()) })
 	}
-	gauge := func(name, help string, v *atomic.Int64) obs.Collector {
-		return obs.NewGaugeFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
 	return reg.Register(
 		ctr("partree_runner_runs_total", "Spec requests that reached the result cache.", &o.runs),
 		ctr("partree_runner_cache_hits_total", "Spec requests answered by the memoized result cache.", &o.cacheHits),
 		ctr("partree_runner_cache_misses_total", "Spec requests that triggered a new execution.", &o.cacheMisses),
-		ctr("partree_runner_specs_started_total", "Spec executions that acquired a worker slot.", &o.started),
+		ctr("partree_runner_specs_started_total", "Spec executions begun (one per cache miss).", &o.started),
 		ctr("partree_runner_specs_completed_total", "Spec executions that finished successfully.", &o.completed),
 		ctr("partree_runner_specs_failed_total", "Spec executions that finished with an error or check failure.", &o.failed),
-		gauge("partree_runner_queue_depth", "Spec executions waiting for a worker slot.", &o.queueDepth),
-		gauge("partree_runner_in_flight", "Spec executions currently holding a worker slot.", &o.inFlight),
+		obs.NewGaugeFunc("partree_runner_in_flight", "Spec executions begun and not yet published (queued in the engine or running).",
+			func() float64 { return float64(o.inFlight.Load()) }),
 		ctr("partree_runner_body_memo_hits_total", "Body-set requests served from the (model,n,seed) memo.", &o.memoHits),
 		ctr("partree_runner_body_memo_misses_total", "Body-set requests that generated a new body set.", &o.memoMisses),
-		obs.NewGaugeFunc("partree_runner_workers", "Worker-pool bound of this runner.",
-			func() float64 { return float64(r.workers) }),
 		evictionsCollector{o},
 		o.specSeconds,
 		o.traceBridge,

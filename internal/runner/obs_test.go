@@ -75,8 +75,8 @@ func TestObsConservationConcurrent(t *testing.T) {
 		t.Fatalf("started/completed/failed = %d/%d/%d, want %d/%d/1",
 			s.Started, s.Completed, s.Failed, uniq, uniq-1)
 	}
-	if s.QueueDepth != 0 || s.InFlight != 0 {
-		t.Fatalf("idle gauges nonzero: queue=%d in-flight=%d", s.QueueDepth, s.InFlight)
+	if es := r.Engine().Stats(); es.Queued != 0 || es.InUse != 0 || s.InFlight != 0 {
+		t.Fatalf("idle gauges nonzero: engine queue=%d in-use=%d, runner in-flight=%d", es.Queued, es.InUse, s.InFlight)
 	}
 	if s.SpecDurationsObserved != uint64(uniq) {
 		t.Fatalf("duration observations = %d, want %d", s.SpecDurationsObserved, uniq)
@@ -102,7 +102,7 @@ func TestObsConservationConcurrent(t *testing.T) {
 }
 
 // TestObsInFlightVisibleMidRun observes the in-flight gauge from outside
-// while an execution holds a worker slot, then checks it settles back to
+// while an execution holds a build slot, then checks it settles back to
 // zero before Run returns (the accounting-before-done ordering).
 func TestObsInFlightVisibleMidRun(t *testing.T) {
 	r := New(1)
@@ -165,6 +165,10 @@ func TestRegisterObsRendersRunnerSeries(t *testing.T) {
 	if err := RegisterBuildObs(reg); err != nil {
 		t.Fatal(err)
 	}
+	// The queue and the bound are the engine's: the runner has neither.
+	if err := r.Engine().RegisterObs(reg); err != nil {
+		t.Fatal(err)
+	}
 	// Re-registering the same runner on the same registry must collide on
 	// the metric names.
 	if err := r.RegisterObs(reg); err == nil {
@@ -182,7 +186,8 @@ func TestRegisterObsRendersRunnerSeries(t *testing.T) {
 		"partree_runner_cache_misses_total 1",
 		"partree_runner_specs_completed_total 1",
 		"partree_runner_in_flight 0",
-		"partree_runner_workers 2",
+		"partree_engine_max_active 2",
+		"partree_engine_queue_depth 0",
 		`partree_runner_spec_duration_seconds_count{backend="native"} 1`,
 		`partree_build_total{alg="ORIG"}`,
 		`partree_build_locks_total{alg="ORIG"}`,

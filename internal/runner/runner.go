@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -16,20 +15,19 @@ import (
 	"partree/internal/reqtrace"
 )
 
-// Runner executes specs with a bounded worker pool and a memoizing,
-// concurrency-safe result cache. Identical specs share one execution no
-// matter how many goroutines request them; distinct specs run
-// concurrently up to the worker bound. Bodies are memoized per
-// (model, n, seed) and shared read-only across runs, so every backend
-// sees the same deterministic initial conditions. Both caches are
-// bounded LRUs (see Config), so a long-lived process — partreed serving
-// requests forever — holds a fixed working set instead of leaking.
-// Native builds run through a shared engine.Engine, reusing pooled
-// builder sessions instead of allocating a store per spec.
+// Runner is a memoizing, concurrency-safe result cache over an
+// engine.Engine. Identical specs share one execution no matter how many
+// goroutines request them; distinct specs run concurrently up to the
+// engine's MaxActive — the runner schedules nothing itself. Every
+// execution passes the engine's one admission gate: native specs hold a
+// pooled builder session (Acquire), simulated and traced ones a bare
+// slot (Admit). Bodies are memoized per (model, n, seed) and shared
+// read-only across runs, so every backend sees the same deterministic
+// initial conditions. Both caches are bounded LRUs (see Config), so a
+// long-lived process — partreed serving requests forever — holds a
+// fixed working set instead of leaking.
 type Runner struct {
-	workers int
-	sem     chan struct{}
-	eng     *engine.Engine
+	eng *engine.Engine
 
 	// execs counts spec executions (not cache hits); tests assert a spec
 	// requested from many goroutines runs exactly once.
@@ -152,7 +150,8 @@ func (c *cache[V]) completed() []V {
 // Config sizes a runner for its lifetime. The zero value of every field
 // selects the documented default, so Config{} behaves like New(0).
 type Config struct {
-	// Workers bounds concurrent spec executions (0 = GOMAXPROCS).
+	// Workers is the MaxActive of the engine a runner creates for itself
+	// (0 = GOMAXPROCS); with Engine set it is unused.
 	Workers int
 	// ResultCacheEntries bounds the memoized spec→result cache; past it
 	// the least recently used completed entry is evicted (0 = 4096,
@@ -161,9 +160,8 @@ type Config struct {
 	// BodiesCacheEntries bounds the (model, n, seed) body memo the same
 	// way (0 = 64).
 	BodiesCacheEntries int
-	// Engine, when non-nil, is the builder-session pool native specs
-	// execute through; nil creates one sized to Workers with no
-	// admission queue pressure (the worker pool already bounds entry).
+	// Engine, when non-nil, is the shared engine every spec executes
+	// through; nil creates one Workers wide.
 	Engine *engine.Engine
 }
 
@@ -175,9 +173,6 @@ func New(workers int) *Runner {
 // NewWithConfig creates a runner with explicit cache bounds and,
 // optionally, a shared engine.
 func NewWithConfig(cfg Config) *Runner {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.ResultCacheEntries <= 0 {
 		cfg.ResultCacheEntries = 4096
 	}
@@ -185,15 +180,10 @@ func NewWithConfig(cfg Config) *Runner {
 		cfg.BodiesCacheEntries = 64
 	}
 	if cfg.Engine == nil {
-		// Sized so the runner's own worker pool is the only gate: every
-		// worker can hold a session and queue behind a busy pool without
-		// ever seeing ErrQueueFull.
-		cfg.Engine = engine.New(engine.Options{MaxActive: cfg.Workers, MaxQueue: 2 * cfg.Workers})
+		cfg.Engine = engine.New(engine.Options{MaxActive: cfg.Workers})
 	}
 	o := newRunnerObs()
 	return &Runner{
-		workers: cfg.Workers,
-		sem:     make(chan struct{}, cfg.Workers),
 		eng:     cfg.Engine,
 		results: newCache[run](cfg.ResultCacheEntries, &o.resultEvictions),
 		bodies:  newCache[bodySet](cfg.BodiesCacheEntries, &o.bodyEvictions),
@@ -201,11 +191,8 @@ func NewWithConfig(cfg Config) *Runner {
 	}
 }
 
-// Workers returns the pool bound.
-func (r *Runner) Workers() int { return r.workers }
-
-// Engine returns the builder-session pool native specs execute through
-// (for drain wiring and obs registration).
+// Engine returns the engine every spec executes through (for drain
+// wiring and obs registration).
 func (r *Runner) Engine() *engine.Engine { return r.eng }
 
 // Run executes (or recalls) one spec. It blocks until the spec's result
@@ -240,13 +227,13 @@ func (r *Runner) Run(ctx context.Context, spec Spec) Result {
 	}
 }
 
-// RunAll fans the specs out across the worker pool and returns their
-// results in spec order — concurrency never reorders or drops cells.
-// Fan-out is bounded at the worker count: a full paperrepro sweep must
-// not park one goroutine per grid cell, so a fixed set of launchers
-// pulls spec indices from a shared counter instead. Launchers block in
-// Run (not on a worker slot), so duplicated specs sharing one memoized
-// execution cannot deadlock the pool.
+// RunAll fans the specs out and returns their results in spec order —
+// concurrency never reorders or drops cells. Fan-out is exactly the
+// engine's MaxActive wide: a fixed set of launchers pulls spec indices
+// from a shared counter, so a sweep keeps every build slot busy, parks
+// no goroutine per grid cell, and can never overflow the admission queue
+// with its own cells. Launchers block in Run (not on a build slot), so
+// duplicated specs sharing one memoized execution cannot deadlock.
 func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Result {
 	return r.RunAllProgress(ctx, specs, nil)
 }
@@ -257,7 +244,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Result {
 // mid-sweep. done may be nil.
 func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i int, res Result)) []Result {
 	out := make([]Result, len(specs))
-	launchers := r.workers
+	launchers := r.eng.MaxActive()
 	if launchers > len(specs) {
 		launchers = len(specs)
 	}
@@ -283,25 +270,16 @@ func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i i
 	return out
 }
 
-// execute runs one cache entry to completion under a worker slot. Body
-// generation happens before the wall clock starts: body sets are memoized
-// across specs, so charging generation to whichever spec ran first would
-// make sweep-cell wall times incomparable. GenNs instead reports the full
-// generation time of the spec's body set, identically on every spec that
-// shares it.
+// execute runs one cache entry to completion; the backend takes its
+// engine slot. Body generation happens before the wall clock starts:
+// body sets are memoized across specs, so charging generation to
+// whichever spec ran first would make sweep-cell wall times
+// incomparable. GenNs instead reports the full generation time of the
+// spec's body set, identically on every spec that shares it.
 func (r *Runner) execute(e *flight[run]) {
 	spec, rq := e.val.spec, e.val.rq
-	r.obs.queueDepth.Add(1)
-	var qstart time.Time
-	if rq != nil {
-		qstart = time.Now()
-	}
-	r.sem <- struct{}{}
-	rq.SpanSince("queue", qstart)
-	r.obs.queueDepth.Add(-1)
 	r.obs.started.Add(1)
 	r.obs.inFlight.Add(1)
-	defer func() { <-r.sem }()
 	// finish publishes the result. Counters settle *before* e.done is
 	// closed, so a caller that just saw its Run return can audit the obs
 	// counters against the cache without racing them (AuditObs relies on
@@ -339,7 +317,7 @@ func (r *Runner) execute(e *flight[run]) {
 	case Native:
 		res = runNative(ctx, spec, bodies, r.eng)
 	default:
-		res = runSimulated(ctx, spec, bodies)
+		res = runSimulated(ctx, spec, bodies, r.eng)
 	}
 	res.Spec = spec
 	res.GenNs = genNs

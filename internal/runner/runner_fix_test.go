@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"partree/internal/core"
 	"partree/internal/phys"
@@ -202,5 +203,50 @@ func TestCheckedSpecsPass(t *testing.T) {
 	unchecked.Check = false
 	if unchecked.Key() == native.Key() {
 		t.Fatal("Check is not part of the spec identity")
+	}
+}
+
+// TestSimulatedSpecsTakeAnEngineSlot pins the closed bypass: a simulated
+// replay holds one of the engine's build slots like any build, so with
+// MaxActive 1 two of them through one runner never overlap. While the
+// test holds the only slot neither may run (both show in the engine's
+// queue); released, they run one at a time — the second is still queued
+// while the first replays.
+func TestSimulatedSpecsTakeAnEngineSlot(t *testing.T) {
+	r := New(1)
+	eng := r.Engine()
+	release, err := eng.Admit(context.Background())
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	done := make(chan Result, 2)
+	for _, n := range []int{2048, 2049} {
+		go func(n int) { done <- r.Run(context.Background(), simSpec(core.SPACE, 2, n)) }(n)
+	}
+	waitQueued := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for eng.Stats().Queued != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("engine queue = %d, never reached %d", eng.Stats().Queued, n)
+			}
+			runtime.Gosched()
+		}
+	}
+	waitQueued(2)
+	select {
+	case res := <-done:
+		t.Fatalf("simulated spec %s ran without a build slot", res.Spec)
+	default:
+	}
+	release()
+	waitQueued(1) // one replays, the other still waits for the slot
+	for i := 0; i < 2; i++ {
+		if res := <-done; res.Failed() {
+			t.Fatalf("simulated spec failed: %s", res.Err)
+		}
+	}
+	if err := r.AuditObs(); err != nil {
+		t.Fatal(err)
 	}
 }

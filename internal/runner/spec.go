@@ -3,9 +3,9 @@
 // paper's evaluation grid (backend × platform × algorithm × processors ×
 // bodies × tuning); a Runner executes specs through either the native
 // (real goroutines, wall clock) or the simulated (memsim platform model)
-// backend, memoizes outcomes behind a concurrency-safe cache, bounds
-// parallelism with a worker pool, and honors context cancellation and
-// per-spec timeouts. A given Spec always maps to the same Result
+// backend — each behind the engine's admission gate, which bounds
+// parallelism — memoizes outcomes in a concurrency-safe cache, and honors
+// context cancellation and per-spec timeouts. A given Spec always maps to the same Result
 // regardless of how runs are scheduled, so concurrent sweeps stay
 // deterministic.
 package runner

@@ -1,10 +1,8 @@
 package simalg
 
 import (
-	"sort"
-
+	"partree/internal/core"
 	"partree/internal/octree"
-	"partree/internal/partition"
 	"partree/internal/trace"
 	"partree/internal/vec"
 )
@@ -163,44 +161,20 @@ func (sp *sproc) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, gdept
 // spaceState is the shared state of SPACE's counting/partitioning rounds.
 type spaceState struct {
 	threshold int
-	frontier  []spaceFrontier
+	frontier  []core.FrontierCell
 	myBodies  [][]int32
 	myCell    [][]int32
 	counts    [][]int64
 	octs      [][]uint8
 	newIndex  []int32
-	subs      []spaceSub
-}
-
-type spaceFrontier struct {
-	ref   octree.Ref
-	cube  vec.Cube
-	depth int
-}
-
-type spaceSub struct {
-	parent octree.Ref
-	oct    vec.Octant
-	cube   vec.Cube
-	depth  int
-	count  int
-	owner  int
-	bodies []int32
+	subs      []core.Subspace
 }
 
 func newSpaceState(st *runState) *spaceState {
 	p := st.cfg.P
-	n := st.bodies.N()
-	th := st.cfg.SpaceThreshold
-	if th <= 0 {
-		th = n / (4 * p)
-	}
-	if th < st.cfg.LeafCap {
-		th = st.cfg.LeafCap
-	}
 	ss := &spaceState{
-		threshold: th,
-		frontier:  []spaceFrontier{{st.tree.Root, st.tree.RootCube(), 0}},
+		threshold: core.SpaceThreshold(st.cfg.SpaceThreshold, st.cfg.LeafCap, st.bodies.N(), p),
+		frontier:  []core.FrontierCell{{Ref: st.tree.Root, Cube: st.tree.RootCube()}},
 		myBodies:  make([][]int32, p),
 		myCell:    make([][]int32, p),
 		counts:    make([][]int64, p),
@@ -250,7 +224,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 		ss.octs[w] = ss.octs[w][:len(ss.myBodies[w])]
 		for i, b := range ss.myBodies[w] {
 			fc := ss.myCell[w][i]
-			o := ss.frontier[fc].cube.OctantOf(pos[b])
+			o := ss.frontier[fc].Cube.OctantOf(pos[b])
 			ss.octs[w][i] = uint8(o)
 			ss.counts[w][int(fc)*8+int(o)]++
 		}
@@ -272,7 +246,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 
 	// Assign subspaces (processor 0) and build them, lock-free.
 	if sp.w == 0 {
-		assignSpaceSubs(st.tree.RootCube(), ss.subs, p)
+		core.AssignSubspaces(st.tree.RootCube(), ss.subs, p)
 	}
 	bar(lbl("sassign", step))
 	if traced {
@@ -281,24 +255,24 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 	tIns := vnow()
 	for i := range ss.subs {
 		sub := &ss.subs[i]
-		if sub.owner != sp.w {
+		if sub.Owner != sp.w {
 			continue
 		}
 		var node octree.Ref
-		if sub.count <= s.LeafCap || sub.depth >= s.MaxDepth {
-			lr, l := sp.allocLeaf(sub.cube, sub.parent)
-			l.Bodies = append(l.Bodies, sub.bodies...)
-			sp.readChunks(st.bodyAddrs(sub.bodies))
+		if sub.Count <= s.LeafCap || sub.Depth >= s.MaxDepth {
+			lr, l := sp.allocLeaf(sub.Cube, sub.Parent)
+			l.Bodies = append(l.Bodies, sub.Bodies...)
+			sp.readChunks(st.bodyAddrs(sub.Bodies))
 			node = lr
 		} else {
-			cr, _ := sp.allocCell(sub.cube, sub.parent)
-			for _, b := range sub.bodies {
-				sp.insertPrivate(cr, sub.depth, b)
+			cr, _ := sp.allocCell(sub.Cube, sub.Parent)
+			for _, b := range sub.Bodies {
+				sp.insertPrivate(cr, sub.Depth, b)
 			}
 			node = cr
 		}
-		s.Cell(sub.parent).SetChild(sub.oct, node)
-		sp.writeNode(sub.parent)
+		s.Cell(sub.Parent).SetChild(sub.Oct, node)
+		sp.writeNode(sub.Parent)
 	}
 	if traced {
 		sp.tp.SpanAt(trace.PhaseInsert, tIns, vnow())
@@ -315,7 +289,7 @@ func (st *runState) spaceReduce(sp *sproc) {
 	s := st.store
 	f := len(ss.frontier)
 	ss.newIndex = make([]int32, f*8)
-	var next []spaceFrontier
+	var next []core.FrontierCell
 	for fc := 0; fc < f; fc++ {
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
 			var total int64
@@ -326,20 +300,20 @@ func (st *runState) spaceReduce(sp *sproc) {
 			switch {
 			case total == 0:
 				ss.newIndex[slot] = -1
-			case int(total) > ss.threshold && ss.frontier[fc].depth+1 < s.MaxDepth:
-				cr, _ := sp.allocCell(ss.frontier[fc].cube.Child(o), ss.frontier[fc].ref)
-				s.Cell(ss.frontier[fc].ref).SetChild(o, cr)
-				sp.writeNode(ss.frontier[fc].ref)
+			case int(total) > ss.threshold && ss.frontier[fc].Depth+1 < s.MaxDepth:
+				cr, _ := sp.allocCell(ss.frontier[fc].Cube.Child(o), ss.frontier[fc].Ref)
+				s.Cell(ss.frontier[fc].Ref).SetChild(o, cr)
+				sp.writeNode(ss.frontier[fc].Ref)
 				ss.newIndex[slot] = int32(len(next))
-				next = append(next, spaceFrontier{cr, ss.frontier[fc].cube.Child(o), ss.frontier[fc].depth + 1})
+				next = append(next, core.FrontierCell{Ref: cr, Cube: ss.frontier[fc].Cube.Child(o), Depth: ss.frontier[fc].Depth + 1})
 			default:
 				ss.newIndex[slot] = int32(-2 - len(ss.subs))
-				ss.subs = append(ss.subs, spaceSub{
-					parent: ss.frontier[fc].ref,
-					oct:    o,
-					cube:   ss.frontier[fc].cube.Child(o),
-					depth:  ss.frontier[fc].depth + 1,
-					count:  int(total),
+				ss.subs = append(ss.subs, core.Subspace{
+					Parent: ss.frontier[fc].Ref,
+					Oct:    o,
+					Cube:   ss.frontier[fc].Cube.Child(o),
+					Depth:  ss.frontier[fc].Depth + 1,
+					Count:  int(total),
 				})
 			}
 		}
@@ -363,47 +337,11 @@ func (st *runState) spaceRebucket(sp *sproc) {
 			keepC = append(keepC, ni)
 		case ni <= -2:
 			k := int(-2 - ni)
-			ss.subs[k].bodies = append(ss.subs[k].bodies, b)
+			ss.subs[k].Bodies = append(ss.subs[k].Bodies, b)
 		default:
 			panic("simalg: body routed to an empty octant")
 		}
 	}
 	ss.myBodies[w] = keepB
 	ss.myCell[w] = keepC
-}
-
-// assignSpaceSubs assigns subspaces to processors in spatially contiguous
-// groups of roughly equal body count: subspaces sort by their Morton key
-// (depth-first tree order) and are cut into P cost zones, exactly the
-// grouping the paper's Figure 5 draws. Spatial contiguity keeps a
-// processor's build bodies — and the tree pages it writes — close to the
-// costzones region it will compute forces for, limiting the locality loss
-// SPACE trades for its zero locking.
-func assignSpaceSubs(root vec.Cube, subs []spaceSub, p int) {
-	order := make([]int, len(subs))
-	total := 0
-	for i := range order {
-		order[i] = i
-		total += subs[i].count
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka := partition.MortonKey(root, subs[order[a]].cube.Center)
-		kb := partition.MortonKey(root, subs[order[b]].cube.Center)
-		if ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b]
-	})
-	if total == 0 {
-		return
-	}
-	acc := 0
-	for _, i := range order {
-		w := acc * p / total
-		if w >= p {
-			w = p - 1
-		}
-		subs[i].owner = w
-		acc += subs[i].count
-	}
 }

@@ -41,9 +41,6 @@ func (b *MetricsBridge) Record(s *Summary) {
 	}
 }
 
-// TracedBuilds returns the number of summaries recorded.
-func (b *MetricsBridge) TracedBuilds() int64 { return b.builds.Load() }
-
 // Collect implements obs.Collector: phase seconds as one labeled family
 // plus lock wait/hold/event totals, all summed across processors.
 func (b *MetricsBridge) Collect(out []obs.Family) []obs.Family {

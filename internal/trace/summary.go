@@ -74,8 +74,8 @@ func (s *Summary) LockEventsPerProc() []int64 {
 	return out
 }
 
-// PhaseTotals sums each phase's time across processors, aligned with
-// PhaseNames(). internal/reqtrace bridges these into a request's
+// PhaseTotals sums each phase's time across processors, indexed by
+// Phase. internal/reqtrace bridges these into a request's
 // flight-recorder timeline.
 func (s *Summary) PhaseTotals() [NumPhases]int64 {
 	var out [NumPhases]int64

@@ -70,15 +70,6 @@ func (ph Phase) String() string {
 	return "phase?"
 }
 
-// PhaseNames lists the span phases in order.
-func PhaseNames() []string {
-	out := make([]string, NumPhases)
-	for i := 0; i < NumPhases; i++ {
-		out[i] = Phase(i).String()
-	}
-	return out
-}
-
 // Kind distinguishes event records.
 type Kind uint8
 

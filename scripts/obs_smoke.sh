@@ -60,7 +60,8 @@ series_list="
 partree_runner_specs_started_total
 partree_runner_cache_misses_total
 partree_runner_in_flight
-partree_runner_queue_depth
+partree_engine_queue_depth
+partree_engine_max_active
 partree_runner_spec_duration_seconds_bucket
 partree_runner_body_memo_misses_total
 partree_build_total
