@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke check repro bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke check repro bench
 
 all: build
 
@@ -52,8 +52,20 @@ cluster-smoke:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
+# microbench times the body-ordering kernel layer by layer: one Morton
+# key, the radix sort of a body set, and the whole SpatialAssign a
+# spatial:true request pays. microbench-smoke runs each once, so check
+# compiles and executes them without asserting a wall-clock value.
+MICROBENCH = $(GO) test -run '^$$' -bench 'Keyer|Order|SpatialAssign' ./internal/partition ./internal/core
+
+microbench:
+	$(MICROBENCH)
+
+microbench-smoke:
+	$(MICROBENCH) -benchtime 1x
+
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke
+check: build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:

@@ -100,10 +100,18 @@ func TestClusterBuildConservation(t *testing.T) {
 	if len(res.Shards) != 2 {
 		t.Fatalf("merged result has %d shard entries, want 2", len(res.Shards))
 	}
-	var sumN int64
+	var sumN, slowest int64
 	for _, sr := range res.Shards {
 		if sr.Failed() {
 			t.Fatalf("shard %s failed: err=%q check=%q", sr.Shard, sr.Err, sr.CheckFailure)
+		}
+		// A seed the shard has not seen is regenerated and keyed before
+		// the build; that time is reported beside wall_ns, not inside it.
+		if sr.PrepNs <= 0 {
+			t.Fatalf("shard %s reports prep_ns = %d on a fresh seed, want > 0", sr.Shard, sr.PrepNs)
+		}
+		if sr.WallNs > slowest {
+			slowest = sr.WallNs
 		}
 		if int64(sr.N) != sr.BodiesBuilt {
 			t.Fatalf("shard %s owns %d bodies but built %d", sr.Shard, sr.N, sr.BodiesBuilt)
@@ -118,6 +126,9 @@ func TestClusterBuildConservation(t *testing.T) {
 	}
 	if res.TreeNs <= 0 {
 		t.Fatalf("merged TreeNs = %v, want > 0", res.TreeNs)
+	}
+	if res.WallNs != slowest {
+		t.Fatalf("merged WallNs = %d, want the slowest shard's build wall %d (prep excluded)", res.WallNs, slowest)
 	}
 	if got := f.Shards[0].Resident() + f.Shards[1].Resident(); got != n {
 		t.Fatalf("resident bodies across shards = %d, want %d", got, n)

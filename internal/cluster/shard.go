@@ -12,6 +12,7 @@ import (
 
 	"partree/internal/engine"
 	"partree/internal/obs"
+	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/runner"
 	"partree/internal/vec"
@@ -47,7 +48,10 @@ type ShardBuildRequest struct {
 
 // ShardBuildResult is one shard's contribution to a merged build: the
 // owned body count, the last repetition's tree metrics, and the best-of
-// build time, with failures carried in-band like runner.Result.
+// build time, with failures carried in-band like runner.Result. WallNs
+// is the build call alone; PrepNs is what the shard spent before it —
+// decoding and vetting the request, regenerating the body set and keying
+// it for ownership — so a client can tell shard time from router time.
 type ShardBuildResult struct {
 	Shard        string  `json:"shard"`
 	N            int     `json:"n"`
@@ -59,6 +63,7 @@ type ShardBuildResult struct {
 	Leaves       int64   `json:"leaves,omitempty"`
 	MaxDepth     int64   `json:"max_depth,omitempty"`
 	WallNs       int64   `json:"wall_ns"`
+	PrepNs       int64   `json:"prep_ns,omitempty"`
 	Err          string  `json:"error,omitempty"`
 	CheckFailure string  `json:"check_failure,omitempty"`
 }
@@ -311,6 +316,7 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 		jsonError(w, http.StatusMethodNotAllowed, "POST a ShardBuildRequest JSON document")
 		return
 	}
+	arrived := time.Now()
 	var br ShardBuildRequest
 	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
@@ -331,15 +337,16 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	all := s.bodiesFor(spec)
 	// Key the full set against the *map's* domain — every shard computes
 	// identical keys, so the owned subsets tile the body set exactly.
+	keyer := partition.NewKeyer(s.guard.Domain)
 	owned := make([]int32, 0, all.N()/len(s.m.Shards)+1)
-	for i := 0; i < all.N(); i++ {
-		if s.guard.Owns(s.guard.Key(all.Pos[i])) {
+	for i, p := range all.Pos {
+		if s.guard.Owns(keyer.Key(p)) {
 			owned = append(owned, int32(i))
 		}
 	}
 
-	res := ShardBuildResult{Shard: s.ID(), N: len(owned)}
 	start := time.Now()
+	res := ShardBuildResult{Shard: s.ID(), N: len(owned), PrepNs: start.Sub(arrived).Nanoseconds()}
 	if len(owned) > 0 {
 		// The owned subset is private to this request, so the build
 		// runs on it in place.

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -224,31 +223,21 @@ func EvenAssign(n, p int) [][]int32 {
 	return out
 }
 
-// SpatialAssign splits the bodies into p spatially compact even chunks by
-// sorting on the Morton key — a stand-in for a settled costzones partition
-// when benchmarking a single build outside a full simulation. The paper's
+// SpatialAssign splits the bodies into p spatially compact even chunks:
+// contiguous ranges of the Morton order (partition.Order, one radix sort)
+// — a stand-in for a settled costzones partition when benchmarking a
+// single build outside a full simulation. The paper's
 // ORIG/LOCAL/UPDATE/PARTREE builds all assume the body partition carries
 // physical locality ("if the partitioning incorporates physical locality,
-// this overhead should be small").
+// this overhead should be small"). The chunks share one backing array,
+// each capped at its own end so appending to one cannot reach the next.
 func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	n := b.N()
-	cube := b.Bounds(1e-4)
-	idx := make([]int32, n)
-	keys := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		idx[i] = int32(i)
-		keys[i] = partition.MortonKey(cube, b.Pos[i])
-	}
-	sort.Slice(idx, func(a, c int) bool {
-		if keys[idx[a]] != keys[idx[c]] {
-			return keys[idx[a]] < keys[idx[c]]
-		}
-		return idx[a] < idx[c]
-	})
+	order := partition.Order(b.Pos, b.Bounds(1e-4))
 	out := make([][]int32, p)
 	for w := 0; w < p; w++ {
 		lo, hi := n*w/p, n*(w+1)/p
-		out[w] = append([]int32(nil), idx[lo:hi]...)
+		out[w] = order[lo:hi:hi]
 	}
 	return out
 }

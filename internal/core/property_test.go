@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"partree/internal/octree"
+	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/vec"
 )
@@ -142,6 +144,47 @@ func TestPropertySpatialAssignCovers(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpatialAssignMatchesComparisonSort holds SpatialAssign to the
+// algorithm it replaced — sort.Slice on (Morton key, index), even cuts —
+// chunk for chunk and element for element, on every model. (The keys
+// themselves are pinned to their bit-loop reference in partition.)
+func TestSpatialAssignMatchesComparisonSort(t *testing.T) {
+	for _, m := range phys.Models() {
+		for _, n := range []int{1, 7, 10000} {
+			b := phys.Generate(m, n, 17)
+			cube := b.Bounds(1e-4)
+			idx := make([]int32, n)
+			keys := make([]uint64, n)
+			for i := range idx {
+				idx[i], keys[i] = int32(i), partition.MortonKey(cube, b.Pos[i])
+			}
+			sort.Slice(idx, func(a, c int) bool {
+				if keys[idx[a]] != keys[idx[c]] {
+					return keys[idx[a]] < keys[idx[c]]
+				}
+				return idx[a] < idx[c]
+			})
+			for _, p := range []int{1, 2, 3, 8, n + 1} {
+				got := SpatialAssign(b, p)
+				if len(got) != p {
+					t.Fatalf("%v n=%d p=%d: %d chunks", m, n, p, len(got))
+				}
+				for w := range got {
+					want := idx[n*w/p : n*(w+1)/p]
+					if len(got[w]) != len(want) {
+						t.Fatalf("%v n=%d p=%d: chunk %d has %d bodies, want %d", m, n, p, w, len(got[w]), len(want))
+					}
+					for i := range want {
+						if got[w][i] != want[i] {
+							t.Fatalf("%v n=%d p=%d: chunk %d[%d] = %d, want %d", m, n, p, w, i, got[w][i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

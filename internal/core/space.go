@@ -265,16 +265,17 @@ func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int
 // Figure 5 draws. Contiguity limits the locality loss SPACE trades for
 // its zero locking.
 func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
+	k := partition.NewKeyer(root)
 	order := make([]int, len(subs))
+	keys := make([]uint64, len(subs))
 	total := 0
 	for i := range order {
 		order[i] = i
+		keys[i] = k.Key(subs[i].Cube.Center)
 		total += subs[i].Count
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ka := partition.MortonKey(root, subs[order[a]].Cube.Center)
-		kb := partition.MortonKey(root, subs[order[b]].Cube.Center)
-		if ka != kb {
+		if ka, kb := keys[order[a]], keys[order[b]]; ka != kb {
 			return ka < kb
 		}
 		return order[a] < order[b]

@@ -3,16 +3,15 @@ package partition
 import "partree/internal/vec"
 
 // The Morton keying below is the one spatial-ordering primitive every
-// layer shares: SPACE's subspace-to-processor assignment, the spatially
-// compact body partitions core.SpatialAssign fakes a settled costzones
-// cut with, the simulated SPACE replay, and — at the cluster level — the
-// shard map that splits the domain into spatially contiguous key ranges
-// for a partreed fleet. It used to live as an unexported detail of the
-// build path (vec.Cube.Morton called ad hoc from three places); exporting
-// one canonical function here makes the keying a contract rather than a
-// coincidence. vec.Cube.Morton remains as the low-level geometric
-// primitive; TestMortonKeyMatchesCube pins the two byte-for-byte equal so
-// they can never drift apart silently.
+// layer shares, and this file is its only implementation: Keyer turns a
+// position into a Z-order key, Order sorts a body set by that key. The
+// callers are core.SpatialAssign (the spatially compact body partition
+// of every spatial:true build, session open and example), SPACE's
+// subspace-to-processor assignment (core.AssignSubspaces, and through it
+// the simulated SPACE replay), and — at the cluster level — the shard
+// map that splits the domain into spatially contiguous key ranges
+// (engine.Guard, cluster.Map), where every shard must compute the same
+// key for the same position so the owned subsets tile the body set.
 
 const (
 	// KeyBits is the number of bits quantized per axis; a full key
@@ -23,38 +22,109 @@ const (
 	KeySpace = uint64(1) << (3 * KeyBits)
 )
 
-// MortonKey returns the Z-order (Morton) key of p within the domain
-// cube, using KeyBits bits per axis. Sorting spatial positions by their
+// Keyer computes Morton keys against one domain cube. It holds the
+// cube's low corner and the cells-per-unit-length scale, so keying a
+// body set pays for them once instead of once per body.
+type Keyer struct {
+	min   vec.V3
+	scale float64
+}
+
+// NewKeyer returns the keyer of a domain cube.
+func NewKeyer(domain vec.Cube) Keyer {
+	return Keyer{min: domain.Min(), scale: float64(uint64(1)<<KeyBits) / domain.Size}
+}
+
+// Key returns the Z-order (Morton) key of p within the keyer's domain,
+// using KeyBits bits per axis. Sorting spatial positions by their
 // Morton key recovers the octree's depth-first order, so contiguous key
 // ranges are spatially compact — the property that makes both SPACE's
 // subspace grouping (paper Figure 5) and a cluster's Morton-range shard
 // map locality-preserving. Positions outside the domain clamp to its
-// faces, so every position maps to some key and key comparisons stay
-// total.
+// faces and a NaN coordinate quantizes to 0, so every position maps to
+// some key and key comparisons stay total.
 //
 // Two positions compare equal once they quantize to the same cell of the
 // 2^KeyBits-per-axis grid; callers that need a deterministic total order
-// (the assignment sorts) break ties on index.
+// break ties on index, as Order does.
+func (k Keyer) Key(p vec.V3) uint64 {
+	return spread3(quantizeKey((p.X-k.min.X)*k.scale)) |
+		spread3(quantizeKey((p.Y-k.min.Y)*k.scale))<<1 |
+		spread3(quantizeKey((p.Z-k.min.Z)*k.scale))<<2
+}
+
+// MortonKey is NewKeyer(domain).Key(p), for callers keying one position.
 func MortonKey(domain vec.Cube, p vec.V3) uint64 {
-	scale := float64(uint64(1)<<KeyBits) / domain.Size
-	min := domain.Min()
-	qx := quantizeKey((p.X - min.X) * scale)
-	qy := quantizeKey((p.Y - min.Y) * scale)
-	qz := quantizeKey((p.Z - min.Z) * scale)
-	var key uint64
-	for i := 0; i < KeyBits; i++ {
-		key |= (qx>>i&1)<<(3*i) | (qy>>i&1)<<(3*i+1) | (qz>>i&1)<<(3*i+2)
-	}
-	return key
+	return NewKeyer(domain).Key(p)
 }
 
 // quantizeKey clamps a scaled coordinate into [0, 2^KeyBits).
 func quantizeKey(x float64) uint64 {
-	if x < 0 {
+	const max = 1<<KeyBits - 1
+	if x != x || x < 0 { // NaN or below the low face
 		return 0
 	}
-	if max := float64(uint64(1)<<KeyBits - 1); x > max {
-		return uint64(max)
+	if x > max {
+		return max
 	}
 	return uint64(x)
+}
+
+// spread3 moves bit i of a KeyBits-bit value to bit 3i. Each step
+// doubles the number of groups the bits sit in and halves their width
+// (16 → 8 → 4 → 2 → 1), masking away the copies the shift left behind.
+func spread3(q uint64) uint64 {
+	q = (q | q<<16) & 0x0000ff0000ff
+	q = (q | q<<8) & 0x00f00f00f00f
+	q = (q | q<<4) & 0x0c30c30c30c3
+	q = (q | q<<2) & 0x249249249249
+	return q
+}
+
+const (
+	// digitBits is the radix of Order's sort: 3*KeyBits = 48 key bits in
+	// four passes, with histograms (4 × 4096 counters) that stay in L1.
+	// Order's keying loop counts each pass's digit on its own line, so
+	// changing the pass count means editing those lines too.
+	digitBits = 12
+	passes    = 3 * KeyBits / digitBits
+	digitMask = 1<<digitBits - 1
+)
+
+// Order returns the indices of pos sorted by (Morton key within domain,
+// index): the body order whose contiguous ranges are spatially compact.
+// It keys every position once and runs a stable least-significant-digit
+// radix sort of the indices over the key bits; a stable sort of
+// index-ordered input leaves equal keys in increasing index, so the
+// result is the one a comparison sort on (key, index) produces. Scratch
+// is the key array and one spare index array, released on return.
+func Order(pos []vec.V3, domain vec.Cube) []int32 {
+	n := len(pos)
+	k := NewKeyer(domain)
+	keys := make([]uint64, n)
+	src, dst := make([]int32, n), make([]int32, n)
+	var hist [passes][1 << digitBits]int32
+	for i, p := range pos {
+		key := k.Key(p)
+		keys[i], src[i] = key, int32(i)
+		hist[0][key&digitMask]++
+		hist[1][key>>digitBits&digitMask]++
+		hist[2][key>>(2*digitBits)&digitMask]++
+		hist[3][key>>(3*digitBits)&digitMask]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := d * digitBits
+		sum := int32(0)
+		for b, c := range h {
+			h[b], sum = sum, sum+c
+		}
+		for _, i := range src {
+			b := keys[i] >> shift & digitMask
+			dst[h[b]] = i
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

@@ -3,6 +3,8 @@ package phys
 import (
 	"math"
 	"testing"
+
+	"partree/internal/vec"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -173,5 +175,61 @@ func TestMomentumNearZero(t *testing.T) {
 	// Drift-free Plummer sphere: momentum is sampling noise ~ m*v/sqrt(N).
 	if p.Len() > 0.05 {
 		t.Fatalf("net momentum %v too large", p)
+	}
+}
+
+// refBounds is Bounds written with math.Min/math.Max, the form
+// vec.BoundingCube had before its comparisons became plain < and >.
+func refBounds(b *Bodies, margin float64) vec.Cube {
+	lo, hi := b.Pos[0], b.Pos[0]
+	for _, p := range b.Pos[1:] {
+		lo = vec.V3{X: math.Min(lo.X, p.X), Y: math.Min(lo.Y, p.Y), Z: math.Min(lo.Z, p.Z)}
+		hi = vec.V3{X: math.Max(hi.X, p.X), Y: math.Max(hi.Y, p.Y), Z: math.Max(hi.Z, p.Z)}
+	}
+	size := math.Max(hi.X-lo.X, math.Max(hi.Y-lo.Y, hi.Z-lo.Z)) * (1 + margin)
+	if size <= 0 {
+		size = 1
+	}
+	return vec.Cube{Center: lo.Add(hi).Scale(0.5), Size: size}
+}
+
+// TestBoundsMatchesMathMinMax pins the plain-comparison bounds pass to
+// the math.Min/math.Max one: bit-equal on every model's finite
+// positions. Where an axis holds only zeros of both signs the two may
+// pick a different sign for the centre's zero, which compares equal and
+// which no consumer can tell apart; the size is bit-equal there too.
+func TestBoundsMatchesMathMinMax(t *testing.T) {
+	bits := func(c vec.Cube) [4]uint64 {
+		return [4]uint64{math.Float64bits(c.Center.X), math.Float64bits(c.Center.Y),
+			math.Float64bits(c.Center.Z), math.Float64bits(c.Size)}
+	}
+	for _, m := range Models() {
+		for _, n := range []int{1, 2, 1000, 20000} {
+			b := Generate(m, n, 3)
+			if got, want := b.Bounds(1e-4), refBounds(b, 1e-4); bits(got) != bits(want) {
+				t.Fatalf("%v n=%d: Bounds = %v, math.Min/Max reference = %v", m, n, got, want)
+			}
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	zeros := NewBodies(3)
+	zeros.Pos[0] = vec.V3{X: 0, Y: negZero, Z: 1.5}
+	zeros.Pos[1] = vec.V3{X: negZero, Y: 0, Z: 1.5}
+	zeros.Pos[2] = vec.V3{X: 0, Y: negZero, Z: 1.5}
+	got, want := zeros.Bounds(1e-4), refBounds(zeros, 1e-4)
+	if got.Center != want.Center || math.Float64bits(got.Size) != math.Float64bits(want.Size) {
+		t.Fatalf("signed zeros: Bounds = %v, reference = %v", got, want)
+	}
+	if got.Size != 1 {
+		t.Fatalf("coincident bodies: Size = %g, want the fallback 1", got.Size)
+	}
+
+	spread := NewBodies(3)
+	spread.Pos[0] = vec.V3{X: negZero, Y: 2, Z: -1}
+	spread.Pos[1] = vec.V3{X: 0, Y: 2, Z: -3}
+	spread.Pos[2] = vec.V3{X: 1, Y: negZero, Z: 0}
+	if got, want := spread.Bounds(1e-4), refBounds(spread, 1e-4); bits(got) != bits(want) {
+		t.Fatalf("zeros among spread bodies: Bounds = %v, reference = %v", got, want)
 	}
 }

@@ -88,31 +88,3 @@ func TestBoxSplitCovers(t *testing.T) {
 		}
 	}
 }
-
-func TestMortonOrderingMatchesOctants(t *testing.T) {
-	// Points in lower octants of the root must sort before points in
-	// higher octants: Morton order is the octree's child order.
-	c := Cube{Center: V3{0, 0, 0}, Size: 2}
-	var prev uint64
-	for o := Octant(0); o < NOctants; o++ {
-		child := c.Child(o)
-		key := c.Morton(child.Center)
-		if o > 0 && key <= prev {
-			t.Fatalf("octant %d key %d not above octant %d key %d", o, key, o-1, prev)
-		}
-		prev = key
-	}
-}
-
-func TestMortonClampsOutOfRange(t *testing.T) {
-	c := Cube{Center: V3{0, 0, 0}, Size: 2}
-	// Outside points clamp rather than wrap.
-	lo := c.Morton(V3{-100, -100, -100})
-	hi := c.Morton(V3{100, 100, 100})
-	if lo != 0 {
-		t.Fatalf("far-low key %d, want 0", lo)
-	}
-	if hi != c.Morton(V3{1, 1, 1}) {
-		t.Fatalf("far-high key %d does not clamp like the max corner", hi)
-	}
-}

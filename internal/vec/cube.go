@@ -84,35 +84,6 @@ func (c Cube) String() string {
 	return fmt.Sprintf("cube{center=%v size=%g}", c.Center, c.Size)
 }
 
-// Morton returns the Z-order (Morton) key of p within the cube, using 16
-// bits per axis. Sorting spatial regions by their Morton key recovers the
-// octree's depth-first order, so contiguous key ranges are spatially
-// compact — which is how SPACE keeps its subspace-to-processor assignment
-// coherent (paper Figure 5 groups neighbouring subspaces per processor).
-func (c Cube) Morton(p V3) uint64 {
-	const bits = 16
-	scale := float64(uint64(1)<<bits) / c.Size
-	min := c.Min()
-	qx := quantize((p.X - min.X) * scale)
-	qy := quantize((p.Y - min.Y) * scale)
-	qz := quantize((p.Z - min.Z) * scale)
-	var key uint64
-	for i := 0; i < bits; i++ {
-		key |= (qx>>i&1)<<(3*i) | (qy>>i&1)<<(3*i+1) | (qz>>i&1)<<(3*i+2)
-	}
-	return key
-}
-
-func quantize(x float64) uint64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 65535 {
-		return 65535
-	}
-	return uint64(x)
-}
-
 // BoundingCube returns the smallest cube, expanded by the given relative
 // margin, that contains every position produced by the iterator. The cube
 // is centered on the midpoint of the positions' bounding box. A margin of

@@ -61,19 +61,48 @@ func (v V3) MulAdd(s float64, w V3) V3 {
 	return V3{v.X + s*w.X, v.Y + s*w.Y, v.Z + s*w.Z}
 }
 
-// Min returns the componentwise minimum of v and w.
+// Min returns the componentwise minimum of v and w. Min, Max and
+// MaxComponent compare with < and >, not math.Min/math.Max: their
+// callers bound body positions and extents, which are finite
+// (phys.Bodies.Validate), so NaN propagation is not needed, and no
+// caller can observe which of -0 and +0 a tie between them returns.
 func (v V3) Min(w V3) V3 {
-	return V3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
+	if w.X < v.X {
+		v.X = w.X
+	}
+	if w.Y < v.Y {
+		v.Y = w.Y
+	}
+	if w.Z < v.Z {
+		v.Z = w.Z
+	}
+	return v
 }
 
-// Max returns the componentwise maximum of v and w.
+// Max returns the componentwise maximum of v and w (see Min).
 func (v V3) Max(w V3) V3 {
-	return V3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
+	if w.X > v.X {
+		v.X = w.X
+	}
+	if w.Y > v.Y {
+		v.Y = w.Y
+	}
+	if w.Z > v.Z {
+		v.Z = w.Z
+	}
+	return v
 }
 
-// MaxComponent returns the largest of the three components.
+// MaxComponent returns the largest of the three components (see Min).
 func (v V3) MaxComponent() float64 {
-	return math.Max(v.X, math.Max(v.Y, v.Z))
+	m := v.X
+	if v.Y > m {
+		m = v.Y
+	}
+	if v.Z > m {
+		m = v.Z
+	}
+	return m
 }
 
 // IsFinite reports whether all components are finite numbers.
