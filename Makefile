@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke check repro bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds loc check repro bench
 
 all: build
 
@@ -19,11 +19,12 @@ race:
 	$(GO) test -race ./...
 
 # smoke builds real trees with every algorithm and verifies each against
-# the sequential reference (-check), end to end through cmd/treebench.
+# the sequential reference (-check), end to end through `partree treebench`.
 smoke:
-	$(GO) run ./cmd/treebench -n 4096 -p 1,2 -reps 1 -check
+	$(GO) run ./cmd/partree treebench -n 4096 -p 1,2 -reps 1 -check
 
-# obs-smoke exercises the live observability layer end to end: treebench
+# obs-smoke exercises the live observability layer end to end: `partree
+# treebench`
 # runs with -http in the background while the script asserts /healthz and
 # the key /metrics series (runner, per-algorithm build, Go runtime).
 obs-smoke:
@@ -64,12 +65,24 @@ microbench:
 microbench-smoke:
 	$(MICROBENCH) -benchtime 1x
 
+# cmds holds the set of binaries fixed: one CLI (partree <subcommand>),
+# the daemon, the router and the load generator. A fifth main is a fork
+# of the execution stack the first four already walk.
+cmds:
+	@test "$$(ls cmd | xargs)" = "loadgen partree partree-router partreed" || \
+		{ echo "cmd/ must hold exactly: loadgen partree partree-router partreed (found: $$(ls cmd | xargs))" >&2; exit 1; }
+
+# loc counts non-test Go lines outside the nested benchmark module — the
+# number CHANGES.md quotes before/after a simplification.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
+check: cmds build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:
-	$(GO) run ./cmd/paperrepro -out results
+	$(GO) run ./cmd/partree paperrepro -out results
 
 # bench runs the repository's one benchmark (BENCHMARK.json): every
 # workload end to end and layer by layer, builders, sessions, the daemon

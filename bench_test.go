@@ -2,7 +2,7 @@
 // reduced scale, plus native-execution and ablation benchmarks. Metrics
 // reported beyond ns/op carry the experiment's headline number (speedup,
 // tree-build share, lock counts) so `go test -bench` output documents the
-// reproduced shapes directly. cmd/paperrepro runs the same experiments at
+// reproduced shapes directly. `partree paperrepro` runs the same experiments at
 // full scale with formatted tables.
 package partree_test
 
@@ -17,6 +17,7 @@ import (
 	"partree/internal/mp"
 	"partree/internal/nbody"
 	"partree/internal/phys"
+	"partree/internal/runner"
 	"partree/internal/simalg"
 )
 
@@ -45,7 +46,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	opts := harness.Options{Sizes: []int{benchN}, MeasuredSteps: 1}
 	for i := 0; i < b.N; i++ {
-		s := harness.NewSession(opts)
+		s := harness.NewSession(runner.New(0), opts)
 		e.Run(s, io.Discard)
 	}
 }

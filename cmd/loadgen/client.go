@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"partree/internal/core"
+	"partree/internal/obs"
 	"partree/internal/runner"
 	"partree/internal/workload"
 )
@@ -309,8 +309,8 @@ func runBuild(ctx context.Context, cfg config, id int, at time.Duration) arrival
 // (with its label set, verbatim) → value.
 type metricsSnapshot map[string]float64
 
-// scrapeMetrics fetches and parses the Prometheus exposition page.
-func scrapeMetrics(ctx context.Context, url string) (metricsSnapshot, error) {
+// fetchMetrics GETs and parses a target's Prometheus exposition page.
+func fetchMetrics(ctx context.Context, url string) (metricsSnapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -323,25 +323,7 @@ func scrapeMetrics(ctx context.Context, url string) (metricsSnapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
 	}
-	out := metricsSnapshot{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:sp]] = v
-	}
-	return out, sc.Err()
+	return obs.ParseText(resp.Body)
 }
 
 // sum adds every series whose name starts with prefix (covers labeled
@@ -378,7 +360,7 @@ func startQueueSampler(ctx context.Context, url string) *queueSampler {
 				s.samples <- out
 				return
 			case <-tick.C:
-				if snap, err := scrapeMetrics(ctx, url); err == nil {
+				if snap, err := fetchMetrics(ctx, url); err == nil {
 					out = append(out, snap["partree_engine_queue_depth"])
 				}
 			}

@@ -1,0 +1,256 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"partree/internal/runner"
+)
+
+// The files under testdata were captured from the four binaries this
+// command replaced (cmd/nbody, cmd/treebench, cmd/simbench,
+// cmd/paperrepro at commit 90dbd8e): each one's -h, and the stdout of one
+// small run per output mode. The tests below hold `partree <subcommand>`
+// to them byte for byte, after the normalisation each comment names.
+
+// partree runs the driver in-process.
+func partree(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return out.String(), errb.String(), code
+}
+
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+var (
+	flagHeader    = regexp.MustCompile(`(?m)^  -(\S+).*$`)
+	quotedDefault = regexp.MustCompile(`\(default "([^"]*)"\)`)
+)
+
+// flagList reduces a -h page to what a flag is to its user — name,
+// default, usage — dropping the usage header above the first flag and
+// the two things flag.PrintDefaults derives from the Go type the flag
+// is bound to: the type word after the name, and the quotes around a
+// string default (-alg binds a core.Algorithm now, not a string).
+func flagList(help string) string {
+	if i := strings.Index(help, "  -"); i >= 0 {
+		help = help[i:]
+	}
+	help = flagHeader.ReplaceAllString(help, "  -$1")
+	return quotedDefault.ReplaceAllString(help, "(default $1)")
+}
+
+// TestFlagListsMatchParent: every subcommand takes exactly the flags its
+// binary took — same names, same defaults, same usage strings.
+func TestFlagListsMatchParent(t *testing.T) {
+	for _, c := range commands {
+		_, help, code := partree(t, c.name, "-h")
+		if code != 0 {
+			t.Errorf("%s -h: exit %d, want 0", c.name, code)
+		}
+		// The two host-dependent defaults were captured as placeholders.
+		want := strings.NewReplacer(
+			"{{GOMAXPROCS}}", strconv.Itoa(runtime.GOMAXPROCS(0)),
+			"{{HOSTPROCS}}", hostProcs(),
+		).Replace(golden(t, c.name+".help"))
+		if got, want := flagList(help), flagList(want); got != want {
+			t.Errorf("%s flag list diverged from the parent binary's.\ngot:\n%s\nwant:\n%s", c.name, got, want)
+		}
+	}
+}
+
+var (
+	wallClock   = regexp.MustCompile(`"(wall_ns|gen_ns)":[0-9]+`)
+	nativeTime  = regexp.MustCompile(`"(\w+_ns|tree_share)":[-+.e0-9]+`)
+	nativeLocks = regexp.MustCompile(`"locks_total":[0-9]+,"locks_per_proc":\[[0-9,]*\]`)
+	retries     = regexp.MustCompile(`"retries":[0-9]+,`)
+	duration    = regexp.MustCompile(`=[0-9.]+[mµn]?s`)
+	treeShare   = regexp.MustCompile(`tree [0-9.]+%`)
+	regenerated = regexp.MustCompile(`(?m)^\[regenerated in .*\]\n`)
+)
+
+// records zeroes what a Result record measures on the host's clock:
+// wall_ns and gen_ns everywhere, and on native records every *_ns and
+// tree_share; past one processor a native build's lock and retry counts
+// depend on the interleaving, so they are blanked too. Everything else —
+// every simulated number, every tree statistic — must match.
+func records(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	for i, l := range lines {
+		l = wallClock.ReplaceAllString(l, `"$1":0`)
+		if strings.Contains(l, `"backend":"native"`) {
+			l = nativeTime.ReplaceAllString(l, `"$1":0`)
+			if !strings.Contains(l, `"procs":1,`) {
+				l = nativeLocks.ReplaceAllString(l, `"locks_total":0,"locks_per_proc":[]`)
+				l = retries.ReplaceAllString(l, "")
+			}
+		}
+		lines[i] = l
+	}
+	return strings.Join(lines, "")
+}
+
+// stepTimes blanks the wall-clock durations and the tree share of nbody's
+// per-step lines.
+func stepTimes(s string) string {
+	return treeShare.ReplaceAllString(duration.ReplaceAllString(s, "=T"), "tree X%")
+}
+
+func exact(s string) string { return s }
+
+// TestOutputMatchesParent: the text output and the -json wire of each
+// subcommand, against what the binary it replaced printed.
+func TestOutputMatchesParent(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		norm   func(string) string
+		args   []string
+	}{
+		{"simbench.json", records, []string{"simbench", "-n", "2048", "-p", "4", "-alg", "space", "-platform", "origin", "-json"}},
+		{"simbench_noseq.txt", exact, []string{"simbench", "-n", "2048", "-p", "4", "-alg", "space", "-platform", "origin", "-noseq"}},
+		{"paperrepro_T1.txt", func(s string) string { return regenerated.ReplaceAllString(s, "") },
+			[]string{"paperrepro", "-exp", "T1", "-sizes", "2048", "-csv=false", "-out", t.TempDir()}},
+		{"treebench.json", records, []string{"treebench", "-n", "4096", "-p", "1,2", "-reps", "1", "-check", "-json"}},
+		{"nbody.json", records, []string{"nbody", "-n", "1024", "-p", "2", "-steps", "2", "-json"}},
+		{"nbody.txt", stepTimes, []string{"nbody", "-n", "1024", "-p", "2", "-steps", "2"}},
+	} {
+		out, errs, code := partree(t, c.args...)
+		if code != 0 {
+			t.Errorf("partree %v: exit %d\n%s", c.args, code, errs)
+			continue
+		}
+		if got, want := c.norm(out), c.norm(golden(t, c.golden)); got != want {
+			t.Errorf("partree %v diverged from %s.\ngot:\n%s\nwant:\n%s", c.args, c.golden, got, want)
+		}
+		if strings.HasSuffix(c.golden, ".json") {
+			// The wire decodes into runner.Result with no field left over.
+			dec := json.NewDecoder(strings.NewReader(out))
+			dec.DisallowUnknownFields()
+			for dec.More() {
+				var res runner.Result
+				if err := dec.Decode(&res); err != nil {
+					t.Errorf("partree %v: record does not decode into runner.Result: %v", c.args, err)
+					break
+				}
+			}
+		}
+	}
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		want []string // substrings of stderr
+	}{
+		{"bare", nil, []string{"usage: partree <subcommand>", "nbody", "treebench", "simbench", "paperrepro"}},
+		{"unknown subcommand", []string{"galaxy"}, []string{`unknown subcommand "galaxy"`, "usage: partree <subcommand>"}},
+		{"unknown flag", []string{"simbench", "-bogus"}, []string{"flag provided but not defined: -bogus"}},
+		{"bad algorithm", []string{"nbody", "-alg", "SPCAE"}, []string{"ORIG, LOCAL, UPDATE, PARTREE, SPACE"}},
+		{"bad log level", []string{"treebench", "-v", "loud"}, []string{"debug, info, warn, error"}},
+		{"bad platform", []string{"simbench", "-platform", "cray"}, []string{"challenge, origin, paragon, typhoon-hlrc, typhoon-sc"}},
+		{"extras under -json", []string{"nbody", "-json", "-energy"}, []string{"not supported with -json", "-energy"}},
+		{"bad processor list", []string{"treebench", "-p", "1,x"}, []string{"bad processor count"}},
+	} {
+		out, errs, code := partree(t, c.args...)
+		if code != 2 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q; want exit 2 and nothing on stdout", c.name, code, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(errs, w) {
+				t.Errorf("%s: stderr lacks %q:\n%s", c.name, w, errs)
+			}
+		}
+	}
+}
+
+// TestFailedSpecExitsOne: a spec that fails — here by timing out before
+// its first repetition — is reported in-band under -json, logged with its
+// grid coordinates in text mode, and exits 1 either way; so does a -check
+// violation, which only a corrupted tree can produce (internal/verify's
+// tests), so it is shown on the status function every mode exits through.
+func TestFailedSpecExitsOne(t *testing.T) {
+	args := []string{"treebench", "-n", "4096", "-p", "1", "-alg", "local", "-timeout", "1ns"}
+	out, _, code := partree(t, append(args, "-json")...)
+	var res runner.Result
+	if err := json.Unmarshal([]byte(out), &res); err != nil {
+		t.Fatalf("decoding %q: %v", out, err)
+	}
+	if code != 1 || res.Err == "" || res.StepsDone != 0 {
+		t.Errorf("-json: exit %d, record %+v; want exit 1 and an error record with no step done", code, res)
+	}
+	_, errs, code := partree(t, args...)
+	if code != 1 || !strings.Contains(errs, `msg="spec failed"`) || !strings.Contains(errs, "alg=LOCAL n=4096 p=1 seed=1") {
+		t.Errorf("text: exit %d, stderr:\n%s\nwant exit 1 and the failed spec logged with its coordinates", code, errs)
+	}
+	if got := status(runner.Result{}, runner.Result{CheckFailure: "leaf 7: body outside its cell"}); got != 1 {
+		t.Errorf("status with a check failure = %d, want 1", got)
+	}
+}
+
+// TestHTTPServesWhileRunning: with -http the driver serves /healthz —
+// naming the subcommand as the binary — and the runner's and engine's
+// /metrics for as long as the run lasts. Stdout is an unbuffered pipe, so
+// once its first line has been read the subcommand is parked on its next
+// write with the server still up.
+func TestHTTPServesWhileRunning(t *testing.T) {
+	pr, pw := io.Pipe()
+	var stderr bytes.Buffer
+	done := make(chan int)
+	go func() {
+		code := run([]string{"nbody", "-n", "256", "-p", "1", "-steps", "1", "-http", "127.0.0.1:0"}, pw, &stderr)
+		pw.Close()
+		done <- code
+	}()
+	stdout := bufio.NewReader(pr)
+	if _, err := stdout.ReadString('\n'); err != nil {
+		t.Fatalf("reading nbody's first line: %v\n%s", err, stderr.String())
+	}
+	m := regexp.MustCompile(`msg="obs: serving" .*url=(\S+)`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("no serving line on stderr:\n%s", stderr.String())
+	}
+	get := func(path string) []byte {
+		resp, err := http.Get(m[1] + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		return body
+	}
+	var health struct{ Status, Binary string }
+	if err := json.Unmarshal(get("/healthz"), &health); err != nil || health.Status != "ok" || health.Binary != "nbody" {
+		t.Errorf("/healthz = %+v (%v), want status ok from binary nbody", health, err)
+	}
+	for _, series := range []string{"partree_runner_runs_total", "partree_engine_max_active", "partree_build_total", "go_goroutines"} {
+		if !bytes.Contains(get("/metrics"), []byte("\n"+series)) {
+			t.Errorf("/metrics lacks %s", series)
+		}
+	}
+	io.Copy(io.Discard, stdout)
+	if code := <-done; code != 0 {
+		t.Errorf("exit %d\n%s", code, stderr.String())
+	}
+}

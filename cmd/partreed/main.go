@@ -248,27 +248,13 @@ func (d *daemon) drain(ctx context.Context) error {
 	return err
 }
 
-// httpError answers with a JSON error document carrying the request ID
-// (when the instrument middleware assigned one), so a 503 rejection in
-// a client log correlates with the daemon's access log and admission
-// counters.
-func httpError(w http.ResponseWriter, code int, msg string) {
-	doc := map[string]string{"error": msg}
-	if id := w.Header().Get("X-Request-Id"); id != "" {
-		doc["request_id"] = id
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(doc)
-}
-
 func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
 		return
 	}
 	if d.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
+		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
 	}
 	rq := reqtrace.FromContext(req.Context())
@@ -279,12 +265,12 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), false)
 	rq.SpanSince("read", rstart)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	res := d.r.Run(req.Context(), spec)
 	if engine.Rejected(res.Err) {
-		httpError(w, http.StatusServiceUnavailable, res.Err)
+		reqtrace.WriteError(w, http.StatusServiceUnavailable, res.Err)
 		return
 	}
 	// The Server-Timing header carries the request's station breakdown
@@ -309,22 +295,27 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 
 func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
 		return
 	}
 	if d.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
+		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
 	}
 	var specs []runner.Spec
 	if err := json.NewDecoder(req.Body).Decode(&specs); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+		return
+	}
+	if len(specs) > runner.MaxSweepSpecs {
+		reqtrace.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("sweep lists %d specs, the limit is %d", len(specs), runner.MaxSweepSpecs))
 		return
 	}
 	for i := range specs {
 		var err error
 		if specs[i], err = runner.VetServiceSpec(specs[i], false); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 	}

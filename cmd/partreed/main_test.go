@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -318,5 +320,65 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 	release()
 	if code := <-queued; code != http.StatusOK {
 		t.Fatalf("queued simulated spec: status %d, want 200", code)
+	}
+}
+
+// TestServiceLimits: a spec arriving on a socket is held to the service
+// limits before anything is allocated for it — an over-limit bodies,
+// procs or steps, and a sweep longer than the cap, answer 400 naming the
+// limit and generate no body set — while a small spec sitting exactly on
+// the procs and steps limits is served.
+func TestServiceLimits(t *testing.T) {
+	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
+	url := d.srv.URL()
+	misses := func() float64 {
+		return metricValue(t, metricsPage(t, url), "partree_runner_body_memo_misses_total")
+	}
+	post := func(path string, body any) (int, string) {
+		resp := postJSON(t, url+path, body)
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	spec := func(field string, v int) map[string]any {
+		s := map[string]any{"backend": "native", "algorithm": "LOCAL", "build_only": true, "bodies": 256}
+		s[field] = v
+		return s
+	}
+	maxProcs := runner.MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
+	before := misses()
+	for _, c := range []struct {
+		field string
+		limit int
+	}{
+		{"bodies", runner.MaxServiceBodies}, {"procs", maxProcs}, {"steps", runner.MaxServiceSteps},
+	} {
+		over := spec(c.field, c.limit+1)
+		if c.field == "bodies" {
+			over = spec(c.field, 2_000_000_000) // ≈ 176 GB of bodies if it were generated
+		}
+		for path, body := range map[string]any{"/v1/build": over, "/v1/sweep": []any{spec("procs", 1), over}} {
+			if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(c.limit)) {
+				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", path, c.field, code, msg, c.limit)
+			}
+		}
+	}
+	long := make([]any, runner.MaxSweepSpecs+1)
+	for i := range long {
+		long[i] = spec("seed", i+1)
+	}
+	if code, msg := post("/v1/sweep", long); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(runner.MaxSweepSpecs)) {
+		t.Errorf("sweep of %d specs: %d %s; want 400 naming %d", len(long), code, msg, runner.MaxSweepSpecs)
+	}
+	if got := misses(); got != before {
+		t.Errorf("refused requests generated %v body sets", got-before)
+	}
+
+	atLimit := spec("procs", maxProcs)
+	atLimit["steps"] = runner.MaxServiceSteps
+	for path, body := range map[string]any{"/v1/build": atLimit, "/v1/sweep": []any{atLimit}} {
+		if code, msg := post(path, body); code != http.StatusOK || strings.Contains(msg, `"error"`) {
+			t.Errorf("%s at the limits: %d %s", path, code, msg)
+		}
 	}
 }

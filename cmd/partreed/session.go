@@ -25,11 +25,8 @@ import (
 	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
+	"partree/internal/runner"
 )
-
-// maxSessionBodies bounds a single session's body count; a streamed
-// request must not be able to allocate unbounded server memory.
-const maxSessionBodies = 4 << 20
 
 // sessionOpen is the stream's first client record.
 type sessionOpen struct {
@@ -134,14 +131,16 @@ type sessionError struct {
 }
 
 func (o *sessionOpen) validate() (phys.Model, error) {
-	if o.Bodies <= 0 || o.Bodies > maxSessionBodies {
-		return 0, fmt.Errorf("bodies must be in 1..%d, got %d", maxSessionBodies, o.Bodies)
+	// A streamed request must not be able to allocate unbounded server
+	// memory: the open record is held to the one-shot specs' limits.
+	if o.Bodies <= 0 || o.Bodies > runner.MaxServiceBodies {
+		return 0, fmt.Errorf("bodies must be in 1..%d, got %d", runner.MaxServiceBodies, o.Bodies)
 	}
 	if o.Procs <= 0 {
 		o.Procs = 1
 	}
-	if o.Procs > 4*runtime.GOMAXPROCS(0) {
-		return 0, fmt.Errorf("procs %d exceeds 4x GOMAXPROCS", o.Procs)
+	if o.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) {
+		return 0, fmt.Errorf("procs %d exceeds %dx GOMAXPROCS", o.Procs, runner.MaxServiceProcsPerCPU)
 	}
 	if o.LeafCap <= 0 {
 		o.LeafCap = 8
@@ -166,7 +165,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 	// for the response before closing its side.
 	reject := func(code int, msg string) {
 		w.Header().Set("Connection", "close")
-		httpError(w, code, msg)
+		reqtrace.WriteError(w, code, msg)
 	}
 	if req.Method != http.MethodPost {
 		reject(http.StatusMethodNotAllowed, "POST an NDJSON session stream")

@@ -1,16 +1,16 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
+
+	"partree/internal/obs"
 )
 
 // ClientOptions tune one shard client. The zero value selects the
@@ -171,23 +171,5 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shard %s: GET /metrics: %s", c.id, resp.Status)
 	}
-	out := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:sp]] = v
-	}
-	return out, sc.Err()
+	return obs.ParseText(resp.Body)
 }

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -471,5 +473,60 @@ func TestClusterRollupMetrics(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("page:\n%s", text)
+	}
+}
+
+// TestClusterServiceLimits: the cluster's three spec-carrying endpoints
+// hold a spec to the service limits like a single partreed does — an
+// over-limit bodies, procs or steps, and a sweep longer than the cap,
+// answer 400 naming the limit before any shard generates a body set —
+// and a small spec sitting exactly on the procs and steps limits builds.
+func TestClusterServiceLimits(t *testing.T) {
+	f := startFixture(t, FixtureOptions{Shards: 2})
+	shardBuild := func(spec runner.Spec) any { return ShardBuildRequest{MapVersion: f.Map.Version, Spec: spec} }
+	endpoints := []struct {
+		url  string
+		body func(runner.Spec) any
+	}{
+		{f.RouterURL() + "/v1/build", func(s runner.Spec) any { return s }},
+		{f.RouterURL() + "/v1/sweep", func(s runner.Spec) any { return []runner.Spec{buildSpec(256), s} }},
+		{f.ShardURL(0) + "/v1/shard/build", shardBuild},
+	}
+	maxProcs := runner.MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		field string
+		limit int
+		over  runner.Spec
+	}{
+		{"bodies", runner.MaxServiceBodies, runner.Spec{Bodies: 2_000_000_000}}, // ≈ 176 GB if it were generated
+		{"procs", maxProcs, runner.Spec{Bodies: 256, Procs: maxProcs + 1}},
+		{"steps", runner.MaxServiceSteps, runner.Spec{Bodies: 256, Steps: runner.MaxServiceSteps + 1}},
+	} {
+		for _, ep := range endpoints {
+			if code, msg := postJSON(t, ep.url, ep.body(c.over)); code != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(c.limit)) {
+				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", ep.url, c.field, code, msg, c.limit)
+			}
+		}
+	}
+	long := make([]runner.Spec, runner.MaxSweepSpecs+1)
+	for i := range long {
+		long[i] = buildSpec(256 + i)
+	}
+	if code, msg := postJSON(t, f.RouterURL()+"/v1/sweep", long); code != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(runner.MaxSweepSpecs)) {
+		t.Errorf("sweep of %d specs: %d %s; want 400 naming %d", len(long), code, msg, runner.MaxSweepSpecs)
+	}
+	for i, ss := range f.Shards {
+		ss.mu.Lock()
+		if ss.memoKey != "" {
+			t.Errorf("shard %d generated body set %q for a refused request", i, ss.memoKey)
+		}
+		ss.mu.Unlock()
+	}
+
+	atLimit := runner.Spec{Alg: core.SPACE, Bodies: 256, Procs: maxProcs, Steps: runner.MaxServiceSteps, Seed: 7}
+	for _, ep := range endpoints {
+		if code, msg := postJSON(t, ep.url, ep.body(atLimit)); code != http.StatusOK || strings.Contains(string(msg), `"error"`) {
+			t.Errorf("%s at the limits: %d %s", ep.url, code, msg)
+		}
 	}
 }

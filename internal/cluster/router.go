@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"partree/internal/obs"
+	"partree/internal/reqtrace"
 	"partree/internal/runner"
 )
 
@@ -144,12 +145,12 @@ func (rt *Router) Mount(mux *http.ServeMux, wrap Middleware) {
 
 func (rt *Router) handleMap(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "GET the shard map")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET the shard map")
 		return
 	}
 	b, err := rt.m.Encode()
 	if err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		reqtrace.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -279,18 +280,18 @@ func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec, transient boo
 
 func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
 		return
 	}
 	// Cluster builds are always native shard builds; see ShardServer.
 	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), true)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	res, code, msg := rt.buildOnce(req.Context(), spec, false)
 	if code != 0 {
-		jsonError(w, code, msg)
+		reqtrace.WriteError(w, code, msg)
 		return
 	}
 	writeJSON(w, res)
@@ -298,18 +299,23 @@ func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 
 func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
 		return
 	}
 	var specs []runner.Spec
 	if err := json.NewDecoder(req.Body).Decode(&specs); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+		return
+	}
+	if len(specs) > runner.MaxSweepSpecs {
+		reqtrace.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("sweep lists %d specs, the limit is %d", len(specs), runner.MaxSweepSpecs))
 		return
 	}
 	for i := range specs {
 		var err error
 		if specs[i], err = runner.VetServiceSpec(specs[i], true); err != nil {
-			jsonError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 	}
@@ -356,7 +362,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 // body is resident in exactly one shard.
 func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST {\"body\": N, \"pos\": [x,y,z]}")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST {\"body\": N, \"pos\": [x,y,z]}")
 		return
 	}
 	var mr struct {
@@ -364,7 +370,7 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 		Pos  [3]float64 `json:"pos"`
 	}
 	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
 	rt.moves.Inc()
@@ -397,16 +403,16 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 		if a.err != nil {
 			if se, ok := a.err.(*StatusError); ok && se.Code == http.StatusConflict {
 				rt.conflicts.Inc()
-				jsonError(w, http.StatusConflict, fmt.Sprintf("shard %s: %s", rt.m.Shards[a.idx].ID, se.Msg))
+				reqtrace.WriteError(w, http.StatusConflict, fmt.Sprintf("shard %s: %s", rt.m.Shards[a.idx].ID, se.Msg))
 				return
 			}
 			rt.errors.Inc()
-			jsonError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: %v", rt.m.Shards[a.idx].ID, a.err))
+			reqtrace.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: %v", rt.m.Shards[a.idx].ID, a.err))
 			return
 		}
 		if a.res.Status != MoveAbsent {
 			if holder != nil {
-				jsonError(w, http.StatusInternalServerError,
+				reqtrace.WriteError(w, http.StatusInternalServerError,
 					fmt.Sprintf("body %d resident in both %s and %s", mr.Body,
 						rt.m.Shards[holder.idx].ID, rt.m.Shards[a.idx].ID))
 				return
@@ -415,7 +421,7 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if holder == nil {
-		jsonError(w, http.StatusNotFound, fmt.Sprintf("body %d is not resident in any shard", mr.Body))
+		reqtrace.WriteError(w, http.StatusNotFound, fmt.Sprintf("body %d is not resident in any shard", mr.Body))
 		return
 	}
 	from := rt.m.Shards[holder.idx].ID
@@ -427,7 +433,7 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 	// Handoff: deliver the evicted state to the key's owner.
 	owner := rt.m.ShardFor(holder.res.Key)
 	if owner < 0 || holder.res.State == nil {
-		jsonError(w, http.StatusInternalServerError,
+		reqtrace.WriteError(w, http.StatusInternalServerError,
 			fmt.Sprintf("handoff of body %d has no owner for key %#x", mr.Body, holder.res.Key))
 		return
 	}
@@ -437,7 +443,7 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 		// The body has already left the source; surface loudly rather
 		// than pretending the move completed.
 		rt.errors.Inc()
-		jsonError(w, http.StatusBadGateway,
+		reqtrace.WriteError(w, http.StatusBadGateway,
 			fmt.Sprintf("handoff of body %d to shard %s failed: %v", mr.Body, rt.m.Shards[owner].ID, err))
 		return
 	}

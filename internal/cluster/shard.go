@@ -14,6 +14,7 @@ import (
 	"partree/internal/obs"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/reqtrace"
 	"partree/internal/runner"
 	"partree/internal/vec"
 )
@@ -233,18 +234,6 @@ func (s *ShardServer) Mount(mux *http.ServeMux, wrap Middleware) {
 	mux.HandleFunc("/v1/shard/body", wrap("/v1/shard/body", s.handleBody))
 }
 
-// jsonError mirrors partreed's error document shape (the instrument
-// middleware, when present, has already set X-Request-Id).
-func jsonError(w http.ResponseWriter, code int, msg string) {
-	doc := map[string]string{"error": msg}
-	if id := w.Header().Get("X-Request-Id"); id != "" {
-		doc["request_id"] = id
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(doc)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -255,7 +244,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (s *ShardServer) checkVersion(w http.ResponseWriter, got int) bool {
 	if got != s.m.Version {
 		s.conflicts.Inc()
-		jsonError(w, http.StatusConflict,
+		reqtrace.WriteError(w, http.StatusConflict,
 			fmt.Sprintf("map version mismatch: shard %s has %d, request carries %d", s.ID(), s.m.Version, got))
 		return false
 	}
@@ -264,7 +253,7 @@ func (s *ShardServer) checkVersion(w http.ResponseWriter, got int) bool {
 
 func (s *ShardServer) handleInfo(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "GET the shard info document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET the shard info document")
 		return
 	}
 	sh := s.m.Shards[s.idx]
@@ -273,12 +262,12 @@ func (s *ShardServer) handleInfo(w http.ResponseWriter, req *http.Request) {
 
 func (s *ShardServer) handleBody(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "GET with ?id=<body>")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET with ?id=<body>")
 		return
 	}
 	id, err := strconv.ParseInt(req.URL.Query().Get("id"), 10, 32)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "id must be a body index")
+		reqtrace.WriteError(w, http.StatusBadRequest, "id must be a body index")
 		return
 	}
 	s.mu.Lock()
@@ -313,13 +302,13 @@ func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 
 func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST a ShardBuildRequest JSON document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a ShardBuildRequest JSON document")
 		return
 	}
 	arrived := time.Now()
 	var br ShardBuildRequest
 	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
 	if !s.checkVersion(w, br.MapVersion) {
@@ -330,7 +319,7 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// silently defaulting to a simulation.
 	spec, err := runner.VetServiceSpec(br.Spec, true)
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, err.Error())
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -358,7 +347,7 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	}
 	res.WallNs = time.Since(start).Nanoseconds()
 	if engine.Rejected(res.Err) {
-		jsonError(w, http.StatusServiceUnavailable, res.Err)
+		reqtrace.WriteError(w, http.StatusServiceUnavailable, res.Err)
 		return
 	}
 	s.builds.Inc()
@@ -404,12 +393,12 @@ func subset(all *phys.Bodies, owned []int32) *phys.Bodies {
 
 func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST a MoveRequest JSON document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a MoveRequest JSON document")
 		return
 	}
 	var mr MoveRequest
 	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
 	if !s.checkVersion(w, mr.MapVersion) {
@@ -445,12 +434,12 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 
 func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "POST an AcceptRequest JSON document")
+		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST an AcceptRequest JSON document")
 		return
 	}
 	var ar AcceptRequest
 	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
 		return
 	}
 	if !s.checkVersion(w, ar.MapVersion) {
@@ -459,7 +448,7 @@ func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
 	if err := s.guard.Check(ar.Body, vecOf(ar.State.Pos)); err != nil {
 		// Misdirected: accepting would claim a key another shard owns.
 		s.redirects.Inc()
-		jsonError(w, http.StatusMisdirectedRequest, err.Error())
+		reqtrace.WriteError(w, http.StatusMisdirectedRequest, err.Error())
 		return
 	}
 	s.mu.Lock()

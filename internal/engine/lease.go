@@ -120,16 +120,9 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	dur := time.Since(t0)
 	<-e.slots
 
-	// Stamp the step onto the request's span context: the build wall
-	// span, the core phase breakdown (maintained by every build), and —
-	// when the stepper traces (adaptive sessions) — the per-processor
-	// phase summary, bridged verbatim.
-	if rq := reqtrace.FromContext(ctx); rq != nil {
-		rq.SpanAt("build", t0, t0.Add(dur))
-		t := res.Metrics.Timing
-		rq.AddBuildPhases(t.Bounds, t.Insert, t.Moments)
-		rq.BridgeTrace(res.Metrics.Trace)
-	}
+	// The stepper traces in adaptive sessions, so the stamp then carries
+	// the per-processor phase summary too.
+	reqtrace.FromContext(ctx).AddBuild(t0, dur, res.Metrics)
 
 	mode := "update"
 	if res.Fresh {

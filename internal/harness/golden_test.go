@@ -9,6 +9,7 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/memsim"
+	"partree/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -17,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // ordering byte-for-byte, so the concurrent runner cache can't silently
 // reorder or drop rows. Regenerate with: go test ./internal/harness -run Golden -update
 func TestDumpCSVGolden(t *testing.T) {
-	s := NewSession(Options{Sizes: []int{1024}, MeasuredSteps: 1})
+	s := NewSession(runner.New(0), Options{Sizes: []int{1024}, MeasuredSteps: 1})
 	// A deliberate mix of platforms, algorithms, and the sequential
 	// baseline, computed out of sorted order to prove ordering is
 	// imposed by DumpCSV, not by execution order.

@@ -7,10 +7,11 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/memsim"
+	"partree/internal/runner"
 )
 
 func tinySession() *Session {
-	return NewSession(Options{Sizes: []int{1024, 2048}, MeasuredSteps: 1})
+	return NewSession(runner.New(0), Options{Sizes: []int{1024, 2048}, MeasuredSteps: 1})
 }
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -77,14 +78,14 @@ func TestSessionMemoizes(t *testing.T) {
 	if a.TotalNs() != b.TotalNs() {
 		t.Fatal("memoized outcomes differ")
 	}
-	if len(s.Runner().Results()) != 1 {
-		t.Fatalf("want exactly one cached result, got %d", len(s.Runner().Results()))
+	if len(s.r.Results()) != 1 {
+		t.Fatalf("want exactly one cached result, got %d", len(s.r.Results()))
 	}
 }
 
 func TestHeadlineShapesHold(t *testing.T) {
 	// The paper's core quantitative claims, checked at small scale.
-	s := NewSession(Options{Sizes: []int{8192}, MeasuredSteps: 1})
+	s := NewSession(runner.New(0), Options{Sizes: []int{8192}, MeasuredSteps: 1})
 	n := 8192
 
 	// HLRC: SPACE performs well, ORIG near/below 1, ordering holds.

@@ -11,7 +11,7 @@ import (
 // grid cells the current reproduction has enqueued and finished, and
 // which figure is being regenerated right now. Maintained always (a few
 // atomic adds per experiment, one per cell); exposed when a binary runs
-// with -http so `paperrepro -http :9090` can be watched mid-sweep.
+// with -http so `partree paperrepro -http :9090` can be watched mid-sweep.
 type sessionObs struct {
 	experiments atomic.Int64 // experiments started
 	cellsTotal  atomic.Int64 // sweep cells enqueued across experiments

@@ -1,6 +1,7 @@
 // Package harness defines the paper's experiments — every table and figure
 // in the evaluation section — as runnable units over the platform
-// simulator, plus the native-execution extras. cmd/paperrepro drives it.
+// simulator, plus the native-execution extras. `partree paperrepro`
+// drives it.
 package harness
 
 import (
@@ -33,8 +34,6 @@ type Options struct {
 	LeafCap int
 	// MeasuredSteps per run (the paper times a few steps after warmup).
 	MeasuredSteps int
-	// Workers bounds the runner's concurrent sweep cells (0 = GOMAXPROCS).
-	Workers int
 	// Check verifies every sweep cell's tree against the serial reference
 	// (a native companion build per cell; see runner.Spec.Check).
 	Check bool
@@ -43,16 +42,6 @@ type Options struct {
 	// cell). Traces are written after each cell's wall clock stops, so a
 	// traced sweep reports the same simulated times as an untraced one.
 	TraceDir string
-}
-
-// DefaultOptions returns the quick configuration.
-func DefaultOptions() Options {
-	return Options{
-		Sizes:         []int{4096, 8192, 16384},
-		Seed:          1998,
-		LeafCap:       8,
-		MeasuredSteps: 2,
-	}
 }
 
 // EffectiveSizes returns the size sweep honoring Large.
@@ -88,7 +77,8 @@ type Session struct {
 	pending    map[string]runner.Spec
 	// ctx is the active sweep's context while RunExperiment is rendering;
 	// outcome() runs cells under it so cancellation (Ctrl-C in
-	// cmd/paperrepro) cuts a sweep short instead of running it to the end.
+	// `partree paperrepro`) cuts a sweep short instead of running it to the
+	// end.
 	ctx context.Context
 
 	// obs tracks live sweep progress (cells done/total, current figure);
@@ -96,8 +86,10 @@ type Session struct {
 	obs sessionObs
 }
 
-// NewSession creates a session.
-func NewSession(opts Options) *Session {
+// NewSession creates a session executing its sweep cells through r,
+// whose engine bounds how many run at once. Zero Options fields select
+// the quick configuration.
+func NewSession(r *runner.Runner, opts Options) *Session {
 	if opts.LeafCap == 0 {
 		opts.LeafCap = 8
 	}
@@ -108,13 +100,10 @@ func NewSession(opts Options) *Session {
 		opts.Seed = 1998
 	}
 	if len(opts.Sizes) == 0 {
-		opts.Sizes = DefaultOptions().Sizes
+		opts.Sizes = []int{4096, 8192, 16384}
 	}
-	return &Session{Opts: opts, r: runner.New(opts.Workers)}
+	return &Session{Opts: opts, r: r}
 }
-
-// Runner exposes the session's execution engine (for result dumps).
-func (s *Session) Runner() *runner.Runner { return s.r }
 
 // Bodies returns the memoized Plummer system of size n.
 func (s *Session) Bodies(n int) *phys.Bodies {

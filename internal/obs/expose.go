@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -35,6 +36,33 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ParseText reads a text exposition page — what WritePrometheus renders —
+// into a flat sample-line → value view: the key is everything before the
+// value, the series name with its label set verbatim. Comments, blank
+// lines and lines that do not end in a number are skipped, so a page from
+// a newer or foreign exporter still yields the samples it shares.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp <= 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			continue
+		}
+		out[line[:sp]] = v
+	}
+	return out, sc.Err()
 }
 
 // writeHistogram expands one histogram series into its exposition lines.

@@ -194,8 +194,7 @@ func (d desc) metricName() string { return d.name }
 // concurrent use; Add is one atomic operation.
 type Counter struct {
 	desc
-	labels []Label
-	bits   atomic.Uint64
+	bits atomic.Uint64
 }
 
 // NewCounter creates a standalone counter (register it to expose it).
@@ -227,56 +226,14 @@ func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 // Collect implements Collector.
 func (c *Counter) Collect(out []Family) []Family {
 	return append(out, Family{Name: c.name, Help: c.help, Type: TypeCounter,
-		Series: []Series{{Labels: c.labels, Value: c.Value()}}})
-}
-
-// Gauge is a sample that can go up and down.
-type Gauge struct {
-	desc
-	labels []Label
-	bits   atomic.Uint64
-}
-
-// NewGauge creates a standalone gauge.
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{desc: desc{name, help}}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Collect implements Collector.
-func (g *Gauge) Collect(out []Family) []Family {
-	return append(out, Family{Name: g.name, Help: g.help, Type: TypeGauge,
-		Series: []Series{{Labels: g.labels, Value: g.Value()}}})
+		Series: []Series{{Value: c.Value()}}})
 }
 
 // GaugeFunc samples a value at collect time — how cheap-to-read state
 // (goroutine counts, cache sizes) is exposed without maintenance cost.
 type GaugeFunc struct {
 	desc
-	labels []Label
-	fn     func() float64
+	fn func() float64
 }
 
 // NewGaugeFunc creates a gauge whose value is fn() at scrape time.
@@ -287,15 +244,14 @@ func NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 // Collect implements Collector.
 func (g *GaugeFunc) Collect(out []Family) []Family {
 	return append(out, Family{Name: g.name, Help: g.help, Type: TypeGauge,
-		Series: []Series{{Labels: g.labels, Value: g.fn()}}})
+		Series: []Series{{Value: g.fn()}}})
 }
 
 // CounterFunc is GaugeFunc with counter semantics, for monotone totals
 // maintained elsewhere (e.g. the runner's atomic execution counts).
 type CounterFunc struct {
 	desc
-	labels []Label
-	fn     func() float64
+	fn func() float64
 }
 
 // NewCounterFunc creates a counter whose value is fn() at scrape time.
@@ -306,7 +262,7 @@ func NewCounterFunc(name, help string, fn func() float64) *CounterFunc {
 // Collect implements Collector.
 func (c *CounterFunc) Collect(out []Family) []Family {
 	return append(out, Family{Name: c.name, Help: c.help, Type: TypeCounter,
-		Series: []Series{{Labels: c.labels, Value: c.fn()}}})
+		Series: []Series{{Value: c.fn()}}})
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are chosen at
@@ -391,29 +347,18 @@ func (h *Histogram) Collect(out []Family) []Family {
 }
 
 // Vec is a family of label-addressed children sharing one name — the
-// labeled form of Counter/Gauge/Histogram. Children are created on first
-// use and live forever (label cardinality here is algorithm/backend
-// names, bounded by construction).
+// labeled form of Histogram. Children are created on first use and live
+// forever (label cardinality here is algorithm/backend names, bounded by
+// construction).
 type Vec[M Collector] struct {
 	desc
+	typ        Type
 	labelNames []string
 	make       func(labels []Label) M
 
 	mu       sync.Mutex
 	children map[string]M
 	order    []string
-}
-
-func newVec[M Collector](name, help string, labelNames []string, mk func([]Label) M) *Vec[M] {
-	for _, ln := range labelNames {
-		if err := checkLabelName(ln); err != nil {
-			panic(err)
-		}
-	}
-	return &Vec[M]{
-		desc: desc{name, help}, labelNames: labelNames, make: mk,
-		children: map[string]M{},
-	}
 }
 
 // With returns the child for the given label values (created on first
@@ -438,57 +383,38 @@ func (v *Vec[M]) With(values ...string) M {
 	return c
 }
 
-// Collect implements Collector: one family holding every child's series.
+// Collect implements Collector: one family holding every child's series
+// (none yet still advertises the family).
 func (v *Vec[M]) Collect(out []Family) []Family {
+	fam := Family{Name: v.name, Help: v.help, Type: v.typ}
 	v.mu.Lock()
 	children := make([]M, len(v.order))
 	for i, k := range v.order {
 		children[i] = v.children[k]
 	}
 	v.mu.Unlock()
-	var fam Family
 	for _, c := range children {
-		sub := c.Collect(nil)
-		if fam.Name == "" {
-			fam = Family{Name: sub[0].Name, Help: sub[0].Help, Type: sub[0].Type}
-		}
-		fam.Series = append(fam.Series, sub[0].Series...)
-	}
-	if fam.Name == "" { // no children yet: still advertise the family
-		var zero M
-		switch any(zero).(type) {
-		case *Counter:
-			fam = Family{Name: v.name, Help: v.help, Type: TypeCounter}
-		case *Histogram:
-			fam = Family{Name: v.name, Help: v.help, Type: TypeHistogram}
-		default:
-			fam = Family{Name: v.name, Help: v.help, Type: TypeGauge}
-		}
+		fam.Series = append(fam.Series, c.Collect(nil)[0].Series...)
 	}
 	return append(out, fam)
 }
 
-// NewCounterVec creates a labeled counter family.
-func NewCounterVec(name, help string, labelNames ...string) *Vec[*Counter] {
-	return newVec(name, help, labelNames, func(ls []Label) *Counter {
-		return &Counter{desc: desc{name, help}, labels: ls}
-	})
-}
-
-// NewGaugeVec creates a labeled gauge family.
-func NewGaugeVec(name, help string, labelNames ...string) *Vec[*Gauge] {
-	return newVec(name, help, labelNames, func(ls []Label) *Gauge {
-		return &Gauge{desc: desc{name, help}, labels: ls}
-	})
-}
-
 // NewHistogramVec creates a labeled histogram family with shared bounds.
 func NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *Vec[*Histogram] {
-	return newVec(name, help, labelNames, func(ls []Label) *Histogram {
-		h := NewHistogram(name, help, bounds)
-		h.labels = ls
-		return h
-	})
+	for _, ln := range labelNames {
+		if err := checkLabelName(ln); err != nil {
+			panic(err)
+		}
+	}
+	return &Vec[*Histogram]{
+		desc: desc{name, help}, typ: TypeHistogram, labelNames: labelNames,
+		children: map[string]*Histogram{},
+		make: func(ls []Label) *Histogram {
+			h := NewHistogram(name, help, bounds)
+			h.labels = ls
+			return h
+		},
+	}
 }
 
 // formatValue renders a sample the way Prometheus expects: shortest

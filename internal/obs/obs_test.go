@@ -12,29 +12,39 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// families is a fixed Collector — how labeled counters and gauges reach
+// a registry (the runner's eviction counters, the harness's current
+// experiment): the metric types themselves carry no labels.
+type families []Family
+
+func (f families) Collect(out []Family) []Family { return append(out, f...) }
+
 // goldenRegistry builds a registry exercising every metric kind with
-// deterministic values: plain counter/gauge, a scrape-time func, labeled
-// vecs (including label values that need escaping and a vec with no
-// children yet), and a histogram with samples below, inside, and above
-// its bucket ladder.
+// deterministic values: plain counter, scrape-time counter and gauge
+// funcs, labeled families from a collector (including label values that
+// need escaping and a family with no series yet), and a histogram vec
+// with samples below, inside, and above its bucket ladder.
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
 	c := NewCounter("partree_test_ops_total", "Operations performed.")
 	c.Add(42)
-	g := NewGauge("partree_test_temperature", "Current level.\nSecond line with a \\ backslash.")
-	g.Set(-3.5)
+	g := NewGaugeFunc("partree_test_temperature", "Current level.\nSecond line with a \\ backslash.",
+		func() float64 { return -3.5 })
 	cf := NewCounterFunc("partree_test_ticks_total", "Sampled at scrape time.", func() float64 { return 7 })
-	cv := NewCounterVec("partree_test_events_total", "Labeled events.", "alg", "note")
-	cv.With("ORIG", "quote\" back\\slash\nnewline").Add(5)
-	cv.With("LOCAL", "plain").Add(1)
+	labeled := families{
+		{Name: "partree_test_events_total", Help: "Labeled events.", Type: TypeCounter, Series: []Series{
+			{Labels: []Label{{"alg", "ORIG"}, {"note", "quote\" back\\slash\nnewline"}}, Value: 5},
+			{Labels: []Label{{"alg", "LOCAL"}, {"note", "plain"}}, Value: 1},
+		}},
+		{Name: "partree_test_idle", Help: "A vec with no children yet.", Type: TypeGauge},
+	}
 	hv := NewHistogramVec("partree_test_duration_seconds", "Durations.",
 		ExpBuckets(0.001, 2, 4), "backend")
 	h := hv.With("native")
 	h.Observe(0.0005) // below first bound
 	h.Observe(0.003)  // interior bucket
 	h.Observe(100)    // +Inf overflow
-	idle := NewGaugeVec("partree_test_idle", "A vec with no children yet.", "x")
-	reg.MustRegister(c, g, cf, cv, hv, idle)
+	reg.MustRegister(c, g, cf, labeled, hv)
 	return reg
 }
 
@@ -88,17 +98,6 @@ func TestCounterIgnoresNegativeAdds(t *testing.T) {
 	}
 }
 
-func TestGaugeMoves(t *testing.T) {
-	g := NewGauge("g", "")
-	g.Set(10)
-	g.Add(-2.5)
-	g.Dec()
-	g.Inc()
-	if got := g.Value(); got != 7.5 {
-		t.Fatalf("gauge = %v, want 7.5", got)
-	}
-}
-
 // TestHistogramBucketBoundary pins the le-inclusive contract: a sample
 // exactly on a bound counts in that bound's bucket.
 func TestHistogramBucketBoundary(t *testing.T) {
@@ -142,7 +141,7 @@ func TestRegistryRejectsDuplicateNames(t *testing.T) {
 	if err := reg.Register(NewCounter("dup_total", "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(NewGauge("dup_total", "")); err == nil {
+	if err := reg.Register(NewGaugeFunc("dup_total", "", func() float64 { return 0 })); err == nil {
 		t.Fatal("duplicate metric name accepted")
 	}
 }
@@ -156,7 +155,7 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 }
 
 func TestVecArityPanics(t *testing.T) {
-	v := NewCounterVec("v_total", "", "a", "b")
+	v := NewHistogramVec("v_seconds", "", []float64{1}, "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong label arity did not panic")
@@ -166,11 +165,14 @@ func TestVecArityPanics(t *testing.T) {
 }
 
 func TestVecSharesChildren(t *testing.T) {
-	v := NewCounterVec("v_total", "", "alg")
-	v.With("ORIG").Add(2)
-	v.With("ORIG").Inc()
-	if got := v.With("ORIG").Value(); got != 3 {
-		t.Fatalf("child = %v, want 3", got)
+	v := NewHistogramVec("v_seconds", "", []float64{1}, "alg")
+	if fams := v.Collect(nil); len(fams) != 1 || fams[0].Type != TypeHistogram || len(fams[0].Series) != 0 {
+		t.Fatalf("a vec with no children yet must still advertise its family, got %+v", fams)
+	}
+	v.With("ORIG").Observe(2)
+	v.With("ORIG").Observe(0.5)
+	if got := v.With("ORIG").Count(); got != 2 {
+		t.Fatalf("child count = %v, want 2", got)
 	}
 	fams := v.Collect(nil)
 	if len(fams) != 1 || len(fams[0].Series) != 1 {
@@ -231,9 +233,9 @@ func TestGatherSorts(t *testing.T) {
 	reg := NewRegistry()
 	b := NewCounter("b_total", "")
 	a := NewCounter("a_total", "")
-	v := NewCounterVec("m_total", "", "alg")
-	v.With("zeta").Inc()
-	v.With("alpha").Inc()
+	v := NewHistogramVec("m_total", "", []float64{1}, "alg")
+	v.With("zeta").Observe(1)
+	v.With("alpha").Observe(1)
 	reg.MustRegister(b, a, v)
 	fams := reg.Gather()
 	var names []string

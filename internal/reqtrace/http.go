@@ -100,6 +100,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(out, '\n'))
 }
 
+// WriteError answers with the JSON error document every partree service
+// shares: {"error": msg} plus the request ID, read back from the
+// X-Request-Id header the request envelope set before the handler ran
+// (absent when no envelope wraps the route), so a 503 in a client log
+// correlates with the daemon's access log and admission counters.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	doc := map[string]string{"error": msg}
+	if id := w.Header().Get("X-Request-Id"); id != "" {
+		doc["request_id"] = id
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(doc)
+}
+
 // Mount registers the /debug/requests handlers on mux. Safe to skip
 // entirely when the recorder is disabled (nil).
 func (rec *Recorder) Mount(mux *http.ServeMux) {

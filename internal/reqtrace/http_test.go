@@ -51,24 +51,23 @@ func goldenRecorder() *reqtrace.Recorder {
 	b := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)
 	b.SpanAt("read", ms(epoch, 0), ms(epoch, 1))
 	b.SpanAt("queue", ms(epoch, 1), ms(epoch, 3))
-	b.SpanAt("build", ms(epoch, 3), ms(epoch, 13))
+	b.AddBuild(ms(epoch, 3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond, nil))
 	b.SpanAt("write", ms(epoch, 13), ms(epoch, 14))
-	b.AddBuildPhases(6*time.Millisecond, 3*time.Millisecond, time.Millisecond)
 	b.FinishAt(200, 4096, ms(epoch, 14))
 
 	s0 := epoch.Add(time.Second)
 	s := rec.StartAt("00f067aa0ba902b74bf92f3577b34da6", "/v1/session", s0)
-	for i := 0; i < 2; i++ {
-		s.SpanAt("queue", ms(s0, 100*i), ms(s0, 100*i+20))
-		s.SpanAt("build", ms(s0, 100*i+20), ms(s0, 100*i+90))
-		s.AddBuildPhases(40*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond)
-	}
-	s.BridgeTrace(&trace.Summary{PerProc: []trace.ProcSummary{
+	summary := &trace.Summary{PerProc: []trace.ProcSummary{
 		{PhaseNs: [trace.NumPhases]int64{10e6, 30e6, 4e6, 5e6, 1e6}, Spans: 4,
 			LockEvents: 12, LockWaitNs: 2e6, LockHoldNs: 1e6, HoldP50Ns: 80000, HoldP95Ns: 90000, HoldMaxNs: 95000},
 		{PhaseNs: [trace.NumPhases]int64{10e6, 35e6, 3e6, 5e6, 2e6}, Spans: 4,
 			LockEvents: 14, LockWaitNs: 3e6, LockHoldNs: 1e6, HoldP50Ns: 70000, HoldP95Ns: 85000, HoldMaxNs: 92000},
-	}})
+	}}
+	for i := 0; i < 2; i++ {
+		s.SpanAt("queue", ms(s0, 100*i), ms(s0, 100*i+20))
+		s.AddBuild(ms(s0, 100*i+20), 70*time.Millisecond,
+			buildMetrics(40*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond, summary))
+	}
 	s.FinishAt(200, 2048, ms(s0, 300))
 
 	r := rec.StartAt("0af7651916cd43dd8448eb211c80319c", "/v1/build", epoch.Add(2*time.Second))

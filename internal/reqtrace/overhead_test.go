@@ -52,13 +52,8 @@ func buildHooked(bld core.Builder, in *core.Input, step int) float64 {
 	rq.SpanSince("queue", qstart) // zero start: ignored
 
 	start := time.Now()
-	bld.Build(in)
-	el := time.Since(start)
-	if rq2 := reqtrace.FromContext(ctx); rq2 != nil {
-		rq2.SpanAt("build", start, start.Add(el))
-		rq2.AddBuildPhases(0, 0, 0)
-		rq2.BridgeTrace(nil)
-	}
+	_, m := bld.Build(in)
+	reqtrace.FromContext(ctx).AddBuild(start, time.Since(start), m)
 	return float64(time.Since(wall).Nanoseconds())
 }
 
@@ -119,9 +114,7 @@ func BenchmarkDisabledHooks(b *testing.B) {
 			qstart = time.Now()
 		}
 		rq.SpanSince("queue", qstart)
-		rq.SpanAt("build", start, start)
-		rq.AddBuildPhases(0, 0, 0)
-		rq.BridgeTrace(nil)
+		rq.AddBuild(start, 0, nil)
 	}
 }
 
@@ -131,12 +124,12 @@ func BenchmarkDisabledHooks(b *testing.B) {
 func BenchmarkRecordedRequest(b *testing.B) {
 	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	t0 := time.Unix(1700000000, 0)
+	m := buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond, nil)
 	for i := 0; i < b.N; i++ {
 		rq := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", t0)
 		rq.SpanAt("read", t0, t0.Add(time.Millisecond))
 		rq.SpanAt("queue", t0, t0.Add(time.Millisecond))
-		rq.SpanAt("build", t0, t0.Add(10*time.Millisecond))
-		rq.AddBuildPhases(time.Millisecond, time.Millisecond, time.Millisecond)
+		rq.AddBuild(t0, 10*time.Millisecond, m)
 		rq.SpanAt("write", t0, t0.Add(time.Millisecond))
 		rq.FinishAt(200, 4096, t0.Add(14*time.Millisecond))
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"partree/internal/core"
 	"partree/internal/trace"
 )
 
@@ -143,29 +144,25 @@ func (r *Req) SpanAt(name string, start, end time.Time) {
 	r.mu.Unlock()
 }
 
-// AddBuildPhases accumulates one build's core phase breakdown
-// (core.Metrics.Timing) into the request.
-func (r *Req) AddBuildPhases(bounds, insert, moments time.Duration) {
+// AddBuild stamps one tree build onto the request: a "build" span of
+// wall starting at start (the zero start means no span, as in SpanAt —
+// a whole-application step's build sits inside the caller's own "steps"
+// span), the core phase breakdown (m.Timing, which every build
+// maintains) accumulated into the request, and the per-processor trace
+// summary, when the builder traced, attached — latest traced build wins,
+// for a session the last step's.
+func (r *Req) AddBuild(start time.Time, wall time.Duration, m *core.Metrics) {
 	if r == nil {
 		return
 	}
+	r.SpanAt("build", start, start.Add(wall))
 	r.mu.Lock()
-	r.phases.BoundsNs += bounds.Nanoseconds()
-	r.phases.InsertNs += insert.Nanoseconds()
-	r.phases.MomentsNs += moments.Nanoseconds()
-	r.mu.Unlock()
-}
-
-// BridgeTrace attaches a per-processor phase summary from
-// internal/trace to the request (latest traced build wins — for a
-// session, the last step's). nil summaries are ignored, so callers pass
-// core.Metrics.Trace unconditionally.
-func (r *Req) BridgeTrace(s *trace.Summary) {
-	if r == nil || s == nil {
-		return
+	r.phases.BoundsNs += m.Timing.Bounds.Nanoseconds()
+	r.phases.InsertNs += m.Timing.Insert.Nanoseconds()
+	r.phases.MomentsNs += m.Timing.Moments.Nanoseconds()
+	if m.Trace != nil {
+		r.bridged = m.Trace
 	}
-	r.mu.Lock()
-	r.bridged = s
 	r.mu.Unlock()
 }
 

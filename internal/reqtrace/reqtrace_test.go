@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/core"
 	"partree/internal/reqtrace"
 	"partree/internal/trace"
 )
@@ -52,6 +53,12 @@ func TestMintID(t *testing.T) {
 	}
 }
 
+// buildMetrics is the slice of a build's core.Metrics a request stamp
+// reads: the phase breakdown and, for a traced build, its summary.
+func buildMetrics(bounds, insert, moments time.Duration, s *trace.Summary) *core.Metrics {
+	return &core.Metrics{Timing: core.Timing{Bounds: bounds, Insert: insert, Moments: moments}, Trace: s}
+}
+
 // TestNilHandleNoOp pins the disabled mode: a nil Recorder yields a nil
 // *Req, and every method on both is callable and inert.
 func TestNilHandleNoOp(t *testing.T) {
@@ -61,9 +68,7 @@ func TestNilHandleNoOp(t *testing.T) {
 		t.Fatal("nil recorder handed out a non-nil Req")
 	}
 	rq.SpanSince("queue", time.Now())
-	rq.SpanAt("build", epoch, epoch.Add(time.Millisecond))
-	rq.AddBuildPhases(time.Millisecond, time.Millisecond, time.Millisecond)
-	rq.BridgeTrace(&trace.Summary{})
+	rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond, &trace.Summary{}))
 	rq.Finish(200, 1)
 	if q, b, m, tot := rq.Breakdown(); q+b+m+tot != 0 {
 		t.Errorf("nil Req breakdown = %v %v %v %v, want zeros", q, b, m, tot)
@@ -115,16 +120,16 @@ func TestReqTimeline(t *testing.T) {
 	ms := func(n int) time.Time { return epoch.Add(time.Duration(n) * time.Millisecond) }
 	rq.SpanAt("read", ms(0), ms(1))
 	rq.SpanAt("queue", ms(1), ms(3))
-	rq.SpanAt("build", ms(3), ms(13))
+	rq.AddBuild(ms(3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond, nil))
 	rq.SpanAt("queue", ms(13), ms(14)) // second slot wait accumulates
 	rq.SpanAt("write", ms(14), ms(15))
-	rq.AddBuildPhases(6*time.Millisecond, 3*time.Millisecond, time.Millisecond)
 
+	// Spanless stamps (the zero start), as a whole-application step makes.
 	s1 := &trace.Summary{PerProc: make([]trace.ProcSummary, 1)}
 	s2 := &trace.Summary{PerProc: make([]trace.ProcSummary, 2)}
-	rq.BridgeTrace(s1)
-	rq.BridgeTrace(nil) // ignored: untraced builds pass nil unconditionally
-	rq.BridgeTrace(s2)  // latest traced build wins
+	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s1))
+	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, nil)) // ignored: an untraced build carries no summary
+	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s2))  // latest traced build wins
 	if got := rq.TraceSummary(); got != s2 {
 		t.Errorf("TraceSummary = %p, want the last bridged summary %p", got, s2)
 	}
@@ -324,9 +329,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				inner.Add(1)
 				go func() { // the runner-goroutine stamping path
 					defer inner.Done()
-					rq.SpanAt("build", epoch, epoch.Add(time.Millisecond))
-					rq.AddBuildPhases(time.Microsecond, time.Microsecond, time.Microsecond)
-					rq.BridgeTrace(&trace.Summary{})
+					rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Microsecond, time.Microsecond, time.Microsecond, &trace.Summary{}))
 				}()
 				rq.SpanAt("queue", epoch, epoch.Add(time.Microsecond))
 				rq.Breakdown()

@@ -7,7 +7,6 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/engine"
-	"partree/internal/force"
 	"partree/internal/nbody"
 	"partree/internal/octree"
 	"partree/internal/phys"
@@ -41,6 +40,33 @@ func admissionResult(spec Spec, err error) Result {
 	return Result{Spec: spec, Err: fmt.Sprintf("%s run %s: %v", spec.Backend, spec, err), transient: true}
 }
 
+// NewSimulation is the one Spec → nbody.Options mapping: the
+// whole-application simulation a Normalized native spec names, over
+// bodies, which the simulation advances in place (a caller sharing them
+// clones first). bld, when non-nil, is a pooled builder an engine
+// session lends; otherwise the simulation constructs its own, and a
+// traced spec pins a recorder on it — every build resets the recorder,
+// so sim.Opts.Trace afterwards covers the final step's build.
+func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simulation {
+	m, _ := phys.ParseModel(spec.Model)
+	opts := nbody.DefaultOptions()
+	opts.Model = m
+	opts.N = bodies.N()
+	opts.Seed = spec.Seed
+	opts.P = spec.Procs
+	opts.Alg = spec.Alg
+	opts.LeafCap = spec.LeafCap
+	opts.Dt = spec.Dt
+	opts.Force.Theta = spec.Theta
+	opts.Check = spec.Check
+	opts.Builder = bld
+	if spec.Trace != "" {
+		opts.Trace = trace.New(spec.Procs)
+		opts.Trace.SetEnabled(true)
+	}
+	return nbody.NewFromBodies(opts, bodies)
+}
+
 // runNative executes the real concurrent implementation. Steps are
 // natural preemption points, so cancellation and timeouts yield a
 // partial Result carrying whatever completed. An untraced build runs
@@ -51,40 +77,19 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 		// its own copy.
 		return BuildOnly(ctx, spec, bodies.Clone(), eng)
 	}
-	m, _ := phys.ParseModel(spec.Model)
-	opts := nbody.DefaultOptions()
-	opts.Model = m
-	opts.N = bodies.N()
-	opts.Seed = spec.Seed
-	opts.P = spec.Procs
-	opts.Alg = spec.Alg
-	opts.LeafCap = spec.LeafCap
-	opts.Dt = spec.Dt
-	opts.Force = force.DefaultParams()
-	opts.Force.Theta = spec.Theta
-	opts.Check = spec.Check
-	var rec *trace.Recorder
-	if spec.Trace != "" {
-		// Every build resets the recorder, so the exported trace covers
-		// the final step's build.
-		rec = trace.New(spec.Procs)
-		rec.SetEnabled(true)
-		opts.Trace = rec
-	}
 	bld, release, err := admit(ctx, spec, eng)
 	if err != nil {
 		return admissionResult(spec, err)
 	}
 	defer release()
-	opts.Builder = bld
-	sim := nbody.NewFromBodies(opts, bodies.Clone())
+	sim := NewSimulation(spec, bodies.Clone(), bld)
 
 	rq := reqtrace.FromContext(ctx)
 	var stepsStart time.Time
 	if rq != nil {
 		stepsStart = time.Now()
 	}
-	res := Result{Spec: spec, LocksPerProc: make([]int64, spec.Procs), rec: rec}
+	res := Result{Spec: spec, LocksPerProc: make([]int64, spec.Procs), rec: sim.Opts.Trace}
 	finalize := func() Result {
 		rq.SpanSince("steps", stepsStart)
 		res.TotalNs = res.TreeNs + res.PartNs + res.ForceNs + res.UpdateNs
@@ -99,11 +104,7 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 			return finalize()
 		}
 		st := sim.Step()
-		if rq != nil {
-			t := st.Build.Timing
-			rq.AddBuildPhases(t.Bounds, t.Insert, t.Moments)
-			rq.BridgeTrace(st.Build.Trace)
-		}
+		rq.AddBuild(time.Time{}, 0, st.Build)
 		res.TreeNs += float64(st.TreeBuild)
 		res.PartNs += float64(st.Partition)
 		res.ForceNs += float64(st.Force)
@@ -145,13 +146,9 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 	}
 	defer release()
 	var rec *trace.Recorder
-	if bld == nil {
-		cfg := core.Config{P: spec.Procs, LeafCap: spec.LeafCap}
-		if spec.Trace != "" {
-			rec = trace.New(spec.Procs)
-			cfg.Trace = rec
-		}
-		bld = core.New(spec.Alg, cfg)
+	if bld == nil { // traced, so admitted bare: the build pins its own recorder
+		rec = trace.New(spec.Procs)
+		bld = core.New(spec.Alg, core.Config{P: spec.Procs, LeafCap: spec.LeafCap, Trace: rec})
 	}
 	assign := core.EvenAssign(bodies.N(), spec.Procs)
 	if spec.Spatial {
@@ -180,12 +177,7 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 		// accumulates across reps (total build work this request did),
 		// and the traced summary — recorded on the last rep only — is
 		// bridged verbatim.
-		if rq != nil {
-			rq.SpanAt("build", start, start.Add(el))
-			t := metrics.Timing
-			rq.AddBuildPhases(t.Bounds, t.Insert, t.Moments)
-			rq.BridgeTrace(metrics.Trace)
-		}
+		rq.AddBuild(start, el, metrics)
 		if spec.Check {
 			if err := verify.Build(spec.Alg, tree, metrics, in.Bodies, rep); err != nil {
 				res.CheckFailure = err.Error()

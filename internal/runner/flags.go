@@ -2,218 +2,47 @@ package runner
 
 import (
 	"flag"
-	"fmt"
-	"log/slog"
-	"os"
 	"strings"
-	"time"
 
 	"partree/internal/core"
-	"partree/internal/obs"
 	"partree/internal/phys"
 )
 
-// SpecFlags binds the shared CLI surface — one flag per Spec field plus
-// -json — so every binary parses specs identically. Register the flags,
-// flag.Parse, then call Spec().
-type SpecFlags struct {
-	backend  Backend
-	alg      *string
-	platform *string
-	model    *string
-	n        *int
-	p        *int
-	steps    *int
-	leafCap  *int
-	theta    *float64
-	dt       *float64
-	seed     *int64
-	timeout  *time.Duration
-	check    *bool
-	trace    *string
-	json     *bool
-}
-
-// RegisterSpecFlags registers the shared spec flags on fs with defaults
-// taken from def. Flag names listed in skip are left for the binary to
-// define itself (e.g. cmd/treebench's sweep-valued -p).
-func RegisterSpecFlags(fs *flag.FlagSet, def Spec, skip ...string) *SpecFlags {
-	skipped := map[string]bool{}
-	for _, s := range skip {
-		skipped[s] = true
+// BindFlags registers the shared CLI surface — one flag per Spec
+// field — on fs, each bound straight to the field of *spec it sets, with
+// spec's own (Normalized) values as the defaults, so every subcommand
+// parses specs identically. -platform exists for the simulated backend
+// only, -model for the native one; names listed in omit are left for the
+// caller to define itself (e.g. treebench's sweep-valued -p). After
+// fs.Parse, normalize and Validate *spec.
+func BindFlags(fs *flag.FlagSet, spec *Spec, omit ...string) {
+	*spec = spec.withDefaults()
+	omitted := map[string]bool{
+		"platform": spec.Backend != Simulated,
+		"model":    spec.Backend != Native,
 	}
-	def = def.withDefaults()
-	sf := &SpecFlags{backend: def.Backend}
-	if !skipped["alg"] {
-		sf.alg = fs.String("alg", def.Alg.String(),
-			"tree builder: "+strings.Join(core.AlgorithmNames(), ", "))
+	for _, name := range omit {
+		omitted[name] = true
 	}
-	if def.Backend == Simulated && !skipped["platform"] {
-		sf.platform = fs.String("platform", def.Platform,
-			"platform model: "+strings.Join(PlatformNames(), ", "))
-	}
-	if def.Backend == Native && !skipped["model"] {
-		sf.model = fs.String("model", def.Model, "mass model: "+strings.Join(phys.ModelNames(), ", "))
-	}
-	if !skipped["n"] {
-		sf.n = fs.Int("n", def.Bodies, "number of bodies")
-	}
-	if !skipped["p"] {
-		sf.p = fs.Int("p", def.Procs, "processors")
-	}
-	if !skipped["steps"] {
-		what := "measured time steps"
-		if def.BuildOnly {
-			what = "builds per configuration (best time reported)"
+	var all flag.FlagSet
+	all.TextVar(&spec.Alg, "alg", spec.Alg, "tree builder: "+strings.Join(core.AlgorithmNames(), ", "))
+	all.StringVar(&spec.Platform, "platform", spec.Platform, "platform model: "+strings.Join(PlatformNames(), ", "))
+	all.StringVar(&spec.Model, "model", spec.Model, "mass model: "+strings.Join(phys.ModelNames(), ", "))
+	all.IntVar(&spec.Bodies, "n", spec.Bodies, "number of bodies")
+	all.IntVar(&spec.Procs, "p", spec.Procs, "processors")
+	all.IntVar(&spec.Steps, "steps", spec.Steps, "measured time steps")
+	all.IntVar(&spec.LeafCap, "leafcap", spec.LeafCap, "bodies per leaf (k)")
+	all.Float64Var(&spec.Theta, "theta", spec.Theta, "Barnes-Hut opening angle")
+	all.Float64Var(&spec.Dt, "dt", spec.Dt, "time step")
+	all.Int64Var(&spec.Seed, "seed", spec.Seed, "random seed")
+	all.DurationVar(&spec.Timeout, "timeout", spec.Timeout, "per-spec timeout (0 = none)")
+	all.BoolVar(&spec.Check, "check", spec.Check,
+		"verify every built tree against the serial reference and audit metrics invariants")
+	all.StringVar(&spec.Trace, "trace", spec.Trace,
+		"write a per-processor phase/lock trace to this file (Chrome trace_event JSON; .csv = summary breakdown)")
+	all.VisitAll(func(f *flag.Flag) {
+		if !omitted[f.Name] {
+			fs.Var(f.Value, f.Name, f.Usage)
 		}
-		sf.steps = fs.Int("steps", def.Steps, what)
-	}
-	if !skipped["leafcap"] {
-		sf.leafCap = fs.Int("leafcap", def.LeafCap, "bodies per leaf (k)")
-	}
-	if !skipped["theta"] {
-		sf.theta = fs.Float64("theta", def.Theta, "Barnes-Hut opening angle")
-	}
-	if !skipped["dt"] {
-		sf.dt = fs.Float64("dt", def.Dt, "time step")
-	}
-	if !skipped["seed"] {
-		sf.seed = fs.Int64("seed", def.Seed, "random seed")
-	}
-	if !skipped["timeout"] {
-		sf.timeout = fs.Duration("timeout", def.Timeout, "per-spec timeout (0 = none)")
-	}
-	if !skipped["check"] {
-		sf.check = fs.Bool("check", def.Check,
-			"verify every built tree against the serial reference and audit metrics invariants")
-	}
-	if !skipped["trace"] {
-		sf.trace = fs.String("trace", def.Trace,
-			"write a per-processor phase/lock trace to this file (Chrome trace_event JSON; .csv = summary breakdown)")
-	}
-	if !skipped["json"] {
-		sf.json = fs.Bool("json", false, "emit one JSON Result record per spec instead of text")
-	}
-	return sf
-}
-
-// JSON reports whether -json was set.
-func (sf *SpecFlags) JSON() bool { return sf.json != nil && *sf.json }
-
-// ObsFlags binds the shared observability surface — `-http <addr>` for
-// the live metrics/health/pprof server (default off) and `-v <level>`
-// for structured slog logging — so every binary exposes them
-// identically. Register the flags, flag.Parse, then call Setup.
-type ObsFlags struct {
-	addr  *string
-	level *string
-}
-
-// RegisterObsFlags registers -http and -v on fs.
-func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
-	return &ObsFlags{
-		addr: fs.String("http", "",
-			"serve live /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)"),
-		level: fs.String("v", "info", "log level: debug, info, warn, error"),
-	}
-}
-
-// SetupLogging installs the process-wide slog default: a text handler on
-// stderr at the -v level, tagged with the binary's name. Call it right
-// after flag.Parse, before any slog output.
-func (of *ObsFlags) SetupLogging(binary string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*of.level)); err != nil {
-		return nil, fmt.Errorf("bad -v level %q (valid: debug, info, warn, error)", *of.level)
-	}
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).
-		With("bin", binary)
-	slog.SetDefault(log)
-	return log, nil
-}
-
-// Serve starts the observability server when -http was given, wiring up
-// the runtime gauges, the process-wide per-algorithm build totals, the
-// runner's live counters (when r is non-nil), and any extra registrars
-// (e.g. a harness session's sweep progress). It returns (nil, nil) with
-// -http off; otherwise the resolved address is logged at info level so
-// `-http :0` is usable. Callers should defer srv.Close().
-func (of *ObsFlags) Serve(binary string, r *Runner, extra ...func(*obs.Registry) error) (*obs.Server, error) {
-	if *of.addr == "" {
-		return nil, nil
-	}
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	if err := RegisterBuildObs(reg); err != nil {
-		return nil, err
-	}
-	if r != nil {
-		if err := r.RegisterObs(reg); err != nil {
-			return nil, err
-		}
-		if err := r.Engine().RegisterObs(reg); err != nil {
-			return nil, err
-		}
-	}
-	for _, fn := range extra {
-		if err := fn(reg); err != nil {
-			return nil, err
-		}
-	}
-	srv, err := obs.Serve(*of.addr, binary, reg, nil)
-	if err != nil {
-		return nil, err
-	}
-	slog.Info("obs: serving", "addr", srv.Addr(), "url", srv.URL())
-	return srv, nil
-}
-
-// Spec assembles the parsed flags into a validated Spec.
-func (sf *SpecFlags) Spec() (Spec, error) {
-	spec := Spec{Backend: sf.backend}
-	if sf.alg != nil {
-		a, err := core.ParseAlgorithm(*sf.alg)
-		if err != nil {
-			return Spec{}, err
-		}
-		spec.Alg = a
-	}
-	if sf.platform != nil {
-		spec.Platform = *sf.platform
-	}
-	if sf.model != nil {
-		spec.Model = *sf.model
-	}
-	if sf.n != nil {
-		spec.Bodies = *sf.n
-	}
-	if sf.p != nil {
-		spec.Procs = *sf.p
-	}
-	if sf.steps != nil {
-		spec.Steps = *sf.steps
-	}
-	if sf.leafCap != nil {
-		spec.LeafCap = *sf.leafCap
-	}
-	if sf.theta != nil {
-		spec.Theta = *sf.theta
-	}
-	if sf.dt != nil {
-		spec.Dt = *sf.dt
-	}
-	if sf.seed != nil {
-		spec.Seed = *sf.seed
-	}
-	if sf.timeout != nil {
-		spec.Timeout = *sf.timeout
-	}
-	if sf.check != nil {
-		spec.Check = *sf.check
-	}
-	if sf.trace != nil {
-		spec.Trace = *sf.trace
-	}
-	spec = spec.withDefaults()
-	return spec, spec.Validate()
+	})
 }

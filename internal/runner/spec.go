@@ -13,6 +13,7 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -59,7 +60,7 @@ type Spec struct {
 	// paper's speedup denominator). Forces Procs = 1.
 	Sequential bool `json:"sequential,omitempty"`
 	// BuildOnly benchmarks just the tree-building phase natively,
-	// best-of-Steps repetitions (cmd/treebench).
+	// best-of-Steps repetitions (`partree treebench`).
 	BuildOnly bool `json:"build_only,omitempty"`
 	// Spatial uses a Morton-ordered body assignment for BuildOnly runs,
 	// standing in for a settled costzones partition.
@@ -124,12 +125,31 @@ func (s Spec) withDefaults() Spec {
 // cmd/partreed normalizes request specs before vetting them.
 func (s Spec) Normalized() Spec { return s.withDefaults() }
 
+// Limits on what a remote caller may ask a service to execute. A spec
+// arrives from a socket, and its body set is generated before the engine's
+// admission gate is reached, so the sizes that drive allocation and run
+// time are bounded here, at the one vetting function every service
+// endpoint passes through (the streaming session applies the same body
+// and processor bounds to its open record).
+const (
+	// MaxServiceBodies bounds bodies: 4 Mi bodies is ≈ 370 MB of state.
+	MaxServiceBodies = 4 << 20
+	// MaxServiceProcsPerCPU bounds procs at this multiple of GOMAXPROCS:
+	// native processors are real goroutines with their own stores, and a
+	// simulated one costs the host its modelled cache state.
+	MaxServiceProcsPerCPU = 4
+	// MaxServiceSteps bounds measured steps (or build repetitions).
+	MaxServiceSteps = 1000
+	// MaxSweepSpecs bounds the spec list one sweep request may carry.
+	MaxSweepSpecs = 1024
+)
+
 // VetServiceSpec vets a spec received from a remote caller for execution
 // by a service: a trace is refused (it would land in the *server's*
 // filesystem), native pins the backend for tiers that only execute real
 // builds (the cluster's router and shards) rather than letting an empty
-// field default to a simulation, and the result is Normalized and
-// validated.
+// field default to a simulation, and the result is Normalized, held to
+// the service limits and validated.
 func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 	if spec.Trace != "" {
 		return spec, fmt.Errorf("trace is not supported over HTTP")
@@ -138,6 +158,15 @@ func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 		spec.Backend = Native
 	}
 	spec = spec.Normalized()
+	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
+	switch {
+	case spec.Bodies > MaxServiceBodies:
+		return spec, fmt.Errorf("bodies %d exceeds the service limit %d", spec.Bodies, MaxServiceBodies)
+	case spec.Procs > maxProcs:
+		return spec, fmt.Errorf("procs %d exceeds the service limit %d (%dx GOMAXPROCS)", spec.Procs, maxProcs, MaxServiceProcsPerCPU)
+	case spec.Steps > MaxServiceSteps:
+		return spec, fmt.Errorf("steps %d exceeds the service limit %d", spec.Steps, MaxServiceSteps)
+	}
 	return spec, spec.Validate()
 }
 

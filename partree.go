@@ -19,5 +19,5 @@
 // See README.md for a tour, DESIGN.md for the system inventory and
 // modelling decisions, and EXPERIMENTS.md for paper-versus-measured
 // results. The benchmarks in bench_test.go regenerate each experiment at
-// reduced scale; cmd/paperrepro runs them at full scale.
+// reduced scale; `partree paperrepro` (cmd/partree) runs them at full scale.
 package partree

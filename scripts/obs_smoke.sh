@@ -1,6 +1,6 @@
 #!/bin/sh
 # obs_smoke.sh — smoke-test the live observability layer end to end:
-# launch treebench with -http, wait for the server to come up, assert
+# launch `partree treebench` with -http, wait for the server to come up, assert
 # /healthz reports ok and /metrics exposes the key series, then let the
 # sweep finish and check it exited cleanly. Then launch partreed, drive
 # one streaming session through /v1/session, assert the session metric
@@ -10,7 +10,7 @@ set -e
 
 GO=${GO:-go}
 tmp=$(mktemp -d)
-bin="$tmp/treebench"
+bin="$tmp/partree"
 log="$tmp/treebench.log"
 metrics="$tmp/metrics.txt"
 pid=
@@ -22,11 +22,11 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-$GO build -o "$bin" ./cmd/treebench
+$GO build -o "$bin" ./cmd/partree
 
 # :0 picks a free port; the resolved URL is read from the serving log
 # line, so parallel CI jobs never collide.
-"$bin" -n 100000 -p 1,2,4 -reps 3 -http 127.0.0.1:0 -v info >/dev/null 2>"$log" &
+"$bin" treebench -n 100000 -p 1,2,4 -reps 3 -http 127.0.0.1:0 -v info >/dev/null 2>"$log" &
 pid=$!
 
 url=
