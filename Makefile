@@ -10,6 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
+# test includes each binary's /metrics surface goldens (cmd/*/testdata/
+# *.metrics; a deliberate change regenerates them with `go test <pkg> -run
+# MetricsSurface -update`) and the seed corpus of every fuzz target.
 test:
 	$(GO) test ./...
 

@@ -67,6 +67,22 @@ func buildMap(mapFile, shards string, version int, domainSize float64) (cluster.
 	}
 }
 
+// serve builds the router over o.Map and serves its API, its own counters
+// and the fleet rollup on addr.
+func serve(addr string, o cluster.RouterOptions) (*obs.Server, error) {
+	rt, err := cluster.NewRouter(o)
+	if err != nil {
+		return nil, err
+	}
+	reg := obs.NewRegistry()
+	obs.RegisterRuntime(reg)
+	if err := rt.RegisterObs(reg); err != nil {
+		return nil, err
+	}
+	return obs.ServeWith(addr, "partree-router", reg,
+		func() bool { return true }, func(mux *http.ServeMux) { rt.Mount(mux, nil) })
+}
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:9733", "listen address for the API and observability endpoints")
@@ -94,26 +110,14 @@ func main() {
 		slog.Error("building shard map", "err", err)
 		os.Exit(2)
 	}
-	rt, err := cluster.NewRouter(cluster.RouterOptions{
+	srv, err := serve(*addr, cluster.RouterOptions{
 		Map:              m,
 		Client:           cluster.ClientOptions{Timeout: *timeout, Retries: *retries},
 		SweepConcurrency: *sweepC,
 		ScrapeTimeout:    *scrapeT,
 	})
 	if err != nil {
-		slog.Error("building router", "err", err)
-		os.Exit(1)
-	}
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	if err := rt.RegisterObs(reg); err != nil {
-		slog.Error("registering metrics", "err", err)
-		os.Exit(1)
-	}
-	srv, err := obs.ServeWith(*addr, "partree-router", reg,
-		func() bool { return true }, func(mux *http.ServeMux) { rt.Mount(mux, nil) })
-	if err != nil {
-		slog.Error("starting server", "err", err)
+		slog.Error("starting router", "err", err)
 		os.Exit(1)
 	}
 	slog.Info("serving", "addr", srv.Addr(), "url", srv.URL(),

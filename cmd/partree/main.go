@@ -91,15 +91,14 @@ func usage(w io.Writer) {
 	}
 }
 
-// serve starts the observability server on addr: runtime gauges, the
-// process-wide per-algorithm build totals, and the runner's and its
-// engine's live counters. The resolved address is logged so `-http :0`
-// is usable.
+// serve starts the observability server on addr: runtime gauges and
+// everything the runner registers — its own counters, its engine's, and
+// the process-wide per-algorithm build totals. The resolved address is
+// logged so `-http :0` is usable.
 func serve(addr, binary string, r *runner.Runner) (*obs.Server, *obs.Registry, error) {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
-	err := errors.Join(runner.RegisterBuildObs(reg), r.RegisterObs(reg), r.Engine().RegisterObs(reg))
-	if err != nil {
+	if err := r.RegisterObs(reg); err != nil {
 		return nil, nil, err
 	}
 	srv, err := obs.Serve(addr, binary, reg, nil)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"partree/internal/obs/obstest"
 	"partree/internal/runner"
 )
 
@@ -206,29 +207,31 @@ func TestFailedSpecExitsOne(t *testing.T) {
 	}
 }
 
-// TestHTTPServesWhileRunning: with -http the driver serves /healthz —
-// naming the subcommand as the binary — and the runner's and engine's
-// /metrics for as long as the run lasts. Stdout is an unbuffered pipe, so
-// once its first line has been read the subcommand is parked on its next
-// write with the server still up.
-func TestHTTPServesWhileRunning(t *testing.T) {
+// serving runs the driver with -http on a free port and returns once the
+// subcommand has written its first line of stdout: stdout is an
+// unbuffered pipe, so from then on the subcommand is parked on its next
+// write with the server still up. get fetches a path from that server;
+// finish lets the run complete and returns its exit status and stderr.
+func serving(t *testing.T, args ...string) (get func(path string) []byte, finish func() (int, string)) {
+	t.Helper()
 	pr, pw := io.Pipe()
 	var stderr bytes.Buffer
 	done := make(chan int)
 	go func() {
-		code := run([]string{"nbody", "-n", "256", "-p", "1", "-steps", "1", "-http", "127.0.0.1:0"}, pw, &stderr)
+		code := run(append(args, "-http", "127.0.0.1:0"), pw, &stderr)
 		pw.Close()
 		done <- code
 	}()
 	stdout := bufio.NewReader(pr)
 	if _, err := stdout.ReadString('\n'); err != nil {
-		t.Fatalf("reading nbody's first line: %v\n%s", err, stderr.String())
+		t.Fatalf("reading %s's first line: %v\n%s", args[0], err, stderr.String())
 	}
 	m := regexp.MustCompile(`msg="obs: serving" .*url=(\S+)`).FindStringSubmatch(stderr.String())
 	if m == nil {
 		t.Fatalf("no serving line on stderr:\n%s", stderr.String())
 	}
-	get := func(path string) []byte {
+	get = func(path string) []byte {
+		t.Helper()
 		resp, err := http.Get(m[1] + path)
 		if err != nil {
 			t.Fatal(err)
@@ -240,6 +243,18 @@ func TestHTTPServesWhileRunning(t *testing.T) {
 		}
 		return body
 	}
+	finish = func() (int, string) {
+		io.Copy(io.Discard, stdout)
+		return <-done, stderr.String()
+	}
+	return get, finish
+}
+
+// TestHTTPServesWhileRunning: with -http the driver serves /healthz —
+// naming the subcommand as the binary — and the runner's and engine's
+// /metrics for as long as the run lasts.
+func TestHTTPServesWhileRunning(t *testing.T) {
+	get, finish := serving(t, "nbody", "-n", "256", "-p", "1", "-steps", "1")
 	var health struct{ Status, Binary string }
 	if err := json.Unmarshal(get("/healthz"), &health); err != nil || health.Status != "ok" || health.Binary != "nbody" {
 		t.Errorf("/healthz = %+v (%v), want status ok from binary nbody", health, err)
@@ -249,8 +264,24 @@ func TestHTTPServesWhileRunning(t *testing.T) {
 			t.Errorf("/metrics lacks %s", series)
 		}
 	}
-	io.Copy(io.Discard, stdout)
-	if code := <-done; code != 0 {
-		t.Errorf("exit %d\n%s", code, stderr.String())
+	if code, stderr := finish(); code != 0 {
+		t.Errorf("exit %d\n%s", code, stderr)
+	}
+}
+
+// TestMetricsSurface holds the -http /metrics page of a running
+// subcommand to the surface captured from the parent of the commit that
+// moved every counter into the component that counts it: treebench's is
+// the page every subcommand serves, paperrepro adds its sweep progress.
+func TestMetricsSurface(t *testing.T) {
+	for name, args := range map[string][]string{
+		"treebench":  {"treebench", "-n", "256", "-p", "1", "-reps", "1"},
+		"paperrepro": {"paperrepro", "-exp", "T1", "-sizes", "256", "-out", t.TempDir()},
+	} {
+		get, finish := serving(t, args...)
+		obstest.Golden(t, "testdata/"+name+".metrics", obstest.Surface(string(get("/metrics"))))
+		if code, stderr := finish(); code != 0 {
+			t.Errorf("%s: exit %d\n%s", name, code, stderr)
+		}
 	}
 }

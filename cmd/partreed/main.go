@@ -170,13 +170,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	})
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
-	if err := runner.RegisterBuildObs(reg); err != nil {
-		return nil, err
-	}
 	if err := r.RegisterObs(reg); err != nil {
-		return nil, err
-	}
-	if err := eng.RegisterObs(reg); err != nil {
 		return nil, err
 	}
 	d := &daemon{cfg: cfg, eng: eng, r: r, reg: reg}
@@ -302,22 +296,10 @@ func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
 		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
 	}
-	var specs []runner.Spec
-	if err := json.NewDecoder(req.Body).Decode(&specs); err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+	specs, err := runner.DecodeServiceSweep(json.NewDecoder(req.Body), false)
+	if err != nil {
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(specs) > runner.MaxSweepSpecs {
-		reqtrace.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep lists %d specs, the limit is %d", len(specs), runner.MaxSweepSpecs))
-		return
-	}
-	for i := range specs {
-		var err error
-		if specs[i], err = runner.VetServiceSpec(specs[i], false); err != nil {
-			reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
-			return
-		}
 	}
 	// Results stream as NDJSON in completion order — each record carries
 	// its spec, so clients rejoin them; flushing per record makes a slow

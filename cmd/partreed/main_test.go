@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/obs"
 	"partree/internal/runner"
 )
 
@@ -280,8 +281,9 @@ func TestDaemonSweepNeverShedsItsOwnCells(t *testing.T) {
 	if got := countSweepRecords(t, resp.Body); got != len(specs) {
 		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
 	}
-	if st := d.eng.Stats(); st.RejectedFull != 0 {
-		t.Fatalf("engine shed %d of the sweep's own cells", st.RejectedFull)
+	samples, err := obs.ParseText(strings.NewReader(metricsPage(t, d.srv.URL())))
+	if shed, ok := samples[`partree_engine_rejected_total{reason="queue_full"}`]; err != nil || !ok || shed != 0 {
+		t.Fatalf("engine shed %v of the sweep's own cells (counter present: %t, %v)", shed, ok, err)
 	}
 }
 

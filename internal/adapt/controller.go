@@ -43,7 +43,7 @@ func NewController(cfg core.Config, opts Options) *Controller {
 		tuner:  NewTuner(opts.Tuner, cfg.P),
 		opts:   opts,
 	}
-	totals.sessions.Add(1)
+	sessions.Inc()
 	publishKnobs(cfg, resolveSpaceThreshold(cfg, 0))
 	return c
 }
@@ -57,12 +57,12 @@ func (c *Controller) Ledger() *Ledger { return c.ledger }
 // tuner's cooldown clock.
 func (c *Controller) Observe(assign [][]int32, sum *trace.Summary) {
 	if c.ledger.Observe(assign, sum) {
-		totals.corrections.Add(1)
+		corrections.Inc()
 	}
 	c.tuner.Observe(sum)
 	if sum != nil {
 		if r := sum.ImbalanceRatio(); r > 0 {
-			storeFloat(&totals.skewBefore, r)
+			skewBefore.set(r)
 		}
 	}
 }
@@ -75,7 +75,7 @@ func (c *Controller) Retune(cur core.Config) (core.Config, bool) {
 	}
 	next, _, changed := c.tuner.Propose(cur, c.n)
 	if changed {
-		totals.knobChanges.Add(1)
+		knobChanges.Inc()
 		publishKnobs(next, resolveSpaceThreshold(next, c.n))
 	}
 	return next, changed
@@ -91,8 +91,8 @@ func (c *Controller) Partition(t *octree.Tree, d octree.BodyData, p int) [][]int
 	costs, total := c.ledger.Costs(d, n)
 	dd := octree.BodyData{Pos: d.Pos, Mass: d.Mass, Cost: costs}
 	assign := partition.CostzonesTotal(t, dd, p, total)
-	totals.repartitions.Add(1)
-	storeFloat(&totals.skewAfter, partition.Imbalance(assign, dd))
+	repartitions.Inc()
+	skewAfter.set(partition.Imbalance(assign, dd))
 	return assign
 }
 

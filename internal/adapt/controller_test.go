@@ -17,7 +17,7 @@ import (
 // gate owns.
 func TestControllerDrivesStepper(t *testing.T) {
 	const n, p, steps = 4000, 4, 10
-	before := Snapshot()
+	reps, corr, sess := repartitions.Value(), corrections.Value(), sessions.Value()
 	b := phys.Generate(phys.ModelPlummer, n, 41)
 	cfg := core.Config{P: p, LeafCap: 8}
 	ctrl := NewController(cfg, Options{})
@@ -38,17 +38,16 @@ func TestControllerDrivesStepper(t *testing.T) {
 			t.Fatalf("step %d next assignment: %v", i, err)
 		}
 	}
-	after := Snapshot()
-	if got := after.Repartitions - before.Repartitions; got != steps {
-		t.Fatalf("repartitions advanced by %d, want %d", got, steps)
+	if got := repartitions.Value() - reps; got != steps {
+		t.Fatalf("repartitions advanced by %v, want %d", got, steps)
 	}
-	if got := after.Corrections - before.Corrections; got < int64(steps)-1 {
-		t.Fatalf("corrections advanced by %d, want >= %d", got, steps-1)
+	if got := corrections.Value() - corr; got < steps-1 {
+		t.Fatalf("corrections advanced by %v, want >= %d", got, steps-1)
 	}
-	if after.Sessions <= before.Sessions {
+	if sessions.Value() <= sess {
 		t.Fatal("sessions total did not advance")
 	}
-	if after.EffectiveP < 1 || after.LeafCap < 1 {
-		t.Fatalf("knob gauges unpublished: %+v", after)
+	if effectiveP.get() < 1 || leafCap.get() < 1 {
+		t.Fatalf("knob gauges unpublished: p=%v leafcap=%v", effectiveP.get(), leafCap.get())
 	}
 }

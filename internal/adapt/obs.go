@@ -5,76 +5,48 @@ import (
 	"sync/atomic"
 
 	"partree/internal/core"
+	"partree/internal/obs"
 )
 
-// Package-level live totals, following core's observability discipline:
-// this package keeps plain atomics and no obs import; the exposition
-// adapter lives in the registering package (internal/engine renders these
-// as the partree_adapt_* families). Counters aggregate across every
-// controller in the process; the gauges are last-writer-wins snapshots of
+// Package-level live metrics. The counters aggregate across every
+// controller in the process; the gauges are last-writer-wins samples of
 // the most recent controller activity — with one adaptive session they
 // read exactly as per-session values, with many they show the freshest.
-var totals struct {
-	sessions     atomic.Int64
-	corrections  atomic.Int64
-	knobChanges  atomic.Int64
-	repartitions atomic.Int64
+var (
+	sessions     = obs.NewCounter("partree_adapt_sessions_total", "Adaptive controllers constructed.")
+	corrections  = obs.NewCounter("partree_adapt_corrections_total", "Measured-cost ledger updates applied to traced steps.")
+	knobChanges  = obs.NewCounter("partree_adapt_knob_changes_total", "Auto-tuner decisions that moved a knob.")
+	repartitions = obs.NewCounter("partree_adapt_repartitions_total", "Measured-cost costzones cuts served to steppers.")
 
-	skewBefore atomic.Uint64 // float64 bits
-	skewAfter  atomic.Uint64 // float64 bits
+	// skewBefore is the imbalance the hardware reported before
+	// correction, skewAfter the one the next step should see.
+	skewBefore, skewAfter               lastValue
+	leafCap, spaceThreshold, effectiveP lastValue
+)
 
-	leafCap        atomic.Int64
-	spaceThreshold atomic.Int64
-	effectiveP     atomic.Int64
-}
+// lastValue is a last-writer-wins sample.
+type lastValue struct{ bits atomic.Uint64 }
 
-// Totals is one scrape-time snapshot of the package's adaptive activity.
-type Totals struct {
-	// Sessions counts controllers constructed.
-	Sessions int64
-	// Corrections counts ledger updates applied (one per traced step
-	// whose measurements were attributed).
-	Corrections int64
-	// KnobChanges counts tuner decisions that moved a knob.
-	KnobChanges int64
-	// Repartitions counts measured-cost costzones cuts served.
-	Repartitions int64
-	// SkewBefore is the latest measured max/mean insert-time ratio —
-	// the imbalance the hardware reported before correction.
-	SkewBefore float64
-	// SkewAfter is the latest predicted max/mean cost ratio of the
-	// corrected partition — the imbalance the next step should see.
-	SkewAfter float64
-	// LeafCap, SpaceThreshold, EffectiveP are the latest published knob
-	// values.
-	LeafCap        int64
-	SpaceThreshold int64
-	EffectiveP     int64
-}
+func (l *lastValue) set(v float64) { l.bits.Store(math.Float64bits(v)) }
+func (l *lastValue) get() float64  { return math.Float64frombits(l.bits.Load()) }
 
-// Snapshot reads the live totals (atomic loads only; scrape-cheap).
-func Snapshot() Totals {
-	return Totals{
-		Sessions:       totals.sessions.Load(),
-		Corrections:    totals.corrections.Load(),
-		KnobChanges:    totals.knobChanges.Load(),
-		Repartitions:   totals.repartitions.Load(),
-		SkewBefore:     loadFloat(&totals.skewBefore),
-		SkewAfter:      loadFloat(&totals.skewAfter),
-		LeafCap:        totals.leafCap.Load(),
-		SpaceThreshold: totals.spaceThreshold.Load(),
-		EffectiveP:     totals.effectiveP.Load(),
-	}
+// RegisterObs exposes the package's adaptive activity on reg as the
+// partree_adapt_* families.
+func RegisterObs(reg *obs.Registry) error {
+	return reg.Register(
+		sessions, corrections, knobChanges, repartitions,
+		obs.NewGaugeFunc("partree_adapt_skew_before", "Latest measured max/mean insert-time skew before correction.", skewBefore.get),
+		obs.NewGaugeFunc("partree_adapt_skew_after", "Latest predicted max/mean cost skew of the corrected partition.", skewAfter.get),
+		obs.NewGaugeFunc("partree_adapt_leafcap", "Latest tuned leaf capacity.", leafCap.get),
+		obs.NewGaugeFunc("partree_adapt_space_threshold", "Latest tuned SPACE partition threshold.", spaceThreshold.get),
+		obs.NewGaugeFunc("partree_adapt_effective_p", "Latest tuned effective processor count.", effectiveP.get),
+	)
 }
 
 // publishKnobs records the knob gauges after construction or a retune.
-func publishKnobs(cfg core.Config, spaceThreshold int) {
+func publishKnobs(cfg core.Config, threshold int) {
 	cfg = cfg.Normalized()
-	totals.leafCap.Store(int64(cfg.LeafCap))
-	totals.spaceThreshold.Store(int64(spaceThreshold))
-	totals.effectiveP.Store(int64(cfg.P))
+	leafCap.set(float64(cfg.LeafCap))
+	spaceThreshold.set(float64(threshold))
+	effectiveP.set(float64(cfg.P))
 }
-
-func storeFloat(u *atomic.Uint64, v float64) { u.Store(math.Float64bits(v)) }
-
-func loadFloat(u *atomic.Uint64) float64 { return math.Float64frombits(u.Load()) }

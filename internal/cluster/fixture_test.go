@@ -5,10 +5,10 @@ import (
 	"net/http"
 	"runtime"
 
+	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/partition"
-	"partree/internal/runner"
 )
 
 // Fixture is a whole cluster inside one process: N shard servers and a
@@ -104,7 +104,7 @@ func StartLocal(o FixtureOptions) (*Fixture, error) {
 		if err := eng.RegisterObs(reg); err != nil {
 			return fail(err)
 		}
-		if err := runner.RegisterBuildObs(reg); err != nil {
+		if err := core.RegisterObs(reg); err != nil {
 			return fail(err)
 		}
 		srv, err := obs.ServeWith("127.0.0.1:0", "partree-shard", reg,

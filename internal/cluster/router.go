@@ -125,11 +125,8 @@ func (rt *Router) Map() Map { return rt.m }
 // rollup collector, which scrapes every shard's /metrics at gather time
 // and sums the build and admission families into partree_cluster_*.
 func (rt *Router) RegisterObs(reg *obs.Registry) error {
-	if err := reg.Register(rt.builds, rt.sweeps, rt.moves, rt.handoffs,
-		rt.rejected, rt.errors, rt.conflicts); err != nil {
-		return err
-	}
-	return reg.Register(&rollupCollector{rt: rt})
+	return reg.Register(rt.builds, rt.sweeps, rt.moves, rt.handoffs,
+		rt.rejected, rt.errors, rt.conflicts, &rollupCollector{rt: rt})
 }
 
 // Mount registers the router routes on mux. A nil wrap mounts them bare.
@@ -302,22 +299,10 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
 		return
 	}
-	var specs []runner.Spec
-	if err := json.NewDecoder(req.Body).Decode(&specs); err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing spec list: %v", err))
+	specs, err := runner.DecodeServiceSweep(json.NewDecoder(req.Body), true)
+	if err != nil {
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(specs) > runner.MaxSweepSpecs {
-		reqtrace.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep lists %d specs, the limit is %d", len(specs), runner.MaxSweepSpecs))
-		return
-	}
-	for i := range specs {
-		var err error
-		if specs[i], err = runner.VetServiceSpec(specs[i], true); err != nil {
-			reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
-			return
-		}
 	}
 	rt.sweeps.Inc()
 

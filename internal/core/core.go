@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/trace"
@@ -154,9 +155,6 @@ type Config struct {
 	// more bodies than this is split further. 0 selects the default
 	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
-	// Margin expands the root bounding cube (relative); all builders use
-	// the same value so trees stay comparable.
-	Margin float64
 	// DepthStats, when set, makes UPDATE walk the finished tree after
 	// every build and publish leaf-depth statistics on Metrics.Depth —
 	// the depth-skew signal the session fallback policy consumes. The
@@ -173,7 +171,7 @@ type Config struct {
 }
 
 // Normalized returns c with the documented defaults filled in: at least
-// one processor, leaf capacity 8, root margin 1e-4. It is the one place
+// one processor, leaf capacity 8. It is the one place
 // those defaults are written; New applies it, and callers that size
 // companion state before New runs (pool keys, trace recorders, tuners)
 // call it rather than restate them.
@@ -184,11 +182,13 @@ func (c Config) Normalized() Config {
 	if c.LeafCap <= 0 {
 		c.LeafCap = 8
 	}
-	if c.Margin <= 0 {
-		c.Margin = 1e-4
-	}
 	return c
 }
+
+// rootMargin expands the root bounding cube (relative), so no body sits
+// on its faces; every builder and SpatialAssign's keying cube use the
+// one value, so trees stay comparable.
+const rootMargin = 1e-4
 
 // New creates a builder for the given algorithm.
 func New(a Algorithm, cfg Config) Builder {
@@ -233,7 +233,7 @@ func EvenAssign(n, p int) [][]int32 {
 // each capped at its own end so appending to one cannot reach the next.
 func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	n := b.N()
-	order := partition.Order(b.Pos, b.Bounds(1e-4))
+	order := partition.Order(b.Pos, b.Bounds(rootMargin))
 	out := make([][]int32, p)
 	for w := 0; w < p; w++ {
 		lo, hi := n*w/p, n*(w+1)/p
@@ -244,7 +244,7 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 
 // parallelBounds computes the root bounding cube with one goroutine per
 // processor's body list, mirroring how the real codes size the root.
-func parallelBounds(in *Input, margin float64, tr *trace.Recorder) vec.Cube {
+func parallelBounds(in *Input, tr *trace.Recorder) vec.Cube {
 	p := in.P()
 	mins := make([]vec.V3, p)
 	maxs := make([]vec.V3, p)
@@ -281,47 +281,26 @@ func parallelBounds(in *Input, margin float64, tr *trace.Recorder) vec.Cube {
 	if first {
 		return vec.Cube{Size: 1}
 	}
-	size := hi.Sub(lo).MaxComponent() * (1 + margin)
+	size := hi.Sub(lo).MaxComponent() * (1 + rootMargin)
 	if size <= 0 {
 		size = 1
 	}
 	return vec.Cube{Center: lo.Add(hi).Scale(0.5), Size: size}
 }
 
-// parallelDo runs fn(0..p-1) on p goroutines and waits. It is the "launch
-// the pieces, drain the channel" pattern from Effective Go; every phase of
-// every builder funnels through it so the fork/join structure of the
-// original programs is explicit.
-func parallelDo(p int, fn func(w int)) {
-	if p == 1 {
-		fn(0)
-		return
-	}
-	done := make(chan struct{}, p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			fn(w)
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < p; w++ {
-		<-done
-	}
-}
-
-// tracedDo is parallelDo with tracing: each worker's execution becomes
-// one ph span, and the gap between a worker finishing and the slowest
-// worker finishing (the implicit join barrier) is charged to the worker
-// as barrier wait — the native analogue of the simulator's per-barrier
-// wait times, and the paper's load-imbalance signal. With tr nil it
-// falls straight through to parallelDo.
+// tracedDo is par.Do with tracing: each worker's execution becomes one
+// ph span, and the gap between a worker finishing and the slowest worker
+// finishing (the implicit join barrier) is charged to the worker as
+// barrier wait — the native analogue of the simulator's per-barrier wait
+// times, and the paper's load-imbalance signal. With tr nil it falls
+// straight through to par.Do.
 func tracedDo(tr *trace.Recorder, ph trace.Phase, p int, fn func(w int)) {
 	if tr == nil {
-		parallelDo(p, fn)
+		par.Do(p, fn)
 		return
 	}
 	finish := make([]int64, p)
-	parallelDo(p, func(w int) {
+	par.Do(p, func(w int) {
 		tp := tr.Proc(w)
 		start := tp.Now()
 		fn(w)
@@ -332,19 +311,6 @@ func tracedDo(tr *trace.Recorder, ph trace.Phase, p int, fn func(w int)) {
 	join := tr.Now()
 	for w := 0; w < p; w++ {
 		tr.Proc(w).SpanAt(trace.PhaseBarrier, finish[w], join)
-	}
-}
-
-// spanAll charges one fork/join interval to every processor — used for
-// the moments pass, which parallelizes inside internal/octree where the
-// per-worker split is not visible to this package.
-func spanAll(tr *trace.Recorder, ph trace.Phase, start int64, p int) {
-	if tr == nil {
-		return
-	}
-	end := tr.Now()
-	for w := 0; w < p; w++ {
-		tr.Proc(w).SpanAt(ph, start, end)
 	}
 }
 

@@ -1,65 +1,51 @@
 package core
 
-import "sync/atomic"
+import "partree/internal/obs"
 
-// Package-level per-algorithm build totals, fed from each completed
-// build's *Metrics by the phase driver (runPhases), the single point
-// every build completes through. The only cost is a handful of atomic
-// adds per *build* (never per body insert), paid after the build's timed
-// phases have finished. The totals are monotone
-// process-lifetime counters; internal/obs exposes them over HTTP as the
-// partree_build_* series (see internal/runner's registration).
-//
-// core deliberately does not import internal/obs — these are plain
-// atomics, and the exposition layer adapts them, so the algorithms stay
-// leaf dependencies.
-
-// BuildTotals is a snapshot of one algorithm's cumulative build counts.
-type BuildTotals struct {
-	Builds  int64 // completed Build calls
-	Locks   int64 // lock acquisitions across those builds
-	Cells   int64 // cells allocated
-	Leaves  int64 // leaves allocated
-	Retries int64 // lost-race descent restarts
-	Bodies  int64 // bodies loaded into trees
-	Moved   int64 // UPDATE: bodies that crossed a leaf boundary
+// buildFamilies are the process-wide per-algorithm build totals, the
+// partree_build_*{alg} counter families. The phase driver (runPhases),
+// the single point every build completes through, adds each completed
+// build's *Metrics into them — a handful of atomic adds per *build*
+// (never per body insert), paid after the build's timed phases have
+// finished. Every builder constructed through New feeds them, so native
+// builds show up no matter which layer ran them (runner spec, nbody
+// step, verify reference).
+var buildFamilies = [...]*obs.Vec[*obs.Counter]{
+	obs.NewCounterVec("partree_build_total", "Completed tree builds per algorithm.", "alg"),
+	obs.NewCounterVec("partree_build_locks_total", "Lock acquisitions during tree builds.", "alg"),
+	obs.NewCounterVec("partree_build_cells_total", "Cells allocated during tree builds.", "alg"),
+	obs.NewCounterVec("partree_build_leaves_total", "Leaves allocated during tree builds.", "alg"),
+	obs.NewCounterVec("partree_build_retries_total", "Lost-race descent restarts during tree builds.", "alg"),
+	obs.NewCounterVec("partree_build_bodies_total", "Bodies loaded into trees.", "alg"),
+	obs.NewCounterVec("partree_build_bodies_moved_total", "Bodies moved across leaf boundaries by UPDATE.", "alg"),
 }
 
-// algTotals is the atomic backing store, padded so algorithms written
-// from concurrent builds don't share cache lines.
-type algTotals struct {
-	builds, locks, cells, leaves, retries, bodies, moved atomic.Int64
-	_                                                    [8]int64
-}
+// buildCounters[a][f] is algorithm a's child of buildFamilies[f],
+// resolved once so publishing a build takes no lock.
+var buildCounters = func() (c [NumAlgorithms][len(buildFamilies)]*obs.Counter) {
+	for _, a := range Algorithms() {
+		for f, fam := range buildFamilies {
+			c[a][f] = fam.With(a.String())
+		}
+	}
+	return c
+}()
 
-var buildTotals [NumAlgorithms]algTotals
-
-// publishBuild folds one completed build's metrics into the totals.
+// publishBuild adds one completed build's metrics to its algorithm's
+// children, in buildFamilies' order.
 func publishBuild(m *Metrics) {
-	a := int(m.Alg)
-	if a < 0 || a >= NumAlgorithms {
-		return
+	for f, v := range [len(buildFamilies)]int64{1, m.TotalLocks(), m.TotalCells(), m.TotalLeaves(),
+		m.TotalRetries(), m.TotalBodiesBuilt(), m.TotalBodiesMoved()} {
+		buildCounters[m.Alg][f].Add(float64(v))
 	}
-	t := &buildTotals[a]
-	t.builds.Add(1)
-	t.locks.Add(m.TotalLocks())
-	t.cells.Add(m.TotalCells())
-	t.leaves.Add(m.TotalLeaves())
-	t.retries.Add(m.TotalRetries())
-	t.moved.Add(m.TotalBodiesMoved())
-	t.bodies.Add(m.TotalBodiesBuilt())
 }
 
-// BuildTotalsFor snapshots the cumulative totals for one algorithm.
-func BuildTotalsFor(a Algorithm) BuildTotals {
-	t := &buildTotals[int(a)]
-	return BuildTotals{
-		Builds:  t.builds.Load(),
-		Locks:   t.locks.Load(),
-		Cells:   t.cells.Load(),
-		Leaves:  t.leaves.Load(),
-		Retries: t.retries.Load(),
-		Bodies:  t.bodies.Load(),
-		Moved:   t.moved.Load(),
+// RegisterObs adds the partree_build_* families to reg. They are
+// process-global: register once per registry.
+func RegisterObs(reg *obs.Registry) error {
+	cs := make([]obs.Collector, len(buildFamilies))
+	for f, fam := range buildFamilies {
+		cs[f] = fam
 	}
+	return reg.Register(cs...)
 }

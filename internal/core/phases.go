@@ -22,10 +22,11 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 
 // runPhases is the build skeleton all five algorithms share — size the
 // root, load the bodies, compute moments — and the only place it is
-// written down: the trace window, the three timed brackets, the moments
-// pass and its span, Metrics.Timing, the trace summary, and the
-// publication into the live per-algorithm totals all happen here. An
-// algorithm is its prepare and insert hooks.
+// written down: the trace window, the three timed brackets, the two
+// moments passes (each processor's share its own span, like every other
+// phase), Metrics.Timing, the trace summary, and the publication into
+// the live per-algorithm totals all happen here. An algorithm is its
+// prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// A traced build opens a fresh trace window; untraced, tr stays nil
@@ -36,18 +37,15 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 		tr = cfg.Trace
 	}
 	t0 := time.Now()
-	tree := prepare(parallelBounds(in, cfg.Margin, tr), tr)
+	tree := prepare(parallelBounds(in, tr), tr)
 	t1 := time.Now()
 
 	tracedDo(tr, trace.PhaseInsert, p, func(w int) { insert(tree, w, tr.Proc(w)) })
 	t2 := time.Now()
 
-	var mt int64
-	if tr != nil {
-		mt = tr.Now()
-	}
-	octree.ComputeMomentsParallel(tree, bodyData(in.Bodies), p)
-	spanAll(tr, trace.PhaseMoments, mt, p)
+	d := bodyData(in.Bodies)
+	tracedDo(tr, trace.PhaseMoments, p, func(w int) { octree.MomentsPending(tree, w, p) })
+	tracedDo(tr, trace.PhaseMoments, p, func(w int) { octree.MomentsUp(tree, d, w, p) })
 	t3 := time.Now()
 
 	m.Timing = Timing{Bounds: t1.Sub(t0), Insert: t2.Sub(t1), Moments: t3.Sub(t2)}

@@ -6,10 +6,29 @@ import (
 	"time"
 
 	"partree/internal/core"
+	"partree/internal/obs"
 	"partree/internal/phys"
 	"partree/internal/trace"
 	"partree/internal/verify"
 )
+
+// buildsCounted reads partree_build_total{alg} the way a scrape does.
+func buildsCounted(t *testing.T, alg core.Algorithm) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	if err := core.RegisterObs(reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range reg.Gather() {
+		for _, s := range fam.Series {
+			if fam.Name == "partree_build_total" && s.Labels[0].Value == alg.String() {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no partree_build_total series for %v", alg)
+	return 0
+}
 
 // TestEveryBuildPathRunsThePhaseDriver pins what the one phase driver
 // owes every build, whichever algorithm and path produced it: all three
@@ -53,13 +72,13 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 				}
 				in.Rebuild = pt.rebuild
 
-				before := core.BuildTotalsFor(pt.alg).Builds
+				before := buildsCounted(t, pt.alg)
 				start := time.Now()
 				tree, m := bld.Build(in)
 				wall := time.Since(start)
 
-				if got := core.BuildTotalsFor(pt.alg).Builds - before; got != 1 {
-					t.Errorf("build published %d times into the %v totals, want 1", got, pt.alg)
+				if got := buildsCounted(t, pt.alg) - before; got != 1 {
+					t.Errorf("build published %v times into the %v totals, want 1", got, pt.alg)
 				}
 				if m.FreshReason != pt.reason {
 					t.Fatalf("took path %q, want %q", m.FreshReason, pt.reason)
@@ -91,6 +110,49 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMomentsAreTracedPerProcessor: the two moments passes fork and join
+// like every other phase, so a traced build ends, on every processor,
+// with that processor's own span of each pass, each followed by its wait
+// at the pass's join — the same join instant on every processor — and the
+// trace still agrees with the lock counters (verify's law 6).
+func TestMomentsAreTracedPerProcessor(t *testing.T) {
+	const n, p = 3000, 2
+	rec := trace.New(p)
+	rec.SetEnabled(true)
+	b := phys.Generate(phys.ModelPlummer, n, 21)
+	in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+	tree, m := core.New(core.LOCAL, core.Config{P: p, LeafCap: 8, Trace: rec}).Build(in)
+	if err := verify.Build(core.LOCAL, tree, m, b, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Phase{trace.PhaseMoments, trace.PhaseBarrier, trace.PhaseMoments, trace.PhaseBarrier}
+	var joins [2][p]int64
+	for w := 0; w < p; w++ {
+		ev := rec.Events(w)
+		if len(ev) < len(want) {
+			t.Fatalf("proc %d recorded %d events", w, len(ev))
+		}
+		tail := ev[len(ev)-len(want):]
+		for i, e := range tail {
+			if e.Kind != trace.KindSpan || e.Phase != want[i] {
+				t.Fatalf("proc %d: event %d from the end of the build is %+v, want a %v span", w, len(want)-i, e, want[i])
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			work, wait := tail[2*pass], tail[2*pass+1]
+			if wait.Start != work.End || wait.End < wait.Start {
+				t.Errorf("proc %d pass %d: barrier %+v does not start where its moments span %+v ends", w, pass, wait, work)
+			}
+			joins[pass][w] = wait.End
+		}
+	}
+	for pass, j := range joins {
+		if j[0] != j[1] {
+			t.Errorf("pass %d: processors left the moments barrier at %d and %d, want one join", pass, j[0], j[1])
 		}
 	}
 }

@@ -5,10 +5,9 @@
 // is dominated by synchronization and memory behaviour, not arithmetic —
 // so a process that serves builds continuously must not re-pay store
 // allocation on every request. Sessions are keyed by the builder's full
-// identity (algorithm, processors, leaf capacity, SPACE threshold,
-// margin); acquiring a session for a key the pool has seen before reuses
-// its warmed store, and the steady-state hot path of a repeated build
-// allocates (near) zero.
+// identity (algorithm, processors, leaf capacity); acquiring a session
+// for a key the pool has seen before reuses its warmed store, and the
+// steady-state hot path of a repeated build allocates (near) zero.
 //
 // Admission control bounds what a long-lived process lets in: at most
 // MaxActive builds run concurrently, at most MaxQueue more may wait
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"partree/internal/core"
-	"partree/internal/obs"
 	"partree/internal/octree"
 	"partree/internal/reqtrace"
 )
@@ -59,32 +57,25 @@ func Rejected(msg string) bool {
 }
 
 // Key is a session's identity: two requests with equal keys can share a
-// pooled builder (and therefore its retained store). The fields mirror
-// core.Config plus the algorithm; zero values normalize to the
-// documented core defaults so equivalent configurations pool together.
+// pooled builder (and therefore its retained store). The fields are the
+// algorithm and the core.Config knobs a request chooses; zero values
+// normalize to the documented core defaults so equivalent configurations
+// pool together.
 type Key struct {
-	Alg            core.Algorithm
-	P              int
-	LeafCap        int
-	SpaceThreshold int
-	Margin         float64
+	Alg     core.Algorithm
+	P       int
+	LeafCap int
 }
 
 // config is the core.Config a session for k is built with.
 func (k Key) config() core.Config {
-	return core.Config{P: k.P, LeafCap: k.LeafCap, SpaceThreshold: k.SpaceThreshold, Margin: k.Margin}
+	return core.Config{P: k.P, LeafCap: k.LeafCap}
 }
 
 func (k Key) normalized() Key {
 	c := k.config().Normalized()
-	k.P, k.LeafCap, k.Margin = c.P, c.LeafCap, c.Margin
+	k.P, k.LeafCap = c.P, c.LeafCap
 	return k
-}
-
-// String renders the key for logs.
-func (k Key) String() string {
-	k = k.normalized()
-	return fmt.Sprintf("%s/p%d/k%d/st%d/m%g", k.Alg, k.P, k.LeafCap, k.SpaceThreshold, k.Margin)
 }
 
 // Options bound the engine. The zero value selects sane service
@@ -157,41 +148,25 @@ type Engine struct {
 	janitorRunning bool
 	drainDone      chan struct{} // non-nil once a drain has started
 
-	queued            atomic.Int64
-	inUse             atomic.Int64
-	created           atomic.Int64
-	reused            atomic.Int64
-	evicted           atomic.Int64
-	rejectedFull      atomic.Int64
-	rejectedDraining  atomic.Int64
-	rejectedCancelled atomic.Int64
-
-	leasesOpened   atomic.Int64
-	leasesClosed   atomic.Int64
-	leasesEvicted  atomic.Int64
-	leaseRejected  atomic.Int64
-	leaseFallbacks atomic.Int64
-	leaseUnplanned atomic.Int64
-	// stepSeconds is the per-step duration histogram, labeled by mode
-	// (update vs rebuild). Created eagerly so steps can observe whether
-	// or not RegisterObs was called.
-	stepSeconds *obs.Vec[*obs.Histogram]
+	// queued and inUse are sampled as gauges; everything the engine
+	// counts it counts into the metrics below (see obs.go).
+	queued atomic.Int64
+	inUse  atomic.Int64
+	engineObs
 }
 
 // New creates an engine.
 func New(o Options) *Engine {
 	o = o.withDefaults()
 	return &Engine{
-		opts:     o,
-		slots:    make(chan struct{}, o.MaxActive),
-		drainCh:  make(chan struct{}),
-		idle:     map[Key][]*Session{},
-		lru:      list.New(),
-		sessions: map[*Session]struct{}{},
-		leases:   map[*Lease]struct{}{},
-		stepSeconds: obs.NewHistogramVec("partree_session_step_seconds",
-			"Session step wall time, by serving mode (incremental update vs fresh rebuild).",
-			obs.ExpBuckets(1e-5, 2, 20), "mode"),
+		opts:      o,
+		slots:     make(chan struct{}, o.MaxActive),
+		drainCh:   make(chan struct{}),
+		idle:      map[Key][]*Session{},
+		lru:       list.New(),
+		sessions:  map[*Session]struct{}{},
+		leases:    map[*Lease]struct{}{},
+		engineObs: newEngineObs(),
 	}
 }
 
@@ -253,7 +228,7 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 	q := e.queued.Add(1)
 	defer e.queued.Add(-1)
 	if shed && int(q) > e.opts.MaxQueue {
-		e.rejectedFull.Add(1)
+		e.rejectedFull.Inc()
 		return ErrQueueFull
 	}
 	rq := reqtrace.FromContext(ctx)
@@ -266,10 +241,10 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 		rq.SpanSince("queue", qstart)
 		return nil
 	case <-e.drainCh:
-		e.rejectedDraining.Add(1)
+		e.rejectedDraining.Inc()
 		return ErrDraining
 	case <-ctx.Done():
-		e.rejectedCancelled.Add(1)
+		e.rejectedCancelled.Inc()
 		return fmt.Errorf("engine: acquire: %w", ctx.Err())
 	}
 }
@@ -291,7 +266,7 @@ func (e *Engine) Admit(ctx context.Context) (release func(), err error) {
 // slot and gives it back with <-e.slots.
 func (e *Engine) admit(ctx context.Context) error {
 	if e.isDraining() {
-		e.rejectedDraining.Add(1)
+		e.rejectedDraining.Inc()
 		return ErrDraining
 	}
 	if err := e.wait(ctx, true); err != nil {
@@ -301,7 +276,7 @@ func (e *Engine) admit(ctx context.Context) error {
 		// Drain began between the check above and a free slot; this
 		// caller must not start new work.
 		<-e.slots
-		e.rejectedDraining.Add(1)
+		e.rejectedDraining.Inc()
 		return ErrDraining
 	}
 	return nil
@@ -328,7 +303,7 @@ func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
 		e.lru.Remove(s.elem)
 		s.elem = nil
 		s.released = false
-		e.reused.Add(1)
+		e.reused.Inc()
 	}
 	e.mu.Unlock()
 
@@ -336,7 +311,7 @@ func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
 		// Built outside the lock: store allocation is the expensive part
 		// pooling exists to amortize.
 		s = &Session{eng: e, key: k, b: core.New(k.Alg, k.config())}
-		e.created.Add(1)
+		e.created.Inc()
 		e.mu.Lock()
 		e.sessions[s] = struct{}{}
 		e.mu.Unlock()
@@ -387,7 +362,7 @@ func (e *Engine) evictLocked(victim *Session) {
 	e.lru.Remove(victim.elem)
 	victim.elem = nil
 	delete(e.sessions, victim)
-	e.evicted.Add(1)
+	e.evicted.Inc()
 }
 
 // Drain gracefully shuts the engine down: new acquires are rejected with
@@ -445,25 +420,14 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Stats is a snapshot of the pool for tests, audits, and exposition.
+// Stats is a snapshot of the pool's state — what is held, pooled and
+// waiting right now. What the engine has counted since it started is in
+// its counters (obs.go), not here.
 type Stats struct {
-	Created, Reused, Evicted int64
-	RejectedFull             int64
-	RejectedDraining         int64
-	RejectedCancelled        int64
-	InUse, Idle, Queued      int64
-	Draining                 bool
-	// Lease lifecycle (streaming sessions).
-	LeasesActive  int64
-	LeasesOpened  int64
-	LeasesClosed  int64
-	LeasesEvicted int64
-	LeaseRejected int64
-	// LeaseFallbacks counts policy-triggered SPACE rebuilds;
-	// LeaseUnplanned counts fresh rebuilds nobody asked for (resident
-	// state invalidated under the session).
-	LeaseFallbacks int64
-	LeaseUnplanned int64
+	InUse, Idle, Queued int64
+	Draining            bool
+	// LeasesActive is the number of open streaming sessions.
+	LeasesActive int64
 	// Store aggregates retained octree storage over every live session
 	// (idle and in use) and every open lease's resident builder.
 	Store octree.StoreStats
@@ -485,23 +449,11 @@ func (e *Engine) Stats() Stats {
 	idle := int64(e.lru.Len())
 	e.mu.Unlock()
 	st := Stats{
-		Created:           e.created.Load(),
-		Reused:            e.reused.Load(),
-		Evicted:           e.evicted.Load(),
-		RejectedFull:      e.rejectedFull.Load(),
-		RejectedDraining:  e.rejectedDraining.Load(),
-		RejectedCancelled: e.rejectedCancelled.Load(),
-		InUse:             e.inUse.Load(),
-		Idle:              idle,
-		Queued:            e.queued.Load(),
-		Draining:          e.isDraining(),
-		LeasesActive:      int64(len(steppers)),
-		LeasesOpened:      e.leasesOpened.Load(),
-		LeasesClosed:      e.leasesClosed.Load(),
-		LeasesEvicted:     e.leasesEvicted.Load(),
-		LeaseRejected:     e.leaseRejected.Load(),
-		LeaseFallbacks:    e.leaseFallbacks.Load(),
-		LeaseUnplanned:    e.leaseUnplanned.Load(),
+		InUse:        e.inUse.Load(),
+		Idle:         idle,
+		Queued:       e.queued.Load(),
+		Draining:     e.isDraining(),
+		LeasesActive: int64(len(steppers)),
 	}
 	for _, s := range sessions {
 		st.Store = st.Store.Add(s.b.Store().Stats())

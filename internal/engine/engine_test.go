@@ -49,8 +49,8 @@ func TestSessionReuseSameKey(t *testing.T) {
 	s2.Release()
 
 	st := e.Stats()
-	if st.Created != 1 || st.Reused != 1 {
-		t.Fatalf("created=%d reused=%d, want 1/1", st.Created, st.Reused)
+	if e.created.Value() != 1 || e.reused.Value() != 1 {
+		t.Fatalf("created=%v reused=%v, want 1/1", e.created.Value(), e.reused.Value())
 	}
 	if st.Store.RetainedBytes == 0 || st.Store.Cells == 0 {
 		t.Fatalf("pooled store reports no retained memory: %+v", st.Store)
@@ -68,16 +68,16 @@ func TestDistinctKeysDistinctSessions(t *testing.T) {
 	s1.Release()
 	s2.Release()
 	s3.Release()
-	if st := e.Stats(); st.Created != 3 || st.Idle != 3 {
-		t.Fatalf("created=%d idle=%d, want 3/3", st.Created, st.Idle)
+	if st := e.Stats(); e.created.Value() != 3 || st.Idle != 3 {
+		t.Fatalf("created=%v idle=%v, want 3/3", e.created.Value(), st.Idle)
 	}
 }
 
 func TestKeyNormalization(t *testing.T) {
 	e := New(Options{MaxActive: 2})
-	s1 := mustAcquire(t, e, Key{Alg: core.LOCAL}) // zero P/LeafCap/Margin
+	s1 := mustAcquire(t, e, Key{Alg: core.LOCAL}) // zero P/LeafCap
 	s1.Release()
-	s2 := mustAcquire(t, e, Key{Alg: core.LOCAL, P: 1, LeafCap: 8, Margin: 1e-4})
+	s2 := mustAcquire(t, e, Key{Alg: core.LOCAL, P: 1, LeafCap: 8})
 	defer s2.Release()
 	if s1 != s2 {
 		t.Fatalf("normalized-equal keys did not pool together")
@@ -136,9 +136,8 @@ func TestAdmissionQueueFullAndDeadline(t *testing.T) {
 	}
 	s.Release()
 
-	st := e.Stats()
-	if st.RejectedFull != 1 || st.RejectedCancelled != 1 {
-		t.Fatalf("rejections full=%d cancelled=%d, want 1/1", st.RejectedFull, st.RejectedCancelled)
+	if e.rejectedFull.Value() != 1 || e.rejectedCancelled.Value() != 1 {
+		t.Fatalf("rejections full=%v cancelled=%v, want 1/1", e.rejectedFull.Value(), e.rejectedCancelled.Value())
 	}
 }
 
@@ -199,8 +198,8 @@ func TestMaxIdleEvictsLRU(t *testing.T) {
 	s3.Release() // newest; s1 evicted
 
 	st := e.Stats()
-	if st.Evicted != 1 || st.Idle != 2 {
-		t.Fatalf("evicted=%d idle=%d, want 1/2", st.Evicted, st.Idle)
+	if e.evicted.Value() != 1 || st.Idle != 2 {
+		t.Fatalf("evicted=%v idle=%v, want 1/2", e.evicted.Value(), st.Idle)
 	}
 	if got := mustAcquire(t, e, k1); got == s1 {
 		t.Fatalf("evicted session came back from the pool")
@@ -284,8 +283,8 @@ func TestDrainWakesQueuedAcquire(t *testing.T) {
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st := e.Stats(); st.Queued != 0 || st.RejectedDraining != 1 {
-		t.Fatalf("post-drain queued=%d rejectedDraining=%d, want 0/1", st.Queued, st.RejectedDraining)
+	if st := e.Stats(); st.Queued != 0 || e.rejectedDraining.Value() != 1 {
+		t.Fatalf("post-drain queued=%v rejectedDraining=%v, want 0/1", st.Queued, e.rejectedDraining.Value())
 	}
 }
 

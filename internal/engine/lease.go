@@ -80,15 +80,15 @@ func (e *Engine) OpenLease(st *core.Stepper, idle time.Duration) (*Lease, error)
 	switch {
 	case e.isDraining():
 		e.mu.Unlock()
-		e.leaseRejected.Add(1)
+		e.leaseRejected.Inc()
 		return nil, ErrDraining
 	case e.opts.MaxLeases >= 0 && len(e.leases) >= e.opts.MaxLeases:
 		e.mu.Unlock()
-		e.leaseRejected.Add(1)
+		e.leaseRejected.Inc()
 		return nil, ErrLeasesFull
 	}
 	e.leases[l] = struct{}{}
-	e.leasesOpened.Add(1)
+	e.leasesOpened.Inc()
 	if !e.janitorRunning {
 		e.janitorRunning = true
 		go e.leaseJanitor()
@@ -130,13 +130,13 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	}
 	e.stepSeconds.With(mode).Observe(dur.Seconds())
 	if res.Fallback {
-		e.leaseFallbacks.Add(1)
+		e.leaseFallbacks.Inc()
 	}
 	// An unplanned rebuild: the builder started over on a step where the
 	// caller expected incremental repair (not step 0, not requested).
 	if res.Fresh && res.Reason != core.FreshFirst && res.Reason != core.FreshStep0 &&
 		res.Reason != core.FreshRequested {
-		e.leaseUnplanned.Add(1)
+		e.leaseUnplanned.Inc()
 	}
 
 	l.deadline.Store(time.Now().Add(l.idle).UnixNano())
@@ -165,9 +165,9 @@ func (l *Lease) closeLocked(evict bool) {
 	delete(e.leases, l)
 	e.mu.Unlock()
 	if evict {
-		e.leasesEvicted.Add(1)
+		e.leasesEvicted.Inc()
 	} else {
-		e.leasesClosed.Add(1)
+		e.leasesClosed.Inc()
 	}
 }
 

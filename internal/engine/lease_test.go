@@ -40,8 +40,8 @@ func TestLeaseLifecycle(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.LeasesActive != 1 || st.LeasesOpened != 1 {
-		t.Fatalf("stats: active=%d opened=%d, want 1/1", st.LeasesActive, st.LeasesOpened)
+	if st.LeasesActive != 1 || e.leasesOpened.Value() != 1 {
+		t.Fatalf("stats: active=%v opened=%v, want 1/1", st.LeasesActive, e.leasesOpened.Value())
 	}
 	if st.Store.Leaves == 0 {
 		t.Fatal("stats: lease's resident store not aggregated")
@@ -52,8 +52,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 	l.Close() // idempotent
 	st = e.Stats()
-	if st.LeasesActive != 0 || st.LeasesClosed != 1 {
-		t.Fatalf("stats after close: active=%d closed=%d, want 0/1", st.LeasesActive, st.LeasesClosed)
+	if st.LeasesActive != 0 || e.leasesClosed.Value() != 1 {
+		t.Fatalf("stats after close: active=%v closed=%v, want 0/1", st.LeasesActive, e.leasesClosed.Value())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestLeaseCapacity(t *testing.T) {
 	if _, err := e.OpenLease(testStepper(t, 100, 1, 3), time.Minute); !errors.Is(err, ErrLeasesFull) {
 		t.Fatalf("third open: %v, want ErrLeasesFull", err)
 	}
-	if got := e.Stats().LeaseRejected; got != 1 {
-		t.Fatalf("LeaseRejected = %d, want 1", got)
+	if got := e.leaseRejected.Value(); got != 1 {
+		t.Fatalf("LeaseRejected = %v, want 1", got)
 	}
 	l1.Close()
 	if _, err := e.OpenLease(testStepper(t, 100, 1, 4), time.Minute); err != nil {
@@ -99,8 +99,8 @@ func TestLeaseIdleEviction(t *testing.T) {
 		t.Fatalf("step after eviction: %v, want ErrLeaseEvicted", err)
 	}
 	st := e.Stats()
-	if st.LeasesEvicted != 1 || st.LeasesActive != 0 {
-		t.Fatalf("stats: evicted=%d active=%d, want 1/0", st.LeasesEvicted, st.LeasesActive)
+	if e.leasesEvicted.Value() != 1 || st.LeasesActive != 0 {
+		t.Fatalf("stats: evicted=%v active=%v, want 1/0", e.leasesEvicted.Value(), st.LeasesActive)
 	}
 }
 
@@ -214,8 +214,8 @@ func TestLeaseContention(t *testing.T) {
 	if st.InUse != 0 || st.Queued != 0 {
 		t.Fatalf("quiesced stats: inUse=%d queued=%d, want 0/0", st.InUse, st.Queued)
 	}
-	if st.LeasesActive != 0 || st.LeasesOpened != leases {
-		t.Fatalf("lease stats: active=%d opened=%d, want 0/%d", st.LeasesActive, st.LeasesOpened, leases)
+	if st.LeasesActive != 0 || e.leasesOpened.Value() != leases {
+		t.Fatalf("lease stats: active=%v opened=%v, want 0/%v", st.LeasesActive, e.leasesOpened.Value(), leases)
 	}
 }
 

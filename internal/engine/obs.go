@@ -1,26 +1,64 @@
 package engine
 
 import (
-	"sync/atomic"
+	"errors"
 
 	"partree/internal/adapt"
 	"partree/internal/obs"
 )
 
-// RegisterObs exposes the pool's live state on reg: session lifecycle
-// counters, the admission gauges, and the partree_store_* gauges
-// aggregating octree storage retained across every pooled session —
-// exactly the memory session pooling trades for allocation-free steady
-// state, so a dashboard can see what the pool holds. Call once per
-// (engine, registry) pair.
-func (e *Engine) RegisterObs(reg *obs.Registry) error {
-	ctr := func(name, help string, v *atomic.Int64) obs.Collector {
-		return obs.NewCounterFunc(name, help, func() float64 { return float64(v.Load()) })
+// engineObs is everything the engine counts: session and lease lifecycle
+// events, admission rejections by reason, and step durations by mode.
+// The counters exist from New on, so the engine counts whether or not a
+// registry is attached; RegisterObs lists them.
+type engineObs struct {
+	created, reused, evicted *obs.Counter
+
+	rejected                                          *obs.Vec[*obs.Counter]
+	rejectedFull, rejectedDraining, rejectedCancelled *obs.Counter // its children, resolved once
+
+	leasesOpened, leasesClosed, leasesEvicted *obs.Counter
+	leaseRejected                             *obs.Counter
+	leaseFallbacks, leaseUnplanned            *obs.Counter
+	// stepSeconds is the per-step duration histogram, labeled by mode
+	// (update vs rebuild).
+	stepSeconds *obs.Vec[*obs.Histogram]
+}
+
+func newEngineObs() engineObs {
+	rejected := obs.NewCounterVec("partree_engine_rejected_total",
+		"Acquires rejected by admission control, by reason.", "reason")
+	return engineObs{
+		created: obs.NewCounter("partree_engine_sessions_created_total", "Builder sessions constructed (pool misses)."),
+		reused:  obs.NewCounter("partree_engine_sessions_reused_total", "Acquires served by a pooled session (pool hits)."),
+		evicted: obs.NewCounter("partree_engine_sessions_evicted_total", "Idle sessions evicted past the MaxIdle bound."),
+
+		rejected:          rejected,
+		rejectedFull:      rejected.With("queue_full"),
+		rejectedDraining:  rejected.With("draining"),
+		rejectedCancelled: rejected.With("cancelled"),
+
+		leasesOpened:   obs.NewCounter("partree_session_opened_total", "Streaming session leases opened."),
+		leasesClosed:   obs.NewCounter("partree_session_closed_total", "Session leases closed by their owner (or by drain)."),
+		leasesEvicted:  obs.NewCounter("partree_session_evicted_total", "Session leases evicted by the idle-deadline janitor."),
+		leaseRejected:  obs.NewCounter("partree_session_rejected_total", "Session opens rejected (lease capacity or draining)."),
+		leaseFallbacks: obs.NewCounter("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions."),
+		leaseUnplanned: obs.NewCounter("partree_session_unplanned_rebuilds_total", "Fresh rebuilds on steps that expected incremental repair."),
+		stepSeconds: obs.NewHistogramVec("partree_session_step_seconds",
+			"Session step wall time, by serving mode (incremental update vs fresh rebuild).",
+			obs.ExpBuckets(1e-5, 2, 20), "mode"),
 	}
-	return reg.Register(
-		ctr("partree_engine_sessions_created_total", "Builder sessions constructed (pool misses).", &e.created),
-		ctr("partree_engine_sessions_reused_total", "Acquires served by a pooled session (pool hits).", &e.reused),
-		ctr("partree_engine_sessions_evicted_total", "Idle sessions evicted past the MaxIdle bound.", &e.evicted),
+}
+
+// RegisterObs exposes the pool on reg: what the engine counts, the
+// admission gauges, the partree_store_* gauges aggregating octree
+// storage retained across every pooled session — exactly the memory
+// session pooling trades for allocation-free steady state — and
+// internal/adapt's families, whose adaptive sessions step inside this
+// engine's leases. Call once per (engine, registry) pair.
+func (e *Engine) RegisterObs(reg *obs.Registry) error {
+	return errors.Join(reg.Register(
+		e.created, e.reused, e.evicted,
 		obs.NewGaugeFunc("partree_engine_sessions_idle", "Sessions pooled and ready for reuse.",
 			func() float64 {
 				e.mu.Lock()
@@ -40,12 +78,8 @@ func (e *Engine) RegisterObs(reg *obs.Registry) error {
 				}
 				return 0
 			}),
-		ctr("partree_session_opened_total", "Streaming session leases opened.", &e.leasesOpened),
-		ctr("partree_session_closed_total", "Session leases closed by their owner (or by drain).", &e.leasesClosed),
-		ctr("partree_session_evicted_total", "Session leases evicted by the idle-deadline janitor.", &e.leasesEvicted),
-		ctr("partree_session_rejected_total", "Session opens rejected (lease capacity or draining).", &e.leaseRejected),
-		ctr("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions.", &e.leaseFallbacks),
-		ctr("partree_session_unplanned_rebuilds_total", "Fresh rebuilds on steps that expected incremental repair.", &e.leaseUnplanned),
+		e.rejected,
+		e.leasesOpened, e.leasesClosed, e.leasesEvicted, e.leaseRejected, e.leaseFallbacks, e.leaseUnplanned,
 		obs.NewGaugeFunc("partree_session_active", "Session leases currently open.",
 			func() float64 {
 				e.mu.Lock()
@@ -55,64 +89,8 @@ func (e *Engine) RegisterObs(reg *obs.Registry) error {
 		obs.NewGaugeFunc("partree_session_max_leases", "Lease capacity (MaxLeases; -1 = unbounded).",
 			func() float64 { return float64(e.opts.MaxLeases) }),
 		e.stepSeconds,
-		rejectedCollector{e},
 		storeCollector{e},
-		adaptCollector{},
-	)
-}
-
-// rejectedCollector renders the rejection counters as one family labeled
-// by reason, so alerting can key off any rejection without enumerating.
-type rejectedCollector struct{ e *Engine }
-
-// Collect implements obs.Collector.
-func (c rejectedCollector) Collect(out []obs.Family) []obs.Family {
-	return append(out, obs.Family{
-		Name: "partree_engine_rejected_total",
-		Help: "Acquires rejected by admission control, by reason.",
-		Type: obs.TypeCounter,
-		Series: []obs.Series{
-			{Labels: []obs.Label{{Name: "reason", Value: "cancelled"}}, Value: float64(c.e.rejectedCancelled.Load())},
-			{Labels: []obs.Label{{Name: "reason", Value: "draining"}}, Value: float64(c.e.rejectedDraining.Load())},
-			{Labels: []obs.Label{{Name: "reason", Value: "queue_full"}}, Value: float64(c.e.rejectedFull.Load())},
-		},
-	})
-}
-
-// adaptCollector renders internal/adapt's package totals (the
-// measured-cost feedback loop behind adaptive sessions) as the
-// partree_adapt_* families. adapt keeps plain atomics with no obs
-// dependency, so exposition lives here with the rest of the daemon's
-// families.
-type adaptCollector struct{}
-
-// Collect implements obs.Collector.
-func (adaptCollector) Collect(out []obs.Family) []obs.Family {
-	s := adapt.Snapshot()
-	fam := func(name, help string, typ obs.Type, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: typ,
-			Series: []obs.Series{{Value: v}}}
-	}
-	return append(out,
-		fam("partree_adapt_sessions_total", "Adaptive controllers constructed.",
-			obs.TypeCounter, float64(s.Sessions)),
-		fam("partree_adapt_corrections_total", "Measured-cost ledger updates applied to traced steps.",
-			obs.TypeCounter, float64(s.Corrections)),
-		fam("partree_adapt_knob_changes_total", "Auto-tuner decisions that moved a knob.",
-			obs.TypeCounter, float64(s.KnobChanges)),
-		fam("partree_adapt_repartitions_total", "Measured-cost costzones cuts served to steppers.",
-			obs.TypeCounter, float64(s.Repartitions)),
-		fam("partree_adapt_skew_before", "Latest measured max/mean insert-time skew before correction.",
-			obs.TypeGauge, s.SkewBefore),
-		fam("partree_adapt_skew_after", "Latest predicted max/mean cost skew of the corrected partition.",
-			obs.TypeGauge, s.SkewAfter),
-		fam("partree_adapt_leafcap", "Latest tuned leaf capacity.",
-			obs.TypeGauge, float64(s.LeafCap)),
-		fam("partree_adapt_space_threshold", "Latest tuned SPACE partition threshold.",
-			obs.TypeGauge, float64(s.SpaceThreshold)),
-		fam("partree_adapt_effective_p", "Latest tuned effective processor count.",
-			obs.TypeGauge, float64(s.EffectiveP)),
-	)
+	), adapt.RegisterObs(reg))
 }
 
 // storeCollector aggregates octree.Store.Stats over every live session

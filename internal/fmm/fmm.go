@@ -14,6 +14,7 @@ import (
 
 	"partree/internal/force"
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/phys"
 	"partree/internal/vec"
 )
@@ -85,34 +86,27 @@ func ComputeAll(t *octree.Tree, bodies *phys.Bodies, p Params, workers int) Stat
 	// are accepted, and it must not vary with parallelism.
 	sinks := sinkFrontier(t, 64)
 	stats := make([]Stats, len(sinks))
-	done := make(chan struct{}, workers)
 	next := make(chan int, len(sinks))
 	for i := range sinks {
 		next <- i
 	}
 	close(next)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range next {
-				s := &solver{
-					t: t, d: d, p: p, eps2: p.Eps * p.Eps,
-					loc: make(map[octree.Ref]*local),
-					acc: make([]vec.V3, len(bodies.Pos)),
-				}
-				s.interact(sinks[i], t.Root)
-				s.push(sinks[i], local{})
-				// Publish this sink's bodies.
-				forBodies(t, sinks[i], func(b int32) {
-					bodies.Acc[b] = s.acc[b]
-				})
-				stats[i] = s.st
+	par.Do(workers, func(int) {
+		for i := range next {
+			s := &solver{
+				t: t, d: d, p: p, eps2: p.Eps * p.Eps,
+				loc: make(map[octree.Ref]*local),
+				acc: make([]vec.V3, len(bodies.Pos)),
 			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+			s.interact(sinks[i], t.Root)
+			s.push(sinks[i], local{})
+			// Publish this sink's bodies.
+			forBodies(t, sinks[i], func(b int32) {
+				bodies.Acc[b] = s.acc[b]
+			})
+			stats[i] = s.st
+		}
+	})
 	var total Stats
 	for _, s := range stats {
 		total.CellCell += s.CellCell

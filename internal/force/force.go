@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/phys"
 	"partree/internal/vec"
 )
@@ -169,25 +170,18 @@ func ComputeAll(t *octree.Tree, bodies *phys.Bodies, assign [][]int32, p Params)
 	d := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
 	nw := len(assign)
 	stats := make([]PhaseStats, nw)
-	done := make(chan struct{}, nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			var st PhaseStats
-			for _, b := range assign[w] {
-				r := Accel(t, d, b, p)
-				bodies.Acc[b] = r.Acc
-				bodies.Cost[b] = r.Interactions
-				st.Interactions += r.Interactions
-				st.NodesVisited += r.NodesVisited
-			}
-			stats[w] = st
-			done <- struct{}{}
-		}(w)
-	}
+	par.Do(nw, func(w int) {
+		var st PhaseStats
+		for _, b := range assign[w] {
+			r := Accel(t, d, b, p)
+			bodies.Acc[b] = r.Acc
+			bodies.Cost[b] = r.Interactions
+			st.Interactions += r.Interactions
+			st.NodesVisited += r.NodesVisited
+		}
+		stats[w] = st
+	})
 	var total PhaseStats
-	for w := 0; w < nw; w++ {
-		<-done
-	}
 	for _, st := range stats {
 		total.Interactions += st.Interactions
 		total.NodesVisited += st.NodesVisited

@@ -13,7 +13,7 @@ import (
 // atomic adds per experiment, one per cell); exposed when a binary runs
 // with -http so `partree paperrepro -http :9090` can be watched mid-sweep.
 type sessionObs struct {
-	experiments atomic.Int64 // experiments started
+	experiments *obs.Counter // experiments started
 	cellsTotal  atomic.Int64 // sweep cells enqueued across experiments
 	cellsDone   atomic.Int64 // sweep cells whose result is available
 
@@ -32,9 +32,7 @@ func (o *sessionObs) setCurrent(id, title string) {
 func (s *Session) RegisterObs(reg *obs.Registry) error {
 	o := &s.obs
 	return reg.Register(
-		obs.NewCounterFunc("partree_harness_experiments_started_total",
-			"Experiments (tables/figures) started this session.",
-			func() float64 { return float64(o.experiments.Load()) }),
+		o.experiments,
 		obs.NewGaugeFunc("partree_harness_cells_total",
 			"Sweep cells enqueued across all experiments so far.",
 			func() float64 { return float64(o.cellsTotal.Load()) }),

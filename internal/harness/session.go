@@ -16,6 +16,7 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/memsim"
+	"partree/internal/obs"
 	"partree/internal/phys"
 	"partree/internal/runner"
 	"partree/internal/simalg"
@@ -102,7 +103,10 @@ func NewSession(r *runner.Runner, opts Options) *Session {
 	if len(opts.Sizes) == 0 {
 		opts.Sizes = []int{4096, 8192, 16384}
 	}
-	return &Session{Opts: opts, r: r}
+	s := &Session{Opts: opts, r: r}
+	s.obs.experiments = obs.NewCounter("partree_harness_experiments_started_total",
+		"Experiments (tables/figures) started this session.")
+	return s
 }
 
 // Bodies returns the memoized Plummer system of size n.
@@ -227,7 +231,7 @@ func (s *Session) RunExperiment(ctx context.Context, e Experiment, w io.Writer) 
 	}
 	s.pending = nil
 	s.mu.Unlock()
-	s.obs.experiments.Add(1)
+	s.obs.experiments.Inc()
 	s.obs.cellsTotal.Add(int64(len(specs)))
 	s.obs.setCurrent(e.ID, e.Title)
 	defer s.obs.setCurrent("", "")

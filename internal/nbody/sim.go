@@ -14,6 +14,7 @@ import (
 	"partree/internal/fmm"
 	"partree/internal/force"
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/trace"
@@ -29,8 +30,6 @@ type Options struct {
 	P       int // processors (goroutines)
 	LeafCap int // bodies per leaf (k)
 	Alg     core.Algorithm
-	// SpaceThreshold tunes SPACE's partitioning (0 = default).
-	SpaceThreshold int
 
 	Force force.Params
 	Dt    float64 // time step
@@ -142,12 +141,7 @@ func New(opts Options) *Simulation {
 func NewFromBodies(opts Options, b *phys.Bodies) *Simulation {
 	bld := opts.Builder
 	if bld == nil {
-		bld = core.New(opts.Alg, core.Config{
-			P:              opts.P,
-			LeafCap:        opts.LeafCap,
-			SpaceThreshold: opts.SpaceThreshold,
-			Trace:          opts.Trace,
-		})
+		bld = core.New(opts.Alg, core.Config{P: opts.P, LeafCap: opts.LeafCap, Trace: opts.Trace})
 	}
 	return &Simulation{
 		Opts:    opts,
@@ -196,20 +190,13 @@ func (s *Simulation) Step() StepStats {
 	// Update phase: symplectic-Euler integration, each processor
 	// updating the bodies it computed forces for.
 	dt := s.Opts.Dt
-	done := make(chan struct{}, s.Opts.P)
-	for w := 0; w < s.Opts.P; w++ {
-		go func(w int) {
-			for _, b := range assign[w] {
-				i := int(b)
-				s.Bodies.Vel[i] = s.Bodies.Vel[i].MulAdd(dt, s.Bodies.Acc[i])
-				s.Bodies.Pos[i] = s.Bodies.Pos[i].MulAdd(dt, s.Bodies.Vel[i])
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < s.Opts.P; w++ {
-		<-done
-	}
+	par.Do(s.Opts.P, func(w int) {
+		for _, b := range assign[w] {
+			i := int(b)
+			s.Bodies.Vel[i] = s.Bodies.Vel[i].MulAdd(dt, s.Bodies.Acc[i])
+			s.Bodies.Pos[i] = s.Bodies.Pos[i].MulAdd(dt, s.Bodies.Vel[i])
+		}
+	})
 	t4 := time.Now()
 
 	s.assign = assign

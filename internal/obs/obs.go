@@ -3,13 +3,17 @@
 // buckets) that renders the Prometheus text exposition format, plus an
 // HTTP server mounting /metrics, /healthz, /debug/pprof/* and expvar.
 //
-// The design splits metric *maintenance* from metric *exposition*:
-// instrumented components (internal/runner, internal/core,
-// internal/harness) keep their own cheap atomic counters whether or not
-// anything is scraping, and register collectors into a Registry only
-// when a binary runs with -http. That keeps the hot paths free of any
-// registry lookups — observing a counter is one atomic add — and lets
-// tests build isolated registries without global state.
+// One rule decides where a metric lives: the component that counts
+// something holds the *Counter (or the child of a labeled Vec) it counts
+// into, created with its name and help where the component is
+// constructed; it calls Inc/Add where the event happens, and its
+// RegisterObs merely lists what it holds. Nothing keeps a second tally
+// to copy from at scrape time, so tests and audits read Counter.Value.
+// GaugeFunc is for state that is sampled rather than counted — a queue's
+// depth, a pool's size, the latest value of a tuned knob. Counting is
+// one atomic update whether or not anything scrapes, registries are
+// plain values a test can build in isolation, and a binary attaches its
+// components to one only when it runs with -http.
 //
 // Metric names follow the Prometheus conventions: a partree_ prefix,
 // _total suffix on counters, base units (seconds, bytes) on histograms
@@ -27,9 +31,9 @@ import (
 )
 
 // Collector is anything that can contribute metric families to a render
-// pass. The built-in metric types all implement it; components with
-// pre-existing counters (e.g. the runner) implement it to expose those
-// without copying.
+// pass. The built-in metric types all implement it; a component
+// implements it for a family whose series are sampled from state it
+// already holds (a store's sizes, the slowest request per route).
 type Collector interface {
 	// Collect appends the collector's current families. Implementations
 	// must be safe for concurrent use with the updates they observe.
@@ -93,25 +97,32 @@ func NewRegistry() *Registry {
 	return &Registry{names: map[string]bool{}}
 }
 
-// Register adds a collector. Metrics created by this package register
+// Register adds collectors, all of them or — on a duplicate or invalid
+// name anywhere in cs — none. Metrics created by this package register
 // their family name so duplicates are rejected; foreign collectors are
 // trusted to keep their names unique.
 func (r *Registry) Register(cs ...Collector) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	names := map[string]bool{}
 	for _, c := range cs {
-		if n, ok := c.(interface{ metricName() string }); ok {
-			name := n.metricName()
-			if r.names[name] {
-				return fmt.Errorf("obs: duplicate metric %q", name)
-			}
-			if err := checkMetricName(name); err != nil {
-				return err
-			}
-			r.names[name] = true
+		n, ok := c.(interface{ metricName() string })
+		if !ok {
+			continue
 		}
-		r.collectors = append(r.collectors, c)
+		name := n.metricName()
+		if r.names[name] || names[name] {
+			return fmt.Errorf("obs: duplicate metric %q", name)
+		}
+		if err := checkMetricName(name); err != nil {
+			return err
+		}
+		names[name] = true
 	}
+	for name := range names {
+		r.names[name] = true
+	}
+	r.collectors = append(r.collectors, cs...)
 	return nil
 }
 
@@ -194,7 +205,8 @@ func (d desc) metricName() string { return d.name }
 // concurrent use; Add is one atomic operation.
 type Counter struct {
 	desc
-	bits atomic.Uint64
+	labels []Label
+	bits   atomic.Uint64
 }
 
 // NewCounter creates a standalone counter (register it to expose it).
@@ -226,7 +238,7 @@ func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 // Collect implements Collector.
 func (c *Counter) Collect(out []Family) []Family {
 	return append(out, Family{Name: c.name, Help: c.help, Type: TypeCounter,
-		Series: []Series{{Value: c.Value()}}})
+		Series: []Series{{Labels: c.labels, Value: c.Value()}}})
 }
 
 // GaugeFunc samples a value at collect time — how cheap-to-read state
@@ -245,24 +257,6 @@ func NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
 func (g *GaugeFunc) Collect(out []Family) []Family {
 	return append(out, Family{Name: g.name, Help: g.help, Type: TypeGauge,
 		Series: []Series{{Value: g.fn()}}})
-}
-
-// CounterFunc is GaugeFunc with counter semantics, for monotone totals
-// maintained elsewhere (e.g. the runner's atomic execution counts).
-type CounterFunc struct {
-	desc
-	fn func() float64
-}
-
-// NewCounterFunc creates a counter whose value is fn() at scrape time.
-func NewCounterFunc(name, help string, fn func() float64) *CounterFunc {
-	return &CounterFunc{desc: desc{name, help}, fn: fn}
-}
-
-// Collect implements Collector.
-func (c *CounterFunc) Collect(out []Family) []Family {
-	return append(out, Family{Name: c.name, Help: c.help, Type: TypeCounter,
-		Series: []Series{{Value: c.fn()}}})
 }
 
 // Histogram is a fixed-bucket distribution. Buckets are chosen at
@@ -347,9 +341,10 @@ func (h *Histogram) Collect(out []Family) []Family {
 }
 
 // Vec is a family of label-addressed children sharing one name — the
-// labeled form of Histogram. Children are created on first use and live
-// forever (label cardinality here is algorithm/backend names, bounded by
-// construction).
+// labeled form of Counter and Histogram. Children are created on first
+// use and live forever (label cardinality here is algorithm/backend
+// names, bounded by construction); a component that counts on a hot path
+// resolves its children once and keeps them.
 type Vec[M Collector] struct {
 	desc
 	typ        Type
@@ -399,22 +394,30 @@ func (v *Vec[M]) Collect(out []Family) []Family {
 	return append(out, fam)
 }
 
-// NewHistogramVec creates a labeled histogram family with shared bounds.
-func NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *Vec[*Histogram] {
+func newVec[M Collector](name, help string, typ Type, labelNames []string, make func([]Label) M) *Vec[M] {
 	for _, ln := range labelNames {
 		if err := checkLabelName(ln); err != nil {
 			panic(err)
 		}
 	}
-	return &Vec[*Histogram]{
-		desc: desc{name, help}, typ: TypeHistogram, labelNames: labelNames,
-		children: map[string]*Histogram{},
-		make: func(ls []Label) *Histogram {
-			h := NewHistogram(name, help, bounds)
-			h.labels = ls
-			return h
-		},
-	}
+	return &Vec[M]{desc: desc{name, help}, typ: typ, labelNames: labelNames,
+		children: map[string]M{}, make: make}
+}
+
+// NewCounterVec creates a labeled counter family.
+func NewCounterVec(name, help string, labelNames ...string) *Vec[*Counter] {
+	return newVec(name, help, TypeCounter, labelNames, func(ls []Label) *Counter {
+		return &Counter{desc: desc{name, help}, labels: ls}
+	})
+}
+
+// NewHistogramVec creates a labeled histogram family with shared bounds.
+func NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *Vec[*Histogram] {
+	return newVec(name, help, TypeHistogram, labelNames, func(ls []Label) *Histogram {
+		h := NewHistogram(name, help, bounds)
+		h.labels = ls
+		return h
+	})
 }
 
 // formatValue renders a sample the way Prometheus expects: shortest

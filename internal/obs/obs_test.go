@@ -12,39 +12,37 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// families is a fixed Collector — how labeled counters and gauges reach
-// a registry (the runner's eviction counters, the harness's current
-// experiment): the metric types themselves carry no labels.
+// families is a fixed Collector — how a family sampled from a
+// component's state reaches a registry (the harness's current
+// experiment, the slowest request per route).
 type families []Family
 
 func (f families) Collect(out []Family) []Family { return append(out, f...) }
 
 // goldenRegistry builds a registry exercising every metric kind with
-// deterministic values: plain counter, scrape-time counter and gauge
-// funcs, labeled families from a collector (including label values that
-// need escaping and a family with no series yet), and a histogram vec
-// with samples below, inside, and above its bucket ladder.
+// deterministic values: plain counters, a scrape-time gauge func, a
+// counter vec (including label values that need escaping), a collector's
+// family with no series yet, and a histogram vec with samples below,
+// inside, and above its bucket ladder.
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
 	c := NewCounter("partree_test_ops_total", "Operations performed.")
 	c.Add(42)
 	g := NewGaugeFunc("partree_test_temperature", "Current level.\nSecond line with a \\ backslash.",
 		func() float64 { return -3.5 })
-	cf := NewCounterFunc("partree_test_ticks_total", "Sampled at scrape time.", func() float64 { return 7 })
-	labeled := families{
-		{Name: "partree_test_events_total", Help: "Labeled events.", Type: TypeCounter, Series: []Series{
-			{Labels: []Label{{"alg", "ORIG"}, {"note", "quote\" back\\slash\nnewline"}}, Value: 5},
-			{Labels: []Label{{"alg", "LOCAL"}, {"note", "plain"}}, Value: 1},
-		}},
-		{Name: "partree_test_idle", Help: "A vec with no children yet.", Type: TypeGauge},
-	}
+	cf := NewCounter("partree_test_ticks_total", "Sampled at scrape time.")
+	cf.Add(7)
+	events := NewCounterVec("partree_test_events_total", "Labeled events.", "alg", "note")
+	events.With("ORIG", "quote\" back\\slash\nnewline").Add(5)
+	events.With("LOCAL", "plain").Inc()
+	idle := families{{Name: "partree_test_idle", Help: "A vec with no children yet.", Type: TypeGauge}}
 	hv := NewHistogramVec("partree_test_duration_seconds", "Durations.",
 		ExpBuckets(0.001, 2, 4), "backend")
 	h := hv.With("native")
 	h.Observe(0.0005) // below first bound
 	h.Observe(0.003)  // interior bucket
 	h.Observe(100)    // +Inf overflow
-	reg.MustRegister(c, g, cf, labeled, hv)
+	reg.MustRegister(c, g, cf, events, idle, hv)
 	return reg
 }
 
@@ -143,6 +141,30 @@ func TestRegistryRejectsDuplicateNames(t *testing.T) {
 	}
 	if err := reg.Register(NewGaugeFunc("dup_total", "", func() float64 { return 0 })); err == nil {
 		t.Fatal("duplicate metric name accepted")
+	}
+}
+
+// TestRegisterIsAllOrNothing: a list refused for a duplicate, an invalid
+// name or a name it carries twice registers none of its collectors, so
+// the page is unchanged and the good ones can be registered afterwards.
+func TestRegisterIsAllOrNothing(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister(NewCounter("existing_total", ""))
+	a := NewCounter("a_total", "")
+	for what, bad := range map[string]Collector{
+		"a duplicate of a registered name": NewCounter("existing_total", ""),
+		"an invalid name":                  NewCounter("bad-name", ""),
+		"a name listed twice":              NewCounter("a_total", ""),
+	} {
+		if err := reg.Register(a, families{{Name: "foreign"}}, bad); err == nil {
+			t.Fatalf("a list ending in %s was accepted", what)
+		}
+		if fams := reg.Gather(); len(fams) != 1 || fams[0].Name != "existing_total" {
+			t.Fatalf("after a list ending in %s was refused, the registry gathers %+v", what, fams)
+		}
+	}
+	if err := reg.Register(a); err != nil {
+		t.Fatalf("registering a after the refusals: %v", err)
 	}
 }
 

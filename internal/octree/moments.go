@@ -1,9 +1,9 @@
 package octree
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"partree/internal/par"
 	"partree/internal/vec"
 )
 
@@ -124,77 +124,65 @@ func isLive(t *Tree, r Ref, parent Ref) bool {
 // goroutines using the paper's structure: each worker handles the leaves
 // its processor created (its arena, or its Owner-tagged nodes in a shared
 // arena), then contributions propagate upward; the worker that completes a
-// cell's last child computes that cell. Two phases separated by a barrier:
-// pending-counter initialization, then upward propagation.
+// cell's last child computes that cell. Two passes separated by a barrier:
+// pending-counter initialization (MomentsPending), then upward propagation
+// (MomentsUp).
 func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) {
 	if t.Root.IsNil() {
 		return
 	}
-	s := t.Store
 	if nWorkers < 1 {
 		nWorkers = 1
 	}
+	par.Do(nWorkers, func(w int) { MomentsPending(t, w, nWorkers) })
+	par.Do(nWorkers, func(w int) { MomentsUp(t, d, w, nWorkers) })
+}
 
-	// Phase 1: initialize pending counts on live cells.
-	var wg sync.WaitGroup
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			forOwnedCells(s, w, nWorkers, func(r Ref, c *Cell) {
-				if !isLive(t, r, c.Parent) {
-					c.pending = -1
-					return
-				}
-				var n int32
-				for o := vec.Octant(0); o < vec.NOctants; o++ {
-					if !c.Child(o).IsNil() {
-						n++
-					}
-				}
-				if n == 0 {
-					c.pending = pendingEmptyCell
-				} else {
-					c.pending = n
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 2: leaves first, then propagate upward. Live cells that have
-	// no children at all (UPDATE can empty a cell by reclaiming its last
-	// leaf) are seeded here too, or their ancestors would never complete.
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			forOwnedLeaves(s, w, nWorkers, func(r Ref, l *Leaf) {
-				if l.Retired || !isLive(t, r, l.Parent) {
-					return
-				}
-				leafMoments(l, d)
-				propagateUp(s, l.Parent, d)
-			})
-			forOwnedCells(s, w, nWorkers, func(r Ref, c *Cell) {
-				if atomic.LoadInt32(&c.pending) != pendingEmptyCell {
-					return
-				}
-				combineChildren(s, c)
-				propagateUp(s, c.Parent, d)
-			})
-		}(w)
-	}
-	wg.Wait()
-
-	// An empty root (no bodies at all) has pending 0 and is never
-	// reached by propagation; give it well-defined moments.
-	if t.Root.IsCell() {
-		rc := s.Cell(t.Root)
-		if rc.NBody == 0 && rc.Mass == 0 {
-			rc.COM = rc.Cube.Center
+// MomentsPending is worker w's share of the first parallel moments pass:
+// it sets the pending-children count of every cell w owns — the live
+// ones; garbage is marked so propagation stops at it. Every worker must
+// have finished it before any starts MomentsUp.
+func MomentsPending(t *Tree, w, nWorkers int) {
+	forOwnedCells(t.Store, w, nWorkers, func(r Ref, c *Cell) {
+		if !isLive(t, r, c.Parent) {
+			c.pending = -1
+			return
 		}
-	}
+		var n int32
+		for o := vec.Octant(0); o < vec.NOctants; o++ {
+			if !c.Child(o).IsNil() {
+				n++
+			}
+		}
+		if n == 0 {
+			c.pending = pendingEmptyCell
+		} else {
+			c.pending = n
+		}
+	})
+}
+
+// MomentsUp is worker w's share of the second pass: leaves first, then
+// propagate upward. Live cells that have no children at all (UPDATE can
+// empty a cell by reclaiming its last leaf; a tree over no bodies is one
+// empty root) are seeded here too, or their ancestors would never
+// complete.
+func MomentsUp(t *Tree, d BodyData, w, nWorkers int) {
+	s := t.Store
+	forOwnedLeaves(s, w, nWorkers, func(r Ref, l *Leaf) {
+		if l.Retired || !isLive(t, r, l.Parent) {
+			return
+		}
+		leafMoments(l, d)
+		propagateUp(s, l.Parent, d)
+	})
+	forOwnedCells(s, w, nWorkers, func(r Ref, c *Cell) {
+		if atomic.LoadInt32(&c.pending) != pendingEmptyCell {
+			return
+		}
+		combineChildren(s, c)
+		propagateUp(s, c.Parent, d)
+	})
 }
 
 // pendingEmptyCell marks a live cell with zero children; garbage cells get

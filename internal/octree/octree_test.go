@@ -113,6 +113,27 @@ func TestParallelMomentsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestEmptyTreeMoments: a tree over no bodies is one childless root; the
+// upward pass seeds it like any emptied cell, so both moments passes
+// leave it massless with its center of mass at the cube's center.
+func TestEmptyTreeMoments(t *testing.T) {
+	cube := vec.Cube{Center: vec.V3{X: 1, Y: 2, Z: 3}, Size: 2}
+	for _, w := range []int{0, 1, 3} { // 0 = the serial pass
+		tr := NewTree(NewStore(3, 8), 0, 0, cube)
+		root := tr.Store.Cell(tr.Root)
+		root.COM, root.Mass, root.NBody = vec.V3{X: 9}, 9, 9
+		if w == 0 {
+			ComputeMomentsSerial(tr, BodyData{})
+		} else {
+			ComputeMomentsParallel(tr, BodyData{}, w)
+		}
+		if root.COM != cube.Center || root.Mass != 0 || root.NBody != 0 {
+			t.Errorf("workers=%d: empty root has COM %v mass %g n %d, want %v, 0, 0",
+				w, root.COM, root.Mass, root.NBody, cube.Center)
+		}
+	}
+}
+
 func TestCoincidentBodiesDepthCap(t *testing.T) {
 	// 20 coincident bodies cannot be separated by subdivision; the depth
 	// cap must stop recursion and produce one overflow leaf.

@@ -51,8 +51,7 @@ type Recorder struct {
 	ring []atomic.Pointer[Req]
 	seq  atomic.Uint64
 
-	inFlight  atomic.Int64
-	slowTotal atomic.Int64
+	inFlight atomic.Int64
 
 	slowMu sync.Mutex
 	slow   []*Req
@@ -66,6 +65,7 @@ type Recorder struct {
 
 	durSeconds   *obs.Vec[*obs.Histogram]
 	queueSeconds *obs.Histogram
+	slowTotal    *obs.Counter
 }
 
 type maxEntry struct {
@@ -88,6 +88,7 @@ func NewRecorder(o Options) *Recorder {
 		queueSeconds: obs.NewHistogram("partree_req_queue_wait_seconds",
 			"Time requests spent waiting for an engine build slot.",
 			obs.ExpBuckets(1e-5, 2, 20)),
+		slowTotal: obs.NewCounter("partree_req_slow_total", "Requests that crossed the slow threshold."),
 	}
 }
 
@@ -135,7 +136,7 @@ func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 	rec.maxMu.Unlock()
 
 	if dur >= rec.opts.SlowThreshold {
-		rec.slowTotal.Add(1)
+		rec.slowTotal.Inc()
 		rec.slowMu.Lock()
 		rec.slow = append(rec.slow, r)
 		if len(rec.slow) > rec.opts.SlowK {
@@ -228,7 +229,7 @@ func (rec *Recorder) SlowTotal() int64 {
 	if rec == nil {
 		return 0
 	}
-	return rec.slowTotal.Load()
+	return int64(rec.slowTotal.Value())
 }
 
 // RegisterObs attaches the partree_req_* families to reg:
@@ -245,9 +246,7 @@ func (rec *Recorder) RegisterObs(reg *obs.Registry) error {
 		obs.NewGaugeFunc("partree_req_in_flight",
 			"Requests currently being served.",
 			func() float64 { return float64(rec.inFlight.Load()) }),
-		obs.NewCounterFunc("partree_req_slow_total",
-			"Requests that crossed the slow threshold.",
-			func() float64 { return float64(rec.slowTotal.Load()) }),
+		rec.slowTotal,
 		maxCollector{rec: rec},
 	)
 }

@@ -1,0 +1,111 @@
+package runner
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// serviceSpecSeeds are request bodies the service decoders have met: the
+// spec of every record in the CLI's -json goldens, and the documents the
+// daemon's and router's 400-path tests send — over each service limit,
+// a trace, an unknown name, a type error, not JSON at all.
+func serviceSpecSeeds(f *testing.F) []string {
+	f.Helper()
+	seeds := []string{
+		`{"backend":"native","algorithm":"LOCAL","build_only":true,"bodies":256}`,
+		`{"backend":"native","algorithm":"LOCAL","build_only":true,"bodies":2000000000}`,
+		`{"backend":"native","algorithm":"local","build_only":true,"bodies":256,"procs":4097}`,
+		`{"backend":"native","algorithm":"LOCAL","build_only":true,"bodies":256,"steps":1001}`,
+		`{"backend":"simulated","platform":"origin","algorithm":"SPACE","procs":2,"bodies":512,"steps":1}`,
+		`{"backend":"simulated","platform":"origin","build_only":true}`,
+		`{"algorithm":"UPDATE","sequential":true,"procs":8,"timeout_ns":30000000}`,
+		`{"backend":"native","trace":"/tmp/t.json"}`,
+		`{"backend":"quantum"}`, `{"algorithm":"SPCAE"}`, `{"model":"cube"}`, `{"platform":"cray"}`,
+		`{"bodies":"many"}`, `{"theta":1e999}`, `{`, ``, `null`, `[]`, `7`,
+	}
+	goldens, err := filepath.Glob("../../cmd/partree/testdata/*.json")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no CLI goldens to seed from: %v", err)
+	}
+	for _, path := range goldens {
+		page, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(page), []byte("\n")) {
+			var rec struct{ Spec json.RawMessage }
+			if err := json.Unmarshal(line, &rec); err != nil || rec.Spec == nil {
+				f.Fatalf("%s: a record without a spec: %v", path, err)
+			}
+			seeds = append(seeds, string(rec.Spec))
+		}
+	}
+	return seeds
+}
+
+// vetted fails the test unless spec is something a service may run:
+// within every service limit, traceless, and — being normalized —
+// decoding from its own encoding to itself.
+func vetted(t *testing.T, spec Spec, native bool) {
+	t.Helper()
+	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
+	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.Trace != "" {
+		t.Fatalf("accepted a spec outside the service limits: %+v", spec)
+	}
+	if native && spec.Backend != Native {
+		t.Fatalf("a native-only tier accepted backend %q", spec.Backend)
+	}
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatalf("an accepted spec does not encode: %v", err)
+	}
+	again, err := DecodeServiceSpec(json.NewDecoder(bytes.NewReader(doc)), native)
+	if err != nil || again != spec {
+		t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v (%v)", spec, doc, again, err)
+	}
+}
+
+// FuzzDecodeServiceSpec: whatever bytes arrive on /v1/build, the decoder
+// returns a vetted spec or an error — it never panics.
+func FuzzDecodeServiceSpec(f *testing.F) {
+	for _, s := range serviceSpecSeeds(f) {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	f.Fuzz(func(t *testing.T, doc string, native bool) {
+		spec, err := DecodeServiceSpec(json.NewDecoder(strings.NewReader(doc)), native)
+		if err == nil {
+			vetted(t, spec, native)
+		}
+	})
+}
+
+// FuzzDecodeServiceSweep: the same for /v1/sweep's spec list, which is
+// also held to MaxSweepSpecs.
+func FuzzDecodeServiceSweep(f *testing.F) {
+	seeds := serviceSpecSeeds(f)
+	f.Add("["+strings.Join(seeds[:1], ",")+"]", false)
+	f.Add("["+seeds[0]+","+seeds[1]+"]", true)
+	f.Add("["+strings.Repeat(seeds[0]+",", MaxSweepSpecs)+seeds[0]+"]", false)
+	for _, s := range seeds {
+		f.Add("["+s+"]", true)
+		f.Add(s, false)
+	}
+	f.Fuzz(func(t *testing.T, doc string, native bool) {
+		specs, err := DecodeServiceSweep(json.NewDecoder(strings.NewReader(doc)), native)
+		if err != nil {
+			return
+		}
+		if len(specs) > MaxSweepSpecs {
+			t.Fatalf("accepted a sweep of %d specs", len(specs))
+		}
+		for _, spec := range specs {
+			vetted(t, spec, native)
+		}
+	})
+}

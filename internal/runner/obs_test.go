@@ -55,39 +55,39 @@ func TestObsConservationConcurrent(t *testing.T) {
 	if err := r.AuditObs(); err != nil {
 		t.Fatal(err)
 	}
-	s := r.ObsSnapshot()
+	o := r.obs
 	results := r.Results()
 
 	uniq := len(core.Algorithms()) + 1 // 5 shared sim specs + the failing native one
 	if len(results) != uniq {
 		t.Fatalf("cache holds %d results, want %d", len(results), uniq)
 	}
-	if want := int64(sweeps*len(specs) + directs); s.Runs != want {
-		t.Fatalf("runs = %d, want %d", s.Runs, want)
+	runs := float64(sweeps*len(specs) + directs)
+	if got := o.runs.Value(); got != runs {
+		t.Fatalf("runs = %v, want %v", got, runs)
 	}
-	if s.CacheMisses != int64(uniq) {
-		t.Fatalf("misses = %d, want %d", s.CacheMisses, uniq)
+	if got := o.cacheMisses.Value(); got != float64(uniq) {
+		t.Fatalf("misses = %v, want %d", got, uniq)
 	}
-	if s.CacheHits != s.Runs-int64(uniq) {
-		t.Fatalf("hits = %d, want %d", s.CacheHits, s.Runs-int64(uniq))
+	if got := o.cacheHits.Value(); got != runs-float64(uniq) {
+		t.Fatalf("hits = %v, want %v", got, runs-float64(uniq))
 	}
-	if s.Started != int64(uniq) || s.Completed != int64(uniq-1) || s.Failed != 1 {
-		t.Fatalf("started/completed/failed = %d/%d/%d, want %d/%d/1",
-			s.Started, s.Completed, s.Failed, uniq, uniq-1)
+	if s, c, f := o.started.Value(), o.completed.Value(), o.failed.Value(); s != float64(uniq) || c != float64(uniq-1) || f != 1 {
+		t.Fatalf("started/completed/failed = %v/%v/%v, want %d/%d/1", s, c, f, uniq, uniq-1)
 	}
-	if es := r.Engine().Stats(); es.Queued != 0 || es.InUse != 0 || s.InFlight != 0 {
-		t.Fatalf("idle gauges nonzero: engine queue=%d in-use=%d, runner in-flight=%d", es.Queued, es.InUse, s.InFlight)
+	if es := r.Engine().Stats(); es.Queued != 0 || es.InUse != 0 || o.inFlight.Load() != 0 {
+		t.Fatalf("idle gauges nonzero: engine queue=%d in-use=%d, runner in-flight=%d", es.Queued, es.InUse, o.inFlight.Load())
 	}
-	if s.SpecDurationsObserved != uint64(uniq) {
-		t.Fatalf("duration observations = %d, want %d", s.SpecDurationsObserved, uniq)
+	if got := o.specSeconds.With(string(Native)).Count() + o.specSeconds.With(string(Simulated)).Count(); got != uint64(uniq) {
+		t.Fatalf("duration observations = %d, want %d", got, uniq)
 	}
 	// Two distinct (model, n, seed) body sets: the shared sim bodies and
 	// the failing native spec's. Every execution asked for one set.
-	if s.BodyMemoMisses != 2 {
-		t.Fatalf("body memo misses = %d, want 2", s.BodyMemoMisses)
+	if got := o.memoMisses.Value(); got != 2 {
+		t.Fatalf("body memo misses = %v, want 2", got)
 	}
-	if s.BodyMemoHits != int64(uniq)-2 {
-		t.Fatalf("body memo hits = %d, want %d", s.BodyMemoHits, uniq-2)
+	if got := o.memoHits.Value(); got != float64(uniq)-2 {
+		t.Fatalf("body memo hits = %v, want %d", got, uniq-2)
 	}
 
 	var failed int
@@ -112,7 +112,7 @@ func TestObsInFlightVisibleMidRun(t *testing.T) {
 	go func() { done <- r.Run(context.Background(), spec) }()
 
 	deadline := time.After(10 * time.Second)
-	for r.ObsSnapshot().InFlight == 0 {
+	for r.obs.inFlight.Load() == 0 {
 		select {
 		case res := <-done:
 			// The spec finished before we looked — the gauge must already
@@ -140,15 +140,15 @@ func TestObsInFlightVisibleMidRun(t *testing.T) {
 	if err := r.AuditObs(); err != nil {
 		t.Fatal(err)
 	}
-	s := r.ObsSnapshot()
-	if s.Started != 1 || s.Completed != 1 || s.InFlight != 0 {
-		t.Fatalf("post-run snapshot: %+v", s)
+	if s, c, f := r.obs.started.Value(), r.obs.completed.Value(), r.obs.inFlight.Load(); s != 1 || c != 1 || f != 0 {
+		t.Fatalf("post-run started/completed/in-flight = %v/%v/%d, want 1/1/0", s, c, f)
 	}
 }
 
 // TestRegisterObsRendersRunnerSeries registers a warmed runner on a
 // fresh registry and checks the scrape carries its counters with the
-// exact cache-derived values, plus the per-algorithm build totals.
+// exact cache-derived values, plus its engine's gauges and the
+// per-algorithm build totals — one call registers all three.
 func TestRegisterObsRendersRunnerSeries(t *testing.T) {
 	r := New(2)
 	res := r.Run(context.Background(), Spec{Backend: Native, Alg: core.ORIG, Procs: 2,
@@ -160,13 +160,6 @@ func TestRegisterObsRendersRunnerSeries(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	if err := r.RegisterObs(reg); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterBuildObs(reg); err != nil {
-		t.Fatal(err)
-	}
-	// The queue and the bound are the engine's: the runner has neither.
-	if err := r.Engine().RegisterObs(reg); err != nil {
 		t.Fatal(err)
 	}
 	// Re-registering the same runner on the same registry must collide on

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"partree/internal/engine"
+	"partree/internal/obs"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
 )
@@ -29,15 +30,11 @@ import (
 type Runner struct {
 	eng *engine.Engine
 
-	// execs counts spec executions (not cache hits); tests assert a spec
-	// requested from many goroutines runs exactly once.
-	execs int64
-
 	results *cache[run]
 	bodies  *cache[bodySet]
 
-	// obs holds the live instrumentation counters (see obs.go). They are
-	// always maintained — a few atomic adds per spec — and surfaced over
+	// obs holds the live instrumentation counters (see obs.go). They
+	// always count — a few atomic adds per spec — and are surfaced over
 	// HTTP only when RegisterObs attaches them to a registry.
 	obs *runnerObs
 }
@@ -82,10 +79,10 @@ type cache[V any] struct {
 	entries   map[string]*flight[V]
 	lru       *list.List // *flight[V], front = most recently used
 	max       int
-	evictions *atomic.Int64
+	evictions *obs.Counter
 }
 
-func newCache[V any](max int, evictions *atomic.Int64) *cache[V] {
+func newCache[V any](max int, evictions *obs.Counter) *cache[V] {
 	return &cache[V]{entries: map[string]*flight[V]{}, lru: list.New(), max: max, evictions: evictions}
 }
 
@@ -107,7 +104,7 @@ func (c *cache[V]) lookup(key string) (f *flight[V], created bool) {
 		select {
 		case <-old.done:
 			c.remove(old)
-			c.evictions.Add(1)
+			c.evictions.Inc()
 		default: // still in flight; skip
 		}
 		el = prev
@@ -185,8 +182,8 @@ func NewWithConfig(cfg Config) *Runner {
 	o := newRunnerObs()
 	return &Runner{
 		eng:     cfg.Engine,
-		results: newCache[run](cfg.ResultCacheEntries, &o.resultEvictions),
-		bodies:  newCache[bodySet](cfg.BodiesCacheEntries, &o.bodyEvictions),
+		results: newCache[run](cfg.ResultCacheEntries, o.evictions.With("results")),
+		bodies:  newCache[bodySet](cfg.BodiesCacheEntries, o.evictions.With("bodies")),
 		obs:     o,
 	}
 }
@@ -210,14 +207,14 @@ func (r *Runner) Run(ctx context.Context, spec Spec) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Spec: spec, Err: fmt.Sprintf("runner: %v", err)}
 	}
-	r.obs.runs.Add(1)
+	r.obs.runs.Inc()
 	e, created := r.results.lookup(spec.Key())
 	if created {
 		e.val.spec, e.val.rq = spec, reqtrace.FromContext(ctx)
-		r.obs.cacheMisses.Add(1)
+		r.obs.cacheMisses.Inc()
 		go r.execute(e)
 	} else {
-		r.obs.cacheHits.Add(1)
+		r.obs.cacheHits.Inc()
 	}
 	select {
 	case <-e.done:
@@ -278,7 +275,7 @@ func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i i
 // spec's body set, identically on every spec that shares it.
 func (r *Runner) execute(e *flight[run]) {
 	spec, rq := e.val.spec, e.val.rq
-	r.obs.started.Add(1)
+	r.obs.started.Inc()
 	r.obs.inFlight.Add(1)
 	// finish publishes the result. Counters settle *before* e.done is
 	// closed, so a caller that just saw its Run return can audit the obs
@@ -296,7 +293,6 @@ func (r *Runner) execute(e *flight[run]) {
 		r.obs.inFlight.Add(-1)
 		close(e.done)
 	}
-	atomic.AddInt64(&r.execs, 1)
 	// The execution context is fresh (memoized results outlive their
 	// initiating request) but carries the initiator's span handle so
 	// the engine and backend can stamp queue/build spans onto it.
@@ -341,11 +337,11 @@ func (r *Runner) Bodies(model phys.Model, n int, seed int64) *phys.Bodies {
 func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64, error) {
 	f, created := r.bodies.lookup(fmt.Sprintf("%s|%d|%d", model, n, seed))
 	if !created {
-		r.obs.memoHits.Add(1)
+		r.obs.memoHits.Inc()
 		<-f.done
 		return f.val.b, f.val.genNs, f.val.err
 	}
-	r.obs.memoMisses.Add(1)
+	r.obs.memoMisses.Inc()
 	if m, ok := phys.ParseModel(model); ok {
 		start := time.Now()
 		f.val.b = phys.Generate(m, n, seed)

@@ -148,8 +148,8 @@ func TestRunStressSharedSpec(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := atomic.LoadInt64(&r.execs); n != 1 {
-		t.Fatalf("spec executed %d times, want exactly 1", n)
+	if n := r.obs.started.Value(); n != 1 {
+		t.Fatalf("spec executed %v times, want exactly 1", n)
 	}
 	var want Result
 	for i := range results {
@@ -179,8 +179,8 @@ func TestRunStressSharedSpec(t *testing.T) {
 	if late.Failed() || late.TotalNs != want.TotalNs {
 		t.Fatalf("lost result: %+v", late)
 	}
-	if n := atomic.LoadInt64(&r.execs); n != 1 {
-		t.Fatalf("late recall re-executed the spec (%d executions)", n)
+	if n := r.obs.started.Value(); n != 1 {
+		t.Fatalf("late recall re-executed the spec (%v executions)", n)
 	}
 }
 

@@ -179,6 +179,25 @@ func DecodeServiceSpec(dec *json.Decoder, native bool) (Spec, error) {
 	return VetServiceSpec(spec, native)
 }
 
+// DecodeServiceSweep reads a sweep request — a JSON array of specs — from
+// dec, holds it to MaxSweepSpecs and vets every spec (VetServiceSpec).
+func DecodeServiceSweep(dec *json.Decoder, native bool) ([]Spec, error) {
+	var specs []Spec
+	if err := dec.Decode(&specs); err != nil {
+		return nil, fmt.Errorf("parsing spec list: %w", err)
+	}
+	if len(specs) > MaxSweepSpecs {
+		return nil, fmt.Errorf("sweep lists %d specs, the limit is %d", len(specs), MaxSweepSpecs)
+	}
+	for i := range specs {
+		var err error
+		if specs[i], err = VetServiceSpec(specs[i], native); err != nil {
+			return nil, fmt.Errorf("spec %d: %w", i, err)
+		}
+	}
+	return specs, nil
+}
+
 // Validate reports whether the spec names a runnable cell.
 func (s Spec) Validate() error {
 	switch s.Backend {
