@@ -56,11 +56,13 @@ cluster-smoke:
 bench-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
 
-# microbench times the body-ordering kernel layer by layer: one Morton
-# key, the radix sort of a body set, and the whole SpatialAssign a
-# spatial:true request pays. microbench-smoke runs each once, so check
-# compiles and executes them without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Keyer|Order|SpatialAssign' ./internal/partition ./internal/core
+# microbench times the kernels a fresh request pays before its build:
+# generating the body set (every model, at the cluster workloads' sizes)
+# and ordering it layer by layer — one Morton key, the radix sort of a
+# body set, and the whole SpatialAssign a spatial:true request pays.
+# microbench-smoke runs each once, so check compiles and executes them
+# without asserting a wall-clock value.
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign' ./internal/phys ./internal/partition ./internal/core
 
 microbench:
 	$(MICROBENCH)

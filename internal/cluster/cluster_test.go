@@ -102,7 +102,7 @@ func TestClusterBuildConservation(t *testing.T) {
 	if len(res.Shards) != 2 {
 		t.Fatalf("merged result has %d shard entries, want 2", len(res.Shards))
 	}
-	var sumN, slowest int64
+	var sumN, slowest, slowestWhole int64
 	for _, sr := range res.Shards {
 		if sr.Failed() {
 			t.Fatalf("shard %s failed: err=%q check=%q", sr.Shard, sr.Err, sr.CheckFailure)
@@ -114,6 +114,9 @@ func TestClusterBuildConservation(t *testing.T) {
 		}
 		if sr.WallNs > slowest {
 			slowest = sr.WallNs
+		}
+		if whole := sr.PrepNs + sr.WallNs; whole > slowestWhole {
+			slowestWhole = whole
 		}
 		if int64(sr.N) != sr.BodiesBuilt {
 			t.Fatalf("shard %s owns %d bodies but built %d", sr.Shard, sr.N, sr.BodiesBuilt)
@@ -131,6 +134,11 @@ func TestClusterBuildConservation(t *testing.T) {
 	}
 	if res.WallNs != slowest {
 		t.Fatalf("merged WallNs = %d, want the slowest shard's build wall %d (prep excluded)", res.WallNs, slowest)
+	}
+	// The router's own clock brackets the fan-out, so no shard can have
+	// spent longer inside it than the router waited.
+	if res.RouterWallNs < slowestWhole {
+		t.Fatalf("router_wall_ns = %d, below a shard's prep_ns + wall_ns = %d", res.RouterWallNs, slowestWhole)
 	}
 	if got := f.Shards[0].Resident() + f.Shards[1].Resident(); got != n {
 		t.Fatalf("resident bodies across shards = %d, want %d", got, n)
@@ -211,6 +219,47 @@ func TestClusterBoundaryHandoff(t *testing.T) {
 		"body": int32(n + 100), "pos": [3]float64{0, 0, 0},
 	}); code != http.StatusNotFound {
 		t.Fatalf("move of unknown body: %d, want 404", code)
+	}
+}
+
+// TestClusterRebuildSupersedesResidency covers the deferred resident
+// map: a shard answers Resident() from the build's owned set alone, a
+// move materialises the map, and a later build must supersede that map —
+// not be shadowed by it — when the next request reads a body's state.
+func TestClusterRebuildSupersedesResidency(t *testing.T) {
+	f := startFixture(t, FixtureOptions{Shards: 2})
+	if res := clusterBuild(t, f, buildSpec(500)); res.Failed() {
+		t.Fatalf("build failed: %v %v", res.Err, res.CheckFailure)
+	}
+	before := f.Shards[0].Resident()
+	body := f.Shards[0].ResidentIDs()[0]
+	if code, respBody := postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
+		"body": body, "pos": [3]float64{0.1, 0.1, 1.5},
+	}); code != http.StatusOK {
+		t.Fatalf("POST /v1/move: %d: %s", code, respBody)
+	}
+	if got := f.Shards[0].Resident(); got != before-1 {
+		t.Fatalf("shard 0 resident after handing one body off = %d, want %d", got, before-1)
+	}
+
+	// The same spec again: the body is back where the generator puts it.
+	if res := clusterBuild(t, f, buildSpec(500)); res.Failed() {
+		t.Fatalf("rebuild failed: %v %v", res.Err, res.CheckFailure)
+	}
+	if got := f.Shards[0].Resident() + f.Shards[1].Resident(); got != 500 {
+		t.Fatalf("resident bodies across shards after rebuild = %d, want 500", got)
+	}
+	var d0, d1 BodyDoc
+	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(0), body), &d0)
+	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(1), body), &d1)
+	if !d0.Present || d1.Present {
+		t.Fatalf("after rebuild: present in s0=%v s1=%v, want exactly s0", d0.Present, d1.Present)
+	}
+	if d0.State.Pos == [3]float64{0.1, 0.1, 1.5} {
+		t.Fatalf("rebuilt state still carries the moved position %v", d0.State.Pos)
+	}
+	if got := f.Shards[0].Resident(); got != before {
+		t.Fatalf("shard 0 resident after rebuild = %d, want %d", got, before)
 	}
 }
 
@@ -517,8 +566,8 @@ func TestClusterServiceLimits(t *testing.T) {
 	}
 	for i, ss := range f.Shards {
 		ss.mu.Lock()
-		if ss.memoKey != "" {
-			t.Errorf("shard %d generated body set %q for a refused request", i, ss.memoKey)
+		if ss.memo != nil {
+			t.Errorf("shard %d generated body set %+v for a refused request", i, ss.memoKey)
 		}
 		ss.mu.Unlock()
 	}

@@ -36,7 +36,10 @@ type RouterOptions struct {
 // counters that partition across processors (bodies, locks, cells,
 // leaves) also partition across shards and are summed; depth and
 // build time are maxima (shards build concurrently, so the cluster's
-// build time is its slowest shard's).
+// build time is its slowest shard's). RouterWallNs is the router's own
+// clock around the whole fan-out and merge of a /v1/build — what WallNs,
+// the slowest shard's build call, leaves out: the hops, and each
+// shard's prep_ns.
 type ClusterResult struct {
 	Spec         runner.Spec        `json:"spec"`
 	TreeNs       float64            `json:"tree_ns"`
@@ -47,6 +50,7 @@ type ClusterResult struct {
 	MaxDepth     int64              `json:"max_depth,omitempty"`
 	BodiesBuilt  int64              `json:"bodies_built"`
 	WallNs       int64              `json:"wall_ns"`
+	RouterWallNs int64              `json:"router_wall_ns,omitempty"`
 	Err          string             `json:"error,omitempty"`
 	CheckFailure string             `json:"check_failure,omitempty"`
 	Shards       []ShardBuildResult `json:"shards"`
@@ -286,11 +290,13 @@ func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	start := time.Now()
 	res, code, msg := rt.buildOnce(req.Context(), spec, false)
 	if code != 0 {
 		reqtrace.WriteError(w, code, msg)
 		return
 	}
+	res.RouterWallNs = time.Since(start).Nanoseconds()
 	writeJSON(w, res)
 }
 

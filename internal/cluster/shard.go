@@ -136,9 +136,16 @@ type ShardServer struct {
 	guard engine.Guard
 	eng   *engine.Engine
 
+	// A build leaves its residency as (owned, ownedOf): the indices it
+	// built and the body set they index. Build-only traffic never reads
+	// a body's state, so the map is materialised from the pair by the
+	// first request that does (states); while ownedOf != nil the pair is
+	// the residency and resident is stale.
 	mu       sync.Mutex
 	resident map[int32]BodyState
-	memoKey  string
+	owned    []int32
+	ownedOf  *phys.Bodies
+	memoKey  bodiesKey
 	memo     *phys.Bodies
 
 	builds    *obs.Counter
@@ -192,15 +199,36 @@ func (s *ShardServer) Guard() engine.Guard { return s.guard }
 func (s *ShardServer) Resident() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ownedOf != nil {
+		return len(s.owned)
+	}
 	return len(s.resident)
+}
+
+// states returns the resident map, first materialising it from the last
+// build's owned set if nothing has since the build. Callers hold s.mu.
+func (s *ShardServer) states() map[int32]BodyState {
+	if all := s.ownedOf; all != nil {
+		s.resident = make(map[int32]BodyState, len(s.owned))
+		for _, i := range s.owned {
+			s.resident[i] = BodyState{
+				Pos:  [3]float64{all.Pos[i].X, all.Pos[i].Y, all.Pos[i].Z},
+				Vel:  [3]float64{all.Vel[i].X, all.Vel[i].Y, all.Vel[i].Z},
+				Mass: all.Mass[i],
+			}
+		}
+		s.owned, s.ownedOf = nil, nil
+	}
+	return s.resident
 }
 
 // ResidentIDs returns the resident body ids in ascending order (tests
 // and debugging; the serving path never needs the full list).
 func (s *ShardServer) ResidentIDs() []int32 {
 	s.mu.Lock()
-	ids := make([]int32, 0, len(s.resident))
-	for id := range s.resident {
+	resident := s.states()
+	ids := make([]int32, 0, len(resident))
+	for id := range resident {
 		ids = append(ids, id)
 	}
 	s.mu.Unlock()
@@ -271,7 +299,7 @@ func (s *ShardServer) handleBody(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	st, ok := s.resident[int32(id)]
+	st, ok := s.states()[int32(id)]
 	s.mu.Unlock()
 	doc := BodyDoc{Present: ok, Shard: s.ID(), Body: int32(id)}
 	if ok {
@@ -280,14 +308,21 @@ func (s *ShardServer) handleBody(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, doc)
 }
 
+// bodiesKey names a deterministic body set.
+type bodiesKey struct {
+	model phys.Model
+	n     int
+	seed  int64
+}
+
 // bodiesFor regenerates (or reuses) the deterministic full body set for
 // a vetted spec. One memo entry suffices: cluster traffic repeats one
 // spec shape at a time, and regeneration is always correct.
 func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 	model, _ := phys.ParseModel(spec.Model) // vetted: the model parses
-	key := fmt.Sprintf("%s|%d|%d", spec.Model, spec.Bodies, spec.Seed)
+	key := bodiesKey{model, spec.Bodies, spec.Seed}
 	s.mu.Lock()
-	if s.memoKey == key {
+	if s.memo != nil && s.memoKey == key {
 		b := s.memo
 		s.mu.Unlock()
 		return b
@@ -358,16 +393,8 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// skip this — concurrent specs would otherwise race to be the
 	// shard's resident set.
 	if !res.Failed() && !br.Transient {
-		states := make(map[int32]BodyState, len(owned))
-		for _, i := range owned {
-			states[i] = BodyState{
-				Pos:  [3]float64{all.Pos[i].X, all.Pos[i].Y, all.Pos[i].Z},
-				Vel:  [3]float64{all.Vel[i].X, all.Vel[i].Y, all.Vel[i].Z},
-				Mass: all.Mass[i],
-			}
-		}
 		s.mu.Lock()
-		s.resident = states
+		s.owned, s.ownedOf = owned, all
 		s.mu.Unlock()
 	}
 	writeJSON(w, res)
@@ -407,7 +434,8 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 	pos := vecOf(mr.Pos)
 
 	s.mu.Lock()
-	st, ok := s.resident[mr.Body]
+	resident := s.states()
+	st, ok := resident[mr.Body]
 	if !ok {
 		s.mu.Unlock()
 		writeJSON(w, MoveResponse{Status: MoveAbsent, Shard: s.ID(), Body: mr.Body})
@@ -416,7 +444,7 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 	st.Pos = mr.Pos
 	err := s.guard.Check(mr.Body, pos)
 	if err == nil {
-		s.resident[mr.Body] = st
+		resident[mr.Body] = st
 		s.mu.Unlock()
 		writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: mr.Body, Key: s.guard.Key(pos)})
 		return
@@ -424,7 +452,7 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 	// The new position keys outside our range: evict now — keeping state
 	// we no longer own is how a body ends up in two shards — and hand the
 	// state back for delivery to the key's owner.
-	delete(s.resident, mr.Body)
+	delete(resident, mr.Body)
 	s.mu.Unlock()
 	s.handoffs.Inc()
 	var re *engine.RedirectError
@@ -452,7 +480,7 @@ func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.resident[ar.Body] = ar.State
+	s.states()[ar.Body] = ar.State
 	s.mu.Unlock()
 	s.accepts.Inc()
 	writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: ar.Body, Key: s.guard.Key(vecOf(ar.State.Pos))})

@@ -82,26 +82,30 @@ func Generate(m Model, n int, seed int64) *Bodies {
 	case ModelUniform:
 		return uniformCube(n, rand.New(rand.NewSource(seed)))
 	case ModelTwoClusters:
-		return twoClusters(n, rand.New(rand.NewSource(seed)))
+		sep := vec.V3{X: 6}
+		vrel := vec.V3{X: -0.25, Y: 0.05}
+		return plummerPair(n, rand.New(rand.NewSource(seed)),
+			sep.Scale(0.5), vrel.Scale(0.5), sep.Scale(-0.5), vrel.Scale(-0.5))
 	case ModelDisk:
 		return Disk(n, seed, DiskParams{})
 	case ModelHierarchical:
 		return Hierarchical(n, seed, HierarchicalParams{})
 	default:
-		return plummer(n, rand.New(rand.NewSource(seed)), vec.V3{}, vec.V3{}, 1.0)
+		b := NewBodies(n)
+		plummer(b, 0, n, rand.New(rand.NewSource(seed)), vec.V3{}, vec.V3{}, 1.0)
+		return b
 	}
 }
 
-// plummer samples n bodies from a Plummer sphere of total mass mtot
+// plummer fills b[lo:hi] with a Plummer sphere of total mass mtot
 // centered at center with bulk velocity drift, using the classic
 // Aarseth/Henon/Wielen (1974) rejection recipe. Positions use the scale
 // radius a=1; velocities are drawn from the isotropic distribution
 // consistent with the potential so the system starts near virial
 // equilibrium.
-func plummer(n int, r *rand.Rand, center, drift vec.V3, mtot float64) *Bodies {
-	b := NewBodies(n)
-	mPer := mtot / float64(n)
-	for i := 0; i < n; i++ {
+func plummer(b *Bodies, lo, hi int, r *rand.Rand, center, drift vec.V3, mtot float64) {
+	mPer := mtot / float64(hi-lo)
+	for i := lo; i < hi; i++ {
 		// Radius from the cumulative mass profile. Clamp the mass
 		// fraction away from 1 to avoid unbounded radii.
 		x := r.Float64()
@@ -112,20 +116,30 @@ func plummer(n int, r *rand.Rand, center, drift vec.V3, mtot float64) *Bodies {
 		b.Pos[i] = center.Add(isotropic(r).Scale(rad))
 
 		// Speed by von Neumann rejection against g(q) = q²(1-q²)^3.5.
-		var q float64
-		for {
+		q := r.Float64()
+		for !speedAccepted(q, 0.1*r.Float64()) {
 			q = r.Float64()
-			g := q * q * math.Pow(1-q*q, 3.5)
-			if 0.1*r.Float64() < g {
-				break
-			}
 		}
 		vesc := math.Sqrt(2) * math.Pow(1+rad*rad, -0.25) * math.Sqrt(mtot)
 		b.Vel[i] = drift.Add(isotropic(r).Scale(q * vesc))
 		b.Mass[i] = mPer
 		b.Cost[i] = 1
 	}
-	return b
+}
+
+// speedAccepted decides the rejection test t < g(q) = q²(1-q²)^3.5. The
+// stream's bits are defined by g evaluated with math.Pow, but g is only
+// compared, never stored, so this is a filtered exact predicate: g costs
+// three multiplies and a square root, within 2e-14·g of the Pow form,
+// and math.Pow is consulted only when t lies within 1e-12·g of it. Every
+// decision, draw and emitted bit is the one Pow alone would give.
+func speedAccepted(q, t float64) bool {
+	s := 1 - q*q
+	g := q * q * (s * s * s * math.Sqrt(s))
+	if math.Abs(t-g) > 1e-12*g {
+		return t < g
+	}
+	return t < q*q*math.Pow(s, 3.5)
 }
 
 // isotropic returns a unit vector uniformly distributed on the sphere.
@@ -148,21 +162,12 @@ func uniformCube(n int, r *rand.Rand) *Bodies {
 	return b
 }
 
-func twoClusters(n int, r *rand.Rand) *Bodies {
-	n1 := n / 2
-	n2 := n - n1
-	sep := vec.V3{X: 6}
-	vrel := vec.V3{X: -0.25, Y: 0.05}
-	a := plummer(n1, r, sep.Scale(0.5), vrel.Scale(0.5), 0.5)
-	c := plummer(n2, r, sep.Scale(-0.5), vrel.Scale(-0.5), 0.5)
+// plummerPair places two Plummer spheres of mass ½ each, drawn one after
+// the other from r: the first ⌊n/2⌋ bodies around offA moving with vA,
+// the rest around offB moving with vB.
+func plummerPair(n int, r *rand.Rand, offA, vA, offB, vB vec.V3) *Bodies {
 	b := NewBodies(n)
-	copy(b.Pos, a.Pos)
-	copy(b.Pos[n1:], c.Pos)
-	copy(b.Vel, a.Vel)
-	copy(b.Vel[n1:], c.Vel)
-	copy(b.Mass, a.Mass)
-	copy(b.Mass[n1:], c.Mass)
-	copy(b.Cost, a.Cost)
-	copy(b.Cost[n1:], c.Cost)
+	plummer(b, 0, n/2, r, offA, vA, 0.5)
+	plummer(b, n/2, n, r, offB, vB, 0.5)
 	return b
 }

@@ -57,20 +57,19 @@ func Disk(n int, seed int64, p DiskParams) *Bodies {
 	mPer := 1.0 / float64(n)
 	for i := 0; i < n; i++ {
 		// Radius from the cumulative mass profile M(<r) ∝ 1-(1+x)e^-x,
-		// x = r/R_d, inverted by bisection (montone, so exact to tol).
-		u := r.Float64()
+		// x = r/R_d, cut off where u → 1 would give unbounded radii.
+		u := math.Min(r.Float64(), diskMassMax)
 		rad := p.ScaleLength * diskRadius(u)
-		phi := 2 * math.Pi * r.Float64()
+		sin, cos := math.Sincos(2 * math.Pi * r.Float64())
 		// Double-exponential vertical profile: |z| ~ Exp(h), random sign.
 		z := -p.ScaleHeight * math.Log(1-r.Float64())
 		if r.Float64() < 0.5 {
 			z = -z
 		}
-		cos, sin := math.Cos(phi), math.Sin(phi)
 		b.Pos[i] = vec.V3{X: rad * cos, Y: rad * sin, Z: z}
 
-		// Circular speed from the enclosed disk mass at this radius.
-		vc := math.Sqrt(diskMass(rad/p.ScaleLength) / math.Max(rad, 1e-6))
+		// Circular speed from the enclosed disk mass at this radius: u.
+		vc := math.Sqrt(u / math.Max(rad, 1e-6))
 		tangent := vec.V3{X: -sin, Y: cos}
 		b.Vel[i] = tangent.Scale(vc).Add(isotropic(r).Scale(p.Dispersion * vc * r.Float64()))
 		b.Mass[i] = mPer
@@ -80,25 +79,48 @@ func Disk(n int, seed int64, p DiskParams) *Bodies {
 }
 
 // diskMass is the normalized enclosed-mass profile of an exponential
-// disk: M(<x)/M_tot = 1-(1+x)e^-x for x = r/R_d.
-func diskMass(x float64) float64 { return 1 - (1+x)*math.Exp(-x) }
+// disk, M(<x)/M_tot = 1-(1+x)e^-x for x = r/R_d, written so that its
+// rounding error scales with x (the textbook form is 0 below x ≈ 1e-8).
+func diskMass(x float64) float64 { return -math.Expm1(-x) - x*math.Exp(-x) }
 
-// diskRadius inverts diskMass by bisection: returns x with
-// diskMass(x) = u, clamped to x ≤ 30 (u → 1 gives unbounded radii).
+// The disk is cut off at diskRadiusMax scale lengths, which hold the
+// mass fraction diskMassMax.
+const diskRadiusMax = 30
+
+var diskMassMax = diskMass(diskRadiusMax)
+
+// diskRadius inverts diskMass, clamped to x ≤ diskRadiusMax. It solves
+// x - ln(1+x) = -ln(1-u) =: L, which fixes x to full relative precision
+// where M(x) = u cannot (M is flat to an ulp long before the cut-off),
+// by Halley's iteration from a start within 1.2% of the root — the
+// series of x in s = √(2L) near the centre, two rounds of
+// x ← L + ln(1+x) outside — so two cubic steps reach rounding: five
+// logarithms a body against a bisection's sixty Exp (DESIGN §2.1).
 func diskRadius(u float64) float64 {
-	if u >= diskMass(30) {
-		return 30
+	if u >= diskMassMax {
+		return diskRadiusMax
 	}
-	lo, hi := 0.0, 30.0
-	for k := 0; k < 60; k++ {
-		mid := (lo + hi) / 2
-		if diskMass(mid) < u {
-			lo = mid
-		} else {
-			hi = mid
+	if !(u > 0) {
+		return 0
+	}
+	l := -math.Log1p(-u)
+	s := math.Sqrt(2 * l)
+	x := s * (1 + s*(1.0/3+s*(1.0/36-s*(1.0/270))))
+	if s < 1e-3 {
+		return x // exact to rounding (next term s⁵/4320) where x - ln(1+x) cancels
+	}
+	if l >= 1 {
+		x = l + math.Log(1+l+math.Log(1+l+s))
+	}
+	for k := 0; k < 8; k++ {
+		g := x - math.Log1p(x) - l
+		dx := 2 * g * x * (1 + x) / (2*x*x - g)
+		x -= dx
+		if math.Abs(dx) <= 1e-6*x {
+			break
 		}
 	}
-	return (lo + hi) / 2
+	return math.Min(x, diskRadiusMax)
 }
 
 // CollisionParams tunes the colliding-clusters generator.
@@ -130,30 +152,16 @@ func (p CollisionParams) withDefaults() CollisionParams {
 
 // Collision places two equal-mass Plummer spheres on a collision course
 // with a tunable impact parameter: cluster A starts at (+sep/2, +b/2),
-// cluster B at (-sep/2, -b/2), closing along x. The first ⌈n/2⌉ bodies
+// cluster B at (-sep/2, -b/2), closing along x. The first ⌊n/2⌋ bodies
 // belong to cluster A, the rest to B, so diagnostics can track the two
 // centroids by index range.
 func Collision(n int, seed int64, p CollisionParams) *Bodies {
 	p = p.withDefaults()
-	r := rand.New(rand.NewSource(seed))
-	n1 := n / 2
-	n2 := n - n1
 	offA := vec.V3{X: p.Separation / 2, Y: p.Impact / 2}
 	offB := vec.V3{X: -p.Separation / 2, Y: -p.Impact / 2}
 	vA := vec.V3{X: -p.Speed / 2}
 	vB := vec.V3{X: p.Speed / 2}
-	a := plummer(n1, r, offA, vA, 0.5)
-	c := plummer(n2, r, offB, vB, 0.5)
-	b := NewBodies(n)
-	copy(b.Pos, a.Pos)
-	copy(b.Pos[n1:], c.Pos)
-	copy(b.Vel, a.Vel)
-	copy(b.Vel[n1:], c.Vel)
-	copy(b.Mass, a.Mass)
-	copy(b.Mass[n1:], c.Mass)
-	copy(b.Cost, a.Cost)
-	copy(b.Cost[n1:], c.Cost)
-	return b
+	return plummerPair(n, rand.New(rand.NewSource(seed)), offA, vA, offB, vB)
 }
 
 // HierarchicalParams tunes the nested-Plummer clustering generator.
