@@ -59,10 +59,12 @@ bench-smoke:
 # microbench times the kernels a fresh request pays before its build:
 # generating the body set (every model, at the cluster workloads' sizes)
 # and ordering it layer by layer — one Morton key, the radix sort of a
-# body set, and the whole SpatialAssign a spatial:true request pays.
+# body set, and the whole SpatialAssign a spatial:true request pays — and
+# the two phases around a SPACE build's inserts: the counting partition
+# and the moments pass, serial against two workers.
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign' ./internal/phys ./internal/partition ./internal/core
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|Moments' ./internal/phys ./internal/partition ./internal/core ./internal/octree
 
 microbench:
 	$(MICROBENCH)

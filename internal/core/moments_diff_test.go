@@ -1,0 +1,115 @@
+package core_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"partree/internal/core"
+	"partree/internal/octree"
+	"partree/internal/phys"
+	"partree/internal/vec"
+)
+
+// nodeMoments is every moment the passes write on one node, floats as
+// their bits so the comparison is exact.
+type nodeMoments struct {
+	ref   octree.Ref
+	f     [10]uint64 // Mass, COM, Quad
+	nbody int32
+	cost  int64
+}
+
+func bitsOf(mass float64, com vec.V3, q octree.Quadrupole) (f [10]uint64) {
+	for i, v := range [...]float64{mass, com.X, com.Y, com.Z, q[0], q[1], q[2], q[3], q[4], q[5]} {
+		f[i] = math.Float64bits(v)
+	}
+	return f
+}
+
+// liveMoments snapshots the moments of every node reachable from the
+// root and then overwrites them, so the next pass has to write each one
+// to match.
+func liveMoments(t *octree.Tree) []nodeMoments {
+	var out []nodeMoments
+	s := t.Store
+	octree.Walk(t, func(r octree.Ref, _ int) bool {
+		if r.IsLeaf() {
+			l := s.Leaf(r)
+			out = append(out, nodeMoments{r, bitsOf(l.Mass, l.COM, l.Quad), int32(len(l.Bodies)), l.Cost})
+			l.Mass, l.COM, l.Quad, l.Cost = math.NaN(), vec.V3{X: math.NaN()}, octree.Quadrupole{math.NaN()}, -1
+		} else {
+			c := s.Cell(r)
+			out = append(out, nodeMoments{r, bitsOf(c.Mass, c.COM, c.Quad), c.NBody, c.Cost})
+			c.Mass, c.COM, c.Quad, c.NBody, c.Cost = math.NaN(), vec.V3{X: math.NaN()}, octree.Quadrupole{math.NaN()}, -1, -1
+		}
+		return true
+	})
+	return out
+}
+
+// TestParallelMomentsBitIdenticalToSerial: the subtree-task pass writes,
+// on every live node, exactly the bits the serial recursion writes —
+// whatever builder made the tree and whatever it left in the arenas
+// (UPDATE's retired leaves and emptied cells, PARTREE's discarded local
+// trees, ORIG's CAS losers), and on the trees with no level to cut.
+func TestParallelMomentsBitIdenticalToSerial(t *testing.T) {
+	const n, p = 4000, 3
+	trees := map[string]func() (*octree.Tree, octree.BodyData){}
+	for _, alg := range core.Algorithms() {
+		trees[alg.String()] = func() (*octree.Tree, octree.BodyData) {
+			b := phys.Generate(phys.ModelPlummer, n, 11)
+			for i := range b.Cost {
+				b.Cost[i] = int64(1 + i%7)
+			}
+			bld := core.New(alg, core.Config{P: p, LeafCap: 4})
+			in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+			tree, m := bld.Build(in)
+			// Three more steps on drifting bodies: UPDATE repairs, moving
+			// bodies out of leaves it retires and cells it empties.
+			for in.Step = 1; in.Step <= 3; in.Step++ {
+				b.Drift(0, n, 0.05)
+				tree, m = bld.Build(in)
+			}
+			if alg == core.UPDATE && (m.FreshRebuild || m.TotalBodiesMoved() == 0) {
+				t.Fatalf("UPDATE step 3: fresh=%v moved=%d, want a repair that moved bodies", m.FreshRebuild, m.TotalBodiesMoved())
+			}
+			return tree, octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
+		}
+	}
+	cube := vec.Cube{Center: vec.V3{X: 1, Y: 2, Z: 3}, Size: 2}
+	trees["zero-body"] = func() (*octree.Tree, octree.BodyData) {
+		return octree.NewTree(octree.NewStore(1, 8), 0, 0, cube), octree.BodyData{}
+	}
+	trees["single-leaf-root"] = func() (*octree.Tree, octree.BodyData) {
+		b := phys.Generate(phys.ModelUniform, 5, 2)
+		s := octree.NewStore(1, 8)
+		lr, l := s.AllocLeaf(0, b.Bounds(1e-4), octree.Nil, 0)
+		l.Bodies = append(l.Bodies, 0, 1, 2, 3, 4)
+		return &octree.Tree{Store: s, Root: lr}, octree.BodyData{Pos: b.Pos, Mass: b.Mass}
+	}
+	trees["shallower-than-the-cut"] = func() (*octree.Tree, octree.BodyData) {
+		b := phys.Generate(phys.ModelPlummer, 300, 5)
+		return octree.BuildSerial(b.Pos, 8), octree.BodyData{Pos: b.Pos, Mass: b.Mass}
+	}
+
+	for name, mk := range trees {
+		t.Run(name, func(t *testing.T) {
+			tree, d := mk()
+			octree.ComputeMomentsSerial(tree, d)
+			want := liveMoments(tree)
+			for _, w := range []int{2, 3, 8} {
+				octree.ComputeMomentsParallel(tree, d, w)
+				got := liveMoments(tree)
+				if len(got) != len(want) {
+					t.Fatalf("w=%d: %d live nodes, serial pass saw %d", w, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("w=%d: node %v\n got %s\nwant %s", w, want[i].ref, fmt.Sprint(got[i]), fmt.Sprint(want[i]))
+					}
+				}
+			}
+		})
+	}
+}

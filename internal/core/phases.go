@@ -22,9 +22,9 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 
 // runPhases is the build skeleton all five algorithms share — size the
 // root, load the bodies, compute moments — and the only place it is
-// written down: the trace window, the three timed brackets, the two
-// moments passes (each processor's share its own span, like every other
-// phase), Metrics.Timing, the trace summary, and the publication into
+// written down: the trace window, the three timed brackets, the moments
+// fork (each processor's share its own span, like every other phase),
+// Metrics.Timing, the trace summary, and the publication into
 // the live per-algorithm totals all happen here. An algorithm is its
 // prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
@@ -43,9 +43,9 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	tracedDo(tr, trace.PhaseInsert, p, func(w int) { insert(tree, w, tr.Proc(w)) })
 	t2 := time.Now()
 
-	d := bodyData(in.Bodies)
-	tracedDo(tr, trace.PhaseMoments, p, func(w int) { octree.MomentsPending(tree, w, p) })
-	tracedDo(tr, trace.PhaseMoments, p, func(w int) { octree.MomentsUp(tree, d, w, p) })
+	octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {
+		tracedDo(tr, trace.PhaseMoments, p, fn)
+	})
 	t3 := time.Now()
 
 	m.Timing = Timing{Bounds: t1.Sub(t0), Insert: t2.Sub(t1), Moments: t3.Sub(t2)}

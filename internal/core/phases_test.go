@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -114,11 +115,11 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 	}
 }
 
-// TestMomentsAreTracedPerProcessor: the two moments passes fork and join
-// like every other phase, so a traced build ends, on every processor,
-// with that processor's own span of each pass, each followed by its wait
-// at the pass's join — the same join instant on every processor — and the
-// trace still agrees with the lock counters (verify's law 6).
+// TestMomentsAreTracedPerProcessor: the moments pass forks and joins like
+// every other phase, so a traced build ends, on every processor, with
+// that processor's own moments span followed by its wait at the join —
+// the same join instant on every processor — and the trace still agrees
+// with the lock counters (verify's law 6).
 func TestMomentsAreTracedPerProcessor(t *testing.T) {
 	const n, p = 3000, 2
 	rec := trace.New(p)
@@ -129,8 +130,8 @@ func TestMomentsAreTracedPerProcessor(t *testing.T) {
 	if err := verify.Build(core.LOCAL, tree, m, b, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := []trace.Phase{trace.PhaseMoments, trace.PhaseBarrier, trace.PhaseMoments, trace.PhaseBarrier}
-	var joins [2][p]int64
+	want := []trace.Phase{trace.PhaseInsert, trace.PhaseBarrier, trace.PhaseMoments, trace.PhaseBarrier}
+	var joins [p]int64
 	for w := 0; w < p; w++ {
 		ev := rec.Events(w)
 		if len(ev) < len(want) {
@@ -142,17 +143,40 @@ func TestMomentsAreTracedPerProcessor(t *testing.T) {
 				t.Fatalf("proc %d: event %d from the end of the build is %+v, want a %v span", w, len(want)-i, e, want[i])
 			}
 		}
-		for pass := 0; pass < 2; pass++ {
-			work, wait := tail[2*pass], tail[2*pass+1]
-			if wait.Start != work.End || wait.End < wait.Start {
-				t.Errorf("proc %d pass %d: barrier %+v does not start where its moments span %+v ends", w, pass, wait, work)
-			}
-			joins[pass][w] = wait.End
+		work, wait := tail[2], tail[3]
+		if wait.Start != work.End || wait.End < wait.Start {
+			t.Errorf("proc %d: barrier %+v does not start where its moments span %+v ends", w, wait, work)
 		}
+		joins[w] = wait.End
 	}
-	for pass, j := range joins {
-		if j[0] != j[1] {
-			t.Errorf("pass %d: processors left the moments barrier at %d and %d, want one join", pass, j[0], j[1])
+	if joins[0] != joins[1] {
+		t.Errorf("processors left the moments barrier at %d and %d, want one join", joins[0], joins[1])
+	}
+}
+
+// TestWarmSpaceBuildAllocatesNothingBodySized: everything the counting
+// partition needs that grows with n lives on the builder, so the third
+// build of a resident SPACE builder — and a session's requested SPACE
+// rebuild inside UPDATE — allocates a few KB of per-build bookkeeping
+// whatever n is (it was 28 n bytes).
+func TestWarmSpaceBuildAllocatesNothingBodySized(t *testing.T) {
+	const p, limitKB = 2, 64
+	for _, alg := range []core.Algorithm{core.SPACE, core.UPDATE} {
+		for _, n := range []int{20000, 80000} {
+			b := phys.Generate(phys.ModelPlummer, n, 21)
+			bld := core.New(alg, core.Config{P: p, LeafCap: 8})
+			in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p), Rebuild: true}
+			var before, after runtime.MemStats
+			for ; in.Step < 3; in.Step++ {
+				runtime.ReadMemStats(&before)
+				bld.Build(in)
+				runtime.ReadMemStats(&after)
+			}
+			if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb >= limitKB {
+				t.Errorf("%v n=%d: third build allocated %d KB, want < %d", alg, n, kb, limitKB)
+			} else {
+				t.Logf("%v n=%d: third build allocated %d KB", alg, n, kb)
+			}
 		}
 	}
 }

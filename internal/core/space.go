@@ -27,8 +27,9 @@ import (
 // the counting passes, some load imbalance, and the loss of locality
 // between the build partition and the force partition.
 type spaceBuilder struct {
-	cfg   Config
-	store *octree.Store
+	cfg     Config
+	store   *octree.Store
+	scratch spaceScratch
 }
 
 func newSpace(cfg Config) Builder {
@@ -81,19 +82,19 @@ func (sb *spaceBuilder) Store() *octree.Store { return sb.store }
 func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(SPACE, in.P())
 	s := sb.store
-	tree := spaceBuild(s, sb.cfg, in, m, func(w int, tp *trace.P) *inserter {
+	tree := spaceBuild(s, &sb.scratch, sb.cfg, in, m, func(w int, tp *trace.P) *inserter {
 		return &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp}
 	})
 	return tree, m
 }
 
 // spaceBuild is SPACE's build over store s: the counting partition runs
-// in the prepare phase, then every processor builds and attaches the
+// in the prepare phase (in the caller's resident scratch sc), then every processor builds and attaches the
 // subtrees of its subspaces. mkIns supplies each worker's inserter, so
 // callers control whether a bodyLeaf map is maintained (UPDATE's session
 // fallback rebuild threads its persistent map through here; plain SPACE
 // passes none).
-func spaceBuild(s *octree.Store, cfg Config, in *Input, m *Metrics,
+func spaceBuild(s *octree.Store, sc *spaceScratch, cfg Config, in *Input, m *Metrics,
 	mkIns func(w int, tp *trace.P) *inserter) *octree.Tree {
 
 	p := in.P()
@@ -101,7 +102,7 @@ func spaceBuild(s *octree.Store, cfg Config, in *Input, m *Metrics,
 	return runPhases(cfg, in, m,
 		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
 			tree := freshTree(s)(root, tr)
-			subs = spacePartition(s, tree, in, SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p), m, tr)
+			subs = spacePartition(sc, s, tree, in, SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p), m, tr)
 			AssignSubspaces(root, subs, p)
 			return tree
 		},
@@ -140,122 +141,166 @@ func spaceAttach(s *octree.Store, in *Input, subs []Subspace, w int, ins *insert
 	}
 }
 
-// spacePartition runs the parallel counting/subdivision rounds. Each round,
-// every processor histograms its own bodies over the current frontier
-// cells' octants (no synchronization beyond the round barrier); frontier
-// children above the threshold become new prefix cells, the rest become
-// finalized subspaces with their body lists bucketed per processor.
-func spacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []Subspace {
+// spaceScratch is the memory the counting partition works in. It lives on
+// the builder, so a warm build allocates none of it: three body-sized
+// index arrays, one octant byte per body, and the frontier bookkeeping.
+type spaceScratch struct {
+	cur, nxt []int32 // bodies in flight this round, and their order next round
+	fin      []int32 // finalized bodies; every Subspace.Bodies is a range of it
+	oct      []uint8 // octant of cur[i] within its frontier cell, count → scatter
+	// hist[w] is processor w's frontier×8 histogram of its slice of cur;
+	// the decide step turns it in place into w's write cursors.
+	hist           [][]int32
+	final          []bool // per frontier×8 slot: scatter to fin rather than nxt
+	frontier, next []FrontierCell
+	off, nextOff   []int // frontier cell fc owns cur[off[fc]:off[fc+1]]
+	subs           []Subspace
+}
+
+// grown returns s resized to n elements of unspecified content,
+// reallocating only when its capacity falls short.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// eachPiece calls fn for every (frontier cell ∩ processor w's slice), in
+// array order, where the p slices cut the in-flight bodies [0, off[last])
+// evenly — whatever Assign looked like, so no processor runs out of
+// bodies while another still carries most of them.
+func eachPiece(off []int, w, p int, fn func(fc, lo, hi int)) {
+	live := off[len(off)-1]
+	lo, hi := live*w/p, live*(w+1)/p
+	for fc := sort.SearchInts(off, lo+1) - 1; lo < hi; fc++ {
+		end := min(off[fc+1], hi)
+		fn(fc, lo, end)
+		lo = end
+	}
+}
+
+// spacePartition runs the counting/subdivision rounds as a parallel
+// stable counting sort (an MSD radix sort by octant) over one shared
+// array of the bodies still in flight. The array starts as Assign[0],
+// Assign[1], … concatenated, and every frontier cell owns a contiguous
+// range of it. A round is: count — each processor histograms its slice
+// over the octants of the frontier cells it crosses; decide — serial,
+// the frontier is tiny: octants above the threshold become prefix cells
+// and next round's frontier, the rest finalized subspaces, and the p
+// histograms become write cursors; scatter — the same slices move their
+// bodies to the next round's array or, finalized, to the range of fin
+// their subspace was given. No synchronization beyond the fork/joins.
+//
+// The sort is stable and the slices are in array order, so a subspace's
+// bodies come out ordered by (processor, position in its Assign list) —
+// the order per-processor lists concatenated by processor would give,
+// which simalg's replay produces and the goldens pin.
+func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []Subspace {
 	p := in.P()
 	pos := in.Bodies.Pos
+	n := 0
+	for _, a := range in.Assign {
+		n += len(a)
+	}
+	sc.cur, sc.nxt, sc.fin, sc.oct = grown(sc.cur, n), grown(sc.nxt, n), grown(sc.fin, n), grown(sc.oct, n)
+	if len(sc.hist) != p {
+		sc.hist = make([][]int32, p)
+	}
+	cur, nxt, fin, oct := sc.cur, sc.nxt, sc.fin, sc.oct
+	filled := 0
+	for _, a := range in.Assign {
+		filled += copy(cur[filled:], a)
+	}
 
-	frontier := []FrontierCell{{tree.Root, tree.RootCube(), 0}}
-
-	// Per-processor routing state: which frontier cell each of my bodies
-	// currently belongs to.
-	myBodies := make([][]int32, p)
-	myCell := make([][]int32, p) // frontier index per body
-	tracedDo(tr, trace.PhasePartition, p, func(w int) {
-		myBodies[w] = append([]int32(nil), in.Assign[w]...)
-		myCell[w] = make([]int32, len(myBodies[w]))
-	})
-
-	var subs []Subspace
-	counts := make([][]int64, p) // per proc: frontier×8 histogram
-	octs := make([][]uint8, p)   // per proc: octant of each body this round
-
+	frontier := append(sc.frontier[:0], FrontierCell{tree.Root, tree.RootCube(), 0})
+	off := append(sc.off[:0], 0, n)
+	next, nextOff := sc.next, sc.nextOff
+	subs := sc.subs[:0]
+	nFin := 0
 	for len(frontier) > 0 {
 		f := len(frontier)
-		// Count in parallel.
+		from, to := cur, nxt
 		tracedDo(tr, trace.PhasePartition, p, func(w int) {
-			if cap(counts[w]) < f*8 {
-				counts[w] = make([]int64, f*8)
-			} else {
-				counts[w] = counts[w][:f*8]
-				for i := range counts[w] {
-					counts[w][i] = 0
+			h := grown(sc.hist[w], f*vec.NOctants)
+			clear(h)
+			sc.hist[w] = h
+			eachPiece(off, w, p, func(fc, lo, hi int) {
+				cube := frontier[fc].Cube
+				var cnt [vec.NOctants]int32
+				for i := lo; i < hi; i++ {
+					o := cube.OctantOf(pos[from[i]])
+					oct[i] = uint8(o)
+					cnt[o]++
 				}
-			}
-			if cap(octs[w]) < len(myBodies[w]) {
-				octs[w] = make([]uint8, len(myBodies[w]))
-			} else {
-				octs[w] = octs[w][:len(myBodies[w])]
-			}
-			for i, b := range myBodies[w] {
-				fc := myCell[w][i]
-				o := frontier[fc].Cube.OctantOf(pos[b])
-				octs[w][i] = uint8(o)
-				counts[w][int(fc)*8+int(o)]++
-			}
+				copy(h[fc*vec.NOctants:], cnt[:])
+			})
 		})
 
-		// Reduce and decide (cheap, serial: the frontier is tiny).
-		newIndex := make([]int32, f*8) // >=0: new frontier idx; -1: nil; -2-k: subspace k
-		var next []FrontierCell
-		for fc := 0; fc < f; fc++ {
+		final := grown(sc.final, f*vec.NOctants)
+		sc.final = final
+		next, nextOff = next[:0], append(nextOff[:0], 0)
+		nNext := 0
+		for fc, cell := range frontier {
 			for o := vec.Octant(0); o < vec.NOctants; o++ {
-				var total int64
-				for w := 0; w < p; w++ {
-					total += counts[w][fc*8+int(o)]
+				slot := fc*vec.NOctants + int(o)
+				total := 0
+				for _, h := range sc.hist {
+					total += int(h[slot])
 				}
-				slot := fc*8 + int(o)
-				switch {
-				case total == 0:
-					newIndex[slot] = -1
-				case int(total) > threshold && frontier[fc].Depth+1 < s.MaxDepth:
-					cr, _ := s.AllocCell(0, frontier[fc].Cube.Child(o), frontier[fc].Ref, 0)
-					m.PerP[0].Cells++
-					s.Cell(frontier[fc].Ref).SetChild(o, cr)
-					newIndex[slot] = int32(len(next))
-					next = append(next, FrontierCell{cr, frontier[fc].Cube.Child(o), frontier[fc].Depth + 1})
-				default:
-					newIndex[slot] = int32(-2 - len(subs))
+				if total == 0 {
+					continue
+				}
+				var base int
+				final[slot] = total <= threshold || cell.Depth+1 >= s.MaxDepth
+				if final[slot] {
+					base, nFin = nFin, nFin+total
 					subs = append(subs, Subspace{
-						Parent: frontier[fc].Ref,
+						Parent: cell.Ref,
 						Oct:    o,
-						Cube:   frontier[fc].Cube.Child(o),
-						Depth:  frontier[fc].Depth + 1,
-						Count:  int(total),
+						Cube:   cell.Cube.Child(o),
+						Depth:  cell.Depth + 1,
+						Count:  total,
+						Bodies: fin[base:nFin:nFin],
 					})
+				} else {
+					cr, _ := s.AllocCell(0, cell.Cube.Child(o), cell.Ref, 0)
+					m.PerP[0].Cells++
+					s.Cell(cell.Ref).SetChild(o, cr)
+					next = append(next, FrontierCell{cr, cell.Cube.Child(o), cell.Depth + 1})
+					base, nNext = nNext, nNext+total
+					nextOff = append(nextOff, nNext)
+				}
+				for _, h := range sc.hist {
+					h[slot], base = int32(base), base+int(h[slot])
 				}
 			}
 		}
 
-		// Re-bucket bodies in parallel: keep the ones still in flight,
-		// stash the finalized ones per (processor, subspace).
-		final := make([][][]int32, p)
 		tracedDo(tr, trace.PhasePartition, p, func(w int) {
-			final[w] = make([][]int32, len(subs))
-			keepB := myBodies[w][:0]
-			keepC := myCell[w][:0]
-			for i, b := range myBodies[w] {
-				slot := int(myCell[w][i])*8 + int(octs[w][i])
-				ni := newIndex[slot]
-				switch {
-				case ni >= 0:
-					keepB = append(keepB, b)
-					keepC = append(keepC, ni)
-				case ni <= -2:
-					k := int(-2 - ni)
-					final[w][k] = append(final[w][k], b)
-				default:
-					panic("core: body routed to an empty octant")
+			h := sc.hist[w]
+			eachPiece(off, w, p, func(fc, lo, hi int) {
+				cursor := h[fc*vec.NOctants:][:vec.NOctants]
+				var dst [vec.NOctants][]int32
+				for o := range dst {
+					dst[o] = to
+					if final[fc*vec.NOctants+o] {
+						dst[o] = fin
+					}
 				}
-			}
-			myBodies[w] = keepB
-			myCell[w] = keepC
+				for i := lo; i < hi; i++ {
+					o := oct[i]
+					dst[o][cursor[o]] = from[i]
+					cursor[o]++
+				}
+			})
 		})
-		// Concatenate per-processor buckets deterministically.
-		for k := range subs {
-			for w := 0; w < p; w++ {
-				if len(final[w]) > k && len(final[w][k]) > 0 {
-					subs[k].Bodies = append(subs[k].Bodies, final[w][k]...)
-				}
-			}
-		}
 
-		frontier = next
+		frontier, next = next, frontier
+		off, nextOff = nextOff, off
+		cur, nxt = nxt, cur
 	}
+	sc.frontier, sc.next, sc.off, sc.nextOff, sc.subs = frontier, next, off, nextOff, subs
 	return subs
 }
 

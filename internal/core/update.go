@@ -28,6 +28,8 @@ type updateBuilder struct {
 	// inverse — a resize on a continuous sequence) is detected instead
 	// of silently repairing against a stale bodyLeaf map.
 	lastStep int
+	// scratch is the counting partition's memory for requested rebuilds.
+	scratch spaceScratch
 }
 
 func newUpdate(cfg Config) Builder {
@@ -77,19 +79,26 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 	if reason := ub.freshReason(in); reason != "" {
 		m.FreshRebuild = true
 		m.FreshReason = reason
-		ub.bodyLeaf = make([]uint32, in.Bodies.N())
-		ub.insPerProc = make([]*inserter, p)
+		// Stale entries are harmless: a fresh build publishes every body's
+		// leaf before anything reads the map.
+		ub.bodyLeaf = grown(ub.bodyLeaf, in.Bodies.N())
 		if reason == FreshRequested {
 			// A requested rebuild runs inside a live session: take
 			// SPACE's zero-lock path so the reset costs no lock traffic.
 			// The inserters carry the persistent bodyLeaf map, so later
 			// steps resume incremental repair against the fresh tree.
-			ub.tree = spaceBuild(s, ub.cfg, in, m, func(w int, tp *trace.P) *inserter {
-				ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp, bodyLeaf: ub.bodyLeaf}
-				ub.insPerProc[w] = ins
+			if len(ub.insPerProc) != p {
+				ub.insPerProc = make([]*inserter, p)
+			}
+			ub.tree = spaceBuild(s, &ub.scratch, ub.cfg, in, m, func(w int, tp *trace.P) *inserter {
+				ins := ub.inserterFor(w, m, tp)
+				// The reset store took every recycled slot with it; the
+				// lists keep their capacity.
+				ins.freeLeaves, ins.deferredFree = ins.freeLeaves[:0], ins.deferredFree[:0]
 				return ins
 			})
 		} else {
+			ub.insPerProc = make([]*inserter, p)
 			ub.tree = buildShared(s, in, ub.cfg, m, func(w int) int { return w }, ub.bodyLeaf)
 		}
 		return ub.tree
@@ -105,13 +114,7 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 		},
 		// Move the bodies that crossed their leaf boundary.
 		func(tree *octree.Tree, w int, tp *trace.P) {
-			ins := ub.insPerProc[w]
-			if ins == nil {
-				ins = &inserter{s: s, arena: w, proc: w, bodyLeaf: ub.bodyLeaf}
-				ub.insPerProc[w] = ins
-			}
-			ins.pc = &m.PerP[w]
-			ins.tp = tp
+			ins := ub.inserterFor(w, m, tp)
 			ins.promoteFreed()
 			for _, b := range in.Assign[w] {
 				lr := ins.getBodyLeaf(b)
@@ -135,6 +138,18 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 			m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
 		})
 	return ub.tree
+}
+
+// inserterFor returns processor w's persistent inserter, bound to this
+// build's counters, trace handle and bodyLeaf map.
+func (ub *updateBuilder) inserterFor(w int, m *Metrics, tp *trace.P) *inserter {
+	ins := ub.insPerProc[w]
+	if ins == nil {
+		ins = &inserter{s: ub.store, arena: w, proc: w}
+		ub.insPerProc[w] = ins
+	}
+	ins.pc, ins.tp, ins.bodyLeaf = &m.PerP[w], tp, ub.bodyLeaf
+	return ins
 }
 
 // depthOf recovers a node's depth from its cube size: cubes halve exactly

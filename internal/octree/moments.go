@@ -103,117 +103,74 @@ func leafMoments(l *Leaf, d BodyData) {
 	}
 }
 
-// isLive reports whether node r is currently linked into tree t. Arenas
-// accumulate garbage nodes (CAS losers from concurrent builds, leaves
-// retired by subdivision or by UPDATE); a node is live iff some child
-// slot of its parent still points at it, or it is the root. Garbage is
-// never pointed to, so one level suffices. The slot scan must be by link,
-// not by geometry (see Cell.SlotOf).
-func isLive(t *Tree, r Ref, parent Ref) bool {
-	if r == t.Root {
-		return true
-	}
-	if parent.IsNil() || !parent.IsCell() {
-		return false
-	}
-	_, ok := t.Store.Cell(parent).SlotOf(r)
-	return ok
+// momentsTasksPerWorker sizes the parallel cut: the tree is cut at the
+// first level holding at least this many cells per worker, so the pull
+// queue stays balanced even when a few subtrees hold most of the bodies.
+const momentsTasksPerWorker = 64
+
+// ComputeMomentsParallel computes the same moments — bit for bit, since
+// every node is still combined from its children in octant order — with
+// nWorkers goroutines; one worker is ComputeMomentsSerial.
+func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) {
+	ComputeMomentsFork(t, d, nWorkers, par.Do)
 }
 
-// ComputeMomentsParallel computes the same moments with nWorkers
-// goroutines using the paper's structure: each worker handles the leaves
-// its processor created (its arena, or its Owner-tagged nodes in a shared
-// arena), then contributions propagate upward; the worker that completes a
-// cell's last child computes that cell. Two passes separated by a barrier:
-// pending-counter initialization (MomentsPending), then upward propagation
-// (MomentsUp).
-func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) {
+// ComputeMomentsFork is ComputeMomentsParallel over the caller's
+// fork/join: fork(p, fn) must run fn(0) … fn(p-1) and return once all have
+// (core's phase driver passes one that traces every share).
+//
+// The walk descends level by level to the first level holding at least
+// momentsTasksPerWorker·nWorkers cells — cut by level population, not by
+// depth: a root cube sized by a few outliers keeps nearly every body in
+// one cell for several levels. The workers pull that level's subtrees off
+// one counter and run the serial recursion on each; the caller then
+// combines the few cells above the cut, deepest first. A tree too shallow
+// to reach the population is cut at its deepest level of cells. Walking
+// from the root never meets the garbage the arenas accumulate (CAS
+// losers, retired leaves, discarded local trees).
+func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn func(w int))) {
 	if t.Root.IsNil() {
 		return
 	}
-	if nWorkers < 1 {
-		nWorkers = 1
+	if nWorkers <= 1 || !t.Root.IsCell() {
+		fork(1, func(int) { ComputeMomentsSerial(t, d) })
+		return
 	}
-	par.Do(nWorkers, func(w int) { MomentsPending(t, w, nWorkers) })
-	par.Do(nWorkers, func(w int) { MomentsUp(t, d, w, nWorkers) })
-}
-
-// MomentsPending is worker w's share of the first parallel moments pass:
-// it sets the pending-children count of every cell w owns — the live
-// ones; garbage is marked so propagation stops at it. Every worker must
-// have finished it before any starts MomentsUp.
-func MomentsPending(t *Tree, w, nWorkers int) {
-	forOwnedCells(t.Store, w, nWorkers, func(r Ref, c *Cell) {
-		if !isLive(t, r, c.Parent) {
-			c.pending = -1
-			return
-		}
-		var n int32
-		for o := vec.Octant(0); o < vec.NOctants; o++ {
-			if !c.Child(o).IsNil() {
-				n++
-			}
-		}
-		if n == 0 {
-			c.pending = pendingEmptyCell
-		} else {
-			c.pending = n
-		}
-	})
-}
-
-// MomentsUp is worker w's share of the second pass: leaves first, then
-// propagate upward. Live cells that have no children at all (UPDATE can
-// empty a cell by reclaiming its last leaf; a tree over no bodies is one
-// empty root) are seeded here too, or their ancestors would never
-// complete.
-func MomentsUp(t *Tree, d BodyData, w, nWorkers int) {
 	s := t.Store
-	forOwnedLeaves(s, w, nWorkers, func(r Ref, l *Leaf) {
-		if l.Retired || !isLive(t, r, l.Parent) {
-			return
-		}
-		leafMoments(l, d)
-		propagateUp(s, l.Parent, d)
-	})
-	forOwnedCells(s, w, nWorkers, func(r Ref, c *Cell) {
-		if atomic.LoadInt32(&c.pending) != pendingEmptyCell {
-			return
-		}
-		combineChildren(s, c)
-		propagateUp(s, c.Parent, d)
-	})
-}
-
-// pendingEmptyCell marks a live cell with zero children; garbage cells get
-// -1. Both are disjoint from real pending counts (≥ 1).
-const pendingEmptyCell int32 = -2
-
-// propagateUp finishes ancestors whose last child just completed.
-//
-// The one-level liveness test misjudges nodes inside discarded PARTREE
-// local trees: a garbage cell still points at its garbage children, so
-// those children look "live" and propagate here. The CAS guard below
-// stops such propagation at the first non-positive pending count (garbage
-// cells hold -1, empty live cells -2) instead of corrupting the
-// sentinels; live ancestors always hold counts ≥ 1 until they complete.
-func propagateUp(s *Store, r Ref, d BodyData) {
-	for !r.IsNil() {
-		c := s.Cell(r)
-		for {
-			cur := atomic.LoadInt32(&c.pending)
-			if cur <= 0 {
-				return // garbage parent, or stray extra signal: stop
-			}
-			if atomic.CompareAndSwapInt32(&c.pending, cur, cur-1) {
-				if cur != 1 {
-					return
+	// cells holds the levels in breadth-first order; [lo, hi) is the
+	// current one.
+	cells := []Ref{t.Root}
+	lo, hi := 0, 1
+	for hi-lo < momentsTasksPerWorker*nWorkers {
+		for _, r := range cells[lo:hi] {
+			c := s.Cell(r)
+			for o := vec.Octant(0); o < vec.NOctants; o++ {
+				if ch := c.Child(o); ch.IsCell() {
+					cells = append(cells, ch)
 				}
-				break
+			}
+		}
+		if len(cells) == hi {
+			break
+		}
+		lo, hi = hi, len(cells)
+	}
+
+	tasks := cells[lo:hi]
+	var next atomic.Int64
+	fork(nWorkers, func(int) {
+		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+			momentsRec(s, tasks[i], d)
+		}
+	})
+	for i := lo - 1; i >= 0; i-- {
+		c := s.Cell(cells[i])
+		for o := vec.Octant(0); o < vec.NOctants; o++ {
+			if ch := c.Child(o); ch.IsLeaf() {
+				leafMoments(s.Leaf(ch), d)
 			}
 		}
 		combineChildren(s, c)
-		r = c.Parent
 	}
 }
 
@@ -251,25 +208,4 @@ func combineChildren(s *Store, c *Cell) {
 		c.COM = c.Cube.Center
 	}
 	cellQuad(s, c)
-}
-
-// forOwnedCells iterates the cells worker w of nWorkers is responsible
-// for: allocation slots are striped across workers uniformly over every
-// arena, which both balances load and touches each node exactly once.
-func forOwnedCells(s *Store, w, nWorkers int, fn func(Ref, *Cell)) {
-	for a := range s.arenas {
-		n := s.CellsIn(a)
-		for i := w; i < n; i += nWorkers {
-			fn(CellRef(a, i), s.Cell(CellRef(a, i)))
-		}
-	}
-}
-
-func forOwnedLeaves(s *Store, w, nWorkers int, fn func(Ref, *Leaf)) {
-	for a := range s.arenas {
-		n := s.LeavesIn(a)
-		for i := w; i < n; i += nWorkers {
-			fn(LeafRef(a, i), s.Leaf(LeafRef(a, i)))
-		}
-	}
 }

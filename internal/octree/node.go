@@ -8,8 +8,8 @@ import (
 
 // Cell is an internal octree node with up to eight children. Children are
 // published with atomic stores and read with atomic loads; everything else
-// is written either before publication or during the single-threaded
-// moments pass for that node.
+// is written either before publication or by the one moments worker that
+// reaches the node.
 type Cell struct {
 	child [vec.NOctants]uint32 // Ref values, accessed atomically
 
@@ -22,8 +22,10 @@ type Cell struct {
 	// walks these links upward when a body leaves its old leaf.
 	Parent Ref
 
-	// Owner is the processor that created the cell; the parallel moments
-	// pass assigns each cell to its creator, as in the paper.
+	// Owner is the processor that created the cell. Its one reader is the
+	// simulator's moments phase (simalg), which has each processor compute
+	// the cells it created, as in the paper; the native moments pass hands
+	// out subtrees instead and never looks at it.
 	Owner int32
 
 	// Moments, filled by the moments pass.
@@ -36,10 +38,6 @@ type Cell struct {
 	// (xx, yy, zz, xy, xz, yz). The force phase can use it for a
 	// second-order cell approximation, as the original BARNES code does.
 	Quad Quadrupole
-
-	// pending counts children whose moments are not yet computed; the
-	// parallel moments pass decrements it atomically.
-	pending int32
 }
 
 // Quadrupole is a symmetric traceless 3×3 tensor packed as

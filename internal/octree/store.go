@@ -109,7 +109,7 @@ func (s *Store) AllocCell(arenaID int, cube vec.Cube, parent Ref, owner int) (Re
 	c.Cube = cube
 	c.Parent = parent
 	c.Owner = int32(owner)
-	c.Mass, c.COM, c.NBody, c.Cost, c.pending = 0, vec.V3{}, 0, 0, 0
+	c.Mass, c.COM, c.NBody, c.Cost = 0, vec.V3{}, 0, 0
 	c.Quad = Quadrupole{}
 	return CellRef(arenaID, idx), c
 }
