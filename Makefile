@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds loc check repro bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface loc check repro bench
 
 all: build
 
@@ -42,7 +42,8 @@ loadgen-smoke:
 
 # cluster-smoke stands up the real sharded serving tier — two partreed
 # shard daemons plus a partree-router fronting them — and asserts a
-# fan-out build conserves bodies across shards, a boundary-crossing
+# fan-out build conserves bodies across shards and is filed under one
+# request ID by the router and both shards, a boundary-crossing
 # move hands the body off to exactly one owner, a stale map version is
 # refused with 409, and the router's partree_cluster_* rollup reflects
 # the fleet.
@@ -61,10 +62,13 @@ bench-smoke:
 # and ordering it layer by layer — one Morton key, the radix sort of a
 # body set, and the whole SpatialAssign a spatial:true request pays — and
 # the two phases around a SPACE build's inserts: the counting partition
-# and the moments pass, serial against two workers.
+# and the moments pass, serial against two workers — and what observing
+# costs: a build with no, a disabled and an enabled trace recorder, and
+# the request hooks with the flight recorder off and on (the timings the
+# tests beside them no longer assert).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|Moments' ./internal/phys ./internal/partition ./internal/core ./internal/octree
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace
 
 microbench:
 	$(MICROBENCH)
@@ -79,13 +83,26 @@ cmds:
 	@test "$$(ls cmd | xargs)" = "loadgen partree partree-router partreed" || \
 		{ echo "cmd/ must hold exactly: loadgen partree partree-router partreed (found: $$(ls cmd | xargs))" >&2; exit 1; }
 
+# surface holds the serving surface to one copy of each rule: the method
+# check (and its 405) lives in the request envelope alone, the session
+# open record is declared in internal/wire alone (benchmark/ keeps its
+# own copy as the byte-compatibility witness), and no command re-declares
+# a wire record.
+surface:
+	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'http\.StatusMethodNotAllowed' . | wc -l); \
+		test "$$n" = 1 || { echo "http.StatusMethodNotAllowed must appear in exactly one non-test file (found $$n)" >&2; exit 1; }
+	@n=$$(grep -rl --include='*.go' --exclude-dir=benchmark 'json:"idle_timeout_ms' . | wc -l); \
+		test "$$n" = 1 || { echo "the session open record must be declared in exactly one file outside benchmark/ (found $$n)" >&2; exit 1; }
+	@! grep -rnE --include='*.go' 'type .*Wire struct' cmd || \
+		{ echo "cmd/ must not declare wire records; they live in internal/wire" >&2; exit 1; }
+
 # loc counts non-test Go lines outside the nested benchmark module — the
 # number CHANGES.md quotes before/after a simplification.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: cmds build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
+check: cmds surface build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:

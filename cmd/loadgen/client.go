@@ -1,7 +1,6 @@
-// The partreed-facing half of loadgen: one-shot /v1/build requests, the
-// full-duplex /v1/session stream client (the same io.Pipe NDJSON shape
-// the daemon's own tests use), and the /metrics scraper the report's
-// counter deltas come from.
+// The partreed-facing half of loadgen: one-shot /v1/build requests,
+// /v1/session streams driven through internal/wire's stream client, and
+// the /metrics scraper the report's counter deltas come from.
 package main
 
 import (
@@ -12,13 +11,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"partree/internal/core"
 	"partree/internal/obs"
 	"partree/internal/runner"
+	"partree/internal/wire"
 	"partree/internal/workload"
 )
 
@@ -55,69 +54,12 @@ type arrivalResult struct {
 }
 
 // traceparentFor deterministically derives this arrival's trace
-// context from (seed, id): the request ID the server will honor is a
-// pure function of the run's flags, keeping the report byte-stable.
-func traceparentFor(seed int64, id int) (rid, header string) {
+// context from (seed, id): the request ID the server will honor (every
+// serving binary answers it as X-Request-Id) is a pure function of the
+// run's flags, keeping the report byte-stable.
+func traceparentFor(seed int64, id int) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("loadgen|%d|%d", seed, id)))
-	rid = hex.EncodeToString(sum[:16])
-	return rid, "00-" + rid + "-" + hex.EncodeToString(sum[16:24]) + "-01"
-}
-
-// parseServerTiming extracts the dur= values from a Server-Timing
-// header ("queue;dur=0.012, build;dur=1.5, ...") as metric→ms.
-func parseServerTiming(v string) map[string]float64 {
-	out := map[string]float64{}
-	for _, part := range strings.Split(v, ",") {
-		name, attrs, ok := strings.Cut(strings.TrimSpace(part), ";")
-		if !ok {
-			continue
-		}
-		for _, attr := range strings.Split(attrs, ";") {
-			if ms, found := strings.CutPrefix(strings.TrimSpace(attr), "dur="); found {
-				if f, err := strconv.ParseFloat(ms, 64); err == nil {
-					out[name] = f
-				}
-			}
-		}
-	}
-	return out
-}
-
-// sessionWire is the union of the daemon's session stream records.
-type sessionWire struct {
-	Event     string  `json:"event"`
-	Error     string  `json:"error"`
-	N         int     `json:"n"`
-	Step      int     `json:"step"`
-	Mode      string  `json:"mode"`
-	Fallback  bool    `json:"fallback"`
-	Moved     int64   `json:"moved"`
-	Churn     float64 `json:"churn"`
-	Steps     int     `json:"steps"`
-	Fallbacks int     `json:"fallbacks"`
-	Reason    string  `json:"reason"`
-	Timing    *struct {
-		QueueMs   float64 `json:"queue_ms"`
-		BuildMs   float64 `json:"build_ms"`
-		MomentsMs float64 `json:"moments_ms"`
-		TotalMs   float64 `json:"total_ms"`
-	} `json:"timing"`
-}
-
-type sessionOpenWire struct {
-	Procs         int     `json:"procs"`
-	Bodies        int     `json:"bodies"`
-	Model         string  `json:"model,omitempty"`
-	Seed          int64   `json:"seed"`
-	Dt            float64 `json:"dt,omitempty"`
-	Adaptive      bool    `json:"adaptive,omitempty"`
-	IdleTimeoutMs int64   `json:"idle_timeout_ms,omitempty"`
-}
-
-type sessionStepWire struct {
-	Pos   [][3]float64 `json:"pos,omitempty"`
-	Drift bool         `json:"drift,omitempty"`
-	Close bool         `json:"close,omitempty"`
+	return "00-" + hex.EncodeToString(sum[:16]) + "-" + hex.EncodeToString(sum[16:24]) + "-01"
 }
 
 // runSession drives one streaming session through cfg.steps timesteps.
@@ -128,7 +70,7 @@ type sessionStepWire struct {
 func runSession(ctx context.Context, cfg config, id int, at time.Duration) arrivalResult {
 	res := arrivalResult{ID: id, AtNs: int64(at), Outcome: "failed"}
 	seed := cfg.seed + int64(id)
-	open := sessionOpenWire{
+	open := wire.SessionOpen{
 		Procs: cfg.procs, Bodies: cfg.n, Seed: seed,
 		Adaptive: cfg.adaptive, IdleTimeoutMs: cfg.idleMs,
 	}
@@ -148,41 +90,26 @@ func runSession(ctx context.Context, cfg config, id int, at time.Duration) arriv
 	}
 
 	start := time.Now()
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.target(id)+"/v1/session", pr)
+	sess, err := wire.OpenSession(ctx, cfg.target(id), traceparentFor(cfg.seed, id), open)
 	if err != nil {
 		return res
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	rid, tp := traceparentFor(cfg.seed, id)
-	req.Header.Set("traceparent", tp)
-	enc := json.NewEncoder(pw)
-	go enc.Encode(open)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return res
-	}
-	defer resp.Body.Close()
-	defer pw.Close()
-	if got := resp.Header.Get("X-Request-Id"); got != "" {
-		rid = got
-	}
-	res.RequestID = rid
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	defer sess.Close()
+	res.RequestID = sess.RequestID
+	if sess.Status == http.StatusServiceUnavailable {
 		res.Outcome = "rejected"
 		res.latency = time.Since(start)
 		return res
 	}
-	if resp.StatusCode != http.StatusOK {
+	if sess.Status != http.StatusOK {
 		return res
 	}
-	dec := json.NewDecoder(resp.Body)
-	var r sessionWire
-	if err := dec.Decode(&r); err != nil || r.Event != "opened" {
+	r, err := sess.Recv()
+	if err != nil || r.Event != "opened" {
 		return res
 	}
 	for s := 0; s < cfg.steps; s++ {
-		var step sessionStepWire
+		var step wire.SessionStep
 		if serverSide {
 			step.Drift = s > 0
 		} else {
@@ -194,66 +121,54 @@ func runSession(ctx context.Context, cfg config, id int, at time.Duration) arriv
 				step.Pos[i] = [3]float64{p.X, p.Y, p.Z}
 			}
 		}
-		if err := enc.Encode(step); err != nil {
+		if err := sess.Send(step); err != nil {
 			return res
 		}
-		if err := dec.Decode(&r); err != nil {
+		if r, err = sess.Recv(); err != nil {
 			return res
 		}
 		if r.Event != "step" {
 			// In-stream error (or an early close under drain/eviction).
-			res.Closed = r.Reason
+			res.Closed = r.Closed.Reason
 			return res
 		}
 		res.Steps++
-		res.Moved += r.Moved
-		res.ChurnSum += r.Churn
-		if r.Fallback {
+		res.Moved += r.Step.Moved
+		res.ChurnSum += r.Step.Churn
+		if r.Step.Fallback {
 			res.Fallbacks++
 		}
-		if r.Mode == "rebuild" {
+		if r.Step.Mode == "rebuild" {
 			res.Rebuilds++
 		}
-		if r.Timing != nil {
-			res.serverQueueMs += r.Timing.QueueMs
-			res.serverBuildMs += r.Timing.BuildMs
-			res.stepTotalsMs = append(res.stepTotalsMs, r.Timing.TotalMs)
+		if r.Step.Timing != nil {
+			res.serverQueueMs += r.Step.Timing.QueueMs
+			res.serverBuildMs += r.Step.Timing.BuildMs
+			res.stepTotalsMs = append(res.stepTotalsMs, r.Step.Timing.TotalMs)
 		}
 	}
-	if cfg.linger {
-		// Hold the lease: no close record. The session ends when the
-		// server evicts it (idle timeout), drains, or the run's context
-		// expires — whichever comes first. Reading the stream keeps the
-		// eviction visible.
-		for {
-			if err := dec.Decode(&r); err != nil {
-				res.Outcome = "ok"
-				res.Closed = "ctx"
-				res.latency = time.Since(start)
-				return res
-			}
-			if r.Event == "closed" {
-				res.Outcome = "ok"
-				res.Closed = r.Reason
-				res.latency = time.Since(start)
-				return res
-			}
-		}
-	}
-	if err := enc.Encode(sessionStepWire{Close: true}); err != nil {
-		return res
-	}
-	for {
-		if err := dec.Decode(&r); err != nil {
-			return res
-		}
-		if r.Event == "closed" {
-			res.Outcome = "ok"
-			res.Closed = r.Reason
-			res.latency = time.Since(start)
+	// A lingering session holds its lease: no close record. It ends when
+	// the server evicts it (idle timeout), drains, or the run's context
+	// expires — whichever comes first; reading the stream keeps the
+	// eviction visible.
+	if !cfg.linger {
+		if err := sess.Send(wire.SessionStep{Close: true}); err != nil {
 			return res
 		}
 	}
+	for res.Closed == "" {
+		switch r, err = sess.Recv(); {
+		case err != nil && !cfg.linger:
+			return res
+		case err != nil:
+			res.Closed = "ctx"
+		case r.Event == "closed":
+			res.Closed = r.Closed.Reason
+		}
+	}
+	res.Outcome = "ok"
+	res.latency = time.Since(start)
+	return res
 }
 
 // runBuild posts one /v1/build spec. Seeds vary per arrival so the
@@ -276,19 +191,15 @@ func runBuild(ctx context.Context, cfg config, id int, at time.Duration) arrival
 		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
-	rid, tp := traceparentFor(cfg.seed, id)
-	req.Header.Set("traceparent", tp)
+	req.Header.Set("traceparent", traceparentFor(cfg.seed, id))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return res
 	}
 	defer resp.Body.Close()
 	res.latency = time.Since(start)
-	if got := resp.Header.Get("X-Request-Id"); got != "" {
-		rid = got
-	}
-	res.RequestID = rid
-	if st := parseServerTiming(resp.Header.Get("Server-Timing")); len(st) > 0 {
+	res.RequestID = resp.Header.Get("X-Request-Id")
+	if st := wire.ParseServerTiming(resp.Header.Get("Server-Timing")); len(st) > 0 {
 		res.serverQueueMs = st["queue"]
 		res.serverBuildMs = st["build"]
 	}
@@ -308,23 +219,6 @@ func runBuild(ctx context.Context, cfg config, id int, at time.Duration) arrival
 // metricsSnapshot is a flat view of one /metrics scrape: series name
 // (with its label set, verbatim) → value.
 type metricsSnapshot map[string]float64
-
-// fetchMetrics GETs and parses a target's Prometheus exposition page.
-func fetchMetrics(ctx context.Context, url string) (metricsSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	return obs.ParseText(resp.Body)
-}
 
 // sum adds every series whose name starts with prefix (covers labeled
 // families like partree_engine_rejected_total{reason=...}).
@@ -360,7 +254,7 @@ func startQueueSampler(ctx context.Context, url string) *queueSampler {
 				s.samples <- out
 				return
 			case <-tick.C:
-				if snap, err := fetchMetrics(ctx, url); err == nil {
+				if snap, err := obs.Scrape(ctx, url); err == nil {
 					out = append(out, snap["partree_engine_queue_depth"])
 				}
 			}

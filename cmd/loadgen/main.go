@@ -52,6 +52,7 @@ import (
 	"sync"
 	"time"
 
+	"partree/internal/obs"
 	"partree/internal/workload"
 )
 
@@ -194,7 +195,7 @@ func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
 	// is not byte-stable anyway, and one depth series keeps it readable).
 	before := make([]metricsSnapshot, len(cfg.targets))
 	for ti, u := range cfg.targets {
-		if before[ti], err = fetchMetrics(ctx, u); err != nil {
+		if before[ti], err = obs.Scrape(ctx, u); err != nil {
 			return fmt.Errorf("scraping %s/metrics before the run: %w", u, err)
 		}
 	}
@@ -235,7 +236,7 @@ func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
 
 	after := make([]metricsSnapshot, len(cfg.targets))
 	for ti, u := range cfg.targets {
-		if after[ti], err = fetchMetrics(context.Background(), u); err != nil {
+		if after[ti], err = obs.Scrape(context.Background(), u); err != nil {
 			return fmt.Errorf("scraping %s/metrics after the run: %w", u, err)
 		}
 	}

@@ -23,7 +23,13 @@
 //	POST /v1/move   {"body": N, "pos": [x,y,z]} → routed move/handoff
 //	GET  /v1/map    the addressed shard map
 //	GET  /metrics   router counters + partree_cluster_* fleet rollup
+//	                + the partree_req_* request families
 //	GET  /healthz   liveness
+//	GET  /debug/requests[/slow|/<id>]  flight recorder, as on partreed
+//
+// Every request gets an X-Request-Id (the inbound traceparent trace-id,
+// minted otherwise) that the router forwards on its shard calls, so the
+// same ID retrieves the request here and on every shard it reached.
 //
 // A shard's admission 503 becomes the cluster's 503 (the slowest
 // rejecting shard's reason); a dead shard turns its
@@ -43,6 +49,7 @@ import (
 
 	"partree/internal/cluster"
 	"partree/internal/obs"
+	"partree/internal/reqtrace"
 )
 
 func buildMap(mapFile, shards string, version int, domainSize float64) (cluster.Map, error) {
@@ -74,54 +81,54 @@ func serve(addr string, o cluster.RouterOptions) (*obs.Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The router's requests go through the same envelope and flight
+	// recorder as a shard's, at reqtrace's default sizes.
+	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	if err := rt.RegisterObs(reg); err != nil {
 		return nil, err
 	}
-	return obs.ServeWith(addr, "partree-router", reg,
-		func() bool { return true }, func(mux *http.ServeMux) { rt.Mount(mux, nil) })
+	if err := rec.RegisterObs(reg); err != nil {
+		return nil, err
+	}
+	return obs.ServeWith(addr, "partree-router", reg, func() bool { return true },
+		func(mux *http.ServeMux) {
+			rt.Mount(mux, rec)
+			rec.Mount(mux)
+		})
 }
 
 func main() {
-	var (
-		addr       = flag.String("addr", "127.0.0.1:9733", "listen address for the API and observability endpoints")
-		mapFile    = flag.String("map", "", "addressed shard map file (JSON; see internal/cluster)")
-		shards     = flag.String("shards", "", "comma-separated shard addresses; derives a uniform map instead of -map")
-		version    = flag.Int("map-version", 1, "map version stamped on a -shards derived map")
-		domainSize = flag.Float64("domain-size", 4, "domain cube edge for a -shards derived map (centered at the origin)")
-		timeout    = flag.Duration("shard-timeout", 30*time.Second, "per-attempt timeout for shard calls")
-		retries    = flag.Int("shard-retries", 1, "transport-failure retries per shard call (HTTP errors are never retried)")
-		sweepC     = flag.Int("sweep-concurrency", 4, "cluster builds a sweep runs concurrently")
-		scrapeT    = flag.Duration("scrape-timeout", 2*time.Second, "per-shard /metrics scrape timeout for the rollup")
-		level      = flag.String("v", "info", "log level: debug, info, warn, error")
-	)
+	var o cluster.RouterOptions
+	addr := flag.String("addr", "127.0.0.1:9733", "listen address for the API and observability endpoints")
+	mapFile := flag.String("map", "", "addressed shard map file (JSON; see internal/cluster)")
+	shards := flag.String("shards", "", "comma-separated shard addresses; derives a uniform map instead of -map")
+	version := flag.Int("map-version", 1, "map version stamped on a -shards derived map")
+	domainSize := flag.Float64("domain-size", 4, "domain cube edge for a -shards derived map (centered at the origin)")
+	flag.DurationVar(&o.Client.Timeout, "shard-timeout", 30*time.Second, "per-attempt timeout for shard calls")
+	flag.IntVar(&o.Client.Retries, "shard-retries", 1, "transport-failure retries per shard call (HTTP errors are never retried)")
+	flag.IntVar(&o.SweepConcurrency, "sweep-concurrency", 4, "cluster builds a sweep runs concurrently")
+	flag.DurationVar(&o.ScrapeTimeout, "scrape-timeout", 2*time.Second, "per-shard /metrics scrape timeout for the rollup")
+	level := flag.String("v", "info", "log level: debug, info, warn, error")
 	flag.Parse()
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*level)); err != nil {
-		fmt.Fprintf(os.Stderr, "partree-router: bad -v level %q\n", *level)
+	if err := obs.SetLogger(os.Stderr, "partree-router", *level); err != nil {
+		fmt.Fprintln(os.Stderr, "partree-router:", err)
 		os.Exit(2)
 	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).
-		With("bin", "partree-router"))
 
-	m, err := buildMap(*mapFile, *shards, *version, *domainSize)
-	if err != nil {
+	var err error
+	if o.Map, err = buildMap(*mapFile, *shards, *version, *domainSize); err != nil {
 		slog.Error("building shard map", "err", err)
 		os.Exit(2)
 	}
-	srv, err := serve(*addr, cluster.RouterOptions{
-		Map:              m,
-		Client:           cluster.ClientOptions{Timeout: *timeout, Retries: *retries},
-		SweepConcurrency: *sweepC,
-		ScrapeTimeout:    *scrapeT,
-	})
+	srv, err := serve(*addr, o)
 	if err != nil {
 		slog.Error("starting router", "err", err)
 		os.Exit(1)
 	}
 	slog.Info("serving", "addr", srv.Addr(), "url", srv.URL(),
-		"map_version", m.Version, "shards", len(m.Shards))
+		"map_version", o.Map.Version, "shards", len(o.Map.Shards))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -148,13 +148,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Structured logs go to stderr at the -v level, tagged with the
 	// subcommand's name — the same name /healthz reports as "binary".
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*level)); err != nil {
-		fmt.Fprintf(stderr, "%s: bad -v level %q (valid: debug, info, warn, error)\n", cmd.name, *level)
+	if err := obs.SetLogger(stderr, cmd.name, *level); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", cmd.name, err)
 		return 2
 	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: lvl})).
-		With("bin", cmd.name))
 
 	cmd.spec = cmd.spec.Normalized()
 	if err := cmd.spec.Validate(); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,30 +10,18 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/cluster"
+	"partree/internal/engine"
+	"partree/internal/obs"
 	"partree/internal/reqtrace"
 	"partree/internal/trace"
+	"partree/internal/wire"
 )
-
-// flightEntry mirrors the /debug/requests/<id> document the e2e
-// assertions need.
-type flightEntry struct {
-	ID          string           `json:"id"`
-	Route       string           `json:"route"`
-	Status      int              `json:"status"`
-	Bytes       int64            `json:"bytes"`
-	DurNs       int64            `json:"dur_ns"`
-	QueueNs     int64            `json:"queue_ns"`
-	BuildWallNs int64            `json:"build_wall_ns"`
-	Phases      reqtrace.Phases  `json:"phases"`
-	Spans       []reqtrace.Span  `json:"spans"`
-	TracePhase  map[string]int64 `json:"trace_phase_ns"`
-	Trace       *trace.Summary   `json:"trace"`
-}
 
 // fetchFlightEntry polls /debug/requests/<id> until the request's entry
 // is published (Finish runs just after the handler's response, so the
 // client can observe the response before the recorder does).
-func fetchFlightEntry(t *testing.T, url, id string) flightEntry {
+func fetchFlightEntry(t *testing.T, url, id string) reqtrace.Entry {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -43,7 +32,7 @@ func fetchFlightEntry(t *testing.T, url, id string) flightEntry {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			var e flightEntry
+			var e reqtrace.Entry
 			if err := json.Unmarshal(body, &e); err != nil {
 				t.Fatalf("parsing flight entry: %v\n%s", err, body)
 			}
@@ -64,7 +53,7 @@ func fetchFlightEntry(t *testing.T, url, id string) flightEntry {
 // within the build wall time, a Server-Timing header agreeing with the
 // entry, and the partree_req_* families moved.
 func TestBuildRequestObservability(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxQueue: 8, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 8}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 
@@ -164,7 +153,7 @@ func httpGet(t *testing.T, url string) (int, string, []byte) {
 // daemon mints a well-formed ID) and the error contract (the JSON error
 // document names the request ID the header assigned).
 func TestRequestIDMintedAndInErrors(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 1, maxQueue: 4, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 4}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 
 	resp := postJSON(t, url+"/v1/build", buildSpec(1024, 1))
@@ -197,66 +186,120 @@ func TestRequestIDMintedAndInErrors(t *testing.T) {
 	}
 }
 
+// TestWrongMethodOnEveryRoute walks every API route the two serving
+// binaries mount — a shard daemon's eight, and the four Router.Mount
+// gives partree-router — with the method each does not take: the one
+// check in the envelope answers 405 with Allow (RFC 9110 §15.5.6) and
+// the error document naming the request ID the header assigned.
+func TestWrongMethodOnEveryRoute(t *testing.T) {
+	d := startDaemon(t, daemonConfig{shardMap: writeShardMap(t), shardID: "s0"})
+	m := cluster.UniformMap(1, cluster.Domain{Size: 4}, 2)
+	for i := range m.Shards {
+		m.Shards[i].Addr = d.srv.Addr() // never called: no request gets past the envelope
+	}
+	rt, err := cluster.NewRouter(cluster.RouterOptions{Map: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := obs.ServeWith("127.0.0.1:0", "partree-router", obs.NewRegistry(), nil,
+		func(mux *http.ServeMux) { rt.Mount(mux, reqtrace.NewRecorder(reqtrace.Options{})) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	for _, tc := range []struct{ base, route, allow string }{
+		{d.srv.URL(), "/v1/build", http.MethodPost},
+		{d.srv.URL(), "/v1/sweep", http.MethodPost},
+		{d.srv.URL(), "/v1/session", http.MethodPost},
+		{d.srv.URL(), "/v1/shard", http.MethodGet},
+		{d.srv.URL(), "/v1/shard/build", http.MethodPost},
+		{d.srv.URL(), "/v1/shard/move", http.MethodPost},
+		{d.srv.URL(), "/v1/shard/accept", http.MethodPost},
+		{d.srv.URL(), "/v1/shard/body", http.MethodGet},
+		{router.URL(), "/v1/build", http.MethodPost},
+		{router.URL(), "/v1/sweep", http.MethodPost},
+		{router.URL(), "/v1/move", http.MethodPost},
+		{router.URL(), "/v1/map", http.MethodGet},
+	} {
+		wrong := http.MethodGet
+		if tc.allow == http.MethodGet {
+			wrong = http.MethodPost
+		}
+		req, _ := http.NewRequest(wrong, tc.base+tc.route, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", wrong, tc.route, err)
+		}
+		var doc map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || err != nil {
+			t.Errorf("%s %s: status %d (%v), want a 405 error document", wrong, tc.route, resp.StatusCode, err)
+			continue
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s %s: Allow = %q, want %q", wrong, tc.route, got, tc.allow)
+		}
+		if id := resp.Header.Get("X-Request-Id"); id == "" || doc["request_id"] != id || doc["error"] == "" {
+			t.Errorf("%s %s: document %v under X-Request-Id %q; want its request_id equal and an error text", wrong, tc.route, doc, id)
+		}
+	}
+}
+
 // TestSessionRequestObservability runs an adaptive streaming session
 // and checks the in-stream per-step timing records, then the whole
 // stream's single flight-recorder entry — including the bridged
 // internal/trace summary, whose per-phase totals must agree with the
 // rendered trace_phase_ns map and nest inside the recorded total.
 func TestSessionRequestObservability(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxQueue: 8, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 8}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	const traceID = "00f067aa0ba902b74bf92f3577b34da6"
 	const procs, steps = 2, 3
 
-	pr, pw := io.Pipe()
-	req, _ := http.NewRequest(http.MethodPost, url+"/v1/session", pr)
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
-	enc := json.NewEncoder(pw)
-	go enc.Encode(sessionOpen{Procs: procs, Bodies: 1500, Seed: 11, Adaptive: true})
-	resp, err := http.DefaultClient.Do(req)
+	sess, err := wire.OpenSession(context.Background(), url, "00-"+traceID+"-00f067aa0ba902b7-01",
+		wire.SessionOpen{Procs: procs, Bodies: 1500, Seed: 11, Adaptive: true})
 	if err != nil {
 		t.Fatalf("POST /v1/session: %v", err)
 	}
-	defer resp.Body.Close()
-	defer pw.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("session: status %d", resp.StatusCode)
+	defer sess.Close()
+	if sess.Status != http.StatusOK {
+		t.Fatalf("session: status %d", sess.Status)
 	}
-	if got := resp.Header.Get("X-Request-Id"); got != traceID {
+	if got := sess.RequestID; got != traceID {
 		t.Fatalf("X-Request-Id = %q, want %q", got, traceID)
 	}
 
-	dec := json.NewDecoder(resp.Body)
-	var rec sessionRecord
-	if err := dec.Decode(&rec); err != nil || rec.Event != "opened" {
+	rec, err := sess.Recv()
+	if err != nil || rec.Event != "opened" {
 		t.Fatalf("first record = %+v (%v), want opened", rec, err)
 	}
 	for i := 0; i < steps; i++ {
-		if err := enc.Encode(sessionStep{Drift: i > 0}); err != nil {
+		if err := sess.Send(wire.SessionStep{Drift: i > 0}); err != nil {
 			t.Fatalf("sending step %d: %v", i, err)
 		}
-		if err := dec.Decode(&rec); err != nil || rec.Event != "step" {
+		if rec, err = sess.Recv(); err != nil || rec.Event != "step" {
 			t.Fatalf("step %d record = %+v (%v)", i, rec, err)
 		}
 		// Every step record carries the in-stream breakdown — the NDJSON
 		// equivalent of /v1/build's Server-Timing header.
-		if rec.Timing == nil {
+		if rec.Step.Timing == nil {
 			t.Fatalf("step %d carries no timing record", i)
 		}
-		if rec.Timing.TotalMs <= 0 || rec.Timing.BuildMs <= 0 {
-			t.Errorf("step %d timing = %+v, want positive build and total", i, rec.Timing)
+		if rec.Step.Timing.TotalMs <= 0 || rec.Step.Timing.BuildMs <= 0 {
+			t.Errorf("step %d timing = %+v, want positive build and total", i, rec.Step.Timing)
 		}
-		if rec.Timing.BuildMs+rec.Timing.MomentsMs > rec.Timing.TotalMs+1 {
+		if rec.Step.Timing.BuildMs+rec.Step.Timing.MomentsMs > rec.Step.Timing.TotalMs+1 {
 			t.Errorf("step %d: build(%g)+moments(%g) ms exceed total %g ms", i,
-				rec.Timing.BuildMs, rec.Timing.MomentsMs, rec.Timing.TotalMs)
+				rec.Step.Timing.BuildMs, rec.Step.Timing.MomentsMs, rec.Step.Timing.TotalMs)
 		}
 	}
-	enc.Encode(sessionStep{Close: true})
-	if err := dec.Decode(&rec); err != nil || rec.Event != "closed" || rec.Steps != steps {
+	sess.Send(wire.SessionStep{Close: true})
+	if rec, err = sess.Recv(); err != nil || rec.Event != "closed" || rec.Closed.Steps != steps {
 		t.Fatalf("close record = %+v (%v)", rec, err)
 	}
-	pw.Close()
+	sess.Close()
 
 	e := fetchFlightEntry(t, url, traceID)
 	if e.Route != "/v1/session" || e.Status != http.StatusOK {
@@ -285,13 +328,13 @@ func TestSessionRequestObservability(t *testing.T) {
 		t.Fatalf("bridged trace = %+v, want a %d-processor summary", e.Trace, procs)
 	}
 	totals := e.Trace.PhaseTotals()
-	if len(e.TracePhase) != trace.NumPhases {
-		t.Fatalf("trace_phase_ns has %d phases, want %d: %v", len(e.TracePhase), trace.NumPhases, e.TracePhase)
+	if len(e.TracePhaseNs) != trace.NumPhases {
+		t.Fatalf("trace_phase_ns has %d phases, want %d: %v", len(e.TracePhaseNs), trace.NumPhases, e.TracePhaseNs)
 	}
 	var traced int64
 	for i, ns := range totals {
 		name := trace.Phase(i).String()
-		if got, ok := e.TracePhase[name]; !ok || got != ns {
+		if got, ok := e.TracePhaseNs[name]; !ok || got != ns {
 			t.Errorf("trace_phase_ns[%s] = %d, want the summary's %d", name, got, ns)
 		}
 		traced += ns
@@ -306,7 +349,7 @@ func TestSessionRequestObservability(t *testing.T) {
 // Server-Timing, no /debug/requests routes, no partree_req_* families —
 // and the serving path still works.
 func TestFlightRecorderDisabled(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 1, maxQueue: 4, flight: -1, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 4}, flight: reqtrace.Options{Cap: -1}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	resp := postJSON(t, url+"/v1/build", buildSpec(1024, 1))
 	res := decodeResult(t, resp.Body)

@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,18 +65,18 @@ import (
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
 	"partree/internal/runner"
+	"partree/internal/wire"
 )
 
-// daemonConfig sizes a daemon. Zero fields select the flag defaults.
+// daemonConfig sizes a daemon. What a package owns is configured through
+// that package's options, whose zero fields select its own defaults;
+// withDefaults fills the two knobs no package owns.
 type daemonConfig struct {
-	maxActive    int
-	maxQueue     int
-	maxIdle      int
-	maxSessions  int           // streaming session leases held at once
-	sessionIdle  time.Duration // idle-eviction default for sessions
-	leaseTick    time.Duration // idle janitor granularity
-	resultCache  int
-	bodiesCache  int
+	engine engine.Options // pool, admission and session-lease sizing
+	runner runner.Config  // memo-cache sizing
+	// flight sizes the request flight recorder; a negative Cap disables
+	// request tracing entirely (nil-handle no-op on the serving path).
+	flight       reqtrace.Options
 	drainTimeout time.Duration
 	// adaptive turns on measured-cost adaptive partitioning for every
 	// streaming session (each session can also opt in individually via
@@ -86,14 +85,6 @@ type daemonConfig struct {
 	// sessionModel is the mass model for sessions whose open record
 	// leaves "model" empty — any phys scenario model name.
 	sessionModel string
-	// flight is the flight-recorder capacity (completed requests
-	// /debug/requests looks back on); negative disables request
-	// tracing entirely (nil-handle no-op on the serving path).
-	flight int
-	// slowThreshold gates /debug/requests/slow and the slow counter.
-	slowThreshold time.Duration
-	// slowK bounds the retained slowest requests.
-	slowK int
 	// shardMap/shardID, when both set, additionally mount the cluster
 	// shard surface (/v1/shard/*): this daemon owns the named shard's
 	// Morton range of the map file and serves shard-level builds through
@@ -103,35 +94,11 @@ type daemonConfig struct {
 }
 
 func (c daemonConfig) withDefaults() daemonConfig {
-	if c.maxActive <= 0 {
-		c.maxActive = runtime.GOMAXPROCS(0)
-	}
-	if c.maxQueue == 0 {
-		c.maxQueue = 4 * c.maxActive
-	}
-	if c.maxIdle == 0 {
-		c.maxIdle = 32
-	}
-	if c.maxSessions == 0 {
-		c.maxSessions = 256
-	}
-	if c.sessionIdle <= 0 {
-		c.sessionIdle = 2 * time.Minute
-	}
 	if c.drainTimeout == 0 {
 		c.drainTimeout = 30 * time.Second
 	}
 	if c.sessionModel == "" {
 		c.sessionModel = "plummer"
-	}
-	if c.flight == 0 {
-		c.flight = 256
-	}
-	if c.slowThreshold <= 0 {
-		c.slowThreshold = 250 * time.Millisecond
-	}
-	if c.slowK == 0 {
-		c.slowK = 16
 	}
 	return c
 }
@@ -156,18 +123,12 @@ type daemon struct {
 
 func newDaemon(cfg daemonConfig) (*daemon, error) {
 	cfg = cfg.withDefaults()
-	eng := engine.New(engine.Options{
-		MaxActive: cfg.maxActive, MaxQueue: cfg.maxQueue, MaxIdle: cfg.maxIdle,
-		MaxLeases: cfg.maxSessions, LeaseIdle: cfg.sessionIdle, LeaseTick: cfg.leaseTick,
-	})
+	eng := engine.New(cfg.engine)
 	// The runner only memoizes over the engine, whose admission control
 	// is the daemon's single source of backpressure: overflow surfaces as
 	// ErrQueueFull → 503 instead of waiting invisibly.
-	r := runner.NewWithConfig(runner.Config{
-		ResultCacheEntries: cfg.resultCache,
-		BodiesCacheEntries: cfg.bodiesCache,
-		Engine:             eng,
-	})
+	cfg.runner.Engine = eng
+	r := runner.NewWithConfig(cfg.runner)
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	if err := r.RegisterObs(reg); err != nil {
@@ -195,10 +156,8 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		}
 		d.shard = ss
 	}
-	if cfg.flight > 0 {
-		d.rec = reqtrace.NewRecorder(reqtrace.Options{
-			Cap: cfg.flight, SlowThreshold: cfg.slowThreshold, SlowK: cfg.slowK,
-		})
+	if cfg.flight.Cap >= 0 {
+		d.rec = reqtrace.NewRecorder(cfg.flight)
 		if err := d.rec.RegisterObs(reg); err != nil {
 			return nil, err
 		}
@@ -218,11 +177,11 @@ func (d *daemon) start(addr string) error {
 }
 
 func (d *daemon) mount(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/build", d.instrument("/v1/build", d.handleBuild))
-	mux.HandleFunc("/v1/sweep", d.instrument("/v1/sweep", d.handleSweep))
-	mux.HandleFunc("/v1/session", d.instrument("/v1/session", d.handleSession))
+	d.rec.Handle(mux, http.MethodPost, "/v1/build", "POST a runner.Spec JSON document", d.handleBuild)
+	d.rec.Handle(mux, http.MethodPost, "/v1/sweep", "POST a JSON array of runner.Spec documents", d.handleSweep)
+	d.rec.Handle(mux, http.MethodPost, "/v1/session", "POST an NDJSON session stream", d.handleSession)
 	if d.shard != nil {
-		d.shard.Mount(mux, d.instrument)
+		d.shard.Mount(mux, d.rec)
 	}
 	d.rec.Mount(mux)
 }
@@ -243,10 +202,6 @@ func (d *daemon) drain(ctx context.Context) error {
 }
 
 func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
-		return
-	}
 	if d.draining.Load() {
 		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
@@ -272,7 +227,7 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// the flight-recorder entry additionally covers the write).
 	if rq != nil {
 		q, b, m, tot := rq.Breakdown()
-		w.Header().Set("Server-Timing", serverTiming(q, b, m, tot))
+		w.Header().Set("Server-Timing", wire.ServerTiming(q, b, m, tot))
 	}
 	// Executed specs answer 200 with the Result; failures (timeout,
 	// check violation) travel in-band in its error fields, as in the
@@ -288,10 +243,6 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 }
 
 func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
-		return
-	}
 	if d.draining.Load() {
 		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
@@ -320,42 +271,31 @@ func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
 }
 
 func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:9732", "listen address for the API and observability endpoints")
-		maxActive    = flag.Int("max-active", 0, "concurrent builds (0 = GOMAXPROCS)")
-		maxQueue     = flag.Int("max-queue", 0, "builds allowed to wait beyond max-active (0 = 4x max-active)")
-		maxIdle      = flag.Int("max-idle", 32, "pooled builder sessions retained across requests")
-		maxSessions  = flag.Int("max-sessions", 256, "streaming session leases held open at once")
-		sessionIdle  = flag.Duration("session-idle", 2*time.Minute, "idle timeout before a streaming session is evicted")
-		resultCache  = flag.Int("result-cache", 4096, "memoized spec results retained (LRU)")
-		bodiesCache  = flag.Int("bodies-cache", 64, "memoized body sets retained (LRU)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
-		adaptive     = flag.Bool("adaptive", false, "measured-cost adaptive partitioning for every streaming session")
-		sessionModel = flag.String("session-model", "plummer", "default mass model for sessions that omit one: "+strings.Join(phys.ModelNames(), ", "))
-		shardMap     = flag.String("shard-map", "", "cluster shard map file; mounts /v1/shard/* (requires -shard)")
-		shardID      = flag.String("shard", "", "this daemon's shard ID within -shard-map")
-		flight       = flag.Int("flight", 256, "flight-recorder capacity (completed requests kept for /debug/requests; negative disables request tracing)")
-		slowThresh   = flag.Duration("slow-threshold", 250*time.Millisecond, "requests at least this slow are counted and kept in /debug/requests/slow")
-		slowK        = flag.Int("slow-k", 16, "slowest requests retained for /debug/requests/slow")
-		level        = flag.String("v", "info", "log level: debug, info, warn, error")
-	)
+	var cfg daemonConfig
+	addr := flag.String("addr", "127.0.0.1:9732", "listen address for the API and observability endpoints")
+	flag.IntVar(&cfg.engine.MaxActive, "max-active", 0, "concurrent builds (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.engine.MaxQueue, "max-queue", 0, "builds allowed to wait beyond max-active (0 = 4x max-active)")
+	flag.IntVar(&cfg.engine.MaxIdle, "max-idle", 32, "pooled builder sessions retained across requests")
+	flag.IntVar(&cfg.engine.MaxLeases, "max-sessions", 256, "streaming session leases held open at once")
+	flag.DurationVar(&cfg.engine.LeaseIdle, "session-idle", 2*time.Minute, "idle timeout before a streaming session is evicted")
+	flag.IntVar(&cfg.runner.ResultCacheEntries, "result-cache", 4096, "memoized spec results retained (LRU)")
+	flag.IntVar(&cfg.runner.BodiesCacheEntries, "bodies-cache", 64, "memoized body sets retained (LRU)")
+	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
+	flag.BoolVar(&cfg.adaptive, "adaptive", false, "measured-cost adaptive partitioning for every streaming session")
+	flag.StringVar(&cfg.sessionModel, "session-model", "plummer", "default mass model for sessions that omit one: "+strings.Join(phys.ModelNames(), ", "))
+	flag.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/* (requires -shard)")
+	flag.StringVar(&cfg.shardID, "shard", "", "this daemon's shard ID within -shard-map")
+	flag.IntVar(&cfg.flight.Cap, "flight", 256, "flight-recorder capacity (completed requests kept for /debug/requests; negative disables request tracing)")
+	flag.DurationVar(&cfg.flight.SlowThreshold, "slow-threshold", 250*time.Millisecond, "requests at least this slow are counted and kept in /debug/requests/slow")
+	flag.IntVar(&cfg.flight.SlowK, "slow-k", 16, "slowest requests retained for /debug/requests/slow")
+	level := flag.String("v", "info", "log level: debug, info, warn, error")
 	flag.Parse()
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*level)); err != nil {
-		fmt.Fprintf(os.Stderr, "partreed: bad -v level %q\n", *level)
+	if err := obs.SetLogger(os.Stderr, "partreed", *level); err != nil {
+		fmt.Fprintln(os.Stderr, "partreed:", err)
 		os.Exit(2)
 	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).
-		With("bin", "partreed"))
 
-	d, err := newDaemon(daemonConfig{
-		maxActive: *maxActive, maxQueue: *maxQueue, maxIdle: *maxIdle,
-		maxSessions: *maxSessions, sessionIdle: *sessionIdle,
-		resultCache: *resultCache, bodiesCache: *bodiesCache,
-		drainTimeout: *drainTimeout, adaptive: *adaptive, sessionModel: *sessionModel,
-		flight: *flight, slowThreshold: *slowThresh, slowK: *slowK,
-		shardMap: *shardMap, shardID: *shardID,
-	})
+	d, err := newDaemon(cfg)
 	if err != nil {
 		slog.Error("building daemon", "err", err)
 		os.Exit(1)
@@ -364,8 +304,9 @@ func main() {
 		slog.Error("starting server", "err", err)
 		os.Exit(1)
 	}
+	eo := d.eng.Options()
 	slog.Info("serving", "addr", d.srv.Addr(), "url", d.srv.URL(),
-		"max_active", d.cfg.maxActive, "max_queue", d.cfg.maxQueue)
+		"max_active", eo.MaxActive, "max_queue", eo.MaxQueue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

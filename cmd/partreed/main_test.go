@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/runner"
 )
@@ -82,7 +83,7 @@ func metricValue(t *testing.T, page, name string) float64 {
 }
 
 func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxQueue: 16, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 16}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 
 	// Concurrent builds: distinct sizes plus one duplicated spec that
@@ -150,7 +151,7 @@ func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
 }
 
 func TestDaemonSweepStreamsNDJSON(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxQueue: 16, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 16}, drainTimeout: 10 * time.Second})
 	specs := []map[string]any{buildSpec(1024, 1), buildSpec(1536, 2), buildSpec(2048, 2)}
 	resp := postJSON(t, d.srv.URL()+"/v1/sweep", specs)
 	defer resp.Body.Close()
@@ -185,7 +186,7 @@ func countSweepRecords(t *testing.T, body io.Reader) int {
 }
 
 func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxQueue: 4, drainTimeout: 2 * time.Minute})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 4}, drainTimeout: 2 * time.Minute})
 	url := d.srv.URL()
 
 	// A build slow enough to still be in flight when the drain begins.
@@ -267,9 +268,9 @@ func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 // cell must come back built — none shed with "queue full" by the queue
 // the sweep itself filled.
 func TestDaemonSweepNeverShedsItsOwnCells(t *testing.T) {
-	cfg := daemonConfig{maxActive: 1, maxQueue: 1, drainTimeout: 10 * time.Second}
+	cfg := daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 1}, drainTimeout: 10 * time.Second}
 	d := startDaemon(t, cfg)
-	specs := make([]map[string]any, 4*(cfg.maxActive+cfg.maxQueue))
+	specs := make([]map[string]any, 4*(cfg.engine.MaxActive+cfg.engine.MaxQueue))
 	for i := range specs {
 		specs[i] = buildSpec(1000+16*i, 1) // distinct: no memo collapse
 	}
@@ -291,7 +292,7 @@ func TestDaemonSweepNeverShedsItsOwnCells(t *testing.T) {
 // behind the same admission control as a native build: it waits for a
 // build slot, and past max-queue it is refused with 503.
 func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 1, maxQueue: 1, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 1}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	sim := func(n int) map[string]any {
 		return map[string]any{"backend": "simulated", "platform": "origin",
@@ -331,7 +332,7 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 // limit and generate no body set — while a small spec sitting exactly on
 // the procs and steps limits is served.
 func TestServiceLimits(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	misses := func() float64 {
 		return metricValue(t, metricsPage(t, url), "partree_runner_body_memo_misses_total")

@@ -11,8 +11,10 @@ import (
 
 	"partree/internal/cluster"
 	"partree/internal/core"
+	"partree/internal/engine"
 	"partree/internal/obs/obstest"
 	"partree/internal/runner"
+	"partree/internal/wire"
 )
 
 // The files under testdata were captured from the parent of the commit
@@ -20,12 +22,10 @@ import (
 // daemon's /metrics is held to them by family name, help, type, label
 // names and series count (obstest.Surface).
 
-// TestMetricsSurface pins the page of a daemon nothing has been asked of
-// yet, plain and as a cluster shard.
-func TestMetricsSurface(t *testing.T) {
-	plain := startDaemon(t, daemonConfig{})
-	obstest.Golden(t, "testdata/partreed.metrics", obstest.Surface(metricsPage(t, plain.srv.URL())))
-
+// writeShardMap writes the two-shard uniform map (s0, s1) a -shard-map
+// daemon loads.
+func writeShardMap(t *testing.T) string {
+	t.Helper()
 	mapFile := filepath.Join(t.TempDir(), "map.json")
 	doc, err := json.Marshal(cluster.UniformMap(1, cluster.Domain{Size: 4}, 2))
 	if err != nil {
@@ -34,7 +34,16 @@ func TestMetricsSurface(t *testing.T) {
 	if err := os.WriteFile(mapFile, doc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shard := startDaemon(t, daemonConfig{shardMap: mapFile, shardID: "s1"})
+	return mapFile
+}
+
+// TestMetricsSurface pins the page of a daemon nothing has been asked of
+// yet, plain and as a cluster shard.
+func TestMetricsSurface(t *testing.T) {
+	plain := startDaemon(t, daemonConfig{})
+	obstest.Golden(t, "testdata/partreed.metrics", obstest.Surface(metricsPage(t, plain.srv.URL())))
+
+	shard := startDaemon(t, daemonConfig{shardMap: writeShardMap(t), shardID: "s1"})
 	obstest.Golden(t, "testdata/partreed_shard.metrics", obstest.Surface(metricsPage(t, shard.srv.URL())))
 }
 
@@ -43,7 +52,7 @@ func TestMetricsSurface(t *testing.T) {
 // traced build, one acquire shed by admission control, one adaptive
 // session opened, stepped and closed, and one refused.
 func TestMetricsSurfaceExercised(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 1, maxQueue: -1, maxSessions: 1})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: -1, MaxLeases: 1}})
 	url := d.srv.URL()
 	build := func(spec map[string]any) {
 		t.Helper()
@@ -73,11 +82,11 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 	}
 	release()
 
-	c, _ := openSession(t, url, sessionOpen{Procs: 2, Bodies: 512, Adaptive: true})
-	if _, code := openSession(t, url, sessionOpen{Procs: 1, Bodies: 64}); code != http.StatusServiceUnavailable {
+	c, _ := openSession(t, url, wire.SessionOpen{Procs: 2, Bodies: 512, Adaptive: true})
+	if _, code := openSession(t, url, wire.SessionOpen{Procs: 1, Bodies: 64}); code != http.StatusServiceUnavailable {
 		t.Fatalf("second session: status %d, want 503", code)
 	}
-	for _, s := range []sessionStep{{Drift: true}, {Drift: true}, {Close: true}} {
+	for _, s := range []wire.SessionStep{{Drift: true}, {Drift: true}, {Close: true}} {
 		c.send(s)
 		c.recv()
 	}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"time"
 
 	"partree/internal/adapt"
@@ -25,135 +24,8 @@ import (
 	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
-	"partree/internal/runner"
+	"partree/internal/wire"
 )
-
-// sessionOpen is the stream's first client record.
-type sessionOpen struct {
-	Procs   int `json:"procs"`
-	Bodies  int `json:"bodies"`
-	LeafCap int `json:"leaf_cap"`
-	// Model is any phys scenario model (plummer, uniform, twoclusters,
-	// disk, hierarchical); empty selects the daemon's -session-model.
-	Model string  `json:"model"`
-	Seed  int64   `json:"seed"`
-	Dt    float64 `json:"dt"` // drift timestep for {"drift":true} records
-	// Check verifies every step's tree against the octree invariants
-	// (canonical vs a serial rebuild on fresh steps) before answering.
-	Check bool `json:"check"`
-	// Adaptive turns on measured-cost adaptive partitioning for this
-	// session: each step's traced phase times feed a cost ledger that
-	// corrects the next step's costzones cut, and a tuner may retune
-	// build knobs mid-session. The daemon's -adaptive flag turns it on
-	// for every session.
-	Adaptive      bool  `json:"adaptive"`
-	IdleTimeoutMs int64 `json:"idle_timeout_ms"`
-	Policy        struct {
-		MaxChurnFrac float64 `json:"max_churn_frac"`
-		MaxDepthSkew float64 `json:"max_depth_skew"`
-		Streak       int     `json:"streak"`
-		MinSteps     int     `json:"min_steps"`
-	} `json:"policy"`
-}
-
-// sessionStep is one client timestep record. Exactly one body mutation
-// (pos, drift, collapse) is typical but none is required: an empty
-// record re-times the tree over unchanged bodies.
-type sessionStep struct {
-	// Pos overwrites every body position (length must equal the
-	// session's body count) — the client drives the motion.
-	Pos [][3]float64 `json:"pos,omitempty"`
-	// Drift advances positions by the session dt along current
-	// velocities — cheap server-side evolution.
-	Drift bool `json:"drift,omitempty"`
-	// Collapse pulls bodies toward the origin with a free-fall-like
-	// profile (outer shells fall faster): r ← r/(1+c·|r|). A synthetic
-	// high-churn workload for exercising the fallback policy.
-	Collapse float64 `json:"collapse,omitempty"`
-	// Rebuild forces a fresh SPACE rebuild this step.
-	Rebuild bool `json:"rebuild,omitempty"`
-	// Close ends the session after acknowledging.
-	Close bool `json:"close,omitempty"`
-}
-
-// Server→client records. Every stream line carries "event".
-type sessionOpened struct {
-	Event   string `json:"event"` // "opened"
-	N       int    `json:"n"`
-	Procs   int    `json:"procs"`
-	LeafCap int    `json:"leaf_cap"`
-	IdleMs  int64  `json:"idle_ms"`
-}
-
-type sessionStepResult struct {
-	Event string `json:"event"` // "step"
-	Step  int    `json:"step"`
-	// Mode is "update" (incremental repair) or "rebuild" (fresh build).
-	Mode string `json:"mode"`
-	// Reason names why a rebuild step started fresh ("" on updates).
-	Reason string `json:"reason,omitempty"`
-	// Fallback marks a rebuild forced by the auto-fallback policy.
-	Fallback bool `json:"fallback,omitempty"`
-	// Retuned marks a rebuild caused by the adaptive tuner changing a
-	// build knob (adaptive sessions only).
-	Retuned   bool    `json:"retuned,omitempty"`
-	Moved     int64   `json:"moved"`
-	Churn     float64 `json:"churn"`
-	DepthSkew float64 `json:"depth_skew"`
-	Locks     int64   `json:"locks"`
-	BuildNs   int64   `json:"build_ns"`
-	Verified  bool    `json:"verified,omitempty"`
-	// Timing is this step's station breakdown — the in-stream
-	// equivalent of /v1/build's Server-Timing header.
-	Timing *stepTiming `json:"timing,omitempty"`
-}
-
-// stepTiming is one step's latency breakdown in fractional
-// milliseconds: build-slot queue wait, tree build (bounds+insert),
-// moments pass, and total wall time as the handler saw it.
-type stepTiming struct {
-	QueueMs   float64 `json:"queue_ms"`
-	BuildMs   float64 `json:"build_ms"`
-	MomentsMs float64 `json:"moments_ms"`
-	TotalMs   float64 `json:"total_ms"`
-}
-
-type sessionClosed struct {
-	Event     string `json:"event"` // "closed"
-	Steps     int    `json:"steps"`
-	Fallbacks int    `json:"fallbacks"`
-	Reason    string `json:"reason,omitempty"`
-}
-
-type sessionError struct {
-	Event string `json:"event"` // "error"
-	Error string `json:"error"`
-}
-
-func (o *sessionOpen) validate() (phys.Model, error) {
-	// A streamed request must not be able to allocate unbounded server
-	// memory: the open record is held to the one-shot specs' limits.
-	if o.Bodies <= 0 || o.Bodies > runner.MaxServiceBodies {
-		return 0, fmt.Errorf("bodies must be in 1..%d, got %d", runner.MaxServiceBodies, o.Bodies)
-	}
-	if o.Procs <= 0 {
-		o.Procs = 1
-	}
-	if o.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) {
-		return 0, fmt.Errorf("procs %d exceeds %dx GOMAXPROCS", o.Procs, runner.MaxServiceProcsPerCPU)
-	}
-	if o.LeafCap <= 0 {
-		o.LeafCap = 8
-	}
-	if o.Dt == 0 {
-		o.Dt = 0.01
-	}
-	model, ok := phys.ParseModel(o.Model)
-	if !ok {
-		return 0, fmt.Errorf("unknown model %q", o.Model)
-	}
-	return model, nil
-}
 
 // handleSession serves one streaming session (NDJSON both ways over one
 // HTTP/1.1 exchange; EnableFullDuplex lets responses interleave with
@@ -167,24 +39,12 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Connection", "close")
 		reqtrace.WriteError(w, code, msg)
 	}
-	if req.Method != http.MethodPost {
-		reject(http.StatusMethodNotAllowed, "POST an NDJSON session stream")
-		return
-	}
 	if d.draining.Load() {
 		reject(http.StatusServiceUnavailable, engine.ErrDraining.Error())
 		return
 	}
 	dec := json.NewDecoder(req.Body)
-	var open sessionOpen
-	if err := dec.Decode(&open); err != nil {
-		reject(http.StatusBadRequest, fmt.Sprintf("parsing open record: %v", err))
-		return
-	}
-	if open.Model == "" {
-		open.Model = d.cfg.sessionModel
-	}
-	model, err := open.validate()
+	open, model, err := wire.DecodeSessionOpen(dec, d.cfg.sessionModel)
 	if err != nil {
 		reject(http.StatusBadRequest, err.Error())
 		return
@@ -228,27 +88,22 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		enc.Encode(v)
 		rc.Flush()
 	}
-	idle := time.Duration(open.IdleTimeoutMs) * time.Millisecond
-	if idle <= 0 {
-		idle = d.cfg.sessionIdle
-	}
-	emit(sessionOpened{Event: "opened", N: bodies.N(), Procs: open.Procs,
-		LeafCap: open.LeafCap, IdleMs: idle.Milliseconds()})
+	emit(wire.SessionOpened{Event: "opened", N: bodies.N(), Procs: open.Procs,
+		LeafCap: open.LeafCap, IdleMs: lease.Idle().Milliseconds()})
 
 	// Reader goroutine: the handler must keep serving lease-side events
 	// (idle eviction, drain) while no client record is in flight, so the
 	// blocking Decode lives on its own goroutine. It exits on stream end
 	// or when the handler returns (the server closes req.Body).
 	type stepOrErr struct {
-		step sessionStep
+		step wire.SessionStep
 		err  error
 	}
 	records := make(chan stepOrErr)
 	go func() {
 		defer close(records)
 		for {
-			var s sessionStep
-			err := dec.Decode(&s)
+			s, err := wire.DecodeSessionStep(dec)
 			if err != nil {
 				if !errors.Is(err, io.EOF) {
 					select {
@@ -272,11 +127,11 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		case rec, ok := <-records:
 			if !ok {
 				// Client closed its side (EOF): acknowledge and finish.
-				emit(sessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "eof"})
+				emit(wire.SessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "eof"})
 				return
 			}
 			if rec.err != nil {
-				emit(sessionError{Event: "error", Error: fmt.Sprintf("parsing step record: %v", rec.err)})
+				emit(wire.SessionError{Event: "error", Error: rec.err.Error()})
 				return
 			}
 			s := rec.step
@@ -284,11 +139,11 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				// Release the lease before acknowledging: a client that
 				// has read "closed" must find the lease gone and counted.
 				lease.Close()
-				emit(sessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "close"})
+				emit(wire.SessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "close"})
 				return
 			}
 			if s.Pos != nil && len(s.Pos) != bodies.N() {
-				emit(sessionError{Event: "error",
+				emit(wire.SessionError{Event: "error",
 					Error: fmt.Sprintf("pos has %d entries, session has %d bodies", len(s.Pos), bodies.N())})
 				return
 			}
@@ -301,12 +156,12 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 			res, err := lease.Step(req.Context(), core.StepInput{Rebuild: s.Rebuild})
 			stepWall := time.Since(stepStart)
 			if err != nil {
-				emit(sessionError{Event: "error", Error: err.Error()})
+				emit(wire.SessionError{Event: "error", Error: err.Error()})
 				return
 			}
 			q1, _, _, _ := rq.Breakdown()
 			t := res.Metrics.Timing
-			out := sessionStepResult{
+			out := wire.SessionStepResult{
 				Event:     "step",
 				Step:      res.Step,
 				Mode:      "update",
@@ -318,11 +173,11 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				DepthSkew: res.DepthSkew,
 				Locks:     res.Metrics.TotalLocks(),
 				BuildNs:   res.Metrics.Timing.Total().Nanoseconds(),
-				Timing: &stepTiming{
-					QueueMs:   durMs(q1 - q0),
-					BuildMs:   durMs(t.Bounds + t.Insert),
-					MomentsMs: durMs(t.Moments),
-					TotalMs:   durMs(stepWall),
+				Timing: &wire.StepTiming{
+					QueueMs:   reqtrace.Ms(q1 - q0),
+					BuildMs:   reqtrace.Ms(t.Bounds + t.Insert),
+					MomentsMs: reqtrace.Ms(t.Moments),
+					TotalMs:   reqtrace.Ms(stepWall),
 				},
 			}
 			if res.Fresh {
@@ -335,7 +190,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				data := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
 				if err := octree.Check(res.Tree, data,
 					octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
-					emit(sessionError{Event: "error", Error: fmt.Sprintf("step %d verification: %v", res.Step, err)})
+					emit(wire.SessionError{Event: "error", Error: fmt.Sprintf("step %d verification: %v", res.Step, err)})
 					return
 				}
 				out.Verified = true
@@ -351,8 +206,8 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 			if lease.Evicted() {
 				reason = "idle timeout"
 			}
-			emit(sessionError{Event: "error", Error: "session closed: " + reason})
-			emit(sessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: reason})
+			emit(wire.SessionError{Event: "error", Error: "session closed: " + reason})
+			emit(wire.SessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: reason})
 			slog.Debug("session ended by server", "reason", reason, "steps", steps)
 			return
 
@@ -363,7 +218,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 }
 
 // applyStepMutation applies a step record's body motion in place.
-func applyStepMutation(b *phys.Bodies, s sessionStep, dt float64) {
+func applyStepMutation(b *phys.Bodies, s wire.SessionStep, dt float64) {
 	if s.Pos != nil {
 		for i, p := range s.Pos {
 			b.Pos[i].X, b.Pos[i].Y, b.Pos[i].Z = p[0], p[1], p[2]

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,91 +9,52 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/engine"
 	"partree/internal/obs"
+	"partree/internal/wire"
 )
 
-// sessionRecord is the union of every server stream record, for test
-// decoding.
-type sessionRecord struct {
-	Event     string      `json:"event"`
-	Error     string      `json:"error"`
-	N         int         `json:"n"`
-	Step      int         `json:"step"`
-	Mode      string      `json:"mode"`
-	Reason    string      `json:"reason"`
-	Fallback  bool        `json:"fallback"`
-	Moved     int64       `json:"moved"`
-	Churn     float64     `json:"churn"`
-	DepthSkew float64     `json:"depth_skew"`
-	Locks     int64       `json:"locks"`
-	BuildNs   int64       `json:"build_ns"`
-	Verified  bool        `json:"verified"`
-	Steps     int         `json:"steps"`
-	Fallbacks int         `json:"fallbacks"`
-	Timing    *stepTiming `json:"timing"`
-}
-
-// sessionClient drives one /v1/session stream: requests go out through a
-// pipe (so the body stays open for the session's life), responses come
-// back on the same exchange.
+// sessionClient drives one /v1/session stream through the shared stream
+// client, failing the test on a transport error.
 type sessionClient struct {
-	t    *testing.T
-	pw   *io.PipeWriter
-	enc  *json.Encoder
-	resp *http.Response
-	dec  *json.Decoder
+	t *testing.T
+	*wire.Session
 }
 
 // openSession opens a stream and consumes the "opened" record. A nil
 // return means the server answered non-200 (the status is returned).
-func openSession(t *testing.T, url string, open sessionOpen) (*sessionClient, int) {
+func openSession(t *testing.T, url string, open wire.SessionOpen) (*sessionClient, int) {
 	t.Helper()
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/session", pr)
-	if err != nil {
-		t.Fatalf("building request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(pw)
-	// The server reads the open record before answering with headers, so
-	// it must be in flight before Do returns.
-	go enc.Encode(open)
-	resp, err := http.DefaultClient.Do(req)
+	sess, err := wire.OpenSession(context.Background(), url, "", open)
 	if err != nil {
 		t.Fatalf("POST /v1/session: %v", err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		pw.Close()
-		return nil, resp.StatusCode
+	if sess.Status != http.StatusOK {
+		sess.Close()
+		return nil, sess.Status
 	}
-	c := &sessionClient{t: t, pw: pw, enc: enc, resp: resp, dec: json.NewDecoder(resp.Body)}
-	t.Cleanup(c.close)
-	if r := c.recv(); r.Event != "opened" || r.N != open.Bodies {
+	c := &sessionClient{t: t, Session: sess}
+	t.Cleanup(c.Close)
+	if r := c.recv(); r.Event != "opened" || r.Opened.N != open.Bodies {
 		t.Fatalf("first record = %+v, want opened with n=%d", r, open.Bodies)
 	}
-	return c, resp.StatusCode
+	return c, sess.Status
 }
 
-func (c *sessionClient) send(s sessionStep) {
+func (c *sessionClient) send(s wire.SessionStep) {
 	c.t.Helper()
-	if err := c.enc.Encode(s); err != nil {
+	if err := c.Send(s); err != nil {
 		c.t.Fatalf("sending step: %v", err)
 	}
 }
 
-func (c *sessionClient) recv() sessionRecord {
+func (c *sessionClient) recv() wire.SessionRecord {
 	c.t.Helper()
-	var r sessionRecord
-	if err := c.dec.Decode(&r); err != nil {
+	r, err := c.Recv()
+	if err != nil {
 		c.t.Fatalf("reading stream record: %v", err)
 	}
 	return r
-}
-
-func (c *sessionClient) close() {
-	c.pw.Close()
-	c.resp.Body.Close()
 }
 
 func metricsPage(t *testing.T, url string) string {
@@ -112,38 +72,38 @@ func metricsPage(t *testing.T, url string) string {
 // against one resident tree, every step's tree differentially verified
 // server-side, all but the first step served as incremental updates.
 func TestSessionStream100Steps(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
-	open := sessionOpen{Procs: 2, Bodies: 3000, Seed: 1, Dt: 0.005, Check: true}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 2, Bodies: 3000, Seed: 1, Dt: 0.005, Check: true}
 	c, _ := openSession(t, d.srv.URL(), open)
 
 	const steps = 100
 	rebuilds := 0
 	for i := 0; i < steps; i++ {
-		c.send(sessionStep{Drift: i > 0})
+		c.send(wire.SessionStep{Drift: i > 0})
 		r := c.recv()
 		if r.Event != "step" {
 			t.Fatalf("step %d: got %+v", i, r)
 		}
-		if r.Step != i {
-			t.Fatalf("step %d: server says step %d", i, r.Step)
+		if r.Step.Step != i {
+			t.Fatalf("step %d: server says step %d", i, r.Step.Step)
 		}
-		if !r.Verified {
+		if !r.Step.Verified {
 			t.Fatalf("step %d: not verified", i)
 		}
-		if r.Mode == "rebuild" {
+		if r.Step.Mode == "rebuild" {
 			rebuilds++
-			if i == 0 && r.Reason != "first" {
-				t.Fatalf("step 0: reason %q, want first", r.Reason)
+			if i == 0 && r.Step.Reason != "first" {
+				t.Fatalf("step 0: reason %q, want first", r.Step.Reason)
 			}
-		} else if r.Mode != "update" {
-			t.Fatalf("step %d: mode %q", i, r.Mode)
+		} else if r.Step.Mode != "update" {
+			t.Fatalf("step %d: mode %q", i, r.Step.Mode)
 		}
 	}
 	if rebuilds != 1 {
 		t.Fatalf("%d rebuild steps across a gentle drift, want exactly 1 (step 0)", rebuilds)
 	}
-	c.send(sessionStep{Close: true})
-	if r := c.recv(); r.Event != "closed" || r.Steps != steps {
+	c.send(wire.SessionStep{Close: true})
+	if r := c.recv(); r.Event != "closed" || r.Closed.Steps != steps {
 		t.Fatalf("close ack = %+v, want closed with steps=%d", r, steps)
 	}
 
@@ -173,23 +133,23 @@ func TestSessionStream100Steps(t *testing.T) {
 // step, knob gauges published. Counter assertions are lower bounds
 // because the adapt totals are package-global across the test binary.
 func TestSessionAdaptiveStream(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
-	open := sessionOpen{Procs: 2, Bodies: 3000, Seed: 7, Dt: 0.005, Check: true, Adaptive: true}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 2, Bodies: 3000, Seed: 7, Dt: 0.005, Check: true, Adaptive: true}
 	c, _ := openSession(t, d.srv.URL(), open)
 
 	const steps = 12
 	for i := 0; i < steps; i++ {
-		c.send(sessionStep{Drift: i > 0})
+		c.send(wire.SessionStep{Drift: i > 0})
 		r := c.recv()
-		if r.Event != "step" || r.Step != i {
+		if r.Event != "step" || r.Step.Step != i {
 			t.Fatalf("step %d: got %+v", i, r)
 		}
-		if !r.Verified {
+		if !r.Step.Verified {
 			t.Fatalf("step %d: not verified", i)
 		}
 	}
-	c.send(sessionStep{Close: true})
-	if r := c.recv(); r.Event != "closed" || r.Steps != steps {
+	c.send(wire.SessionStep{Close: true})
+	if r := c.recv(); r.Event != "closed" || r.Closed.Steps != steps {
 		t.Fatalf("close ack = %+v, want closed with steps=%d", r, steps)
 	}
 
@@ -222,7 +182,7 @@ func TestSessionAdaptiveStream(t *testing.T) {
 // process-global, so they are read as deltas around the run.
 func TestSessionRepairsWhereOneShotsRebuild(t *testing.T) {
 	const n, p, steps = 10000, 2, 100
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	scrape := func() map[string]float64 {
 		m, err := obs.ParseText(strings.NewReader(metricsPage(t, url)))
@@ -250,32 +210,32 @@ func TestSessionRepairsWhereOneShotsRebuild(t *testing.T) {
 	}
 	oneShots := time.Since(t0)
 
-	c, _ := openSession(t, url, sessionOpen{Procs: p, Bodies: n, Seed: 7, Dt: 0.005})
+	c, _ := openSession(t, url, wire.SessionOpen{Procs: p, Bodies: n, Seed: 7, Dt: 0.005})
 	var updates int
 	var moved int64
 	t0 = time.Now()
 	for i := 0; i < steps; i++ {
-		c.send(sessionStep{Drift: i > 0})
+		c.send(wire.SessionStep{Drift: i > 0})
 		r := c.recv()
 		switch {
 		case r.Event != "step":
 			t.Fatalf("session step %d: %+v", i, r)
 		case i == 0:
-			if r.Mode != "rebuild" {
-				t.Fatalf("step 0: mode %q, want rebuild", r.Mode)
+			if r.Step.Mode != "rebuild" {
+				t.Fatalf("step 0: mode %q, want rebuild", r.Step.Mode)
 			}
-		case r.Mode == "update":
+		case r.Step.Mode == "update":
 			updates++
-			if r.Moved >= n/2 {
-				t.Errorf("step %d: an update moved %d of %d bodies", i, r.Moved, n)
+			if r.Step.Moved >= n/2 {
+				t.Errorf("step %d: an update moved %d of %d bodies", i, r.Step.Moved, n)
 			}
-		case !r.Fallback:
-			t.Errorf("step %d: mode %q reason %q is neither an update nor a policy rebuild", i, r.Mode, r.Reason)
+		case !r.Step.Fallback:
+			t.Errorf("step %d: mode %q reason %q is neither an update nor a policy rebuild", i, r.Step.Mode, r.Step.Reason)
 		}
-		moved += r.Moved
+		moved += r.Step.Moved
 	}
 	session := time.Since(t0)
-	c.send(sessionStep{Close: true})
+	c.send(wire.SessionStep{Close: true})
 	c.recv()
 	t.Logf("100 one-shot builds: %v; 100-step session: %v (%.1fx)",
 		oneShots, session, float64(oneShots)/float64(session))
@@ -302,8 +262,8 @@ func TestSessionRepairsWhereOneShotsRebuild(t *testing.T) {
 // threshold and collapses the cluster until the auto-fallback policy
 // must fire a SPACE rebuild — visible in-stream and in /metrics.
 func TestSessionFallbackUnderHighChurn(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: 10 * time.Second})
-	open := sessionOpen{Procs: 2, Bodies: 3000, Seed: 3, Check: true}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 2, Bodies: 3000, Seed: 3, Check: true}
 	open.Policy.MaxChurnFrac = 0.1
 	open.Policy.Streak = 2
 	open.Policy.MinSteps = 3
@@ -311,25 +271,25 @@ func TestSessionFallbackUnderHighChurn(t *testing.T) {
 
 	fallbacks := 0
 	for i := 0; i < 20; i++ {
-		c.send(sessionStep{Collapse: 0.4})
+		c.send(wire.SessionStep{Collapse: 0.4})
 		r := c.recv()
-		if r.Event != "step" || !r.Verified {
+		if r.Event != "step" || !r.Step.Verified {
 			t.Fatalf("step %d: %+v", i, r)
 		}
-		if r.Fallback {
+		if r.Step.Fallback {
 			fallbacks++
-			if r.Mode != "rebuild" || r.Reason != "requested" {
-				t.Fatalf("fallback step %d: mode=%q reason=%q", i, r.Mode, r.Reason)
+			if r.Step.Mode != "rebuild" || r.Step.Reason != "requested" {
+				t.Fatalf("fallback step %d: mode=%q reason=%q", i, r.Step.Mode, r.Step.Reason)
 			}
-			if r.Locks != 0 {
-				t.Fatalf("fallback step %d took %d locks, want 0 (SPACE path)", i, r.Locks)
+			if r.Step.Locks != 0 {
+				t.Fatalf("fallback step %d took %d locks, want 0 (SPACE path)", i, r.Step.Locks)
 			}
 		}
 	}
 	if fallbacks == 0 {
 		t.Fatal("no auto-fallback rebuild across 20 high-churn steps")
 	}
-	c.send(sessionStep{Close: true})
+	c.send(wire.SessionStep{Close: true})
 	c.recv()
 
 	pg := metricsPage(t, d.srv.URL())
@@ -341,22 +301,20 @@ func TestSessionFallbackUnderHighChurn(t *testing.T) {
 // TestSessionIdleEviction lets a session go quiet past its idle timeout
 // and expects the server to end the stream with an eviction record.
 func TestSessionIdleEviction(t *testing.T) {
-	d := startDaemon(t, daemonConfig{
-		maxActive: 2, leaseTick: 5 * time.Millisecond, drainTimeout: 10 * time.Second,
-	})
-	open := sessionOpen{Procs: 1, Bodies: 500, Seed: 1, IdleTimeoutMs: 50}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, LeaseTick: 5 * time.Millisecond}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 1, Bodies: 500, Seed: 1, IdleTimeoutMs: 50}
 	c, _ := openSession(t, d.srv.URL(), open)
-	c.send(sessionStep{})
+	c.send(wire.SessionStep{})
 	if r := c.recv(); r.Event != "step" {
 		t.Fatalf("step: %+v", r)
 	}
 	// Go quiet. The janitor must evict and the server must say so
 	// in-stream before closing.
 	r := c.recv()
-	if r.Event != "error" || r.Error != "session closed: idle timeout" {
+	if r.Event != "error" || r.Err.Error != "session closed: idle timeout" {
 		t.Fatalf("eviction record = %+v", r)
 	}
-	if r = c.recv(); r.Event != "closed" || r.Reason != "idle timeout" {
+	if r = c.recv(); r.Event != "closed" || r.Closed.Reason != "idle timeout" {
 		t.Fatalf("final record = %+v", r)
 	}
 	if v := metricValue(t, metricsPage(t, d.srv.URL()), "partree_session_evicted_total"); v != 1 {
@@ -367,13 +325,13 @@ func TestSessionIdleEviction(t *testing.T) {
 // TestSessionLeaseExhaustion503 checks lease capacity surfaces as a 503
 // before the stream opens, and frees up when a session closes.
 func TestSessionLeaseExhaustion503(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, maxSessions: 1, drainTimeout: 10 * time.Second})
-	open := sessionOpen{Procs: 1, Bodies: 500, Seed: 1}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxLeases: 1}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 1, Bodies: 500, Seed: 1}
 	c, _ := openSession(t, d.srv.URL(), open)
 	if _, code := openSession(t, d.srv.URL(), open); code != http.StatusServiceUnavailable {
 		t.Fatalf("second session: status %d, want 503", code)
 	}
-	c.send(sessionStep{Close: true})
+	c.send(wire.SessionStep{Close: true})
 	c.recv()
 	// The lease is released on handler exit; capacity returns shortly.
 	deadline := time.Now().Add(5 * time.Second)
@@ -392,10 +350,10 @@ func TestSessionLeaseExhaustion503(t *testing.T) {
 // sessions get an in-stream notice and a clean close, new sessions get
 // 503, and the drain itself completes.
 func TestSessionDrainClosesStreams(t *testing.T) {
-	d := startDaemon(t, daemonConfig{maxActive: 2, drainTimeout: time.Minute})
-	open := sessionOpen{Procs: 1, Bodies: 500, Seed: 1}
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: time.Minute})
+	open := wire.SessionOpen{Procs: 1, Bodies: 500, Seed: 1}
 	c, _ := openSession(t, d.srv.URL(), open)
-	c.send(sessionStep{})
+	c.send(wire.SessionStep{})
 	if r := c.recv(); r.Event != "step" {
 		t.Fatalf("step: %+v", r)
 	}
@@ -404,10 +362,10 @@ func TestSessionDrainClosesStreams(t *testing.T) {
 	go func() { drainDone <- d.drain(context.Background()) }()
 
 	r := c.recv()
-	if r.Event != "error" || r.Error != "session closed: draining" {
+	if r.Event != "error" || r.Err.Error != "session closed: draining" {
 		t.Fatalf("drain record = %+v", r)
 	}
-	if r = c.recv(); r.Event != "closed" || r.Reason != "draining" {
+	if r = c.recv(); r.Event != "closed" || r.Closed.Reason != "draining" {
 		t.Fatalf("final record = %+v", r)
 	}
 	if err := <-drainDone; err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"partree/internal/obs"
+	"partree/internal/reqtrace"
 )
 
 // ClientOptions tune one shard client. The zero value selects the
@@ -68,9 +70,6 @@ func NewClient(id, addr string, o ClientOptions) *Client {
 	return &Client{id: id, base: strings.TrimSuffix(base, "/"), hc: &http.Client{}, opts: o.withDefaults()}
 }
 
-// ID returns the shard ID this client fronts.
-func (c *Client) ID() string { return c.id }
-
 // Call POSTs (or GETs, with nil in) a JSON document and decodes the JSON
 // answer into out (skipped when out is nil). Transport failures are
 // retried up to Retries times with a fresh per-attempt timeout; a non-2xx
@@ -92,8 +91,7 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 		if err == nil {
 			return nil
 		}
-		var se *StatusError
-		if isStatus := asStatusError(err, &se); isStatus {
+		if errors.As(err, new(*StatusError)) {
 			// An HTTP answer means the shard is reachable and chose this
 			// response; it is final.
 			return err
@@ -101,14 +99,6 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 		last = err
 	}
 	return fmt.Errorf("shard %s: %w", c.id, last)
-}
-
-func asStatusError(err error, out **StatusError) bool {
-	se, ok := err.(*StatusError)
-	if ok {
-		*out = se
-	}
-	return ok
 }
 
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
@@ -124,6 +114,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	// A call made while serving a request (the router's fan-out) carries
+	// that request's ID, so the shard's envelope files its side under it.
+	if tp := reqtrace.FromContext(ctx).Traceparent(); tp != "" {
+		req.Header.Set("traceparent", tp)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -159,17 +154,9 @@ func errorText(r io.Reader) string {
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	actx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.base+"/metrics", nil)
+	snap, err := obs.Scrape(actx, c.base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard %s: %w", c.id, err)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard %s: GET /metrics: %s", c.id, resp.Status)
-	}
-	return obs.ParseText(resp.Body)
+	return snap, nil
 }

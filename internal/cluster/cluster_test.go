@@ -17,6 +17,7 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/engine"
+	"partree/internal/reqtrace"
 	"partree/internal/runner"
 )
 
@@ -577,5 +578,68 @@ func TestClusterServiceLimits(t *testing.T) {
 		if code, msg := postJSON(t, ep.url, ep.body(atLimit)); code != http.StatusOK || strings.Contains(string(msg), `"error"`) {
 			t.Errorf("%s at the limits: %d %s", ep.url, code, msg)
 		}
+	}
+}
+
+// TestClusterRequestKeepsOneID is the identity half of "one request, one
+// trace": a build POSTed to the router under a traceparent answers with
+// that trace-id as X-Request-Id, and the same ID retrieves the request
+// from the router's flight recorder and from each shard's — the shard
+// client forwards the router's ID, the shards' envelopes honour it. A
+// router-side refusal names the ID in its error document.
+func TestClusterRequestKeepsOneID(t *testing.T) {
+	f := startFixture(t, FixtureOptions{Shards: 2})
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	post := func(doc string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, f.RouterURL()+"/v1/build", strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	spec, err := json.Marshal(buildSpec(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(string(spec))
+	if got := resp.Header.Get("X-Request-Id"); resp.StatusCode != http.StatusOK || got != traceID {
+		t.Fatalf("router build: status %d, X-Request-Id %q; want 200 under %q", resp.StatusCode, got, traceID)
+	}
+	io.Copy(io.Discard, resp.Body)
+
+	entries := map[string]string{f.RouterURL(): "/v1/build"}
+	for i := range f.Shards {
+		entries[f.ShardURL(i)] = "/v1/shard/build"
+	}
+	for base, route := range entries {
+		// An entry is published just after its response is written, so
+		// the client can be a moment ahead of the recorder.
+		var e reqtrace.Entry
+		deadline := time.Now().Add(5 * time.Second)
+		for getJSON(t, base+"/debug/requests/"+traceID, &e) != http.StatusOK {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never filed request %s", base, traceID)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if e.ID != traceID || e.Route != route || e.Status != http.StatusOK {
+			t.Errorf("%s filed (%s, %s, %d) under %s, want route %s status 200", base, e.ID, e.Route, e.Status, traceID, route)
+		}
+	}
+
+	resp = post(`{"bodies":"many"}`)
+	var doc map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad spec: status %d (%v)", resp.StatusCode, err)
+	}
+	if doc["request_id"] != traceID || doc["error"] == "" {
+		t.Errorf("router error document %v, want request_id %s and an error text", doc, traceID)
 	}
 }

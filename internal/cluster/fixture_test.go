@@ -9,6 +9,7 @@ import (
 	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/partition"
+	"partree/internal/reqtrace"
 )
 
 // Fixture is a whole cluster inside one process: N shard servers and a
@@ -108,7 +109,7 @@ func StartLocal(o FixtureOptions) (*Fixture, error) {
 			return fail(err)
 		}
 		srv, err := obs.ServeWith("127.0.0.1:0", "partree-shard", reg,
-			func() bool { return true }, func(mux *http.ServeMux) { ss.Mount(mux, nil) })
+			func() bool { return true }, mountWithRecorder(ss.Mount))
 		if err != nil {
 			return fail(fmt.Errorf("starting shard %d: %w", i, err))
 		}
@@ -127,7 +128,7 @@ func StartLocal(o FixtureOptions) (*Fixture, error) {
 		return fail(err)
 	}
 	srv, err := obs.ServeWith("127.0.0.1:0", "partree-router", reg,
-		func() bool { return true }, func(mux *http.ServeMux) { rt.Mount(mux, nil) })
+		func() bool { return true }, mountWithRecorder(rt.Mount))
 	if err != nil {
 		return fail(fmt.Errorf("starting router: %w", err))
 	}
@@ -135,6 +136,16 @@ func StartLocal(o FixtureOptions) (*Fixture, error) {
 	f.Router = rt
 	f.routerSrv = srv
 	return f, nil
+}
+
+// mountWithRecorder mounts a process's routes the way its binary does:
+// behind its own flight recorder, served beside them on /debug/requests.
+func mountWithRecorder(mount func(*http.ServeMux, *reqtrace.Recorder)) func(*http.ServeMux) {
+	return func(mux *http.ServeMux) {
+		rec := reqtrace.NewRecorder(reqtrace.Options{})
+		mount(mux, rec)
+		rec.Mount(mux)
+	}
 }
 
 // RouterURL returns the router's base URL.

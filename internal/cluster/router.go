@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -122,9 +123,6 @@ func NewRouter(o RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Map returns the router's addressed map.
-func (rt *Router) Map() Map { return rt.m }
-
 // RegisterObs registers the router's own families plus the cluster
 // rollup collector, which scrapes every shard's /metrics at gather time
 // and sums the build and admission families into partree_cluster_*.
@@ -133,22 +131,18 @@ func (rt *Router) RegisterObs(reg *obs.Registry) error {
 		rt.rejected, rt.errors, rt.conflicts, &rollupCollector{rt: rt})
 }
 
-// Mount registers the router routes on mux. A nil wrap mounts them bare.
-func (rt *Router) Mount(mux *http.ServeMux, wrap Middleware) {
-	if wrap == nil {
-		wrap = func(_ string, h http.HandlerFunc) http.HandlerFunc { return h }
-	}
-	mux.HandleFunc("/v1/build", wrap("/v1/build", rt.handleBuild))
-	mux.HandleFunc("/v1/sweep", wrap("/v1/sweep", rt.handleSweep))
-	mux.HandleFunc("/v1/move", wrap("/v1/move", rt.handleMove))
-	mux.HandleFunc("/v1/map", wrap("/v1/map", rt.handleMap))
+// Mount registers the router routes on mux behind rec's request
+// envelope. The *reqtrace.Req it puts in each request's context is what
+// the shard clients stamp their traceparent from, so one client request
+// keeps one ID on the router and on every shard it fans out to.
+func (rt *Router) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
+	rec.Handle(mux, http.MethodPost, "/v1/build", "POST a runner.Spec JSON document", rt.handleBuild)
+	rec.Handle(mux, http.MethodPost, "/v1/sweep", "POST a JSON array of runner.Spec documents", rt.handleSweep)
+	rec.Handle(mux, http.MethodPost, "/v1/move", "POST {\"body\": N, \"pos\": [x,y,z]}", rt.handleMove)
+	rec.Handle(mux, http.MethodGet, "/v1/map", "GET the shard map", rt.handleMap)
 }
 
-func (rt *Router) handleMap(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET the shard map")
-		return
-	}
+func (rt *Router) handleMap(w http.ResponseWriter, _ *http.Request) {
 	b, err := rt.m.Encode()
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusInternalServerError, err.Error())
@@ -174,22 +168,41 @@ func (rt *Router) fanOutBuild(ctx context.Context, spec runner.Spec, transient b
 	answers := make([]shardAnswer, len(rt.clients))
 	var mu sync.Mutex
 	order := 0
+	rt.eachShard(func(i int, c *Client) {
+		var res ShardBuildResult
+		err := c.Call(ctx, http.MethodPost, "/v1/shard/build",
+			ShardBuildRequest{MapVersion: rt.m.Version, Spec: spec, Transient: transient}, &res)
+		mu.Lock()
+		answers[i] = shardAnswer{idx: i, order: order, res: res, err: err}
+		order++
+		mu.Unlock()
+	})
+	return answers
+}
+
+// eachShard runs f once per shard client, concurrently, and waits.
+func (rt *Router) eachShard(f func(i int, c *Client)) {
 	var wg sync.WaitGroup
 	for i, c := range rt.clients {
 		wg.Add(1)
-		go func(i int, c *Client) {
+		go func() {
 			defer wg.Done()
-			var res ShardBuildResult
-			err := c.Call(ctx, http.MethodPost, "/v1/shard/build",
-				ShardBuildRequest{MapVersion: rt.m.Version, Spec: spec, Transient: transient}, &res)
-			mu.Lock()
-			answers[i] = shardAnswer{idx: i, order: order, res: res, err: err}
-			order++
-			mu.Unlock()
-		}(i, c)
+			f(i, c)
+		}()
 	}
 	wg.Wait()
-	return answers
+}
+
+// shardFailure maps a failed shard call onto the status the router
+// answers with: the fleet's 409 verbatim, anything else 502.
+func (rt *Router) shardFailure(idx int, err error) (int, string) {
+	var se *StatusError
+	if errors.As(err, &se) && se.Code == http.StatusConflict {
+		rt.conflicts.Inc()
+		return http.StatusConflict, fmt.Sprintf("shard %s: %s", rt.m.Shards[idx].ID, se.Msg)
+	}
+	rt.errors.Inc()
+	return http.StatusBadGateway, fmt.Sprintf("shard %s: %v", rt.m.Shards[idx].ID, err)
 }
 
 // mergeBuild folds per-shard results into one ClusterResult and audits
@@ -252,23 +265,15 @@ func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec, transient boo
 		if a.err == nil {
 			continue
 		}
-		if se, ok := a.err.(*StatusError); ok {
-			switch se.Code {
-			case http.StatusServiceUnavailable:
-				rt.rejected.Inc()
-				if reject == nil || a.order > reject.order {
-					reject = a
-				}
-				continue
-			case http.StatusConflict:
-				rt.conflicts.Inc()
-				return ClusterResult{}, http.StatusConflict,
-					fmt.Sprintf("shard %s: %s", rt.m.Shards[a.idx].ID, se.Msg)
+		if se, ok := a.err.(*StatusError); ok && se.Code == http.StatusServiceUnavailable {
+			rt.rejected.Inc()
+			if reject == nil || a.order > reject.order {
+				reject = a
 			}
+			continue
 		}
-		rt.errors.Inc()
-		return ClusterResult{}, http.StatusBadGateway,
-			fmt.Sprintf("shard %s: %v", rt.m.Shards[a.idx].ID, a.err)
+		code, msg := rt.shardFailure(a.idx, a.err)
+		return ClusterResult{}, code, msg
 	}
 	if reject != nil {
 		se := reject.err.(*StatusError)
@@ -280,10 +285,6 @@ func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec, transient boo
 }
 
 func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a runner.Spec JSON document")
-		return
-	}
 	// Cluster builds are always native shard builds; see ShardServer.
 	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), true)
 	if err != nil {
@@ -301,10 +302,6 @@ func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 }
 
 func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON array of runner.Spec documents")
-		return
-	}
 	specs, err := runner.DecodeServiceSweep(json.NewDecoder(req.Body), true)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
@@ -352,10 +349,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 // acceptance criterion of the tier: after a boundary-crossing move the
 // body is resident in exactly one shard.
 func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST {\"body\": N, \"pos\": [x,y,z]}")
-		return
-	}
 	var mr struct {
 		Body int32      `json:"body"`
 		Pos  [3]float64 `json:"pos"`
@@ -375,30 +368,19 @@ func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
 		err error
 	}
 	answers := make([]moveAnswer, len(rt.clients))
-	var wg sync.WaitGroup
-	for i, c := range rt.clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			var res MoveResponse
-			err := c.Call(req.Context(), http.MethodPost, "/v1/shard/move",
-				MoveRequest{MapVersion: rt.m.Version, Body: mr.Body, Pos: mr.Pos}, &res)
-			answers[i] = moveAnswer{idx: i, res: res, err: err}
-		}(i, c)
-	}
-	wg.Wait()
+	rt.eachShard(func(i int, c *Client) {
+		var res MoveResponse
+		err := c.Call(req.Context(), http.MethodPost, "/v1/shard/move",
+			MoveRequest{MapVersion: rt.m.Version, Body: mr.Body, Pos: mr.Pos}, &res)
+		answers[i] = moveAnswer{idx: i, res: res, err: err}
+	})
 
 	var holder *moveAnswer
 	for i := range answers {
 		a := &answers[i]
 		if a.err != nil {
-			if se, ok := a.err.(*StatusError); ok && se.Code == http.StatusConflict {
-				rt.conflicts.Inc()
-				reqtrace.WriteError(w, http.StatusConflict, fmt.Sprintf("shard %s: %s", rt.m.Shards[a.idx].ID, se.Msg))
-				return
-			}
-			rt.errors.Inc()
-			reqtrace.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s: %v", rt.m.Shards[a.idx].ID, a.err))
+			code, msg := rt.shardFailure(a.idx, a.err)
+			reqtrace.WriteError(w, code, msg)
 			return
 		}
 		if a.res.Status != MoveAbsent {
@@ -475,15 +457,7 @@ func (rc *rollupCollector) Collect(out []obs.Family) []obs.Family {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.scrapeT)
 	defer cancel()
 	snaps := make([]map[string]float64, len(rt.clients))
-	var wg sync.WaitGroup
-	for i, c := range rt.clients {
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			snaps[i], _ = c.Metrics(ctx)
-		}(i, c)
-	}
-	wg.Wait()
+	rt.eachShard(func(i int, c *Client) { snaps[i], _ = c.Metrics(ctx) })
 
 	up := obs.Family{Name: "partree_cluster_shard_up", Type: obs.TypeGauge,
 		Help: "1 when the shard's last /metrics scrape succeeded."}

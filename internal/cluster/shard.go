@@ -245,21 +245,16 @@ func (s *ShardServer) RegisterObs(reg *obs.Registry) error {
 	)
 }
 
-// Middleware wraps one shard route; partreed passes its instrument
-// middleware so shard routes get request IDs, spans, and access logs
-// like every other endpoint.
-type Middleware func(route string, h http.HandlerFunc) http.HandlerFunc
-
-// Mount registers the shard routes on mux. A nil wrap mounts them bare.
-func (s *ShardServer) Mount(mux *http.ServeMux, wrap Middleware) {
-	if wrap == nil {
-		wrap = func(_ string, h http.HandlerFunc) http.HandlerFunc { return h }
-	}
-	mux.HandleFunc("/v1/shard", wrap("/v1/shard", s.handleInfo))
-	mux.HandleFunc("/v1/shard/build", wrap("/v1/shard/build", s.handleBuild))
-	mux.HandleFunc("/v1/shard/move", wrap("/v1/shard/move", s.handleMove))
-	mux.HandleFunc("/v1/shard/accept", wrap("/v1/shard/accept", s.handleAccept))
-	mux.HandleFunc("/v1/shard/body", wrap("/v1/shard/body", s.handleBody))
+// Mount registers the shard routes on mux behind rec's request envelope
+// (a nil rec still gives each request its ID and access-log line), so a
+// call the router makes on a client's behalf is filed under that
+// client's request ID here too.
+func (s *ShardServer) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
+	rec.Handle(mux, http.MethodGet, "/v1/shard", "GET the shard info document", s.handleInfo)
+	rec.Handle(mux, http.MethodPost, "/v1/shard/build", "POST a ShardBuildRequest JSON document", s.handleBuild)
+	rec.Handle(mux, http.MethodPost, "/v1/shard/move", "POST a MoveRequest JSON document", s.handleMove)
+	rec.Handle(mux, http.MethodPost, "/v1/shard/accept", "POST an AcceptRequest JSON document", s.handleAccept)
+	rec.Handle(mux, http.MethodGet, "/v1/shard/body", "GET with ?id=<body>", s.handleBody)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -279,20 +274,12 @@ func (s *ShardServer) checkVersion(w http.ResponseWriter, got int) bool {
 	return true
 }
 
-func (s *ShardServer) handleInfo(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET the shard info document")
-		return
-	}
+func (s *ShardServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	sh := s.m.Shards[s.idx]
 	writeJSON(w, ShardInfo{ID: sh.ID, MapVersion: s.m.Version, Lo: sh.Lo, Hi: sh.Hi, Resident: s.Resident()})
 }
 
 func (s *ShardServer) handleBody(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "GET with ?id=<body>")
-		return
-	}
 	id, err := strconv.ParseInt(req.URL.Query().Get("id"), 10, 32)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, "id must be a body index")
@@ -336,10 +323,6 @@ func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 }
 
 func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a ShardBuildRequest JSON document")
-		return
-	}
 	arrived := time.Now()
 	var br ShardBuildRequest
 	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
@@ -419,10 +402,6 @@ func subset(all *phys.Bodies, owned []int32) *phys.Bodies {
 }
 
 func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST a MoveRequest JSON document")
-		return
-	}
 	var mr MoveRequest
 	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
@@ -461,10 +440,6 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		reqtrace.WriteError(w, http.StatusMethodNotAllowed, "POST an AcceptRequest JSON document")
-		return
-	}
 	var ar AcceptRequest
 	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))

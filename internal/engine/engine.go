@@ -170,9 +170,10 @@ func New(o Options) *Engine {
 	}
 }
 
-// MaxActive returns the concurrent-build bound: how wide a caller can
-// fan work out before its own requests start queueing behind each other.
-func (e *Engine) MaxActive() int { return e.opts.MaxActive }
+// Options returns the engine's sizing with every default resolved.
+// MaxActive is how wide a caller can fan work out before its own
+// requests start queueing behind each other.
+func (e *Engine) Options() Options { return e.opts }
 
 // Session is one exclusively-held pooled builder. Build through it (or
 // take Builder() and drive it directly), then Release it back to the

@@ -59,6 +59,9 @@ func (l *Lease) Stepper() *core.Stepper { return l.st }
 // stream when the server side gives up first.
 func (l *Lease) Done() <-chan struct{} { return l.done }
 
+// Idle returns the lease's idle timeout as OpenLease resolved it.
+func (l *Lease) Idle() time.Duration { return l.idle }
+
 // Evicted reports whether the lease was ended by the idle janitor.
 func (l *Lease) Evicted() bool {
 	l.mu.Lock()

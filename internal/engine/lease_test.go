@@ -272,7 +272,7 @@ func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
 		}
 	}
 	var queues int
-	for _, s := range rq.Spans() {
+	for _, s := range rq.Entry().Spans {
 		if s.Name == "queue" {
 			queues++
 		}

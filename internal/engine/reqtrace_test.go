@@ -53,21 +53,21 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 		last = res.Metrics.Trace
 	}
 
-	ph := rq.Phases()
+	ph := rq.Entry().Phases
 	if ph.BoundsNs != wantBounds.Nanoseconds() ||
 		ph.InsertNs != wantInsert.Nanoseconds() ||
 		ph.MomentsNs != wantMoments.Nanoseconds() {
 		t.Errorf("request phases = %+v, want exact sums bounds=%d insert=%d moments=%d",
 			ph, wantBounds.Nanoseconds(), wantInsert.Nanoseconds(), wantMoments.Nanoseconds())
 	}
-	if got := rq.TraceSummary(); got != last {
+	if got := rq.Entry().Trace; got != last {
 		t.Errorf("bridged summary = %p, want the last step's res.Metrics.Trace %p (verbatim)", got, last)
 	}
 
 	// One "build" wall span per step, and the breakdown's build total is
 	// the phase view (bounds+insert), consistent with what it reported.
 	var builds int
-	for _, s := range rq.Spans() {
+	for _, s := range rq.Entry().Spans {
 		if s.Name == "build" {
 			builds++
 		}

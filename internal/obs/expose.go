@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"context"
+	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -63,6 +66,25 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		out[line[:sp]] = v
 	}
 	return out, sc.Err()
+}
+
+// Scrape GETs base+"/metrics" and parses the page (ParseText): the one
+// client of the exposition format, for the router's fleet rollup and
+// loadgen's counter deltas.
+func Scrape(ctx context.Context, base string) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s/metrics: %s", base, resp.Status)
+	}
+	return ParseText(resp.Body)
 }
 
 // writeHistogram expands one histogram series into its exposition lines.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -74,6 +76,18 @@ func ServeWith(addr, binary string, reg *Registry, ready func() bool, mount func
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln)
 	return s, nil
+}
+
+// SetLogger installs the process's default slog logger the way every
+// binary does: text lines to w at the -v level, each tagged bin=binary
+// (the name /healthz reports).
+func SetLogger(w io.Writer, binary, level string) error {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
+		return fmt.Errorf("bad -v level %q (valid: debug, info, warn, error)", level)
+	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lvl})).With("bin", binary))
+	return nil
 }
 
 // Addr returns the resolved listen address (useful with ":0").

@@ -15,8 +15,9 @@ import (
 	"partree/internal/trace"
 )
 
-// reqJSON is the rendered form of one completed request.
-type reqJSON struct {
+// Entry is the rendered form of one request: the /debug/requests/<id>
+// document, and how tests read a handle's accumulators.
+type Entry struct {
 	ID     string `json:"id"`
 	Route  string `json:"route"`
 	Seq    uint64 `json:"seq"`
@@ -42,24 +43,14 @@ type reqJSON struct {
 	Trace *trace.Summary `json:"trace,omitempty"`
 }
 
-func renderReq(r *Req) reqJSON {
-	r.mu.Lock()
-	out := reqJSON{
-		ID:           r.id,
-		Route:        r.route,
-		Seq:          r.seq,
-		Status:       r.status,
-		Bytes:        r.bytes,
-		StartUnixNs:  r.start.UnixNano(),
-		DurNs:        r.durNs,
-		QueueNs:      r.queueNs,
-		BuildWallNs:  r.buildNs,
-		Phases:       r.phases,
-		DroppedSpans: r.dropped,
-		Trace:        r.bridged,
+// Entry snapshots the request; the zero Entry on a nil handle.
+func (r *Req) Entry() Entry {
+	if r == nil {
+		return Entry{}
 	}
-	out.Spans = make([]Span, len(r.spans))
-	copy(out.Spans, r.spans)
+	r.mu.Lock()
+	out := r.e
+	out.Spans = append([]Span(nil), r.e.Spans...)
 	r.mu.Unlock()
 	if out.Trace != nil {
 		totals := out.Trace.PhaseTotals()
@@ -76,15 +67,15 @@ type ringDoc struct {
 	Capacity int `json:"capacity"`
 	Count    int `json:"count"`
 	// SlowThresholdMs/SlowTotal render only on /debug/requests/slow.
-	SlowThresholdMs float64   `json:"slow_threshold_ms,omitempty"`
-	SlowTotal       int64     `json:"slow_total,omitempty"`
-	Requests        []reqJSON `json:"requests"`
+	SlowThresholdMs float64 `json:"slow_threshold_ms,omitempty"`
+	SlowTotal       int64   `json:"slow_total,omitempty"`
+	Requests        []Entry `json:"requests"`
 }
 
-func renderList(reqs []*Req) []reqJSON {
-	out := make([]reqJSON, len(reqs))
+func renderList(reqs []*Req) []Entry {
+	out := make([]Entry, len(reqs))
 	for i, r := range reqs {
-		out[i] = renderReq(r)
+		out[i] = r.Entry()
 	}
 	return out
 }
@@ -157,5 +148,5 @@ func (rec *Recorder) handleByID(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown request id " + id})
 		return
 	}
-	writeJSON(w, http.StatusOK, renderReq(r))
+	writeJSON(w, http.StatusOK, r.Entry())
 }

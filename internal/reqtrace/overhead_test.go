@@ -2,103 +2,53 @@ package reqtrace_test
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"testing"
 	"time"
 
-	"partree/internal/core"
-	"partree/internal/phys"
 	"partree/internal/reqtrace"
 )
 
-// The workload mirrors internal/trace's overhead gate (n=10k, p=4
-// Plummer through ORIG) so the two disabled-path budgets are measured
-// on the same build.
-const (
-	overheadN = 10000
-	overheadP = 4
-)
-
-func overheadInput() (*core.Input, core.Builder) {
-	bodies := phys.Generate(phys.ModelPlummer, overheadN, 1998)
-	in := &core.Input{Bodies: bodies, Assign: core.SpatialAssign(bodies, overheadP)}
-	return in, core.New(core.ORIG, core.Config{P: overheadP, LeafCap: 8})
-}
-
-// buildBare times one plain build — the pre-instrumentation baseline.
-func buildBare(bld core.Builder, in *core.Input, step int) float64 {
-	in.Step = step
-	start := time.Now()
-	bld.Build(in)
-	return float64(time.Since(start).Nanoseconds())
-}
-
-// buildHooked times the same build wrapped in the exact disabled-mode
-// hook sequence the serving path added (the engine's slot wait, Lease.Step,
-// runner.runNativeBuild): context recalls that miss, guarded time
-// captures that stay zero, and nil-receiver method calls. This is the
-// code a request pays when the flight recorder is off.
-func buildHooked(bld core.Builder, in *core.Input, step int) float64 {
-	in.Step = step
-	ctx := context.Background()
-	wall := time.Now()
-
-	rq := reqtrace.FromContext(ctx) // always nil: recorder disabled
+// disabledHooks is the hook sequence the serving path runs per request
+// with the flight recorder off (the engine's slot wait, Lease.Step,
+// runner.BuildOnly, the handlers and the shard client): a Start on the
+// nil recorder, context recalls that miss, guarded time captures that
+// stay zero, and nil-receiver method calls.
+func disabledHooks(ctx context.Context, rec *reqtrace.Recorder, start time.Time) *reqtrace.Req {
+	rq := rec.Start("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build")
+	ctx = reqtrace.NewContext(ctx, rq)
+	rq = reqtrace.FromContext(ctx)
 	var qstart time.Time
 	if rq != nil {
 		qstart = time.Now()
 	}
-	rq.SpanSince("queue", qstart) // zero start: ignored
-
-	start := time.Now()
-	_, m := bld.Build(in)
-	reqtrace.FromContext(ctx).AddBuild(start, time.Since(start), m)
-	return float64(time.Since(wall).Nanoseconds())
+	rq.SpanSince("queue", qstart)
+	rq.AddBuild(start, 0, nil)
+	rq.Breakdown()
+	if rq.Traceparent() != "" {
+		panic("nil handle rendered a traceparent")
+	}
+	rq.Finish(200, 0)
+	return rq
 }
 
-// TestDisabledReqtraceOverhead is the regression gate for the serving
-// path's core promise: with the flight recorder off, a build surrounded
-// by every reqtrace hook must cost within 2% of the bare build, because
-// each hook reduces to a context-value miss or a nil check. Samples
-// interleave the two shapes so frequency scaling and background noise
-// hit both sides equally; the comparison uses medians and retries to
-// ride out a noisy machine.
+// TestDisabledReqtraceOverhead holds the disabled serving path to what
+// it structurally promises — each hook reduces to a context-value miss
+// or a nil check — rather than to a wall-clock ratio: nothing is
+// recorded and no hook allocates. BenchmarkDisabledHooks times the same
+// sequence (make microbench).
 func TestDisabledReqtraceOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison: skipped with -short")
+	var rec *reqtrace.Recorder
+	ctx := context.Background()
+	start := time.Unix(1700000000, 0)
+	if rq := disabledHooks(ctx, rec, start); rq != nil || rq.Entry().Spans != nil || rq.Entry().Phases != (reqtrace.Phases{}) {
+		t.Fatalf("disabled hooks produced a handle: %+v", rq)
 	}
-	in, bld := overheadInput()
-
-	const (
-		rounds    = 21 // interleaved median samples per side
-		limit     = 1.02
-		attempts  = 3
-		warmupPer = 3
-	)
-	for i := 0; i < warmupPer; i++ {
-		buildBare(bld, in, i)
-		buildHooked(bld, in, i)
+	if rec.Snapshot() != nil || rec.InFlight() != 0 || rec.Lookup("4bf92f3577b34da6a3ce929d0e0e4736") != nil {
+		t.Error("nil recorder recorded a request")
 	}
-	var last string
-	for attempt := 1; attempt <= attempts; attempt++ {
-		bareTs := make([]float64, 0, rounds)
-		hookedTs := make([]float64, 0, rounds)
-		for i := 0; i < rounds; i++ {
-			bareTs = append(bareTs, buildBare(bld, in, i))
-			hookedTs = append(hookedTs, buildHooked(bld, in, i))
-		}
-		sort.Float64s(bareTs)
-		sort.Float64s(hookedTs)
-		ratio := hookedTs[rounds/2] / bareTs[rounds/2]
-		if ratio <= limit {
-			return
-		}
-		last = fmt.Sprintf("attempt %d: disabled-reqtrace median %.3fx the bare median (limit %.2fx)",
-			attempt, ratio, limit)
-		t.Log(last)
+	if n := testing.AllocsPerRun(100, func() { disabledHooks(ctx, rec, start) }); n != 0 {
+		t.Errorf("disabled hooks allocate %v times per request, want 0", n)
 	}
-	t.Errorf("disabled request tracing exceeds the overhead budget on %d consecutive attempts: %s", attempts, last)
 }
 
 // Companion benchmarks for the per-hook costs themselves:
@@ -108,13 +58,7 @@ func BenchmarkDisabledHooks(b *testing.B) {
 	ctx := context.Background()
 	start := time.Unix(1700000000, 0)
 	for i := 0; i < b.N; i++ {
-		rq := reqtrace.FromContext(ctx)
-		var qstart time.Time
-		if rq != nil {
-			qstart = time.Now()
-		}
-		rq.SpanSince("queue", qstart)
-		rq.AddBuild(start, 0, nil)
+		disabledHooks(ctx, nil, start)
 	}
 }
 

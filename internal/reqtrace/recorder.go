@@ -112,7 +112,7 @@ func (rec *Recorder) StartAt(id, route string, t time.Time) *Req {
 		return nil
 	}
 	rec.inFlight.Add(1)
-	return &Req{rec: rec, id: id, route: route, start: t}
+	return &Req{rec: rec, start: t, e: Entry{ID: id, Route: route, StartUnixNs: t.UnixNano()}}
 }
 
 // record publishes a finished request: ring (lock-free), histograms,
@@ -123,15 +123,15 @@ func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 	// so the ring always contains the last Cap finished requests and
 	// renderers sort by seq to recover completion order.
 	seq := rec.seq.Add(1)
-	r.seq = seq
+	r.e.Seq = seq
 	rec.ring[int((seq-1)%uint64(len(rec.ring)))].Store(r)
 
-	rec.durSeconds.With(r.route).Observe(dur.Seconds())
+	rec.durSeconds.With(r.e.Route).Observe(dur.Seconds())
 	rec.queueSeconds.Observe(queue.Seconds())
 
 	rec.maxMu.Lock()
-	if m := rec.max[r.route]; dur.Nanoseconds() > m.durNs {
-		rec.max[r.route] = maxEntry{id: r.id, durNs: dur.Nanoseconds()}
+	if m := rec.max[r.e.Route]; dur.Nanoseconds() > m.durNs {
+		rec.max[r.e.Route] = maxEntry{id: r.e.ID, durNs: dur.Nanoseconds()}
 	}
 	rec.maxMu.Unlock()
 
@@ -144,7 +144,7 @@ func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 			// top-K by duration.
 			min := 0
 			for i := 1; i < len(rec.slow); i++ {
-				if rec.slow[i].durNs < rec.slow[min].durNs {
+				if rec.slow[i].e.DurNs < rec.slow[min].e.DurNs {
 					min = i
 				}
 			}
@@ -165,7 +165,7 @@ func (rec *Recorder) Snapshot() []*Req {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
+	sort.Slice(out, func(i, j int) bool { return out[i].e.Seq > out[j].e.Seq })
 	return out
 }
 
@@ -180,10 +180,10 @@ func (rec *Recorder) Slow() []*Req {
 	copy(out, rec.slow)
 	rec.slowMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].durNs != out[j].durNs {
-			return out[i].durNs > out[j].durNs
+		if out[i].e.DurNs != out[j].e.DurNs {
+			return out[i].e.DurNs > out[j].e.DurNs
 		}
-		return out[i].seq > out[j].seq
+		return out[i].e.Seq > out[j].e.Seq
 	})
 	return out
 }
@@ -197,8 +197,8 @@ func (rec *Recorder) Lookup(id string) *Req {
 	}
 	var best *Req
 	for i := range rec.ring {
-		if r := rec.ring[i].Load(); r != nil && r.id == id {
-			if best == nil || r.seq > best.seq {
+		if r := rec.ring[i].Load(); r != nil && r.e.ID == id {
+			if best == nil || r.e.Seq > best.e.Seq {
 				best = r
 			}
 		}
@@ -209,7 +209,7 @@ func (rec *Recorder) Lookup(id string) *Req {
 	rec.slowMu.Lock()
 	defer rec.slowMu.Unlock()
 	for _, r := range rec.slow {
-		if r.id == id && (best == nil || r.seq > best.seq) {
+		if r.e.ID == id && (best == nil || r.e.Seq > best.e.Seq) {
 			best = r
 		}
 	}

@@ -3,8 +3,9 @@
 // reqtrace attributes one *request*'s time to the stations it passed
 // through on the serving path — HTTP read, admission-queue wait, the
 // build itself (with the core phase breakdown bridged in), response
-// write. Every partreed request gets a request ID (the W3C traceparent
-// trace-id when the client sent one, minted otherwise), a *Req handle
+// write. Every partreed and partree-router request gets a request ID (the
+// W3C traceparent trace-id when the caller sent one — a router's shard
+// calls do — minted otherwise; envelope.go), a *Req handle
 // travels in the context.Context from the HTTP handler through
 // internal/engine and internal/runner down to the core build, and each
 // layer stamps its span onto the handle as it goes.
@@ -14,7 +15,7 @@
 //   - Disabled is a nil-handle no-op. Every method on *Req is safe on a
 //     nil receiver and returns immediately, so a daemon running with
 //     the flight recorder off pays one pointer comparison per hook
-//     (guarded by the <2% regression gate in overhead_test.go).
+//     and allocates nothing (pinned in overhead_test.go).
 //   - Completed requests land in a fixed-capacity lock-free ring (the
 //     flight recorder, recorder.go) served over /debug/requests; the
 //     hot path is an atomic pointer store, never a lock.
@@ -31,7 +32,6 @@ import (
 	"time"
 
 	"partree/internal/core"
-	"partree/internal/trace"
 )
 
 // maxSpans bounds one request's span list; a streaming session that
@@ -71,37 +71,14 @@ type Phases struct {
 // but only for requests already published to the flight recorder.
 type Req struct {
 	rec   *Recorder
-	id    string
-	route string
 	start time.Time
-	seq   uint64 // assigned when the recorder publishes the finished Req
 
-	mu      sync.Mutex
-	spans   []Span
-	dropped int64
-	queueNs int64 // sum of "queue" spans: admission + slot waits
-	buildNs int64 // sum of "build" spans: wall time inside builders
-	phases  Phases
-	bridged *trace.Summary // last traced build's per-proc summary
-	status  int
-	bytes   int64
-	durNs   int64 // set by Finish; 0 while in flight
-}
-
-// ID returns the request ID ("" on nil).
-func (r *Req) ID() string {
-	if r == nil {
-		return ""
-	}
-	return r.id
-}
-
-// Route returns the route label ("" on nil).
-func (r *Req) Route() string {
-	if r == nil {
-		return ""
-	}
-	return r.route
+	// e accumulates the request's Entry in place: spans, the "queue" and
+	// "build" span sums, phases, the last traced build's summary, and —
+	// set by Finish — status, bytes and duration (0 while in flight).
+	// Seq is assigned when the recorder publishes the finished Req.
+	mu sync.Mutex
+	e  Entry
 }
 
 // SpanSince stamps a span from start to now. The zero start time is
@@ -132,14 +109,14 @@ func (r *Req) SpanAt(name string, start, end time.Time) {
 	r.mu.Lock()
 	switch name {
 	case "queue":
-		r.queueNs += dur
+		r.e.QueueNs += dur
 	case "build":
-		r.buildNs += dur
+		r.e.BuildWallNs += dur
 	}
-	if len(r.spans) < maxSpans {
-		r.spans = append(r.spans, Span{Name: name, StartNs: start.Sub(r.start).Nanoseconds(), DurNs: dur})
+	if len(r.e.Spans) < maxSpans {
+		r.e.Spans = append(r.e.Spans, Span{Name: name, StartNs: start.Sub(r.start).Nanoseconds(), DurNs: dur})
 	} else {
-		r.dropped++
+		r.e.DroppedSpans++
 	}
 	r.mu.Unlock()
 }
@@ -157,11 +134,11 @@ func (r *Req) AddBuild(start time.Time, wall time.Duration, m *core.Metrics) {
 	}
 	r.SpanAt("build", start, start.Add(wall))
 	r.mu.Lock()
-	r.phases.BoundsNs += m.Timing.Bounds.Nanoseconds()
-	r.phases.InsertNs += m.Timing.Insert.Nanoseconds()
-	r.phases.MomentsNs += m.Timing.Moments.Nanoseconds()
+	r.e.Phases.BoundsNs += m.Timing.Bounds.Nanoseconds()
+	r.e.Phases.InsertNs += m.Timing.Insert.Nanoseconds()
+	r.e.Phases.MomentsNs += m.Timing.Moments.Nanoseconds()
 	if m.Trace != nil {
-		r.bridged = m.Trace
+		r.e.Trace = m.Trace
 	}
 	r.mu.Unlock()
 }
@@ -175,67 +152,16 @@ func (r *Req) Breakdown() (queue, build, moments, total time.Duration) {
 		return 0, 0, 0, 0
 	}
 	r.mu.Lock()
-	queue = time.Duration(r.queueNs)
-	build = time.Duration(r.phases.BoundsNs + r.phases.InsertNs)
-	moments = time.Duration(r.phases.MomentsNs)
-	if r.durNs > 0 {
-		total = time.Duration(r.durNs)
+	queue = time.Duration(r.e.QueueNs)
+	build = time.Duration(r.e.Phases.BoundsNs + r.e.Phases.InsertNs)
+	moments = time.Duration(r.e.Phases.MomentsNs)
+	if r.e.DurNs > 0 {
+		total = time.Duration(r.e.DurNs)
 	} else {
 		total = time.Since(r.start)
 	}
 	r.mu.Unlock()
 	return queue, build, moments, total
-}
-
-// Spans snapshots the stamped spans (for tests and rendering).
-func (r *Req) Spans() []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	r.mu.Unlock()
-	return out
-}
-
-// Phases snapshots the accumulated build-phase breakdown.
-func (r *Req) Phases() Phases {
-	if r == nil {
-		return Phases{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.phases
-}
-
-// TraceSummary returns the bridged per-processor summary (nil when no
-// traced build ran under this request).
-func (r *Req) TraceSummary() *trace.Summary {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bridged
-}
-
-// Seq returns the flight-recorder sequence number (0 until finished).
-func (r *Req) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq
-}
-
-// Duration returns the final duration (0 while in flight).
-func (r *Req) Duration() time.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return time.Duration(r.durNs)
 }
 
 // Finish completes the request with its HTTP outcome and publishes it
@@ -257,10 +183,10 @@ func (r *Req) FinishAt(status int, bytes int64, end time.Time) {
 		dur = 0
 	}
 	r.mu.Lock()
-	r.status = status
-	r.bytes = bytes
-	r.durNs = dur.Nanoseconds()
-	queue := time.Duration(r.queueNs)
+	r.e.Status = status
+	r.e.Bytes = bytes
+	r.e.DurNs = dur.Nanoseconds()
+	queue := time.Duration(r.e.QueueNs)
 	r.mu.Unlock()
 	if r.rec != nil {
 		r.rec.record(r, dur, queue)

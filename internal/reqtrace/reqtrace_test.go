@@ -73,10 +73,10 @@ func TestNilHandleNoOp(t *testing.T) {
 	if q, b, m, tot := rq.Breakdown(); q+b+m+tot != 0 {
 		t.Errorf("nil Req breakdown = %v %v %v %v, want zeros", q, b, m, tot)
 	}
-	if rq.ID() != "" || rq.Route() != "" || rq.Seq() != 0 || rq.Duration() != 0 {
+	if rq.Entry().ID != "" || rq.Entry().Route != "" || rq.Entry().Seq != 0 || time.Duration(rq.Entry().DurNs) != 0 {
 		t.Error("nil Req identity accessors returned non-zero values")
 	}
-	if rq.Spans() != nil || rq.TraceSummary() != nil || (rq.Phases() != reqtrace.Phases{}) {
+	if rq.Entry().Spans != nil || rq.Entry().Trace != nil || (rq.Entry().Phases != reqtrace.Phases{}) {
 		t.Error("nil Req snapshots returned non-zero values")
 	}
 	if rec.Snapshot() != nil || rec.Slow() != nil || rec.Lookup("id") != nil {
@@ -113,8 +113,8 @@ func TestContextRoundTrip(t *testing.T) {
 func TestReqTimeline(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	rq := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)
-	if rq.ID() != "4bf92f3577b34da6a3ce929d0e0e4736" || rq.Route() != "/v1/build" {
-		t.Fatalf("identity = (%q, %q)", rq.ID(), rq.Route())
+	if rq.Entry().ID != "4bf92f3577b34da6a3ce929d0e0e4736" || rq.Entry().Route != "/v1/build" {
+		t.Fatalf("identity = (%q, %q)", rq.Entry().ID, rq.Entry().Route)
 	}
 
 	ms := func(n int) time.Time { return epoch.Add(time.Duration(n) * time.Millisecond) }
@@ -130,7 +130,7 @@ func TestReqTimeline(t *testing.T) {
 	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s1))
 	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, nil)) // ignored: an untraced build carries no summary
 	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s2))  // latest traced build wins
-	if got := rq.TraceSummary(); got != s2 {
+	if got := rq.Entry().Trace; got != s2 {
 		t.Errorf("TraceSummary = %p, want the last bridged summary %p", got, s2)
 	}
 
@@ -148,7 +148,7 @@ func TestReqTimeline(t *testing.T) {
 		t.Errorf("in-flight total = %v, want > 0 (time since start)", tot)
 	}
 
-	spans := rq.Spans()
+	spans := rq.Entry().Spans
 	if len(spans) != 5 {
 		t.Fatalf("got %d spans, want 5", len(spans))
 	}
@@ -156,19 +156,19 @@ func TestReqTimeline(t *testing.T) {
 	if spans[2] != want {
 		t.Errorf("span[2] = %+v, want %+v", spans[2], want)
 	}
-	if ph := rq.Phases(); ph != (reqtrace.Phases{BoundsNs: 6e6, InsertNs: 3e6, MomentsNs: 1e6}) {
+	if ph := rq.Entry().Phases; ph != (reqtrace.Phases{BoundsNs: 6e6, InsertNs: 3e6, MomentsNs: 1e6}) {
 		t.Errorf("phases = %+v", ph)
 	}
 
 	rq.FinishAt(200, 4096, ms(15))
-	if rq.Duration() != 15*time.Millisecond {
-		t.Errorf("duration = %v, want 15ms", rq.Duration())
+	if time.Duration(rq.Entry().DurNs) != 15*time.Millisecond {
+		t.Errorf("duration = %v, want 15ms", time.Duration(rq.Entry().DurNs))
 	}
 	if _, _, _, tot := rq.Breakdown(); tot != 15*time.Millisecond {
 		t.Errorf("finished total = %v, want the recorded 15ms", tot)
 	}
-	if rq.Seq() != 1 {
-		t.Errorf("seq = %d, want 1 (first recorded request)", rq.Seq())
+	if rq.Entry().Seq != 1 {
+		t.Errorf("seq = %d, want 1 (first recorded request)", rq.Entry().Seq)
 	}
 	if got := rec.Lookup("4bf92f3577b34da6a3ce929d0e0e4736"); got != rq {
 		t.Errorf("Lookup returned %p, want %p", got, rq)
@@ -187,7 +187,7 @@ func TestSpanListCap(t *testing.T) {
 		rq.SpanAt("queue", at, at.Add(time.Microsecond))
 	}
 	rq.SpanAt("backwards", epoch.Add(time.Second), epoch) // end < start
-	spans := rq.Spans()
+	spans := rq.Entry().Spans
 	if len(spans) >= stamped {
 		t.Fatalf("span list grew to %d; the cap never engaged", len(spans))
 	}
@@ -217,22 +217,22 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 		t.Fatalf("snapshot holds %d requests, want the ring's 4", len(snap))
 	}
 	for i, r := range snap {
-		if want := uint64(10 - i); r.Seq() != want {
-			t.Errorf("snapshot[%d].Seq = %d, want %d (newest first)", i, r.Seq(), want)
+		if want := uint64(10 - i); r.Entry().Seq != want {
+			t.Errorf("snapshot[%d].Seq = %d, want %d (newest first)", i, r.Entry().Seq, want)
 		}
 	}
 	// The wrapped-away requests are gone; the retained ones resolve.
 	if rec.Lookup(fmt.Sprintf("%032d", 3)) != nil {
 		t.Error("Lookup found a request the ring wrapped away")
 	}
-	if r := rec.Lookup(fmt.Sprintf("%032d", 9)); r == nil || r.Seq() != 9 {
+	if r := rec.Lookup(fmt.Sprintf("%032d", 9)); r == nil || r.Entry().Seq != 9 {
 		t.Errorf("Lookup(9) = %v", r)
 	}
 	// Duplicate IDs: the newest completion wins.
 	finishOne(rec, "duplicate-id", time.Millisecond)
 	dup2 := finishOne(rec, "duplicate-id", 2*time.Millisecond)
 	if got := rec.Lookup("duplicate-id"); got != dup2 {
-		t.Errorf("Lookup(duplicate) returned seq %d, want the newest %d", got.Seq(), dup2.Seq())
+		t.Errorf("Lookup(duplicate) returned seq %d, want the newest %d", got.Entry().Seq, dup2.Entry().Seq)
 	}
 }
 
@@ -249,8 +249,8 @@ func TestSlowListThresholdAndEviction(t *testing.T) {
 	if len(slow) != 2 {
 		t.Fatalf("slow list holds %d, want top-K 2", len(slow))
 	}
-	if slow[0].ID() != "00000000000000000000000000000ccc" || slow[1].ID() != "00000000000000000000000000000ddd" {
-		t.Errorf("slow = [%s %s], want [ccc ddd] (slowest first)", slow[0].ID(), slow[1].ID())
+	if slow[0].Entry().ID != "00000000000000000000000000000ccc" || slow[1].Entry().ID != "00000000000000000000000000000ddd" {
+		t.Errorf("slow = [%s %s], want [ccc ddd] (slowest first)", slow[0].Entry().ID, slow[1].Entry().ID)
 	}
 }
 
@@ -267,8 +267,8 @@ func TestLookupOutlivesRingViaSlowList(t *testing.T) {
 			t.Fatal("test setup: the slow request should have wrapped out of the ring")
 		}
 	}
-	if got := rec.Lookup(slow.ID()); got != slow {
-		t.Errorf("Lookup(%s) = %v, want the slow-list entry", slow.ID(), got)
+	if got := rec.Lookup(slow.Entry().ID); got != slow {
+		t.Errorf("Lookup(%s) = %v, want the slow-list entry", slow.Entry().ID, got)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				default:
 				}
 				for _, r := range rec.Snapshot() {
-					r.Spans()
+					r.Entry()
 					r.Breakdown()
 				}
 				rec.Slow()
@@ -354,9 +354,9 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, r := range snap {
-		if seen[r.Seq()] || r.Seq() == 0 || r.Seq() > writers*perWriter {
-			t.Errorf("bad sequence number %d in snapshot", r.Seq())
+		if seen[r.Entry().Seq] || r.Entry().Seq == 0 || r.Entry().Seq > writers*perWriter {
+			t.Errorf("bad sequence number %d in snapshot", r.Entry().Seq)
 		}
-		seen[r.Seq()] = true
+		seen[r.Entry().Seq] = true
 	}
 }

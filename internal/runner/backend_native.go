@@ -73,9 +73,10 @@ func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simu
 // through a pooled session's persistent builder.
 func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	if spec.BuildOnly {
-		// The memoized body set is shared across specs; the build gets
-		// its own copy.
-		return BuildOnly(ctx, spec, bodies.Clone(), eng)
+		// A build only reads the bodies, so it runs on the memoized set
+		// other specs share; the whole application below integrates them
+		// and takes its own copy.
+		return BuildOnly(ctx, spec, bodies, eng)
 	}
 	bld, release, err := admit(ctx, spec, eng)
 	if err != nil {
@@ -134,8 +135,9 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 // repetition's tree statistics and counters, and — with Check — a
 // verification of every repetition. It is the one build-repetition loop:
 // Run executes build-only specs through it, and a cluster shard calls it
-// directly on its owned subset. spec must be Normalized; bodies are
-// built in place, so a caller sharing them clones first. The
+// directly on its owned subset. spec must be Normalized; bodies are only
+// read — no builder, SpatialAssign, verify.Build or moments pass stores
+// to them — so concurrent builds may share one set. The
 // repetitions run through a pooled session, so only the
 // first-ever rep for a key pays store allocation; an admission rejection
 // comes back as a Result whose Err satisfies engine.Rejected.

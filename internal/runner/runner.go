@@ -241,7 +241,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) []Result {
 // mid-sweep. done may be nil.
 func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i int, res Result)) []Result {
 	out := make([]Result, len(specs))
-	launchers := r.eng.MaxActive()
+	launchers := r.eng.Options().MaxActive
 	if launchers > len(specs) {
 		launchers = len(specs)
 	}

@@ -3,6 +3,8 @@ package runner
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"partree/internal/core"
+	"partree/internal/engine"
 	"partree/internal/memsim"
 	"partree/internal/phys"
 	"partree/internal/simalg"
@@ -154,6 +157,47 @@ func TestBuildOnly(t *testing.T) {
 	}
 	if space.Cells == 0 || space.Leaves == 0 || space.TreeNs <= 0 {
 		t.Fatalf("implausible build-only result: %+v", space)
+	}
+}
+
+// TestBuildOnlyLeavesBodiesUntouched pins what lets Run hand BuildOnly
+// the memoized body set uncopied: a build — SpatialAssign, any of the
+// five builders (the second repetition is UPDATE's repair path), the
+// moments pass and verify.Build — only reads phys.Bodies. Two builds
+// share each set at once, so under -race a stray store is a reported
+// race as well as a changed hash.
+func TestBuildOnlyLeavesBodiesUntouched(t *testing.T) {
+	hash := func(b *phys.Bodies) [sha256.Size]byte {
+		h := sha256.New()
+		for _, field := range []any{b.Pos, b.Vel, b.Acc, b.Mass, b.Cost} {
+			if err := binary.Write(h, binary.LittleEndian, field); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	eng := engine.New(engine.Options{})
+	for _, alg := range core.Algorithms() {
+		for _, p := range []int{1, 2} {
+			bodies := phys.Generate(phys.ModelPlummer, 3000, 5)
+			before := hash(bodies)
+			spec := Spec{Backend: Native, Alg: alg, Procs: p, Bodies: bodies.N(), Steps: 2,
+				BuildOnly: true, Spatial: true, Check: true}.Normalized()
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if res := BuildOnly(context.Background(), spec, bodies, eng); res.Failed() {
+						t.Errorf("%s p=%d: %s%s", alg, p, res.Err, res.CheckFailure)
+					}
+				}()
+			}
+			wg.Wait()
+			if hash(bodies) != before {
+				t.Errorf("%s p=%d: the build wrote to the body set", alg, p)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,152 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"partree/internal/runner"
+)
+
+// openSeeds are open records the daemon has met: what its session tests
+// and the verify walk-through send, what loadgen sends under
+// scripts/loadgen_smoke.sh (server-side disk model, then a client-motion
+// scenario), each service limit crossed, and non-records.
+var openSeeds = []string{
+	`{"procs":2,"bodies":3000,"seed":1,"dt":0.005,"check":true,"policy":{}}`,
+	`{"procs":2,"bodies":3000,"seed":7,"dt":0.005,"check":true,"adaptive":true,"policy":{}}`,
+	`{"procs": 2, "bodies": 4096, "check": true, "policy": {"max_churn_frac": 0.1, "streak": 2, "min_steps": 3}}`,
+	`{"procs":1,"bodies":500,"seed":1,"idle_timeout_ms":50,"policy":{}}`,
+	`{"procs":2,"bodies":256,"model":"disk","seed":42,"dt":0.01,"policy":{}}`,
+	`{"procs":2,"bodies":256,"seed":43,"policy":{}}`,
+	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
+	`{"bodies":"many"}`, `{"bodies":64,"dt":1e999}`, `{`, ``, `null`, `[]`, `7`,
+}
+
+var stepSeeds = []string{
+	`{"drift":true}`, `{"collapse":0.4}`, `{"rebuild":true}`, `{"close":true}`, `{}`,
+	`{"pos":[[0,0,0],[1,2,3]]}`, `{"pos":[]}`, `{"pos":[[1,2]]}`, `{"pos":7}`,
+	`{"drift":"yes"}`, `{`, ``, `null`,
+}
+
+// FuzzDecodeSessionOpen: the open record's decoder never panics, what
+// it accepts is inside the service limits with a model that parses, and
+// an accepted record re-encodes to a record it accepts unchanged.
+func FuzzDecodeSessionOpen(f *testing.F) {
+	for _, s := range openSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		open, model, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		if err != nil {
+			return
+		}
+		if open.Bodies < 1 || open.Bodies > runner.MaxServiceBodies ||
+			open.Procs < 1 || open.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) ||
+			open.LeafCap < 1 || open.Dt == 0 || open.Model == "" {
+			t.Fatalf("accepted an open record outside the service limits: %+v", open)
+		}
+		enc, err := json.Marshal(open)
+		if err != nil {
+			t.Fatalf("an accepted open record does not encode: %v", err)
+		}
+		again, model2, err := DecodeSessionOpen(json.NewDecoder(bytes.NewReader(enc)), "uniform")
+		if err != nil || again != open || model2 != model {
+			t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v, model %v→%v (%v)", open, enc, again, model, model2, err)
+		}
+	})
+}
+
+// FuzzDecodeSessionStep: the step decoder never panics, keeps the clean
+// end of stream recognisable, and an accepted record round-trips.
+func FuzzDecodeSessionStep(f *testing.F) {
+	for _, s := range stepSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		step, err := DecodeSessionStep(json.NewDecoder(strings.NewReader(doc)))
+		if err != nil {
+			if strings.Trim(doc, " \t\r\n") == "" && !errors.Is(err, io.EOF) {
+				t.Fatalf("empty stream: %v, want io.EOF", err)
+			}
+			return
+		}
+		enc, err := json.Marshal(step)
+		if err != nil {
+			t.Fatalf("an accepted step record does not encode: %v", err)
+		}
+		again, err := DecodeSessionStep(json.NewDecoder(bytes.NewReader(enc)))
+		enc2, _ := json.Marshal(again)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %s (%v)", step, enc, enc2, err)
+		}
+	})
+}
+
+// TestSessionRecordBytes pins each server record's line — field names
+// and order, as the parent's daemon wrote them — and that a client reads
+// it back into the member its event names, and into nothing else.
+func TestSessionRecordBytes(t *testing.T) {
+	timing := &StepTiming{QueueMs: 0.5, BuildMs: 2, MomentsMs: 1, TotalMs: 4}
+	for _, tc := range []struct {
+		sent any
+		line string
+	}{
+		{SessionOpened{Event: "opened", N: 64, Procs: 2, LeafCap: 8, IdleMs: 120000},
+			`{"event":"opened","n":64,"procs":2,"leaf_cap":8,"idle_ms":120000}`},
+		{SessionStepResult{Event: "step", Step: 3, Mode: "rebuild", Reason: "requested", Fallback: true,
+			Moved: 9, Churn: 0.25, DepthSkew: 1.5, BuildNs: 1000, Verified: true, Timing: timing},
+			`{"event":"step","step":3,"mode":"rebuild","reason":"requested","fallback":true,"moved":9,"churn":0.25,` +
+				`"depth_skew":1.5,"locks":0,"build_ns":1000,"verified":true,` +
+				`"timing":{"queue_ms":0.5,"build_ms":2,"moments_ms":1,"total_ms":4}}`},
+		{SessionStepResult{Event: "step", Step: 1, Mode: "update"},
+			`{"event":"step","step":1,"mode":"update","moved":0,"churn":0,"depth_skew":0,"locks":0,"build_ns":0}`},
+		{SessionClosed{Event: "closed", Steps: 4, Fallbacks: 1, Reason: "close"},
+			`{"event":"closed","steps":4,"fallbacks":1,"reason":"close"}`},
+		{SessionError{Event: "error", Error: "session closed: draining"},
+			`{"event":"error","error":"session closed: draining"}`},
+	} {
+		var want SessionRecord
+		switch rec := tc.sent.(type) {
+		case SessionOpened:
+			want = SessionRecord{Event: rec.Event, Opened: rec}
+		case SessionStepResult:
+			want = SessionRecord{Event: rec.Event, Step: rec}
+		case SessionClosed:
+			want = SessionRecord{Event: rec.Event, Closed: rec}
+		case SessionError:
+			want = SessionRecord{Event: rec.Event, Err: rec}
+		}
+		line, err := json.Marshal(tc.sent)
+		if err != nil || string(line) != tc.line {
+			t.Errorf("%T encodes as\n%s (%v), want\n%s", tc.sent, line, err, tc.line)
+		}
+		var got SessionRecord
+		if err := json.Unmarshal(line, &got); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\ndecodes to %+v (%v)\nwant       %+v", line, got, err, want)
+		}
+	}
+}
+
+// TestServerTimingRoundTrip pins the header's bytes and that the parser
+// reads back what the renderer wrote.
+func TestServerTimingRoundTrip(t *testing.T) {
+	v := ServerTiming(12*time.Microsecond, 1500*time.Microsecond, 250*time.Microsecond, 2*time.Millisecond)
+	if want := "queue;dur=0.012, build;dur=1.500, moments;dur=0.250, total;dur=2.000"; v != want {
+		t.Fatalf("ServerTiming = %q, want %q", v, want)
+	}
+	got := ParseServerTiming(v)
+	want := map[string]float64{"queue": 0.012, "build": 1.5, "moments": 0.25, "total": 2}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseServerTiming(%q) = %v, want %v", v, got, want)
+	}
+	if got := ParseServerTiming(`cache;desc="hit", db;dur=abc`); len(got) != 0 {
+		t.Errorf("a header without a numeric dur parsed to %v", got)
+	}
+}

@@ -5,6 +5,9 @@
 # script asserts:
 #   - a fan-out /v1/build conserves bodies: every generated body is
 #     built by exactly one shard and the merged result sums to n;
+#   - that build keeps one request ID in three processes: the trace-id
+#     of its traceparent is the router's X-Request-Id and retrieves the
+#     request from the router's and from each shard's /debug/requests;
 #   - a boundary-crossing /v1/move hands the body off through the
 #     eviction/accept protocol, leaving it resident in exactly one
 #     shard;
@@ -93,7 +96,9 @@ rurl=$(wait_url "$tmp/router.log" "$rpid")
 
 # --- fan-out build: bodies conserved across the fleet -----------------
 spec="{\"backend\":\"native\",\"algorithm\":\"PARTREE\",\"procs\":2,\"bodies\":$n,\"steps\":1,\"seed\":7,\"check\":true}"
-curl -fsS -X POST -H 'Content-Type: application/json' -d "$spec" \
+trace=4bf92f3577b34da6a3ce929d0e0e4736
+curl -fsS -X POST -H 'Content-Type: application/json' \
+    -H "traceparent: 00-$trace-00f067aa0ba902b7-01" -D "$tmp/build.hdr" -d "$spec" \
     "$rurl/v1/build" >"$tmp/build.json"
 err=$(jq -r '.error // empty' "$tmp/build.json")
 if [ -n "$err" ]; then
@@ -114,6 +119,29 @@ if [ "$minn" -lt 1 ]; then
     cat "$tmp/build.json" >&2
     exit 1
 fi
+
+# --- one request, one ID: router and both shards filed it -------------
+rid=$(tr -d '\r' <"$tmp/build.hdr" | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: //p')
+if [ "$rid" != "$trace" ]; then
+    echo "cluster-smoke: router answered X-Request-Id '$rid', want the traceparent's trace-id $trace" >&2
+    exit 1
+fi
+for pair in "$rurl /v1/build" "$s0url /v1/shard/build" "$s1url /v1/shard/build"; do
+    set -- $pair
+    # An entry is published just after its response is written.
+    route=
+    i=0
+    while [ $i -lt 50 ]; do
+        route=$(curl -s "$1/debug/requests/$trace" | jq -r '.route // empty')
+        [ -n "$route" ] && break
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if [ "$route" != "$2" ]; then
+        echo "cluster-smoke: $1/debug/requests/$trace has route '$route', want $2" >&2
+        exit 1
+    fi
+done
 
 # --- boundary-crossing handoff: body in exactly one shard -------------
 # Find a body resident in s0, then move it deep into s1's half of the
@@ -193,4 +221,4 @@ for p in $rpid $s0pid $s1pid; do
 done
 pids=
 
-echo "cluster-smoke: ok (router $rurl fronting s0=$s0url s1=$s1url; $n bodies conserved, body $body handed off s0->s1, stale version 409, rollup consistent)"
+echo "cluster-smoke: ok (router $rurl fronting s0=$s0url s1=$s1url; $n bodies conserved, request $trace filed by all three, body $body handed off s0->s1, stale version 409, rollup consistent)"
