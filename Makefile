@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface loc check repro bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface loc check repro repro-check repro-smoke bench
 
 all: build
 
@@ -102,11 +102,23 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: cmds surface build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke
+check: cmds surface build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:
 	$(GO) run ./cmd/partree paperrepro -out results
+
+# repro-check is what `make repro` is held to: it regenerates the whole
+# evaluation with every sweep cell's tree verified (`paperrepro -check`, which
+# exits 1 on a failed cell) into a temp dir and diffs it — minus each file's
+# one wall-clock line — against the committed results/ (16 .txt and
+# outcomes.csv). Minutes, so opt-in; repro-smoke does the same for two
+# figures in ~20 s and is part of check.
+repro-check:
+	sh scripts/repro_check.sh
+
+repro-smoke:
+	sh scripts/repro_check.sh F6,F15
 
 # bench runs the repository's one benchmark (BENCHMARK.json): every
 # workload end to end and layer by layer, builders, sessions, the daemon

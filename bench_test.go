@@ -7,6 +7,7 @@
 package partree_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -47,7 +48,9 @@ func runExperiment(b *testing.B, id string) {
 	opts := harness.Options{Sizes: []int{benchN}, MeasuredSteps: 1}
 	for i := 0; i < b.N; i++ {
 		s := harness.NewSession(runner.New(0), opts)
-		e.Run(s, io.Discard)
+		if failed := s.RunExperiment(context.Background(), e, io.Discard); len(failed) != 0 {
+			b.Fatalf("%s: %d cells failed, first: %s", id, len(failed), failed[0].FailureMessage())
+		}
 	}
 }
 

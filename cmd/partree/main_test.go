@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -14,6 +16,8 @@ import (
 	"strings"
 	"testing"
 
+	"partree/internal/engine"
+	"partree/internal/obs"
 	"partree/internal/obs/obstest"
 	"partree/internal/runner"
 )
@@ -283,5 +287,50 @@ func TestMetricsSurface(t *testing.T) {
 		if code, stderr := finish(); code != 0 {
 			t.Errorf("%s: exit %d\n%s", name, code, stderr)
 		}
+	}
+}
+
+// TestPaperreproFailedCellExitsOne: a sweep cell that fails is a verdict
+// on the reproduction. Here every cell of Figure 6 is refused by a
+// draining engine: each prints "-" (no NaN), each failed spec is logged
+// once with its grid coordinates, the CSV dump still lands, and the exit
+// status is 1. The row is bound and run as the driver does, over a runner
+// the test supplies.
+func TestPaperreproFailedCellExitsOne(t *testing.T) {
+	eng := engine.New(engine.Options{MaxActive: 2})
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if err := obs.SetLogger(&errs, "paperrepro", "info"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := paperreproCmd
+	cmd.stdout, cmd.r = &out, runner.NewWithConfig(runner.Config{Engine: eng})
+	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
+	runner.BindFlags(fs, &cmd.spec, cmd.omit...)
+	runCmd := cmd.bind(fs, &cmd)
+	if err := fs.Parse([]string{"-exp", "F6", "-sizes", "1024", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if code := runCmd(); code != 1 {
+		t.Errorf("exit %d, want 1\n%s", code, errs.String())
+	}
+	text := out.String()
+	if strings.Contains(text, "NaN") || strings.Count(text, "  -\n") != 5 {
+		t.Errorf("want five \"-\" cells and no NaN:\n%s", text)
+	}
+	// Five algorithms and the sequential baseline they share.
+	if got := strings.Count(errs.String(), `msg="sweep cell failed"`); got != 6 {
+		t.Errorf("%d failed-cell log lines, want 6:\n%s", got, errs.String())
+	}
+	for _, want := range []string{"alg=SPACE n=1024 p=16 seed=1998 platform=challenge experiment=F6", "draining"} {
+		if !strings.Contains(errs.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, errs.String())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "outcomes.csv")); err != nil {
+		t.Errorf("the partial CSV dump did not land: %v", err)
 	}
 }

@@ -20,7 +20,9 @@ import (
 
 // paperreproCmd writes each experiment's output under -out and echoes it
 // to stdout. An experiment's sweep cells run concurrently, -workers at a
-// time; rendering stays serial, so output is identical to a serial run.
+// time; rendering stays serial, so output is identical to a serial run. A
+// cell whose spec failed (error, timeout, a -check violation) prints "-",
+// is logged with its grid coordinates, and makes the exit status 1.
 // With -http the sweep is observable live: harness progress (cells
 // done/total, current figure) beside the runner and build counters.
 var paperreproCmd = command{
@@ -103,6 +105,7 @@ var paperreproCmd = command{
 			// still land.
 			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 			defer stop()
+			failed := 0
 			for _, e := range exps {
 				if ctx.Err() != nil {
 					break
@@ -117,7 +120,10 @@ var paperreproCmd = command{
 				w := io.MultiWriter(out, f)
 				fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title)
 				fmt.Fprintf(w, "expected shape: %s\n\n", e.Shape)
-				session.RunExperiment(ctx, e, w)
+				for _, res := range session.RunExperiment(ctx, e, w) {
+					failed++
+					slog.Error("sweep cell failed", append(specAttrs(res.Spec), "experiment", e.ID, "err", res.FailureMessage())...)
+				}
 				fmt.Fprintf(w, "\n[regenerated in %v]\n\n", time.Since(start).Round(time.Millisecond))
 				f.Close()
 			}
@@ -149,6 +155,10 @@ var paperreproCmd = command{
 			if ctx.Err() != nil {
 				slog.Warn("sweep interrupted; partial results written", "dir", *outDir)
 				return 130
+			}
+			if failed > 0 {
+				slog.Error("reproduction incomplete: failed cells are printed as -", "cells", failed)
+				return 1
 			}
 			return 0
 		}

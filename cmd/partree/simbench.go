@@ -52,24 +52,20 @@ var simbenchCmd = command{
 					return 1
 				}
 			}
-			o, _ := results[0].Outcome()
+			o, total := results[0], results[0].TotalNs
+			pl, _ := runner.ParsePlatform(spec.Platform, spec.Procs) // validated with the flags
 
 			fmt.Fprintf(out, "%v on %s: %d bodies, %d processors, %d measured steps\n\n",
-				spec.Alg, o.Platform, spec.Bodies, spec.Procs, spec.Steps)
+				spec.Alg, pl.Name, spec.Bodies, spec.Procs, spec.Steps)
 			t := stats.NewTable("phase", "simulated time", "share")
-			total := o.TotalNs()
-			for _, row := range []struct {
-				name string
-				ns   float64
-			}{
-				{"tree build", o.TreeNs},
-				{"partition", o.PartNs},
-				{"force calc", o.ForceNs},
-				{"update", o.UpdateNs},
-				{"total", total},
-			} {
-				t.Row(row.name, stats.Seconds(row.ns), fmt.Sprintf("%.1f%%", 100*row.ns/total))
+			row := func(phase string, ns float64) {
+				t.Row(phase, stats.Seconds(ns), fmt.Sprintf("%.1f%%", 100*ns/total))
 			}
+			row("tree build", o.TreeNs)
+			row("partition", o.PartNs)
+			row("force calc", o.ForceNs)
+			row("update", o.UpdateNs)
+			row("total", total)
 			t.Write(out)
 
 			if !*noSeq {
@@ -79,8 +75,8 @@ var simbenchCmd = command{
 
 			locks := stats.Summarize(o.LocksPerProc)
 			fmt.Fprintf(out, "\ntree-build locks/processor: mean %.0f [%.0f..%.0f], total %d\n",
-				locks.Mean, locks.Min, locks.Max, o.TotalLocks())
-			fmt.Fprintf(out, "mean barrier time/processor: %s\n", stats.Seconds(o.MeanBarrierNs()))
+				locks.Mean, locks.Min, locks.Max, o.LocksTotal)
+			fmt.Fprintf(out, "mean barrier time/processor: %s\n", stats.Seconds(o.BarrierNsMean))
 			pr := o.Protocol
 			fmt.Fprintf(out, "protocol: accesses=%d hits=%d cold=%d coher=%d local=%d remote=%d dirty=%d inval=%d\n",
 				pr.Accesses, pr.Hits, pr.ColdMisses, pr.CoherenceMiss, pr.LocalMisses, pr.RemoteMisses, pr.DirtyMisses, pr.Invalidations)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"partree/internal/octree"
 	"partree/internal/trace"
 	"partree/internal/vec"
@@ -133,7 +131,7 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 					}
 					cur = c.Parent
 				}
-				ins.insert(cur, depthOf(tree, s.Cell(cur).Cube), b, pos)
+				ins.insert(cur, tree.DepthOf(s.Cell(cur).Cube), b, pos)
 			}
 			m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
 		})
@@ -152,61 +150,37 @@ func (ub *updateBuilder) inserterFor(w int, m *Metrics, tp *trace.P) *inserter {
 	return ins
 }
 
-// depthOf recovers a node's depth from its cube size: cubes halve exactly
-// at every level, so the ratio to the root size is a power of two.
-func depthOf(t *octree.Tree, c vec.Cube) int {
-	root := t.RootCube()
-	return int(math.Round(math.Log2(root.Size / c.Size)))
-}
-
 // rescale rewrites every live node's cube after the root was resized:
 // proc 0 handles the top two levels, then the depth-2 subtrees are fanned
 // out across processors.
 func rescale(t *octree.Tree, root vec.Cube, p int, tr *trace.Recorder) {
 	s := t.Store
-	rc := s.Cell(t.Root)
-	rc.Cube = root
-
 	type job struct {
 		ref  octree.Ref
 		cube vec.Cube
 	}
 	var jobs []job
-	for o := vec.Octant(0); o < vec.NOctants; o++ {
-		ch := rc.Child(o)
-		if ch.IsNil() {
-			continue
-		}
-		cc := root.Child(o)
-		if ch.IsLeaf() {
-			s.Leaf(ch).Cube = cc
-			continue
-		}
-		c := s.Cell(ch)
-		c.Cube = cc
-		for oo := vec.Octant(0); oo < vec.NOctants; oo++ {
-			if g := c.Child(oo); !g.IsNil() {
-				jobs = append(jobs, job{g, cc.Child(oo)})
+	var top func(r octree.Ref, cube vec.Cube, depth int)
+	top = func(r octree.Ref, cube vec.Cube, depth int) {
+		switch {
+		case depth == 2:
+			jobs = append(jobs, job{r, cube})
+		case r.IsLeaf():
+			s.Leaf(r).Cube = cube
+		default:
+			c := s.Cell(r)
+			c.Cube = cube
+			for o := vec.Octant(0); o < vec.NOctants; o++ {
+				if ch := c.Child(o); !ch.IsNil() {
+					top(ch, cube.Child(o), depth+1)
+				}
 			}
 		}
 	}
+	top(t.Root, root, 0)
 	tracedDo(tr, trace.PhasePartition, p, func(w int) {
 		for i := w; i < len(jobs); i += p {
-			var rec func(r octree.Ref, cube vec.Cube)
-			rec = func(r octree.Ref, cube vec.Cube) {
-				if r.IsLeaf() {
-					s.Leaf(r).Cube = cube
-					return
-				}
-				c := s.Cell(r)
-				c.Cube = cube
-				for o := vec.Octant(0); o < vec.NOctants; o++ {
-					if ch := c.Child(o); !ch.IsNil() {
-						rec(ch, cube.Child(o))
-					}
-				}
-			}
-			rec(jobs[i].ref, jobs[i].cube)
+			s.Rescale(jobs[i].ref, jobs[i].cube)
 		}
 	})
 }

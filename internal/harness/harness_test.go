@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"partree/internal/core"
-	"partree/internal/memsim"
+	"partree/internal/engine"
+	"partree/internal/obs"
 	"partree/internal/runner"
 )
 
@@ -20,19 +24,22 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	s := tinySession()
 	for _, e := range All() {
-		if e.ID == "X1" || e.ID == "X2" || e.ID == "X3" {
-			continue // extensions: large processor counts / subset of algorithms
-		}
 		var buf bytes.Buffer
-		e.Run(s, &buf)
+		if failed := s.RunExperiment(context.Background(), e, &buf); len(failed) != 0 {
+			t.Fatalf("%s: %d cells failed, first: %s", e.ID, len(failed), failed[0].FailureMessage())
+		}
 		out := buf.String()
 		if len(out) == 0 {
 			t.Fatalf("%s produced no output", e.ID)
 		}
-		for _, alg := range core.Algorithms() {
-			if e.ID == "T1" {
-				break // Table 1 is per-platform, not per-algorithm
-			}
+		algs := core.Algorithms()
+		switch e.ID {
+		case "T1", "X3":
+			algs = nil // per-platform, not per-algorithm
+		case "X2":
+			algs = []core.Algorithm{core.LOCAL, core.PARTREE, core.SPACE}
+		}
+		for _, alg := range algs {
 			if !strings.Contains(out, alg.String()) {
 				t.Fatalf("%s output missing algorithm %v:\n%s", e.ID, alg, out)
 			}
@@ -42,8 +49,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestSessionCSVDump(t *testing.T) {
 	s := tinySession()
-	s.Outcome(memsim.Challenge(), core.SPACE, 2, 1024)
-	s.Seq(memsim.Challenge(), 1024)
+	s.Outcome("challenge", core.SPACE, 2, 1024)
+	s.Seq("challenge", 1024)
 	var buf bytes.Buffer
 	if err := s.DumpCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -73,9 +80,9 @@ func TestFindExperiments(t *testing.T) {
 
 func TestSessionMemoizes(t *testing.T) {
 	s := tinySession()
-	a := s.Outcome(memsim.Challenge(), core.SPACE, 4, 1024)
-	b := s.Outcome(memsim.Challenge(), core.SPACE, 4, 1024)
-	if a.TotalNs() != b.TotalNs() {
+	a := s.Outcome("challenge", core.SPACE, 4, 1024)
+	b := s.Outcome("challenge", core.SPACE, 4, 1024)
+	if a.TotalNs != b.TotalNs {
 		t.Fatal("memoized outcomes differ")
 	}
 	if len(s.r.Results()) != 1 {
@@ -88,12 +95,16 @@ func TestHeadlineShapesHold(t *testing.T) {
 	s := NewSession(runner.New(0), Options{Sizes: []int{8192}, MeasuredSteps: 1})
 	n := 8192
 
+	speedup := func(pl string, alg core.Algorithm, p, n int) float64 {
+		return s.Seq(pl, n).TotalNs / s.Outcome(pl, alg, p, n).TotalNs
+	}
+
 	// HLRC: SPACE performs well, ORIG near/below 1, ordering holds.
-	ty := memsim.TyphoonHLRC()
-	spSpace := s.Speedup(ty, core.SPACE, 16, n)
-	spPartree := s.Speedup(ty, core.PARTREE, 16, n)
-	spLocal := s.Speedup(ty, core.LOCAL, 16, n)
-	spOrig := s.Speedup(ty, core.ORIG, 16, n)
+	ty := "typhoon-hlrc"
+	spSpace := speedup(ty, core.SPACE, 16, n)
+	spPartree := speedup(ty, core.PARTREE, 16, n)
+	spLocal := speedup(ty, core.LOCAL, 16, n)
+	spOrig := speedup(ty, core.ORIG, 16, n)
 	if !(spSpace > spPartree && spPartree > spLocal && spLocal > spOrig) {
 		t.Fatalf("HLRC ordering broken: SPACE=%.2f PARTREE=%.2f LOCAL=%.2f ORIG=%.2f",
 			spSpace, spPartree, spLocal, spOrig)
@@ -106,21 +117,21 @@ func TestHeadlineShapesHold(t *testing.T) {
 	}
 
 	// Challenge: everything speeds up decently.
-	ch := memsim.Challenge()
+	ch := "challenge"
 	for _, alg := range core.Algorithms() {
-		if sp := s.Speedup(ch, alg, 16, n); sp < 5 {
+		if sp := speedup(ch, alg, 16, n); sp < 5 {
 			t.Fatalf("%v on Challenge speedup %.2f too low", alg, sp)
 		}
 	}
 
 	// Figure 15 ordering: locks fall ORIG >= LOCAL > UPDATE > PARTREE > SPACE=0,
 	// and HLRC requires more locks than Origin for the same algorithm.
-	or := memsim.Origin2000(16)
+	or := "origin"
 	locksOr := map[core.Algorithm]int64{}
 	locksTy := map[core.Algorithm]int64{}
 	for _, alg := range core.Algorithms() {
-		locksOr[alg] = s.Outcome(or, alg, 16, n).TotalLocks()
-		locksTy[alg] = s.Outcome(ty, alg, 16, n).TotalLocks()
+		locksOr[alg] = s.Outcome(or, alg, 16, n).LocksTotal
+		locksTy[alg] = s.Outcome(ty, alg, 16, n).LocksTotal
 	}
 	if !(locksOr[core.ORIG] >= locksOr[core.LOCAL] &&
 		locksOr[core.LOCAL] > locksOr[core.UPDATE] &&
@@ -132,5 +143,156 @@ func TestHeadlineShapesHold(t *testing.T) {
 		if locksTy[alg] <= locksOr[alg] {
 			t.Fatalf("%v: HLRC locks %d not above Origin locks %d", alg, locksTy[alg], locksOr[alg])
 		}
+	}
+}
+
+// started reads the runner's executions-begun counter off its /metrics page.
+func started(t *testing.T, r *runner.Runner) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	if err := r.RegisterObs(reg); err != nil {
+		t.Fatal(err)
+	}
+	var page bytes.Buffer
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := obs.ParseText(&page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals["partree_runner_specs_started_total"]
+}
+
+// TestOnePassOneResult: RunExperiment declares an experiment's tables once,
+// executes each distinct spec once, and formats each cell once.
+func TestOnePassOneResult(t *testing.T) {
+	r := runner.New(0)
+	s := NewSession(r, Options{Sizes: []int{512}, MeasuredSteps: 1})
+	var declared, formatted int
+	ch := "challenge"
+	e := Experiment{ID: "T", Tables: func(s *Session) []Table {
+		declared++
+		count := func(c Cell) Cell {
+			return Cell{c.Specs, func(rs []runner.Result) any { formatted++; return c.Value(rs) }}
+		}
+		// Four cells over three distinct specs: both speedups read the
+		// same baseline, and the last cell repeats the first.
+		return []Table{{Header: []string{"algorithm", "a", "b"}, Rows: []Row{
+			{"x", []Cell{count(s.speedup(ch, core.SPACE, 2, 512)), count(s.speedup(ch, core.LOCAL, 2, 512))}},
+			{"y", []Cell{count(s.share(ch, core.LOCAL, 1, 512)), count(s.speedup(ch, core.SPACE, 2, 512))}},
+		}}}
+	}}
+	var buf bytes.Buffer
+	if failed := s.RunExperiment(context.Background(), e, &buf); len(failed) != 0 {
+		t.Fatalf("%d cells failed: %s", len(failed), failed[0].FailureMessage())
+	}
+	if declared != 1 || formatted != 4 {
+		t.Errorf("declared %d times, formatted %d cells; want 1 and 4", declared, formatted)
+	}
+	if got := started(t, r); got != 3 {
+		t.Errorf("runner started %v executions, want the 3 distinct specs", got)
+	}
+	if got := s.obs.cellsTotal.Load(); got != 3 || s.obs.cellsDone.Load() != 3 {
+		t.Errorf("progress: %d cells enqueued, %d done; want 3 and 3", got, s.obs.cellsDone.Load())
+	}
+	// And for real figures: what ran is exactly what the cells declare.
+	for _, id := range []string{"F6", "F15"} {
+		e, _ := Find(id)
+		r := runner.New(0)
+		s := NewSession(r, Options{Sizes: []int{512}, MeasuredSteps: 1})
+		distinct := map[string]bool{}
+		for _, tb := range e.Tables(s) {
+			for _, row := range tb.Rows {
+				for _, c := range row.Cells {
+					for _, sp := range c.Specs {
+						distinct[sp.Key()] = true
+					}
+				}
+			}
+		}
+		s.RunExperiment(context.Background(), e, io.Discard)
+		if got := started(t, r); got != float64(len(distinct)) {
+			t.Errorf("%s: runner started %v executions, want its %d distinct specs", id, got, len(distinct))
+		}
+	}
+}
+
+// TestFailedCellsAreAVerdict: a cell whose spec failed prints "-" — never a
+// NaN computed from a zero result — and RunExperiment returns every failed
+// spec, whether the sweep was cancelled or the engine refused the work.
+func TestFailedCellsAreAVerdict(t *testing.T) {
+	f6, _ := Find("F6")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	draining := engine.New(engine.Options{MaxActive: 2})
+	if err := draining.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		ctx context.Context
+		r   *runner.Runner
+	}{
+		"cancelled context": {cancelled, runner.New(0)},
+		"draining engine":   {context.Background(), runner.NewWithConfig(runner.Config{Engine: draining})},
+	} {
+		s := NewSession(c.r, Options{Sizes: []int{1024}, MeasuredSteps: 1})
+		var buf bytes.Buffer
+		failed := s.RunExperiment(c.ctx, f6, &buf)
+		// Figure 6 at one size: five algorithms and the shared baseline.
+		if len(failed) != 6 {
+			t.Errorf("%s: %d failed results, want all 6 cells", name, len(failed))
+		}
+		for _, res := range failed {
+			if res.FailureMessage() == "" || res.Spec.Bodies != 1024 {
+				t.Errorf("%s: failed result lacks its message or spec: %+v", name, res)
+			}
+		}
+		out := buf.String()
+		if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Errorf("%s: a failed cell printed a number:\n%s", name, out)
+		}
+		if got := strings.Count(out, "  -\n"); got != 5 {
+			t.Errorf("%s: %d cells print \"-\", want 5:\n%s", name, got, out)
+		}
+	}
+	// The bar series of S15 has no grid to put a "-" in; the bar does.
+	s15, _ := Find("S15")
+	var buf bytes.Buffer
+	NewSession(runner.New(0), Options{Sizes: []int{1024}}).RunExperiment(cancelled, s15, &buf)
+	if out := buf.String(); strings.Contains(out, "NaN") || strings.Count(out, "  -\n") != 5 {
+		t.Errorf("S15 with every cell failed:\n%s", out)
+	}
+}
+
+// TestSizeLabels: sizes print in units of 1024 only where that is exact.
+func TestSizeLabels(t *testing.T) {
+	for n, want := range map[int]string{512: "512", 1024: "1k", 1536: "1536", 16384: "16k", 131072: "128k"} {
+		if got := sizeLabel(n); got != want {
+			t.Errorf("sizeLabel(%d) = %q, want %q", n, got, want)
+		}
+	}
+	t1, _ := Find("T1")
+	tables := t1.Tables(NewSession(runner.New(0), Options{Sizes: []int{512, 2048}}))
+	if got := strings.Join(tables[0].Header, " "); got != "platform 512 2k" {
+		t.Errorf("Table 1 header = %q", got)
+	}
+}
+
+// TestTraceFileNames: under Options.TraceDir every cell writes its own
+// trace file, named after the cell; without it no cell is traced.
+func TestTraceFileNames(t *testing.T) {
+	s := NewSession(runner.New(0), Options{TraceDir: "tr"})
+	for want, sp := range map[string]runner.Spec{
+		"origin_SPACE_p16_n4096.json":  s.run("origin", core.SPACE, 16, 4096),
+		"challenge_SEQ_p1_n8192.json":  s.seq("challenge", 8192),
+		"typhoon-hlrc_ORIG_p4_n1.json": s.run("typhoon-hlrc", core.ORIG, 4, 1),
+	} {
+		if sp.Trace != filepath.Join("tr", want) {
+			t.Errorf("%s traces to %q, want tr/%s", sp, sp.Trace, want)
+		}
+	}
+	if sp := NewSession(runner.New(0), Options{}).seq("origin", 1024); sp.Trace != "" {
+		t.Errorf("untraced session traces to %q", sp.Trace)
 	}
 }

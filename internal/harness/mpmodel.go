@@ -2,12 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"partree/internal/core"
 	"partree/internal/memsim"
 	"partree/internal/mp"
-	"partree/internal/stats"
+	"partree/internal/phys"
+	"partree/internal/runner"
 )
 
 // mpCosts is the first-order communication model for the message-passing
@@ -35,7 +36,7 @@ func mpCosts(pl memsim.Platform) (latencyNs, nsPerByte float64) {
 // a first-order model (no contention), which is exactly the regime message
 // passing was prized for — predictable, latency-bound communication.
 func mpEstimate(s *Session, pl memsim.Platform, p, n int) float64 {
-	bodies := s.Bodies(n).Clone()
+	bodies := s.r.Bodies(phys.ModelPlummer, n, s.Opts.Seed).Clone()
 	// Settle the distribution one step, then measure the second, to
 	// mirror the shared-memory methodology.
 	mp.Step(bodies, mp.Options{P: p})
@@ -62,28 +63,27 @@ func mpEstimate(s *Session, pl memsim.Platform, p, n int) float64 {
 	return worst * float64(s.Opts.MeasuredSteps)
 }
 
-func ext3(s *Session, w io.Writer) {
-	n := s.Opts.MaxSize()
-	p := 16
-	fmt.Fprintf(w, "Message passing (ORB + locally essential trees) vs shared address space,\n")
-	fmt.Fprintf(w, "%dk bodies, %d processors. MP times are first-order estimates from the\n", n/1024, p)
-	fmt.Fprintln(w, "native run's measured work and traffic; SAS times are full simulations.")
-	fmt.Fprintln(w)
-	t := stats.NewTable("platform", "MP est.", "LOCAL (SAS)", "SPACE (SAS)")
-	platforms := []memsim.Platform{
-		memsim.Challenge(), memsim.Origin2000(p), memsim.TyphoonSC(),
-		memsim.TyphoonHLRC(), memsim.Paragon(),
+func ext3(s *Session) []Table {
+	n, p := s.Opts.MaxSize(), 16
+	platforms := []string{"challenge", "origin", "typhoon-sc", "typhoon-hlrc", "paragon"}
+	times := func(c Cell) Cell { // a speedup printed as "8.5x"
+		return Cell{c.Specs, func(rs []runner.Result) any { return fmt.Sprintf("%.1fx", c.Value(rs)) }}
 	}
-	for _, pl := range platforms {
-		seq := s.Seq(pl, n).TotalNs()
-		mpT := mpEstimate(s, pl, p, n)
-		t.Row(pl.Name,
-			fmt.Sprintf("%.1fx", seq/mpT),
-			fmt.Sprintf("%.1fx", s.Speedup(pl, core.LOCAL, p, n)),
-			fmt.Sprintf("%.1fx", s.Speedup(pl, core.SPACE, p, n)))
+	t := table(fmt.Sprintf("Message passing (ORB + locally essential trees) vs shared address space,\n"+
+		"%s bodies, %d processors. MP times are first-order estimates from the\n"+
+		"native run's measured work and traffic; SAS times are full simulations.\n\n", sizeLabel(n), p),
+		"platform", platforms, displayName, []core.Algorithm{core.LOCAL, core.SPACE},
+		func(alg core.Algorithm) string { return alg.String() + " (SAS)" },
+		func(platform string, alg core.Algorithm) Cell { return times(s.speedup(platform, alg, p, n)) })
+	// The estimate's column is computed: mp.Step is native code, not a spec.
+	t.Header = slices.Insert(t.Header, 1, "MP est.")
+	for i, platform := range platforms {
+		pl, _ := runner.ParsePlatform(platform, p)
+		t.Rows[i].Cells = slices.Insert(t.Rows[i].Cells, 0, times(Cell{[]runner.Spec{s.seq(platform, n)},
+			func(rs []runner.Result) any { return rs[0].TotalNs / mpEstimate(s, pl, p, n) }}))
 	}
-	t.Write(w)
-	fmt.Fprintln(w, "\nMessage passing's speedups stay healthy on every platform — the")
-	fmt.Fprintln(w, "portability the paper set out to match. SPACE is the tree-building")
-	fmt.Fprintln(w, "algorithm that lets the shared-address-space model keep pace.")
+	t.Note = "\nMessage passing's speedups stay healthy on every platform — the\n" +
+		"portability the paper set out to match. SPACE is the tree-building\n" +
+		"algorithm that lets the shared-address-space model keep pace.\n"
+	return []Table{t}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"partree/internal/obs"
@@ -13,19 +12,10 @@ import (
 // atomic adds per experiment, one per cell); exposed when a binary runs
 // with -http so `partree paperrepro -http :9090` can be watched mid-sweep.
 type sessionObs struct {
-	experiments *obs.Counter // experiments started
-	cellsTotal  atomic.Int64 // sweep cells enqueued across experiments
-	cellsDone   atomic.Int64 // sweep cells whose result is available
-
-	mu         sync.Mutex
-	currentID  string // experiment being regenerated ("" when idle)
-	currentTit string
-}
-
-func (o *sessionObs) setCurrent(id, title string) {
-	o.mu.Lock()
-	o.currentID, o.currentTit = id, title
-	o.mu.Unlock()
+	experiments *obs.Counter               // experiments started
+	cellsTotal  atomic.Int64               // sweep cells enqueued across experiments
+	cellsDone   atomic.Int64               // sweep cells whose result is available
+	current     atomic.Pointer[Experiment] // being regenerated (nil when idle)
 }
 
 // RegisterObs exposes the session's sweep progress on reg.
@@ -39,28 +29,22 @@ func (s *Session) RegisterObs(reg *obs.Registry) error {
 		obs.NewGaugeFunc("partree_harness_cells_done",
 			"Sweep cells whose result is available.",
 			func() float64 { return float64(o.cellsDone.Load()) }),
-		currentExperiment{o},
+		o,
 	)
 }
 
-// currentExperiment renders the in-progress figure as an info-style
-// gauge: value 1 with the experiment's id/title as labels, and no series
-// at all while the session is idle.
-type currentExperiment struct{ o *sessionObs }
-
-// Collect implements obs.Collector.
-func (c currentExperiment) Collect(out []obs.Family) []obs.Family {
-	c.o.mu.Lock()
-	id, title := c.o.currentID, c.o.currentTit
-	c.o.mu.Unlock()
+// Collect renders the in-progress figure as an info-style gauge: value 1
+// with the experiment's id/title as labels, and no series at all while the
+// session is idle.
+func (o *sessionObs) Collect(out []obs.Family) []obs.Family {
 	fam := obs.Family{
 		Name: "partree_harness_current_experiment",
 		Help: "The experiment currently being regenerated (1 while one is running).",
 		Type: obs.TypeGauge,
 	}
-	if id != "" {
+	if e := o.current.Load(); e != nil {
 		fam.Series = []obs.Series{{
-			Labels: []obs.Label{{Name: "id", Value: id}, {Name: "title", Value: title}},
+			Labels: []obs.Label{{Name: "id", Value: e.ID}, {Name: "title", Value: e.Title}},
 			Value:  1,
 		}}
 	}

@@ -2,6 +2,7 @@ package octree
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -270,4 +271,26 @@ func (t *Tree) RootCube() vec.Cube {
 		return t.Store.Leaf(t.Root).Cube
 	}
 	return t.Store.Cell(t.Root).Cube
+}
+
+// DepthOf recovers a node's depth from its cube size: cubes halve exactly
+// at every level, so the ratio to the root size is a power of two.
+func (t *Tree) DepthOf(c vec.Cube) int {
+	return int(math.Round(math.Log2(t.RootCube().Size / c.Size)))
+}
+
+// Rescale rewrites the cube of every node of the subtree at r after its
+// cube was resized to cube (UPDATE's bounds refresh), serially.
+func (s *Store) Rescale(r Ref, cube vec.Cube) {
+	if r.IsLeaf() {
+		s.Leaf(r).Cube = cube
+		return
+	}
+	c := s.Cell(r)
+	c.Cube = cube
+	for o := vec.Octant(0); o < vec.NOctants; o++ {
+		if ch := c.Child(o); !ch.IsNil() {
+			s.Rescale(ch, cube.Child(o))
+		}
+	}
 }

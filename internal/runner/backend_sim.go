@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"partree/internal/engine"
 	"partree/internal/phys"
@@ -15,8 +16,12 @@ import (
 // simalg.Run has no internal preemption points, so cancellation is
 // implemented by racing the run against the context: on timeout the
 // caller gets a partial Result immediately and the abandoned run is left
-// to finish on its goroutine (it only touches its own clone of bodies).
-func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
+// to finish on its goroutine (it only touches its own clone of bodies) —
+// still holding its engine slot, which the goroutine gives back when the
+// replay returns: an abandoned replay is a busy core, so MaxActive keeps
+// bounding CPU and Engine.Drain waits it out. returned counts the replays
+// that ran to their end, abandoned ones included.
+func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine, returned *atomic.Int64) Result {
 	pl, err := ParsePlatform(spec.Platform, spec.Procs)
 	if err != nil {
 		return Result{Err: err.Error()}
@@ -27,7 +32,6 @@ func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engi
 	if err != nil {
 		return admissionResult(spec, err)
 	}
-	defer release()
 	cfg := simalg.Config{
 		Platform:      pl,
 		P:             spec.Procs,
@@ -51,11 +55,17 @@ func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engi
 		// wrong algorithm makes the replayed timing meaningless, so skip
 		// the replay on failure.
 		if cerr := verify.Algorithm(spec.Alg, bodies, spec.Procs, spec.LeafCap); cerr != nil {
+			release()
 			return Result{CheckFailure: cerr.Error()}
 		}
 	}
 	ch := make(chan simalg.Outcome, 1)
-	go func() { ch <- simalg.Run(spec.Alg, bodies, cfg) }()
+	go func() {
+		o := simalg.Run(spec.Alg, bodies, cfg)
+		returned.Add(1)
+		release() // before the result is visible, so a caller that has it finds the slot free
+		ch <- o
+	}()
 	select {
 	case o := <-ch:
 		res := resultFromOutcome(spec, o)

@@ -37,6 +37,9 @@ type runnerObs struct {
 	// transientDropped counts admission rejections dropped from the
 	// result cache; it balances AuditObs and is not exposed.
 	transientDropped atomic.Int64
+	// replaysReturned counts the simulated replays that ran to their end,
+	// abandoned (timed-out) ones included; it is not exposed.
+	replaysReturned atomic.Int64
 
 	// specSeconds distributes per-spec wall time (Result.WallNs) across
 	// deterministic exponential buckets, labeled by backend: 1ms..~137s.

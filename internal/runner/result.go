@@ -56,7 +56,6 @@ type Result struct {
 	// the spec ran with Check set (empty otherwise).
 	CheckFailure string `json:"check_failure,omitempty"`
 
-	sim *simalg.Outcome
 	// rec carries the run's trace recorder until Runner.execute writes it
 	// to Spec.Trace — after the wall clock stops, so a traced spec's
 	// WallNs never includes the file export.
@@ -83,15 +82,6 @@ func (r *Result) writeTrace() error {
 		return nil
 	}
 	return r.rec.WriteFile(r.Spec.Trace)
-}
-
-// Outcome returns the full simulated outcome behind a simulated-backend
-// result (per-processor barrier times and protocol counters included).
-func (r Result) Outcome() (simalg.Outcome, bool) {
-	if r.sim == nil {
-		return simalg.Outcome{}, false
-	}
-	return *r.sim, true
 }
 
 // Failed reports whether the spec did not run to completion, or ran but
@@ -125,7 +115,6 @@ func resultFromOutcome(spec Spec, o simalg.Outcome) Result {
 		Interactions:  o.Interactions,
 		StepsDone:     o.Steps,
 		Protocol:      &o.Protocol,
-		sim:           &o,
 	}
 }
 

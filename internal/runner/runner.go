@@ -313,7 +313,7 @@ func (r *Runner) execute(e *flight[run]) {
 	case Native:
 		res = runNative(ctx, spec, bodies, r.eng)
 	default:
-		res = runSimulated(ctx, spec, bodies, r.eng)
+		res = runSimulated(ctx, spec, bodies, r.eng, &r.obs.replaysReturned)
 	}
 	res.Spec = spec
 	res.GenNs = genNs

@@ -34,8 +34,8 @@ func TestSimulatedMatchesDirectRun(t *testing.T) {
 	if res.TotalNs != direct.TotalNs() {
 		t.Fatalf("runner %v != direct %v", res.TotalNs, direct.TotalNs())
 	}
-	if o, ok := res.Outcome(); !ok || o.TotalLocks() != direct.TotalLocks() {
-		t.Fatalf("outcome mismatch: %v vs %v", o, direct)
+	if res.LocksTotal != direct.TotalLocks() || res.BarrierNsMean != direct.MeanBarrierNs() || *res.Protocol != direct.Protocol {
+		t.Fatalf("outcome mismatch: %+v vs %v", res, direct)
 	}
 	if res.WallNs <= 0 || res.StepsDone != 1 {
 		t.Fatalf("bookkeeping wrong: wall=%d steps=%d", res.WallNs, res.StepsDone)
@@ -119,12 +119,23 @@ func TestTimeoutYieldsPartialNativeResult(t *testing.T) {
 	}
 }
 
+// TestTimeoutSimulated: a replay that outlives its timeout answers the
+// error at once and is abandoned on its goroutine — still burning a core,
+// so still holding its engine slot. With MaxActive 1, Drain (which seizes
+// every slot) therefore returns only once the abandoned replay has.
 func TestTimeoutSimulated(t *testing.T) {
+	r := New(1)
 	spec := simSpec(core.LOCAL, 4, 4096)
 	spec.Timeout = time.Nanosecond
-	res := New(0).Run(context.Background(), spec)
-	if !res.Failed() {
-		t.Fatal("want timeout error")
+	res := r.Run(context.Background(), spec)
+	if !res.Failed() || !strings.Contains(res.Err, "deadline exceeded") {
+		t.Fatalf("want a timeout error, got %+v", res)
+	}
+	if err := r.Engine().Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.obs.replaysReturned.Load(); got != 1 {
+		t.Fatalf("the engine drained with %d replays returned: the abandoned one was still running", got)
 	}
 }
 

@@ -42,7 +42,7 @@ func (st *runState) updateMove(sp *sproc) {
 			}
 			cur = c.Parent
 		}
-		sp.insert(cur, depthOfCube(st.tree, s.Cell(cur).Cube), b)
+		sp.insert(cur, st.tree.DepthOf(s.Cell(cur).Cube), b)
 	}
 }
 

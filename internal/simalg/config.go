@@ -1,9 +1,6 @@
 package simalg
 
 import (
-	"fmt"
-
-	"partree/internal/core"
 	"partree/internal/force"
 	"partree/internal/memsim"
 	"partree/internal/trace"
@@ -106,13 +103,10 @@ func (c Config) forceParams() force.Params {
 	return force.Params{Theta: c.Theta, Eps: c.Eps, G: 1}
 }
 
-// Outcome is the simulated result of the measured steps.
+// Outcome is the simulated result of the measured steps. It does not
+// restate which run it was: the caller holds the algorithm and the Config.
 type Outcome struct {
-	Alg      core.Algorithm
-	Platform string
-	P        int
-	N        int
-	Steps    int
+	Steps int
 
 	// Per-phase simulated time, summed over measured steps (ns).
 	TreeNs   float64
@@ -162,10 +156,4 @@ func (o Outcome) MeanBarrierNs() float64 {
 		t += b
 	}
 	return t / float64(len(o.BarrierNsPerProc))
-}
-
-// String summarizes the outcome.
-func (o Outcome) String() string {
-	return fmt.Sprintf("%s on %s p=%d n=%d: total=%.2fms tree=%.1f%% locks=%d",
-		o.Alg, o.Platform, o.P, o.N, o.TotalNs()/1e6, 100*o.TreeShare(), o.TotalLocks())
 }

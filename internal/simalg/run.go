@@ -2,7 +2,6 @@ package simalg
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -253,7 +252,7 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 		st.cube = st.bodies.Bounds(1e-4)
 		if incremental {
 			// Keep the tree; refresh every node's bounds.
-			rescaleNative(st.tree, st.cube)
+			st.tree.Store.Rescale(st.tree.Root, st.cube)
 			st.ownerAddrs = collectOwnerAddrs(st.tree, st.cfg.P, st.nodeLines)
 		} else {
 			st.store.Reset()
@@ -474,40 +473,9 @@ func collectOwnerAddrs(t *octree.Tree, p, nodeLines int) [][]uint64 {
 	return out
 }
 
-// rescaleNative rewrites every node's cube after the root resizes (the
-// UPDATE algorithm's bounds refresh), without charging — the charges are
-// distributed across processors by the caller.
-func rescaleNative(t *octree.Tree, root vec.Cube) {
-	s := t.Store
-	var rec func(r octree.Ref, cube vec.Cube)
-	rec = func(r octree.Ref, cube vec.Cube) {
-		if r.IsLeaf() {
-			s.Leaf(r).Cube = cube
-			return
-		}
-		c := s.Cell(r)
-		c.Cube = cube
-		for o := vec.Octant(0); o < vec.NOctants; o++ {
-			if ch := c.Child(o); !ch.IsNil() {
-				rec(ch, cube.Child(o))
-			}
-		}
-	}
-	rec(t.Root, root)
-}
-
-// depthOfCube recovers a node's depth from exact cube halving.
-func depthOfCube(t *octree.Tree, c vec.Cube) int {
-	return int(math.Round(math.Log2(t.RootCube().Size / c.Size)))
-}
-
 // outcome extracts the measured phase times and counters.
 func (st *runState) outcome(res memsim.Result) Outcome {
 	o := Outcome{
-		Alg:          st.alg,
-		Platform:     st.cfg.Platform.Name,
-		P:            st.cfg.P,
-		N:            st.bodies.N(),
 		Steps:        st.cfg.MeasuredSteps,
 		Interactions: st.interactions,
 		Protocol:     res.Protocol,

@@ -95,7 +95,8 @@ func pad(s string, w int) string {
 }
 
 // Bars renders a labelled horizontal ASCII bar series, scaled to maxWidth
-// characters — the harness's stand-in for the paper's figures.
+// characters — the harness's stand-in for the paper's figures. A NaN value
+// is a missing measurement and prints as "-".
 func Bars(w io.Writer, title string, labels []string, values []float64, unit string) {
 	fmt.Fprintln(w, title)
 	max := 0.0
@@ -112,6 +113,10 @@ func Bars(w io.Writer, title string, labels []string, values []float64, unit str
 	}
 	const maxWidth = 46
 	for i, v := range values {
+		if math.IsNaN(v) {
+			fmt.Fprintf(w, "  %s  -\n", pad(labels[i], lw))
+			continue
+		}
 		n := 0
 		if max > 0 {
 			n = int(math.Round(v / max * maxWidth))

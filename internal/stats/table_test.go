@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,14 @@ func TestBarsZeroSafe(t *testing.T) {
 	Bars(&buf, "t", []string{"a"}, []float64{0}, "")
 	if !strings.Contains(buf.String(), "0.00") {
 		t.Fatal("zero bar missing value")
+	}
+}
+
+func TestBarsMissingValue(t *testing.T) {
+	var buf bytes.Buffer
+	Bars(&buf, "t", []string{"a", "bb"}, []float64{math.NaN(), 2}, "x")
+	if got, want := buf.String(), "t\n  a   -\n  bb  ############################################## 2.00x\n"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 
