@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface loc check repro repro-check repro-smoke bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface reach loc check repro repro-check repro-smoke bench
 
 all: build
 
@@ -96,13 +96,20 @@ surface:
 	@! grep -rnE --include='*.go' 'type .*Wire struct' cmd || \
 		{ echo "cmd/ must not declare wire records; they live in internal/wire" >&2; exit 1; }
 
+# reach holds every package under internal/ to being read by a shipped
+# program: a binary under cmd/, a hypothesis driver, or the benchmark
+# module (test-helper packages aside). A package kept alive only by
+# examples/ or its own tests fails.
+reach:
+	sh scripts/reach.sh
+
 # loc counts non-test Go lines outside the nested benchmark module — the
 # number CHANGES.md quotes before/after a simplification.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: cmds surface build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke
+check: cmds surface reach build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:

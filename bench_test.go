@@ -30,7 +30,7 @@ const (
 func benchBodies(n int) *phys.Bodies { return phys.Generate(phys.ModelPlummer, n, 1998) }
 
 func simCfg(pl memsim.Platform, p int) simalg.Config {
-	return simalg.Config{Platform: pl, P: p, LeafCap: 8, WarmSteps: 1, MeasuredSteps: 1}
+	return simalg.Config{Platform: pl, P: p, LeafCap: 8, MeasuredSteps: 1}
 }
 
 func seqCfg(pl memsim.Platform) simalg.Config {

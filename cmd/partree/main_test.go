@@ -174,6 +174,10 @@ func TestUsageErrors(t *testing.T) {
 		{"bad platform", []string{"simbench", "-platform", "cray"}, []string{"challenge, origin, paragon, typhoon-hlrc, typhoon-sc"}},
 		{"extras under -json", []string{"nbody", "-json", "-energy"}, []string{"not supported with -json", "-energy"}},
 		{"bad processor list", []string{"treebench", "-p", "1,x"}, []string{"bad processor count"}},
+		// One node arena per processor, octree.MaxArenas of them: past that a
+		// build used to panic in a runner goroutine nothing recovers.
+		{"simbench past 64 processors", []string{"simbench", "-p", "65"}, []string{"procs 65 exceeds the builders' limit 64"}},
+		{"treebench past 64 processors", []string{"treebench", "-p", "65", "-n", "1024"}, []string{"procs 65 exceeds the builders' limit 64"}},
 	} {
 		out, errs, code := partree(t, c.args...)
 		if code != 2 || out != "" {

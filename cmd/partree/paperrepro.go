@@ -34,8 +34,12 @@ var paperreproCmd = command{
 	spec: runner.Spec{Backend: runner.Simulated, Steps: 2, Seed: 1998},
 	omit: []string{"alg", "platform", "n", "p", "steps", "theta", "dt", "seed", "timeout", "check", "trace", "json"},
 	bind: func(fs *flag.FlagSet, c *command) func() int {
+		var ids []string
+		for _, e := range harness.All() {
+			ids = append(ids, e.ID)
+		}
 		var (
-			expFlag  = fs.String("exp", "all", "comma-separated experiment IDs (T1,T2,F6..F15,S15) or 'all'")
+			expFlag  = fs.String("exp", "all", "comma-separated experiment IDs ("+strings.Join(ids, ",")+") or 'all'")
 			sizes    = fs.String("sizes", "", "comma-separated body counts (default 4096,8192,16384)")
 			large    = fs.Bool("large", false, "extend the sweep to 32k/64k/128k bodies (slow)")
 			traceDir = fs.String("trace", "", "write one Chrome trace_event file per sweep cell into this directory")

@@ -75,6 +75,12 @@ var treebenchCmd = command{
 					slog.Error("bad processor count", "value", f)
 					return 2
 				}
+				cell := base
+				cell.Procs = v
+				if err := cell.Validate(); err != nil {
+					slog.Error("bad processor count", "value", f, "err", err)
+					return 2
+				}
 				ps = append(ps, v)
 			}
 

@@ -5,12 +5,15 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"partree/internal/core"
 	"partree/internal/engine"
+	"partree/internal/mp"
 	"partree/internal/obs"
+	"partree/internal/phys"
 	"partree/internal/runner"
 )
 
@@ -215,6 +218,36 @@ func TestOnePassOneResult(t *testing.T) {
 		if got := started(t, r); got != float64(len(distinct)) {
 			t.Errorf("%s: runner started %v executions, want its %d distinct specs", id, got, len(distinct))
 		}
+	}
+}
+
+// TestX3PricesOneMeasurement: X3's five message-passing cells price one
+// native measurement — a settle step and the measured step, taken when the
+// first row renders, at the session's leaf capacity. Declaring the table
+// takes none.
+func TestX3PricesOneMeasurement(t *testing.T) {
+	s := NewSession(runner.New(0), Options{Sizes: []int{1024}, MeasuredSteps: 1, LeafCap: 4})
+	steps := 0
+	s.mpStep = func(b *phys.Bodies, o mp.Options) mp.StepStats {
+		steps++
+		if o.P != 16 || o.LeafCap != 4 {
+			t.Errorf("mp.Step options %+v, want 16 ranks at the session's leaf capacity 4", o)
+		}
+		return mp.Step(b, o)
+	}
+	x3, _ := Find("X3")
+	if x3.Tables(s); steps != 0 {
+		t.Errorf("declaring X3 took %d message-passing steps, want none", steps)
+	}
+	var buf bytes.Buffer
+	if failed := s.RunExperiment(context.Background(), x3, &buf); len(failed) != 0 {
+		t.Fatalf("%d cells failed, first: %s", len(failed), failed[0].FailureMessage())
+	}
+	if steps != 2 {
+		t.Errorf("rendering X3 took %d message-passing steps, want one measurement (settle + measured = 2)", steps)
+	}
+	if rows := regexp.MustCompile(`(?m)^\S+ +[0-9.]+x +[0-9.]+x +[0-9.]+x$`).FindAllString(buf.String(), -1); len(rows) != 5 {
+		t.Errorf("%d platform rows carry a priced estimate, want 5:\n%s", len(rows), buf.String())
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 	"sort"
 
 	"partree/internal/core"
+	"partree/internal/mp"
 	"partree/internal/obs"
+	"partree/internal/phys"
 	"partree/internal/runner"
 	"partree/internal/stats"
 )
@@ -62,6 +64,10 @@ type Session struct {
 	Opts Options
 	r    *runner.Runner
 
+	// mpStep takes X3's native message-passing measurement (mp.Step; a
+	// field so a test can count the steps taken).
+	mpStep func(*phys.Bodies, mp.Options) mp.StepStats
+
 	// obs tracks live sweep progress (cells done/total, current figure);
 	// see obs.go. Always maintained, exposed only under -http.
 	obs sessionObs
@@ -77,7 +83,7 @@ func NewSession(r *runner.Runner, opts Options) *Session {
 	if len(opts.Sizes) == 0 {
 		opts.Sizes = []int{4096, 8192, 16384}
 	}
-	s := &Session{Opts: opts, r: r}
+	s := &Session{Opts: opts, r: r, mpStep: mp.Step}
 	s.obs.experiments = obs.NewCounter("partree_harness_experiments_started_total",
 		"Experiments (tables/figures) started this session.")
 	return s

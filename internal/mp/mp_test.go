@@ -159,14 +159,11 @@ func TestMPStatspopulated(t *testing.T) {
 		t.Fatal("no interactions")
 	}
 	for r, rs := range st.PerRank {
-		if rs.Bodies == 0 || rs.TreeNodes == 0 {
+		if rs.Bodies == 0 || rs.RemoteItems == 0 {
 			t.Fatalf("rank %d empty: %+v", r, rs)
 		}
 		if rs.MsgsSent < 3 { // 3 LETs + allreduce
 			t.Fatalf("rank %d sent %d msgs", r, rs.MsgsSent)
 		}
-	}
-	if st.Total() <= 0 {
-		t.Fatal("no time recorded")
 	}
 }

@@ -189,14 +189,7 @@ func (s *Simulation) Step() StepStats {
 
 	// Update phase: symplectic-Euler integration, each processor
 	// updating the bodies it computed forces for.
-	dt := s.Opts.Dt
-	par.Do(s.Opts.P, func(w int) {
-		for _, b := range assign[w] {
-			i := int(b)
-			s.Bodies.Vel[i] = s.Bodies.Vel[i].MulAdd(dt, s.Bodies.Acc[i])
-			s.Bodies.Pos[i] = s.Bodies.Pos[i].MulAdd(dt, s.Bodies.Vel[i])
-		}
-	})
+	par.Do(s.Opts.P, func(w int) { s.Bodies.Advance(assign[w], s.Opts.Dt) })
 	t4 := time.Now()
 
 	s.assign = assign

@@ -195,9 +195,8 @@ func TestWalkOrderDeterministic(t *testing.T) {
 			t.Fatalf("walk order differs at %d", i)
 		}
 	}
-	cells, leaves := CountNodes(tr)
-	if cells+leaves != len(a) {
-		t.Fatalf("CountNodes %d+%d != walk length %d", cells, leaves, len(a))
+	if st := CollectStats(tr); st.Cells+st.Leaves != len(a) {
+		t.Fatalf("CollectStats counts %d cells + %d leaves, walk length %d", st.Cells, st.Leaves, len(a))
 	}
 }
 
@@ -219,12 +218,11 @@ func TestStoreReset(t *testing.T) {
 	s := NewStore(1, 8)
 	cube := vec.BoundingCube(len(b.Pos), func(i int) vec.V3 { return b.Pos[i] }, 1e-4)
 	t1 := BuildSerialInto(s, cube, b.Pos)
-	c1, l1 := CountNodes(t1)
+	s1 := CollectStats(t1)
 	s.Reset()
 	t2 := BuildSerialInto(s, cube, b.Pos)
-	c2, l2 := CountNodes(t2)
-	if c1 != c2 || l1 != l2 {
-		t.Fatalf("rebuild after reset differs: %d/%d vs %d/%d", c1, l1, c2, l2)
+	if s2 := CollectStats(t2); s1 != s2 {
+		t.Fatalf("rebuild after reset differs: %+v vs %+v", s1, s2)
 	}
 	ComputeMomentsSerial(t2, data(b))
 	if err := Check(t2, data(b), CheckOptions{Canonical: true, Moments: true}); err != nil {

@@ -42,16 +42,3 @@ func LiveLeaves(t *Tree) []Ref {
 	})
 	return out
 }
-
-// CountNodes returns the number of live cells and leaves.
-func CountNodes(t *Tree) (cells, leaves int) {
-	Walk(t, func(r Ref, _ int) bool {
-		if r.IsLeaf() {
-			leaves++
-		} else {
-			cells++
-		}
-		return true
-	})
-	return
-}

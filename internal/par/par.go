@@ -1,7 +1,8 @@
 // Package par is the repository's one fork/join: every phase of every
-// builder, the moments passes, the force pass and the integrator's update
-// loop fan their per-processor work out through Do, so the fork/join
-// structure of the original programs is explicit and written once.
+// builder, the moments passes, the force pass, the integrator's update
+// loop and the message-passing baseline's ranks fan their per-processor
+// work out through Do, so the fork/join structure of the original
+// programs is explicit and written once.
 package par
 
 // Do runs fn(0..p-1) on p goroutines and waits for all of them — the

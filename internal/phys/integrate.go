@@ -20,6 +20,17 @@ func (b *Bodies) Drift(lo, hi int, dt float64) {
 	}
 }
 
+// Advance is the application's update phase for the bodies listed in idx:
+// symplectic Euler, v += acc·dt then x += v·dt. Every time-stepping loop —
+// native, simulated and message-passing — advances each processor's own
+// bodies through it.
+func (b *Bodies) Advance(idx []int32, dt float64) {
+	for _, i := range idx {
+		b.Vel[i] = b.Vel[i].MulAdd(dt, b.Acc[i])
+		b.Pos[i] = b.Pos[i].MulAdd(dt, b.Vel[i])
+	}
+}
+
 // KineticEnergy returns the total kinetic energy ½Σmv².
 func (b *Bodies) KineticEnergy() float64 {
 	var ke float64

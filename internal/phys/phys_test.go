@@ -127,6 +127,23 @@ func TestKickDriftRangeRespected(t *testing.T) {
 	}
 }
 
+// TestAdvance: the update phase moves exactly the listed bodies, velocity
+// first, so the new velocity carries the position.
+func TestAdvance(t *testing.T) {
+	b := NewBodies(3)
+	for i := range b.Acc {
+		b.Acc[i].X = 2
+		b.Vel[i].X = 1
+	}
+	b.Advance([]int32{2, 0}, 0.5)
+	if b.Vel[0].X != 2 || b.Pos[0].X != 1 || b.Vel[2].X != 2 || b.Pos[2].X != 1 {
+		t.Fatalf("advanced bodies: vel %v pos %v, want v=2 x=1 for bodies 0 and 2", b.Vel, b.Pos)
+	}
+	if b.Vel[1].X != 1 || b.Pos[1].X != 0 {
+		t.Fatal("advance touched a body outside the list")
+	}
+}
+
 func TestEnergyTwoBody(t *testing.T) {
 	b := NewBodies(2)
 	b.Mass[0], b.Mass[1] = 2, 3

@@ -230,6 +230,18 @@ func TestValidate(t *testing.T) {
 	if !res.Failed() {
 		t.Fatal("bogus backend accepted")
 	}
+	// One node arena per processor: 64 is the most a Store addresses, and
+	// a 65th used to panic inside the build instead of failing the spec.
+	for _, backend := range []Backend{Native, Simulated} {
+		spec := Spec{Backend: backend, Procs: 64}.Normalized()
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s, 64 processors: %v", backend, err)
+		}
+		spec.Procs = 65
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "limit 64") {
+			t.Errorf("%s, 65 processors: error %v, want a refusal naming the limit 64", backend, err)
+		}
+	}
 }
 
 func TestParsePlatformForms(t *testing.T) {

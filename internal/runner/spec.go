@@ -19,6 +19,7 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/memsim"
+	"partree/internal/octree"
 	"partree/internal/phys"
 )
 
@@ -219,6 +220,9 @@ func (s Spec) Validate() error {
 	}
 	if int(s.Alg) < 0 || int(s.Alg) >= core.NumAlgorithms {
 		return fmt.Errorf("runner: unknown algorithm %d", int(s.Alg))
+	}
+	if s.Procs > octree.MaxArenas {
+		return fmt.Errorf("runner: procs %d exceeds the builders' limit %d (one node arena per processor)", s.Procs, octree.MaxArenas)
 	}
 	return nil
 }

@@ -23,7 +23,7 @@ func (st *runState) updateMove(sp *sproc) {
 			sp.lockNode(lockOf(lr))
 		}
 		sp.readNode(lr)
-		sp.compute(st.cfg.DescendCycles)
+		sp.compute(descendCycles)
 		in := s.Leaf(lr).Cube.Contains(pos[b])
 		if st.visLocks {
 			sp.unlockNode(lockOf(lr))
@@ -36,7 +36,7 @@ func (st *runState) updateMove(sp *sproc) {
 		for {
 			c := s.Cell(cur)
 			sp.readNode(cur)
-			sp.compute(st.cfg.DescendCycles)
+			sp.compute(descendCycles)
 			if c.Cube.Contains(pos[b]) || c.Parent.IsNil() {
 				break
 			}
@@ -70,7 +70,7 @@ func (sp *sproc) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, gdept
 	s := st.store
 	vis := st.visLocks
 	for {
-		sp.compute(st.cfg.DescendCycles)
+		sp.compute(descendCycles)
 		c := s.Cell(gcell)
 		if vis {
 			sp.lockNode(lockOf(gcell))
@@ -197,18 +197,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 	// SPACE's counting/subdivision rounds are partition work, not insert
 	// work (they are the price it pays for zero locks), so this function
 	// emits its own phase split instead of buildPhase's generic one.
-	traced := sp.traced()
-	vnow := func() int64 { return int64(sp.mp.Now()) }
-	bar := func(label string) {
-		if traced {
-			t0 := vnow()
-			sp.mp.Barrier(label)
-			sp.tp.SpanAt(trace.PhaseBarrier, t0, vnow())
-		} else {
-			sp.mp.Barrier(label)
-		}
-	}
-	tPart := vnow()
+	tPart := sp.vnow()
 	round := 0
 	for {
 		if len(ss.frontier) == 0 {
@@ -228,19 +217,19 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 			ss.octs[w][i] = uint8(o)
 			ss.counts[w][int(fc)*8+int(o)]++
 		}
-		sp.compute(float64(len(ss.myBodies[w])) * st.cfg.CountCycles)
-		bar(lbl("scount", step*1000+round))
+		sp.compute(float64(len(ss.myBodies[w])) * countCycles)
+		sp.barrier(lbl("scount", step*1000+round))
 
 		// Processor 0 reduces and extends the prefix of the octree.
 		if w == 0 {
 			st.spaceReduce(sp)
 		}
-		bar(lbl("sreduce", step*1000+round))
+		sp.barrier(lbl("sreduce", step*1000+round))
 
 		// Re-bucket my bodies; no barrier needed before the next count,
 		// both touch only per-processor state plus the stable frontier.
 		st.spaceRebucket(sp)
-		sp.compute(float64(len(ss.myBodies[w])) * st.cfg.CountCycles / 2)
+		sp.compute(float64(len(ss.myBodies[w])) * countCycles / 2)
 		round++
 	}
 
@@ -248,11 +237,9 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 	if sp.w == 0 {
 		core.AssignSubspaces(st.tree.RootCube(), ss.subs, p)
 	}
-	bar(lbl("sassign", step))
-	if traced {
-		sp.tp.SpanAt(trace.PhasePartition, tPart, vnow())
-	}
-	tIns := vnow()
+	sp.barrier(lbl("sassign", step))
+	sp.span(trace.PhasePartition, tPart)
+	tIns := sp.vnow()
 	for i := range ss.subs {
 		sub := &ss.subs[i]
 		if sub.Owner != sp.w {
@@ -274,9 +261,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 		s.Cell(sub.Parent).SetChild(sub.Oct, node)
 		sp.writeNode(sub.Parent)
 	}
-	if traced {
-		sp.tp.SpanAt(trace.PhaseInsert, tIns, vnow())
-	}
+	sp.span(trace.PhaseInsert, tIns)
 }
 
 // spaceReduce (processor 0) merges the round's histograms, creates prefix
@@ -319,7 +304,7 @@ func (st *runState) spaceReduce(sp *sproc) {
 		}
 	}
 	ss.frontier = next
-	sp.compute(float64(f*8) * st.cfg.CountCycles)
+	sp.compute(float64(f*8) * countCycles)
 }
 
 // spaceRebucket routes this processor's bodies per the reduce decisions.

@@ -36,36 +36,68 @@ type sproc struct {
 // that shared gate is what makes trace lock events equal Outcome locks.
 func (sp *sproc) traced() bool { return sp.inBuild && sp.meas && sp.tp.Active() }
 
-// readNode / writeNode charge an access to every coherence unit a node
+// appendNodeUnits appends the address of every coherence unit node r's
 // record spans: one page under HLRC, 256/LineSize cache lines under the
 // hardware-coherent protocols (2 on the 128-byte Challenge and Origin, 4
 // on Typhoon-0's 64-byte blocks — fine granularity means more transfers).
-func (sp *sproc) readNode(r octree.Ref) {
-	n := sp.st.nodeLines
-	if n == 1 {
-		sp.mp.Read(nodeAddr(r))
-		return
+func appendNodeUnits(dst []uint64, r octree.Ref, nodeLines int) []uint64 {
+	base, stride := nodeAddr(r), uint64(256/nodeLines)
+	for i := 0; i < nodeLines; i++ {
+		dst = append(dst, base+uint64(i)*stride)
 	}
-	base := nodeAddr(r)
-	stride := uint64(256 / n)
-	for i := 0; i < n; i++ {
-		sp.scratch[i] = base + uint64(i)*stride
-	}
-	sp.mp.ReadBatch(sp.scratch[:n])
+	return dst
 }
 
-func (sp *sproc) writeNode(r octree.Ref) {
-	n := sp.st.nodeLines
-	if n == 1 {
-		sp.mp.Write(nodeAddr(r))
-		return
+// readNode / writeNode charge an access to every coherence unit of a node
+// record.
+func (sp *sproc) readNode(r octree.Ref)  { sp.accessNode(r, false) }
+func (sp *sproc) writeNode(r octree.Ref) { sp.accessNode(r, true) }
+
+func (sp *sproc) accessNode(r octree.Ref, write bool) {
+	units := appendNodeUnits(sp.scratch[:0], r, sp.st.nodeLines)
+	switch {
+	case len(units) > 1:
+		sp.access(units, write)
+	case write:
+		sp.mp.Write(units[0])
+	default:
+		sp.mp.Read(units[0])
 	}
-	base := nodeAddr(r)
-	stride := uint64(256 / n)
-	for i := 0; i < n; i++ {
-		sp.scratch[i] = base + uint64(i)*stride
+}
+
+// readChunks / writeChunks charge a stream of accesses, chunkLen
+// addresses per scheduling step.
+func (sp *sproc) readChunks(addrs []uint64)  { sp.access(addrs, false) }
+func (sp *sproc) writeChunks(addrs []uint64) { sp.access(addrs, true) }
+
+func (sp *sproc) access(addrs []uint64, write bool) {
+	for i := 0; i < len(addrs); i += chunkLen {
+		chunk := addrs[i:min(i+chunkLen, len(addrs))]
+		if write {
+			sp.mp.WriteBatch(chunk)
+		} else {
+			sp.mp.ReadBatch(chunk)
+		}
 	}
-	sp.mp.WriteBatch(sp.scratch[:n])
+}
+
+// vnow is the processor's virtual clock as trace events are stamped.
+func (sp *sproc) vnow() int64 { return int64(sp.mp.Now()) }
+
+// span records the phase from t0 to now, when this processor is recording.
+func (sp *sproc) span(ph trace.Phase, t0 int64) {
+	if sp.traced() {
+		sp.tp.SpanAt(ph, t0, sp.vnow())
+	}
+}
+
+// barrier joins the named barrier of the tree-build phase. When recording,
+// the wait becomes a nested barrier span (arrival to release — the
+// simulated analogue of the paper's Table 2 waiting times).
+func (sp *sproc) barrier(label string) {
+	t0 := sp.vnow()
+	sp.mp.Barrier(label)
+	sp.span(trace.PhaseBarrier, t0)
 }
 
 // compute charges cycles of private work.
@@ -85,7 +117,7 @@ func (sp *sproc) lockNode(id int) {
 	} else {
 		sp.mp.Lock(id)
 	}
-	if sp.inBuild && sp.measured() {
+	if sp.inBuild && sp.meas {
 		sp.locks++
 	}
 }
@@ -98,8 +130,6 @@ func (sp *sproc) unlockNode(id int) {
 		sp.tp.LockAt(int64(t[0]), int64(t[1]), int64(sp.mp.Now()))
 	}
 }
-
-func (sp *sproc) measured() bool { return sp.meas }
 
 // allocCell allocates a cell, charging the allocation path: ORIG takes the
 // global allocation lock and bumps the shared cursor and its slot in the
@@ -120,7 +150,7 @@ func (sp *sproc) allocLeaf(cube vec.Cube, parent octree.Ref) (octree.Ref, *octre
 }
 
 func (sp *sproc) chargeAlloc() {
-	sp.compute(sp.st.cfg.AllocCycles)
+	sp.compute(allocCycles)
 	if sp.st.orig {
 		sp.lockNode(lockAlloc)
 		sp.mp.Read(sharedCounterAddr())
@@ -156,7 +186,7 @@ func (sp *sproc) insert(from octree.Ref, fromDepth int, b int32) {
 			sp.lockNode(lockOf(cur))
 		}
 		sp.readNode(cur)
-		sp.compute(st.cfg.DescendCycles)
+		sp.compute(descendCycles)
 		o := c.Cube.OctantOf(p)
 		ch := c.Child(o)
 		switch {
@@ -241,7 +271,7 @@ func (sp *sproc) insertPrivate(root octree.Ref, rootDepth int, b int32) {
 	depth := rootDepth
 	for {
 		c := s.Cell(cur)
-		sp.compute(st.cfg.DescendCycles)
+		sp.compute(descendCycles)
 		o := c.Cube.OctantOf(p)
 		ch := c.Child(o)
 		switch {

@@ -6,6 +6,29 @@ import (
 	"partree/internal/trace"
 )
 
+// Work costs in processor cycles, scaled by the platform's cycle time.
+// They mirror a classic RISC of the era and are part of the model every
+// committed figure was generated with, not knobs. InteractionCycles is
+// exported because the harness prices X3's message-passing interactions
+// at the same rate.
+const (
+	InteractionCycles = 52 // one body-body or body-cell evaluation
+	descendCycles     = 14 // one level of tree descent
+	allocCycles       = 40 // allocating/initializing a node
+	updateCycles      = 30 // integrating one body
+	boundsCycles      = 6  // per body, computing the root bounds
+	partitionCycles   = 12 // per body, costzones (on proc 0)
+	countCycles       = 8  // per body per SPACE counting round
+	momentCycles      = 24 // per node, center-of-mass pass
+
+	// eps is the force softening length.
+	eps = 0.05
+	// warmSteps run at full detail but unmeasured (the paper begins
+	// timing after two steps "to eliminate unrepresentative cold-start
+	// and let the partitioning scheme settle down").
+	warmSteps = 1
+)
+
 // Config parameterizes one simulated whole-application run.
 type Config struct {
 	Platform memsim.Platform
@@ -15,14 +38,9 @@ type Config struct {
 	SpaceThreshold int
 
 	Theta float64
-	Eps   float64
 	Dt    float64
 
-	// WarmSteps run at full detail but unmeasured (the paper begins
-	// timing after two steps "to eliminate unrepresentative cold-start
-	// and let the partitioning scheme settle down").
-	WarmSteps int
-	// MeasuredSteps are timed.
+	// MeasuredSteps are timed, after warmSteps.
 	MeasuredSteps int
 
 	// Sequential builds the tree without any locking (the "best
@@ -34,20 +52,9 @@ type Config struct {
 	// steps (warm steps are never recorded). The recorder's per-processor
 	// lock-event totals equal Outcome.LocksPerProc by construction.
 	Trace *trace.Recorder
-
-	// Work costs in processor cycles (defaults mirror a classic RISC of
-	// the era; scaled by the platform's cycle time).
-	InteractionCycles float64 // one body-body or body-cell evaluation
-	DescendCycles     float64 // one level of tree descent
-	AllocCycles       float64 // allocating/initializing a node
-	UpdateCycles      float64 // integrating one body
-	BoundsCycles      float64 // per body, computing the root bounds
-	PartitionCycles   float64 // per body, costzones (on proc 0)
-	CountCycles       float64 // per body per SPACE counting round
-	MomentCycles      float64 // per node, center-of-mass pass
 }
 
-func (c Config) withDefaults(n int) Config {
+func (c Config) withDefaults() Config {
 	if c.P <= 0 {
 		c.P = 1
 	}
@@ -57,41 +64,11 @@ func (c Config) withDefaults(n int) Config {
 	if c.Theta == 0 {
 		c.Theta = 1.0
 	}
-	if c.Eps == 0 {
-		c.Eps = 0.05
-	}
 	if c.Dt == 0 {
 		c.Dt = 0.025
 	}
-	if c.WarmSteps == 0 {
-		c.WarmSteps = 1
-	}
 	if c.MeasuredSteps == 0 {
 		c.MeasuredSteps = 2
-	}
-	if c.InteractionCycles == 0 {
-		c.InteractionCycles = 52
-	}
-	if c.DescendCycles == 0 {
-		c.DescendCycles = 14
-	}
-	if c.AllocCycles == 0 {
-		c.AllocCycles = 40
-	}
-	if c.UpdateCycles == 0 {
-		c.UpdateCycles = 30
-	}
-	if c.BoundsCycles == 0 {
-		c.BoundsCycles = 6
-	}
-	if c.PartitionCycles == 0 {
-		c.PartitionCycles = 12
-	}
-	if c.CountCycles == 0 {
-		c.CountCycles = 8
-	}
-	if c.MomentCycles == 0 {
-		c.MomentCycles = 24
 	}
 	if c.Sequential && c.P != 1 {
 		panic("simalg: Sequential requires P == 1")
@@ -100,7 +77,7 @@ func (c Config) withDefaults(n int) Config {
 }
 
 func (c Config) forceParams() force.Params {
-	return force.Params{Theta: c.Theta, Eps: c.Eps, G: 1}
+	return force.Params{Theta: c.Theta, Eps: eps, G: 1}
 }
 
 // Outcome is the simulated result of the measured steps. It does not

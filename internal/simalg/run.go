@@ -70,7 +70,7 @@ func Run(alg core.Algorithm, bodies *phys.Bodies, cfg Config) Outcome {
 // run is Run exposing the final state, for white-box tests that verify
 // the simulated builders produced a correct tree.
 func run(alg core.Algorithm, bodies *phys.Bodies, cfg Config) (*runState, memsim.Result) {
-	cfg = cfg.withDefaults(bodies.N())
+	cfg = cfg.withDefaults()
 	p := cfg.P
 	st := &runState{
 		cfg:    cfg,
@@ -201,9 +201,9 @@ func lbl(name string, s int) string { return fmt.Sprintf("%s@%d", name, s) }
 func (st *runState) program(mp *memsim.Proc) {
 	sp := st.procs[mp.ID]
 	sp.mp = mp
-	total := st.cfg.WarmSteps + st.cfg.MeasuredSteps
+	total := warmSteps + st.cfg.MeasuredSteps
 	for s := 0; s < total; s++ {
-		sp.meas = s >= st.cfg.WarmSteps
+		sp.meas = s >= warmSteps
 		st.buildPhase(sp, s)
 		mp.Barrier(lbl("tree", s))
 		st.partitionPhase(sp, s)
@@ -222,30 +222,12 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 	defer func() { sp.inBuild = false }()
 	cfg := st.cfg
 
-	// Phase spans are stamped in virtual time; barriers become nested
-	// barrier-wait spans (arrival to release — the simulated analogue of
-	// the paper's Table 2 waiting times).
-	traced := sp.meas && sp.tp.Active()
-	vnow := func() int64 { return int64(sp.mp.Now()) }
-	span := func(ph trace.Phase, t0 int64) {
-		if traced {
-			sp.tp.SpanAt(ph, t0, vnow())
-		}
-	}
-	bar := func(label string) {
-		if traced {
-			t0 := vnow()
-			sp.mp.Barrier(label)
-			sp.tp.SpanAt(trace.PhaseBarrier, t0, vnow())
-		} else {
-			sp.mp.Barrier(label)
-		}
-	}
-	tPart := vnow()
+	// Phase spans are stamped in virtual time.
+	tPart := sp.vnow()
 
 	// Root bounds: each processor reduces over its own bodies.
-	sp.compute(float64(len(st.assign[sp.w])) * cfg.BoundsCycles)
-	bar(lbl("bounds", s))
+	sp.compute(float64(len(st.assign[sp.w])) * boundsCycles)
+	sp.barrier(lbl("bounds", s))
 
 	incremental := st.alg == core.UPDATE && s > 0 && !cfg.Sequential
 	if sp.w == 0 {
@@ -263,16 +245,16 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 			}
 		}
 	}
-	bar(lbl("setup", s))
+	sp.barrier(lbl("setup", s))
 
 	if incremental {
 		// Charge the distributed rescale pass.
 		sp.writeChunks(st.ownerAddrs[sp.w])
-		sp.compute(float64(len(st.ownerAddrs[sp.w])) * cfg.DescendCycles)
+		sp.compute(float64(len(st.ownerAddrs[sp.w])) * descendCycles)
 	}
-	span(trace.PhasePartition, tPart)
+	sp.span(trace.PhasePartition, tPart)
 
-	tIns := vnow()
+	tIns := sp.vnow()
 	switch {
 	case cfg.Sequential:
 		for _, b := range st.assign[sp.w] {
@@ -295,23 +277,23 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 		st.spaceBuild(sp, s)
 	}
 	if cfg.Sequential || st.alg != core.SPACE {
-		span(trace.PhaseInsert, tIns)
+		sp.span(trace.PhaseInsert, tIns)
 	}
-	bar(lbl("load", s))
+	sp.barrier(lbl("load", s))
 
 	// Moments: proc 0 computes the real values (cheap, native); every
 	// processor is charged for the nodes it owns.
-	tMom := vnow()
+	tMom := sp.vnow()
 	if sp.w == 0 {
 		octree.ComputeMomentsSerial(st.tree, st.data())
 		st.ownerAddrs = collectOwnerAddrs(st.tree, st.cfg.P, st.nodeLines)
 	}
-	bar(lbl("mcol", s))
+	sp.barrier(lbl("mcol", s))
 	addrs := st.ownerAddrs[sp.w]
 	sp.readChunks(addrs)
 	sp.writeChunks(addrs)
-	sp.compute(float64(len(addrs)) * cfg.MomentCycles)
-	span(trace.PhaseMoments, tMom)
+	sp.compute(float64(len(addrs)) * momentCycles)
+	sp.span(trace.PhaseMoments, tMom)
 }
 
 func (st *runState) loadBodies(sp *sproc) {
@@ -337,7 +319,7 @@ func (st *runState) partitionPhase(sp *sproc, s int) {
 		return true
 	})
 	sp.readChunks(leafAddrs)
-	sp.compute(float64(st.bodies.N()) * st.cfg.PartitionCycles)
+	sp.compute(float64(st.bodies.N()) * partitionCycles)
 }
 
 // forcePhase runs the real traversals natively to obtain each processor's
@@ -361,15 +343,11 @@ func (st *runState) forcePhase(sp *sproc, s int) {
 	seen := make(map[octree.Ref]struct{}, 4*len(own))
 	var nodeAddrs []uint64
 	var inter int64
-	stride := uint64(256 / st.nodeLines)
 	for _, b := range own {
 		r := force.AccelVisit(st.tree, d, b, params, func(ref octree.Ref) {
 			if _, ok := seen[ref]; !ok {
 				seen[ref] = struct{}{}
-				base := nodeAddr(ref)
-				for i := 0; i < st.nodeLines; i++ {
-					nodeAddrs = append(nodeAddrs, base+uint64(i)*stride)
-				}
+				nodeAddrs = appendNodeUnits(nodeAddrs, ref, st.nodeLines)
 			}
 		})
 		st.bodies.Acc[b] = r.Acc
@@ -387,7 +365,7 @@ func (st *runState) forcePhase(sp *sproc, s int) {
 	if nChunks == 0 {
 		nChunks = 1
 	}
-	perChunk := float64(inter) * st.cfg.InteractionCycles / float64(nChunks)
+	perChunk := float64(inter) * InteractionCycles / float64(nChunks)
 	for i := 0; i < len(nodeAddrs); i += chunkLen {
 		end := i + chunkLen
 		if end > len(nodeAddrs) {
@@ -406,38 +384,13 @@ func (st *runState) forcePhase(sp *sproc, s int) {
 // update work and body writes.
 func (st *runState) updatePhase(sp *sproc, s int) {
 	own := st.assign[sp.w]
-	dt := st.cfg.Dt
-	for _, b := range own {
-		i := int(b)
-		st.bodies.Vel[i] = st.bodies.Vel[i].MulAdd(dt, st.bodies.Acc[i])
-		st.bodies.Pos[i] = st.bodies.Pos[i].MulAdd(dt, st.bodies.Vel[i])
-	}
-	sp.compute(float64(len(own)) * st.cfg.UpdateCycles)
+	st.bodies.Advance(own, st.cfg.Dt)
+	sp.compute(float64(len(own)) * updateCycles)
 	sp.writeChunks(st.bodyAddrs(own))
 }
 
 func (st *runState) data() octree.BodyData {
 	return octree.BodyData{Pos: st.bodies.Pos, Mass: st.bodies.Mass, Cost: st.bodies.Cost}
-}
-
-func (sp *sproc) readChunks(addrs []uint64) {
-	for i := 0; i < len(addrs); i += chunkLen {
-		end := i + chunkLen
-		if end > len(addrs) {
-			end = len(addrs)
-		}
-		sp.mp.ReadBatch(addrs[i:end])
-	}
-}
-
-func (sp *sproc) writeChunks(addrs []uint64) {
-	for i := 0; i < len(addrs); i += chunkLen {
-		end := i + chunkLen
-		if end > len(addrs) {
-			end = len(addrs)
-		}
-		sp.mp.WriteBatch(addrs[i:end])
-	}
 }
 
 func (st *runState) bodyAddrs(bs []int32) []uint64 {
@@ -453,7 +406,6 @@ func (st *runState) bodyAddrs(bs []int32) []uint64 {
 // moments of the cells it created), expanded to coherence-unit granularity.
 func collectOwnerAddrs(t *octree.Tree, p, nodeLines int) [][]uint64 {
 	out := make([][]uint64, p)
-	stride := uint64(256 / nodeLines)
 	octree.Walk(t, func(r octree.Ref, _ int) bool {
 		var owner int32
 		if r.IsLeaf() {
@@ -464,10 +416,7 @@ func collectOwnerAddrs(t *octree.Tree, p, nodeLines int) [][]uint64 {
 		if int(owner) >= p {
 			owner = 0
 		}
-		base := nodeAddr(r)
-		for i := 0; i < nodeLines; i++ {
-			out[owner] = append(out[owner], base+uint64(i)*stride)
-		}
+		out[owner] = appendNodeUnits(out[owner], r, nodeLines)
 		return true
 	})
 	return out
@@ -491,12 +440,12 @@ func (st *runState) outcome(res memsim.Result) Outcome {
 		release[b.Label] = b.Release
 	}
 	prevEnd := 0.0
-	for s := 0; s < st.cfg.WarmSteps+st.cfg.MeasuredSteps; s++ {
+	for s := 0; s < warmSteps+st.cfg.MeasuredSteps; s++ {
 		tTree := release[lbl("tree", s)]
 		tPart := release[lbl("part", s)]
 		tForce := release[lbl("force", s)]
 		tUpd := release[lbl("update", s)]
-		if s >= st.cfg.WarmSteps {
+		if s >= warmSteps {
 			o.TreeNs += tTree - prevEnd
 			o.PartNs += tPart - tTree
 			o.ForceNs += tForce - tPart
@@ -510,7 +459,7 @@ func (st *runState) outcome(res memsim.Result) Outcome {
 	for _, b := range res.Barriers {
 		at := strings.LastIndex(b.Label, "@")
 		step, err := strconv.Atoi(b.Label[at+1:])
-		if err != nil || step < st.cfg.WarmSteps {
+		if err != nil || step < warmSteps {
 			continue
 		}
 		for w, wait := range b.Waits {

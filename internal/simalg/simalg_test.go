@@ -9,7 +9,7 @@ import (
 )
 
 func smallCfg(pl memsim.Platform, p int) Config {
-	return Config{Platform: pl, P: p, LeafCap: 8, WarmSteps: 1, MeasuredSteps: 1}
+	return Config{Platform: pl, P: p, LeafCap: 8, MeasuredSteps: 1}
 }
 
 func TestRunAllAlgorithmsAllPlatforms(t *testing.T) {

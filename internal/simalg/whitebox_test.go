@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"partree/internal/core"
+	"partree/internal/force"
 	"partree/internal/memsim"
+	"partree/internal/nbody"
 	"partree/internal/octree"
 	"partree/internal/phys"
 )
@@ -75,6 +77,35 @@ func TestSimulatedLockCountsMatchShape(t *testing.T) {
 			if ratio < 0.1 || ratio > 10 {
 				t.Fatalf("%v: sim locks %d and native locks %d differ by more than 10x", alg, simLocks, nat)
 			}
+		}
+	}
+
+	// At one processor both executions are deterministic, and the counts
+	// are equal: the simulator's measured step takes exactly the
+	// tree-build locks the native application takes in its second step
+	// on the same bodies, θ, ε, dt and leaf capacity. This identity is
+	// what holds simalg's text of the five builders to core's (ROADMAP
+	// 7(d)). ORIG alone differs, by exactly the nodes it allocated: the
+	// simulator models SPLASH-1's global allocation lock, which Go's
+	// allocator does not need.
+	for _, alg := range core.Algorithms() {
+		st, _ := run(alg, b, Config{Platform: memsim.Origin2000(1), P: 1, LeafCap: 8, Theta: 1, Dt: 0.025, MeasuredSteps: 1})
+		sim := st.procs[0].locks
+
+		opts := nbody.DefaultOptions()
+		opts.Alg, opts.P, opts.LeafCap, opts.Dt = alg, 1, 8, 0.025
+		opts.Force = force.Params{Theta: 1, Eps: eps, G: 1}
+		native := nbody.NewFromBodies(opts, b.Clone())
+		native.Step()
+		m := native.Step().Build
+
+		want := m.TotalLocks()
+		if alg == core.ORIG {
+			want += m.TotalCells() + m.TotalLeaves()
+		}
+		if sim != want || (alg == core.SPACE && sim != 0) {
+			t.Errorf("%v at P=1: %d simulated locks; native took %d and allocated %d cells + %d leaves, so want %d",
+				alg, sim, m.TotalLocks(), m.TotalCells(), m.TotalLeaves(), want)
 		}
 	}
 }

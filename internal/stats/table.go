@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -38,16 +39,17 @@ func (t *Table) Row(vals ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Write renders the table.
+// Write renders the table. Columns are sized in runes, not bytes, so a
+// "µs" cell lines up with its neighbours.
 func (t *Table) Write(w io.Writer) {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -88,10 +90,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }
 
 // Bars renders a labelled horizontal ASCII bar series, scaled to maxWidth

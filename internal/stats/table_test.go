@@ -5,17 +5,30 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTableAlignment(t *testing.T) {
-	tab := NewTable("name", "value")
-	tab.Row("a", 1)
-	tab.Row("longer-name", 3.14159)
+	tab := NewTable("name", "value", "time")
+	tab.Row("a", 1, "1.48ms")
+	tab.Row("longer-name", 3.14159, "1.6ms")
+	tab.Row("µ-row", "470µs", "580µs")
 	var buf bytes.Buffer
 	tab.Write(&buf)
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want 4:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
+	}
+	// A multi-byte cell is as wide as its runes: every row's last column
+	// starts where the header's does, and the separator is no wider.
+	col := utf8.RuneCountInString(lines[0][:strings.Index(lines[0], "time")])
+	for _, l := range lines[2:] {
+		if r := []rune(l); len(r) <= col || r[col-1] != ' ' || r[col] == ' ' {
+			t.Errorf("last column does not start at rune %d: %q", col, l)
+		}
+	}
+	if want := "-----------  -----  ------"; lines[1] != want {
+		t.Errorf("separator %q, want %q", lines[1], want)
 	}
 	if !strings.Contains(lines[3], "3.14") {
 		t.Fatalf("float not formatted: %q", lines[3])

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/runner"
 )
@@ -168,6 +169,9 @@ func DecodeSessionOpen(dec *json.Decoder, defaultModel string) (SessionOpen, phy
 	}
 	if o.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) {
 		return o, 0, fmt.Errorf("procs %d exceeds %dx GOMAXPROCS", o.Procs, runner.MaxServiceProcsPerCPU)
+	}
+	if o.Procs > octree.MaxArenas {
+		return o, 0, fmt.Errorf("procs %d exceeds the builders' limit %d", o.Procs, octree.MaxArenas)
 	}
 	if o.LeafCap <= 0 {
 		o.LeafCap = 8

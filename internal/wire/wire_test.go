@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/octree"
 	"partree/internal/runner"
 )
 
@@ -25,7 +27,7 @@ var openSeeds = []string{
 	`{"procs":1,"bodies":500,"seed":1,"idle_timeout_ms":50,"policy":{}}`,
 	`{"procs":2,"bodies":256,"model":"disk","seed":42,"dt":0.01,"policy":{}}`,
 	`{"procs":2,"bodies":256,"seed":43,"policy":{}}`,
-	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
+	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":64,"procs":65}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
 	`{"bodies":"many"}`, `{"bodies":64,"dt":1e999}`, `{`, ``, `null`, `[]`, `7`,
 }
 
@@ -48,7 +50,7 @@ func FuzzDecodeSessionOpen(f *testing.F) {
 			return
 		}
 		if open.Bodies < 1 || open.Bodies > runner.MaxServiceBodies ||
-			open.Procs < 1 || open.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) ||
+			open.Procs < 1 || open.Procs > min(octree.MaxArenas, runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0)) ||
 			open.LeafCap < 1 || open.Dt == 0 || open.Model == "" {
 			t.Fatalf("accepted an open record outside the service limits: %+v", open)
 		}
@@ -61,6 +63,20 @@ func FuzzDecodeSessionOpen(f *testing.F) {
 			t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v, model %v→%v (%v)", open, enc, again, model, model2, err)
 		}
 	})
+}
+
+// TestSessionOpenProcsBound: a host with 17 or more CPUs passes 65
+// processors through the per-CPU limit, and a Store has 64 arenas — the
+// open record is refused by that bound too, before any builder exists.
+func TestSessionOpenProcsBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(32))
+	for procs, refused := range map[int]bool{64: false, 65: true} {
+		doc := fmt.Sprintf(`{"bodies":64,"procs":%d}`, procs)
+		_, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), "limit 64")) {
+			t.Errorf("procs %d: error %v, want refused=%t naming the limit 64", procs, err, refused)
+		}
+	}
 }
 
 // FuzzDecodeSessionStep: the step decoder never panics, keeps the clean
