@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke cmds surface reach loc check repro repro-check repro-smoke bench
+.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke hypotheses-smoke cmds surface reach loc check repro repro-check repro-smoke bench
 
 all: build
 
@@ -76,6 +76,15 @@ microbench:
 microbench-smoke:
 	$(MICROBENCH) -benchtime 1x
 
+# hypotheses-smoke holds the one verdict internal/adapt stands on: it
+# re-runs h1 (deterministic, seconds; go and jq, as cluster-smoke) and
+# fails unless the run confirms and leaves the committed report and
+# verdict untouched — a change to the ledger's arithmetic cannot
+# silently move them.
+hypotheses-smoke:
+	sh hypotheses/h1-adaptive-hierarchical/run.sh | grep CONFIRMED
+	git diff --exit-code HEAD -- hypotheses/h1-adaptive-hierarchical/results
+
 # cmds holds the set of binaries fixed: one CLI (partree <subcommand>),
 # the daemon, the router and the load generator. A fifth main is a fork
 # of the execution stack the first four already walk.
@@ -109,7 +118,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: cmds surface reach build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke
+check: cmds surface reach build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke hypotheses-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:

@@ -328,9 +328,10 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 
 // TestServiceLimits: a spec arriving on a socket is held to the service
 // limits before anything is allocated for it — an over-limit bodies,
-// procs or steps, and a sweep longer than the cap, answer 400 naming the
-// limit and generate no body set — while a small spec sitting exactly on
-// the procs and steps limits is served.
+// procs, steps or leaf_cap (on a session's open record too), and a sweep
+// longer than the cap, answer 400 naming the limit and generate no body
+// set — while a small spec sitting exactly on the procs, steps and
+// leaf_cap limits is served.
 func TestServiceLimits(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
@@ -355,6 +356,7 @@ func TestServiceLimits(t *testing.T) {
 		limit int
 	}{
 		{"bodies", runner.MaxServiceBodies}, {"procs", maxProcs}, {"steps", runner.MaxServiceSteps},
+		{"leaf_cap", runner.MaxServiceLeafCap},
 	} {
 		over := spec(c.field, c.limit+1)
 		if c.field == "bodies" {
@@ -365,6 +367,10 @@ func TestServiceLimits(t *testing.T) {
 				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", path, c.field, code, msg, c.limit)
 			}
 		}
+	}
+	// 8 GiB for the first leaf if the open record were believed.
+	if code, msg := post("/v1/session", map[string]any{"bodies": 64, "leaf_cap": 2147483648}); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(runner.MaxServiceLeafCap)) {
+		t.Errorf("/v1/session with leaf_cap over the limit: %d %s; want 400 naming %d", code, msg, runner.MaxServiceLeafCap)
 	}
 	long := make([]any, runner.MaxSweepSpecs+1)
 	for i := range long {
@@ -379,6 +385,7 @@ func TestServiceLimits(t *testing.T) {
 
 	atLimit := spec("procs", maxProcs)
 	atLimit["steps"] = runner.MaxServiceSteps
+	atLimit["leaf_cap"] = runner.MaxServiceLeafCap
 	for path, body := range map[string]any{"/v1/build": atLimit, "/v1/sweep": []any{atLimit}} {
 		if code, msg := post(path, body); code != http.StatusOK || strings.Contains(msg, `"error"`) {
 			t.Errorf("%s at the limits: %d %s", path, code, msg)

@@ -61,7 +61,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 	var st *core.Stepper
 	if open.Adaptive || d.cfg.adaptive {
 		st = core.NewAdaptiveStepper(cfg, bodies, policy,
-			adapt.NewController(cfg, adapt.Options{}))
+			adapt.NewController(adapt.Options{}))
 	} else {
 		st = core.NewStepper(cfg, bodies, policy)
 	}
@@ -167,7 +167,6 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				Mode:      "update",
 				Reason:    res.Reason,
 				Fallback:  res.Fallback,
-				Retuned:   res.Retuned,
 				Moved:     res.Metrics.TotalBodiesMoved(),
 				Churn:     res.ChurnFrac,
 				DepthSkew: res.DepthSkew,

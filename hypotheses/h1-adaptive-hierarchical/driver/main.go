@@ -6,7 +6,7 @@
 // The experiment is fully deterministic: bodies come from the seeded
 // generator, the per-body "true" cost is a pure function of the
 // positions (local crowding — neighbors within a fixed radius), and
-// the "measured" per-processor times fed to the controller are
+// the "measured" per-processor times fed to the controller's ledger are
 // synthesized from that model, so reruns emit byte-identical reports.
 package main
 
@@ -19,11 +19,9 @@ import (
 	"strings"
 
 	"partree/internal/adapt"
-	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 type cell struct {
@@ -82,18 +80,16 @@ func zoneSkew(assign [][]int32, truth []int64) float64 {
 	return float64(max) / (float64(total) / float64(len(assign)))
 }
 
-// measuredSummary: the trace a build under assign would produce if each
-// body cost exactly its true cost.
-func measuredSummary(assign [][]int32, truth []int64) *trace.Summary {
-	s := &trace.Summary{PerProc: make([]trace.ProcSummary, len(assign))}
+// measuredInsertNs: the per-processor insert times a build under assign
+// would measure if each body cost exactly its true cost.
+func measuredInsertNs(assign [][]int32, truth []int64) []int64 {
+	ns := make([]int64, len(assign))
 	for w, zone := range assign {
-		var ns int64
 		for _, b := range zone {
-			ns += truth[b]
+			ns[w] += truth[b]
 		}
-		s.PerProc[w].PhaseNs[trace.PhaseInsert] = ns
 	}
-	return s
+	return ns
 }
 
 func main() {
@@ -134,11 +130,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "static partition invalid:", err)
 			os.Exit(1)
 		}
-		ctrl := adapt.NewController(core.Config{P: p, LeafCap: 8},
-			adapt.Options{Alpha: 0.5, DisableTuner: true})
+		ctrl := adapt.NewController(adapt.Options{Alpha: 0.5})
 		assign := static
 		for r := 0; r < *rounds; r++ {
-			ctrl.Observe(assign, measuredSummary(assign, truth))
+			ctrl.Ledger().Observe(assign, measuredInsertNs(assign, truth))
 			assign = ctrl.Partition(tr, d, p)
 			if err := partition.Validate(assign, *n); err != nil {
 				fmt.Fprintf(os.Stderr, "round %d partition invalid: %v\n", r, err)

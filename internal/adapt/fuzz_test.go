@@ -29,7 +29,7 @@ func FuzzLedgerBlend(f *testing.F) {
 		}
 		d := octree.BodyData{Cost: modeled}
 		assign := seqAssign(n, p)
-		sum := mkSummary(ns0, ns1, ns2)
+		sum := []int64{ns0, ns1, ns2}
 		lg.Costs(d, n) // seed from modeled first, like a step-0 partition
 		for r := 0; r < int(rounds%16)+1; r++ {
 			lg.Observe(assign, sum)

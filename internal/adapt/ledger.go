@@ -1,23 +1,18 @@
 // Package adapt closes the measured-cost feedback gap: costzones cuts
 // its zones along *modeled* per-body costs (interaction counts from the
-// previous force pass), while internal/trace measures what each processor
-// actually spent building its zone. On skewed or time-evolving
+// previous force pass), while every build's core.Metrics carries what each
+// processor actually spent inserting its zone. On skewed or time-evolving
 // distributions the two disagree — the exact load-imbalance failure
 // Singh's scheme was built to remove. This package attributes each step's
-// measured per-processor phase time back to the bodies the processor
+// measured per-processor insert time back to the bodies the processor
 // owned, blends it into a per-body cost estimate with an exponentially
 // weighted update, and cuts the next step's zones along the corrected
-// estimate instead; a companion tuner adjusts the build knobs (leaf
-// capacity, SPACE threshold, effective P) from live phase and lock
-// fractions with FallbackController-style hysteresis. Controller
-// implements core.Adapter, so a core.Stepper (and through it an
-// internal/engine lease and a partreed session) carries the loop.
+// estimate instead. Controller implements core.Adapter, so a
+// core.Stepper (and through it an internal/engine lease and a partreed
+// session) carries the loop.
 package adapt
 
-import (
-	"partree/internal/octree"
-	"partree/internal/trace"
-)
+import "partree/internal/octree"
 
 const (
 	// defaultAlpha is the EWMA blend weight for the measured estimate.
@@ -91,11 +86,12 @@ func (lg *Ledger) seed(d octree.BodyData, n int) {
 // to the bodies each processor owned and blends it into the estimate:
 // zone w's bodies collectively earn work_w/Σwork of the total estimate
 // mass, distributed within the zone proportionally to their current
-// estimates (the trace cannot see inside a zone, so intra-zone shape is
-// preserved). Returns whether a correction was applied; mismatched or
-// signal-free summaries (untraced builds, zero insert time) are skipped.
-func (lg *Ledger) Observe(assign [][]int32, sum *trace.Summary) bool {
-	if sum == nil || len(sum.PerProc) != len(assign) || len(assign) == 0 {
+// estimates (the measurement cannot see inside a zone, so intra-zone
+// shape is preserved). insertNs[w] is processor w's measured insert time.
+// Returns whether a correction was applied; mismatched or signal-free
+// measurements (a processor-count mismatch, zero insert time) are skipped.
+func (lg *Ledger) Observe(assign [][]int32, insertNs []int64) bool {
+	if len(insertNs) != len(assign) || len(assign) == 0 {
 		return false
 	}
 	n := 0
@@ -118,8 +114,7 @@ func (lg *Ledger) Observe(assign [][]int32, sum *trace.Summary) bool {
 	}
 	work := lg.work[:len(assign)]
 	var totalNs int64
-	for w := range sum.PerProc {
-		v := sum.PerProc[w].PhaseNs[trace.PhaseInsert]
+	for w, v := range insertNs {
 		if v < 0 {
 			v = 0
 		}

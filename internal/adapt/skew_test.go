@@ -3,11 +3,9 @@ package adapt
 import (
 	"testing"
 
-	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 // trueCosts models what the hardware "actually" spends per body on the
@@ -44,20 +42,18 @@ func zoneSkew(assign [][]int32, truth []int64) float64 {
 	return float64(max) / (float64(total) / float64(len(assign)))
 }
 
-// measuredSummary synthesizes the trace a build under assign would
-// produce if each body cost exactly its true cost: one insert-phase
-// nanosecond per cost unit. Deterministic, so the gate cannot flake on
-// scheduler noise the way wall-clock measurements would.
-func measuredSummary(assign [][]int32, truth []int64) *trace.Summary {
-	s := &trace.Summary{PerProc: make([]trace.ProcSummary, len(assign))}
+// measuredInsertNs synthesizes the per-processor insert times a build
+// under assign would measure if each body cost exactly its true cost:
+// one nanosecond per cost unit. Deterministic, so the gate cannot flake
+// on scheduler noise the way wall-clock measurements would.
+func measuredInsertNs(assign [][]int32, truth []int64) []int64 {
+	ns := make([]int64, len(assign))
 	for w, zone := range assign {
-		var ns int64
 		for _, b := range zone {
-			ns += truth[b]
+			ns[w] += truth[b]
 		}
-		s.PerProc[w].PhaseNs[trace.PhaseInsert] = ns
 	}
-	return s
+	return ns
 }
 
 // densityCosts models per-body cost on multi-center distributions:
@@ -114,11 +110,10 @@ func TestAdaptiveBeatsStaticOnHierarchical(t *testing.T) {
 				t.Fatalf("static skew %.4f is already near-perfect; the scenario is not stressing the partition", staticSkew)
 			}
 
-			ctrl := NewController(core.Config{P: tc.p, LeafCap: 8},
-				Options{Alpha: 0.5, DisableTuner: true})
+			ctrl := NewController(Options{Alpha: 0.5})
 			assign := static
 			for r := 0; r < tc.rounds; r++ {
-				ctrl.Observe(assign, measuredSummary(assign, truth))
+				ctrl.Ledger().Observe(assign, measuredInsertNs(assign, truth))
 				assign = ctrl.Partition(tr, d, tc.p)
 				if err := partition.Validate(assign, tc.n); err != nil {
 					t.Fatalf("round %d: %v", r, err)
@@ -173,11 +168,10 @@ func TestAdaptiveReducesSkew(t *testing.T) {
 			// Adaptive: the same start, then the feedback loop — each
 			// round observes the "measured" times its current partition
 			// would produce and recuts.
-			ctrl := NewController(core.Config{P: tc.p, LeafCap: 8},
-				Options{Alpha: 0.5, DisableTuner: true})
+			ctrl := NewController(Options{Alpha: 0.5})
 			assign := static
 			for r := 0; r < tc.rounds; r++ {
-				ctrl.Observe(assign, measuredSummary(assign, truth))
+				ctrl.Ledger().Observe(assign, measuredInsertNs(assign, truth))
 				assign = ctrl.Partition(tr, d, tc.p)
 				if err := partition.Validate(assign, tc.n); err != nil {
 					t.Fatalf("round %d: %v", r, err)

@@ -528,9 +528,10 @@ func TestClusterRollupMetrics(t *testing.T) {
 
 // TestClusterServiceLimits: the cluster's three spec-carrying endpoints
 // hold a spec to the service limits like a single partreed does — an
-// over-limit bodies, procs or steps, and a sweep longer than the cap,
-// answer 400 naming the limit before any shard generates a body set —
-// and a small spec sitting exactly on the procs and steps limits builds.
+// over-limit bodies, procs, steps or leaf_cap, and a sweep longer than
+// the cap, answer 400 naming the limit before any shard generates a body
+// set — and a small spec sitting exactly on the procs, steps and leaf_cap
+// limits builds.
 func TestClusterServiceLimits(t *testing.T) {
 	f := startFixture(t, FixtureOptions{Shards: 2})
 	shardBuild := func(spec runner.Spec) any { return ShardBuildRequest{MapVersion: f.Map.Version, Spec: spec} }
@@ -551,6 +552,7 @@ func TestClusterServiceLimits(t *testing.T) {
 		{"bodies", runner.MaxServiceBodies, runner.Spec{Bodies: 2_000_000_000}}, // ≈ 176 GB if it were generated
 		{"procs", maxProcs, runner.Spec{Bodies: 256, Procs: maxProcs + 1}},
 		{"steps", runner.MaxServiceSteps, runner.Spec{Bodies: 256, Steps: runner.MaxServiceSteps + 1}},
+		{"leaf_cap", runner.MaxServiceLeafCap, runner.Spec{Bodies: 64, LeafCap: 1 << 31}}, // 8 GiB for the first leaf
 	} {
 		for _, ep := range endpoints {
 			if code, msg := postJSON(t, ep.url, ep.body(c.over)); code != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(c.limit)) {
@@ -573,7 +575,7 @@ func TestClusterServiceLimits(t *testing.T) {
 		ss.mu.Unlock()
 	}
 
-	atLimit := runner.Spec{Alg: core.SPACE, Bodies: 256, Procs: maxProcs, Steps: runner.MaxServiceSteps, Seed: 7}
+	atLimit := runner.Spec{Alg: core.SPACE, Bodies: 256, Procs: maxProcs, Steps: runner.MaxServiceSteps, LeafCap: runner.MaxServiceLeafCap, Seed: 7}
 	for _, ep := range endpoints {
 		if code, msg := postJSON(t, ep.url, ep.body(atLimit)); code != http.StatusOK || strings.Contains(string(msg), `"error"`) {
 			t.Errorf("%s at the limits: %d %s", ep.url, code, msg)

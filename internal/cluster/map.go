@@ -131,6 +131,27 @@ func (m Map) KeyOf(p vec.V3) uint64 {
 	return partition.MortonKey(m.Domain.Cube(), p)
 }
 
+// Owns reports whether a key falls inside the shard's half-open range:
+// a key equal to Hi belongs to the next shard, a key equal to Lo to this
+// one.
+func (s Shard) Owns(key uint64) bool {
+	return key >= s.Lo && key < s.Hi
+}
+
+// Locate is the admission boundary a shard places in front of body
+// state: it keys a position under the map's domain and reports whether
+// shard idx owns that key. A body that keys outside the range must be
+// refused (or evicted) rather than absorbed; the router resolves the key
+// with ShardFor to find the rightful owner, so a body crossing a shard
+// boundary between steps leaves the source shard and enters exactly one
+// destination, never both and never neither. All shards of one map share
+// the domain cube, so a key computed on any shard names the same spatial
+// cell on every other.
+func (m Map) Locate(idx int, p vec.V3) (key uint64, owns bool) {
+	key = m.KeyOf(p)
+	return key, m.Shards[idx].Owns(key)
+}
+
 // ShardFor returns the index of the shard owning a key. On a validated
 // map every key in [0, KeySpace) has exactly one owner; keys past
 // KeySpace (which MortonKey never produces) return -1.

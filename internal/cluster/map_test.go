@@ -52,7 +52,7 @@ func TestMapValidateRejects(t *testing.T) {
 
 // TestShardForBoundary pins the half-open routing convention for keys
 // exactly on a range boundary: the boundary key belongs to the *upper*
-// shard, matching engine.Guard's Owns.
+// shard, matching Shard.Owns.
 func TestShardForBoundary(t *testing.T) {
 	m := UniformMap(1, Domain{Size: 4}, 2)
 	cut := m.Shards[0].Hi
@@ -133,5 +133,55 @@ func TestWithoutAddrs(t *testing.T) {
 	c := m.WithoutAddrs()
 	if c.Shards[0].Addr != "" || m.Shards[0].Addr != "x" {
 		t.Fatal("WithoutAddrs must clear the copy and leave the original")
+	}
+}
+
+// TestLocateOwnership: the ownership test a shard puts in front of body
+// state keys a position under the map's domain and answers for one
+// shard's range — a single-shard map owns everything (out-of-domain
+// positions clamp to a face key), and on a two-shard map each body is
+// owned by exactly the shard ShardFor names, under the same key.
+func TestLocateOwnership(t *testing.T) {
+	full := UniformMap(1, Domain{Size: 2}, 1)
+	for _, p := range []vec.V3{{X: 0.9, Y: -0.9, Z: 0.3}, {X: 50, Y: 50, Z: 50}} {
+		if key, owns := full.Locate(0, p); !owns || key != full.KeyOf(p) {
+			t.Fatalf("single-shard map: Locate(%v) = (%#x, %t), want (%#x, true)", p, key, owns, full.KeyOf(p))
+		}
+	}
+
+	halves := UniformMap(1, Domain{Size: 2}, 2)
+	for want, p := range []vec.V3{{X: -0.9, Y: -0.9, Z: -0.9}, {X: 0.9, Y: 0.9, Z: 0.9}} {
+		for idx := range halves.Shards {
+			key, owns := halves.Locate(idx, p)
+			if key != halves.KeyOf(p) || owns != (idx == want) {
+				t.Errorf("shard %d: Locate(%v) = (%#x, %t), want (%#x, %t)", idx, p, key, owns, halves.KeyOf(p), idx == want)
+			}
+		}
+		if got := halves.ShardFor(halves.KeyOf(p)); got != want {
+			t.Errorf("ShardFor names shard %d for %v, Locate names %d", got, p, want)
+		}
+	}
+}
+
+// TestShardOwnsBoundaryKey pins the half-open convention: a key equal to
+// Hi belongs to the next shard, a key equal to Lo belongs to this one.
+func TestShardOwnsBoundaryKey(t *testing.T) {
+	cut := partition.KeySpace / 2
+	low := Shard{Lo: 0, Hi: cut}
+	high := Shard{Lo: cut, Hi: partition.KeySpace}
+	if low.Owns(cut) {
+		t.Fatalf("low shard owns its exclusive upper bound %#x", cut)
+	}
+	if !high.Owns(cut) {
+		t.Fatalf("high shard does not own its inclusive lower bound %#x", cut)
+	}
+	if !low.Owns(0) || !low.Owns(cut-1) {
+		t.Fatalf("low shard missing interior keys")
+	}
+	if high.Owns(partition.KeySpace) {
+		t.Fatalf("high shard owns KeySpace, which no key reaches")
+	}
+	if (Shard{}).Owns(0) {
+		t.Fatalf("the zero shard owns a key")
 	}
 }

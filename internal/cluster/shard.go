@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -129,12 +128,11 @@ type BodyDoc struct {
 // ShardServer owns one Morton range of the cluster: it serves shard-
 // level builds through the process's engine (so the engine's admission
 // control composes shard by shard), keeps the resident body states for
-// its range, and enforces the handoff protocol with the engine.Guard.
+// its range, and enforces the handoff protocol with Map.Locate.
 type ShardServer struct {
-	m     Map
-	idx   int
-	guard engine.Guard
-	eng   *engine.Engine
+	m   Map
+	idx int
+	eng *engine.Engine
 
 	// A build leaves its residency as (owned, ownedOf): the indices it
 	// built and the body set they index. Build-only traffic never reads
@@ -170,13 +168,8 @@ func NewShardServer(m Map, idx int, eng *engine.Engine) (*ShardServer, error) {
 		return nil, fmt.Errorf("cluster: shard server needs an engine")
 	}
 	s := &ShardServer{
-		m:   m,
-		idx: idx,
-		guard: engine.Guard{
-			Domain: m.Domain.Cube(),
-			Lo:     m.Shards[idx].Lo,
-			Hi:     m.Shards[idx].Hi,
-		},
+		m:         m,
+		idx:       idx,
 		eng:       eng,
 		resident:  make(map[int32]BodyState),
 		builds:    obs.NewCounter("partree_shard_builds_total", "Shard-level builds served."),
@@ -191,9 +184,6 @@ func NewShardServer(m Map, idx int, eng *engine.Engine) (*ShardServer, error) {
 
 // ID returns the shard's map ID.
 func (s *ShardServer) ID() string { return s.m.Shards[s.idx].ID }
-
-// Guard exposes the shard's ownership guard (tests key against it).
-func (s *ShardServer) Guard() engine.Guard { return s.guard }
 
 // Resident returns the number of resident bodies.
 func (s *ShardServer) Resident() int {
@@ -344,10 +334,11 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	all := s.bodiesFor(spec)
 	// Key the full set against the *map's* domain — every shard computes
 	// identical keys, so the owned subsets tile the body set exactly.
-	keyer := partition.NewKeyer(s.guard.Domain)
+	keyer := partition.NewKeyer(s.m.Domain.Cube())
+	me := s.m.Shards[s.idx]
 	owned := make([]int32, 0, all.N()/len(s.m.Shards)+1)
 	for i, p := range all.Pos {
-		if s.guard.Owns(keyer.Key(p)) {
+		if me.Owns(keyer.Key(p)) {
 			owned = append(owned, int32(i))
 		}
 	}
@@ -421,11 +412,11 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	st.Pos = mr.Pos
-	err := s.guard.Check(mr.Body, pos)
-	if err == nil {
+	key, owns := s.m.Locate(s.idx, pos)
+	if owns {
 		resident[mr.Body] = st
 		s.mu.Unlock()
-		writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: mr.Body, Key: s.guard.Key(pos)})
+		writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: mr.Body, Key: key})
 		return
 	}
 	// The new position keys outside our range: evict now — keeping state
@@ -434,9 +425,7 @@ func (s *ShardServer) handleMove(w http.ResponseWriter, req *http.Request) {
 	delete(resident, mr.Body)
 	s.mu.Unlock()
 	s.handoffs.Inc()
-	var re *engine.RedirectError
-	errors.As(err, &re)
-	writeJSON(w, MoveResponse{Status: MoveHandoff, Shard: s.ID(), Body: mr.Body, Key: re.Key, State: &st})
+	writeJSON(w, MoveResponse{Status: MoveHandoff, Shard: s.ID(), Body: mr.Body, Key: key, State: &st})
 }
 
 func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
@@ -448,15 +437,18 @@ func (s *ShardServer) handleAccept(w http.ResponseWriter, req *http.Request) {
 	if !s.checkVersion(w, ar.MapVersion) {
 		return
 	}
-	if err := s.guard.Check(ar.Body, vecOf(ar.State.Pos)); err != nil {
+	key, owns := s.m.Locate(s.idx, vecOf(ar.State.Pos))
+	if !owns {
 		// Misdirected: accepting would claim a key another shard owns.
+		me := s.m.Shards[s.idx]
 		s.redirects.Inc()
-		reqtrace.WriteError(w, http.StatusMisdirectedRequest, err.Error())
+		reqtrace.WriteError(w, http.StatusMisdirectedRequest,
+			fmt.Sprintf("cluster: body %d key %#x outside shard range [%#x, %#x)", ar.Body, key, me.Lo, me.Hi))
 		return
 	}
 	s.mu.Lock()
 	s.states()[ar.Body] = ar.State
 	s.mu.Unlock()
 	s.accepts.Inc()
-	writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: ar.Body, Key: s.guard.Key(vecOf(ar.State.Pos))})
+	writeJSON(w, MoveResponse{Status: MoveOK, Shard: s.ID(), Body: ar.Body, Key: key})
 }

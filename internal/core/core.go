@@ -155,12 +155,6 @@ type Config struct {
 	// more bodies than this is split further. 0 selects the default
 	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
-	// DepthStats, when set, makes UPDATE walk the finished tree after
-	// every build and publish leaf-depth statistics on Metrics.Depth —
-	// the depth-skew signal the session fallback policy consumes. The
-	// walk is O(live nodes) and runs outside the timed phases; it is off
-	// by default so benchmark baselines are unperturbed.
-	DepthStats bool
 	// Trace, when non-nil and enabled, records per-processor phase spans
 	// and lock events for every build (see internal/trace). The recorder
 	// is reset at the start of each traced build, so it always holds the
@@ -173,7 +167,7 @@ type Config struct {
 // Normalized returns c with the documented defaults filled in: at least
 // one processor, leaf capacity 8. It is the one place
 // those defaults are written; New applies it, and callers that size
-// companion state before New runs (pool keys, trace recorders, tuners)
+// companion state before New runs (pool keys, trace recorders)
 // call it rather than restate them.
 func (c Config) Normalized() Config {
 	if c.P <= 0 {

@@ -19,7 +19,11 @@ type procCounters struct {
 	MergeOps    int64 // PARTREE: nodes processed while merging
 	Attached    int64 // PARTREE/SPACE: subtrees transplanted whole
 	BodiesBuilt int64 // bodies this processor loaded into the tree
-	_           [8]int64
+	// InsertNs is the wall time of this processor's share of the insert
+	// fork — the phase driver stamps it on every build, traced or not,
+	// and it is the one measurement the adaptive loop steers on.
+	InsertNs int64
+	_        [7]int64
 }
 
 // Reasons an UPDATE build rebuilt from scratch (Metrics.FreshReason).
@@ -44,24 +48,6 @@ const (
 	FreshDiscontinuity = "step discontinuity"
 )
 
-// DepthStats summarizes the leaf depths of a built tree — the shape
-// signal the session fallback policy watches. UPDATE never collapses
-// cells, so a long-resident tree's max leaf depth creeps up while the
-// mean stays put; the ratio is the skew.
-type DepthStats struct {
-	MaxLeaf  int     // deepest live leaf
-	MeanLeaf float64 // mean live-leaf depth
-	Leaves   int     // live leaves
-}
-
-// Skew returns MaxLeaf/MeanLeaf, or 0 for an empty tree.
-func (d DepthStats) Skew() float64 {
-	if d.MeanLeaf <= 0 {
-		return 0
-	}
-	return float64(d.MaxLeaf) / d.MeanLeaf
-}
-
 // Metrics aggregates per-processor counters for one build.
 type Metrics struct {
 	Alg    Algorithm
@@ -78,9 +64,6 @@ type Metrics struct {
 	// FreshReason names why FreshRebuild happened (Fresh* constants);
 	// empty on incremental steps.
 	FreshReason string
-	// Depth carries leaf-depth statistics when the builder ran with
-	// Config.DepthStats; nil otherwise.
-	Depth *DepthStats
 	// Trace is the per-processor trace summary of this build when the
 	// builder ran with an enabled Config.Trace recorder; nil otherwise.
 	// Its per-processor lock-event counts must equal PerP[w].Locks —

@@ -24,9 +24,9 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 // root, load the bodies, compute moments — and the only place it is
 // written down: the trace window, the three timed brackets, the moments
 // fork (each processor's share its own span, like every other phase),
-// Metrics.Timing, the trace summary, and the publication into
-// the live per-algorithm totals all happen here. An algorithm is its
-// prepare and insert hooks.
+// Metrics.Timing, each processor's insert time, the trace summary, and
+// the publication into the live per-algorithm totals all happen here. An
+// algorithm is its prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// A traced build opens a fresh trace window; untraced, tr stays nil
@@ -40,7 +40,11 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	tree := prepare(parallelBounds(in, tr), tr)
 	t1 := time.Now()
 
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) { insert(tree, w, tr.Proc(w)) })
+	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
+		start := time.Now()
+		insert(tree, w, tr.Proc(w))
+		m.PerP[w].InsertNs = time.Since(start).Nanoseconds()
+	})
 	t2 := time.Now()
 
 	octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {

@@ -32,14 +32,16 @@ func buildsCounted(t *testing.T, alg core.Algorithm) float64 {
 }
 
 // TestEveryBuildPathRunsThePhaseDriver pins what the one phase driver
-// owes every build, whichever algorithm and path produced it: all three
-// timed brackets set and summing to no more than the wall time, a trace
+// owes every build, whichever algorithm, path and processor count
+// produced it: all three timed brackets set and summing to no more than
+// the wall time, every processor's insert time set and inside the insert
+// bracket (both of its clock reads sit between the bracket's), a trace
 // summary (traced builds only) with partition, insert, moments and
 // barrier time on every processor that agrees with the lock counters
 // (verify's law 6), and exactly one publication into the live
 // per-algorithm totals.
 func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
-	const n, p = 3000, 2
+	const n = 3000
 	type path struct {
 		name    string
 		alg     core.Algorithm
@@ -56,59 +58,72 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		{"UPDATE/repair", core.UPDATE, "", 1, false},
 		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true},
 	}
+	check := func(t *testing.T, pt path, traced bool, p int) {
+		cfg := core.Config{P: p, LeafCap: 8}
+		if traced {
+			cfg.Trace = trace.New(p)
+			cfg.Trace.SetEnabled(true)
+		}
+		b := phys.Generate(phys.ModelPlummer, n, 21)
+		bld := core.New(pt.alg, cfg)
+		in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+		for ; in.Step < pt.warm; in.Step++ {
+			bld.Build(in)
+			b.Drift(0, n, 0.02)
+		}
+		in.Rebuild = pt.rebuild
+
+		before := buildsCounted(t, pt.alg)
+		start := time.Now()
+		tree, m := bld.Build(in)
+		wall := time.Since(start)
+
+		if got := buildsCounted(t, pt.alg) - before; got != 1 {
+			t.Errorf("build published %v times into the %v totals, want 1", got, pt.alg)
+		}
+		if m.FreshReason != pt.reason {
+			t.Fatalf("took path %q, want %q", m.FreshReason, pt.reason)
+		}
+		tm := m.Timing
+		if tm.Bounds <= 0 || tm.Insert <= 0 || tm.Moments <= 0 {
+			t.Errorf("unset phase timing: %+v", tm)
+		}
+		if tm.Total() > wall {
+			t.Errorf("phase total %v exceeds the build's wall time %v", tm.Total(), wall)
+		}
+		if len(m.PerP) != p {
+			t.Fatalf("metrics cover %d processors, want %d", len(m.PerP), p)
+		}
+		for w := range m.PerP {
+			if ns := m.PerP[w].InsertNs; ns <= 0 || ns > tm.Insert.Nanoseconds() {
+				t.Errorf("proc %d: insert time %d ns, want in (0, %d]", w, ns, tm.Insert.Nanoseconds())
+			}
+		}
+		if err := verify.Build(pt.alg, tree, m, b, in.Step); err != nil {
+			t.Error(err)
+		}
+		if !traced {
+			if m.Trace != nil {
+				t.Error("untraced build carries a trace summary")
+			}
+			return
+		}
+		if m.Trace == nil || len(m.Trace.PerProc) != p {
+			t.Fatalf("traced build's summary does not cover %d processors: %+v", p, m.Trace)
+		}
+		for w, ps := range m.Trace.PerProc {
+			for _, ph := range []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments, trace.PhaseBarrier} {
+				if ps.PhaseNs[ph] <= 0 {
+					t.Errorf("proc %d: no %v time in the trace summary", w, ph)
+				}
+			}
+		}
+	}
 	for _, pt := range paths {
 		for _, traced := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/traced=%t", pt.name, traced), func(t *testing.T) {
-				cfg := core.Config{P: p, LeafCap: 8}
-				if traced {
-					cfg.Trace = trace.New(p)
-					cfg.Trace.SetEnabled(true)
-				}
-				b := phys.Generate(phys.ModelPlummer, n, 21)
-				bld := core.New(pt.alg, cfg)
-				in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
-				for ; in.Step < pt.warm; in.Step++ {
-					bld.Build(in)
-					b.Drift(0, n, 0.02)
-				}
-				in.Rebuild = pt.rebuild
-
-				before := buildsCounted(t, pt.alg)
-				start := time.Now()
-				tree, m := bld.Build(in)
-				wall := time.Since(start)
-
-				if got := buildsCounted(t, pt.alg) - before; got != 1 {
-					t.Errorf("build published %v times into the %v totals, want 1", got, pt.alg)
-				}
-				if m.FreshReason != pt.reason {
-					t.Fatalf("took path %q, want %q", m.FreshReason, pt.reason)
-				}
-				tm := m.Timing
-				if tm.Bounds <= 0 || tm.Insert <= 0 || tm.Moments <= 0 {
-					t.Errorf("unset phase timing: %+v", tm)
-				}
-				if tm.Total() > wall {
-					t.Errorf("phase total %v exceeds the build's wall time %v", tm.Total(), wall)
-				}
-				if err := verify.Build(pt.alg, tree, m, b, in.Step); err != nil {
-					t.Error(err)
-				}
-				if !traced {
-					if m.Trace != nil {
-						t.Error("untraced build carries a trace summary")
-					}
-					return
-				}
-				if m.Trace == nil || len(m.Trace.PerProc) != p {
-					t.Fatalf("traced build's summary does not cover %d processors: %+v", p, m.Trace)
-				}
-				for w, ps := range m.Trace.PerProc {
-					for _, ph := range []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments, trace.PhaseBarrier} {
-						if ps.PhaseNs[ph] <= 0 {
-							t.Errorf("proc %d: no %v time in the trace summary", w, ph)
-						}
-					}
+				for _, p := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) { check(t, pt, traced, p) })
 				}
 			})
 		}

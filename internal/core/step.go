@@ -4,7 +4,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -26,7 +25,10 @@ type StepResult struct {
 	// boundary this step (0 on fresh rebuilds, which move everything by
 	// definition).
 	ChurnFrac float64
-	// DepthSkew is Metrics.Depth.Skew() — max/mean live-leaf depth.
+	// DepthSkew is max/mean live-leaf depth — the shape signal the
+	// fallback policy watches. UPDATE never collapses cells, so a
+	// long-resident tree's max leaf depth creeps up while the mean stays
+	// put. 0 for an empty tree.
 	DepthSkew float64
 	// Fresh reports the builder rebuilt from scratch; Reason names why.
 	Fresh  bool
@@ -34,26 +36,17 @@ type StepResult struct {
 	// Fallback reports this step's rebuild was requested by the
 	// auto-fallback policy rather than by the caller.
 	Fallback bool
-	// Retuned reports this step ran with knobs the adapter changed after
-	// the previous step (the step that pays the retune's fresh rebuild).
-	Retuned bool
 }
 
 // Adapter is the measured-cost feedback hook a Stepper consults between
-// steps: it sees each finished step's owner assignment and trace summary,
-// may propose a knob change, and cuts the next step's body partition.
-// Implemented by internal/adapt; declared here so core never depends on
-// the adaptive layer.
+// steps: it sees each finished step's owner assignment and metrics, and
+// cuts the next step's body partition. Implemented by internal/adapt;
+// declared here so core never depends on the adaptive layer.
 type Adapter interface {
 	// Observe attributes the just-finished step's measured per-processor
-	// time (sum may be nil on untraced builds) back to the zones of
-	// assign — the assignment the step was built with.
-	Observe(assign [][]int32, sum *trace.Summary)
-	// Retune may propose a changed Config (leaf capacity, SPACE
-	// threshold, effective P) for the following steps. Returning false
-	// keeps cur. A true return costs one fresh rebuild on the next step:
-	// the Stepper recreates its resident builder around the new knobs.
-	Retune(cur Config) (Config, bool)
+	// insert time (m.PerP[w].InsertNs, which every build carries) back to
+	// the zones of assign — the assignment the step was built with.
+	Observe(assign [][]int32, m *Metrics)
 	// Partition cuts the next step's body assignment over the finished
 	// tree — typically costzones along measurement-corrected costs. It
 	// must cover every body exactly once.
@@ -79,21 +72,16 @@ type Stepper struct {
 	// consumed (and reset) by the next Step call.
 	pendingRebuild bool
 	// adapter, when non-nil, closes the measured-cost feedback loop: it
-	// replaces the static costzones repartition and may retune knobs.
+	// replaces the static costzones repartition.
 	adapter Adapter
-	// retuned marks that the adapter changed knobs after the last step;
-	// consumed by the next Step call into StepResult.Retuned.
-	retuned bool
 }
 
-// NewStepper pins a fresh UPDATE builder over bodies. DepthStats is
-// forced on so the fallback policy always has its shape signal. Step 0
+// NewStepper pins a fresh UPDATE builder over bodies. Step 0
 // builds over a spatially compact Morton split; every later step's
 // assignment is recut with costzones over the freshly built tree, so the
 // partition follows the bodies instead of freezing at step 0.
 func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
 	cfg = cfg.Normalized()
-	cfg.DepthStats = true
 	return &Stepper{
 		cfg:    cfg,
 		b:      New(UPDATE, cfg),
@@ -104,15 +92,9 @@ func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper
 }
 
 // NewAdaptiveStepper is NewStepper with a measured-cost adapter in the
-// loop. The stepper needs per-processor phase times for the adapter to
-// attribute, so when cfg.Trace is unset an enabled recorder is created;
-// an explicitly provided recorder is used as-is.
+// loop. What the adapter attributes rides every build's Metrics, so an
+// adaptive step builds exactly as a static one does.
 func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy, a Adapter) *Stepper {
-	cfg = cfg.Normalized()
-	if cfg.Trace == nil && a != nil {
-		cfg.Trace = trace.New(cfg.P)
-		cfg.Trace.SetEnabled(true)
-	}
 	st := NewStepper(cfg, bodies, policy)
 	st.adapter = a
 	return st
@@ -130,10 +112,6 @@ func (st *Stepper) Builder() Builder { return st.b }
 // Steps returns how many steps have been taken.
 func (st *Stepper) Steps() int { return st.step }
 
-// Config returns the stepper's current configuration — the live knob
-// values after any adapter retunes.
-func (st *Stepper) Config() Config { return st.cfg }
-
 // Assign returns the body assignment the next Step will build with. The
 // returned slices are the stepper's own: read-only for callers.
 func (st *Stepper) Assign() [][]int32 { return st.assign }
@@ -143,8 +121,6 @@ func (st *Stepper) Assign() [][]int32 { return st.assign }
 func (st *Stepper) Step(in StepInput) *StepResult {
 	fallback := st.pendingRebuild && !in.Rebuild
 	st.pendingRebuild = false
-	retuned := st.retuned
-	st.retuned = false
 
 	bi := &Input{
 		Bodies:  st.bodies,
@@ -161,13 +137,12 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 		Fresh:    m.FreshRebuild,
 		Reason:   m.FreshReason,
 		Fallback: fallback && m.FreshRebuild,
-		Retuned:  retuned,
 	}
 	if n := st.bodies.N(); n > 0 && !m.FreshRebuild {
 		res.ChurnFrac = float64(m.TotalBodiesMoved()) / float64(n)
 	}
-	if m.Depth != nil {
-		res.DepthSkew = m.Depth.Skew()
+	if ts := octree.CollectStats(tree); ts.AvgDepth > 0 {
+		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
 	st.pendingRebuild = st.ctrl.Observe(res.ChurnFrac, res.DepthSkew, m.FreshRebuild)
 	st.repartition(tree, m)
@@ -179,9 +154,8 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 // just built — the staleness fix: before it, the step-0 partition (and
 // its costs) served every subsequent step unchanged. Without an adapter
 // the cut is plain costzones over the modeled costs; with one, the
-// adapter observes this step's measured times, may retune knobs (applied
-// before the cut so the new P shapes it), and cuts along its corrected
-// costs.
+// adapter observes this step's measured times and cuts along its
+// corrected costs.
 func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
 	if st.bodies.N() == 0 {
 		return
@@ -191,28 +165,6 @@ func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
 		st.assign = partition.Costzones(tree, d, st.cfg.P)
 		return
 	}
-	st.adapter.Observe(st.assign, m.Trace)
-	if cfg, changed := st.adapter.Retune(st.cfg); changed {
-		st.applyKnobs(cfg)
-	}
+	st.adapter.Observe(st.assign, m)
 	st.assign = st.adapter.Partition(tree, d, st.cfg.P)
-}
-
-// applyKnobs rebuilds the stepper around an adapter-retuned Config. The
-// resident builder's store is sized by (P, LeafCap) at construction, so a
-// knob change means a new builder — the next step is a FreshFirst rebuild,
-// which sessions do not count as unplanned. The trace recorder is per-P
-// too (verify's law 6 demands trace and metrics agree on processor
-// count), so a P change recreates it.
-func (st *Stepper) applyKnobs(cfg Config) {
-	cfg = cfg.Normalized()
-	cfg.DepthStats = true
-	if cfg.P != st.cfg.P && st.cfg.Trace != nil {
-		tr := trace.New(cfg.P)
-		tr.SetEnabled(true)
-		cfg.Trace = tr
-	}
-	st.cfg = cfg
-	st.b = New(UPDATE, cfg)
-	st.retuned = true
 }

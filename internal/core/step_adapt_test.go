@@ -6,7 +6,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 func copyAssign(assign [][]int32) [][]int32 {
@@ -69,28 +68,25 @@ func TestStepperRepartitionsPerStep(t *testing.T) {
 
 // recordingAdapter is a minimal core.Adapter for exercising the stepper's
 // adaptive plumbing without importing internal/adapt (which imports this
-// package): it counts calls, asserts it sees trace summaries, and
-// retunes once at a scripted observation.
+// package): it counts calls and the steps whose metrics carried an
+// insert time for every zone of the assignment they were built with.
 type recordingAdapter struct {
 	observes   int
-	traced     int
+	measured   int
 	partitions int
-	retuneAt   int
-	retune     func(Config) Config
 }
 
-func (a *recordingAdapter) Observe(assign [][]int32, sum *trace.Summary) {
+func (a *recordingAdapter) Observe(assign [][]int32, m *Metrics) {
 	a.observes++
-	if sum != nil && len(sum.PerProc) > 0 {
-		a.traced++
+	if len(m.PerP) != len(assign) {
+		return
 	}
-}
-
-func (a *recordingAdapter) Retune(cur Config) (Config, bool) {
-	if a.retune != nil && a.observes == a.retuneAt {
-		return a.retune(cur), true
+	for w := range m.PerP {
+		if m.PerP[w].InsertNs <= 0 {
+			return
+		}
 	}
-	return cur, false
+	a.measured++
 }
 
 func (a *recordingAdapter) Partition(t *octree.Tree, d octree.BodyData, p int) [][]int32 {
@@ -98,99 +94,38 @@ func (a *recordingAdapter) Partition(t *octree.Tree, d octree.BodyData, p int) [
 	return partition.Costzones(t, d, p)
 }
 
-// TestAdaptiveStepperPlumbing checks the adapter contract end to end:
-// every step is traced (the adaptive constructor makes its own recorder),
-// the adapter observes each step and cuts each next partition, and a
-// retune is applied as a fresh rebuild on the following step with
-// Retuned reported on it.
+// TestAdaptiveStepperPlumbing checks the adapter contract end to end: no
+// step runs a trace recorder (the adaptive constructor creates none), the
+// adapter observes each step's per-processor insert times and cuts each
+// next partition, and no step but the first rebuilds.
 func TestAdaptiveStepperPlumbing(t *testing.T) {
 	const n, p = 1500, 4
 	b := phys.Generate(phys.ModelPlummer, n, 5)
-	ad := &recordingAdapter{
-		retuneAt: 3,
-		retune:   func(c Config) Config { c.LeafCap = 16; return c },
-	}
+	ad := &recordingAdapter{}
 	st := NewAdaptiveStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{MinSteps: 1 << 20}, ad)
 	for i := 0; i < 6; i++ {
 		if i > 0 {
 			b.Drift(0, n, 0.01)
 		}
 		res := st.Step(StepInput{})
-		if res.Metrics.Trace == nil || len(res.Metrics.Trace.PerProc) != p {
-			t.Fatalf("step %d: adaptive step not traced per processor", i)
+		if res.Metrics.Trace != nil {
+			t.Fatalf("step %d: adaptive step ran a trace recorder", i)
 		}
-		// The retune observed after step 2 (observes==3) applies to step
-		// 3: a fresh rebuild of the recreated builder, flagged Retuned
-		// but never as an unplanned fallback.
-		if i == 3 {
-			if !res.Retuned {
-				t.Fatalf("step %d: retuned step not flagged", i)
-			}
-			if !res.Fresh || res.Reason != FreshFirst {
-				t.Fatalf("step %d: retuned step fresh=%v reason=%q, want fresh FreshFirst", i, res.Fresh, res.Reason)
-			}
-			if res.Fallback {
-				t.Fatalf("step %d: retuned step misreported as policy fallback", i)
-			}
-		} else if res.Retuned {
-			t.Fatalf("step %d: spurious Retuned flag", i)
+		if res.Fresh != (i == 0) || res.Fallback {
+			t.Fatalf("step %d: fresh=%v reason=%q fallback=%v, want a rebuild on step 0 only", i, res.Fresh, res.Reason, res.Fallback)
 		}
 		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
 			t.Fatalf("step %d invariants: %v", i, err)
 		}
-	}
-	if got := st.Config().LeafCap; got != 16 {
-		t.Fatalf("retuned leafcap %d, want 16", got)
+		if err := partition.Validate(st.Assign(), n); err != nil {
+			t.Fatalf("step %d next assignment: %v", i, err)
+		}
 	}
 	if ad.observes != 6 || ad.partitions != 6 {
 		t.Fatalf("adapter saw %d observes / %d partitions, want 6/6", ad.observes, ad.partitions)
 	}
-	if ad.traced != 6 {
-		t.Fatalf("adapter got %d traced summaries, want 6", ad.traced)
-	}
-}
-
-// TestAdaptiveStepperRetunesP checks the sharpest retune: changing the
-// effective processor count must recreate the builder's store AND the
-// trace recorder together, so the next step's metrics and trace agree on
-// the processor count (verify's law 6) and the new assignment indexes
-// only the new arenas.
-func TestAdaptiveStepperRetunesP(t *testing.T) {
-	const n = 1200
-	b := phys.Generate(phys.ModelPlummer, n, 11)
-	ad := &recordingAdapter{
-		retuneAt: 2,
-		retune:   func(c Config) Config { c.P = 2; return c },
-	}
-	st := NewAdaptiveStepper(Config{P: 4, LeafCap: 8}, b, FallbackPolicy{MinSteps: 1 << 20}, ad)
-	for i := 0; i < 4; i++ {
-		if i > 0 {
-			b.Drift(0, n, 0.01)
-		}
-		res := st.Step(StepInput{})
-		wantP := 4
-		if i >= 2 {
-			wantP = 2
-		}
-		if got := len(res.Metrics.PerP); got != wantP {
-			t.Fatalf("step %d: metrics cover %d procs, want %d", i, got, wantP)
-		}
-		if got := len(res.Metrics.Trace.PerProc); got != wantP {
-			t.Fatalf("step %d: trace covers %d procs, want %d", i, got, wantP)
-		}
-		if err := partition.Validate(st.Assign(), n); err != nil {
-			t.Fatalf("step %d next assignment: %v", i, err)
-		}
-		// The retune lands during step 1's end-of-step repartition, so
-		// the *next* assignment flips to 2 zones one step before the
-		// metrics do.
-		wantNextP := 4
-		if i >= 1 {
-			wantNextP = 2
-		}
-		if got := len(st.Assign()); got != wantNextP {
-			t.Fatalf("step %d: next assignment has %d zones, want %d", i, got, wantNextP)
-		}
+	if ad.measured != 6 {
+		t.Fatalf("adapter got per-processor insert times on %d steps, want 6", ad.measured)
 	}
 }

@@ -64,10 +64,6 @@ func (ub *updateBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(UPDATE, in.P())
 	t := ub.build(in, m)
 	ub.lastStep = in.Step
-	if ub.cfg.DepthStats {
-		st := octree.CollectStats(t)
-		m.Depth = &DepthStats{MaxLeaf: st.MaxDepth, MeanLeaf: st.AvgDepth, Leaves: st.Leaves}
-	}
 	return t, m
 }
 

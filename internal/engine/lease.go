@@ -123,8 +123,6 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	dur := time.Since(t0)
 	<-e.slots
 
-	// The stepper traces in adaptive sessions, so the stamp then carries
-	// the per-processor phase summary too.
 	reqtrace.FromContext(ctx).AddBuild(t0, dur, res.Metrics)
 
 	mode := "update"

@@ -10,8 +10,8 @@ import "partree/internal/vec"
 // subspace-to-processor assignment (core.AssignSubspaces, and through it
 // the simulated SPACE replay), and — at the cluster level — the shard
 // map that splits the domain into spatially contiguous key ranges
-// (engine.Guard, cluster.Map), where every shard must compute the same
-// key for the same position so the owned subsets tile the body set.
+// (cluster.Map), where every shard must compute the same key for the
+// same position so the owned subsets tile the body set.
 
 const (
 	// KeyBits is the number of bits quantized per axis; a full key

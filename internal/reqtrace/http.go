@@ -11,8 +11,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
-
-	"partree/internal/trace"
 )
 
 // Entry is the rendered form of one request: the /debug/requests/<id>
@@ -35,12 +33,6 @@ type Entry struct {
 	Spans       []Span `json:"spans,omitempty"`
 	// DroppedSpans counts spans lost to the per-request cap.
 	DroppedSpans int64 `json:"dropped_spans,omitempty"`
-	// TracePhaseNs sums the bridged per-processor summary's time in
-	// each build sub-phase across processors (present only when a
-	// traced — e.g. adaptive — build ran under this request).
-	TracePhaseNs map[string]int64 `json:"trace_phase_ns,omitempty"`
-	// Trace is the bridged internal/trace summary, verbatim.
-	Trace *trace.Summary `json:"trace,omitempty"`
 }
 
 // Entry snapshots the request; the zero Entry on a nil handle.
@@ -52,13 +44,6 @@ func (r *Req) Entry() Entry {
 	out := r.e
 	out.Spans = append([]Span(nil), r.e.Spans...)
 	r.mu.Unlock()
-	if out.Trace != nil {
-		totals := out.Trace.PhaseTotals()
-		out.TracePhaseNs = make(map[string]int64, len(totals))
-		for i, ns := range totals {
-			out.TracePhaseNs[trace.Phase(i).String()] = ns
-		}
-	}
 	return out
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"partree/internal/obs"
 	"partree/internal/reqtrace"
-	"partree/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -40,9 +39,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenRecorder replays a fixed three-request history through the
-// deterministic constructors: a plain build, a traced session past the
-// slow threshold (with a bridged per-processor summary), and an
-// admission rejection. Every timestamp derives from epoch, so renders
+// deterministic constructors: a plain build, a two-step session past the
+// slow threshold, and an admission rejection. Every timestamp derives from epoch, so renders
 // are byte-stable.
 func goldenRecorder() *reqtrace.Recorder {
 	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 4, SlowThreshold: 250 * time.Millisecond, SlowK: 2})
@@ -51,22 +49,16 @@ func goldenRecorder() *reqtrace.Recorder {
 	b := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)
 	b.SpanAt("read", ms(epoch, 0), ms(epoch, 1))
 	b.SpanAt("queue", ms(epoch, 1), ms(epoch, 3))
-	b.AddBuild(ms(epoch, 3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond, nil))
+	b.AddBuild(ms(epoch, 3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond))
 	b.SpanAt("write", ms(epoch, 13), ms(epoch, 14))
 	b.FinishAt(200, 4096, ms(epoch, 14))
 
 	s0 := epoch.Add(time.Second)
 	s := rec.StartAt("00f067aa0ba902b74bf92f3577b34da6", "/v1/session", s0)
-	summary := &trace.Summary{PerProc: []trace.ProcSummary{
-		{PhaseNs: [trace.NumPhases]int64{10e6, 30e6, 4e6, 5e6, 1e6}, Spans: 4,
-			LockEvents: 12, LockWaitNs: 2e6, LockHoldNs: 1e6, HoldP50Ns: 80000, HoldP95Ns: 90000, HoldMaxNs: 95000},
-		{PhaseNs: [trace.NumPhases]int64{10e6, 35e6, 3e6, 5e6, 2e6}, Spans: 4,
-			LockEvents: 14, LockWaitNs: 3e6, LockHoldNs: 1e6, HoldP50Ns: 70000, HoldP95Ns: 85000, HoldMaxNs: 92000},
-	}}
 	for i := 0; i < 2; i++ {
 		s.SpanAt("queue", ms(s0, 100*i), ms(s0, 100*i+20))
 		s.AddBuild(ms(s0, 100*i+20), 70*time.Millisecond,
-			buildMetrics(40*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond, summary))
+			buildMetrics(40*time.Millisecond, 25*time.Millisecond, 5*time.Millisecond))
 	}
 	s.FinishAt(200, 2048, ms(s0, 300))
 
@@ -92,7 +84,7 @@ func get(t *testing.T, url string) (int, string, []byte) {
 // TestDebugEndpointsGolden serves the golden recorder over a real
 // listener (httptest binds 127.0.0.1:0) and pins all three endpoints'
 // rendered bytes: the ring (newest first), the slow list, and a by-ID
-// lookup including the bridged trace summary.
+// lookup.
 func TestDebugEndpointsGolden(t *testing.T) {
 	rec := goldenRecorder()
 	mux := http.NewServeMux()

@@ -68,7 +68,7 @@ func BenchmarkDisabledHooks(b *testing.B) {
 func BenchmarkRecordedRequest(b *testing.B) {
 	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	t0 := time.Unix(1700000000, 0)
-	m := buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond, nil)
+	m := buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond)
 	for i := 0; i < b.N; i++ {
 		rq := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", t0)
 		rq.SpanAt("read", t0, t0.Add(time.Millisecond))

@@ -74,8 +74,8 @@ type Req struct {
 	start time.Time
 
 	// e accumulates the request's Entry in place: spans, the "queue" and
-	// "build" span sums, phases, the last traced build's summary, and —
-	// set by Finish — status, bytes and duration (0 while in flight).
+	// "build" span sums, phases, and — set by Finish — status, bytes and
+	// duration (0 while in flight).
 	// Seq is assigned when the recorder publishes the finished Req.
 	mu sync.Mutex
 	e  Entry
@@ -137,9 +137,6 @@ func (r *Req) AddBuild(start time.Time, wall time.Duration, m *core.Metrics) {
 	r.e.Phases.BoundsNs += m.Timing.Bounds.Nanoseconds()
 	r.e.Phases.InsertNs += m.Timing.Insert.Nanoseconds()
 	r.e.Phases.MomentsNs += m.Timing.Moments.Nanoseconds()
-	if m.Trace != nil {
-		r.e.Trace = m.Trace
-	}
 	r.mu.Unlock()
 }
 

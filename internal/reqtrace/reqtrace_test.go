@@ -9,7 +9,6 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/reqtrace"
-	"partree/internal/trace"
 )
 
 // epoch anchors every deterministic timeline; the golden files bake in
@@ -54,9 +53,9 @@ func TestMintID(t *testing.T) {
 }
 
 // buildMetrics is the slice of a build's core.Metrics a request stamp
-// reads: the phase breakdown and, for a traced build, its summary.
-func buildMetrics(bounds, insert, moments time.Duration, s *trace.Summary) *core.Metrics {
-	return &core.Metrics{Timing: core.Timing{Bounds: bounds, Insert: insert, Moments: moments}, Trace: s}
+// reads: the phase breakdown.
+func buildMetrics(bounds, insert, moments time.Duration) *core.Metrics {
+	return &core.Metrics{Timing: core.Timing{Bounds: bounds, Insert: insert, Moments: moments}}
 }
 
 // TestNilHandleNoOp pins the disabled mode: a nil Recorder yields a nil
@@ -68,7 +67,7 @@ func TestNilHandleNoOp(t *testing.T) {
 		t.Fatal("nil recorder handed out a non-nil Req")
 	}
 	rq.SpanSince("queue", time.Now())
-	rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond, &trace.Summary{}))
+	rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond))
 	rq.Finish(200, 1)
 	if q, b, m, tot := rq.Breakdown(); q+b+m+tot != 0 {
 		t.Errorf("nil Req breakdown = %v %v %v %v, want zeros", q, b, m, tot)
@@ -76,7 +75,7 @@ func TestNilHandleNoOp(t *testing.T) {
 	if rq.Entry().ID != "" || rq.Entry().Route != "" || rq.Entry().Seq != 0 || time.Duration(rq.Entry().DurNs) != 0 {
 		t.Error("nil Req identity accessors returned non-zero values")
 	}
-	if rq.Entry().Spans != nil || rq.Entry().Trace != nil || (rq.Entry().Phases != reqtrace.Phases{}) {
+	if rq.Entry().Spans != nil || (rq.Entry().Phases != reqtrace.Phases{}) {
 		t.Error("nil Req snapshots returned non-zero values")
 	}
 	if rec.Snapshot() != nil || rec.Slow() != nil || rec.Lookup("id") != nil {
@@ -108,8 +107,8 @@ func TestContextRoundTrip(t *testing.T) {
 
 // TestReqTimeline drives one request through the deterministic
 // constructors and checks every accumulator: span offsets relative to
-// the start, the queue/build station totals, the phase breakdown, the
-// bridged trace (latest wins), and the final duration.
+// the start, the queue/build station totals, the phase breakdown, and
+// the final duration.
 func TestReqTimeline(t *testing.T) {
 	rec := reqtrace.NewRecorder(reqtrace.Options{})
 	rq := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)
@@ -120,19 +119,12 @@ func TestReqTimeline(t *testing.T) {
 	ms := func(n int) time.Time { return epoch.Add(time.Duration(n) * time.Millisecond) }
 	rq.SpanAt("read", ms(0), ms(1))
 	rq.SpanAt("queue", ms(1), ms(3))
-	rq.AddBuild(ms(3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond, nil))
+	rq.AddBuild(ms(3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond))
 	rq.SpanAt("queue", ms(13), ms(14)) // second slot wait accumulates
 	rq.SpanAt("write", ms(14), ms(15))
 
 	// Spanless stamps (the zero start), as a whole-application step makes.
-	s1 := &trace.Summary{PerProc: make([]trace.ProcSummary, 1)}
-	s2 := &trace.Summary{PerProc: make([]trace.ProcSummary, 2)}
-	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s1))
-	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, nil)) // ignored: an untraced build carries no summary
-	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0, s2))  // latest traced build wins
-	if got := rq.Entry().Trace; got != s2 {
-		t.Errorf("TraceSummary = %p, want the last bridged summary %p", got, s2)
-	}
+	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0))
 
 	q, b, m, tot := rq.Breakdown()
 	if q != 3*time.Millisecond {
@@ -329,7 +321,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				inner.Add(1)
 				go func() { // the runner-goroutine stamping path
 					defer inner.Done()
-					rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Microsecond, time.Microsecond, time.Microsecond, &trace.Summary{}))
+					rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Microsecond, time.Microsecond, time.Microsecond))
 				}()
 				rq.SpanAt("queue", epoch, epoch.Add(time.Microsecond))
 				rq.Breakdown()

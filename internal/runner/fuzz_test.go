@@ -21,6 +21,7 @@ func serviceSpecSeeds(f *testing.F) []string {
 		`{"backend":"native","algorithm":"LOCAL","build_only":true,"bodies":2000000000}`,
 		`{"backend":"native","algorithm":"local","build_only":true,"bodies":256,"procs":4097}`,
 		`{"backend":"native","algorithm":"LOCAL","build_only":true,"bodies":256,"steps":1001}`,
+		`{"backend":"native","build_only":true,"bodies":64,"leaf_cap":2147483648}`,
 		`{"backend":"simulated","platform":"origin","algorithm":"SPACE","procs":2,"bodies":512,"steps":1}`,
 		`{"backend":"simulated","platform":"origin","build_only":true}`,
 		`{"algorithm":"UPDATE","sequential":true,"procs":8,"timeout_ns":30000000}`,
@@ -54,7 +55,7 @@ func serviceSpecSeeds(f *testing.F) []string {
 func vetted(t *testing.T, spec Spec, native bool) {
 	t.Helper()
 	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
-	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.Trace != "" {
+	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.LeafCap > MaxServiceLeafCap || spec.Trace != "" {
 		t.Fatalf("accepted a spec outside the service limits: %+v", spec)
 	}
 	if native && spec.Backend != Native {

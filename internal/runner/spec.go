@@ -130,8 +130,8 @@ func (s Spec) Normalized() Spec { return s.withDefaults() }
 // arrives from a socket, and its body set is generated before the engine's
 // admission gate is reached, so the sizes that drive allocation and run
 // time are bounded here, at the one vetting function every service
-// endpoint passes through (the streaming session applies the same body
-// and processor bounds to its open record).
+// endpoint passes through (the streaming session applies the same body,
+// processor and leaf-capacity bounds to its open record).
 const (
 	// MaxServiceBodies bounds bodies: 4 Mi bodies is ≈ 370 MB of state.
 	MaxServiceBodies = 4 << 20
@@ -141,6 +141,9 @@ const (
 	MaxServiceProcsPerCPU = 4
 	// MaxServiceSteps bounds measured steps (or build repetitions).
 	MaxServiceSteps = 1000
+	// MaxServiceLeafCap bounds leaf_cap: every leaf is allocated with
+	// room for that many body indices.
+	MaxServiceLeafCap = 4096
 	// MaxSweepSpecs bounds the spec list one sweep request may carry.
 	MaxSweepSpecs = 1024
 )
@@ -167,6 +170,8 @@ func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 		return spec, fmt.Errorf("procs %d exceeds the service limit %d (%dx GOMAXPROCS)", spec.Procs, maxProcs, MaxServiceProcsPerCPU)
 	case spec.Steps > MaxServiceSteps:
 		return spec, fmt.Errorf("steps %d exceeds the service limit %d", spec.Steps, MaxServiceSteps)
+	case spec.LeafCap > MaxServiceLeafCap:
+		return spec, fmt.Errorf("leaf_cap %d exceeds the service limit %d", spec.LeafCap, MaxServiceLeafCap)
 	}
 	return spec, spec.Validate()
 }

@@ -32,10 +32,9 @@ type SessionOpen struct {
 	// (canonical vs a serial rebuild on fresh steps) before answering.
 	Check bool `json:"check,omitempty"`
 	// Adaptive turns on measured-cost adaptive partitioning for this
-	// session: each step's traced phase times feed a cost ledger that
-	// corrects the next step's costzones cut, and a tuner may retune
-	// build knobs mid-session. The daemon's -adaptive flag turns it on
-	// for every session.
+	// session: each step's measured per-processor insert times feed a
+	// cost ledger that corrects the next step's costzones cut. The
+	// daemon's -adaptive flag turns it on for every session.
 	Adaptive      bool  `json:"adaptive,omitempty"`
 	IdleTimeoutMs int64 `json:"idle_timeout_ms,omitempty"`
 	Policy        struct {
@@ -83,10 +82,7 @@ type SessionStepResult struct {
 	// Reason names why a rebuild step started fresh ("" on updates).
 	Reason string `json:"reason,omitempty"`
 	// Fallback marks a rebuild forced by the auto-fallback policy.
-	Fallback bool `json:"fallback,omitempty"`
-	// Retuned marks a rebuild caused by the adaptive tuner changing a
-	// build knob (adaptive sessions only).
-	Retuned   bool    `json:"retuned,omitempty"`
+	Fallback  bool    `json:"fallback,omitempty"`
 	Moved     int64   `json:"moved"`
 	Churn     float64 `json:"churn"`
 	DepthSkew float64 `json:"depth_skew"`
@@ -175,6 +171,9 @@ func DecodeSessionOpen(dec *json.Decoder, defaultModel string) (SessionOpen, phy
 	}
 	if o.LeafCap <= 0 {
 		o.LeafCap = 8
+	}
+	if o.LeafCap > runner.MaxServiceLeafCap {
+		return o, 0, fmt.Errorf("leaf_cap %d exceeds the service limit %d", o.LeafCap, runner.MaxServiceLeafCap)
 	}
 	if o.Dt == 0 {
 		o.Dt = 0.01

@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ var openSeeds = []string{
 	`{"procs":1,"bodies":500,"seed":1,"idle_timeout_ms":50,"policy":{}}`,
 	`{"procs":2,"bodies":256,"model":"disk","seed":42,"dt":0.01,"policy":{}}`,
 	`{"procs":2,"bodies":256,"seed":43,"policy":{}}`,
-	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":64,"procs":65}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
+	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":64,"procs":65}`, `{"bodies":64,"leaf_cap":2147483648}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
 	`{"bodies":"many"}`, `{"bodies":64,"dt":1e999}`, `{`, ``, `null`, `[]`, `7`,
 }
 
@@ -51,7 +52,7 @@ func FuzzDecodeSessionOpen(f *testing.F) {
 		}
 		if open.Bodies < 1 || open.Bodies > runner.MaxServiceBodies ||
 			open.Procs < 1 || open.Procs > min(octree.MaxArenas, runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0)) ||
-			open.LeafCap < 1 || open.Dt == 0 || open.Model == "" {
+			open.LeafCap < 1 || open.LeafCap > runner.MaxServiceLeafCap || open.Dt == 0 || open.Model == "" {
 			t.Fatalf("accepted an open record outside the service limits: %+v", open)
 		}
 		enc, err := json.Marshal(open)
@@ -75,6 +76,20 @@ func TestSessionOpenProcsBound(t *testing.T) {
 		_, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
 		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), "limit 64")) {
 			t.Errorf("procs %d: error %v, want refused=%t naming the limit 64", procs, err, refused)
+		}
+	}
+}
+
+// TestSessionOpenLeafCapBound: every leaf is allocated with room for
+// leaf_cap body indices, so the open record holds it to the one-shot
+// specs' limit — refused above, served at it.
+func TestSessionOpenLeafCapBound(t *testing.T) {
+	limit := strconv.Itoa(runner.MaxServiceLeafCap)
+	for leafCap, refused := range map[int]bool{runner.MaxServiceLeafCap: false, runner.MaxServiceLeafCap + 1: true, 1 << 30: true} {
+		doc := fmt.Sprintf(`{"bodies":64,"leaf_cap":%d}`, leafCap)
+		open, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), limit)) || (!refused && open.LeafCap != leafCap) {
+			t.Errorf("leaf_cap %d: record %+v, error %v, want refused=%t naming the limit %s", leafCap, open, err, refused, limit)
 		}
 	}
 }

@@ -219,13 +219,9 @@ for series in \
     partree_session_step_seconds_bucket \
     partree_adapt_sessions_total \
     partree_adapt_corrections_total \
-    partree_adapt_knob_changes_total \
     partree_adapt_repartitions_total \
     partree_adapt_skew_before \
     partree_adapt_skew_after \
-    partree_adapt_leafcap \
-    partree_adapt_space_threshold \
-    partree_adapt_effective_p \
 ; do
     grep -q "^$series" "$metrics" || missing="$missing $series"
 done
@@ -234,17 +230,17 @@ done
     exit 1
 }
 
-# The adaptive session ran real steps, so the feedback loop must have
-# actually turned: a controller constructed and at least one
-# measured-cost recut served (not just zero-valued families present).
-for series in partree_adapt_sessions_total partree_adapt_repartitions_total; do
-    v=$(awk -v s="$series" '$1 == s { print $2 }' "$metrics")
-    case $v in
-    '' | 0 | 0.0)
-        echo "obs-smoke: $series = '$v', want > 0 after an adaptive session" >&2
+# The adaptive session ran three real steps, so the feedback loop must
+# have actually turned: a controller constructed, a measured-cost recut
+# served after every step and a ledger correction from every step's
+# insert times (not just zero-valued families present).
+for want in partree_adapt_sessions_total:1 partree_adapt_repartitions_total:3 partree_adapt_corrections_total:2; do
+    series=${want%:*}
+    awk -v s="$series" -v min="${want#*:}" '$1 == s && $2 + 0 >= min { ok = 1 } END { exit !ok }' "$metrics" || {
+        echo "obs-smoke: $series below ${want#*:} after a three-step adaptive session" >&2
+        grep "^$series" "$metrics" >&2
         exit 1
-        ;;
-    esac
+    }
 done
 
 # SIGTERM must drain: in-flight work finishes, the process exits 0.
