@@ -62,13 +62,15 @@ bench-smoke:
 # and ordering it layer by layer — one Morton key, the radix sort of a
 # body set, and the whole SpatialAssign a spatial:true request pays — and
 # the two phases around a SPACE build's inserts: the counting partition
-# and the moments pass, serial against two workers — and what observing
-# costs: a build with no, a disabled and an enabled trace recorder, and
-# the request hooks with the flight recorder off and on (the timings the
-# tests beside them no longer assert).
+# and the moments pass, serial against two workers — then what a resident
+# session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
+# and two stepping at once, with the step's phases reported beside ns/op)
+# — and what observing costs: a build with no, a disabled and an enabled
+# trace recorder, and the request hooks with the flight recorder off and
+# on (the timings the tests beside them no longer assert).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace
 
 microbench:
 	$(MICROBENCH)

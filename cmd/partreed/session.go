@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
+	"partree/internal/vec"
 	"partree/internal/wire"
 )
 
@@ -147,7 +149,10 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 					Error: fmt.Sprintf("pos has %d entries, session has %d bodies", len(s.Pos), bodies.N())})
 				return
 			}
-			applyStepMutation(bodies, s, open.Dt)
+			if err := applyStepMutation(bodies, s, open.Dt); err != nil {
+				emit(wire.SessionError{Event: "error", Error: err.Error()})
+				return
+			}
 			// Queue wait is measured as the request-level accumulator's
 			// delta across the step (the engine stamps slot waits onto
 			// the span context); zero when tracing is disabled.
@@ -216,20 +221,43 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// applyStepMutation applies a step record's body motion in place.
-func applyStepMutation(b *phys.Bodies, s wire.SessionStep, dt float64) {
-	if s.Pos != nil {
-		for i, p := range s.Pos {
-			b.Pos[i].X, b.Pos[i].Y, b.Pos[i].Z = p[0], p[1], p[2]
+// applyStepMutation applies a step record's body motion in place: one
+// sweep of the slots, each body taking the record's mutations in wire
+// order (pos, drift, collapse). The stepper keeps the bodies in its own
+// order, while a client's pos array is indexed by generator order for the
+// life of the session: b.ID is the map between the two, and this is the
+// one place a client index meets a slot.
+//
+// The sweep also bounds what it wrote, and refuses a step whose bodies
+// the builders could not size a root cube around — positions so far apart
+// (or a dt so large) that the extent or its midpoint overflows: such a
+// build does not terminate, and it would hold its engine slot and the
+// lease meanwhile.
+func applyStepMutation(b *phys.Bodies, s wire.SessionStep, dt float64) error {
+	collapse := s.Collapse > 0
+	if s.Pos == nil && !s.Drift && !collapse {
+		return nil
+	}
+	inf := math.Inf(1)
+	lo, hi := vec.V3{X: inf, Y: inf, Z: inf}, vec.V3{X: -inf, Y: -inf, Z: -inf}
+	for i, p := range b.Pos {
+		if s.Pos != nil {
+			q := s.Pos[b.ID[i]]
+			p = vec.V3{X: q[0], Y: q[1], Z: q[2]}
 		}
-	}
-	if s.Drift {
-		b.Drift(0, b.N(), dt)
-	}
-	if c := s.Collapse; c > 0 {
-		for i := range b.Pos {
-			r := b.Pos[i].Len()
-			b.Pos[i] = b.Pos[i].Scale(1 / (1 + c*r))
+		if s.Drift {
+			p = p.MulAdd(dt, b.Vel[i])
 		}
+		if collapse {
+			p = p.Scale(1 / (1 + s.Collapse*p.Len()))
+		}
+		b.Pos[i] = p
+		lo, hi = lo.Min(p), hi.Max(p)
 	}
+	// Half the float range leaves the builders' root margin room; the
+	// negated comparison refuses a NaN extent too.
+	if extent := hi.Sub(lo).MaxComponent(); !(extent <= math.MaxFloat64/2) || !lo.Add(hi).IsFinite() {
+		return fmt.Errorf("step leaves the bodies' extent non-finite (%v .. %v)", lo, hi)
+	}
+	return nil
 }

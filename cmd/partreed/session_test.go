@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"partree/internal/engine"
 	"partree/internal/obs"
+	"partree/internal/phys"
+	"partree/internal/vec"
 	"partree/internal/wire"
 )
 
@@ -373,5 +376,131 @@ func TestSessionDrainClosesStreams(t *testing.T) {
 	}
 	if err := <-drainDone; err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// posOf renders a client's body set as the pos array of a step record:
+// entry i is generator body i, whatever order the server keeps them in.
+func posOf(b *phys.Bodies) [][3]float64 {
+	pos := make([][3]float64, b.N())
+	for i, p := range b.Pos {
+		pos[i] = [3]float64{p.X, p.Y, p.Z}
+	}
+	return pos
+}
+
+// TestSessionClientPosIsGeneratorIndexed drives a session the way
+// loadgen's client-motion path does: the client holds the generated set,
+// moves it, and streams full pos arrays. The server keeps its bodies in
+// Morton order and re-sorts them when it falls back, so each pos entry
+// must reach its body through the ID map: under 1 % motion a repair moves
+// a small fraction of the bodies, while a mis-mapped index hands nearly
+// every body another body's position and moves almost all of them. Every
+// step is verified server-side, before and after a policy fallback.
+func TestSessionClientPosIsGeneratorIndexed(t *testing.T) {
+	const n, seed = 4000, 11
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
+	open := wire.SessionOpen{Procs: 2, Bodies: n, Seed: seed, Model: "plummer", Check: true}
+	open.Policy.MaxChurnFrac = 0.1
+	open.Policy.Streak = 2
+	open.Policy.MinSteps = 3
+	c, _ := openSession(t, d.srv.URL(), open)
+	mine := phys.Generate(phys.ModelPlummer, n, seed)
+
+	step := func(what string) wire.SessionStepResult {
+		t.Helper()
+		c.send(wire.SessionStep{Pos: posOf(mine)})
+		r := c.recv()
+		if r.Event != "step" || !r.Step.Verified {
+			t.Fatalf("%s: %+v", what, r)
+		}
+		return r.Step
+	}
+	// gentle takes five steps that move every body by 1 % of its
+	// distance from the origin, each in its own direction — of the
+	// cluster's median radius, for the halo: the outliers size the root
+	// cube, and UPDATE rescales every cell with it.
+	gentle := func(phase string) {
+		t.Helper()
+		radii := make([]float64, n)
+		for i, p := range mine.Pos {
+			radii[i] = p.Len()
+		}
+		sort.Float64s(radii)
+		for k := 1; k <= 5; k++ {
+			for i, p := range mine.Pos {
+				dir := vec.V3{X: float64((i+k)%3) - 1, Y: float64((i+2*k)%5) - 2, Z: float64(i%7) - 3.5}
+				mine.Pos[i] = p.MulAdd(0.01*min(p.Len(), radii[n/2])/dir.Len(), dir)
+			}
+			if r := step(phase); r.Mode != "update" || r.Moved >= n/10 {
+				t.Fatalf("%s, step %d: mode %q moved %d of %d bodies under 1%% motion — pos entries are reaching the wrong bodies",
+					phase, r.Step, r.Mode, r.Moved, n)
+			}
+		}
+	}
+
+	if r := step("step 0"); r.Mode != "rebuild" || r.Reason != "first" {
+		t.Fatalf("step 0: mode %q reason %q", r.Mode, r.Reason)
+	}
+	gentle("before the fallback")
+
+	// The client collapses its cluster until the policy gives up on
+	// repair: the fallback rebuild re-sorts the server's bodies.
+	fellBack := false
+	for k := 0; k < 20 && !fellBack; k++ {
+		for i, p := range mine.Pos {
+			mine.Pos[i] = p.Scale(1 / (1 + 0.4*p.Len()))
+		}
+		fellBack = step("collapse").Fallback
+	}
+	if !fellBack {
+		t.Fatal("no fallback rebuild across 20 collapsing steps")
+	}
+	gentle("after the fallback")
+}
+
+// TestSessionRefusesUnbuildableExtent: a step whose positions are finite
+// but whose bounding extent is not — or whose dt overflows them — used to
+// reach the builder, which never returned and held its engine slot and
+// the lease. The server must refuse it in-stream, at once.
+func TestSessionRefusesUnbuildableExtent(t *testing.T) {
+	const n = 5000
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1}, drainTimeout: 10 * time.Second})
+	apart := posOf(phys.Generate(phys.ModelPlummer, n, 1))
+	apart[7], apart[9] = [3]float64{1e308, 0, 0}, [3]float64{-1e308, 0, 0}
+	for name, tc := range map[string]struct {
+		dt   float64
+		step wire.SessionStep
+	}{
+		"two bodies 2e308 apart": {0, wire.SessionStep{Pos: apart}},
+		"dt overflows the drift": {1e308, wire.SessionStep{Drift: true}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, _ := openSession(t, d.srv.URL(), wire.SessionOpen{Procs: 1, Bodies: n, Seed: 1, Model: "plummer", Dt: tc.dt})
+			c.send(wire.SessionStep{})
+			if r := c.recv(); r.Event != "step" {
+				t.Fatalf("step 0: %+v", r)
+			}
+			c.send(tc.step)
+			got := make(chan wire.SessionRecord, 1)
+			go func() {
+				r, _ := c.Recv()
+				got <- r
+			}()
+			select {
+			case r := <-got:
+				if r.Event != "error" || !strings.Contains(r.Err.Error, "non-finite") {
+					t.Fatalf("got %+v, want an in-stream error naming the non-finite extent", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no answer in 10 s: the step reached the builder")
+			}
+		})
+	}
+	// Neither refused step kept the engine's one slot.
+	c, _ := openSession(t, d.srv.URL(), wire.SessionOpen{Procs: 1, Bodies: n, Seed: 2})
+	c.send(wire.SessionStep{})
+	if r := c.recv(); r.Event != "step" {
+		t.Fatalf("a session after the refusals: %+v", r)
 	}
 }

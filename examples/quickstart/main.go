@@ -28,7 +28,7 @@ func main() {
 	// update, with per-phase timing.
 	st := sim.Step()
 	fmt.Println("step:", st)
-	fmt.Println("tree:", st.TreeStats)
+	fmt.Println("tree:", st.Build.TreeStats)
 	fmt.Printf("build synchronization: %d lock acquisitions (%v)\n",
 		st.Build.TotalLocks(), opts.Alg)
 

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/phys"
 )
 
@@ -49,6 +51,74 @@ func BenchmarkSpacePartition(b *testing.B) {
 					s.Reset()
 					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, SpaceThreshold(0, 8, c.n, p), m, nil)
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkSessionStep times what a /v1/session step costs inside the
+// daemon: a resident Stepper (p=1, as a lease holds it) repairing its
+// tree after a small drift, alone and beside a second session stepping at
+// the same time — two sessions' trees and body columns no longer share a
+// cache. Besides ns/op it reports where a step went: the builder's three
+// phases and the rest (fallback signals, the cost cut, the result).
+func BenchmarkSessionStep(b *testing.B) {
+	const dt = 0.01
+	for _, n := range []int{50000, 100000} {
+		for _, sessions := range []int{1, 2} {
+			b.Run(fmt.Sprintf("plummer-%dk/sessions=%d", n/1000, sessions), func(b *testing.B) {
+				type session struct {
+					bodies *phys.Bodies
+					st     *Stepper
+					phases Timing
+					wall   time.Duration
+				}
+				ss := make([]*session, sessions)
+				for i := range ss {
+					bodies := phys.Generate(phys.ModelPlummer, n, int64(i+1))
+					ss[i] = &session{bodies: bodies, st: NewStepper(Config{P: 1, LeafCap: 8}, bodies, FallbackPolicy{})}
+				}
+				// The bodies swing between two states, so no step count
+				// changes the distribution or trips the fallback policy.
+				run := func(s *session, steps int) {
+					for k := 0; k < steps; k++ {
+						if k%2 == 0 {
+							s.bodies.Drift(0, n, dt)
+						} else {
+							s.bodies.Drift(0, n, -dt)
+						}
+						t0 := time.Now()
+						res := s.st.Step(StepInput{})
+						s.wall += time.Since(t0)
+						t := res.Metrics.Timing
+						s.phases.Bounds += t.Bounds
+						s.phases.Insert += t.Insert
+						s.phases.Moments += t.Moments
+					}
+				}
+				for _, s := range ss {
+					run(s, 2)
+					s.phases, s.wall = Timing{}, 0
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				par.Do(sessions, func(w int) { run(ss[w], b.N) })
+				b.StopTimer()
+				var ph Timing
+				var wall time.Duration
+				for _, s := range ss {
+					ph.Bounds += s.phases.Bounds
+					ph.Insert += s.phases.Insert
+					ph.Moments += s.phases.Moments
+					wall += s.wall
+				}
+				perStep := func(d time.Duration) float64 {
+					return float64(d.Microseconds()) / float64(b.N*sessions)
+				}
+				b.ReportMetric(perStep(ph.Bounds), "bounds-µs/step")
+				b.ReportMetric(perStep(ph.Insert), "insert-µs/step")
+				b.ReportMetric(perStep(ph.Moments), "moments-µs/step")
+				b.ReportMetric(perStep(wall-ph.Total()), "rest-µs/step")
 			})
 		}
 	}

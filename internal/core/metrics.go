@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"partree/internal/octree"
 	"partree/internal/trace"
 )
 
@@ -53,6 +54,10 @@ type Metrics struct {
 	Alg    Algorithm
 	PerP   []procCounters
 	Timing Timing
+	// TreeStats is the shape of the tree this build returned — what
+	// octree.CollectStats would report, counted by the moments pass as it
+	// visited each live node, so no reader walks the tree again for it.
+	TreeStats octree.Stats
 	// FreshRebuild reports that a resident builder (UPDATE) discarded
 	// its retained tree and rebuilt from scratch this step instead of
 	// repairing incrementally. Always false for the rebuilding

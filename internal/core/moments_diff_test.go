@@ -52,7 +52,8 @@ func liveMoments(t *octree.Tree) []nodeMoments {
 // on every live node, exactly the bits the serial recursion writes —
 // whatever builder made the tree and whatever it left in the arenas
 // (UPDATE's retired leaves and emptied cells, PARTREE's discarded local
-// trees, ORIG's CAS losers), and on the trees with no level to cut.
+// trees, ORIG's CAS losers), and on the trees with no level to cut. Both
+// passes count the nodes they visit into exactly octree.CollectStats.
 func TestParallelMomentsBitIdenticalToSerial(t *testing.T) {
 	const n, p = 4000, 3
 	trees := map[string]func() (*octree.Tree, octree.BodyData){}
@@ -96,10 +97,15 @@ func TestParallelMomentsBitIdenticalToSerial(t *testing.T) {
 	for name, mk := range trees {
 		t.Run(name, func(t *testing.T) {
 			tree, d := mk()
-			octree.ComputeMomentsSerial(tree, d)
+			wantStats := octree.CollectStats(tree)
+			if st := octree.ComputeMomentsSerial(tree, d); st != wantStats {
+				t.Fatalf("serial pass counted %v, CollectStats %v", st, wantStats)
+			}
 			want := liveMoments(tree)
 			for _, w := range []int{2, 3, 8} {
-				octree.ComputeMomentsParallel(tree, d, w)
+				if st := octree.ComputeMomentsParallel(tree, d, w); st != wantStats {
+					t.Fatalf("w=%d: pass counted %v, CollectStats %v", w, st, wantStats)
+				}
 				got := liveMoments(tree)
 				if len(got) != len(want) {
 					t.Fatalf("w=%d: %d live nodes, serial pass saw %d", w, len(got), len(want))
@@ -111,5 +117,48 @@ func TestParallelMomentsBitIdenticalToSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsTreeStatsMatchCollectStats: the stats a build carries on its
+// Metrics are exactly what walking its tree yields — for every builder,
+// processor count and mass model, on a fresh build, after ten steps of
+// drift (UPDATE repairs: the leaves it retired and the cells it emptied
+// are not counted, nor any CAS loser), and after a requested rebuild.
+func TestMetricsTreeStatsMatchCollectStats(t *testing.T) {
+	const n = 3000
+	for _, model := range []phys.Model{phys.ModelPlummer, phys.ModelHierarchical, phys.ModelUniform} {
+		for _, alg := range core.Algorithms() {
+			for _, p := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%v/%v/p=%d", model, alg, p), func(t *testing.T) {
+					b := phys.Generate(model, n, 21)
+					bld := core.New(alg, core.Config{P: p, LeafCap: 4})
+					in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+					build := func(what string) *core.Metrics {
+						tree, m := bld.Build(in)
+						if want := octree.CollectStats(tree); m.TreeStats != want || want.Bodies != n {
+							t.Fatalf("%s: Metrics carry %v, the tree holds %v", what, m.TreeStats, want)
+						}
+						return m
+					}
+					build("step 0")
+					var moved int64
+					for in.Step = 1; in.Step <= 10; in.Step++ {
+						b.Drift(0, n, 0.03)
+						moved += build(fmt.Sprintf("step %d", in.Step)).TotalBodiesMoved()
+					}
+					if alg != core.UPDATE {
+						return
+					}
+					if moved == 0 {
+						t.Fatal("ten UPDATE steps repaired nothing: the drift is too small to retire a leaf")
+					}
+					in.Rebuild = true
+					if m := build("requested rebuild"); m.FreshReason != core.FreshRequested {
+						t.Fatalf("rebuild step: reason %q, want %q", m.FreshReason, core.FreshRequested)
+					}
+				})
+			}
+		}
 	}
 }

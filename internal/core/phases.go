@@ -23,10 +23,10 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 // runPhases is the build skeleton all five algorithms share — size the
 // root, load the bodies, compute moments — and the only place it is
 // written down: the trace window, the three timed brackets, the moments
-// fork (each processor's share its own span, like every other phase),
-// Metrics.Timing, each processor's insert time, the trace summary, and
-// the publication into the live per-algorithm totals all happen here. An
-// algorithm is its prepare and insert hooks.
+// fork (each processor's share its own span, like every other phase) and
+// the tree stats it counts, Metrics.Timing, each processor's insert time,
+// the trace summary, and the publication into the live per-algorithm
+// totals all happen here. An algorithm is its prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// A traced build opens a fresh trace window; untraced, tr stays nil
@@ -47,7 +47,7 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	})
 	t2 := time.Now()
 
-	octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {
+	m.TreeStats = octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {
 		tracedDo(tr, trace.PhaseMoments, p, fn)
 	})
 	t3 := time.Now()

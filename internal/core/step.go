@@ -61,11 +61,19 @@ type Adapter interface {
 // This is the step-over-step surface internal/engine leases pin;
 // internal/nbody keeps its own loop because it also owns integration and
 // costzones repartitioning.
+//
+// The stepper keeps its bodies resident in Morton order (see resort), so
+// the passes of a step — bounds, repair scan, moments, the cost cut —
+// each stream the body columns front to back instead of chasing
+// generator-order indices through them.
 type Stepper struct {
 	cfg    Config
 	b      Builder
 	ctrl   *FallbackController
 	bodies *phys.Bodies
+	// index is the identity 0..n-1. Storage order is the spatial order,
+	// so a static partition is p contiguous ranges of it.
+	index  []int32
 	assign [][]int32
 	step   int
 	// pendingRebuild is the controller's verdict from the previous step,
@@ -76,24 +84,48 @@ type Stepper struct {
 	adapter Adapter
 }
 
-// NewStepper pins a fresh UPDATE builder over bodies. Step 0
-// builds over a spatially compact Morton split; every later step's
-// assignment is recut with costzones over the freshly built tree, so the
-// partition follows the bodies instead of freezing at step 0.
+// NewStepper pins a fresh UPDATE builder over bodies and sorts them, in
+// place, into Morton order: bodies stays the object the stepper reads and
+// the caller mutates, but its slots are reordered — bodies.ID maps each
+// slot back to the index the caller knew the body by. Every step's
+// assignment is a cost-balanced cut of that order, recut after each
+// build, so the partition follows the costs instead of freezing at step 0.
 func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
 	cfg = cfg.Normalized()
-	return &Stepper{
+	st := &Stepper{
 		cfg:    cfg,
 		b:      New(UPDATE, cfg),
 		ctrl:   NewFallbackController(policy),
 		bodies: bodies,
-		assign: SpatialAssign(bodies, cfg.P),
+		assign: make([][]int32, cfg.P),
 	}
+	st.resort()
+	return st
+}
+
+// resort makes the bodies' Morton order their storage order and recuts
+// the assignment over it. Slots change meaning, so it may run only where
+// nothing slot-keyed survives: at construction, and ahead of a build that
+// starts from scratch (which rewrites the builder's body→leaf map).
+func (st *Stepper) resort() {
+	b := st.bodies
+	order := partition.Order(b.Pos, b.Bounds(rootMargin))
+	b.Permute(order)
+	// The sort's output array, spent, becomes the identity the zones are
+	// ranges of.
+	for i := range order {
+		order[i] = int32(i)
+	}
+	st.index = order
+	partition.CostRanges(st.index, b.Cost, st.assign)
 }
 
 // NewAdaptiveStepper is NewStepper with a measured-cost adapter in the
 // loop. What the adapter attributes rides every build's Metrics, so an
-// adaptive step builds exactly as a static one does.
+// adaptive step builds exactly as a static one does. The adapter keeps
+// per-slot state (its cost ledger) and the interface gives it no way to
+// follow a permutation, so an adaptive session is sorted once, at
+// construction, and never re-sorted.
 func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy, a Adapter) *Stepper {
 	st := NewStepper(cfg, bodies, policy)
 	st.adapter = a
@@ -102,7 +134,9 @@ func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy, 
 
 // Bodies returns the resident body state for in-place mutation between
 // steps. The slice headers must not be replaced; N is fixed for the
-// stepper's lifetime.
+// stepper's lifetime. Slots are in the stepper's order, not the
+// generator's: address a particular body through Bodies().ID, and do not
+// hold a slot number across a Step that rebuilds.
 func (st *Stepper) Bodies() *phys.Bodies { return st.bodies }
 
 // Builder exposes the pinned resident builder for storage accounting
@@ -121,12 +155,19 @@ func (st *Stepper) Assign() [][]int32 { return st.assign }
 func (st *Stepper) Step(in StepInput) *StepResult {
 	fallback := st.pendingRebuild && !in.Rebuild
 	st.pendingRebuild = false
+	rebuild := in.Rebuild || fallback
+	if rebuild && st.adapter == nil {
+		// The bodies have drifted since the last sort — far, if the
+		// policy gave up on repair — and this build starts from scratch
+		// anyway: the one moment a re-sort costs nothing but itself.
+		st.resort()
+	}
 
 	bi := &Input{
 		Bodies:  st.bodies,
 		Assign:  st.assign,
 		Step:    st.step,
-		Rebuild: in.Rebuild || fallback,
+		Rebuild: rebuild,
 	}
 	tree, m := st.b.Build(bi)
 
@@ -141,7 +182,7 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	if n := st.bodies.N(); n > 0 && !m.FreshRebuild {
 		res.ChurnFrac = float64(m.TotalBodiesMoved()) / float64(n)
 	}
-	if ts := octree.CollectStats(tree); ts.AvgDepth > 0 {
+	if ts := m.TreeStats; ts.AvgDepth > 0 {
 		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
 	st.pendingRebuild = st.ctrl.Observe(res.ChurnFrac, res.DepthSkew, m.FreshRebuild)
@@ -150,21 +191,21 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	return res
 }
 
-// repartition recuts the body assignment for the next step over the tree
-// just built — the staleness fix: before it, the step-0 partition (and
-// its costs) served every subsequent step unchanged. Without an adapter
-// the cut is plain costzones over the modeled costs; with one, the
-// adapter observes this step's measured times and cuts along its
-// corrected costs.
+// repartition recuts the body assignment for the next step — the
+// staleness fix: before it, the step-0 partition (and its costs) served
+// every subsequent step unchanged. Without an adapter the cut is
+// costzones over the modeled costs, taken along the resident order: p
+// ranges of the index, no tree walk, nothing allocated. With one, the
+// adapter observes this step's measured times and cuts the tree just
+// built along its corrected costs.
 func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
+	if st.adapter == nil {
+		partition.CostRanges(st.index, st.bodies.Cost, st.assign)
+		return
+	}
 	if st.bodies.N() == 0 {
 		return
 	}
-	d := bodyData(st.bodies)
-	if st.adapter == nil {
-		st.assign = partition.Costzones(tree, d, st.cfg.P)
-		return
-	}
 	st.adapter.Observe(st.assign, m)
-	st.assign = st.adapter.Partition(tree, d, st.cfg.P)
+	st.assign = st.adapter.Partition(tree, bodyData(st.bodies), st.cfg.P)
 }

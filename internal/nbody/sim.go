@@ -84,7 +84,6 @@ type StepStats struct {
 	Update    time.Duration
 	Build     *core.Metrics
 	Phase     force.PhaseStats
-	TreeStats octree.Stats
 
 	// CheckErr is the first verification violation found when the
 	// simulation runs with Options.Check (nil otherwise).
@@ -198,7 +197,6 @@ func (s *Simulation) Step() StepStats {
 	st.Partition = t2.Sub(t1)
 	st.Force = t3.Sub(t2)
 	st.Update = t4.Sub(t3)
-	st.TreeStats = octree.CollectStats(tree)
 	return st
 }
 

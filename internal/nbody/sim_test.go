@@ -28,8 +28,8 @@ func TestSimulationRunsAllAlgorithms(t *testing.T) {
 			if st.Phase.Interactions == 0 {
 				t.Fatalf("alg=%v step %d: no interactions", alg, st.Step)
 			}
-			if st.TreeStats.Bodies != opts.N {
-				t.Fatalf("alg=%v step %d: tree holds %d bodies", alg, st.Step, st.TreeStats.Bodies)
+			if st.Build.TreeStats.Bodies != opts.N {
+				t.Fatalf("alg=%v step %d: tree holds %d bodies", alg, st.Step, st.Build.TreeStats.Bodies)
 			}
 		}
 	}

@@ -24,29 +24,35 @@ func (d BodyData) CostOf(b int32) int64 {
 }
 
 // ComputeMomentsSerial fills Mass/COM/NBody/Cost bottom-up over the whole
-// tree with a single post-order traversal. Deterministic: children are
-// combined in octant order, leaf bodies in stored order.
-func ComputeMomentsSerial(t *Tree, d BodyData) {
-	if t.Root.IsNil() {
-		return
+// tree with a single post-order traversal, and returns the Stats of the
+// nodes it visited. Deterministic: children are combined in octant
+// order, leaf bodies in stored order.
+func ComputeMomentsSerial(t *Tree, d BodyData) Stats {
+	var acc statsAcc
+	if !t.Root.IsNil() {
+		momentsRec(t.Store, t.Root, 0, d, &acc)
 	}
-	momentsRec(t.Store, t.Root, d)
+	return acc.stats()
 }
 
-func momentsRec(s *Store, r Ref, d BodyData) (mass float64, com vec.V3, n int32, cost int64) {
+// momentsRec computes the moments of the subtree under r, which hangs at
+// the given depth, counting every node it visits into acc.
+func momentsRec(s *Store, r Ref, depth int, d BodyData, acc *statsAcc) (mass float64, com vec.V3, n int32, cost int64) {
 	if r.IsLeaf() {
 		l := s.Leaf(r)
 		leafMoments(l, d)
+		acc.leaf(depth, len(l.Bodies))
 		return l.Mass, l.COM, int32(len(l.Bodies)), l.Cost
 	}
 	c := s.Cell(r)
+	acc.cell(depth)
 	var wsum vec.V3
 	for o := vec.Octant(0); o < vec.NOctants; o++ {
 		ch := c.Child(o)
 		if ch.IsNil() {
 			continue
 		}
-		m, cm, cn, cc := momentsRec(s, ch, d)
+		m, cm, cn, cc := momentsRec(s, ch, depth+1, d, acc)
 		mass += m
 		wsum = wsum.MulAdd(m, cm)
 		n += cn
@@ -111,8 +117,8 @@ const momentsTasksPerWorker = 64
 // ComputeMomentsParallel computes the same moments — bit for bit, since
 // every node is still combined from its children in octant order — with
 // nWorkers goroutines; one worker is ComputeMomentsSerial.
-func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) {
-	ComputeMomentsFork(t, d, nWorkers, par.Do)
+func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) Stats {
+	return ComputeMomentsFork(t, d, nWorkers, par.Do)
 }
 
 // ComputeMomentsFork is ComputeMomentsParallel over the caller's
@@ -128,18 +134,25 @@ func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) {
 // to reach the population is cut at its deepest level of cells. Walking
 // from the root never meets the garbage the arenas accumulate (CAS
 // losers, retired leaves, discarded local trees).
-func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn func(w int))) {
+//
+// The pass visits every live node exactly once, so it also counts them:
+// the returned Stats equal CollectStats(t) without a second walk. Each
+// worker counts into its own accumulator, merged after the join.
+func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn func(w int))) Stats {
 	if t.Root.IsNil() {
-		return
+		return Stats{}
 	}
 	if nWorkers <= 1 || !t.Root.IsCell() {
-		fork(1, func(int) { ComputeMomentsSerial(t, d) })
-		return
+		var st Stats
+		fork(1, func(int) { st = ComputeMomentsSerial(t, d) })
+		return st
 	}
 	s := t.Store
 	// cells holds the levels in breadth-first order; [lo, hi) is the
-	// current one.
+	// current one, at depth len(levels)-1, and levels[k] is where depth
+	// k starts.
 	cells := []Ref{t.Root}
+	levels := []int{0}
 	lo, hi := 0, 1
 	for hi-lo < momentsTasksPerWorker*nWorkers {
 		for _, r := range cells[lo:hi] {
@@ -154,24 +167,42 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 			break
 		}
 		lo, hi = hi, len(cells)
+		levels = append(levels, lo)
 	}
 
 	tasks := cells[lo:hi]
+	depth := len(levels) - 1
 	var next atomic.Int64
-	fork(nWorkers, func(int) {
+	accs := make([]statsAcc, nWorkers)
+	fork(nWorkers, func(w int) {
+		// Counted on the worker's own stack, stored once: neighbouring
+		// elements of accs share cache lines.
+		var acc statsAcc
 		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
-			momentsRec(s, tasks[i], d)
+			momentsRec(s, tasks[i], depth, d, &acc)
 		}
+		accs[w] = acc
 	})
+	var acc statsAcc
+	for w := range accs {
+		acc.merge(&accs[w])
+	}
 	for i := lo - 1; i >= 0; i-- {
+		if i < levels[depth] {
+			depth--
+		}
 		c := s.Cell(cells[i])
+		acc.cell(depth)
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
 			if ch := c.Child(o); ch.IsLeaf() {
-				leafMoments(s.Leaf(ch), d)
+				l := s.Leaf(ch)
+				leafMoments(l, d)
+				acc.leaf(depth+1, len(l.Bodies))
 			}
 		}
 		combineChildren(s, c)
 	}
+	return acc.stats()
 }
 
 // combineChildren fills c's moments from its (completed) children in

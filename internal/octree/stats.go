@@ -13,32 +13,60 @@ type Stats struct {
 	MaxLeafLen int     // largest leaf (>LeafCap only at MaxDepth)
 }
 
-// CollectStats walks the tree once and gathers Stats.
-func CollectStats(t *Tree) Stats {
-	var st Stats
-	var depthSum int64
-	Walk(t, func(r Ref, depth int) bool {
-		if depth > st.MaxDepth {
-			st.MaxDepth = depth
-		}
-		if r.IsLeaf() {
-			l := t.Store.Leaf(r)
-			st.Leaves++
-			st.Bodies += len(l.Bodies)
-			depthSum += int64(depth)
-			if len(l.Bodies) > st.MaxLeafLen {
-				st.MaxLeafLen = len(l.Bodies)
-			}
-		} else {
-			st.Cells++
-		}
-		return true
-	})
+// statsAcc accumulates Stats node by node. The two means are ratios of
+// integer sums taken once at the end, so accumulators filled by different
+// workers merge to exactly what a single walk yields.
+type statsAcc struct {
+	Stats
+	depthSum int64 // Σ leaf depth
+}
+
+func (a *statsAcc) cell(depth int) {
+	a.Cells++
+	a.MaxDepth = max(a.MaxDepth, depth)
+}
+
+func (a *statsAcc) leaf(depth, nBodies int) {
+	a.Leaves++
+	a.Bodies += nBodies
+	a.depthSum += int64(depth)
+	a.MaxDepth = max(a.MaxDepth, depth)
+	a.MaxLeafLen = max(a.MaxLeafLen, nBodies)
+}
+
+func (a *statsAcc) merge(o *statsAcc) {
+	a.Cells += o.Cells
+	a.Leaves += o.Leaves
+	a.Bodies += o.Bodies
+	a.depthSum += o.depthSum
+	a.MaxDepth = max(a.MaxDepth, o.MaxDepth)
+	a.MaxLeafLen = max(a.MaxLeafLen, o.MaxLeafLen)
+}
+
+func (a *statsAcc) stats() Stats {
+	st := a.Stats
 	if st.Leaves > 0 {
-		st.AvgDepth = float64(depthSum) / float64(st.Leaves)
+		st.AvgDepth = float64(a.depthSum) / float64(st.Leaves)
 		st.AvgOcc = float64(st.Bodies) / float64(st.Leaves)
 	}
 	return st
+}
+
+// CollectStats walks the tree once and gathers Stats. A build already
+// has them: the moments pass counts as it goes (ComputeMomentsFork's
+// result, core.Metrics.TreeStats); this walk is for trees met outside a
+// build and for checking that count.
+func CollectStats(t *Tree) Stats {
+	var acc statsAcc
+	Walk(t, func(r Ref, depth int) bool {
+		if r.IsLeaf() {
+			acc.leaf(depth, len(t.Store.Leaf(r).Bodies))
+		} else {
+			acc.cell(depth)
+		}
+		return true
+	})
+	return acc.stats()
 }
 
 // String renders the stats in one line.

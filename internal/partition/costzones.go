@@ -49,40 +49,26 @@ func Costzones(t *octree.Tree, d octree.BodyData, p int) [][]int32 {
 // pass saw; callers partitioning on a substituted cost slice — like
 // internal/adapt cutting zones along measurement-corrected costs without
 // re-running the moments pass — must supply Σ d.CostOf themselves.
+//
+// The zones are capped sub-slices of one array holding the traversal, so
+// appending to one cannot reach the next.
 func CostzonesTotal(t *octree.Tree, d octree.BodyData, p int, total int64) [][]int32 {
 	out := make([][]int32, p)
 	if t.Root.IsNil() || p == 0 {
 		return out
 	}
-	unit := total <= 0
-	if unit {
-		// Even-split fallback: weight every body 1 so the zones cover the
-		// bodies evenly instead of leaving them unassigned (or piling them
-		// all into zone 0).
-		total = countBodies(t)
-		if total == 0 {
-			return out
-		}
-	}
-	// Zone w covers accumulated cost [w*total/p, (w+1)*total/p).
-	var acc int64
+	n := rootBodies(t)
+	z := newZoner(p, total, int64(n))
+	flat := make([]int32, 0, n)
+	lo, w := 0, 0 // zone w, still open, began at flat[lo]
 	var rec func(r octree.Ref)
 	rec = func(r octree.Ref) {
 		if r.IsLeaf() {
-			l := t.Store.Leaf(r)
-			for _, b := range l.Bodies {
-				c := d.CostOf(b)
-				if unit {
-					c = 1
-				} else if c < 0 {
-					c = 0
+			for _, b := range t.Store.Leaf(r).Bodies {
+				for zw := z.place(d.CostOf(b)); w < zw; w++ {
+					out[w], lo = flat[lo:len(flat):len(flat)], len(flat)
 				}
-				w := int(acc * int64(p) / total)
-				if w >= p {
-					w = p - 1
-				}
-				out[w] = append(out[w], b)
-				acc += c
+				flat = append(flat, b)
 			}
 			return
 		}
@@ -97,7 +83,84 @@ func CostzonesTotal(t *octree.Tree, d octree.BodyData, p int, total int64) [][]i
 		}
 	}
 	rec(t.Root)
+	out[w] = flat[lo:len(flat):len(flat)]
 	return out
+}
+
+// CostRanges is costzones for a body set whose storage order is already
+// the spatial order (core.Stepper keeps its bodies Morton-resident): the
+// zones are p contiguous ranges of index — zones[w] a capped sub-slice of
+// it — cut where the accumulated cost crosses w·total/p, by the same
+// rules as Costzones (zero or negative total: every body weighs 1; a
+// negative cost weighs 0). index[i] names the body whose cost is cost[i]
+// — the identity for a resident set. One sum and one prefix sweep of
+// cost, in order; nothing is allocated.
+func CostRanges(index []int32, cost []int64, zones [][]int32) {
+	p := len(zones)
+	if p == 0 {
+		return
+	}
+	var total int64
+	for _, c := range cost {
+		total += c
+	}
+	z := newZoner(p, total, int64(len(cost)))
+	lo, w := 0, 0 // zone w, still open, began at index[lo]
+	for i, c := range cost {
+		for zw := z.place(c); w < zw; w++ {
+			zones[w], lo = index[lo:i:i], i
+		}
+	}
+	for n := len(cost); w < p; w++ {
+		zones[w], lo = index[lo:n:n], n
+	}
+}
+
+// zoner places a stream of bodies into p zones of roughly equal cost: a
+// body whose predecessors cost acc belongs to zone ⌊acc·p/total⌋, capped
+// at p-1. The accumulated cost never decreases, so the zone only ever
+// advances, and ⌊acc·p/total⌋ ≥ k ⟺ acc ≥ ⌈k·total/p⌉: the zoner holds
+// the next zone's boundary and divides once per zone, not once per body.
+// It is the one place the degenerate-cost rules are written.
+type zoner struct {
+	p     int
+	total int64
+	unit  bool  // total cost was ≤ 0: every body weighs 1
+	acc   int64 // cost of the bodies placed so far
+	w     int   // zone of the next body
+	next  int64 // ⌈(w+1)·total/p⌉: the accumulated cost at which zone w+1 begins
+}
+
+// newZoner cuts a stream of bodies, of the given total cost, into p zones.
+func newZoner(p int, total, bodies int64) zoner {
+	z := zoner{p: p, total: total}
+	if total <= 0 {
+		// Even-split fallback: weight every body 1 so the zones cover the
+		// bodies evenly instead of leaving them unassigned (or piling them
+		// all into zone 0).
+		z.unit, z.total = true, bodies
+	}
+	z.next = z.boundary(1)
+	return z
+}
+
+func (z *zoner) boundary(k int) int64 {
+	return (int64(k)*z.total + int64(z.p) - 1) / int64(z.p)
+}
+
+// place returns the zone of the next body in the stream, whose cost is c.
+func (z *zoner) place(c int64) int {
+	for z.w < z.p-1 && z.acc >= z.next {
+		z.w++
+		z.next = z.boundary(z.w + 1)
+	}
+	if z.unit {
+		c = 1
+	} else if c < 0 {
+		c = 0
+	}
+	z.acc += c
+	return z.w
 }
 
 func rootCost(t *octree.Tree) int64 {
@@ -107,27 +170,12 @@ func rootCost(t *octree.Tree) int64 {
 	return t.Store.Cell(t.Root).Cost
 }
 
-// countBodies walks the tree and counts bodies in leaves. Used by the
-// even-split fallback, where the body count stands in for total cost.
-func countBodies(t *octree.Tree) int64 {
-	var n int64
-	var rec func(r octree.Ref)
-	rec = func(r octree.Ref) {
-		if r.IsLeaf() {
-			n += int64(len(t.Store.Leaf(r).Bodies))
-			return
-		}
-		c := t.Store.Cell(r)
-		for o := vec.Octant(0); o < vec.NOctants; o++ {
-			if ch := c.Child(o); !ch.IsNil() {
-				rec(ch)
-			}
-		}
+// rootBodies reads the body count under t from the root's moments.
+func rootBodies(t *octree.Tree) int {
+	if t.Root.IsLeaf() {
+		return len(t.Store.Leaf(t.Root).Bodies)
 	}
-	if !t.Root.IsNil() {
-		rec(t.Root)
-	}
-	return n
+	return int(t.Store.Cell(t.Root).NBody)
 }
 
 // Validate checks that assign covers bodies 0..n-1 exactly once.

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"partree/internal/force"
@@ -254,5 +256,220 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 	if err := Validate([][]int32{{5}}, 2); err == nil {
 		t.Fatal("accepted out-of-range body")
+	}
+}
+
+// refCostzonesTotal is CostzonesTotal as it was first written — one
+// 64-bit divide per body, each zone grown by append — kept as the oracle
+// the boundary-stepping version must match element for element.
+func refCostzonesTotal(t *octree.Tree, d octree.BodyData, p int, total int64) [][]int32 {
+	out := make([][]int32, p)
+	if t.Root.IsNil() || p == 0 {
+		return out
+	}
+	unit := total <= 0
+	if unit {
+		total = int64(octree.CollectStats(t).Bodies)
+		if total == 0 {
+			return out
+		}
+	}
+	var acc int64
+	octree.Walk(t, func(r octree.Ref, _ int) bool {
+		if !r.IsLeaf() {
+			return true
+		}
+		for _, b := range t.Store.Leaf(r).Bodies {
+			c := d.CostOf(b)
+			if unit {
+				c = 1
+			} else if c < 0 {
+				c = 0
+			}
+			w := int(acc * int64(p) / total)
+			if w >= p {
+				w = p - 1
+			}
+			out[w] = append(out[w], b)
+			acc += c
+		}
+		return true
+	})
+	return out
+}
+
+// costShapes are the cost distributions the cuts are held to: smooth,
+// zero-heavy, one dominant body, some negative, all zero, all negative.
+var costShapes = map[string]func(r *rand.Rand, i int) int64{
+	"uniform":      func(r *rand.Rand, _ int) int64 { return 1 + r.Int63n(100) },
+	"mostly-zero":  func(r *rand.Rand, _ int) int64 { return max(0, r.Int63n(40)-30) },
+	"heavy-tailed": func(r *rand.Rand, _ int) int64 { return 1 + r.Int63n(1<<uint(r.Intn(24))) },
+	"one-giant": func(r *rand.Rand, i int) int64 {
+		if i == 17 {
+			return 1 << 30
+		}
+		return r.Int63n(3)
+	},
+	"some-negative": func(r *rand.Rand, _ int) int64 { return r.Int63n(60) - 10 },
+	"all-zero":      func(*rand.Rand, int) int64 { return 0 },
+	"all-negative":  func(r *rand.Rand, _ int) int64 { return -1 - r.Int63n(9) },
+}
+
+func sameAssign(a, b [][]int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for w := range a {
+		if !slices.Equal(a[w], b[w]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCostzonesMatchesDivideOracle: stepping the zone index against
+// precomputed boundaries ⌈k·total/p⌉ places every body where the
+// per-body ⌊acc·p/total⌋ did — for every cost shape and processor count,
+// with the tree's own total and with a caller-supplied one that is off
+// in either direction (internal/adapt passes its own).
+func TestCostzonesMatchesDivideOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for name, shape := range costShapes {
+		for rep := 0; rep < 6; rep++ {
+			n := 1 + r.Intn(3000)
+			b := phys.Generate(phys.ModelPlummer, n, int64(rep+1))
+			var sum int64
+			for i := range b.Cost {
+				b.Cost[i] = shape(r, i)
+				sum += b.Cost[i]
+			}
+			tr := octree.BuildSerial(b.Pos, 1+r.Intn(8))
+			d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
+			octree.ComputeMomentsSerial(tr, d)
+			for _, p := range []int{1, 2, 3, 7, 16, 64} {
+				if got, want := Costzones(tr, d, p), refCostzonesTotal(tr, d, p, sum); !sameAssign(got, want) {
+					t.Fatalf("%s n=%d p=%d: Costzones departs from the divide-per-body formula", name, n, p)
+				}
+				for _, total := range []int64{sum / 2, sum*2 + 1} {
+					if got, want := CostzonesTotal(tr, d, p, total), refCostzonesTotal(tr, d, p, total); !sameAssign(got, want) {
+						t.Fatalf("%s n=%d p=%d total=%d (true %d): CostzonesTotal departs from the divide-per-body formula",
+							name, n, p, total, sum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCostzonesEmitsIntoOneArray: the zones are capped windows of one
+// backing array sized up front — an append to one reallocates instead of
+// overwriting its neighbour, and a call allocates a fixed handful of
+// objects however many bodies it places (zones grown by append took
+// dozens).
+func TestCostzonesEmitsIntoOneArray(t *testing.T) {
+	_, tr, d := prepared(t, 20000, 3, false)
+	for w, zone := range Costzones(tr, d, 4) {
+		if cap(zone) != len(zone) {
+			t.Fatalf("zone %d: cap %d beyond len %d", w, cap(zone), len(zone))
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Costzones(tr, d, 4) }); allocs > 6 {
+		t.Fatalf("Costzones allocated %.0f times per call", allocs)
+	}
+}
+
+// TestCostRangesProperties: for every cost shape the ranges cover the
+// index exactly once, each zone is one contiguous run and the zones
+// follow one another, they are where the divide-per-body formula puts
+// them, and no zone's cost exceeds the mean by more than one body's.
+func TestCostRangesProperties(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for name, shape := range costShapes {
+		for rep := 0; rep < 8; rep++ {
+			n := r.Intn(4000)
+			cost := make([]int64, n)
+			var sum, minCost, maxCost int64
+			for i := range cost {
+				cost[i] = shape(r, i)
+				sum += cost[i]
+				minCost, maxCost = min(minCost, cost[i]), max(maxCost, cost[i])
+			}
+			index := allBodies(n)
+			for _, p := range []int{1, 2, 3, 7, 16, 64} {
+				zones := make([][]int32, p)
+				CostRanges(index, cost, zones)
+				if err := Validate(zones, n); err != nil {
+					t.Fatalf("%s n=%d p=%d: %v", name, n, p, err)
+				}
+				// The oracle, on a flat sequence.
+				unit, total := sum <= 0, sum
+				if unit {
+					total = int64(n)
+				}
+				var acc int64
+				next := int32(0)
+				for w, zone := range zones {
+					var zc int64
+					for _, b := range zone {
+						if b != next {
+							t.Fatalf("%s n=%d p=%d: zone %d holds %d where the run expects %d", name, n, p, w, b, next)
+						}
+						next++
+						c := cost[b]
+						if unit {
+							c = 1
+						} else if c < 0 {
+							c = 0
+						}
+						if want := min(int(acc*int64(p)/total), p-1); want != w {
+							t.Fatalf("%s n=%d p=%d: body %d in zone %d, the formula says %d", name, n, p, b, w, want)
+						}
+						acc += c
+						zc += c
+					}
+					if cap(zone) != len(zone) {
+						t.Fatalf("%s n=%d p=%d: zone %d is not capped at its end", name, n, p, w)
+					}
+					// A zone is a total/p window of the accumulated
+					// cost, overshot by at most its last body — when
+					// the total counts what the bodies weigh: a negative
+					// cost is in the total but weighs zero.
+					if bound := total/int64(p) + 1 + max(maxCost, 1); zc > bound && (unit || minCost >= 0) {
+						t.Fatalf("%s n=%d p=%d: zone %d costs %d, beyond mean+max = %d", name, n, p, w, zc, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCostRangesZeroTotalIsEvenSplit: with no cost signal the ranges are
+// an even split, not everything piled into zone 0.
+func TestCostRangesZeroTotalIsEvenSplit(t *testing.T) {
+	const n = 1000
+	for _, p := range []int{1, 4, 7} {
+		zones := make([][]int32, p)
+		CostRanges(allBodies(n), make([]int64, n), zones)
+		lo, hi := n, 0
+		for _, zone := range zones {
+			lo, hi = min(lo, len(zone)), max(hi, len(zone))
+		}
+		if hi-lo > 1 {
+			t.Fatalf("p=%d: zone sizes range [%d,%d]", p, lo, hi)
+		}
+	}
+}
+
+// TestCostRangesAllocatesNothing: the per-step cut of a resident session
+// reuses the caller's zones and index.
+func TestCostRangesAllocatesNothing(t *testing.T) {
+	const n, p = 20000, 4
+	b := phys.Generate(phys.ModelPlummer, n, 1)
+	for i := range b.Cost {
+		b.Cost[i] = int64(1 + i%13)
+	}
+	index, zones := allBodies(n), make([][]int32, p)
+	if allocs := testing.AllocsPerRun(10, func() { CostRanges(index, b.Cost, zones) }); allocs != 0 {
+		t.Fatalf("CostRanges allocated %.0f times per call, want 0", allocs)
 	}
 }

@@ -6,7 +6,8 @@ import "partree/internal/vec"
 // layer shares, and this file is its only implementation: Keyer turns a
 // position into a Z-order key, Order sorts a body set by that key. The
 // callers are core.SpatialAssign (the spatially compact body partition
-// of every spatial:true build, session open and example), SPACE's
+// of every spatial:true build and example), core.Stepper (which makes
+// Order's result the storage order of a session's bodies), SPACE's
 // subspace-to-processor assignment (core.AssignSubspaces, and through it
 // the simulated SPACE replay), and — at the cluster level — the shard
 // map that splits the domain into spatially contiguous key ranges

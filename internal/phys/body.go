@@ -26,17 +26,29 @@ type Bodies struct {
 	// force pass. Costzones partitioning consumes it; the tree builders
 	// carry it across steps exactly as the SPLASH codes do.
 	Cost []int64
+	// ID is each slot's generator index: the body in slot i is the one
+	// the generator (or snapshot) produced at index ID[i]. It is the
+	// identity until Permute reorders the set, and it is what lets a
+	// holder of generator-indexed data (a client streaming positions)
+	// address bodies whose storage order has changed.
+	ID []int32
 }
 
-// NewBodies allocates storage for n bodies with zeroed state.
+// NewBodies allocates storage for n bodies with zeroed state, in
+// generator order (ID[i] = i).
 func NewBodies(n int) *Bodies {
-	return &Bodies{
+	b := &Bodies{
 		Pos:  make([]vec.V3, n),
 		Vel:  make([]vec.V3, n),
 		Acc:  make([]vec.V3, n),
 		Mass: make([]float64, n),
 		Cost: make([]int64, n),
+		ID:   make([]int32, n),
 	}
+	for i := range b.ID {
+		b.ID[i] = int32(i)
+	}
+	return b
 }
 
 // N returns the number of bodies.
@@ -89,16 +101,51 @@ func (b *Bodies) Clone() *Bodies {
 	copy(c.Acc, b.Acc)
 	copy(c.Mass, b.Mass)
 	copy(c.Cost, b.Cost)
+	copy(c.ID, b.ID)
 	return c
 }
 
+// Permute reorders the set in place so that slot j holds the body that
+// was in slot order[j]; order must be a permutation of 0..N-1. Every
+// column moves with its body — ID included, so ID keeps naming each
+// slot's generator index and a second Permute composes with the first.
+// The slice headers stay put (holders of b.Pos keep seeing the set);
+// the scratch is one column at a time, released on return.
+func (b *Bodies) Permute(order []int32) {
+	if len(order) != b.N() {
+		panic(fmt.Sprintf("phys: Permute order has %d entries for %d bodies", len(order), b.N()))
+	}
+	permute(b.Pos, order)
+	permute(b.Vel, order)
+	permute(b.Acc, order)
+	permute(b.Mass, order)
+	permute(b.Cost, order)
+	permute(b.ID, order)
+}
+
+func permute[T any](col []T, order []int32) {
+	moved := make([]T, len(col))
+	for j, i := range order {
+		moved[j] = col[i]
+	}
+	copy(col, moved)
+}
+
 // Validate checks the store for internal consistency (parallel slices of
-// equal length, finite positions and velocities, non-negative masses).
+// equal length, finite positions and velocities, non-negative masses, ID
+// a permutation of the generator indices).
 func (b *Bodies) Validate() error {
 	n := len(b.Pos)
-	if len(b.Vel) != n || len(b.Acc) != n || len(b.Mass) != n || len(b.Cost) != n {
-		return fmt.Errorf("phys: slice lengths diverge: pos=%d vel=%d acc=%d mass=%d cost=%d",
-			len(b.Pos), len(b.Vel), len(b.Acc), len(b.Mass), len(b.Cost))
+	if len(b.Vel) != n || len(b.Acc) != n || len(b.Mass) != n || len(b.Cost) != n || len(b.ID) != n {
+		return fmt.Errorf("phys: slice lengths diverge: pos=%d vel=%d acc=%d mass=%d cost=%d id=%d",
+			len(b.Pos), len(b.Vel), len(b.Acc), len(b.Mass), len(b.Cost), len(b.ID))
+	}
+	seen := make([]bool, n)
+	for i, id := range b.ID {
+		if id < 0 || int(id) >= n || seen[id] {
+			return fmt.Errorf("phys: slot %d has ID %d: not a permutation of 0..%d", i, id, n-1)
+		}
+		seen[id] = true
 	}
 	for i := 0; i < n; i++ {
 		if !b.Pos[i].IsFinite() {

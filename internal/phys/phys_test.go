@@ -2,6 +2,7 @@ package phys
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"partree/internal/vec"
@@ -248,5 +249,61 @@ func TestBoundsMatchesMathMinMax(t *testing.T) {
 	spread.Pos[2] = vec.V3{X: 1, Y: negZero, Z: 0}
 	if got, want := spread.Bounds(1e-4), refBounds(spread, 1e-4); bits(got) != bits(want) {
 		t.Fatalf("zeros among spread bodies: Bounds = %v, reference = %v", got, want)
+	}
+}
+
+// TestPermuteMovesEveryColumnWithItsBody: after any permutation each slot
+// holds, in every column, the values one generated body had; ID names
+// that body, so indexing the generated set by ID round-trips to the
+// generator order; the set still validates; and a second Permute composes
+// with the first.
+func TestPermuteMovesEveryColumnWithItsBody(t *testing.T) {
+	const n = 1000
+	orig := Generate(ModelPlummer, n, 5)
+	for i := range orig.Cost {
+		orig.Acc[i] = vec.V3{X: float64(i), Y: -float64(i), Z: 0.5}
+		orig.Cost[i] = int64(3*i + 1)
+	}
+	b := orig.Clone()
+	rng := rand.New(rand.NewSource(9))
+	sameBodies := func(what string) {
+		t.Helper()
+		if err := b.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for j, id := range b.ID {
+			if b.Pos[j] != orig.Pos[id] || b.Vel[j] != orig.Vel[id] || b.Acc[j] != orig.Acc[id] ||
+				b.Mass[j] != orig.Mass[id] || b.Cost[j] != orig.Cost[id] {
+				t.Fatalf("%s: slot %d (ID %d) does not hold generated body %d in every column", what, j, id, id)
+			}
+		}
+	}
+	sameBodies("unpermuted")
+	first := rng.Perm(n)
+	order := make([]int32, n)
+	for j, i := range first {
+		order[j] = int32(i)
+	}
+	pos := b.Pos
+	b.Permute(order)
+	sameBodies("one Permute")
+	if &pos[0] != &b.Pos[0] {
+		t.Fatal("Permute replaced the Pos column instead of reordering it in place")
+	}
+	for j := range order {
+		if b.ID[j] != order[j] {
+			t.Fatalf("slot %d: ID %d, want order[%d] = %d", j, b.ID[j], j, order[j])
+		}
+	}
+	second := rng.Perm(n)
+	for j, i := range second {
+		order[j] = int32(i)
+	}
+	b.Permute(order)
+	sameBodies("two Permutes")
+	for j := range order {
+		if want := int32(first[second[j]]); b.ID[j] != want {
+			t.Fatalf("slot %d: ID %d, want first[second[%d]] = %d", j, b.ID[j], j, want)
+		}
 	}
 }

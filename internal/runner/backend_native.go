@@ -8,7 +8,6 @@ import (
 	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/nbody"
-	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
 	"partree/internal/trace"
@@ -115,9 +114,9 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 		for w, l := range st.Build.LocksPerProc() {
 			res.LocksPerProc[w] += l
 		}
-		res.Cells = int64(st.TreeStats.Cells)
-		res.Leaves = int64(st.TreeStats.Leaves)
-		res.MaxDepth = int64(st.TreeStats.MaxDepth)
+		res.Cells = int64(st.Build.TreeStats.Cells)
+		res.Leaves = int64(st.Build.TreeStats.Leaves)
+		res.MaxDepth = int64(st.Build.TreeStats.MaxDepth)
 		res.Interactions += st.Phase.Interactions
 		res.StepsDone = i + 1
 		if st.CheckErr != nil {
@@ -187,7 +186,7 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 				return res
 			}
 		}
-		st := octree.CollectStats(tree)
+		st := metrics.TreeStats
 		res.Cells = int64(st.Cells)
 		res.Leaves = int64(st.Leaves)
 		res.MaxDepth = int64(st.MaxDepth)

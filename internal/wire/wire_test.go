@@ -35,6 +35,8 @@ var openSeeds = []string{
 var stepSeeds = []string{
 	`{"drift":true}`, `{"collapse":0.4}`, `{"rebuild":true}`, `{"close":true}`, `{}`,
 	`{"pos":[[0,0,0],[1,2,3]]}`, `{"pos":[]}`, `{"pos":[[1,2]]}`, `{"pos":7}`,
+	// Finite positions, non-finite extent: decodes; the daemon refuses it.
+	`{"pos":[[1e308,0,0],[-1e308,0,0]]}`,
 	`{"drift":"yes"}`, `{`, ``, `null`,
 }
 
