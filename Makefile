@@ -64,8 +64,10 @@ bench-smoke:
 # the two phases around a SPACE build's inserts: the counting partition
 # and the moments pass, serial against two workers — then what a resident
 # session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
-# and two stepping at once, with the step's phases reported beside ns/op)
-# — and what observing costs: a build with no, a disabled and an enabled
+# and two stepping at once, with the step's phases reported beside ns/op;
+# BenchmarkAdaptiveSessionStep: hierarchical n=50k at p=2 and 4, static
+# against adaptive, the insert-time max/mean at steps 1, 10 and 30 — h1's
+# wall-clock arm) — and what observing costs: a build with no, a disabled and an enabled
 # trace recorder, and the request hooks with the flight recorder off and
 # on (the timings the tests beside them no longer assert).
 # microbench-smoke runs each once, so check compiles and executes them
@@ -78,10 +80,10 @@ microbench:
 microbench-smoke:
 	$(MICROBENCH) -benchtime 1x
 
-# hypotheses-smoke holds the one verdict internal/adapt stands on: it
+# hypotheses-smoke holds the one verdict adaptive sessions stand on: it
 # re-runs h1 (deterministic, seconds; go and jq, as cluster-smoke) and
 # fails unless the run confirms and leaves the committed report and
-# verdict untouched — a change to the ledger's arithmetic cannot
+# verdict untouched — a change to partition.MoveCuts' arithmetic cannot
 # silently move them.
 hypotheses-smoke:
 	sh hypotheses/h1-adaptive-hierarchical/run.sh | grep CONFIRMED

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"time"
 
-	"partree/internal/adapt"
 	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/octree"
@@ -60,14 +59,11 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		Streak:       open.Policy.Streak,
 		MinSteps:     open.Policy.MinSteps,
 	}
-	var st *core.Stepper
+	newStepper := core.NewStepper
 	if open.Adaptive || d.cfg.adaptive {
-		st = core.NewAdaptiveStepper(cfg, bodies, policy,
-			adapt.NewController(adapt.Options{}))
-	} else {
-		st = core.NewStepper(cfg, bodies, policy)
+		newStepper = core.NewAdaptiveStepper
 	}
-	lease, err := d.eng.OpenLease(st, time.Duration(open.IdleTimeoutMs)*time.Millisecond)
+	lease, err := d.eng.OpenLease(newStepper(cfg, bodies, policy), time.Duration(open.IdleTimeoutMs)*time.Millisecond)
 	if err != nil {
 		// The only post-validation errors before the stream opens: lease
 		// capacity and drain. Both are 503 — the backpressure contract.

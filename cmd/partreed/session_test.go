@@ -389,74 +389,103 @@ func posOf(b *phys.Bodies) [][3]float64 {
 	return pos
 }
 
-// TestSessionClientPosIsGeneratorIndexed drives a session the way
-// loadgen's client-motion path does: the client holds the generated set,
-// moves it, and streams full pos arrays. The server keeps its bodies in
+// posClient drives a session the way loadgen's client-motion path does:
+// the client holds the generated set, moves it, and streams full pos
+// arrays, every step verified server-side.
+type posClient struct {
+	t    *testing.T
+	c    *sessionClient
+	mine *phys.Bodies
+}
+
+func newPosClient(t *testing.T, url string, open wire.SessionOpen) *posClient {
+	c, _ := openSession(t, url, open)
+	return &posClient{t: t, c: c, mine: phys.Generate(phys.ModelPlummer, open.Bodies, open.Seed)}
+}
+
+func (pc *posClient) step(what string, rebuild bool) wire.SessionStepResult {
+	pc.t.Helper()
+	pc.c.send(wire.SessionStep{Pos: posOf(pc.mine), Rebuild: rebuild})
+	r := pc.c.recv()
+	if r.Event != "step" || !r.Step.Verified {
+		pc.t.Fatalf("%s: %+v", what, r)
+	}
+	return r.Step
+}
+
+// gentle takes five steps that move every body by 1 % of its distance
+// from the origin, each in its own direction — of the cluster's median
+// radius, for the halo: the outliers size the root cube, and UPDATE
+// rescales every cell with it. A repair then moves a small fraction of
+// the bodies, while a mis-mapped index hands nearly every body another
+// body's position and moves almost all of them.
+func (pc *posClient) gentle(phase string) {
+	pc.t.Helper()
+	n := pc.mine.N()
+	radii := make([]float64, n)
+	for i, p := range pc.mine.Pos {
+		radii[i] = p.Len()
+	}
+	sort.Float64s(radii)
+	for k := 1; k <= 5; k++ {
+		for i, p := range pc.mine.Pos {
+			dir := vec.V3{X: float64((i+k)%3) - 1, Y: float64((i+2*k)%5) - 2, Z: float64(i%7) - 3.5}
+			pc.mine.Pos[i] = p.MulAdd(0.01*min(p.Len(), radii[n/2])/dir.Len(), dir)
+		}
+		if r := pc.step(phase, false); r.Mode != "update" || r.Moved >= int64(n/10) {
+			pc.t.Fatalf("%s, step %d: mode %q moved %d of %d bodies under 1%% motion — pos entries are reaching the wrong bodies",
+				phase, r.Step, r.Mode, r.Moved, n)
+		}
+	}
+}
+
+// TestSessionClientPosIsGeneratorIndexed: the server keeps its bodies in
 // Morton order and re-sorts them when it falls back, so each pos entry
-// must reach its body through the ID map: under 1 % motion a repair moves
-// a small fraction of the bodies, while a mis-mapped index hands nearly
-// every body another body's position and moves almost all of them. Every
-// step is verified server-side, before and after a policy fallback.
+// must reach its body through the ID map — before and after a policy
+// fallback.
 func TestSessionClientPosIsGeneratorIndexed(t *testing.T) {
-	const n, seed = 4000, 11
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
-	open := wire.SessionOpen{Procs: 2, Bodies: n, Seed: seed, Model: "plummer", Check: true}
+	open := wire.SessionOpen{Procs: 2, Bodies: 4000, Seed: 11, Model: "plummer", Check: true}
 	open.Policy.MaxChurnFrac = 0.1
 	open.Policy.Streak = 2
 	open.Policy.MinSteps = 3
-	c, _ := openSession(t, d.srv.URL(), open)
-	mine := phys.Generate(phys.ModelPlummer, n, seed)
+	pc := newPosClient(t, d.srv.URL(), open)
 
-	step := func(what string) wire.SessionStepResult {
-		t.Helper()
-		c.send(wire.SessionStep{Pos: posOf(mine)})
-		r := c.recv()
-		if r.Event != "step" || !r.Step.Verified {
-			t.Fatalf("%s: %+v", what, r)
-		}
-		return r.Step
-	}
-	// gentle takes five steps that move every body by 1 % of its
-	// distance from the origin, each in its own direction — of the
-	// cluster's median radius, for the halo: the outliers size the root
-	// cube, and UPDATE rescales every cell with it.
-	gentle := func(phase string) {
-		t.Helper()
-		radii := make([]float64, n)
-		for i, p := range mine.Pos {
-			radii[i] = p.Len()
-		}
-		sort.Float64s(radii)
-		for k := 1; k <= 5; k++ {
-			for i, p := range mine.Pos {
-				dir := vec.V3{X: float64((i+k)%3) - 1, Y: float64((i+2*k)%5) - 2, Z: float64(i%7) - 3.5}
-				mine.Pos[i] = p.MulAdd(0.01*min(p.Len(), radii[n/2])/dir.Len(), dir)
-			}
-			if r := step(phase); r.Mode != "update" || r.Moved >= n/10 {
-				t.Fatalf("%s, step %d: mode %q moved %d of %d bodies under 1%% motion — pos entries are reaching the wrong bodies",
-					phase, r.Step, r.Mode, r.Moved, n)
-			}
-		}
-	}
-
-	if r := step("step 0"); r.Mode != "rebuild" || r.Reason != "first" {
+	if r := pc.step("step 0", false); r.Mode != "rebuild" || r.Reason != "first" {
 		t.Fatalf("step 0: mode %q reason %q", r.Mode, r.Reason)
 	}
-	gentle("before the fallback")
+	pc.gentle("before the fallback")
 
 	// The client collapses its cluster until the policy gives up on
 	// repair: the fallback rebuild re-sorts the server's bodies.
 	fellBack := false
 	for k := 0; k < 20 && !fellBack; k++ {
-		for i, p := range mine.Pos {
-			mine.Pos[i] = p.Scale(1 / (1 + 0.4*p.Len()))
+		for i, p := range pc.mine.Pos {
+			pc.mine.Pos[i] = p.Scale(1 / (1 + 0.4*p.Len()))
 		}
-		fellBack = step("collapse").Fallback
+		fellBack = pc.step("collapse", false).Fallback
 	}
 	if !fellBack {
 		t.Fatal("no fallback rebuild across 20 collapsing steps")
 	}
-	gentle("after the fallback")
+	pc.gentle("after the fallback")
+}
+
+// TestSessionAdaptiveClientPosAcrossRebuild: an adaptive session re-sorts
+// its bodies on a from-scratch step like a static one, so a client's pos
+// array must keep reaching its bodies by generator index across a
+// rebuild:true record.
+func TestSessionAdaptiveClientPosAcrossRebuild(t *testing.T) {
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
+	pc := newPosClient(t, d.srv.URL(), wire.SessionOpen{Procs: 4, Bodies: 4000, Seed: 5, Model: "plummer", Check: true, Adaptive: true})
+	if r := pc.step("step 0", false); r.Mode != "rebuild" || r.Reason != "first" {
+		t.Fatalf("step 0: mode %q reason %q", r.Mode, r.Reason)
+	}
+	pc.gentle("before the rebuild")
+	if r := pc.step("rebuild", true); r.Mode != "rebuild" || r.Reason != "requested" {
+		t.Fatalf("rebuild:true step: mode %q reason %q", r.Mode, r.Reason)
+	}
+	pc.gentle("after the rebuild")
 }
 
 // TestSessionRefusesUnbuildableExtent: a step whose positions are finite

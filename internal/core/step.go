@@ -4,6 +4,7 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/stats"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -38,21 +39,6 @@ type StepResult struct {
 	Fallback bool
 }
 
-// Adapter is the measured-cost feedback hook a Stepper consults between
-// steps: it sees each finished step's owner assignment and metrics, and
-// cuts the next step's body partition. Implemented by internal/adapt;
-// declared here so core never depends on the adaptive layer.
-type Adapter interface {
-	// Observe attributes the just-finished step's measured per-processor
-	// insert time (m.PerP[w].InsertNs, which every build carries) back to
-	// the zones of assign — the assignment the step was built with.
-	Observe(assign [][]int32, m *Metrics)
-	// Partition cuts the next step's body assignment over the finished
-	// tree — typically costzones along measurement-corrected costs. It
-	// must cover every body exactly once.
-	Partition(t *octree.Tree, d octree.BodyData, p int) [][]int32
-}
-
 // Stepper drives a resident UPDATE builder step over step, the way a
 // session does: it owns the step counter, repartitions the bodies after
 // every step so the assignment tracks the moving distribution, feeds each
@@ -65,23 +51,28 @@ type Adapter interface {
 // The stepper keeps its bodies resident in Morton order (see resort), so
 // the passes of a step — bounds, repair scan, moments, the cost cut —
 // each stream the body columns front to back instead of chasing
-// generator-order indices through them.
+// generator-order indices through them, and a partition is p−1 cut
+// positions in that order.
 type Stepper struct {
 	cfg    Config
 	b      Builder
 	ctrl   *FallbackController
 	bodies *phys.Bodies
 	// index is the identity 0..n-1. Storage order is the spatial order,
-	// so a static partition is p contiguous ranges of it.
+	// so zone w of the assignment is the range index[cut[w]:cut[w+1]].
 	index  []int32
+	cut    []int
 	assign [][]int32
 	step   int
 	// pendingRebuild is the controller's verdict from the previous step,
 	// consumed (and reset) by the next Step call.
 	pendingRebuild bool
-	// adapter, when non-nil, closes the measured-cost feedback loop: it
-	// replaces the static costzones repartition.
-	adapter Adapter
+	// adaptive sessions move the cuts by each step's measured insert
+	// times (a boundary controller); static ones recut the modeled costs.
+	// spare receives a move, insertNs holds the times it reads.
+	adaptive bool
+	spare    []int
+	insertNs []int64
 }
 
 // NewStepper pins a fresh UPDATE builder over bodies and sorts them, in
@@ -97,39 +88,53 @@ func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper
 		b:      New(UPDATE, cfg),
 		ctrl:   NewFallbackController(policy),
 		bodies: bodies,
+		cut:    make([]int, cfg.P+1),
 		assign: make([][]int32, cfg.P),
 	}
-	st.resort()
+	// The sort's output array, spent, becomes the identity the zones are
+	// ranges of.
+	st.index = st.resort()
+	for i := range st.index {
+		st.index[i] = int32(i)
+	}
+	partition.CostRanges(bodies.Cost, st.cut)
+	st.render()
 	return st
 }
 
-// resort makes the bodies' Morton order their storage order and recuts
-// the assignment over it. Slots change meaning, so it may run only where
+// NewAdaptiveStepper is NewStepper with the partition steered by measured
+// time: it opens on the same cost cut, and after every step each cut moves
+// toward the slower of its two zones (partition.MoveCuts over the step's
+// Metrics.PerP[w].InsertNs, which every build stamps), so an adaptive step
+// builds exactly as a static one does.
+func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
+	st := NewStepper(cfg, bodies, policy)
+	st.adaptive = true
+	st.spare = make([]int, len(st.cut))
+	adaptSessions.Inc()
+	return st
+}
+
+// resort makes the bodies' Morton order their storage order and returns
+// the order it applied. Slots change meaning, so it may run only where
 // nothing slot-keyed survives: at construction, and ahead of a build that
-// starts from scratch (which rewrites the builder's body→leaf map).
-func (st *Stepper) resort() {
+// starts from scratch (which rewrites the builder's body→leaf map). The
+// cuts are positions, not bodies, so they — and the zones — survive it,
+// for static and adaptive sessions alike.
+func (st *Stepper) resort() []int32 {
 	b := st.bodies
 	order := partition.Order(b.Pos, b.Bounds(rootMargin))
 	b.Permute(order)
-	// The sort's output array, spent, becomes the identity the zones are
-	// ranges of.
-	for i := range order {
-		order[i] = int32(i)
-	}
-	st.index = order
-	partition.CostRanges(st.index, b.Cost, st.assign)
+	return order
 }
 
-// NewAdaptiveStepper is NewStepper with a measured-cost adapter in the
-// loop. What the adapter attributes rides every build's Metrics, so an
-// adaptive step builds exactly as a static one does. The adapter keeps
-// per-slot state (its cost ledger) and the interface gives it no way to
-// follow a permutation, so an adaptive session is sorted once, at
-// construction, and never re-sorted.
-func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy, a Adapter) *Stepper {
-	st := NewStepper(cfg, bodies, policy)
-	st.adapter = a
-	return st
+// render makes the assignment the cuts: zone w is the capped sub-slice
+// index[cut[w]:cut[w+1]].
+func (st *Stepper) render() {
+	for w := range st.assign {
+		lo, hi := st.cut[w], st.cut[w+1]
+		st.assign[w] = st.index[lo:hi:hi]
+	}
 }
 
 // Bodies returns the resident body state for in-place mutation between
@@ -143,9 +148,6 @@ func (st *Stepper) Bodies() *phys.Bodies { return st.bodies }
 // (engine.Stats aggregates its store).
 func (st *Stepper) Builder() Builder { return st.b }
 
-// Steps returns how many steps have been taken.
-func (st *Stepper) Steps() int { return st.step }
-
 // Assign returns the body assignment the next Step will build with. The
 // returned slices are the stepper's own: read-only for callers.
 func (st *Stepper) Assign() [][]int32 { return st.assign }
@@ -156,7 +158,7 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	fallback := st.pendingRebuild && !in.Rebuild
 	st.pendingRebuild = false
 	rebuild := in.Rebuild || fallback
-	if rebuild && st.adapter == nil {
+	if rebuild {
 		// The bodies have drifted since the last sort — far, if the
 		// policy gave up on repair — and this build starts from scratch
 		// anyway: the one moment a re-sort costs nothing but itself.
@@ -186,26 +188,40 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
 	st.pendingRebuild = st.ctrl.Observe(res.ChurnFrac, res.DepthSkew, m.FreshRebuild)
-	st.repartition(tree, m)
+	st.repartition(m)
 	st.step++
 	return res
 }
 
 // repartition recuts the body assignment for the next step — the
 // staleness fix: before it, the step-0 partition (and its costs) served
-// every subsequent step unchanged. Without an adapter the cut is
-// costzones over the modeled costs, taken along the resident order: p
-// ranges of the index, no tree walk, nothing allocated. With one, the
-// adapter observes this step's measured times and cuts the tree just
-// built along its corrected costs.
-func (st *Stepper) repartition(tree *octree.Tree, m *Metrics) {
-	if st.adapter == nil {
-		partition.CostRanges(st.index, st.bodies.Cost, st.assign)
-		return
+// every subsequent step unchanged. A static session cuts the modeled costs
+// along the resident order; an adaptive one moves each cut by the time
+// this step measured on either side of it. Either way the zones are p
+// ranges of the index, no tree walk, nothing allocated.
+func (st *Stepper) repartition(m *Metrics) {
+	if st.adaptive {
+		st.moveCuts(m)
+	} else {
+		partition.CostRanges(st.bodies.Cost, st.cut)
 	}
-	if st.bodies.N() == 0 {
-		return
+	st.render()
+}
+
+// moveCuts is the boundary controller's turn: the step's per-processor
+// insert times move the cuts, and the partree_adapt_* families hear of it.
+func (st *Stepper) moveCuts(m *Metrics) {
+	st.insertNs = st.insertNs[:0]
+	for w := range m.PerP {
+		st.insertNs = append(st.insertNs, m.PerP[w].InsertNs)
 	}
-	st.adapter.Observe(st.assign, m)
-	st.assign = st.adapter.Partition(tree, bodyData(st.bodies), st.cfg.P)
+	if s := stats.Summarize(st.insertNs); s.Mean > 0 {
+		adaptSkewBefore.set(s.Max / s.Mean)
+	}
+	adaptRepartitions.Inc()
+	if skew := partition.MoveCuts(st.spare, st.cut, st.insertNs); skew > 0 {
+		st.cut, st.spare = st.spare, st.cut
+		adaptCorrections.Inc()
+		adaptSkewAfter.set(skew)
+	}
 }

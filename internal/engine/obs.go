@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"errors"
-
-	"partree/internal/adapt"
-	"partree/internal/obs"
-)
+import "partree/internal/obs"
 
 // engineObs is everything the engine counts: session and lease lifecycle
 // events, admission rejections by reason, and step durations by mode.
@@ -53,11 +48,10 @@ func newEngineObs() engineObs {
 // RegisterObs exposes the pool on reg: what the engine counts, the
 // admission gauges, the partree_store_* gauges aggregating octree
 // storage retained across every pooled session — exactly the memory
-// session pooling trades for allocation-free steady state — and
-// internal/adapt's families, whose adaptive sessions step inside this
-// engine's leases. Call once per (engine, registry) pair.
+// session pooling trades for allocation-free steady state. Call once per
+// (engine, registry) pair.
 func (e *Engine) RegisterObs(reg *obs.Registry) error {
-	return errors.Join(reg.Register(
+	return reg.Register(
 		e.created, e.reused, e.evicted,
 		obs.NewGaugeFunc("partree_engine_sessions_idle", "Sessions pooled and ready for reuse.",
 			func() float64 {
@@ -90,7 +84,7 @@ func (e *Engine) RegisterObs(reg *obs.Registry) error {
 			func() float64 { return float64(e.opts.MaxLeases) }),
 		e.stepSeconds,
 		storeCollector{e},
-	), adapt.RegisterObs(reg))
+	)
 }
 
 // storeCollector aggregates octree.Store.Stats over every live session

@@ -11,14 +11,14 @@
 // The costs the zones are cut along are *modeled*: each body carries the
 // interaction count it incurred in the previous force pass (or 1 before
 // any pass ran). Modeled costs drift from what the hardware actually
-// spends when distributions are skewed or time-evolving; internal/adapt
-// closes that gap by blending the measured per-processor phase time from
-// internal/trace back into the per-body cost estimate and cutting the
-// zones along the corrected costs instead.
+// spends when distributions are skewed or time-evolving; MoveCuts closes
+// that gap for a body set kept in spatial order, moving the zone
+// boundaries by the time each processor was measured to take.
 package partition
 
 import (
 	"fmt"
+	"math"
 
 	"partree/internal/octree"
 	"partree/internal/vec"
@@ -36,29 +36,14 @@ import (
 // cost (a corrupt measurement) is clamped to zero rather than allowed to
 // walk the accumulator backwards.
 func Costzones(t *octree.Tree, d octree.BodyData, p int) [][]int32 {
-	var total int64
-	if !t.Root.IsNil() {
-		total = rootCost(t)
-	}
-	return CostzonesTotal(t, d, p, total)
-}
-
-// CostzonesTotal is Costzones with the caller supplying the total cost of
-// d over the bodies in t. Costzones reads the total from the tree's cost
-// moments, which is only right when d carries the same costs the moments
-// pass saw; callers partitioning on a substituted cost slice — like
-// internal/adapt cutting zones along measurement-corrected costs without
-// re-running the moments pass — must supply Σ d.CostOf themselves.
-//
-// The zones are capped sub-slices of one array holding the traversal, so
-// appending to one cannot reach the next.
-func CostzonesTotal(t *octree.Tree, d octree.BodyData, p int, total int64) [][]int32 {
 	out := make([][]int32, p)
 	if t.Root.IsNil() || p == 0 {
 		return out
 	}
 	n := rootBodies(t)
-	z := newZoner(p, total, int64(n))
+	z := newZoner(p, rootCost(t), int64(n))
+	// The zones are capped sub-slices of one array holding the traversal,
+	// so appending to one cannot reach the next.
 	flat := make([]int32, 0, n)
 	lo, w := 0, 0 // zone w, still open, began at flat[lo]
 	var rec func(r octree.Ref)
@@ -89,15 +74,14 @@ func CostzonesTotal(t *octree.Tree, d octree.BodyData, p int, total int64) [][]i
 
 // CostRanges is costzones for a body set whose storage order is already
 // the spatial order (core.Stepper keeps its bodies Morton-resident): the
-// zones are p contiguous ranges of index — zones[w] a capped sub-slice of
-// it — cut where the accumulated cost crosses w·total/p, by the same
-// rules as Costzones (zero or negative total: every body weighs 1; a
-// negative cost weighs 0). index[i] names the body whose cost is cost[i]
-// — the identity for a resident set. One sum and one prefix sweep of
-// cost, in order; nothing is allocated.
-func CostRanges(index []int32, cost []int64, zones [][]int32) {
-	p := len(zones)
-	if p == 0 {
+// zones are len(cut)-1 contiguous ranges of slots, zone w the slots
+// [cut[w], cut[w+1]), cut where the accumulated cost crosses w·total/p, by
+// the same rules as Costzones (zero or negative total: every body weighs
+// 1; a negative cost weighs 0). One sum and one prefix sweep of cost, in
+// order; nothing is allocated.
+func CostRanges(cost []int64, cut []int) {
+	p := len(cut) - 1
+	if p < 1 {
 		return
 	}
 	var total int64
@@ -105,15 +89,78 @@ func CostRanges(index []int32, cost []int64, zones [][]int32) {
 		total += c
 	}
 	z := newZoner(p, total, int64(len(cost)))
-	lo, w := 0, 0 // zone w, still open, began at index[lo]
+	w := 0 // the open zone
+	cut[0] = 0
 	for i, c := range cost {
 		for zw := z.place(c); w < zw; w++ {
-			zones[w], lo = index[lo:i:i], i
+			cut[w+1] = i
 		}
 	}
-	for n := len(cost); w < p; w++ {
-		zones[w], lo = index[lo:n:n], n
+	for ; w < p; w++ {
+		cut[w+1] = len(cost)
 	}
+}
+
+// cutDamping is the share of the way to its target a cut moves in one
+// step. Moving the whole way chases each step's noise, and where a zone's
+// time is not linear in its bodies — the model below assumes it is — the
+// cuts overshoot and oscillate; half the way converges in a few steps.
+const cutDamping = 0.5
+
+// MoveCuts is the boundary controller's step. cut holds the p+1
+// positions of p contiguous zones (cut[0] = 0, cut[p] = n) and ns the time
+// each zone was measured to take. It models the cumulative time as linear
+// across each zone, inverts that model at k·total/p, and writes into next
+// (len(cut), not sharing memory with cut) every interior cut moved
+// cutDamping of the way to its target, clamped to its moved left
+// neighbour and n so the cuts stay monotone; the ends stay. It returns the model's max/mean zone time at the new
+// cuts — or 0, with next a copy of cut, when the times carry no signal:
+// a length mismatch or no positive time (a negative time counts as 0).
+func MoveCuts(next, cut []int, ns []int64) float64 {
+	p := len(ns)
+	copy(next, cut)
+	if p == 0 || len(cut) != p+1 || len(next) != p+1 {
+		return 0
+	}
+	took := func(w int) float64 { return float64(max(ns[w], 0)) }
+	// share is where x falls in [lo, hi), as a fraction.
+	share := func(x, lo, hi float64) float64 {
+		if hi <= lo {
+			return 0
+		}
+		return min(max((x-lo)/(hi-lo), 0), 1)
+	}
+	var total float64
+	for w := range ns {
+		total += took(w)
+	}
+	if !(total > 0) {
+		return 0
+	}
+	var (
+		w, v        int     // the zones holding goal k and next[k]
+		wT, vT      float64 // the time of the zones before w and v
+		prev, worst float64 // the model's time up to next[k-1]; its largest zone
+	)
+	for k := 1; k <= p; k++ {
+		at := total // the model's time up to next[k]
+		if k < p {
+			goal := total * float64(k) / float64(p)
+			for w < p-1 && wT+took(w) <= goal {
+				wT, w = wT+took(w), w+1
+			}
+			lo, hi := float64(cut[w]), float64(cut[w+1])
+			x := lo + share(goal, wT, wT+took(w))*(hi-lo)
+			moved := int(math.Round(float64(cut[k]) + cutDamping*(x-float64(cut[k]))))
+			next[k] = min(max(moved, next[k-1]), cut[p])
+			for v < p-1 && next[k] >= cut[v+1] {
+				vT, v = vT+took(v), v+1
+			}
+			at = vT + took(v)*share(float64(next[k]), float64(cut[v]), float64(cut[v+1]))
+		}
+		worst, prev = max(worst, at-prev), at
+	}
+	return worst * float64(p) / total
 }
 
 // zoner places a stream of bodies into p zones of roughly equal cost: a

@@ -97,6 +97,7 @@ func (r *Req) Traceparent() string {
 	if r == nil {
 		return ""
 	}
-	// The parent-id names this hop's span; only its shape is consumed.
+	// The parent-id names this hop's span; only its shape is consumed,
+	// and a half of a minted ID is never all zero.
 	return "00-" + r.e.ID + "-" + MintID()[:16] + "-01"
 }

@@ -213,8 +213,9 @@ func FromContext(ctx context.Context) *Req {
 
 // ParseTraceparent extracts the trace-id from a W3C traceparent header
 // value (version-format "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex
-// flags>"). It reports false for malformed values and the all-zero
-// trace-id, which the spec reserves as invalid.
+// flags>"). It reports false for malformed values — every field must be
+// lowercase hex — and for an all-zero trace-id or parent-id, which the
+// spec reserves as invalid: such a header is invalid as a whole.
 func ParseTraceparent(v string) (string, bool) {
 	// 2 + 1 + 32 + 1 + 16 + 1 + 2
 	if len(v) != 55 || v[2] != '-' || v[35] != '-' || v[52] != '-' {
@@ -223,31 +224,30 @@ func ParseTraceparent(v string) (string, bool) {
 	if v[0] != '0' || v[1] != '0' { // only version 00 is defined
 		return "", false
 	}
-	tid := v[3:35]
-	zero := true
-	for i := 0; i < len(tid); i++ {
-		c := tid[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+	for i := 3; i < len(v); i++ {
+		if c := v[i]; i != 35 && i != 52 && !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
 			return "", false
 		}
-		if c != '0' {
-			zero = false
-		}
 	}
-	if zero {
+	const zero = "00000000000000000000000000000000"
+	if v[3:35] == zero || v[36:52] == zero[:16] {
 		return "", false
 	}
-	return tid, true
+	return v[3:35], true
 }
 
 // MintID generates a fresh 32-hex-digit request ID (the shape of a
-// traceparent trace-id, so minted and inherited IDs are uniform).
+// traceparent trace-id, so minted and inherited IDs are uniform). Neither
+// half is ever all zero, so either is also a valid parent-id
+// (Req.Traceparent): one bit of each is set.
 func MintID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is a broken platform; fall back to a
 		// recognizable constant rather than crash the serving path.
-		return "00000000000000000000000000000bad"
+		return "0000000000000bad0000000000000bad"
 	}
+	b[7] |= 1
+	b[15] |= 1
 	return hex.EncodeToString(b[:])
 }

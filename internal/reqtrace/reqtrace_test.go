@@ -3,6 +3,7 @@ package reqtrace_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,10 +28,15 @@ func TestParseTraceparent(t *testing.T) {
 		{valid[:54], "", false},       // truncated
 		{valid + "x", "", false},      // too long
 		{"01" + valid[2:], "", false}, // unknown version
-		{"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false}, // bad separator
-		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", "", false}, // uppercase hex
-		{"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01", "", false}, // non-hex digit
-		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", "", false}, // reserved all-zero
+		{"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false},                                // bad separator
+		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", "", false},                                // uppercase hex
+		{"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01", "", false},                                // non-hex digit
+		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", "", false},                                // reserved all-zero
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-zzzzzzzzzzzzzzzz-zz", "", false},                                // non-hex parent-id and flags
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", "", false},                                // reserved all-zero parent-id
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", "", false},                                // uppercase parent-id
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0G", "", false},                                // non-hex flags
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", "4bf92f3577b34da6a3ce929d0e0e4736", true}, // unsampled
 	}
 	for _, c := range cases {
 		id, ok := reqtrace.ParseTraceparent(c.in)
@@ -38,6 +44,39 @@ func TestParseTraceparent(t *testing.T) {
 			t.Errorf("ParseTraceparent(%q) = (%q, %v), want (%q, %v)", c.in, id, ok, c.id, c.want)
 		}
 	}
+}
+
+// FuzzParseTraceparent: no header value panics the parser; an accepted
+// one yields 32 lowercase hex digits, not all zero; and the traceparent a
+// request under that ID sends on parses back to the same ID.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, v := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-zzzzzzzzzzzzzzzz-zz",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+		"00-00000000000000000000000000000001-0000000000000001-00",
+		"", "00-", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	} {
+		f.Add(v)
+	}
+	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 1})
+	f.Fuzz(func(t *testing.T, v string) {
+		id, ok := reqtrace.ParseTraceparent(v)
+		if !ok {
+			if id != "" {
+				t.Fatalf("rejected %q but returned %q", v, id)
+			}
+			return
+		}
+		if len(id) != 32 || strings.Trim(id, "0123456789abcdef") != "" || strings.Trim(id, "0") == "" {
+			t.Fatalf("accepted %q as trace-id %q", v, id)
+		}
+		rq := rec.Start(id, "/fuzz")
+		defer rq.Finish(200, 0)
+		if back, ok := reqtrace.ParseTraceparent(rq.Traceparent()); !ok || back != id {
+			t.Fatalf("ID %q sends on %q, which parses as (%q, %v)", id, rq.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestMintID(t *testing.T) {

@@ -32,9 +32,9 @@ type SessionOpen struct {
 	// (canonical vs a serial rebuild on fresh steps) before answering.
 	Check bool `json:"check,omitempty"`
 	// Adaptive turns on measured-cost adaptive partitioning for this
-	// session: each step's measured per-processor insert times feed a
-	// cost ledger that corrects the next step's costzones cut. The
-	// daemon's -adaptive flag turns it on for every session.
+	// session: each step's measured per-processor insert times move the
+	// cuts between the next step's zones. The daemon's -adaptive flag
+	// turns it on for every session.
 	Adaptive      bool  `json:"adaptive,omitempty"`
 	IdleTimeoutMs int64 `json:"idle_timeout_ms,omitempty"`
 	Policy        struct {

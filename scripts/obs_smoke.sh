@@ -231,9 +231,9 @@ done
 }
 
 # The adaptive session ran three real steps, so the feedback loop must
-# have actually turned: a controller constructed, a measured-cost recut
-# served after every step and a ledger correction from every step's
-# insert times (not just zero-valued families present).
+# have actually turned: a controller constructed, a recut served after
+# every step and cut moves made from the steps' measured insert times
+# (not just zero-valued families present).
 for want in partree_adapt_sessions_total:1 partree_adapt_repartitions_total:3 partree_adapt_corrections_total:2; do
     series=${want%:*}
     awk -v s="$series" -v min="${want#*:}" '$1 == s && $2 + 0 >= min { ok = 1 } END { exit !ok }' "$metrics" || {
