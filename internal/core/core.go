@@ -115,7 +115,8 @@ type Input struct {
 	Bodies *phys.Bodies
 	// Assign holds each processor's body list from the previous step's
 	// force-calculation partition (evenly split on the first step). The
-	// lists must cover every body exactly once.
+	// lists must cover every body exactly once, and there must be 1 to
+	// Config.P of them: Build panics otherwise.
 	Assign [][]int32
 	// Step is the time-step number (0-based); UPDATE rebuilds on step 0
 	// and repairs afterwards. Steps must be continuous (each build's Step

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"partree/internal/octree"
@@ -29,6 +30,12 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 // totals all happen here. An algorithm is its prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
+	// Checked here, on the caller's goroutine: past this line a list
+	// without an arena indexes out of range inside a worker, which no
+	// caller can recover, and no list at all builds an empty tree.
+	if p < 1 || p > cfg.P {
+		panic(fmt.Sprintf("core: Build given %d processor lists, want 1 to %d (Config.P)", p, cfg.P))
+	}
 	// A traced build opens a fresh trace window; untraced, tr stays nil
 	// and every hook downstream is a nil check.
 	var tr *trace.Recorder

@@ -3,11 +3,13 @@ package core_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"partree/internal/core"
 	"partree/internal/obs"
+	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/trace"
 	"partree/internal/verify"
@@ -124,6 +126,40 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/traced=%t", pt.name, traced), func(t *testing.T) {
 				for _, p := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) { check(t, pt, traced, p) })
+				}
+			})
+		}
+	}
+}
+
+// TestBuildChecksListCount: a builder configured for P processors takes 1
+// to P body lists. None, or more than P, panics on the caller's goroutine —
+// so the caller can recover it — with a message naming both counts; fewer
+// than P builds a verified tree.
+func TestBuildChecksListCount(t *testing.T) {
+	const n, p = 100, 2
+	b := phys.Generate(phys.ModelPlummer, n, 21)
+	for _, alg := range core.Algorithms() {
+		for _, lists := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("%v/lists=%d", alg, lists), func(t *testing.T) {
+				in := &core.Input{Bodies: b, Assign: core.EvenAssign(n, lists)}
+				var r any
+				tree, m := func() (*octree.Tree, *core.Metrics) {
+					defer func() { r = recover() }()
+					return core.New(alg, core.Config{P: p}).Build(in)
+				}()
+				if lists == 1 {
+					if r != nil {
+						t.Fatalf("panicked on fewer lists than P: %v", r)
+					}
+					if err := verify.Build(alg, tree, m, b, 0); err != nil {
+						t.Error(err)
+					}
+					return
+				}
+				msg, _ := r.(string)
+				if !strings.Contains(msg, fmt.Sprintf("%d processor lists", lists)) || !strings.Contains(msg, fmt.Sprintf("1 to %d", p)) {
+					t.Fatalf("recovered %v, want a panic naming %d lists and P = %d", r, lists, p)
 				}
 			})
 		}
