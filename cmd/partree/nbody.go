@@ -33,7 +33,6 @@ var nbodyCmd = command{
 		var (
 			energy = fs.Bool("energy", false, "report energy drift (O(N²), slow for large N)")
 			quad   = fs.Bool("quad", false, "use quadrupole cell expansions (better accuracy per θ)")
-			useFMM = fs.Bool("fmm", false, "use the cell-cell fast summation solver instead of Barnes-Hut traversal")
 			load   = fs.String("load", "", "restart from a snapshot file instead of generating bodies")
 			save   = fs.String("save", "", "write a snapshot file after the last step")
 		)
@@ -42,7 +41,7 @@ var nbodyCmd = command{
 			if c.json {
 				for name, set := range map[string]bool{
 					"-energy": *energy, "-quad": *quad,
-					"-fmm": *useFMM, "-load": *load != "", "-save": *save != "",
+					"-load": *load != "", "-save": *save != "",
 				} {
 					if set {
 						slog.Error("flag is not supported with -json (the spec grid covers the standard path)", "flag", name)
@@ -66,7 +65,6 @@ var nbodyCmd = command{
 			}
 			sim := runner.NewSimulation(spec, bodies, nil)
 			sim.Opts.Force.Quadrupole = *quad
-			sim.Opts.FMM = *useFMM
 			fmt.Fprintf(out, "nbody: %d bodies (%s), %d procs, builder %v, θ=%.2f, k=%d\n",
 				bodies.N(), sim.Opts.Model, spec.Procs, spec.Alg, spec.Theta, spec.LeafCap)
 

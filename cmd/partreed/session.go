@@ -53,17 +53,11 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 
 	bodies := phys.Generate(model, open.Bodies, open.Seed)
 	cfg := core.Config{P: open.Procs, LeafCap: open.LeafCap}
-	policy := core.FallbackPolicy{
-		MaxChurnFrac: open.Policy.MaxChurnFrac,
-		MaxDepthSkew: open.Policy.MaxDepthSkew,
-		Streak:       open.Policy.Streak,
-		MinSteps:     open.Policy.MinSteps,
-	}
 	newStepper := core.NewStepper
 	if open.Adaptive || d.cfg.adaptive {
 		newStepper = core.NewAdaptiveStepper
 	}
-	lease, err := d.eng.OpenLease(newStepper(cfg, bodies, policy), time.Duration(open.IdleTimeoutMs)*time.Millisecond)
+	lease, err := d.eng.OpenLease(newStepper(cfg, bodies, core.FallbackPolicy{}), time.Duration(open.IdleTimeoutMs)*time.Millisecond)
 	if err != nil {
 		// The only post-validation errors before the stream opens: lease
 		// capacity and drain. Both are 503 — the backpressure contract.

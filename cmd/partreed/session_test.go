@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/phys"
@@ -264,20 +265,25 @@ func TestSessionRepairsWhereOneShotsRebuild(t *testing.T) {
 	}
 }
 
-// TestSessionFallbackUnderHighChurn opens a session with a tight churn
-// threshold and collapses the cluster until the auto-fallback policy
-// must fire a SPACE rebuild — visible in-stream and in /metrics.
+// TestSessionFallbackUnderHighChurn opens a session under the default
+// fallback policy and collapses the cluster until the policy must fire a
+// SPACE rebuild — visible in-stream and in /metrics.
 func TestSessionFallbackUnderHighChurn(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	open := wire.SessionOpen{Procs: 2, Bodies: 3000, Seed: 3, Check: true}
-	open.Policy.MaxChurnFrac = 0.1
-	open.Policy.Streak = 2
-	open.Policy.MinSteps = 3
 	c, _ := openSession(t, d.srv.URL(), open)
 
+	// Drift through the policy's cooldown, then collapse: the collapse's
+	// churn is highest on its first steps and decays as the cluster
+	// shrinks, so it must start once a rebuild is allowed.
+	cooldown := core.NewFallbackController(core.FallbackPolicy{}).Policy().MinSteps
 	fallbacks := 0
 	for i := 0; i < 20; i++ {
-		c.send(wire.SessionStep{Collapse: 0.4})
+		step := wire.SessionStep{Collapse: 0.4}
+		if i <= cooldown {
+			step = wire.SessionStep{Drift: true}
+		}
+		c.send(step)
 		r := c.recv()
 		if r.Event != "step" || !r.Step.Verified {
 			t.Fatalf("step %d: %+v", i, r)
@@ -293,7 +299,7 @@ func TestSessionFallbackUnderHighChurn(t *testing.T) {
 		}
 	}
 	if fallbacks == 0 {
-		t.Fatal("no auto-fallback rebuild across 20 high-churn steps")
+		t.Fatal("no auto-fallback rebuild across the high-churn steps")
 	}
 	c.send(wire.SessionStep{Close: true})
 	c.recv()
@@ -446,9 +452,6 @@ func (pc *posClient) gentle(phase string) {
 func TestSessionClientPosIsGeneratorIndexed(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	open := wire.SessionOpen{Procs: 2, Bodies: 4000, Seed: 11, Model: "plummer", Check: true}
-	open.Policy.MaxChurnFrac = 0.1
-	open.Policy.Streak = 2
-	open.Policy.MinSteps = 3
 	pc := newPosClient(t, d.srv.URL(), open)
 
 	if r := pc.step("step 0", false); r.Mode != "rebuild" || r.Reason != "first" {

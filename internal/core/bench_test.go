@@ -8,6 +8,7 @@ import (
 	"partree/internal/octree"
 	"partree/internal/par"
 	"partree/internal/phys"
+	"partree/internal/trace"
 )
 
 var assignSink [][]int32
@@ -42,14 +43,14 @@ func BenchmarkSpacePartition(b *testing.B) {
 		for _, p := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {
 				in := &Input{Bodies: bodies, Assign: SpatialAssign(bodies, p)}
-				root := parallelBounds(in, nil)
-				s := octree.NewStore(p, 8)
 				m := newMetrics(SPACE, p)
+				root := parallelBounds(in, m)
+				s := octree.NewStore(p, 8)
 				var sc spaceScratch
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s.Reset()
-					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, SpaceThreshold(0, 8, c.n, p), m, nil)
+					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, SpaceThreshold(0, 8, c.n, p), m)
 				}
 			})
 		}
@@ -154,7 +155,8 @@ func BenchmarkAdaptiveSessionStep(b *testing.B) {
 						wall += time.Since(t0)
 						var total, worst int64
 						for _, pp := range res.Metrics.PerP {
-							total, worst = total+pp.InsertNs, max(worst, pp.InsertNs)
+							ns := pp.PhaseNs[trace.PhaseInsert]
+							total, worst = total+ns, max(worst, ns)
 						}
 						skew[k] += float64(worst) * float64(p) / float64(total)
 					}

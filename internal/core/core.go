@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"partree/internal/octree"
-	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/trace"
@@ -156,12 +155,13 @@ type Config struct {
 	// more bodies than this is split further. 0 selects the default
 	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
-	// Trace, when non-nil and enabled, records per-processor phase spans
-	// and lock events for every build (see internal/trace). The recorder
-	// is reset at the start of each traced build, so it always holds the
-	// most recent Build call, and its summary is surfaced on
-	// Metrics.Trace. A nil or disabled recorder costs one pointer
-	// comparison per hook on the hot path.
+	// Trace, when non-nil and enabled, records every build's lock
+	// events, subdivide spans and per-processor timeline (see
+	// internal/trace); phase and barrier time is on Metrics.PerP either
+	// way. The recorder is reset at the start of each traced build, so it
+	// always holds the most recent Build call, and its summary is
+	// surfaced on Metrics.Trace. A nil or disabled recorder costs one
+	// pointer comparison per hook on the hot path.
 	Trace *trace.Recorder
 }
 
@@ -239,12 +239,12 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 
 // parallelBounds computes the root bounding cube with one goroutine per
 // processor's body list, mirroring how the real codes size the root.
-func parallelBounds(in *Input, tr *trace.Recorder) vec.Cube {
+func parallelBounds(in *Input, m *Metrics) vec.Cube {
 	p := in.P()
 	mins := make([]vec.V3, p)
 	maxs := make([]vec.V3, p)
 	any := make([]bool, p)
-	tracedDo(tr, trace.PhasePartition, p, func(w int) {
+	m.fork(trace.PhasePartition, p, func(w int) {
 		first := true
 		var lo, hi vec.V3
 		for _, b := range in.Assign[w] {
@@ -281,32 +281,6 @@ func parallelBounds(in *Input, tr *trace.Recorder) vec.Cube {
 		size = 1
 	}
 	return vec.Cube{Center: lo.Add(hi).Scale(0.5), Size: size}
-}
-
-// tracedDo is par.Do with tracing: each worker's execution becomes one
-// ph span, and the gap between a worker finishing and the slowest worker
-// finishing (the implicit join barrier) is charged to the worker as
-// barrier wait — the native analogue of the simulator's per-barrier wait
-// times, and the paper's load-imbalance signal. With tr nil it falls
-// straight through to par.Do.
-func tracedDo(tr *trace.Recorder, ph trace.Phase, p int, fn func(w int)) {
-	if tr == nil {
-		par.Do(p, fn)
-		return
-	}
-	finish := make([]int64, p)
-	par.Do(p, func(w int) {
-		tp := tr.Proc(w)
-		start := tp.Now()
-		fn(w)
-		end := tp.Now()
-		finish[w] = end
-		tp.SpanAt(ph, start, end)
-	})
-	join := tr.Now()
-	for w := 0; w < p; w++ {
-		tr.Proc(w).SpanAt(trace.PhaseBarrier, finish[w], join)
-	}
 }
 
 // Timing records the builder's phase durations for the native benchmarks.

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"partree/internal/octree"
 	"partree/internal/phys"
@@ -269,5 +270,14 @@ func TestMetricsBodiesBuilt(t *testing.T) {
 		if built != 4096 {
 			t.Fatalf("alg=%v: %d bodies built, want 4096", alg, built)
 		}
+	}
+}
+
+// TestProcCountersFillTwoCacheLines: the per-processor counters, phase
+// times and fork finish stamp stay padded to 128 bytes, so the shares of
+// one fork never write to the same line.
+func TestProcCountersFillTwoCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(procCounters{}); size != 128 {
+		t.Fatalf("procCounters is %d bytes, want 128", size)
 	}
 }

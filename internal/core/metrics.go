@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"partree/internal/octree"
 	"partree/internal/trace"
@@ -20,11 +21,16 @@ type procCounters struct {
 	MergeOps    int64 // PARTREE: nodes processed while merging
 	Attached    int64 // PARTREE/SPACE: subtrees transplanted whole
 	BodiesBuilt int64 // bodies this processor loaded into the tree
-	// InsertNs is the wall time of this processor's share of the insert
-	// fork — the phase driver stamps it on every build, traced or not,
-	// and it is the one measurement the adaptive loop steers on.
-	InsertNs int64
-	_        [7]int64
+	// PhaseNs is this processor's time in each phase, indexed by
+	// trace.Phase: the wall time of its shares of the phase's forks, and
+	// under trace.PhaseBarrier its waits at their joins for the slowest
+	// share. The phase driver stamps it on every build, traced or not;
+	// subdivide, nested inside insert, only a trace sees. PhaseNs[
+	// trace.PhaseInsert] is the one measurement the adaptive loop steers
+	// on.
+	PhaseNs [trace.NumPhases]int64
+	finish  int64 // when this processor's share of the current fork ended
+	_       [2]int64
 }
 
 // Reasons an UPDATE build rebuilt from scratch (Metrics.FreshReason).
@@ -72,8 +78,14 @@ type Metrics struct {
 	// Trace is the per-processor trace summary of this build when the
 	// builder ran with an enabled Config.Trace recorder; nil otherwise.
 	// Its per-processor lock-event counts must equal PerP[w].Locks —
-	// internal/verify audits that as a conservation law.
+	// internal/verify audits that, and its phase time against PerP's,
+	// as conservation laws.
 	Trace *trace.Summary
+
+	// tr is the recorder of a traced build (nil untraced) and epoch the
+	// zero of the build's fork stamps — the recorder's, when traced.
+	tr    *trace.Recorder
+	epoch time.Time
 }
 
 func newMetrics(a Algorithm, p int) *Metrics {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"partree/internal/obs"
+	"partree/internal/trace"
 )
 
 // buildFamilies are the process-wide per-algorithm build totals, the
@@ -25,23 +26,46 @@ var buildFamilies = [...]*obs.Vec[*obs.Counter]{
 	obs.NewCounterVec("partree_build_bodies_moved_total", "Bodies moved across leaf boundaries by UPDATE.", "alg"),
 }
 
-// buildCounters[a][f] is algorithm a's child of buildFamilies[f],
-// resolved once so publishing a build takes no lock.
-var buildCounters = func() (c [NumAlgorithms][len(buildFamilies)]*obs.Counter) {
+// buildPhaseSeconds is partree_build_phase_seconds_total{alg,phase}:
+// PerP's PhaseNs summed over processors and builds, for each phase the
+// driver stamps (subdivide, which only a trace sees, has no series).
+var buildPhaseSeconds = obs.NewCounterVec("partree_build_phase_seconds_total",
+	"Per-processor time in each build phase (barrier: waiting at a join), summed over processors and builds.", "alg", "phase")
+
+// buildCounters[a][f] is algorithm a's child of buildFamilies[f], and
+// phaseCounters[a][ph] its child of buildPhaseSeconds, resolved once so
+// publishing a build takes no lock.
+var buildCounters, phaseCounters = func() (c [NumAlgorithms][len(buildFamilies)]*obs.Counter, pc [NumAlgorithms][trace.NumPhases]*obs.Counter) {
 	for _, a := range Algorithms() {
 		for f, fam := range buildFamilies {
 			c[a][f] = fam.With(a.String())
 		}
+		for ph := range pc[a] {
+			if trace.Phase(ph) != trace.PhaseSubdivide {
+				pc[a][ph] = buildPhaseSeconds.With(a.String(), trace.Phase(ph).String())
+			}
+		}
 	}
-	return c
+	return c, pc
 }()
 
 // publishBuild adds one completed build's metrics to its algorithm's
-// children, in buildFamilies' order.
+// children, in buildFamilies' order, then its phase time.
 func publishBuild(m *Metrics) {
 	for f, v := range [len(buildFamilies)]int64{1, m.TotalLocks(), m.TotalCells(), m.TotalLeaves(),
 		m.TotalRetries(), m.TotalBodiesBuilt(), m.TotalBodiesMoved()} {
 		buildCounters[m.Alg][f].Add(float64(v))
+	}
+	var ns [trace.NumPhases]int64
+	for w := range m.PerP {
+		for ph, v := range m.PerP[w].PhaseNs {
+			ns[ph] += v
+		}
+	}
+	for ph, c := range phaseCounters[m.Alg] {
+		if c != nil {
+			c.Add(float64(ns[ph]) / 1e9)
+		}
 	}
 }
 
@@ -68,7 +92,7 @@ func (l *lastValue) get() float64  { return math.Float64frombits(l.bits.Load()) 
 // RegisterObs adds the partree_build_* and partree_adapt_* families to
 // reg. They are process-global: register once per registry.
 func RegisterObs(reg *obs.Registry) error {
-	cs := []obs.Collector{adaptSessions, adaptCorrections, adaptRepartitions,
+	cs := []obs.Collector{buildPhaseSeconds, adaptSessions, adaptCorrections, adaptRepartitions,
 		obs.NewGaugeFunc("partree_adapt_skew_before", "Latest measured max/mean insert-time skew before correction.", adaptSkewBefore.get),
 		obs.NewGaugeFunc("partree_adapt_skew_after", "Latest predicted max/mean cost skew of the corrected partition.", adaptSkewAfter.get),
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/phys"
 	"partree/internal/trace"
 	"partree/internal/vec"
@@ -15,7 +16,7 @@ import (
 // store and a new root for the rebuilding algorithms (plus SPACE's
 // counting partition), a rescale of the resident tree for UPDATE's
 // repair. It runs inside the Bounds bracket.
-type prepareFn func(root vec.Cube, tr *trace.Recorder) *octree.Tree
+type prepareFn func(root vec.Cube) *octree.Tree
 
 // insertFn is processor w's share of the insert phase; tp is its trace
 // handle (nil when tracing is off).
@@ -23,11 +24,11 @@ type insertFn func(tree *octree.Tree, w int, tp *trace.P)
 
 // runPhases is the build skeleton all five algorithms share — size the
 // root, load the bodies, compute moments — and the only place it is
-// written down: the trace window, the three timed brackets, the moments
-// fork (each processor's share its own span, like every other phase) and
-// the tree stats it counts, Metrics.Timing, each processor's insert time,
-// the trace summary, and the publication into the live per-algorithm
-// totals all happen here. An algorithm is its prepare and insert hooks.
+// written down: the trace window, the three timed brackets, the insert
+// and moments forks and the tree stats the latter counts,
+// Metrics.Timing, the trace summary, and the publication into the live
+// per-algorithm totals all happen here. An algorithm is its prepare and
+// insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// Checked here, on the caller's goroutine: past this line a list
@@ -36,41 +37,66 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	if p < 1 || p > cfg.P {
 		panic(fmt.Sprintf("core: Build given %d processor lists, want 1 to %d (Config.P)", p, cfg.P))
 	}
-	// A traced build opens a fresh trace window; untraced, tr stays nil
-	// and every hook downstream is a nil check.
-	var tr *trace.Recorder
+	// A traced build opens a fresh trace window and stamps its forks on
+	// the recorder's clock; untraced, m.tr stays nil and every hook
+	// downstream is a nil check.
+	m.epoch = time.Now()
 	if cfg.Trace.Active() {
-		cfg.Trace.Reset()
-		tr = cfg.Trace
+		m.tr, m.epoch = cfg.Trace, cfg.Trace.Reset()
 	}
 	t0 := time.Now()
-	tree := prepare(parallelBounds(in, tr), tr)
+	tree := prepare(parallelBounds(in, m))
 	t1 := time.Now()
 
-	tracedDo(tr, trace.PhaseInsert, p, func(w int) {
-		start := time.Now()
-		insert(tree, w, tr.Proc(w))
-		m.PerP[w].InsertNs = time.Since(start).Nanoseconds()
-	})
+	m.fork(trace.PhaseInsert, p, func(w int) { insert(tree, w, m.tr.Proc(w)) })
 	t2 := time.Now()
 
 	m.TreeStats = octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {
-		tracedDo(tr, trace.PhaseMoments, p, fn)
+		m.fork(trace.PhaseMoments, p, fn)
 	})
 	t3 := time.Now()
 
 	m.Timing = Timing{Bounds: t1.Sub(t0), Insert: t2.Sub(t1), Moments: t3.Sub(t2)}
-	if tr != nil {
-		m.Trace = tr.Summarize()
+	if m.tr != nil {
+		m.Trace = m.tr.Summarize()
 	}
 	publishBuild(m)
 	return tree
 }
 
+// fork is par.Do for phase ph of m's build, and the one place a build's
+// time is attributed: each share reads the clock as it starts and ends,
+// adds the difference to its processor's PhaseNs[ph], and at the join
+// each processor is charged the wait for the slowest share as
+// PhaseNs[trace.PhaseBarrier] — the native analogue of the simulator's
+// per-barrier wait, and the paper's load-imbalance signal. A traced
+// build emits the same two intervals as the processor's ph and barrier
+// spans, so the trace and PerP agree to the nanosecond.
+func (m *Metrics) fork(ph trace.Phase, p int, fn func(w int)) {
+	par.Do(p, func(w int) {
+		start := m.now()
+		fn(w)
+		end := m.now()
+		pc := &m.PerP[w]
+		pc.PhaseNs[ph] += end - start
+		pc.finish = end
+		m.tr.Proc(w).SpanAt(ph, start, end)
+	})
+	join := m.now()
+	for w := 0; w < p; w++ {
+		pc := &m.PerP[w]
+		pc.PhaseNs[trace.PhaseBarrier] += join - pc.finish
+		m.tr.Proc(w).SpanAt(trace.PhaseBarrier, pc.finish, join)
+	}
+}
+
+// now is the build's clock: nanoseconds since its epoch.
+func (m *Metrics) now() int64 { return time.Since(m.epoch).Nanoseconds() }
+
 // freshTree is the prepare hook of a from-scratch build: reset the store
 // and root a new tree (in arena 0, processor 0's) at the given cube.
 func freshTree(s *octree.Store) prepareFn {
-	return func(root vec.Cube, _ *trace.Recorder) *octree.Tree {
+	return func(root vec.Cube) *octree.Tree {
 		s.Reset()
 		return octree.NewTree(s, 0, 0, root)
 	}

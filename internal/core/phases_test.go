@@ -36,12 +36,13 @@ func buildsCounted(t *testing.T, alg core.Algorithm) float64 {
 // TestEveryBuildPathRunsThePhaseDriver pins what the one phase driver
 // owes every build, whichever algorithm, path and processor count
 // produced it: all three timed brackets set and summing to no more than
-// the wall time, every processor's insert time set and inside the insert
-// bracket (both of its clock reads sit between the bracket's), a trace
-// summary (traced builds only) with partition, insert, moments and
-// barrier time on every processor that agrees with the lock counters
-// (verify's law 6), and exactly one publication into the live
-// per-algorithm totals.
+// the wall time; on every processor, traced or not, partition, insert
+// and moments time, and a barrier wait, that together fit inside the
+// brackets (every stamp of every fork sits between the bracket's clock
+// reads); on a traced build, one partition span per partition fork —
+// SPACE's counting rounds included — one barrier span per fork, and a
+// summary that verify holds to PerP and to the lock counters (laws 6 and
+// 9); and exactly one publication into the live per-algorithm totals.
 func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 	const n = 3000
 	type path struct {
@@ -50,16 +51,21 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		reason  string // expected Metrics.FreshReason on the checked build
 		warm    int    // builds (with drift) before the checked one
 		rebuild bool
+		// partitionForks is the least number of partition forks the
+		// checked build runs: bounds, plus UPDATE's rescale or two per
+		// SPACE counting round.
+		partitionForks int
 	}
 	paths := []path{
-		{"ORIG", core.ORIG, "", 0, false},
-		{"LOCAL", core.LOCAL, "", 0, false},
-		{"PARTREE", core.PARTREE, "", 0, false},
-		{"SPACE", core.SPACE, "", 0, false},
-		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false},
-		{"UPDATE/repair", core.UPDATE, "", 1, false},
-		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true},
+		{"ORIG", core.ORIG, "", 0, false, 1},
+		{"LOCAL", core.LOCAL, "", 0, false, 1},
+		{"PARTREE", core.PARTREE, "", 0, false, 1},
+		{"SPACE", core.SPACE, "", 0, false, 1 + 2*2},
+		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false, 1},
+		{"UPDATE/repair", core.UPDATE, "", 1, false, 2},
+		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true, 1 + 2*2},
 	}
+	stamped := []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments}
 	check := func(t *testing.T, pt path, traced bool, p int) {
 		cfg := core.Config{P: p, LeafCap: 8}
 		if traced {
@@ -97,8 +103,15 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 			t.Fatalf("metrics cover %d processors, want %d", len(m.PerP), p)
 		}
 		for w := range m.PerP {
-			if ns := m.PerP[w].InsertNs; ns <= 0 || ns > tm.Insert.Nanoseconds() {
-				t.Errorf("proc %d: insert time %d ns, want in (0, %d]", w, ns, tm.Insert.Nanoseconds())
+			ns := m.PerP[w].PhaseNs
+			for _, ph := range stamped {
+				if ns[ph] <= 0 {
+					t.Errorf("proc %d: no %v time", w, ph)
+				}
+			}
+			sum := ns[trace.PhasePartition] + ns[trace.PhaseInsert] + ns[trace.PhaseMoments] + ns[trace.PhaseBarrier]
+			if ns[trace.PhaseBarrier] < 0 || sum > tm.Total().Nanoseconds() {
+				t.Errorf("proc %d: phase times %v outside the brackets' %v", w, ns, tm.Total())
 			}
 		}
 		if err := verify.Build(pt.alg, tree, m, b, in.Step); err != nil {
@@ -113,12 +126,17 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		if m.Trace == nil || len(m.Trace.PerProc) != p {
 			t.Fatalf("traced build's summary does not cover %d processors: %+v", p, m.Trace)
 		}
-		for w, ps := range m.Trace.PerProc {
-			for _, ph := range []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments, trace.PhaseBarrier} {
-				if ps.PhaseNs[ph] <= 0 {
-					t.Errorf("proc %d: no %v time in the trace summary", w, ph)
-				}
+		var spans [trace.NumPhases]int
+		for _, e := range cfg.Trace.Events(0) {
+			if e.Kind == trace.KindSpan {
+				spans[e.Phase]++
 			}
+		}
+		forks := spans[trace.PhasePartition] + spans[trace.PhaseInsert] + spans[trace.PhaseMoments]
+		if spans[trace.PhasePartition] < pt.partitionForks || spans[trace.PhaseInsert] != 1 ||
+			spans[trace.PhaseMoments] != 1 || spans[trace.PhaseBarrier] != forks {
+			t.Errorf("proc 0 spans by phase %v: want ≥ %d partition, one insert, one moments, one barrier per fork",
+				spans, pt.partitionForks)
 		}
 	}
 	for _, pt := range paths {

@@ -100,9 +100,9 @@ func spaceBuild(s *octree.Store, sc *spaceScratch, cfg Config, in *Input, m *Met
 	p := in.P()
 	var subs []Subspace
 	return runPhases(cfg, in, m,
-		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
-			tree := freshTree(s)(root, tr)
-			subs = spacePartition(sc, s, tree, in, SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p), m, tr)
+		func(root vec.Cube) *octree.Tree {
+			tree := freshTree(s)(root)
+			subs = spacePartition(sc, s, tree, in, SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p), m)
 			AssignSubspaces(root, subs, p)
 			return tree
 		},
@@ -196,7 +196,7 @@ func eachPiece(off []int, w, p int, fn func(fc, lo, hi int)) {
 // bodies come out ordered by (processor, position in its Assign list) —
 // the order per-processor lists concatenated by processor would give,
 // which simalg's replay produces and the goldens pin.
-func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []Subspace {
+func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics) []Subspace {
 	p := in.P()
 	pos := in.Bodies.Pos
 	n := 0
@@ -221,7 +221,7 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	for len(frontier) > 0 {
 		f := len(frontier)
 		from, to := cur, nxt
-		tracedDo(tr, trace.PhasePartition, p, func(w int) {
+		m.fork(trace.PhasePartition, p, func(w int) {
 			h := grown(sc.hist[w], f*vec.NOctants)
 			clear(h)
 			sc.hist[w] = h
@@ -277,7 +277,7 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 			}
 		}
 
-		tracedDo(tr, trace.PhasePartition, p, func(w int) {
+		m.fork(trace.PhasePartition, p, func(w int) {
 			h := sc.hist[w]
 			eachPiece(off, w, p, func(fc, lo, hi int) {
 				cursor := h[fc*vec.NOctants:][:vec.NOctants]

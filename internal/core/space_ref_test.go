@@ -7,18 +7,18 @@ import (
 	"testing"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/phys"
-	"partree/internal/trace"
 	"partree/internal/vec"
 	"partree/internal/workload"
 )
 
 // refSpacePartition is the counting partition as it stood before it
-// became a counting sort, kept verbatim as the differential oracle of
-// TestSpacePartitionMatchesReference: per-processor body lists carried
-// through the rounds, finalized bodies appended per (processor, subspace)
-// and concatenated serially.
-func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics, tr *trace.Recorder) []Subspace {
+// became a counting sort, kept (its forks plain par.Do) as the
+// differential oracle of TestSpacePartitionMatchesReference:
+// per-processor body lists carried through the rounds, finalized bodies
+// appended per (processor, subspace) and concatenated serially.
+func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold int, m *Metrics) []Subspace {
 	p := in.P()
 	pos := in.Bodies.Pos
 
@@ -28,7 +28,7 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 	// currently belongs to.
 	myBodies := make([][]int32, p)
 	myCell := make([][]int32, p) // frontier index per body
-	tracedDo(tr, trace.PhasePartition, p, func(w int) {
+	par.Do(p, func(w int) {
 		myBodies[w] = append([]int32(nil), in.Assign[w]...)
 		myCell[w] = make([]int32, len(myBodies[w]))
 	})
@@ -40,7 +40,7 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 	for len(frontier) > 0 {
 		f := len(frontier)
 		// Count in parallel.
-		tracedDo(tr, trace.PhasePartition, p, func(w int) {
+		par.Do(p, func(w int) {
 			if cap(counts[w]) < f*8 {
 				counts[w] = make([]int64, f*8)
 			} else {
@@ -97,7 +97,7 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 		// Re-bucket bodies in parallel: keep the ones still in flight,
 		// stash the finalized ones per (processor, subspace).
 		final := make([][][]int32, p)
-		tracedDo(tr, trace.PhasePartition, p, func(w int) {
+		par.Do(p, func(w int) {
 			final[w] = make([][]int32, len(subs))
 			keepB := myBodies[w][:0]
 			keepC := myCell[w][:0]
@@ -141,7 +141,7 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 	t.Helper()
 	p := len(assign)
 	in := &Input{Bodies: b, Assign: assign}
-	root := parallelBounds(in, nil)
+	root := parallelBounds(in, newMetrics(SPACE, p))
 	run := func(part func(*octree.Store, *octree.Tree, *Metrics) []Subspace) ([]Subspace, *octree.Store, *Metrics) {
 		s := octree.NewStore(p, 8)
 		m := newMetrics(SPACE, p)
@@ -150,10 +150,10 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 		return subs, s, m
 	}
 	want, ws, wm := run(func(s *octree.Store, tree *octree.Tree, m *Metrics) []Subspace {
-		return refSpacePartition(s, tree, in, threshold, m, nil)
+		return refSpacePartition(s, tree, in, threshold, m)
 	})
 	got, gs, gm := run(func(s *octree.Store, tree *octree.Tree, m *Metrics) []Subspace {
-		return spacePartition(sc, s, tree, in, threshold, m, nil)
+		return spacePartition(sc, s, tree, in, threshold, m)
 	})
 	if len(got) != len(want) {
 		t.Fatalf("%d subspaces, reference has %d", len(got), len(want))

@@ -5,6 +5,7 @@ import (
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/stats"
+	"partree/internal/trace"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -105,8 +106,8 @@ func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper
 // NewAdaptiveStepper is NewStepper with the partition steered by measured
 // time: it opens on the same cost cut, and after every step each cut moves
 // toward the slower of its two zones (partition.MoveCuts over the step's
-// Metrics.PerP[w].InsertNs, which every build stamps), so an adaptive step
-// builds exactly as a static one does.
+// Metrics.PerP[w].PhaseNs[trace.PhaseInsert], which every build stamps),
+// so an adaptive step builds exactly as a static one does.
 func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
 	st := NewStepper(cfg, bodies, policy)
 	st.adaptive = true
@@ -213,7 +214,7 @@ func (st *Stepper) repartition(m *Metrics) {
 func (st *Stepper) moveCuts(m *Metrics) {
 	st.insertNs = st.insertNs[:0]
 	for w := range m.PerP {
-		st.insertNs = append(st.insertNs, m.PerP[w].InsertNs)
+		st.insertNs = append(st.insertNs, m.PerP[w].PhaseNs[trace.PhaseInsert])
 	}
 	if s := stats.Summarize(st.insertNs); s.Mean > 0 {
 		adaptSkewBefore.set(s.Max / s.Mean)

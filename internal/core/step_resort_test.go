@@ -7,6 +7,7 @@ import (
 	"partree/internal/core"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/trace"
 	"partree/internal/verify"
 )
 
@@ -63,7 +64,7 @@ func TestAdaptiveSessionResorts(t *testing.T) {
 	// is where they are now.
 	ns := make([]int64, p)
 	for w := range ns {
-		ns[w] = res.Metrics.PerP[w].InsertNs
+		ns[w] = res.Metrics.PerP[w].PhaseNs[trace.PhaseInsert]
 	}
 	want := make([]int, p+1)
 	if partition.MoveCuts(want, before, ns); !slices.Equal(cuts(), want) {

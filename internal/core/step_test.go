@@ -7,6 +7,7 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/trace"
 )
 
 // RootMargin lets the external tests key bodies in the domain the
@@ -114,7 +115,7 @@ func TestAdaptiveStepperPlumbing(t *testing.T) {
 		ns := make([]int64, p)
 		var total, worst int64
 		for w := range ns {
-			ns[w] = res.Metrics.PerP[w].InsertNs
+			ns[w] = res.Metrics.PerP[w].PhaseNs[trace.PhaseInsert]
 			total, worst = total+ns[w], max(worst, ns[w])
 		}
 		if partition.MoveCuts(want, before, ns); !slices.Equal(st.cut, want) {

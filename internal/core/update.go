@@ -102,8 +102,8 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 	runPhases(ub.cfg, in, m,
 		// Refresh the root bounds and rescale every node's cube; the
 		// tree keeps its shape but the space it maps onto breathes.
-		func(root vec.Cube, tr *trace.Recorder) *octree.Tree {
-			rescale(ub.tree, root, p, tr)
+		func(root vec.Cube) *octree.Tree {
+			rescale(ub.tree, root, p, m)
 			return ub.tree
 		},
 		// Move the bodies that crossed their leaf boundary.
@@ -149,7 +149,7 @@ func (ub *updateBuilder) inserterFor(w int, m *Metrics, tp *trace.P) *inserter {
 // rescale rewrites every live node's cube after the root was resized:
 // proc 0 handles the top two levels, then the depth-2 subtrees are fanned
 // out across processors.
-func rescale(t *octree.Tree, root vec.Cube, p int, tr *trace.Recorder) {
+func rescale(t *octree.Tree, root vec.Cube, p int, m *Metrics) {
 	s := t.Store
 	type job struct {
 		ref  octree.Ref
@@ -174,7 +174,7 @@ func rescale(t *octree.Tree, root vec.Cube, p int, tr *trace.Recorder) {
 		}
 	}
 	top(t.Root, root, 0)
-	tracedDo(tr, trace.PhasePartition, p, func(w int) {
+	m.fork(trace.PhasePartition, p, func(w int) {
 		for i := w; i < len(jobs); i += p {
 			s.Rescale(jobs[i].ref, jobs[i].cube)
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"partree/internal/core"
-	"partree/internal/fmm"
 	"partree/internal/force"
 	"partree/internal/octree"
 	"partree/internal/par"
@@ -33,11 +32,6 @@ type Options struct {
 
 	Force force.Params
 	Dt    float64 // time step
-
-	// FMM switches the force phase from the per-body Barnes-Hut
-	// traversal to the cell-cell fast summation solver (internal/fmm),
-	// which consumes the same trees from the same builders.
-	FMM bool
 
 	// Check runs the full differential verification (internal/verify) on
 	// every freshly built tree — structural invariants, node-for-node
@@ -175,15 +169,7 @@ func (s *Simulation) Step() StepStats {
 	assign := partition.Costzones(tree, d, s.Opts.P)
 	t2 := time.Now()
 
-	if s.Opts.FMM {
-		fs := fmm.ComputeAll(tree, s.Bodies, fmm.Params{
-			Theta: s.Opts.Force.Theta, Eps: s.Opts.Force.Eps,
-			G: s.Opts.Force.G, Quadrupole: true,
-		}, s.Opts.P)
-		st.Phase = force.PhaseStats{Interactions: fs.CellCell + fs.P2P}
-	} else {
-		st.Phase = force.ComputeAll(tree, s.Bodies, assign, s.Opts.Force)
-	}
+	st.Phase = force.ComputeAll(tree, s.Bodies, assign, s.Opts.Force)
 	t3 := time.Now()
 
 	// Update phase: symplectic-Euler integration, each processor

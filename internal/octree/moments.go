@@ -123,7 +123,7 @@ func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) Stats {
 
 // ComputeMomentsFork is ComputeMomentsParallel over the caller's
 // fork/join: fork(p, fn) must run fn(0) … fn(p-1) and return once all have
-// (core's phase driver passes one that traces every share).
+// (core's phase driver passes one that times every share).
 //
 // The walk descends level by level to the first level holding at least
 // momentsTasksPerWorker·nWorkers cells — cut by level population, not by

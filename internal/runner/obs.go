@@ -7,7 +7,6 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/obs"
-	"partree/internal/trace"
 )
 
 // runnerObs is the runner's live instrumentation: the counters it counts
@@ -44,9 +43,6 @@ type runnerObs struct {
 	// specSeconds distributes per-spec wall time (Result.WallNs) across
 	// deterministic exponential buckets, labeled by backend: 1ms..~137s.
 	specSeconds *obs.Vec[*obs.Histogram]
-	// traceBridge accumulates traced builds' summaries (phase seconds,
-	// lock wait/hold) into live counters — the summary → metrics bridge.
-	traceBridge *trace.MetricsBridge
 }
 
 func newRunnerObs() *runnerObs {
@@ -65,7 +61,6 @@ func newRunnerObs() *runnerObs {
 			"partree_runner_spec_duration_seconds",
 			"Wall-clock time per executed spec (cache hits excluded).",
 			obs.ExpBuckets(0.001, 2, 18), "backend"),
-		traceBridge: trace.NewMetricsBridge(),
 	}
 }
 
@@ -77,9 +72,6 @@ func (o *runnerObs) observeExecuted(res Result) {
 		o.completed.Inc()
 	}
 	o.specSeconds.With(string(res.Spec.Backend)).Observe(float64(res.WallNs) / 1e9)
-	if s, ok := res.TraceSummary(); ok {
-		o.traceBridge.Record(s)
-	}
 }
 
 // AuditObs cross-checks the live counters against the result cache — the
@@ -144,5 +136,5 @@ func (r *Runner) RegisterObs(reg *obs.Registry) error {
 		obs.NewGaugeFunc("partree_runner_in_flight", "Spec executions begun and not yet published (queued in the engine or running).",
 			func() float64 { return float64(o.inFlight.Load()) }),
 		o.memoHits, o.memoMisses, o.evictions, o.specSeconds,
-	), o.traceBridge.RegisterObs(reg), r.eng.RegisterObs(reg), core.RegisterObs(reg))
+	), r.eng.RegisterObs(reg), core.RegisterObs(reg))
 }

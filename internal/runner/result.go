@@ -66,15 +66,6 @@ type Result struct {
 	transient bool
 }
 
-// TraceSummary returns the run's per-processor trace summary, when the
-// spec ran with Trace set.
-func (r Result) TraceSummary() (*trace.Summary, bool) {
-	if r.rec == nil {
-		return nil, false
-	}
-	return r.rec.Summarize(), true
-}
-
 // writeTrace exports the recorded trace to Spec.Trace. Called by
 // Runner.execute outside the timed window; a no-op for untraced runs.
 func (r *Result) writeTrace() error {

@@ -38,7 +38,7 @@ func readChromeTrace(t *testing.T, path string) []chromeEvent {
 // TestTracedSpecWritesConsistentTimeline runs one traced spec per
 // backend and checks the whole chain: the file exists and parses as a
 // Chrome trace_event array, its per-processor lock-event counts equal
-// the Result's LocksPerProc, and TraceSummary agrees.
+// the Result's LocksPerProc, and its recorder's summary agrees.
 func TestTracedSpecWritesConsistentTimeline(t *testing.T) {
 	dir := t.TempDir()
 	specs := map[string]Spec{
@@ -54,10 +54,10 @@ func TestTracedSpecWritesConsistentTimeline(t *testing.T) {
 			if res.Failed() {
 				t.Fatalf("run failed: %s", res.FailureMessage())
 			}
-			sum, ok := res.TraceSummary()
-			if !ok {
-				t.Fatal("traced spec returned no TraceSummary")
+			if res.rec == nil {
+				t.Fatal("traced spec kept no recorder")
 			}
+			sum := res.rec.Summarize()
 			perProc := sum.LockEventsPerProc()
 			if len(perProc) != spec.Procs {
 				t.Fatalf("summary covers %d procs, want %d", len(perProc), spec.Procs)

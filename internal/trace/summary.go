@@ -75,8 +75,7 @@ func (s *Summary) LockEventsPerProc() []int64 {
 }
 
 // PhaseTotals sums each phase's time across processors, indexed by
-// Phase. internal/reqtrace bridges these into a request's
-// flight-recorder timeline.
+// Phase.
 func (s *Summary) PhaseTotals() [NumPhases]int64 {
 	var out [NumPhases]int64
 	if s == nil {

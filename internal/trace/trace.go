@@ -181,11 +181,12 @@ func (r *Recorder) Active() bool { return r != nil && r.enabled }
 func (r *Recorder) Now() int64 { return time.Since(r.epoch).Nanoseconds() }
 
 // Reset clears every buffer and aggregate and restarts the epoch, so the
-// next emitted event begins a fresh trace window. The enabled flag is
+// next emitted event begins a fresh trace window, and returns the new
+// epoch (the zero of the window's timestamps). The enabled flag is
 // kept. Call only between builds.
-func (r *Recorder) Reset() {
+func (r *Recorder) Reset() time.Time {
 	if r == nil {
-		return
+		return time.Time{}
 	}
 	r.epoch = time.Now()
 	for w := range r.bufs {
@@ -194,6 +195,7 @@ func (r *Recorder) Reset() {
 		*b = procBuf{ev: ev}
 		r.ps[w].lockStart, r.ps[w].lockAcquired = 0, 0
 	}
+	return r.epoch
 }
 
 // Events returns processor w's buffered events in chronological order

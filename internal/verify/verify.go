@@ -36,6 +36,7 @@ import (
 	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
+	"partree/internal/trace"
 )
 
 // Options select which layers Tree verifies.
@@ -115,6 +116,10 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, opt Options) error {
 //  6. When the build was traced, the trace is a faithful witness of the
 //     lock counters: one recorded lock event per counted lock, processor
 //     by processor.
+//  9. When the build was traced, the trace's partition, insert, moments
+//     and barrier time equal PerP's, processor by processor: both are
+//     the phase driver's own clock reads. (Subdivide nests inside insert
+//     and only a trace stamps it.)
 //
 // (Law 7 is the runner's observability audit, Runner.AuditObs; law 8 is
 // CostConservation below — it needs the bodies, so it lives on Build's
@@ -139,6 +144,11 @@ func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 			if got, want := m.Trace.PerProc[w].LockEvents, m.PerP[w].Locks; got != want {
 				return fmt.Errorf("verify: metrics: proc %d recorded %d lock events, counters say %d locks",
 					w, got, want)
+			}
+			for _, ph := range []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments, trace.PhaseBarrier} {
+				if got, want := m.Trace.PerProc[w].PhaseNs[ph], m.PerP[w].PhaseNs[ph]; got != want {
+					return fmt.Errorf("verify: metrics: proc %d traced %d ns of %v, counters say %d ns", w, got, ph, want)
+				}
 			}
 		}
 	}

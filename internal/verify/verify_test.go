@@ -7,6 +7,7 @@ import (
 	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
+	"partree/internal/trace"
 )
 
 // TestCrossProduct is the acceptance grid: every algorithm × every mass
@@ -201,6 +202,25 @@ func TestMetricsLawsRejectCorruption(t *testing.T) {
 		m.PerP[0].Leaves += 3
 		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "leaves") {
 			t.Fatalf("inflated leaf count accepted: %v", err)
+		}
+	})
+	t.Run("trace witness", func(t *testing.T) {
+		bodies := phys.Generate(phys.ModelPlummer, 1000, 5)
+		rec := trace.New(4)
+		rec.SetEnabled(true)
+		tree, m := core.New(core.LOCAL, core.Config{P: 4, LeafCap: 8, Trace: rec}).Build(
+			&core.Input{Bodies: bodies, Assign: core.EvenAssign(bodies.N(), 4)})
+		if err := Metrics(m, tree, bodies.N(), true); err != nil {
+			t.Fatalf("pristine traced build rejected: %v", err)
+		}
+		m.Trace.PerProc[1].LockEvents++
+		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "lock events") {
+			t.Fatalf("trace missing a lock accepted: %v", err)
+		}
+		m.Trace.PerProc[1].LockEvents--
+		m.PerP[2].PhaseNs[trace.PhaseBarrier]++
+		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "ns of barrier") {
+			t.Fatalf("trace disagreeing with the stamped barrier time accepted: %v", err)
 		}
 	})
 	t.Run("lock floor", func(t *testing.T) {

@@ -37,12 +37,6 @@ type SessionOpen struct {
 	// turns it on for every session.
 	Adaptive      bool  `json:"adaptive,omitempty"`
 	IdleTimeoutMs int64 `json:"idle_timeout_ms,omitempty"`
-	Policy        struct {
-		MaxChurnFrac float64 `json:"max_churn_frac,omitempty"`
-		MaxDepthSkew float64 `json:"max_depth_skew,omitempty"`
-		Streak       int     `json:"streak,omitempty"`
-		MinSteps     int     `json:"min_steps,omitempty"`
-	} `json:"policy"`
 }
 
 // SessionStep is one client timestep record. Exactly one body mutation

@@ -22,12 +22,12 @@ import (
 // scripts/loadgen_smoke.sh (server-side disk model, then a client-motion
 // scenario), each service limit crossed, and non-records.
 var openSeeds = []string{
-	`{"procs":2,"bodies":3000,"seed":1,"dt":0.005,"check":true,"policy":{}}`,
-	`{"procs":2,"bodies":3000,"seed":7,"dt":0.005,"check":true,"adaptive":true,"policy":{}}`,
-	`{"procs": 2, "bodies": 4096, "check": true, "policy": {"max_churn_frac": 0.1, "streak": 2, "min_steps": 3}}`,
-	`{"procs":1,"bodies":500,"seed":1,"idle_timeout_ms":50,"policy":{}}`,
-	`{"procs":2,"bodies":256,"model":"disk","seed":42,"dt":0.01,"policy":{}}`,
-	`{"procs":2,"bodies":256,"seed":43,"policy":{}}`,
+	`{"procs":2,"bodies":3000,"seed":1,"dt":0.005,"check":true}`,
+	`{"procs":2,"bodies":3000,"seed":7,"dt":0.005,"check":true,"adaptive":true}`,
+	`{"procs": 2, "bodies": 4096, "check": true}`,
+	`{"procs":1,"bodies":500,"seed":1,"idle_timeout_ms":50}`,
+	`{"procs":2,"bodies":256,"model":"disk","seed":42,"dt":0.01}`,
+	`{"procs":2,"bodies":256,"seed":43}`,
 	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":64,"procs":65}`, `{"bodies":64,"leaf_cap":2147483648}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
 	`{"bodies":"many"}`, `{"bodies":64,"dt":1e999}`, `{`, ``, `null`, `[]`, `7`,
 }

@@ -230,6 +230,19 @@ done
     exit 1
 }
 
+# Every build stamps per-processor phase time, traced or not: the one
+# served SPACE build must have put insert seconds on its series. Phase
+# time has one family; the retired trace bridge must not come back.
+awk '$1 == "partree_build_phase_seconds_total{alg=\"SPACE\",phase=\"insert\"}" && $2 + 0 > 0 { ok = 1 } END { exit !ok }' "$metrics" || {
+    echo "obs-smoke: no SPACE insert seconds after a served SPACE build" >&2
+    grep '^partree_build_phase_seconds_total' "$metrics" >&2
+    exit 1
+}
+if grep -q '^partree_trace_' "$metrics"; then
+    echo "obs-smoke: partreed exposes a partree_trace_ family" >&2
+    exit 1
+fi
+
 # The adaptive session ran three real steps, so the feedback loop must
 # have actually turned: a controller constructed, a recut served after
 # every step and cut moves made from the steps' measured insert times
