@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke hypotheses-smoke cmds surface reach loc check repro repro-check repro-smoke bench pairs pairs-smoke
+.PHONY: all build vet test race fuzz smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke hypotheses-smoke cmds surface reach loc check repro repro-check repro-smoke bench pairs pairs-smoke
 
 all: build
 
@@ -21,6 +21,20 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fuzz runs every Fuzz* target in the module for FUZZTIME each, one
+# target at a time (go test -fuzz takes one target per run), finding them
+# with go test -list. `make test` already runs each target's seed corpus;
+# this searches beyond it, so it is opt-in rather than part of check.
+FUZZTIME ?= 10s
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { f = f " " $$1 } /^ok/ { if (f != "") print $$2 f; f = "" }' | \
+		while read -r pkg targets; do \
+			for t in $$targets; do \
+				echo "fuzz $$pkg $$t ($(FUZZTIME))"; \
+				$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+			done; \
+		done
+
 # smoke builds real trees with every algorithm and verifies each against
 # the sequential reference (-check), end to end through `partree treebench`.
 smoke:
@@ -40,13 +54,12 @@ obs-smoke:
 loadgen-smoke:
 	sh scripts/loadgen_smoke.sh
 
-# cluster-smoke stands up the real sharded serving tier — two partreed
-# shard daemons plus a partree-router fronting them — and asserts a
-# fan-out build conserves bodies across shards and is filed under one
-# request ID by the router and both shards, a boundary-crossing
-# move hands the body off to exactly one owner, a stale map version is
-# refused with 409, and the router's partree_cluster_* rollup reflects
-# the fleet.
+# cluster-smoke stands up the real sharded serving tier — two stateless
+# partreed shard daemons plus a partree-router fronting them — and
+# asserts a fan-out build conserves bodies across shards and is filed
+# under one request ID by the router and both shards, a stale map
+# version is refused with 409, and the router's partree_cluster_* rollup
+# reflects the fleet.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -1,9 +1,11 @@
 // Command partree-router fronts a fleet of partreed shard daemons: it
 // loads the addressed Morton-order shard map, fans /v1/build and
 // /v1/sweep out to every shard, merges the per-shard results under the
-// tree-metric conservation laws, routes cross-shard body moves through
-// the handoff protocol, and serves the aggregated partree_cluster_*
-// metrics rolled up from each shard's /metrics page.
+// tree-metric conservation laws, and serves the aggregated
+// partree_cluster_* metrics rolled up from each shard's /metrics page.
+// The shards hold no bodies between requests: each build regenerates
+// the spec's body set on every shard, and each shard builds the part its
+// Morton range owns.
 //
 // Usage:
 //
@@ -20,7 +22,6 @@
 //	POST /v1/build  one runner.Spec (JSON) → merged ClusterResult (JSON)
 //	POST /v1/sweep  a JSON array of specs → NDJSON stream of merged
 //	                results, strictly in input order
-//	POST /v1/move   {"body": N, "pos": [x,y,z]} → routed move/handoff
 //	GET  /v1/map    the addressed shard map
 //	GET  /metrics   router counters + partree_cluster_* fleet rollup
 //	                + the partree_req_* request families
@@ -108,8 +109,6 @@ func main() {
 	domainSize := flag.Float64("domain-size", 4, "domain cube edge for a -shards derived map (centered at the origin)")
 	flag.DurationVar(&o.Client.Timeout, "shard-timeout", 30*time.Second, "per-attempt timeout for shard calls")
 	flag.IntVar(&o.Client.Retries, "shard-retries", 1, "transport-failure retries per shard call (HTTP errors are never retried)")
-	flag.IntVar(&o.SweepConcurrency, "sweep-concurrency", 4, "cluster builds a sweep runs concurrently")
-	flag.DurationVar(&o.ScrapeTimeout, "scrape-timeout", 2*time.Second, "per-shard /metrics scrape timeout for the rollup")
 	level := flag.String("v", "info", "log level: debug, info, warn, error")
 	flag.Parse()
 	if err := obs.SetLogger(os.Stderr, "partree-router", *level); err != nil {

@@ -193,7 +193,7 @@ func TestRequestIDMintedAndInErrors(t *testing.T) {
 }
 
 // TestWrongMethodOnEveryRoute walks every API route the two serving
-// binaries mount — a shard daemon's eight, and the four Router.Mount
+// binaries mount — a shard daemon's five, and the three Router.Mount
 // gives partree-router — with the method each does not take: the one
 // check in the envelope answers 405 with Allow (RFC 9110 §15.5.6) and
 // the error document naming the request ID the header assigned.
@@ -220,12 +220,8 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 		{d.srv.URL(), "/v1/session", http.MethodPost},
 		{d.srv.URL(), "/v1/shard", http.MethodGet},
 		{d.srv.URL(), "/v1/shard/build", http.MethodPost},
-		{d.srv.URL(), "/v1/shard/move", http.MethodPost},
-		{d.srv.URL(), "/v1/shard/accept", http.MethodPost},
-		{d.srv.URL(), "/v1/shard/body", http.MethodGet},
 		{router.URL(), "/v1/build", http.MethodPost},
 		{router.URL(), "/v1/sweep", http.MethodPost},
-		{router.URL(), "/v1/move", http.MethodPost},
 		{router.URL(), "/v1/map", http.MethodGet},
 	} {
 		wrong := http.MethodGet

@@ -19,8 +19,9 @@
 //	                 in-line. 503 only before the stream opens.
 //	     /v1/shard/* cluster shard surface (with -shard-map and -shard):
 //	                 this daemon owns one Morton range of a shard map and
-//	                 serves shard-level builds, moves, and handoffs for
-//	                 cmd/partree-router (see internal/cluster)
+//	                 builds that range's part of each spec's body set for
+//	                 cmd/partree-router, keeping no bodies between
+//	                 requests (see internal/cluster)
 //	GET  /metrics    Prometheus exposition (engine pool, runner, builds,
 //	                 partree_req_* request families)
 //	GET  /healthz    liveness (+ready:false once draining)
@@ -78,10 +79,6 @@ type daemonConfig struct {
 	// request tracing entirely (nil-handle no-op on the serving path).
 	flight       reqtrace.Options
 	drainTimeout time.Duration
-	// adaptive turns on measured-cost adaptive partitioning for every
-	// streaming session (each session can also opt in individually via
-	// its open record's "adaptive" field).
-	adaptive bool
 	// sessionModel is the mass model for sessions whose open record
 	// leaves "model" empty — any phys scenario model name.
 	sessionModel string
@@ -281,7 +278,6 @@ func main() {
 	flag.IntVar(&cfg.runner.ResultCacheEntries, "result-cache", 4096, "memoized spec results retained (LRU)")
 	flag.IntVar(&cfg.runner.BodiesCacheEntries, "bodies-cache", 64, "memoized body sets retained (LRU)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
-	flag.BoolVar(&cfg.adaptive, "adaptive", false, "measured-cost adaptive partitioning for every streaming session")
 	flag.StringVar(&cfg.sessionModel, "session-model", "plummer", "default mass model for sessions that omit one: "+strings.Join(phys.ModelNames(), ", "))
 	flag.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/* (requires -shard)")
 	flag.StringVar(&cfg.shardID, "shard", "", "this daemon's shard ID within -shard-map")

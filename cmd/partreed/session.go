@@ -54,7 +54,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 	bodies := phys.Generate(model, open.Bodies, open.Seed)
 	cfg := core.Config{P: open.Procs, LeafCap: open.LeafCap}
 	newStepper := core.NewStepper
-	if open.Adaptive || d.cfg.adaptive {
+	if open.Adaptive {
 		newStepper = core.NewAdaptiveStepper
 	}
 	lease, err := d.eng.OpenLease(newStepper(cfg, bodies, core.FallbackPolicy{}), time.Duration(open.IdleTimeoutMs)*time.Millisecond)

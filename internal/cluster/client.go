@@ -41,7 +41,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // StatusError is a non-2xx answer from a shard: the status code plus the
 // error text from its JSON error document (or raw body). It is a
 // deliberate response, carried as an error so callers can branch on the
-// code (409 version conflict, 421 misdirect, 503 admission) without
+// code (409 version conflict, 503 admission) without
 // string matching.
 type StatusError struct {
 	Code int
@@ -70,24 +70,21 @@ func NewClient(id, addr string, o ClientOptions) *Client {
 	return &Client{id: id, base: strings.TrimSuffix(base, "/"), hc: &http.Client{}, opts: o.withDefaults()}
 }
 
-// Call POSTs (or GETs, with nil in) a JSON document and decodes the JSON
-// answer into out (skipped when out is nil). Transport failures are
-// retried up to Retries times with a fresh per-attempt timeout; a non-2xx
-// status returns a *StatusError carrying the shard's error text.
-func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("shard %s: encoding request: %w", c.id, err)
-		}
+// Call POSTs a JSON document and decodes the JSON answer into out.
+// Transport failures are retried up to Retries times with a fresh
+// per-attempt timeout; a non-2xx status returns a *StatusError carrying
+// the shard's error text.
+func (c *Client) Call(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("shard %s: encoding request: %w", c.id, err)
 	}
 	var last error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("shard %s: %w", c.id, err)
 		}
-		err := c.attempt(ctx, method, path, body, out)
+		err := c.attempt(ctx, path, body, out)
 		if err == nil {
 			return nil
 		}
@@ -101,20 +98,14 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 	return fmt.Errorf("shard %s: %w", c.id, last)
 }
 
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) attempt(ctx context.Context, path string, body []byte, out any) error {
 	actx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(actx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+	req.Header.Set("Content-Type", "application/json")
 	// A call made while serving a request (the router's fan-out) carries
 	// that request's ID, so the shard's envelope files its side under it.
 	if tp := reqtrace.FromContext(ctx).Traceparent(); tp != "" {
@@ -127,10 +118,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		return &StatusError{Code: resp.StatusCode, Msg: errorText(resp.Body)}
-	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

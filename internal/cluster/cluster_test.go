@@ -141,9 +141,6 @@ func TestClusterBuildConservation(t *testing.T) {
 	if res.RouterWallNs < slowestWhole {
 		t.Fatalf("router_wall_ns = %d, below a shard's prep_ns + wall_ns = %d", res.RouterWallNs, slowestWhole)
 	}
-	if got := f.Shards[0].Resident() + f.Shards[1].Resident(); got != n {
-		t.Fatalf("resident bodies across shards = %d, want %d", got, n)
-	}
 	// The merged document must decode as a runner.Result too — the field
 	// names are a compatibility contract for existing clients.
 	var rr runner.Result
@@ -153,114 +150,6 @@ func TestClusterBuildConservation(t *testing.T) {
 	if rr.TreeNs != res.TreeNs || rr.LocksTotal != res.LocksTotal || rr.Cells != res.Cells {
 		t.Fatalf("runner.Result view (%v, %d, %d) != cluster view (%v, %d, %d)",
 			rr.TreeNs, rr.LocksTotal, rr.Cells, res.TreeNs, res.LocksTotal, res.Cells)
-	}
-}
-
-// TestClusterBoundaryHandoff drives the handoff protocol end to end: a
-// resident body is moved across the shard boundary and must end up
-// resident in exactly one shard — the destination.
-func TestClusterBoundaryHandoff(t *testing.T) {
-	f := startFixture(t, FixtureOptions{Shards: 2})
-	const n = 500
-	res := clusterBuild(t, f, buildSpec(n))
-	if res.Failed() {
-		t.Fatalf("build failed: %v %v", res.Err, res.CheckFailure)
-	}
-
-	ids := f.Shards[0].ResidentIDs()
-	if len(ids) == 0 {
-		t.Fatal("shard 0 has no resident bodies")
-	}
-	body := ids[0]
-	// The uniform 2-shard cut splits on the Morton key's top bit, which
-	// is the z axis's top quantized bit: z > 0 keys into s1, z < 0 into
-	// s0 (for the default domain centered at the origin).
-	code, respBody := postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
-		"body": body, "pos": [3]float64{0.1, 0.1, 1.5},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("POST /v1/move: %d: %s", code, respBody)
-	}
-	var mv ClusterMoveResult
-	if err := json.Unmarshal(respBody, &mv); err != nil {
-		t.Fatal(err)
-	}
-	if mv.Status != "moved" || mv.From != "s0" || mv.To != "s1" {
-		t.Fatalf("move = %+v, want moved s0→s1", mv)
-	}
-
-	// Exactly one shard holds the body afterward — checked through the
-	// same HTTP surface the smoke script uses.
-	var d0, d1 BodyDoc
-	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(0), body), &d0)
-	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(1), body), &d1)
-	if d0.Present || !d1.Present {
-		t.Fatalf("after handoff: present in s0=%v s1=%v, want exactly s1", d0.Present, d1.Present)
-	}
-	if d1.State == nil || d1.State.Pos != [3]float64{0.1, 0.1, 1.5} {
-		t.Fatalf("handed-off state = %+v, want the moved position", d1.State)
-	}
-
-	// An intra-shard move keeps the body in place.
-	code, respBody = postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
-		"body": body, "pos": [3]float64{-0.3, 0.2, 1.1},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("intra-shard move: %d: %s", code, respBody)
-	}
-	if err := json.Unmarshal(respBody, &mv); err != nil {
-		t.Fatal(err)
-	}
-	if mv.Status != "ok" || mv.From != "s1" || mv.To != "s1" {
-		t.Fatalf("intra-shard move = %+v, want ok within s1", mv)
-	}
-
-	// A body nobody holds is 404.
-	if code, _ := postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
-		"body": int32(n + 100), "pos": [3]float64{0, 0, 0},
-	}); code != http.StatusNotFound {
-		t.Fatalf("move of unknown body: %d, want 404", code)
-	}
-}
-
-// TestClusterRebuildSupersedesResidency covers the deferred resident
-// map: a shard answers Resident() from the build's owned set alone, a
-// move materialises the map, and a later build must supersede that map —
-// not be shadowed by it — when the next request reads a body's state.
-func TestClusterRebuildSupersedesResidency(t *testing.T) {
-	f := startFixture(t, FixtureOptions{Shards: 2})
-	if res := clusterBuild(t, f, buildSpec(500)); res.Failed() {
-		t.Fatalf("build failed: %v %v", res.Err, res.CheckFailure)
-	}
-	before := f.Shards[0].Resident()
-	body := f.Shards[0].ResidentIDs()[0]
-	if code, respBody := postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
-		"body": body, "pos": [3]float64{0.1, 0.1, 1.5},
-	}); code != http.StatusOK {
-		t.Fatalf("POST /v1/move: %d: %s", code, respBody)
-	}
-	if got := f.Shards[0].Resident(); got != before-1 {
-		t.Fatalf("shard 0 resident after handing one body off = %d, want %d", got, before-1)
-	}
-
-	// The same spec again: the body is back where the generator puts it.
-	if res := clusterBuild(t, f, buildSpec(500)); res.Failed() {
-		t.Fatalf("rebuild failed: %v %v", res.Err, res.CheckFailure)
-	}
-	if got := f.Shards[0].Resident() + f.Shards[1].Resident(); got != 500 {
-		t.Fatalf("resident bodies across shards after rebuild = %d, want 500", got)
-	}
-	var d0, d1 BodyDoc
-	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(0), body), &d0)
-	getJSON(t, fmt.Sprintf("%s/v1/shard/body?id=%d", f.ShardURL(1), body), &d1)
-	if !d0.Present || d1.Present {
-		t.Fatalf("after rebuild: present in s0=%v s1=%v, want exactly s0", d0.Present, d1.Present)
-	}
-	if d0.State.Pos == [3]float64{0.1, 0.1, 1.5} {
-		t.Fatalf("rebuilt state still carries the moved position %v", d0.State.Pos)
-	}
-	if got := f.Shards[0].Resident(); got != before {
-		t.Fatalf("shard 0 resident after rebuild = %d, want %d", got, before)
 	}
 }
 
@@ -275,10 +164,6 @@ func TestClusterVersionMismatch(t *testing.T) {
 		ShardBuildRequest{MapVersion: 99, Spec: buildSpec(100)})
 	if code != http.StatusConflict {
 		t.Fatalf("stale build: %d (%s), want 409", code, body)
-	}
-	if code, _ := postJSON(t, f.ShardURL(0)+"/v1/shard/move",
-		MoveRequest{MapVersion: 99, Body: 1}); code != http.StatusConflict {
-		t.Fatalf("stale move: %d, want 409", code)
 	}
 
 	// Router level: a router whose map version moved on (addresses
@@ -437,63 +322,6 @@ func TestClusterSweepOrder(t *testing.T) {
 	}
 }
 
-// TestClusterSweepIsTransient pins the residency contract of sweeps: a
-// sweep's concurrent builds of *different* body sets must not replace
-// the shards' resident state (whichever spec finished last would win,
-// leaving shards holding subsets of different sets), so after a sweep
-// the fleet still holds exactly the last /v1/build's bodies and the
-// handoff protocol keeps working.
-func TestClusterSweepIsTransient(t *testing.T) {
-	f := startFixture(t, FixtureOptions{Shards: 2})
-	const n = 500
-	if res := clusterBuild(t, f, buildSpec(n)); res.Failed() {
-		t.Fatalf("build failed: %v %v", res.Err, res.CheckFailure)
-	}
-	r0, r1 := f.Shards[0].Resident(), f.Shards[1].Resident()
-	if r0+r1 != n {
-		t.Fatalf("resident after build = %d+%d, want %d", r0, r1, n)
-	}
-
-	specs := []runner.Spec{buildSpec(1200), buildSpec(300), buildSpec(700)}
-	b, _ := json.Marshal(specs)
-	resp, err := http.Post(f.RouterURL()+"/v1/sweep", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d", resp.StatusCode)
-	}
-
-	if g0, g1 := f.Shards[0].Resident(), f.Shards[1].Resident(); g0 != r0 || g1 != r1 {
-		t.Fatalf("sweep disturbed residency: %d+%d, want %d+%d unchanged", g0, g1, r0, r1)
-	}
-
-	// The single-residency invariant survived, so a boundary move still
-	// routes cleanly instead of tripping the router's double-residency
-	// detection.
-	ids := f.Shards[0].ResidentIDs()
-	if len(ids) == 0 {
-		t.Fatal("shard 0 has no resident bodies")
-	}
-	code, respBody := postJSON(t, f.RouterURL()+"/v1/move", map[string]any{
-		"body": ids[0], "pos": [3]float64{0.1, 0.1, 1.5},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("move after sweep: %d: %s", code, respBody)
-	}
-	var mv ClusterMoveResult
-	if err := json.Unmarshal(respBody, &mv); err != nil {
-		t.Fatal(err)
-	}
-	if mv.Status != "moved" || mv.From != "s0" || mv.To != "s1" {
-		t.Fatalf("move after sweep = %+v, want moved s0→s1", mv)
-	}
-}
-
 // TestClusterRollupMetrics asserts the aggregated /metrics page: shard
 // health gauges and the summed per-instance shard families.
 func TestClusterRollupMetrics(t *testing.T) {
@@ -512,7 +340,6 @@ func TestClusterRollupMetrics(t *testing.T) {
 	for _, want := range []string{
 		`partree_cluster_shard_up{shard="s0"} 1`,
 		`partree_cluster_shard_up{shard="s1"} 1`,
-		fmt.Sprintf("partree_cluster_resident %d", n),
 		fmt.Sprintf("partree_cluster_bodies_built_total %d", n),
 		"partree_cluster_builds_total 2",
 		"partree_router_builds_total 1",

@@ -1,28 +1,31 @@
 // Package cluster is the multi-process serving tier: a Morton-order
 // shard map that splits the simulation domain into spatially contiguous
 // key ranges, the shard-side HTTP surface a partreed process mounts to
-// own one range, and the locality-aware router that fronts a fleet —
-// fanning build requests out, merging per-shard results under the same
-// conservation laws internal/verify audits inside one process, and
-// rolling each shard's /metrics up into one partree_cluster_* page.
+// own one range, and the router that fronts a fleet — fanning build
+// requests out, merging per-shard results under the same conservation
+// laws internal/verify audits inside one process, and rolling each
+// shard's /metrics up into one partree_cluster_* page.
 //
 // The design lifts the paper's local-build-then-merge structure one
 // level: within a process, PARTREE has each processor build a local tree
 // and merge it; across processes, each shard builds the subtree for its
-// Morton range and the router merges the *measurements* (the trees stay
-// resident where the bodies live, as in Dubinski's local essential
-// trees). Morton ranges make the shard map locality-aware for free —
-// sorting by partition.MortonKey recovers the octree's depth-first
-// order, so a contiguous key range is a spatially compact subdomain and
-// a body's shard is one binary search away from its position.
+// Morton range and the router merges the *measurements*. Shards are
+// stateless: a shard build is a pure function of the map and the spec —
+// every shard regenerates the spec's body set, keys it against the
+// map's shared domain and builds the bodies its range owns — so no body
+// lives on a shard between requests and none moves between shards.
+// Morton ranges make the split locality-aware for free — sorting by
+// partition.MortonKey recovers the octree's depth-first order, so a
+// contiguous key range is a spatially compact subdomain.
 package cluster
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
 	"partree/internal/partition"
 	"partree/internal/vec"
@@ -84,8 +87,8 @@ func UniformMap(version int, d Domain, n int) Map {
 // Validate checks the structural invariants every user of a map relies
 // on: a positive version, a usable domain, and ranges that are sorted,
 // non-empty, pairwise contiguous, and exactly cover [0, KeySpace) — so
-// ShardFor is total and no two shards can both claim a key. Addresses
-// are not required here; the router additionally demands them.
+// every key has exactly one owner. Addresses are not required here; the
+// router additionally demands them.
 func (m Map) Validate() error {
 	if m.Version <= 0 {
 		return fmt.Errorf("cluster: map version %d must be positive", m.Version)
@@ -126,41 +129,11 @@ func (m Map) Validate() error {
 	return nil
 }
 
-// KeyOf returns the Morton key of a position under the map's domain.
-func (m Map) KeyOf(p vec.V3) uint64 {
-	return partition.MortonKey(m.Domain.Cube(), p)
-}
-
 // Owns reports whether a key falls inside the shard's half-open range:
 // a key equal to Hi belongs to the next shard, a key equal to Lo to this
 // one.
 func (s Shard) Owns(key uint64) bool {
 	return key >= s.Lo && key < s.Hi
-}
-
-// Locate is the admission boundary a shard places in front of body
-// state: it keys a position under the map's domain and reports whether
-// shard idx owns that key. A body that keys outside the range must be
-// refused (or evicted) rather than absorbed; the router resolves the key
-// with ShardFor to find the rightful owner, so a body crossing a shard
-// boundary between steps leaves the source shard and enters exactly one
-// destination, never both and never neither. All shards of one map share
-// the domain cube, so a key computed on any shard names the same spatial
-// cell on every other.
-func (m Map) Locate(idx int, p vec.V3) (key uint64, owns bool) {
-	key = m.KeyOf(p)
-	return key, m.Shards[idx].Owns(key)
-}
-
-// ShardFor returns the index of the shard owning a key. On a validated
-// map every key in [0, KeySpace) has exactly one owner; keys past
-// KeySpace (which MortonKey never produces) return -1.
-func (m Map) ShardFor(key uint64) int {
-	i := sort.Search(len(m.Shards), func(i int) bool { return key < m.Shards[i].Hi })
-	if i == len(m.Shards) {
-		return -1
-	}
-	return i
 }
 
 // ShardByID returns the index of the shard with the given ID, or -1.
@@ -200,13 +173,18 @@ func (m Map) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ParseMap decodes and validates a map document.
+// ParseMap decodes and validates a map document. The document must be
+// the whole input: anything but whitespace after it is refused, so a
+// concatenated or half-edited map file never parses as its first part.
 func ParseMap(b []byte) (Map, error) {
 	var m Map
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return Map{}, fmt.Errorf("cluster: parsing map: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Map{}, errors.New("cluster: parsing map: trailing data after the map document")
 	}
 	if err := m.Validate(); err != nil {
 		return Map{}, err

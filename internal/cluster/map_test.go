@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"partree/internal/partition"
@@ -50,44 +51,14 @@ func TestMapValidateRejects(t *testing.T) {
 	}
 }
 
-// TestShardForBoundary pins the half-open routing convention for keys
-// exactly on a range boundary: the boundary key belongs to the *upper*
-// shard, matching Shard.Owns.
-func TestShardForBoundary(t *testing.T) {
-	m := UniformMap(1, Domain{Size: 4}, 2)
-	cut := m.Shards[0].Hi
-	if got := m.ShardFor(cut - 1); got != 0 {
-		t.Fatalf("ShardFor(cut-1) = %d, want 0", got)
-	}
-	if got := m.ShardFor(cut); got != 1 {
-		t.Fatalf("ShardFor(cut) = %d, want 1 (half-open ranges)", got)
-	}
-	if got := m.ShardFor(0); got != 0 {
-		t.Fatalf("ShardFor(0) = %d, want 0", got)
-	}
-	if got := m.ShardFor(partition.KeySpace - 1); got != 1 {
-		t.Fatalf("ShardFor(KeySpace-1) = %d, want 1", got)
-	}
-	if got := m.ShardFor(partition.KeySpace); got != -1 {
-		t.Fatalf("ShardFor(KeySpace) = %d, want -1", got)
-	}
-
-	// A body sitting exactly on the domain's splitting planes quantizes
-	// to the positive side (vec.Cube.OctantOf's convention), so the
-	// center point routes deterministically to the upper shard.
-	if got := m.ShardFor(m.KeyOf(vec.V3{})); got != 1 {
-		t.Fatalf("domain-center body routed to shard %d, want 1", got)
-	}
-}
-
 func TestSingleShardMapDegenerate(t *testing.T) {
 	m := UniformMap(3, Domain{Size: 4}, 1)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("single-shard map invalid: %v", err)
 	}
 	for _, p := range []vec.V3{{}, {X: 1.9}, {X: -100, Y: 100, Z: 3}} {
-		if got := m.ShardFor(m.KeyOf(p)); got != 0 {
-			t.Fatalf("single-shard map routed %v to %d", p, got)
+		if key := partition.MortonKey(m.Domain.Cube(), p); !m.Shards[0].Owns(key) {
+			t.Fatalf("single-shard map does not own %v (key %#x)", p, key)
 		}
 	}
 }
@@ -127,39 +98,70 @@ func TestParseMapRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseMapRejectsTrailingData: a map document must be the whole
+// input — a second document or junk after a valid map is refused rather
+// than silently dropped.
+func TestParseMapRejectsTrailingData(t *testing.T) {
+	doc, err := UniformMap(1, Domain{Size: 4}, 2).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{`{"version":2}`, "trailing junk", `{"version":2} trailing junk`, "]"} {
+		if _, err := ParseMap(append(append([]byte(nil), doc...), tail...)); err == nil {
+			t.Errorf("ParseMap accepted a map followed by %q", tail)
+		}
+	}
+	if _, err := ParseMap(append(append([]byte(nil), doc...), " \n\t\n"...)); err != nil {
+		t.Errorf("ParseMap refused trailing whitespace: %v", err)
+	}
+}
+
+// FuzzParseMap: an accepted document is exactly one JSON value and a
+// valid map, and Encode → ParseMap → Encode is byte-identical.
+func FuzzParseMap(f *testing.F) {
+	doc, err := UniformMap(1, Domain{Center: [3]float64{0.5, -0.25, 0}, Size: 4}, 3).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc)
+	f.Add(append(append([]byte(nil), doc...), `{"version":2} trailing junk`...))
+	f.Add([]byte(`{"version":1,"domain":{"center":[0,0,0],"size":4},"shards":[{"id":"a","addr":"h:1","lo":0,"hi":281474976710656}]}`))
+	f.Add([]byte(`{"version":1,"domain":{"size":4},"shards":[{"id":"a","lo":0,"hi":1},{"id":"b","lo":1,"hi":281474976710656}]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := ParseMap(b)
+		if err != nil {
+			return
+		}
+		if !json.Valid(b) {
+			t.Fatalf("ParseMap accepted input that is not one JSON value: %q", b)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("ParseMap accepted an invalid map: %v", err)
+		}
+		first, err := m.Encode()
+		if err != nil {
+			t.Fatalf("encoding an accepted map: %v", err)
+		}
+		back, err := ParseMap(first)
+		if err != nil {
+			t.Fatalf("ParseMap(Encode()) refused: %v\n%s", err, first)
+		}
+		second, err := back.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("Encode → ParseMap → Encode changed bytes:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
 func TestWithoutAddrs(t *testing.T) {
 	m := UniformMap(1, Domain{Size: 4}, 2)
 	m.Shards[0].Addr = "x"
 	c := m.WithoutAddrs()
 	if c.Shards[0].Addr != "" || m.Shards[0].Addr != "x" {
 		t.Fatal("WithoutAddrs must clear the copy and leave the original")
-	}
-}
-
-// TestLocateOwnership: the ownership test a shard puts in front of body
-// state keys a position under the map's domain and answers for one
-// shard's range — a single-shard map owns everything (out-of-domain
-// positions clamp to a face key), and on a two-shard map each body is
-// owned by exactly the shard ShardFor names, under the same key.
-func TestLocateOwnership(t *testing.T) {
-	full := UniformMap(1, Domain{Size: 2}, 1)
-	for _, p := range []vec.V3{{X: 0.9, Y: -0.9, Z: 0.3}, {X: 50, Y: 50, Z: 50}} {
-		if key, owns := full.Locate(0, p); !owns || key != full.KeyOf(p) {
-			t.Fatalf("single-shard map: Locate(%v) = (%#x, %t), want (%#x, true)", p, key, owns, full.KeyOf(p))
-		}
-	}
-
-	halves := UniformMap(1, Domain{Size: 2}, 2)
-	for want, p := range []vec.V3{{X: -0.9, Y: -0.9, Z: -0.9}, {X: 0.9, Y: 0.9, Z: 0.9}} {
-		for idx := range halves.Shards {
-			key, owns := halves.Locate(idx, p)
-			if key != halves.KeyOf(p) || owns != (idx == want) {
-				t.Errorf("shard %d: Locate(%v) = (%#x, %t), want (%#x, %t)", idx, p, key, owns, halves.KeyOf(p), idx == want)
-			}
-		}
-		if got := halves.ShardFor(halves.KeyOf(p)); got != want {
-			t.Errorf("ShardFor names shard %d for %v, Locate names %d", got, p, want)
-		}
 	}
 }
 

@@ -20,15 +20,18 @@ import (
 type RouterOptions struct {
 	Map    Map
 	Client ClientOptions
-	// SweepConcurrency bounds how many cluster builds a sweep runs at
-	// once (default 4). Each cluster build already fans out to every
-	// shard, so this bounds fan-out squared.
-	SweepConcurrency int
-	// ScrapeTimeout bounds the rollup collector's per-shard /metrics
-	// scrape (default 2s), keeping a dead shard from stalling the
-	// router's own /metrics page.
-	ScrapeTimeout time.Duration
 }
+
+const (
+	// sweepConcurrency bounds how many cluster builds a sweep runs at
+	// once. Each cluster build already fans out to every shard, so this
+	// bounds fan-out squared.
+	sweepConcurrency = 4
+	// scrapeTimeout bounds the rollup collector's per-shard /metrics
+	// scrape, keeping a dead shard from stalling the router's own
+	// /metrics page.
+	scrapeTimeout = 2 * time.Second
+)
 
 // ClusterResult is a merged build: the same measurement fields as
 // runner.Result under the same JSON names (so existing clients decode
@@ -60,29 +63,14 @@ type ClusterResult struct {
 // Failed reports whether the merged build failed (in-band).
 func (r ClusterResult) Failed() bool { return r.Err != "" || r.CheckFailure != "" }
 
-// ClusterMoveResult is the router-level answer to a /v1/move: which
-// shard held the body and, after a handoff, which shard holds it now.
-type ClusterMoveResult struct {
-	Status string `json:"status"` // "ok" (stayed) or "moved" (handed off)
-	Body   int32  `json:"body"`
-	From   string `json:"from"`
-	To     string `json:"to"`
-	Key    uint64 `json:"key"`
-}
-
 // Router fronts a partreed fleet: it owns the addressed map, a client
-// per shard, and the fan-out/merge logic for builds, sweeps, and
-// cross-shard body moves.
+// per shard, and the fan-out/merge logic for builds and sweeps.
 type Router struct {
 	m       Map
 	clients []*Client
-	sweepC  int
-	scrapeT time.Duration
 
 	builds    *obs.Counter
 	sweeps    *obs.Counter
-	moves     *obs.Counter
-	handoffs  *obs.Counter
 	rejected  *obs.Counter
 	errors    *obs.Counter
 	conflicts *obs.Counter
@@ -99,20 +87,10 @@ func NewRouter(o RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("cluster: router map shard %q has no address", s.ID)
 		}
 	}
-	if o.SweepConcurrency <= 0 {
-		o.SweepConcurrency = 4
-	}
-	if o.ScrapeTimeout <= 0 {
-		o.ScrapeTimeout = 2 * time.Second
-	}
 	rt := &Router{
 		m:         o.Map,
-		sweepC:    o.SweepConcurrency,
-		scrapeT:   o.ScrapeTimeout,
 		builds:    obs.NewCounter("partree_router_builds_total", "Cluster builds fanned out and merged."),
 		sweeps:    obs.NewCounter("partree_router_sweeps_total", "Cluster sweeps served."),
-		moves:     obs.NewCounter("partree_router_moves_total", "Cross-shard move requests served."),
-		handoffs:  obs.NewCounter("partree_router_handoffs_total", "Moves that crossed a shard boundary and were handed off."),
 		rejected:  obs.NewCounter("partree_router_rejected_total", "Cluster builds answered 503 because a shard's admission control rejected."),
 		errors:    obs.NewCounter("partree_router_shard_errors_total", "Shard calls that failed at transport level or with an unexpected status."),
 		conflicts: obs.NewCounter("partree_router_version_conflicts_total", "Shard calls refused with 409 (fleet running a different map version)."),
@@ -127,8 +105,8 @@ func NewRouter(o RouterOptions) (*Router, error) {
 // rollup collector, which scrapes every shard's /metrics at gather time
 // and sums the build and admission families into partree_cluster_*.
 func (rt *Router) RegisterObs(reg *obs.Registry) error {
-	return reg.Register(rt.builds, rt.sweeps, rt.moves, rt.handoffs,
-		rt.rejected, rt.errors, rt.conflicts, &rollupCollector{rt: rt})
+	return reg.Register(rt.builds, rt.sweeps, rt.rejected, rt.errors, rt.conflicts,
+		&rollupCollector{rt: rt})
 }
 
 // Mount registers the router routes on mux behind rec's request
@@ -138,7 +116,6 @@ func (rt *Router) RegisterObs(reg *obs.Registry) error {
 func (rt *Router) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
 	rec.Handle(mux, http.MethodPost, "/v1/build", "POST a runner.Spec JSON document", rt.handleBuild)
 	rec.Handle(mux, http.MethodPost, "/v1/sweep", "POST a JSON array of runner.Spec documents", rt.handleSweep)
-	rec.Handle(mux, http.MethodPost, "/v1/move", "POST {\"body\": N, \"pos\": [x,y,z]}", rt.handleMove)
 	rec.Handle(mux, http.MethodGet, "/v1/map", "GET the shard map", rt.handleMap)
 }
 
@@ -162,16 +139,15 @@ type shardAnswer struct {
 
 // fanOutBuild sends the spec to every shard concurrently and returns
 // the answers indexed by shard, plus completion order for error
-// attribution. Transient builds (sweeps) do not establish residency on
-// the shards.
-func (rt *Router) fanOutBuild(ctx context.Context, spec runner.Spec, transient bool) []shardAnswer {
+// attribution.
+func (rt *Router) fanOutBuild(ctx context.Context, spec runner.Spec) []shardAnswer {
 	answers := make([]shardAnswer, len(rt.clients))
 	var mu sync.Mutex
 	order := 0
 	rt.eachShard(func(i int, c *Client) {
 		var res ShardBuildResult
-		err := c.Call(ctx, http.MethodPost, "/v1/shard/build",
-			ShardBuildRequest{MapVersion: rt.m.Version, Spec: spec, Transient: transient}, &res)
+		err := c.Call(ctx, "/v1/shard/build",
+			ShardBuildRequest{MapVersion: rt.m.Version, Spec: spec}, &res)
 		mu.Lock()
 		answers[i] = shardAnswer{idx: i, order: order, res: res, err: err}
 		order++
@@ -253,8 +229,8 @@ func mergeBuild(spec runner.Spec, answers []shardAnswer) ClusterResult {
 // buildOnce runs one full fan-out/merge. The error return carries an
 // HTTP status to propagate (409/502/503); in-band failures travel
 // inside the ClusterResult.
-func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec, transient bool) (ClusterResult, int, string) {
-	answers := rt.fanOutBuild(ctx, spec, transient)
+func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec) (ClusterResult, int, string) {
+	answers := rt.fanOutBuild(ctx, spec)
 	// Transport failures and deliberate rejections are per-status; a 503
 	// surfaces the *slowest* rejecting shard's reason — the request was
 	// held until that shard answered, so its reason is what the caller
@@ -292,7 +268,7 @@ func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, code, msg := rt.buildOnce(req.Context(), spec, false)
+	res, code, msg := rt.buildOnce(req.Context(), spec)
 	if code != 0 {
 		reqtrace.WriteError(w, code, msg)
 		return
@@ -321,12 +297,12 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, rt.sweepC)
+	sem := make(chan struct{}, sweepConcurrency)
 	for i := range specs {
 		go func(i int) {
 			sem <- struct{}{}
 			defer func() { <-sem; close(done[i]) }()
-			res, code, msg := rt.buildOnce(req.Context(), specs[i], true)
+			res, code, msg := rt.buildOnce(req.Context(), specs[i])
 			if code != 0 {
 				res = ClusterResult{Spec: specs[i], Err: msg}
 			}
@@ -343,89 +319,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleMove routes a body's position change: every shard is asked to
-// apply it (exactly one can hold the body), and a handoff answer is
-// delivered to the key's owner. The invariant this preserves is the
-// acceptance criterion of the tier: after a boundary-crossing move the
-// body is resident in exactly one shard.
-func (rt *Router) handleMove(w http.ResponseWriter, req *http.Request) {
-	var mr struct {
-		Body int32      `json:"body"`
-		Pos  [3]float64 `json:"pos"`
-	}
-	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
-		return
-	}
-	rt.moves.Inc()
-
-	// Broadcast: residency is the shards' truth, not the router's guess
-	// (the body may have been handed off before, so its key under the
-	// *old* position is not reliable routing).
-	type moveAnswer struct {
-		idx int
-		res MoveResponse
-		err error
-	}
-	answers := make([]moveAnswer, len(rt.clients))
-	rt.eachShard(func(i int, c *Client) {
-		var res MoveResponse
-		err := c.Call(req.Context(), http.MethodPost, "/v1/shard/move",
-			MoveRequest{MapVersion: rt.m.Version, Body: mr.Body, Pos: mr.Pos}, &res)
-		answers[i] = moveAnswer{idx: i, res: res, err: err}
-	})
-
-	var holder *moveAnswer
-	for i := range answers {
-		a := &answers[i]
-		if a.err != nil {
-			code, msg := rt.shardFailure(a.idx, a.err)
-			reqtrace.WriteError(w, code, msg)
-			return
-		}
-		if a.res.Status != MoveAbsent {
-			if holder != nil {
-				reqtrace.WriteError(w, http.StatusInternalServerError,
-					fmt.Sprintf("body %d resident in both %s and %s", mr.Body,
-						rt.m.Shards[holder.idx].ID, rt.m.Shards[a.idx].ID))
-				return
-			}
-			holder = a
-		}
-	}
-	if holder == nil {
-		reqtrace.WriteError(w, http.StatusNotFound, fmt.Sprintf("body %d is not resident in any shard", mr.Body))
-		return
-	}
-	from := rt.m.Shards[holder.idx].ID
-	if holder.res.Status == MoveOK {
-		writeJSON(w, ClusterMoveResult{Status: "ok", Body: mr.Body, From: from, To: from, Key: holder.res.Key})
-		return
-	}
-
-	// Handoff: deliver the evicted state to the key's owner.
-	owner := rt.m.ShardFor(holder.res.Key)
-	if owner < 0 || holder.res.State == nil {
-		reqtrace.WriteError(w, http.StatusInternalServerError,
-			fmt.Sprintf("handoff of body %d has no owner for key %#x", mr.Body, holder.res.Key))
-		return
-	}
-	err := rt.clients[owner].Call(req.Context(), http.MethodPost, "/v1/shard/accept",
-		AcceptRequest{MapVersion: rt.m.Version, Body: mr.Body, State: *holder.res.State}, nil)
-	if err != nil {
-		// The body has already left the source; surface loudly rather
-		// than pretending the move completed.
-		rt.errors.Inc()
-		reqtrace.WriteError(w, http.StatusBadGateway,
-			fmt.Sprintf("handoff of body %d to shard %s failed: %v", mr.Body, rt.m.Shards[owner].ID, err))
-		return
-	}
-	rt.handoffs.Inc()
-	writeJSON(w, ClusterMoveResult{Status: "moved", Body: mr.Body, From: from,
-		To: rt.m.Shards[owner].ID, Key: holder.res.Key})
-}
-
-// rollupFamilies maps each aggregated partree_cluster_* family to the
+// rollupFamilies maps each aggregated partree_cluster_* counter to the
 // shard-side prefix it sums (series names keep their labels, so a
 // labeled family like partree_engine_rejected_total{reason=...} sums
 // across reasons and shards alike).
@@ -434,9 +328,6 @@ var rollupFamilies = []struct {
 }{
 	{"partree_cluster_builds_total", "partree_shard_builds_total", "Shard-level builds served, summed across the fleet."},
 	{"partree_cluster_bodies_built_total", "partree_shard_bodies_built_total", "Bodies loaded into shard trees, summed across the fleet."},
-	{"partree_cluster_handoffs_total", "partree_shard_handoffs_total", "Boundary-crossing evictions, summed across the fleet."},
-	{"partree_cluster_accepts_total", "partree_shard_accepts_total", "Handoff acceptances, summed across the fleet."},
-	{"partree_cluster_resident", "partree_shard_resident", "Resident bodies, summed across the fleet."},
 	{"partree_cluster_build_total", "partree_build_total", "Process-level builds, summed across the fleet."},
 	{"partree_cluster_build_bodies_total", "partree_build_bodies_total", "Process-level bodies built, summed across the fleet."},
 	{"partree_cluster_build_locks_total", "partree_build_locks_total", "Process-level build lock acquisitions, summed across the fleet."},
@@ -444,7 +335,7 @@ var rollupFamilies = []struct {
 }
 
 // rollupCollector aggregates the fleet's metrics at gather time: one
-// concurrent scrape per shard (bounded by ScrapeTimeout), summed into
+// concurrent scrape per shard (bounded by scrapeTimeout), summed into
 // partree_cluster_* families, plus a per-shard partree_cluster_shard_up
 // gauge from scrape success. A dead shard degrades to up=0 and drops
 // out of the sums instead of failing the router's page.
@@ -454,7 +345,7 @@ type rollupCollector struct {
 
 func (rc *rollupCollector) Collect(out []obs.Family) []obs.Family {
 	rt := rc.rt
-	ctx, cancel := context.WithTimeout(context.Background(), rt.scrapeT)
+	ctx, cancel := context.WithTimeout(context.Background(), scrapeTimeout)
 	defer cancel()
 	snaps := make([]map[string]float64, len(rt.clients))
 	rt.eachShard(func(i int, c *Client) { snaps[i], _ = c.Metrics(ctx) })
@@ -485,11 +376,7 @@ func (rc *rollupCollector) Collect(out []obs.Family) []obs.Family {
 		if !seen {
 			continue
 		}
-		typ := obs.TypeCounter
-		if !strings.HasSuffix(rf.name, "_total") {
-			typ = obs.TypeGauge
-		}
-		out = append(out, obs.Family{Name: rf.name, Type: typ, Help: rf.help,
+		out = append(out, obs.Family{Name: rf.name, Type: obs.TypeCounter, Help: rf.help,
 			Series: []obs.Series{{Value: sum}}})
 	}
 	return out

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,8 @@ func TestReadTraceErrors(t *testing.T) {
 		{"negative", "{\"at_ns\":0}\n\n{\"at_ns\":-3}\n", "line 3"},
 		{"backwards", "{\"at_ns\":100}\n{\"at_ns\":50}\n", "line 2"},
 		{"wrong-type", "{\"at_ns\":\"soon\"}\n", "line 1"},
+		{"second-object", "{\"at_ns\":0}\n{\"at_ns\":5} {\"at_ns\":1}\n", "line 2"},
+		{"trailing-garbage", "{\"at_ns\":7}garbage\n", "line 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadTrace(strings.NewReader(tc.in))
@@ -180,6 +183,48 @@ func TestReadTraceErrors(t *testing.T) {
 	if len(evs) != 2 || evs[1].Op != "build" {
 		t.Fatalf("lenient trace parsed wrong: %+v", evs)
 	}
+}
+
+// FuzzReadTrace: every non-blank line of an accepted trace is exactly
+// one JSON value, its timestamps are non-negative and non-decreasing,
+// and WriteTrace followed by ReadTrace returns the same events.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte("{\"at_ns\":5} {\"at_ns\":1}\n"))
+	f.Add([]byte("{\"at_ns\":7}garbage\n"))
+	f.Add([]byte("\n{\"at_ns\":5}\n\n{\"at_ns\":9,\"op\":\"build\"}\n"))
+	f.Add([]byte("{\"at_ns\":0,\"op\":\"session\"}\r\n{\"at_ns\":0}"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		evs, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, line := range bytes.Split(in, []byte("\n")) {
+			if line = bytes.TrimSpace(line); len(line) > 0 && !json.Valid(line) {
+				t.Fatalf("accepted line %d is not one JSON value: %q", i+1, line)
+			}
+		}
+		for i, e := range evs {
+			if e.AtNs < 0 || (i > 0 && e.AtNs < evs[i-1].AtNs) {
+				t.Fatalf("accepted event %d at_ns %d (events %+v)", i, e.AtNs, evs)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, evs); err != nil {
+			t.Fatalf("writing an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("reading back a written trace: %v", err)
+		}
+		if len(back) != len(evs) {
+			t.Fatalf("round trip has %d events, want %d", len(back), len(evs))
+		}
+		for i := range evs {
+			if back[i] != evs[i] {
+				t.Fatalf("round trip event %d = %+v, want %+v", i, back[i], evs[i])
+			}
+		}
+	})
 }
 
 // TestParseArrivalErrors covers the spec grammar's rejection paths.

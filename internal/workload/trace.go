@@ -64,9 +64,10 @@ func WriteTrace(w io.Writer, evs []Event) error {
 }
 
 // ReadTrace parses an NDJSON trace. Every malformed line is a
-// line-numbered error; timestamps must be non-negative and
-// non-decreasing (a trace is a schedule, not a log). Blank lines are
-// allowed so hand-edited traces stay forgiving.
+// line-numbered error, including one with anything after its event
+// object; timestamps must be non-negative and non-decreasing (a trace is
+// a schedule, not a log). Blank lines are allowed so hand-edited traces
+// stay forgiving.
 func ReadTrace(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -84,6 +85,9 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("workload: trace line %d: %v", line, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("workload: trace line %d: trailing data after the event", line)
 		}
 		if e.AtNs < 0 {
 			return nil, fmt.Errorf("workload: trace line %d: at_ns %d is negative", line, e.AtNs)

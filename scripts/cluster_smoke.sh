@@ -8,12 +8,9 @@
 #   - that build keeps one request ID in three processes: the trace-id
 #     of its traceparent is the router's X-Request-Id and retrieves the
 #     request from the router's and from each shard's /debug/requests;
-#   - a boundary-crossing /v1/move hands the body off through the
-#     eviction/accept protocol, leaving it resident in exactly one
-#     shard;
 #   - a stale map version is refused with 409, never silently served;
 #   - the router's partree_cluster_* rollup reflects the fleet
-#     (shard_up per shard, summed builds/bodies/handoffs).
+#     (shard_up per shard, summed builds/bodies).
 # Then SIGTERM must drain everything cleanly. Run via
 # `make cluster-smoke` (part of `make check`).
 set -e
@@ -143,41 +140,6 @@ for pair in "$rurl /v1/build" "$s0url /v1/shard/build" "$s1url /v1/shard/build";
     fi
 done
 
-# --- boundary-crossing handoff: body in exactly one shard -------------
-# Find a body resident in s0, then move it deep into s1's half of the
-# domain (the upper Morton range): the handoff protocol must evict it
-# from s0 and deliver it to s1.
-body=
-i=0
-while [ $i -lt 200 ]; do
-    if [ "$(curl -fsS "$s0url/v1/shard/body?id=$i" | jq -r .present)" = true ]; then
-        body=$i
-        break
-    fi
-    i=$((i + 1))
-done
-if [ -z "$body" ]; then
-    echo "cluster-smoke: no body resident in s0 among ids 0..199" >&2
-    exit 1
-fi
-curl -fsS -X POST -H 'Content-Type: application/json' \
-    -d "{\"body\":$body,\"pos\":[0.9,0.9,1.5]}" \
-    "$rurl/v1/move" >"$tmp/move.json"
-status=$(jq -r .status "$tmp/move.json")
-from=$(jq -r .from "$tmp/move.json")
-to=$(jq -r .to "$tmp/move.json")
-if [ "$status" != "moved" ] || [ "$from" != "s0" ] || [ "$to" != "s1" ]; then
-    echo "cluster-smoke: move of body $body = status=$status from=$from to=$to, want moved s0->s1" >&2
-    cat "$tmp/move.json" >&2
-    exit 1
-fi
-in0=$(curl -fsS "$s0url/v1/shard/body?id=$body" | jq -r .present)
-in1=$(curl -fsS "$s1url/v1/shard/body?id=$body" | jq -r .present)
-if [ "$in0" != false ] || [ "$in1" != true ]; then
-    echo "cluster-smoke: after handoff body $body present in s0=$in0 s1=$in1, want exactly s1" >&2
-    exit 1
-fi
-
 # --- stale map version: refused with 409, never silently served -------
 code=$(curl -s -o "$tmp/409.json" -w '%{http_code}' -X POST \
     -H 'Content-Type: application/json' \
@@ -196,11 +158,7 @@ for series in \
     'partree_cluster_shard_up{shard="s1"} 1' \
     "partree_cluster_bodies_built_total $n" \
     'partree_cluster_builds_total 2' \
-    'partree_cluster_handoffs_total 1' \
-    'partree_cluster_accepts_total 1' \
-    "partree_cluster_resident $n" \
-    'partree_router_builds_total 1' \
-    'partree_router_moves_total 1'; do
+    'partree_router_builds_total 1'; do
     grep -qF "$series" "$metrics" || {
         echo "cluster-smoke: /metrics is missing: $series" >&2
         grep 'partree_cluster\|partree_router' "$metrics" >&2
@@ -221,4 +179,4 @@ for p in $rpid $s0pid $s1pid; do
 done
 pids=
 
-echo "cluster-smoke: ok (router $rurl fronting s0=$s0url s1=$s1url; $n bodies conserved, request $trace filed by all three, body $body handed off s0->s1, stale version 409, rollup consistent)"
+echo "cluster-smoke: ok (router $rurl fronting s0=$s0url s1=$s1url; $n bodies conserved, request $trace filed by all three, stale version 409, rollup consistent)"
