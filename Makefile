@@ -77,7 +77,9 @@ bench-smoke:
 # the two phases around a SPACE build's inserts: the counting partition
 # and the moments pass, serial against two workers — then what a resident
 # session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
-# and two stepping at once, with the step's phases reported beside ns/op;
+# and two stepping at once, with the step's phases reported beside ns/op,
+# and a 1 200-step session under the benchmark's served motion, with its
+# rule rebuilds per 100 steps and bytes per step;
 # BenchmarkAdaptiveSessionStep: hierarchical n=50k at p=2 and 4, static
 # against adaptive, the insert-time max/mean at steps 1, 10 and 30 — h1's
 # wall-clock arm) — and what observing costs: a build with no, a disabled and an enabled

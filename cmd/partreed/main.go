@@ -15,7 +15,8 @@
 //	POST /v1/sweep   a JSON array of specs → NDJSON stream of Results
 //	POST /v1/session one NDJSON stream: open record, then one record per
 //	                 timestep against a resident tree (UPDATE per step,
-//	                 auto-fallback SPACE rebuilds); results stream back
+//	                 a SPACE rebuild once repairs have slowed by what a
+//	                 rebuild costs); results stream back
 //	                 in-line. 503 only before the stream opens.
 //	     /v1/shard/* cluster shard surface (with -shard-map and -shard):
 //	                 this daemon owns one Morton range of a shard map and

@@ -1,10 +1,10 @@
 // Streaming simulation sessions: POST /v1/session holds one NDJSON
 // stream per resident tree. The client's first record opens the session
-// (body model, processors, fallback policy); every following record is
+// (body model, processors, leaf capacity); every following record is
 // one timestep. The server pins an UPDATE builder into an engine lease,
 // keeps the tree resident between records, and answers each step with
 // an in-stream result record — update-vs-rebuild mode, churn, depth
-// skew, and whether the auto-fallback policy forced a fresh SPACE
+// skew, and whether the session's rebuild rule asked for a fresh SPACE
 // rebuild. Errors and backpressure travel in-stream too: only lease
 // exhaustion and drain before the stream opens answer 503.
 package main

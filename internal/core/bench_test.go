@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,7 +63,8 @@ func BenchmarkSpacePartition(b *testing.B) {
 // tree after a small drift, alone and beside a second session stepping at
 // the same time — two sessions' trees and body columns no longer share a
 // cache. Besides ns/op it reports where a step went: the builder's three
-// phases and the rest (fallback signals, the cost cut, the result).
+// phases and the rest (the rule's clock, the cost cut, the result). The
+// served case replays the benchmark's session motion instead.
 func BenchmarkSessionStep(b *testing.B) {
 	const dt = 0.01
 	for _, n := range []int{50000, 100000} {
@@ -80,7 +82,7 @@ func BenchmarkSessionStep(b *testing.B) {
 					ss[i] = &session{bodies: bodies, st: NewStepper(Config{P: 1, LeafCap: 8}, bodies, FallbackPolicy{})}
 				}
 				// The bodies swing between two states, so no step count
-				// changes the distribution or trips the fallback policy.
+				// changes the distribution or decays the tree.
 				run := func(s *session, steps int) {
 					for k := 0; k < steps; k++ {
 						if k%2 == 0 {
@@ -123,6 +125,47 @@ func BenchmarkSessionStep(b *testing.B) {
 			})
 		}
 	}
+	b.Run("plummer-50k/served", benchServedSession)
+}
+
+// benchServedSession is one served session per op: the motion the
+// benchmark's session clients send — one-way drift at dt = 0.001, a 0.05
+// collapse every 200th step — over 1 200 steps at n = 50 000, the motion
+// under which a repaired tree decays. It reports µs/step, how often the
+// rebuild rule fired and what the steps allocated (not the open).
+func benchServedSession(b *testing.B) {
+	const n, steps, dt, every, by = 50000, 1200, 0.001, 200, 0.05
+	gen := phys.Generate(phys.ModelPlummer, n, 1)
+	var wall time.Duration
+	var rebuilds int
+	var alloc uint64
+	var before, after runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		bodies := gen.Clone()
+		st := NewStepper(Config{P: 1, LeafCap: 8}, bodies, FallbackPolicy{})
+		runtime.ReadMemStats(&before)
+		t0 := time.Now()
+		for k := 0; k < steps; k++ {
+			switch {
+			case k%every == every-1:
+				for j, p := range bodies.Pos {
+					bodies.Pos[j] = p.Scale(1 / (1 + by*p.Len()))
+				}
+			case k > 0:
+				bodies.Drift(0, n, dt)
+			}
+			if st.Step(StepInput{}).Fallback {
+				rebuilds++
+			}
+		}
+		wall += time.Since(t0)
+		runtime.ReadMemStats(&after)
+		alloc += after.TotalAlloc - before.TotalAlloc
+	}
+	total := float64(b.N * steps)
+	b.ReportMetric(float64(wall.Microseconds())/total, "µs/step")
+	b.ReportMetric(100*float64(rebuilds)/total, "rebuilds/100steps")
+	b.ReportMetric(float64(alloc)/total, "B/step")
 }
 
 // BenchmarkAdaptiveSessionStep is the wall-clock arm of h1: a resident

@@ -125,7 +125,7 @@ type Input struct {
 	// Rebuild requests that a resident builder discard its retained tree
 	// and rebuild from scratch this step even when an incremental repair
 	// would be possible. UPDATE honors it with a zero-lock SPACE-style
-	// rebuild (the auto-fallback path of a streaming session); the
+	// rebuild (a streaming session's rebuild rule asks for it); the
 	// rebuilding algorithms, which start fresh every step anyway, ignore
 	// it.
 	Rebuild bool

@@ -1,91 +1,49 @@
 package core
 
-// FallbackPolicy decides when a long-lived UPDATE session should give up
-// on incremental repair and rebuild from scratch. UPDATE's repair cost
-// tracks the fraction of bodies crossing leaf boundaries (churn), and
-// its tree quality decays because cells are never collapsed — the max
-// leaf depth creeps while the mean stays put (depth skew). Either signal
-// crossing its threshold for Streak consecutive steps, after a MinSteps
-// cooldown since the last fresh build, triggers one SPACE rebuild
-// through the same session. Rebuild-vs-update crossover is workload
-// dependent, so every knob is per-session.
-type FallbackPolicy struct {
-	// MaxChurnFrac is the boundary-crossing fraction above which a step
-	// counts against the streak. <=0 selects the default 0.25.
-	MaxChurnFrac float64
-	// MaxDepthSkew is the max/mean leaf-depth ratio above which a step
-	// counts against the streak. <=0 selects the default 2.5.
-	MaxDepthSkew float64
-	// Streak is how many consecutive over-threshold steps are required
-	// before a rebuild fires — the hysteresis that stops a workload
-	// sitting exactly on a threshold from flapping. <=0 selects 2.
-	Streak int
-	// MinSteps is the cooldown: no policy rebuild fires within MinSteps
-	// steps of the last fresh build. <=0 selects 8.
-	MinSteps int
+// FallbackPolicy is what a session is opened with to decide when it gives
+// up on repair. It has no fields: the one rule below has no knob.
+type FallbackPolicy struct{}
+
+// rebuildRule decides, from the time a session's steps take, when the
+// next step should build a fresh tree instead of repairing the resident
+// one. UPDATE never collapses a cell, so under motion a repaired tree
+// decays and each repair costs more than one over a fresh tree would. The
+// rule rebuilds once the time repairs have spent beyond a fresh tree's
+// cost would have paid for the rebuild:
+//
+//   - rebuild is the wall time of the last step that built fresh;
+//   - base, the fresh tree's step cost, is the least of the first
+//     baseRepairs repairs after it;
+//   - every later repair adds max(0, its time − base) to excess;
+//   - once excess ≥ rebuild, the next step builds fresh.
+//
+// A fresh build resets all three. Clamping each step's excess at zero
+// keeps a fast step from banking credit against the decay, and base is a
+// minimum so one slow step (a collapse) in the baseline cannot inflate
+// it. Times are nanoseconds.
+type rebuildRule struct {
+	rebuild, base, excess int64
+	repairs               int // since the last fresh build
 }
 
-// DefaultFallbackPolicy returns the documented defaults.
-func DefaultFallbackPolicy() FallbackPolicy {
-	return FallbackPolicy{}.withDefaults()
-}
+// baseRepairs is how many repairs after a fresh build measure its cost.
+const baseRepairs = 3
 
-func (p FallbackPolicy) withDefaults() FallbackPolicy {
-	if p.MaxChurnFrac <= 0 {
-		p.MaxChurnFrac = 0.25
-	}
-	if p.MaxDepthSkew <= 0 {
-		p.MaxDepthSkew = 2.5
-	}
-	if p.Streak <= 0 {
-		p.Streak = 2
-	}
-	if p.MinSteps <= 0 {
-		p.MinSteps = 8
-	}
-	return p
-}
-
-// FallbackController applies a FallbackPolicy to a stream of step
-// outcomes. Not safe for concurrent use; a session owns exactly one.
-type FallbackController struct {
-	policy       FallbackPolicy
-	streak       int
-	sinceRebuild int
-	pending      bool
-}
-
-// NewFallbackController returns a controller with zero-valued policy
-// fields replaced by the defaults.
-func NewFallbackController(p FallbackPolicy) *FallbackController {
-	return &FallbackController{policy: p.withDefaults()}
-}
-
-// Policy returns the resolved (defaulted) policy.
-func (c *FallbackController) Policy() FallbackPolicy { return c.policy }
-
-// Observe consumes one step's signals and returns true when the NEXT
-// step should be served as a fresh rebuild. fresh reports that the step
-// just observed was itself a fresh build (of any cause): that resets the
-// streak and restarts the cooldown, because a fresh tree invalidates
-// both signals. The verdict latches: once true it stays true until a
-// fresh build is observed, even if a later step dips back under the
-// thresholds.
-func (c *FallbackController) Observe(churnFrac, depthSkew float64, fresh bool) bool {
+// observe takes one step's wall time and whether that step built fresh,
+// and reports whether the next step should.
+func (r *rebuildRule) observe(ns int64, fresh bool) bool {
 	if fresh {
-		c.streak = 0
-		c.sinceRebuild = 0
-		c.pending = false
+		*r = rebuildRule{rebuild: ns}
 		return false
 	}
-	c.sinceRebuild++
-	if churnFrac > c.policy.MaxChurnFrac || (depthSkew > 0 && depthSkew > c.policy.MaxDepthSkew) {
-		c.streak++
-	} else {
-		c.streak = 0
+	r.repairs++
+	switch {
+	case r.repairs == 1:
+		r.base = ns
+	case r.repairs <= baseRepairs:
+		r.base = min(r.base, ns)
+	default:
+		r.excess += max(0, ns-r.base)
 	}
-	if !c.pending && c.sinceRebuild >= c.policy.MinSteps && c.streak >= c.policy.Streak {
-		c.pending = true
-	}
-	return c.pending
+	return r.repairs > baseRepairs && r.excess >= r.rebuild
 }

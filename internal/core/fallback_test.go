@@ -1,109 +1,126 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"partree/internal/octree"
 	"partree/internal/phys"
 )
 
-func TestFallbackControllerThresholds(t *testing.T) {
-	// Policy with no cooldown/streak noise so each case isolates the
-	// threshold comparison itself.
-	base := FallbackPolicy{MaxChurnFrac: 0.25, MaxDepthSkew: 2.5, Streak: 1, MinSteps: 1}
+// TestRebuildRule feeds the rule step times in order; a negative time is
+// a fresh build taking its magnitude. want lists the steps after which
+// the rule asks for a rebuild.
+func TestRebuildRule(t *testing.T) {
 	cases := []struct {
 		name  string
-		churn float64
-		skew  float64
-		want  bool
+		steps []int64
+		want  []int
 	}{
-		{"quiet", 0.01, 1.2, false},
-		{"churn at threshold stays put", 0.25, 1.2, false},
-		{"churn above threshold", 0.26, 1.2, true},
-		{"skew at threshold stays put", 0.01, 2.5, false},
-		{"skew above threshold", 0.01, 2.51, true},
-		{"both above", 0.9, 9.0, true},
-		{"zero skew ignored", 0.01, 0, false},
+		{"a tree that holds never rebuilds", []int64{-100, 10, 10, 10, 10, 10, 10, 10, 10, 10}, nil},
+		{"decay rebuilds once its excess pays for a rebuild", []int64{-100, 10, 10, 10, 30, 30, 30, 30, 30, 30}, []int{8, 9}},
+		{"the baseline repairs never ask, and base is their least", []int64{-10, 10, 100, 100, 100}, []int{4}},
+		{"a slow step in the baseline does not raise base", []int64{-100, 80, 10, 10, 40, 40, 40, 40}, []int{7}},
+		{"fast steps bank no credit", []int64{-100, 20, 20, 20, 0, 0, 0, 0, 70, 70}, []int{9}},
+		{"a fresh build resets the rule", []int64{-100, 10, 10, 10, 60, 60, -50, 10, 10, 10, 35, 35}, []int{5, 11}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewFallbackController(base)
-			if got := c.Observe(tc.churn, tc.skew, false); got != tc.want {
-				t.Fatalf("Observe(churn=%v, skew=%v) = %v, want %v", tc.churn, tc.skew, got, tc.want)
+			var r rebuildRule
+			var got []int
+			for i, ns := range tc.steps {
+				if r.observe(max(ns, -ns), ns < 0) {
+					got = append(got, i)
+				}
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("asked for a rebuild after steps %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-func TestFallbackControllerDefaults(t *testing.T) {
-	p := NewFallbackController(FallbackPolicy{}).Policy()
-	want := FallbackPolicy{MaxChurnFrac: 0.25, MaxDepthSkew: 2.5, Streak: 2, MinSteps: 8}
-	if p != want {
-		t.Fatalf("defaulted policy = %+v, want %+v", p, want)
-	}
+// FuzzRebuildRule holds the rule to its contract on any sequence of
+// non-negative step times: its decisions are a function of the sequence;
+// it asks for nothing before baseRepairs repairs have followed a fresh
+// build; the excess it tolerates before asking never exceeds the
+// rebuild's time plus the largest single step's excess; and once the
+// excess reaches the rebuild's time, it asks.
+func FuzzRebuildRule(f *testing.F) {
+	f.Add([]byte{0, 100, 0, 10, 0, 10, 0, 10, 0, 30, 0, 30, 0, 30, 0, 30, 0, 30, 0, 10})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 50, 1, 0, 0, 10, 0, 10, 0, 200, 0x80, 20, 0, 5, 0x7f, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a, b rebuildRule
+		var rebuild, base, excess, worst int64
+		repairs, asked := 0, false
+		for i := 0; i+1 < len(data); i += 2 {
+			// Two bytes a step: a 15-bit time, and in the top bit a fresh
+			// build. The first step, and any after a request, build fresh,
+			// as a Stepper's do.
+			ns := int64(data[i]&0x7f)<<8 | int64(data[i+1])
+			fresh := i == 0 || asked || data[i]&0x80 != 0
+			asked = a.observe(ns, fresh)
+			if asked != b.observe(ns, fresh) {
+				t.Fatalf("step %d: two rules fed the same times disagree", i/2)
+			}
+			switch {
+			case fresh:
+				rebuild, base, excess, worst, repairs = ns, 0, 0, 0, 0
+			case repairs < baseRepairs:
+				if repairs++; repairs == 1 || ns < base {
+					base = ns
+				}
+			default:
+				repairs++
+				e := max(0, ns-base)
+				excess, worst = excess+e, max(worst, e)
+			}
+			switch {
+			case asked && repairs <= baseRepairs:
+				t.Fatalf("step %d: asked after %d repairs, before the baseline of %d", i/2, repairs, baseRepairs)
+			case asked && excess > rebuild+worst:
+				t.Fatalf("step %d: tolerated excess %d past rebuild %d + worst step %d", i/2, excess, rebuild, worst)
+			case !asked && repairs > baseRepairs && excess >= rebuild:
+				t.Fatalf("step %d: excess %d reached rebuild %d, yet no request", i/2, excess, rebuild)
+			}
+		}
+	})
 }
 
-func TestFallbackControllerStreakHysteresis(t *testing.T) {
-	c := NewFallbackController(FallbackPolicy{MaxChurnFrac: 0.25, MaxDepthSkew: 2.5, Streak: 3, MinSteps: 1})
-	// Alternating over/under never builds a streak: no flapping on the
-	// boundary even though half the steps are over threshold.
-	for i := 0; i < 20; i++ {
-		churn := 0.5
-		if i%2 == 1 {
-			churn = 0.1
-		}
-		if c.Observe(churn, 1.0, false) {
-			t.Fatalf("rebuild fired at alternating step %d without a streak", i)
-		}
-	}
-	// Three consecutive over-threshold steps do fire.
-	c.Observe(0.5, 1.0, false)
-	c.Observe(0.5, 1.0, false)
-	if !c.Observe(0.5, 1.0, false) {
-		t.Fatal("rebuild did not fire after Streak consecutive over-threshold steps")
-	}
-}
-
-func TestFallbackControllerCooldown(t *testing.T) {
-	c := NewFallbackController(FallbackPolicy{MaxChurnFrac: 0.25, MaxDepthSkew: 2.5, Streak: 1, MinSteps: 5})
-	// Hot from the very first step, but the cooldown holds it back
-	// until sinceRebuild reaches MinSteps.
-	for i := 1; i <= 4; i++ {
-		if c.Observe(0.9, 1.0, false) {
-			t.Fatalf("rebuild fired at step %d, inside the %d-step cooldown", i, 5)
-		}
-	}
-	if !c.Observe(0.9, 1.0, false) {
-		t.Fatal("rebuild did not fire once the cooldown elapsed")
-	}
-	// The verdict latches until a fresh build is observed...
-	if !c.Observe(0.0, 1.0, false) {
-		t.Fatal("pending rebuild verdict did not latch")
-	}
-	// ...and a fresh build resets everything, restarting the cooldown.
-	if c.Observe(0.0, 1.0, true) {
-		t.Fatal("fresh build did not clear the pending verdict")
-	}
-	if c.Observe(0.9, 1.0, false) {
-		t.Fatal("cooldown did not restart after the fresh build")
-	}
+// scriptClock makes st's clock tick by *tick per read, so each Step
+// measures exactly *tick: the test, not the host, decides what a step
+// cost.
+func scriptClock(st *Stepper, tick *int64) {
+	var clock int64
+	st.now = func() int64 { clock += *tick; return clock }
 }
 
 // TestStepperPlummerCollapse runs a Plummer model through a violent
-// contraction: every body's position shrinks toward the origin each
-// step, so boundary-crossing churn explodes and the fallback policy must
-// fire — and with a cooldown longer than the remaining sequence, it must
-// fire exactly once, as a SPACE-style requested rebuild.
+// contraction with the clock scripted so repairs slow as the tree decays:
+// the rule must ask for exactly one rebuild, on the step its arithmetic
+// predicts, served as a zero-lock SPACE rebuild of a canonical tree — and
+// the quiet tail after it must not ask again.
 func TestStepperPlummerCollapse(t *testing.T) {
 	const n, p, steps = 2000, 4, 24
 	b := phys.Generate(phys.ModelPlummer, n, 42)
-	st := NewStepper(Config{P: p, LeafCap: 8},
-		b,
-		FallbackPolicy{MaxChurnFrac: 0.2, MaxDepthSkew: 100, Streak: 2, MinSteps: 4})
-
-	rebuilds := 0
+	st := NewStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{})
+	var tick int64
+	scriptClock(st, &tick)
 	for i := 0; i < steps; i++ {
-		if i > 0 {
+		// Step 0 and the rebuild take 1000, the baseline and the tail
+		// 100; collapsing step i ≥ 4 takes 100(i−2), an excess of 100,
+		// 200, 300, 400 that reaches the rebuild's 1000 on step 7.
+		switch {
+		case i == 0 || i == 8:
+			tick = 1000
+		case i >= 4 && i < 8:
+			tick = 100 * int64(i-2)
+		default:
+			tick = 100
+		}
+		if i > 0 && i < 8 {
 			// Collapse, not uniform scaling: uniform contraction is a
 			// no-op for churn because UPDATE rescales the whole tree with
 			// the root bounds. Outer shells fall faster (free-fall-like
@@ -118,32 +135,46 @@ func TestStepperPlummerCollapse(t *testing.T) {
 		if res.Step != i {
 			t.Fatalf("step %d: result.Step = %d", i, res.Step)
 		}
-		if i == 0 {
-			if !res.Fresh || res.Reason != FreshFirst {
-				t.Fatalf("step 0: fresh=%v reason=%q, want first fresh build", res.Fresh, res.Reason)
+		switch {
+		case i == 0:
+			if !res.Fresh || res.Reason != FreshFirst || res.Fallback {
+				t.Fatalf("step 0: fresh=%v reason=%q fallback=%v, want the first fresh build", res.Fresh, res.Reason, res.Fallback)
 			}
-			continue
-		}
-		if res.Fallback {
-			rebuilds++
-			if !res.Fresh || res.Reason != FreshRequested {
-				t.Fatalf("step %d: fallback step has fresh=%v reason=%q", i, res.Fresh, res.Reason)
+		case i == 8:
+			if !res.Fallback || !res.Fresh || res.Reason != FreshRequested {
+				t.Fatalf("step 8: fallback=%v fresh=%v reason=%q, want the rule's rebuild", res.Fallback, res.Fresh, res.Reason)
 			}
 			if res.Metrics.TotalLocks() != 0 {
-				t.Fatalf("step %d: SPACE fallback rebuild took %d locks, want 0", i, res.Metrics.TotalLocks())
+				t.Fatalf("step 8: the rule's SPACE rebuild took %d locks, want 0", res.Metrics.TotalLocks())
 			}
-			// After the rebuild, contraction stops: the cooldown plus a
-			// quiet tail must not trigger a second rebuild.
-			for k := i + 1; k < steps; k++ {
-				if tail := st.Step(StepInput{}); tail.Fallback {
-					t.Fatalf("step %d: second fallback rebuild on a quiet tail", k)
-				}
-			}
-			break
+		case res.Fresh || res.Fallback:
+			t.Fatalf("step %d: fresh=%v fallback=%v reason=%q, want a repair", i, res.Fresh, res.Fallback, res.Reason)
+		}
+		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
+		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
+			t.Fatalf("step %d invariants: %v", i, err)
 		}
 	}
-	if rebuilds != 1 {
-		t.Fatalf("Plummer collapse triggered %d fallback rebuilds, want exactly 1", rebuilds)
+}
+
+// TestStepperRebuildAllocatesNothingBodySized: a warm session's rebuild
+// step — re-sort, permutation and SPACE build — allocates under 32 KB at
+// n = 50 000, where one body-sized column is 200 KB or more.
+func TestStepperRebuildAllocatesNothingBodySized(t *testing.T) {
+	const n, limitKB = 50000, 32
+	b := phys.Generate(phys.ModelPlummer, n, 21)
+	st := NewStepper(Config{P: 1, LeafCap: 8}, b, FallbackPolicy{})
+	var before, after runtime.MemStats
+	for i := 0; i < 4; i++ {
+		b.Drift(0, n, 0.01)
+		runtime.ReadMemStats(&before)
+		st.Step(StepInput{Rebuild: i > 0})
+		runtime.ReadMemStats(&after)
+	}
+	if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb >= limitKB {
+		t.Errorf("a warm rebuild step allocated %d KB, want < %d", kb, limitKB)
+	} else {
+		t.Logf("a warm rebuild step allocated %d KB", kb)
 	}
 }
 
@@ -152,7 +183,7 @@ func TestStepperPlummerCollapse(t *testing.T) {
 func TestStepperVerifiedSteps(t *testing.T) {
 	const n, p = 1500, 4
 	b := phys.Generate(phys.ModelPlummer, n, 7)
-	st := NewStepper(Config{P: p, LeafCap: 8}, b, DefaultFallbackPolicy())
+	st := NewStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{})
 	for i := 0; i < 6; i++ {
 		if i > 0 {
 			b.Drift(0, n, 0.01)
@@ -163,7 +194,7 @@ func TestStepperVerifiedSteps(t *testing.T) {
 			t.Fatalf("forced rebuild step: fresh=%v reason=%q", res.Fresh, res.Reason)
 		}
 		if i == 3 && res.Fallback {
-			t.Fatal("caller-forced rebuild must not be reported as a policy fallback")
+			t.Fatal("caller-forced rebuild must not be reported as a rule rebuild")
 		}
 		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {

@@ -39,7 +39,7 @@ const (
 	FreshFirst = "first"
 	// FreshStep0: the caller restarted the step sequence at step 0.
 	FreshStep0 = "step0"
-	// FreshRequested: the caller set Input.Rebuild (fallback policy or
+	// FreshRequested: the caller set Input.Rebuild (the rebuild rule or
 	// an explicit client request) — served as a SPACE-style rebuild.
 	FreshRequested = "requested"
 	// FreshRestart: the body set was resized across a step-sequence

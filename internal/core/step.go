@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
@@ -14,7 +16,7 @@ import (
 // carries only the per-step control knobs.
 type StepInput struct {
 	// Rebuild forces a fresh rebuild this step regardless of what the
-	// fallback policy decided.
+	// rebuild rule decided.
 	Rebuild bool
 }
 
@@ -27,24 +29,23 @@ type StepResult struct {
 	// boundary this step (0 on fresh rebuilds, which move everything by
 	// definition).
 	ChurnFrac float64
-	// DepthSkew is max/mean live-leaf depth — the shape signal the
-	// fallback policy watches. UPDATE never collapses cells, so a
-	// long-resident tree's max leaf depth creeps up while the mean stays
-	// put. 0 for an empty tree.
+	// DepthSkew is max/mean live-leaf depth. UPDATE never collapses
+	// cells, so a long-resident tree's max leaf depth creeps up while the
+	// mean stays put. 0 for an empty tree.
 	DepthSkew float64
 	// Fresh reports the builder rebuilt from scratch; Reason names why.
 	Fresh  bool
 	Reason string
 	// Fallback reports this step's rebuild was requested by the
-	// auto-fallback policy rather than by the caller.
+	// rebuild rule rather than by the caller.
 	Fallback bool
 }
 
 // Stepper drives a resident UPDATE builder step over step, the way a
 // session does: it owns the step counter, repartitions the bodies after
-// every step so the assignment tracks the moving distribution, feeds each
-// step's churn and depth-skew stats to a FallbackController, and converts
-// the controller's verdict into an Input.Rebuild on the following step.
+// every step so the assignment tracks the moving distribution, times each
+// step for its rebuildRule, and converts the rule's verdict into an
+// Input.Rebuild on the following step.
 // This is the step-over-step surface internal/engine leases pin;
 // internal/nbody keeps its own loop because it also owns integration and
 // costzones repartitioning.
@@ -55,9 +56,13 @@ type StepResult struct {
 // generator-order indices through them, and a partition is p−1 cut
 // positions in that order.
 type Stepper struct {
-	cfg    Config
-	b      Builder
-	ctrl   *FallbackController
+	cfg  Config
+	b    Builder
+	rule rebuildRule
+	// now is the clock the rule's step times are read from, in
+	// nanoseconds; tests substitute their own.
+	now    func() int64
+	sorter partition.Sorter
 	bodies *phys.Bodies
 	// index is the identity 0..n-1. Storage order is the spatial order,
 	// so zone w of the assignment is the range index[cut[w]:cut[w+1]].
@@ -65,7 +70,7 @@ type Stepper struct {
 	cut    []int
 	assign [][]int32
 	step   int
-	// pendingRebuild is the controller's verdict from the previous step,
+	// pendingRebuild is the rule's verdict from the previous step,
 	// consumed (and reset) by the next Step call.
 	pendingRebuild bool
 	// adaptive sessions move the cuts by each step's measured insert
@@ -82,22 +87,17 @@ type Stepper struct {
 // slot back to the index the caller knew the body by. Every step's
 // assignment is a cost-balanced cut of that order, recut after each
 // build, so the partition follows the costs instead of freezing at step 0.
-func NewStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
+func NewStepper(cfg Config, bodies *phys.Bodies, _ FallbackPolicy) *Stepper {
 	cfg = cfg.Normalized()
 	st := &Stepper{
 		cfg:    cfg,
 		b:      New(UPDATE, cfg),
-		ctrl:   NewFallbackController(policy),
+		now:    func() int64 { return time.Since(clockEpoch).Nanoseconds() },
 		bodies: bodies,
 		cut:    make([]int, cfg.P+1),
 		assign: make([][]int32, cfg.P),
 	}
-	// The sort's output array, spent, becomes the identity the zones are
-	// ranges of.
-	st.index = st.resort()
-	for i := range st.index {
-		st.index[i] = int32(i)
-	}
+	st.resort()
 	partition.CostRanges(bodies.Cost, st.cut)
 	st.render()
 	return st
@@ -116,17 +116,25 @@ func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) 
 	return st
 }
 
-// resort makes the bodies' Morton order their storage order and returns
-// the order it applied. Slots change meaning, so it may run only where
+// clockEpoch anchors the steppers' monotonic clock.
+var clockEpoch = time.Now()
+
+// resort makes the bodies' Morton order their storage order, sorting in
+// the stepper's resident scratch; the spent order becomes the identity the
+// zones are ranges of. Slots change meaning, so it may run only where
 // nothing slot-keyed survives: at construction, and ahead of a build that
 // starts from scratch (which rewrites the builder's body→leaf map). The
 // cuts are positions, not bodies, so they — and the zones — survive it,
 // for static and adaptive sessions alike.
-func (st *Stepper) resort() []int32 {
+func (st *Stepper) resort() {
 	b := st.bodies
-	order := partition.Order(b.Pos, b.Bounds(rootMargin))
+	order := st.sorter.Order(b.Pos, b.Bounds(rootMargin))
 	b.Permute(order)
-	return order
+	for i := range order {
+		order[i] = int32(i)
+	}
+	st.index = order
+	st.render()
 }
 
 // render makes the assignment the cuts: zone w is the capped sub-slice
@@ -156,12 +164,13 @@ func (st *Stepper) Assign() [][]int32 { return st.assign }
 // Step builds (or repairs) the tree for the current body state and
 // advances the step counter.
 func (st *Stepper) Step(in StepInput) *StepResult {
+	t0 := st.now()
 	fallback := st.pendingRebuild && !in.Rebuild
 	st.pendingRebuild = false
 	rebuild := in.Rebuild || fallback
 	if rebuild {
 		// The bodies have drifted since the last sort — far, if the
-		// policy gave up on repair — and this build starts from scratch
+		// rule gave up on repair — and this build starts from scratch
 		// anyway: the one moment a re-sort costs nothing but itself.
 		st.resort()
 	}
@@ -188,8 +197,8 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	if ts := m.TreeStats; ts.AvgDepth > 0 {
 		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
-	st.pendingRebuild = st.ctrl.Observe(res.ChurnFrac, res.DepthSkew, m.FreshRebuild)
 	st.repartition(m)
+	st.pendingRebuild = st.rule.observe(st.now()-t0, m.FreshRebuild)
 	st.step++
 	return res
 }

@@ -19,7 +19,8 @@ import (
 func TestAdaptiveSessionResorts(t *testing.T) {
 	const n, p = 3000, 4
 	b := phys.Generate(phys.ModelPlummer, n, 13)
-	st := core.NewAdaptiveStepper(core.Config{P: p, LeafCap: 8}, b, core.FallbackPolicy{MinSteps: 1 << 20})
+	st := core.NewAdaptiveStepper(core.Config{P: p, LeafCap: 8}, b, core.FallbackPolicy{})
+	core.SteadyClock(st)
 	cuts := func() []int {
 		out := []int{0}
 		for _, zone := range st.Assign() {

@@ -14,6 +14,14 @@ import (
 // stepper sorts them in.
 const RootMargin = rootMargin
 
+// SteadyClock makes every step of st measure the same time, so its
+// rebuild rule never asks for a rebuild: a test that counts fresh builds
+// counts only its own.
+func SteadyClock(st *Stepper) {
+	tick := int64(1)
+	scriptClock(st, &tick)
+}
+
 func copyAssign(assign [][]int32) [][]int32 {
 	out := make([][]int32, len(assign))
 	for w := range assign {
@@ -50,7 +58,8 @@ func assignsEqual(a, b [][]int32) bool {
 func TestStepperRepartitionsPerStep(t *testing.T) {
 	const n, p = 2000, 4
 	b := phys.Generate(phys.ModelPlummer, n, 3)
-	st := NewStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{MinSteps: 1 << 20})
+	st := NewStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{})
+	SteadyClock(st)
 	step0 := copyAssign(st.Assign())
 	if err := partition.Validate(step0, n); err != nil {
 		t.Fatalf("step-0 assignment: %v", err)
@@ -91,7 +100,8 @@ func TestAdaptiveStepperPlumbing(t *testing.T) {
 	const n, p, steps = 4000, 4, 10
 	b := phys.Generate(phys.ModelPlummer, n, 41)
 	reps, corr, sess := adaptRepartitions.Value(), adaptCorrections.Value(), adaptSessions.Value()
-	st := NewAdaptiveStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{MinSteps: 1 << 20})
+	st := NewAdaptiveStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{})
+	SteadyClock(st)
 	want := make([]int, p+1)
 	for i := 0; i < steps; i++ {
 		if i > 0 {

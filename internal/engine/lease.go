@@ -24,7 +24,7 @@ var (
 )
 
 // Lease is one long-lived simulation session: a pinned core.Stepper
-// (resident UPDATE builder + body state + fallback controller) plus the
+// (resident UPDATE builder + body state + rebuild rule) plus the
 // lifecycle around it. Leases are capacity-accounted separately from
 // one-shot build slots — an idle lease holds memory, not a build slot —
 // but every Step borrows a build slot for its duration, so step CPU and

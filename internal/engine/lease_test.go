@@ -15,7 +15,7 @@ import (
 func testStepper(t *testing.T, n, p int, seed int64) *core.Stepper {
 	t.Helper()
 	b := phys.Generate(phys.ModelPlummer, n, seed)
-	return core.NewStepper(core.Config{P: p, LeafCap: 8}, b, core.DefaultFallbackPolicy())
+	return core.NewStepper(core.Config{P: p, LeafCap: 8}, b, core.FallbackPolicy{})
 }
 
 func TestLeaseLifecycle(t *testing.T) {

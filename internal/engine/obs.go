@@ -37,7 +37,7 @@ func newEngineObs() engineObs {
 		leasesClosed:   obs.NewCounter("partree_session_closed_total", "Session leases closed by their owner (or by drain)."),
 		leasesEvicted:  obs.NewCounter("partree_session_evicted_total", "Session leases evicted by the idle-deadline janitor."),
 		leaseRejected:  obs.NewCounter("partree_session_rejected_total", "Session opens rejected (lease capacity or draining)."),
-		leaseFallbacks: obs.NewCounter("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions."),
+		leaseFallbacks: obs.NewCounter("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions."), // the policy is core.Stepper's rebuild rule
 		leaseUnplanned: obs.NewCounter("partree_session_unplanned_rebuilds_total", "Fresh rebuilds on steps that expected incremental repair."),
 		stepSeconds: obs.NewHistogramVec("partree_session_step_seconds",
 			"Session step wall time, by serving mode (incremental update vs fresh rebuild).",

@@ -18,7 +18,7 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 	const n, p, steps = 1200, 2, 3
 	e := New(Options{MaxActive: 1})
 	bodies := phys.Generate(phys.ModelPlummer, n, 3)
-	l, err := e.OpenLease(core.NewStepper(core.Config{P: p, LeafCap: 8}, bodies, core.DefaultFallbackPolicy()), time.Minute)
+	l, err := e.OpenLease(core.NewStepper(core.Config{P: p, LeafCap: 8}, bodies, core.FallbackPolicy{}), time.Minute)
 	if err != nil {
 		t.Fatalf("OpenLease: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestQueueWaitStampedOnRequest(t *testing.T) {
 
 	// Path 2: a lease Step waiting on the same slot (s2 still holds it).
 	bodies := phys.Generate(phys.ModelPlummer, 300, 7)
-	l, err := e.OpenLease(core.NewStepper(core.Config{P: 1, LeafCap: 8}, bodies, core.DefaultFallbackPolicy()), time.Minute)
+	l, err := e.OpenLease(core.NewStepper(core.Config{P: 1, LeafCap: 8}, bodies, core.FallbackPolicy{}), time.Minute)
 	if err != nil {
 		t.Fatalf("OpenLease: %v", err)
 	}

@@ -100,10 +100,26 @@ const (
 // result is the one a comparison sort on (key, index) produces. Scratch
 // is the key array and one spare index array, released on return.
 func Order(pos []vec.V3, domain vec.Cube) []int32 {
+	return new(Sorter).Order(pos, domain)
+}
+
+// Sorter is Order with its scratch kept: the key array and both index
+// arrays, grown to the largest set sorted. A caller that re-sorts one
+// body set keeps a Sorter and allocates nothing after the first sort.
+type Sorter struct {
+	keys     []uint64
+	src, dst []int32
+}
+
+// Order is partition.Order into s's arrays. The result is one of them:
+// it holds until the next call.
+func (s *Sorter) Order(pos []vec.V3, domain vec.Cube) []int32 {
 	n := len(pos)
+	if cap(s.keys) < n {
+		s.keys, s.src, s.dst = make([]uint64, n), make([]int32, n), make([]int32, n)
+	}
 	k := NewKeyer(domain)
-	keys := make([]uint64, n)
-	src, dst := make([]int32, n), make([]int32, n)
+	keys, src, dst := s.keys[:n], s.src[:n], s.dst[:n]
 	var hist [passes][1 << digitBits]int32
 	for i, p := range pos {
 		key := k.Key(p)

@@ -109,26 +109,51 @@ func (b *Bodies) Clone() *Bodies {
 // was in slot order[j]; order must be a permutation of 0..N-1. Every
 // column moves with its body — ID included, so ID keeps naming each
 // slot's generator index and a second Permute composes with the first.
-// The slice headers stay put (holders of b.Pos keep seeing the set);
-// the scratch is one column at a time, released on return.
+// The slice headers stay put (holders of b.Pos keep seeing the set).
+// It walks the permutation's cycles, moving each body once, so its only
+// scratch is one bit per slot marking the slots already filled.
 func (b *Bodies) Permute(order []int32) {
-	if len(order) != b.N() {
-		panic(fmt.Sprintf("phys: Permute order has %d entries for %d bodies", len(order), b.N()))
+	n := b.N()
+	if len(order) != n {
+		panic(fmt.Sprintf("phys: Permute order has %d entries for %d bodies", len(order), n))
 	}
-	permute(b.Pos, order)
-	permute(b.Vel, order)
-	permute(b.Acc, order)
-	permute(b.Mass, order)
-	permute(b.Cost, order)
-	permute(b.ID, order)
+	filled := make([]uint64, (n+63)/64)
+	isFilled := func(j int) bool { return filled[j>>6]&(1<<(j&63)) != 0 }
+	for start := range order {
+		if isFilled(start) {
+			continue
+		}
+		held := b.row(start)
+		for j := start; ; {
+			filled[j>>6] |= 1 << (j & 63)
+			i := int(order[j])
+			if i == start {
+				b.setRow(j, held)
+				break
+			}
+			if isFilled(i) {
+				panic(fmt.Sprintf("phys: Permute order names slot %d twice", i))
+			}
+			b.setRow(j, b.row(i))
+			j = i
+		}
+	}
 }
 
-func permute[T any](col []T, order []int32) {
-	moved := make([]T, len(col))
-	for j, i := range order {
-		moved[j] = col[i]
-	}
-	copy(col, moved)
+// row is one body across every column: the unit Permute moves.
+type row struct {
+	pos, vel, acc vec.V3
+	mass          float64
+	cost          int64
+	id            int32
+}
+
+func (b *Bodies) row(i int) row {
+	return row{b.Pos[i], b.Vel[i], b.Acc[i], b.Mass[i], b.Cost[i], b.ID[i]}
+}
+
+func (b *Bodies) setRow(j int, r row) {
+	b.Pos[j], b.Vel[j], b.Acc[j], b.Mass[j], b.Cost[j], b.ID[j] = r.pos, r.vel, r.acc, r.mass, r.cost, r.id
 }
 
 // Validate checks the store for internal consistency (parallel slices of

@@ -307,3 +307,42 @@ func TestPermuteMovesEveryColumnWithItsBody(t *testing.T) {
 		}
 	}
 }
+
+// TestPermuteMatchesGather holds the in-place cycle walk to the gather it
+// replaced — slot j of every column takes slot order[j] of a copy — on
+// random permutations, the identity and one n-cycle, and to at most one
+// allocation (its marks).
+func TestPermuteMatchesGather(t *testing.T) {
+	const n = 777
+	orig := Generate(ModelPlummer, n, 3)
+	for i := range orig.Cost {
+		orig.Acc[i] = vec.V3{X: float64(i), Y: 1, Z: -float64(i)}
+		orig.Cost[i] = int64(7*i + 2)
+	}
+	rng := rand.New(rand.NewSource(4))
+	orders := map[string][]int32{"identity": make([]int32, n), "one n-cycle": make([]int32, n)}
+	for j := range n {
+		orders["identity"][j] = int32(j)
+		orders["one n-cycle"][j] = int32((j + 1) % n)
+	}
+	for k := range 3 {
+		order := make([]int32, n)
+		for j, i := range rng.Perm(n) {
+			order[j] = int32(i)
+		}
+		orders[string(rune('a'+k))+": random"] = order
+	}
+	for name, order := range orders {
+		b := orig.Clone()
+		b.Permute(order)
+		for j, i := range order {
+			if b.Pos[j] != orig.Pos[i] || b.Vel[j] != orig.Vel[i] || b.Acc[j] != orig.Acc[i] ||
+				b.Mass[j] != orig.Mass[i] || b.Cost[j] != orig.Cost[i] || b.ID[j] != orig.ID[i] {
+				t.Fatalf("%s: slot %d does not hold what slot %d held", name, j, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { b.Permute(order) }); allocs > 1 {
+			t.Fatalf("%s: Permute made %v allocations, want at most 1", name, allocs)
+		}
+	}
+}

@@ -51,7 +51,7 @@ type SessionStep struct {
 	Drift bool `json:"drift,omitempty"`
 	// Collapse pulls bodies toward the origin with a free-fall-like
 	// profile (outer shells fall faster): r ← r/(1+c·|r|). A synthetic
-	// high-churn workload for exercising the fallback policy.
+	// high-churn motion that decays a resident tree fast.
 	Collapse float64 `json:"collapse,omitempty"`
 	// Rebuild forces a fresh SPACE rebuild this step.
 	Rebuild bool `json:"rebuild,omitempty"`
@@ -75,7 +75,9 @@ type SessionStepResult struct {
 	Mode string `json:"mode"`
 	// Reason names why a rebuild step started fresh ("" on updates).
 	Reason string `json:"reason,omitempty"`
-	// Fallback marks a rebuild forced by the auto-fallback policy.
+	// Fallback marks a rebuild the session's rebuild rule asked for:
+	// repairs had slowed, since the last fresh tree, by as much time as
+	// that tree took to build.
 	Fallback  bool    `json:"fallback,omitempty"`
 	Moved     int64   `json:"moved"`
 	Churn     float64 `json:"churn"`
