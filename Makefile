@@ -116,8 +116,10 @@ cmds:
 # surface holds the serving surface to one copy of each rule: the method
 # check (and its 405) lives in the request envelope alone, the session
 # open record is declared in internal/wire alone (benchmark/ keeps its
-# own copy as the byte-compatibility witness), and no command re-declares
-# a wire record.
+# own copy as the byte-compatibility witness), no command re-declares
+# a wire record, and internal/workload stays traffic only: the daemon
+# generates every body set from a phys model, so no body generator or
+# integrator grows back beside the arrival model.
 surface:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build 'http\.StatusMethodNotAllowed' . | wc -l); \
 		test "$$n" = 1 || { echo "http.StatusMethodNotAllowed must appear in exactly one non-test file (found $$n)" >&2; exit 1; }
@@ -125,6 +127,8 @@ surface:
 		test "$$n" = 1 || { echo "the session open record must be declared in exactly one file outside benchmark/ (found $$n)" >&2; exit 1; }
 	@! grep -rnE --include='*.go' 'type .*Wire struct' cmd || \
 		{ echo "cmd/ must not declare wire records; they live in internal/wire" >&2; exit 1; }
+	@! grep -rlE --include='*.go' --exclude='*_test.go' '"partree/internal/(phys|force|octree)"' internal/workload || \
+		{ echo "internal/workload must not import phys, force or octree outside its tests" >&2; exit 1; }
 
 # reach holds every package under internal/ to being read by a shipped
 # program: a binary under cmd/, a hypothesis driver, or the benchmark

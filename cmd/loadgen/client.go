@@ -18,7 +18,6 @@ import (
 	"partree/internal/obs"
 	"partree/internal/runner"
 	"partree/internal/wire"
-	"partree/internal/workload"
 )
 
 // arrivalResult is what one scheduled arrival produced. Outcome is one
@@ -62,35 +61,19 @@ func traceparentFor(seed int64, id int) string {
 	return "00-" + hex.EncodeToString(sum[:16]) + "-" + hex.EncodeToString(sum[16:24]) + "-01"
 }
 
-// runSession drives one streaming session through cfg.steps timesteps.
-// When the scenario regenerates server-side (ServerModel ok), steps are
-// cheap {"drift":true} records; otherwise loadgen evolves the bodies
-// locally and streams full position arrays — the client-motion path
-// that makes evolving and parameterized scenarios reach the daemon.
+// runSession drives one streaming session through cfg.steps timesteps:
+// the daemon generates the model's bodies, and every step after the
+// first is a {"drift":true} record that moves them server-side.
 func runSession(ctx context.Context, cfg config, id int, at time.Duration) arrivalResult {
 	res := arrivalResult{ID: id, AtNs: int64(at), Outcome: "failed"}
-	seed := cfg.seed + int64(id)
 	open := wire.SessionOpen{
-		Procs: cfg.procs, Bodies: cfg.n, Seed: seed,
+		Procs: cfg.procs, Bodies: cfg.n, Seed: cfg.seed + int64(id),
+		Model: cfg.model.String(), Dt: 0.01,
 		Adaptive: cfg.adaptive, IdleTimeoutMs: cfg.idleMs,
-	}
-	model, serverSide := cfg.scenario.ServerModel()
-	var ev *workload.Evolver
-	if serverSide {
-		open.Model = model
-		open.Dt = 0.01
-	} else {
-		// The server's own bodies are placeholders; every step overwrites
-		// positions with the client's evolving scenario.
-		b, err := cfg.scenario.Generate(cfg.n, seed)
-		if err != nil {
-			return res
-		}
-		ev = workload.NewEvolver(b, cfg.scenario.StepDt())
 	}
 
 	start := time.Now()
-	sess, err := wire.OpenSession(ctx, cfg.target(id), traceparentFor(cfg.seed, id), open)
+	sess, err := wire.OpenSession(ctx, cfg.url, traceparentFor(cfg.seed, id), open)
 	if err != nil {
 		return res
 	}
@@ -109,19 +92,7 @@ func runSession(ctx context.Context, cfg config, id int, at time.Duration) arriv
 		return res
 	}
 	for s := 0; s < cfg.steps; s++ {
-		var step wire.SessionStep
-		if serverSide {
-			step.Drift = s > 0
-		} else {
-			if s > 0 {
-				ev.Step()
-			}
-			step.Pos = make([][3]float64, ev.B.N())
-			for i, p := range ev.B.Pos {
-				step.Pos[i] = [3]float64{p.X, p.Y, p.Z}
-			}
-		}
-		if err := sess.Send(step); err != nil {
+		if err := sess.Send(wire.SessionStep{Drift: s > 0}); err != nil {
 			return res
 		}
 		if r, err = sess.Recv(); err != nil {
@@ -175,18 +146,17 @@ func runSession(ctx context.Context, cfg config, id int, at time.Duration) arriv
 // runner's memo cache cannot collapse the load into one build.
 func runBuild(ctx context.Context, cfg config, id int, at time.Duration) arrivalResult {
 	res := arrivalResult{ID: id, AtNs: int64(at), Outcome: "failed"}
-	model, _ := cfg.scenario.ServerModel()
 	spec := runner.Spec{
 		Backend: runner.Native, Alg: core.SPACE, Procs: cfg.procs,
 		Bodies: cfg.n, Steps: 1, Seed: cfg.seed + int64(id),
-		Model: model, BuildOnly: true,
+		Model: cfg.model.String(), BuildOnly: true,
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return res
 	}
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.target(id)+"/v1/build", strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.url+"/v1/build", strings.NewReader(string(body)))
 	if err != nil {
 		return res
 	}

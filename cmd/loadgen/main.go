@@ -1,14 +1,14 @@
-// Command loadgen drives a live partreed with a scenario × arrival
-// process workload and writes a replayable report. It is the traffic
-// half of internal/workload: a physical scenario picks what each
-// request computes (disk galaxy, colliding clusters, hierarchical
-// halos, evolving variants), an arrival process picks when requests
-// fire (Poisson, bursty, diurnal, or a replayed NDJSON trace), and the
+// Command loadgen drives a live partreed (or partree-router) with a
+// model × arrival process workload and writes a replayable report. The
+// scenario names one of phys's mass models, which the daemon generates
+// for each request (plummer, uniform, twoclusters, disk, hierarchical);
+// an arrival process from internal/workload picks when requests fire
+// (Poisson, bursty, diurnal, or a replayed NDJSON trace), and the
 // daemon's admission control decides what survives.
 //
 // Usage:
 //
-//	loadgen -url http://127.0.0.1:9732 [-targets u1,u2,...] [-mode session|build]
+//	loadgen -url http://127.0.0.1:9732 [-mode session|build]
 //	        [-scenario disk] [-arrival bursty:rate=60,on=250ms,off=250ms]
 //	        [-horizon 5s] [-speedup 0] [-n 2048] [-procs 2] [-steps 8]
 //	        [-seed 1998] [-timeout 60s] [-adaptive] [-idle-ms 0] [-linger]
@@ -30,11 +30,6 @@
 //     latency percentiles (p50/p95/p99), queue-depth samples. Never
 //     byte-stable, by design.
 //
-// With -targets, arrivals round-robin across several daemons (or
-// routers) by arrival ID — a pure function of the schedule, so the
-// determinism contract holds — and the report gains a per-target
-// outcome section; counter deltas are summed across the fleet.
-//
 // The -timeout bound is mandatory: a load run that can hang is worse
 // than no run, so loadgen refuses to start without one and exits 1 if
 // the horizon's work does not complete inside it.
@@ -53,13 +48,14 @@ import (
 	"time"
 
 	"partree/internal/obs"
+	"partree/internal/phys"
 	"partree/internal/workload"
 )
 
 type config struct {
-	targets  []string
+	url      string
 	mode     string
-	scenario workload.Scenario
+	model    phys.Model
 	arrival  workload.Process
 	horizon  time.Duration
 	speedup  float64
@@ -73,19 +69,11 @@ type config struct {
 	linger   bool
 }
 
-// target picks the base URL arrival id fires at: round-robin by ID, so
-// the target assignment is a pure function of the schedule and stays
-// byte-deterministic in the report.
-func (c config) target(id int) string {
-	return c.targets[id%len(c.targets)]
-}
-
 func main() {
 	var (
-		url      = flag.String("url", "", "base URL of a running partreed (required unless -targets is given)")
-		targets  = flag.String("targets", "", "comma-separated base URLs; arrivals round-robin across them (overrides -url)")
+		url      = flag.String("url", "", "base URL of a running partreed or partree-router (required)")
 		mode     = flag.String("mode", "session", "what each arrival does: session (streaming /v1/session) or build (one-shot /v1/build)")
-		scenario = flag.String("scenario", "plummer", "physical scenario spec, e.g. disk, collision:impact=1.5, hierarchical:evolve=4")
+		scenario = flag.String("scenario", "plummer", "mass model the daemon generates: "+strings.Join(phys.ModelNames(), ", "))
 		arrival  = flag.String("arrival", "poisson:rate=20", "arrival process spec, e.g. bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6")
 		horizon  = flag.Duration("horizon", 5*time.Second, "virtual-time horizon the arrival schedule covers")
 		speedup  = flag.Float64("speedup", 0, "virtual seconds per real second (0 = fire as fast as possible, order preserved)")
@@ -104,11 +92,7 @@ func main() {
 	)
 	flag.Parse()
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)).With("bin", "loadgen"))
-	urls := *targets
-	if urls == "" {
-		urls = *url
-	}
-	if err := run(urls, *mode, *scenario, *arrival, *horizon, *speedup, *n, *procs,
+	if err := run(*url, *mode, *scenario, *arrival, *horizon, *speedup, *n, *procs,
 		*steps, *seed, *timeout, *adaptive, *idleMs, *linger,
 		*traceIn, *traceOut, *report, *timings); err != nil {
 		slog.Error("loadgen failed", "err", err)
@@ -116,21 +100,14 @@ func main() {
 	}
 }
 
-func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
+func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 	speedup float64, n, procs, steps int, seed int64, timeout time.Duration,
 	adaptive bool, idleMs int64, linger bool,
 	traceIn, traceOut, reportPath, timingsPath string) error {
 
-	// urls is -targets (or the lone -url): comma-separated base URLs the
-	// arrivals round-robin across.
-	var tg []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-			tg = append(tg, u)
-		}
-	}
-	if len(tg) == 0 {
-		return fmt.Errorf("-url or -targets is required (running partreed/router base URLs)")
+	url = strings.TrimRight(strings.TrimSpace(url), "/")
+	if url == "" {
+		return fmt.Errorf("-url is required (a running partreed or partree-router base URL)")
 	}
 	if timeout <= 0 {
 		return fmt.Errorf("a positive -timeout is mandatory: a load run must not be able to hang")
@@ -138,17 +115,14 @@ func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
 	if mode != "session" && mode != "build" {
 		return fmt.Errorf("-mode must be session or build, got %q", mode)
 	}
-	sc, err := workload.ParseScenario(scenarioSpec)
-	if err != nil {
-		return err
+	model, ok := phys.ParseModel(scenario)
+	if !ok {
+		return fmt.Errorf("-scenario %q is not a mass model (valid: %s)", scenario, strings.Join(phys.ModelNames(), ", "))
 	}
 	cfg := config{
-		targets: tg, mode: mode, scenario: sc,
+		url: url, mode: mode, model: model,
 		horizon: horizon, speedup: speedup, n: n, procs: procs, steps: steps,
 		seed: seed, timeout: timeout, adaptive: adaptive, idleMs: idleMs, linger: linger,
-	}
-	if _, ok := sc.ServerModel(); !ok && mode == "build" {
-		return fmt.Errorf("scenario %s needs client-driven motion, which build mode cannot stream (use -mode session)", sc.Name())
 	}
 
 	// The schedule: sampled from the arrival process, or replayed.
@@ -184,22 +158,17 @@ func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
 	if len(schedule) == 0 {
 		return fmt.Errorf("the arrival schedule is empty (horizon %s at rate %g)", horizon, cfg.arrival.MeanRate())
 	}
-	slog.Info("run starting", "mode", mode, "scenario", sc.Name(),
+	slog.Info("run starting", "mode", mode, "scenario", model.String(),
 		"arrival", cfg.arrival.Name(), "arrivals", len(schedule), "timeout", timeout)
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	// Counter deltas are accounted per target and summed in the report;
-	// the queue sampler watches the first target only (the measured CSV
-	// is not byte-stable anyway, and one depth series keeps it readable).
-	before := make([]metricsSnapshot, len(cfg.targets))
-	for ti, u := range cfg.targets {
-		if before[ti], err = obs.Scrape(ctx, u); err != nil {
-			return fmt.Errorf("scraping %s/metrics before the run: %w", u, err)
-		}
+	before, err := obs.Scrape(ctx, url)
+	if err != nil {
+		return fmt.Errorf("scraping %s/metrics before the run: %w", url, err)
 	}
-	sampler := startQueueSampler(ctx, cfg.targets[0])
+	sampler := startQueueSampler(ctx, url)
 
 	// Fire the schedule. Each arrival runs on its own goroutine; pacing
 	// happens here on the launch path so ordering is the schedule's.
@@ -234,11 +203,9 @@ func run(urls, mode, scenarioSpec, arrivalSpec string, horizon time.Duration,
 	wall := time.Since(start)
 	depths := sampler.stop()
 
-	after := make([]metricsSnapshot, len(cfg.targets))
-	for ti, u := range cfg.targets {
-		if after[ti], err = obs.Scrape(context.Background(), u); err != nil {
-			return fmt.Errorf("scraping %s/metrics after the run: %w", u, err)
-		}
+	after, err := obs.Scrape(context.Background(), url)
+	if err != nil {
+		return fmt.Errorf("scraping %s/metrics after the run: %w", url, err)
 	}
 
 	rep := buildReport(cfg, schedule, traceBytes.Bytes(), results, before, after)

@@ -209,30 +209,6 @@ func TestSessionRunDeterministicReport(t *testing.T) {
 	}
 }
 
-// TestClientMotionScenario streams an evolving parameterized scenario
-// (no server-side model) through sessions: positions travel on the
-// wire, so the server must report real churn.
-func TestClientMotionScenario(t *testing.T) {
-	url := startPartreed(t)
-	rep := filepath.Join(t.TempDir(), "report.json")
-	err := run(url, "session", "collision:speed=0.5", "poisson:rate=8",
-		time.Second, 0, 400, 2, 3, 7, 60*time.Second,
-		false, 0, false, "", "", rep, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := readReport(t, rep)
-	if r.Outcomes.OK == 0 || r.Outcomes.Failed > 0 {
-		t.Fatalf("outcomes = %+v", r.Outcomes)
-	}
-	for _, s := range r.Sessions {
-		if s.Moved == 0 || s.ChurnSum == 0 {
-			t.Errorf("session %d reports no churn (moved=%d churn=%g); client motion never reached the server",
-				s.ID, s.Moved, s.ChurnSum)
-		}
-	}
-}
-
 // TestBuildOverloadMatchesRejectedCounter hammers a 1-active/1-queue
 // daemon with concurrent build arrivals: the client-observed 503 count
 // must equal the server's partree_engine_rejected_total delta.
@@ -256,49 +232,6 @@ func TestBuildOverloadMatchesRejectedCounter(t *testing.T) {
 	if counted != int64(r.Outcomes.Rejected) {
 		t.Errorf("client saw %d rejections, server counters moved by %d (%v)",
 			r.Outcomes.Rejected, counted, r.Metrics.EngineRejected)
-	}
-}
-
-// TestMultiTargetRoundRobin drives two partreed daemons through one
-// run with -targets semantics: arrivals must round-robin by ID, the
-// report must gain a per-target breakdown that sums to the global
-// outcome counts, and the metrics delta must account for both daemons.
-func TestMultiTargetRoundRobin(t *testing.T) {
-	// speedup=0 fires the whole schedule at once, so the queues must
-	// hold one target's half of the arrivals for the all-ok assertion.
-	u1 := startPartreed(t, "-max-queue", "64")
-	u2 := startPartreed(t, "-max-queue", "64")
-	rep := filepath.Join(t.TempDir(), "report.json")
-	err := run(u1+","+u2, "build", "plummer", "poisson:rate=20",
-		time.Second, 0, 512, 2, 1, 1998, 60*time.Second,
-		false, 0, false, "", "", rep, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := readReport(t, rep)
-	if r.Outcomes.OK == 0 || r.Outcomes.Failed > 0 || r.Outcomes.Rejected > 0 {
-		t.Fatalf("outcomes = %+v, want all-ok under ample capacity", r.Outcomes)
-	}
-	if len(r.Targets) != 2 {
-		t.Fatalf("report has %d target entries, want 2", len(r.Targets))
-	}
-	if r.Targets[0].URL != u1 || r.Targets[1].URL != u2 {
-		t.Errorf("target URLs = %q, %q; want %q, %q", r.Targets[0].URL, r.Targets[1].URL, u1, u2)
-	}
-	var arrivals, ok int
-	for _, tt := range r.Targets {
-		arrivals += tt.Arrivals
-		ok += tt.Outcomes.OK
-		if tt.Arrivals == 0 {
-			t.Errorf("target %s received no arrivals; round-robin never reached it", tt.URL)
-		}
-	}
-	if arrivals != r.Schedule.Arrivals || ok != r.Outcomes.OK {
-		t.Errorf("per-target sums (arrivals=%d ok=%d) disagree with the run totals (%d, %d)",
-			arrivals, ok, r.Schedule.Arrivals, r.Outcomes.OK)
-	}
-	if d := r.Targets[0].Arrivals - r.Targets[1].Arrivals; d < -1 || d > 1 {
-		t.Errorf("round-robin split %d/%d is not balanced", r.Targets[0].Arrivals, r.Targets[1].Arrivals)
 	}
 }
 

@@ -15,14 +15,10 @@ import (
 )
 
 type report struct {
-	Loadgen  runConfig     `json:"loadgen"`
-	Schedule scheduleInfo  `json:"schedule"`
-	Outcomes outcomeCounts `json:"outcomes"`
-	// Targets breaks the outcomes down per base URL when the run
-	// round-robins over more than one (-targets); omitted for the
-	// single-URL case so existing reports stay byte-identical.
-	Targets  []targetOutcomes `json:"targets,omitempty"`
-	Sessions []sessionEntry   `json:"sessions,omitempty"`
+	Loadgen  runConfig      `json:"loadgen"`
+	Schedule scheduleInfo   `json:"schedule"`
+	Outcomes outcomeCounts  `json:"outcomes"`
+	Sessions []sessionEntry `json:"sessions,omitempty"`
 	// Slow points at the run's tail: the request IDs behind the
 	// p99-slowest build / session step. The IDs are deterministic
 	// (loadgen mints them), but *which* request was slowest is
@@ -76,14 +72,6 @@ type outcomeCounts struct {
 	Unlaunched int `json:"unlaunched"`
 }
 
-// targetOutcomes is one target's slice of the run: which base URL,
-// how many arrivals the round-robin handed it, and how they went.
-type targetOutcomes struct {
-	URL      string        `json:"url"`
-	Arrivals int           `json:"arrivals"`
-	Outcomes outcomeCounts `json:"outcomes"`
-}
-
 // sessionEntry is one session's server-reported deterministic
 // aggregates, keyed and sorted by arrival ID.
 type sessionEntry struct {
@@ -124,11 +112,11 @@ func (o *outcomeCounts) tally(outcome string) {
 }
 
 func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
-	results []arrivalResult, before, after []metricsSnapshot) report {
+	results []arrivalResult, before, after metricsSnapshot) report {
 
 	rep := report{
 		Loadgen: runConfig{
-			Mode: cfg.mode, Scenario: cfg.scenario.Name(), Arrival: cfg.arrival.Name(),
+			Mode: cfg.mode, Scenario: cfg.model.String(), Arrival: cfg.arrival.Name(),
 			HorizonNs: int64(cfg.horizon), Speedup: cfg.speedup,
 			Bodies: cfg.n, Procs: cfg.procs, Steps: cfg.steps, Seed: cfg.seed,
 			Adaptive: cfg.adaptive, Linger: cfg.linger,
@@ -140,15 +128,8 @@ func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
 			LastNs:   int64(schedule[len(schedule)-1]),
 		},
 	}
-	perTarget := make([]targetOutcomes, len(cfg.targets))
-	for ti, u := range cfg.targets {
-		perTarget[ti].URL = u
-	}
 	for _, r := range results {
 		rep.Outcomes.tally(r.Outcome)
-		tt := &perTarget[r.ID%len(cfg.targets)]
-		tt.Arrivals++
-		tt.Outcomes.tally(r.Outcome)
 		if cfg.mode == "session" {
 			rep.Sessions = append(rep.Sessions, sessionEntry{
 				ID: r.ID, AtNs: r.AtNs, RequestID: r.RequestID,
@@ -158,21 +139,10 @@ func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
 			})
 		}
 	}
-	if len(cfg.targets) > 1 {
-		rep.Targets = perTarget
-	}
 	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].ID < rep.Sessions[j].ID })
 	rep.Slow = slowPointersFor(cfg.mode, results)
 
-	// Counter deltas sum across the fleet: each target's before→after
-	// difference, added up.
-	d := func(name string) int64 {
-		var t float64
-		for ti := range after {
-			t += after[ti].sum(name) - before[ti].sum(name)
-		}
-		return int64(t)
-	}
+	d := func(name string) int64 { return int64(after.sum(name) - before.sum(name)) }
 	rep.Metrics = metricsDelta{
 		EngineRejected: map[string]int64{
 			"cancelled":  d(`partree_engine_rejected_total{reason="cancelled"}`),

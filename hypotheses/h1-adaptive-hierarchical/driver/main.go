@@ -113,7 +113,7 @@ func main() {
 
 	// Morton-resident, as core.Stepper keeps a session's bodies (the
 	// margin is the builders' root margin).
-	b := phys.Hierarchical(*n, *seed, phys.HierarchicalParams{})
+	b := phys.Generate(phys.ModelHierarchical, *n, *seed)
 	b.Permute(partition.Order(b.Pos, b.Bounds(1e-4)))
 	truth := densityCosts(b, *radius)
 

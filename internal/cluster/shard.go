@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -170,26 +172,37 @@ func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 	return b
 }
 
+// decodeShardBuild reads one ShardBuildRequest, which must be the whole
+// body, and vets its spec (runner.VetServiceSpec). The cluster tier
+// executes real shard-local builds; the simulated backend has no
+// meaning here, so the field is pinned rather than silently defaulting
+// to a simulation.
+func decodeShardBuild(r io.Reader) (ShardBuildRequest, error) {
+	var br ShardBuildRequest
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&br); err != nil {
+		return br, fmt.Errorf("parsing request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return br, errors.New("parsing request: trailing data after the request document")
+	}
+	var err error
+	br.Spec, err = runner.VetServiceSpec(br.Spec, true)
+	return br, err
+}
+
 func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	arrived := time.Now()
-	var br ShardBuildRequest
-	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing request: %v", err))
+	br, err := decodeShardBuild(req.Body)
+	if err != nil {
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !s.checkVersion(w, br.MapVersion) {
 		return
 	}
-	// The cluster tier executes real shard-local builds; the simulated
-	// backend has no meaning here, so the field is pinned rather than
-	// silently defaulting to a simulation.
-	spec, err := runner.VetServiceSpec(br.Spec, true)
-	if err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 
-	all := s.bodiesFor(spec)
+	all := s.bodiesFor(br.Spec)
 	// Key the full set against the *map's* domain — every shard computes
 	// identical keys, so the owned subsets tile the body set exactly.
 	keyer := partition.NewKeyer(s.m.Domain.Cube())
@@ -206,7 +219,7 @@ func (s *ShardServer) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if len(owned) > 0 {
 		// The owned subset is private to this request, so the build
 		// runs on it in place.
-		r := runner.BuildOnly(req.Context(), spec, subset(all, owned), s.eng)
+		r := runner.BuildOnly(req.Context(), br.Spec, subset(all, owned), s.eng)
 		res.BodiesBuilt, res.TreeNs = r.BodiesBuilt, r.TreeNs
 		res.LocksTotal, res.Retries = r.LocksTotal, r.Retries
 		res.Cells, res.Leaves, res.MaxDepth = r.Cells, r.Leaves, r.MaxDepth

@@ -10,7 +10,6 @@ import (
 	"partree/internal/par"
 	"partree/internal/phys"
 	"partree/internal/vec"
-	"partree/internal/workload"
 )
 
 // refSpacePartition is the counting partition as it stood before it
@@ -178,9 +177,9 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 // TestSpacePartitionMatchesReference: the counting sort returns, element
 // for element, the subspaces the per-processor-list partition returned —
 // same order, cubes, counts, owners and per-subspace body order — on
-// every workload scenario, across sizes, processor counts, thresholds
-// and assignments, the lopsided ones included: its slices are cut from
-// the shared array, not from Assign.
+// every mass model and on two clusters mid-collision, across sizes,
+// processor counts, thresholds and assignments, the lopsided ones
+// included: its slices are cut from the shared array, not from Assign.
 func TestSpacePartitionMatchesReference(t *testing.T) {
 	assigns := []struct {
 		name string
@@ -202,17 +201,36 @@ func TestSpacePartitionMatchesReference(t *testing.T) {
 			return a
 		}},
 	}
-	var sc spaceScratch
-	for _, kind := range workload.ScenarioNames() {
-		for _, n := range []int{1, 9, 513, 20000} {
-			b, err := workload.Scenario{Kind: kind}.Generate(n, 7)
-			if err != nil {
-				t.Fatal(err)
+	type bodySet struct {
+		name string
+		make func(n int) *phys.Bodies
+	}
+	sets := []bodySet{
+		// twoclusters' spheres moved from 6 apart to 1, their dense
+		// cores overlapping as they merge.
+		{"collision", func(n int) *phys.Bodies {
+			b := phys.Generate(phys.ModelTwoClusters, n, 7)
+			for i := range b.Pos {
+				if i < n/2 {
+					b.Pos[i].X -= 2.5
+				} else {
+					b.Pos[i].X += 2.5
+				}
 			}
+			return b
+		}},
+	}
+	for _, m := range phys.Models() {
+		sets = append(sets, bodySet{m.String(), func(n int) *phys.Bodies { return phys.Generate(m, n, 7) }})
+	}
+	var sc spaceScratch
+	for _, set := range sets {
+		for _, n := range []int{1, 9, 513, 20000} {
+			b := set.make(n)
 			for _, p := range []int{1, 2, 3, 4, 7} {
 				for _, as := range assigns {
 					for _, configured := range []int{0, 8} {
-						t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s/th=%d", kind, n, p, as.name, configured), func(t *testing.T) {
+						t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s/th=%d", set.name, n, p, as.name, configured), func(t *testing.T) {
 							partitionBoth(t, &sc, b, as.make(b, p), SpaceThreshold(configured, 8, n, p))
 						})
 					}

@@ -174,7 +174,7 @@ func moveRounds(t *testing.T, b *phys.Bodies, truth []int64, p, rounds int) (sta
 // cut moves must bring the max/mean skew strictly below it, within 1.10
 // in 10 rounds, at p ∈ {4, 8} — h1's verdict, as a unit test.
 func TestAdaptiveBeatsStaticOnHierarchical(t *testing.T) {
-	b := resident(phys.Hierarchical(4000, 7, phys.HierarchicalParams{}))
+	b := resident(phys.Generate(phys.ModelHierarchical, 4000, 7))
 	truth := densityCosts(b, 0.2)
 	for _, p := range []int{4, 8} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {

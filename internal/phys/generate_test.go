@@ -82,20 +82,6 @@ func refTwoClusters(n int, r *rand.Rand) *Bodies {
 	return refConcat(n, n1, a, c)
 }
 
-func refCollision(n int, seed int64, p CollisionParams) *Bodies {
-	p = p.withDefaults()
-	r := rand.New(rand.NewSource(seed))
-	n1 := n / 2
-	n2 := n - n1
-	offA := vec.V3{X: p.Separation / 2, Y: p.Impact / 2}
-	offB := vec.V3{X: -p.Separation / 2, Y: -p.Impact / 2}
-	vA := vec.V3{X: -p.Speed / 2}
-	vB := vec.V3{X: p.Speed / 2}
-	a := refPlummer(n1, r, offA, vA, 0.5)
-	c := refPlummer(n2, r, offB, vB, 0.5)
-	return refConcat(n, n1, a, c)
-}
-
 func refPlummerRadius(r *rand.Rand) float64 {
 	x := r.Float64()
 	if x > 0.999 {
@@ -104,8 +90,8 @@ func refPlummerRadius(r *rand.Rand) float64 {
 	return 1 / math.Sqrt(math.Pow(x, -2.0/3.0)-1)
 }
 
-func refHierarchical(n int, seed int64, p HierarchicalParams) *Bodies {
-	p = p.withDefaults()
+func refHierarchical(n int, seed int64) *Bodies {
+	const levels, branch, contract = 3, 8, 0.3
 	r := rand.New(rand.NewSource(seed))
 	b := NewBodies(n)
 	mPer := 1.0 / float64(n)
@@ -125,18 +111,18 @@ func refHierarchical(n int, seed int64, p HierarchicalParams) *Bodies {
 			}
 			return
 		}
-		per := cnt / p.Branch
-		rem := cnt % p.Branch
-		for s := 0; s < p.Branch; s++ {
+		per := cnt / branch
+		rem := cnt % branch
+		for s := 0; s < branch; s++ {
 			sub := per
 			if s < rem {
 				sub++
 			}
 			sc := center.Add(refIsotropic(r).Scale(refPlummerRadius(r) * scale))
-			place(sub, level-1, sc, scale*p.Contract)
+			place(sub, level-1, sc, scale*contract)
 		}
 	}
-	place(n, p.Levels, vec.V3{}, 1.0)
+	place(n, levels, vec.V3{}, 1.0)
 	return b
 }
 
@@ -183,8 +169,6 @@ func sameBits(a, b *Bodies) error {
 // and every EXPERIMENTS.md figure are computed from these streams.
 func TestGenerateMatchesReferenceRecipe(t *testing.T) {
 	src := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-	impact := CollisionParams{Impact: 1.5, Speed: 0.5}
-	shallow := HierarchicalParams{Levels: 2, Branch: 6}
 	recipes := []struct {
 		name     string
 		got, ref func(n int, seed int64) *Bodies
@@ -200,16 +184,7 @@ func TestGenerateMatchesReferenceRecipe(t *testing.T) {
 			func(n int, seed int64) *Bodies { return refTwoClusters(n, src(seed)) }},
 		{"hierarchical",
 			func(n int, seed int64) *Bodies { return Generate(ModelHierarchical, n, seed) },
-			func(n int, seed int64) *Bodies { return refHierarchical(n, seed, HierarchicalParams{}) }},
-		{"hierarchical:branch=6,levels=2",
-			func(n int, seed int64) *Bodies { return Hierarchical(n, seed, shallow) },
-			func(n int, seed int64) *Bodies { return refHierarchical(n, seed, shallow) }},
-		{"collision",
-			func(n int, seed int64) *Bodies { return Collision(n, seed, CollisionParams{}) },
-			func(n int, seed int64) *Bodies { return refCollision(n, seed, CollisionParams{}) }},
-		{"collision:impact=1.5,speed=0.5",
-			func(n int, seed int64) *Bodies { return Collision(n, seed, impact) },
-			func(n int, seed int64) *Bodies { return refCollision(n, seed, impact) }},
+			func(n int, seed int64) *Bodies { return refHierarchical(n, seed) }},
 	}
 	for _, rc := range recipes {
 		for _, n := range []int{1, 2, 513, 20000} {

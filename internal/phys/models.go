@@ -24,11 +24,11 @@ const (
 	ModelTwoClusters
 	// ModelDisk is a rotating exponential disk galaxy (thin vertical
 	// profile, net angular momentum) — strong planar anisotropy that a
-	// cubical octree subdivides very unevenly. Default DiskParams.
+	// cubical octree subdivides very unevenly.
 	ModelDisk
 	// ModelHierarchical nests Plummer sub-halos recursively, producing
 	// power-law density contrast at every scale — the distribution that
-	// stresses cost-blind partitions hardest. Default HierarchicalParams.
+	// stresses cost-blind partitions hardest.
 	ModelHierarchical
 )
 
@@ -87,9 +87,9 @@ func Generate(m Model, n int, seed int64) *Bodies {
 		return plummerPair(n, rand.New(rand.NewSource(seed)),
 			sep.Scale(0.5), vrel.Scale(0.5), sep.Scale(-0.5), vrel.Scale(-0.5))
 	case ModelDisk:
-		return Disk(n, seed, DiskParams{})
+		return disk(n, seed)
 	case ModelHierarchical:
-		return Hierarchical(n, seed, HierarchicalParams{})
+		return hierarchical(n, seed)
 	default:
 		b := NewBodies(n)
 		plummer(b, 0, n, rand.New(rand.NewSource(seed)), vec.V3{}, vec.V3{}, 1.0)

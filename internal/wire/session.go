@@ -23,7 +23,7 @@ type SessionOpen struct {
 	Procs   int `json:"procs"`
 	Bodies  int `json:"bodies"`
 	LeafCap int `json:"leaf_cap,omitempty"`
-	// Model is any phys scenario model (plummer, uniform, twoclusters,
+	// Model is any phys mass model (plummer, uniform, twoclusters,
 	// disk, hierarchical); empty selects the daemon's -session-model.
 	Model string  `json:"model,omitempty"`
 	Seed  int64   `json:"seed"`
@@ -33,8 +33,8 @@ type SessionOpen struct {
 	Check bool `json:"check,omitempty"`
 	// Adaptive turns on measured-cost adaptive partitioning for this
 	// session: each step's measured per-processor insert times move the
-	// cuts between the next step's zones. The daemon's -adaptive flag
-	// turns it on for every session.
+	// cuts between the next step's zones. Only the open record turns
+	// it on; the daemon has no flag for it.
 	Adaptive      bool  `json:"adaptive,omitempty"`
 	IdleTimeoutMs int64 `json:"idle_timeout_ms,omitempty"`
 }

@@ -1,3 +1,12 @@
+// Package workload is loadgen's traffic model: request arrival
+// processes — Poisson, bursty (on/off Markov), diurnal (multi-period
+// sinusoid) — scheduled in virtual time, and a replayable NDJSON trace
+// format (trace.go). What each request computes is one of phys's mass
+// models, which the daemon generates; this package makes no bodies.
+//
+// Everything is a pure function of (params, horizon, seed): a fixed
+// seed is byte-reproducible, which is what makes loadgen reports
+// deterministic and the hypothesis experiments replayable.
 package workload
 
 import (
@@ -42,6 +51,17 @@ type Harmonic struct {
 	Depth  float64
 }
 
+// A schedule must be cheap to lay out, and a gap or phase that rounds
+// to 0 ns (or a NaN) would never reach the horizon. maxRate bounds the
+// thinning envelope Rate·(1+Σ Depthᵢ) at a mean gap of 1 µs, minPhase
+// bounds the burst phases from below, and maxHarmonics bounds the
+// profile each candidate arrival is thinned against.
+const (
+	maxRate      = 1e6
+	minPhase     = time.Microsecond
+	maxHarmonics = 8
+)
+
 // ArrivalNames lists the valid arrival process families.
 func ArrivalNames() []string { return []string{"poisson", "bursty", "diurnal", "trace"} }
 
@@ -54,7 +74,9 @@ func ArrivalNames() []string { return []string{"poisson", "bursty", "diurnal", "
 //	bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6   (bursty-diurnal)
 //
 // period/depth may repeat (period2=…, depth2=…) for multi-period
-// profiles. Durations use Go syntax (300ms, 2s).
+// profiles. Durations use Go syntax (300ms, 2s). Rates and depths must
+// be finite, the peak rate at most 1e6/s, on/off phases at least 1µs,
+// and the period/depth pairs at most 8.
 func ParseArrival(s string) (Process, error) {
 	kind, rest, _ := strings.Cut(s, ":")
 	kind = strings.TrimSpace(kind)
@@ -78,14 +100,14 @@ func ParseArrival(s string) (Process, error) {
 			switch key {
 			case "rate":
 				x, err := strconv.ParseFloat(v, 64)
-				if err != nil || x <= 0 {
-					return Process{}, fmt.Errorf("workload: arrival rate %q must be a positive number", v)
+				if err != nil || !(x > 0 && x <= maxRate) {
+					return Process{}, fmt.Errorf("workload: arrival rate %q must be a number in (0,%g]", v, float64(maxRate))
 				}
 				p.Rate = x
 			case "on", "off":
 				d, err := time.ParseDuration(v)
-				if err != nil || d <= 0 {
-					return Process{}, fmt.Errorf("workload: arrival %s %q must be a positive duration", key, v)
+				if err != nil || d < minPhase {
+					return Process{}, fmt.Errorf("workload: arrival %s %q must be a duration of at least %s", key, v, minPhase)
 				}
 				if key == "on" {
 					p.OnMean = d
@@ -100,7 +122,7 @@ func ParseArrival(s string) (Process, error) {
 				periods = append(periods, float64(d))
 			case "depth":
 				x, err := strconv.ParseFloat(v, 64)
-				if err != nil || x <= 0 || x > 1 {
+				if err != nil || !(x > 0 && x <= 1) {
 					return Process{}, fmt.Errorf("workload: arrival depth %q must be in (0,1]", v)
 				}
 				depths = append(depths, x)
@@ -112,6 +134,9 @@ func ParseArrival(s string) (Process, error) {
 	if len(periods) != len(depths) {
 		return Process{}, fmt.Errorf("workload: arrival needs matching period/depth pairs (got %d periods, %d depths)",
 			len(periods), len(depths))
+	}
+	if len(periods) > maxHarmonics {
+		return Process{}, fmt.Errorf("workload: arrival has %d period/depth pairs, at most %d", len(periods), maxHarmonics)
 	}
 	for i := range periods {
 		p.Harmonics = append(p.Harmonics, Harmonic{Period: time.Duration(periods[i]), Depth: depths[i]})
@@ -134,6 +159,9 @@ func ParseArrival(s string) (Process, error) {
 		if p.OnMean != 0 || p.OffMean != 0 {
 			return Process{}, fmt.Errorf("workload: poisson arrivals take no on/off envelope (use bursty)")
 		}
+	}
+	if peak := p.peakRate(); peak > maxRate {
+		return Process{}, fmt.Errorf("workload: arrival peak rate %g/s exceeds %g/s", peak, float64(maxRate))
 	}
 	return p, nil
 }
@@ -175,6 +203,15 @@ func (p Process) MeanRate() float64 {
 	return r
 }
 
+// peakRate is the thinning envelope λmax = Rate·(1+Σ|Depthᵢ|).
+func (p Process) peakRate() float64 {
+	lmax := p.Rate
+	for _, h := range p.Harmonics {
+		lmax += p.Rate * math.Abs(h.Depth)
+	}
+	return lmax
+}
+
 // diurnal evaluates the clamped sinusoidal intensity factor at virtual
 // time t.
 func (p Process) diurnal(t time.Duration) float64 {
@@ -201,10 +238,7 @@ func (p Process) Schedule(horizon time.Duration, seed int64) []time.Duration {
 		return out
 	}
 	rng := rand.New(rand.NewSource(seed))
-	lmax := p.Rate
-	for _, h := range p.Harmonics {
-		lmax += p.Rate * math.Abs(h.Depth)
-	}
+	lmax := p.peakRate()
 	var out []time.Duration
 
 	// Walk burst phases; within an on phase, thin a rate-λmax Poisson
@@ -238,4 +272,18 @@ func (p Process) Schedule(horizon time.Duration, seed int64) []time.Duration {
 		t = onEnd + off
 	}
 	return out
+}
+
+// Pace converts a virtual schedule offset into the real delay to wait,
+// compressing virtual time by speedup (0 or negative = replay as fast
+// as possible while preserving order).
+func Pace(offset, elapsed time.Duration, speedup float64) time.Duration {
+	if speedup <= 0 {
+		return 0
+	}
+	target := time.Duration(float64(offset) / speedup)
+	if target <= elapsed {
+		return 0
+	}
+	return target - elapsed
 }

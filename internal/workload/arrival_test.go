@@ -240,6 +240,15 @@ func TestParseArrivalErrors(t *testing.T) {
 		"diurnal:rate=10,depth=2,period=1s",
 		"poisson:loudness=11",
 		"poisson:rate",
+		"poisson:rate=NaN",
+		"poisson:rate=Inf",
+		"poisson:rate=1e300",
+		"diurnal:rate=10,period=1s,depth=NaN",
+		"diurnal:rate=6e5,period=1s,depth=0.8",
+		"diurnal:rate=6e5",
+		"bursty:rate=10,on=1ns,off=1ns",
+		"diurnal:period=1s,depth=0.1,period2=1s,depth2=0.1,period3=1s,depth3=0.1,period4=1s,depth4=0.1," +
+			"period5=1s,depth5=0.1,period6=1s,depth6=0.1,period7=1s,depth7=0.1,period8=1s,depth8=0.1,period9=1s,depth9=0.1",
 	} {
 		if _, err := ParseArrival(in); err == nil {
 			t.Errorf("ParseArrival(%q) succeeded, want error", in)
@@ -255,6 +264,37 @@ func TestParseArrivalErrors(t *testing.T) {
 	if got, want := p.MeanRate(), 48.0; got != want {
 		t.Errorf("bursty mean rate = %g, want %g", got, want)
 	}
+}
+
+// FuzzParseArrival: every spec ParseArrival accepts lays out a sorted
+// 1 s schedule inside the horizon and returns — the bound loadgen's
+// run relies on, since it computes the schedule before it arms its
+// -timeout.
+func FuzzParseArrival(f *testing.F) {
+	for _, spec := range []string{
+		"poisson:rate=50",
+		"poisson:rate=1e6",
+		"poisson:rate=NaN",
+		"bursty:rate=80,on=1us,off=1us",
+		"bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6",
+		"diurnal:rate=30,period=3s,depth=0.5,period2=700ms,depth2=0.3",
+		"diurnal:rate=10,depth=NaN,period=1ns",
+	} {
+		f.Add(spec, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		p, err := ParseArrival(spec)
+		if err != nil {
+			return
+		}
+		const horizon = time.Second
+		sched := p.Schedule(horizon, seed)
+		for i, at := range sched {
+			if at < 0 || at >= horizon || (i > 0 && at < sched[i-1]) {
+				t.Fatalf("%q: arrival %d at %v (schedule of %d)", spec, i, at, len(sched))
+			}
+		}
+	})
 }
 
 // TestPace pins the virtual-to-real time conversion loadgen uses.
