@@ -79,10 +79,8 @@ bench-smoke:
 # session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
 # and two stepping at once, with the step's phases reported beside ns/op,
 # and a 1 200-step session under the benchmark's served motion, with its
-# rule rebuilds per 100 steps and bytes per step;
-# BenchmarkAdaptiveSessionStep: hierarchical n=50k at p=2 and 4, static
-# against adaptive, the insert-time max/mean at steps 1, 10 and 30 — h1's
-# wall-clock arm) — and what observing costs: a build with no, a disabled and an enabled
+# rule rebuilds per 100 steps and bytes per step) — and what observing
+# costs: a build with no, a disabled and an enabled
 # trace recorder, and the request hooks with the flight recorder off and
 # on (the timings the tests beside them no longer assert) — and the
 # fork/join under all of it: back-to-back par.Do calls with ns/op and the
@@ -97,11 +95,11 @@ microbench:
 microbench-smoke:
 	$(MICROBENCH) -benchtime 1x
 
-# hypotheses-smoke holds the one verdict adaptive sessions stand on: it
-# re-runs h1 (deterministic, seconds; go and jq, as cluster-smoke) and
-# fails unless the run confirms and leaves the committed report and
-# verdict untouched — a change to partition.MoveCuts' arithmetic cannot
-# silently move them.
+# hypotheses-smoke pins partition.MoveCuts' arithmetic, which no served
+# path calls (sessions cut by modelled cost): it re-runs h1
+# (deterministic, seconds; go and jq, as cluster-smoke) and fails unless
+# the run confirms and leaves the committed report and verdict untouched
+# — a change to MoveCuts cannot silently move them.
 hypotheses-smoke:
 	sh hypotheses/h1-adaptive-hierarchical/run.sh | grep CONFIRMED
 	git diff --exit-code HEAD -- hypotheses/h1-adaptive-hierarchical/results

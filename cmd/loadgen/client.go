@@ -23,8 +23,8 @@ import (
 // arrivalResult is what one scheduled arrival produced. Outcome is one
 // of ok, rejected (admission 503), failed (anything else went wrong),
 // or unlaunched (the run timeout expired first). The server-reported
-// fields are deterministic for non-adaptive runs; latency is measured
-// and stays out of the report.
+// fields are deterministic; latency is measured and stays out of the
+// report.
 type arrivalResult struct {
 	ID      int    `json:"id"`
 	AtNs    int64  `json:"at_ns"`
@@ -69,7 +69,7 @@ func runSession(ctx context.Context, cfg config, id int, at time.Duration) arriv
 	open := wire.SessionOpen{
 		Procs: cfg.procs, Bodies: cfg.n, Seed: cfg.seed + int64(id),
 		Model: cfg.model.String(), Dt: 0.01,
-		Adaptive: cfg.adaptive, IdleTimeoutMs: cfg.idleMs,
+		IdleTimeoutMs: cfg.idleMs,
 	}
 
 	start := time.Now()

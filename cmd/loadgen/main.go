@@ -11,14 +11,14 @@
 //	loadgen -url http://127.0.0.1:9732 [-mode session|build]
 //	        [-scenario disk] [-arrival bursty:rate=60,on=250ms,off=250ms]
 //	        [-horizon 5s] [-speedup 0] [-n 2048] [-procs 2] [-steps 8]
-//	        [-seed 1998] [-timeout 60s] [-adaptive] [-idle-ms 0] [-linger]
+//	        [-seed 1998] [-timeout 60s] [-idle-ms 0] [-linger]
 //	        [-trace-in f] [-trace-out f] [-report f] [-timings f]
 //
 // Two outputs, split by determinism:
 //
 //   - The report (-report, default stdout) is byte-deterministic for a
 //     fixed (scenario, arrival, seed, flags) as long as the server
-//     rejects nothing and sessions are non-adaptive: run config, the
+//     rejects nothing: run config, the
 //     schedule digest, outcome counts, per-session server-reported
 //     step aggregates (including each arrival's request ID, which
 //     loadgen mints deterministically via traceparent), and /metrics
@@ -53,20 +53,19 @@ import (
 )
 
 type config struct {
-	url      string
-	mode     string
-	model    phys.Model
-	arrival  workload.Process
-	horizon  time.Duration
-	speedup  float64
-	n        int
-	procs    int
-	steps    int
-	seed     int64
-	timeout  time.Duration
-	adaptive bool
-	idleMs   int64
-	linger   bool
+	url     string
+	mode    string
+	model   phys.Model
+	arrival workload.Process
+	horizon time.Duration
+	speedup float64
+	n       int
+	procs   int
+	steps   int
+	seed    int64
+	timeout time.Duration
+	idleMs  int64
+	linger  bool
 }
 
 func main() {
@@ -82,7 +81,6 @@ func main() {
 		steps    = flag.Int("steps", 8, "timesteps per session")
 		seed     = flag.Int64("seed", 1998, "base seed; request i uses seed+i")
 		timeout  = flag.Duration("timeout", 60*time.Second, "mandatory wall-clock bound for the whole run")
-		adaptive = flag.Bool("adaptive", false, "open adaptive sessions (measured-cost partitioning; reports stop being byte-stable)")
 		idleMs   = flag.Int64("idle-ms", 0, "per-session idle eviction timeout in ms (0 = server default)")
 		linger   = flag.Bool("linger", false, "sessions hold their lease open after their steps instead of closing (eviction pressure)")
 		traceIn  = flag.String("trace-in", "", "replay this NDJSON trace instead of sampling the arrival process")
@@ -93,7 +91,7 @@ func main() {
 	flag.Parse()
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)).With("bin", "loadgen"))
 	if err := run(*url, *mode, *scenario, *arrival, *horizon, *speedup, *n, *procs,
-		*steps, *seed, *timeout, *adaptive, *idleMs, *linger,
+		*steps, *seed, *timeout, *idleMs, *linger,
 		*traceIn, *traceOut, *report, *timings); err != nil {
 		slog.Error("loadgen failed", "err", err)
 		os.Exit(1)
@@ -102,7 +100,7 @@ func main() {
 
 func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 	speedup float64, n, procs, steps int, seed int64, timeout time.Duration,
-	adaptive bool, idleMs int64, linger bool,
+	idleMs int64, linger bool,
 	traceIn, traceOut, reportPath, timingsPath string) error {
 
 	url = strings.TrimRight(strings.TrimSpace(url), "/")
@@ -122,7 +120,7 @@ func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 	cfg := config{
 		url: url, mode: mode, model: model,
 		horizon: horizon, speedup: speedup, n: n, procs: procs, steps: steps,
-		seed: seed, timeout: timeout, adaptive: adaptive, idleMs: idleMs, linger: linger,
+		seed: seed, timeout: timeout, idleMs: idleMs, linger: linger,
 	}
 
 	// The schedule: sampled from the arrival process, or replayed.

@@ -146,7 +146,7 @@ func TestSessionRunDeterministicReport(t *testing.T) {
 		tim := filepath.Join(dir, "timings-"+tag+".csv")
 		err := run(url, "session", "plummer", "bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6",
 			time.Second, 0, 512, 2, 4, 1998, 60*time.Second,
-			false, 0, false, "", "", rep, tim)
+			0, false, "", "", rep, tim)
 		if err != nil {
 			t.Fatalf("run %s: %v", tag, err)
 		}
@@ -217,7 +217,7 @@ func TestBuildOverloadMatchesRejectedCounter(t *testing.T) {
 	rep := filepath.Join(t.TempDir(), "report.json")
 	err := run(url, "build", "hierarchical", "poisson:rate=200",
 		200*time.Millisecond, 0, 30000, 2, 1, 1998, 60*time.Second,
-		false, 0, false, "", "", rep, "")
+		0, false, "", "", rep, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestBuildOverloadMatchesRejectedCounter(t *testing.T) {
 // without a wall-clock bound.
 func TestMandatoryTimeout(t *testing.T) {
 	err := run("http://127.0.0.1:1", "session", "plummer", "poisson:rate=10",
-		time.Second, 0, 64, 1, 1, 1, 0, false, 0, false, "", "", "", "")
+		time.Second, 0, 64, 1, 1, 1, 0, 0, false, "", "", "", "")
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("run without a timeout returned %v, want a mandatory-timeout error", err)
 	}

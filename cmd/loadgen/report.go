@@ -52,7 +52,6 @@ type runConfig struct {
 	Procs     int     `json:"procs"`
 	Steps     int     `json:"steps"`
 	Seed      int64   `json:"seed"`
-	Adaptive  bool    `json:"adaptive"`
 	Linger    bool    `json:"linger"`
 }
 
@@ -119,7 +118,7 @@ func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
 			Mode: cfg.mode, Scenario: cfg.model.String(), Arrival: cfg.arrival.Name(),
 			HorizonNs: int64(cfg.horizon), Speedup: cfg.speedup,
 			Bodies: cfg.n, Procs: cfg.procs, Steps: cfg.steps, Seed: cfg.seed,
-			Adaptive: cfg.adaptive, Linger: cfg.linger,
+			Linger: cfg.linger,
 		},
 		Schedule: scheduleInfo{
 			Arrivals: len(schedule),

@@ -1,6 +1,6 @@
 // Command partree-router fronts a fleet of partreed shard daemons: it
-// loads the addressed Morton-order shard map, fans /v1/build and
-// /v1/sweep out to every shard, merges the per-shard results under the
+// loads the addressed Morton-order shard map, fans /v1/build out to every
+// shard's /v1/shard/build, merges the per-shard results under the
 // tree-metric conservation laws, and serves the aggregated
 // partree_cluster_* metrics rolled up from each shard's /metrics page.
 // The shards hold no bodies between requests: each build regenerates
@@ -10,18 +10,15 @@
 // Usage:
 //
 //	partree-router -map cluster.json [-addr 127.0.0.1:9733]
-//	partree-router -shards 127.0.0.1:9732,127.0.0.1:9742 [-domain-size 4]
+//	               [-shard-timeout 30s] [-shard-retries 1] [-v info]
 //
-// Exactly one of -map (an addressed map file, the deployment's source
-// of truth) or -shards (a comma-separated address list, from which a
-// uniform map is derived) must be given. The shard daemons must run the
-// same map version — the router surfaces their 409s verbatim.
+// -map, an addressed map file (see internal/cluster), is the
+// deployment's source of truth and is required. The shard daemons must
+// run the same map version — the router surfaces their 409s verbatim.
 //
 // Endpoints:
 //
 //	POST /v1/build  one runner.Spec (JSON) → merged ClusterResult (JSON)
-//	POST /v1/sweep  a JSON array of specs → NDJSON stream of merged
-//	                results, strictly in input order
 //	GET  /v1/map    the addressed shard map
 //	GET  /metrics   router counters + partree_cluster_* fleet rollup
 //	                + the partree_req_* request families
@@ -44,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -52,28 +48,6 @@ import (
 	"partree/internal/obs"
 	"partree/internal/reqtrace"
 )
-
-func buildMap(mapFile, shards string, version int, domainSize float64) (cluster.Map, error) {
-	switch {
-	case mapFile != "" && shards != "":
-		return cluster.Map{}, fmt.Errorf("give -map or -shards, not both")
-	case mapFile != "":
-		return cluster.ReadMap(mapFile)
-	case shards != "":
-		addrs := strings.Split(shards, ",")
-		m := cluster.UniformMap(version, cluster.Domain{Size: domainSize}, len(addrs))
-		for i, a := range addrs {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				return cluster.Map{}, fmt.Errorf("-shards entry %d is empty", i)
-			}
-			m.Shards[i].Addr = a
-		}
-		return m, nil
-	default:
-		return cluster.Map{}, fmt.Errorf("one of -map or -shards is required")
-	}
-}
 
 // serve builds the router over o.Map and serves its API, its own counters
 // and the fleet rollup on addr.
@@ -103,10 +77,7 @@ func serve(addr string, o cluster.RouterOptions) (*obs.Server, error) {
 func main() {
 	var o cluster.RouterOptions
 	addr := flag.String("addr", "127.0.0.1:9733", "listen address for the API and observability endpoints")
-	mapFile := flag.String("map", "", "addressed shard map file (JSON; see internal/cluster)")
-	shards := flag.String("shards", "", "comma-separated shard addresses; derives a uniform map instead of -map")
-	version := flag.Int("map-version", 1, "map version stamped on a -shards derived map")
-	domainSize := flag.Float64("domain-size", 4, "domain cube edge for a -shards derived map (centered at the origin)")
+	mapFile := flag.String("map", "", "addressed shard map file (JSON; see internal/cluster); required")
 	flag.DurationVar(&o.Client.Timeout, "shard-timeout", 30*time.Second, "per-attempt timeout for shard calls")
 	flag.IntVar(&o.Client.Retries, "shard-retries", 1, "transport-failure retries per shard call (HTTP errors are never retried)")
 	level := flag.String("v", "info", "log level: debug, info, warn, error")
@@ -116,9 +87,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *mapFile == "" {
+		slog.Error("-map is required")
+		os.Exit(2)
+	}
 	var err error
-	if o.Map, err = buildMap(*mapFile, *shards, *version, *domainSize); err != nil {
-		slog.Error("building shard map", "err", err)
+	if o.Map, err = cluster.ReadMap(*mapFile); err != nil {
+		slog.Error("reading shard map", "err", err)
 		os.Exit(2)
 	}
 	srv, err := serve(*addr, o)

@@ -193,10 +193,11 @@ func TestRequestIDMintedAndInErrors(t *testing.T) {
 }
 
 // TestWrongMethodOnEveryRoute walks every API route the two serving
-// binaries mount — a shard daemon's five, and the three Router.Mount
-// gives partree-router — with the method each does not take: the one
-// check in the envelope answers 405 with Allow (RFC 9110 §15.5.6) and
-// the error document naming the request ID the header assigned.
+// binaries mount — a shard daemon's three, and the two Router.Mount gives
+// partree-router — with the method each does not take: the one check in
+// the envelope answers 405 with Allow (RFC 9110 §15.5.6) and the error
+// document naming the request ID the header assigned. The routes no
+// client sent, and which are gone, answer 404 to the method they took.
 func TestWrongMethodOnEveryRoute(t *testing.T) {
 	d := startDaemon(t, daemonConfig{shardMap: writeShardMap(t), shardID: "s0"})
 	m := cluster.UniformMap(1, cluster.Domain{Size: 4}, 2)
@@ -216,12 +217,9 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 
 	for _, tc := range []struct{ base, route, allow string }{
 		{d.srv.URL(), "/v1/build", http.MethodPost},
-		{d.srv.URL(), "/v1/sweep", http.MethodPost},
 		{d.srv.URL(), "/v1/session", http.MethodPost},
-		{d.srv.URL(), "/v1/shard", http.MethodGet},
 		{d.srv.URL(), "/v1/shard/build", http.MethodPost},
 		{router.URL(), "/v1/build", http.MethodPost},
-		{router.URL(), "/v1/sweep", http.MethodPost},
 		{router.URL(), "/v1/map", http.MethodGet},
 	} {
 		wrong := http.MethodGet
@@ -247,10 +245,24 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 			t.Errorf("%s %s: document %v under X-Request-Id %q; want its request_id equal and an error text", wrong, tc.route, doc, id)
 		}
 	}
+	for _, tc := range []struct{ base, method, route string }{
+		{d.srv.URL(), http.MethodPost, "/v1/sweep"},
+		{router.URL(), http.MethodPost, "/v1/sweep"},
+		{d.srv.URL(), http.MethodGet, "/v1/shard"},
+	} {
+		req, _ := http.NewRequest(tc.method, tc.base+tc.route, strings.NewReader("[]"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s%s: status %d, want 404 (the route is gone)", tc.method, tc.base, tc.route, resp.StatusCode)
+		}
+	}
 }
 
-// TestSessionRequestObservability runs an adaptive streaming session
-// and checks the in-stream per-step timing records, then the whole
+// TestSessionRequestObservability runs a streaming session and checks the in-stream per-step timing records, then the whole
 // stream's single flight-recorder entry.
 func TestSessionRequestObservability(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 8}, drainTimeout: 10 * time.Second})
@@ -259,7 +271,7 @@ func TestSessionRequestObservability(t *testing.T) {
 	const procs, steps = 2, 3
 
 	sess, err := wire.OpenSession(context.Background(), url, "00-"+traceID+"-00f067aa0ba902b7-01",
-		wire.SessionOpen{Procs: procs, Bodies: 1500, Seed: 11, Adaptive: true})
+		wire.SessionOpen{Procs: procs, Bodies: 1500, Seed: 11})
 	if err != nil {
 		t.Fatalf("POST /v1/session: %v", err)
 	}

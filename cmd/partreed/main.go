@@ -5,23 +5,26 @@
 // Usage:
 //
 //	partreed [-addr 127.0.0.1:9732] [-max-active 0] [-max-queue 0]
-//	         [-max-idle 32] [-result-cache 4096] [-bodies-cache 64]
-//	         [-session-model plummer] [-drain-timeout 30s] [-v info]
+//	         [-max-idle 32] [-max-sessions 256] [-session-idle 2m]
+//	         [-result-cache 4096] [-bodies-cache 64] [-drain-timeout 30s]
+//	         [-shard-map file -shard id] [-v info]
 //	         [-flight 256] [-slow-threshold 250ms] [-slow-k 16]
 //
 // Endpoints:
 //
 //	POST /v1/build   one runner.Spec (JSON) → its Result (JSON)
-//	POST /v1/sweep   a JSON array of specs → NDJSON stream of Results
 //	POST /v1/session one NDJSON stream: open record, then one record per
-//	                 timestep against a resident tree (UPDATE per step,
-//	                 a SPACE rebuild once repairs have slowed by what a
-//	                 rebuild costs); results stream back
-//	                 in-line. 503 only before the stream opens.
-//	     /v1/shard/* cluster shard surface (with -shard-map and -shard):
-//	                 this daemon owns one Morton range of a shard map and
-//	                 builds that range's part of each spec's body set for
-//	                 cmd/partree-router, keeping no bodies between
+//	                 timestep (drift, collapse, rebuild or close) against
+//	                 a resident tree (UPDATE per step, a SPACE rebuild
+//	                 once repairs have slowed by what a rebuild costs);
+//	                 results stream back in-line. 503 only before the
+//	                 stream opens; a record naming a field it does not
+//	                 declare is refused (400 for the open record, an
+//	                 in-stream error for a step).
+//	POST /v1/shard/build  cluster shard surface (with -shard-map and
+//	                 -shard): this daemon owns one Morton range of a shard
+//	                 map and builds that range's part of each spec's body
+//	                 set for cmd/partree-router, keeping no bodies between
 //	                 requests (see internal/cluster)
 //	GET  /metrics    Prometheus exposition (engine pool, runner, builds,
 //	                 partree_req_* request families)
@@ -40,8 +43,7 @@
 // Admission control is the engine's: at most max-active builds run, at
 // most max-queue more wait (honoring each request's context), and
 // overload or drain answers 503 — for every spec, simulated replays
-// included. A sweep runs max-active wide, so it never sheds its own
-// cells. SIGINT/SIGTERM triggers a graceful
+// included. SIGINT/SIGTERM triggers a graceful
 // drain — in-flight builds finish and are answered, new requests get
 // 503 — bounded by -drain-timeout.
 package main
@@ -55,8 +57,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -64,7 +64,6 @@ import (
 	"partree/internal/cluster"
 	"partree/internal/engine"
 	"partree/internal/obs"
-	"partree/internal/phys"
 	"partree/internal/reqtrace"
 	"partree/internal/runner"
 	"partree/internal/wire"
@@ -80,11 +79,8 @@ type daemonConfig struct {
 	// request tracing entirely (nil-handle no-op on the serving path).
 	flight       reqtrace.Options
 	drainTimeout time.Duration
-	// sessionModel is the mass model for sessions whose open record
-	// leaves "model" empty — any phys scenario model name.
-	sessionModel string
 	// shardMap/shardID, when both set, additionally mount the cluster
-	// shard surface (/v1/shard/*): this daemon owns the named shard's
+	// shard surface (/v1/shard/build): this daemon owns the named shard's
 	// Morton range of the map file and serves shard-level builds through
 	// the same engine — admission control composes per shard.
 	shardMap string
@@ -94,9 +90,6 @@ type daemonConfig struct {
 func (c daemonConfig) withDefaults() daemonConfig {
 	if c.drainTimeout == 0 {
 		c.drainTimeout = 30 * time.Second
-	}
-	if c.sessionModel == "" {
-		c.sessionModel = "plummer"
 	}
 	return c
 }
@@ -176,7 +169,6 @@ func (d *daemon) start(addr string) error {
 
 func (d *daemon) mount(mux *http.ServeMux) {
 	d.rec.Handle(mux, http.MethodPost, "/v1/build", "POST a runner.Spec JSON document", d.handleBuild)
-	d.rec.Handle(mux, http.MethodPost, "/v1/sweep", "POST a JSON array of runner.Spec documents", d.handleSweep)
 	d.rec.Handle(mux, http.MethodPost, "/v1/session", "POST an NDJSON session stream", d.handleSession)
 	if d.shard != nil {
 		d.shard.Mount(mux, d.rec)
@@ -209,7 +201,7 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	if rq != nil {
 		rstart = time.Now()
 	}
-	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), false)
+	spec, err := runner.DecodeServiceSpec(req.Body, false)
 	rq.SpanSince("read", rstart)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
@@ -240,34 +232,6 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	slog.Debug("build served", "spec", spec.String(), "failed", res.Failed())
 }
 
-func (d *daemon) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if d.draining.Load() {
-		reqtrace.WriteError(w, http.StatusServiceUnavailable, engine.ErrDraining.Error())
-		return
-	}
-	specs, err := runner.DecodeServiceSweep(json.NewDecoder(req.Body), false)
-	if err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Results stream as NDJSON in completion order — each record carries
-	// its spec, so clients rejoin them; flushing per record makes a slow
-	// sweep observable as it runs.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	d.r.RunAllProgress(req.Context(), specs, func(_ int, res runner.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(res)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	slog.Debug("sweep served", "specs", len(specs))
-}
-
 func main() {
 	var cfg daemonConfig
 	addr := flag.String("addr", "127.0.0.1:9732", "listen address for the API and observability endpoints")
@@ -279,8 +243,7 @@ func main() {
 	flag.IntVar(&cfg.runner.ResultCacheEntries, "result-cache", 4096, "memoized spec results retained (LRU)")
 	flag.IntVar(&cfg.runner.BodiesCacheEntries, "bodies-cache", 64, "memoized body sets retained (LRU)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
-	flag.StringVar(&cfg.sessionModel, "session-model", "plummer", "default mass model for sessions that omit one: "+strings.Join(phys.ModelNames(), ", "))
-	flag.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/* (requires -shard)")
+	flag.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/build (requires -shard)")
 	flag.StringVar(&cfg.shardID, "shard", "", "this daemon's shard ID within -shard-map")
 	flag.IntVar(&cfg.flight.Cap, "flight", 256, "flight-recorder capacity (completed requests kept for /debug/requests; negative disables request tracing)")
 	flag.DurationVar(&cfg.flight.SlowThreshold, "slow-threshold", 250*time.Millisecond, "requests at least this slow are counted and kept in /debug/requests/slow")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"partree/internal/engine"
-	"partree/internal/obs"
 	"partree/internal/runner"
 )
 
@@ -150,41 +148,6 @@ func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
 	}
 }
 
-func TestDaemonSweepStreamsNDJSON(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 16}, drainTimeout: 10 * time.Second})
-	specs := []map[string]any{buildSpec(1024, 1), buildSpec(1536, 2), buildSpec(2048, 2)}
-	resp := postJSON(t, d.srv.URL()+"/v1/sweep", specs)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("sweep: content-type %q", ct)
-	}
-	if got := countSweepRecords(t, resp.Body); got != len(specs) {
-		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
-	}
-}
-
-// countSweepRecords reads a sweep's NDJSON stream to its end, failing
-// the test on any record that does not decode or reports a failure.
-func countSweepRecords(t *testing.T, body io.Reader) int {
-	t.Helper()
-	var got int
-	sc := bufio.NewScanner(body)
-	for sc.Scan() {
-		var res runner.Result
-		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-			t.Fatalf("record %d: %v", got, err)
-		}
-		if res.Failed() {
-			t.Errorf("record %d failed: %s", got, res.FailureMessage())
-		}
-		got++
-	}
-	return got
-}
-
 func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 4}, drainTimeout: 2 * time.Minute})
 	url := d.srv.URL()
@@ -262,32 +225,6 @@ func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	}
 }
 
-// TestDaemonSweepNeverShedsItsOwnCells sends an idle daemon a sweep four
-// times wider than everything its engine admits (running + queued). The
-// sweep fans out max-active wide behind the one admission gate, so every
-// cell must come back built — none shed with "queue full" by the queue
-// the sweep itself filled.
-func TestDaemonSweepNeverShedsItsOwnCells(t *testing.T) {
-	cfg := daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 1}, drainTimeout: 10 * time.Second}
-	d := startDaemon(t, cfg)
-	specs := make([]map[string]any, 4*(cfg.engine.MaxActive+cfg.engine.MaxQueue))
-	for i := range specs {
-		specs[i] = buildSpec(1000+16*i, 1) // distinct: no memo collapse
-	}
-	resp := postJSON(t, d.srv.URL()+"/v1/sweep", specs)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d", resp.StatusCode)
-	}
-	if got := countSweepRecords(t, resp.Body); got != len(specs) {
-		t.Fatalf("sweep streamed %d records, want %d", got, len(specs))
-	}
-	samples, err := obs.ParseText(strings.NewReader(metricsPage(t, d.srv.URL())))
-	if shed, ok := samples[`partree_engine_rejected_total{reason="queue_full"}`]; err != nil || !ok || shed != 0 {
-		t.Fatalf("engine shed %v of the sweep's own cells (counter present: %t, %v)", shed, ok, err)
-	}
-}
-
 // TestDaemonAdmitsSimulatedSpecsLikeBuilds checks a simulated replay is
 // behind the same admission control as a native build: it waits for a
 // build slot, and past max-queue it is refused with 503.
@@ -328,10 +265,9 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 
 // TestServiceLimits: a spec arriving on a socket is held to the service
 // limits before anything is allocated for it — an over-limit bodies,
-// procs, steps or leaf_cap (on a session's open record too), and a sweep
-// longer than the cap, answer 400 naming the limit and generate no body
-// set — while a small spec sitting exactly on the procs, steps and
-// leaf_cap limits is served.
+// procs, steps or leaf_cap (on a session's open record too) answers 400
+// naming the limit and generates no body set — while a small spec
+// sitting exactly on the procs, steps and leaf_cap limits is served.
 func TestServiceLimits(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
@@ -362,22 +298,13 @@ func TestServiceLimits(t *testing.T) {
 		if c.field == "bodies" {
 			over = spec(c.field, 2_000_000_000) // ≈ 176 GB of bodies if it were generated
 		}
-		for path, body := range map[string]any{"/v1/build": over, "/v1/sweep": []any{spec("procs", 1), over}} {
-			if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(c.limit)) {
-				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", path, c.field, code, msg, c.limit)
-			}
+		if code, msg := post("/v1/build", over); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(c.limit)) {
+			t.Errorf("/v1/build with %s over the limit: %d %s; want 400 naming %d", c.field, code, msg, c.limit)
 		}
 	}
 	// 8 GiB for the first leaf if the open record were believed.
 	if code, msg := post("/v1/session", map[string]any{"bodies": 64, "leaf_cap": 2147483648}); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(runner.MaxServiceLeafCap)) {
 		t.Errorf("/v1/session with leaf_cap over the limit: %d %s; want 400 naming %d", code, msg, runner.MaxServiceLeafCap)
-	}
-	long := make([]any, runner.MaxSweepSpecs+1)
-	for i := range long {
-		long[i] = spec("seed", i+1)
-	}
-	if code, msg := post("/v1/sweep", long); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(runner.MaxSweepSpecs)) {
-		t.Errorf("sweep of %d specs: %d %s; want 400 naming %d", len(long), code, msg, runner.MaxSweepSpecs)
 	}
 	if got := misses(); got != before {
 		t.Errorf("refused requests generated %v body sets", got-before)
@@ -386,9 +313,7 @@ func TestServiceLimits(t *testing.T) {
 	atLimit := spec("procs", maxProcs)
 	atLimit["steps"] = runner.MaxServiceSteps
 	atLimit["leaf_cap"] = runner.MaxServiceLeafCap
-	for path, body := range map[string]any{"/v1/build": atLimit, "/v1/sweep": []any{atLimit}} {
-		if code, msg := post(path, body); code != http.StatusOK || strings.Contains(msg, `"error"`) {
-			t.Errorf("%s at the limits: %d %s", path, code, msg)
-		}
+	if code, msg := post("/v1/build", atLimit); code != http.StatusOK || strings.Contains(msg, `"error"`) {
+		t.Errorf("/v1/build at the limits: %d %s", code, msg)
 	}
 }

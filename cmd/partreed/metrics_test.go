@@ -49,8 +49,8 @@ func TestMetricsSurface(t *testing.T) {
 
 // TestMetricsSurfaceExercised pins the page once every labeled family
 // has its series: one build per algorithm, one simulated replay, one
-// traced build, one acquire shed by admission control, one adaptive
-// session opened, stepped and closed, and one refused.
+// traced build, one acquire shed by admission control, one session
+// opened, stepped and closed, and one refused.
 func TestMetricsSurfaceExercised(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: -1, MaxLeases: 1}})
 	url := d.srv.URL()
@@ -82,7 +82,7 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 	}
 	release()
 
-	c, _ := openSession(t, url, wire.SessionOpen{Procs: 2, Bodies: 512, Adaptive: true})
+	c, _ := openSession(t, url, wire.SessionOpen{Procs: 2, Bodies: 512})
 	if _, code := openSession(t, url, wire.SessionOpen{Procs: 1, Bodies: 64}); code != http.StatusServiceUnavailable {
 		t.Fatalf("second session: status %d, want 503", code)
 	}

@@ -45,7 +45,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	dec := json.NewDecoder(req.Body)
-	open, model, err := wire.DecodeSessionOpen(dec, d.cfg.sessionModel)
+	open, model, err := wire.DecodeSessionOpen(dec)
 	if err != nil {
 		reject(http.StatusBadRequest, err.Error())
 		return
@@ -53,11 +53,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 
 	bodies := phys.Generate(model, open.Bodies, open.Seed)
 	cfg := core.Config{P: open.Procs, LeafCap: open.LeafCap}
-	newStepper := core.NewStepper
-	if open.Adaptive {
-		newStepper = core.NewAdaptiveStepper
-	}
-	lease, err := d.eng.OpenLease(newStepper(cfg, bodies, core.FallbackPolicy{}), time.Duration(open.IdleTimeoutMs)*time.Millisecond)
+	lease, err := d.eng.OpenLease(core.NewStepper(cfg, bodies, core.FallbackPolicy{}), time.Duration(open.IdleTimeoutMs)*time.Millisecond)
 	if err != nil {
 		// The only post-validation errors before the stream opens: lease
 		// capacity and drain. Both are 503 — the backpressure contract.
@@ -134,11 +130,6 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				emit(wire.SessionClosed{Event: "closed", Steps: steps, Fallbacks: fallbacks, Reason: "close"})
 				return
 			}
-			if s.Pos != nil && len(s.Pos) != bodies.N() {
-				emit(wire.SessionError{Event: "error",
-					Error: fmt.Sprintf("pos has %d entries, session has %d bodies", len(s.Pos), bodies.N())})
-				return
-			}
 			if err := applyStepMutation(bodies, s, open.Dt); err != nil {
 				emit(wire.SessionError{Event: "error", Error: err.Error()})
 				return
@@ -213,28 +204,20 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 
 // applyStepMutation applies a step record's body motion in place: one
 // sweep of the slots, each body taking the record's mutations in wire
-// order (pos, drift, collapse). The stepper keeps the bodies in its own
-// order, while a client's pos array is indexed by generator order for the
-// life of the session: b.ID is the map between the two, and this is the
-// one place a client index meets a slot.
+// order (drift, collapse).
 //
 // The sweep also bounds what it wrote, and refuses a step whose bodies
-// the builders could not size a root cube around — positions so far apart
-// (or a dt so large) that the extent or its midpoint overflows: such a
-// build does not terminate, and it would hold its engine slot and the
-// lease meanwhile.
+// the builders could not size a root cube around — a dt so large that the
+// extent or its midpoint overflows: such a build does not terminate, and
+// it would hold its engine slot and the lease meanwhile.
 func applyStepMutation(b *phys.Bodies, s wire.SessionStep, dt float64) error {
 	collapse := s.Collapse > 0
-	if s.Pos == nil && !s.Drift && !collapse {
+	if !s.Drift && !collapse {
 		return nil
 	}
 	inf := math.Inf(1)
 	lo, hi := vec.V3{X: inf, Y: inf, Z: inf}, vec.V3{X: -inf, Y: -inf, Z: -inf}
 	for i, p := range b.Pos {
-		if s.Pos != nil {
-			q := s.Pos[b.ID[i]]
-			p = vec.V3{X: q[0], Y: q[1], Z: q[2]}
-		}
 		if s.Drift {
 			p = p.MulAdd(dt, b.Vel[i])
 		}

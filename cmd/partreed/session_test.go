@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"partree/internal/engine"
 	"partree/internal/obs"
-	"partree/internal/phys"
-	"partree/internal/vec"
 	"partree/internal/wire"
 )
 
@@ -146,54 +143,6 @@ func TestSessionStream100Steps(t *testing.T) {
 		if v := metricValue(t, pg, name); v < 1 {
 			t.Errorf("%s = %v, want >= 1", name, v)
 		}
-	}
-}
-
-// TestSessionAdaptiveStream opens an adaptive session end to end: every
-// step must verify exactly like a static session's, and the
-// measured-cost feedback loop must leave its partree_adapt_* footprint
-// on /metrics — a controller constructed, a correction and a recut per
-// step — without a trace recorder behind it: the stream's flight-recorder
-// document carries no per-processor trace block. Counter assertions are
-// lower bounds because the adapt totals are package-global across the
-// test binary.
-func TestSessionAdaptiveStream(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
-	open := wire.SessionOpen{Procs: 2, Bodies: 3000, Seed: 7, Dt: 0.005, Check: true, Adaptive: true}
-	c, _ := openSession(t, d.srv.URL(), open)
-
-	const steps = 12
-	for i := 0; i < steps; i++ {
-		c.send(wire.SessionStep{Drift: i > 0})
-		r := c.recv()
-		if r.Event != "step" || r.Step.Step != i {
-			t.Fatalf("step %d: got %+v", i, r)
-		}
-		if !r.Step.Verified {
-			t.Fatalf("step %d: not verified", i)
-		}
-	}
-	c.send(wire.SessionStep{Close: true})
-	if r := c.recv(); r.Event != "closed" || r.Closed.Steps != steps {
-		t.Fatalf("close ack = %+v, want closed with steps=%d", r, steps)
-	}
-
-	pg := metricsPage(t, d.srv.URL())
-	if v := metricValue(t, pg, "partree_adapt_sessions_total"); v < 1 {
-		t.Errorf("adapt_sessions_total = %v, want >= 1", v)
-	}
-	if v := metricValue(t, pg, "partree_adapt_repartitions_total"); v < steps {
-		t.Errorf("adapt_repartitions_total = %v, want >= %d", v, steps)
-	}
-	if v := metricValue(t, pg, "partree_adapt_corrections_total"); v < steps-1 {
-		t.Errorf("adapt_corrections_total = %v, want >= %d", v, steps-1)
-	}
-	if v := metricValue(t, pg, "partree_adapt_skew_before"); v < 1 {
-		t.Errorf("adapt_skew_before gauge = %v, want a measured max/mean >= 1", v)
-	}
-	c.Close()
-	if doc := fetchFlightDoc(t, d.srv.URL(), c.RequestID); strings.Contains(string(doc), `"trace`) {
-		t.Errorf("adaptive session's request record carries a trace block:\n%s", doc)
 	}
 }
 
@@ -412,126 +361,17 @@ func TestSessionDrainClosesStreams(t *testing.T) {
 	}
 }
 
-// posOf renders a client's body set as the pos array of a step record:
-// entry i is generator body i, whatever order the server keeps them in.
-func posOf(b *phys.Bodies) [][3]float64 {
-	pos := make([][3]float64, b.N())
-	for i, p := range b.Pos {
-		pos[i] = [3]float64{p.X, p.Y, p.Z}
-	}
-	return pos
-}
-
-// posClient drives a session the way loadgen's client-motion path does:
-// the client holds the generated set, moves it, and streams full pos
-// arrays, every step verified server-side.
-type posClient struct {
-	t    *testing.T
-	c    *sessionClient
-	mine *phys.Bodies
-}
-
-func newPosClient(t *testing.T, url string, open wire.SessionOpen) *posClient {
-	c, _ := openSession(t, url, open)
-	return &posClient{t: t, c: c, mine: phys.Generate(phys.ModelPlummer, open.Bodies, open.Seed)}
-}
-
-func (pc *posClient) step(what string, rebuild bool) wire.SessionStepResult {
-	pc.t.Helper()
-	pc.c.send(wire.SessionStep{Pos: posOf(pc.mine), Rebuild: rebuild})
-	r := pc.c.recv()
-	if r.Event != "step" || !r.Step.Verified {
-		pc.t.Fatalf("%s: %+v", what, r)
-	}
-	return r.Step
-}
-
-// gentle takes five steps that move every body by 1 % of its distance
-// from the origin, each in its own direction — of the cluster's median
-// radius, for the halo: the outliers size the root cube, and UPDATE
-// rescales every cell with it. A repair then moves a small fraction of
-// the bodies, while a mis-mapped index hands nearly every body another
-// body's position and moves almost all of them. A step the rebuild rule
-// served fresh moves nothing and is let through.
-func (pc *posClient) gentle(phase string) {
-	pc.t.Helper()
-	n := pc.mine.N()
-	radii := make([]float64, n)
-	for i, p := range pc.mine.Pos {
-		radii[i] = p.Len()
-	}
-	sort.Float64s(radii)
-	for k := 1; k <= 5; k++ {
-		for i, p := range pc.mine.Pos {
-			dir := vec.V3{X: float64((i+k)%3) - 1, Y: float64((i+2*k)%5) - 2, Z: float64(i%7) - 3.5}
-			pc.mine.Pos[i] = p.MulAdd(0.01*min(p.Len(), radii[n/2])/dir.Len(), dir)
-		}
-		if r := pc.step(phase, false); !ruleRebuild(pc.t, r) && (r.Mode != "update" || r.Moved >= int64(n/10)) {
-			pc.t.Fatalf("%s, step %d: mode %q moved %d of %d bodies under 1%% motion — pos entries are reaching the wrong bodies",
-				phase, r.Step, r.Mode, r.Moved, n)
-		}
-	}
-}
-
-// TestSessionClientPosIsGeneratorIndexed: the server keeps its bodies in
-// Morton order and re-sorts them on every fresh build after the first, so
-// each pos entry must reach its body through the ID map — before and
-// after a rebuild that follows a collapse.
-func TestSessionClientPosIsGeneratorIndexed(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
-	open := wire.SessionOpen{Procs: 2, Bodies: 4000, Seed: 11, Model: "plummer", Check: true}
-	pc := newPosClient(t, d.srv.URL(), open)
-
-	if r := pc.step("step 0", false); r.Mode != "rebuild" || r.Reason != "first" {
-		t.Fatalf("step 0: mode %q reason %q", r.Mode, r.Reason)
-	}
-	pc.gentle("before the rebuild")
-
-	// The client collapses its cluster, far from the server's sorted
-	// order, then asks for a rebuild: it re-sorts the server's bodies.
-	for k := 0; k < 5; k++ {
-		for i, p := range pc.mine.Pos {
-			pc.mine.Pos[i] = p.Scale(1 / (1 + 0.4*p.Len()))
-		}
-		pc.step("collapse", false)
-	}
-	if r := pc.step("rebuild", true); r.Mode != "rebuild" || r.Reason != "requested" {
-		t.Fatalf("rebuild:true step: mode %q reason %q", r.Mode, r.Reason)
-	}
-	pc.gentle("after the rebuild")
-}
-
-// TestSessionAdaptiveClientPosAcrossRebuild: an adaptive session re-sorts
-// its bodies on a from-scratch step like a static one, so a client's pos
-// array must keep reaching its bodies by generator index across a
-// rebuild:true record.
-func TestSessionAdaptiveClientPosAcrossRebuild(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
-	pc := newPosClient(t, d.srv.URL(), wire.SessionOpen{Procs: 4, Bodies: 4000, Seed: 5, Model: "plummer", Check: true, Adaptive: true})
-	if r := pc.step("step 0", false); r.Mode != "rebuild" || r.Reason != "first" {
-		t.Fatalf("step 0: mode %q reason %q", r.Mode, r.Reason)
-	}
-	pc.gentle("before the rebuild")
-	if r := pc.step("rebuild", true); r.Mode != "rebuild" || r.Reason != "requested" {
-		t.Fatalf("rebuild:true step: mode %q reason %q", r.Mode, r.Reason)
-	}
-	pc.gentle("after the rebuild")
-}
-
-// TestSessionRefusesUnbuildableExtent: a step whose positions are finite
-// but whose bounding extent is not — or whose dt overflows them — used to
-// reach the builder, which never returned and held its engine slot and
-// the lease. The server must refuse it in-stream, at once.
+// TestSessionRefusesUnbuildableExtent: a step whose dt overflows the
+// bodies' positions used to reach the builder, which never returned and
+// held its engine slot and the lease. The server must refuse it
+// in-stream, at once.
 func TestSessionRefusesUnbuildableExtent(t *testing.T) {
 	const n = 5000
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1}, drainTimeout: 10 * time.Second})
-	apart := posOf(phys.Generate(phys.ModelPlummer, n, 1))
-	apart[7], apart[9] = [3]float64{1e308, 0, 0}, [3]float64{-1e308, 0, 0}
 	for name, tc := range map[string]struct {
 		dt   float64
 		step wire.SessionStep
 	}{
-		"two bodies 2e308 apart": {0, wire.SessionStep{Pos: apart}},
 		"dt overflows the drift": {1e308, wire.SessionStep{Drift: true}},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -556,10 +396,60 @@ func TestSessionRefusesUnbuildableExtent(t *testing.T) {
 			}
 		})
 	}
-	// Neither refused step kept the engine's one slot.
+	// The refused step kept neither the engine's one slot nor the lease.
 	c, _ := openSession(t, d.srv.URL(), wire.SessionOpen{Procs: 1, Bodies: n, Seed: 2})
 	c.send(wire.SessionStep{})
 	if r := c.recv(); r.Event != "step" {
 		t.Fatalf("a session after the refusals: %+v", r)
+	}
+}
+
+// postSession POSTs a raw session stream and returns the status and the
+// whole answer.
+func postSession(t *testing.T, url, stream string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/session", "application/x-ndjson", strings.NewReader(stream))
+	if err != nil {
+		t.Fatalf("POST /v1/session: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
+}
+
+// TestSessionRefusesUndeclaredFields: a record naming a field it does not
+// declare — a typo, or an option the protocol no longer has — is refused
+// instead of silently ignored. The open record gets a 400 before the
+// stream starts; a step record gets an in-stream error before it moves a
+// body, and the session's lease is freed.
+func TestSessionRefusesUndeclaredFields(t *testing.T) {
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxLeases: 1}, drainTimeout: 10 * time.Second})
+	url := d.srv.URL()
+	for _, open := range []string{
+		`{"procs":1,"bodies":500,"adaptive":true}`,
+		`{"procs":1,"bodies":500,"modle":"disk"}`,
+	} {
+		if code, body := postSession(t, url, open+"\n"); code != http.StatusBadRequest || !strings.Contains(body, "unknown field") {
+			t.Errorf("open record %s: %d %s; want 400 naming the unknown field", open, code, body)
+		}
+	}
+	for _, step := range []string{`{"drfit":true}`, `{"pos":[[0,0,0]]}`} {
+		code, body := postSession(t, url, `{"procs":1,"bodies":500,"seed":1}`+"\n{}\n"+step+"\n{\"drift\":true}\n")
+		lines := strings.Split(strings.TrimSpace(body), "\n")
+		if code != http.StatusOK || len(lines) != 3 {
+			t.Fatalf("step record %s: %d, %d lines:\n%s\nwant opened, one step, one error", step, code, len(lines), body)
+		}
+		if !strings.Contains(lines[1], `"event":"step"`) || !strings.Contains(lines[2], `"event":"error"`) ||
+			!strings.Contains(lines[2], "unknown field") {
+			t.Errorf("step record %s answered:\n%s\nwant a step, then an error naming the unknown field", step, body)
+		}
+		// The lease is released on handler exit; the one lease returns.
+		deadline := time.Now().Add(5 * time.Second)
+		for d.eng.Stats().LeasesActive != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("step record %s: the refused session kept its lease", step)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -277,51 +276,6 @@ func TestClusterBackpressure(t *testing.T) {
 	}
 }
 
-// TestClusterSweepOrder pins the deterministic NDJSON contract: results
-// stream strictly in input-spec order no matter which build finishes
-// first.
-func TestClusterSweepOrder(t *testing.T) {
-	f := startFixture(t, FixtureOptions{Shards: 2})
-	sizes := []int{600, 100, 300}
-	specs := make([]runner.Spec, len(sizes))
-	for i, n := range sizes {
-		specs[i] = buildSpec(n)
-	}
-	b, _ := json.Marshal(specs)
-	resp, err := http.Post(f.RouterURL()+"/v1/sweep", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	var got []int
-	for sc.Scan() {
-		var res ClusterResult
-		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-			t.Fatalf("decoding sweep record: %v", err)
-		}
-		if res.Failed() {
-			t.Fatalf("sweep record failed: %v %v", res.Err, res.CheckFailure)
-		}
-		if res.BodiesBuilt != int64(res.Spec.Bodies) {
-			t.Fatalf("sweep record n=%d built %d", res.Spec.Bodies, res.BodiesBuilt)
-		}
-		got = append(got, res.Spec.Bodies)
-	}
-	if len(got) != len(sizes) {
-		t.Fatalf("sweep answered %d records, want %d", len(got), len(sizes))
-	}
-	for i, n := range sizes {
-		if got[i] != n {
-			t.Fatalf("sweep order: record %d has n=%d, want %d (input order)", i, got[i], n)
-		}
-	}
-}
-
 // TestClusterRollupMetrics asserts the aggregated /metrics page: shard
 // health gauges and the summed per-instance shard families.
 func TestClusterRollupMetrics(t *testing.T) {
@@ -353,12 +307,11 @@ func TestClusterRollupMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterServiceLimits: the cluster's three spec-carrying endpoints
+// TestClusterServiceLimits: the cluster's two spec-carrying endpoints
 // hold a spec to the service limits like a single partreed does — an
-// over-limit bodies, procs, steps or leaf_cap, and a sweep longer than
-// the cap, answer 400 naming the limit before any shard generates a body
-// set — and a small spec sitting exactly on the procs, steps and leaf_cap
-// limits builds.
+// over-limit bodies, procs, steps or leaf_cap answers 400 naming the
+// limit before any shard generates a body set — and a small spec sitting
+// exactly on the procs, steps and leaf_cap limits builds.
 func TestClusterServiceLimits(t *testing.T) {
 	f := startFixture(t, FixtureOptions{Shards: 2})
 	shardBuild := func(spec runner.Spec) any { return ShardBuildRequest{MapVersion: f.Map.Version, Spec: spec} }
@@ -367,7 +320,6 @@ func TestClusterServiceLimits(t *testing.T) {
 		body func(runner.Spec) any
 	}{
 		{f.RouterURL() + "/v1/build", func(s runner.Spec) any { return s }},
-		{f.RouterURL() + "/v1/sweep", func(s runner.Spec) any { return []runner.Spec{buildSpec(256), s} }},
 		{f.ShardURL(0) + "/v1/shard/build", shardBuild},
 	}
 	maxProcs := runner.MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
@@ -386,13 +338,6 @@ func TestClusterServiceLimits(t *testing.T) {
 				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", ep.url, c.field, code, msg, c.limit)
 			}
 		}
-	}
-	long := make([]runner.Spec, runner.MaxSweepSpecs+1)
-	for i := range long {
-		long[i] = buildSpec(256 + i)
-	}
-	if code, msg := postJSON(t, f.RouterURL()+"/v1/sweep", long); code != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(runner.MaxSweepSpecs)) {
-		t.Errorf("sweep of %d specs: %d %s; want 400 naming %d", len(long), code, msg, runner.MaxSweepSpecs)
 	}
 	for i, ss := range f.Shards {
 		ss.mu.Lock()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -22,16 +21,9 @@ type RouterOptions struct {
 	Client ClientOptions
 }
 
-const (
-	// sweepConcurrency bounds how many cluster builds a sweep runs at
-	// once. Each cluster build already fans out to every shard, so this
-	// bounds fan-out squared.
-	sweepConcurrency = 4
-	// scrapeTimeout bounds the rollup collector's per-shard /metrics
-	// scrape, keeping a dead shard from stalling the router's own
-	// /metrics page.
-	scrapeTimeout = 2 * time.Second
-)
+// scrapeTimeout bounds the rollup collector's per-shard /metrics scrape,
+// keeping a dead shard from stalling the router's own /metrics page.
+const scrapeTimeout = 2 * time.Second
 
 // ClusterResult is a merged build: the same measurement fields as
 // runner.Result under the same JSON names (so existing clients decode
@@ -64,13 +56,12 @@ type ClusterResult struct {
 func (r ClusterResult) Failed() bool { return r.Err != "" || r.CheckFailure != "" }
 
 // Router fronts a partreed fleet: it owns the addressed map, a client
-// per shard, and the fan-out/merge logic for builds and sweeps.
+// per shard, and the fan-out/merge logic for builds.
 type Router struct {
 	m       Map
 	clients []*Client
 
 	builds    *obs.Counter
-	sweeps    *obs.Counter
 	rejected  *obs.Counter
 	errors    *obs.Counter
 	conflicts *obs.Counter
@@ -90,7 +81,6 @@ func NewRouter(o RouterOptions) (*Router, error) {
 	rt := &Router{
 		m:         o.Map,
 		builds:    obs.NewCounter("partree_router_builds_total", "Cluster builds fanned out and merged."),
-		sweeps:    obs.NewCounter("partree_router_sweeps_total", "Cluster sweeps served."),
 		rejected:  obs.NewCounter("partree_router_rejected_total", "Cluster builds answered 503 because a shard's admission control rejected."),
 		errors:    obs.NewCounter("partree_router_shard_errors_total", "Shard calls that failed at transport level or with an unexpected status."),
 		conflicts: obs.NewCounter("partree_router_version_conflicts_total", "Shard calls refused with 409 (fleet running a different map version)."),
@@ -105,7 +95,7 @@ func NewRouter(o RouterOptions) (*Router, error) {
 // rollup collector, which scrapes every shard's /metrics at gather time
 // and sums the build and admission families into partree_cluster_*.
 func (rt *Router) RegisterObs(reg *obs.Registry) error {
-	return reg.Register(rt.builds, rt.sweeps, rt.rejected, rt.errors, rt.conflicts,
+	return reg.Register(rt.builds, rt.rejected, rt.errors, rt.conflicts,
 		&rollupCollector{rt: rt})
 }
 
@@ -115,7 +105,6 @@ func (rt *Router) RegisterObs(reg *obs.Registry) error {
 // keeps one ID on the router and on every shard it fans out to.
 func (rt *Router) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
 	rec.Handle(mux, http.MethodPost, "/v1/build", "POST a runner.Spec JSON document", rt.handleBuild)
-	rec.Handle(mux, http.MethodPost, "/v1/sweep", "POST a JSON array of runner.Spec documents", rt.handleSweep)
 	rec.Handle(mux, http.MethodGet, "/v1/map", "GET the shard map", rt.handleMap)
 }
 
@@ -226,11 +215,18 @@ func mergeBuild(spec runner.Spec, answers []shardAnswer) ClusterResult {
 	return out
 }
 
-// buildOnce runs one full fan-out/merge. The error return carries an
-// HTTP status to propagate (409/502/503); in-band failures travel
-// inside the ClusterResult.
-func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec) (ClusterResult, int, string) {
-	answers := rt.fanOutBuild(ctx, spec)
+// handleBuild runs one full fan-out/merge. A shard's refusal becomes the
+// cluster's status (409/502/503); in-band failures travel inside the
+// ClusterResult.
+func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
+	// Cluster builds are always native shard builds; see ShardServer.
+	spec, err := runner.DecodeServiceSpec(req.Body, true)
+	if err != nil {
+		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	start := time.Now()
+	answers := rt.fanOutBuild(req.Context(), spec)
 	// Transport failures and deliberate rejections are per-status; a 503
 	// surfaces the *slowest* rejecting shard's reason — the request was
 	// held until that shard answered, so its reason is what the caller
@@ -249,74 +245,19 @@ func (rt *Router) buildOnce(ctx context.Context, spec runner.Spec) (ClusterResul
 			continue
 		}
 		code, msg := rt.shardFailure(a.idx, a.err)
-		return ClusterResult{}, code, msg
-	}
-	if reject != nil {
-		se := reject.err.(*StatusError)
-		return ClusterResult{}, http.StatusServiceUnavailable,
-			fmt.Sprintf("shard %s: %s", rt.m.Shards[reject.idx].ID, se.Msg)
-	}
-	rt.builds.Inc()
-	return mergeBuild(spec, answers), 0, ""
-}
-
-func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
-	// Cluster builds are always native shard builds; see ShardServer.
-	spec, err := runner.DecodeServiceSpec(json.NewDecoder(req.Body), true)
-	if err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	start := time.Now()
-	res, code, msg := rt.buildOnce(req.Context(), spec)
-	if code != 0 {
 		reqtrace.WriteError(w, code, msg)
 		return
 	}
-	res.RouterWallNs = time.Since(start).Nanoseconds()
-	writeJSON(w, res)
-}
-
-func (rt *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	specs, err := runner.DecodeServiceSweep(json.NewDecoder(req.Body), true)
-	if err != nil {
-		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
+	if reject != nil {
+		se := reject.err.(*StatusError)
+		reqtrace.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("shard %s: %s", rt.m.Shards[reject.idx].ID, se.Msg))
 		return
 	}
-	rt.sweeps.Inc()
-
-	// The NDJSON stream is deterministic in *order*: results are emitted
-	// strictly in input-spec order regardless of which cluster build
-	// finishes first, so interleaved per-shard timing can never reorder
-	// the stream. Failures travel in-band per record, like a sweep
-	// against a single partreed.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	results := make([]ClusterResult, len(specs))
-	done := make([]chan struct{}, len(specs))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	sem := make(chan struct{}, sweepConcurrency)
-	for i := range specs {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; close(done[i]) }()
-			res, code, msg := rt.buildOnce(req.Context(), specs[i])
-			if code != 0 {
-				res = ClusterResult{Spec: specs[i], Err: msg}
-			}
-			results[i] = res
-		}(i)
-	}
-	enc := json.NewEncoder(w)
-	for i := range specs {
-		<-done[i]
-		enc.Encode(results[i])
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	rt.builds.Inc()
+	res := mergeBuild(spec, answers)
+	res.RouterWallNs = time.Since(start).Nanoseconds()
+	writeJSON(w, res)
 }
 
 // rollupFamilies maps each aggregated partree_cluster_* counter to the

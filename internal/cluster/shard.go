@@ -53,14 +53,6 @@ type ShardBuildResult struct {
 // Failed reports whether the shard's build failed (in-band).
 func (r ShardBuildResult) Failed() bool { return r.Err != "" || r.CheckFailure != "" }
 
-// ShardInfo is the GET /v1/shard document.
-type ShardInfo struct {
-	ID         string `json:"id"`
-	MapVersion int    `json:"map_version"`
-	Lo         uint64 `json:"lo"`
-	Hi         uint64 `json:"hi"`
-}
-
 // ShardServer owns one Morton range of the cluster: it serves shard-
 // level builds through the process's engine, so the engine's admission
 // control composes shard by shard. A build is a pure function of the map
@@ -117,7 +109,6 @@ func (s *ShardServer) RegisterObs(reg *obs.Registry) error {
 // call the router makes on a client's behalf is filed under that
 // client's request ID here too.
 func (s *ShardServer) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
-	rec.Handle(mux, http.MethodGet, "/v1/shard", "GET the shard info document", s.handleInfo)
 	rec.Handle(mux, http.MethodPost, "/v1/shard/build", "POST a ShardBuildRequest JSON document", s.handleBuild)
 }
 
@@ -136,11 +127,6 @@ func (s *ShardServer) checkVersion(w http.ResponseWriter, got int) bool {
 		return false
 	}
 	return true
-}
-
-func (s *ShardServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	sh := s.m.Shards[s.idx]
-	writeJSON(w, ShardInfo{ID: sh.ID, MapVersion: s.m.Version, Lo: sh.Lo, Hi: sh.Hi})
 }
 
 // bodiesKey names a deterministic body set.

@@ -9,7 +9,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/par"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 var assignSink [][]int32
@@ -166,49 +165,4 @@ func benchServedSession(b *testing.B) {
 	b.ReportMetric(float64(wall.Microseconds())/total, "µs/step")
 	b.ReportMetric(100*float64(rebuilds)/total, "rebuilds/100steps")
 	b.ReportMetric(float64(alloc)/total, "B/step")
-}
-
-// BenchmarkAdaptiveSessionStep is the wall-clock arm of h1: a resident
-// session over the hierarchical model, static against adaptive, the
-// adaptive one's cuts steered by the insert times this host measures. An
-// op is a whole session, opened and stepped 30 times past its first
-// build; besides ns/op it reports the insert-time max/mean at steps 1, 10
-// and 30 (averaged over sessions) and µs per step. It asserts nothing:
-// on a host with fewer cores than p, noise can exceed the skew.
-func BenchmarkAdaptiveSessionStep(b *testing.B) {
-	const n, dt, steps = 50000, 0.01, 30
-	gen := phys.Generate(phys.ModelHierarchical, n, 1)
-	for _, p := range []int{2, 4} {
-		for _, adaptive := range []bool{false, true} {
-			kind, open := "static", NewStepper
-			if adaptive {
-				kind, open = "adaptive", NewAdaptiveStepper
-			}
-			b.Run(fmt.Sprintf("hierarchical-50k/p=%d/%s", p, kind), func(b *testing.B) {
-				var skew [steps + 1]float64
-				var wall time.Duration
-				for i := 0; i < b.N; i++ {
-					bodies := gen.Clone()
-					st := open(Config{P: p, LeafCap: 8}, bodies, FallbackPolicy{})
-					st.Step(StepInput{})
-					for k := 1; k <= steps; k++ {
-						bodies.Drift(0, n, dt*float64(1-2*(k%2)))
-						t0 := time.Now()
-						res := st.Step(StepInput{})
-						wall += time.Since(t0)
-						var total, worst int64
-						for _, pp := range res.Metrics.PerP {
-							ns := pp.PhaseNs[trace.PhaseInsert]
-							total, worst = total+ns, max(worst, ns)
-						}
-						skew[k] += float64(worst) * float64(p) / float64(total)
-					}
-				}
-				for _, k := range []int{1, 10, 30} {
-					b.ReportMetric(skew[k]/float64(b.N), fmt.Sprintf("insert-max/mean@%d", k))
-				}
-				b.ReportMetric(float64(wall.Microseconds())/float64(b.N*steps), "µs/step")
-			})
-		}
-	}
 }

@@ -25,9 +25,7 @@ type procCounters struct {
 	// trace.Phase: the wall time of its shares of the phase's forks, and
 	// under trace.PhaseBarrier its waits at their joins for the slowest
 	// share. The phase driver stamps it on every build, traced or not;
-	// subdivide, nested inside insert, only a trace sees. PhaseNs[
-	// trace.PhaseInsert] is the one measurement the adaptive loop steers
-	// on.
+	// subdivide, nested inside insert, only a trace sees.
 	PhaseNs [trace.NumPhases]int64
 	finish  int64 // when this processor's share of the current fork ended
 	_       [2]int64

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"math"
-	"sync/atomic"
-
 	"partree/internal/obs"
 	"partree/internal/trace"
 )
@@ -69,33 +66,10 @@ func publishBuild(m *Metrics) {
 	}
 }
 
-// The partree_adapt_* families: what the boundary controllers of every
-// adaptive Stepper in the process did. The gauges are last-writer-wins
-// samples — with one adaptive session they read as its own values, with
-// many they show the freshest.
-var (
-	adaptSessions     = obs.NewCounter("partree_adapt_sessions_total", "Adaptive controllers constructed.")
-	adaptCorrections  = obs.NewCounter("partree_adapt_corrections_total", "Cut moves made from measured per-processor insert times.")
-	adaptRepartitions = obs.NewCounter("partree_adapt_repartitions_total", "Measured-cost costzones cuts served to steppers.")
-
-	// adaptSkewBefore is the insert-time imbalance a step measured,
-	// adaptSkewAfter the one the cut model predicts for the next.
-	adaptSkewBefore, adaptSkewAfter lastValue
-)
-
-// lastValue is a last-writer-wins sample.
-type lastValue struct{ bits atomic.Uint64 }
-
-func (l *lastValue) set(v float64) { l.bits.Store(math.Float64bits(v)) }
-func (l *lastValue) get() float64  { return math.Float64frombits(l.bits.Load()) }
-
-// RegisterObs adds the partree_build_* and partree_adapt_* families to
-// reg. They are process-global: register once per registry.
+// RegisterObs adds the partree_build_* families to reg. They are
+// process-global: register once per registry.
 func RegisterObs(reg *obs.Registry) error {
-	cs := []obs.Collector{buildPhaseSeconds, adaptSessions, adaptCorrections, adaptRepartitions,
-		obs.NewGaugeFunc("partree_adapt_skew_before", "Latest measured max/mean insert-time skew before correction.", adaptSkewBefore.get),
-		obs.NewGaugeFunc("partree_adapt_skew_after", "Latest predicted max/mean cost skew of the corrected partition.", adaptSkewAfter.get),
-	}
+	cs := []obs.Collector{buildPhaseSeconds}
 	for _, fam := range buildFamilies {
 		cs = append(cs, fam)
 	}

@@ -6,8 +6,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/stats"
-	"partree/internal/trace"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -73,12 +71,6 @@ type Stepper struct {
 	// pendingRebuild is the rule's verdict from the previous step,
 	// consumed (and reset) by the next Step call.
 	pendingRebuild bool
-	// adaptive sessions move the cuts by each step's measured insert
-	// times (a boundary controller); static ones recut the modeled costs.
-	// spare receives a move, insertNs holds the times it reads.
-	adaptive bool
-	spare    []int
-	insertNs []int64
 }
 
 // NewStepper pins a fresh UPDATE builder over bodies and sorts them, in
@@ -98,21 +90,7 @@ func NewStepper(cfg Config, bodies *phys.Bodies, _ FallbackPolicy) *Stepper {
 		assign: make([][]int32, cfg.P),
 	}
 	st.resort()
-	partition.CostRanges(bodies.Cost, st.cut)
-	st.render()
-	return st
-}
-
-// NewAdaptiveStepper is NewStepper with the partition steered by measured
-// time: it opens on the same cost cut, and after every step each cut moves
-// toward the slower of its two zones (partition.MoveCuts over the step's
-// Metrics.PerP[w].PhaseNs[trace.PhaseInsert], which every build stamps),
-// so an adaptive step builds exactly as a static one does.
-func NewAdaptiveStepper(cfg Config, bodies *phys.Bodies, policy FallbackPolicy) *Stepper {
-	st := NewStepper(cfg, bodies, policy)
-	st.adaptive = true
-	st.spare = make([]int, len(st.cut))
-	adaptSessions.Inc()
+	st.repartition()
 	return st
 }
 
@@ -124,8 +102,7 @@ var clockEpoch = time.Now()
 // zones are ranges of. Slots change meaning, so it may run only where
 // nothing slot-keyed survives: at construction, and ahead of a build that
 // starts from scratch (which rewrites the builder's body→leaf map). The
-// cuts are positions, not bodies, so they — and the zones — survive it,
-// for static and adaptive sessions alike.
+// cuts are positions, not bodies, so they — and the zones — survive it.
 func (st *Stepper) resort() {
 	b := st.bodies
 	order := st.sorter.Order(b.Pos, b.Bounds(rootMargin))
@@ -197,7 +174,7 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	if ts := m.TreeStats; ts.AvgDepth > 0 {
 		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
-	st.repartition(m)
+	st.repartition()
 	st.pendingRebuild = st.rule.observe(st.now()-t0, m.FreshRebuild)
 	st.step++
 	return res
@@ -205,33 +182,10 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 
 // repartition recuts the body assignment for the next step — the
 // staleness fix: before it, the step-0 partition (and its costs) served
-// every subsequent step unchanged. A static session cuts the modeled costs
-// along the resident order; an adaptive one moves each cut by the time
-// this step measured on either side of it. Either way the zones are p
-// ranges of the index, no tree walk, nothing allocated.
-func (st *Stepper) repartition(m *Metrics) {
-	if st.adaptive {
-		st.moveCuts(m)
-	} else {
-		partition.CostRanges(st.bodies.Cost, st.cut)
-	}
+// every subsequent step unchanged. It cuts the modeled costs along the
+// resident order, as the paper's costzones does: the zones are p ranges
+// of the index, no tree walk, nothing allocated.
+func (st *Stepper) repartition() {
+	partition.CostRanges(st.bodies.Cost, st.cut)
 	st.render()
-}
-
-// moveCuts is the boundary controller's turn: the step's per-processor
-// insert times move the cuts, and the partree_adapt_* families hear of it.
-func (st *Stepper) moveCuts(m *Metrics) {
-	st.insertNs = st.insertNs[:0]
-	for w := range m.PerP {
-		st.insertNs = append(st.insertNs, m.PerP[w].PhaseNs[trace.PhaseInsert])
-	}
-	if s := stats.Summarize(st.insertNs); s.Mean > 0 {
-		adaptSkewBefore.set(s.Max / s.Mean)
-	}
-	adaptRepartitions.Inc()
-	if skew := partition.MoveCuts(st.spare, st.cut, st.insertNs); skew > 0 {
-		st.cut, st.spare = st.spare, st.cut
-		adaptCorrections.Inc()
-		adaptSkewAfter.set(skew)
-	}
 }

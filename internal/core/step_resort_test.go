@@ -7,19 +7,22 @@ import (
 	"partree/internal/core"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 	"partree/internal/verify"
 )
 
-// TestAdaptiveSessionResorts: an adaptive session is no longer exempt
-// from re-sorting. After steps of drift its cuts have moved and its bodies
-// have left Morton order; a Rebuild step must sort them again, keep the
-// cuts where they were (they are positions, not bodies), and build a tree
-// verify.Build accepts.
-func TestAdaptiveSessionResorts(t *testing.T) {
+// TestSessionResortKeepsCostCut: after steps of drift a session's bodies
+// have left Morton order; a Rebuild step must sort them again, build a
+// tree verify.Build accepts, and leave the next step's zones at the cost
+// cut of the re-sorted order — the costs travel with their bodies, so the
+// cut is taken over the new slots, not the old ones.
+func TestSessionResortKeepsCostCut(t *testing.T) {
 	const n, p = 3000, 4
 	b := phys.Generate(phys.ModelPlummer, n, 13)
-	st := core.NewAdaptiveStepper(core.Config{P: p, LeafCap: 8}, b, core.FallbackPolicy{})
+	for i, q := range b.Pos {
+		// A force pass's costs: the dense core is expensive.
+		b.Cost[i] = 1 + int64(64/(0.05+q.Len()))
+	}
+	st := core.NewStepper(core.Config{P: p, LeafCap: 8}, b, core.FallbackPolicy{})
 	core.SteadyClock(st)
 	cuts := func() []int {
 		out := []int{0}
@@ -47,13 +50,12 @@ func TestAdaptiveSessionResorts(t *testing.T) {
 		t.Fatal("setup: eight drift steps left the bodies in Morton order; the re-sort goes untested")
 	}
 	ids := slices.Clone(b.ID)
-	before := cuts()
 	res := st.Step(core.StepInput{Rebuild: true})
 	if !res.Fresh || res.Reason != core.FreshRequested {
 		t.Fatalf("rebuild step: fresh=%v reason %q", res.Fresh, res.Reason)
 	}
 	if !sorted() {
-		t.Fatal("a from-scratch step left the adaptive session's bodies out of Morton order")
+		t.Fatal("a from-scratch step left the session's bodies out of Morton order")
 	}
 	if slices.Equal(ids, b.ID) {
 		t.Fatal("the re-sort moved no body")
@@ -61,14 +63,12 @@ func TestAdaptiveSessionResorts(t *testing.T) {
 	if err := verify.Build(core.UPDATE, res.Tree, res.Metrics, b, res.Step); err != nil {
 		t.Fatal(err)
 	}
-	// The cuts survived the re-sort: the step's own move, made from them,
-	// is where they are now.
-	ns := make([]int64, p)
-	for w := range ns {
-		ns[w] = res.Metrics.PerP[w].PhaseNs[trace.PhaseInsert]
-	}
 	want := make([]int, p+1)
-	if partition.MoveCuts(want, before, ns); !slices.Equal(cuts(), want) {
-		t.Fatalf("the re-sort moved the cuts: %v before, %v after, the step's move from them gives %v", before, cuts(), want)
+	partition.CostRanges(b.Cost, want)
+	if got := cuts(); !slices.Equal(got, want) {
+		t.Fatalf("after the re-sort the zones are cut at %v, the costs of the new order at %v", got, want)
+	}
+	if even := []int{0, n / 4, n / 2, 3 * n / 4, n}; slices.Equal(want, even) {
+		t.Fatal("setup: the costs cut the order evenly; the cost cut goes untested")
 	}
 }

@@ -65,48 +65,40 @@ func vetted(t *testing.T, spec Spec, native bool) {
 	if err != nil {
 		t.Fatalf("an accepted spec does not encode: %v", err)
 	}
-	again, err := DecodeServiceSpec(json.NewDecoder(bytes.NewReader(doc)), native)
+	again, err := DecodeServiceSpec(bytes.NewReader(doc), native)
 	if err != nil || again != spec {
 		t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v (%v)", spec, doc, again, err)
 	}
 }
 
 // FuzzDecodeServiceSpec: whatever bytes arrive on /v1/build, the decoder
-// returns a vetted spec or an error — it never panics.
+// returns a vetted spec or an error — it never panics — and it accepts
+// exactly one document: trailing whitespace is let through, a second
+// document (or anything else after the first) is refused.
 func FuzzDecodeServiceSpec(f *testing.F) {
-	for _, s := range serviceSpecSeeds(f) {
+	seeds := serviceSpecSeeds(f)
+	for _, s := range seeds {
 		f.Add(s, false)
 		f.Add(s, true)
 	}
+	// The retired sweep's body, two specs back to back, and one spec
+	// followed by whitespace or by stray bytes.
+	f.Add("["+seeds[0]+"]", true)
+	f.Add(seeds[0]+seeds[0], false)
+	f.Add(seeds[0]+"\n"+seeds[5], false)
+	f.Add(seeds[0]+" \r\n\t", true)
+	f.Add(seeds[0]+" x", true)
 	f.Fuzz(func(t *testing.T, doc string, native bool) {
-		spec, err := DecodeServiceSpec(json.NewDecoder(strings.NewReader(doc)), native)
-		if err == nil {
-			vetted(t, spec, native)
-		}
-	})
-}
-
-// FuzzDecodeServiceSweep: the same for /v1/sweep's spec list, which is
-// also held to MaxSweepSpecs.
-func FuzzDecodeServiceSweep(f *testing.F) {
-	seeds := serviceSpecSeeds(f)
-	f.Add("["+strings.Join(seeds[:1], ",")+"]", false)
-	f.Add("["+seeds[0]+","+seeds[1]+"]", true)
-	f.Add("["+strings.Repeat(seeds[0]+",", MaxSweepSpecs)+seeds[0]+"]", false)
-	for _, s := range seeds {
-		f.Add("["+s+"]", true)
-		f.Add(s, false)
-	}
-	f.Fuzz(func(t *testing.T, doc string, native bool) {
-		specs, err := DecodeServiceSweep(json.NewDecoder(strings.NewReader(doc)), native)
+		spec, err := DecodeServiceSpec(strings.NewReader(doc), native)
 		if err != nil {
 			return
 		}
-		if len(specs) > MaxSweepSpecs {
-			t.Fatalf("accepted a sweep of %d specs", len(specs))
+		vetted(t, spec, native)
+		if again, err := DecodeServiceSpec(strings.NewReader(doc+" \n"), native); err != nil || again != spec {
+			t.Fatalf("%q with trailing whitespace decodes to %+v (%v), without it to %+v", doc, again, err, spec)
 		}
-		for _, spec := range specs {
-			vetted(t, spec, native)
+		if _, err := DecodeServiceSpec(strings.NewReader(doc+doc), native); err == nil {
+			t.Fatalf("accepted %q twice over as one spec", doc)
 		}
 	})
 }

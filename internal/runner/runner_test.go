@@ -96,6 +96,26 @@ func TestRunAllKeepsSpecOrder(t *testing.T) {
 	}
 }
 
+// TestRunAllNeverShedsItsOwnCells runs a sweep four times wider than the
+// engine's build slots on an engine with no waiting room at all: a
+// harness sweep fans out exactly MaxActive wide behind the one admission
+// gate, so every cell must come back built — none shed with "queue full"
+// by a queue the sweep itself would have filled.
+func TestRunAllNeverShedsItsOwnCells(t *testing.T) {
+	eng := engine.New(engine.Options{MaxActive: 2, MaxQueue: -1})
+	r := NewWithConfig(Config{Engine: eng})
+	specs := make([]Spec, 4*eng.Options().MaxActive)
+	for i := range specs {
+		// Distinct sizes: no memo collapse, every cell really builds.
+		specs[i] = Spec{Backend: Native, Alg: core.LOCAL, BuildOnly: true, Procs: 1, Bodies: 1000 + 16*i, Steps: 2}
+	}
+	for i, res := range r.RunAll(context.Background(), specs) {
+		if res.Failed() || res.Spec.Bodies != specs[i].Bodies {
+			t.Fatalf("cell %d (n=%d): result for n=%d, %s", i, specs[i].Bodies, res.Spec.Bodies, res.FailureMessage())
+		}
+	}
+}
+
 func TestCancelledContextReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

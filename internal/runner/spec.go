@@ -12,7 +12,9 @@ package runner
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -144,8 +146,6 @@ const (
 	// MaxServiceLeafCap bounds leaf_cap: every leaf is allocated with
 	// room for that many body indices.
 	MaxServiceLeafCap = 4096
-	// MaxSweepSpecs bounds the spec list one sweep request may carry.
-	MaxSweepSpecs = 1024
 )
 
 // VetServiceSpec vets a spec received from a remote caller for execution
@@ -176,32 +176,20 @@ func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 	return spec, spec.Validate()
 }
 
-// DecodeServiceSpec reads one spec from dec and vets it (VetServiceSpec).
-func DecodeServiceSpec(dec *json.Decoder, native bool) (Spec, error) {
+// DecodeServiceSpec reads one spec, which must be the whole of r (bar
+// trailing whitespace), and vets it (VetServiceSpec). A second document
+// after the first is refused, not ignored: a client sending two specs
+// would otherwise be answered for the first as if it were all it sent.
+func DecodeServiceSpec(r io.Reader, native bool) (Spec, error) {
 	var spec Spec
+	dec := json.NewDecoder(r)
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("parsing spec: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("parsing spec: trailing data after the spec document")
+	}
 	return VetServiceSpec(spec, native)
-}
-
-// DecodeServiceSweep reads a sweep request — a JSON array of specs — from
-// dec, holds it to MaxSweepSpecs and vets every spec (VetServiceSpec).
-func DecodeServiceSweep(dec *json.Decoder, native bool) ([]Spec, error) {
-	var specs []Spec
-	if err := dec.Decode(&specs); err != nil {
-		return nil, fmt.Errorf("parsing spec list: %w", err)
-	}
-	if len(specs) > MaxSweepSpecs {
-		return nil, fmt.Errorf("sweep lists %d specs, the limit is %d", len(specs), MaxSweepSpecs)
-	}
-	for i := range specs {
-		var err error
-		if specs[i], err = VetServiceSpec(specs[i], native); err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
-		}
-	}
-	return specs, nil
 }
 
 // Validate reports whether the spec names a runnable cell.

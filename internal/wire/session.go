@@ -24,28 +24,20 @@ type SessionOpen struct {
 	Bodies  int `json:"bodies"`
 	LeafCap int `json:"leaf_cap,omitempty"`
 	// Model is any phys mass model (plummer, uniform, twoclusters,
-	// disk, hierarchical); empty selects the daemon's -session-model.
+	// disk, hierarchical); empty selects plummer.
 	Model string  `json:"model,omitempty"`
 	Seed  int64   `json:"seed"`
 	Dt    float64 `json:"dt,omitempty"` // drift timestep for {"drift":true} records
 	// Check verifies every step's tree against the octree invariants
 	// (canonical vs a serial rebuild on fresh steps) before answering.
-	Check bool `json:"check,omitempty"`
-	// Adaptive turns on measured-cost adaptive partitioning for this
-	// session: each step's measured per-processor insert times move the
-	// cuts between the next step's zones. Only the open record turns
-	// it on; the daemon has no flag for it.
-	Adaptive      bool  `json:"adaptive,omitempty"`
+	Check         bool  `json:"check,omitempty"`
 	IdleTimeoutMs int64 `json:"idle_timeout_ms,omitempty"`
 }
 
-// SessionStep is one client timestep record. Exactly one body mutation
-// (pos, drift, collapse) is typical but none is required: an empty
-// record re-times the tree over unchanged bodies.
+// SessionStep is one client timestep record. One body motion (drift or
+// collapse) is typical but none is required: an empty record re-times
+// the tree over unchanged bodies.
 type SessionStep struct {
-	// Pos overwrites every body position (length must equal the
-	// session's body count) — the client drives the motion.
-	Pos [][3]float64 `json:"pos,omitempty"`
 	// Drift advances positions by the session dt along current
 	// velocities — cheap server-side evolution.
 	Drift bool `json:"drift,omitempty"`
@@ -145,11 +137,15 @@ func (r *SessionRecord) UnmarshalJSON(line []byte) error {
 }
 
 // DecodeSessionOpen reads and validates the open record, defaulting an
-// empty model to defaultModel. A streamed request must not be able to
+// empty model to plummer. A streamed request must not be able to
 // allocate unbounded server memory, so the record is held to the
-// one-shot specs' limits.
-func DecodeSessionOpen(dec *json.Decoder, defaultModel string) (SessionOpen, phys.Model, error) {
+// one-shot specs' limits. A field the record does not declare is refused
+// rather than ignored: a misspelt or retired option would otherwise
+// silently run a session other than the one asked for. The refusal
+// holds for every later record dec reads.
+func DecodeSessionOpen(dec *json.Decoder) (SessionOpen, phys.Model, error) {
 	var o SessionOpen
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&o); err != nil {
 		return o, 0, fmt.Errorf("parsing open record: %v", err)
 	}
@@ -175,7 +171,7 @@ func DecodeSessionOpen(dec *json.Decoder, defaultModel string) (SessionOpen, phy
 		o.Dt = 0.01
 	}
 	if o.Model == "" {
-		o.Model = defaultModel
+		o.Model = phys.ModelPlummer.String()
 	}
 	model, ok := phys.ParseModel(o.Model)
 	if !ok {
@@ -184,10 +180,13 @@ func DecodeSessionOpen(dec *json.Decoder, defaultModel string) (SessionOpen, phy
 	return o, model, nil
 }
 
-// DecodeSessionStep reads one timestep record. The stream's clean end
-// stays recognisable: errors.Is(err, io.EOF).
+// DecodeSessionStep reads one timestep record, refusing a field the
+// record does not declare (a {"drfit": true} would otherwise re-time an
+// unchanged tree). The stream's clean end stays recognisable:
+// errors.Is(err, io.EOF).
 func DecodeSessionStep(dec *json.Decoder) (SessionStep, error) {
 	var s SessionStep
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("parsing step record: %w", err)
 	}

@@ -19,8 +19,8 @@ import (
 
 // openSeeds are open records the daemon has met: what its session tests
 // and the verify walk-through send, what loadgen sends under
-// scripts/loadgen_smoke.sh (server-side disk model, then a client-motion
-// scenario), each service limit crossed, and non-records.
+// scripts/loadgen_smoke.sh, each service limit crossed, a retired field
+// ("adaptive") and a misspelt one, and non-records.
 var openSeeds = []string{
 	`{"procs":2,"bodies":3000,"seed":1,"dt":0.005,"check":true}`,
 	`{"procs":2,"bodies":3000,"seed":7,"dt":0.005,"check":true,"adaptive":true}`,
@@ -30,27 +30,58 @@ var openSeeds = []string{
 	`{"procs":2,"bodies":256,"seed":43}`,
 	`{"bodies":2000000000}`, `{"bodies":64,"procs":100000}`, `{"bodies":64,"procs":65}`, `{"bodies":64,"leaf_cap":2147483648}`, `{"bodies":0}`, `{"bodies":64,"model":"cube"}`,
 	`{"bodies":"many"}`, `{"bodies":64,"dt":1e999}`, `{`, ``, `null`, `[]`, `7`,
+	`{"bodies":64,"modle":"disk"}`, `{"bodies":64,"Seed":3,"CHECK":true}`,
 }
 
+// stepSeeds are step records: the four the senders use, the empty one,
+// the retired client-motion record ("pos", refused as any undeclared
+// field is), misspellings, a case-folded name, and non-records.
 var stepSeeds = []string{
 	`{"drift":true}`, `{"collapse":0.4}`, `{"rebuild":true}`, `{"close":true}`, `{}`,
 	`{"pos":[[0,0,0],[1,2,3]]}`, `{"pos":[]}`, `{"pos":[[1,2]]}`, `{"pos":7}`,
-	// Finite positions, non-finite extent: decodes; the daemon refuses it.
 	`{"pos":[[1e308,0,0],[-1e308,0,0]]}`,
 	`{"drift":"yes"}`, `{`, ``, `null`,
+	`{"drfit":true}`, `{"drift":true,"adaptive":true}`, `{"Drift":true}`,
+}
+
+// declares reports whether every key of doc's top-level object is a
+// JSON name of one of v's fields, matched as encoding/json matches them
+// (case-insensitively). A doc that is not an object declares nothing
+// and reports true: there is no key to refuse.
+func declares(doc string, v any) bool {
+	var keys map[string]json.RawMessage
+	if json.Unmarshal([]byte(doc), &keys) != nil {
+		return true
+	}
+	typ := reflect.TypeOf(v)
+	for k := range keys {
+		known := false
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			known = known || strings.EqualFold(k, name)
+		}
+		if !known {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzDecodeSessionOpen: the open record's decoder never panics, what
-// it accepts is inside the service limits with a model that parses, and
-// an accepted record re-encodes to a record it accepts unchanged.
+// it accepts is inside the service limits with a model that parses and
+// names no field the record does not declare, and an accepted record
+// re-encodes to a record it accepts unchanged.
 func FuzzDecodeSessionOpen(f *testing.F) {
 	for _, s := range openSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		open, model, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		open, model, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)))
 		if err != nil {
 			return
+		}
+		if !declares(doc, open) {
+			t.Fatalf("accepted an open record with an undeclared field: %s", doc)
 		}
 		if open.Bodies < 1 || open.Bodies > runner.MaxServiceBodies ||
 			open.Procs < 1 || open.Procs > min(octree.MaxArenas, runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0)) ||
@@ -61,7 +92,7 @@ func FuzzDecodeSessionOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("an accepted open record does not encode: %v", err)
 		}
-		again, model2, err := DecodeSessionOpen(json.NewDecoder(bytes.NewReader(enc)), "uniform")
+		again, model2, err := DecodeSessionOpen(json.NewDecoder(bytes.NewReader(enc)))
 		if err != nil || again != open || model2 != model {
 			t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v, model %v→%v (%v)", open, enc, again, model, model2, err)
 		}
@@ -75,7 +106,7 @@ func TestSessionOpenProcsBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(32))
 	for procs, refused := range map[int]bool{64: false, 65: true} {
 		doc := fmt.Sprintf(`{"bodies":64,"procs":%d}`, procs)
-		_, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		_, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)))
 		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), "limit 64")) {
 			t.Errorf("procs %d: error %v, want refused=%t naming the limit 64", procs, err, refused)
 		}
@@ -89,7 +120,7 @@ func TestSessionOpenLeafCapBound(t *testing.T) {
 	limit := strconv.Itoa(runner.MaxServiceLeafCap)
 	for leafCap, refused := range map[int]bool{runner.MaxServiceLeafCap: false, runner.MaxServiceLeafCap + 1: true, 1 << 30: true} {
 		doc := fmt.Sprintf(`{"bodies":64,"leaf_cap":%d}`, leafCap)
-		open, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)), "plummer")
+		open, _, err := DecodeSessionOpen(json.NewDecoder(strings.NewReader(doc)))
 		if refused != (err != nil) || (refused && !strings.Contains(err.Error(), limit)) || (!refused && open.LeafCap != leafCap) {
 			t.Errorf("leaf_cap %d: record %+v, error %v, want refused=%t naming the limit %s", leafCap, open, err, refused, limit)
 		}
@@ -97,7 +128,8 @@ func TestSessionOpenLeafCapBound(t *testing.T) {
 }
 
 // FuzzDecodeSessionStep: the step decoder never panics, keeps the clean
-// end of stream recognisable, and an accepted record round-trips.
+// end of stream recognisable, refuses every field the record does not
+// declare, and an accepted record round-trips.
 func FuzzDecodeSessionStep(f *testing.F) {
 	for _, s := range stepSeeds {
 		f.Add(s)
@@ -109,6 +141,9 @@ func FuzzDecodeSessionStep(f *testing.F) {
 				t.Fatalf("empty stream: %v, want io.EOF", err)
 			}
 			return
+		}
+		if !declares(doc, step) {
+			t.Fatalf("accepted a step record with an undeclared field: %s", doc)
 		}
 		enc, err := json.Marshal(step)
 		if err != nil {
