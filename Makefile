@@ -74,8 +74,11 @@ bench-smoke:
 # generating the body set (every model, at the cluster workloads' sizes)
 # and ordering it layer by layer — one Morton key, the radix sort of a
 # body set, and the whole SpatialAssign a spatial:true request pays — and
-# the two phases around a SPACE build's inserts: the counting partition
-# and the moments pass, serial against two workers — then what a resident
+# a whole SPACE build at the two tree workloads' shapes, p = 1 and 2,
+# with its bounds (the counting partition's rounds), insert (the sorted
+# subtrees) and moments µs per build beside ns/op (BenchmarkSpaceBuild),
+# and two of those phases alone: the counting partition and the moments
+# pass, serial against two workers — then what a resident
 # session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
 # and two stepping at once, with the step's phases reported beside ns/op,
 # and a 1 200-step session under the benchmark's served motion, with its
@@ -87,7 +90,7 @@ bench-smoke:
 # forked shares' start lag p50/p95 (BenchmarkDo).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par
 
 microbench:
 	$(MICROBENCH)

@@ -21,10 +21,10 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/engine"
-	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
 	"partree/internal/vec"
+	"partree/internal/verify"
 	"partree/internal/wire"
 )
 
@@ -172,9 +172,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				fallbacks++
 			}
 			if open.Check {
-				data := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
-				if err := octree.Check(res.Tree, data,
-					octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
+				if err := verify.Build(res.Metrics.Alg, res.Tree, res.Metrics, bodies, res.Step); err != nil {
 					emit(wire.SessionError{Event: "error", Error: fmt.Sprintf("step %d verification: %v", res.Step, err)})
 					return
 				}

@@ -57,6 +57,43 @@ func BenchmarkSpacePartition(b *testing.B) {
 	}
 }
 
+// BenchmarkSpaceBuild times a warm SPACE build end to end at the two tree
+// workloads' shapes, on the spatial assignment every caller passes, and
+// reports where it went: the bounds phase (the counting partition
+// included), the insert phase (sorting and attaching the subtrees) and
+// the moments pass, in µs per build.
+func BenchmarkSpaceBuild(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		model phys.Model
+		n     int
+	}{{"plummer-200k", phys.ModelPlummer, 200000}, {"hierarchical-10k", phys.ModelHierarchical, 10000}} {
+		bodies := phys.Generate(c.model, c.n, 1)
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {
+				bld := New(SPACE, Config{P: p, LeafCap: 8})
+				in := &Input{Bodies: bodies, Assign: SpatialAssign(bodies, p)}
+				bld.Build(in)
+				var ph Timing
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, m := bld.Build(in)
+					ph.Bounds += m.Timing.Bounds
+					ph.Insert += m.Timing.Insert
+					ph.Moments += m.Timing.Moments
+				}
+				perBuild := func(d time.Duration) float64 {
+					return float64(d.Microseconds()) / float64(b.N)
+				}
+				b.ReportMetric(perBuild(ph.Bounds), "bounds-µs/build")
+				b.ReportMetric(perBuild(ph.Insert), "insert-µs/build")
+				b.ReportMetric(perBuild(ph.Moments), "moments-µs/build")
+			})
+		}
+	}
+}
+
 // BenchmarkSessionStep times what a /v1/session step costs inside the
 // daemon: a resident Stepper (p=1, as a lease holds it) repairing its
 // tree after a small drift, alone and beside a second session stepping at

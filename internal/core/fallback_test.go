@@ -177,28 +177,3 @@ func TestStepperRebuildAllocatesNothingBodySized(t *testing.T) {
 		t.Logf("a warm rebuild step allocated %d KB", kb)
 	}
 }
-
-// TestStepperVerifiedSteps checks the stepper's trees stay structurally
-// valid across repairs and a caller-forced rebuild.
-func TestStepperVerifiedSteps(t *testing.T) {
-	const n, p = 1500, 4
-	b := phys.Generate(phys.ModelPlummer, n, 7)
-	st := NewStepper(Config{P: p, LeafCap: 8}, b, FallbackPolicy{})
-	for i := 0; i < 6; i++ {
-		if i > 0 {
-			b.Drift(0, n, 0.01)
-		}
-		in := StepInput{Rebuild: i == 3}
-		res := st.Step(in)
-		if i == 3 && (!res.Fresh || res.Reason != FreshRequested) {
-			t.Fatalf("forced rebuild step: fresh=%v reason=%q", res.Fresh, res.Reason)
-		}
-		if i == 3 && res.Fallback {
-			t.Fatal("caller-forced rebuild must not be reported as a rule rebuild")
-		}
-		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
-		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
-			t.Fatalf("step %d invariants: %v", i, err)
-		}
-	}
-}

@@ -162,3 +162,79 @@ func TestMetricsTreeStatsMatchCollectStats(t *testing.T) {
 		}
 	}
 }
+
+// TestSpaceSortsTheSerialTreeBitForBit: SPACE's sorted subtrees are the
+// tree inserting the bodies one by one gives, to the bit. Under an even
+// assignment every subspace lists its bodies in index order, as
+// octree.BuildSerial inserts them, so over the same root cube every
+// node, every leaf's body list in order, and every moment must match the
+// serial build's — for SPACE and for UPDATE's requested rebuild, on a
+// deep skewed tree, on coincident bodies stacked to MaxDepth, and at a
+// leaf capacity of one.
+func TestSpaceSortsTheSerialTreeBitForBit(t *testing.T) {
+	type node struct {
+		leaf   bool
+		bodies string
+		m      nodeMoments
+	}
+	snapshot := func(tree *octree.Tree) []node {
+		var out []node
+		ms := liveMoments(tree)
+		octree.Walk(tree, func(r octree.Ref, _ int) bool {
+			nd := node{leaf: r.IsLeaf(), m: ms[len(out)]}
+			if nd.leaf {
+				nd.bodies = fmt.Sprint(tree.Store.Leaf(r).Bodies)
+			}
+			nd.m.ref = octree.Nil
+			out = append(out, nd)
+			return true
+		})
+		return out
+	}
+	coincident := phys.Generate(phys.ModelPlummer, 3000, 4)
+	for i := 0; i < 40; i++ {
+		coincident.Pos[i*50] = vec.V3{X: 0.01, Y: 0.02, Z: 0.03}
+	}
+	for _, c := range []struct {
+		name    string
+		bodies  *phys.Bodies
+		leafCap int
+	}{
+		{"plummer", phys.Generate(phys.ModelPlummer, 6000, 3), 8},
+		{"hierarchical", phys.Generate(phys.ModelHierarchical, 6000, 3), 8},
+		{"coincident", coincident, 4},
+		{"leafcap-1", phys.Generate(phys.ModelTwoClusters, 2000, 3), 1},
+	} {
+		for _, alg := range []core.Algorithm{core.SPACE, core.UPDATE} {
+			for _, p := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%v/p=%d", c.name, alg, p), func(t *testing.T) {
+					b := c.bodies
+					bld := core.New(alg, core.Config{P: p, LeafCap: c.leafCap})
+					in := &core.Input{Bodies: b, Assign: core.EvenAssign(b.N(), p)}
+					tree, m := bld.Build(in)
+					if alg == core.UPDATE {
+						in.Step, in.Rebuild = 1, true
+						if tree, m = bld.Build(in); m.FreshReason != core.FreshRequested {
+							t.Fatalf("reason %q, want a requested rebuild", m.FreshReason)
+						}
+					}
+					got := snapshot(tree)
+					ref := octree.BuildSerialInto(octree.NewStore(1, c.leafCap), tree.RootCube(), b.Pos)
+					octree.ComputeMomentsSerial(ref, octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost})
+					want := snapshot(ref)
+					if len(got) != len(want) {
+						t.Fatalf("%d live nodes, the serial tree has %d", len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("pre-order node %d:\n got %+v\nwant %+v", i, got[i], want[i])
+						}
+					}
+					if leaves, live := m.TotalLeaves(), int64(octree.CollectStats(tree).Leaves); leaves != live {
+						t.Fatalf("allocated %d leaves for %d live", leaves, live)
+					}
+				})
+			}
+		}
+	}
+}

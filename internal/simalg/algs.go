@@ -188,7 +188,9 @@ func newSpaceState(st *runState) *spaceState {
 }
 
 // spaceBuild runs SPACE's rounds and then builds and attaches the
-// processor's subtrees — with zero lock operations.
+// processor's subtrees — with zero lock operations. It builds them the
+// paper's way, one private insert per body, and charges that; the native
+// builder sorts them into the same tree instead.
 func (st *runState) spaceBuild(sp *sproc, step int) {
 	ss := st.space
 	pos := st.bodies.Pos
