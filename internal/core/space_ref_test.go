@@ -162,7 +162,10 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 		if !slices.Equal(g.Bodies, w.Bodies) {
 			t.Fatalf("subspace %d: bodies %v, reference %v", k, g.Bodies, w.Bodies)
 		}
-		g.Bodies, w.Bodies = nil, nil
+		if g.Count > 0 && &g.Bodies[0] != &sc.fin[g.off] {
+			t.Fatalf("subspace %d: off %d is not where its bodies lie in fin", k, g.off)
+		}
+		g.Bodies, w.Bodies, g.off = nil, nil, 0
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("subspace %d: %+v, reference %+v", k, g, w)
 		}
