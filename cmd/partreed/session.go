@@ -3,9 +3,8 @@
 // (body model, processors, leaf capacity); every following record is
 // one timestep. The server pins an UPDATE builder into an engine lease,
 // keeps the tree resident between records, and answers each step with
-// an in-stream result record — update-vs-rebuild mode, churn, depth
-// skew, and whether the session's rebuild rule asked for a fresh SPACE
-// rebuild. Errors and backpressure travel in-stream too: only lease
+// an in-stream result record — update-vs-rebuild mode, churn, and
+// whether the session's rebuild rule asked for a fresh SPACE rebuild. Errors and backpressure travel in-stream too: only lease
 // exhaustion and drain before the stream opens answer 503.
 package main
 
@@ -148,16 +147,15 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 			q1, _, _, _ := rq.Breakdown()
 			t := res.Metrics.Timing
 			out := wire.SessionStepResult{
-				Event:     "step",
-				Step:      res.Step,
-				Mode:      "update",
-				Reason:    res.Reason,
-				Fallback:  res.Fallback,
-				Moved:     res.Metrics.TotalBodiesMoved(),
-				Churn:     res.ChurnFrac,
-				DepthSkew: res.DepthSkew,
-				Locks:     res.Metrics.TotalLocks(),
-				BuildNs:   res.Metrics.Timing.Total().Nanoseconds(),
+				Event:    "step",
+				Step:     res.Step,
+				Mode:     "update",
+				Reason:   res.Reason,
+				Fallback: res.Fallback,
+				Moved:    res.Metrics.TotalBodiesMoved(),
+				Churn:    res.ChurnFrac,
+				Locks:    res.Metrics.TotalLocks(),
+				BuildNs:  res.Metrics.Timing.Total().Nanoseconds(),
 				Timing: &wire.StepTiming{
 					QueueMs:   reqtrace.Ms(q1 - q0),
 					BuildMs:   reqtrace.Ms(t.Bounds + t.Insert),

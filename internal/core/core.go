@@ -37,6 +37,7 @@ const (
 	LOCAL
 	// UPDATE incrementally repairs the previous step's tree instead of
 	// rebuilding: only bodies that crossed their old leaf's boundary move.
+	// Whenever it must start from scratch it builds as SPACE does.
 	UPDATE
 	// PARTREE builds a private local tree per processor without any
 	// synchronization and then merges whole cells/subtrees into the
@@ -124,10 +125,10 @@ type Input struct {
 	Step int
 	// Rebuild requests that a resident builder discard its retained tree
 	// and rebuild from scratch this step even when an incremental repair
-	// would be possible. UPDATE honors it with a zero-lock SPACE-style
-	// rebuild (a streaming session's rebuild rule asks for it); the
-	// rebuilding algorithms, which start fresh every step anyway, ignore
-	// it.
+	// would be possible (a streaming session's rebuild rule asks for it).
+	// UPDATE honors it with SPACE's zero-lock build, the build all its
+	// fresh starts take; the rebuilding algorithms, which start fresh
+	// every step anyway, ignore it.
 	Rebuild bool
 }
 

@@ -44,28 +44,13 @@ func (lb *loadBuilder) Store() *octree.Store { return lb.store }
 
 func (lb *loadBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(lb.alg, in.P())
-	return buildShared(lb.store, in, lb.cfg, m, lb.arenaFor, nil), m
-}
-
-// buildShared runs the concurrent-load build: every processor loads its
-// bodies into the shared tree with locking. UPDATE reuses it for its
-// first step with a bodyLeaf map to maintain.
-func buildShared(store *octree.Store, in *Input, cfg Config, m *Metrics,
-	arenaFor func(int) int, bodyLeaf []uint32) *octree.Tree {
-
 	pos := in.Bodies.Pos
-	return runPhases(cfg, in, m, freshTree(store), func(tree *octree.Tree, w int, tp *trace.P) {
-		ins := &inserter{
-			s:        store,
-			arena:    arenaFor(w),
-			proc:     w,
-			pc:       &m.PerP[w],
-			bodyLeaf: bodyLeaf,
-			tp:       tp,
-		}
+	tree := runPhases(lb.cfg, in, m, freshTree(lb.store), func(tree *octree.Tree, w int, tp *trace.P) {
+		ins := &inserter{s: lb.store, arena: lb.arenaFor(w), proc: w, pc: &m.PerP[w], tp: tp}
 		for _, b := range in.Assign[w] {
 			ins.insert(tree.Root, 0, b, pos)
 		}
 		m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
 	})
+	return tree, m
 }

@@ -32,21 +32,20 @@ type procCounters struct {
 }
 
 // Reasons an UPDATE build rebuilt from scratch (Metrics.FreshReason).
+// Whatever the reason, the build is SPACE's, into UPDATE's resident store.
 const (
 	// FreshFirst: the builder had no resident tree yet.
 	FreshFirst = "first"
 	// FreshStep0: the caller restarted the step sequence at step 0.
 	FreshStep0 = "step0"
 	// FreshRequested: the caller set Input.Rebuild (the rebuild rule or
-	// an explicit client request) — served as a SPACE-style rebuild.
+	// an explicit client request).
 	FreshRequested = "requested"
 	// FreshRestart: the body set was resized across a step-sequence
 	// discontinuity — an intentional restart with a new body set.
 	FreshRestart = "restart"
 	// FreshSwap: the body set was resized while the step sequence stayed
 	// continuous — an accidental body-set swap under a resident tree.
-	// Before the continuity check this case was a silent fresh rebuild;
-	// sessions count it as an unplanned rebuild.
 	FreshSwap = "body-set swap"
 	// FreshDiscontinuity: the step sequence jumped with the body set
 	// unchanged; the retained bodyLeaf map can no longer be trusted.
@@ -65,10 +64,7 @@ type Metrics struct {
 	// FreshRebuild reports that a resident builder (UPDATE) discarded
 	// its retained tree and rebuilt from scratch this step instead of
 	// repairing incrementally. Always false for the rebuilding
-	// algorithms, which have no resident tree to lose. Sessions use it
-	// to count unplanned rebuilds: a fresh rebuild on a step where the
-	// caller expected a repair (Step > 0 and Input.Rebuild unset) means
-	// the resident state was invalidated under the caller.
+	// algorithms, which have no resident tree to lose.
 	FreshRebuild bool
 	// FreshReason names why FreshRebuild happened (Fresh* constants);
 	// empty on incremental steps.

@@ -168,9 +168,9 @@ func TestMetricsTreeStatsMatchCollectStats(t *testing.T) {
 // assignment every subspace lists its bodies in index order, as
 // octree.BuildSerial inserts them, so over the same root cube every
 // node, every leaf's body list in order, and every moment must match the
-// serial build's — for SPACE and for UPDATE's requested rebuild, on a
-// deep skewed tree, on coincident bodies stacked to MaxDepth, and at a
-// leaf capacity of one.
+// serial build's — for SPACE and for UPDATE's first build and requested
+// rebuild, on a deep skewed tree, on coincident bodies stacked to
+// MaxDepth, and at a leaf capacity of one.
 func TestSpaceSortsTheSerialTreeBitForBit(t *testing.T) {
 	type node struct {
 		leaf   bool
@@ -211,27 +211,32 @@ func TestSpaceSortsTheSerialTreeBitForBit(t *testing.T) {
 					b := c.bodies
 					bld := core.New(alg, core.Config{P: p, LeafCap: c.leafCap})
 					in := &core.Input{Bodies: b, Assign: core.EvenAssign(b.N(), p)}
-					tree, m := bld.Build(in)
+					check := func(tree *octree.Tree, m *core.Metrics) {
+						t.Helper()
+						got := snapshot(tree)
+						ref := octree.BuildSerialInto(octree.NewStore(1, c.leafCap), tree.RootCube(), b.Pos)
+						octree.ComputeMomentsSerial(ref, octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost})
+						want := snapshot(ref)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d live nodes, the serial tree has %d", m.FreshReason, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: pre-order node %d:\n got %+v\nwant %+v", m.FreshReason, i, got[i], want[i])
+							}
+						}
+						if leaves, live := m.TotalLeaves(), int64(octree.CollectStats(tree).Leaves); leaves != live {
+							t.Fatalf("%s: allocated %d leaves for %d live", m.FreshReason, leaves, live)
+						}
+					}
+					check(bld.Build(in))
 					if alg == core.UPDATE {
 						in.Step, in.Rebuild = 1, true
-						if tree, m = bld.Build(in); m.FreshReason != core.FreshRequested {
+						tree, m := bld.Build(in)
+						if m.FreshReason != core.FreshRequested {
 							t.Fatalf("reason %q, want a requested rebuild", m.FreshReason)
 						}
-					}
-					got := snapshot(tree)
-					ref := octree.BuildSerialInto(octree.NewStore(1, c.leafCap), tree.RootCube(), b.Pos)
-					octree.ComputeMomentsSerial(ref, octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost})
-					want := snapshot(ref)
-					if len(got) != len(want) {
-						t.Fatalf("%d live nodes, the serial tree has %d", len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("pre-order node %d:\n got %+v\nwant %+v", i, got[i], want[i])
-						}
-					}
-					if leaves, live := m.TotalLeaves(), int64(octree.CollectStats(tree).Leaves); leaves != live {
-						t.Fatalf("allocated %d leaves for %d live", leaves, live)
+						check(tree, m)
 					}
 				})
 			}

@@ -53,7 +53,7 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		rebuild bool
 		// partitionForks is the least number of partition forks the
 		// checked build runs: bounds, plus UPDATE's rescale or two per
-		// SPACE counting round.
+		// SPACE counting round (every fresh UPDATE build runs SPACE's).
 		partitionForks int
 	}
 	paths := []path{
@@ -61,7 +61,7 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		{"LOCAL", core.LOCAL, "", 0, false, 1},
 		{"PARTREE", core.PARTREE, "", 0, false, 1},
 		{"SPACE", core.SPACE, "", 0, false, 1 + 2*2},
-		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false, 1},
+		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false, 1 + 2*2},
 		{"UPDATE/repair", core.UPDATE, "", 1, false, 2},
 		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true, 1 + 2*2},
 	}

@@ -83,22 +83,16 @@ func (sb *spaceBuilder) Store() *octree.Store { return sb.store }
 
 func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(SPACE, in.P())
-	s := sb.store
-	tree := spaceBuild(s, &sb.scratch, sb.cfg, in, m, func(w int, tp *trace.P) *inserter {
-		return &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp}
-	})
-	return tree, m
+	return sb.build(in, m, nil), m
 }
 
-// spaceBuild is SPACE's build over store s: the counting partition runs
-// in the prepare phase (in the caller's resident scratch sc), then every
-// processor sorts and attaches the subtrees of its subspaces. mkIns
-// supplies each worker's inserter, so callers control whether a bodyLeaf
-// map is maintained (UPDATE's requested rebuild threads its persistent
-// map through here; plain SPACE passes none).
-func spaceBuild(s *octree.Store, sc *spaceScratch, cfg Config, in *Input, m *Metrics,
-	mkIns func(w int, tp *trace.P) *inserter) *octree.Tree {
-
+// build is SPACE's build into sb's store: the counting partition runs in
+// the prepare phase (in sb's resident scratch), then every processor
+// sorts and attaches the subtrees of its subspaces. bodyLeaf is nil for
+// SPACE; UPDATE passes its body→leaf map, which every attached subtree
+// publishes into, so its repairs resume against the fresh tree.
+func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.Tree {
+	s, sc, cfg := sb.store, &sb.scratch, sb.cfg
 	p := in.P()
 	var subs []Subspace
 	var th int
@@ -112,7 +106,8 @@ func spaceBuild(s *octree.Store, sc *spaceScratch, cfg Config, in *Input, m *Met
 			return tree
 		},
 		func(_ *octree.Tree, w int, tp *trace.P) {
-			spaceAttach(in.Bodies.Pos, subs, sc.nxt, &sc.pos[w], th, w, mkIns(w, tp))
+			ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf, tp: tp}
+			spaceAttach(in.Bodies.Pos, subs, sc.nxt, &sc.pos[w], th, w, ins)
 		})
 }
 

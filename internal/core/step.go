@@ -27,10 +27,6 @@ type StepResult struct {
 	// boundary this step (0 on fresh rebuilds, which move everything by
 	// definition).
 	ChurnFrac float64
-	// DepthSkew is max/mean live-leaf depth. UPDATE never collapses
-	// cells, so a long-resident tree's max leaf depth creeps up while the
-	// mean stays put. 0 for an empty tree.
-	DepthSkew float64
 	// Fresh reports the builder rebuilt from scratch; Reason names why.
 	Fresh  bool
 	Reason string
@@ -170,9 +166,6 @@ func (st *Stepper) Step(in StepInput) *StepResult {
 	}
 	if n := st.bodies.N(); n > 0 && !m.FreshRebuild {
 		res.ChurnFrac = float64(m.TotalBodiesMoved()) / float64(n)
-	}
-	if ts := m.TreeStats; ts.AvgDepth > 0 {
-		res.DepthSkew = float64(ts.MaxDepth) / ts.AvgDepth
 	}
 	st.repartition()
 	st.pendingRebuild = st.rule.observe(st.now()-t0, m.FreshRebuild)

@@ -14,29 +14,32 @@ import (
 // node structures store their bounds explicitly. A moved body walks up the
 // parent links until an enclosing cell is found and is reinserted from
 // there with the usual locking; leaves that empty out are reclaimed.
+//
+// Repair is all UPDATE adds: whenever it must start from scratch (its
+// first build, a requested rebuild, a restart) it runs SPACE's zero-lock
+// build into the same resident store, publishing every body's leaf.
 type updateBuilder struct {
-	cfg      Config
-	store    *octree.Store
+	spaceBuilder
 	tree     *octree.Tree
 	bodyLeaf []uint32
-	// insPerProc persists so leaf free-lists survive across steps.
+	// insPerProc[w] is processor w's repair inserter; it persists across
+	// repairs so leaf free-lists survive from step to step.
 	insPerProc []*inserter
 	// lastStep is the Step of the most recent build, so a gap in the
 	// sequence (or a body-set swap hiding behind an unchanged count's
 	// inverse — a resize on a continuous sequence) is detected instead
 	// of silently repairing against a stale bodyLeaf map.
 	lastStep int
-	// scratch is the counting partition's memory for requested rebuilds.
-	scratch spaceScratch
 }
 
 func newUpdate(cfg Config) Builder {
-	return &updateBuilder{cfg: cfg, store: octree.NewStore(cfg.P, cfg.LeafCap)}
+	return &updateBuilder{
+		spaceBuilder: spaceBuilder{cfg: cfg, store: octree.NewStore(cfg.P, cfg.LeafCap)},
+		insPerProc:   make([]*inserter, cfg.P),
+	}
 }
 
 func (ub *updateBuilder) Algorithm() Algorithm { return UPDATE }
-
-func (ub *updateBuilder) Store() *octree.Store { return ub.store }
 
 // freshReason decides whether this build must start from scratch and
 // why; "" means the resident tree can be repaired incrementally.
@@ -68,37 +71,20 @@ func (ub *updateBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 }
 
 func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
-	p := in.P()
-	s := ub.store
 	if reason := ub.freshReason(in); reason != "" {
 		m.FreshRebuild = true
 		m.FreshReason = reason
 		// Stale entries are harmless: a fresh build publishes every body's
 		// leaf before anything reads the map.
 		ub.bodyLeaf = grown(ub.bodyLeaf, in.Bodies.N())
-		if reason == FreshRequested {
-			// A requested rebuild runs inside a live session: take
-			// SPACE's zero-lock path so the reset costs no lock traffic.
-			// The inserters carry the persistent bodyLeaf map, so later
-			// steps resume incremental repair against the fresh tree.
-			if len(ub.insPerProc) != p {
-				ub.insPerProc = make([]*inserter, p)
-			}
-			ub.tree = spaceBuild(s, &ub.scratch, ub.cfg, in, m, func(w int, tp *trace.P) *inserter {
-				ins := ub.inserterFor(w, m, tp)
-				// The reset store took every recycled slot with it; the
-				// lists keep their capacity.
-				ins.freeLeaves, ins.deferredFree = ins.freeLeaves[:0], ins.deferredFree[:0]
-				return ins
-			})
-		} else {
-			ub.insPerProc = make([]*inserter, p)
-			ub.tree = buildShared(s, in, ub.cfg, m, func(w int) int { return w }, ub.bodyLeaf)
-		}
+		ub.tree = ub.spaceBuilder.build(in, m, ub.bodyLeaf)
+		// The reset store took every recycled leaf with it: repair starts
+		// over with new inserters.
+		clear(ub.insPerProc)
 		return ub.tree
 	}
 
-	pos := in.Bodies.Pos
+	p, s, pos := in.P(), ub.store, in.Bodies.Pos
 	runPhases(ub.cfg, in, m,
 		// Refresh the root bounds and rescale every node's cube; the
 		// tree keeps its shape but the space it maps onto breathes.

@@ -133,12 +133,6 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	if res.Fallback {
 		e.leaseFallbacks.Inc()
 	}
-	// An unplanned rebuild: the builder started over on a step where the
-	// caller expected incremental repair (not step 0, not requested).
-	if res.Fresh && res.Reason != core.FreshFirst && res.Reason != core.FreshStep0 &&
-		res.Reason != core.FreshRequested {
-		e.leaseUnplanned.Inc()
-	}
 
 	l.deadline.Store(time.Now().Add(l.idle).UnixNano())
 	return res, nil

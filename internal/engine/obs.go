@@ -13,8 +13,7 @@ type engineObs struct {
 	rejectedFull, rejectedDraining, rejectedCancelled *obs.Counter // its children, resolved once
 
 	leasesOpened, leasesClosed, leasesEvicted *obs.Counter
-	leaseRejected                             *obs.Counter
-	leaseFallbacks, leaseUnplanned            *obs.Counter
+	leaseRejected, leaseFallbacks             *obs.Counter
 	// stepSeconds is the per-step duration histogram, labeled by mode
 	// (update vs rebuild).
 	stepSeconds *obs.Vec[*obs.Histogram]
@@ -38,7 +37,6 @@ func newEngineObs() engineObs {
 		leasesEvicted:  obs.NewCounter("partree_session_evicted_total", "Session leases evicted by the idle-deadline janitor."),
 		leaseRejected:  obs.NewCounter("partree_session_rejected_total", "Session opens rejected (lease capacity or draining)."),
 		leaseFallbacks: obs.NewCounter("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions."), // the policy is core.Stepper's rebuild rule
-		leaseUnplanned: obs.NewCounter("partree_session_unplanned_rebuilds_total", "Fresh rebuilds on steps that expected incremental repair."),
 		stepSeconds: obs.NewHistogramVec("partree_session_step_seconds",
 			"Session step wall time, by serving mode (incremental update vs fresh rebuild).",
 			obs.ExpBuckets(1e-5, 2, 20), "mode"),
@@ -73,7 +71,7 @@ func (e *Engine) RegisterObs(reg *obs.Registry) error {
 				return 0
 			}),
 		e.rejected,
-		e.leasesOpened, e.leasesClosed, e.leasesEvicted, e.leaseRejected, e.leaseFallbacks, e.leaseUnplanned,
+		e.leasesOpened, e.leasesClosed, e.leasesEvicted, e.leaseRejected, e.leaseFallbacks,
 		obs.NewGaugeFunc("partree_session_active", "Session leases currently open.",
 			func() float64 {
 				e.mu.Lock()

@@ -17,8 +17,9 @@
 //     reference — same cells, same leaf body-sets up to ordering — and,
 //     optionally, moments recomputation.
 //   - Metrics: per-processor counter conservation (BodiesBuilt sums to
-//     n, allocation counters consistent with the live tree, SPACE's
-//     zero-lock guarantee).
+//     n, allocation counters consistent with the live tree, the
+//     zero-lock guarantee of SPACE's build, which every fresh UPDATE
+//     build runs too).
 //   - Build: Tree + Metrics for one Builder.Build outcome.
 //   - Algorithm: a self-contained companion check that builds a fresh
 //     tree with the given algorithm and verifies it (what simulated
@@ -62,10 +63,10 @@ func Canonical(alg core.Algorithm, m *core.Metrics) bool {
 }
 
 // builtBySpace reports whether m's build ran SPACE's zero-lock path:
-// SPACE itself, or UPDATE's requested rebuild, which runs the same build
+// SPACE itself, or any fresh UPDATE build, which runs the same build
 // into its resident store.
 func builtBySpace(m *core.Metrics) bool {
-	return m.Alg == core.SPACE || m.Alg == core.UPDATE && m.FreshReason == core.FreshRequested
+	return m.Alg == core.SPACE || m.Alg == core.UPDATE && m.FreshRebuild
 }
 
 // Tree verifies one built tree against the body data it was built from.
@@ -111,20 +112,20 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, opt Options) error {
 //  1. Σ_p BodiesBuilt == n — every body loaded exactly once, whichever
 //     processor did it (all algorithms, all steps).
 //  2. SPACE takes zero tree-build locks and therefore zero retries (the
-//     algorithm's entire point) — and so does UPDATE's requested
-//     rebuild, which is SPACE's build.
+//     algorithm's entire point) — and so does every fresh UPDATE build,
+//     which is SPACE's build.
 //  3. Rebuilds allocate every live node this step: TotalLeaves ≥ live
 //     leaves, and TotalCells ≥ live cells − 1 (the root is allocated by
 //     the builder directly, outside the per-processor counters).
-//  4. ORIG, LOCAL, UPDATE and SPACE never discard an allocated cell, so
+//  4. ORIG, LOCAL and SPACE's path never discard an allocated cell, so
 //     for them law 3's cell bound is an equality; PARTREE drops local
 //     roots and cells whose subspace already exists globally, so only
 //     the inequality holds. SPACE sorts its subtrees rather than
-//     inserting them, so it never splits a leaf either: on its path the
-//     leaf bound is an equality too.
-//  5. On the inserting paths — ORIG, LOCAL, and UPDATE's other fresh
-//     builds, which load the way ORIG or LOCAL does — every allocated
-//     cell replaced exactly one subdivided (retired) leaf: TotalLeaves ==
+//     inserting them, so it never splits a leaf either: on its path —
+//     SPACE and every fresh UPDATE build — the leaf bound is an equality
+//     too.
+//  5. On the inserting paths, ORIG and LOCAL, every allocated cell
+//     replaced exactly one subdivided (retired) leaf: TotalLeaves ==
 //     live leaves + TotalCells. They also lock at least once per body
 //     loaded.
 //  6. When the build was traced, the trace is a faithful witness of the
@@ -192,7 +193,7 @@ func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 			return fmt.Errorf("verify: metrics: %s allocated %d leaves on SPACE's path, want exactly the %d live",
 				m.Alg, leaves, live.Leaves)
 		}
-	case m.Alg != core.PARTREE:
+	case m.Alg == core.ORIG || m.Alg == core.LOCAL:
 		if leaves != int64(live.Leaves)+cells {
 			return fmt.Errorf("verify: metrics: %s allocated %d leaves, want live %d + subdivided %d",
 				m.Alg, leaves, live.Leaves, cells)
@@ -210,9 +211,9 @@ func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 // whatever path built or repaired the tree, no body's cost may be
 // dropped or double-counted on the way up. The law earns its keep on
 // UPDATE's paths: the incremental repair re-aggregates a tree whose
-// shape it only partially touched, and its policy-forced fallback
-// rebuild runs the SPACE partition/attach machinery into the resident
-// store — both must still hand the moments pass every body exactly once.
+// shape it only partially touched, and every fresh build runs the
+// SPACE partition/attach machinery into the resident store — both must
+// still hand the moments pass every body exactly once.
 func CostConservation(t *octree.Tree, bodies *phys.Bodies) error {
 	d := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
 	var want int64

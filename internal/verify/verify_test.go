@@ -238,6 +238,13 @@ func TestMetricsLawsRejectCorruption(t *testing.T) {
 			t.Fatalf("SPACE allocating a leaf it does not hold accepted: %v", err)
 		}
 	})
+	t.Run("update first build locks", func(t *testing.T) {
+		tree, m, bodies := buildFor(t, core.UPDATE, 1000, 4, 8)
+		m.PerP[1].Locks = 1
+		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "locks") {
+			t.Fatalf("a first UPDATE build that took a lock accepted: %v", err)
+		}
+	})
 	t.Run("lost allocation", func(t *testing.T) {
 		tree, m, bodies := buildFor(t, core.LOCAL, 1000, 4, 8)
 		zeroed := false

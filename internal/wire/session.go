@@ -70,13 +70,12 @@ type SessionStepResult struct {
 	// Fallback marks a rebuild the session's rebuild rule asked for:
 	// repairs had slowed, since the last fresh tree, by as much time as
 	// that tree took to build.
-	Fallback  bool    `json:"fallback,omitempty"`
-	Moved     int64   `json:"moved"`
-	Churn     float64 `json:"churn"`
-	DepthSkew float64 `json:"depth_skew"`
-	Locks     int64   `json:"locks"`
-	BuildNs   int64   `json:"build_ns"`
-	Verified  bool    `json:"verified,omitempty"`
+	Fallback bool    `json:"fallback,omitempty"`
+	Moved    int64   `json:"moved"`
+	Churn    float64 `json:"churn"`
+	Locks    int64   `json:"locks"`
+	BuildNs  int64   `json:"build_ns"`
+	Verified bool    `json:"verified,omitempty"`
 	// Timing is this step's station breakdown — the in-stream
 	// equivalent of /v1/build's Server-Timing header.
 	Timing *StepTiming `json:"timing,omitempty"`

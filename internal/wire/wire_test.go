@@ -169,12 +169,12 @@ func TestSessionRecordBytes(t *testing.T) {
 		{SessionOpened{Event: "opened", N: 64, Procs: 2, LeafCap: 8, IdleMs: 120000},
 			`{"event":"opened","n":64,"procs":2,"leaf_cap":8,"idle_ms":120000}`},
 		{SessionStepResult{Event: "step", Step: 3, Mode: "rebuild", Reason: "requested", Fallback: true,
-			Moved: 9, Churn: 0.25, DepthSkew: 1.5, BuildNs: 1000, Verified: true, Timing: timing},
+			Moved: 9, Churn: 0.25, BuildNs: 1000, Verified: true, Timing: timing},
 			`{"event":"step","step":3,"mode":"rebuild","reason":"requested","fallback":true,"moved":9,"churn":0.25,` +
-				`"depth_skew":1.5,"locks":0,"build_ns":1000,"verified":true,` +
+				`"locks":0,"build_ns":1000,"verified":true,` +
 				`"timing":{"queue_ms":0.5,"build_ms":2,"moments_ms":1,"total_ms":4}}`},
 		{SessionStepResult{Event: "step", Step: 1, Mode: "update"},
-			`{"event":"step","step":1,"mode":"update","moved":0,"churn":0,"depth_skew":0,"locks":0,"build_ns":0}`},
+			`{"event":"step","step":1,"mode":"update","moved":0,"churn":0,"locks":0,"build_ns":0}`},
 		{SessionClosed{Event: "closed", Steps: 4, Fallbacks: 1, Reason: "close"},
 			`{"event":"closed","steps":4,"fallbacks":1,"reason":"close"}`},
 		{SessionError{Event: "error", Error: "session closed: draining"},

@@ -211,7 +211,6 @@ for series in \
     partree_session_evicted_total \
     partree_session_rejected_total \
     partree_session_fallbacks_total \
-    partree_session_unplanned_rebuilds_total \
     partree_session_active \
     partree_session_max_leases \
     partree_session_step_seconds_bucket \
@@ -226,7 +225,8 @@ done
 # Every build stamps per-processor phase time, traced or not: the one
 # served SPACE build must have put insert seconds on its series. Phase
 # time has one family; the retired trace bridge must not come back, nor
-# the retired adaptive-session controller's families.
+# the retired adaptive-session controller's families, nor the unplanned-
+# rebuild counter a lease's continuous steps could never move.
 awk '$1 == "partree_build_phase_seconds_total{alg=\"SPACE\",phase=\"insert\"}" && $2 + 0 > 0 { ok = 1 } END { exit !ok }' "$metrics" || {
     echo "obs-smoke: no SPACE insert seconds after a served SPACE build" >&2
     grep '^partree_build_phase_seconds_total' "$metrics" >&2
@@ -238,6 +238,10 @@ if grep -q '^partree_trace_' "$metrics"; then
 fi
 if grep -q '^partree_adapt_' "$metrics"; then
     echo "obs-smoke: partreed exposes a partree_adapt_ family" >&2
+    exit 1
+fi
+if grep -q '^partree_session_unplanned_rebuilds_total' "$metrics"; then
+    echo "obs-smoke: partreed exposes partree_session_unplanned_rebuilds_total" >&2
     exit 1
 fi
 
