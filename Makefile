@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 
 # race runs every package under the race detector, so the engine's
-# admission and janitor paths are raced together with every caller.
+# admission and lease-timer paths are raced together with every caller.
 race:
 	$(GO) test -race ./...
 

@@ -3,8 +3,8 @@
 // scenario names one of phys's mass models, which the daemon generates
 // for each request (plummer, uniform, twoclusters, disk, hierarchical);
 // an arrival process from internal/workload picks when requests fire
-// (Poisson, bursty, diurnal, or a replayed NDJSON trace), and the
-// daemon's admission control decides what survives.
+// (Poisson, bursty or diurnal), and the daemon's admission control
+// decides what survives.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	        [-scenario disk] [-arrival bursty:rate=60,on=250ms,off=250ms]
 //	        [-horizon 5s] [-speedup 0] [-n 2048] [-procs 2] [-steps 8]
 //	        [-seed 1998] [-timeout 60s] [-idle-ms 0] [-linger]
-//	        [-trace-in f] [-trace-out f] [-report f] [-timings f]
+//	        [-report f] [-timings f]
 //
 // Two outputs, split by determinism:
 //
@@ -36,7 +36,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -69,39 +68,44 @@ type config struct {
 }
 
 func main() {
-	var (
-		url      = flag.String("url", "", "base URL of a running partreed or partree-router (required)")
-		mode     = flag.String("mode", "session", "what each arrival does: session (streaming /v1/session) or build (one-shot /v1/build)")
-		scenario = flag.String("scenario", "plummer", "mass model the daemon generates: "+strings.Join(phys.ModelNames(), ", "))
-		arrival  = flag.String("arrival", "poisson:rate=20", "arrival process spec, e.g. bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6")
-		horizon  = flag.Duration("horizon", 5*time.Second, "virtual-time horizon the arrival schedule covers")
-		speedup  = flag.Float64("speedup", 0, "virtual seconds per real second (0 = fire as fast as possible, order preserved)")
-		n        = flag.Int("n", 2048, "bodies per request")
-		procs    = flag.Int("procs", 2, "processors per request")
-		steps    = flag.Int("steps", 8, "timesteps per session")
-		seed     = flag.Int64("seed", 1998, "base seed; request i uses seed+i")
-		timeout  = flag.Duration("timeout", 60*time.Second, "mandatory wall-clock bound for the whole run")
-		idleMs   = flag.Int64("idle-ms", 0, "per-session idle eviction timeout in ms (0 = server default)")
-		linger   = flag.Bool("linger", false, "sessions hold their lease open after their steps instead of closing (eviction pressure)")
-		traceIn  = flag.String("trace-in", "", "replay this NDJSON trace instead of sampling the arrival process")
-		traceOut = flag.String("trace-out", "", "write the effective schedule as an NDJSON trace")
-		report   = flag.String("report", "", "deterministic JSON report path (default stdout)")
-		timings  = flag.String("timings", "", "measured-latency CSV path (optional)")
-	)
+	runFlags := bindFlags(flag.CommandLine)
 	flag.Parse()
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)).With("bin", "loadgen"))
-	if err := run(*url, *mode, *scenario, *arrival, *horizon, *speedup, *n, *procs,
-		*steps, *seed, *timeout, *idleMs, *linger,
-		*traceIn, *traceOut, *report, *timings); err != nil {
+	if err := runFlags(); err != nil {
 		slog.Error("loadgen failed", "err", err)
 		os.Exit(1)
 	}
 }
 
+// bindFlags registers loadgen's flags on fs and returns the run they
+// configure, to call once fs is parsed.
+func bindFlags(fs *flag.FlagSet) func() error {
+	var (
+		url      = fs.String("url", "", "base URL of a running partreed or partree-router (required)")
+		mode     = fs.String("mode", "session", "what each arrival does: session (streaming /v1/session) or build (one-shot /v1/build)")
+		scenario = fs.String("scenario", "plummer", "mass model the daemon generates: "+strings.Join(phys.ModelNames(), ", "))
+		arrival  = fs.String("arrival", "poisson:rate=20", "arrival process spec, e.g. bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6")
+		horizon  = fs.Duration("horizon", 5*time.Second, "virtual-time horizon the arrival schedule covers")
+		speedup  = fs.Float64("speedup", 0, "virtual seconds per real second (0 = fire as fast as possible, order preserved)")
+		n        = fs.Int("n", 2048, "bodies per request")
+		procs    = fs.Int("procs", 2, "processors per request")
+		steps    = fs.Int("steps", 8, "timesteps per session")
+		seed     = fs.Int64("seed", 1998, "base seed; request i uses seed+i")
+		timeout  = fs.Duration("timeout", 60*time.Second, "mandatory wall-clock bound for the whole run")
+		idleMs   = fs.Int64("idle-ms", 0, "per-session idle eviction timeout in ms (0 = server default)")
+		linger   = fs.Bool("linger", false, "sessions hold their lease open after their steps instead of closing (eviction pressure)")
+		report   = fs.String("report", "", "deterministic JSON report path (default stdout)")
+		timings  = fs.String("timings", "", "measured-latency CSV path (optional)")
+	)
+	return func() error {
+		return run(*url, *mode, *scenario, *arrival, *horizon, *speedup, *n, *procs,
+			*steps, *seed, *timeout, *idleMs, *linger, *report, *timings)
+	}
+}
+
 func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 	speedup float64, n, procs, steps int, seed int64, timeout time.Duration,
-	idleMs int64, linger bool,
-	traceIn, traceOut, reportPath, timingsPath string) error {
+	idleMs int64, linger bool, reportPath, timingsPath string) error {
 
 	url = strings.TrimRight(strings.TrimSpace(url), "/")
 	if url == "" {
@@ -117,42 +121,16 @@ func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 	if !ok {
 		return fmt.Errorf("-scenario %q is not a mass model (valid: %s)", scenario, strings.Join(phys.ModelNames(), ", "))
 	}
+	arrival, err := workload.ParseArrival(arrivalSpec)
+	if err != nil {
+		return err
+	}
 	cfg := config{
-		url: url, mode: mode, model: model,
+		url: url, mode: mode, model: model, arrival: arrival,
 		horizon: horizon, speedup: speedup, n: n, procs: procs, steps: steps,
 		seed: seed, timeout: timeout, idleMs: idleMs, linger: linger,
 	}
-
-	// The schedule: sampled from the arrival process, or replayed.
-	if traceIn != "" {
-		f, err := os.Open(traceIn)
-		if err != nil {
-			return err
-		}
-		evs, rerr := workload.ReadTrace(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-		cfg.arrival = workload.TraceProcess(workload.Offsets(evs))
-	} else {
-		p, err := workload.ParseArrival(arrivalSpec)
-		if err != nil {
-			return err
-		}
-		cfg.arrival = p
-	}
 	schedule := cfg.arrival.Schedule(horizon, seed)
-	evs := workload.EventsFromOffsets(schedule, mode)
-	var traceBytes bytes.Buffer
-	if err := workload.WriteTrace(&traceBytes, evs); err != nil {
-		return err
-	}
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, traceBytes.Bytes(), 0o644); err != nil {
-			return err
-		}
-	}
 	if len(schedule) == 0 {
 		return fmt.Errorf("the arrival schedule is empty (horizon %s at rate %g)", horizon, cfg.arrival.MeanRate())
 	}
@@ -206,7 +184,7 @@ func run(url, mode, scenario, arrivalSpec string, horizon time.Duration,
 		return fmt.Errorf("scraping %s/metrics after the run: %w", url, err)
 	}
 
-	rep := buildReport(cfg, schedule, traceBytes.Bytes(), results, before, after)
+	rep := buildReport(cfg, schedule, results, before, after)
 	if err := writeReport(reportPath, rep); err != nil {
 		return err
 	}

@@ -45,11 +45,13 @@ func partreedBin(t *testing.T) string {
 	return daemonBin
 }
 
-// startPartreed launches a daemon on a random port and returns its base
-// URL. The process is SIGTERMed (graceful drain) at test end.
-func startPartreed(t *testing.T, args ...string) string {
+// startPartreed launches a daemon on a random port, with env added to
+// its environment, and returns its base URL. The process is SIGTERMed
+// (graceful drain) at test end.
+func startPartreed(t *testing.T, env ...string) string {
 	t.Helper()
-	cmd := exec.Command(partreedBin(t), append([]string{"-addr", "127.0.0.1:0", "-v", "info"}, args...)...)
+	cmd := exec.Command(partreedBin(t), "-addr", "127.0.0.1:0", "-v", "info")
+	cmd.Env = append(os.Environ(), env...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +148,7 @@ func TestSessionRunDeterministicReport(t *testing.T) {
 		tim := filepath.Join(dir, "timings-"+tag+".csv")
 		err := run(url, "session", "plummer", "bursty:rate=60,on=250ms,off=250ms,period=1s,depth=0.6",
 			time.Second, 0, 512, 2, 4, 1998, 60*time.Second,
-			0, false, "", "", rep, tim)
+			0, false, rep, tim)
 		if err != nil {
 			t.Fatalf("run %s: %v", tag, err)
 		}
@@ -209,15 +211,16 @@ func TestSessionRunDeterministicReport(t *testing.T) {
 	}
 }
 
-// TestBuildOverloadMatchesRejectedCounter hammers a 1-active/1-queue
-// daemon with concurrent build arrivals: the client-observed 503 count
-// must equal the server's partree_engine_rejected_total delta.
+// TestBuildOverloadMatchesRejectedCounter hammers a daemon with one
+// build slot (GOMAXPROCS=1) and so a queue of 4 with concurrent build
+// arrivals: the client-observed 503 count must equal the server's
+// partree_engine_rejected_total delta.
 func TestBuildOverloadMatchesRejectedCounter(t *testing.T) {
-	url := startPartreed(t, "-max-active", "1", "-max-queue", "1")
+	url := startPartreed(t, "GOMAXPROCS=1")
 	rep := filepath.Join(t.TempDir(), "report.json")
 	err := run(url, "build", "hierarchical", "poisson:rate=200",
 		200*time.Millisecond, 0, 30000, 2, 1, 1998, 60*time.Second,
-		0, false, "", "", rep, "")
+		0, false, rep, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +242,7 @@ func TestBuildOverloadMatchesRejectedCounter(t *testing.T) {
 // without a wall-clock bound.
 func TestMandatoryTimeout(t *testing.T) {
 	err := run("http://127.0.0.1:1", "session", "plummer", "poisson:rate=10",
-		time.Second, 0, 64, 1, 1, 1, 0, 0, false, "", "", "", "")
+		time.Second, 0, 64, 1, 1, 1, 0, 0, false, "", "")
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("run without a timeout returned %v, want a mandatory-timeout error", err)
 	}

@@ -57,8 +57,8 @@ type runConfig struct {
 
 type scheduleInfo struct {
 	Arrivals int `json:"arrivals"`
-	// Digest is the SHA-256 of the schedule's canonical NDJSON trace —
-	// two runs with the same digest replayed the same traffic.
+	// Digest is scheduleDigest's hash of the schedule — two runs with
+	// the same digest fired the same traffic.
 	Digest  string `json:"digest"`
 	FirstNs int64  `json:"first_ns"`
 	LastNs  int64  `json:"last_ns"`
@@ -110,7 +110,7 @@ func (o *outcomeCounts) tally(outcome string) {
 	}
 }
 
-func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
+func buildReport(cfg config, schedule []time.Duration,
 	results []arrivalResult, before, after metricsSnapshot) report {
 
 	rep := report{
@@ -122,7 +122,7 @@ func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
 		},
 		Schedule: scheduleInfo{
 			Arrivals: len(schedule),
-			Digest:   fmt.Sprintf("%x", sha256.Sum256(traceBytes)),
+			Digest:   scheduleDigest(schedule, cfg.mode),
 			FirstNs:  int64(schedule[0]),
 			LastNs:   int64(schedule[len(schedule)-1]),
 		},
@@ -155,6 +155,17 @@ func buildReport(cfg config, schedule []time.Duration, traceBytes []byte,
 		SessionFallbacks: d("partree_session_fallbacks_total"),
 	}
 	return rep
+}
+
+// scheduleDigest is the SHA-256 of the schedule written one arrival a
+// line, {"at_ns":<offset>,"op":"<mode>"}, in order: two runs with the
+// same digest fired the same traffic.
+func scheduleDigest(schedule []time.Duration, mode string) string {
+	h := sha256.New()
+	for _, t := range schedule {
+		fmt.Fprintf(h, "{\"at_ns\":%d,\"op\":%q}\n", int64(t), mode)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // slowPointersFor finds the p99-slowest ok build (client latency) or

@@ -57,8 +57,8 @@ func serve(addr string, o cluster.RouterOptions) (*obs.Server, error) {
 		return nil, err
 	}
 	// The router's requests go through the same envelope and flight
-	// recorder as a shard's, at reqtrace's default sizes.
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	// recorder as a shard's, at reqtrace's fixed sizes.
+	rec := reqtrace.NewRecorder()
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	if err := rt.RegisterObs(reg); err != nil {

@@ -59,7 +59,7 @@ func fetchFlightDoc(t *testing.T, url, id string) []byte {
 // within the build wall time, a Server-Timing header agreeing with the
 // entry, and the partree_req_* families moved.
 func TestBuildRequestObservability(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 8}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 
@@ -159,7 +159,7 @@ func httpGet(t *testing.T, url string) (int, string, []byte) {
 // daemon mints a well-formed ID) and the error contract (the JSON error
 // document names the request ID the header assigned).
 func TestRequestIDMintedAndInErrors(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 4}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 
 	resp := postJSON(t, url+"/v1/build", buildSpec(1024, 1))
@@ -209,7 +209,7 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	router, err := obs.ServeWith("127.0.0.1:0", "partree-router", obs.NewRegistry(), nil,
-		func(mux *http.ServeMux) { rt.Mount(mux, reqtrace.NewRecorder(reqtrace.Options{})) })
+		func(mux *http.ServeMux) { rt.Mount(mux, reqtrace.NewRecorder()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 // TestSessionRequestObservability runs a streaming session and checks the in-stream per-step timing records, then the whole
 // stream's single flight-recorder entry.
 func TestSessionRequestObservability(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 8}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	const traceID = "00f067aa0ba902b74bf92f3577b34da6"
 	const procs, steps = 2, 3
@@ -331,37 +331,5 @@ func TestSessionRequestObservability(t *testing.T) {
 	}
 	if e.Phases.BoundsNs+e.Phases.InsertNs <= 0 {
 		t.Errorf("session entry accumulated no build phases: %+v", e.Phases)
-	}
-}
-
-// TestFlightRecorderDisabled runs the daemon with request tracing off
-// (-flight < 0): requests still get an ID for the access log, but no
-// Server-Timing, no /debug/requests routes, no partree_req_* families —
-// and the serving path still works.
-func TestFlightRecorderDisabled(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 4}, flight: reqtrace.Options{Cap: -1}, drainTimeout: 10 * time.Second})
-	url := d.srv.URL()
-	resp := postJSON(t, url+"/v1/build", buildSpec(1024, 1))
-	res := decodeResult(t, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || res.Failed() {
-		t.Fatalf("disabled-mode build: status %d, failed %v", resp.StatusCode, res.Failed())
-	}
-	if id := resp.Header.Get("X-Request-Id"); len(id) != 32 {
-		t.Errorf("X-Request-Id = %q; the access log still needs an ID with tracing off", id)
-	}
-	if st := resp.Header.Get("Server-Timing"); st != "" {
-		t.Errorf("disabled daemon still answers Server-Timing %q", st)
-	}
-	code, _, _ := httpGet(t, url+"/debug/requests")
-	if code != http.StatusNotFound {
-		t.Errorf("/debug/requests on a disabled daemon: status %d, want 404", code)
-	}
-	code, _, page := httpGet(t, url+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: %d", code)
-	}
-	if strings.Contains(string(page), "partree_req_") {
-		t.Errorf("disabled daemon still exports partree_req_* families")
 	}
 }

@@ -4,11 +4,14 @@
 //
 // Usage:
 //
-//	partreed [-addr 127.0.0.1:9732] [-max-active 0] [-max-queue 0]
-//	         [-max-idle 32] [-max-sessions 256] [-session-idle 2m]
-//	         [-result-cache 4096] [-bodies-cache 64] [-drain-timeout 30s]
-//	         [-shard-map file -shard id] [-v info]
-//	         [-flight 256] [-slow-threshold 250ms] [-slow-k 16]
+//	partreed [-addr 127.0.0.1:9732] [-max-sessions 256]
+//	         [-drain-timeout 30s] [-shard-map file -shard id] [-v info]
+//
+// Everything else is fixed: GOMAXPROCS concurrent builds with 4× as
+// many waiting, 32 pooled builder sessions, a 2-minute session idle
+// timeout unless the open record sets idle_timeout_ms, result and body
+// memos of 4096 and 64 entries, and a flight recorder of the last 256
+// requests and the 16 slowest past 250 ms.
 //
 // Endpoints:
 //
@@ -40,8 +43,8 @@
 // moments/total breakdown, and every request logs one structured
 // access-log line.
 //
-// Admission control is the engine's: at most max-active builds run, at
-// most max-queue more wait (honoring each request's context), and
+// Admission control is the engine's: at most GOMAXPROCS builds run, at
+// most 4× as many more wait (honoring each request's context), and
 // overload or drain answers 503 — for every spec, simulated replays
 // included. SIGINT/SIGTERM triggers a graceful
 // drain — in-flight builds finish and are answered, new requests get
@@ -69,15 +72,10 @@ import (
 	"partree/internal/wire"
 )
 
-// daemonConfig sizes a daemon. What a package owns is configured through
-// that package's options, whose zero fields select its own defaults;
-// withDefaults fills the two knobs no package owns.
+// daemonConfig sizes a daemon. The engine's options' zero fields select
+// its own defaults; withDefaults fills the one knob no package owns.
 type daemonConfig struct {
-	engine engine.Options // pool, admission and session-lease sizing
-	runner runner.Config  // memo-cache sizing
-	// flight sizes the request flight recorder; a negative Cap disables
-	// request tracing entirely (nil-handle no-op on the serving path).
-	flight       reqtrace.Options
+	engine       engine.Options // build slots and session-lease capacity
 	drainTimeout time.Duration
 	// shardMap/shardID, when both set, additionally mount the cluster
 	// shard surface (/v1/shard/build): this daemon owns the named shard's
@@ -103,9 +101,7 @@ type daemon struct {
 	r   *runner.Runner
 	reg *obs.Registry
 	srv *obs.Server
-	// rec is the request flight recorder; nil when -flight < 0, which
-	// every hook on the serving path treats as "do nothing".
-	rec *reqtrace.Recorder
+	rec *reqtrace.Recorder // the request flight recorder
 	// shard is the cluster shard surface; nil unless -shard-map/-shard
 	// were given.
 	shard    *cluster.ShardServer
@@ -118,14 +114,16 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	// The runner only memoizes over the engine, whose admission control
 	// is the daemon's single source of backpressure: overflow surfaces as
 	// ErrQueueFull → 503 instead of waiting invisibly.
-	cfg.runner.Engine = eng
-	r := runner.NewWithConfig(cfg.runner)
+	r := runner.NewWithConfig(runner.Config{Engine: eng})
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	if err := r.RegisterObs(reg); err != nil {
 		return nil, err
 	}
-	d := &daemon{cfg: cfg, eng: eng, r: r, reg: reg}
+	d := &daemon{cfg: cfg, eng: eng, r: r, reg: reg, rec: reqtrace.NewRecorder()}
+	if err := d.rec.RegisterObs(reg); err != nil {
+		return nil, err
+	}
 	if cfg.shardMap != "" || cfg.shardID != "" {
 		if cfg.shardMap == "" || cfg.shardID == "" {
 			return nil, fmt.Errorf("-shard-map and -shard must be given together")
@@ -146,12 +144,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 			return nil, err
 		}
 		d.shard = ss
-	}
-	if cfg.flight.Cap >= 0 {
-		d.rec = reqtrace.NewRecorder(cfg.flight)
-		if err := d.rec.RegisterObs(reg); err != nil {
-			return nil, err
-		}
 	}
 	return d, nil
 }
@@ -232,23 +224,21 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	slog.Debug("build served", "spec", spec.String(), "failed", res.Failed())
 }
 
+// bindFlags registers partreed's flags on fs: the daemon's settings in
+// cfg, and the listen address and log level it returns.
+func bindFlags(fs *flag.FlagSet, cfg *daemonConfig) (addr, level *string) {
+	addr = fs.String("addr", "127.0.0.1:9732", "listen address for the API and observability endpoints")
+	fs.IntVar(&cfg.engine.MaxLeases, "max-sessions", 256, "streaming session leases held open at once")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
+	fs.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/build (requires -shard)")
+	fs.StringVar(&cfg.shardID, "shard", "", "this daemon's shard ID within -shard-map")
+	level = fs.String("v", "info", "log level: debug, info, warn, error")
+	return addr, level
+}
+
 func main() {
 	var cfg daemonConfig
-	addr := flag.String("addr", "127.0.0.1:9732", "listen address for the API and observability endpoints")
-	flag.IntVar(&cfg.engine.MaxActive, "max-active", 0, "concurrent builds (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.engine.MaxQueue, "max-queue", 0, "builds allowed to wait beyond max-active (0 = 4x max-active)")
-	flag.IntVar(&cfg.engine.MaxIdle, "max-idle", 32, "pooled builder sessions retained across requests")
-	flag.IntVar(&cfg.engine.MaxLeases, "max-sessions", 256, "streaming session leases held open at once")
-	flag.DurationVar(&cfg.engine.LeaseIdle, "session-idle", 2*time.Minute, "idle timeout before a streaming session is evicted")
-	flag.IntVar(&cfg.runner.ResultCacheEntries, "result-cache", 4096, "memoized spec results retained (LRU)")
-	flag.IntVar(&cfg.runner.BodiesCacheEntries, "bodies-cache", 64, "memoized body sets retained (LRU)")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long a drain waits for in-flight builds")
-	flag.StringVar(&cfg.shardMap, "shard-map", "", "cluster shard map file; mounts /v1/shard/build (requires -shard)")
-	flag.StringVar(&cfg.shardID, "shard", "", "this daemon's shard ID within -shard-map")
-	flag.IntVar(&cfg.flight.Cap, "flight", 256, "flight-recorder capacity (completed requests kept for /debug/requests; negative disables request tracing)")
-	flag.DurationVar(&cfg.flight.SlowThreshold, "slow-threshold", 250*time.Millisecond, "requests at least this slow are counted and kept in /debug/requests/slow")
-	flag.IntVar(&cfg.flight.SlowK, "slow-k", 16, "slowest requests retained for /debug/requests/slow")
-	level := flag.String("v", "info", "log level: debug, info, warn, error")
+	addr, level := bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 	if err := obs.SetLogger(os.Stderr, "partreed", *level); err != nil {
 		fmt.Fprintln(os.Stderr, "partreed:", err)
@@ -264,9 +254,8 @@ func main() {
 		slog.Error("starting server", "err", err)
 		os.Exit(1)
 	}
-	eo := d.eng.Options()
 	slog.Info("serving", "addr", d.srv.Addr(), "url", d.srv.URL(),
-		"max_active", eo.MaxActive, "max_queue", eo.MaxQueue)
+		"max_active", d.eng.Options().MaxActive)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

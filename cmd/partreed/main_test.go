@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"regexp"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"partree/internal/engine"
+	"partree/internal/obs/obstest"
 	"partree/internal/runner"
 )
 
@@ -81,7 +83,7 @@ func metricValue(t *testing.T, page, name string) float64 {
 }
 
 func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 16}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 
 	// Concurrent builds: distinct sizes plus one duplicated spec that
@@ -149,7 +151,7 @@ func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
 }
 
 func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, MaxQueue: 4}, drainTimeout: 2 * time.Minute})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 2 * time.Minute})
 	url := d.srv.URL()
 
 	// A build slow enough to still be in flight when the drain begins.
@@ -227,9 +229,9 @@ func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 
 // TestDaemonAdmitsSimulatedSpecsLikeBuilds checks a simulated replay is
 // behind the same admission control as a native build: it waits for a
-// build slot, and past max-queue it is refused with 503.
+// build slot, and past the queue's 4×max-active it is refused with 503.
 func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: 1}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
 	sim := func(n int) map[string]any {
 		return map[string]any{"backend": "simulated", "platform": "origin",
@@ -239,27 +241,33 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	queued := make(chan int, 1)
-	go func() {
-		resp := postJSON(t, url+"/v1/build", sim(512))
-		resp.Body.Close()
-		queued <- resp.StatusCode
-	}()
+	// Distinct sizes, so the runner's memo cannot fold them into one.
+	const queue = 4
+	queued := make(chan int, queue)
+	for i := 0; i < queue; i++ {
+		go func(n int) {
+			resp := postJSON(t, url+"/v1/build", sim(n))
+			resp.Body.Close()
+			queued <- resp.StatusCode
+		}(512 + 64*i)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for d.eng.Stats().Queued == 0 {
+	for d.eng.Stats().Queued != queue {
 		if time.Now().After(deadline) {
-			t.Fatal("simulated spec never queued for a build slot")
+			t.Fatalf("%d simulated specs queued for a build slot, want %d", d.eng.Stats().Queued, queue)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp := postJSON(t, url+"/v1/build", sim(768))
+	resp := postJSON(t, url+"/v1/build", sim(768+512))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("simulated spec past max-queue: status %d, want 503", resp.StatusCode)
+		t.Fatalf("simulated spec past the queue: status %d, want 503", resp.StatusCode)
 	}
 	release()
-	if code := <-queued; code != http.StatusOK {
-		t.Fatalf("queued simulated spec: status %d, want 200", code)
+	for i := 0; i < queue; i++ {
+		if code := <-queued; code != http.StatusOK {
+			t.Fatalf("queued simulated spec: status %d, want 200", code)
+		}
 	}
 }
 
@@ -316,4 +324,18 @@ func TestServiceLimits(t *testing.T) {
 	if code, msg := post("/v1/build", atLimit); code != http.StatusOK || strings.Contains(msg, `"error"`) {
 		t.Errorf("/v1/build at the limits: %d %s", code, msg)
 	}
+}
+
+// TestFlagSurface pins partreed's flags — names, defaults and usage
+// strings — to testdata/partreed.help: adding or removing a flag must
+// edit the golden too (-update rewrites it).
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("partreed", flag.ContinueOnError)
+	var help strings.Builder
+	fs.SetOutput(&help)
+	bindFlags(fs, &daemonConfig{})
+	if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	obstest.Golden(t, "testdata/partreed.help", help.String())
 }

@@ -52,7 +52,7 @@ func TestMetricsSurface(t *testing.T) {
 // traced build, one acquire shed by admission control, one session
 // opened, stepped and closed, and one refused.
 func TestMetricsSurfaceExercised(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxQueue: -1, MaxLeases: 1}})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxLeases: 1}})
 	url := d.srv.URL()
 	build := func(spec map[string]any) {
 		t.Helper()
@@ -72,15 +72,39 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 		t.Fatalf("traced build: %s", traced.FailureMessage())
 	}
 
-	// With the one slot held and no queue, an acquire is shed.
+	// With the one slot held and its 4×MaxActive queue full, an acquire
+	// is shed.
 	release, err := d.eng.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	const queue = 4
+	waiters := make(chan error, queue)
+	for i := 0; i < queue; i++ {
+		go func() {
+			done, err := d.eng.Admit(context.Background())
+			if err == nil {
+				done()
+			}
+			waiters <- err
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for d.eng.Stats().Queued != queue {
+		if time.Now().After(deadline) {
+			t.Fatal("the queue never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if _, err := d.eng.Admit(context.Background()); err == nil {
-		t.Fatal("an acquire past max-queue was admitted")
+		t.Fatal("an acquire past the queue was admitted")
 	}
 	release()
+	for i := 0; i < queue; i++ {
+		if err := <-waiters; err != nil {
+			t.Fatalf("queued acquire: %v", err)
+		}
+	}
 
 	c, _ := openSession(t, url, wire.SessionOpen{Procs: 2, Bodies: 512})
 	if _, code := openSession(t, url, wire.SessionOpen{Procs: 1, Bodies: 64}); code != http.StatusServiceUnavailable {
@@ -90,7 +114,7 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 		c.send(s)
 		c.recv()
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for d.eng.Stats().LeasesActive != 0 || d.rec.InFlight() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the session never closed")

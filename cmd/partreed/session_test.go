@@ -299,15 +299,15 @@ func TestSessionFallbackUnderHighChurn(t *testing.T) {
 // TestSessionIdleEviction lets a session go quiet past its idle timeout
 // and expects the server to end the stream with an eviction record.
 func TestSessionIdleEviction(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2, LeaseTick: 5 * time.Millisecond}, drainTimeout: 10 * time.Second})
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	open := wire.SessionOpen{Procs: 1, Bodies: 500, Seed: 1, IdleTimeoutMs: 50}
 	c, _ := openSession(t, d.srv.URL(), open)
 	c.send(wire.SessionStep{})
 	if r := c.recv(); r.Event != "step" {
 		t.Fatalf("step: %+v", r)
 	}
-	// Go quiet. The janitor must evict and the server must say so
-	// in-stream before closing.
+	// Go quiet. The lease's idle timer must evict and the server must
+	// say so in-stream before closing.
 	r := c.recv()
 	if r.Event != "error" || r.Err.Error != "session closed: idle timeout" {
 		t.Fatalf("eviction record = %+v", r)
@@ -444,22 +444,39 @@ func TestSessionRefusesUndeclaredFields(t *testing.T) {
 		}
 	}
 	for _, step := range []string{`{"drfit":true}`, `{"pos":[[0,0,0]]}`} {
-		code, body := postSession(t, url, `{"procs":1,"bodies":500,"seed":1}`+"\n{}\n"+step+"\n{\"drift\":true}\n")
-		lines := strings.Split(strings.TrimSpace(body), "\n")
-		if code != http.StatusOK || len(lines) != 3 {
-			t.Fatalf("step record %s: %d, %d lines:\n%s\nwant opened, one step, one error", step, code, len(lines), body)
+		refuseStep(t, d, step, "unknown field")
+	}
+}
+
+// TestSessionRefusesNegativeCollapse: a negative collapse would be
+// ignored like no motion at all, so the step re-timed an unchanged
+// tree; the step record is refused in-stream instead.
+func TestSessionRefusesNegativeCollapse(t *testing.T) {
+	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxLeases: 1}, drainTimeout: 10 * time.Second})
+	refuseStep(t, d, `{"collapse":-0.05}`, "collapse -0.05 is negative")
+}
+
+// refuseStep streams an open record, an empty step, then step, and
+// expects the daemon to answer the open record and the empty step, then
+// an in-stream error containing want — and to release the session's
+// lease.
+func refuseStep(t *testing.T, d *daemon, step, want string) {
+	t.Helper()
+	code, body := postSession(t, d.srv.URL(), `{"procs":1,"bodies":500,"seed":1}`+"\n{}\n"+step+"\n{\"drift\":true}\n")
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if code != http.StatusOK || len(lines) != 3 {
+		t.Fatalf("step record %s: %d, %d lines:\n%s\nwant opened, one step, one error", step, code, len(lines), body)
+	}
+	if !strings.Contains(lines[1], `"event":"step"`) || !strings.Contains(lines[2], `"event":"error"`) ||
+		!strings.Contains(lines[2], want) {
+		t.Errorf("step record %s answered:\n%s\nwant a step, then an error containing %q", step, body, want)
+	}
+	// The lease is released on handler exit; the one lease returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.eng.Stats().LeasesActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("step record %s: the refused session kept its lease", step)
 		}
-		if !strings.Contains(lines[1], `"event":"step"`) || !strings.Contains(lines[2], `"event":"error"`) ||
-			!strings.Contains(lines[2], "unknown field") {
-			t.Errorf("step record %s answered:\n%s\nwant a step, then an error naming the unknown field", step, body)
-		}
-		// The lease is released on handler exit; the one lease returns.
-		deadline := time.Now().Add(5 * time.Second)
-		for d.eng.Stats().LeasesActive != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("step record %s: the refused session kept its lease", step)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -142,7 +142,7 @@ func StartLocal(o FixtureOptions) (*Fixture, error) {
 // behind its own flight recorder, served beside them on /debug/requests.
 func mountWithRecorder(mount func(*http.ServeMux, *reqtrace.Recorder)) func(*http.ServeMux) {
 	return func(mux *http.ServeMux) {
-		rec := reqtrace.NewRecorder(reqtrace.Options{})
+		rec := reqtrace.NewRecorder()
 		mount(mux, rec)
 		rec.Mount(mux)
 	}

@@ -10,7 +10,7 @@
 // steady-state hot path of a repeated build allocates (near) zero.
 //
 // Admission control bounds what a long-lived process lets in: at most
-// MaxActive builds run concurrently, at most MaxQueue more may wait
+// MaxActive builds run concurrently, at most 4×MaxActive more may wait
 // (with the wait honoring the request context's deadline), anything
 // beyond is rejected immediately with ErrQueueFull, and once Drain
 // begins every new acquire is rejected with ErrDraining while in-flight
@@ -42,7 +42,7 @@ import (
 // text is part of the service contract.
 var (
 	// ErrQueueFull rejects an acquire that would exceed MaxActive running
-	// plus MaxQueue waiting builds.
+	// plus 4×MaxActive waiting builds.
 	ErrQueueFull = errors.New("engine: queue full")
 	// ErrDraining rejects every acquire after Drain has begun.
 	ErrDraining = errors.New("engine: draining")
@@ -84,45 +84,33 @@ type Options struct {
 	// MaxActive is the number of builds allowed to run concurrently
 	// (0 = GOMAXPROCS).
 	MaxActive int
-	// MaxQueue is how many acquires may wait for a slot beyond
-	// MaxActive before new ones are rejected with ErrQueueFull
-	// (0 = 4×MaxActive).
-	MaxQueue int
-	// MaxIdle bounds the sessions retained in the pool across all keys;
-	// the least recently used is evicted past it (0 = 32; negative =
-	// retain nothing, every release frees the session).
-	MaxIdle int
 	// MaxLeases bounds concurrently open session leases — the resident
 	// streaming sessions of OpenLease, accounted separately from build
 	// slots because an idle lease holds memory, not CPU (0 = 256;
 	// negative = unbounded).
 	MaxLeases int
-	// LeaseIdle is the idle-eviction timeout applied to leases opened
-	// without their own (0 = 2m).
-	LeaseIdle time.Duration
-	// LeaseTick is how often the idle janitor scans the open leases — its
-	// eviction resolution (0 = 100ms).
-	LeaseTick time.Duration
 }
+
+// The engine's fixed sizing.
+const (
+	// queuePerSlot is how many acquires may wait per build slot: past
+	// queuePerSlot×MaxActive waiters, a new one is rejected with
+	// ErrQueueFull.
+	queuePerSlot = 4
+	// maxIdle bounds the sessions retained in the pool across all keys;
+	// the least recently used is evicted past it.
+	maxIdle = 32
+	// leaseIdle is the idle-eviction timeout of a lease opened without
+	// its own.
+	leaseIdle = 2 * time.Minute
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxActive <= 0 {
 		o.MaxActive = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxQueue == 0 {
-		o.MaxQueue = 4 * o.MaxActive
-	}
-	if o.MaxIdle == 0 {
-		o.MaxIdle = 32
-	}
 	if o.MaxLeases == 0 {
 		o.MaxLeases = 256
-	}
-	if o.LeaseIdle <= 0 {
-		o.LeaseIdle = 2 * time.Minute
-	}
-	if o.LeaseTick <= 0 {
-		o.LeaseTick = 100 * time.Millisecond
 	}
 	return o
 }
@@ -140,13 +128,12 @@ type Engine struct {
 	// sit behind the slots Drain is busy seizing.
 	drainCh chan struct{}
 
-	mu             sync.Mutex
-	idle           map[Key][]*Session
-	lru            *list.List // *Session, front = most recently released
-	sessions       map[*Session]struct{}
-	leases         map[*Lease]struct{}
-	janitorRunning bool
-	drainDone      chan struct{} // non-nil once a drain has started
+	mu        sync.Mutex
+	idle      map[Key][]*Session
+	lru       *list.List // *Session, front = most recently released
+	sessions  map[*Session]struct{}
+	leases    map[*Lease]struct{}
+	drainDone chan struct{} // non-nil once a drain has started
 
 	// queued and inUse are sampled as gauges; everything the engine
 	// counts it counts into the metrics below (see obs.go).
@@ -216,9 +203,9 @@ func (e *Engine) isDraining() bool {
 // onto its request's span context as a "queue" span (the admission
 // queue is where a request's latency stops being its own fault; nil-safe
 // for untraced callers), and is woken by a drain. shed is the one policy
-// callers differ in: a one-shot arrival past MaxQueue is refused with
-// ErrQueueFull, while a lease was admitted at OpenLease, so its steps
-// queue unconditionally. Only real waiters count — a caller that finds a
+// callers differ in: a one-shot arrival past the queue bound is refused
+// with ErrQueueFull, while a lease was admitted at OpenLease, so its
+// steps queue unconditionally. Only real waiters count — a caller that finds a
 // slot free never does.
 func (e *Engine) wait(ctx context.Context, shed bool) error {
 	select {
@@ -228,7 +215,7 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 	}
 	q := e.queued.Add(1)
 	defer e.queued.Add(-1)
-	if shed && int(q) > e.opts.MaxQueue {
+	if shed && int(q) > queuePerSlot*e.opts.MaxActive {
 		e.rejectedFull.Inc()
 		return ErrQueueFull
 	}
@@ -253,7 +240,7 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 // Admit is the engine's admission gate for work that needs a build slot
 // but no pooled session (a simulated replay, a traced build that owns
 // its builder). It blocks while MaxActive slots are held, up to ctx's
-// deadline; it rejects immediately with ErrQueueFull when MaxQueue
+// deadline; it rejects immediately with ErrQueueFull when 4×MaxActive
 // callers are already waiting, and with ErrDraining once Drain has
 // begun. The caller runs its work, then calls release exactly once.
 func (e *Engine) Admit(ctx context.Context) (release func(), err error) {
@@ -321,8 +308,9 @@ func (e *Engine) Acquire(ctx context.Context, k Key) (*Session, error) {
 	return s, nil
 }
 
-// Release returns the session to the pool (or frees it past MaxIdle, or
-// while draining) and gives up its build slot.
+// Release returns the session to the pool (evicting the least recently
+// used past maxIdle, or freeing it while draining) and gives up its
+// build slot.
 func (s *Session) Release() {
 	e := s.eng
 	e.mu.Lock()
@@ -331,13 +319,12 @@ func (s *Session) Release() {
 		panic("engine: session released twice")
 	}
 	s.released = true
-	switch {
-	case e.isDraining() || e.opts.MaxIdle < 0:
+	if e.isDraining() {
 		delete(e.sessions, s)
-	default:
+	} else {
 		e.idle[s.key] = append(e.idle[s.key], s)
 		s.elem = e.lru.PushFront(s)
-		if e.lru.Len() > e.opts.MaxIdle {
+		if e.lru.Len() > maxIdle {
 			e.evictLocked(e.lru.Back().Value.(*Session))
 		}
 	}

@@ -96,39 +96,48 @@ func TestConcurrentAcquireSameKeyGetsFreshSessions(t *testing.T) {
 	s2.Release()
 }
 
+// queueBehind starts n goroutines that each wait for k behind whatever
+// holds the slots, then release at once; it returns when all n are
+// queued, and the channel carries each one's acquire error.
+func queueBehind(t *testing.T, e *Engine, k Key, n int) <-chan error {
+	t.Helper()
+	queued := e.Stats().Queued
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			s, err := e.Acquire(context.Background(), k)
+			if err == nil {
+				s.Release()
+			}
+			errs <- err
+		}()
+	}
+	waitQueued(t, e, queued+int64(n))
+	return errs
+}
+
 func TestAdmissionQueueFullAndDeadline(t *testing.T) {
-	e := New(Options{MaxActive: 1, MaxQueue: 1, MaxIdle: 4})
+	e := New(Options{MaxActive: 1})
 	k := Key{Alg: core.LOCAL, P: 1, LeafCap: 8}
 	held := mustAcquire(t, e, k)
 
-	// One waiter is admitted to the queue...
-	waiterErr := make(chan error, 1)
-	waiterGot := make(chan *Session, 1)
-	go func() {
-		s, err := e.Acquire(context.Background(), k)
-		waiterGot <- s
-		waiterErr <- err
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().Queued == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// 4×MaxActive waiters are admitted to the queue...
+	waiters := queueBehind(t, e, k, queuePerSlot)
 
 	// ...the next is rejected immediately.
 	if _, err := e.Acquire(context.Background(), k); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-queue acquire: got %v, want ErrQueueFull", err)
 	}
 
-	// A queued acquire honors its context deadline. (It occupies the one
-	// queue slot only briefly; run it after the rejection check above.)
+	// A queued acquire honors its context deadline. (It occupies a queue
+	// place only briefly; run it after the rejection check above.)
 	held.Release()
-	s := <-waiterGot
-	if err := <-waiterErr; err != nil {
-		t.Fatalf("queued waiter: %v", err)
+	for i := 0; i < queuePerSlot; i++ {
+		if err := <-waiters; err != nil {
+			t.Fatalf("queued waiter: %v", err)
+		}
 	}
+	s := mustAcquire(t, e, k)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := e.Acquire(ctx, k); !errors.Is(err, context.DeadlineExceeded) {
@@ -185,23 +194,26 @@ func TestDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	}
 }
 
+// TestMaxIdleEvictsLRU releases maxIdle+1 sessions of distinct keys,
+// oldest first: the pool keeps the newest maxIdle and evicts the oldest.
 func TestMaxIdleEvictsLRU(t *testing.T) {
-	e := New(Options{MaxActive: 4, MaxIdle: 2})
-	k1 := Key{Alg: core.LOCAL, P: 1, LeafCap: 8}
-	k2 := Key{Alg: core.LOCAL, P: 2, LeafCap: 8}
-	k3 := Key{Alg: core.LOCAL, P: 4, LeafCap: 8}
-	s1 := mustAcquire(t, e, k1)
-	s2 := mustAcquire(t, e, k2)
-	s3 := mustAcquire(t, e, k3)
-	s1.Release() // oldest
-	s2.Release()
-	s3.Release() // newest; s1 evicted
+	e := New(Options{MaxActive: 1})
+	keys := make([]Key, maxIdle+1)
+	var first *Session
+	for i := range keys {
+		keys[i] = Key{Alg: core.LOCAL, P: 1, LeafCap: i + 1}
+		s := mustAcquire(t, e, keys[i])
+		if i == 0 {
+			first = s
+		}
+		s.Release()
+	}
 
 	st := e.Stats()
-	if e.evicted.Value() != 1 || st.Idle != 2 {
-		t.Fatalf("evicted=%v idle=%v, want 1/2", e.evicted.Value(), st.Idle)
+	if e.evicted.Value() != 1 || st.Idle != maxIdle {
+		t.Fatalf("evicted=%v idle=%v, want 1/%d", e.evicted.Value(), st.Idle, maxIdle)
 	}
-	if got := mustAcquire(t, e, k1); got == s1 {
+	if got := mustAcquire(t, e, keys[0]); got == first {
 		t.Fatalf("evicted session came back from the pool")
 	} else {
 		got.Release()
@@ -289,30 +301,25 @@ func TestDrainWakesQueuedAcquire(t *testing.T) {
 }
 
 // TestAdmitSharesTheBudget checks the session-less gate is the same gate:
-// an Admit holder blocks an Acquire, is shed past MaxQueue like one, and
-// refuses once draining.
+// an Admit holder blocks Acquires, is shed past the queue bound like
+// one, and refuses once draining.
 func TestAdmitSharesTheBudget(t *testing.T) {
-	e := New(Options{MaxActive: 1, MaxQueue: 1})
+	e := New(Options{MaxActive: 1})
 	k := Key{Alg: core.LOCAL, P: 1, LeafCap: 8}
 	release, err := e.Admit(context.Background())
 	if err != nil {
 		t.Fatalf("Admit: %v", err)
 	}
-	got := make(chan *Session, 1)
-	go func() {
-		s, _ := e.Acquire(context.Background(), k)
-		got <- s
-	}()
-	waitQueued(t, e, 1)
+	waiters := queueBehind(t, e, k, queuePerSlot)
 	if _, err := e.Admit(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-queue Admit: %v, want ErrQueueFull", err)
 	}
 	release()
-	s := <-got
-	if s == nil {
-		t.Fatal("Acquire queued behind an Admit holder was not served on release")
+	for i := 0; i < queuePerSlot; i++ {
+		if err := <-waiters; err != nil {
+			t.Fatalf("Acquire queued behind an Admit holder: %v", err)
+		}
 	}
-	s.Release()
 	if err := e.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}

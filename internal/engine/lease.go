@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"partree/internal/core"
@@ -19,7 +18,7 @@ var (
 	ErrLeasesFull = errors.New("engine: leases full")
 	// ErrLeaseClosed rejects a Step on a lease that was closed.
 	ErrLeaseClosed = errors.New("engine: lease closed")
-	// ErrLeaseEvicted rejects a Step on a lease the idle janitor evicted.
+	// ErrLeaseEvicted rejects a Step on a lease its idle timer evicted.
 	ErrLeaseEvicted = errors.New("engine: lease evicted (idle)")
 )
 
@@ -31,7 +30,7 @@ var (
 // one-shot build CPU share the engine's single MaxActive budget.
 //
 // A lease is owned by one stream handler; Step and Close may race with
-// the idle janitor and with Drain, never with each other.
+// its idle timer and with Drain, never with each other.
 type Lease struct {
 	eng *Engine
 	st  *core.Stepper
@@ -44,14 +43,15 @@ type Lease struct {
 	done    chan struct{}
 
 	idle time.Duration
-	// deadline is the idle eviction instant in unixnanos, refreshed after
-	// every step and read by the janitor's scan.
-	deadline atomic.Int64
+	// timer fires expire at deadline, the idle eviction instant, which
+	// OpenLease sets and the end of every Step moves; both under mu.
+	timer    *time.Timer
+	deadline time.Time
 }
 
 // Stepper returns the pinned stepper for callers that need the body
 // state or step counter. Mutating bodies between Step calls is the
-// owner's job; the janitor never touches them.
+// owner's job; the idle timer never touches them.
 func (l *Lease) Stepper() *core.Stepper { return l.st }
 
 // Done is closed when the lease ends for any reason — Close, idle
@@ -62,41 +62,38 @@ func (l *Lease) Done() <-chan struct{} { return l.done }
 // Idle returns the lease's idle timeout as OpenLease resolved it.
 func (l *Lease) Idle() time.Duration { return l.idle }
 
-// Evicted reports whether the lease was ended by the idle janitor.
+// Evicted reports whether the lease was ended by its idle timer.
 func (l *Lease) Evicted() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.evicted
 }
 
-// OpenLease pins st into a new session lease. idle <= 0 selects
-// Options.LeaseIdle. Rejects with ErrLeasesFull past Options.MaxLeases
-// and ErrDraining once Drain has begun.
+// OpenLease pins st into a new session lease and arms its idle timer.
+// idle <= 0 selects the 2-minute default. Rejects with ErrLeasesFull
+// past Options.MaxLeases and ErrDraining once Drain has begun.
 func (e *Engine) OpenLease(st *core.Stepper, idle time.Duration) (*Lease, error) {
 	if idle <= 0 {
-		idle = e.opts.LeaseIdle
+		idle = leaseIdle
 	}
 	l := &Lease{eng: e, st: st, done: make(chan struct{}), idle: idle}
-	l.deadline.Store(time.Now().Add(idle).UnixNano())
 
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	switch {
 	case e.isDraining():
-		e.mu.Unlock()
 		e.leaseRejected.Inc()
 		return nil, ErrDraining
 	case e.opts.MaxLeases >= 0 && len(e.leases) >= e.opts.MaxLeases:
-		e.mu.Unlock()
 		e.leaseRejected.Inc()
 		return nil, ErrLeasesFull
 	}
+	// Armed under e.mu: Drain reaches the lease only through e.leases,
+	// so nothing can close it before its timer exists.
+	l.deadline = time.Now().Add(idle)
+	l.timer = time.AfterFunc(idle, l.expire)
 	e.leases[l] = struct{}{}
 	e.leasesOpened.Inc()
-	if !e.janitorRunning {
-		e.janitorRunning = true
-		go e.leaseJanitor()
-	}
-	e.mu.Unlock()
 	return l, nil
 }
 
@@ -104,7 +101,8 @@ func (e *Engine) OpenLease(st *core.Stepper, idle time.Duration) (*Lease, error)
 // a build slot (waiting up to ctx, aborting with ErrDraining if a drain
 // starts first) so concurrent session steps and one-shot builds share
 // MaxActive. The lease was admitted at OpenLease, so the wait is never
-// shed by MaxQueue.
+// shed by the queue bound. However it ends, a step restarts the idle
+// countdown.
 func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -114,6 +112,7 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	case l.closed:
 		return nil, ErrLeaseClosed
 	}
+	defer l.rearm()
 	e := l.eng
 	if err := e.wait(ctx, false); err != nil {
 		return nil, err
@@ -133,9 +132,28 @@ func (l *Lease) Step(ctx context.Context, in core.StepInput) (*core.StepResult, 
 	if res.Fallback {
 		e.leaseFallbacks.Inc()
 	}
-
-	l.deadline.Store(time.Now().Add(l.idle).UnixNano())
 	return res, nil
+}
+
+// rearm moves the idle deadline to one idle timeout from now. Caller
+// holds l.mu.
+func (l *Lease) rearm() {
+	l.deadline = time.Now().Add(l.idle)
+	l.timer.Reset(l.idle)
+}
+
+// expire is the idle timer's callback. A lease mid-step (or waiting for
+// its slot) holds l.mu, so TryLock fails: it is busy, not idle, and the
+// step's end re-arms the timer. A firing that a re-arm overtook finds
+// the deadline moved and leaves the lease alone.
+func (l *Lease) expire() {
+	if !l.mu.TryLock() {
+		return
+	}
+	defer l.mu.Unlock()
+	if !time.Now().Before(l.deadline) {
+		l.closeLocked(true)
+	}
 }
 
 // Close ends the lease. Idempotent; safe to call after eviction.
@@ -145,14 +163,16 @@ func (l *Lease) Close() {
 	l.closeLocked(false)
 }
 
-// closeLocked finishes the lease under l.mu. evict marks a janitor
-// eviction (counted separately and surfaced via ErrLeaseEvicted).
+// closeLocked finishes the lease under l.mu and stops its timer. evict
+// marks an idle eviction (counted separately and surfaced via
+// ErrLeaseEvicted).
 func (l *Lease) closeLocked(evict bool) {
 	if l.closed {
 		return
 	}
 	l.closed = true
 	l.evicted = evict
+	l.timer.Stop()
 	close(l.done)
 	e := l.eng
 
@@ -163,49 +183,5 @@ func (l *Lease) closeLocked(evict bool) {
 		e.leasesEvicted.Inc()
 	} else {
 		e.leasesClosed.Inc()
-	}
-}
-
-// leaseJanitor evicts idle leases: every LeaseTick it scans the open
-// leases and closes those whose deadline has passed, so eviction lands
-// within one tick of the deadline. It exits when the engine drains or
-// the last lease ends.
-func (e *Engine) leaseJanitor() {
-	tk := time.NewTicker(e.opts.LeaseTick)
-	defer tk.Stop()
-	for {
-		var now int64
-		select {
-		case <-e.drainCh:
-			return
-		case t := <-tk.C:
-			now = t.UnixNano()
-		}
-		var expired []*Lease
-		e.mu.Lock()
-		for l := range e.leases {
-			if l.deadline.Load() <= now {
-				expired = append(expired, l)
-			}
-		}
-		e.mu.Unlock()
-		for _, l := range expired {
-			// TryLock: a lease mid-step (or waiting for its slot) is busy,
-			// not idle — the step refreshes the deadline when it ends, and
-			// the next scan looks again.
-			if l.mu.TryLock() {
-				if l.deadline.Load() <= now {
-					l.closeLocked(true)
-				}
-				l.mu.Unlock()
-			}
-		}
-		e.mu.Lock()
-		if len(e.leases) == 0 {
-			e.janitorRunning = false
-			e.mu.Unlock()
-			return
-		}
-		e.mu.Unlock()
 	}
 }

@@ -78,12 +78,17 @@ func TestLeaseCapacity(t *testing.T) {
 	}
 }
 
+// TestLeaseIdleEviction: an idle lease's timer evicts it once its own
+// deadline — one idle timeout after its last step ended — has passed,
+// and not before.
 func TestLeaseIdleEviction(t *testing.T) {
-	e := New(Options{MaxActive: 2, LeaseTick: 5 * time.Millisecond})
-	l, err := e.OpenLease(testStepper(t, 200, 1, 1), 30*time.Millisecond)
+	const idle = 50 * time.Millisecond
+	e := New(Options{MaxActive: 2})
+	l, err := e.OpenLease(testStepper(t, 200, 1, 1), idle)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stepStart := time.Now()
 	if _, err := l.Step(context.Background(), core.StepInput{}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +96,10 @@ func TestLeaseIdleEviction(t *testing.T) {
 	case <-l.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("idle lease was never evicted")
+	}
+	// The step's end set the deadline, after stepStart.
+	if early := idle - time.Since(stepStart); early > 0 {
+		t.Fatalf("evicted %v before its deadline", early)
 	}
 	if !l.Evicted() {
 		t.Fatal("Done fired but lease not marked evicted")
@@ -105,10 +114,10 @@ func TestLeaseIdleEviction(t *testing.T) {
 }
 
 // TestLeaseStepKeepsAlive steps more often than the idle timeout and
-// checks the janitor leaves the lease alone: the lazy deadline refresh
-// must actually move the eviction point.
+// checks the timer leaves the lease alone: every step's end must
+// actually move the eviction point.
 func TestLeaseStepKeepsAlive(t *testing.T) {
-	e := New(Options{MaxActive: 2, LeaseTick: 5 * time.Millisecond})
+	e := New(Options{MaxActive: 2})
 	l, err := e.OpenLease(testStepper(t, 200, 1, 1), 60*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +130,41 @@ func TestLeaseStepKeepsAlive(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 	}
 	l.Close()
+}
+
+// TestLeaseTimerNeverEvictsClosed: once a lease is closed by its owner
+// or by a drain, its timer never evicts it, however long after its
+// deadline.
+func TestLeaseTimerNeverEvictsClosed(t *testing.T) {
+	const idle = 20 * time.Millisecond
+	e := New(Options{MaxActive: 1})
+	closed, err := e.OpenLease(testStepper(t, 100, 1, 1), idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained, err := e.OpenLease(testStepper(t, 100, 1, 2), idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := closed.Step(context.Background(), core.StepInput{}); err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	time.Sleep(5 * idle)
+	for name, l := range map[string]*Lease{"closed": closed, "drained": drained} {
+		if l.Evicted() {
+			t.Errorf("%s lease was evicted by its timer", name)
+		}
+		if _, err := l.Step(context.Background(), core.StepInput{}); !errors.Is(err, ErrLeaseClosed) {
+			t.Errorf("%s lease step: %v, want ErrLeaseClosed", name, err)
+		}
+	}
+	if got := e.leasesEvicted.Value(); got != 0 || e.leasesClosed.Value() != 2 {
+		t.Fatalf("evicted=%v closed=%v, want 0/2", got, e.leasesClosed.Value())
+	}
 }
 
 // TestLeaseDrain checks the drain contract: a step waiting for a build
@@ -174,8 +218,11 @@ func TestLeaseDrain(t *testing.T) {
 // the race detector something to chew on and to check the shared
 // MaxActive budget never wedges.
 func TestLeaseContention(t *testing.T) {
-	const leases, stepsEach, oneShots = 8, 20, 40
-	e := New(Options{MaxActive: 4, MaxQueue: 1024, MaxLeases: leases})
+	// The one-shots come from oneShotters goroutines, 5 each: with every
+	// lease and every one-shotter waiting, the queue holds
+	// leases+oneShotters = 4×MaxActive, so nothing is shed.
+	const leases, stepsEach, oneShotters = 8, 20, 8
+	e := New(Options{MaxActive: 4, MaxLeases: leases})
 	var wg sync.WaitGroup
 	for i := 0; i < leases; i++ {
 		l, err := e.OpenLease(testStepper(t, 300, 2, int64(i)), time.Minute)
@@ -195,18 +242,20 @@ func TestLeaseContention(t *testing.T) {
 			}
 		}(l)
 	}
-	for i := 0; i < oneShots; i++ {
+	for i := 0; i < oneShotters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := e.Acquire(context.Background(), Key{Alg: core.SPACE, P: 2})
-			if err != nil {
-				t.Errorf("acquire: %v", err)
-				return
+			for j := 0; j < 5; j++ {
+				s, err := e.Acquire(context.Background(), Key{Alg: core.SPACE, P: 2})
+				if err != nil {
+					t.Errorf("acquire: %v", err)
+					return
+				}
+				b := phys.Generate(phys.ModelPlummer, 300, int64(5*i+j))
+				s.Build(&core.Input{Bodies: b, Assign: core.EvenAssign(300, 2)})
+				s.Release()
 			}
-			defer s.Release()
-			b := phys.Generate(phys.ModelPlummer, 300, int64(i))
-			s.Build(&core.Input{Bodies: b, Assign: core.EvenAssign(300, 2)})
 		}(i)
 	}
 	wg.Wait()
@@ -223,9 +272,9 @@ func TestLeaseContention(t *testing.T) {
 // goes through the same wait as a one-shot acquire: it is visible in
 // Stats().Queued (partree_engine_queue_depth), stamps exactly one
 // "queue" span on its request — and, admitted at OpenLease, is not shed
-// by a MaxQueue that refuses a one-shot arriving behind it.
+// by the full queue that refuses a one-shot arriving behind it.
 func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
-	e := New(Options{MaxActive: 1, MaxQueue: 1})
+	e := New(Options{MaxActive: 1})
 	l, err := e.OpenLease(testStepper(t, 200, 1, 1), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -247,28 +296,35 @@ func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
 		}
 	}()
 
-	rq := reqtrace.NewRecorder(reqtrace.Options{}).Start("00000000000000000000000000000003", "/v1/session")
+	rq := reqtrace.NewRecorder().Start("00000000000000000000000000000003", "/v1/session")
 	stepErr := make(chan error, 2)
 	go func() {
 		_, err := l.Step(reqtrace.NewContext(context.Background(), rq), core.StepInput{})
 		stepErr <- err
 	}()
 	waitQueued(t, e, 1)
-	// The queue is at MaxQueue: a one-shot is shed, a second step is not.
+	// One-shots fill the rest of the queue: the next one-shot is shed, a
+	// second step is not.
+	waiters := queueBehind(t, e, k, queuePerSlot-1)
 	if _, err := e.Acquire(context.Background(), k); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("one-shot behind a waiting step: %v, want ErrQueueFull", err)
+		t.Fatalf("one-shot behind a full queue: %v, want ErrQueueFull", err)
 	}
 	go func() {
 		_, err := l2.Step(context.Background(), core.StepInput{})
 		stepErr <- err
 	}()
-	waitQueued(t, e, 2)
+	waitQueued(t, e, queuePerSlot+1)
 
 	held.Release()
 	released = true
 	for i := 0; i < 2; i++ {
 		if err := <-stepErr; err != nil {
 			t.Fatalf("waiting step: %v", err)
+		}
+	}
+	for i := 0; i < queuePerSlot-1; i++ {
+		if err := <-waiters; err != nil {
+			t.Fatalf("waiting one-shot: %v", err)
 		}
 	}
 	var queues int
@@ -285,40 +341,45 @@ func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
 	}
 }
 
-// TestLeaseEvictionWithinTwoTicks pins the janitor's resolution in the
-// case that defers an eviction: a lease that is mid-step when its
-// deadline passes is skipped by that scan, and must then be evicted
-// within 2×LeaseTick of the deadline the step's end set.
-func TestLeaseEvictionWithinTwoTicks(t *testing.T) {
-	const tick, idle = 50 * time.Millisecond, 100 * time.Millisecond
+// TestLeaseDeadlineMidStep: a lease whose deadline passes while its
+// step waits for a slot (holding the lease busy) is not evicted during
+// that step; the step's end re-arms the timer, which evicts one idle
+// timeout later and not before.
+func TestLeaseDeadlineMidStep(t *testing.T) {
+	const idle = 50 * time.Millisecond
 	// slack absorbs scheduler noise on a loaded host.
 	const slack = 500 * time.Millisecond
-	e := New(Options{MaxActive: 1, LeaseTick: tick})
+	e := New(Options{MaxActive: 1})
 	l, err := e.OpenLease(testStepper(t, 200, 1, 1), idle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the step waiting for its slot (holding the lease busy) until
-	// the open deadline is well past.
 	held := mustAcquire(t, e, Key{Alg: core.ORIG, P: 1})
 	stepped := make(chan error, 1)
 	go func() {
 		_, err := l.Step(context.Background(), core.StepInput{})
 		stepped <- err
 	}()
-	time.Sleep(idle + 2*tick)
+	waitQueued(t, e, 1)
+	time.Sleep(3 * idle)
+	released := time.Now()
 	held.Release()
 	if err := <-stepped; err != nil {
 		t.Fatalf("busy lease was evicted under its own step: %v", err)
 	}
-	deadline := time.Now().Add(idle)
+	stepEnd := time.Now()
 	select {
 	case <-l.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("idle lease was never evicted")
 	}
-	if late := time.Since(deadline); late > 2*tick+slack {
-		t.Fatalf("evicted %v after its deadline, want within 2×LeaseTick (%v)", late, 2*tick)
+	// The step ended, and re-armed the timer, between released and
+	// stepEnd.
+	if early := idle - time.Since(released); early > 0 {
+		t.Fatalf("evicted %v before its re-armed deadline", early)
+	}
+	if after := time.Since(stepEnd); after > idle+slack {
+		t.Fatalf("evicted %v after the step ended, want about %v", after, idle)
 	}
 	if !l.Evicted() {
 		t.Fatal("Done fired but lease not marked evicted")

@@ -25,7 +25,7 @@ func newEngineObs() engineObs {
 	return engineObs{
 		created: obs.NewCounter("partree_engine_sessions_created_total", "Builder sessions constructed (pool misses)."),
 		reused:  obs.NewCounter("partree_engine_sessions_reused_total", "Acquires served by a pooled session (pool hits)."),
-		evicted: obs.NewCounter("partree_engine_sessions_evicted_total", "Idle sessions evicted past the MaxIdle bound."),
+		evicted: obs.NewCounter("partree_engine_sessions_evicted_total", "Idle sessions evicted past the pool bound (32)."),
 
 		rejected:          rejected,
 		rejectedFull:      rejected.With("queue_full"),
@@ -34,7 +34,7 @@ func newEngineObs() engineObs {
 
 		leasesOpened:   obs.NewCounter("partree_session_opened_total", "Streaming session leases opened."),
 		leasesClosed:   obs.NewCounter("partree_session_closed_total", "Session leases closed by their owner (or by drain)."),
-		leasesEvicted:  obs.NewCounter("partree_session_evicted_total", "Session leases evicted by the idle-deadline janitor."),
+		leasesEvicted:  obs.NewCounter("partree_session_evicted_total", "Session leases evicted by their idle timer."),
 		leaseRejected:  obs.NewCounter("partree_session_rejected_total", "Session opens rejected (lease capacity or draining)."),
 		leaseFallbacks: obs.NewCounter("partree_session_fallbacks_total", "Policy-triggered SPACE rebuilds inside live sessions."), // the policy is core.Stepper's rebuild rule
 		stepSeconds: obs.NewHistogramVec("partree_session_step_seconds",

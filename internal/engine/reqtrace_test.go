@@ -24,7 +24,7 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 	}
 	defer l.Close()
 
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	rq := rec.Start("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/session")
 	ctx := reqtrace.NewContext(context.Background(), rq)
 
@@ -77,8 +77,8 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 // stamp a "queue" span onto the request context covering the wait.
 func TestQueueWaitStampedOnRequest(t *testing.T) {
 	const hold = 30 * time.Millisecond
-	e := New(Options{MaxActive: 1, MaxQueue: 4})
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	e := New(Options{MaxActive: 1})
+	rec := reqtrace.NewRecorder()
 
 	// Path 1: Acquire behind a held session.
 	s, err := e.Acquire(context.Background(), Key{Alg: core.LOCAL, P: 1})

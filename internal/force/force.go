@@ -134,12 +134,6 @@ func quadAccel(r vec.V3, q octree.Quadrupole, eps2, g float64) vec.V3 {
 	return qr.Scale(g*inv5).MulAdd(-2.5*g*rqr*inv5/r2, r)
 }
 
-// PointAccel returns the acceleration at pos due to a point mass m at q —
-// exported for the message-passing baseline's remote-body contributions.
-func PointAccel(pos, q vec.V3, m float64, p Params) vec.V3 {
-	return pairAccel(pos, q, m, p.Eps*p.Eps, p.G)
-}
-
 // Direct computes the exact softened acceleration on body self by summing
 // over all bodies: the O(N²) reference used by accuracy tests.
 func Direct(d octree.BodyData, self int32, p Params) vec.V3 {

@@ -105,7 +105,7 @@ func (rec *Recorder) Mount(mux *http.ServeMux) {
 func (rec *Recorder) handleRequests(w http.ResponseWriter, _ *http.Request) {
 	reqs := rec.Snapshot()
 	writeJSON(w, http.StatusOK, ringDoc{
-		Capacity: rec.opts.Cap,
+		Capacity: ringCap,
 		Count:    len(reqs),
 		Requests: renderList(reqs),
 	})
@@ -114,9 +114,9 @@ func (rec *Recorder) handleRequests(w http.ResponseWriter, _ *http.Request) {
 func (rec *Recorder) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	reqs := rec.Slow()
 	writeJSON(w, http.StatusOK, ringDoc{
-		Capacity:        rec.opts.SlowK,
+		Capacity:        slowK,
 		Count:           len(reqs),
-		SlowThresholdMs: float64(rec.opts.SlowThreshold.Nanoseconds()) / 1e6,
+		SlowThresholdMs: float64(slowThreshold.Nanoseconds()) / 1e6,
 		SlowTotal:       rec.SlowTotal(),
 		Requests:        renderList(reqs),
 	})

@@ -43,7 +43,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // slow threshold, and an admission rejection. Every timestamp derives from epoch, so renders
 // are byte-stable.
 func goldenRecorder() *reqtrace.Recorder {
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 4, SlowThreshold: 250 * time.Millisecond, SlowK: 2})
+	rec := reqtrace.NewRecorder()
 	ms := func(base time.Time, n int) time.Time { return base.Add(time.Duration(n) * time.Millisecond) }
 
 	b := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)

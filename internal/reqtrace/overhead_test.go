@@ -66,7 +66,7 @@ func BenchmarkDisabledHooks(b *testing.B) {
 // the serving path's four spans plus the phase stamp, finish (ring
 // publish, histograms, exemplar).
 func BenchmarkRecordedRequest(b *testing.B) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	t0 := time.Unix(1700000000, 0)
 	m := buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond)
 	for i := 0; i < b.N; i++ {

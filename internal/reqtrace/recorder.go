@@ -16,39 +16,24 @@ import (
 	"partree/internal/obs"
 )
 
-// Options size a Recorder. Zero values select the documented defaults.
-type Options struct {
-	// Cap is the ring capacity — how many completed requests
-	// /debug/requests can look back on (0 = 256).
-	Cap int
-	// SlowThreshold gates the slow list: a request at least this slow
-	// is counted and retained in /debug/requests/slow (0 = 250ms).
-	SlowThreshold time.Duration
-	// SlowK bounds the slow list; past it the fastest slow request is
-	// evicted (0 = 16).
-	SlowK int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Cap <= 0 {
-		o.Cap = 256
-	}
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = 250 * time.Millisecond
-	}
-	if o.SlowK <= 0 {
-		o.SlowK = 16
-	}
-	return o
-}
+// The recorder's fixed sizing.
+const (
+	// ringCap is how many completed requests /debug/requests can look
+	// back on.
+	ringCap = 256
+	// slowThreshold gates the slow list: a request at least this slow
+	// is counted and retained in /debug/requests/slow.
+	slowThreshold = 250 * time.Millisecond
+	// slowK bounds the slow list; past it the fastest slow request is
+	// evicted.
+	slowK = 16
+)
 
 // Recorder owns the flight-recorder state for one daemon. A nil
 // *Recorder is valid and disables everything: Start returns a nil *Req
 // and every downstream hook no-ops.
 type Recorder struct {
-	opts Options
-
-	ring []atomic.Pointer[Req]
+	ring [ringCap]atomic.Pointer[Req]
 	seq  atomic.Uint64
 
 	inFlight atomic.Int64
@@ -76,12 +61,9 @@ type maxEntry struct {
 // NewRecorder creates a flight recorder. The metric instruments are
 // created eagerly (like the engine's step histogram) so requests
 // observe whether or not RegisterObs was called.
-func NewRecorder(o Options) *Recorder {
-	o = o.withDefaults()
+func NewRecorder() *Recorder {
 	return &Recorder{
-		opts: o,
-		ring: make([]atomic.Pointer[Req], o.Cap),
-		max:  map[string]maxEntry{},
+		max: map[string]maxEntry{},
 		durSeconds: obs.NewHistogramVec("partree_req_duration_seconds",
 			"Request duration through the serving path, by route.",
 			obs.ExpBuckets(1e-4, 2, 20), "route"),
@@ -90,14 +72,6 @@ func NewRecorder(o Options) *Recorder {
 			obs.ExpBuckets(1e-5, 2, 20)),
 		slowTotal: obs.NewCounter("partree_req_slow_total", "Requests that crossed the slow threshold."),
 	}
-}
-
-// Cap returns the ring capacity (0 on nil).
-func (rec *Recorder) Cap() int {
-	if rec == nil {
-		return 0
-	}
-	return rec.opts.Cap
 }
 
 // Start opens a request. On a nil Recorder it returns a nil *Req — the
@@ -120,7 +94,7 @@ func (rec *Recorder) StartAt(id, route string, t time.Time) *Req {
 func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 	rec.inFlight.Add(-1)
 	// Sequence numbers start at 1; slot i of epoch e holds seq e·cap+i+1,
-	// so the ring always contains the last Cap finished requests and
+	// so the ring always contains the last ringCap finished requests and
 	// renderers sort by seq to recover completion order.
 	seq := rec.seq.Add(1)
 	r.e.Seq = seq
@@ -135,11 +109,11 @@ func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 	}
 	rec.maxMu.Unlock()
 
-	if dur >= rec.opts.SlowThreshold {
+	if dur >= slowThreshold {
 		rec.slowTotal.Inc()
 		rec.slowMu.Lock()
 		rec.slow = append(rec.slow, r)
-		if len(rec.slow) > rec.opts.SlowK {
+		if len(rec.slow) > slowK {
 			// Evict the fastest (oldest on ties): the list holds the
 			// top-K by duration.
 			min := 0
@@ -224,7 +198,7 @@ func (rec *Recorder) InFlight() int64 {
 	return rec.inFlight.Load()
 }
 
-// SlowTotal returns the number of requests that crossed SlowThreshold.
+// SlowTotal returns the number of requests that crossed the slow threshold.
 func (rec *Recorder) SlowTotal() int64 {
 	if rec == nil {
 		return 0

@@ -59,7 +59,7 @@ func FuzzParseTraceparent(f *testing.F) {
 	} {
 		f.Add(v)
 	}
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 1})
+	rec := reqtrace.NewRecorder()
 	f.Fuzz(func(t *testing.T, v string) {
 		id, ok := reqtrace.ParseTraceparent(v)
 		if !ok {
@@ -120,7 +120,7 @@ func TestNilHandleNoOp(t *testing.T) {
 	if rec.Snapshot() != nil || rec.Slow() != nil || rec.Lookup("id") != nil {
 		t.Error("nil recorder snapshots returned non-nil values")
 	}
-	if rec.InFlight() != 0 || rec.SlowTotal() != 0 || rec.Cap() != 0 {
+	if rec.InFlight() != 0 || rec.SlowTotal() != 0 {
 		t.Error("nil recorder counters returned non-zero values")
 	}
 
@@ -135,7 +135,7 @@ func TestNilHandleNoOp(t *testing.T) {
 }
 
 func TestContextRoundTrip(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	rq := rec.StartAt("aabbccddeeff00112233445566778899", "/v1/build", epoch)
 	ctx := reqtrace.NewContext(context.Background(), rq)
 	if got := reqtrace.FromContext(ctx); got != rq {
@@ -149,7 +149,7 @@ func TestContextRoundTrip(t *testing.T) {
 // the start, the queue/build station totals, the phase breakdown, and
 // the final duration.
 func TestReqTimeline(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	rq := rec.StartAt("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/build", epoch)
 	if rq.Entry().ID != "4bf92f3577b34da6a3ce929d0e0e4736" || rq.Entry().Route != "/v1/build" {
 		t.Fatalf("identity = (%q, %q)", rq.Entry().ID, rq.Entry().Route)
@@ -210,7 +210,7 @@ func TestReqTimeline(t *testing.T) {
 // growing, the queue accumulator stays exact, and negative-duration
 // spans clamp to zero.
 func TestSpanListCap(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	rq := rec.StartAt("00000000000000000000000000000001", "/v1/session", epoch)
 	const stamped = 600 // past the 512-span cap
 	for i := 0; i < stamped; i++ {
@@ -236,19 +236,17 @@ func finishOne(rec *reqtrace.Recorder, id string, d time.Duration) *reqtrace.Req
 }
 
 func TestRingWrapAndSnapshot(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 4, SlowThreshold: time.Hour})
-	if rec.Cap() != 4 {
-		t.Fatalf("Cap = %d", rec.Cap())
-	}
-	for i := 1; i <= 10; i++ {
-		finishOne(rec, fmt.Sprintf("%032d", i), time.Duration(i)*time.Millisecond)
+	rec := reqtrace.NewRecorder()
+	const n = reqtrace.RingCap + 6
+	for i := 1; i <= n; i++ {
+		finishOne(rec, fmt.Sprintf("%032d", i), time.Duration(i)*time.Microsecond)
 	}
 	snap := rec.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot holds %d requests, want the ring's 4", len(snap))
+	if len(snap) != reqtrace.RingCap {
+		t.Fatalf("snapshot holds %d requests, want the ring's %d", len(snap), reqtrace.RingCap)
 	}
 	for i, r := range snap {
-		if want := uint64(10 - i); r.Entry().Seq != want {
+		if want := uint64(n - i); r.Entry().Seq != want {
 			t.Errorf("snapshot[%d].Seq = %d, want %d (newest first)", i, r.Entry().Seq, want)
 		}
 	}
@@ -256,8 +254,8 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 	if rec.Lookup(fmt.Sprintf("%032d", 3)) != nil {
 		t.Error("Lookup found a request the ring wrapped away")
 	}
-	if r := rec.Lookup(fmt.Sprintf("%032d", 9)); r == nil || r.Entry().Seq != 9 {
-		t.Errorf("Lookup(9) = %v", r)
+	if r := rec.Lookup(fmt.Sprintf("%032d", n-1)); r == nil || r.Entry().Seq != n-1 {
+		t.Errorf("Lookup(%d) = %v", n-1, r)
 	}
 	// Duplicate IDs: the newest completion wins.
 	finishOne(rec, "duplicate-id", time.Millisecond)
@@ -267,21 +265,30 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSlowListThresholdAndEviction publishes one request under the slow
+// threshold and SlowK+1 over it, the fastest of them first: every
+// crossing counts, and the list keeps the slowest SlowK, slowest first.
 func TestSlowListThresholdAndEviction(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 8, SlowThreshold: 10 * time.Millisecond, SlowK: 2})
-	finishOne(rec, "00000000000000000000000000000aaa", 5*time.Millisecond) // under threshold
-	finishOne(rec, "00000000000000000000000000000bbb", 20*time.Millisecond)
-	finishOne(rec, "00000000000000000000000000000ccc", 30*time.Millisecond)
-	finishOne(rec, "00000000000000000000000000000ddd", 25*time.Millisecond) // evicts the 20ms entry
-	if got := rec.SlowTotal(); got != 3 {
-		t.Errorf("SlowTotal = %d, want 3 (every crossing counts, evicted or not)", got)
+	rec := reqtrace.NewRecorder()
+	finishOne(rec, "00000000000000000000000000000aaa", reqtrace.SlowThreshold-time.Millisecond) // under threshold
+	id := func(k int) string { return fmt.Sprintf("%032d", k) }
+	// Request k lasts threshold+k ms; k = 1 arrives first, then the
+	// rest in descending order, so k = 1 is evicted by the last.
+	finishOne(rec, id(1), reqtrace.SlowThreshold+time.Millisecond)
+	for k := reqtrace.SlowK + 1; k >= 2; k-- {
+		finishOne(rec, id(k), reqtrace.SlowThreshold+time.Duration(k)*time.Millisecond)
+	}
+	if got := rec.SlowTotal(); got != reqtrace.SlowK+1 {
+		t.Errorf("SlowTotal = %d, want %d (every crossing counts, evicted or not)", got, reqtrace.SlowK+1)
 	}
 	slow := rec.Slow()
-	if len(slow) != 2 {
-		t.Fatalf("slow list holds %d, want top-K 2", len(slow))
+	if len(slow) != reqtrace.SlowK {
+		t.Fatalf("slow list holds %d, want top-K %d", len(slow), reqtrace.SlowK)
 	}
-	if slow[0].Entry().ID != "00000000000000000000000000000ccc" || slow[1].Entry().ID != "00000000000000000000000000000ddd" {
-		t.Errorf("slow = [%s %s], want [ccc ddd] (slowest first)", slow[0].Entry().ID, slow[1].Entry().ID)
+	for i, r := range slow {
+		if want := id(reqtrace.SlowK + 1 - i); r.Entry().ID != want {
+			t.Errorf("slow[%d] = %s, want %s (slowest first)", i, r.Entry().ID, want)
+		}
 	}
 }
 
@@ -289,10 +296,11 @@ func TestSlowListThresholdAndEviction(t *testing.T) {
 // ring and checks Lookup still resolves it from the slow list — the
 // requests most worth debugging stay addressable longest.
 func TestLookupOutlivesRingViaSlowList(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 2, SlowThreshold: 10 * time.Millisecond, SlowK: 4})
-	slow := finishOne(rec, "00000000000000000000000000005105", 50*time.Millisecond)
-	finishOne(rec, "00000000000000000000000000000001", time.Millisecond)
-	finishOne(rec, "00000000000000000000000000000002", time.Millisecond)
+	rec := reqtrace.NewRecorder()
+	slow := finishOne(rec, "00000000000000000000000000005105", reqtrace.SlowThreshold)
+	for i := 1; i <= reqtrace.RingCap; i++ {
+		finishOne(rec, fmt.Sprintf("%032d", i), time.Millisecond)
+	}
 	for _, r := range rec.Snapshot() {
 		if r == slow {
 			t.Fatal("test setup: the slow request should have wrapped out of the ring")
@@ -304,7 +312,7 @@ func TestLookupOutlivesRingViaSlowList(t *testing.T) {
 }
 
 func TestInFlightGauge(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	rec := reqtrace.NewRecorder()
 	a := rec.Start("00000000000000000000000000000001", "/v1/build")
 	b := rec.Start("00000000000000000000000000000002", "/v1/build")
 	if got := rec.InFlight(); got != 2 {
@@ -320,10 +328,11 @@ func TestInFlightGauge(t *testing.T) {
 // TestConcurrentWritersAndReaders is the race-detector workout: many
 // request lifecycles (spans from two goroutines each, as handler and
 // runner stamp concurrently) against readers of every snapshot surface.
-// Invariants checked after the storm: nothing in flight, sequence
-// numbers dense and unique, ring bounded at capacity.
+// Every request lasts the slow threshold, so each one also takes the
+// slow list's lock. Invariants checked after the storm: nothing in
+// flight, sequence numbers dense and unique, ring bounded at capacity.
 func TestConcurrentWritersAndReaders(t *testing.T) {
-	rec := reqtrace.NewRecorder(reqtrace.Options{Cap: 8, SlowThreshold: time.Nanosecond, SlowK: 4})
+	rec := reqtrace.NewRecorder()
 	const writers, perWriter = 8, 50
 
 	stop := make(chan struct{})
@@ -355,7 +364,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
-				rq := rec.Start(fmt.Sprintf("%031d%d", i, w), "/v1/build")
+				rq := rec.StartAt(fmt.Sprintf("%031d%d", i, w), "/v1/build", epoch)
 				var inner sync.WaitGroup
 				inner.Add(1)
 				go func() { // the runner-goroutine stamping path
@@ -365,7 +374,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				rq.SpanAt("queue", epoch, epoch.Add(time.Microsecond))
 				rq.Breakdown()
 				inner.Wait()
-				rq.Finish(200, 128)
+				rq.FinishAt(200, 128, epoch.Add(reqtrace.SlowThreshold))
 			}
 		}(w)
 	}
@@ -377,11 +386,11 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		t.Errorf("InFlight = %d after every request finished", got)
 	}
 	if got := rec.SlowTotal(); got != writers*perWriter {
-		t.Errorf("SlowTotal = %d, want %d (threshold 1ns catches all)", got, writers*perWriter)
+		t.Errorf("SlowTotal = %d, want %d (every request is slow)", got, writers*perWriter)
 	}
 	snap := rec.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("snapshot holds %d, want the full ring 8", len(snap))
+	if len(snap) != reqtrace.RingCap {
+		t.Fatalf("snapshot holds %d, want the full ring %d", len(snap), reqtrace.RingCap)
 	}
 	seen := map[uint64]bool{}
 	for _, r := range snap {

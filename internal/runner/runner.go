@@ -150,40 +150,36 @@ type Config struct {
 	// Workers is the MaxActive of the engine a runner creates for itself
 	// (0 = GOMAXPROCS); with Engine set it is unused.
 	Workers int
-	// ResultCacheEntries bounds the memoized spec→result cache; past it
-	// the least recently used completed entry is evicted (0 = 4096,
-	// generous enough that CLI sweeps never evict).
-	ResultCacheEntries int
-	// BodiesCacheEntries bounds the (model, n, seed) body memo the same
-	// way (0 = 64).
-	BodiesCacheEntries int
 	// Engine, when non-nil, is the shared engine every spec executes
 	// through; nil creates one Workers wide.
 	Engine *engine.Engine
 }
+
+// The memo caches' bounds: past one, the least recently used completed
+// entry is evicted.
+const (
+	// resultCacheEntries bounds the memoized spec→result cache,
+	// generous enough that CLI sweeps never evict.
+	resultCacheEntries = 4096
+	// bodiesCacheEntries bounds the (model, n, seed) body memo.
+	bodiesCacheEntries = 64
+)
 
 // New creates a runner; workers <= 0 selects GOMAXPROCS.
 func New(workers int) *Runner {
 	return NewWithConfig(Config{Workers: workers})
 }
 
-// NewWithConfig creates a runner with explicit cache bounds and,
-// optionally, a shared engine.
+// NewWithConfig creates a runner, optionally over a shared engine.
 func NewWithConfig(cfg Config) *Runner {
-	if cfg.ResultCacheEntries <= 0 {
-		cfg.ResultCacheEntries = 4096
-	}
-	if cfg.BodiesCacheEntries <= 0 {
-		cfg.BodiesCacheEntries = 64
-	}
 	if cfg.Engine == nil {
 		cfg.Engine = engine.New(engine.Options{MaxActive: cfg.Workers})
 	}
 	o := newRunnerObs()
 	return &Runner{
 		eng:     cfg.Engine,
-		results: newCache[run](cfg.ResultCacheEntries, o.evictions.With("results")),
-		bodies:  newCache[bodySet](cfg.BodiesCacheEntries, o.evictions.With("bodies")),
+		results: newCache[run](resultCacheEntries, o.evictions.With("results")),
+		bodies:  newCache[bodySet](bodiesCacheEntries, o.evictions.With("bodies")),
 		obs:     o,
 	}
 }

@@ -96,15 +96,16 @@ func TestRunAllKeepsSpecOrder(t *testing.T) {
 	}
 }
 
-// TestRunAllNeverShedsItsOwnCells runs a sweep four times wider than the
-// engine's build slots on an engine with no waiting room at all: a
-// harness sweep fans out exactly MaxActive wide behind the one admission
-// gate, so every cell must come back built — none shed with "queue full"
-// by a queue the sweep itself would have filled.
+// TestRunAllNeverShedsItsOwnCells runs a sweep eight times wider than
+// the engine's build slots, wider than the slots and their 4×MaxActive
+// waiting room together: a harness sweep fans out exactly MaxActive wide
+// behind the one admission gate, so every cell must come back built —
+// none shed with "queue full" by a queue the sweep itself would have
+// filled.
 func TestRunAllNeverShedsItsOwnCells(t *testing.T) {
-	eng := engine.New(engine.Options{MaxActive: 2, MaxQueue: -1})
+	eng := engine.New(engine.Options{MaxActive: 2})
 	r := NewWithConfig(Config{Engine: eng})
-	specs := make([]Spec, 4*eng.Options().MaxActive)
+	specs := make([]Spec, 8*eng.Options().MaxActive)
 	for i := range specs {
 		// Distinct sizes: no memo collapse, every cell really builds.
 		specs[i] = Spec{Backend: Native, Alg: core.LOCAL, BuildOnly: true, Procs: 1, Bodies: 1000 + 16*i, Steps: 2}

@@ -180,14 +180,17 @@ func DecodeSessionOpen(dec *json.Decoder) (SessionOpen, phys.Model, error) {
 }
 
 // DecodeSessionStep reads one timestep record, refusing a field the
-// record does not declare (a {"drfit": true} would otherwise re-time an
-// unchanged tree). The stream's clean end stays recognisable:
-// errors.Is(err, io.EOF).
+// record does not declare and a negative collapse (a {"drfit": true} or
+// a {"collapse": -0.05} would otherwise re-time an unchanged tree). The
+// stream's clean end stays recognisable: errors.Is(err, io.EOF).
 func DecodeSessionStep(dec *json.Decoder) (SessionStep, error) {
 	var s SessionStep
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("parsing step record: %w", err)
+	}
+	if s.Collapse < 0 {
+		return s, fmt.Errorf("step record: collapse %g is negative", s.Collapse)
 	}
 	return s, nil
 }

@@ -34,10 +34,12 @@ var openSeeds = []string{
 }
 
 // stepSeeds are step records: the four the senders use, the empty one,
-// the retired client-motion record ("pos", refused as any undeclared
-// field is), misspellings, a case-folded name, and non-records.
+// a negative collapse, the retired client-motion record ("pos", refused
+// as any undeclared field is), misspellings, a case-folded name, and
+// non-records.
 var stepSeeds = []string{
 	`{"drift":true}`, `{"collapse":0.4}`, `{"rebuild":true}`, `{"close":true}`, `{}`,
+	`{"collapse":-0.05}`,
 	`{"pos":[[0,0,0],[1,2,3]]}`, `{"pos":[]}`, `{"pos":[[1,2]]}`, `{"pos":7}`,
 	`{"pos":[[1e308,0,0],[-1e308,0,0]]}`,
 	`{"drift":"yes"}`, `{`, ``, `null`,
@@ -129,7 +131,8 @@ func TestSessionOpenLeafCapBound(t *testing.T) {
 
 // FuzzDecodeSessionStep: the step decoder never panics, keeps the clean
 // end of stream recognisable, refuses every field the record does not
-// declare, and an accepted record round-trips.
+// declare and every negative collapse, and an accepted record
+// round-trips.
 func FuzzDecodeSessionStep(f *testing.F) {
 	for _, s := range stepSeeds {
 		f.Add(s)
@@ -144,6 +147,9 @@ func FuzzDecodeSessionStep(f *testing.F) {
 		}
 		if !declares(doc, step) {
 			t.Fatalf("accepted a step record with an undeclared field: %s", doc)
+		}
+		if step.Collapse < 0 {
+			t.Fatalf("accepted a negative collapse: %s", doc)
 		}
 		enc, err := json.Marshal(step)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package workload is loadgen's traffic model: request arrival
 // processes — Poisson, bursty (on/off Markov), diurnal (multi-period
-// sinusoid) — scheduled in virtual time, and a replayable NDJSON trace
-// format (trace.go). What each request computes is one of phys's mass
-// models, which the daemon generates; this package makes no bodies.
+// sinusoid) — scheduled in virtual time. What each request computes is
+// one of phys's mass models, which the daemon generates; this package
+// makes no bodies.
 //
 // Everything is a pure function of (params, horizon, seed): a fixed
 // seed is byte-reproducible, which is what makes loadgen reports
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -31,8 +30,7 @@ import (
 // means OnMean/OffMean, and diurnal(t) = max(0, 1 + Σ Depthᵢ·sin(2πt/Periodᵢ)).
 // Arrivals are drawn by thinning against λmax = Rate·(1+Σ|Depthᵢ|).
 type Process struct {
-	// Kind is the canonical family name: poisson, bursty, diurnal, or
-	// trace (a deterministic replay of Trace).
+	// Kind is the canonical family name: poisson, bursty or diurnal.
 	Kind string
 	// Rate is the base intensity in arrivals per (virtual) second.
 	Rate float64
@@ -41,8 +39,6 @@ type Process struct {
 	OnMean, OffMean time.Duration
 	// Harmonics shape the diurnal profile; empty means flat.
 	Harmonics []Harmonic
-	// Trace is the literal schedule for Kind "trace".
-	Trace []time.Duration
 }
 
 // Harmonic is one sinusoidal component of the diurnal profile.
@@ -63,7 +59,7 @@ const (
 )
 
 // ArrivalNames lists the valid arrival process families.
-func ArrivalNames() []string { return []string{"poisson", "bursty", "diurnal", "trace"} }
+func ArrivalNames() []string { return []string{"poisson", "bursty", "diurnal"} }
 
 // ParseArrival parses a CLI arrival spec: family, optionally followed by
 // colon-separated k=v options, e.g.
@@ -83,8 +79,6 @@ func ParseArrival(s string) (Process, error) {
 	p := Process{Kind: kind, Rate: 10}
 	switch kind {
 	case "poisson", "bursty", "diurnal":
-	case "trace":
-		return Process{}, fmt.Errorf("workload: trace arrivals come from a trace file, not a spec string")
 	default:
 		return Process{}, fmt.Errorf("workload: unknown arrival process %q (valid: %s)",
 			kind, strings.Join(ArrivalNames(), ", "))
@@ -166,19 +160,10 @@ func ParseArrival(s string) (Process, error) {
 	return p, nil
 }
 
-// TraceProcess wraps a literal schedule as a replayable process.
-func TraceProcess(offsets []time.Duration) Process {
-	return Process{Kind: "trace", Trace: offsets}
-}
-
 // Name renders the process canonically for reports.
 func (p Process) Name() string {
 	var b strings.Builder
 	b.WriteString(p.Kind)
-	if p.Kind == "trace" {
-		fmt.Fprintf(&b, ":events=%d", len(p.Trace))
-		return b.String()
-	}
 	fmt.Fprintf(&b, ":rate=%g", p.Rate)
 	if p.OnMean > 0 || p.OffMean > 0 {
 		fmt.Fprintf(&b, ",on=%s,off=%s", p.OnMean, p.OffMean)
@@ -193,9 +178,6 @@ func (p Process) Name() string {
 // base rate scaled by the on-fraction of the burst envelope. The clamped
 // sinusoid averages to 1 over whole periods as long as Σ depths ≤ 1.
 func (p Process) MeanRate() float64 {
-	if p.Kind == "trace" {
-		return 0
-	}
 	r := p.Rate
 	if p.OnMean > 0 && p.OffMean > 0 {
 		r *= float64(p.OnMean) / float64(p.OnMean+p.OffMean)
@@ -224,19 +206,8 @@ func (p Process) diurnal(t time.Duration) float64 {
 
 // Schedule lays out every arrival in [0, horizon) as offsets from the
 // start, sorted ascending — a deterministic pure function of (horizon,
-// seed, params). Trace processes return their literal schedule clipped
-// to the horizon.
+// seed, params).
 func (p Process) Schedule(horizon time.Duration, seed int64) []time.Duration {
-	if p.Kind == "trace" {
-		out := make([]time.Duration, 0, len(p.Trace))
-		for _, t := range p.Trace {
-			if t < horizon {
-				out = append(out, t)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
 	rng := rand.New(rand.NewSource(seed))
 	lmax := p.peakRate()
 	var out []time.Duration

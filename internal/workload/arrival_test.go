@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -105,126 +102,6 @@ func TestDiurnalModulation(t *testing.T) {
 	if peak < 2*trough {
 		t.Errorf("peak half collected %d arrivals vs trough half %d, want ≥ 2x modulation", peak, trough)
 	}
-}
-
-// TestTraceRoundTrip generates a schedule, writes it as NDJSON, reads it
-// back, and replays it: the replayed schedule must be identical, and the
-// re-encoded bytes must match the first encoding (canonical format).
-func TestTraceRoundTrip(t *testing.T) {
-	p, err := ParseArrival("poisson:rate=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := p.Schedule(5*time.Second, 1)
-	evs := EventsFromOffsets(sched, "session")
-
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	first := buf.String()
-
-	got, err := ReadTrace(strings.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := TraceProcess(Offsets(got)).Schedule(5*time.Second, 0 /* seed unused */)
-	if len(replayed) != len(sched) {
-		t.Fatalf("replay has %d arrivals, want %d", len(replayed), len(sched))
-	}
-	for i := range sched {
-		if replayed[i] != sched[i] {
-			t.Fatalf("replay diverges at %d: %v vs %v", i, replayed[i], sched[i])
-		}
-		if got[i].Op != "session" {
-			t.Fatalf("event %d lost its op: %q", i, got[i].Op)
-		}
-	}
-
-	var buf2 bytes.Buffer
-	if err := WriteTrace(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != first {
-		t.Error("re-encoding a read trace changed its bytes; trace format is not canonical")
-	}
-}
-
-// TestReadTraceErrors pins that malformed traces fail with the offending
-// line number — the difference between a fixable hand-edited trace and a
-// mystery.
-func TestReadTraceErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name, in, wantSub string
-	}{
-		{"bad-json", "{\"at_ns\":0}\nnot json\n", "line 2"},
-		{"unknown-field", "{\"at_ns\":0,\"when\":5}\n", "line 1"},
-		{"negative", "{\"at_ns\":0}\n\n{\"at_ns\":-3}\n", "line 3"},
-		{"backwards", "{\"at_ns\":100}\n{\"at_ns\":50}\n", "line 2"},
-		{"wrong-type", "{\"at_ns\":\"soon\"}\n", "line 1"},
-		{"second-object", "{\"at_ns\":0}\n{\"at_ns\":5} {\"at_ns\":1}\n", "line 2"},
-		{"trailing-garbage", "{\"at_ns\":7}garbage\n", "line 1"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadTrace(strings.NewReader(tc.in))
-			if err == nil {
-				t.Fatal("malformed trace parsed without error")
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not name %q", err, tc.wantSub)
-			}
-		})
-	}
-	// Blank lines and a trailing newline are fine.
-	evs, err := ReadTrace(strings.NewReader("\n{\"at_ns\":5}\n\n{\"at_ns\":9,\"op\":\"build\"}\n"))
-	if err != nil {
-		t.Fatalf("lenient trace rejected: %v", err)
-	}
-	if len(evs) != 2 || evs[1].Op != "build" {
-		t.Fatalf("lenient trace parsed wrong: %+v", evs)
-	}
-}
-
-// FuzzReadTrace: every non-blank line of an accepted trace is exactly
-// one JSON value, its timestamps are non-negative and non-decreasing,
-// and WriteTrace followed by ReadTrace returns the same events.
-func FuzzReadTrace(f *testing.F) {
-	f.Add([]byte("{\"at_ns\":5} {\"at_ns\":1}\n"))
-	f.Add([]byte("{\"at_ns\":7}garbage\n"))
-	f.Add([]byte("\n{\"at_ns\":5}\n\n{\"at_ns\":9,\"op\":\"build\"}\n"))
-	f.Add([]byte("{\"at_ns\":0,\"op\":\"session\"}\r\n{\"at_ns\":0}"))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		evs, err := ReadTrace(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		for i, line := range bytes.Split(in, []byte("\n")) {
-			if line = bytes.TrimSpace(line); len(line) > 0 && !json.Valid(line) {
-				t.Fatalf("accepted line %d is not one JSON value: %q", i+1, line)
-			}
-		}
-		for i, e := range evs {
-			if e.AtNs < 0 || (i > 0 && e.AtNs < evs[i-1].AtNs) {
-				t.Fatalf("accepted event %d at_ns %d (events %+v)", i, e.AtNs, evs)
-			}
-		}
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, evs); err != nil {
-			t.Fatalf("writing an accepted trace: %v", err)
-		}
-		back, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("reading back a written trace: %v", err)
-		}
-		if len(back) != len(evs) {
-			t.Fatalf("round trip has %d events, want %d", len(back), len(evs))
-		}
-		for i := range evs {
-			if back[i] != evs[i] {
-				t.Fatalf("round trip event %d = %+v, want %+v", i, back[i], evs[i])
-			}
-		}
-	})
 }
 
 // TestParseArrivalErrors covers the spec grammar's rejection paths.
