@@ -109,6 +109,24 @@ func serve(addr, binary string, r *runner.Runner) (*obs.Server, *obs.Registry, e
 	return srv, reg, nil
 }
 
+// flags registers all of c's flags on fs — the shared spec flags, -json,
+// -http, -v and the row's own — and the -h page that lists them, and
+// returns the -http address, the -v level and the row's run func.
+func (c *command) flags(fs *flag.FlagSet) (addr, level *string, run func() int) {
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: partree %s [flags]\n%s\n", c.name, c.summary)
+		fs.PrintDefaults()
+	}
+	runner.BindFlags(fs, &c.spec, c.omit...)
+	if !slices.Contains(c.omit, "json") {
+		fs.BoolVar(&c.json, "json", false, "emit one JSON Result record per spec instead of text")
+	}
+	addr = fs.String("http", "",
+		"serve live /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
+	level = fs.String("v", "info", "log level: debug, info, warn, error")
+	return addr, level, c.bind(fs, c)
+}
+
 // run is the whole program: argv without the program name in, exit
 // status out.
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -127,18 +145,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: partree %s [flags]\n%s\n", cmd.name, cmd.summary)
-		fs.PrintDefaults()
-	}
-	runner.BindFlags(fs, &cmd.spec, cmd.omit...)
-	if !slices.Contains(cmd.omit, "json") {
-		fs.BoolVar(&cmd.json, "json", false, "emit one JSON Result record per spec instead of text")
-	}
-	addr := fs.String("http", "",
-		"serve live /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
-	level := fs.String("v", "info", "log level: debug, info, warn, error")
-	runCmd := cmd.bind(fs, &cmd)
+	addr, level, runCmd := cmd.flags(fs)
 	if err := fs.Parse(argv[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -22,11 +22,12 @@ import (
 	"partree/internal/runner"
 )
 
-// The files under testdata were captured from the four binaries this
-// command replaced (cmd/nbody, cmd/treebench, cmd/simbench,
-// cmd/paperrepro at commit 90dbd8e): each one's -h, and the stdout of one
-// small run per output mode. The tests below hold `partree <subcommand>`
-// to them byte for byte, after the normalisation each comment names.
+// The output files under testdata were captured from the four binaries
+// this command replaced (cmd/nbody, cmd/treebench, cmd/simbench,
+// cmd/paperrepro at commit 90dbd8e): the stdout of one small run per
+// output mode. The tests below hold `partree <subcommand>` to them byte
+// for byte, after the normalisation each comment names. The <sub>.help
+// pages are each subcommand's -h as it is now (TestFlagSurface).
 
 // partree runs the driver in-process.
 func partree(t *testing.T, args ...string) (stdout, stderr string, code int) {
@@ -45,39 +46,47 @@ func golden(t *testing.T, name string) string {
 	return string(b)
 }
 
-var (
-	flagHeader    = regexp.MustCompile(`(?m)^  -(\S+).*$`)
-	quotedDefault = regexp.MustCompile(`\(default "([^"]*)"\)`)
-)
-
-// flagList reduces a -h page to what a flag is to its user — name,
-// default, usage — dropping the usage header above the first flag and
-// the two things flag.PrintDefaults derives from the Go type the flag
-// is bound to: the type word after the name, and the quotes around a
-// string default (-alg binds a core.Algorithm now, not a string).
-func flagList(help string) string {
-	if i := strings.Index(help, "  -"); i >= 0 {
-		help = help[i:]
-	}
-	help = flagHeader.ReplaceAllString(help, "  -$1")
-	return quotedDefault.ReplaceAllString(help, "(default $1)")
+// hostDefault is the one flag default a subcommand takes from the host,
+// -p's, and the placeholder its testdata/<sub>.help page carries instead.
+var hostDefault = map[string]struct{ placeholder, value string }{
+	"nbody":     {"{{GOMAXPROCS}}", strconv.Itoa(runtime.GOMAXPROCS(0))},
+	"treebench": {"{{HOSTPROCS}}", hostProcs()},
 }
 
-// TestFlagListsMatchParent: every subcommand takes exactly the flags its
-// binary took — same names, same defaults, same usage strings.
+// TestFlagSurface pins each subcommand's -h page — usage line, flag
+// names, defaults and usage strings — to testdata/<sub>.help: adding or
+// removing a flag must edit the golden too (-update rewrites it).
+func TestFlagSurface(t *testing.T) {
+	for _, c := range commands {
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		var help strings.Builder
+		fs.SetOutput(&help)
+		c.flags(fs)
+		if h, ok := hostDefault[c.name]; ok {
+			fs.Lookup("p").DefValue = h.placeholder
+		}
+		if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
+			t.Fatalf("%s -h: %v, want flag.ErrHelp", c.name, err)
+		}
+		obstest.Golden(t, "testdata/"+c.name+".help", help.String())
+	}
+}
+
+// TestFlagListsMatchParent: `partree <subcommand> -h` exits 0 and prints
+// the page TestFlagSurface pins, the host's -p default in place of the
+// placeholder.
 func TestFlagListsMatchParent(t *testing.T) {
 	for _, c := range commands {
 		_, help, code := partree(t, c.name, "-h")
 		if code != 0 {
 			t.Errorf("%s -h: exit %d, want 0", c.name, code)
 		}
-		// The two host-dependent defaults were captured as placeholders.
-		want := strings.NewReplacer(
-			"{{GOMAXPROCS}}", strconv.Itoa(runtime.GOMAXPROCS(0)),
-			"{{HOSTPROCS}}", hostProcs(),
-		).Replace(golden(t, c.name+".help"))
-		if got, want := flagList(help), flagList(want); got != want {
-			t.Errorf("%s flag list diverged from the parent binary's.\ngot:\n%s\nwant:\n%s", c.name, got, want)
+		want := golden(t, c.name+".help")
+		if h, ok := hostDefault[c.name]; ok {
+			want = strings.Replace(want, h.placeholder, h.value, 1)
+		}
+		if help != want {
+			t.Errorf("%s -h diverged from testdata/%s.help.\ngot:\n%s\nwant:\n%s", c.name, c.name, help, want)
 		}
 	}
 }
@@ -313,8 +322,7 @@ func TestPaperreproFailedCellExitsOne(t *testing.T) {
 	cmd := paperreproCmd
 	cmd.stdout, cmd.r = &out, runner.NewWithConfig(runner.Config{Engine: eng})
 	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
-	runner.BindFlags(fs, &cmd.spec, cmd.omit...)
-	runCmd := cmd.bind(fs, &cmd)
+	_, _, runCmd := cmd.flags(fs)
 	if err := fs.Parse([]string{"-exp", "F6", "-sizes", "1024", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}

@@ -92,13 +92,6 @@ var nbodyCmd = command{
 				_, _, e1 := sim.Energy()
 				fmt.Fprintf(out, "energy: %.6f -> %.6f (drift %.3f%%)\n", e0, e1, 100*(e1-e0)/e0)
 			}
-			if spec.Trace != "" {
-				if err := sim.Opts.Trace.WriteFile(spec.Trace); err != nil {
-					slog.Error("writing trace", append(specAttrs(spec), "path", spec.Trace, "err", err)...)
-					return 1
-				}
-				fmt.Fprintf(out, "trace written to %s\n", spec.Trace)
-			}
 			if *save != "" {
 				if err := sim.Bodies.SaveSnapshot(*save); err != nil {
 					slog.Error("writing snapshot", "path", *save, "err", err)

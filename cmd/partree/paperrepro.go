@@ -30,9 +30,9 @@ var paperreproCmd = command{
 	summary: "every table and figure of the paper's evaluation section, on the simulated platforms",
 	// Of the shared flags the row takes -leafcap; the sweep supplies each
 	// cell's platform, algorithm, procs and bodies, and the row words its
-	// own -steps, -seed, -check, -trace (a directory) and -json (a file).
+	// own -steps, -seed, -check and -json (a file).
 	spec: runner.Spec{Backend: runner.Simulated, Steps: 2, Seed: 1998},
-	omit: []string{"alg", "platform", "n", "p", "steps", "theta", "dt", "seed", "timeout", "check", "trace", "json"},
+	omit: []string{"alg", "platform", "n", "p", "steps", "theta", "dt", "seed", "timeout", "check", "json"},
 	bind: func(fs *flag.FlagSet, c *command) func() int {
 		var ids []string
 		for _, e := range harness.All() {
@@ -42,7 +42,6 @@ var paperreproCmd = command{
 			expFlag  = fs.String("exp", "all", "comma-separated experiment IDs ("+strings.Join(ids, ",")+") or 'all'")
 			sizes    = fs.String("sizes", "", "comma-separated body counts (default 4096,8192,16384)")
 			large    = fs.Bool("large", false, "extend the sweep to 32k/64k/128k bodies (slow)")
-			traceDir = fs.String("trace", "", "write one Chrome trace_event file per sweep cell into this directory")
 			outDir   = fs.String("out", "results", "directory for per-experiment output files")
 			csvOut   = fs.Bool("csv", true, "also write every computed outcome to <out>/outcomes.csv")
 			listOnly = fs.Bool("list", false, "list experiments and exit")
@@ -63,7 +62,7 @@ var paperreproCmd = command{
 
 			opts := harness.Options{
 				Large: *large, MeasuredSteps: c.spec.Steps, Seed: c.spec.Seed,
-				LeafCap: c.spec.LeafCap, Check: c.spec.Check, TraceDir: *traceDir,
+				LeafCap: c.spec.LeafCap, Check: c.spec.Check,
 			}
 			if *sizes != "" { // else the session's default sweep
 				for _, f := range strings.Split(*sizes, ",") {
@@ -87,12 +86,9 @@ var paperreproCmd = command{
 					exps = append(exps, e)
 				}
 			}
-			for _, dir := range []string{*traceDir, *outDir} {
-				if dir == "" {
-					continue
-				}
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					slog.Error("creating directory", "path", dir, "err", err)
+			if *outDir != "" {
+				if err := os.MkdirAll(*outDir, 0o755); err != nil {
+					slog.Error("creating directory", "path", *outDir, "err", err)
 					return 1
 				}
 			}

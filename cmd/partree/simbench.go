@@ -35,10 +35,6 @@ var simbenchCmd = command{
 				seq.Alg = core.LOCAL
 				seq.Procs = 1
 				seq.Sequential = true
-				// Both cells run concurrently; only the spec under study
-				// writes the trace file (the baseline would race it onto
-				// the same path).
-				seq.Trace = ""
 				specs = append(specs, seq)
 			}
 			results := c.r.RunAll(context.Background(), specs)

@@ -15,17 +15,6 @@ import (
 	"partree/internal/stats"
 )
 
-// traceName derives a per-cell trace filename from the -trace argument
-// when the sweep has more than one cell (base.json -> base_ORIG_p4.json).
-func traceName(base string, alg core.Algorithm, p int) string {
-	ext := ".json"
-	stem := base
-	if i := strings.LastIndex(base, "."); i > 0 {
-		stem, ext = base[:i], base[i:]
-	}
-	return fmt.Sprintf("%s_%s_p%d%s", stem, alg, p, ext)
-}
-
 // hostProcs is the default -p grid: 1, 2, …, NumCPU, so every column is
 // a processor count this machine can run without oversubscription.
 func hostProcs() string {
@@ -90,11 +79,6 @@ var treebenchCmd = command{
 					spec := base
 					spec.Alg = alg
 					spec.Procs = p
-					if spec.Trace != "" && len(algs)*len(ps) > 1 {
-						// One file per sweep cell, so cells don't overwrite
-						// each other's traces.
-						spec.Trace = traceName(base.Trace, alg, p)
-					}
 					// Settle the heap before each cell so a GC cycle provoked
 					// by an earlier cell's garbage (or by the engine's retained
 					// builder stores) never lands inside a later cell's measured

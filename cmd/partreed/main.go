@@ -189,10 +189,7 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	rq := reqtrace.FromContext(req.Context())
-	var rstart time.Time
-	if rq != nil {
-		rstart = time.Now()
-	}
+	rstart := time.Now()
 	spec, err := runner.DecodeServiceSpec(req.Body, false)
 	rq.SpanSince("read", rstart)
 	if err != nil {
@@ -207,18 +204,13 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// The Server-Timing header carries the request's station breakdown
 	// (headers must precede the body, so this is the pre-write view;
 	// the flight-recorder entry additionally covers the write).
-	if rq != nil {
-		q, b, m, tot := rq.Breakdown()
-		w.Header().Set("Server-Timing", wire.ServerTiming(q, b, m, tot))
-	}
+	q, b, m, tot := rq.Breakdown()
+	w.Header().Set("Server-Timing", wire.ServerTiming(q, b, m, tot))
 	// Executed specs answer 200 with the Result; failures (timeout,
 	// check violation) travel in-band in its error fields, as in the
 	// CLI's -json output.
 	w.Header().Set("Content-Type", "application/json")
-	var wstart time.Time
-	if rq != nil {
-		wstart = time.Now()
-	}
+	wstart := time.Now()
 	json.NewEncoder(w).Encode(res)
 	rq.SpanSince("write", wstart)
 	slog.Debug("build served", "spec", spec.String(), "failed", res.Failed())

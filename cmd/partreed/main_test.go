@@ -274,8 +274,9 @@ func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
 // TestServiceLimits: a spec arriving on a socket is held to the service
 // limits before anything is allocated for it — an over-limit bodies,
 // procs, steps or leaf_cap (on a session's open record too) answers 400
-// naming the limit and generates no body set — while a small spec
-// sitting exactly on the procs, steps and leaf_cap limits is served.
+// naming the limit, a field the spec does not declare 400 naming the
+// field, and neither generates a body set — while a small spec sitting
+// exactly on the procs, steps and leaf_cap limits is served.
 func TestServiceLimits(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
@@ -308,6 +309,16 @@ func TestServiceLimits(t *testing.T) {
 		}
 		if code, msg := post("/v1/build", over); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(c.limit)) {
 			t.Errorf("/v1/build with %s over the limit: %d %s; want 400 naming %d", c.field, code, msg, c.limit)
+		}
+	}
+	// A field the spec does not declare is refused, not ignored: a
+	// misspelt bodies would be answered for the default 4096 bodies.
+	for _, doc := range []string{
+		`{"backend":"native","build_only":true,"bodeis":100000}`,
+		`{"backend":"native","build_only":true,"trace":"/tmp/t.json"}`,
+	} {
+		if code, msg := post("/v1/build", json.RawMessage(doc)); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
+			t.Errorf("/v1/build with %s: %d %s; want 400 naming the unknown field", doc, code, msg)
 		}
 	}
 	// 8 GiB for the first leaf if the open record were believed.

@@ -13,7 +13,6 @@ import (
 	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/obs/obstest"
-	"partree/internal/runner"
 	"partree/internal/wire"
 )
 
@@ -49,8 +48,8 @@ func TestMetricsSurface(t *testing.T) {
 
 // TestMetricsSurfaceExercised pins the page once every labeled family
 // has its series: one build per algorithm, one simulated replay, one
-// traced build, one acquire shed by admission control, one session
-// opened, stepped and closed, and one refused.
+// acquire shed by admission control, one session opened, stepped and
+// closed, and one refused.
 func TestMetricsSurfaceExercised(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1, MaxLeases: 1}})
 	url := d.srv.URL()
@@ -66,11 +65,6 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 		build(map[string]any{"backend": "native", "algorithm": alg, "build_only": true, "procs": 2, "bodies": 512})
 	}
 	build(map[string]any{"backend": "simulated", "platform": "origin", "algorithm": "SPACE", "procs": 2, "bodies": 256, "steps": 1})
-	traced := d.r.Run(context.Background(), runner.Spec{Backend: runner.Native, Alg: core.LOCAL, BuildOnly: true,
-		Procs: 2, Bodies: 512, Trace: filepath.Join(t.TempDir(), "trace.json")})
-	if traced.Failed() {
-		t.Fatalf("traced build: %s", traced.FailureMessage())
-	}
 
 	// With the one slot held and its 4×MaxActive queue full, an acquire
 	// is shed.

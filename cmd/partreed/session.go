@@ -60,9 +60,9 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer lease.Close()
-	// The request's span handle (nil when tracing is disabled): each
-	// step's slot wait and build land on it via lease.Step, and the
-	// whole stream finishes as one flight-recorder entry.
+	// The request's span handle: each step's slot wait and build land
+	// on it via lease.Step, and the whole stream finishes as one
+	// flight-recorder entry.
 	rq := reqtrace.FromContext(req.Context())
 
 	// From here on every outcome is an in-stream record on a 200.
@@ -135,7 +135,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 			}
 			// Queue wait is measured as the request-level accumulator's
 			// delta across the step (the engine stamps slot waits onto
-			// the span context); zero when tracing is disabled.
+			// the span context).
 			q0, _, _, _ := rq.Breakdown()
 			stepStart := time.Now()
 			res, err := lease.Step(req.Context(), core.StepInput{Rebuild: s.Rebuild})

@@ -310,7 +310,8 @@ func TestClusterRollupMetrics(t *testing.T) {
 // TestClusterServiceLimits: the cluster's two spec-carrying endpoints
 // hold a spec to the service limits like a single partreed does — an
 // over-limit bodies, procs, steps or leaf_cap answers 400 naming the
-// limit before any shard generates a body set — and a small spec sitting
+// limit, and a field the spec does not declare 400 naming the field,
+// before any shard generates a body set — and a small spec sitting
 // exactly on the procs, steps and leaf_cap limits builds.
 func TestClusterServiceLimits(t *testing.T) {
 	f := startFixture(t, FixtureOptions{Shards: 2})
@@ -337,6 +338,17 @@ func TestClusterServiceLimits(t *testing.T) {
 			if code, msg := postJSON(t, ep.url, ep.body(c.over)); code != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(c.limit)) {
 				t.Errorf("%s with %s over the limit: %d %s; want 400 naming %d", ep.url, c.field, code, msg, c.limit)
 			}
+		}
+	}
+	// A field the spec does not declare is refused, not ignored: a
+	// misspelt bodies would be answered for the default 4096 bodies.
+	undeclared := map[string]string{
+		f.RouterURL() + "/v1/build":       `{"build_only":true,"bodeis":100000}`,
+		f.ShardURL(0) + "/v1/shard/build": fmt.Sprintf(`{"map_version":%d,"spec":{"bodeis":100000}}`, f.Map.Version),
+	}
+	for url, doc := range undeclared {
+		if code, msg := postJSON(t, url, json.RawMessage(doc)); code != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"bodeis\"`) {
+			t.Errorf("%s with %s: %d %s; want 400 naming the unknown field", url, doc, code, msg)
 		}
 	}
 	for i, ss := range f.Shards {

@@ -166,6 +166,7 @@ func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 func decodeShardBuild(r io.Reader) (ShardBuildRequest, error) {
 	var br ShardBuildRequest
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&br); err != nil {
 		return br, fmt.Errorf("parsing request: %w", err)
 	}

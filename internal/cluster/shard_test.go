@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,9 +33,28 @@ func TestDecodeShardBuildRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// undeclaredKey returns a key of the JSON object doc that names no field
+// of typ — matched as encoding/json matches keys, case-insensitively —
+// or "" when every key is declared.
+func undeclaredKey(doc []byte, typ reflect.Type) string {
+	var obj map[string]json.RawMessage
+	_ = json.Unmarshal(doc, &obj) // not an object: no keys to check
+next:
+	for key := range obj {
+		for i := 0; i < typ.NumField(); i++ {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); strings.EqualFold(key, name) {
+				continue next
+			}
+		}
+		return key
+	}
+	return ""
+}
+
 // FuzzShardBuildRequest: whatever bytes arrive on /v1/shard/build, the
 // decoder returns a request whose spec is native, within the service
-// limits and vetted to itself — or an error. It never panics.
+// limits, read from declared fields only and vetted to itself — or an
+// error. It never panics.
 func FuzzShardBuildRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"map_version":1,"spec":{"algorithm":"PARTREE","procs":2,"bodies":256,"steps":1,"seed":7,"check":true}}`,
@@ -44,6 +64,7 @@ func FuzzShardBuildRequest(f *testing.F) {
 		`{"map_version":1,"spec":{"trace":"/tmp/t.json"}}`,
 		`{"map_version":1,"spec":{"model":"cube"}} trailing junk`,
 		`{"map_version":"one"}`, `{"map_version":1,"spec":{}}{}`, `{`, ``, `null`, `[]`, `7`,
+		`{"map_version":1,"spec":{"backend":"native","build_only":true,"bodeis":100000}}`,
 	} {
 		f.Add(s)
 	}
@@ -54,9 +75,22 @@ func FuzzShardBuildRequest(f *testing.F) {
 			return
 		}
 		spec := br.Spec
-		if spec.Backend != runner.Native || spec.Trace != "" || spec.Bodies > runner.MaxServiceBodies ||
+		if spec.Backend != runner.Native || spec.Bodies > runner.MaxServiceBodies ||
 			spec.Procs > maxProcs || spec.Steps > runner.MaxServiceSteps || spec.LeafCap > runner.MaxServiceLeafCap {
 			t.Fatalf("accepted a spec a shard must not run: %+v", spec)
+		}
+		var top map[string]json.RawMessage
+		_ = json.Unmarshal([]byte(doc), &top) // not an object: no keys to check
+		for key, val := range top {
+			switch {
+			case strings.EqualFold(key, "map_version"):
+			case strings.EqualFold(key, "spec"):
+				if k := undeclaredKey(val, reflect.TypeOf(spec)); k != "" {
+					t.Fatalf("accepted %q, whose spec key %q runner.Spec does not declare", doc, k)
+				}
+			default:
+				t.Fatalf("accepted %q, whose key %q the request does not declare", doc, key)
+			}
 		}
 		if again, err := runner.VetServiceSpec(spec, true); err != nil || again != spec {
 			t.Fatalf("accepted %+v, which vets to %+v (%v)", spec, again, err)

@@ -37,32 +37,19 @@ type inserter struct {
 	freeLeaves   []octree.Ref
 	deferredFree []octree.Ref
 	// tp is this processor's trace handle (nil or disabled = tracing
-	// off). The pending lock timestamps live on the handle: the inserter
-	// holds exactly one striped lock at a time, so one slot suffices.
+	// off).
 	tp *trace.P
 }
 
-// lockNode acquires r's striped lock, counting the acquisition and —
-// when tracing — stamping the wait interval. All builder lock sites
+// lockNode acquires r's striped lock and counts the acquisition, on
+// the processor's counters and its trace handle. All builder lock sites
 // funnel through here so the trace's lock-event count equals
 // procCounters.Locks by construction.
 func (ins *inserter) lockNode(r octree.Ref) *sync.Mutex {
-	if ins.tp.Active() {
-		start := ins.tp.Now()
-		mu := ins.s.Lock(r)
-		ins.tp.LockAcquired(start)
-		ins.pc.Locks++
-		return mu
-	}
 	mu := ins.s.Lock(r)
 	ins.pc.Locks++
+	ins.tp.Locked()
 	return mu
-}
-
-// unlockNode releases the lock and emits the pending lock event.
-func (ins *inserter) unlockNode(mu *sync.Mutex) {
-	mu.Unlock()
-	ins.tp.LockReleased()
 }
 
 // promoteFreed moves the step's retired leaves onto the reusable free
@@ -121,7 +108,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			mu := ins.lockNode(cur)
 			if got := c.Child(o); !got.IsNil() {
 				// Lost the race; someone filled the slot.
-				ins.unlockNode(mu)
+				mu.Unlock()
 				ins.pc.Retries++
 				continue
 			}
@@ -129,7 +116,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			l.Bodies = append(l.Bodies, b)
 			ins.setBodyLeaf(b, lr)
 			c.SetChild(o, lr)
-			ins.unlockNode(mu)
+			mu.Unlock()
 			return
 
 		case ch.IsLeaf():
@@ -137,7 +124,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			if c.Child(o) != ch {
 				// The leaf was subdivided, reclaimed, or replaced
 				// between our read and our lock.
-				ins.unlockNode(mu)
+				mu.Unlock()
 				ins.pc.Retries++
 				continue
 			}
@@ -145,7 +132,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
 				l.Bodies = append(l.Bodies, b)
 				ins.setBodyLeaf(b, ch)
-				ins.unlockNode(mu)
+				mu.Unlock()
 				return
 			}
 			// Subdivide: build the replacement subtree privately,
@@ -153,7 +140,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			cr := ins.subdivide(cur, ch, l, depth, pos)
 			ins.publishLeaves(cr)
 			c.SetChild(o, cr)
-			ins.unlockNode(mu)
+			mu.Unlock()
 			cur = cr
 			depth++
 
@@ -258,7 +245,7 @@ func (ins *inserter) remove(b int32) octree.Ref {
 		lr := ins.getBodyLeaf(b)
 		mu := ins.lockNode(lr)
 		if ins.getBodyLeaf(b) != lr {
-			ins.unlockNode(mu)
+			mu.Unlock()
 			ins.pc.Retries++
 			continue
 		}
@@ -287,7 +274,7 @@ func (ins *inserter) remove(b int32) octree.Ref {
 			l.Retired = true
 			ins.deferredFree = append(ins.deferredFree, lr)
 		}
-		ins.unlockNode(mu)
+		mu.Unlock()
 		return parent
 	}
 }

@@ -71,7 +71,7 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 			// Transplant the whole private subtree in one shot.
 			mu := ins.lockNode(gcell)
 			if !c.Child(o).IsNil() {
-				ins.unlockNode(mu)
+				mu.Unlock()
 				ins.pc.Retries++
 				continue
 			}
@@ -82,13 +82,13 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 			}
 			c.SetChild(o, lc)
 			ins.pc.Attached++
-			ins.unlockNode(mu)
+			mu.Unlock()
 			return
 
 		case slot.IsLeaf():
 			mu := ins.lockNode(slot)
 			if c.Child(o) != slot {
-				ins.unlockNode(mu)
+				mu.Unlock()
 				ins.pc.Retries++
 				continue
 			}
@@ -98,7 +98,7 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= s.MaxDepth {
 					// Two part-full leaves combine into one.
 					l.Bodies = append(l.Bodies, ll.Bodies...)
-					ins.unlockNode(mu)
+					mu.Unlock()
 					return
 				}
 				// Overflow: replace the global leaf with a private
@@ -112,7 +112,7 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 				}
 				l.Retired = true
 				c.SetChild(o, cr)
-				ins.unlockNode(mu)
+				mu.Unlock()
 				return
 			}
 			// Global leaf vs local cell: push the leaf's bodies down
@@ -125,7 +125,7 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 			l.Retired = true
 			c.SetChild(o, lc)
 			ins.pc.Attached++
-			ins.unlockNode(mu)
+			mu.Unlock()
 			return
 
 		default: // global cell

@@ -16,7 +16,7 @@
 // begins every new acquire is rejected with ErrDraining while in-flight
 // builds run to completion. The engine is the process's one scheduler:
 // everything internal/runner executes (native builds through Acquire,
-// simulated replays and traced builds through Admit), harness.Session
+// simulated replays through Admit), harness.Session
 // sweeps, and cmd/partreed's requests and session steps all take their
 // CPU from one shared Engine's slots, so the whole process observes a
 // single budget.
@@ -238,8 +238,8 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 }
 
 // Admit is the engine's admission gate for work that needs a build slot
-// but no pooled session (a simulated replay, a traced build that owns
-// its builder). It blocks while MaxActive slots are held, up to ctx's
+// but no pooled session: a simulated replay, its one caller outside
+// tests. It blocks while MaxActive slots are held, up to ctx's
 // deadline; it rejects immediately with ErrQueueFull when 4×MaxActive
 // callers are already waiting, and with ErrDraining once Drain has
 // begun. The caller runs its work, then calls release exactly once.

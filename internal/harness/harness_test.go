@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -309,23 +308,5 @@ func TestSizeLabels(t *testing.T) {
 	tables := t1.Tables(NewSession(runner.New(0), Options{Sizes: []int{512, 2048}}))
 	if got := strings.Join(tables[0].Header, " "); got != "platform 512 2k" {
 		t.Errorf("Table 1 header = %q", got)
-	}
-}
-
-// TestTraceFileNames: under Options.TraceDir every cell writes its own
-// trace file, named after the cell; without it no cell is traced.
-func TestTraceFileNames(t *testing.T) {
-	s := NewSession(runner.New(0), Options{TraceDir: "tr"})
-	for want, sp := range map[string]runner.Spec{
-		"origin_SPACE_p16_n4096.json":  s.run("origin", core.SPACE, 16, 4096),
-		"challenge_SEQ_p1_n8192.json":  s.seq("challenge", 8192),
-		"typhoon-hlrc_ORIG_p4_n1.json": s.run("typhoon-hlrc", core.ORIG, 4, 1),
-	} {
-		if sp.Trace != filepath.Join("tr", want) {
-			t.Errorf("%s traces to %q, want tr/%s", sp, sp.Trace, want)
-		}
-	}
-	if sp := NewSession(runner.New(0), Options{}).seq("origin", 1024); sp.Trace != "" {
-		t.Errorf("untraced session traces to %q", sp.Trace)
 	}
 }

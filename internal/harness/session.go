@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"slices"
 	"sort"
 
@@ -37,11 +36,6 @@ type Options struct {
 	// Check verifies every sweep cell's tree against the serial reference
 	// (a native companion build per cell; see runner.Spec.Check).
 	Check bool
-	// TraceDir, when non-empty, makes every sweep cell write a Chrome
-	// trace_event file into this directory (one per cell, named after the
-	// cell). Traces are written after each cell's wall clock stops, so a
-	// traced sweep reports the same simulated times as an untraced one.
-	TraceDir string
 }
 
 // EffectiveSizes returns the size sweep honoring Large.
@@ -89,11 +83,9 @@ func NewSession(r *runner.Runner, opts Options) *Session {
 	return s
 }
 
-// spec maps one sweep cell onto the runner's typed Spec. A traced cell's
-// file is named after it: platform, algorithm (SEQ for the sequential
-// baseline), processors, bodies.
+// spec maps one sweep cell onto the runner's typed Spec.
 func (s *Session) spec(platform string, alg core.Algorithm, p, n int, seq bool) runner.Spec {
-	sp := runner.Spec{
+	return runner.Spec{
 		Backend:    runner.Simulated,
 		Platform:   platform,
 		Alg:        alg,
@@ -105,14 +97,6 @@ func (s *Session) spec(platform string, alg core.Algorithm, p, n int, seq bool) 
 		Sequential: seq,
 		Check:      s.Opts.Check,
 	}
-	if s.Opts.TraceDir != "" {
-		name := alg.String()
-		if seq {
-			name = "SEQ"
-		}
-		sp.Trace = filepath.Join(s.Opts.TraceDir, fmt.Sprintf("%s_%s_p%d_n%d.json", platform, name, p, n))
-	}
-	return sp
 }
 
 // run is the spec of alg on the platform (a runner.PlatformNames name)

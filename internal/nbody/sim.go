@@ -16,7 +16,6 @@ import (
 	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 	"partree/internal/verify"
 )
 
@@ -41,17 +40,10 @@ type Options struct {
 	// phase.
 	Check bool
 
-	// Trace, when non-nil, records per-processor phase spans and lock
-	// events during each tree build. The builder resets it at the start
-	// of every build, so after a step the recorder (and the summary on
-	// StepStats.Build.Trace) covers that step's build only.
-	Trace *trace.Recorder
-
 	// Builder, when non-nil, is used instead of constructing a fresh one
 	// — how engine sessions lend their pooled builder (and its warmed
 	// store) to a simulation. It must match Alg/P/LeafCap, and the caller
-	// keeps ownership: the simulation never frees it. Incompatible with
-	// Trace (a builder's recorder is fixed at construction).
+	// keeps ownership: the simulation never frees it.
 	Builder core.Builder
 }
 
@@ -134,7 +126,7 @@ func New(opts Options) *Simulation {
 func NewFromBodies(opts Options, b *phys.Bodies) *Simulation {
 	bld := opts.Builder
 	if bld == nil {
-		bld = core.New(opts.Alg, core.Config{P: opts.P, LeafCap: opts.LeafCap, Trace: opts.Trace})
+		bld = core.New(opts.Alg, core.Config{P: opts.P, LeafCap: opts.LeafCap})
 	}
 	return &Simulation{
 		Opts:    opts,

@@ -13,9 +13,9 @@
 // The design rules mirror internal/trace:
 //
 //   - Disabled is a nil-handle no-op. Every method on *Req is safe on a
-//     nil receiver and returns immediately, so a daemon running with
-//     the flight recorder off pays one pointer comparison per hook
-//     and allocates nothing (pinned in overhead_test.go).
+//     nil receiver and returns immediately, so a run with no request
+//     envelope (the CLI's runner.Run) pays one pointer comparison per
+//     hook and allocates nothing (pinned in overhead_test.go).
 //   - Completed requests land in a fixed-capacity lock-free ring (the
 //     flight recorder, recorder.go) served over /debug/requests; the
 //     hot path is an atomic pointer store, never a lock.
@@ -37,8 +37,7 @@ import (
 // maxSpans bounds one request's span list; a streaming session that
 // steps forever must not grow its flight-recorder entry without bound.
 // Past it, spans are dropped (counted) while the queue/build/phase
-// accumulators stay exact — the same wrap-but-keep-aggregates contract
-// as trace's ring buffers.
+// accumulators stay exact.
 const maxSpans = 512
 
 // Span is one named interval on a request's timeline. StartNs is

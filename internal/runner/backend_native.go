@@ -10,21 +10,13 @@ import (
 	"partree/internal/nbody"
 	"partree/internal/phys"
 	"partree/internal/reqtrace"
-	"partree/internal/trace"
 	"partree/internal/verify"
 )
 
 // admit takes the spec's build slot from the engine and returns the
-// builder to run it on plus the slot's release. An untraced spec builds
-// on a pooled session's persistent builder; a traced one pins a recorder
-// at construction, which a shared session cannot carry, so it is
-// admitted bare and b is nil — the caller constructs its own builder. A
-// non-nil error is an admission rejection.
+// pooled builder to run it on plus the slot's release. A non-nil error
+// is an admission rejection.
 func admit(ctx context.Context, spec Spec, eng *engine.Engine) (b core.Builder, release func(), err error) {
-	if spec.Trace != "" {
-		release, err = eng.Admit(ctx)
-		return nil, release, err
-	}
 	s, err := eng.Acquire(ctx, engine.Key{Alg: spec.Alg, P: spec.Procs, LeafCap: spec.LeafCap})
 	if err != nil {
 		return nil, nil, err
@@ -43,9 +35,7 @@ func admissionResult(spec Spec, err error) Result {
 // whole-application simulation a Normalized native spec names, over
 // bodies, which the simulation advances in place (a caller sharing them
 // clones first). bld, when non-nil, is a pooled builder an engine
-// session lends; otherwise the simulation constructs its own, and a
-// traced spec pins a recorder on it — every build resets the recorder,
-// so sim.Opts.Trace afterwards covers the final step's build.
+// session lends; otherwise the simulation constructs its own.
 func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simulation {
 	m, _ := phys.ParseModel(spec.Model)
 	opts := nbody.DefaultOptions()
@@ -59,17 +49,13 @@ func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simu
 	opts.Force.Theta = spec.Theta
 	opts.Check = spec.Check
 	opts.Builder = bld
-	if spec.Trace != "" {
-		opts.Trace = trace.New(spec.Procs)
-		opts.Trace.SetEnabled(true)
-	}
 	return nbody.NewFromBodies(opts, bodies)
 }
 
 // runNative executes the real concurrent implementation. Steps are
 // natural preemption points, so cancellation and timeouts yield a
-// partial Result carrying whatever completed. An untraced build runs
-// through a pooled session's persistent builder.
+// partial Result carrying whatever completed. The builds run through a
+// pooled session's persistent builder.
 func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	if spec.BuildOnly {
 		// A build only reads the bodies, so it runs on the memoized set
@@ -89,7 +75,7 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 	if rq != nil {
 		stepsStart = time.Now()
 	}
-	res := Result{Spec: spec, LocksPerProc: make([]int64, spec.Procs), rec: sim.Opts.Trace}
+	res := Result{Spec: spec, LocksPerProc: make([]int64, spec.Procs)}
 	finalize := func() Result {
 		rq.SpanSince("steps", stepsStart)
 		res.TotalNs = res.TreeNs + res.PartNs + res.ForceNs + res.UpdateNs
@@ -146,27 +132,19 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 		return admissionResult(spec, err)
 	}
 	defer release()
-	var rec *trace.Recorder
-	if bld == nil { // traced, so admitted bare: the build pins its own recorder
-		rec = trace.New(spec.Procs)
-		bld = core.New(spec.Alg, core.Config{P: spec.Procs, LeafCap: spec.LeafCap, Trace: rec})
-	}
 	assign := core.EvenAssign(bodies.N(), spec.Procs)
 	if spec.Spatial {
 		assign = core.SpatialAssign(bodies, spec.Procs)
 	}
 	in := &core.Input{Bodies: bodies, Assign: assign}
 	rq := reqtrace.FromContext(ctx)
-	res := Result{Spec: spec, rec: rec}
+	res := Result{Spec: spec}
 	best := time.Duration(1 << 62)
 	for rep := 0; rep < spec.Steps; rep++ {
 		if err := ctx.Err(); err != nil {
 			res.Err = fmt.Sprintf("native build %s: %v after %d/%d reps", spec, err, rep, spec.Steps)
 			return res
 		}
-		// Record only the last repetition, so warm-up builds neither
-		// perturb the best-of timing nor pollute the exported trace.
-		rec.SetEnabled(rep == spec.Steps-1)
 		in.Step = rep
 		start := time.Now()
 		tree, metrics := bld.Build(in)
@@ -175,9 +153,7 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 			best = el
 		}
 		// One "build" span per repetition; the phase breakdown
-		// accumulates across reps (total build work this request did),
-		// and the traced summary — recorded on the last rep only — is
-		// bridged verbatim.
+		// accumulates across reps (total build work this request did).
 		rq.AddBuild(start, el, metrics)
 		if spec.Check {
 			if err := verify.Build(spec.Alg, tree, metrics, in.Bodies, rep); err != nil {

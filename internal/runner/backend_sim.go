@@ -8,7 +8,6 @@ import (
 	"partree/internal/engine"
 	"partree/internal/phys"
 	"partree/internal/simalg"
-	"partree/internal/trace"
 	"partree/internal/verify"
 )
 
@@ -41,14 +40,6 @@ func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engi
 		MeasuredSteps: spec.Steps,
 		Sequential:    spec.Sequential,
 	}
-	var rec *trace.Recorder
-	if spec.Trace != "" {
-		// Simulated traces are stamped in virtual time and cover all
-		// measured steps (warm steps are never recorded).
-		rec = trace.New(spec.Procs)
-		rec.SetEnabled(true)
-		cfg.Trace = rec
-	}
 	if spec.Check && !spec.Sequential {
 		// The replay's tree lives inside the platform model, so run the
 		// native companion check of the same algorithm and workload. A
@@ -68,12 +59,8 @@ func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engi
 	}()
 	select {
 	case o := <-ch:
-		res := resultFromOutcome(spec, o)
-		res.rec = rec
-		return res
+		return resultFromOutcome(spec, o)
 	case <-ctx.Done():
-		// The abandoned run still owns rec; drop it rather than export a
-		// trace that is being concurrently written.
 		return Result{Err: fmt.Sprintf("simulated run %s: %v", spec, ctx.Err())}
 	}
 }

@@ -38,8 +38,6 @@ func BindFlags(fs *flag.FlagSet, spec *Spec, omit ...string) {
 	all.DurationVar(&spec.Timeout, "timeout", spec.Timeout, "per-spec timeout (0 = none)")
 	all.BoolVar(&spec.Check, "check", spec.Check,
 		"verify every built tree against the serial reference and audit metrics invariants")
-	all.StringVar(&spec.Trace, "trace", spec.Trace,
-		"write a per-processor phase/lock trace to this file (Chrome trace_event JSON; .csv = summary breakdown)")
 	all.VisitAll(func(f *flag.Flag) {
 		if !omitted[f.Name] {
 			fs.Var(f.Value, f.Name, f.Usage)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // serviceSpecSeeds are request bodies the service decoders have met: the
 // spec of every record in the CLI's -json goldens, and the documents the
 // daemon's and router's 400-path tests send — over each service limit,
-// a trace, an unknown name, a type error, not JSON at all.
+// an undeclared field, an unknown name, a type error, not JSON at all.
 func serviceSpecSeeds(f *testing.F) []string {
 	f.Helper()
 	seeds := []string{
@@ -26,6 +27,7 @@ func serviceSpecSeeds(f *testing.F) []string {
 		`{"backend":"simulated","platform":"origin","build_only":true}`,
 		`{"algorithm":"UPDATE","sequential":true,"procs":8,"timeout_ns":30000000}`,
 		`{"backend":"native","trace":"/tmp/t.json"}`,
+		`{"backend":"native","build_only":true,"bodeis":100000}`,
 		`{"backend":"quantum"}`, `{"algorithm":"SPCAE"}`, `{"model":"cube"}`, `{"platform":"cray"}`,
 		`{"bodies":"many"}`, `{"theta":1e999}`, `{`, ``, `null`, `[]`, `7`,
 	}
@@ -49,14 +51,36 @@ func serviceSpecSeeds(f *testing.F) []string {
 	return seeds
 }
 
-// vetted fails the test unless spec is something a service may run:
-// within every service limit, traceless, and — being normalized —
-// decoding from its own encoding to itself.
-func vetted(t *testing.T, spec Spec, native bool) {
+// undeclaredKey returns a key of the JSON object doc that names no field
+// of typ — matched as encoding/json matches keys, case-insensitively —
+// or "" when every key is declared.
+func undeclaredKey(doc []byte, typ reflect.Type) string {
+	var obj map[string]json.RawMessage
+	_ = json.Unmarshal(doc, &obj) // not an object: no keys to check
+next:
+	for key := range obj {
+		for i := 0; i < typ.NumField(); i++ {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); strings.EqualFold(key, name) {
+				continue next
+			}
+		}
+		return key
+	}
+	return ""
+}
+
+// vetted fails the test unless spec, decoded from in, is something a
+// service may run: within every service limit, read from declared fields
+// only, and — being normalized — decoding from its own encoding to
+// itself.
+func vetted(t *testing.T, in string, spec Spec, native bool) {
 	t.Helper()
 	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
-	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.LeafCap > MaxServiceLeafCap || spec.Trace != "" {
+	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.LeafCap > MaxServiceLeafCap {
 		t.Fatalf("accepted a spec outside the service limits: %+v", spec)
+	}
+	if key := undeclaredKey([]byte(in), reflect.TypeOf(spec)); key != "" {
+		t.Fatalf("accepted %q, whose key %q the spec does not declare", in, key)
 	}
 	if native && spec.Backend != Native {
 		t.Fatalf("a native-only tier accepted backend %q", spec.Backend)
@@ -93,7 +117,7 @@ func FuzzDecodeServiceSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		vetted(t, spec, native)
+		vetted(t, doc, spec, native)
 		if again, err := DecodeServiceSpec(strings.NewReader(doc+" \n"), native); err != nil || again != spec {
 			t.Fatalf("%q with trailing whitespace decodes to %+v (%v), without it to %+v", doc, again, err, spec)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"partree/internal/memsim"
 	"partree/internal/simalg"
-	"partree/internal/trace"
 )
 
 // Result is the structured outcome of one spec. Time fields are
@@ -56,23 +55,10 @@ type Result struct {
 	// the spec ran with Check set (empty otherwise).
 	CheckFailure string `json:"check_failure,omitempty"`
 
-	// rec carries the run's trace recorder until Runner.execute writes it
-	// to Spec.Trace — after the wall clock stops, so a traced spec's
-	// WallNs never includes the file export.
-	rec *trace.Recorder
 	// transient marks a result that must not be memoized: an engine
 	// admission rejection (queue full, draining) reflects momentary load,
 	// not the spec, so an identical later request deserves a fresh try.
 	transient bool
-}
-
-// writeTrace exports the recorded trace to Spec.Trace. Called by
-// Runner.execute outside the timed window; a no-op for untraced runs.
-func (r *Result) writeTrace() error {
-	if r.rec == nil || r.Spec.Trace == "" {
-		return nil
-	}
-	return r.rec.WriteFile(r.Spec.Trace)
 }
 
 // Failed reports whether the spec did not run to completion, or ran but

@@ -21,8 +21,8 @@ import (
 // goroutines request them; distinct specs run concurrently up to the
 // engine's MaxActive — the runner schedules nothing itself. Every
 // execution passes the engine's one admission gate: native specs hold a
-// pooled builder session (Acquire), simulated and traced ones a bare
-// slot (Admit). Bodies are memoized per (model, n, seed) and shared
+// pooled builder session (Acquire), simulated ones a bare slot
+// (Admit). Bodies are memoized per (model, n, seed) and shared
 // read-only across runs, so every backend sees the same deterministic
 // initial conditions. Both caches are bounded LRUs (see Config), so a
 // long-lived process — partreed serving requests forever — holds a
@@ -314,11 +314,6 @@ func (r *Runner) execute(e *flight[run]) {
 	res.Spec = spec
 	res.GenNs = genNs
 	res.WallNs = time.Since(start).Nanoseconds()
-	// Trace files are written after the wall clock stops, so tracing a
-	// sweep never perturbs its measured times.
-	if werr := res.writeTrace(); werr != nil && res.Err == "" {
-		res.Err = fmt.Sprintf("runner: writing trace: %v", werr)
-	}
 	finish(res)
 }
 

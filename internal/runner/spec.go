@@ -73,16 +73,7 @@ type Spec struct {
 	// laws; a violation is recorded in Result.CheckFailure. Simulated
 	// specs run a native companion check of the same algorithm and
 	// workload, since the platform replay's tree is internal to it.
-	Check bool `json:"check,omitempty"`
-	// Trace, when set, writes a per-processor trace of the run to this
-	// file: the final build for build-only and whole-app native runs, the
-	// measured steps (in virtual time) for simulated runs. The format
-	// follows the extension — ".csv" gets the summary breakdown table,
-	// anything else a Chrome trace_event JSON timeline. The file is
-	// written after the wall clock stops, so WallNs is unperturbed; it is
-	// part of the spec's identity so traced and untraced runs never share
-	// a cache entry.
-	Trace   string        `json:"trace,omitempty"`
+	Check   bool          `json:"check,omitempty"`
 	Timeout time.Duration `json:"timeout_ns,omitempty"`
 }
 
@@ -149,15 +140,11 @@ const (
 )
 
 // VetServiceSpec vets a spec received from a remote caller for execution
-// by a service: a trace is refused (it would land in the *server's*
-// filesystem), native pins the backend for tiers that only execute real
+// by a service: native pins the backend for tiers that only execute real
 // builds (the cluster's router and shards) rather than letting an empty
 // field default to a simulation, and the result is Normalized, held to
 // the service limits and validated.
 func VetServiceSpec(spec Spec, native bool) (Spec, error) {
-	if spec.Trace != "" {
-		return spec, fmt.Errorf("trace is not supported over HTTP")
-	}
 	if native {
 		spec.Backend = Native
 	}
@@ -177,12 +164,14 @@ func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 }
 
 // DecodeServiceSpec reads one spec, which must be the whole of r (bar
-// trailing whitespace), and vets it (VetServiceSpec). A second document
-// after the first is refused, not ignored: a client sending two specs
-// would otherwise be answered for the first as if it were all it sent.
+// trailing whitespace), and vets it (VetServiceSpec). A field the spec
+// does not declare (a misspelt "bodeis") and a second document after the
+// first are refused, not ignored: the client would otherwise be answered
+// for a spec it did not send.
 func DecodeServiceSpec(r io.Reader, native bool) (Spec, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("parsing spec: %w", err)
 	}
@@ -224,9 +213,9 @@ func (s Spec) Validate() error {
 // produce interchangeable results.
 func (s Spec) Key() string {
 	s = s.withDefaults()
-	return fmt.Sprintf("%s|%s|%s|p%d|n%d|k%d|th%g|dt%g|s%d|seed%d|%s|seq%t|build%t|spat%t|chk%t|tr%s|to%d",
+	return fmt.Sprintf("%s|%s|%s|p%d|n%d|k%d|th%g|dt%g|s%d|seed%d|%s|seq%t|build%t|spat%t|chk%t|to%d",
 		s.Backend, s.Platform, s.Alg, s.Procs, s.Bodies, s.LeafCap, s.Theta, s.Dt,
-		s.Steps, s.Seed, s.Model, s.Sequential, s.BuildOnly, s.Spatial, s.Check, s.Trace, int64(s.Timeout))
+		s.Steps, s.Seed, s.Model, s.Sequential, s.BuildOnly, s.Spatial, s.Check, int64(s.Timeout))
 }
 
 // String renders the spec compactly for logs and labels.

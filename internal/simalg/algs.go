@@ -3,7 +3,6 @@ package simalg
 import (
 	"partree/internal/core"
 	"partree/internal/octree"
-	"partree/internal/trace"
 	"partree/internal/vec"
 )
 
@@ -196,10 +195,6 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 	pos := st.bodies.Pos
 	p := st.cfg.P
 	s := st.store
-	// SPACE's counting/subdivision rounds are partition work, not insert
-	// work (they are the price it pays for zero locks), so this function
-	// emits its own phase split instead of buildPhase's generic one.
-	tPart := sp.vnow()
 	round := 0
 	for {
 		if len(ss.frontier) == 0 {
@@ -220,13 +215,13 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 			ss.counts[w][int(fc)*8+int(o)]++
 		}
 		sp.compute(float64(len(ss.myBodies[w])) * countCycles)
-		sp.barrier(lbl("scount", step*1000+round))
+		sp.mp.Barrier(lbl("scount", step*1000+round))
 
 		// Processor 0 reduces and extends the prefix of the octree.
 		if w == 0 {
 			st.spaceReduce(sp)
 		}
-		sp.barrier(lbl("sreduce", step*1000+round))
+		sp.mp.Barrier(lbl("sreduce", step*1000+round))
 
 		// Re-bucket my bodies; no barrier needed before the next count,
 		// both touch only per-processor state plus the stable frontier.
@@ -239,9 +234,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 	if sp.w == 0 {
 		core.AssignSubspaces(st.tree.RootCube(), ss.subs, p)
 	}
-	sp.barrier(lbl("sassign", step))
-	sp.span(trace.PhasePartition, tPart)
-	tIns := sp.vnow()
+	sp.mp.Barrier(lbl("sassign", step))
 	for i := range ss.subs {
 		sub := &ss.subs[i]
 		if sub.Owner != sp.w {
@@ -263,7 +256,6 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 		s.Cell(sub.Parent).SetChild(sub.Oct, node)
 		sp.writeNode(sub.Parent)
 	}
-	sp.span(trace.PhaseInsert, tIns)
 }
 
 // spaceReduce (processor 0) merges the round's histograms, creates prefix

@@ -3,7 +3,6 @@ package simalg
 import (
 	"partree/internal/memsim"
 	"partree/internal/octree"
-	"partree/internal/trace"
 	"partree/internal/vec"
 )
 
@@ -22,19 +21,7 @@ type sproc struct {
 	meas    bool // current step is measured
 	locks   int64
 	scratch [4]uint64
-	// tp is this processor's trace handle (nil/disabled = off); events
-	// are stamped in virtual time. lockT/lockD stage pending lock events:
-	// the deepest nesting is a node lock around chargeAlloc's allocation
-	// lock (depth 2), so a small fixed stack suffices.
-	tp    *trace.P
-	lockT [4][2]float64
-	lockD int
 }
-
-// traced reports whether this processor records events right now: only
-// in measured tree-build phases, matching exactly the lock accounting —
-// that shared gate is what makes trace lock events equal Outcome locks.
-func (sp *sproc) traced() bool { return sp.inBuild && sp.meas && sp.tp.Active() }
 
 // appendNodeUnits appends the address of every coherence unit node r's
 // record spans: one page under HLRC, 256/LineSize cache lines under the
@@ -81,55 +68,21 @@ func (sp *sproc) access(addrs []uint64, write bool) {
 	}
 }
 
-// vnow is the processor's virtual clock as trace events are stamped.
-func (sp *sproc) vnow() int64 { return int64(sp.mp.Now()) }
-
-// span records the phase from t0 to now, when this processor is recording.
-func (sp *sproc) span(ph trace.Phase, t0 int64) {
-	if sp.traced() {
-		sp.tp.SpanAt(ph, t0, sp.vnow())
-	}
-}
-
-// barrier joins the named barrier of the tree-build phase. When recording,
-// the wait becomes a nested barrier span (arrival to release — the
-// simulated analogue of the paper's Table 2 waiting times).
-func (sp *sproc) barrier(label string) {
-	t0 := sp.vnow()
-	sp.mp.Barrier(label)
-	sp.span(trace.PhaseBarrier, t0)
-}
-
 // compute charges cycles of private work.
 func (sp *sproc) compute(cycles float64) {
 	sp.mp.Compute(cycles * sp.st.cfg.Platform.CycleNs)
 }
 
 // lockNode acquires a simulated node lock, counting it if we are in a
-// measured tree-build phase (Figure 15 counts exactly those) and — when
-// tracing — staging the virtual wait/acquire timestamps.
+// measured tree-build phase (Figure 15 counts exactly those).
 func (sp *sproc) lockNode(id int) {
-	if sp.traced() && sp.lockD < len(sp.lockT) {
-		start := sp.mp.Now()
-		sp.mp.Lock(id)
-		sp.lockT[sp.lockD] = [2]float64{start, sp.mp.Now()}
-		sp.lockD++
-	} else {
-		sp.mp.Lock(id)
-	}
+	sp.mp.Lock(id)
 	if sp.inBuild && sp.meas {
 		sp.locks++
 	}
 }
 
-func (sp *sproc) unlockNode(id int) {
-	sp.mp.Unlock(id)
-	if sp.lockD > 0 && sp.traced() {
-		sp.lockD--
-		t := sp.lockT[sp.lockD]
-		sp.tp.LockAt(int64(t[0]), int64(t[1]), int64(sp.mp.Now()))
-	}
-}
+func (sp *sproc) unlockNode(id int) { sp.mp.Unlock(id) }
 
 // allocCell allocates a cell, charging the allocation path: ORIG takes the
 // global allocation lock and bumps the shared cursor and its slot in the
@@ -243,19 +196,11 @@ func (sp *sproc) insert(from octree.Ref, fromDepth int, b int32) {
 
 // subdivide replaces the locked full leaf with a private subtree.
 func (sp *sproc) subdivide(parent, lr octree.Ref, l *octree.Leaf, depth int) octree.Ref {
-	traced := sp.traced()
-	var t0 float64
-	if traced {
-		t0 = sp.mp.Now()
-	}
 	cr, _ := sp.allocCell(l.Cube, parent)
 	for _, ob := range l.Bodies {
 		sp.insertPrivate(cr, depth+1, ob)
 	}
 	l.Retired = true
-	if traced {
-		sp.tp.SpanAt(trace.PhaseSubdivide, int64(t0), int64(sp.mp.Now()))
-	}
 	return cr
 }
 

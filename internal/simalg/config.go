@@ -3,7 +3,6 @@ package simalg
 import (
 	"partree/internal/force"
 	"partree/internal/memsim"
-	"partree/internal/trace"
 )
 
 // Work costs in processor cycles, scaled by the platform's cycle time.
@@ -46,12 +45,6 @@ type Config struct {
 	// Sequential builds the tree without any locking (the "best
 	// sequential version" used as the speedup baseline). Requires P=1.
 	Sequential bool
-
-	// Trace, when non-nil and enabled, records per-processor build-phase
-	// spans and lock events in *virtual* nanoseconds over the measured
-	// steps (warm steps are never recorded). The recorder's per-processor
-	// lock-event totals equal Outcome.LocksPerProc by construction.
-	Trace *trace.Recorder
 }
 
 func (c Config) withDefaults() Config {

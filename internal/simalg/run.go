@@ -11,7 +11,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/trace"
 	"partree/internal/vec"
 )
 
@@ -105,12 +104,7 @@ func run(alg core.Algorithm, bodies *phys.Bodies, cfg Config) (*runState, memsim
 		if st.orig {
 			arena = 0
 		}
-		st.procs[w] = &sproc{w: w, st: st, arena: arena, tp: cfg.Trace.Proc(w)}
-	}
-	// A trace covers this run's measured steps (accumulated, matching how
-	// Outcome.LocksPerProc accumulates), stamped in virtual time.
-	if cfg.Trace.Active() {
-		cfg.Trace.Reset()
+		st.procs[w] = &sproc{w: w, st: st, arena: arena}
 	}
 
 	eng := memsim.NewEngine(cfg.Platform, p)
@@ -222,12 +216,9 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 	defer func() { sp.inBuild = false }()
 	cfg := st.cfg
 
-	// Phase spans are stamped in virtual time.
-	tPart := sp.vnow()
-
 	// Root bounds: each processor reduces over its own bodies.
 	sp.compute(float64(len(st.assign[sp.w])) * boundsCycles)
-	sp.barrier(lbl("bounds", s))
+	sp.mp.Barrier(lbl("bounds", s))
 
 	incremental := st.alg == core.UPDATE && s > 0 && !cfg.Sequential
 	if sp.w == 0 {
@@ -245,16 +236,14 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 			}
 		}
 	}
-	sp.barrier(lbl("setup", s))
+	sp.mp.Barrier(lbl("setup", s))
 
 	if incremental {
 		// Charge the distributed rescale pass.
 		sp.writeChunks(st.ownerAddrs[sp.w])
 		sp.compute(float64(len(st.ownerAddrs[sp.w])) * descendCycles)
 	}
-	sp.span(trace.PhasePartition, tPart)
 
-	tIns := sp.vnow()
 	switch {
 	case cfg.Sequential:
 		for _, b := range st.assign[sp.w] {
@@ -271,29 +260,21 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 	case st.alg == core.PARTREE:
 		st.partreeBuild(sp)
 	case st.alg == core.SPACE:
-		// spaceBuild emits its own partition/insert split: the counting
-		// rounds belong to the partition phase, only the subtree
-		// build/attach is insert work.
 		st.spaceBuild(sp, s)
 	}
-	if cfg.Sequential || st.alg != core.SPACE {
-		sp.span(trace.PhaseInsert, tIns)
-	}
-	sp.barrier(lbl("load", s))
+	sp.mp.Barrier(lbl("load", s))
 
 	// Moments: proc 0 computes the real values (cheap, native); every
 	// processor is charged for the nodes it owns.
-	tMom := sp.vnow()
 	if sp.w == 0 {
 		octree.ComputeMomentsSerial(st.tree, st.data())
 		st.ownerAddrs = collectOwnerAddrs(st.tree, st.cfg.P, st.nodeLines)
 	}
-	sp.barrier(lbl("mcol", s))
+	sp.mp.Barrier(lbl("mcol", s))
 	addrs := st.ownerAddrs[sp.w]
 	sp.readChunks(addrs)
 	sp.writeChunks(addrs)
 	sp.compute(float64(len(addrs)) * momentCycles)
-	sp.span(trace.PhaseMoments, tMom)
 }
 
 func (st *runState) loadBodies(sp *sproc) {

@@ -58,7 +58,7 @@ func TestTraceLockConservation(t *testing.T) {
 				// Insert spans must exist for every processor on a traced
 				// parallel build (each worker loaded bodies).
 				for w := 0; w < p; w++ {
-					if m.Trace.PerProc[w].Spans == 0 {
+					if m.Trace.PerProc[w].Spans[trace.PhaseInsert] == 0 {
 						t.Errorf("step %d proc %d: no spans recorded", step, w)
 					}
 				}
@@ -112,12 +112,13 @@ func TestTracePerBuildWindow(t *testing.T) {
 
 // ExampleRecorder documents the emit API end to end.
 func ExampleRecorder() {
-	rec := trace.NewWithCapacity(1, 8)
+	rec := trace.New(1)
 	rec.SetEnabled(true)
 	p := rec.Proc(0)
 	p.SpanAt(trace.PhaseInsert, 0, 1000)
-	p.LockAt(100, 150, 400)
+	p.Locked()
+	p.Locked()
 	s := rec.Summarize()
-	fmt.Println(s.PerProc[0].PhaseNs[trace.PhaseInsert], s.PerProc[0].LockEvents, s.PerProc[0].LockHoldNs)
-	// Output: 1000 1 250
+	fmt.Println(s.PerProc[0].PhaseNs[trace.PhaseInsert], s.PerProc[0].Spans[trace.PhaseInsert], s.PerProc[0].LockEvents)
+	// Output: 1000 1 2
 }

@@ -1,49 +1,28 @@
 package trace
 
-// ProcSummary is one processor's aggregated trace: time in each build
-// sub-phase, lock-event totals, and hold-time percentiles. These are
-// maintained incrementally at emit time, so they cover every event the
-// processor emitted even when the ring buffer wrapped and dropped the
-// oldest timeline records.
+// ProcSummary is one processor's aggregated trace: its span count and
+// time in each build sub-phase, and its lock acquisitions.
 type ProcSummary struct {
 	PhaseNs    [NumPhases]int64 `json:"phase_ns"`
-	Spans      int64            `json:"spans"`
+	Spans      [NumPhases]int64 `json:"spans"`
 	LockEvents int64            `json:"lock_events"`
-	LockWaitNs int64            `json:"lock_wait_ns"`
-	LockHoldNs int64            `json:"lock_hold_ns"`
-	HoldP50Ns  int64            `json:"hold_p50_ns"`
-	HoldP95Ns  int64            `json:"hold_p95_ns"`
-	HoldMaxNs  int64            `json:"hold_max_ns"`
-	Dropped    int64            `json:"dropped,omitempty"` // timeline events evicted by ring wrap
 }
 
 // Summary is the per-processor aggregate view of one traced build,
 // surfaced on core.Metrics and audited by internal/verify against the
-// builder's own lock counters.
+// builder's own counters.
 type Summary struct {
 	PerProc []ProcSummary `json:"per_proc"`
 }
 
-// Summarize snapshots the recorder's aggregates. Call between builds.
+// Summarize snapshots the recorder's counters. Call between builds.
 func (r *Recorder) Summarize() *Summary {
 	if r == nil {
 		return nil
 	}
 	s := &Summary{PerProc: make([]ProcSummary, len(r.bufs))}
 	for w := range r.bufs {
-		b := &r.bufs[w]
-		ps := &s.PerProc[w]
-		ps.PhaseNs = b.phaseNs
-		ps.Spans = b.spans
-		ps.LockEvents = b.lockEvents
-		ps.LockWaitNs = b.lockWaitNs
-		ps.LockHoldNs = b.lockHoldNs
-		ps.HoldP50Ns = b.hold.Quantile(0.50)
-		ps.HoldP95Ns = b.hold.Quantile(0.95)
-		ps.HoldMaxNs = b.hold.MaxNs
-		if over := b.next - int64(len(b.ev)); over > 0 {
-			ps.Dropped = over
-		}
+		s.PerProc[w] = r.bufs[w].sum
 	}
 	return s
 }

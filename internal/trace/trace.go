@@ -1,26 +1,23 @@
-// Package trace is the low-overhead per-processor event recorder behind
-// the -trace flag: the native builders (internal/core) and the platform
-// replays (internal/simalg) emit span events for the build sub-phases
-// (partition/assign, insert, subdivide, moments, barrier wait) and point
-// events for lock acquire/hold/release into per-processor ring buffers.
+// Package trace is the low-overhead per-processor recorder a native
+// build can carry (core.Config.Trace): the builders count, processor by
+// processor, the spans of each build sub-phase (partition/assign,
+// insert, subdivide, moments, barrier wait), the time in them, and the
+// lock acquisitions of the tree-build phase. The summary lands on
+// core.Metrics.Trace, where internal/verify holds it to the builders'
+// own counters (the lock witness and the phase-time law) and the
+// benchmark's traced pass reads the barrier time and insert skew.
 //
 // The design goals mirror the measurement discipline of the paper's own
 // instrumentation (and of Valdarnini's and Dubinski's treecode studies,
 // which both live and die by per-phase, per-processor breakdowns):
 //
-//   - No allocation on the hot path: every processor owns a preallocated
-//     fixed-capacity ring of fixed-size Event records, padded so two
-//     processors never share a cache line, and aggregation (time-in-phase,
-//     lock-hold histogram) happens incrementally at emit time with a few
-//     integer adds — so summaries stay exact even after the ring wraps.
+//   - No allocation on the hot path: every processor owns a fixed block
+//     of counters, padded so two processors never share a cache line,
+//     and aggregation happens at emit time with a few integer adds.
 //   - Compiled to a no-op when disabled: every emit hook is a method on a
 //     possibly-nil *P handle that returns immediately when the handle is
 //     nil or the recorder is disabled, so an untraced build pays one
 //     pointer comparison per hook and nothing else.
-//   - Timestamp-agnostic: events carry int64 nanoseconds relative to the
-//     recorder's epoch. Native emitters stamp wall-clock time via Now;
-//     the platform simulator stamps *virtual* time from memsim.Proc.Now,
-//     so simulated timelines are exact rather than measured.
 //
 // Enabling, disabling, and resetting the recorder must happen between
 // builds (outside any fork/join region); the builders' fork edges then
@@ -53,7 +50,7 @@ const (
 	NumPhases = int(PhaseBarrier) + 1
 )
 
-// String returns the phase's CSV/timeline name.
+// String returns the phase's metric-label name.
 func (ph Phase) String() string {
 	switch ph {
 	case PhasePartition:
@@ -70,54 +67,16 @@ func (ph Phase) String() string {
 	return "phase?"
 }
 
-// Kind distinguishes event records.
-type Kind uint8
-
-const (
-	// KindSpan is a phase interval: Start..End.
-	KindSpan Kind = iota
-	// KindLock is one lock acquire/hold/release: the processor started
-	// waiting at Start, obtained the lock at Acquired, released it at
-	// End.
-	KindLock
-)
-
-// Event is one fixed-size trace record. Timestamps are nanoseconds since
-// the recorder's epoch (virtual nanoseconds for simulated runs).
-type Event struct {
-	Kind     Kind
-	Phase    Phase // KindSpan only
-	Start    int64
-	End      int64
-	Acquired int64 // KindLock only
-}
-
-// DefaultCapacity is the per-processor ring capacity in events.
-const DefaultCapacity = 1 << 14
-
-// procBuf is one processor's ring buffer plus its incrementally
-// maintained aggregates. The trailing padding keeps neighboring
-// processors' write cursors off each other's cache lines — the same
-// false-sharing discipline core.procCounters follows.
+// procBuf is one processor's counters, kept as the summary they are
+// read as. The trailing padding keeps neighboring processors' counters
+// off each other's cache lines — the same false-sharing discipline
+// core.procCounters follows.
 type procBuf struct {
-	ev   []Event
-	next int64 // records emitted; ring head is next mod cap
-
-	spans      int64
-	lockEvents int64
-	lockWaitNs int64
-	lockHoldNs int64
-	phaseNs    [NumPhases]int64
-	hold       Hist
-	_          [8]int64
+	sum ProcSummary
+	_   [8]int64
 }
 
-func (b *procBuf) put(e Event) {
-	b.ev[b.next%int64(len(b.ev))] = e
-	b.next++
-}
-
-// Recorder owns the per-processor buffers for one traced run.
+// Recorder owns the per-processor counters for one traced build.
 type Recorder struct {
 	epoch   time.Time
 	enabled bool
@@ -125,34 +84,16 @@ type Recorder struct {
 	ps      []P
 }
 
-// New creates a recorder for p processors with the default per-processor
-// capacity. Recorders start disabled.
-func New(p int) *Recorder { return NewWithCapacity(p, DefaultCapacity) }
-
-// NewWithCapacity creates a recorder with an explicit per-processor ring
-// capacity (events). The ring keeps the most recent events; aggregate
-// counters and histograms cover every emitted event regardless.
-func NewWithCapacity(p, perProc int) *Recorder {
+// New creates a recorder for p processors. Recorders start disabled.
+func New(p int) *Recorder {
 	if p < 1 {
 		p = 1
 	}
-	if perProc < 1 {
-		perProc = 1
-	}
 	r := &Recorder{epoch: time.Now(), bufs: make([]procBuf, p), ps: make([]P, p)}
 	for w := range r.bufs {
-		r.bufs[w].ev = make([]Event, perProc)
-		r.ps[w] = P{r: r, w: w, b: &r.bufs[w]}
+		r.ps[w] = P{r: r, b: &r.bufs[w]}
 	}
 	return r
-}
-
-// Procs returns the processor count the recorder was created for.
-func (r *Recorder) Procs() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.bufs)
 }
 
 // Proc returns processor w's emit handle. Nil-safe: a nil recorder (or
@@ -176,43 +117,17 @@ func (r *Recorder) SetEnabled(on bool) {
 // Active reports whether the recorder exists and is enabled. Nil-safe.
 func (r *Recorder) Active() bool { return r != nil && r.enabled }
 
-// Now returns nanoseconds since the recorder's epoch (the native
-// emitters' time source; simulated emitters stamp virtual time instead).
-func (r *Recorder) Now() int64 { return time.Since(r.epoch).Nanoseconds() }
-
-// Reset clears every buffer and aggregate and restarts the epoch, so the
-// next emitted event begins a fresh trace window, and returns the new
-// epoch (the zero of the window's timestamps). The enabled flag is
-// kept. Call only between builds.
+// Reset clears every counter and restarts the epoch, so the next build
+// begins a fresh window, and returns the new epoch (the zero of the
+// window's timestamps). The enabled flag is kept. Call only between
+// builds.
 func (r *Recorder) Reset() time.Time {
 	if r == nil {
 		return time.Time{}
 	}
 	r.epoch = time.Now()
-	for w := range r.bufs {
-		b := &r.bufs[w]
-		ev := b.ev
-		*b = procBuf{ev: ev}
-		r.ps[w].lockStart, r.ps[w].lockAcquired = 0, 0
-	}
+	clear(r.bufs)
 	return r.epoch
-}
-
-// Events returns processor w's buffered events in chronological order
-// (the most recent capacity's worth, if the ring wrapped).
-func (r *Recorder) Events(w int) []Event {
-	if r == nil || w < 0 || w >= len(r.bufs) {
-		return nil
-	}
-	b := &r.bufs[w]
-	c := int64(len(b.ev))
-	if b.next <= c {
-		return append([]Event(nil), b.ev[:b.next]...)
-	}
-	head := b.next % c
-	out := make([]Event, 0, c)
-	out = append(out, b.ev[head:]...)
-	return append(out, b.ev[:head]...)
 }
 
 // P is one processor's emit handle. All methods are no-ops on a nil
@@ -220,14 +135,7 @@ func (r *Recorder) Events(w int) []Event {
 // and the untraced hot path costs one nil comparison per hook.
 type P struct {
 	r *Recorder
-	w int
 	b *procBuf
-
-	// lockStart/lockAcquired stage a pending native lock event between
-	// LockBegin/LockAcquired and LockEnd — the native inserters hold at
-	// most one traced lock at a time, so one slot suffices.
-	lockStart    int64
-	lockAcquired int64
 }
 
 // Active reports whether emitting through this handle records anything.
@@ -238,7 +146,7 @@ func (p *P) Now() int64 {
 	if p == nil {
 		return 0
 	}
-	return p.r.Now()
+	return time.Since(p.r.epoch).Nanoseconds()
 }
 
 // SpanAt records a phase span covering [start, end].
@@ -246,10 +154,8 @@ func (p *P) SpanAt(ph Phase, start, end int64) {
 	if p == nil || !p.r.enabled {
 		return
 	}
-	b := p.b
-	b.put(Event{Kind: KindSpan, Phase: ph, Start: start, End: end})
-	b.spans++
-	b.phaseNs[ph] += end - start
+	p.b.sum.Spans[ph]++
+	p.b.sum.PhaseNs[ph] += end - start
 }
 
 // Span records a phase span from start to now.
@@ -260,37 +166,10 @@ func (p *P) Span(ph Phase, start int64) {
 	p.SpanAt(ph, start, p.Now())
 }
 
-// LockAcquired stages a pending lock event: waiting for the lock began
-// at start and the lock was obtained now. Pair with LockReleased; the
-// native inserters hold one traced lock at a time, so the pending event
-// lives on the handle and the hot path never allocates.
-func (p *P) LockAcquired(start int64) {
+// Locked counts one lock acquisition of the tree-build phase.
+func (p *P) Locked() {
 	if p == nil || !p.r.enabled {
 		return
 	}
-	p.lockStart = start
-	p.lockAcquired = p.r.Now()
-}
-
-// LockReleased emits the lock event staged by the matching LockAcquired,
-// with release time now.
-func (p *P) LockReleased() {
-	if p == nil || !p.r.enabled {
-		return
-	}
-	p.LockAt(p.lockStart, p.lockAcquired, p.r.Now())
-}
-
-// LockAt records one lock event: waiting began at start, the lock was
-// obtained at acquired and released at end.
-func (p *P) LockAt(start, acquired, end int64) {
-	if p == nil || !p.r.enabled {
-		return
-	}
-	b := p.b
-	b.put(Event{Kind: KindLock, Start: start, Acquired: acquired, End: end})
-	b.lockEvents++
-	b.lockWaitNs += acquired - start
-	b.lockHoldNs += end - acquired
-	b.hold.Add(end - acquired)
+	p.b.sum.LockEvents++
 }

@@ -13,17 +13,11 @@ func TestNilSafety(t *testing.T) {
 	if r.Active() {
 		t.Error("nil recorder reports Active")
 	}
-	if r.Procs() != 0 {
-		t.Error("nil recorder reports processors")
-	}
 	if got := r.Proc(0); got != nil {
 		t.Errorf("nil recorder Proc(0) = %v, want nil", got)
 	}
 	if s := r.Summarize(); s != nil {
 		t.Errorf("nil recorder Summarize = %v, want nil", s)
-	}
-	if ev := r.Events(0); ev != nil {
-		t.Errorf("nil recorder Events = %v, want nil", ev)
 	}
 	r.SetEnabled(true) // must not panic
 	r.Reset()
@@ -37,9 +31,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	p.SpanAt(PhaseInsert, 0, 10)
 	p.Span(PhaseInsert, 0)
-	p.LockAcquired(0)
-	p.LockReleased()
-	p.LockAt(0, 1, 2)
+	p.Locked()
 
 	// Out-of-range processor indexes degrade to the nil handle too.
 	live := New(2)
@@ -58,23 +50,23 @@ func TestDisabledRecorderEmitsNothing(t *testing.T) {
 		t.Fatal("fresh recorder should start disabled")
 	}
 	p.SpanAt(PhaseInsert, 0, 100)
-	p.LockAt(0, 10, 20)
+	p.Locked()
 	s := r.Summarize()
-	if s.PerProc[0].Spans != 0 || s.PerProc[0].LockEvents != 0 {
+	if s.PerProc[0] != (ProcSummary{}) {
 		t.Errorf("disabled recorder recorded events: %+v", s.PerProc[0])
 	}
 }
 
 func TestSpanAndLockAggregation(t *testing.T) {
-	r := NewWithCapacity(2, 16)
+	r := New(2)
 	r.SetEnabled(true)
 	p0, p1 := r.Proc(0), r.Proc(1)
 
 	p0.SpanAt(PhasePartition, 0, 100)
 	p0.SpanAt(PhaseInsert, 100, 400)
 	p0.SpanAt(PhaseInsert, 500, 700)
-	p0.LockAt(10, 30, 90)    // wait 20, hold 60
-	p0.LockAt(200, 200, 210) // wait 0, hold 10
+	p0.Locked()
+	p0.Locked()
 	p1.SpanAt(PhaseInsert, 100, 600)
 
 	s := r.Summarize()
@@ -82,14 +74,8 @@ func TestSpanAndLockAggregation(t *testing.T) {
 	if ps.PhaseNs[PhasePartition] != 100 || ps.PhaseNs[PhaseInsert] != 500 {
 		t.Errorf("phaseNs = %v", ps.PhaseNs)
 	}
-	if ps.Spans != 3 || ps.LockEvents != 2 {
-		t.Errorf("spans=%d lockEvents=%d, want 3/2", ps.Spans, ps.LockEvents)
-	}
-	if ps.LockWaitNs != 20 || ps.LockHoldNs != 70 {
-		t.Errorf("wait=%d hold=%d, want 20/70", ps.LockWaitNs, ps.LockHoldNs)
-	}
-	if ps.HoldMaxNs != 60 {
-		t.Errorf("HoldMaxNs = %d, want 60", ps.HoldMaxNs)
+	if ps.Spans[PhasePartition] != 1 || ps.Spans[PhaseInsert] != 2 || ps.LockEvents != 2 {
+		t.Errorf("spans=%v lockEvents=%d, want 1 partition, 2 insert / 2", ps.Spans, ps.LockEvents)
 	}
 	if got := s.TotalLockEvents(); got != 2 {
 		t.Errorf("TotalLockEvents = %d, want 2", got)
@@ -107,50 +93,15 @@ func TestLockStaging(t *testing.T) {
 	r := New(1)
 	r.SetEnabled(true)
 	p := r.Proc(0)
-	start := p.Now()
-	p.LockAcquired(start)
-	p.LockReleased()
-	ev := r.Events(0)
-	if len(ev) != 1 || ev[0].Kind != KindLock {
-		t.Fatalf("events = %v, want one lock event", ev)
+	for i := 0; i < 3; i++ {
+		p.Locked()
 	}
-	e := ev[0]
-	if e.Start > e.Acquired || e.Acquired > e.End {
-		t.Errorf("lock timestamps out of order: %+v", e)
+	ps := r.Summarize().PerProc[0]
+	if ps.LockEvents != 3 {
+		t.Errorf("LockEvents = %d, want 3", ps.LockEvents)
 	}
-	if s := r.Summarize(); s.PerProc[0].LockEvents != 1 {
-		t.Errorf("LockEvents = %d, want 1", s.PerProc[0].LockEvents)
-	}
-}
-
-// TestRingWrap pins that the ring keeps the newest events in order while
-// the emit-time aggregates still cover everything, reporting the
-// eviction count as Dropped.
-func TestRingWrap(t *testing.T) {
-	r := NewWithCapacity(1, 4)
-	r.SetEnabled(true)
-	p := r.Proc(0)
-	for i := int64(0); i < 10; i++ {
-		p.SpanAt(PhaseInsert, i, i+1)
-	}
-	ev := r.Events(0)
-	if len(ev) != 4 {
-		t.Fatalf("got %d buffered events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if want := int64(6 + i); e.Start != want {
-			t.Errorf("event %d starts at %d, want %d (newest four, oldest first)", i, e.Start, want)
-		}
-	}
-	s := r.Summarize()
-	if s.PerProc[0].Spans != 10 {
-		t.Errorf("Spans = %d, want 10 (aggregates must survive the wrap)", s.PerProc[0].Spans)
-	}
-	if s.PerProc[0].PhaseNs[PhaseInsert] != 10 {
-		t.Errorf("insert ns = %d, want 10", s.PerProc[0].PhaseNs[PhaseInsert])
-	}
-	if s.PerProc[0].Dropped != 6 {
-		t.Errorf("Dropped = %d, want 6", s.PerProc[0].Dropped)
+	if ps.Spans != [NumPhases]int64{} || ps.PhaseNs != [NumPhases]int64{} {
+		t.Errorf("counting locks recorded spans: %+v", ps)
 	}
 }
 
@@ -158,19 +109,16 @@ func TestResetClearsBetweenBuilds(t *testing.T) {
 	r := New(2)
 	r.SetEnabled(true)
 	r.Proc(0).SpanAt(PhaseInsert, 0, 50)
-	r.Proc(1).LockAt(0, 5, 9)
+	r.Proc(1).Locked()
 	r.Reset()
 	if !r.Active() {
 		t.Error("Reset must keep the enabled flag")
 	}
 	s := r.Summarize()
 	for w, ps := range s.PerProc {
-		if ps.Spans != 0 || ps.LockEvents != 0 || ps.PhaseNs[PhaseInsert] != 0 {
+		if ps != (ProcSummary{}) {
 			t.Errorf("proc %d not cleared by Reset: %+v", w, ps)
 		}
-	}
-	if ev := r.Events(0); len(ev) != 0 {
-		t.Errorf("events survive Reset: %v", ev)
 	}
 }
 
