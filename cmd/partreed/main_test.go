@@ -150,6 +150,72 @@ func TestDaemonConcurrentBuildsAndMetrics(t *testing.T) {
 	}
 }
 
+// TestBuildBodyMemoStaysInBudget sends 64 distinct fresh-seed builds at
+// n = 20 000 — 118 MB of body sets, which an entry-bounded memo held
+// whole — from two clients, scraping /metrics after each: every request
+// succeeds, the memo never holds more than its 16 MiB budget, it evicts,
+// and the runner's conservation and byte laws hold once idle.
+func TestBuildBodyMemoStaysInBudget(t *testing.T) {
+	const budget = 16 << 20 // the runner's bodiesCacheBytes
+	const clients, requests = 2, 64
+	d := startDaemon(t, daemonConfig{})
+	url := d.srv.URL()
+	gauge := regexp.MustCompile(`(?m)^partree_runner_body_memo_bytes (\S+)$`)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < requests; i += clients {
+				spec := map[string]any{"backend": "native", "algorithm": "LOCAL", "build_only": true,
+					"procs": 1, "bodies": 20000, "steps": 1, "model": "uniform", "seed": 1000 + i}
+				buf, _ := json.Marshal(spec)
+				resp, err := http.Post(url+"/v1/build", "application/json", bytes.NewReader(buf))
+				if err != nil {
+					t.Errorf("build %d: %v", i, err)
+					return
+				}
+				var res runner.Result
+				derr := json.NewDecoder(resp.Body).Decode(&res)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || derr != nil || res.Failed() {
+					t.Errorf("build %d: status %d, decode %v, %s", i, resp.StatusCode, derr, res.FailureMessage())
+					return
+				}
+				page, err := http.Get(url + "/metrics")
+				if err != nil {
+					t.Errorf("GET /metrics: %v", err)
+					return
+				}
+				text, _ := io.ReadAll(page.Body)
+				page.Body.Close()
+				m := gauge.FindSubmatch(text)
+				if m == nil {
+					t.Errorf("/metrics carries no partree_runner_body_memo_bytes")
+					return
+				}
+				if held, _ := strconv.ParseFloat(string(m[1]), 64); held > budget {
+					t.Errorf("after build %d the body memo holds %v bytes, past its budget %d", i, held, budget)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	pg := metricsPage(t, url)
+	if v := metricValue(t, pg, "partree_runner_body_memo_bytes"); v <= 0 || v > budget {
+		t.Errorf("body memo holds %v bytes at the end, want (0, %d]", v, budget)
+	}
+	if v := metricValue(t, pg, `partree_runner_evictions_total{cache="bodies"}`); v <= 0 {
+		t.Errorf("64 sets of 1.8 MB evicted %v from a 16 MiB memo", v)
+	}
+	if err := d.r.AuditObs(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 2 * time.Minute})
 	url := d.srv.URL()

@@ -138,9 +138,10 @@ type bodiesKey struct {
 
 // bodiesFor regenerates (or reuses) the deterministic full body set for
 // a vetted spec. One memo entry suffices: cluster traffic repeats one
-// spec shape at a time, and regeneration is always correct. The runner's
-// body-set LRU is not used: under unique seeds it would hold dozens of
-// full body sets no later request reads.
+// spec shape at a time, and regeneration is always correct. A shard
+// builds through the engine, not a runner, so it has no use for the
+// runner's byte-bounded body memo, which would keep up to 16 MiB of sets
+// that unique-seed traffic never reads again.
 func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 	model, _ := phys.ParseModel(spec.Model) // vetted: the model parses
 	key := bodiesKey{model, spec.Bodies, spec.Seed}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -271,4 +272,27 @@ func TestGatherSorts(t *testing.T) {
 	if series[0].Labels[0].Value != "alpha" || series[1].Labels[0].Value != "zeta" {
 		t.Fatalf("series not sorted by label value: %+v", series)
 	}
+}
+
+// TestRuntimeCollectorConcurrentScrapes gathers the runtime families
+// from several goroutines at once, as concurrent /metrics requests do;
+// under -race it holds the collector's cached sample to its lock.
+func TestRuntimeCollectorConcurrentScrapes(t *testing.T) {
+	reg := NewRegistry()
+	rc := &runtimeCollector{}
+	reg.MustRegister(rc) // minInterval 0: every scrape resamples
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if len(reg.Gather()) == 0 {
+					t.Error("runtime collector gathered no families")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

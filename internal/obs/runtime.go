@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"sync"
 	"time"
 )
 
@@ -9,9 +10,12 @@ import (
 // sampled once per scrape. ReadMemStats costs a stop-the-world on the
 // order of tens of microseconds, so it runs at scrape frequency (human
 // or Prometheus driven), never on the build hot path, and at most once
-// per second even if something scrapes in a tight loop.
+// per second even if something scrapes in a tight loop. Scrapes may
+// run concurrently (one HTTP handler per connection), so mu guards the
+// cached sample.
 type runtimeCollector struct {
 	minInterval time.Duration
+	mu          sync.Mutex
 	lastSample  time.Time
 	last        runtime.MemStats
 }
@@ -24,11 +28,13 @@ func RegisterRuntime(reg *Registry) {
 
 // Collect implements Collector.
 func (rc *runtimeCollector) Collect(out []Family) []Family {
+	rc.mu.Lock()
 	if time.Since(rc.lastSample) >= rc.minInterval {
 		runtime.ReadMemStats(&rc.last)
 		rc.lastSample = time.Now()
 	}
-	m := &rc.last
+	m := rc.last
+	rc.mu.Unlock()
 	gauge := func(name, help string, v float64) {
 		out = append(out, Family{Name: name, Help: help, Type: TypeGauge,
 			Series: []Series{{Value: v}}})

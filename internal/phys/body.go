@@ -12,6 +12,7 @@ package phys
 
 import (
 	"fmt"
+	"unsafe"
 
 	"partree/internal/vec"
 )
@@ -53,6 +54,17 @@ func NewBodies(n int) *Bodies {
 
 // N returns the number of bodies.
 func (b *Bodies) N() int { return len(b.Pos) }
+
+// Bytes is the memory the set's per-body columns hold: one element of
+// each slice per body (92 B). A nil set holds none.
+func (b *Bodies) Bytes() int64 {
+	if b == nil {
+		return 0
+	}
+	const perBody = 3*unsafe.Sizeof(vec.V3{}) + unsafe.Sizeof(float64(0)) +
+		unsafe.Sizeof(int64(0)) + unsafe.Sizeof(int32(0))
+	return int64(b.N()) * int64(perBody)
+}
 
 // TotalMass returns the summed mass of all bodies.
 func (b *Bodies) TotalMass() float64 {

@@ -3,6 +3,7 @@ package phys
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"partree/internal/vec"
@@ -344,5 +345,31 @@ func TestPermuteMatchesGather(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { b.Permute(order) }); allocs > 1 {
 			t.Fatalf("%s: Permute made %v allocations, want at most 1", name, allocs)
 		}
+	}
+}
+
+// TestBytesChargesEveryColumn holds Bytes to the element size of every
+// per-body slice in Bodies, so a column added to the struct fails here
+// until Bytes charges it too.
+func TestBytesChargesEveryColumn(t *testing.T) {
+	const n = 1000
+	b := NewBodies(n)
+	v := reflect.ValueOf(b).Elem()
+	var want int64
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			t.Fatalf("field %s is a %s, not a per-body slice", v.Type().Field(i).Name, f.Kind())
+		}
+		if f.Len() != n {
+			t.Fatalf("field %s holds %d entries for %d bodies", v.Type().Field(i).Name, f.Len(), n)
+		}
+		want += int64(f.Len()) * int64(f.Type().Elem().Size())
+	}
+	if got := b.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d, want %d (the columns' element sizes × %d)", got, want, n)
+	}
+	if got := (*Bodies)(nil).Bytes(); got != 0 {
+		t.Fatalf("nil Bytes() = %d, want 0", got)
 	}
 }

@@ -52,22 +52,17 @@ func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simu
 	return nbody.NewFromBodies(opts, bodies)
 }
 
-// runNative executes the real concurrent implementation. Steps are
-// natural preemption points, so cancellation and timeouts yield a
-// partial Result carrying whatever completed. The builds run through a
-// pooled session's persistent builder.
-func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
+// runNative executes the real concurrent implementation on bld, the
+// pooled builder of the session the caller acquired. Steps are natural
+// preemption points, so cancellation and timeouts yield a partial
+// Result carrying whatever completed.
+func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Builder) Result {
 	if spec.BuildOnly {
 		// A build only reads the bodies, so it runs on the memoized set
 		// other specs share; the whole application below integrates them
 		// and takes its own copy.
-		return BuildOnly(ctx, spec, bodies, eng)
+		return buildOnly(ctx, spec, bodies, bld)
 	}
-	bld, release, err := admit(ctx, spec, eng)
-	if err != nil {
-		return admissionResult(spec, err)
-	}
-	defer release()
 	sim := NewSimulation(spec, bodies.Clone(), bld)
 
 	rq := reqtrace.FromContext(ctx)
@@ -119,19 +114,25 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 // repetitions of one build, reporting the best wall-clock time, the last
 // repetition's tree statistics and counters, and — with Check — a
 // verification of every repetition. It is the one build-repetition loop:
-// Run executes build-only specs through it, and a cluster shard calls it
-// directly on its owned subset. spec must be Normalized; bodies are only
-// read — no builder, SpatialAssign, verify.Build or moments pass stores
-// to them — so concurrent builds may share one set. The
-// repetitions run through a pooled session, so only the
-// first-ever rep for a key pays store allocation; an admission rejection
-// comes back as a Result whose Err satisfies engine.Rejected.
+// Run executes build-only specs through it (on a slot it took before
+// generating the bodies), and a cluster shard calls it directly on its
+// owned subset. spec must be Normalized; bodies are only read — no
+// builder, SpatialAssign, verify.Build or moments pass stores to them —
+// so concurrent builds may share one set. The repetitions run through a
+// pooled session, so only the first-ever rep for a key pays store
+// allocation; an admission rejection comes back as a Result whose Err
+// satisfies engine.Rejected.
 func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine) Result {
 	bld, release, err := admit(ctx, spec, eng)
 	if err != nil {
 		return admissionResult(spec, err)
 	}
 	defer release()
+	return buildOnly(ctx, spec, bodies, bld)
+}
+
+// buildOnly is BuildOnly's loop on an acquired session's builder.
+func buildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Builder) Result {
 	assign := core.EvenAssign(bodies.N(), spec.Procs)
 	if spec.Spatial {
 		assign = core.SpatialAssign(bodies, spec.Procs)

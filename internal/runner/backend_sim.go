@@ -5,31 +5,26 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"partree/internal/engine"
 	"partree/internal/phys"
 	"partree/internal/simalg"
 	"partree/internal/verify"
 )
 
-// runSimulated replays the whole application on the platform model.
-// simalg.Run has no internal preemption points, so cancellation is
-// implemented by racing the run against the context: on timeout the
-// caller gets a partial Result immediately and the abandoned run is left
-// to finish on its goroutine (it only touches its own clone of bodies) —
-// still holding its engine slot, which the goroutine gives back when the
-// replay returns: an abandoned replay is a busy core, so MaxActive keeps
-// bounding CPU and Engine.Drain waits it out. returned counts the replays
-// that ran to their end, abandoned ones included.
-func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.Engine, returned *atomic.Int64) Result {
+// runSimulated replays the whole application on the platform model,
+// holding the engine slot the caller took; release gives it back and
+// runSimulated owns it. simalg.Run has no internal preemption points, so
+// cancellation is implemented by racing the run against the context: on
+// timeout the caller gets a partial Result immediately and the abandoned
+// run is left to finish on its goroutine (it only touches its own clone
+// of bodies) — still holding its engine slot, which the goroutine gives
+// back when the replay returns: an abandoned replay is a busy core, so
+// MaxActive keeps bounding CPU and Engine.Drain waits it out. returned
+// counts the replays that ran to their end, abandoned ones included.
+func runSimulated(ctx context.Context, spec Spec, bodies *phys.Bodies, release func(), returned *atomic.Int64) Result {
 	pl, err := ParsePlatform(spec.Platform, spec.Procs)
 	if err != nil {
+		release()
 		return Result{Err: err.Error()}
-	}
-	// A replay needs no pooled builder, but it is CPU like any build: it
-	// holds one of the engine's slots for its duration.
-	release, err := eng.Admit(ctx)
-	if err != nil {
-		return admissionResult(spec, err)
 	}
 	cfg := simalg.Config{
 		Platform:      pl,

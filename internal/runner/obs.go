@@ -74,10 +74,12 @@ func (o *runnerObs) observeExecuted(res Result) {
 	o.specSeconds.With(string(res.Spec.Backend)).Observe(float64(res.WallNs) / 1e9)
 }
 
-// AuditObs cross-checks the live counters against the result cache — the
-// runner-level conservation law, companion to internal/verify's six
-// metrics laws. It is exact only when the runner is idle (no Run or
-// RunAll in progress).
+// AuditObs cross-checks the live counters against the result cache and
+// the body memo — the runner-level conservation laws, companion to
+// internal/verify's metrics laws — and holds both caches to their
+// bounds: the memo's bytes are the summed sizes of the sets it holds and
+// at most bodiesCacheBytes. It is exact only when the runner is idle (no
+// Run, RunAll or Bodies call in progress).
 func (r *Runner) AuditObs() error {
 	o := r.obs
 	results := r.Results()
@@ -119,8 +121,24 @@ func (r *Runner) AuditObs() error {
 	if float64(durations) != started {
 		return fmt.Errorf("runner obs: duration observations(%d) != executions(%v)", durations, started)
 	}
-	if memo := o.memoHits.Value() + o.memoMisses.Value(); memo < started {
-		return fmt.Errorf("runner obs: body memo hits+misses(%v) < executions(%v)", memo, started)
+	// Every admitted execution asked the body memo once; a refused one
+	// (a transient result) never did.
+	if memo := o.memoHits.Value() + o.memoMisses.Value(); memo < started-transient {
+		return fmt.Errorf("runner obs: body memo hits+misses(%v) < admitted executions(%v)", memo, started-transient)
+	}
+	// Every body-memo miss made one entry, which the memo still holds or
+	// evicted (an oversized set is evicted as it completes).
+	memoMisses, memoEvicted := o.memoMisses.Value(), r.bodies.evictions.Value()
+	if held := len(r.bodies.completed()); memoMisses != float64(held)+memoEvicted {
+		return fmt.Errorf("runner obs: body memo misses(%v) != sets held(%d)+evicted(%v)", memoMisses, held, memoEvicted)
+	}
+	// The byte law: the memo holds the summed Bytes of its sets, within
+	// bodiesCacheBytes; the result cache likewise holds one per entry.
+	if err := r.bodies.audit(); err != nil {
+		return fmt.Errorf("runner obs: body memo %v", err)
+	}
+	if err := r.results.audit(); err != nil {
+		return fmt.Errorf("runner obs: result cache %v", err)
 	}
 	return nil
 }
@@ -135,6 +153,9 @@ func (r *Runner) RegisterObs(reg *obs.Registry) error {
 		o.runs, o.cacheHits, o.cacheMisses, o.started, o.completed, o.failed,
 		obs.NewGaugeFunc("partree_runner_in_flight", "Spec executions begun and not yet published (queued in the engine or running).",
 			func() float64 { return float64(o.inFlight.Load()) }),
-		o.memoHits, o.memoMisses, o.evictions, o.specSeconds,
+		o.memoHits, o.memoMisses,
+		obs.NewGaugeFunc("partree_runner_body_memo_bytes", "Bytes of the body sets the (model,n,seed) memo holds; at most its 16 MiB budget.",
+			func() float64 { return float64(r.bodies.charged()) }),
+		o.evictions, o.specSeconds,
 	), r.eng.RegisterObs(reg), core.RegisterObs(reg))
 }

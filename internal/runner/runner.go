@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partree/internal/core"
 	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/phys"
@@ -22,11 +23,13 @@ import (
 // engine's MaxActive — the runner schedules nothing itself. Every
 // execution passes the engine's one admission gate: native specs hold a
 // pooled builder session (Acquire), simulated ones a bare slot
-// (Admit). Bodies are memoized per (model, n, seed) and shared
-// read-only across runs, so every backend sees the same deterministic
-// initial conditions. Both caches are bounded LRUs (see Config), so a
-// long-lived process — partreed serving requests forever — holds a
-// fixed working set instead of leaking.
+// (Admit), before their bodies are generated. Bodies are memoized per
+// (model, n, seed) and shared read-only across runs, so every backend
+// sees the same deterministic initial conditions. Both caches are
+// bounded LRUs — results by entry count (resultCacheEntries), body sets
+// by bytes (bodiesCacheBytes) — so a long-lived process (partreed
+// serving requests forever) holds a fixed working set instead of
+// leaking.
 type Runner struct {
 	eng *engine.Engine
 
@@ -58,36 +61,50 @@ type bodySet struct {
 }
 
 // flight is one cache entry: the value being built (or built) and done,
-// closed once val is final.
+// closed once val is final and charged.
 type flight[V any] struct {
 	key  string
 	done chan struct{}
 	val  V
+	cost int64         // val's charge, set when published
 	elem *list.Element // LRU position; nil once evicted or dropped
 }
 
-// cache is a single-flight bounded LRU: the first lookup of a key
-// creates its entry and that caller fills it and closes done; every
-// concurrent or later lookup shares the entry. Past max entries the
-// least recently used *completed* entries are evicted. In-flight entries
-// never are (their execution must publish somewhere), so under a burst
-// of distinct in-flight keys the cache may transiently exceed its bound
-// by the in-flight count. Evicting only drops the cache's reference;
-// holders of an entry keep using it.
+// published reports whether f's value is final (and charged).
+func (f *flight[V]) published() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// cache is a single-flight LRU bounded by cost: the first lookup of a
+// key creates its entry and that caller fills it and publishes it; every
+// concurrent or later lookup shares the entry. Publishing charges the
+// entry its cost and, past max, evicts the least recently used published
+// entries. An entry costing more than max on its own is dropped as it
+// publishes: it is shared while in flight, never held. In-flight entries
+// cost nothing and are never evicted (their execution must publish
+// somewhere). Evicting only drops the cache's reference; holders of an
+// entry keep using it.
 type cache[V any] struct {
 	mu        sync.Mutex
 	entries   map[string]*flight[V]
 	lru       *list.List // *flight[V], front = most recently used
-	max       int
+	cost      func(V) int64
+	max       int64
+	held      int64 // the summed cost of the published entries held
 	evictions *obs.Counter
 }
 
-func newCache[V any](max int, evictions *obs.Counter) *cache[V] {
-	return &cache[V]{entries: map[string]*flight[V]{}, lru: list.New(), max: max, evictions: evictions}
+func newCache[V any](max int64, cost func(V) int64, evictions *obs.Counter) *cache[V] {
+	return &cache[V]{entries: map[string]*flight[V]{}, lru: list.New(), cost: cost, max: max, evictions: evictions}
 }
 
 // lookup returns key's entry; created reports that this call made it,
-// which obliges the caller to fill val and close done.
+// which obliges the caller to fill val and publish it.
 func (c *cache[V]) lookup(key string) (f *flight[V], created bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,25 +115,44 @@ func (c *cache[V]) lookup(key string) (f *flight[V], created bool) {
 	f = &flight[V]{key: key, done: make(chan struct{})}
 	c.entries[key] = f
 	f.elem = c.lru.PushFront(f)
-	for el := c.lru.Back(); el != nil && c.lru.Len() > c.max; {
-		prev := el.Prev()
-		old := el.Value.(*flight[V])
-		select {
-		case <-old.done:
-			c.remove(old)
-			c.evictions.Inc()
-		default: // still in flight; skip
-		}
-		el = prev
-	}
 	return f, true
 }
 
-// remove unlinks f. Caller holds c.mu.
+// publish charges f's final value, evicts past the bound and closes
+// done, all under the lock, so a caller that has seen done finds the
+// charge and the evictions made. An entry dropped before it published (a
+// transient result) is only closed.
+func (c *cache[V]) publish(f *flight[V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer close(f.done)
+	if f.elem == nil {
+		return
+	}
+	cost := c.cost(f.val)
+	if cost > c.max {
+		c.remove(f)
+		c.evictions.Inc()
+		return
+	}
+	f.cost = cost
+	c.held += cost
+	for el := c.lru.Back(); el != nil && c.held > c.max; {
+		prev := el.Prev()
+		if old := el.Value.(*flight[V]); old.published() { // f itself is not yet
+			c.remove(old)
+			c.evictions.Inc()
+		}
+		el = prev
+	}
+}
+
+// remove unlinks f and takes back its charge. Caller holds c.mu.
 func (c *cache[V]) remove(f *flight[V]) {
 	c.lru.Remove(f.elem)
 	f.elem = nil
 	delete(c.entries, f.key)
+	c.held -= f.cost
 }
 
 // drop forgets f (if the cache still holds it) so the next lookup of its
@@ -135,13 +171,39 @@ func (c *cache[V]) completed() []V {
 	defer c.mu.Unlock()
 	var out []V
 	for _, f := range c.entries {
-		select {
-		case <-f.done:
+		if f.published() {
 			out = append(out, f.val)
-		default:
 		}
 	}
 	return out
+}
+
+// charged is the summed cost of the published entries the cache holds.
+func (c *cache[V]) charged() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held
+}
+
+// audit checks the cost law: what the cache holds is the sum of its
+// published entries' costs, recomputed from their values, and within
+// its bound.
+func (c *cache[V]) audit() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for _, f := range c.entries {
+		if f.published() {
+			sum += c.cost(f.val)
+		}
+	}
+	if sum != c.held {
+		return fmt.Errorf("holds %d but its entries cost %d", c.held, sum)
+	}
+	if c.held > c.max {
+		return fmt.Errorf("holds %d, past its bound %d", c.held, c.max)
+	}
+	return nil
 }
 
 // Config sizes a runner for its lifetime. The zero value of every field
@@ -155,14 +217,21 @@ type Config struct {
 	Engine *engine.Engine
 }
 
-// The memo caches' bounds: past one, the least recently used completed
+// The memo caches' bounds: past one, the least recently used published
 // entry is evicted.
 const (
-	// resultCacheEntries bounds the memoized spec→result cache,
-	// generous enough that CLI sweeps never evict.
+	// resultCacheEntries bounds the memoized spec→result cache, an entry
+	// costing 1: generous enough that CLI sweeps never evict. An entry is
+	// about 1.5 KB at worst (64 processors' lock counts, a simulated
+	// spec's protocol counters, an error line), so about 6 MiB in all.
 	resultCacheEntries = 4096
-	// bodiesCacheEntries bounds the (model, n, seed) body memo.
-	bodiesCacheEntries = 64
+	// bodiesCacheBytes bounds the (model, n, seed) body memo, an entry
+	// costing its set's Bytes. It holds the largest set the CLI grids
+	// reuse (paperrepro -large's 131 072 bodies, about 11.5 MiB) and the
+	// whole default grid (4k + 8k + 16k bodies, about 2.5 MiB); served
+	// traffic with fresh seeds keeps only what fits, never dozens of
+	// sets no later request reads.
+	bodiesCacheBytes = 16 << 20
 )
 
 // New creates a runner; workers <= 0 selects GOMAXPROCS.
@@ -178,8 +247,8 @@ func NewWithConfig(cfg Config) *Runner {
 	o := newRunnerObs()
 	return &Runner{
 		eng:     cfg.Engine,
-		results: newCache[run](resultCacheEntries, o.evictions.With("results")),
-		bodies:  newCache[bodySet](bodiesCacheEntries, o.evictions.With("bodies")),
+		results: newCache(resultCacheEntries, func(run) int64 { return 1 }, o.evictions.With("results")),
+		bodies:  newCache(bodiesCacheBytes, func(b bodySet) int64 { return b.b.Bytes() }, o.evictions.With("bodies")),
 		obs:     o,
 	}
 }
@@ -263,12 +332,11 @@ func (r *Runner) RunAllProgress(ctx context.Context, specs []Spec, done func(i i
 	return out
 }
 
-// execute runs one cache entry to completion; the backend takes its
-// engine slot. Body generation happens before the wall clock starts:
-// body sets are memoized across specs, so charging generation to
-// whichever spec ran first would make sweep-cell wall times
-// incomparable. GenNs instead reports the full generation time of the
-// spec's body set, identically on every spec that shares it.
+// execute runs one cache entry to completion. Body generation is kept
+// out of the wall clock: body sets are memoized across specs, so
+// charging generation to whichever spec ran first would make sweep-cell
+// wall times incomparable. GenNs instead reports the full generation
+// time of the spec's body set, identically on every spec that shares it.
 func (r *Runner) execute(e *flight[run]) {
 	spec, rq := e.val.spec, e.val.rq
 	r.obs.started.Inc()
@@ -287,7 +355,7 @@ func (r *Runner) execute(e *flight[run]) {
 		}
 		r.obs.observeExecuted(res)
 		r.obs.inFlight.Add(-1)
-		close(e.done)
+		r.results.publish(e)
 	}
 	// The execution context is fresh (memoized results outlive their
 	// initiating request) but carries the initiator's span handle so
@@ -298,23 +366,47 @@ func (r *Runner) execute(e *flight[run]) {
 		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
-	bodies, genNs, err := r.bodiesFor(spec.Model, spec.Bodies, spec.Seed)
-	if err != nil {
-		finish(Result{Spec: spec, Err: err.Error()})
-		return
-	}
 	start := time.Now()
-	var res Result
-	switch spec.Backend {
-	case Native:
-		res = runNative(ctx, spec, bodies, r.eng)
-	default:
-		res = runSimulated(ctx, spec, bodies, r.eng, &r.obs.replaysReturned)
-	}
+	res, gen := r.admitAndRun(ctx, spec)
 	res.Spec = spec
-	res.GenNs = genNs
-	res.WallNs = time.Since(start).Nanoseconds()
+	res.WallNs = (time.Since(start) - gen).Nanoseconds()
 	finish(res)
+}
+
+// admitAndRun takes spec's engine slot, then its body set, then runs
+// it. Admission comes first, so a spec the engine refuses never
+// generates bodies: the body sets being generated or used at once are
+// bounded by the slots plus the queue. gen is the time spent obtaining
+// the set, which the caller keeps out of WallNs.
+func (r *Runner) admitAndRun(ctx context.Context, spec Spec) (res Result, gen time.Duration) {
+	var bld core.Builder
+	var release func()
+	var err error
+	if spec.Backend == Native {
+		bld, release, err = admit(ctx, spec, r.eng)
+	} else {
+		// A replay needs no pooled builder, but it is CPU like any
+		// build: it holds one of the engine's slots for its duration.
+		release, err = r.eng.Admit(ctx)
+	}
+	if err != nil {
+		return admissionResult(spec, err), 0
+	}
+	genStart := time.Now()
+	bodies, genNs, err := r.bodiesFor(spec.Model, spec.Bodies, spec.Seed)
+	gen = time.Since(genStart)
+	if err != nil {
+		release()
+		return Result{Err: err.Error()}, gen
+	}
+	if spec.Backend == Native {
+		res = runNative(ctx, spec, bodies, bld)
+		release()
+	} else {
+		res = runSimulated(ctx, spec, bodies, release, &r.obs.replaysReturned)
+	}
+	res.GenNs = genNs
+	return res, gen
 }
 
 // Bodies returns the memoized body system for (model, n, seed). The
@@ -325,8 +417,18 @@ func (r *Runner) Bodies(model phys.Model, n int, seed int64) *phys.Bodies {
 	return b
 }
 
+// memoKey names a body set in the memo.
+func memoKey(model string, n int, seed int64) string {
+	return fmt.Sprintf("%s|%d|%d", model, n, seed)
+}
+
+// bodiesFor returns the (model, n, seed) body set and its generation
+// time, generating it on a memo miss. Concurrent callers of one key
+// share one generation; a set larger than bodiesCacheBytes is shared
+// while it is generated but not held after, so each later miss
+// generates it again.
 func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64, error) {
-	f, created := r.bodies.lookup(fmt.Sprintf("%s|%d|%d", model, n, seed))
+	f, created := r.bodies.lookup(memoKey(model, n, seed))
 	if !created {
 		r.obs.memoHits.Inc()
 		<-f.done
@@ -341,7 +443,7 @@ func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64
 		f.val.err = fmt.Errorf("runner: unknown mass model %q (valid: %s)",
 			model, strings.Join(phys.ModelNames(), ", "))
 	}
-	close(f.done)
+	r.bodies.publish(f)
 	return f.val.b, f.val.genNs, f.val.err
 }
 
