@@ -58,7 +58,7 @@ func BenchmarkSpacePartition(b *testing.B) {
 }
 
 // BenchmarkSpaceBuild times a warm SPACE build end to end at the two tree
-// workloads' shapes, on the spatial assignment every caller passes, and
+// workloads' shapes and serve-build's uniform n = 20 000, on the spatial assignment every caller passes, and
 // reports where it went: the bounds phase (the counting partition
 // included), the insert phase (sorting and attaching the subtrees) and
 // the moments pass, in µs per build.
@@ -67,7 +67,11 @@ func BenchmarkSpaceBuild(b *testing.B) {
 		name  string
 		model phys.Model
 		n     int
-	}{{"plummer-200k", phys.ModelPlummer, 200000}, {"hierarchical-10k", phys.ModelHierarchical, 10000}} {
+	}{
+		{"plummer-200k", phys.ModelPlummer, 200000},
+		{"hierarchical-10k", phys.ModelHierarchical, 10000},
+		{"uniform-20k", phys.ModelUniform, 20000},
+	} {
 		bodies := phys.Generate(c.model, c.n, 1)
 		for _, p := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {

@@ -89,7 +89,7 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 		// Refresh the root bounds and rescale every node's cube; the
 		// tree keeps its shape but the space it maps onto breathes.
 		func(root vec.Cube) *octree.Tree {
-			rescale(ub.tree, root, p, m)
+			octree.RescaleFork(ub.tree, root, p, func(p int, fn func(int)) { m.fork(trace.PhasePartition, p, fn) })
 			return ub.tree
 		},
 		// Move the bodies that crossed their leaf boundary.
@@ -130,39 +130,4 @@ func (ub *updateBuilder) inserterFor(w int, m *Metrics, tp *trace.P) *inserter {
 	}
 	ins.pc, ins.tp, ins.bodyLeaf = &m.PerP[w], tp, ub.bodyLeaf
 	return ins
-}
-
-// rescale rewrites every live node's cube after the root was resized:
-// proc 0 handles the top two levels, then the depth-2 subtrees are fanned
-// out across processors.
-func rescale(t *octree.Tree, root vec.Cube, p int, m *Metrics) {
-	s := t.Store
-	type job struct {
-		ref  octree.Ref
-		cube vec.Cube
-	}
-	var jobs []job
-	var top func(r octree.Ref, cube vec.Cube, depth int)
-	top = func(r octree.Ref, cube vec.Cube, depth int) {
-		switch {
-		case depth == 2:
-			jobs = append(jobs, job{r, cube})
-		case r.IsLeaf():
-			s.Leaf(r).Cube = cube
-		default:
-			c := s.Cell(r)
-			c.Cube = cube
-			for o := vec.Octant(0); o < vec.NOctants; o++ {
-				if ch := c.Child(o); !ch.IsNil() {
-					top(ch, cube.Child(o), depth+1)
-				}
-			}
-		}
-	}
-	top(t.Root, root, 0)
-	m.fork(trace.PhasePartition, p, func(w int) {
-		for i := w; i < len(jobs); i += p {
-			s.Rescale(jobs[i].ref, jobs[i].cube)
-		}
-	})
 }

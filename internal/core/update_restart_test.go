@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"partree/internal/core"
+	"partree/internal/octree"
 	"partree/internal/phys"
+	"partree/internal/vec"
 	"partree/internal/verify"
 )
 
@@ -63,5 +66,59 @@ func TestUpdateRestartsBuildFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestUpdateRescaleMatchesSerialRescale: a repair rescales the resident
+// tree with the moments pass's cut and runs; after three repair steps on
+// Plummer every live node's cube is, bit for bit, the one a serial
+// Store.Rescale from the root cube writes, at any processor count.
+func TestUpdateRescaleMatchesSerialRescale(t *testing.T) {
+	const n = 4000
+	cubeBits := func(tree *octree.Tree) (out [][4]uint64) {
+		s := tree.Store
+		octree.Walk(tree, func(r octree.Ref, _ int) bool {
+			var c vec.Cube
+			if r.IsLeaf() {
+				c = s.Leaf(r).Cube
+			} else {
+				c = s.Cell(r).Cube
+			}
+			out = append(out, [4]uint64{math.Float64bits(c.Center.X), math.Float64bits(c.Center.Y),
+				math.Float64bits(c.Center.Z), math.Float64bits(c.Size)})
+			return true
+		})
+		return out
+	}
+	for _, p := range []int{1, 2, 4} {
+		b := phys.Generate(phys.ModelPlummer, n, 13)
+		bld := core.New(core.UPDATE, core.Config{P: p, LeafCap: 8})
+		in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+		tree, _ := bld.Build(in)
+		for in.Step = 1; in.Step <= 3; in.Step++ {
+			b.Drift(0, n, 0.05)
+			prev := tree.RootCube()
+			var m *core.Metrics
+			tree, m = bld.Build(in)
+			if m.FreshRebuild {
+				t.Fatalf("p=%d step %d: built fresh (%s), want a repair", p, in.Step, m.FreshReason)
+			}
+			// A subtree the rescale skipped keeps its old cubes, which only
+			// differ when the root moved.
+			if tree.RootCube() == prev {
+				t.Fatalf("p=%d step %d: root cube did not move", p, in.Step)
+			}
+		}
+		got := cubeBits(tree)
+		tree.Store.Rescale(tree.Root, tree.RootCube())
+		want := cubeBits(tree)
+		if len(got) != len(want) {
+			t.Fatalf("p=%d: %d live nodes before the serial rescale, %d after", p, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("p=%d: node %d (walk order) has cube bits %x, serial Rescale writes %x", p, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -31,21 +31,35 @@ func BenchmarkBuildSerialReused(b *testing.B) {
 	}
 }
 
+// BenchmarkMoments times the moments pass alone, serial and parallel, on
+// a Plummer tree and on the trees of the benchmark's small workloads:
+// uniform n = 20 000 (serve-build) and hierarchical n = 10 000
+// (tree-small), where the pass is under a millisecond.
 func BenchmarkMoments(b *testing.B) {
-	bodies := phys.Generate(phys.ModelPlummer, 65536, 1)
-	tr := BuildSerial(bodies.Pos, 8)
-	d := BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ComputeMomentsSerial(tr, d)
-		}
-	})
-	for _, w := range []int{2, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		model phys.Model
+		n     int
+	}{
+		{"plummer-64k", phys.ModelPlummer, 65536},
+		{"uniform-20k", phys.ModelUniform, 20000},
+		{"hierarchical-10k", phys.ModelHierarchical, 10000},
+	} {
+		bodies := phys.Generate(c.model, c.n, 1)
+		tr := BuildSerial(bodies.Pos, 8)
+		d := BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
+		b.Run(c.name+"/serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ComputeMomentsParallel(tr, d, w)
+				ComputeMomentsSerial(tr, d)
 			}
 		})
+		for _, w := range []int{2, 8} {
+			b.Run(fmt.Sprintf("%s/parallel-%d", c.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ComputeMomentsParallel(tr, d, w)
+				}
+			})
+		}
 	}
 }
 

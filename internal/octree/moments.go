@@ -110,8 +110,8 @@ func leafMoments(l *Leaf, d BodyData) {
 }
 
 // momentsTasksPerWorker sizes the parallel cut: the tree is cut at the
-// first level holding at least this many cells per worker, so the pull
-// queue stays balanced even when a few subtrees hold most of the bodies.
+// first level holding at least this many cells per worker, so a run's
+// tail can be balanced by stealing one subtree at a time.
 const momentsTasksPerWorker = 64
 
 // ComputeMomentsParallel computes the same moments — bit for bit, since
@@ -125,19 +125,12 @@ func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) Stats {
 // fork/join: fork(p, fn) must run fn(0) … fn(p-1) and return once all have
 // (core's phase driver passes one that times every share).
 //
-// The walk descends level by level to the first level holding at least
-// momentsTasksPerWorker·nWorkers cells — cut by level population, not by
-// depth: a root cube sized by a few outliers keeps nearly every body in
-// one cell for several levels. The workers pull that level's subtrees off
-// one counter and run the serial recursion on each; the caller then
-// combines the few cells above the cut, deepest first. A tree too shallow
-// to reach the population is cut at its deepest level of cells. Walking
-// from the root never meets the garbage the arenas accumulate (CAS
-// losers, retired leaves, discarded local trees).
-//
-// The pass visits every live node exactly once, so it also counts them:
-// the returned Stats equal CollectStats(t) without a second walk. Each
-// worker counts into its own accumulator, merged after the join.
+// The workers run the serial recursion on the cut level's subtrees
+// (cutLevels), each on its own run of them (subtreeRuns); the caller then
+// combines the few cells above the cut, deepest first. Walking from the
+// root never meets the arenas' garbage (CAS losers, retired leaves,
+// discarded local trees), and visits every live node once, so the
+// returned Stats equal CollectStats(t) without a second walk.
 func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn func(w int))) Stats {
 	if t.Root.IsNil() {
 		return Stats{}
@@ -148,37 +141,17 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 		return st
 	}
 	s := t.Store
-	// cells holds the levels in breadth-first order; [lo, hi) is the
-	// current one, at depth len(levels)-1, and levels[k] is where depth
-	// k starts.
-	cells := []Ref{t.Root}
-	levels := []int{0}
-	lo, hi := 0, 1
-	for hi-lo < momentsTasksPerWorker*nWorkers {
-		for _, r := range cells[lo:hi] {
-			c := s.Cell(r)
-			for o := vec.Octant(0); o < vec.NOctants; o++ {
-				if ch := c.Child(o); ch.IsCell() {
-					cells = append(cells, ch)
-				}
-			}
-		}
-		if len(cells) == hi {
-			break
-		}
-		lo, hi = hi, len(cells)
-		levels = append(levels, lo)
-	}
-
-	tasks := cells[lo:hi]
+	cells, levels := cutLevels(s, t.Root, nWorkers)
 	depth := len(levels) - 1
-	var next atomic.Int64
+	lo := levels[depth]
+	tasks := cells[lo:]
+	runs := newSubtreeRuns(len(tasks), nWorkers)
 	accs := make([]statsAcc, nWorkers)
 	fork(nWorkers, func(w int) {
 		// Counted on the worker's own stack, stored once: neighbouring
 		// elements of accs share cache lines.
 		var acc statsAcc
-		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+		for i := runs.next(w); i >= 0; i = runs.next(w) {
 			momentsRec(s, tasks[i], depth, d, &acc)
 		}
 		accs[w] = acc
@@ -203,6 +176,76 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 		combineChildren(s, c)
 	}
 	return acc.stats()
+}
+
+// cutLevels lists breadth-first the cells of every level of the tree
+// under the cell root down to the first holding at least
+// momentsTasksPerWorker·nWorkers cells, or to its deepest; depth k starts
+// at cells[levels[k]], and the last level's subtrees are a parallel
+// pass's tasks. Population, not depth: a root cube sized by a few
+// outliers keeps nearly every body in one cell for several levels.
+func cutLevels(s *Store, root Ref, nWorkers int) (cells []Ref, levels []int) {
+	cells, levels = []Ref{root}, []int{0}
+	lo, hi := 0, 1
+	for hi-lo < momentsTasksPerWorker*nWorkers {
+		for _, r := range cells[lo:hi] {
+			c := s.Cell(r)
+			for o := vec.Octant(0); o < vec.NOctants; o++ {
+				if ch := c.Child(o); ch.IsCell() {
+					cells = append(cells, ch)
+				}
+			}
+		}
+		if len(cells) == hi {
+			break
+		}
+		lo, hi = hi, len(cells)
+		levels = append(levels, lo)
+	}
+	return cells, levels
+}
+
+// subtreeRuns deals n subtrees to p workers as p contiguous runs, so
+// two workers never alternate on neighbours and write the same cache
+// lines. Run w is one padded word packing [lo, hi): worker w takes from
+// its front; a worker whose run is empty steals single subtrees from the
+// back of the run with the most left.
+type subtreeRuns []struct {
+	span atomic.Uint64 // lo | hi<<32
+	_    [56]byte
+}
+
+func newSubtreeRuns(n, p int) subtreeRuns {
+	rs := make(subtreeRuns, p)
+	for w := range rs {
+		rs[w].span.Store(uint64(n*w/p) | uint64(n*(w+1)/p)<<32)
+	}
+	return rs
+}
+
+// next claims worker w's next subtree, or -1 once every run (they only shrink) is empty.
+func (rs subtreeRuns) next(w int) int {
+	own := &rs[w].span
+	for v := own.Load(); uint32(v) < uint32(v>>32); v = own.Load() {
+		if own.CompareAndSwap(v, v+1) {
+			return int(uint32(v))
+		}
+	}
+	for {
+		victim, most, vv := -1, uint32(0), uint64(0)
+		for i := range rs {
+			v := rs[i].span.Load()
+			if left := uint32(v>>32) - uint32(v); left > most {
+				victim, most, vv = i, left, v
+			}
+		}
+		if victim < 0 {
+			return -1
+		}
+		if rs[victim].span.CompareAndSwap(vv, vv-1<<32) {
+			return int(vv>>32) - 1
+		}
+	}
 }
 
 // combineChildren fills c's moments from its (completed) children in

@@ -1,6 +1,9 @@
 package octree
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"partree/internal/phys"
@@ -92,24 +95,130 @@ func TestMomentsConserveMass(t *testing.T) {
 	}
 }
 
-func TestParallelMomentsMatchSerial(t *testing.T) {
-	b := testBodies(t, 6000, 9)
-	tr := BuildSerial(b.Pos, 8)
-	ComputeMomentsSerial(tr, data(b))
-	serialMass := tr.Store.Cell(tr.Root).Mass
-	serialCOM := tr.Store.Cell(tr.Root).COM
+// momentBits snapshots every moment the passes write on each live node —
+// Mass, COM and Quad as their bits, then NBody and Cost — and poisons
+// them, so the next pass has to write each one again to match.
+func momentBits(t *Tree) [][12]uint64 {
+	var out [][12]uint64
+	s := t.Store
+	Walk(t, func(r Ref, _ int) bool {
+		var m [12]uint64
+		var mass *float64
+		var com *vec.V3
+		var q *Quadrupole
+		var cost *int64
+		if r.IsLeaf() {
+			l := s.Leaf(r)
+			mass, com, q, cost = &l.Mass, &l.COM, &l.Quad, &l.Cost
+			m[10] = uint64(len(l.Bodies))
+		} else {
+			c := s.Cell(r)
+			mass, com, q, cost = &c.Mass, &c.COM, &c.Quad, &c.Cost
+			m[10] = uint64(c.NBody)
+			c.NBody = -1
+		}
+		for i, v := range [...]float64{*mass, com.X, com.Y, com.Z, q[0], q[1], q[2], q[3], q[4], q[5]} {
+			m[i] = math.Float64bits(v)
+		}
+		m[11] = uint64(*cost)
+		*mass, *com, *q, *cost = math.NaN(), vec.V3{X: math.NaN()}, Quadrupole{math.NaN()}, -1
+		out = append(out, m)
+		return true
+	})
+	return out
+}
 
-	tr2 := BuildSerial(b.Pos, 8)
-	for _, w := range []int{1, 2, 4, 8} {
-		ComputeMomentsParallel(tr2, data(b), w)
-		if err := Check(tr2, data(b), CheckOptions{Moments: true, Tol: 1e-9}); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+// parallelMomentsMismatch runs the parallel pass with w workers on a tree
+// the serial pass just filled and snapshotted as want (its Stats as
+// wantSt), and describes the first difference, or returns "".
+func parallelMomentsMismatch(tr *Tree, d BodyData, w int, want [][12]uint64, wantSt Stats) string {
+	if st := ComputeMomentsParallel(tr, d, w); st != wantSt {
+		return fmt.Sprintf("workers=%d: pass counted %v, serial %v", w, st, wantSt)
+	}
+	got := momentBits(tr)
+	if len(got) != len(want) {
+		return fmt.Sprintf("workers=%d: %d live nodes, serial pass saw %d", w, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Sprintf("workers=%d: node %d (walk order)\n got %x\nwant %x", w, i, got[i], want[i])
 		}
-		c := tr2.Store.Cell(tr2.Root)
-		if !feq(c.Mass, serialMass, 1e-12) || !veq(c.COM, serialCOM, 1e-9) {
-			t.Fatalf("workers=%d: parallel moments diverge: %g/%v vs %g/%v",
-				w, c.Mass, c.COM, serialMass, serialCOM)
-		}
+	}
+	return ""
+}
+
+// TestParallelMomentsMatchSerial: the parallel pass writes, on every live
+// node, exactly the bits the serial pass writes, and counts exactly its
+// Stats — so a subtree skipped or done twice fails — whatever the worker
+// count and however the bodies sit under the cut: a Plummer tree, one
+// whose Plummer core sits in a single cut subtree holding most bodies
+// (the runs must rebalance by stealing), a tree with fewer cut cells than workers, a single-leaf root
+// and an empty root.
+func TestParallelMomentsMatchSerial(t *testing.T) {
+	cube := vec.Cube{Center: vec.V3{X: 1, Y: 2, Z: 3}, Size: 2}
+	trees := map[string]func() (*Tree, BodyData){
+		"plummer": func() (*Tree, BodyData) {
+			b := testBodies(t, 6000, 9)
+			return BuildSerial(b.Pos, 8), data(b)
+		},
+		"plummer-in-one-subtree": func() (*Tree, BodyData) {
+			// A Plummer sphere of 14 000 bodies shrunk into one cut cell
+			// of 6 000 bodies spread over the unit cube.
+			b := testBodies(t, 20000, 5)
+			r := rand.New(rand.NewSource(5))
+			for i := range b.Pos {
+				if i < 6000 {
+					b.Pos[i] = vec.V3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
+				} else {
+					b.Pos[i] = vec.V3{X: 0.3, Y: 0.3, Z: 0.3}.Add(b.Pos[i].Scale(1e-4))
+				}
+			}
+			return BuildSerial(b.Pos, 8), data(b)
+		},
+		"fewer-cut-cells-than-workers": func() (*Tree, BodyData) {
+			b := testBodies(t, 40, 3)
+			return BuildSerial(b.Pos, 8), data(b)
+		},
+		"single-leaf-root": func() (*Tree, BodyData) {
+			b := phys.Generate(phys.ModelUniform, 5, 2)
+			s := NewStore(1, 8)
+			lr, l := s.AllocLeaf(0, b.Bounds(1e-4), Nil, 0)
+			l.Bodies = append(l.Bodies, 0, 1, 2, 3, 4)
+			return &Tree{Store: s, Root: lr}, data(b)
+		},
+		"empty-root": func() (*Tree, BodyData) {
+			return NewTree(NewStore(1, 8), 0, 0, cube), BodyData{}
+		},
+	}
+	for name, mk := range trees {
+		t.Run(name, func(t *testing.T) {
+			tr, d := mk()
+			wantSt := ComputeMomentsSerial(tr, d)
+			if got := CollectStats(tr); got != wantSt {
+				t.Fatalf("serial pass counted %v, CollectStats %v", wantSt, got)
+			}
+			switch name {
+			case "plummer-in-one-subtree":
+				cells, levels := cutLevels(tr.Store, tr.Root, 2)
+				heaviest := 0
+				for _, r := range cells[levels[len(levels)-1]:] {
+					heaviest = max(heaviest, int(tr.Store.Cell(r).NBody))
+				}
+				if heaviest < wantSt.Bodies/2 {
+					t.Fatalf("heaviest cut subtree holds %d of %d bodies, want most", heaviest, wantSt.Bodies)
+				}
+			case "fewer-cut-cells-than-workers":
+				if cells, levels := cutLevels(tr.Store, tr.Root, 8); len(cells)-levels[len(levels)-1] >= 8 {
+					t.Fatalf("cut holds %d cells, want fewer than 8", len(cells)-levels[len(levels)-1])
+				}
+			}
+			want := momentBits(tr)
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				if msg := parallelMomentsMismatch(tr, d, w, want, wantSt); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+		})
 	}
 }
 

@@ -279,6 +279,38 @@ func (t *Tree) DepthOf(c vec.Cube) int {
 	return int(math.Round(math.Log2(t.RootCube().Size / c.Size)))
 }
 
+// RescaleFork is Rescale of the whole tree to root over the caller's
+// fork/join, cut and dealt as ComputeMomentsFork does: the cubes above
+// the cut are set breadth-first, parents first, then the workers rescale
+// their runs of the cut's subtrees. The cubes are Rescale's bit for bit.
+func RescaleFork(t *Tree, root vec.Cube, nWorkers int, fork func(p int, fn func(w int))) {
+	s := t.Store
+	if nWorkers <= 1 || !t.Root.IsCell() {
+		fork(1, func(int) { s.Rescale(t.Root, root) })
+		return
+	}
+	cells, levels := cutLevels(s, t.Root, nWorkers)
+	lo := levels[len(levels)-1]
+	s.Cell(t.Root).Cube = root
+	for _, r := range cells[:lo] {
+		c := s.Cell(r)
+		for o := vec.Octant(0); o < vec.NOctants; o++ {
+			if ch := c.Child(o); ch.IsLeaf() {
+				s.Leaf(ch).Cube = c.Cube.Child(o)
+			} else if ch.IsCell() {
+				s.Cell(ch).Cube = c.Cube.Child(o)
+			}
+		}
+	}
+	tasks := cells[lo:]
+	runs := newSubtreeRuns(len(tasks), nWorkers)
+	fork(nWorkers, func(w int) {
+		for i := runs.next(w); i >= 0; i = runs.next(w) {
+			s.Rescale(tasks[i], s.Cell(tasks[i]).Cube)
+		}
+	})
+}
+
 // Rescale rewrites the cube of every node of the subtree at r after its
 // cube was resized to cube (UPDATE's bounds refresh), serially.
 func (s *Store) Rescale(r Ref, cube vec.Cube) {
