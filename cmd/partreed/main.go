@@ -45,8 +45,8 @@
 //
 // Admission control is the engine's: at most GOMAXPROCS builds run, at
 // most 4× as many more wait (honoring each request's context), and
-// overload or drain answers 503 — for every spec, simulated replays
-// included. SIGINT/SIGTERM triggers a graceful
+// overload or drain answers 503. Specs are native only: any other
+// backend is a 400. SIGINT/SIGTERM triggers a graceful
 // drain — in-flight builds finish and are answered, new requests get
 // 503 — bounded by -drain-timeout.
 package main
@@ -190,7 +190,7 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	}
 	rq := reqtrace.FromContext(req.Context())
 	rstart := time.Now()
-	spec, err := runner.DecodeServiceSpec(req.Body, false)
+	spec, err := runner.DecodeServiceSpec(req.Body)
 	rq.SpanSince("read", rstart)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())

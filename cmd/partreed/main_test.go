@@ -293,55 +293,12 @@ func TestDaemonDrainFinishesInFlightAndRejectsNew(t *testing.T) {
 	}
 }
 
-// TestDaemonAdmitsSimulatedSpecsLikeBuilds checks a simulated replay is
-// behind the same admission control as a native build: it waits for a
-// build slot, and past the queue's 4×max-active it is refused with 503.
-func TestDaemonAdmitsSimulatedSpecsLikeBuilds(t *testing.T) {
-	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 1}, drainTimeout: 10 * time.Second})
-	url := d.srv.URL()
-	sim := func(n int) map[string]any {
-		return map[string]any{"backend": "simulated", "platform": "origin",
-			"algorithm": "SPACE", "procs": 2, "bodies": n, "steps": 1}
-	}
-	release, err := d.eng.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("Admit: %v", err)
-	}
-	// Distinct sizes, so the runner's memo cannot fold them into one.
-	const queue = 4
-	queued := make(chan int, queue)
-	for i := 0; i < queue; i++ {
-		go func(n int) {
-			resp := postJSON(t, url+"/v1/build", sim(n))
-			resp.Body.Close()
-			queued <- resp.StatusCode
-		}(512 + 64*i)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for d.eng.Stats().Queued != queue {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d simulated specs queued for a build slot, want %d", d.eng.Stats().Queued, queue)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp := postJSON(t, url+"/v1/build", sim(768+512))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("simulated spec past the queue: status %d, want 503", resp.StatusCode)
-	}
-	release()
-	for i := 0; i < queue; i++ {
-		if code := <-queued; code != http.StatusOK {
-			t.Fatalf("queued simulated spec: status %d, want 200", code)
-		}
-	}
-}
-
 // TestServiceLimits: a spec arriving on a socket is held to the service
 // limits before anything is allocated for it — an over-limit bodies,
 // procs, steps or leaf_cap (on a session's open record too) answers 400
 // naming the limit, a field the spec does not declare 400 naming the
-// field, and neither generates a body set — while a small spec sitting
+// field, a backend other than native 400, and none generates a body set
+// — while a small spec sitting
 // exactly on the procs, steps and leaf_cap limits is served.
 func TestServiceLimits(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
@@ -385,6 +342,16 @@ func TestServiceLimits(t *testing.T) {
 	} {
 		if code, msg := post("/v1/build", json.RawMessage(doc)); code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
 			t.Errorf("/v1/build with %s: %d %s; want 400 naming the unknown field", doc, code, msg)
+		}
+	}
+	// The service runs native specs only: another backend is refused,
+	// not replayed.
+	for _, doc := range []string{
+		`{"backend":"simulated","platform":"origin","algorithm":"SPACE","procs":2,"bodies":256,"steps":1}`,
+		`{"backend":"quantum","build_only":true,"bodies":256}`,
+	} {
+		if code, msg := post("/v1/build", json.RawMessage(doc)); code != http.StatusBadRequest || !strings.Contains(msg, "native specs only") {
+			t.Errorf("/v1/build with %s: %d %s; want 400 naming the native backend", doc, code, msg)
 		}
 	}
 	// 8 GiB for the first leaf if the open record were believed.

@@ -47,7 +47,7 @@ func TestMetricsSurface(t *testing.T) {
 }
 
 // TestMetricsSurfaceExercised pins the page once every labeled family
-// has its series: one build per algorithm, one simulated replay, one
+// has its series: one build per algorithm, one whole native run, one
 // acquire shed by admission control, one session opened, stepped and
 // closed, and one refused.
 func TestMetricsSurfaceExercised(t *testing.T) {
@@ -64,7 +64,7 @@ func TestMetricsSurfaceExercised(t *testing.T) {
 	for _, alg := range core.AlgorithmNames() {
 		build(map[string]any{"backend": "native", "algorithm": alg, "build_only": true, "procs": 2, "bodies": 512})
 	}
-	build(map[string]any{"backend": "simulated", "platform": "origin", "algorithm": "SPACE", "procs": 2, "bodies": 256, "steps": 1})
+	build(map[string]any{"backend": "native", "algorithm": "SPACE", "procs": 2, "bodies": 256, "steps": 1})
 
 	// With the one slot held and its 4×MaxActive queue full, an acquire
 	// is shed.

@@ -310,8 +310,9 @@ func TestClusterRollupMetrics(t *testing.T) {
 // TestClusterServiceLimits: the cluster's two spec-carrying endpoints
 // hold a spec to the service limits like a single partreed does — an
 // over-limit bodies, procs, steps or leaf_cap answers 400 naming the
-// limit, and a field the spec does not declare 400 naming the field,
-// before any shard generates a body set — and a small spec sitting
+// limit, a field the spec does not declare 400 naming the field, and a
+// backend other than native 400 rather than a native build, before any
+// shard generates a body set — and a small spec sitting
 // exactly on the procs, steps and leaf_cap limits builds.
 func TestClusterServiceLimits(t *testing.T) {
 	f := startFixture(t, FixtureOptions{Shards: 2})
@@ -349,6 +350,14 @@ func TestClusterServiceLimits(t *testing.T) {
 	for url, doc := range undeclared {
 		if code, msg := postJSON(t, url, json.RawMessage(doc)); code != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"bodeis\"`) {
 			t.Errorf("%s with %s: %d %s; want 400 naming the unknown field", url, doc, code, msg)
+		}
+	}
+	for _, backend := range []runner.Backend{runner.Simulated, "quantum"} {
+		for _, ep := range endpoints {
+			spec := runner.Spec{Backend: backend, Platform: "origin", Alg: core.SPACE, Bodies: 256, Procs: 2, Steps: 1}
+			if code, msg := postJSON(t, ep.url, ep.body(spec)); code != http.StatusBadRequest || !strings.Contains(string(msg), "native specs only") {
+				t.Errorf("%s with backend %q: %d %s; want 400 naming the native backend", ep.url, backend, code, msg)
+			}
 		}
 	}
 	for i, ss := range f.Shards {

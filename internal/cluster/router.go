@@ -220,7 +220,7 @@ func mergeBuild(spec runner.Spec, answers []shardAnswer) ClusterResult {
 // ClusterResult.
 func (rt *Router) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// Cluster builds are always native shard builds; see ShardServer.
-	spec, err := runner.DecodeServiceSpec(req.Body, true)
+	spec, err := runner.DecodeServiceSpec(req.Body)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return

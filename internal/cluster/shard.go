@@ -160,10 +160,8 @@ func (s *ShardServer) bodiesFor(spec runner.Spec) *phys.Bodies {
 }
 
 // decodeShardBuild reads one ShardBuildRequest, which must be the whole
-// body, and vets its spec (runner.VetServiceSpec). The cluster tier
-// executes real shard-local builds; the simulated backend has no
-// meaning here, so the field is pinned rather than silently defaulting
-// to a simulation.
+// body, and vets its spec (runner.VetServiceSpec), which refuses any
+// backend but native.
 func decodeShardBuild(r io.Reader) (ShardBuildRequest, error) {
 	var br ShardBuildRequest
 	dec := json.NewDecoder(r)
@@ -175,7 +173,7 @@ func decodeShardBuild(r io.Reader) (ShardBuildRequest, error) {
 		return br, errors.New("parsing request: trailing data after the request document")
 	}
 	var err error
-	br.Spec, err = runner.VetServiceSpec(br.Spec, true)
+	br.Spec, err = runner.VetServiceSpec(br.Spec)
 	return br, err
 }
 

@@ -52,9 +52,10 @@ next:
 }
 
 // FuzzShardBuildRequest: whatever bytes arrive on /v1/shard/build, the
-// decoder returns a request whose spec is native, within the service
-// limits, read from declared fields only and vetted to itself — or an
-// error. It never panics.
+// decoder returns a request whose spec is native and asked to be (an
+// empty backend, or native), within the service limits, read from
+// declared fields only and vetted to itself — or an error. It never
+// panics.
 func FuzzShardBuildRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"map_version":1,"spec":{"algorithm":"PARTREE","procs":2,"bodies":256,"steps":1,"seed":7,"check":true}}`,
@@ -75,6 +76,15 @@ func FuzzShardBuildRequest(f *testing.F) {
 			return
 		}
 		spec := br.Spec
+		var asked struct {
+			Spec struct {
+				Backend runner.Backend `json:"backend"`
+			} `json:"spec"`
+		}
+		_ = json.Unmarshal([]byte(doc), &asked) // the backend the decoder read
+		if b := asked.Spec.Backend; b != "" && b != runner.Native {
+			t.Fatalf("accepted %q, whose backend %q a shard does not run", doc, b)
+		}
 		if spec.Backend != runner.Native || spec.Bodies > runner.MaxServiceBodies ||
 			spec.Procs > maxProcs || spec.Steps > runner.MaxServiceSteps || spec.LeafCap > runner.MaxServiceLeafCap {
 			t.Fatalf("accepted a spec a shard must not run: %+v", spec)
@@ -92,7 +102,7 @@ func FuzzShardBuildRequest(f *testing.F) {
 				t.Fatalf("accepted %q, whose key %q the request does not declare", doc, key)
 			}
 		}
-		if again, err := runner.VetServiceSpec(spec, true); err != nil || again != spec {
+		if again, err := runner.VetServiceSpec(spec); err != nil || again != spec {
 			t.Fatalf("accepted %+v, which vets to %+v (%v)", spec, again, err)
 		}
 	})

@@ -156,14 +156,10 @@ type Config struct {
 	// more bodies than this is split further. 0 selects the default
 	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
-	// Trace, when non-nil and enabled, counts every build's spans, lock
-	// acquisitions and subdivide time per processor (see
-	// internal/trace); phase and barrier time is on Metrics.PerP either
-	// way. The recorder is reset at the start of each traced build, so it
-	// always holds the most recent Build call, and its summary is
-	// surfaced on Metrics.Trace, where verify holds it to PerP (laws 6
-	// and 9). A nil or disabled recorder costs one pointer comparison per
-	// hook on the hot path.
+	// Trace, when non-nil and enabled, has every build copy its
+	// per-processor phase time (Metrics.PerP[w].PhaseNs, stamped on every
+	// build either way) into a trace.Summary on Metrics.Trace once the
+	// build ends. A nil or disabled recorder costs one check per build.
 	Trace *trace.Recorder
 }
 

@@ -18,7 +18,7 @@ func input(t *testing.T, n, p int, seed int64) *Input {
 func checkAgainstSerial(t *testing.T, tr *octree.Tree, in *Input, canonical bool) {
 	t.Helper()
 	d := octree.BodyData{Pos: in.Bodies.Pos, Mass: in.Bodies.Mass, Cost: in.Bodies.Cost}
-	if err := octree.Check(tr, d, octree.CheckOptions{Canonical: canonical, Moments: true, Tol: 1e-9}); err != nil {
+	if err := octree.Check(tr, d, octree.CheckOptions{Canonical: canonical, Moments: true}); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 	if canonical {
@@ -126,7 +126,7 @@ func TestUpdateAcrossSteps(t *testing.T) {
 	for step := 0; step < 8; step++ {
 		in := &Input{Bodies: b, Assign: EvenAssign(n, p), Step: step}
 		tr, m := bld.Build(in)
-		if err := octree.Check(tr, d, octree.CheckOptions{Moments: true, Tol: 1e-9}); err != nil {
+		if err := octree.Check(tr, d, octree.CheckOptions{Moments: true}); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if step > 0 && m.TotalBodiesMoved() == 0 {

@@ -151,7 +151,7 @@ func TestStepperPlummerCollapse(t *testing.T) {
 			t.Fatalf("step %d: fresh=%v fallback=%v reason=%q, want a repair", i, res.Fresh, res.Fallback, res.Reason)
 		}
 		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
-		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true, Tol: 1e-9}); err != nil {
+		if err := octree.Check(res.Tree, d, octree.CheckOptions{Canonical: res.Fresh, Moments: true}); err != nil {
 			t.Fatalf("step %d invariants: %v", i, err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"partree/internal/octree"
-	"partree/internal/trace"
 	"partree/internal/vec"
 )
 
@@ -36,19 +35,13 @@ type inserter struct {
 	// stale bodyLeaf entries.
 	freeLeaves   []octree.Ref
 	deferredFree []octree.Ref
-	// tp is this processor's trace handle (nil or disabled = tracing
-	// off).
-	tp *trace.P
 }
 
-// lockNode acquires r's striped lock and counts the acquisition, on
-// the processor's counters and its trace handle. All builder lock sites
-// funnel through here so the trace's lock-event count equals
-// procCounters.Locks by construction.
+// lockNode acquires r's striped lock and counts the acquisition on the
+// processor's counters. All builder lock sites funnel through here.
 func (ins *inserter) lockNode(r octree.Ref) *sync.Mutex {
 	mu := ins.s.Lock(r)
 	ins.pc.Locks++
-	ins.tp.Locked()
 	return mu
 }
 
@@ -155,11 +148,6 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 // cell subtree holding the leaf's bodies, retires the leaf, and returns
 // the new cell. The caller publishes the result and unlocks.
 func (ins *inserter) subdivide(parent, lr octree.Ref, l *octree.Leaf, depth int, pos []vec.V3) octree.Ref {
-	var t0 int64
-	traced := ins.tp.Active()
-	if traced {
-		t0 = ins.tp.Now()
-	}
 	cr, _ := ins.allocCell(l.Cube, parent)
 	for _, ob := range l.Bodies {
 		ins.insertPrivate(cr, depth+1, ob, pos)
@@ -169,9 +157,6 @@ func (ins *inserter) subdivide(parent, lr octree.Ref, l *octree.Leaf, depth int,
 		// The rebuilding algorithms reset their stores each step; only
 		// UPDATE recycles, and only from the next step barrier onward.
 		ins.deferredFree = append(ins.deferredFree, lr)
-	}
-	if traced {
-		ins.tp.Span(trace.PhaseSubdivide, t0)
 	}
 	return cr
 }

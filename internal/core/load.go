@@ -1,9 +1,6 @@
 package core
 
-import (
-	"partree/internal/octree"
-	"partree/internal/trace"
-)
+import "partree/internal/octree"
 
 // loadBuilder is the shared skeleton of ORIG and LOCAL: every processor
 // loads its own bodies one by one into a single shared tree, locking cells
@@ -45,8 +42,8 @@ func (lb *loadBuilder) Store() *octree.Store { return lb.store }
 func (lb *loadBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(lb.alg, in.P())
 	pos := in.Bodies.Pos
-	tree := runPhases(lb.cfg, in, m, freshTree(lb.store), func(tree *octree.Tree, w int, tp *trace.P) {
-		ins := &inserter{s: lb.store, arena: lb.arenaFor(w), proc: w, pc: &m.PerP[w], tp: tp}
+	tree := runPhases(lb.cfg, in, m, freshTree(lb.store), func(tree *octree.Tree, w int) {
+		ins := &inserter{s: lb.store, arena: lb.arenaFor(w), proc: w, pc: &m.PerP[w]}
 		for _, b := range in.Assign[w] {
 			ins.insert(tree.Root, 0, b, pos)
 		}

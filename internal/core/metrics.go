@@ -24,11 +24,10 @@ type procCounters struct {
 	// PhaseNs is this processor's time in each phase, indexed by
 	// trace.Phase: the wall time of its shares of the phase's forks, and
 	// under trace.PhaseBarrier its waits at their joins for the slowest
-	// share. The phase driver stamps it on every build, traced or not;
-	// subdivide, nested inside insert, only a trace sees.
+	// share. The phase driver stamps it on every build, traced or not.
 	PhaseNs [trace.NumPhases]int64
 	finish  int64 // when this processor's share of the current fork ended
-	_       [2]int64
+	_       [3]int64
 }
 
 // Reasons an UPDATE build rebuilt from scratch (Metrics.FreshReason).
@@ -69,16 +68,12 @@ type Metrics struct {
 	// FreshReason names why FreshRebuild happened (Fresh* constants);
 	// empty on incremental steps.
 	FreshReason string
-	// Trace is the per-processor trace summary of this build when the
-	// builder ran with an enabled Config.Trace recorder; nil otherwise.
-	// Its per-processor lock-event counts must equal PerP[w].Locks —
-	// internal/verify audits that, and its phase time against PerP's,
-	// as conservation laws.
+	// Trace is a copy of PerP's phase time, processor by processor, when
+	// the builder ran with an enabled Config.Trace recorder; nil
+	// otherwise.
 	Trace *trace.Summary
 
-	// tr is the recorder of a traced build (nil untraced) and epoch the
-	// zero of the build's fork stamps — the recorder's, when traced.
-	tr    *trace.Recorder
+	// epoch is the zero of the build's fork stamps.
 	epoch time.Time
 }
 

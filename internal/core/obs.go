@@ -24,8 +24,7 @@ var buildFamilies = [...]*obs.Vec[*obs.Counter]{
 }
 
 // buildPhaseSeconds is partree_build_phase_seconds_total{alg,phase}:
-// PerP's PhaseNs summed over processors and builds, for each phase the
-// driver stamps (subdivide, which only a trace sees, has no series).
+// PerP's PhaseNs summed over processors and builds, one series a phase.
 var buildPhaseSeconds = obs.NewCounterVec("partree_build_phase_seconds_total",
 	"Per-processor time in each build phase (barrier: waiting at a join), summed over processors and builds.", "alg", "phase")
 
@@ -38,9 +37,7 @@ var buildCounters, phaseCounters = func() (c [NumAlgorithms][len(buildFamilies)]
 			c[a][f] = fam.With(a.String())
 		}
 		for ph := range pc[a] {
-			if trace.Phase(ph) != trace.PhaseSubdivide {
-				pc[a][ph] = buildPhaseSeconds.With(a.String(), trace.Phase(ph).String())
-			}
+			pc[a][ph] = buildPhaseSeconds.With(a.String(), trace.Phase(ph).String())
 		}
 	}
 	return c, pc
@@ -60,9 +57,7 @@ func publishBuild(m *Metrics) {
 		}
 	}
 	for ph, c := range phaseCounters[m.Alg] {
-		if c != nil {
-			c.Add(float64(ns[ph]) / 1e9)
-		}
+		c.Add(float64(ns[ph]) / 1e9)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"partree/internal/octree"
-	"partree/internal/trace"
 	"partree/internal/vec"
 )
 
@@ -31,8 +30,8 @@ func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(PARTREE, in.P())
 	s := pb.store
 	pos := in.Bodies.Pos
-	tree := runPhases(pb.cfg, in, m, freshTree(s), func(tree *octree.Tree, w int, tp *trace.P) {
-		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], tp: tp}
+	tree := runPhases(pb.cfg, in, m, freshTree(s), func(tree *octree.Tree, w int) {
+		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w]}
 
 		// Phase 1: private local tree; InsertParticlesInTree in the
 		// paper's skeleton. The local root's dimensions are precomputed

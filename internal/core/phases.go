@@ -18,17 +18,15 @@ import (
 // repair. It runs inside the Bounds bracket.
 type prepareFn func(root vec.Cube) *octree.Tree
 
-// insertFn is processor w's share of the insert phase; tp is its trace
-// handle (nil when tracing is off).
-type insertFn func(tree *octree.Tree, w int, tp *trace.P)
+// insertFn is processor w's share of the insert phase.
+type insertFn func(tree *octree.Tree, w int)
 
 // runPhases is the build skeleton all five algorithms share — size the
 // root, load the bodies, compute moments — and the only place it is
-// written down: the trace window, the three timed brackets, the insert
-// and moments forks and the tree stats the latter counts,
-// Metrics.Timing, the trace summary, and the publication into the live
-// per-algorithm totals all happen here. An algorithm is its prepare and
-// insert hooks.
+// written down: the three timed brackets, the insert and moments forks
+// and the tree stats the latter counts, Metrics.Timing, the trace
+// summary, and the publication into the live per-algorithm totals all
+// happen here. An algorithm is its prepare and insert hooks.
 func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// Checked here, on the caller's goroutine: past this line a list
@@ -37,18 +35,12 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	if p < 1 || p > cfg.P {
 		panic(fmt.Sprintf("core: Build given %d processor lists, want 1 to %d (Config.P)", p, cfg.P))
 	}
-	// A traced build opens a fresh trace window and stamps its forks on
-	// the recorder's clock; untraced, m.tr stays nil and every hook
-	// downstream is a nil check.
-	m.epoch = time.Now()
-	if cfg.Trace.Active() {
-		m.tr, m.epoch = cfg.Trace, cfg.Trace.Reset()
-	}
 	t0 := time.Now()
+	m.epoch = t0
 	tree := prepare(parallelBounds(in, m))
 	t1 := time.Now()
 
-	m.fork(trace.PhaseInsert, p, func(w int) { insert(tree, w, m.tr.Proc(w)) })
+	m.fork(trace.PhaseInsert, p, func(w int) { insert(tree, w) })
 	t2 := time.Now()
 
 	m.TreeStats = octree.ComputeMomentsFork(tree, bodyData(in.Bodies), p, func(p int, fn func(w int)) {
@@ -57,8 +49,11 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	t3 := time.Now()
 
 	m.Timing = Timing{Bounds: t1.Sub(t0), Insert: t2.Sub(t1), Moments: t3.Sub(t2)}
-	if m.tr != nil {
-		m.Trace = m.tr.Summarize()
+	if cfg.Trace.Active() {
+		m.Trace = &trace.Summary{PerProc: make([]trace.ProcSummary, len(m.PerP))}
+		for w := range m.PerP {
+			m.Trace.PerProc[w].PhaseNs = m.PerP[w].PhaseNs
+		}
 	}
 	publishBuild(m)
 	return tree
@@ -69,9 +64,7 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 // adds the difference to its processor's PhaseNs[ph], and at the join
 // each processor is charged the wait for the slowest share as
 // PhaseNs[trace.PhaseBarrier] — the native analogue of the simulator's
-// per-barrier wait, and the paper's load-imbalance signal. A traced
-// build emits the same two intervals as the processor's ph and barrier
-// spans, so the trace and PerP agree to the nanosecond.
+// per-barrier wait, and the paper's load-imbalance signal.
 func (m *Metrics) fork(ph trace.Phase, p int, fn func(w int)) {
 	par.Do(p, func(w int) {
 		start := m.now()
@@ -80,13 +73,11 @@ func (m *Metrics) fork(ph trace.Phase, p int, fn func(w int)) {
 		pc := &m.PerP[w]
 		pc.PhaseNs[ph] += end - start
 		pc.finish = end
-		m.tr.Proc(w).SpanAt(ph, start, end)
 	})
 	join := m.now()
 	for w := 0; w < p; w++ {
 		pc := &m.PerP[w]
 		pc.PhaseNs[trace.PhaseBarrier] += join - pc.finish
-		m.tr.Proc(w).SpanAt(trace.PhaseBarrier, pc.finish, join)
 	}
 }
 

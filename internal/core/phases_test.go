@@ -39,10 +39,8 @@ func buildsCounted(t *testing.T, alg core.Algorithm) float64 {
 // the wall time; on every processor, traced or not, partition, insert
 // and moments time, and a barrier wait, that together fit inside the
 // brackets (every stamp of every fork sits between the bracket's clock
-// reads); on a traced build, one partition span per partition fork —
-// SPACE's counting rounds included — one barrier span per fork, and a
-// summary that verify holds to PerP and to the lock counters (laws 6 and
-// 9); and exactly one publication into the live per-algorithm totals.
+// reads); on a traced build, a summary that is PerP's phase time; and
+// exactly one publication into the live per-algorithm totals.
 func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 	const n = 3000
 	type path struct {
@@ -51,19 +49,15 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 		reason  string // expected Metrics.FreshReason on the checked build
 		warm    int    // builds (with drift) before the checked one
 		rebuild bool
-		// partitionForks is the least number of partition forks the
-		// checked build runs: bounds, plus UPDATE's rescale or two per
-		// SPACE counting round (every fresh UPDATE build runs SPACE's).
-		partitionForks int
 	}
 	paths := []path{
-		{"ORIG", core.ORIG, "", 0, false, 1},
-		{"LOCAL", core.LOCAL, "", 0, false, 1},
-		{"PARTREE", core.PARTREE, "", 0, false, 1},
-		{"SPACE", core.SPACE, "", 0, false, 1 + 2*2},
-		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false, 1 + 2*2},
-		{"UPDATE/repair", core.UPDATE, "", 1, false, 2},
-		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true, 1 + 2*2},
+		{"ORIG", core.ORIG, "", 0, false},
+		{"LOCAL", core.LOCAL, "", 0, false},
+		{"PARTREE", core.PARTREE, "", 0, false},
+		{"SPACE", core.SPACE, "", 0, false},
+		{"UPDATE/first", core.UPDATE, core.FreshFirst, 0, false},
+		{"UPDATE/repair", core.UPDATE, "", 1, false},
+		{"UPDATE/requested", core.UPDATE, core.FreshRequested, 1, true},
 	}
 	stamped := []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments}
 	check := func(t *testing.T, pt path, traced bool, p int) {
@@ -123,16 +117,7 @@ func TestEveryBuildPathRunsThePhaseDriver(t *testing.T) {
 			}
 			return
 		}
-		if m.Trace == nil || len(m.Trace.PerProc) != p {
-			t.Fatalf("traced build's summary does not cover %d processors: %+v", p, m.Trace)
-		}
-		spans := m.Trace.PerProc[0].Spans
-		forks := spans[trace.PhasePartition] + spans[trace.PhaseInsert] + spans[trace.PhaseMoments]
-		if spans[trace.PhasePartition] < int64(pt.partitionForks) || spans[trace.PhaseInsert] != 1 ||
-			spans[trace.PhaseMoments] != 1 || spans[trace.PhaseBarrier] != forks {
-			t.Errorf("proc 0 spans by phase %v: want ≥ %d partition, one insert, one moments, one barrier per fork",
-				spans, pt.partitionForks)
-		}
+		checkSummaryIsPerP(t, m)
 	}
 	for _, pt := range paths {
 		for _, traced := range []bool{false, true} {
@@ -179,11 +164,61 @@ func TestBuildChecksListCount(t *testing.T) {
 	}
 }
 
+// checkSummaryIsPerP holds a traced build's summary to the build's own
+// PerP: the same phase time processor by processor, and the same
+// PhaseTotals and ImbalanceRatio as sums taken over PerP.
+func checkSummaryIsPerP(t *testing.T, m *core.Metrics) {
+	t.Helper()
+	if m.Trace == nil || len(m.Trace.PerProc) != len(m.PerP) {
+		t.Fatalf("traced build's summary does not cover its %d processors: %+v", len(m.PerP), m.Trace)
+	}
+	var totals [trace.NumPhases]int64
+	var insertSum, insertMax int64
+	for w := range m.PerP {
+		ns := m.PerP[w].PhaseNs
+		if got := m.Trace.PerProc[w].PhaseNs; got != ns {
+			t.Errorf("proc %d: summary %v, PerP %v", w, got, ns)
+		}
+		for ph, v := range ns {
+			totals[ph] += v
+		}
+		insertSum += ns[trace.PhaseInsert]
+		insertMax = max(insertMax, ns[trace.PhaseInsert])
+	}
+	if got := m.Trace.PhaseTotals(); got != totals {
+		t.Errorf("PhaseTotals %v, PerP sums %v", got, totals)
+	}
+	want := float64(insertMax) / (float64(insertSum) / float64(len(m.PerP)))
+	if got := m.Trace.ImbalanceRatio(); got != want {
+		t.Errorf("ImbalanceRatio %v, PerP's %v", got, want)
+	}
+}
+
+// TestTracedSummaryIsPerP: whatever the algorithm and processor count,
+// a traced build's summary is its PerP phase time, and an untraced
+// build carries none.
+func TestTracedSummaryIsPerP(t *testing.T) {
+	const n = 3000
+	b := phys.Generate(phys.ModelPlummer, n, 21)
+	for _, alg := range core.Algorithms() {
+		for _, p := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%v/p=%d", alg, p), func(t *testing.T) {
+				in := &core.Input{Bodies: b, Assign: core.SpatialAssign(b, p)}
+				if _, m := core.New(alg, core.Config{P: p, LeafCap: 8}).Build(in); m.Trace != nil {
+					t.Errorf("untraced build carries a summary: %+v", m.Trace)
+				}
+				rec := trace.New(p)
+				rec.SetEnabled(true)
+				_, m := core.New(alg, core.Config{P: p, LeafCap: 8, Trace: rec}).Build(in)
+				checkSummaryIsPerP(t, m)
+			})
+		}
+	}
+}
+
 // TestMomentsAreTracedPerProcessor: the moments pass forks and joins like
-// every other phase, so a traced build records, on every processor, that
-// processor's own moments span and a wait at the join of every fork —
-// the same moments time PerP holds — and the trace still agrees with the
-// lock counters (verify's laws 6 and 9).
+// every other phase, so every processor of a traced build carries its
+// own moments time, in PerP and in the summary alike.
 func TestMomentsAreTracedPerProcessor(t *testing.T) {
 	const n, p = 3000, 2
 	rec := trace.New(p)
@@ -195,14 +230,31 @@ func TestMomentsAreTracedPerProcessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < p; w++ {
-		ps := m.Trace.PerProc[w]
-		forks := ps.Spans[trace.PhasePartition] + ps.Spans[trace.PhaseInsert] + ps.Spans[trace.PhaseMoments]
-		if ps.Spans[trace.PhaseMoments] != 1 || ps.Spans[trace.PhaseBarrier] != forks {
-			t.Errorf("proc %d spans by phase %v: want one moments span and one barrier per fork", w, ps.Spans)
+		if got := m.Trace.PerProc[w].PhaseNs[trace.PhaseMoments]; got <= 0 || got != m.PerP[w].PhaseNs[trace.PhaseMoments] {
+			t.Errorf("proc %d: traced moments time %d, PerP's %d", w, got, m.PerP[w].PhaseNs[trace.PhaseMoments])
 		}
-		if ps.PhaseNs[trace.PhaseMoments] <= 0 || ps.PhaseNs[trace.PhaseMoments] != m.PerP[w].PhaseNs[trace.PhaseMoments] {
-			t.Errorf("proc %d: traced moments time %d, PerP's %d", w, ps.PhaseNs[trace.PhaseMoments], m.PerP[w].PhaseNs[trace.PhaseMoments])
-		}
+	}
+}
+
+// TestEveryBuilderVerifiesAtEightProcs builds with every algorithm at
+// p = 8 over two steps — UPDATE's second one a repair — and verifies
+// each build. Under -race (make race) it is the data-race gate for every
+// builder's parallel paths.
+func TestEveryBuilderVerifiesAtEightProcs(t *testing.T) {
+	const p, n = 8, 4096
+	bodies := phys.Generate(phys.ModelPlummer, n, 1998)
+	for _, alg := range core.Algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			bld := core.New(alg, core.Config{P: p, LeafCap: 8})
+			in := &core.Input{Bodies: bodies.Clone(), Assign: core.EvenAssign(n, p)}
+			for step := 0; step < 2; step++ {
+				in.Step = step
+				tree, m := bld.Build(in)
+				if err := verify.Build(alg, tree, m, in.Bodies, step); err != nil {
+					t.Errorf("step %d: %v", step, err)
+				}
+			}
+		})
 	}
 }
 

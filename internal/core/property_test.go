@@ -71,7 +71,7 @@ func TestPropertyBuildersCanonical(t *testing.T) {
 		bld := New(c.Alg, Config{P: c.P, LeafCap: c.LeafCap})
 		tr, _ := bld.Build(in)
 		d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
-		if err := octree.Check(tr, d, octree.CheckOptions{Canonical: true, Moments: true, Tol: 1e-9}); err != nil {
+		if err := octree.Check(tr, d, octree.CheckOptions{Canonical: true, Moments: true}); err != nil {
 			t.Logf("alg=%v p=%d k=%d n=%d: %v", c.Alg, c.P, c.LeafCap, b.N(), err)
 			return false
 		}
@@ -99,7 +99,7 @@ func TestPropertyUpdateManySteps(t *testing.T) {
 		for step := 0; step < 6; step++ {
 			in := &Input{Bodies: b, Assign: EvenAssign(b.N(), p), Step: step}
 			tr, _ := bld.Build(in)
-			if err := octree.Check(tr, d, octree.CheckOptions{Moments: true, Tol: 1e-9}); err != nil {
+			if err := octree.Check(tr, d, octree.CheckOptions{Moments: true}); err != nil {
 				t.Logf("seed=%d p=%d step=%d: %v", seed, p, step, err)
 				return false
 			}

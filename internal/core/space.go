@@ -105,8 +105,8 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 			sc.pos = grown(sc.pos, p)
 			return tree
 		},
-		func(_ *octree.Tree, w int, tp *trace.P) {
-			ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf, tp: tp}
+		func(_ *octree.Tree, w int) {
+			ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf}
 			spaceAttach(in.Bodies.Pos, subs, sc.nxt, &sc.pos[w], th, w, ins)
 		})
 }

@@ -93,8 +93,8 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 			return ub.tree
 		},
 		// Move the bodies that crossed their leaf boundary.
-		func(tree *octree.Tree, w int, tp *trace.P) {
-			ins := ub.inserterFor(w, m, tp)
+		func(tree *octree.Tree, w int) {
+			ins := ub.inserterFor(w, m)
 			ins.promoteFreed()
 			for _, b := range in.Assign[w] {
 				lr := ins.getBodyLeaf(b)
@@ -121,13 +121,13 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 }
 
 // inserterFor returns processor w's persistent inserter, bound to this
-// build's counters, trace handle and bodyLeaf map.
-func (ub *updateBuilder) inserterFor(w int, m *Metrics, tp *trace.P) *inserter {
+// build's counters and bodyLeaf map.
+func (ub *updateBuilder) inserterFor(w int, m *Metrics) *inserter {
 	ins := ub.insPerProc[w]
 	if ins == nil {
 		ins = &inserter{s: ub.store, arena: w, proc: w}
 		ub.insPerProc[w] = ins
 	}
-	ins.pc, ins.tp, ins.bodyLeaf = &m.PerP[w], tp, ub.bodyLeaf
+	ins.pc, ins.bodyLeaf = &m.PerP[w], ub.bodyLeaf
 	return ins
 }

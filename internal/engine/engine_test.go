@@ -43,7 +43,7 @@ func TestSessionReuseSameKey(t *testing.T) {
 	}
 	tree2, _ := s2.Build(in)
 	d := octree.BodyData{Pos: in.Bodies.Pos, Mass: in.Bodies.Mass}
-	if err := octree.Check(tree2, d, octree.CheckOptions{Canonical: true, Moments: true, Tol: 1e-9}); err != nil {
+	if err := octree.Check(tree2, d, octree.CheckOptions{Canonical: true, Moments: true}); err != nil {
 		t.Fatalf("reused session built a bad tree: %v", err)
 	}
 	s2.Release()
@@ -242,7 +242,7 @@ func TestUpdateSessionServesFreshRequests(t *testing.T) {
 	inB := testInput(1200, 2) // different size, new request
 	tree, _ := s2.Build(inB)
 	d := octree.BodyData{Pos: inB.Bodies.Pos, Mass: inB.Bodies.Mass}
-	if err := octree.Check(tree, d, octree.CheckOptions{Canonical: true, Moments: true, Tol: 1e-9}); err != nil {
+	if err := octree.Check(tree, d, octree.CheckOptions{Canonical: true, Moments: true}); err != nil {
 		t.Fatalf("pooled UPDATE session failed a fresh step-0 request: %v", err)
 	}
 	s2.Release()

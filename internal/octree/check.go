@@ -17,11 +17,12 @@ type CheckOptions struct {
 	// with Canonical false.
 	Canonical bool
 	// Moments additionally verifies Mass/COM/NBody/Cost against a fresh
-	// recomputation from the body data, within tolerance.
+	// recomputation from the body data, within momentTol.
 	Moments bool
-	// Tol is the relative tolerance for moment comparison (default 1e-9).
-	Tol float64
 }
+
+// momentTol is the relative tolerance Check compares moments within.
+const momentTol = 1e-9
 
 // Check verifies the structural invariants of t against the body data:
 //
@@ -35,9 +36,6 @@ type CheckOptions struct {
 //
 // It returns the first violation found, or nil.
 func Check(t *Tree, d BodyData, opt CheckOptions) error {
-	if opt.Tol == 0 {
-		opt.Tol = 1e-9
-	}
 	n := len(d.Pos)
 	seen := make([]int32, n)
 	s := t.Store
@@ -131,7 +129,7 @@ func Check(t *Tree, d BodyData, opt CheckOptions) error {
 		}
 	}
 	if opt.Moments {
-		if err := checkMoments(t, d, opt.Tol); err != nil {
+		if err := checkMoments(t, d); err != nil {
 			return err
 		}
 	}
@@ -185,7 +183,7 @@ func checkCanonical(t *Tree, d BodyData) error {
 }
 
 // checkMoments recomputes moments into scratch and compares.
-func checkMoments(t *Tree, d BodyData, tol float64) error {
+func checkMoments(t *Tree, d BodyData) error {
 	s := t.Store
 	var err error
 	var rec func(r Ref) (float64, vec.V3, int32, int64)
@@ -205,7 +203,7 @@ func checkMoments(t *Tree, d BodyData, tol float64) error {
 				com = wsum.Scale(1 / mass)
 			}
 			if err == nil {
-				if !feq(mass, l.Mass, tol) || !veq(com, l.COM, tol) || l.Cost != cost {
+				if !feq(mass, l.Mass, momentTol) || !veq(com, l.COM, momentTol) || l.Cost != cost {
 					err = fmt.Errorf("octree: leaf %v moments stale: mass %g/%g com %v/%v cost %d/%d",
 						r, l.Mass, mass, l.COM, com, l.Cost, cost)
 				}
@@ -231,7 +229,7 @@ func checkMoments(t *Tree, d BodyData, tol float64) error {
 			com = wsum.Scale(1 / mass)
 		}
 		if err == nil {
-			if !feq(mass, c.Mass, tol) || !veq(com, c.COM, tol) || n != c.NBody || c.Cost != cost {
+			if !feq(mass, c.Mass, momentTol) || !veq(com, c.COM, momentTol) || n != c.NBody || c.Cost != cost {
 				err = fmt.Errorf("octree: cell %v moments stale: mass %g/%g com %v/%v n %d/%d cost %d/%d",
 					r, c.Mass, mass, c.COM, com, c.NBody, n, c.Cost, cost)
 			}

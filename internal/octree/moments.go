@@ -37,35 +37,21 @@ func ComputeMomentsSerial(t *Tree, d BodyData) Stats {
 
 // momentsRec computes the moments of the subtree under r, which hangs at
 // the given depth, counting every node it visits into acc.
-func momentsRec(s *Store, r Ref, depth int, d BodyData, acc *statsAcc) (mass float64, com vec.V3, n int32, cost int64) {
+func momentsRec(s *Store, r Ref, depth int, d BodyData, acc *statsAcc) {
 	if r.IsLeaf() {
 		l := s.Leaf(r)
 		leafMoments(l, d)
 		acc.leaf(depth, len(l.Bodies))
-		return l.Mass, l.COM, int32(len(l.Bodies)), l.Cost
+		return
 	}
 	c := s.Cell(r)
 	acc.cell(depth)
-	var wsum vec.V3
 	for o := vec.Octant(0); o < vec.NOctants; o++ {
-		ch := c.Child(o)
-		if ch.IsNil() {
-			continue
+		if ch := c.Child(o); !ch.IsNil() {
+			momentsRec(s, ch, depth+1, d, acc)
 		}
-		m, cm, cn, cc := momentsRec(s, ch, depth+1, d, acc)
-		mass += m
-		wsum = wsum.MulAdd(m, cm)
-		n += cn
-		cost += cc
 	}
-	c.Mass, c.NBody, c.Cost = mass, n, cost
-	if mass > 0 {
-		c.COM = wsum.Scale(1 / mass)
-	} else {
-		c.COM = c.Cube.Center
-	}
-	cellQuad(s, c)
-	return mass, c.COM, n, cost
+	combineChildren(s, c)
 }
 
 // cellQuad fills c.Quad from its children's completed moments by

@@ -69,11 +69,22 @@ next:
 	return ""
 }
 
+// docBackend is the backend the spec decoder reads from doc: the last
+// "backend" key, matched case-insensitively; "" when doc names none.
+func docBackend(doc []byte) Backend {
+	var probe struct {
+		Backend Backend `json:"backend"`
+	}
+	_ = json.Unmarshal(doc, &probe)
+	return probe.Backend
+}
+
 // vetted fails the test unless spec, decoded from in, is something a
-// service may run: within every service limit, read from declared fields
-// only, and — being normalized — decoding from its own encoding to
-// itself.
-func vetted(t *testing.T, in string, spec Spec, native bool) {
+// service may run: a native spec the document asked for (an empty
+// backend, or native), within every service limit, read from declared
+// fields only, and — being normalized — decoding from its own encoding
+// to itself.
+func vetted(t *testing.T, in string, spec Spec) {
 	t.Helper()
 	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
 	if spec.Bodies > MaxServiceBodies || spec.Procs > maxProcs || spec.Steps > MaxServiceSteps || spec.LeafCap > MaxServiceLeafCap {
@@ -82,46 +93,48 @@ func vetted(t *testing.T, in string, spec Spec, native bool) {
 	if key := undeclaredKey([]byte(in), reflect.TypeOf(spec)); key != "" {
 		t.Fatalf("accepted %q, whose key %q the spec does not declare", in, key)
 	}
-	if native && spec.Backend != Native {
-		t.Fatalf("a native-only tier accepted backend %q", spec.Backend)
+	if b := docBackend([]byte(in)); spec.Backend != Native || b != "" && b != Native {
+		t.Fatalf("accepted %q, whose backend %q a service does not run, as a %q spec", in, b, spec.Backend)
 	}
 	doc, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatalf("an accepted spec does not encode: %v", err)
 	}
-	again, err := DecodeServiceSpec(bytes.NewReader(doc), native)
+	again, err := DecodeServiceSpec(bytes.NewReader(doc))
 	if err != nil || again != spec {
 		t.Fatalf("accepted %+v\nre-encoded as %s\nre-decodes to %+v (%v)", spec, doc, again, err)
 	}
 }
 
 // FuzzDecodeServiceSpec: whatever bytes arrive on /v1/build, the decoder
-// returns a vetted spec or an error — it never panics — and it accepts
-// exactly one document: trailing whitespace is let through, a second
-// document (or anything else after the first) is refused.
+// returns a vetted native spec or an error — it never panics — and it
+// accepts exactly one document: trailing whitespace is let through, a
+// second document (or anything else after the first) is refused.
 func FuzzDecodeServiceSpec(f *testing.F) {
 	seeds := serviceSpecSeeds(f)
 	for _, s := range seeds {
-		f.Add(s, false)
-		f.Add(s, true)
+		f.Add(s)
+		// The same document naming the simulated backend first: refused,
+		// unless a later key names the backend again.
+		f.Add(strings.Replace(s, "{", `{"backend":"simulated",`, 1))
 	}
 	// The retired sweep's body, two specs back to back, and one spec
 	// followed by whitespace or by stray bytes.
-	f.Add("["+seeds[0]+"]", true)
-	f.Add(seeds[0]+seeds[0], false)
-	f.Add(seeds[0]+"\n"+seeds[5], false)
-	f.Add(seeds[0]+" \r\n\t", true)
-	f.Add(seeds[0]+" x", true)
-	f.Fuzz(func(t *testing.T, doc string, native bool) {
-		spec, err := DecodeServiceSpec(strings.NewReader(doc), native)
+	f.Add("[" + seeds[0] + "]")
+	f.Add(seeds[0] + seeds[0])
+	f.Add(seeds[0] + "\n" + seeds[5])
+	f.Add(seeds[0] + " \r\n\t")
+	f.Add(seeds[0] + " x")
+	f.Fuzz(func(t *testing.T, doc string) {
+		spec, err := DecodeServiceSpec(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
-		vetted(t, doc, spec, native)
-		if again, err := DecodeServiceSpec(strings.NewReader(doc+" \n"), native); err != nil || again != spec {
+		vetted(t, doc, spec)
+		if again, err := DecodeServiceSpec(strings.NewReader(doc + " \n")); err != nil || again != spec {
 			t.Fatalf("%q with trailing whitespace decodes to %+v (%v), without it to %+v", doc, again, err, spec)
 		}
-		if _, err := DecodeServiceSpec(strings.NewReader(doc+doc), native); err == nil {
+		if _, err := DecodeServiceSpec(strings.NewReader(doc + doc)); err == nil {
 			t.Fatalf("accepted %q twice over as one spec", doc)
 		}
 	})

@@ -120,17 +120,16 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) Normalized() Spec { return s.withDefaults() }
 
 // Limits on what a remote caller may ask a service to execute. A spec
-// arrives from a socket, and its body set is generated before the engine's
-// admission gate is reached, so the sizes that drive allocation and run
-// time are bounded here, at the one vetting function every service
-// endpoint passes through (the streaming session applies the same body,
-// processor and leaf-capacity bounds to its open record).
+// arrives from a socket, and the sizes that drive allocation and run
+// time are bounded here, before the spec reaches the engine, at the one
+// vetting function every service endpoint passes through (the streaming
+// session applies the same body, processor and leaf-capacity bounds to
+// its open record).
 const (
 	// MaxServiceBodies bounds bodies: 4 Mi bodies is ≈ 370 MB of state.
 	MaxServiceBodies = 4 << 20
 	// MaxServiceProcsPerCPU bounds procs at this multiple of GOMAXPROCS:
-	// native processors are real goroutines with their own stores, and a
-	// simulated one costs the host its modelled cache state.
+	// native processors are real goroutines with their own stores.
 	MaxServiceProcsPerCPU = 4
 	// MaxServiceSteps bounds measured steps (or build repetitions).
 	MaxServiceSteps = 1000
@@ -140,13 +139,17 @@ const (
 )
 
 // VetServiceSpec vets a spec received from a remote caller for execution
-// by a service: native pins the backend for tiers that only execute real
-// builds (the cluster's router and shards) rather than letting an empty
-// field default to a simulation, and the result is Normalized, held to
-// the service limits and validated.
-func VetServiceSpec(spec Spec, native bool) (Spec, error) {
-	if native {
+// by a service. Services run native builds only: an empty backend means
+// native, and any other is refused rather than answered for a spec the
+// caller did not send. The result is Normalized, held to the service
+// limits and validated.
+func VetServiceSpec(spec Spec) (Spec, error) {
+	switch spec.Backend {
+	case "":
 		spec.Backend = Native
+	case Native:
+	default:
+		return spec, fmt.Errorf("backend %q: services run %s specs only", spec.Backend, Native)
 	}
 	spec = spec.Normalized()
 	maxProcs := MaxServiceProcsPerCPU * runtime.GOMAXPROCS(0)
@@ -168,7 +171,7 @@ func VetServiceSpec(spec Spec, native bool) (Spec, error) {
 // does not declare (a misspelt "bodeis") and a second document after the
 // first are refused, not ignored: the client would otherwise be answered
 // for a spec it did not send.
-func DecodeServiceSpec(r io.Reader, native bool) (Spec, error) {
+func DecodeServiceSpec(r io.Reader) (Spec, error) {
 	var spec Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -178,7 +181,7 @@ func DecodeServiceSpec(r io.Reader, native bool) (Spec, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return spec, errors.New("parsing spec: trailing data after the spec document")
 	}
-	return VetServiceSpec(spec, native)
+	return VetServiceSpec(spec)
 }
 
 // Validate reports whether the spec names a runnable cell.

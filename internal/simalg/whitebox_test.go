@@ -29,7 +29,7 @@ func TestSimulatedTreesValid(t *testing.T) {
 			// update, so drift them back.
 			undoDrift(st)
 			canonical := alg != core.UPDATE
-			if err := octree.Check(st.tree, d, octree.CheckOptions{Canonical: canonical, Tol: 1e-9}); err != nil {
+			if err := octree.Check(st.tree, d, octree.CheckOptions{Canonical: canonical}); err != nil {
 				t.Fatalf("%v on %s: %v", alg, pl.Name, err)
 			}
 			if canonical {

@@ -1,56 +1,15 @@
 package trace
 
-// ProcSummary is one processor's aggregated trace: its span count and
-// time in each build sub-phase, and its lock acquisitions.
+// ProcSummary is one processor's time in each build phase, indexed by
+// Phase.
 type ProcSummary struct {
-	PhaseNs    [NumPhases]int64 `json:"phase_ns"`
-	Spans      [NumPhases]int64 `json:"spans"`
-	LockEvents int64            `json:"lock_events"`
+	PhaseNs [NumPhases]int64 `json:"phase_ns"`
 }
 
-// Summary is the per-processor aggregate view of one traced build,
-// surfaced on core.Metrics and audited by internal/verify against the
-// builder's own counters.
+// Summary is the per-processor phase view of one traced build, copied
+// from core.Metrics.PerP when the build ends.
 type Summary struct {
 	PerProc []ProcSummary `json:"per_proc"`
-}
-
-// Summarize snapshots the recorder's counters. Call between builds.
-func (r *Recorder) Summarize() *Summary {
-	if r == nil {
-		return nil
-	}
-	s := &Summary{PerProc: make([]ProcSummary, len(r.bufs))}
-	for w := range r.bufs {
-		s.PerProc[w] = r.bufs[w].sum
-	}
-	return s
-}
-
-// TotalLockEvents sums lock events across processors; it must equal
-// core.Metrics.TotalLocks() for the build the trace covers.
-func (s *Summary) TotalLockEvents() int64 {
-	if s == nil {
-		return 0
-	}
-	var t int64
-	for i := range s.PerProc {
-		t += s.PerProc[i].LockEvents
-	}
-	return t
-}
-
-// LockEventsPerProc returns the per-processor lock-event counts, aligned
-// with core.Metrics.LocksPerProc.
-func (s *Summary) LockEventsPerProc() []int64 {
-	if s == nil {
-		return nil
-	}
-	out := make([]int64, len(s.PerProc))
-	for i := range s.PerProc {
-		out[i] = s.PerProc[i].LockEvents
-	}
-	return out
 }
 
 // PhaseTotals sums each phase's time across processors, indexed by

@@ -14,8 +14,8 @@
 //     body-in-cube containment, parent/child link consistency, octant
 //     sub-cube geometry, no reachable retired nodes, leaf-cap respected)
 //     plus, for canonical builds, node-for-node equality with the serial
-//     reference — same cells, same leaf body-sets up to ordering — and,
-//     optionally, moments recomputation.
+//     reference — same cells, same leaf body-sets up to ordering — and
+//     moments recomputation.
 //   - Metrics: per-processor counter conservation (BodiesBuilt sums to
 //     n, allocation counters consistent with the live tree, the
 //     zero-lock guarantee of SPACE's build, which every fresh UPDATE
@@ -38,21 +38,7 @@ import (
 	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
-
-// Options select which layers Tree verifies.
-type Options struct {
-	// Canonical demands node-for-node equality with the serial reference
-	// tree (and minimality). True for every rebuilding build; false for
-	// UPDATE's repair steps.
-	Canonical bool
-	// Moments additionally recomputes Mass/COM/NBody/Cost from the body
-	// data and compares within Tol.
-	Moments bool
-	// Tol is the relative tolerance for moment comparison (default 1e-9).
-	Tol float64
-}
 
 // Canonical reports whether a build of alg must reproduce the serial
 // reference tree exactly: every build that started from scratch. Every
@@ -70,21 +56,16 @@ func builtBySpace(m *core.Metrics) bool {
 }
 
 // Tree verifies one built tree against the body data it was built from.
-// It checks the structural invariants, and — when opt.Canonical — builds
-// the serial reference over the same positions and demands structural
-// equality (same cells, same leaf body-sets up to ordering) and matching
-// live node counts. The first violation found is returned.
-func Tree(t *octree.Tree, bodies *phys.Bodies, opt Options) error {
-	if opt.Tol == 0 {
-		opt.Tol = 1e-9
-	}
+// It checks the structural invariants and the moments, and — when
+// canonical — builds the serial reference over the same positions and
+// demands structural equality (same cells, same leaf body-sets up to
+// ordering) and matching live node counts. The first violation found is returned.
+func Tree(t *octree.Tree, bodies *phys.Bodies, canonical bool) error {
 	d := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
-	if err := octree.Check(t, d, octree.CheckOptions{
-		Canonical: opt.Canonical, Moments: opt.Moments, Tol: opt.Tol,
-	}); err != nil {
+	if err := octree.Check(t, d, octree.CheckOptions{Canonical: canonical, Moments: true}); err != nil {
 		return fmt.Errorf("verify: invariants: %w", err)
 	}
-	if !opt.Canonical {
+	if !canonical {
 		return nil
 	}
 	ref := octree.BuildSerial(bodies.Pos, t.Store.LeafCap)
@@ -128,15 +109,10 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, opt Options) error {
 //     replaced exactly one subdivided (retired) leaf: TotalLeaves ==
 //     live leaves + TotalCells. They also lock at least once per body
 //     loaded.
-//  6. When the build was traced, the trace is a faithful witness of the
-//     lock counters: one recorded lock event per counted lock, processor
-//     by processor.
-//  9. When the build was traced, the trace's partition, insert, moments
-//     and barrier time equal PerP's, processor by processor: both are
-//     the phase driver's own clock reads. (Subdivide nests inside insert
-//     and only a trace stamps it.)
 //
-// (Law 7 is the runner's observability audit, Runner.AuditObs; law 8 is
+// (Laws 6 and 9 held a traced build's lock events and phase time to
+// PerP's; the trace summary is now copied from PerP, so both are gone.
+// Law 7 is the runner's observability audit, Runner.AuditObs; law 8 is
 // CostConservation below — it needs the bodies, so it lives on Build's
 // path rather than here.)
 func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
@@ -150,22 +126,6 @@ func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 		}
 		if r := m.TotalRetries(); r != 0 {
 			return fmt.Errorf("verify: metrics: %s reports %d retries on SPACE's path, which takes no lock", m.Alg, r)
-		}
-	}
-	if m.Trace != nil {
-		if got, want := len(m.Trace.PerProc), len(m.PerP); got != want {
-			return fmt.Errorf("verify: metrics: trace covers %d processors, metrics %d", got, want)
-		}
-		for w := range m.Trace.PerProc {
-			if got, want := m.Trace.PerProc[w].LockEvents, m.PerP[w].Locks; got != want {
-				return fmt.Errorf("verify: metrics: proc %d recorded %d lock events, counters say %d locks",
-					w, got, want)
-			}
-			for _, ph := range []trace.Phase{trace.PhasePartition, trace.PhaseInsert, trace.PhaseMoments, trace.PhaseBarrier} {
-				if got, want := m.Trace.PerProc[w].PhaseNs[ph], m.PerP[w].PhaseNs[ph]; got != want {
-					return fmt.Errorf("verify: metrics: proc %d traced %d ns of %v, counters say %d ns", w, got, ph, want)
-				}
-			}
 		}
 	}
 	if !rebuild {
@@ -244,7 +204,7 @@ func CostConservation(t *octree.Tree, bodies *phys.Bodies) error {
 // law 8. m must be the build's own metrics; step only labels errors.
 func Build(alg core.Algorithm, t *octree.Tree, m *core.Metrics, bodies *phys.Bodies, step int) error {
 	canonical := Canonical(alg, m)
-	if err := Tree(t, bodies, Options{Canonical: canonical, Moments: true}); err != nil {
+	if err := Tree(t, bodies, canonical); err != nil {
 		return fmt.Errorf("%s step %d: %w", alg, step, err)
 	}
 	if err := CostConservation(t, bodies); err != nil {

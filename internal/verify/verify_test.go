@@ -7,7 +7,6 @@ import (
 	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
-	"partree/internal/trace"
 )
 
 // TestCrossProduct is the acceptance grid: every algorithm × every mass
@@ -53,7 +52,7 @@ func TestUpdateRepairSteps(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if step > 0 && !sawNonCanonical {
-			if err := Tree(tree, bodies, Options{Canonical: true}); err != nil {
+			if err := Tree(tree, bodies, true); err != nil {
 				sawNonCanonical = true
 			}
 		}
@@ -181,7 +180,7 @@ func TestCorruptedTreeRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree, _, bodies := buildFor(t, core.LOCAL, 1200, 4, 8)
 			tc.corrupt(t, tree)
-			err := Tree(tree, bodies, Options{Canonical: true, Moments: true})
+			err := Tree(tree, bodies, true)
 			if err == nil {
 				t.Fatal("corrupted tree accepted")
 			}
@@ -201,10 +200,11 @@ func TestShapeDivergenceRejected(t *testing.T) {
 	// Rebuild with a smaller leaf cap: same bodies, internally valid
 	// tree, but not the tree the spec's leaf cap produces.
 	finer := octree.BuildSerial(bodies.Pos, 4)
+	octree.ComputeMomentsSerial(finer, octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost})
 	if err := octree.Equal(tree, finer); err == nil {
 		t.Fatal("k=8 and k=4 trees unexpectedly identical; pick a different workload")
 	}
-	err := Tree(finer, bodies, Options{Canonical: true})
+	err := Tree(finer, bodies, true)
 	if err != nil {
 		t.Fatalf("k=4 serial tree must self-verify: %v", err)
 	}
@@ -267,25 +267,6 @@ func TestMetricsLawsRejectCorruption(t *testing.T) {
 		m.PerP[0].Leaves += 3
 		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "leaves") {
 			t.Fatalf("inflated leaf count accepted: %v", err)
-		}
-	})
-	t.Run("trace witness", func(t *testing.T) {
-		bodies := phys.Generate(phys.ModelPlummer, 1000, 5)
-		rec := trace.New(4)
-		rec.SetEnabled(true)
-		tree, m := core.New(core.LOCAL, core.Config{P: 4, LeafCap: 8, Trace: rec}).Build(
-			&core.Input{Bodies: bodies, Assign: core.EvenAssign(bodies.N(), 4)})
-		if err := Metrics(m, tree, bodies.N(), true); err != nil {
-			t.Fatalf("pristine traced build rejected: %v", err)
-		}
-		m.Trace.PerProc[1].LockEvents++
-		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "lock events") {
-			t.Fatalf("trace missing a lock accepted: %v", err)
-		}
-		m.Trace.PerProc[1].LockEvents--
-		m.PerP[2].PhaseNs[trace.PhaseBarrier]++
-		if err := Metrics(m, tree, bodies.N(), true); err == nil || !strings.Contains(err.Error(), "ns of barrier") {
-			t.Fatalf("trace disagreeing with the stamped barrier time accepted: %v", err)
 		}
 	})
 	t.Run("lock floor", func(t *testing.T) {
