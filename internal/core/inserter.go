@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,6 +86,21 @@ func (ins *inserter) allocCell(cube vec.Cube, parent octree.Ref) (octree.Ref, *o
 	return ins.s.AllocCell(ins.arena, cube, parent, ins.proc)
 }
 
+// insertInOrder adds body b to a leaf's body list, which every builder
+// keeps in ascending index order — the order octree.BuildSerial inserts
+// in — so each leaf's moments sum in the serial tree's order whatever
+// order the processors arrived in. It shifts the larger bodies up from
+// the back: a body arriving in index order costs one compare.
+func insertInOrder(bodies []int32, b int32) []int32 {
+	bodies = append(bodies, b)
+	i := len(bodies) - 1
+	for ; i > 0 && bodies[i-1] > b; i-- {
+		bodies[i] = bodies[i-1]
+	}
+	bodies[i] = b
+	return bodies
+}
+
 // insert places body b into the shared subtree rooted at cell from (at
 // depth fromDepth), locking as the paper's algorithms do.
 func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V3) {
@@ -106,7 +122,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 				continue
 			}
 			lr, l := ins.allocLeaf(c.Cube.Child(o), cur)
-			l.Bodies = append(l.Bodies, b)
+			l.Bodies = insertInOrder(l.Bodies, b)
 			ins.setBodyLeaf(b, lr)
 			c.SetChild(o, lr)
 			mu.Unlock()
@@ -123,7 +139,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			}
 			l := s.Leaf(ch)
 			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
-				l.Bodies = append(l.Bodies, b)
+				l.Bodies = insertInOrder(l.Bodies, b)
 				ins.setBodyLeaf(b, ch)
 				mu.Unlock()
 				return
@@ -131,7 +147,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 			// Subdivide: build the replacement subtree privately,
 			// then publish it in place of the leaf.
 			cr := ins.subdivide(cur, ch, l, depth, pos)
-			ins.publishLeaves(cr)
+			ins.publishSplit(cr, l.Bodies, pos)
 			c.SetChild(o, cr)
 			mu.Unlock()
 			cur = cr
@@ -165,7 +181,7 @@ func (ins *inserter) subdivide(parent, lr octree.Ref, l *octree.Leaf, depth int,
 // locks are needed. It does not touch bodyLeaf: a body listed under a
 // leaf that is still being filled would let a concurrent remove lock
 // that leaf mid-fill (the filler holds only the *old* leaf's lock), so
-// the caller runs publishLeaves once the subtree is complete.
+// the caller publishes the subtree's leaves once it is complete.
 func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos []vec.V3) {
 	s := ins.s
 	p := pos[b]
@@ -178,13 +194,13 @@ func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos 
 		switch {
 		case ch.IsNil():
 			nlr, nl := ins.allocLeaf(c.Cube.Child(o), cur)
-			nl.Bodies = append(nl.Bodies, b)
+			nl.Bodies = insertInOrder(nl.Bodies, b)
 			c.SetChild(o, nlr)
 			return
 		case ch.IsLeaf():
 			nl := s.Leaf(ch)
 			if len(nl.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
-				nl.Bodies = append(nl.Bodies, b)
+				nl.Bodies = insertInOrder(nl.Bodies, b)
 				return
 			}
 			cr := ins.subdivide(cur, ch, nl, depth, pos)
@@ -198,11 +214,31 @@ func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos 
 	}
 }
 
+// publishSplit records, for each of bodies, the leaf it ended up in
+// under r, the subtree subdivide built from them; the caller still holds
+// the split leaf's lock. It routes each body down r rather than reading
+// the new leaves' lists: once a body's entry names a new leaf, a
+// concurrent remove may lock that leaf and shift its list. A no-op
+// without a bodyLeaf map.
+func (ins *inserter) publishSplit(r octree.Ref, bodies []int32, pos []vec.V3) {
+	if ins.bodyLeaf == nil {
+		return
+	}
+	for _, b := range bodies {
+		leaf := r
+		for leaf.IsCell() {
+			c := ins.s.Cell(leaf)
+			leaf = c.Child(c.Cube.OctantOf(pos[b]))
+		}
+		ins.setBodyLeaf(b, leaf)
+	}
+}
+
 // publishLeaves records, for every body under the privately built
-// subtree r, the leaf it ended up in. Call it after the last
-// insertPrivate into r and before r (or the lock guarding the slot it
-// replaces) is released to other processors. A no-op without a bodyLeaf
-// map.
+// subtree r, the leaf it ended up in. Call it after the subtree is
+// complete and before it is attached; nothing may remove from r's
+// leaves meanwhile (SPACE's attach runs no repair). A no-op without a
+// bodyLeaf map.
 func (ins *inserter) publishLeaves(r octree.Ref) {
 	if ins.bodyLeaf == nil {
 		return
@@ -221,9 +257,10 @@ func (ins *inserter) publishLeaves(r octree.Ref) {
 	}
 }
 
-// remove takes body b out of its current leaf (UPDATE only). If the leaf
-// empties, it is retired and unlinked from its parent. Returns the leaf's
-// parent cell, from which the caller walks upward to reinsert.
+// remove takes body b out of its current leaf (UPDATE only), keeping the
+// rest in order. If the leaf empties, it is retired and unlinked from
+// its parent. Returns the leaf's parent cell, from which the caller walks
+// upward to reinsert.
 func (ins *inserter) remove(b int32) octree.Ref {
 	s := ins.s
 	for {
@@ -235,20 +272,11 @@ func (ins *inserter) remove(b int32) octree.Ref {
 			continue
 		}
 		l := s.Leaf(lr)
-		// Delete b from the leaf.
-		found := false
-		for i, ob := range l.Bodies {
-			if ob == b {
-				last := len(l.Bodies) - 1
-				l.Bodies[i] = l.Bodies[last]
-				l.Bodies = l.Bodies[:last]
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.Index(l.Bodies, b)
+		if i < 0 {
 			panic("core: bodyLeaf map out of sync with leaf contents")
 		}
+		l.Bodies = slices.Delete(l.Bodies, i, i+1)
 		parent := l.Parent
 		if len(l.Bodies) == 0 {
 			// Reclaim the leaf, as the paper does.

@@ -96,7 +96,9 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 				ll := s.Leaf(lc)
 				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= s.MaxDepth {
 					// Two part-full leaves combine into one.
-					l.Bodies = append(l.Bodies, ll.Bodies...)
+					for _, ob := range ll.Bodies {
+						l.Bodies = insertInOrder(l.Bodies, ob)
+					}
 					mu.Unlock()
 					return
 				}

@@ -156,13 +156,15 @@ func spaceAttach(pos []vec.V3, subs []Subspace, spare []int32, buf *[2][]vec.V3,
 // order.
 //
 // The octant test is octree.BuildSerial's, so the cells are the serial
-// tree's; the scatter is stable, so every leaf lists its bodies in the
-// order inserting idx one by one would have left them, and the moments
-// come out bit for bit the same. No leaf is allocated only to be split.
+// tree's; each leaf inserts its run (in assignment order, not index
+// order) in the index order BuildSerial inserts in, so the moments come
+// out bit for bit the same. No leaf is allocated only to be split.
 func (ins *inserter) sortSubtree(cube vec.Cube, depth int, parent octree.Ref, idx, spare []int32, pos, pos2 []vec.V3) octree.Ref {
 	if len(idx) <= ins.s.LeafCap || depth >= ins.s.MaxDepth {
 		lr, l := ins.allocLeaf(cube, parent)
-		l.Bodies = append(l.Bodies, idx...)
+		for _, b := range idx {
+			l.Bodies = insertInOrder(l.Bodies, b)
+		}
 		return lr
 	}
 	cr, c := ins.allocCell(cube, parent)

@@ -1,7 +1,9 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"partree/internal/core"
@@ -68,31 +70,50 @@ func TestMomentumConservation(t *testing.T) {
 	}
 }
 
+// TestAlgorithmsAgreeOnPhysics is the trajectory law. Every builder
+// keeps each leaf's bodies in index order, so every build is the serial
+// tree to the bit and the force pass sums in one order: from the same
+// initial conditions, each step leaves the same position bits whatever
+// the algorithm or P. UPDATE is held to it at its fresh step 0 only; its
+// repairs leave non-canonical trees that depend on timing.
 func TestAlgorithmsAgreeOnPhysics(t *testing.T) {
-	// One step from identical initial conditions: accelerations must
-	// agree across algorithms to floating-point reordering tolerance
-	// (the trees are identical; only summation order differs).
-	ref := accAfterOneStep(t, core.LOCAL)
-	for _, alg := range []core.Algorithm{core.ORIG, core.UPDATE, core.PARTREE, core.SPACE} {
-		acc := accAfterOneStep(t, alg)
-		for i := range ref {
-			if acc[i].Sub(ref[i]).Len() > 1e-9*(1+ref[i].Len()) {
-				t.Fatalf("alg=%v: acc[%d] = %v, want %v", alg, i, acc[i], ref[i])
-			}
+	const steps = 4
+	ref := positionsAfter(core.ORIG, 1, steps)
+	for _, alg := range []core.Algorithm{core.ORIG, core.LOCAL, core.PARTREE, core.SPACE, core.UPDATE} {
+		for _, p := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%v/p=%d", alg, p), func(t *testing.T) {
+				k := steps
+				if alg == core.UPDATE {
+					k = 1
+				}
+				for s, pos := range positionsAfter(alg, p, k) {
+					for i, got := range pos {
+						want := ref[s][i]
+						if math.Float64bits(got.X) != math.Float64bits(want.X) ||
+							math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+							math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+							t.Fatalf("step %d: pos[%d] = %v, want %v", s, i, got, want)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-func accAfterOneStep(t *testing.T, alg core.Algorithm) []vec.V3 {
-	t.Helper()
+// positionsAfter runs steps steps of a 3000-body Plummer sphere with alg
+// at p processors and returns the positions after each.
+func positionsAfter(alg core.Algorithm, p, steps int) [][]vec.V3 {
 	opts := DefaultOptions()
-	opts.N = 1200
-	opts.P = 4
+	opts.N = 3000
+	opts.P = p
 	opts.Alg = alg
 	sim := New(opts)
-	sim.Step()
-	out := make([]vec.V3, opts.N)
-	copy(out, sim.Bodies.Acc)
+	out := make([][]vec.V3, steps)
+	for s := range out {
+		sim.Step()
+		out[s] = slices.Clone(sim.Bodies.Pos)
+	}
 	return out
 }
 

@@ -2,8 +2,6 @@ package octree
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"partree/internal/vec"
 )
@@ -17,12 +15,11 @@ type CheckOptions struct {
 	// with Canonical false.
 	Canonical bool
 	// Moments additionally verifies Mass/COM/NBody/Cost against a fresh
-	// recomputation from the body data, within momentTol.
+	// recomputation from the body data, bit for bit: the recomputation
+	// sums in the moments pass's order (leaf bodies as stored, children
+	// in octant order).
 	Moments bool
 }
-
-// momentTol is the relative tolerance Check compares moments within.
-const momentTol = 1e-9
 
 // Check verifies the structural invariants of t against the body data:
 //
@@ -67,7 +64,7 @@ func Check(t *Tree, d BodyData, opt CheckOptions) error {
 			if l.Parent != parent {
 				return fail("leaf %v parent link %v, want %v", r, l.Parent, parent)
 			}
-			if !cubeEq(l.Cube, want) {
+			if l.Cube != want {
 				return fail("leaf %v cube %v, want %v", r, l.Cube, want)
 			}
 			if len(l.Bodies) == 0 {
@@ -98,7 +95,7 @@ func Check(t *Tree, d BodyData, opt CheckOptions) error {
 		if c.Parent != parent {
 			return fail("cell %v parent link %v, want %v", r, c.Parent, parent)
 		}
-		if !cubeEq(c.Cube, want) {
+		if c.Cube != want {
 			return fail("cell %v cube %v, want %v", r, c.Cube, want)
 		}
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
@@ -124,7 +121,7 @@ func Check(t *Tree, d BodyData, opt CheckOptions) error {
 	}
 
 	if opt.Canonical {
-		if err := checkCanonical(t, d); err != nil {
+		if err := checkCanonical(t); err != nil {
 			return err
 		}
 	}
@@ -149,9 +146,11 @@ func routesToLeaf(t *Tree, r Ref, p vec.V3) bool {
 }
 
 // checkCanonical verifies minimality: every live non-root cell's subtree
-// holds more than LeafCap bodies.
-func checkCanonical(t *Tree, d BodyData) error {
+// holds more than LeafCap bodies. One post-order pass counts each
+// subtree from its children's counts.
+func checkCanonical(t *Tree) error {
 	s := t.Store
+	var err error
 	var count func(r Ref) int
 	count = func(r Ref) int {
 		if r.IsLeaf() {
@@ -164,25 +163,16 @@ func checkCanonical(t *Tree, d BodyData) error {
 				total += count(ch)
 			}
 		}
+		if err == nil && r != t.Root && total <= s.LeafCap {
+			err = fmt.Errorf("octree: non-canonical cell %v holds only %d bodies (cap %d)", r, total, s.LeafCap)
+		}
 		return total
 	}
-	var err error
-	Walk(t, func(r Ref, depth int) bool {
-		if err != nil {
-			return false
-		}
-		if r.IsCell() && r != t.Root {
-			if n := count(r); n <= s.LeafCap {
-				err = fmt.Errorf("octree: non-canonical cell %v holds only %d bodies (cap %d)", r, n, s.LeafCap)
-				return false
-			}
-		}
-		return true
-	})
+	count(t.Root)
 	return err
 }
 
-// checkMoments recomputes moments into scratch and compares.
+// checkMoments recomputes moments into scratch and compares them exactly.
 func checkMoments(t *Tree, d BodyData) error {
 	s := t.Store
 	var err error
@@ -203,7 +193,7 @@ func checkMoments(t *Tree, d BodyData) error {
 				com = wsum.Scale(1 / mass)
 			}
 			if err == nil {
-				if !feq(mass, l.Mass, momentTol) || !veq(com, l.COM, momentTol) || l.Cost != cost {
+				if mass != l.Mass || com != l.COM || l.Cost != cost {
 					err = fmt.Errorf("octree: leaf %v moments stale: mass %g/%g com %v/%v cost %d/%d",
 						r, l.Mass, mass, l.COM, com, l.Cost, cost)
 				}
@@ -229,7 +219,7 @@ func checkMoments(t *Tree, d BodyData) error {
 			com = wsum.Scale(1 / mass)
 		}
 		if err == nil {
-			if !feq(mass, c.Mass, momentTol) || !veq(com, c.COM, momentTol) || n != c.NBody || c.Cost != cost {
+			if mass != c.Mass || com != c.COM || n != c.NBody || c.Cost != cost {
 				err = fmt.Errorf("octree: cell %v moments stale: mass %g/%g com %v/%v n %d/%d cost %d/%d",
 					r, c.Mass, mass, c.COM, com, c.NBody, n, c.Cost, cost)
 			}
@@ -240,24 +230,11 @@ func checkMoments(t *Tree, d BodyData) error {
 	return err
 }
 
-func feq(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
-}
-
-func veq(a, b vec.V3, tol float64) bool {
-	return feq(a.X, b.X, tol) && feq(a.Y, b.Y, tol) && feq(a.Z, b.Z, tol)
-}
-
-func cubeEq(a, b vec.Cube) bool {
-	// Cubes derive from exact halving of the same root, so equality is
-	// exact, with a hair of slack for roots computed independently.
-	return feq(a.Size, b.Size, 1e-12) && veq(a.Center, b.Center, 1e-12)
-}
-
-// Equal reports whether two trees are structurally identical: same shape,
-// same cubes, and the same *set* of bodies in each corresponding leaf
-// (insertion order may differ between builders). It is how the parallel
-// builders are verified against the canonical sequential tree.
+// Equal reports whether two trees are identical: same shape, the same
+// cubes bit for bit, and the same bodies in the same order in each
+// corresponding leaf (every builder keeps a leaf's bodies in ascending
+// index order). It is how the parallel builders are verified against the
+// canonical sequential tree.
 func Equal(a, b *Tree) error {
 	var rec func(ra, rb Ref, path string) error
 	rec = func(ra, rb Ref, path string) error {
@@ -272,25 +249,22 @@ func Equal(a, b *Tree) error {
 		}
 		if ra.IsLeaf() {
 			la, lb := a.Store.Leaf(ra), b.Store.Leaf(rb)
-			if !cubeEq(la.Cube, lb.Cube) {
+			if la.Cube != lb.Cube {
 				return fmt.Errorf("octree: leaf cube differs at %s: %v vs %v", path, la.Cube, lb.Cube)
 			}
-			sa := append([]int32(nil), la.Bodies...)
-			sb := append([]int32(nil), lb.Bodies...)
-			sort.Slice(sa, func(i, j int) bool { return sa[i] < sa[j] })
-			sort.Slice(sb, func(i, j int) bool { return sb[i] < sb[j] })
+			sa, sb := la.Bodies, lb.Bodies
 			if len(sa) != len(sb) {
 				return fmt.Errorf("octree: leaf at %s holds %d vs %d bodies", path, len(sa), len(sb))
 			}
 			for i := range sa {
 				if sa[i] != sb[i] {
-					return fmt.Errorf("octree: leaf at %s body sets differ (%d vs %d)", path, sa[i], sb[i])
+					return fmt.Errorf("octree: leaf at %s body lists differ at %d (%d vs %d)", path, i, sa[i], sb[i])
 				}
 			}
 			return nil
 		}
 		ca, cb := a.Store.Cell(ra), b.Store.Cell(rb)
-		if !cubeEq(ca.Cube, cb.Cube) {
+		if ca.Cube != cb.Cube {
 			return fmt.Errorf("octree: cell cube differs at %s: %v vs %v", path, ca.Cube, cb.Cube)
 		}
 		for o := vec.Octant(0); o < vec.NOctants; o++ {

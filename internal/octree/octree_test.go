@@ -19,6 +19,16 @@ func data(b *phys.Bodies) BodyData {
 	return BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 }
 
+// feq and veq compare within a relative tolerance, for sums the tests
+// recompute in a different order than the moments pass does.
+func feq(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
+}
+
+func veq(a, b vec.V3, tol float64) bool {
+	return feq(a.X, b.X, tol) && feq(a.Y, b.Y, tol) && feq(a.Z, b.Z, tol)
+}
+
 func TestRefEncoding(t *testing.T) {
 	cases := []struct {
 		arena, idx int

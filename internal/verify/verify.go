@@ -12,10 +12,13 @@
 //
 //   - Tree: structural invariants (every body in exactly one live leaf,
 //     body-in-cube containment, parent/child link consistency, octant
-//     sub-cube geometry, no reachable retired nodes, leaf-cap respected)
-//     plus, for canonical builds, node-for-node equality with the serial
-//     reference — same cells, same leaf body-sets up to ordering — and
-//     moments recomputation.
+//     sub-cube geometry, no reachable retired nodes, leaf-cap respected),
+//     every node's moments against a recomputation, bit for bit, plus,
+//     for canonical builds, node-for-node equality with the serial
+//     reference: the same cells and cubes, and each leaf's bodies in the
+//     same (ascending index) order. Every builder keeps leaves in that
+//     order, so the force pass sums in one order whatever the algorithm
+//     or P, and a simulation's trajectory is the same bits.
 //   - Metrics: per-processor counter conservation (BodiesBuilt sums to
 //     n, allocation counters consistent with the live tree, the
 //     zero-lock guarantee of SPACE's build, which every fresh UPDATE
@@ -58,8 +61,9 @@ func builtBySpace(m *core.Metrics) bool {
 // Tree verifies one built tree against the body data it was built from.
 // It checks the structural invariants and the moments, and — when
 // canonical — builds the serial reference over the same positions and
-// demands structural equality (same cells, same leaf body-sets up to
-// ordering) and matching live node counts. The first violation found is returned.
+// demands equality (same cells and cubes, each leaf's bodies in the same
+// order) and matching live node counts. The first violation found is
+// returned.
 func Tree(t *octree.Tree, bodies *phys.Bodies, canonical bool) error {
 	d := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
 	if err := octree.Check(t, d, octree.CheckOptions{Canonical: canonical, Moments: true}); err != nil {
@@ -110,11 +114,10 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, canonical bool) error {
 //     live leaves + TotalCells. They also lock at least once per body
 //     loaded.
 //
-// (Laws 6 and 9 held a traced build's lock events and phase time to
-// PerP's; the trace summary is now copied from PerP, so both are gone.
-// Law 7 is the runner's observability audit, Runner.AuditObs; law 8 is
-// CostConservation below — it needs the bodies, so it lives on Build's
-// path rather than here.)
+// (Runner.AuditObs audits the runner's counters the same way. The root's
+// Cost equals the sum of the body costs without a law of its own: Tree's
+// moments check recomputes every node's Cost exactly, from bodies that
+// each sit in exactly one leaf.)
 func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 	if built := m.TotalBodiesBuilt(); built != int64(n) {
 		return fmt.Errorf("verify: metrics: BodiesBuilt sums to %d, want %d", built, n)
@@ -166,48 +169,13 @@ func Metrics(m *core.Metrics, t *octree.Tree, n int, rebuild bool) error {
 	return nil
 }
 
-// CostConservation is conservation law 8: the root's Cost moment must
-// equal the sum of the per-body costs the moments pass was fed —
-// whatever path built or repaired the tree, no body's cost may be
-// dropped or double-counted on the way up. The law earns its keep on
-// UPDATE's paths: the incremental repair re-aggregates a tree whose
-// shape it only partially touched, and every fresh build runs the
-// SPACE partition/attach machinery into the resident store — both must
-// still hand the moments pass every body exactly once.
-func CostConservation(t *octree.Tree, bodies *phys.Bodies) error {
-	d := octree.BodyData{Pos: bodies.Pos, Mass: bodies.Mass, Cost: bodies.Cost}
-	var want int64
-	for b := int32(0); int(b) < bodies.N(); b++ {
-		want += d.CostOf(b)
-	}
-	if t.Root.IsNil() {
-		if want != 0 {
-			return fmt.Errorf("verify: cost conservation: empty tree over bodies with total cost %d", want)
-		}
-		return nil
-	}
-	var got int64
-	if t.Root.IsLeaf() {
-		got = t.Store.Leaf(t.Root).Cost
-	} else {
-		got = t.Store.Cell(t.Root).Cost
-	}
-	if got != want {
-		return fmt.Errorf("verify: cost conservation: root cost %d, bodies sum to %d", got, want)
-	}
-	return nil
-}
-
 // Build verifies one Builder.Build outcome end to end: the tree against
-// the bodies (differentially, when the build started from scratch), the
-// metrics against the conservation laws, and the cost moments against
-// law 8. m must be the build's own metrics; step only labels errors.
+// the bodies (differentially, when the build started from scratch) and
+// the metrics against the conservation laws. m must be the build's own
+// metrics; step only labels errors.
 func Build(alg core.Algorithm, t *octree.Tree, m *core.Metrics, bodies *phys.Bodies, step int) error {
 	canonical := Canonical(alg, m)
 	if err := Tree(t, bodies, canonical); err != nil {
-		return fmt.Errorf("%s step %d: %w", alg, step, err)
-	}
-	if err := CostConservation(t, bodies); err != nil {
 		return fmt.Errorf("%s step %d: %w", alg, step, err)
 	}
 	if err := Metrics(m, t, bodies.N(), canonical); err != nil {

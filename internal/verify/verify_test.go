@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -171,6 +172,14 @@ func TestCorruptedTreeRejected(t *testing.T) {
 		{"stale moments", func(t *testing.T, tr *octree.Tree) {
 			firstLiveLeaf(t, tr).Mass *= 2
 		}, "moments"},
+		{"swapped bodies", func(t *testing.T, tr *octree.Tree) {
+			l := leafWithAtLeast(t, tr, 2)
+			l.Bodies[0], l.Bodies[1] = l.Bodies[1], l.Bodies[0]
+		}, "body lists differ"},
+		{"last bit of mass", func(t *testing.T, tr *octree.Tree) {
+			l := firstLiveLeaf(t, tr)
+			l.Mass = math.Float64frombits(math.Float64bits(l.Mass) ^ 1)
+		}, "moments"},
 		{"foreign body index", func(t *testing.T, tr *octree.Tree) {
 			l := firstLiveLeaf(t, tr)
 			l.Bodies[0] = 1 << 20
@@ -280,30 +289,26 @@ func TestMetricsLawsRejectCorruption(t *testing.T) {
 	})
 }
 
-// TestCostConservationLaw gives law 8 its teeth: a tampered root Cost
-// moment on an otherwise pristine tree must be rejected, by the law
-// directly and by the Build bundle.
+// TestCostConservationLaw: a tampered root Cost moment on an otherwise
+// pristine tree must be rejected by Build — the moments check recomputes
+// every node's Cost from the bodies, so the total cannot drift from
+// their sum.
 func TestCostConservationLaw(t *testing.T) {
 	tree, m, bodies := buildFor(t, core.SPACE, 1200, 4, 8)
 	if tree.Root.IsLeaf() {
 		t.Fatal("workload too small: root is a leaf")
 	}
 	tree.Store.Cell(tree.Root).Cost++
-	if err := CostConservation(tree, bodies); err == nil || !strings.Contains(err.Error(), "cost conservation") {
+	if err := Build(core.SPACE, tree, m, bodies, 0); err == nil || !strings.Contains(err.Error(), "moments stale") {
 		t.Fatalf("tampered root cost accepted: %v", err)
-	}
-	// Build also rejects it (the moments recomputation catches the same
-	// tamper first; either way the corrupted total cannot pass).
-	if err := Build(core.SPACE, tree, m, bodies, 0); err == nil {
-		t.Fatal("Build missed the tampered root cost")
 	}
 }
 
-// TestCostConservationUnderUpdateFallback is the law-8 session test: a
-// resident UPDATE builder over non-uniform costs must conserve the cost
-// total on every path — the step-0 load, incremental repairs after
-// drift, and the policy-forced SPACE-fallback rebuild into the resident
-// store (Input.Rebuild → FreshRequested), which re-partitions space and
+// TestCostConservationUnderUpdateFallback: a resident UPDATE builder
+// over non-uniform costs must pass Build, every node's Cost included, on
+// every path — the step-0 load, incremental repairs after drift, and the
+// policy-forced SPACE-fallback rebuild into the resident store
+// (Input.Rebuild → FreshRequested), which re-partitions space and
 // re-attaches every body without going through the repair queue.
 func TestCostConservationUnderUpdateFallback(t *testing.T) {
 	const n, p = 2000, 4
@@ -327,11 +332,8 @@ func TestCostConservationUnderUpdateFallback(t *testing.T) {
 			}
 			sawRequested = true
 		}
-		if err := CostConservation(tree, bodies); err != nil {
-			t.Fatalf("step %d (fresh=%v): %v", step, m.FreshRebuild, err)
-		}
 		if err := Build(core.UPDATE, tree, m, bodies, step); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+			t.Fatalf("step %d (fresh=%v): %v", step, m.FreshRebuild, err)
 		}
 		bodies.Drift(0, n, 0.05)
 	}
