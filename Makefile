@@ -85,13 +85,15 @@ bench-smoke:
 # and a 1 200-step session under the benchmark's served motion, with its
 # rule rebuilds per 100 steps and bytes per step) — and what observing
 # costs: a build with no, a disabled and an enabled
-# trace recorder, and the request hooks with the flight recorder off and
-# on (the timings the tests beside them no longer assert) — and the
+# trace recorder, and the request hooks on a nil request handle (the
+# CLI's builds) and on a recorded request (the timings the tests beside
+# them no longer assert) — and what -check costs per build
+# (BenchmarkVerifyBuild: a 64-body tree and serve-build's) — and the
 # fork/join under all of it: back-to-back par.Do calls with ns/op and the
 # forked shares' start lag p50/p95 (BenchmarkDo).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify
 
 microbench:
 	$(MICROBENCH)

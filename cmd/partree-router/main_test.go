@@ -10,6 +10,7 @@ import (
 	"partree/internal/engine"
 	"partree/internal/obs"
 	"partree/internal/obs/obstest"
+	"partree/internal/reqtrace"
 )
 
 // startShard serves one shard of m the way `partreed -shard-map -shard`
@@ -29,7 +30,7 @@ func startShard(t *testing.T, m cluster.Map, i int) *obs.Server {
 		}
 	}
 	srv, err := obs.ServeWith("127.0.0.1:0", "partreed", reg,
-		func() bool { return true }, func(mux *http.ServeMux) { ss.Mount(mux, nil) })
+		func() bool { return true }, func(mux *http.ServeMux) { ss.Mount(mux, reqtrace.NewRecorder()) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,12 +52,12 @@ func fetchFlightDoc(t *testing.T, url, id string) []byte {
 	}
 }
 
-// TestBuildRequestObservability is the tentpole acceptance path: POST a
-// build with a W3C traceparent, and the response's X-Request-Id keys
-// the full request timeline out of /debug/requests — with the queue and
-// build spans summing to within the recorded total, the phase breakdown
-// within the build wall time, a Server-Timing header agreeing with the
-// entry, and the partree_req_* families moved.
+// TestBuildRequestObservability is the request-record acceptance path:
+// POST a build with a W3C traceparent, and the response's X-Request-Id
+// keys the full request record out of /debug/requests — with the queue
+// and build totals summing to within the recorded duration, the phase
+// totals within it, a Server-Timing header whose build and moments
+// values are the entry's totals, and the partree_req_* families moved.
 func TestBuildRequestObservability(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
@@ -99,15 +99,16 @@ func TestBuildRequestObservability(t *testing.T) {
 	// The acceptance inequality: queue wait plus build wall time are
 	// disjoint stations inside the request, so they sum to within the
 	// recorded total.
-	if e.QueueNs+e.BuildWallNs > e.DurNs {
-		t.Errorf("queue(%d) + build(%d) spans exceed the recorded total %d ns",
-			e.QueueNs, e.BuildWallNs, e.DurNs)
+	tot := e.Totals
+	if tot[reqtrace.Queue]+tot[reqtrace.Build] > e.DurNs {
+		t.Errorf("queue(%d) + build(%d) exceed the recorded total %d ns",
+			tot[reqtrace.Queue], tot[reqtrace.Build], e.DurNs)
 	}
-	// The core phase breakdown nests inside the build wall spans (the
-	// spec ran 2 in-process steps, all stamped onto this request).
-	phases := e.Phases.BoundsNs + e.Phases.InsertNs + e.Phases.MomentsNs
+	// The core phases nest inside the build wall time (the spec ran 2
+	// in-process steps, all stamped onto this request).
+	phases := tot[reqtrace.Bounds] + tot[reqtrace.Insert] + tot[reqtrace.Moments]
 	if phases <= 0 || phases > e.DurNs {
-		t.Errorf("phase breakdown %d ns outside (0, dur=%d]", phases, e.DurNs)
+		t.Errorf("phase totals %d ns outside (0, dur=%d]", phases, e.DurNs)
 	}
 	var hasBuild bool
 	for _, s := range e.Spans {
@@ -117,6 +118,16 @@ func TestBuildRequestObservability(t *testing.T) {
 	}
 	if !hasBuild {
 		t.Errorf("entry spans %v carry no build wall span", e.Spans)
+	}
+	// The header was rendered from the same record before the write: its
+	// build and moments values are the entry's totals.
+	timing := wire.ParseServerTiming(st)
+	ms := func(ns int64) float64 { return reqtrace.Ms(time.Duration(ns)) }
+	if got, want := timing["build"], ms(tot[reqtrace.Bounds]+tot[reqtrace.Insert]); got != want {
+		t.Errorf("Server-Timing build = %v ms, entry's bounds + insert = %v ms", got, want)
+	}
+	if got, want := timing["moments"], ms(tot[reqtrace.Moments]); got != want {
+		t.Errorf("Server-Timing moments = %v ms, entry's moments = %v ms", got, want)
 	}
 
 	// The entry is also in the ring listing, and the metric families
@@ -262,8 +273,10 @@ func TestWrongMethodOnEveryRoute(t *testing.T) {
 	}
 }
 
-// TestSessionRequestObservability runs a streaming session and checks the in-stream per-step timing records, then the whole
-// stream's single flight-recorder entry.
+// TestSessionRequestObservability runs a streaming session and checks
+// the in-stream per-step timing records, then the whole stream's single
+// flight-recorder entry: the steps' queue, build and moments values sum
+// to its totals.
 func TestSessionRequestObservability(t *testing.T) {
 	d := startDaemon(t, daemonConfig{engine: engine.Options{MaxActive: 2}, drainTimeout: 10 * time.Second})
 	url := d.srv.URL()
@@ -287,6 +300,7 @@ func TestSessionRequestObservability(t *testing.T) {
 	if err != nil || rec.Event != "opened" {
 		t.Fatalf("first record = %+v (%v), want opened", rec, err)
 	}
+	var sum wire.StepTiming
 	for i := 0; i < steps; i++ {
 		if err := sess.Send(wire.SessionStep{Drift: i > 0}); err != nil {
 			t.Fatalf("sending step %d: %v", i, err)
@@ -306,6 +320,9 @@ func TestSessionRequestObservability(t *testing.T) {
 			t.Errorf("step %d: build(%g)+moments(%g) ms exceed total %g ms", i,
 				rec.Step.Timing.BuildMs, rec.Step.Timing.MomentsMs, rec.Step.Timing.TotalMs)
 		}
+		sum.QueueMs += rec.Step.Timing.QueueMs
+		sum.BuildMs += rec.Step.Timing.BuildMs
+		sum.MomentsMs += rec.Step.Timing.MomentsMs
 	}
 	sess.Send(wire.SessionStep{Close: true})
 	if rec, err = sess.Recv(); err != nil || rec.Event != "closed" || rec.Closed.Steps != steps {
@@ -317,8 +334,9 @@ func TestSessionRequestObservability(t *testing.T) {
 	if e.Route != "/v1/session" || e.Status != http.StatusOK {
 		t.Fatalf("flight entry = %+v", e)
 	}
-	if e.QueueNs+e.BuildWallNs > e.DurNs {
-		t.Errorf("queue(%d) + build(%d) exceed total %d ns", e.QueueNs, e.BuildWallNs, e.DurNs)
+	tot := e.Totals
+	if tot[reqtrace.Queue]+tot[reqtrace.Build] > e.DurNs {
+		t.Errorf("queue(%d) + build(%d) exceed total %d ns", tot[reqtrace.Queue], tot[reqtrace.Build], e.DurNs)
 	}
 	var builds int
 	for _, s := range e.Spans {
@@ -329,7 +347,23 @@ func TestSessionRequestObservability(t *testing.T) {
 	if builds != steps {
 		t.Errorf("%d build spans recorded, want one per step (%d)", builds, steps)
 	}
-	if e.Phases.BoundsNs+e.Phases.InsertNs <= 0 {
-		t.Errorf("session entry accumulated no build phases: %+v", e.Phases)
+	if tot[reqtrace.Bounds]+tot[reqtrace.Insert] <= 0 {
+		t.Errorf("session entry accumulated no build phases: %v", tot)
+	}
+	// Each step's values are its share of these totals, truncated to the
+	// microsecond: the sums fall short by under 1 µs a step.
+	const slackMs = steps*1e-3 + 1e-9
+	for _, c := range []struct {
+		name string
+		sum  float64
+		ns   int64
+	}{
+		{"queue", sum.QueueMs, tot[reqtrace.Queue]},
+		{"build", sum.BuildMs, tot[reqtrace.Bounds] + tot[reqtrace.Insert]},
+		{"moments", sum.MomentsMs, tot[reqtrace.Moments]},
+	} {
+		if want := float64(c.ns) / 1e6; c.sum > want+1e-9 || c.sum < want-slackMs {
+			t.Errorf("steps' %s values sum to %v ms, entry's total is %v ms", c.name, c.sum, want)
+		}
 	}
 }

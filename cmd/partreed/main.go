@@ -9,9 +9,9 @@
 //
 // Everything else is fixed: GOMAXPROCS concurrent builds with 4× as
 // many waiting, 32 pooled builder sessions, a 2-minute session idle
-// timeout unless the open record sets idle_timeout_ms, result and body
-// memos of 4096 and 64 entries, and a flight recorder of the last 256
-// requests and the 16 slowest past 250 ms.
+// timeout unless the open record sets idle_timeout_ms, a result memo of
+// 4096 entries and a body memo of 16 MiB of body sets, and a flight
+// recorder of the last 256 requests and the 16 slowest past 250 ms.
 //
 // Endpoints:
 //
@@ -34,7 +34,7 @@
 //	GET  /healthz    liveness (+ready:false once draining)
 //	GET  /debug/requests       flight recorder: last-N completed requests
 //	GET  /debug/requests/slow  top-K slowest (threshold-gated)
-//	GET  /debug/requests/<id>  one request's span timeline by ID
+//	GET  /debug/requests/<id>  one request's record (totals and timeline) by ID
 //	     /debug/pprof, /debug/vars
 //
 // Every request is answered with an X-Request-Id header (the inbound
@@ -191,7 +191,7 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	rq := reqtrace.FromContext(req.Context())
 	rstart := time.Now()
 	spec, err := runner.DecodeServiceSpec(req.Body)
-	rq.SpanSince("read", rstart)
+	rq.Since(reqtrace.Read, rstart)
 	if err != nil {
 		reqtrace.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -204,15 +204,14 @@ func (d *daemon) handleBuild(w http.ResponseWriter, req *http.Request) {
 	// The Server-Timing header carries the request's station breakdown
 	// (headers must precede the body, so this is the pre-write view;
 	// the flight-recorder entry additionally covers the write).
-	q, b, m, tot := rq.Breakdown()
-	w.Header().Set("Server-Timing", wire.ServerTiming(q, b, m, tot))
+	w.Header().Set("Server-Timing", wire.ServerTiming(wire.Timing(rq.Totals())))
 	// Executed specs answer 200 with the Result; failures (timeout,
 	// check violation) travel in-band in its error fields, as in the
 	// CLI's -json output.
 	w.Header().Set("Content-Type", "application/json")
 	wstart := time.Now()
 	json.NewEncoder(w).Encode(res)
-	rq.SpanSince("write", wstart)
+	rq.Since(reqtrace.Write, wstart)
 	slog.Debug("build served", "spec", spec.String(), "failed", res.Failed())
 }
 

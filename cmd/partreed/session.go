@@ -60,7 +60,7 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer lease.Close()
-	// The request's span handle: each step's slot wait and build land
+	// The request's record: each step's slot wait and build land
 	// on it via lease.Step, and the whole stream finishes as one
 	// flight-recorder entry.
 	rq := reqtrace.FromContext(req.Context())
@@ -133,10 +133,10 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				emit(wire.SessionError{Event: "error", Error: err.Error()})
 				return
 			}
-			// Queue wait is measured as the request-level accumulator's
-			// delta across the step (the engine stamps slot waits onto
-			// the span context).
-			q0, _, _, _ := rq.Breakdown()
+			// The step's breakdown is what it added to the request's
+			// totals: the engine stamps the slot wait, the lease the
+			// build and its phases.
+			before, _ := rq.Totals()
 			stepStart := time.Now()
 			res, err := lease.Step(req.Context(), core.StepInput{Rebuild: s.Rebuild})
 			stepWall := time.Since(stepStart)
@@ -144,8 +144,9 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				emit(wire.SessionError{Event: "error", Error: err.Error()})
 				return
 			}
-			q1, _, _, _ := rq.Breakdown()
-			t := res.Metrics.Timing
+			after, _ := rq.Totals()
+			d := after.Sub(before)
+			timing := wire.Timing(d, stepWall)
 			out := wire.SessionStepResult{
 				Event:    "step",
 				Step:     res.Step,
@@ -155,13 +156,8 @@ func (d *daemon) handleSession(w http.ResponseWriter, req *http.Request) {
 				Moved:    res.Metrics.TotalBodiesMoved(),
 				Churn:    res.ChurnFrac,
 				Locks:    res.Metrics.TotalLocks(),
-				BuildNs:  res.Metrics.Timing.Total().Nanoseconds(),
-				Timing: &wire.StepTiming{
-					QueueMs:   reqtrace.Ms(q1 - q0),
-					BuildMs:   reqtrace.Ms(t.Bounds + t.Insert),
-					MomentsMs: reqtrace.Ms(t.Moments),
-					TotalMs:   reqtrace.Ms(stepWall),
-				},
+				BuildNs:  d[reqtrace.Bounds] + d[reqtrace.Insert] + d[reqtrace.Moments],
+				Timing:   &timing,
 			}
 			if res.Fresh {
 				out.Mode = "rebuild"

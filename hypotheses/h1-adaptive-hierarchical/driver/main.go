@@ -23,6 +23,7 @@ import (
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/stats"
+	"partree/internal/vec"
 )
 
 // The verdict's bounds: where the cut moves must land, and where the
@@ -111,10 +112,9 @@ func main() {
 		procs = append(procs, p)
 	}
 
-	// Morton-resident, as core.Stepper keeps a session's bodies (the
-	// margin is the builders' root margin).
+	// Morton-resident, as core.Stepper keeps a session's bodies.
 	b := phys.Generate(phys.ModelHierarchical, *n, *seed)
-	b.Permute(partition.Order(b.Pos, b.Bounds(1e-4)))
+	b.Permute(partition.Order(b.Pos, b.Bounds(vec.RootMargin)))
 	truth := densityCosts(b, *radius)
 
 	rep := reportOut{

@@ -174,7 +174,7 @@ func TestClusterVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	rt.Mount(mux, nil)
+	rt.Mount(mux, reqtrace.NewRecorder())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	code, body = postJSON(t, srv.URL+"/v1/build", buildSpec(100))

@@ -104,10 +104,9 @@ func (s *ShardServer) RegisterObs(reg *obs.Registry) error {
 	return reg.Register(s.builds, s.built, s.conflicts)
 }
 
-// Mount registers the shard routes on mux behind rec's request envelope
-// (a nil rec still gives each request its ID and access-log line), so a
-// call the router makes on a client's behalf is filed under that
-// client's request ID here too.
+// Mount registers the shard routes on mux behind rec's request
+// envelope, so a call the router makes on a client's behalf is filed
+// under that client's request ID here too.
 func (s *ShardServer) Mount(mux *http.ServeMux, rec *reqtrace.Recorder) {
 	rec.Handle(mux, http.MethodPost, "/v1/shard/build", "POST a ShardBuildRequest JSON document", s.handleBuild)
 }

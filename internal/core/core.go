@@ -178,11 +178,6 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// rootMargin expands the root bounding cube (relative), so no body sits
-// on its faces; every builder and SpatialAssign's keying cube use the
-// one value, so trees stay comparable.
-const rootMargin = 1e-4
-
 // New creates a builder for the given algorithm.
 func New(a Algorithm, cfg Config) Builder {
 	cfg = cfg.Normalized()
@@ -226,7 +221,7 @@ func EvenAssign(n, p int) [][]int32 {
 // each capped at its own end so appending to one cannot reach the next.
 func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	n := b.N()
-	order := partition.Order(b.Pos, b.Bounds(rootMargin))
+	order := partition.Order(b.Pos, b.Bounds(vec.RootMargin))
 	out := make([][]int32, p)
 	for w := 0; w < p; w++ {
 		lo, hi := n*w/p, n*(w+1)/p
@@ -271,14 +266,7 @@ func parallelBounds(in *Input, m *Metrics) vec.Cube {
 			hi = hi.Max(maxs[w])
 		}
 	}
-	if first {
-		return vec.Cube{Size: 1}
-	}
-	size := hi.Sub(lo).MaxComponent() * (1 + rootMargin)
-	if size <= 0 {
-		size = 1
-	}
-	return vec.Cube{Center: lo.Add(hi).Scale(0.5), Size: size}
+	return vec.BoxCube(lo, hi, vec.RootMargin)
 }
 
 // Timing records the builder's phase durations for the native benchmarks.

@@ -6,6 +6,7 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/vec"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -101,7 +102,7 @@ var clockEpoch = time.Now()
 // cuts are positions, not bodies, so they — and the zones — survive it.
 func (st *Stepper) resort() {
 	b := st.bodies
-	order := st.sorter.Order(b.Pos, b.Bounds(rootMargin))
+	order := st.sorter.Order(b.Pos, b.Bounds(vec.RootMargin))
 	b.Permute(order)
 	for i := range order {
 		order[i] = int32(i)

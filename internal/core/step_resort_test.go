@@ -7,6 +7,7 @@ import (
 	"partree/internal/core"
 	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/vec"
 	"partree/internal/verify"
 )
 
@@ -33,7 +34,7 @@ func TestSessionResortKeepsCostCut(t *testing.T) {
 		return out
 	}
 	sorted := func() bool {
-		k := partition.NewKeyer(b.Bounds(core.RootMargin))
+		k := partition.NewKeyer(b.Bounds(vec.RootMargin))
 		for i := 1; i < n; i++ {
 			if k.Key(b.Pos[i]) < k.Key(b.Pos[i-1]) {
 				return false

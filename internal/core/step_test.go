@@ -7,10 +7,6 @@ import (
 	"partree/internal/phys"
 )
 
-// RootMargin lets the external tests key bodies in the domain the
-// stepper sorts them in.
-const RootMargin = rootMargin
-
 // SteadyClock makes every step of st measure the same time, so its
 // rebuild rule never asks for a rebuild: a test that counts fresh builds
 // counts only its own.

@@ -200,9 +200,9 @@ func (e *Engine) isDraining() bool {
 
 // wait takes one build slot. It is the only place anything waits for
 // one, so every waiter is counted in Stats().Queued, stamps the wait
-// onto its request's span context as a "queue" span (the admission
-// queue is where a request's latency stops being its own fault; nil-safe
-// for untraced callers), and is woken by a drain. shed is the one policy
+// onto its request's Queue station (the admission queue is where a
+// request's latency stops being its own fault; nil-safe for a build
+// with no request behind it), and is woken by a drain. shed is the one policy
 // callers differ in: a one-shot arrival past the queue bound is refused
 // with ErrQueueFull, while a lease was admitted at OpenLease, so its
 // steps queue unconditionally. Only real waiters count — a caller that finds a
@@ -219,14 +219,10 @@ func (e *Engine) wait(ctx context.Context, shed bool) error {
 		e.rejectedFull.Inc()
 		return ErrQueueFull
 	}
-	rq := reqtrace.FromContext(ctx)
-	var qstart time.Time
-	if rq != nil {
-		qstart = time.Now()
-	}
+	qstart := time.Now()
 	select {
 	case e.slots <- struct{}{}:
-		rq.SpanSince("queue", qstart)
+		reqtrace.FromContext(ctx).Since(reqtrace.Queue, qstart)
 		return nil
 	case <-e.drainCh:
 		e.rejectedDraining.Inc()

@@ -271,7 +271,7 @@ func TestLeaseContention(t *testing.T) {
 // TestLeaseStepWaitIsTheOneQueue checks a step waiting for a build slot
 // goes through the same wait as a one-shot acquire: it is visible in
 // Stats().Queued (partree_engine_queue_depth), stamps exactly one
-// "queue" span on its request — and, admitted at OpenLease, is not shed
+// queue span on its request — and, admitted at OpenLease, is not shed
 // by the full queue that refuses a one-shot arriving behind it.
 func TestLeaseStepWaitIsTheOneQueue(t *testing.T) {
 	e := New(Options{MaxActive: 1})

@@ -12,8 +12,8 @@ import (
 
 // TestLeaseStepStampsRequestContext is the bridge-agreement contract:
 // stepping a lease under a request context must reproduce the build's
-// own accounting on the request handle, exactly — the phase accumulators
-// equal the summed core.Metrics.Timing.
+// own accounting on the request's record, exactly — each phase total
+// equals the summed core.Metrics.Timing of the steps.
 func TestLeaseStepStampsRequestContext(t *testing.T) {
 	const n, p, steps = 1200, 2, 3
 	e := New(Options{MaxActive: 1})
@@ -28,7 +28,7 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 	rq := rec.Start("4bf92f3577b34da6a3ce929d0e0e4736", "/v1/session")
 	ctx := reqtrace.NewContext(context.Background(), rq)
 
-	var wantBounds, wantInsert, wantMoments time.Duration
+	var want reqtrace.Totals
 	for i := 0; i < steps; i++ {
 		if i > 0 {
 			l.Stepper().Bodies().Drift(0, n, 0.01)
@@ -38,43 +38,39 @@ func TestLeaseStepStampsRequestContext(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		tm := res.Metrics.Timing
-		wantBounds += tm.Bounds
-		wantInsert += tm.Insert
-		wantMoments += tm.Moments
+		want[reqtrace.Bounds] += tm.Bounds.Nanoseconds()
+		want[reqtrace.Insert] += tm.Insert.Nanoseconds()
+		want[reqtrace.Moments] += tm.Moments.Nanoseconds()
 	}
 
-	ph := rq.Entry().Phases
-	if ph.BoundsNs != wantBounds.Nanoseconds() ||
-		ph.InsertNs != wantInsert.Nanoseconds() ||
-		ph.MomentsNs != wantMoments.Nanoseconds() {
-		t.Errorf("request phases = %+v, want exact sums bounds=%d insert=%d moments=%d",
-			ph, wantBounds.Nanoseconds(), wantInsert.Nanoseconds(), wantMoments.Nanoseconds())
+	got, _ := rq.Totals()
+	for _, s := range []reqtrace.Station{reqtrace.Bounds, reqtrace.Insert, reqtrace.Moments} {
+		if got[s] != want[s] {
+			t.Errorf("request %s total = %d ns, want the steps' exact sum %d", s, got[s], want[s])
+		}
+	}
+	if got[reqtrace.Queue] != 0 {
+		t.Errorf("queue = %d ns on an uncontended engine, want 0", got[reqtrace.Queue])
 	}
 
-	// One "build" wall span per step, and the breakdown's build total is
-	// the phase view (bounds+insert), consistent with what it reported.
+	// One build span per step, and the build total is their sum.
 	var builds int
+	var buildNs int64
 	for _, s := range rq.Entry().Spans {
 		if s.Name == "build" {
 			builds++
+			buildNs += s.DurNs
 		}
 	}
-	if builds != steps {
-		t.Errorf("%d build wall spans, want one per step (%d)", builds, steps)
-	}
-	queue, build, moments, _ := rq.Breakdown()
-	if build != wantBounds+wantInsert || moments != wantMoments {
-		t.Errorf("breakdown (build=%v moments=%v) disagrees with summed timings (%v, %v)",
-			build, moments, wantBounds+wantInsert, wantMoments)
-	}
-	if queue != 0 {
-		t.Errorf("queue = %v on an uncontended engine, want 0", queue)
+	if builds != steps || buildNs != got[reqtrace.Build] {
+		t.Errorf("%d build spans summing to %d ns, want one per step (%d) summing to the build total %d",
+			builds, buildNs, steps, got[reqtrace.Build])
 	}
 }
 
 // TestQueueWaitStampedOnRequest occupies the engine's only build slot
 // and checks both waiting paths — a queued Acquire and a lease Step —
-// stamp a "queue" span onto the request context covering the wait.
+// stamp the wait onto the request context's Queue station.
 func TestQueueWaitStampedOnRequest(t *testing.T) {
 	const hold = 30 * time.Millisecond
 	e := New(Options{MaxActive: 1})
@@ -95,8 +91,8 @@ func TestQueueWaitStampedOnRequest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued Acquire: %v", err)
 	}
-	if q, _, _, _ := rq.Breakdown(); q < hold/2 {
-		t.Errorf("queued Acquire stamped %v of queue wait, want ~%v", q, hold)
+	if tot, _ := rq.Totals(); time.Duration(tot[reqtrace.Queue]) < hold/2 {
+		t.Errorf("queued Acquire stamped %v of queue wait, want ~%v", time.Duration(tot[reqtrace.Queue]), hold)
 	}
 
 	// Path 2: a lease Step waiting on the same slot (s2 still holds it).
@@ -114,7 +110,7 @@ func TestQueueWaitStampedOnRequest(t *testing.T) {
 	if _, err := l.Step(reqtrace.NewContext(context.Background(), rq2), core.StepInput{}); err != nil {
 		t.Fatalf("step: %v", err)
 	}
-	if q, _, _, _ := rq2.Breakdown(); q < hold/2 {
-		t.Errorf("waiting Step stamped %v of queue wait, want ~%v", q, hold)
+	if tot, _ := rq2.Totals(); time.Duration(tot[reqtrace.Queue]) < hold/2 {
+		t.Errorf("waiting Step stamped %v of queue wait, want ~%v", time.Duration(tot[reqtrace.Queue]), hold)
 	}
 }

@@ -78,7 +78,7 @@ func Step(b *phys.Bodies, opts Options) StepStats {
 
 	// Global root cube: in a real MP code this is an allreduce over the
 	// per-rank bounds (counted as one message per rank).
-	cube := b.Bounds(1e-4)
+	cube := b.Bounds(vec.RootMargin)
 	d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 
 	// Phase 1: local trees + LET exchange. Every pair of ranks gets a

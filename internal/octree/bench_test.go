@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"partree/internal/phys"
+	"partree/internal/vec"
 )
 
 func BenchmarkBuildSerial(b *testing.B) {
@@ -22,7 +23,7 @@ func BenchmarkBuildSerial(b *testing.B) {
 func BenchmarkBuildSerialReused(b *testing.B) {
 	bodies := phys.Generate(phys.ModelPlummer, 16384, 1)
 	s := NewStore(1, 8)
-	cube := bodies.Bounds(1e-4)
+	cube := bodies.Bounds(vec.RootMargin)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

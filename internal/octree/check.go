@@ -236,43 +236,49 @@ func checkMoments(t *Tree, d BodyData) error {
 // index order). It is how the parallel builders are verified against the
 // canonical sequential tree.
 func Equal(a, b *Tree) error {
-	var rec func(ra, rb Ref, path string) error
-	rec = func(ra, rb Ref, path string) error {
+	// path spells the octants from the root to the node being compared
+	// ("/3/5"); it becomes a string only when a difference is reported.
+	path := make([]byte, 0, 2*DefaultMaxDepth)
+	at := func() string { return "root" + string(path) }
+	var rec func(ra, rb Ref) error
+	rec = func(ra, rb Ref) error {
 		if ra.IsNil() != rb.IsNil() {
-			return fmt.Errorf("octree: shape differs at %s: %v vs %v", path, ra, rb)
+			return fmt.Errorf("octree: shape differs at %s: %v vs %v", at(), ra, rb)
 		}
 		if ra.IsNil() {
 			return nil
 		}
 		if ra.IsLeaf() != rb.IsLeaf() {
-			return fmt.Errorf("octree: node kind differs at %s: %v vs %v", path, ra, rb)
+			return fmt.Errorf("octree: node kind differs at %s: %v vs %v", at(), ra, rb)
 		}
 		if ra.IsLeaf() {
 			la, lb := a.Store.Leaf(ra), b.Store.Leaf(rb)
 			if la.Cube != lb.Cube {
-				return fmt.Errorf("octree: leaf cube differs at %s: %v vs %v", path, la.Cube, lb.Cube)
+				return fmt.Errorf("octree: leaf cube differs at %s: %v vs %v", at(), la.Cube, lb.Cube)
 			}
 			sa, sb := la.Bodies, lb.Bodies
 			if len(sa) != len(sb) {
-				return fmt.Errorf("octree: leaf at %s holds %d vs %d bodies", path, len(sa), len(sb))
+				return fmt.Errorf("octree: leaf at %s holds %d vs %d bodies", at(), len(sa), len(sb))
 			}
 			for i := range sa {
 				if sa[i] != sb[i] {
-					return fmt.Errorf("octree: leaf at %s body lists differ at %d (%d vs %d)", path, i, sa[i], sb[i])
+					return fmt.Errorf("octree: leaf at %s body lists differ at %d (%d vs %d)", at(), i, sa[i], sb[i])
 				}
 			}
 			return nil
 		}
 		ca, cb := a.Store.Cell(ra), b.Store.Cell(rb)
 		if ca.Cube != cb.Cube {
-			return fmt.Errorf("octree: cell cube differs at %s: %v vs %v", path, ca.Cube, cb.Cube)
+			return fmt.Errorf("octree: cell cube differs at %s: %v vs %v", at(), ca.Cube, cb.Cube)
 		}
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
-			if err := rec(ca.Child(o), cb.Child(o), fmt.Sprintf("%s/%d", path, o)); err != nil {
+			path = append(path, '/', '0'+byte(o))
+			if err := rec(ca.Child(o), cb.Child(o)); err != nil {
 				return err
 			}
+			path = path[:len(path)-2]
 		}
 		return nil
 	}
-	return rec(a.Root, b.Root, "root")
+	return rec(a.Root, b.Root)
 }

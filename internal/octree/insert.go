@@ -63,13 +63,8 @@ func (s *Store) Insert(root Ref, rootDepth, arenaID, owner int, b int32, pos []v
 // This is the reference ("best sequential") implementation every parallel
 // builder is checked against.
 func BuildSerial(pos []vec.V3, leafCap int) *Tree {
-	s := NewStore(1, leafCap)
-	cube := vec.BoundingCube(len(pos), func(i int) vec.V3 { return pos[i] }, 1e-4)
-	t := NewTree(s, 0, 0, cube)
-	for i := range pos {
-		s.Insert(t.Root, 0, 0, 0, int32(i), pos)
-	}
-	return t
+	cube := vec.BoundingCube(len(pos), func(i int) vec.V3 { return pos[i] }, vec.RootMargin)
+	return BuildSerialInto(NewStore(1, leafCap), cube, pos)
 }
 
 // BuildSerialInto is BuildSerial against a caller-owned store (reused

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"partree/internal/phys"
@@ -192,7 +193,7 @@ func TestParallelMomentsMatchSerial(t *testing.T) {
 		"single-leaf-root": func() (*Tree, BodyData) {
 			b := phys.Generate(phys.ModelUniform, 5, 2)
 			s := NewStore(1, 8)
-			lr, l := s.AllocLeaf(0, b.Bounds(1e-4), Nil, 0)
+			lr, l := s.AllocLeaf(0, b.Bounds(vec.RootMargin), Nil, 0)
 			l.Bodies = append(l.Bodies, 0, 1, 2, 3, 4)
 			return &Tree{Store: s, Root: lr}, data(b)
 		},
@@ -290,8 +291,13 @@ func TestEqualDetectsDifferences(t *testing.T) {
 		t.Fatalf("identical builds compare unequal: %v", err)
 	}
 	t3 := BuildSerial(b.Pos, 4)
-	if err := Equal(t1, t3); err == nil {
+	err := Equal(t1, t3)
+	if err == nil {
 		t.Fatal("trees with different leaf caps compare equal")
+	}
+	// The report names the first differing node by its octant path.
+	if !regexp.MustCompile(` at root(/[0-7])+[: ]`).MatchString(err.Error()) {
+		t.Errorf("difference reported without its octant path: %v", err)
 	}
 	b2 := testBodies(t, 500, 12)
 	t4 := BuildSerial(b2.Pos, 8)
@@ -335,7 +341,7 @@ func TestWalkPrune(t *testing.T) {
 func TestStoreReset(t *testing.T) {
 	b := testBodies(t, 2000, 2)
 	s := NewStore(1, 8)
-	cube := vec.BoundingCube(len(b.Pos), func(i int) vec.V3 { return b.Pos[i] }, 1e-4)
+	cube := vec.BoundingCube(len(b.Pos), func(i int) vec.V3 { return b.Pos[i] }, vec.RootMargin)
 	t1 := BuildSerialInto(s, cube, b.Pos)
 	s1 := CollectStats(t1)
 	s.Reset()

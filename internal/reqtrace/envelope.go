@@ -51,10 +51,6 @@ func Ms(d time.Duration) float64 {
 // method is answered here: 405, Allow, and the error document saying
 // usage. The *Req travels in the request's context and finishes as one
 // flight-recorder entry; every request logs one access-log line.
-//
-// A nil Recorder still mounts the route: the request gets its ID, the
-// method check and the log line, and the span context is never created
-// (the nil-handle no-op downstream).
 func (rec *Recorder) Handle(mux *http.ServeMux, method, route, usage string, h http.HandlerFunc) {
 	mux.HandleFunc(route, func(w http.ResponseWriter, req *http.Request) {
 		id, ok := ParseTraceparent(req.Header.Get("traceparent"))
@@ -63,11 +59,8 @@ func (rec *Recorder) Handle(mux *http.ServeMux, method, route, usage string, h h
 		}
 		w.Header().Set("X-Request-Id", id)
 		rq := rec.Start(id, route)
-		if rq != nil {
-			req = req.WithContext(NewContext(req.Context(), rq))
-		}
+		req = req.WithContext(NewContext(req.Context(), rq))
 		cw := &countingWriter{ResponseWriter: w}
-		start := time.Now()
 		if req.Method == method {
 			h(cw, req)
 		} else {
@@ -78,15 +71,14 @@ func (rec *Recorder) Handle(mux *http.ServeMux, method, route, usage string, h h
 			w.Header().Set("Allow", method)
 			WriteError(cw, http.StatusMethodNotAllowed, usage)
 		}
-		dur := time.Since(start)
 		if cw.status == 0 {
 			cw.status = http.StatusOK
 		}
-		queue, _, _, _ := rq.Breakdown()
 		rq.Finish(cw.status, cw.bytes)
+		tot, dur := rq.Totals()
 		slog.Info("request",
 			"id", id, "route", route, "status", cw.status, "bytes", cw.bytes,
-			"dur_ms", Ms(dur), "queue_ms", Ms(queue))
+			"dur_ms", Ms(dur), "queue_ms", Ms(time.Duration(tot[Queue])))
 	})
 }
 

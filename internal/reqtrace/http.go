@@ -25,12 +25,10 @@ type Entry struct {
 	// are relative to it.
 	StartUnixNs int64 `json:"start_unix_ns"`
 	DurNs       int64 `json:"dur_ns"`
-	// QueueNs/BuildWallNs sum the "queue" and "build" spans (exact even
-	// when the span list saturated).
-	QueueNs     int64  `json:"queue_ns"`
-	BuildWallNs int64  `json:"build_wall_ns"`
-	Phases      Phases `json:"phases"`
-	Spans       []Span `json:"spans,omitempty"`
+	// Totals is the time per station, exact even when the span list
+	// saturated.
+	Totals Totals `json:"totals_ns"`
+	Spans  []Span `json:"spans,omitempty"`
 	// DroppedSpans counts spans lost to the per-request cap.
 	DroppedSpans int64 `json:"dropped_spans,omitempty"`
 }
@@ -91,12 +89,8 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(doc)
 }
 
-// Mount registers the /debug/requests handlers on mux. Safe to skip
-// entirely when the recorder is disabled (nil).
+// Mount registers the /debug/requests handlers on mux.
 func (rec *Recorder) Mount(mux *http.ServeMux) {
-	if rec == nil {
-		return
-	}
 	mux.HandleFunc("/debug/requests", rec.handleRequests)
 	mux.HandleFunc("/debug/requests/slow", rec.handleSlow)
 	mux.HandleFunc("/debug/requests/", rec.handleByID)

@@ -29,9 +29,8 @@ const (
 	slowK = 16
 )
 
-// Recorder owns the flight-recorder state for one daemon. A nil
-// *Recorder is valid and disables everything: Start returns a nil *Req
-// and every downstream hook no-ops.
+// Recorder owns the flight-recorder state for one daemon. Every
+// partreed and partree-router request is recorded.
 type Recorder struct {
 	ring [ringCap]atomic.Pointer[Req]
 	seq  atomic.Uint64
@@ -74,17 +73,13 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Start opens a request. On a nil Recorder it returns a nil *Req — the
-// disabled mode every downstream hook understands.
+// Start opens a request.
 func (rec *Recorder) Start(id, route string) *Req {
 	return rec.StartAt(id, route, time.Now())
 }
 
 // StartAt is Start with an explicit start time (deterministic tests).
 func (rec *Recorder) StartAt(id, route string, t time.Time) *Req {
-	if rec == nil {
-		return nil
-	}
 	rec.inFlight.Add(1)
 	return &Req{rec: rec, start: t, e: Entry{ID: id, Route: route, StartUnixNs: t.UnixNano()}}
 }
@@ -130,9 +125,6 @@ func (rec *Recorder) record(r *Req, dur, queue time.Duration) {
 
 // Snapshot returns the ring's completed requests, newest first.
 func (rec *Recorder) Snapshot() []*Req {
-	if rec == nil {
-		return nil
-	}
 	out := make([]*Req, 0, len(rec.ring))
 	for i := range rec.ring {
 		if r := rec.ring[i].Load(); r != nil {
@@ -146,9 +138,6 @@ func (rec *Recorder) Snapshot() []*Req {
 // Slow returns the retained slowest requests, slowest first (newest
 // first on ties).
 func (rec *Recorder) Slow() []*Req {
-	if rec == nil {
-		return nil
-	}
 	rec.slowMu.Lock()
 	out := make([]*Req, len(rec.slow))
 	copy(out, rec.slow)
@@ -166,9 +155,6 @@ func (rec *Recorder) Slow() []*Req {
 // match wins), then the slow list, which outlives ring wrap for the
 // requests most worth debugging.
 func (rec *Recorder) Lookup(id string) *Req {
-	if rec == nil {
-		return nil
-	}
 	var best *Req
 	for i := range rec.ring {
 		if r := rec.ring[i].Load(); r != nil && r.e.ID == id {
@@ -191,20 +177,10 @@ func (rec *Recorder) Lookup(id string) *Req {
 }
 
 // InFlight returns the number of started-but-unfinished requests.
-func (rec *Recorder) InFlight() int64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.inFlight.Load()
-}
+func (rec *Recorder) InFlight() int64 { return rec.inFlight.Load() }
 
 // SlowTotal returns the number of requests that crossed the slow threshold.
-func (rec *Recorder) SlowTotal() int64 {
-	if rec == nil {
-		return 0
-	}
-	return int64(rec.slowTotal.Value())
-}
+func (rec *Recorder) SlowTotal() int64 { return int64(rec.slowTotal.Value()) }
 
 // RegisterObs attaches the partree_req_* families to reg:
 //

@@ -1,21 +1,21 @@
 // Package reqtrace is the request-scoped companion to internal/trace:
 // where trace attributes one build's time to phases per processor,
 // reqtrace attributes one *request*'s time to the stations it passed
-// through on the serving path — HTTP read, admission-queue wait, the
-// build itself (with the core phase breakdown bridged in), response
-// write. Every partreed and partree-router request gets a request ID (the
-// W3C traceparent trace-id when the caller sent one — a router's shard
-// calls do — minted otherwise; envelope.go), a *Req handle
-// travels in the context.Context from the HTTP handler through
-// internal/engine and internal/runner down to the core build, and each
-// layer stamps its span onto the handle as it goes.
+// through on the serving path. Every partreed and partree-router request
+// gets a request ID (the W3C traceparent trace-id when the caller sent
+// one — a router's shard calls do — minted otherwise; envelope.go) and
+// one record, a *Req, which travels in the context.Context from the HTTP
+// handler through internal/engine and internal/runner down to the core
+// build; each layer stamps its Station onto it. The record is a table of
+// totals, one per station, and a timeline of the stamps that carried a
+// start time; every reader reads the table.
 //
 // The design rules mirror internal/trace:
 //
-//   - Disabled is a nil-handle no-op. Every method on *Req is safe on a
-//     nil receiver and returns immediately, so a run with no request
-//     envelope (the CLI's runner.Run) pays one pointer comparison per
-//     hook and allocates nothing (pinned in overhead_test.go).
+//   - A build with no request behind it (the CLI's runner.Run) carries a
+//     nil *Req. Every method on *Req is safe on a nil receiver and
+//     returns immediately, so such a build pays one pointer comparison
+//     per hook and allocates nothing (pinned in overhead_test.go).
 //   - Completed requests land in a fixed-capacity lock-free ring (the
 //     flight recorder, recorder.go) served over /debug/requests; the
 //     hot path is an atomic pointer store, never a lock.
@@ -28,6 +28,8 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"strconv"
 	"sync"
 	"time"
 
@@ -36,164 +38,179 @@ import (
 
 // maxSpans bounds one request's span list; a streaming session that
 // steps forever must not grow its flight-recorder entry without bound.
-// Past it, spans are dropped (counted) while the queue/build/phase
-// accumulators stay exact.
+// Past it, spans are dropped (counted) while the totals stay exact.
 const maxSpans = 512
 
-// Span is one named interval on a request's timeline. StartNs is
-// relative to the request's start, so rendered timelines are stable
-// across runs that do the same work.
+// Station is a place on the serving path a request's time is
+// attributed to.
+type Station uint8
+
+// The stations, in the order a request meets them. Bounds, Insert and
+// Moments are the core phases of the request's builds (core.Timing);
+// Build is their wall time, and Steps a whole-application run's.
+const (
+	Read Station = iota
+	Queue
+	Build
+	Steps
+	Write
+	Bounds
+	Insert
+	Moments
+	numStations
+)
+
+var stationNames = [numStations]string{"read", "queue", "build", "steps", "write", "bounds", "insert", "moments"}
+
+func (s Station) String() string { return stationNames[s] }
+
+// Totals is a request's time per station in nanoseconds, exact however
+// many spans the timeline kept. It renders as one JSON object keyed by
+// station name, in station order.
+type Totals [numStations]int64
+
+func (t Totals) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for s, ns := range t {
+		if s > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, Station(s).String())
+		b = append(b, ':')
+		b = strconv.AppendInt(b, ns, 10)
+	}
+	return append(b, '}'), nil
+}
+
+func (t *Totals) UnmarshalJSON(b []byte) error {
+	var m map[string]int64
+	err := json.Unmarshal(b, &m)
+	for s := range t {
+		t[s] = m[stationNames[s]]
+	}
+	return err
+}
+
+// Sub is the time t gained over an earlier snapshot u, station by
+// station.
+func (t Totals) Sub(u Totals) Totals {
+	for s := range t {
+		t[s] -= u[s]
+	}
+	return t
+}
+
+// Span is one stamp on a request's timeline. StartNs is relative to the
+// request's start, so rendered timelines are stable across runs that do
+// the same work.
 type Span struct {
-	Name    string `json:"name"`
+	Name    string `json:"name"` // the station's
 	StartNs int64  `json:"start_ns"`
 	DurNs   int64  `json:"dur_ns"`
 }
 
-// Phases is the core build-phase breakdown accumulated over every build
-// the request performed (one for /v1/build, one per step for a
-// session). It is fed from core.Metrics.Timing, which every build
-// maintains whether or not per-processor tracing ran.
-type Phases struct {
-	BoundsNs  int64 `json:"bounds_ns"`
-	InsertNs  int64 `json:"insert_ns"`
-	MomentsNs int64 `json:"moments_ns"`
-}
-
-// Req is one request's span context. Handlers create it via
-// Recorder.Start, thread it with NewContext, and lower layers recall it
-// with FromContext. A nil *Req is the disabled mode: every method is a
-// no-op.
+// Req is one request's record. Handlers create it via Recorder.Start,
+// thread it with NewContext, and lower layers recall it with
+// FromContext. A nil *Req (no request behind the build) ignores every
+// call.
 //
-// One Req is owned by one request's serving path; spans may be stamped
-// from the goroutines that path runs through (handler, runner worker),
+// One Req is owned by one request's serving path; stamps may come from
+// the goroutines that path runs through (handler, runner worker),
 // serialized by mu. Readers (the /debug handlers) lock the same mutex,
 // but only for requests already published to the flight recorder.
 type Req struct {
 	rec   *Recorder
 	start time.Time
 
-	// e accumulates the request's Entry in place: spans, the "queue" and
-	// "build" span sums, phases, and — set by Finish — status, bytes and
-	// duration (0 while in flight).
+	// e accumulates the request's Entry in place: totals, spans, and —
+	// set by Finish — status, bytes and duration (0 while in flight).
 	// Seq is assigned when the recorder publishes the finished Req.
 	mu sync.Mutex
 	e  Entry
 }
 
-// SpanSince stamps a span from start to now. The zero start time is
-// ignored, so callers can pair it with a guarded time.Now() capture:
-//
-//	var t0 time.Time
-//	if rq != nil { t0 = time.Now() }
-//	...wait...
-//	rq.SpanSince("queue", t0)
-func (r *Req) SpanSince(name string, start time.Time) {
-	if r == nil || start.IsZero() {
+// Stamp adds d to station s's total. A non-zero start also puts the
+// span [start, start+d) on the timeline (while it has room); a negative
+// d counts as zero.
+func (r *Req) Stamp(s Station, start time.Time, d time.Duration) {
+	if r == nil {
 		return
 	}
-	r.SpanAt(name, start, time.Now())
-}
-
-// SpanAt stamps a span covering [start, end). Spans named "queue" and
-// "build" additionally accumulate into the queue-wait and build totals
-// Breakdown reports, whether or not the span list is full.
-func (r *Req) SpanAt(name string, start, end time.Time) {
-	if r == nil || start.IsZero() {
-		return
-	}
-	dur := end.Sub(start).Nanoseconds()
-	if dur < 0 {
-		dur = 0
-	}
+	d = max(d, 0)
 	r.mu.Lock()
-	switch name {
-	case "queue":
-		r.e.QueueNs += dur
-	case "build":
-		r.e.BuildWallNs += dur
+	defer r.mu.Unlock()
+	r.e.Totals[s] += d.Nanoseconds()
+	if start.IsZero() {
+		return
 	}
 	if len(r.e.Spans) < maxSpans {
-		r.e.Spans = append(r.e.Spans, Span{Name: name, StartNs: start.Sub(r.start).Nanoseconds(), DurNs: dur})
+		r.e.Spans = append(r.e.Spans, Span{Name: s.String(), StartNs: start.Sub(r.start).Nanoseconds(), DurNs: d.Nanoseconds()})
 	} else {
 		r.e.DroppedSpans++
 	}
-	r.mu.Unlock()
 }
 
-// AddBuild stamps one tree build onto the request: a "build" span of
-// wall starting at start (the zero start means no span, as in SpanAt —
-// a whole-application step's build sits inside the caller's own "steps"
-// span), the core phase breakdown (m.Timing, which every build
-// maintains) accumulated into the request, and the per-processor trace
-// summary, when the builder traced, attached — latest traced build wins,
-// for a session the last step's.
+// Since stamps station s from start to now.
+func (r *Req) Since(s Station, start time.Time) {
+	if r == nil {
+		return
+	}
+	r.Stamp(s, start, time.Since(start))
+}
+
+// AddBuild stamps one tree build: wall onto Build (on the timeline when
+// start is non-zero — a whole-application step's build passes the zero
+// start and wall, since it sits inside the caller's own Steps span) and
+// the build's core phases, m.Timing, onto Bounds, Insert and Moments.
 func (r *Req) AddBuild(start time.Time, wall time.Duration, m *core.Metrics) {
 	if r == nil {
 		return
 	}
-	r.SpanAt("build", start, start.Add(wall))
-	r.mu.Lock()
-	r.e.Phases.BoundsNs += m.Timing.Bounds.Nanoseconds()
-	r.e.Phases.InsertNs += m.Timing.Insert.Nanoseconds()
-	r.e.Phases.MomentsNs += m.Timing.Moments.Nanoseconds()
-	r.mu.Unlock()
+	r.Stamp(Build, start, wall)
+	r.Stamp(Bounds, time.Time{}, m.Timing.Bounds)
+	r.Stamp(Insert, time.Time{}, m.Timing.Insert)
+	r.Stamp(Moments, time.Time{}, m.Timing.Moments)
 }
 
-// Breakdown reports the request's station totals so far: admission
-// queue wait, tree-build time (bounds + insert phases), moments time,
-// and total elapsed (final duration once finished, time since start
-// while in flight).
-func (r *Req) Breakdown() (queue, build, moments, total time.Duration) {
+// Totals snapshots the request's station totals and its elapsed time:
+// the final duration once it finished, the time since its start while
+// in flight. Both are zero on a nil handle.
+func (r *Req) Totals() (Totals, time.Duration) {
 	if r == nil {
-		return 0, 0, 0, 0
+		return Totals{}, 0
 	}
 	r.mu.Lock()
-	queue = time.Duration(r.e.QueueNs)
-	build = time.Duration(r.e.Phases.BoundsNs + r.e.Phases.InsertNs)
-	moments = time.Duration(r.e.Phases.MomentsNs)
+	defer r.mu.Unlock()
 	if r.e.DurNs > 0 {
-		total = time.Duration(r.e.DurNs)
-	} else {
-		total = time.Since(r.start)
+		return r.e.Totals, time.Duration(r.e.DurNs)
 	}
-	r.mu.Unlock()
-	return queue, build, moments, total
+	return r.e.Totals, time.Since(r.start)
 }
 
 // Finish completes the request with its HTTP outcome and publishes it
-// to the flight recorder. Exactly once per Req; later spans are lost.
-func (r *Req) Finish(status int, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.FinishAt(status, bytes, time.Now())
-}
+// to the flight recorder. Exactly once per Req; later stamps are lost.
+func (r *Req) Finish(status int, bytes int64) { r.FinishAt(status, bytes, time.Now()) }
 
 // FinishAt is Finish with an explicit end time (deterministic tests).
 func (r *Req) FinishAt(status int, bytes int64, end time.Time) {
 	if r == nil {
 		return
 	}
-	dur := end.Sub(r.start)
-	if dur < 0 {
-		dur = 0
-	}
+	dur := max(end.Sub(r.start), 0)
 	r.mu.Lock()
 	r.e.Status = status
 	r.e.Bytes = bytes
 	r.e.DurNs = dur.Nanoseconds()
-	queue := time.Duration(r.e.QueueNs)
+	queue := time.Duration(r.e.Totals[Queue])
 	r.mu.Unlock()
-	if r.rec != nil {
-		r.rec.record(r, dur, queue)
-	}
+	r.rec.record(r, dur, queue)
 }
 
 // ctxKey is the context key for the request's *Req.
 type ctxKey struct{}
 
 // NewContext returns ctx carrying rq. A nil rq returns ctx unchanged,
-// so disabled mode threads no value at all.
+// so a build with no request behind it threads no value at all.
 func NewContext(ctx context.Context, rq *Req) context.Context {
 	if rq == nil {
 		return ctx
@@ -202,9 +219,8 @@ func NewContext(ctx context.Context, rq *Req) context.Context {
 }
 
 // FromContext recalls the request handle, nil when none is present.
-// This is the per-hook cost of disabled mode: one context lookup that
-// misses immediately (partreed threads no value when the recorder is
-// off).
+// This is the per-hook cost of a build with no request behind it: one
+// context lookup that misses immediately.
 func FromContext(ctx context.Context) *Req {
 	rq, _ := ctx.Value(ctxKey{}).(*Req)
 	return rq

@@ -2,6 +2,7 @@ package reqtrace_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -97,34 +98,22 @@ func buildMetrics(bounds, insert, moments time.Duration) *core.Metrics {
 	return &core.Metrics{Timing: core.Timing{Bounds: bounds, Insert: insert, Moments: moments}}
 }
 
-// TestNilHandleNoOp pins the disabled mode: a nil Recorder yields a nil
-// *Req, and every method on both is callable and inert.
+// TestNilHandleNoOp pins the handle a build with no request behind it
+// carries: every method on a nil *Req is callable and inert, and a
+// context threads no value for it.
 func TestNilHandleNoOp(t *testing.T) {
-	var rec *reqtrace.Recorder
-	rq := rec.Start("id", "/v1/build")
-	if rq != nil {
-		t.Fatal("nil recorder handed out a non-nil Req")
-	}
-	rq.SpanSince("queue", time.Now())
+	var rq *reqtrace.Req
+	rq.Since(reqtrace.Queue, time.Now())
+	rq.Stamp(reqtrace.Read, epoch, time.Millisecond)
 	rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Millisecond, time.Millisecond, time.Millisecond))
 	rq.Finish(200, 1)
-	if q, b, m, tot := rq.Breakdown(); q+b+m+tot != 0 {
-		t.Errorf("nil Req breakdown = %v %v %v %v, want zeros", q, b, m, tot)
+	if tot, elapsed := rq.Totals(); tot != (reqtrace.Totals{}) || elapsed != 0 {
+		t.Errorf("nil Req totals = %v, elapsed %v; want zeros", tot, elapsed)
 	}
-	if rq.Entry().ID != "" || rq.Entry().Route != "" || rq.Entry().Seq != 0 || time.Duration(rq.Entry().DurNs) != 0 {
-		t.Error("nil Req identity accessors returned non-zero values")
-	}
-	if rq.Entry().Spans != nil || (rq.Entry().Phases != reqtrace.Phases{}) {
-		t.Error("nil Req snapshots returned non-zero values")
-	}
-	if rec.Snapshot() != nil || rec.Slow() != nil || rec.Lookup("id") != nil {
-		t.Error("nil recorder snapshots returned non-nil values")
-	}
-	if rec.InFlight() != 0 || rec.SlowTotal() != 0 {
-		t.Error("nil recorder counters returned non-zero values")
+	if e := rq.Entry(); e.ID != "" || e.Route != "" || e.Seq != 0 || e.DurNs != 0 || e.Spans != nil {
+		t.Errorf("nil Req entry = %+v, want the zero Entry", e)
 	}
 
-	// A context threads no value for a nil Req, and recalls nothing.
 	ctx := reqtrace.NewContext(context.Background(), nil)
 	if ctx != context.Background() {
 		t.Error("NewContext(nil) wrapped the context")
@@ -145,8 +134,8 @@ func TestContextRoundTrip(t *testing.T) {
 }
 
 // TestReqTimeline drives one request through the deterministic
-// constructors and checks every accumulator: span offsets relative to
-// the start, the queue/build station totals, the phase breakdown, and
+// constructors and checks its record: span offsets relative to the
+// start, the station totals (the build's core phases among them), and
 // the final duration.
 func TestReqTimeline(t *testing.T) {
 	rec := reqtrace.NewRecorder()
@@ -156,47 +145,40 @@ func TestReqTimeline(t *testing.T) {
 	}
 
 	ms := func(n int) time.Time { return epoch.Add(time.Duration(n) * time.Millisecond) }
-	rq.SpanAt("read", ms(0), ms(1))
-	rq.SpanAt("queue", ms(1), ms(3))
+	rq.Stamp(reqtrace.Read, ms(0), time.Millisecond)
+	rq.Stamp(reqtrace.Queue, ms(1), 2*time.Millisecond)
 	rq.AddBuild(ms(3), 10*time.Millisecond, buildMetrics(6*time.Millisecond, 3*time.Millisecond, time.Millisecond))
-	rq.SpanAt("queue", ms(13), ms(14)) // second slot wait accumulates
-	rq.SpanAt("write", ms(14), ms(15))
+	rq.Stamp(reqtrace.Queue, ms(13), time.Millisecond) // second slot wait accumulates
+	rq.Stamp(reqtrace.Write, ms(14), time.Millisecond)
 
 	// Spanless stamps (the zero start), as a whole-application step makes.
-	rq.AddBuild(time.Time{}, 0, buildMetrics(0, 0, 0))
+	rq.AddBuild(time.Time{}, 0, buildMetrics(time.Millisecond, 0, 0))
 
-	q, b, m, tot := rq.Breakdown()
-	if q != 3*time.Millisecond {
-		t.Errorf("queue = %v, want 3ms (two waits summed)", q)
+	var want reqtrace.Totals
+	want[reqtrace.Read], want[reqtrace.Queue], want[reqtrace.Build], want[reqtrace.Write] = 1e6, 3e6, 10e6, 1e6
+	want[reqtrace.Bounds], want[reqtrace.Insert], want[reqtrace.Moments] = 7e6, 3e6, 1e6
+	got, elapsed := rq.Totals()
+	if got != want {
+		t.Errorf("totals = %v, want %v", got, want)
 	}
-	if b != 9*time.Millisecond {
-		t.Errorf("build = %v, want 9ms (bounds+insert phases)", b)
-	}
-	if m != time.Millisecond {
-		t.Errorf("moments = %v, want 1ms", m)
-	}
-	if tot <= 0 {
-		t.Errorf("in-flight total = %v, want > 0 (time since start)", tot)
+	if elapsed <= 0 {
+		t.Errorf("in-flight elapsed = %v, want > 0 (time since start)", elapsed)
 	}
 
 	spans := rq.Entry().Spans
 	if len(spans) != 5 {
-		t.Fatalf("got %d spans, want 5", len(spans))
+		t.Fatalf("got %d spans, want 5 (the spanless build stamps none)", len(spans))
 	}
-	want := reqtrace.Span{Name: "build", StartNs: 3e6, DurNs: 10e6}
-	if spans[2] != want {
-		t.Errorf("span[2] = %+v, want %+v", spans[2], want)
-	}
-	if ph := rq.Entry().Phases; ph != (reqtrace.Phases{BoundsNs: 6e6, InsertNs: 3e6, MomentsNs: 1e6}) {
-		t.Errorf("phases = %+v", ph)
+	if s := (reqtrace.Span{Name: "build", StartNs: 3e6, DurNs: 10e6}); spans[2] != s {
+		t.Errorf("span[2] = %+v, want %+v", spans[2], s)
 	}
 
 	rq.FinishAt(200, 4096, ms(15))
 	if time.Duration(rq.Entry().DurNs) != 15*time.Millisecond {
 		t.Errorf("duration = %v, want 15ms", time.Duration(rq.Entry().DurNs))
 	}
-	if _, _, _, tot := rq.Breakdown(); tot != 15*time.Millisecond {
-		t.Errorf("finished total = %v, want the recorded 15ms", tot)
+	if _, elapsed := rq.Totals(); elapsed != 15*time.Millisecond {
+		t.Errorf("finished elapsed = %v, want the recorded 15ms", elapsed)
 	}
 	if rq.Entry().Seq != 1 {
 		t.Errorf("seq = %d, want 1 (first recorded request)", rq.Entry().Seq)
@@ -206,24 +188,47 @@ func TestReqTimeline(t *testing.T) {
 	}
 }
 
+// TestTotalsJSON pins the rendered totals — one object keyed by station
+// name, in station order — and that it reads back.
+func TestTotalsJSON(t *testing.T) {
+	var tot reqtrace.Totals
+	for s := range tot {
+		tot[s] = int64(s+1) * 1000
+	}
+	b, err := json.Marshal(tot)
+	const want = `{"read":1000,"queue":2000,"build":3000,"steps":4000,"write":5000,"bounds":6000,"insert":7000,"moments":8000}`
+	if err != nil || string(b) != want {
+		t.Fatalf("totals render as %s (%v), want %s", b, err, want)
+	}
+	var back reqtrace.Totals
+	if err := json.Unmarshal(b, &back); err != nil || back != tot {
+		t.Errorf("%s reads back as %v (%v)", b, back, err)
+	}
+}
+
 // TestSpanListCap stamps past the per-request span cap: the list stops
-// growing, the queue accumulator stays exact, and negative-duration
-// spans clamp to zero.
+// growing, the queue total stays exact, and negative durations clamp to
+// zero.
 func TestSpanListCap(t *testing.T) {
 	rec := reqtrace.NewRecorder()
 	rq := rec.StartAt("00000000000000000000000000000001", "/v1/session", epoch)
 	const stamped = 600 // past the 512-span cap
 	for i := 0; i < stamped; i++ {
-		at := epoch.Add(time.Duration(i) * time.Microsecond)
-		rq.SpanAt("queue", at, at.Add(time.Microsecond))
+		rq.Stamp(reqtrace.Queue, epoch.Add(time.Duration(i)*time.Microsecond), time.Microsecond)
 	}
-	rq.SpanAt("backwards", epoch.Add(time.Second), epoch) // end < start
-	spans := rq.Entry().Spans
-	if len(spans) >= stamped {
-		t.Fatalf("span list grew to %d; the cap never engaged", len(spans))
+	rq.Stamp(reqtrace.Write, epoch.Add(time.Second), -time.Second)
+	if n := len(rq.Entry().Spans); n >= stamped {
+		t.Fatalf("span list grew to %d; the cap never engaged", n)
 	}
-	if q, _, _, _ := rq.Breakdown(); q != stamped*time.Microsecond {
-		t.Errorf("queue total = %v, want exact %v despite dropped spans", q, stamped*time.Microsecond)
+	if e := rq.Entry(); e.DroppedSpans != stamped+1-int64(len(e.Spans)) {
+		t.Errorf("dropped %d spans, kept %d, of %d stamped", e.DroppedSpans, len(e.Spans), stamped+1)
+	}
+	tot, _ := rq.Totals()
+	if tot[reqtrace.Queue] != (stamped * time.Microsecond).Nanoseconds() {
+		t.Errorf("queue total = %d ns, want exact %v despite dropped spans", tot[reqtrace.Queue], stamped*time.Microsecond)
+	}
+	if tot[reqtrace.Write] != 0 {
+		t.Errorf("a negative stamp added %d ns, want 0", tot[reqtrace.Write])
 	}
 	rq.FinishAt(200, 0, epoch.Add(time.Second))
 }
@@ -349,7 +354,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				}
 				for _, r := range rec.Snapshot() {
 					r.Entry()
-					r.Breakdown()
+					r.Totals()
 				}
 				rec.Slow()
 				rec.Lookup("00000000000000000000000000000007")
@@ -371,8 +376,8 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					defer inner.Done()
 					rq.AddBuild(epoch, time.Millisecond, buildMetrics(time.Microsecond, time.Microsecond, time.Microsecond))
 				}()
-				rq.SpanAt("queue", epoch, epoch.Add(time.Microsecond))
-				rq.Breakdown()
+				rq.Stamp(reqtrace.Queue, epoch, time.Microsecond)
+				rq.Totals()
 				inner.Wait()
 				rq.FinishAt(200, 128, epoch.Add(reqtrace.SlowThreshold))
 			}

@@ -65,14 +65,10 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Bui
 	}
 	sim := NewSimulation(spec, bodies.Clone(), bld)
 
-	rq := reqtrace.FromContext(ctx)
-	var stepsStart time.Time
-	if rq != nil {
-		stepsStart = time.Now()
-	}
+	rq, stepsStart := reqtrace.FromContext(ctx), time.Now()
 	res := Result{Spec: spec, LocksPerProc: make([]int64, spec.Procs)}
 	finalize := func() Result {
-		rq.SpanSince("steps", stepsStart)
+		rq.Since(reqtrace.Steps, stepsStart)
 		res.TotalNs = res.TreeNs + res.PartNs + res.ForceNs + res.UpdateNs
 		if res.TotalNs > 0 {
 			res.TreeShare = res.TreeNs / res.TotalNs
@@ -153,8 +149,8 @@ func buildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Bui
 		if el < best {
 			best = el
 		}
-		// One "build" span per repetition; the phase breakdown
-		// accumulates across reps (total build work this request did).
+		// One build stamp per repetition; the totals accumulate across
+		// reps (total build work this request did).
 		rq.AddBuild(start, el, metrics)
 		if spec.Check {
 			if err := verify.Build(spec.Alg, tree, metrics, in.Bodies, rep); err != nil {

@@ -46,10 +46,10 @@ type Runner struct {
 type run struct {
 	spec Spec // normalized
 	res  Result
-	// rq is the initiating request's span context. execute runs on its
-	// own goroutine with a fresh context, so the request handle is
-	// carried through the entry; cache-hit followers share the entry
-	// (and the execution's spans belong to the request that caused it).
+	// rq is the initiating request's record. execute runs on its own
+	// goroutine with a fresh context, so the request handle is carried
+	// through the entry; cache-hit followers share the entry (and the
+	// execution's stamps belong to the request that caused it).
 	rq *reqtrace.Req
 }
 
@@ -358,8 +358,8 @@ func (r *Runner) execute(e *flight[run]) {
 		r.results.publish(e)
 	}
 	// The execution context is fresh (memoized results outlive their
-	// initiating request) but carries the initiator's span handle so
-	// the engine and backend can stamp queue/build spans onto it.
+	// initiating request) but carries the initiator's handle so the
+	// engine and backend can stamp its queue and build stations.
 	ctx := reqtrace.NewContext(context.Background(), rq)
 	if spec.Timeout > 0 {
 		var cancel context.CancelFunc

@@ -222,7 +222,7 @@ func (st *runState) buildPhase(sp *sproc, s int) {
 
 	incremental := st.alg == core.UPDATE && s > 0 && !cfg.Sequential
 	if sp.w == 0 {
-		st.cube = st.bodies.Bounds(1e-4)
+		st.cube = st.bodies.Bounds(vec.RootMargin)
 		if incremental {
 			// Keep the tree; refresh every node's bounds.
 			st.tree.Store.Rescale(st.tree.Root, st.cube)

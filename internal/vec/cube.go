@@ -84,25 +84,37 @@ func (c Cube) String() string {
 	return fmt.Sprintf("cube{center=%v size=%g}", c.Center, c.Size)
 }
 
+// RootMargin expands a root cube (relative) so no body sits on its
+// faces. Every builder, the serial reference and every keying cube use
+// this one value, so their cubes agree bit for bit.
+const RootMargin = 1e-4
+
 // BoundingCube returns the smallest cube, expanded by the given relative
-// margin, that contains every position produced by the iterator. The cube
-// is centered on the midpoint of the positions' bounding box. A margin of
-// e.g. 1e-3 keeps extreme bodies strictly inside the half-open root so the
-// builders never have to grow the root mid-build (the SPLASH codes size the
-// root once per step the same way).
+// margin, that contains every position produced by the iterator: the
+// BoxCube of the positions' bounding box. A margin such as RootMargin
+// keeps extreme bodies strictly inside the half-open root so the
+// builders never have to grow the root mid-build (the SPLASH codes size
+// the root once per step the same way).
 func BoundingCube(n int, pos func(i int) V3, margin float64) Cube {
-	if n == 0 {
-		return Cube{Size: 1}
+	var lo, hi V3
+	if n > 0 {
+		lo, hi = pos(0), pos(0)
 	}
-	lo, hi := pos(0), pos(0)
 	for i := 1; i < n; i++ {
 		p := pos(i)
 		lo = lo.Min(p)
 		hi = hi.Max(p)
 	}
+	return BoxCube(lo, hi, margin)
+}
+
+// BoxCube turns the box [lo, hi] into a root cube: centered on the box's
+// midpoint, its side the box's largest extent expanded by margin. A box
+// of no extent (no bodies, or all coincident) gets side 1.
+func BoxCube(lo, hi V3, margin float64) Cube {
 	size := hi.Sub(lo).MaxComponent() * (1 + margin)
 	if size <= 0 {
-		size = 1 // all bodies coincide; any positive size works
+		size = 1 // any positive size works
 	}
 	return Cube{Center: lo.Add(hi).Scale(0.5), Size: size}
 }

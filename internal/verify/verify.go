@@ -37,10 +37,12 @@ package verify
 
 import (
 	"fmt"
+	"sync"
 
 	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
+	"partree/internal/vec"
 )
 
 // Canonical reports whether a build of alg must reproduce the serial
@@ -72,7 +74,11 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, canonical bool) error {
 	if !canonical {
 		return nil
 	}
-	ref := octree.BuildSerial(bodies.Pos, t.Store.LeafCap)
+	s := refStores.Get().(*octree.Store)
+	defer refStores.Put(s)
+	s.Reset()
+	s.LeafCap = t.Store.LeafCap
+	ref := octree.BuildSerialInto(s, bodies.Bounds(vec.RootMargin), bodies.Pos)
 	if err := octree.Equal(t, ref); err != nil {
 		return fmt.Errorf("verify: differs from serial reference: %w", err)
 	}
@@ -85,6 +91,11 @@ func Tree(t *octree.Tree, bodies *phys.Bodies, canonical bool) error {
 	}
 	return nil
 }
+
+// refStores holds the single-arena stores Tree builds its serial
+// references into: a check resets a store it has used before instead of
+// allocating and clearing a fresh one.
+var refStores = sync.Pool{New: func() any { return octree.NewStore(1, 1) }}
 
 // Metrics audits one build's counters against the conservation laws the
 // builders guarantee. t is the tree the metrics describe, n the number of

@@ -81,9 +81,10 @@ type SessionStepResult struct {
 	Timing *StepTiming `json:"timing,omitempty"`
 }
 
-// StepTiming is one step's latency breakdown in fractional
-// milliseconds: build-slot queue wait, tree build (bounds+insert),
-// moments pass, and total wall time as the handler saw it.
+// StepTiming is a served latency breakdown in fractional milliseconds
+// (Timing renders it): build-slot queue wait, tree build
+// (bounds+insert), moments pass, and total wall time as the handler saw
+// it — a session step's timing record, and /v1/build's Server-Timing.
 type StepTiming struct {
 	QueueMs   float64 `json:"queue_ms"`
 	BuildMs   float64 `json:"build_ms"`

@@ -9,12 +9,26 @@ import (
 	"partree/internal/reqtrace"
 )
 
-// ServerTiming renders a request's station breakdown as a Server-Timing
-// header value: queue wait, tree build (bounds+insert), moments pass,
-// and total elapsed, all in milliseconds.
-func ServerTiming(queue, build, moments, total time.Duration) string {
+// Timing renders a request's station totals — or a step's, the
+// difference of two snapshots — as the served breakdown: queue wait,
+// tree build (bounds + insert), moments pass, and total, the elapsed
+// time the caller measured. /v1/build's Server-Timing header and a
+// session step's timing record both come from here.
+func Timing(t reqtrace.Totals, total time.Duration) StepTiming {
+	ms := func(ns int64) float64 { return reqtrace.Ms(time.Duration(ns)) }
+	return StepTiming{
+		QueueMs:   ms(t[reqtrace.Queue]),
+		BuildMs:   ms(t[reqtrace.Bounds] + t[reqtrace.Insert]),
+		MomentsMs: ms(t[reqtrace.Moments]),
+		TotalMs:   reqtrace.Ms(total),
+	}
+}
+
+// ServerTiming renders a breakdown as a Server-Timing header value, all
+// in milliseconds.
+func ServerTiming(t StepTiming) string {
 	return fmt.Sprintf("queue;dur=%.3f, build;dur=%.3f, moments;dur=%.3f, total;dur=%.3f",
-		reqtrace.Ms(queue), reqtrace.Ms(build), reqtrace.Ms(moments), reqtrace.Ms(total))
+		t.QueueMs, t.BuildMs, t.MomentsMs, t.TotalMs)
 }
 
 // ParseServerTiming extracts the dur= values from a Server-Timing

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"partree/internal/octree"
+	"partree/internal/reqtrace"
 	"partree/internal/runner"
 )
 
@@ -211,7 +212,9 @@ func TestSessionRecordBytes(t *testing.T) {
 // TestServerTimingRoundTrip pins the header's bytes and that the parser
 // reads back what the renderer wrote.
 func TestServerTimingRoundTrip(t *testing.T) {
-	v := ServerTiming(12*time.Microsecond, 1500*time.Microsecond, 250*time.Microsecond, 2*time.Millisecond)
+	var tot reqtrace.Totals
+	tot[reqtrace.Queue], tot[reqtrace.Bounds], tot[reqtrace.Insert], tot[reqtrace.Moments] = 12e3, 1e6, 5e5, 25e4
+	v := ServerTiming(Timing(tot, 2*time.Millisecond))
 	if want := "queue;dur=0.012, build;dur=1.500, moments;dur=0.250, total;dur=2.000"; v != want {
 		t.Fatalf("ServerTiming = %q, want %q", v, want)
 	}

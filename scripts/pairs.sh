@@ -13,7 +13,9 @@
 # than 0.3 straddled two host regimes and is refused: printed, never
 # averaged (the probe's own spread within one regime is ≈ 0.1). For every end-to-end metric of BENCHMARK.json the script then
 # prints each side's median and quartiles over the kept pairs and in how
-# many of them the change read better, and appends one line per side to
+# many of them the change read better — ending the row with "unresolved"
+# when the parent's own interquartile spread exceeds the metric's bound —
+# and appends one line per side to
 # the history file (default BENCH_HISTORY.ndjson): commit, cores,
 # GOMAXPROCS, Go version, the probe's median and the metric medians.
 set -euo pipefail
@@ -96,7 +98,10 @@ def side($s): map(select(.side == $s));
 def value($m): .result.metrics[$m].value;
 '
 
-# One tab-separated row per metric: name, each side's median q1 q3, k, n.
+# One tab-separated row per metric: name, each side's median q1 q3, k, n,
+# and whether the parent's own interquartile spread, (q3 - q1) / |median|,
+# exceeds the metric's bound: such a row cannot resolve a change within
+# the bound either way, and ends with "unresolved".
 printf '\n%-28s %-28s %-28s %s\n' metric "parent median [q1 q3]" "change median [q1 q3]" better
 jq -rs --slurpfile bench BENCHMARK.json "$stats"'
     kept as $k | $bench[0].end_to_end[] as $m
@@ -104,13 +109,16 @@ jq -rs --slurpfile bench BENCHMARK.json "$stats"'
        | select(.p != null and .c != null)] as $v
     | select($v | length > 0)
     | [$v[].p] as $p | [$v[].c] as $c
-    | [$m.name, ($p | q(0.5), q(0.25), q(0.75)), ($c | q(0.5), q(0.25), q(0.75)),
-       ($v | map(select(if $m.better == "higher" then .c > .p else .c < .p end)) | length), ($v | length)]
+    | ($p | q(0.5)) as $pm | ($p | q(0.75) - q(0.25)) as $iqr
+    | [$m.name, $pm, ($p | q(0.25), q(0.75)), ($c | q(0.5), q(0.25), q(0.75)),
+       ($v | map(select(if $m.better == "higher" then .c > .p else .c < .p end)) | length), ($v | length),
+       (if (if $pm == 0 then $iqr > 0 else $iqr / (if $pm < 0 then -$pm else $pm end) > $m.bound end)
+        then "unresolved" else "" end)]
     | @tsv' "$runs" |
-    while IFS=$'\t' read -r name pm p1 p3 cm c1 c3 k n; do
+    while IFS=$'\t' read -r name pm p1 p3 cm c1 c3 k n wide; do
         printf -v ps '%.4g [%.4g %.4g]' "$pm" "$p1" "$p3"
         printf -v cs '%.4g [%.4g %.4g]' "$cm" "$c1" "$c3"
-        printf '%-28s %-28s %-28s %s/%s\n' "$name" "$ps" "$cs" "$k" "$n"
+        printf '%-28s %-28s %-28s %s/%s%s\n' "$name" "$ps" "$cs" "$k" "$n" "${wide:+ $wide}"
     done
 jq -rs '"failed operations: " + ([("parent", "change") as $s | "\($s) \(map(select(.side == $s) | .result.failed) | add)/\(map(select(.side == $s) | .result.attempted) | add)"] | join(", "))' "$runs"
 
