@@ -76,9 +76,11 @@ bench-smoke:
 # body set, and the whole SpatialAssign a spatial:true request pays — and
 # a whole SPACE build at the two tree workloads' shapes and
 # serve-build's, p = 1 and 2, with its bounds (the counting partition's
-# rounds), insert (the sorted subtrees) and moments µs per build beside
+# rounds, which stop at one processor's share), insert (claiming,
+# splitting and sorting the subspaces) and moments µs per build beside
 # ns/op (BenchmarkSpaceBuild), and two of those phases alone: the
-# counting partition and the moments pass (serial against two and eight
+# counting partition down to the build's round threshold and the
+# moments pass (serial against two and eight
 # workers, also on serve-build's and tree-small's trees) — then what a resident
 # session pays per step (BenchmarkSessionStep: n=50k and 100k, one session
 # and two stepping at once, with the step's phases reported beside ns/op,

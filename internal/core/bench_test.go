@@ -31,8 +31,9 @@ func BenchmarkSpatialAssign(b *testing.B) {
 }
 
 // BenchmarkSpacePartition times SPACE's counting partition alone — the
-// rounds of count, decide, scatter over a resident scratch — at the two
-// tree workloads' shapes, on the spatial assignment every caller passes.
+// rounds of count, decide, scatter over a resident scratch, down to the
+// round threshold a build uses — at the two tree workloads' shapes, on
+// the spatial assignment every caller passes.
 func BenchmarkSpacePartition(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -50,7 +51,7 @@ func BenchmarkSpacePartition(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s.Reset()
-					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, SpaceThreshold(0, 8, c.n, p), m)
+					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, spaceRoundThreshold(SpaceThreshold(0, 8, c.n, p), c.n, p), m)
 				}
 			})
 		}

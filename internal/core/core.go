@@ -230,43 +230,31 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	return out
 }
 
-// parallelBounds computes the root bounding cube with one goroutine per
-// processor's body list, mirroring how the real codes size the root.
+// parallelBounds computes the root bounding cube, each of the p
+// processors reading one contiguous range of the position column rather
+// than gathering through its Assign list: min and max are exact, so how
+// the bodies are cut does not change the cube.
 func parallelBounds(in *Input, m *Metrics) vec.Cube {
-	p := in.P()
-	mins := make([]vec.V3, p)
-	maxs := make([]vec.V3, p)
-	any := make([]bool, p)
+	p, pos := in.P(), in.Bodies.Pos
+	lo, hi := make([]vec.V3, p), make([]vec.V3, p)
 	m.fork(trace.PhasePartition, p, func(w int) {
-		first := true
-		var lo, hi vec.V3
-		for _, b := range in.Assign[w] {
-			q := in.Bodies.Pos[b]
-			if first {
-				lo, hi = q, q
-				first = false
-			} else {
-				lo = lo.Min(q)
-				hi = hi.Max(q)
-			}
+		if len(pos) == 0 {
+			return
 		}
-		mins[w], maxs[w], any[w] = lo, hi, !first
+		// Every range starts from body 0, which moves no extreme, so an
+		// empty range (n < p) leaves it as it is.
+		l, h := pos[0], pos[0]
+		for _, q := range pos[len(pos)*w/p : len(pos)*(w+1)/p] {
+			l = l.Min(q)
+			h = h.Max(q)
+		}
+		lo[w], hi[w] = l, h
 	})
-	first := true
-	var lo, hi vec.V3
-	for w := 0; w < p; w++ {
-		if !any[w] {
-			continue
-		}
-		if first {
-			lo, hi = mins[w], maxs[w]
-			first = false
-		} else {
-			lo = lo.Min(mins[w])
-			hi = hi.Max(maxs[w])
-		}
+	for w := 1; w < p; w++ {
+		lo[0] = lo[0].Min(lo[w])
+		hi[0] = hi[0].Max(hi[w])
 	}
-	return vec.BoxCube(lo, hi, vec.RootMargin)
+	return vec.BoxCube(lo[0], hi[0], vec.RootMargin)
 }
 
 // Timing records the builder's phase durations for the native benchmarks.

@@ -31,9 +31,17 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	p := in.P()
 	// Checked here, on the caller's goroutine: past this line a list
 	// without an arena indexes out of range inside a worker, which no
-	// caller can recover, and no list at all builds an empty tree.
+	// caller can recover, no list at all builds an empty tree, and lists
+	// that miss bodies build a tree over bounds that count them.
 	if p < 1 || p > cfg.P {
 		panic(fmt.Sprintf("core: Build given %d processor lists, want 1 to %d (Config.P)", p, cfg.P))
+	}
+	listed := 0
+	for _, a := range in.Assign {
+		listed += len(a)
+	}
+	if n := in.Bodies.N(); listed != n {
+		panic(fmt.Sprintf("core: Build given processor lists of %d bodies in all, want all %d", listed, n))
 	}
 	t0 := time.Now()
 	m.epoch = t0

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/trace"
 	"partree/internal/vec"
@@ -27,6 +33,17 @@ import (
 // Locking in the tree-build phase is eliminated entirely, at the cost of
 // the counting passes, some load imbalance, and the loss of locality
 // between the build partition and the force partition.
+//
+// This builder departs from the paper's static dealing to pay less of
+// the first two costs. Its counting rounds stop once no subspace holds
+// more than one processor's share of the bodies (spaceRoundThreshold),
+// and the subspaces are claimed rather than dealt (spaceClaims): each
+// processor starts on its step-2 zone and steals once that runs dry, and
+// the claimant of a subspace above the threshold splits it one level and
+// hands its children back as subspaces to claim. The threshold still
+// bounds every subtree one processor sorts whole, and the tree is the
+// same; only who creates the cells between the threshold and n/p
+// changes. internal/simalg replays the paper's dealing.
 type spaceBuilder struct {
 	cfg     Config
 	store   *octree.Store
@@ -41,9 +58,9 @@ func (sb *spaceBuilder) Algorithm() Algorithm { return SPACE }
 
 // SPACE's pure decisions — what a subspace and a frontier cell are, the
 // subdivision threshold, the subspace-to-processor assignment — are
-// exported because internal/simalg replays the same algorithm on the
-// platform models: it charges memory and barriers its own way, but must
-// decide exactly what the native builder decides.
+// exported because internal/simalg replays the paper's algorithm on the
+// platform models: it charges memory and barriers its own way, but
+// decides with the same functions.
 
 // Subspace is one finalized partition unit: an unfilled child slot of a
 // prefix cell, plus the bodies that belong in it.
@@ -86,63 +103,286 @@ func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	return sb.build(in, m, nil), m
 }
 
+// spaceRoundThreshold is the largest frontier cell the counting rounds
+// leave unsplit: the subdivision threshold, or one processor's share of
+// the bodies, ⌈n/p⌉, whichever is larger. A round sweeps every body
+// still in flight and forks twice, while a subspace split where it is
+// claimed costs its claimant alone; so the rounds stop once no frontier
+// cell holds more than a share, and claims split the rest. At p = 1
+// that is always one round, at the root.
+func spaceRoundThreshold(threshold, n, p int) int {
+	return max(threshold, (n+p-1)/p)
+}
+
 // build is SPACE's build into sb's store: the counting partition runs in
-// the prepare phase (in sb's resident scratch), then every processor
-// sorts and attaches the subtrees of its subspaces. bodyLeaf is nil for
-// SPACE; UPDATE passes its body→leaf map, which every attached subtree
-// publishes into, so its repairs resume against the fresh tree.
+// the prepare phase (in sb's resident scratch), then the processors
+// claim, split and sort the subspaces it left (spaceClaims). bodyLeaf is
+// nil for SPACE; UPDATE passes its body→leaf map, which every sorted
+// subtree publishes into, so its repairs resume against the fresh tree.
 func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.Tree {
 	s, sc, cfg := sb.store, &sb.scratch, sb.cfg
-	p := in.P()
-	var subs []Subspace
+	p, n := in.P(), in.Bodies.N()
 	var th int
-	return runPhases(cfg, in, m,
+	var cols *[2][]vec.V3
+	tree := runPhases(cfg, in, m,
 		func(root vec.Cube) *octree.Tree {
-			th = SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, in.Bodies.N(), p)
+			th = SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, n, p)
 			tree := freshTree(s)(root)
-			subs = spacePartition(sc, s, tree, in, th, m)
-			AssignSubspaces(root, subs, p)
-			sc.pos = grown(sc.pos, p)
+			subs := spacePartition(sc, s, tree, in, spaceRoundThreshold(th, n, p), m)
+			sc.claims.deal(subs, AssignSubspaces(root, subs, p), p)
+			cols = borrowCarried(n)
 			return tree
 		},
 		func(_ *octree.Tree, w int) {
-			ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf}
-			spaceAttach(in.Bodies.Pos, subs, sc.nxt, &sc.pos[w], th, w, ins)
+			c := claimant{
+				ins:  inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf},
+				q:    &sc.claims,
+				pos:  in.Bodies.Pos,
+				idx:  [2][]int32{sc.fin, sc.nxt},
+				cols: cols,
+				th:   th,
+			}
+			c.work(w)
 		})
+	returnCarried(cols)
+	return tree
 }
 
-// spaceAttach builds and attaches one subtree per finalized subspace
-// owned by processor w — no locking: a given attachment slot belongs to
-// exactly one processor. sortSubtree sorts each subspace's bodies in
-// place, between its range of the partition's fin and the same range of
-// spare, a body-sized array the counting rounds are done with; the
-// ranges are disjoint, so the processors share nothing.
-//
-// The bodies' positions travel with them, through buf, w's pair of
-// position buffers: the sort reads them in order rather than by body
-// index, which makes it about three times faster on 200 000 Plummer
-// bodies. The pair is sized to at least the threshold, which bounds
-// every subspace above MaxDepth, so a warm build does not regrow it.
-func spaceAttach(pos []vec.V3, subs []Subspace, spare []int32, buf *[2][]vec.V3, threshold, w int, ins *inserter) {
-	for i := range subs {
+// spaceTask is one subspace still to sort: its bodies are the range
+// [lo, hi) of the partition's fin, or of nxt if flip, and once carried
+// their positions are the same range of the carried column of the same
+// parity. Its subtree attaches to child slot oct of parent, and its
+// nodes go to the arena of the processor its dealt ancestor's zone
+// belongs to, whoever claims it: so each arena holds the same number of
+// nodes every build, and a warm build installs no arena chunk.
+type spaceTask struct {
+	parent  octree.Ref
+	oct     vec.Octant
+	arena   int32
+	carried bool // positions in place; a dealt subspace gathers them when claimed
+	flip    bool
+	depth   int32
+	lo, hi  int32
+	cube    vec.Cube
+}
+
+// Task states: a reserved slot is published open once written, and
+// claimed by the one processor whose compare-and-swap wins it.
+const (
+	taskReserved uint32 = iota
+	taskOpen
+	taskClaimed
+)
+
+// splitsPerProc bounds the splits a build publishes per processor: the
+// default threshold, n/(4p), leaves at most 4p oversized subspaces per
+// depth, so this covers sixteen levels of them. Past it a claimant sorts
+// the children of its split itself, as the static dealing did.
+const splitsPerProc = 64
+
+// spaceClaims is the insert phase's work list. The partition's
+// subspaces are dealt as open tasks in Morton order, processor w's
+// AssignSubspaces zone being tasks[zone[w]:zone[w+1]]; a claimed
+// subspace above the threshold is split one level by its claimant, whose
+// children are published behind them as open tasks. Every task is
+// claimed once, by compare-and-swap, so every attach slot has one writer
+// and the build takes no lock.
+type spaceClaims struct {
+	tasks     []spaceTask
+	state     []atomic.Uint32
+	zone      []int
+	dealt     int          // tasks[:dealt] are the partition's subspaces
+	tail      atomic.Int64 // tasks[:tail] are reserved
+	pending   atomic.Int64 // published tasks not yet finished
+	published atomic.Int64 // tasks published so far
+	spin      bool         // the processors fit on the Ps: an idle claimant may spin
+}
+
+// deal readies the claims of one build over the partition's subspaces,
+// order being their Morton order as AssignSubspaces returns it.
+func (q *spaceClaims) deal(subs []Subspace, order []int, p int) {
+	size := len(subs) + vec.NOctants*splitsPerProc*p
+	if cap(q.tasks) < size {
+		// Room for twice as many subspaces, so a warm build whose
+		// partition finalizes a few more does not reallocate.
+		q.tasks, q.state = make([]spaceTask, size, 2*size), make([]atomic.Uint32, size, 2*size)
+	}
+	q.tasks, q.state = q.tasks[:size], q.state[:size]
+	for i := range q.state {
+		q.state[i].Store(taskReserved)
+	}
+	q.zone = grown(q.zone, p+1)
+	q.zone[0] = 0
+	w := 0
+	for k, i := range order {
 		ss := &subs[i]
-		if ss.Owner != w {
-			continue
+		for ; w < ss.Owner; w++ {
+			q.zone[w+1] = k
 		}
-		n := ss.Count
-		if cap(buf[0]) < n {
-			buf[0], buf[1] = make([]vec.V3, max(n, threshold)), make([]vec.V3, max(n, threshold))
+		q.tasks[k] = spaceTask{parent: ss.Parent, oct: ss.Oct, arena: int32(ss.Owner), depth: int32(ss.Depth),
+			lo: int32(ss.off), hi: int32(ss.off + ss.Count), cube: ss.Cube}
+		q.state[k].Store(taskOpen)
+	}
+	for ; w < p; w++ {
+		q.zone[w+1] = len(order)
+	}
+	q.dealt = len(order)
+	q.tail.Store(int64(q.dealt))
+	q.pending.Store(int64(q.dealt))
+	q.published.Store(0)
+	q.spin = p <= runtime.GOMAXPROCS(0)
+}
+
+// reserve takes k consecutive task slots, reporting false if the list
+// is full.
+func (q *spaceClaims) reserve(k int) (int, bool) {
+	for {
+		t := q.tail.Load()
+		if int(t)+k > len(q.tasks) {
+			return 0, false
 		}
-		from, to := buf[0][:n], buf[1][:n]
-		for k, b := range ss.Bodies {
-			from[k] = pos[b]
+		if q.tail.CompareAndSwap(t, t+int64(k)) {
+			return int(t), true
 		}
-		node := ins.sortSubtree(ss.Cube, ss.Depth, ss.Parent, ss.Bodies, spare[ss.off:][:n], from, to)
+	}
+}
+
+// publish opens the k tasks written at tasks[first:first+k].
+func (q *spaceClaims) publish(first, k int) {
+	q.pending.Add(int64(k))
+	for i := first; i < first+k; i++ {
+		q.state[i].Store(taskOpen)
+	}
+	q.published.Add(int64(k))
+}
+
+// await reports whether a task is published beyond the count seen
+// within par.SpinWindow, spinning as par.Do's idle helpers do; it gives
+// up at once when every task is finished.
+func (q *spaceClaims) await(seen int64) bool {
+	for start := time.Now(); time.Since(start) < par.SpinWindow; runtime.Gosched() {
+		switch {
+		case q.pending.Load() == 0:
+			return false
+		case q.published.Load() != seen:
+			return true
+		}
+	}
+	return false
+}
+
+// claimant is processor w's side of the insert phase.
+type claimant struct {
+	ins  inserter
+	q    *spaceClaims
+	pos  []vec.V3     // the bodies' positions, gathered once per dealt subspace
+	idx  [2][]int32   // the partition's fin and nxt: a task's bodies and their spare
+	cols *[2][]vec.V3 // the carried positions, parity for parity with idx
+	th   int
+}
+
+// work claims its own zone in Morton order, then steals. A claimant that
+// finds nothing open leaves, at once when the processors outnumber the
+// Ps and otherwise once par.SpinWindow passes with nothing published or
+// every task is finished (par.Do's rule: an idle share gives up its
+// core). It never waits for the others: a claimant that splits a task
+// claims its children itself, so every task runs, and the join waits
+// only for the claimants still at work.
+func (c *claimant) work(w int) {
+	q := c.q
+	for i := q.zone[w]; i < q.zone[w+1]; i++ {
+		c.claim(i)
+	}
+	for {
+		seen := q.published.Load()
+		if !c.steal(w) && (!q.spin || !q.await(seen)) {
+			return
+		}
+	}
+}
+
+// steal claims one task that is not its own: the last open subspace of
+// another processor's zone, the zones visited from w's successor on, or
+// else the oldest open split child. It reports whether it ran one.
+func (c *claimant) steal(w int) bool {
+	q := c.q
+	p := len(q.zone) - 1
+	for d := 1; d < p; d++ {
+		v := (w + d) % p
+		for i := q.zone[v+1] - 1; i >= q.zone[v]; i-- {
+			if c.claim(i) {
+				return true
+			}
+		}
+	}
+	for i, tail := q.dealt, int(q.tail.Load()); i < tail; i++ {
+		if c.claim(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// claim runs task i if it is open and this claimant wins it.
+func (c *claimant) claim(i int) bool {
+	if !c.q.state[i].CompareAndSwap(taskOpen, taskClaimed) {
+		return false
+	}
+	c.run(&c.q.tasks[i])
+	c.q.pending.Add(-1)
+	return true
+}
+
+// run sorts task t's subtree and attaches it — no locking: the slot is
+// t's alone. At or below the threshold it sorts the subtree whole; above
+// it, it splits one level — the cell step of sortSubtree — publishes
+// the non-empty children as tasks and claims them in octant order, all
+// that no other processor has stolen meanwhile.
+func (c *claimant) run(t *spaceTask) {
+	a := 0
+	if t.flip {
+		a = 1
+	}
+	idx, spare := c.idx[a][t.lo:t.hi], c.idx[1-a][t.lo:t.hi]
+	pos, pos2 := c.cols[a][t.lo:t.hi], c.cols[1-a][t.lo:t.hi]
+	if !t.carried {
+		for k, b := range idx {
+			pos[k] = c.pos[b]
+		}
+	}
+	ins, n := &c.ins, len(idx)
+	ins.arena = int(t.arena)
+	if n <= c.th || int(t.depth) >= ins.s.MaxDepth {
+		node := ins.sortSubtree(t.cube, int(t.depth), t.parent, idx, spare, pos, pos2)
 		ins.publishLeaves(node)
-		// Attach without locking: this slot is ours alone.
-		ins.s.Cell(ss.Parent).SetChild(ss.Oct, node)
+		ins.s.Cell(t.parent).SetChild(t.oct, node)
 		ins.pc.Attached++
 		ins.pc.BodiesBuilt += int64(n)
+		return
+	}
+	cr, _ := ins.allocCell(t.cube, t.parent)
+	start := scatterByOctant(t.cube, idx, spare, pos, pos2)
+	ins.s.Cell(t.parent).SetChild(t.oct, cr)
+	var kids [vec.NOctants]spaceTask
+	k := 0
+	for o := vec.Octant(0); o < vec.NOctants; o++ {
+		if lo, hi := start[o], start[o+1]; lo < hi {
+			kids[k] = spaceTask{parent: cr, oct: o, arena: t.arena, carried: true, flip: !t.flip, depth: t.depth + 1,
+				lo: t.lo + int32(lo), hi: t.lo + int32(hi), cube: t.cube.Child(o)}
+			k++
+		}
+	}
+	first, ok := c.q.reserve(k)
+	if !ok {
+		for i := range kids[:k] {
+			c.run(&kids[i])
+		}
+		return
+	}
+	copy(c.q.tasks[first:], kids[:k])
+	c.q.publish(first, k)
+	for i := first; i < first+k; i++ {
+		c.claim(i)
 	}
 }
 
@@ -150,10 +390,9 @@ func spaceAttach(pos []vec.V3, subs []Subspace, spare []int32, buf *[2][]vec.V3,
 // bodies idx (positions pos, in the same order) over cube at depth under
 // parent, and returns its root. A node is a leaf iff it holds at most
 // LeafCap bodies or sits at MaxDepth — where insertion would have stopped
-// splitting. A cell counts its bodies by octant, scatters them stably
-// into the other pair (spare, pos2), and recurses into each non-empty
-// octant with the pairs swapped; both pairs are left in no particular
-// order.
+// splitting. A cell scatters its bodies by octant into the other pair
+// (spare, pos2) and recurses into each non-empty octant with the pairs
+// swapped; both pairs are left in no particular order.
 //
 // The octant test is octree.BuildSerial's, so the cells are the serial
 // tree's; each leaf inserts its run (in assignment order, not index
@@ -168,7 +407,21 @@ func (ins *inserter) sortSubtree(cube vec.Cube, depth int, parent octree.Ref, id
 		return lr
 	}
 	cr, c := ins.allocCell(cube, parent)
-	var start [vec.NOctants + 1]int
+	start := scatterByOctant(cube, idx, spare, pos, pos2)
+	for o := vec.Octant(0); o < vec.NOctants; o++ {
+		lo, hi := start[o], start[o+1]
+		if lo < hi {
+			c.SetChild(o, ins.sortSubtree(cube.Child(o), depth+1, cr, spare[lo:hi], idx[lo:hi], pos2[lo:hi], pos[lo:hi]))
+		}
+	}
+	return cr
+}
+
+// scatterByOctant is the sort's step at a cell over cube: it counts the
+// bodies idx (positions pos, in the same order) by octant and scatters
+// them stably into spare and pos2, where octant o's run is
+// [start[o], start[o+1]).
+func scatterByOctant(cube vec.Cube, idx, spare []int32, pos, pos2 []vec.V3) (start [vec.NOctants + 1]int) {
 	for _, p := range pos {
 		start[cube.OctantOf(p)+1]++
 	}
@@ -181,20 +434,56 @@ func (ins *inserter) sortSubtree(cube vec.Cube, depth int, parent octree.Ref, id
 		spare[cursor[o]], pos2[cursor[o]] = idx[i], p
 		cursor[o]++
 	}
-	for o := vec.Octant(0); o < vec.NOctants; o++ {
-		lo, hi := start[o], start[o+1]
-		if lo < hi {
-			c.SetChild(o, ins.sortSubtree(cube.Child(o), depth+1, cr, spare[lo:hi], idx[lo:hi], pos2[lo:hi], pos[lo:hi]))
+	return start
+}
+
+// carried lends out the pairs of body-length position columns SPACE's
+// insert phase carries its bodies' positions in. A build borrows one and
+// gives it back when it ends, so a process holds one pair per SPACE
+// build in flight, not one per builder. It is a plain free list, not a
+// sync.Pool: a pool may drop what it is given, and a warm build must
+// allocate nothing body-sized.
+var carried struct {
+	sync.Mutex
+	free []*[2][]vec.V3
+}
+
+// borrowCarried lends a pair of columns of n positions, preferring one
+// already that long.
+func borrowCarried(n int) *[2][]vec.V3 {
+	carried.Lock()
+	var cols *[2][]vec.V3
+	if k := len(carried.free); k > 0 {
+		i := k - 1
+		for j, c := range carried.free {
+			if cap(c[0]) >= n {
+				i = j
+				break
+			}
 		}
+		cols = carried.free[i]
+		carried.free = slices.Delete(carried.free, i, i+1)
 	}
-	return cr
+	carried.Unlock()
+	if cols == nil {
+		cols = new([2][]vec.V3)
+	}
+	cols[0], cols[1] = grown(cols[0], n), grown(cols[1], n)
+	return cols
+}
+
+// returnCarried gives a borrowed pair back.
+func returnCarried(cols *[2][]vec.V3) {
+	carried.Lock()
+	carried.free = append(carried.free, cols)
+	carried.Unlock()
 }
 
 // spaceScratch is the memory SPACE's counting sort works in. It lives on
 // the builder, so a warm build allocates none of it: three body-sized
-// index arrays, one octant byte per body and the frontier bookkeeping;
-// the subtree sorts reuse fin and nxt, and add a pair of position
-// buffers per processor.
+// index arrays, one octant byte per body, the frontier bookkeeping and
+// the insert phase's claims; the subtree sorts reuse fin and nxt, and
+// borrow their position columns (borrowCarried).
 type spaceScratch struct {
 	cur, nxt []int32 // bodies in flight this round, and their order next round
 	fin      []int32 // finalized bodies; every Subspace.Bodies is a range of it
@@ -206,7 +495,7 @@ type spaceScratch struct {
 	frontier, next []FrontierCell
 	off, nextOff   []int // frontier cell fc owns cur[off[fc]:off[fc+1]]
 	subs           []Subspace
-	pos            [][2][]vec.V3 // pos[w] is processor w's, for its subtree sorts
+	claims         spaceClaims
 }
 
 // grown returns s resized to n elements of unspecified content,
@@ -361,8 +650,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 // groups of roughly equal body count: sorted by Morton key (octree
 // depth-first order) and cut into P cost zones, the grouping the paper's
 // Figure 5 draws. Contiguity limits the locality loss SPACE trades for
-// its zero locking.
-func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
+// its zero locking. It returns the subspaces' indices in that order, in
+// which the owners ascend.
+func AssignSubspaces(root vec.Cube, subs []Subspace, p int) []int {
 	k := partition.NewKeyer(root)
 	order := make([]int, len(subs))
 	keys := make([]uint64, len(subs))
@@ -379,7 +669,7 @@ func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
 		return order[a] < order[b]
 	})
 	if total == 0 {
-		return
+		return order
 	}
 	acc := 0
 	for _, i := range order {
@@ -390,4 +680,5 @@ func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
 		subs[i].Owner = w
 		acc += subs[i].Count
 	}
+	return order
 }

@@ -78,10 +78,15 @@ func Costzones(t *octree.Tree, d octree.BodyData, p int) [][]int32 {
 // [cut[w], cut[w+1]), cut where the accumulated cost crosses w·total/p, by
 // the same rules as Costzones (zero or negative total: every body weighs
 // 1; a negative cost weighs 0). One sum and one prefix sweep of cost, in
-// order; nothing is allocated.
+// order, that stops once the last zone is open; one zone is [0, n] with
+// neither. Nothing is allocated.
 func CostRanges(cost []int64, cut []int) {
 	p := len(cut) - 1
 	if p < 1 {
+		return
+	}
+	cut[0], cut[p] = 0, len(cost)
+	if p == 1 {
 		return
 	}
 	var total int64
@@ -90,13 +95,12 @@ func CostRanges(cost []int64, cut []int) {
 	}
 	z := newZoner(p, total, int64(len(cost)))
 	w := 0 // the open zone
-	cut[0] = 0
-	for i, c := range cost {
-		for zw := z.place(c); w < zw; w++ {
+	for i := 0; i < len(cost) && w < p-1; i++ {
+		for zw := z.place(cost[i]); w < zw; w++ {
 			cut[w+1] = i
 		}
 	}
-	for ; w < p; w++ {
+	for ; w < p-1; w++ {
 		cut[w+1] = len(cost)
 	}
 }

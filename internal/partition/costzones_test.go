@@ -434,11 +434,53 @@ func TestCostRangesProperties(t *testing.T) {
 	}
 }
 
+// fullSweepRanges is CostRanges as a full sweep over every body at every
+// p, the differential oracle of TestCostRangesMatchesFullSweep.
+func fullSweepRanges(cost []int64, p int) []int {
+	cut := make([]int, p+1)
+	var total int64
+	for _, c := range cost {
+		total += c
+	}
+	z := newZoner(p, total, int64(len(cost)))
+	w := 0
+	for i, c := range cost {
+		for zw := z.place(c); w < zw; w++ {
+			cut[w+1] = i
+		}
+	}
+	for ; w < p; w++ {
+		cut[w+1] = len(cost)
+	}
+	return cut
+}
+
+// TestCostRangesMatchesFullSweep: one zone skips the sweep and more stop
+// it once the last zone opens, and the cuts are the full sweep's —
+// at p = 1 and 2, where a served session and a two-processor build cut,
+// and beyond; empty, one-body and zero-cost columns included.
+func TestCostRangesMatchesFullSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for name, shape := range costShapes {
+		for _, n := range []int{0, 1, 2, 17, 3000} {
+			cost := make([]int64, n)
+			for i := range cost {
+				cost[i] = shape(r, i)
+			}
+			for _, p := range []int{1, 2, 3, 5, 64} {
+				if got, want := costRanges(cost, p), fullSweepRanges(cost, p); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d p=%d: cuts %v, the full sweep's %v", name, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCostRangesZeroTotalIsEvenSplit: with no cost signal the ranges are
 // an even split, not everything piled into zone 0.
 func TestCostRangesZeroTotalIsEvenSplit(t *testing.T) {
 	const n = 1000
-	for _, p := range []int{1, 4, 7} {
+	for _, p := range []int{1, 2, 4, 7} {
 		zones := cutZones(allBodies(n), costRanges(make([]int64, n), p))
 		lo, hi := n, 0
 		for _, zone := range zones {

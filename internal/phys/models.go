@@ -147,7 +147,8 @@ func isotropic(r *rand.Rand) vec.V3 {
 	z := 2*r.Float64() - 1
 	t := 2 * math.Pi * r.Float64()
 	s := math.Sqrt(1 - z*z)
-	return vec.V3{X: s * math.Cos(t), Y: s * math.Sin(t), Z: z}
+	sin, cos := math.Sincos(t)
+	return vec.V3{X: s * cos, Y: s * sin, Z: z}
 }
 
 func uniformCube(n int, r *rand.Rand) *Bodies {
