@@ -195,6 +195,7 @@ type spaceClaims struct {
 	tail      atomic.Int64 // tasks[:tail] are reserved
 	pending   atomic.Int64 // published tasks not yet finished
 	published atomic.Int64 // tasks published so far
+	splitting atomic.Int32 // splits scattering, whose children are not yet published
 	spin      bool         // the processors fit on the Ps: an idle claimant may spin
 }
 
@@ -256,19 +257,24 @@ func (q *spaceClaims) publish(first, k int) {
 	q.published.Add(int64(k))
 }
 
-// await reports whether a task is published beyond the count seen
-// within par.SpinWindow, spinning as par.Do's idle helpers do; it gives
-// up at once when every task is finished.
+// await reports whether a task is published beyond the count seen,
+// spinning as par.Do's idle helpers do: for par.SpinWindow, and beyond
+// it while a split is scattering, since its children are about to be
+// published. It gives up at once when every task is finished. A split
+// publishes before it stops counting as one, so reading splitting
+// before published misses no child.
 func (q *spaceClaims) await(seen int64) bool {
-	for start := time.Now(); time.Since(start) < par.SpinWindow; runtime.Gosched() {
+	for start := time.Now(); ; runtime.Gosched() {
+		splitting := q.splitting.Load() > 0
 		switch {
 		case q.pending.Load() == 0:
 			return false
 		case q.published.Load() != seen:
 			return true
+		case !splitting && time.Since(start) >= par.SpinWindow:
+			return false
 		}
 	}
-	return false
 }
 
 // claimant is processor w's side of the insert phase.
@@ -283,9 +289,8 @@ type claimant struct {
 
 // work claims its own zone in Morton order, then steals. A claimant that
 // finds nothing open leaves, at once when the processors outnumber the
-// Ps and otherwise once par.SpinWindow passes with nothing published or
-// every task is finished (par.Do's rule: an idle share gives up its
-// core). It never waits for the others: a claimant that splits a task
+// Ps and otherwise when await gives up (par.Do's rule: an idle share
+// gives up its core). It never waits for the others: a claimant that splits a task
 // claims its children itself, so every task runs, and the join waits
 // only for the claimants still at work.
 func (c *claimant) work(w int) {
@@ -360,6 +365,7 @@ func (c *claimant) run(t *spaceTask) {
 		ins.pc.BodiesBuilt += int64(n)
 		return
 	}
+	c.q.splitting.Add(1)
 	cr, _ := ins.allocCell(t.cube, t.parent)
 	start := scatterByOctant(t.cube, idx, spare, pos, pos2)
 	ins.s.Cell(t.parent).SetChild(t.oct, cr)
@@ -373,14 +379,17 @@ func (c *claimant) run(t *spaceTask) {
 		}
 	}
 	first, ok := c.q.reserve(k)
+	if ok {
+		copy(c.q.tasks[first:], kids[:k])
+		c.q.publish(first, k)
+	}
+	c.q.splitting.Add(-1)
 	if !ok {
 		for i := range kids[:k] {
 			c.run(&kids[i])
 		}
 		return
 	}
-	copy(c.q.tasks[first:], kids[:k])
-	c.q.publish(first, k)
 	for i := first; i < first+k; i++ {
 		c.claim(i)
 	}
