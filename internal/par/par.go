@@ -39,7 +39,8 @@ import (
 
 // SpinWindow is how long an idle helper, and a caller joining its shares,
 // spins before giving up the core; a share that looks for more work
-// (SPACE's idle claimants) spins no longer either before it returns. It must outlast the serial gaps between
+// (SPACE's idle claimants) spins no longer either before it returns. It
+// must outlast the serial gaps between
 // two forks of one build, so that the helpers a phase used are still
 // spinning when the next phase forks. Measured at n = 200 000 (p = 2,
 // 2-vCPU guest, Plummer, uniform and hierarchical bodies, the longest of
