@@ -530,11 +530,23 @@ func eachPiece(off []int, w, p int, fn func(fc, lo, hi int)) {
 	}
 }
 
+// copyPiece copies elements [lo, hi) of the lists' concatenation into
+// dst[lo:hi].
+func copyPiece(dst []int32, lists [][]int32, lo, hi int) {
+	base := 0
+	for _, a := range lists {
+		if s, e := max(lo, base), min(hi, base+len(a)); s < e {
+			copy(dst[s:e], a[s-base:e-base])
+		}
+		base += len(a)
+	}
+}
+
 // spacePartition runs the counting/subdivision rounds as a parallel
 // stable counting sort (an MSD radix sort by octant) over one shared
 // array of the bodies still in flight. The array starts as Assign[0],
-// Assign[1], … concatenated, and every frontier cell owns a contiguous
-// range of it. A round is: count — each processor histograms its slice
+// Assign[1], … concatenated — each processor copying in the slice it
+// counts first — and every frontier cell owns a contiguous range of it. A round is: count — each processor histograms its slice
 // over the octants of the frontier cells it crosses; decide — serial,
 // the frontier is tiny: octants above the threshold become prefix cells
 // and next round's frontier, the rest finalized subspaces, and the p
@@ -558,23 +570,22 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 		sc.hist = make([][]int32, p)
 	}
 	cur, nxt, fin, oct := sc.cur, sc.nxt, sc.fin, sc.oct
-	filled := 0
-	for _, a := range in.Assign {
-		filled += copy(cur[filled:], a)
-	}
 
 	frontier := append(sc.frontier[:0], FrontierCell{tree.Root, tree.RootCube(), 0})
 	off := append(sc.off[:0], 0, n)
 	next, nextOff := sc.next, sc.nextOff
 	subs := sc.subs[:0]
 	nFin := 0
-	for len(frontier) > 0 {
+	for first := true; len(frontier) > 0; first = false {
 		f := len(frontier)
 		from, to := cur, nxt
 		m.fork(trace.PhasePartition, p, func(w int) {
 			h := grown(sc.hist[w], f*vec.NOctants)
 			clear(h)
 			sc.hist[w] = h
+			if first {
+				copyPiece(from, in.Assign, n*w/p, n*(w+1)/p)
+			}
 			eachPiece(off, w, p, func(fc, lo, hi int) {
 				cube := frontier[fc].Cube
 				var cnt [vec.NOctants]int32

@@ -111,12 +111,14 @@ func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) Stats {
 // fork/join: fork(p, fn) must run fn(0) … fn(p-1) and return once all have
 // (core's phase driver passes one that times every share).
 //
-// The workers run the serial recursion on the cut level's subtrees
-// (cutLevels), each on its own run of them (subtreeRuns); the caller then
-// combines the few cells above the cut, deepest first. Walking from the
-// root never meets the arenas' garbage (CAS losers, retired leaves,
-// discarded local trees), and visits every live node once, so the
-// returned Stats equal CollectStats(t) without a second walk.
+// The workers run the serial recursion on the subtrees of the cut
+// (momentsTop), each on its own run of them (subtreeRuns), and whoever
+// completes the last listed child of a cell above the cut combines that
+// cell, doing the leaves that hang off it, so the top of the tree is
+// summed inside the fork rather than after it. Walking from the root
+// never meets the arenas' garbage (CAS losers, retired leaves, discarded
+// local trees), and visits every live node once, so the returned Stats
+// equal CollectStats(t) without a second walk.
 func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn func(w int))) Stats {
 	if t.Root.IsNil() {
 		return Stats{}
@@ -127,18 +129,17 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 		return st
 	}
 	s := t.Store
-	cells, levels := cutLevels(s, t.Root, nWorkers)
-	depth := len(levels) - 1
-	lo := levels[depth]
-	tasks := cells[lo:]
-	runs := newSubtreeRuns(len(tasks), nWorkers)
+	top := newMomentsTop(s, t.Root, nWorkers)
+	runs := newSubtreeRuns(len(top.tasks), nWorkers)
 	accs := make([]statsAcc, nWorkers)
 	fork(nWorkers, func(w int) {
 		// Counted on the worker's own stack, stored once: neighbouring
 		// elements of accs share cache lines.
 		var acc statsAcc
 		for i := runs.next(w); i >= 0; i = runs.next(w) {
-			momentsRec(s, tasks[i], depth, d, &acc)
+			k := top.tasks[i]
+			momentsRec(s, top.cells[k], int(top.depth[k]), d, &acc)
+			top.complete(s, k, d, &acc)
 		}
 		accs[w] = acc
 	})
@@ -146,11 +147,64 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 	for w := range accs {
 		acc.merge(&accs[w])
 	}
-	for i := lo - 1; i >= 0; i-- {
-		if i < levels[depth] {
-			depth--
+	return acc.stats()
+}
+
+// momentsTop is the top of the tree as the parallel moments pass sees
+// it: the cells cutLevels lists, breadth-first, with parent[k] the index
+// of cells[k]'s parent (-1 for the root), depth[k] its depth and
+// pending[k] the number of its listed children not yet complete. The
+// tasks are the listed cells with no listed child — the cut level's, and
+// any above it whose children are all leaves.
+type momentsTop struct {
+	cells   []Ref
+	parent  []int32
+	depth   []int32
+	pending []atomic.Int32
+	tasks   []int32
+}
+
+func newMomentsTop(s *Store, root Ref, nWorkers int) *momentsTop {
+	cells, levels := cutLevels(s, root, nWorkers)
+	n := len(cells)
+	top := &momentsTop{cells: cells, parent: make([]int32, n), depth: make([]int32, n), pending: make([]atomic.Int32, n)}
+	top.parent[0] = -1
+	next := 1 // cutLevels lists a level's cells in the order of their parents
+	for lv, lo := range levels {
+		hi := n
+		if lv+1 < len(levels) {
+			hi = levels[lv+1]
 		}
-		c := s.Cell(cells[i])
+		for k := lo; k < hi; k++ {
+			top.depth[k] = int32(lv)
+			listed := 0
+			if hi < n {
+				c := s.Cell(cells[k])
+				for o := vec.Octant(0); o < vec.NOctants; o++ {
+					if c.Child(o).IsCell() {
+						top.parent[next+listed] = int32(k)
+						listed++
+					}
+				}
+			}
+			next += listed
+			top.pending[k].Store(int32(listed))
+			if listed == 0 {
+				top.tasks = append(top.tasks, int32(k))
+			}
+		}
+	}
+	return top
+}
+
+// complete records that the moments of listed cell k are done, and
+// combines every ancestor it was the last pending child of, counting
+// each, and the leaves it sums on the way, into acc. The atomic count
+// orders every other child's moments before the combine that reads them.
+func (top *momentsTop) complete(s *Store, k int32, d BodyData, acc *statsAcc) {
+	for k = top.parent[k]; k >= 0 && top.pending[k].Add(-1) == 0; k = top.parent[k] {
+		c := s.Cell(top.cells[k])
+		depth := int(top.depth[k])
 		acc.cell(depth)
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
 			if ch := c.Child(o); ch.IsLeaf() {
@@ -161,7 +215,6 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 		}
 		combineChildren(s, c)
 	}
-	return acc.stats()
 }
 
 // cutLevels lists breadth-first the cells of every level of the tree
