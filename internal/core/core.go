@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"partree/internal/octree"
@@ -230,23 +231,43 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	return out
 }
 
-// parallelBounds computes the root bounding cube, each of the p
-// processors reading one contiguous range of the position column rather
-// than gathering through its Assign list: min and max are exact, so how
-// the bodies are cut does not change the cube.
+// slicesPerProc is how many slices per processor a phase that sweeps
+// the bodies evenly cuts them into (parallelBounds, SPACE's counting
+// rounds). The slices are claimed one at a time (claimSlice), so a
+// processor that starts late — the first fork of a build often finds
+// its helper gone — or runs slow takes fewer of them.
+const slicesPerProc = 8
+
+// claimSlice claims the next of k slices from next, or returns -1 once
+// all are claimed.
+func claimSlice(next *atomic.Int32, k int) int {
+	if s := int(next.Add(1)) - 1; s < k {
+		return s
+	}
+	return -1
+}
+
+// parallelBounds computes the root bounding cube, the processors reading
+// contiguous slices of the position column rather than gathering through
+// their Assign lists: min and max are exact, so how the bodies are cut,
+// and who reads which slice, does not change the cube.
 func parallelBounds(in *Input, m *Metrics) vec.Cube {
 	p, pos := in.P(), in.Bodies.Pos
+	k := slicesPerProc * p
 	lo, hi := make([]vec.V3, p), make([]vec.V3, p)
+	var next atomic.Int32
 	m.fork(trace.PhasePartition, p, func(w int) {
 		if len(pos) == 0 {
 			return
 		}
-		// Every range starts from body 0, which moves no extreme, so an
-		// empty range (n < p) leaves it as it is.
+		// Every share starts from body 0, which moves no extreme, so one
+		// that claims no slice leaves it as it is.
 		l, h := pos[0], pos[0]
-		for _, q := range pos[len(pos)*w/p : len(pos)*(w+1)/p] {
-			l = l.Min(q)
-			h = h.Max(q)
+		for s := claimSlice(&next, k); s >= 0; s = claimSlice(&next, k) {
+			for _, q := range pos[len(pos)*s/k : len(pos)*(s+1)/k] {
+				l = l.Min(q)
+				h = h.Max(q)
+			}
 		}
 		lo[w], hi[w] = l, h
 	})

@@ -497,8 +497,8 @@ type spaceScratch struct {
 	cur, nxt []int32 // bodies in flight this round, and their order next round
 	fin      []int32 // finalized bodies; every Subspace.Bodies is a range of it
 	oct      []uint8 // octant of cur[i] within its frontier cell, count → scatter
-	// hist[w] is processor w's frontier×8 histogram of its slice of cur;
-	// the decide step turns it in place into w's write cursors.
+	// hist[s] is the frontier×8 histogram of slice s of cur (eachPiece);
+	// the decide step turns it in place into the slice's write cursors.
 	hist           [][]int32
 	final          []bool // per frontier×8 slot: scatter to fin rather than nxt
 	frontier, next []FrontierCell
@@ -516,13 +516,13 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// eachPiece calls fn for every (frontier cell ∩ processor w's slice), in
-// array order, where the p slices cut the in-flight bodies [0, off[last])
-// evenly — whatever Assign looked like, so no processor runs out of
-// bodies while another still carries most of them.
-func eachPiece(off []int, w, p int, fn func(fc, lo, hi int)) {
+// eachPiece calls fn for every (frontier cell ∩ slice s), in array
+// order, where k slices cut the in-flight bodies [0, off[last]) evenly —
+// whatever Assign looked like, so no processor runs out of bodies while
+// another still carries most of them.
+func eachPiece(off []int, s, k int, fn func(fc, lo, hi int)) {
 	live := off[len(off)-1]
-	lo, hi := live*w/p, live*(w+1)/p
+	lo, hi := live*s/k, live*(s+1)/k
 	for fc := sort.SearchInts(off, lo+1) - 1; lo < hi; fc++ {
 		end := min(off[fc+1], hi)
 		fn(fc, lo, end)
@@ -545,14 +545,17 @@ func copyPiece(dst []int32, lists [][]int32, lo, hi int) {
 // spacePartition runs the counting/subdivision rounds as a parallel
 // stable counting sort (an MSD radix sort by octant) over one shared
 // array of the bodies still in flight. The array starts as Assign[0],
-// Assign[1], … concatenated — each processor copying in the slice it
-// counts first — and every frontier cell owns a contiguous range of it. A round is: count — each processor histograms its slice
-// over the octants of the frontier cells it crosses; decide — serial,
-// the frontier is tiny: octants above the threshold become prefix cells
-// and next round's frontier, the rest finalized subspaces, and the p
-// histograms become write cursors; scatter — the same slices move their
-// bodies to the next round's array or, finalized, to the range of fin
-// their subspace was given. No synchronization beyond the fork/joins.
+// Assign[1], … concatenated, and every frontier cell owns a contiguous
+// range of it. The array is cut into slicesPerProc·p even slices, which
+// the processors claim one at a time. A round is: count — each claimed
+// slice is histogrammed over the octants of the frontier cells it
+// crosses (in the first round, after its claimant copies it in from the
+// lists); decide — serial, the frontier is tiny: octants above the
+// threshold become prefix cells and next round's frontier, the rest
+// finalized subspaces, and the slices' histograms become write cursors;
+// scatter — the slices, claimed afresh, move their bodies to the next
+// round's array or, finalized, to the range of fin their subspace was
+// given. No synchronization beyond the fork/joins and the claims.
 //
 // The sort is stable and the slices are in array order, so a subspace's
 // bodies come out ordered by (processor, position in its Assign list) —
@@ -566,8 +569,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 		n += len(a)
 	}
 	sc.cur, sc.nxt, sc.fin, sc.oct = grown(sc.cur, n), grown(sc.nxt, n), grown(sc.fin, n), grown(sc.oct, n)
-	if len(sc.hist) != p {
-		sc.hist = make([][]int32, p)
+	k := slicesPerProc * p
+	if len(sc.hist) != k {
+		sc.hist = make([][]int32, k)
 	}
 	cur, nxt, fin, oct := sc.cur, sc.nxt, sc.fin, sc.oct
 
@@ -579,23 +583,26 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	for first := true; len(frontier) > 0; first = false {
 		f := len(frontier)
 		from, to := cur, nxt
-		m.fork(trace.PhasePartition, p, func(w int) {
-			h := grown(sc.hist[w], f*vec.NOctants)
-			clear(h)
-			sc.hist[w] = h
-			if first {
-				copyPiece(from, in.Assign, n*w/p, n*(w+1)/p)
-			}
-			eachPiece(off, w, p, func(fc, lo, hi int) {
-				cube := frontier[fc].Cube
-				var cnt [vec.NOctants]int32
-				for i := lo; i < hi; i++ {
-					o := cube.OctantOf(pos[from[i]])
-					oct[i] = uint8(o)
-					cnt[o]++
+		var counted, scattered atomic.Int32
+		m.fork(trace.PhasePartition, p, func(int) {
+			for s := claimSlice(&counted, k); s >= 0; s = claimSlice(&counted, k) {
+				h := grown(sc.hist[s], f*vec.NOctants)
+				clear(h)
+				sc.hist[s] = h
+				if first {
+					copyPiece(from, in.Assign, n*s/k, n*(s+1)/k)
 				}
-				copy(h[fc*vec.NOctants:], cnt[:])
-			})
+				eachPiece(off, s, k, func(fc, lo, hi int) {
+					cube := frontier[fc].Cube
+					var cnt [vec.NOctants]int32
+					for i := lo; i < hi; i++ {
+						o := cube.OctantOf(pos[from[i]])
+						oct[i] = uint8(o)
+						cnt[o]++
+					}
+					copy(h[fc*vec.NOctants:], cnt[:])
+				})
+			}
 		})
 
 		final := grown(sc.final, f*vec.NOctants)
@@ -639,23 +646,25 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 			}
 		}
 
-		m.fork(trace.PhasePartition, p, func(w int) {
-			h := sc.hist[w]
-			eachPiece(off, w, p, func(fc, lo, hi int) {
-				cursor := h[fc*vec.NOctants:][:vec.NOctants]
-				var dst [vec.NOctants][]int32
-				for o := range dst {
-					dst[o] = to
-					if final[fc*vec.NOctants+o] {
-						dst[o] = fin
+		m.fork(trace.PhasePartition, p, func(int) {
+			for s := claimSlice(&scattered, k); s >= 0; s = claimSlice(&scattered, k) {
+				h := sc.hist[s]
+				eachPiece(off, s, k, func(fc, lo, hi int) {
+					cursor := h[fc*vec.NOctants:][:vec.NOctants]
+					var dst [vec.NOctants][]int32
+					for o := range dst {
+						dst[o] = to
+						if final[fc*vec.NOctants+o] {
+							dst[o] = fin
+						}
 					}
-				}
-				for i := lo; i < hi; i++ {
-					o := oct[i]
-					dst[o][cursor[o]] = from[i]
-					cursor[o]++
-				}
-			})
+					for i := lo; i < hi; i++ {
+						o := oct[i]
+						dst[o][cursor[o]] = from[i]
+						cursor[o]++
+					}
+				})
+			}
 		})
 
 		frontier, next = next, frontier

@@ -40,17 +40,17 @@ import (
 // SpinWindow is how long an idle helper, and a caller joining its shares,
 // spins before giving up the core; a share that looks for more work
 // (SPACE's idle claimants) spins no longer either before it returns. It
-// must outlast the serial gaps between
-// two forks of one build, so that the helpers a phase used are still
-// spinning when the next phase forks. Measured at n = 200 000 (p = 2,
-// 2-vCPU guest, Plummer, uniform and hierarchical bodies, the longest of
-// 20 builds): SPACE's decide step between two counting rounds ≤ 55 µs,
-// AssignSubspaces ahead of the insert fork ≤ 100 µs, the store reset and
-// list copy ahead of the first counting round 160–190 µs, the walk to the
-// moments cut ahead of the moments fork 75–210 µs (PARTREE's too). Only
-// the gap between two builds — the moments combine above the cut and the
-// caller's own work — is longer (125–880 µs), so a build's first fork may
-// find its helpers gone.
+// must outlast the serial gaps between two forks of one build, so that
+// the helpers a phase used are still spinning when the next phase forks.
+// Measured at n = 200 000 (p = 2, 2-vCPU guest, Plummer, uniform and
+// hierarchical bodies, the longest of 20 builds): SPACE's decide step
+// between two counting rounds ≤ 55 µs, AssignSubspaces ahead of the
+// insert fork ≤ 100 µs, the store reset ahead of the first counting
+// round 160–190 µs while the caller still copied the lists there, the
+// walk to the moments cut ahead of the moments fork 75–210 µs (PARTREE's
+// too). Only the gap between two builds — the caller's own work, and
+// then the moments combine above the cut, now done inside the fork — is
+// longer (125–880 µs), so a build's first fork may find its helpers gone.
 const SpinWindow = 200 * time.Microsecond
 
 // job is one Do call.
