@@ -129,8 +129,7 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 			th = SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, n, p)
 			tree := freshTree(s)(root)
 			subs := spacePartition(sc, s, tree, in, spaceRoundThreshold(th, n, p), m)
-			sc.claims.deal(subs, AssignSubspaces(root, subs, p), p)
-			cols = borrowCarried(n)
+			cols = borrowCarried(sc.claims.deal(subs, AssignSubspaces(root, subs, p), p))
 			return tree
 		},
 		func(_ *octree.Tree, w int) {
@@ -150,8 +149,11 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 
 // spaceTask is one subspace still to sort: its bodies are the range
 // [lo, hi) of the partition's fin, or of nxt if flip, and once carried
-// their positions are the same range of the carried column of the same
-// parity. Its subtree attaches to child slot oct of parent, and its
+// their positions are the range [lo-base, hi-base) of the carried column
+// of the same parity. base is 0, except at p = 1, where one claimant
+// sorts one dealt subspace to its leaves before it claims the next, so
+// the columns hold one dealt subspace at a time and base is its lo. Its
+// subtree attaches to child slot oct of parent, and its
 // nodes go to the arena of the processor its dealt ancestor's zone
 // belongs to, whoever claims it: so each arena holds the same number of
 // nodes every build, and a warm build installs no arena chunk.
@@ -163,6 +165,7 @@ type spaceTask struct {
 	flip    bool
 	depth   int32
 	lo, hi  int32
+	base    int32
 	cube    vec.Cube
 }
 
@@ -200,8 +203,11 @@ type spaceClaims struct {
 }
 
 // deal readies the claims of one build over the partition's subspaces,
-// order being their Morton order as AssignSubspaces returns it.
-func (q *spaceClaims) deal(subs []Subspace, order []int, p int) {
+// order being their Morton order as AssignSubspaces returns it, and
+// returns how many positions the carried columns must hold: every body
+// at p > 1, where the claimants carry theirs side by side, the largest
+// subspace at p = 1.
+func (q *spaceClaims) deal(subs []Subspace, order []int, p int) int {
 	size := len(subs) + vec.NOctants*splitsPerProc*p
 	if cap(q.tasks) < size {
 		// Room for twice as many subspaces, so a warm build whose
@@ -214,14 +220,21 @@ func (q *spaceClaims) deal(subs []Subspace, order []int, p int) {
 	}
 	q.zone = grown(q.zone, p+1)
 	q.zone[0] = 0
-	w := 0
+	w, carried := 0, 0
 	for k, i := range order {
 		ss := &subs[i]
 		for ; w < ss.Owner; w++ {
 			q.zone[w+1] = k
 		}
-		q.tasks[k] = spaceTask{parent: ss.Parent, oct: ss.Oct, arena: int32(ss.Owner), depth: int32(ss.Depth),
+		t := spaceTask{parent: ss.Parent, oct: ss.Oct, arena: int32(ss.Owner), depth: int32(ss.Depth),
 			lo: int32(ss.off), hi: int32(ss.off + ss.Count), cube: ss.Cube}
+		if p == 1 {
+			t.base = t.lo
+			carried = max(carried, ss.Count)
+		} else {
+			carried += ss.Count
+		}
+		q.tasks[k] = t
 		q.state[k].Store(taskOpen)
 	}
 	for ; w < p; w++ {
@@ -232,6 +245,7 @@ func (q *spaceClaims) deal(subs []Subspace, order []int, p int) {
 	q.pending.Store(int64(q.dealt))
 	q.published.Store(0)
 	q.spin = p <= runtime.GOMAXPROCS(0)
+	return carried
 }
 
 // reserve takes k consecutive task slots, reporting false if the list
@@ -349,7 +363,7 @@ func (c *claimant) run(t *spaceTask) {
 		a = 1
 	}
 	idx, spare := c.idx[a][t.lo:t.hi], c.idx[1-a][t.lo:t.hi]
-	pos, pos2 := c.cols[a][t.lo:t.hi], c.cols[1-a][t.lo:t.hi]
+	pos, pos2 := c.cols[a][t.lo-t.base:t.hi-t.base], c.cols[1-a][t.lo-t.base:t.hi-t.base]
 	if !t.carried {
 		for k, b := range idx {
 			pos[k] = c.pos[b]
@@ -374,7 +388,7 @@ func (c *claimant) run(t *spaceTask) {
 	for o := vec.Octant(0); o < vec.NOctants; o++ {
 		if lo, hi := start[o], start[o+1]; lo < hi {
 			kids[k] = spaceTask{parent: cr, oct: o, arena: t.arena, carried: true, flip: !t.flip, depth: t.depth + 1,
-				lo: t.lo + int32(lo), hi: t.lo + int32(hi), cube: t.cube.Child(o)}
+				lo: t.lo + int32(lo), hi: t.lo + int32(hi), base: t.base, cube: t.cube.Child(o)}
 			k++
 		}
 	}
@@ -446,8 +460,8 @@ func scatterByOctant(cube vec.Cube, idx, spare []int32, pos, pos2 []vec.V3) (sta
 	return start
 }
 
-// carried lends out the pairs of body-length position columns SPACE's
-// insert phase carries its bodies' positions in. A build borrows one and
+// carried lends out the pairs of position columns SPACE's insert phase
+// carries its bodies' positions in (spaceClaims.deal sizes them). A build borrows one and
 // gives it back when it ends, so a process holds one pair per SPACE
 // build in flight, not one per builder. It is a plain free list, not a
 // sync.Pool: a pool may drop what it is given, and a warm build must

@@ -160,8 +160,10 @@ func parallelMomentsMismatch(tr *Tree, d BodyData, w int, want [][12]uint64, wan
 
 // TestParallelMomentsMatchSerial: the parallel pass writes, on every live
 // node, exactly the bits the serial pass writes, and counts exactly its
-// Stats — so a subtree skipped or done twice fails — whatever the worker
-// count and however the bodies sit under the cut: a Plummer tree, one
+// Stats — so a subtree skipped or done twice fails, and so does a cell
+// above the cut combined twice, never, or before its last child —
+// whatever the worker count and however the bodies sit under the cut: a
+// Plummer tree (with cells above the cut that hold only leaves), one
 // whose Plummer core sits in a single cut subtree holding most bodies
 // (the runs must rebalance by stealing), a tree with fewer cut cells than workers, a single-leaf root
 // and an empty root.
@@ -209,6 +211,21 @@ func TestParallelMomentsMatchSerial(t *testing.T) {
 				t.Fatalf("serial pass counted %v, CollectStats %v", wantSt, got)
 			}
 			switch name {
+			case "plummer":
+				// Outliers leave cells above the cut whose children are
+				// all leaves: tasks of their own, whose completion, like
+				// the cut's, combines the cells above them.
+				top := newMomentsTop(tr.Store, tr.Root, 2)
+				cut := top.depth[len(top.depth)-1]
+				above := 0
+				for _, k := range top.tasks {
+					if top.depth[k] < cut {
+						above++
+					}
+				}
+				if above == 0 {
+					t.Fatal("no cell above the cut holds only leaves")
+				}
 			case "plummer-in-one-subtree":
 				cells, levels := cutLevels(tr.Store, tr.Root, 2)
 				heaviest := 0

@@ -45,12 +45,10 @@ import (
 // Measured at n = 200 000 (p = 2, 2-vCPU guest, Plummer, uniform and
 // hierarchical bodies, the longest of 20 builds): SPACE's decide step
 // between two counting rounds ≤ 55 µs, AssignSubspaces ahead of the
-// insert fork ≤ 100 µs, the store reset ahead of the first counting
-// round 160–190 µs while the caller still copied the lists there, the
-// walk to the moments cut ahead of the moments fork 75–210 µs (PARTREE's
-// too). Only the gap between two builds — the caller's own work, and
-// then the moments combine above the cut, now done inside the fork — is
-// longer (125–880 µs), so a build's first fork may find its helpers gone.
+// insert fork ≤ 100 µs, the walk to the moments cut ahead of the moments
+// fork 75–210 µs (PARTREE's too). Only the gap between two builds — the
+// caller's own work — can be longer, so a build's first fork may find its
+// helpers gone.
 const SpinWindow = 200 * time.Microsecond
 
 // job is one Do call.
