@@ -461,27 +461,28 @@ func scatterByOctant(cube vec.Cube, idx, spare []int32, pos, pos2 []vec.V3) (sta
 }
 
 // carried lends out the pairs of position columns SPACE's insert phase
-// carries its bodies' positions in (spaceClaims.deal sizes them). A build borrows one and
-// gives it back when it ends, so a process holds one pair per SPACE
-// build in flight, not one per builder. It is a plain free list, not a
-// sync.Pool: a pool may drop what it is given, and a warm build must
-// allocate nothing body-sized.
+// carries its bodies' positions in (spaceClaims.deal sizes them). A
+// build borrows one and gives it back when it ends, so a process holds
+// one pair per SPACE build in flight, not one per builder. It is a
+// plain free list, not a sync.Pool: a pool may drop what it is given,
+// and a warm build must allocate nothing body-sized.
 var carried struct {
 	sync.Mutex
 	free []*[2][]vec.V3
 }
 
-// borrowCarried lends a pair of columns of n positions, preferring one
-// already that long.
+// borrowCarried lends a pair of columns of n positions, preferring the
+// shortest one already that long, else the longest: builds at p = 1
+// borrow shorter pairs than the rest.
 func borrowCarried(n int) *[2][]vec.V3 {
 	carried.Lock()
 	var cols *[2][]vec.V3
-	if k := len(carried.free); k > 0 {
-		i := k - 1
+	if len(carried.free) > 0 {
+		i := 0
 		for j, c := range carried.free {
-			if cap(c[0]) >= n {
+			have, best := cap(c[0]), cap(carried.free[i][0])
+			if fits := have >= n; fits && (best < n || have < best) || !fits && have > best {
 				i = j
-				break
 			}
 		}
 		cols = carried.free[i]
