@@ -1,15 +1,12 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"partree/internal/octree"
-	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/trace"
 	"partree/internal/vec"
@@ -191,15 +188,11 @@ const splitsPerProc = 64
 // claimed once, by compare-and-swap, so every attach slot has one writer
 // and the build takes no lock.
 type spaceClaims struct {
-	tasks     []spaceTask
-	state     []atomic.Uint32
-	zone      []int
-	dealt     int          // tasks[:dealt] are the partition's subspaces
-	tail      atomic.Int64 // tasks[:tail] are reserved
-	pending   atomic.Int64 // published tasks not yet finished
-	published atomic.Int64 // tasks published so far
-	splitting atomic.Int32 // splits scattering, whose children are not yet published
-	spin      bool         // the processors fit on the Ps: an idle claimant may spin
+	tasks []spaceTask
+	state []atomic.Uint32
+	zone  []int
+	dealt int          // tasks[:dealt] are the partition's subspaces
+	tail  atomic.Int64 // tasks[:tail] are reserved
 }
 
 // deal readies the claims of one build over the partition's subspaces,
@@ -242,9 +235,6 @@ func (q *spaceClaims) deal(subs []Subspace, order []int, p int) int {
 	}
 	q.dealt = len(order)
 	q.tail.Store(int64(q.dealt))
-	q.pending.Store(int64(q.dealt))
-	q.published.Store(0)
-	q.spin = p <= runtime.GOMAXPROCS(0)
 	return carried
 }
 
@@ -264,30 +254,8 @@ func (q *spaceClaims) reserve(k int) (int, bool) {
 
 // publish opens the k tasks written at tasks[first:first+k].
 func (q *spaceClaims) publish(first, k int) {
-	q.pending.Add(int64(k))
 	for i := first; i < first+k; i++ {
 		q.state[i].Store(taskOpen)
-	}
-	q.published.Add(int64(k))
-}
-
-// await reports whether a task is published beyond the count seen,
-// spinning as par.Do's idle helpers do: for par.SpinWindow, and beyond
-// it while a split is scattering, since its children are about to be
-// published. It gives up at once when every task is finished. A split
-// publishes before it stops counting as one, so reading splitting
-// before published misses no child.
-func (q *spaceClaims) await(seen int64) bool {
-	for start := time.Now(); ; runtime.Gosched() {
-		splitting := q.splitting.Load() > 0
-		switch {
-		case q.pending.Load() == 0:
-			return false
-		case q.published.Load() != seen:
-			return true
-		case !splitting && time.Since(start) >= par.SpinWindow:
-			return false
-		}
 	}
 }
 
@@ -301,22 +269,16 @@ type claimant struct {
 	th   int
 }
 
-// work claims its own zone in Morton order, then steals. A claimant that
-// finds nothing open leaves, at once when the processors outnumber the
-// Ps and otherwise when await gives up (par.Do's rule: an idle share
-// gives up its core). It never waits for the others: a claimant that splits a task
-// claims its children itself, so every task runs, and the join waits
-// only for the claimants still at work.
+// work claims its own zone in Morton order, then steals until it finds
+// nothing open, and leaves. It never waits for the others: a claimant
+// that splits a task claims its children itself, so every task runs, and
+// the join waits only for the claimants still at work.
 func (c *claimant) work(w int) {
 	q := c.q
 	for i := q.zone[w]; i < q.zone[w+1]; i++ {
 		c.claim(i)
 	}
-	for {
-		seen := q.published.Load()
-		if !c.steal(w) && (!q.spin || !q.await(seen)) {
-			return
-		}
+	for c.steal(w) {
 	}
 }
 
@@ -348,7 +310,6 @@ func (c *claimant) claim(i int) bool {
 		return false
 	}
 	c.run(&c.q.tasks[i])
-	c.q.pending.Add(-1)
 	return true
 }
 
@@ -379,7 +340,6 @@ func (c *claimant) run(t *spaceTask) {
 		ins.pc.BodiesBuilt += int64(n)
 		return
 	}
-	c.q.splitting.Add(1)
 	cr, _ := ins.allocCell(t.cube, t.parent)
 	start := scatterByOctant(t.cube, idx, spare, pos, pos2)
 	ins.s.Cell(t.parent).SetChild(t.oct, cr)
@@ -397,7 +357,6 @@ func (c *claimant) run(t *spaceTask) {
 		copy(c.q.tasks[first:], kids[:k])
 		c.q.publish(first, k)
 	}
-	c.q.splitting.Add(-1)
 	if !ok {
 		for i := range kids[:k] {
 			c.run(&kids[i])

@@ -12,7 +12,7 @@
 // and shares may wait on each other (mp.Step's ranks exchange messages
 // inside one Do); a pool that queued shares would deadlock there.
 //
-// A helper that finishes its share spins for SpinWindow, yielding with
+// A helper that finishes its share spins for spinWindow, yielding with
 // runtime.Gosched, until another Do claims it; if none does, it exits. It
 // does not park: handing work to a parked goroutine means waking its idle
 // OS thread, often on an idle vCPU, and that wake-up is the latency a warm
@@ -20,7 +20,7 @@
 // started 5–8 µs late at the median and 30–70 µs at p95 when every fork
 // spawned; a claimed helper starts 1–1.5 µs late). Because helpers exit
 // on their own there is nothing to close and no owner. The caller joins
-// the same way: it spins on the count of running shares for SpinWindow,
+// the same way: it spins on the count of running shares for spinWindow,
 // then blocks until the last share signals, so a long phase does not burn
 // its core. When the shares outnumber the Ps (p > GOMAXPROCS, so always
 // at GOMAXPROCS = 1) nobody spins — a spinner would only take a P from a
@@ -37,19 +37,17 @@ import (
 	"time"
 )
 
-// SpinWindow is how long an idle helper, and a caller joining its shares,
-// spins before giving up the core; a share that looks for more work
-// (SPACE's idle claimants) spins no longer either before it returns. It
-// must outlast the serial gaps between two forks of one build, so that
-// the helpers a phase used are still spinning when the next phase forks.
-// Measured at n = 200 000 (p = 2, 2-vCPU guest, Plummer, uniform and
-// hierarchical bodies, the longest of 20 builds): SPACE's decide step
-// between two counting rounds ≤ 55 µs, AssignSubspaces ahead of the
-// insert fork ≤ 100 µs, the walk to the moments cut ahead of the moments
-// fork 75–210 µs (PARTREE's too). Only the gap between two builds — the
-// caller's own work — can be longer, so a build's first fork may find its
-// helpers gone.
-const SpinWindow = 200 * time.Microsecond
+// spinWindow is how long an idle helper, and a caller joining its shares,
+// spins before giving up the core. It must outlast the serial gaps between
+// two forks of one build, so that the helpers a phase used are still
+// spinning when the next phase forks. Measured at n = 200 000 (p = 2,
+// 2-vCPU guest, Plummer, uniform and hierarchical bodies, the longest of
+// 20 builds): SPACE's decide step between two counting rounds ≤ 55 µs,
+// AssignSubspaces ahead of the insert fork ≤ 100 µs, the walk to the
+// moments cut ahead of the moments fork 75–210 µs (PARTREE's too). Only
+// the gap between two builds — the caller's own work — can be longer, so
+// a build's first fork may find its helpers gone.
+const spinWindow = 200 * time.Microsecond
 
 // job is one Do call.
 type job struct {
@@ -117,7 +115,7 @@ func Do(p int, fn func(w int)) {
 	}
 	if j.spin {
 		j.run(0)
-		for start := time.Now(); j.running.Load() != 0 && time.Since(start) < SpinWindow; {
+		for start := time.Now(); j.running.Load() != 0 && time.Since(start) < spinWindow; {
 			runtime.Gosched()
 		}
 	}
@@ -147,11 +145,11 @@ func (h *helper) loop() {
 	}
 }
 
-// wait spins for SpinWindow until a Do claims h. If none does it takes h
+// wait spins for spinWindow until a Do claims h. If none does it takes h
 // off the idle list — under the lock, so a claim cannot slip in between —
 // and reports false.
 func (h *helper) wait() bool {
-	for start := time.Now(); time.Since(start) < SpinWindow; runtime.Gosched() {
+	for start := time.Now(); time.Since(start) < spinWindow; runtime.Gosched() {
 		if h.job.Load() != nil {
 			return true
 		}
