@@ -76,8 +76,8 @@ bench-smoke:
 # body set, and the whole SpatialAssign a spatial:true request pays — and
 # a whole SPACE build at the two tree workloads' shapes and
 # serve-build's, p = 1 and 2, with its bounds (the counting partition's
-# rounds, which stop at one processor's share), insert (claiming,
-# splitting and sorting the subspaces) and moments µs per build beside
+# rounds, which stop at one processor's share), insert (claiming and
+# sorting the subspaces) and moments µs per build beside
 # ns/op (BenchmarkSpaceBuild), and two of those phases alone: the
 # counting partition down to the build's round threshold and the
 # moments pass (serial against two and eight

@@ -11,19 +11,18 @@ import (
 	"partree/internal/verify"
 )
 
-// TestSpaceClaimsBuildTheSerialTree: however the subspaces are claimed,
-// stolen and split, SPACE — and UPDATE's fresh builds, its first and a
+// TestSpaceClaimsBuildTheSerialTree: however the subspaces are claimed
+// and stolen, SPACE — and UPDATE's fresh builds, its first and a
 // requested rebuild — sort octree.BuildSerial's tree bit for bit
 // (verify.Build), with zero locks, every body built once and
 // Metrics.TreeStats the tree's; at every processor count, oversubscribed
-// ones included, at thresholds from the leaf capacity, where nearly
-// every cell is a claimed split, to beyond n, where none is, and over
-// the spatial assignment, under which a subspace's bodies arrive already
-// in octant order, and the even one, under which they do not. Besides the
-// five mass models, two sets stress the splits: coincident bodies, which
-// a chain of one-child splits follows to MaxDepth, and a cluster that
-// sits, all but one outlier, deep inside one root octant, which takes
-// extra counting rounds at p > 1 and several split levels at p = 1.
+// ones included, at thresholds from the leaf capacity to beyond n, and
+// over the spatial assignment, under which a subspace's bodies arrive
+// already in octant order, and the even one, under which they do not.
+// Besides the five mass models, two sets stress the partition:
+// coincident bodies, which a chain of one-child cells follows to
+// MaxDepth, and a cluster that sits, all but one outlier, deep inside one
+// root octant, which takes extra counting rounds at p > 1.
 func TestSpaceClaimsBuildTheSerialTree(t *testing.T) {
 	const n, leafCap = 1500, 8
 	type bodySet struct {
@@ -72,13 +71,6 @@ func TestSpaceClaimsBuildTheSerialTree(t *testing.T) {
 								}
 								if want := octree.CollectStats(tree); m.TreeStats != want {
 									t.Fatalf("step %d: Metrics carry %v, the tree holds %v", step, m.TreeStats, want)
-								}
-								splits := core.SpaceSplitTasks(bld)
-								if th > n && splits != 0 {
-									t.Fatalf("step %d: %d split tasks above a threshold of %d > n", step, splits, th)
-								}
-								if set.name == "one-octant" && th <= n && splits == 0 {
-									t.Fatalf("step %d: no claimed subspace was split", step)
 								}
 							}
 							check(0, false)

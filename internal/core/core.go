@@ -154,7 +154,8 @@ type Config struct {
 	P       int // number of processors (goroutines)
 	LeafCap int // subdivision threshold k (bodies per leaf)
 	// SpaceThreshold is SPACE's subdivision threshold: a subspace with
-	// more bodies than this is split further. 0 selects the default
+	// more bodies than this, or than one processor's share ⌈N/P⌉ if that
+	// is more, is split further. 0 selects the default
 	// max(LeafCap, N/(4·P)) at build time.
 	SpaceThreshold int
 	// Trace, when non-nil and enabled, has every build copy its

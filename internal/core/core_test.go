@@ -245,8 +245,9 @@ func TestParseAlgorithm(t *testing.T) {
 }
 
 func TestSpaceThresholdConfig(t *testing.T) {
-	// An explicit tiny threshold forces a deep prefix; a huge one makes
-	// a single subspace. Both must still produce the canonical tree.
+	// A threshold below one processor's share leaves the rounds at the
+	// share; a huge one makes a single subspace. Both must still produce
+	// the canonical tree.
 	for _, th := range []int{8, 50, 1 << 20} {
 		in := input(t, 3000, 4, 3)
 		bld := New(SPACE, Config{P: 4, LeafCap: 8, SpaceThreshold: th})
