@@ -130,7 +130,6 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 				ins:  inserter{s: s, arena: w, proc: w, pc: &m.PerP[w], bodyLeaf: bodyLeaf},
 				q:    &sc.claims,
 				pos:  in.Bodies.Pos,
-				fin:  sc.fin,
 				nxt:  sc.nxt,
 				cols: cols,
 			}
@@ -140,31 +139,17 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 	return tree
 }
 
-// spaceTask is one subspace to sort: its bodies are the range [lo, hi)
-// of the partition's fin, with the same range of nxt to spare. Its
-// subtree attaches to child slot oct of parent, and its nodes go to the
-// arena of the processor whose zone it was dealt to, whoever claims it:
-// so each arena holds the same number of nodes every build, and a warm
-// build installs no arena chunk.
-type spaceTask struct {
-	parent octree.Ref
-	oct    vec.Octant
-	arena  int32
-	depth  int32
-	lo, hi int32
-	cube   vec.Cube
-}
-
 // spaceClaims is the insert phase's work list: the partition's
 // subspaces in Morton order, processor w's AssignSubspaces zone being
-// tasks[zone[w]:zone[w+1]]. Every task is claimed once, by
+// order[zone[w]:zone[w+1]]. Every subspace is claimed once, by
 // compare-and-swap, so every attach slot has one writer and the build
 // takes no lock.
 type spaceClaims struct {
-	tasks   []spaceTask
-	claimed []atomic.Bool
+	subs    []Subspace
+	order   []int
+	claimed []atomic.Bool // claimed[k]: subs[order[k]]
 	zone    []int
-	slot    int // carried positions per claimant; 0: each task's at its own range
+	slot    int // carried positions per claimant; 0: each subspace's at its range of fin
 }
 
 // deal readies the claims of one build over the partition's subspaces,
@@ -172,24 +157,17 @@ type spaceClaims struct {
 // returns how many positions the carried columns must hold: p slots of
 // the largest subspace, or every body if that is no more.
 func (q *spaceClaims) deal(subs []Subspace, order []int, p int) int {
-	if k := len(order); cap(q.tasks) < k {
-		// Room for twice as many subspaces, so a warm build whose
-		// partition finalizes a few more does not reallocate.
-		q.tasks, q.claimed = make([]spaceTask, k, 2*k), make([]atomic.Bool, k, 2*k)
-	}
-	q.tasks, q.claimed = q.tasks[:len(order)], q.claimed[:len(order)]
+	q.subs, q.order = subs, order
+	q.claimed = grown(q.claimed, len(order))
 	q.zone = grown(q.zone, p+1)
 	q.zone[0] = 0
 	w, largest, n := 0, 0, 0
 	for k, i := range order {
-		ss := &subs[i]
-		for ; w < ss.Owner; w++ {
+		for ; w < subs[i].Owner; w++ {
 			q.zone[w+1] = k
 		}
-		q.tasks[k] = spaceTask{parent: ss.Parent, oct: ss.Oct, arena: int32(ss.Owner), depth: int32(ss.Depth),
-			lo: int32(ss.off), hi: int32(ss.off + ss.Count), cube: ss.Cube}
 		q.claimed[k].Store(false)
-		largest, n = max(largest, ss.Count), n+ss.Count
+		largest, n = max(largest, subs[i].Count), n+subs[i].Count
 	}
 	for ; w < p; w++ {
 		q.zone[w+1] = len(order)
@@ -204,11 +182,11 @@ func (q *spaceClaims) deal(subs []Subspace, order []int, p int) int {
 
 // claimant is processor w's side of the insert phase.
 type claimant struct {
-	ins      inserter
-	q        *spaceClaims
-	pos      []vec.V3 // the bodies' positions, gathered once per task
-	fin, nxt []int32  // the partition's: a task's bodies and their spare
-	cols     *[2][]vec.V3
+	ins  inserter
+	q    *spaceClaims
+	pos  []vec.V3 // the bodies' positions, gathered once per subspace
+	nxt  []int32  // the partition's, free once the rounds end: spare for the sorts
+	cols *[2][]vec.V3
 }
 
 // work claims its own zone in Morton order, then steals — the last open
@@ -216,43 +194,50 @@ type claimant struct {
 // successor on — until it finds nothing open, and leaves.
 func (c *claimant) work(w int) {
 	q := c.q
-	for i := q.zone[w]; i < q.zone[w+1]; i++ {
-		c.claim(w, i)
+	for k := q.zone[w]; k < q.zone[w+1]; k++ {
+		c.claim(w, k)
 	}
 	p := len(q.zone) - 1
 	for d := 1; d < p; d++ {
 		v := (w + d) % p
-		for i := q.zone[v+1] - 1; i >= q.zone[v]; i-- {
-			c.claim(w, i)
+		for k := q.zone[v+1] - 1; k >= q.zone[v]; k-- {
+			c.claim(w, k)
 		}
 	}
 }
 
-// claim sorts task i's subtree and attaches it, if no other processor
-// has claimed the task — no locking: the slot is the task's alone.
+// claim sorts the subtree of the k-th subspace in Morton order and
+// attaches it, if no other processor has claimed it — no locking: the
+// slot is the subspace's alone. sortSubtree sorts its bodies in place,
+// between its range of fin and the same range of nxt; the ranges are
+// disjoint, so the processors share nothing. Its nodes go to the arena
+// of the processor whose zone it was dealt to, whoever claims it: so
+// each arena holds the same number of nodes every build, and a warm
+// build installs no arena chunk.
+//
 // The bodies' positions travel with them, through w's slot of the
 // carried columns: the sort reads them in order rather than by body
 // index, which makes it about three times faster on 200 000 Plummer
 // bodies.
-func (c *claimant) claim(w, i int) {
-	if !c.q.claimed[i].CompareAndSwap(false, true) {
+func (c *claimant) claim(w, k int) {
+	if !c.q.claimed[k].CompareAndSwap(false, true) {
 		return
 	}
-	t := &c.q.tasks[i]
-	idx, spare := c.fin[t.lo:t.hi], c.nxt[t.lo:t.hi]
-	at, n := int(t.lo), len(idx)
+	ss := &c.q.subs[c.q.order[k]]
+	n, at := ss.Count, ss.off
 	if c.q.slot > 0 {
 		at = w * c.q.slot
 	}
 	pos, pos2 := c.cols[0][at:at+n], c.cols[1][at:at+n]
-	for k, b := range idx {
-		pos[k] = c.pos[b]
+	for i, b := range ss.Bodies {
+		pos[i] = c.pos[b]
 	}
 	ins := &c.ins
-	ins.arena = int(t.arena)
-	node := ins.sortSubtree(t.cube, int(t.depth), t.parent, idx, spare, pos, pos2)
+	ins.arena = ss.Owner
+	node := ins.sortSubtree(ss.Cube, ss.Depth, ss.Parent, ss.Bodies, c.nxt[ss.off:][:n], pos, pos2)
 	ins.publishLeaves(node)
-	ins.s.Cell(t.parent).SetChild(t.oct, node)
+	// Attach without locking: this slot is ours alone.
+	ins.s.Cell(ss.Parent).SetChild(ss.Oct, node)
 	ins.pc.Attached++
 	ins.pc.BodiesBuilt += int64(n)
 }
