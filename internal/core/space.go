@@ -31,14 +31,15 @@ import (
 // the counting passes, some load imbalance, and the loss of locality
 // between the build partition and the force partition.
 //
-// This builder departs from the paper's static dealing to pay less of
-// the first two costs. Its counting rounds stop once no subspace holds
-// more than one processor's share of the bodies (spaceRoundThreshold),
-// and the subspaces are claimed rather than dealt (spaceClaims): each
-// processor starts on its step-2 zone and steals whole subspaces once
-// that runs dry. So a subtree one processor sorts whole is bounded by
-// the larger of the threshold and n/p; the tree is the same.
-// internal/simalg replays the paper's rounds and dealing.
+// This builder departs from the paper to pay less of the first two
+// costs. Its counting rounds stop once no subspace holds more than one
+// processor's share of the bodies (spaceRoundThreshold), so a subtree
+// one processor sorts whole is bounded by the larger of the threshold
+// and n/p. And step 2 deals the subspaces largest first, each to the
+// processor with the fewest bodies so far, rather than in Morton zones
+// (AssignSubspaces); a processor that runs out of its own claims
+// another's (spaceClaims). The tree is the same. internal/simalg
+// replays the paper's rounds and dealing.
 type spaceBuilder struct {
 	cfg     Config
 	store   *octree.Store
@@ -122,7 +123,7 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 			th := SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, n, p)
 			tree := freshTree(s)(root)
 			subs := spacePartition(sc, s, tree, in, spaceRoundThreshold(th, n, p), m)
-			cols = borrowCarried(sc.claims.deal(subs, AssignSubspaces(root, subs, p), p))
+			cols = borrowCarried(sc.claims.deal(subs, p))
 			return tree
 		},
 		func(_ *octree.Tree, w int) {
@@ -140,37 +141,56 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 }
 
 // spaceClaims is the insert phase's work list: the partition's
-// subspaces in Morton order, processor w's AssignSubspaces zone being
-// order[zone[w]:zone[w+1]]. Every subspace is claimed once, by
-// compare-and-swap, so every attach slot has one writer and the build
-// takes no lock.
+// subspaces dealt largest first, each to the processor with the fewest
+// bodies so far, and listed by owner, processor w's share being
+// order[share[w]:share[w+1]], largest first. Every subspace is claimed
+// once, by compare-and-swap, so every attach slot has one writer and the
+// build takes no lock.
 type spaceClaims struct {
 	subs    []Subspace
 	order   []int
 	claimed []atomic.Bool // claimed[k]: subs[order[k]]
-	zone    []int
-	slot    int // carried positions per claimant; 0: each subspace's at its range of fin
+	share   []int
+	load    []int // bodies dealt to each processor
+	slot    int   // carried positions per claimant; 0: each subspace's at its range of fin
 }
 
-// deal readies the claims of one build over the partition's subspaces,
-// order being their Morton order as AssignSubspaces returns it, and
-// returns how many positions the carried columns must hold: p slots of
-// the largest subspace, or every body if that is no more.
-func (q *spaceClaims) deal(subs []Subspace, order []int, p int) int {
-	q.subs, q.order = subs, order
-	q.claimed = grown(q.claimed, len(order))
-	q.zone = grown(q.zone, p+1)
-	q.zone[0] = 0
+// deal deals the partition's subspaces for one build, setting their
+// Owner, and returns how many positions the carried columns must hold:
+// p slots of the largest subspace, or every body if that is no more.
+func (q *spaceClaims) deal(subs []Subspace, p int) int {
+	q.subs = subs
+	q.order = grown(q.order, len(subs))
+	for i := range q.order {
+		q.order[i] = i
+	}
+	slices.SortStableFunc(q.order, func(a, b int) int { return subs[b].Count - subs[a].Count })
+	q.load = grown(q.load, p)
+	clear(q.load)
+	for _, i := range q.order {
+		w := 0
+		for v := 1; v < p; v++ {
+			if q.load[v] < q.load[w] {
+				w = v
+			}
+		}
+		subs[i].Owner = w
+		q.load[w] += subs[i].Count
+	}
+	slices.SortStableFunc(q.order, func(a, b int) int { return subs[a].Owner - subs[b].Owner })
+	q.claimed = grown(q.claimed, len(subs))
+	q.share = grown(q.share, p+1)
+	q.share[0] = 0
 	w, largest, n := 0, 0, 0
-	for k, i := range order {
+	for k, i := range q.order {
 		for ; w < subs[i].Owner; w++ {
-			q.zone[w+1] = k
+			q.share[w+1] = k
 		}
 		q.claimed[k].Store(false)
 		largest, n = max(largest, subs[i].Count), n+subs[i].Count
 	}
 	for ; w < p; w++ {
-		q.zone[w+1] = len(order)
+		q.share[w+1] = len(q.order)
 	}
 	if p*largest < n {
 		q.slot = largest
@@ -189,31 +209,31 @@ type claimant struct {
 	cols *[2][]vec.V3
 }
 
-// work claims its own zone in Morton order, then steals — the last open
-// subspace of another processor's zone, the zones visited from w's
-// successor on — until it finds nothing open, and leaves.
+// work claims its own share, largest first, then steals — the smallest
+// open subspace of another processor's share, the shares visited from
+// w's successor on — until it finds nothing open, and leaves.
 func (c *claimant) work(w int) {
 	q := c.q
-	for k := q.zone[w]; k < q.zone[w+1]; k++ {
+	for k := q.share[w]; k < q.share[w+1]; k++ {
 		c.claim(w, k)
 	}
-	p := len(q.zone) - 1
+	p := len(q.share) - 1
 	for d := 1; d < p; d++ {
 		v := (w + d) % p
-		for k := q.zone[v+1] - 1; k >= q.zone[v]; k-- {
+		for k := q.share[v+1] - 1; k >= q.share[v]; k-- {
 			c.claim(w, k)
 		}
 	}
 }
 
-// claim sorts the subtree of the k-th subspace in Morton order and
+// claim sorts the subtree of the k-th subspace on the list and
 // attaches it, if no other processor has claimed it — no locking: the
 // slot is the subspace's alone. sortSubtree sorts its bodies in place,
 // between its range of fin and the same range of nxt; the ranges are
 // disjoint, so the processors share nothing. Its nodes go to the arena
-// of the processor whose zone it was dealt to, whoever claims it: so
-// each arena holds the same number of nodes every build, and a warm
-// build installs no arena chunk.
+// of the processor it was dealt to, whoever claims it: so each arena
+// holds the same number of nodes every build, and a warm build installs
+// no arena chunk.
 //
 // The bodies' positions travel with them, through w's slot of the
 // carried columns: the sort reads them in order rather than by body
@@ -525,9 +545,8 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 // groups of roughly equal body count: sorted by Morton key (octree
 // depth-first order) and cut into P cost zones, the grouping the paper's
 // Figure 5 draws. Contiguity limits the locality loss SPACE trades for
-// its zero locking. It returns the subspaces' indices in that order, in
-// which the owners ascend.
-func AssignSubspaces(root vec.Cube, subs []Subspace, p int) []int {
+// its zero locking.
+func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
 	k := partition.NewKeyer(root)
 	order := make([]int, len(subs))
 	keys := make([]uint64, len(subs))
@@ -544,7 +563,7 @@ func AssignSubspaces(root vec.Cube, subs []Subspace, p int) []int {
 		return order[a] < order[b]
 	})
 	if total == 0 {
-		return order
+		return
 	}
 	acc := 0
 	for _, i := range order {
@@ -555,5 +574,4 @@ func AssignSubspaces(root vec.Cube, subs []Subspace, p int) []int {
 		subs[i].Owner = w
 		acc += subs[i].Count
 	}
-	return order
 }
