@@ -338,12 +338,7 @@ func borrowCarried(n int) *[2][]vec.V3 {
 	if cols == nil {
 		cols = new([2][]vec.V3)
 	}
-	if cap(cols[0]) < n {
-		// A quarter to spare: the largest subspace moves a little from
-		// build to build, and a warm build should not reallocate.
-		cols[0], cols[1] = make([]vec.V3, n, n+n/4), make([]vec.V3, n, n+n/4)
-	}
-	cols[0], cols[1] = cols[0][:n], cols[1][:n]
+	cols[0], cols[1] = grown(cols[0], n), grown(cols[1], n)
 	return cols
 }
 
