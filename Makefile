@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke hypotheses-smoke cmds surface reach loc check repro repro-check repro-smoke bench pairs pairs-smoke
+.PHONY: all build fmt vet test race fuzz smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench microbench-smoke hypotheses-smoke cmds surface reach loc check repro repro-check repro-smoke bench pairs pairs-smoke
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt fails if any tracked Go file is not gofmt-formatted.
+fmt:
+	@test -z "$$(gofmt -l $$(git ls-files '*.go'))" || { gofmt -l $$(git ls-files '*.go') >&2; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -149,7 +153,7 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check is the tier-1+ gate: everything must pass before a PR lands.
-check: cmds surface reach build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke hypotheses-smoke pairs-smoke
+check: cmds surface reach fmt build vet test race smoke obs-smoke loadgen-smoke cluster-smoke bench-smoke microbench-smoke repro-smoke hypotheses-smoke pairs-smoke
 
 # repro regenerates the paper's tables and figures into ./results.
 repro:

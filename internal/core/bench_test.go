@@ -51,7 +51,7 @@ func BenchmarkSpacePartition(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s.Reset()
-					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, spaceRoundThreshold(SpaceThreshold(0, 8, c.n, p), c.n, p), m)
+					spacePartition(&sc, s, octree.NewTree(s, 0, 0, root), in, spaceRoundThreshold(8, c.n, p), m)
 				}
 			})
 		}

@@ -16,9 +16,11 @@ import (
 // requested rebuild — sort octree.BuildSerial's tree bit for bit
 // (verify.Build), with zero locks, every body built once and
 // Metrics.TreeStats the tree's; at every processor count, oversubscribed
-// ones included, at thresholds from the leaf capacity to beyond n, and
-// over the spatial assignment, under which a subspace's bodies arrive
-// already in octant order, and the even one, under which they do not.
+// ones included, at round thresholds from the leaf capacity (many rounds,
+// many small subspaces to take and steal) to beyond n (one round, at the
+// root), 0 being the builds' own (spaceRoundThreshold), and over the
+// spatial assignment, under which a subspace's bodies arrive already in
+// octant order, and the even one, under which they do not.
 // Besides the five mass models, two sets stress the partition:
 // coincident bodies, which a chain of one-child cells follows to
 // MaxDepth, and a cluster that sits, all but one outlier, deep inside one
@@ -51,7 +53,8 @@ func TestSpaceClaimsBuildTheSerialTree(t *testing.T) {
 					for _, spatial := range []bool{true, false} {
 						t.Run(fmt.Sprintf("%s/th=%d/p=%d/%v/spatial=%v", set.name, th, p, alg, spatial), func(t *testing.T) {
 							b := set.b
-							bld := core.New(alg, core.Config{P: p, LeafCap: leafCap, SpaceThreshold: th})
+							bld := core.New(alg, core.Config{P: p, LeafCap: leafCap})
+							core.SetRoundThreshold(bld, th)
 							in := &core.Input{Bodies: b, Assign: core.EvenAssign(n, p)}
 							if spatial {
 								in.Assign = core.SpatialAssign(b, p)

@@ -15,10 +15,10 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"partree/internal/octree"
+	"partree/internal/par"
 	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/trace"
@@ -153,11 +153,6 @@ type Builder interface {
 type Config struct {
 	P       int // number of processors (goroutines)
 	LeafCap int // subdivision threshold k (bodies per leaf)
-	// SpaceThreshold is SPACE's subdivision threshold: a subspace with
-	// more bodies than this, or than one processor's share ⌈N/P⌉ if that
-	// is more, is split further. 0 selects the default
-	// max(LeafCap, N/(4·P)) at build time.
-	SpaceThreshold int
 	// Trace, when non-nil and enabled, has every build copy its
 	// per-processor phase time (Metrics.PerP[w].PhaseNs, stamped on every
 	// build either way) into a trace.Summary on Metrics.Trace once the
@@ -234,19 +229,10 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 
 // slicesPerProc is how many slices per processor a phase that sweeps
 // the bodies evenly cuts them into (parallelBounds, SPACE's counting
-// rounds). The slices are claimed one at a time (claimSlice), so a
-// processor that starts late — the first fork of a build often finds
-// its helper gone — or runs slow takes fewer of them.
+// rounds). The slices are dealt as par.Runs, so a processor that starts
+// late — the first fork of a build often finds its helper gone — or runs
+// slow takes fewer of them.
 const slicesPerProc = 8
-
-// claimSlice claims the next of k slices from next, or returns -1 once
-// all are claimed.
-func claimSlice(next *atomic.Int32, k int) int {
-	if s := int(next.Add(1)) - 1; s < k {
-		return s
-	}
-	return -1
-}
 
 // parallelBounds computes the root bounding cube, the processors reading
 // contiguous slices of the position column rather than gathering through
@@ -256,15 +242,15 @@ func parallelBounds(in *Input, m *Metrics) vec.Cube {
 	p, pos := in.P(), in.Bodies.Pos
 	k := slicesPerProc * p
 	lo, hi := make([]vec.V3, p), make([]vec.V3, p)
-	var next atomic.Int32
+	runs := par.EvenRuns(k, p)
 	m.fork(trace.PhasePartition, p, func(w int) {
 		if len(pos) == 0 {
 			return
 		}
 		// Every share starts from body 0, which moves no extreme, so one
-		// that claims no slice leaves it as it is.
+		// that takes no slice leaves it as it is.
 		l, h := pos[0], pos[0]
-		for s := claimSlice(&next, k); s >= 0; s = claimSlice(&next, k) {
+		for s := runs.Next(w); s >= 0; s = runs.Next(w) {
 			for _, q := range pos[len(pos)*s/k : len(pos)*(s+1)/k] {
 				l = l.Min(q)
 				h = h.Max(q)

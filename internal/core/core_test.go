@@ -244,21 +244,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-func TestSpaceThresholdConfig(t *testing.T) {
-	// A threshold below one processor's share leaves the rounds at the
-	// share; a huge one makes a single subspace. Both must still produce
-	// the canonical tree.
-	for _, th := range []int{8, 50, 1 << 20} {
-		in := input(t, 3000, 4, 3)
-		bld := New(SPACE, Config{P: 4, LeafCap: 8, SpaceThreshold: th})
-		tr, m := bld.Build(in)
-		checkAgainstSerial(t, tr, in, true)
-		if m.TotalLocks() != 0 {
-			t.Fatalf("th=%d: SPACE locked", th)
-		}
-	}
-}
-
 func TestMetricsBodiesBuilt(t *testing.T) {
 	in := input(t, 4096, 4, 8)
 	for _, alg := range Algorithms() {

@@ -4,10 +4,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"partree/internal/octree"
-	"partree/internal/partition"
+	"partree/internal/par"
 	"partree/internal/trace"
 	"partree/internal/vec"
 )
@@ -32,18 +31,22 @@ import (
 // between the build partition and the force partition.
 //
 // This builder departs from the paper to pay less of the first two
-// costs. Its counting rounds stop once no subspace holds more than one
-// processor's share of the bodies (spaceRoundThreshold), so a subtree
-// one processor sorts whole is bounded by the larger of the threshold
-// and n/p. And step 2 deals the subspaces largest first, each to the
-// processor with the fewest bodies so far, rather than in Morton zones
-// (AssignSubspaces); a processor that runs out of its own claims
-// another's (spaceClaims). The tree is the same. internal/simalg
-// replays the paper's rounds and dealing.
+// costs. It has no threshold of its own: its counting rounds stop once
+// no subspace holds more than one processor's share of the bodies, or
+// the leaf capacity if that is more (spaceRoundThreshold), so a subtree
+// one processor sorts whole holds at most n/p bodies. And step 2 deals
+// the subspaces largest first, each to the processor with the fewest
+// bodies so far, rather than in Morton zones; a processor whose share
+// runs dry takes another's (spaceClaims). The tree is the same.
+// internal/simalg replays the paper's threshold, rounds and dealing.
 type spaceBuilder struct {
 	cfg     Config
 	store   *octree.Store
 	scratch spaceScratch
+	// threshold, when positive, stops the counting rounds in place of
+	// spaceRoundThreshold. Builds leave it 0; tests set it to claim the
+	// subspaces of many-round partitions.
+	threshold int
 }
 
 func newSpace(cfg Config) Builder {
@@ -52,11 +55,10 @@ func newSpace(cfg Config) Builder {
 
 func (sb *spaceBuilder) Algorithm() Algorithm { return SPACE }
 
-// SPACE's pure decisions — what a subspace and a frontier cell are, the
-// subdivision threshold, the subspace-to-processor assignment — are
-// exported because internal/simalg replays the paper's algorithm on the
-// platform models: it charges memory and barriers its own way, but
-// decides with the same functions.
+// Subspace and FrontierCell are exported because internal/simalg
+// replays the paper's algorithm on the platform models over the same
+// partition units; it keeps the paper's threshold and Morton-zone
+// assignment of the subspaces itself.
 
 // Subspace is one finalized partition unit: an unfilled child slot of a
 // prefix cell, plus the bodies that belong in it.
@@ -78,20 +80,6 @@ type FrontierCell struct {
 	Depth int
 }
 
-// SpaceThreshold resolves the subdivision threshold for a SPACE-style
-// partition: the configured value, or the documented default n/(4·p),
-// never below the leaf capacity.
-func SpaceThreshold(configured, leafCap, n, p int) int {
-	th := configured
-	if th <= 0 {
-		th = n / (4 * p)
-	}
-	if th < leafCap {
-		th = leafCap
-	}
-	return th
-}
-
 func (sb *spaceBuilder) Store() *octree.Store { return sb.store }
 
 func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
@@ -100,13 +88,13 @@ func (sb *spaceBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 }
 
 // spaceRoundThreshold is the largest frontier cell the counting rounds
-// leave unsplit: the subdivision threshold, or one processor's share of
-// the bodies, ⌈n/p⌉, whichever is larger. A round sweeps every body
-// still in flight and forks twice, while the sort below a subspace costs
-// its claimant alone; so the rounds stop once no frontier cell holds
-// more than a share. At p = 1 that is always one round, at the root.
-func spaceRoundThreshold(threshold, n, p int) int {
-	return max(threshold, (n+p-1)/p)
+// leave unsplit: one processor's share of the bodies, ⌈n/p⌉, or the
+// leaf capacity, whichever is larger. A round sweeps every body still in
+// flight and forks twice, while the sort below a subspace costs its
+// claimant alone; so the rounds stop once no frontier cell holds more
+// than a share. At p = 1 that is always one round, at the root.
+func spaceRoundThreshold(leafCap, n, p int) int {
+	return max(leafCap, (n+p-1)/p)
 }
 
 // build is SPACE's build into sb's store: the counting partition runs in
@@ -116,13 +104,16 @@ func spaceRoundThreshold(threshold, n, p int) int {
 // publishes into, so its repairs resume against the fresh tree.
 func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.Tree {
 	s, sc, cfg := sb.store, &sb.scratch, sb.cfg
-	p, n := in.P(), in.Bodies.N()
+	p := in.P()
 	var cols *[2][]vec.V3
 	tree := runPhases(cfg, in, m,
 		func(root vec.Cube) *octree.Tree {
-			th := SpaceThreshold(cfg.SpaceThreshold, cfg.LeafCap, n, p)
+			th := sb.threshold
+			if th <= 0 {
+				th = spaceRoundThreshold(cfg.LeafCap, in.Bodies.N(), p)
+			}
 			tree := freshTree(s)(root)
-			subs := spacePartition(sc, s, tree, in, spaceRoundThreshold(th, n, p), m)
+			subs := spacePartition(sc, s, tree, in, th, m)
 			cols = borrowCarried(sc.claims.deal(subs, p))
 			return tree
 		},
@@ -134,7 +125,9 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 				nxt:  sc.nxt,
 				cols: cols,
 			}
-			c.work(w)
+			for k := c.q.runs.Next(w); k >= 0; k = c.q.runs.Next(w) {
+				c.claim(w, k)
+			}
 		})
 	returnCarried(cols)
 	return tree
@@ -143,16 +136,17 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 // spaceClaims is the insert phase's work list: the partition's
 // subspaces dealt largest first, each to the processor with the fewest
 // bodies so far, and listed by owner, processor w's share being
-// order[share[w]:share[w+1]], largest first. Every subspace is claimed
-// once, by compare-and-swap, so every attach slot has one writer and the
-// build takes no lock.
+// order[share[w]:share[w+1]], largest first. The shares are the runs
+// the processors take their subspaces from (so a steal takes the
+// smallest left of the fullest share), and par.Runs hands each out once:
+// every attach slot has one writer and the build takes no lock.
 type spaceClaims struct {
-	subs    []Subspace
-	order   []int
-	claimed []atomic.Bool // claimed[k]: subs[order[k]]
-	share   []int
-	load    []int // bodies dealt to each processor
-	slot    int   // carried positions per claimant; 0: each subspace's at its range of fin
+	subs  []Subspace
+	order []int
+	share []int
+	runs  par.Runs // over order, run w being share w
+	load  []int    // bodies dealt to each processor
+	slot  int      // carried positions per claimant; 0: each subspace's at its range of fin
 }
 
 // deal deals the partition's subspaces for one build, setting their
@@ -178,7 +172,6 @@ func (q *spaceClaims) deal(subs []Subspace, p int) int {
 		q.load[w] += subs[i].Count
 	}
 	slices.SortStableFunc(q.order, func(a, b int) int { return subs[a].Owner - subs[b].Owner })
-	q.claimed = grown(q.claimed, len(subs))
 	q.share = grown(q.share, p+1)
 	q.share[0] = 0
 	w, largest, n := 0, 0, 0
@@ -186,12 +179,12 @@ func (q *spaceClaims) deal(subs []Subspace, p int) int {
 		for ; w < subs[i].Owner; w++ {
 			q.share[w+1] = k
 		}
-		q.claimed[k].Store(false)
 		largest, n = max(largest, subs[i].Count), n+subs[i].Count
 	}
 	for ; w < p; w++ {
 		q.share[w+1] = len(q.order)
 	}
+	q.runs.Reset(q.share)
 	if p*largest < n {
 		q.slot = largest
 		return p * largest
@@ -209,26 +202,9 @@ type claimant struct {
 	cols *[2][]vec.V3
 }
 
-// work claims its own share, largest first, then steals — the smallest
-// open subspace of another processor's share, the shares visited from
-// w's successor on — until it finds nothing open, and leaves.
-func (c *claimant) work(w int) {
-	q := c.q
-	for k := q.share[w]; k < q.share[w+1]; k++ {
-		c.claim(w, k)
-	}
-	p := len(q.share) - 1
-	for d := 1; d < p; d++ {
-		v := (w + d) % p
-		for k := q.share[v+1] - 1; k >= q.share[v]; k-- {
-			c.claim(w, k)
-		}
-	}
-}
-
-// claim sorts the subtree of the k-th subspace on the list and
-// attaches it, if no other processor has claimed it — no locking: the
-// slot is the subspace's alone. sortSubtree sorts its bodies in place,
+// claim sorts the subtree of the k-th subspace on the list, which w took
+// from the runs, and attaches it — no locking: the slot is the
+// subspace's alone. sortSubtree sorts its bodies in place,
 // between its range of fin and the same range of nxt; the ranges are
 // disjoint, so the processors share nothing. Its nodes go to the arena
 // of the processor it was dealt to, whoever claims it: so each arena
@@ -240,9 +216,6 @@ func (c *claimant) work(w int) {
 // index, which makes it about three times faster on 200 000 Plummer
 // bodies.
 func (c *claimant) claim(w, k int) {
-	if !c.q.claimed[k].CompareAndSwap(false, true) {
-		return
-	}
 	ss := &c.q.subs[c.q.order[k]]
 	n, at := ss.Count, ss.off
 	if c.q.slot > 0 {
@@ -408,15 +381,15 @@ func copyPiece(dst []int32, lists [][]int32, lo, hi int) {
 // array of the bodies still in flight. The array starts as Assign[0],
 // Assign[1], … concatenated, and every frontier cell owns a contiguous
 // range of it. The array is cut into slicesPerProc·p even slices, which
-// the processors claim one at a time. A round is: count — each claimed
-// slice is histogrammed over the octants of the frontier cells it
-// crosses (in the first round, after its claimant copies it in from the
-// lists); decide — serial, the frontier is tiny: octants above the
-// threshold become prefix cells and next round's frontier, the rest
-// finalized subspaces, and the slices' histograms become write cursors;
-// scatter — the slices, claimed afresh, move their bodies to the next
-// round's array or, finalized, to the range of fin their subspace was
-// given. No synchronization beyond the fork/joins and the claims.
+// the processors take as par.Runs. A round is: count — each slice taken
+// is histogrammed over the octants of the frontier cells it crosses (in
+// the first round, after whoever took it copies it in from the lists);
+// decide — serial, the frontier is tiny: octants above the threshold
+// become prefix cells and next round's frontier, the rest finalized
+// subspaces, and the slices' histograms become write cursors; scatter —
+// the slices, dealt afresh, move their bodies to the next round's array
+// or, finalized, to the range of fin their subspace was given. No
+// synchronization beyond the fork/joins and the runs.
 //
 // The sort is stable and the slices are in array order, so a subspace's
 // bodies come out ordered by (processor, position in its Assign list) —
@@ -444,9 +417,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	for first := true; len(frontier) > 0; first = false {
 		f := len(frontier)
 		from, to := cur, nxt
-		var counted, scattered atomic.Int32
-		m.fork(trace.PhasePartition, p, func(int) {
-			for s := claimSlice(&counted, k); s >= 0; s = claimSlice(&counted, k) {
+		counted := par.EvenRuns(k, p)
+		m.fork(trace.PhasePartition, p, func(w int) {
+			for s := counted.Next(w); s >= 0; s = counted.Next(w) {
 				h := grown(sc.hist[s], f*vec.NOctants)
 				clear(h)
 				sc.hist[s] = h
@@ -507,8 +480,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 			}
 		}
 
-		m.fork(trace.PhasePartition, p, func(int) {
-			for s := claimSlice(&scattered, k); s >= 0; s = claimSlice(&scattered, k) {
+		scattered := par.EvenRuns(k, p)
+		m.fork(trace.PhasePartition, p, func(w int) {
+			for s := scattered.Next(w); s >= 0; s = scattered.Next(w) {
 				h := sc.hist[s]
 				eachPiece(off, s, k, func(fc, lo, hi int) {
 					cursor := h[fc*vec.NOctants:][:vec.NOctants]
@@ -534,39 +508,4 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	}
 	sc.frontier, sc.next, sc.off, sc.nextOff, sc.subs = frontier, next, off, nextOff, subs
 	return subs
-}
-
-// AssignSubspaces assigns subspaces to processors in spatially contiguous
-// groups of roughly equal body count: sorted by Morton key (octree
-// depth-first order) and cut into P cost zones, the grouping the paper's
-// Figure 5 draws. Contiguity limits the locality loss SPACE trades for
-// its zero locking.
-func AssignSubspaces(root vec.Cube, subs []Subspace, p int) {
-	k := partition.NewKeyer(root)
-	order := make([]int, len(subs))
-	keys := make([]uint64, len(subs))
-	total := 0
-	for i := range order {
-		order[i] = i
-		keys[i] = k.Key(subs[i].Cube.Center)
-		total += subs[i].Count
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if ka, kb := keys[order[a]], keys[order[b]]; ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b]
-	})
-	if total == 0 {
-		return
-	}
-	acc := 0
-	for _, i := range order {
-		w := acc * p / total
-		if w >= p {
-			w = p - 1
-		}
-		subs[i].Owner = w
-		acc += subs[i].Count
-	}
 }

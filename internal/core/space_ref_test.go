@@ -133,8 +133,7 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 
 // partitionBoth runs the reference and the counting-sort partition on
 // fresh stores over the same input and fails on the first difference in
-// the subspaces they return (ownership included) or the prefix cells they
-// allocate. sc is the caller's scratch, reused across calls the way a
+// the subspaces they return or the prefix cells they allocate. sc is the caller's scratch, reused across calls the way a
 // resident builder reuses it across builds of different sizes.
 func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]int32, threshold int) []Subspace {
 	t.Helper()
@@ -144,9 +143,7 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 	run := func(part func(*octree.Store, *octree.Tree, *Metrics) []Subspace) ([]Subspace, *octree.Store, *Metrics) {
 		s := octree.NewStore(p, 8)
 		m := newMetrics(SPACE, p)
-		subs := part(s, octree.NewTree(s, 0, 0, root), m)
-		AssignSubspaces(root, subs, p)
-		return subs, s, m
+		return part(s, octree.NewTree(s, 0, 0, root), m), s, m
 	}
 	want, ws, wm := run(func(s *octree.Store, tree *octree.Tree, m *Metrics) []Subspace {
 		return refSpacePartition(s, tree, in, threshold, m)
@@ -179,10 +176,13 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 
 // TestSpacePartitionMatchesReference: the counting sort returns, element
 // for element, the subspaces the per-processor-list partition returned —
-// same order, cubes, counts, owners and per-subspace body order — on
-// every mass model and on two clusters mid-collision, across sizes,
-// processor counts, thresholds and assignments, the lopsided ones
-// included: its slices are cut from the shared array, not from Assign.
+// same order, cubes, counts and per-subspace body order — on every mass
+// model and on two clusters mid-collision, across sizes, processor
+// counts, thresholds and assignments, the lopsided ones included: its
+// slices are cut from the shared array, not from Assign. The thresholds
+// are the leaf capacity and the paper's default, max(LeafCap, N/(4P))
+// (th=0), which both run many rounds where the builds' own stops at
+// ⌈N/P⌉.
 func TestSpacePartitionMatchesReference(t *testing.T) {
 	assigns := []struct {
 		name string
@@ -232,9 +232,12 @@ func TestSpacePartitionMatchesReference(t *testing.T) {
 			b := set.make(n)
 			for _, p := range []int{1, 2, 3, 4, 7} {
 				for _, as := range assigns {
-					for _, configured := range []int{0, 8} {
-						t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s/th=%d", set.name, n, p, as.name, configured), func(t *testing.T) {
-							partitionBoth(t, &sc, b, as.make(b, p), SpaceThreshold(configured, 8, n, p))
+					for _, th := range []int{0, 8} {
+						t.Run(fmt.Sprintf("%s/n=%d/p=%d/%s/th=%d", set.name, n, p, as.name, th), func(t *testing.T) {
+							if th == 0 {
+								th = max(8, n/(4*p))
+							}
+							partitionBoth(t, &sc, b, as.make(b, p), th)
 						})
 					}
 				}

@@ -112,17 +112,26 @@ func TestBuildersWithSpatialAssignment(t *testing.T) {
 }
 
 // TestSpaceEmptyProcessors exercises SPACE when some processors own no
-// subspaces (more processors than subspaces).
+// subspaces: 64 bodies leave 22 subspaces, fewer than the 32 processors.
 func TestSpaceEmptyProcessors(t *testing.T) {
 	b := phys.Generate(phys.ModelUniform, 64, 3)
-	bld := New(SPACE, Config{P: 16, LeafCap: 8, SpaceThreshold: 64})
-	tr, m := bld.Build(&Input{Bodies: b, Assign: EvenAssign(64, 16)})
+	bld := New(SPACE, Config{P: 32, LeafCap: 8})
+	tr, m := bld.Build(&Input{Bodies: b, Assign: EvenAssign(64, 32)})
 	d := octree.BodyData{Pos: b.Pos, Mass: b.Mass, Cost: b.Cost}
 	if err := octree.Check(tr, d, octree.CheckOptions{Canonical: true, Moments: true}); err != nil {
 		t.Fatal(err)
 	}
 	if m.TotalLocks() != 0 {
 		t.Fatal("SPACE locked")
+	}
+	idle := 0
+	for w := range m.PerP {
+		if m.PerP[w].Attached == 0 {
+			idle++
+		}
+	}
+	if idle == 0 {
+		t.Fatal("every one of the 32 processors attached a subspace, want some to attach none")
 	}
 }
 

@@ -111,8 +111,8 @@ func ComputeMomentsParallel(t *Tree, d BodyData, nWorkers int) Stats {
 // fork/join: fork(p, fn) must run fn(0) … fn(p-1) and return once all have
 // (core's phase driver passes one that times every share).
 //
-// The workers run the serial recursion on the subtrees of the cut
-// (momentsTop), each on its own run of them (subtreeRuns), and whoever
+// The workers run the serial recursion on the subtrees of the store's
+// cut (momentsTop), each on its own run of them (par.Runs), and whoever
 // completes the last listed child of a cell above the cut combines that
 // cell, doing the leaves that hang off it, so the top of the tree is
 // summed inside the fork rather than after it. Walking from the root
@@ -129,14 +129,14 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 		return st
 	}
 	s := t.Store
-	top := newMomentsTop(s, t.Root, nWorkers)
-	runs := newSubtreeRuns(len(top.tasks), nWorkers)
+	top := s.cut(t.Root, nWorkers)
+	runs := par.EvenRuns(len(top.tasks), nWorkers)
 	accs := make([]statsAcc, nWorkers)
 	fork(nWorkers, func(w int) {
 		// Counted on the worker's own stack, stored once: neighbouring
 		// elements of accs share cache lines.
 		var acc statsAcc
-		for i := runs.next(w); i >= 0; i = runs.next(w) {
+		for i := runs.Next(w); i >= 0; i = runs.Next(w) {
 			k := top.tasks[i]
 			momentsRec(s, top.cells[k], int(top.depth[k]), d, &acc)
 			top.complete(s, k, d, &acc)
@@ -150,12 +150,16 @@ func ComputeMomentsFork(t *Tree, d BodyData, nWorkers int, fork func(p int, fn f
 	return acc.stats()
 }
 
-// momentsTop is the top of the tree as the parallel moments pass sees
-// it: the cells cutLevels lists, breadth-first, with parent[k] the index
-// of cells[k]'s parent (-1 for the root), depth[k] its depth and
-// pending[k] the number of its listed children not yet complete. The
-// tasks are the listed cells with no listed child — the cut level's, and
-// any above it whose children are all leaves.
+// momentsTop is the top of a tree as the parallel passes cut it (the
+// moments pass and RescaleFork): breadth-first from the root, the cells
+// of every level down to the first holding at least
+// momentsTasksPerWorker·nWorkers cells, or to the deepest level of
+// cells, with parent[k] the index of cells[k]'s parent (-1 for the
+// root), depth[k] its depth and pending[k] the number of its listed
+// children not yet complete. The tasks are the listed cells with no
+// listed child — the cut level's, and any above it whose children are
+// all leaves. Population, not depth: a root cube sized by a few outliers
+// keeps nearly every body in one cell for several levels.
 type momentsTop struct {
 	cells   []Ref
 	parent  []int32
@@ -164,34 +168,42 @@ type momentsTop struct {
 	tasks   []int32
 }
 
-func newMomentsTop(s *Store, root Ref, nWorkers int) *momentsTop {
-	cells, levels := cutLevels(s, root, nWorkers)
-	n := len(cells)
-	top := &momentsTop{cells: cells, parent: make([]int32, n), depth: make([]int32, n), pending: make([]atomic.Int32, n)}
-	top.parent[0] = -1
-	next := 1 // cutLevels lists a level's cells in the order of their parents
-	for lv, lo := range levels {
-		hi := n
-		if lv+1 < len(levels) {
-			hi = levels[lv+1]
-		}
+// cut walks the tree under the cell root into the store's momentsTop,
+// rebuilt in place, and returns it. It is valid until the next cut of
+// the store.
+func (s *Store) cut(root Ref, nWorkers int) *momentsTop {
+	top := &s.top
+	top.cells = append(top.cells[:0], root)
+	top.parent = append(top.parent[:0], -1)
+	top.depth = append(top.depth[:0], 0)
+	for lo, hi := 0, 1; hi-lo < momentsTasksPerWorker*nWorkers && hi > lo; {
 		for k := lo; k < hi; k++ {
-			top.depth[k] = int32(lv)
-			listed := 0
-			if hi < n {
-				c := s.Cell(cells[k])
-				for o := vec.Octant(0); o < vec.NOctants; o++ {
-					if c.Child(o).IsCell() {
-						top.parent[next+listed] = int32(k)
-						listed++
-					}
+			c := s.Cell(top.cells[k])
+			for o := vec.Octant(0); o < vec.NOctants; o++ {
+				if ch := c.Child(o); ch.IsCell() {
+					top.cells = append(top.cells, ch)
+					top.parent = append(top.parent, int32(k))
+					top.depth = append(top.depth, top.depth[k]+1)
 				}
 			}
-			next += listed
-			top.pending[k].Store(int32(listed))
-			if listed == 0 {
-				top.tasks = append(top.tasks, int32(k))
-			}
+		}
+		lo, hi = hi, len(top.cells)
+	}
+	n := len(top.cells)
+	if cap(top.pending) < n {
+		top.pending = make([]atomic.Int32, n)
+	}
+	top.pending = top.pending[:n]
+	for k := range top.pending {
+		top.pending[k].Store(0)
+	}
+	for _, k := range top.parent[1:] {
+		top.pending[k].Add(1)
+	}
+	top.tasks = top.tasks[:0]
+	for k := range top.pending {
+		if top.pending[k].Load() == 0 {
+			top.tasks = append(top.tasks, int32(k))
 		}
 	}
 	return top
@@ -214,76 +226,6 @@ func (top *momentsTop) complete(s *Store, k int32, d BodyData, acc *statsAcc) {
 			}
 		}
 		combineChildren(s, c)
-	}
-}
-
-// cutLevels lists breadth-first the cells of every level of the tree
-// under the cell root down to the first holding at least
-// momentsTasksPerWorker·nWorkers cells, or to its deepest; depth k starts
-// at cells[levels[k]], and the last level's subtrees are a parallel
-// pass's tasks. Population, not depth: a root cube sized by a few
-// outliers keeps nearly every body in one cell for several levels.
-func cutLevels(s *Store, root Ref, nWorkers int) (cells []Ref, levels []int) {
-	cells, levels = []Ref{root}, []int{0}
-	lo, hi := 0, 1
-	for hi-lo < momentsTasksPerWorker*nWorkers {
-		for _, r := range cells[lo:hi] {
-			c := s.Cell(r)
-			for o := vec.Octant(0); o < vec.NOctants; o++ {
-				if ch := c.Child(o); ch.IsCell() {
-					cells = append(cells, ch)
-				}
-			}
-		}
-		if len(cells) == hi {
-			break
-		}
-		lo, hi = hi, len(cells)
-		levels = append(levels, lo)
-	}
-	return cells, levels
-}
-
-// subtreeRuns deals n subtrees to p workers as p contiguous runs, so
-// two workers never alternate on neighbours and write the same cache
-// lines. Run w is one padded word packing [lo, hi): worker w takes from
-// its front; a worker whose run is empty steals single subtrees from the
-// back of the run with the most left.
-type subtreeRuns []struct {
-	span atomic.Uint64 // lo | hi<<32
-	_    [56]byte
-}
-
-func newSubtreeRuns(n, p int) subtreeRuns {
-	rs := make(subtreeRuns, p)
-	for w := range rs {
-		rs[w].span.Store(uint64(n*w/p) | uint64(n*(w+1)/p)<<32)
-	}
-	return rs
-}
-
-// next claims worker w's next subtree, or -1 once every run (they only shrink) is empty.
-func (rs subtreeRuns) next(w int) int {
-	own := &rs[w].span
-	for v := own.Load(); uint32(v) < uint32(v>>32); v = own.Load() {
-		if own.CompareAndSwap(v, v+1) {
-			return int(uint32(v))
-		}
-	}
-	for {
-		victim, most, vv := -1, uint32(0), uint64(0)
-		for i := range rs {
-			v := rs[i].span.Load()
-			if left := uint32(v>>32) - uint32(v); left > most {
-				victim, most, vv = i, left, v
-			}
-		}
-		if victim < 0 {
-			return -1
-		}
-		if rs[victim].span.CompareAndSwap(vv, vv-1<<32) {
-			return int(vv>>32) - 1
-		}
 	}
 }
 

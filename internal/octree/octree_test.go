@@ -215,7 +215,7 @@ func TestParallelMomentsMatchSerial(t *testing.T) {
 				// Outliers leave cells above the cut whose children are
 				// all leaves: tasks of their own, whose completion, like
 				// the cut's, combines the cells above them.
-				top := newMomentsTop(tr.Store, tr.Root, 2)
+				top := tr.Store.cut(tr.Root, 2)
 				cut := top.depth[len(top.depth)-1]
 				above := 0
 				for _, k := range top.tasks {
@@ -227,17 +227,17 @@ func TestParallelMomentsMatchSerial(t *testing.T) {
 					t.Fatal("no cell above the cut holds only leaves")
 				}
 			case "plummer-in-one-subtree":
-				cells, levels := cutLevels(tr.Store, tr.Root, 2)
+				top := tr.Store.cut(tr.Root, 2)
 				heaviest := 0
-				for _, r := range cells[levels[len(levels)-1]:] {
-					heaviest = max(heaviest, int(tr.Store.Cell(r).NBody))
+				for _, k := range top.tasks {
+					heaviest = max(heaviest, int(tr.Store.Cell(top.cells[k]).NBody))
 				}
 				if heaviest < wantSt.Bodies/2 {
 					t.Fatalf("heaviest cut subtree holds %d of %d bodies, want most", heaviest, wantSt.Bodies)
 				}
 			case "fewer-cut-cells-than-workers":
-				if cells, levels := cutLevels(tr.Store, tr.Root, 8); len(cells)-levels[len(levels)-1] >= 8 {
-					t.Fatalf("cut holds %d cells, want fewer than 8", len(cells)-levels[len(levels)-1])
+				if tasks := tr.Store.cut(tr.Root, 8).tasks; len(tasks) >= 8 {
+					t.Fatalf("cut holds %d tasks, want fewer than 8", len(tasks))
 				}
 			}
 			want := momentBits(tr)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"partree/internal/par"
 	"partree/internal/vec"
 )
 
@@ -53,6 +54,10 @@ type Store struct {
 
 	arenas []arena
 	locks  [nLockStripes]sync.Mutex
+	// top is the cut of the tree the last parallel pass over the store
+	// walked (cut), kept so a warm pass allocates none of it; so two
+	// parallel passes over one store must not run at once.
+	top momentsTop
 }
 
 // NewStore creates a store with nArenas arenas (arena 0 is conventionally
@@ -280,19 +285,22 @@ func (t *Tree) DepthOf(c vec.Cube) int {
 }
 
 // RescaleFork is Rescale of the whole tree to root over the caller's
-// fork/join, cut and dealt as ComputeMomentsFork does: the cubes above
-// the cut are set breadth-first, parents first, then the workers rescale
-// their runs of the cut's subtrees. The cubes are Rescale's bit for bit.
+// fork/join, cut and dealt as ComputeMomentsFork does: the cubes of the
+// children of the cut's cells above its tasks are set breadth-first,
+// parents first, then the workers rescale their runs of the tasks'
+// subtrees. The cubes are Rescale's bit for bit.
 func RescaleFork(t *Tree, root vec.Cube, nWorkers int, fork func(p int, fn func(w int))) {
 	s := t.Store
 	if nWorkers <= 1 || !t.Root.IsCell() {
 		fork(1, func(int) { s.Rescale(t.Root, root) })
 		return
 	}
-	cells, levels := cutLevels(s, t.Root, nWorkers)
-	lo := levels[len(levels)-1]
+	top := s.cut(t.Root, nWorkers)
 	s.Cell(t.Root).Cube = root
-	for _, r := range cells[:lo] {
+	for k, r := range top.cells {
+		if top.pending[k].Load() == 0 {
+			continue
+		}
 		c := s.Cell(r)
 		for o := vec.Octant(0); o < vec.NOctants; o++ {
 			if ch := c.Child(o); ch.IsLeaf() {
@@ -302,11 +310,11 @@ func RescaleFork(t *Tree, root vec.Cube, nWorkers int, fork func(p int, fn func(
 			}
 		}
 	}
-	tasks := cells[lo:]
-	runs := newSubtreeRuns(len(tasks), nWorkers)
+	runs := par.EvenRuns(len(top.tasks), nWorkers)
 	fork(nWorkers, func(w int) {
-		for i := runs.next(w); i >= 0; i = runs.next(w) {
-			s.Rescale(tasks[i], s.Cell(tasks[i]).Cube)
+		for i := runs.Next(w); i >= 0; i = runs.Next(w) {
+			r := top.cells[top.tasks[i]]
+			s.Rescale(r, s.Cell(r).Cube)
 		}
 	})
 }

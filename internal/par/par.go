@@ -2,7 +2,8 @@
 // builder, the moments passes, the force pass, the integrator's update
 // loop and the message-passing baseline's ranks fan their per-processor
 // work out through Do, so the fork/join structure of the original
-// programs is explicit and written once.
+// programs is explicit and written once; where the shares take their
+// items from one pool, they take them through Runs.
 //
 // The paper's programs create their P processes once and run phase after
 // phase with no process start in between. Do keeps that shape without an
@@ -43,8 +44,8 @@ import (
 // spinning when the next phase forks. Measured at n = 200 000 (p = 2,
 // 2-vCPU guest, Plummer, uniform and hierarchical bodies, the longest of
 // 20 builds): SPACE's decide step between two counting rounds ≤ 55 µs,
-// AssignSubspaces ahead of the insert fork ≤ 100 µs, the walk to the
-// moments cut ahead of the moments fork 75–210 µs (PARTREE's too). Only
+// dealing its subspaces ahead of the insert fork ≤ 10 µs, the walk to
+// the moments cut ahead of the moments fork 30–220 µs (PARTREE's too). Only
 // the gap between two builds — the caller's own work — can be longer, so
 // a build's first fork may find its helpers gone.
 const spinWindow = 200 * time.Microsecond

@@ -7,9 +7,9 @@ import "partree/internal/vec"
 // position into a Z-order key, Order sorts a body set by that key. The
 // callers are core.SpatialAssign (the spatially compact body partition
 // of every spatial:true build and example), core.Stepper (which makes
-// Order's result the storage order of a session's bodies), SPACE's
-// subspace-to-processor assignment (core.AssignSubspaces, and through it
-// the simulated SPACE replay), and — at the cluster level — the shard
+// Order's result the storage order of a session's bodies), the
+// simulated SPACE replay's subspace-to-processor assignment
+// (simalg's assignSubspaces), and — at the cluster level — the shard
 // map that splits the domain into spatially contiguous key ranges
 // (cluster.Map), where every shard must compute the same key for the
 // same position so the owned subsets tile the body set.

@@ -1,8 +1,11 @@
 package simalg
 
 import (
+	"sort"
+
 	"partree/internal/core"
 	"partree/internal/octree"
+	"partree/internal/partition"
 	"partree/internal/vec"
 )
 
@@ -169,10 +172,24 @@ type spaceState struct {
 	subs      []core.Subspace
 }
 
+// spaceThreshold resolves the paper's subdivision threshold: the
+// configured value, or the default n/(4·p), never below the leaf
+// capacity.
+func spaceThreshold(configured, leafCap, n, p int) int {
+	th := configured
+	if th <= 0 {
+		th = n / (4 * p)
+	}
+	if th < leafCap {
+		th = leafCap
+	}
+	return th
+}
+
 func newSpaceState(st *runState) *spaceState {
 	p := st.cfg.P
 	ss := &spaceState{
-		threshold: core.SpaceThreshold(st.cfg.SpaceThreshold, st.cfg.LeafCap, st.bodies.N(), p),
+		threshold: spaceThreshold(st.cfg.SpaceThreshold, st.cfg.LeafCap, st.bodies.N(), p),
 		frontier:  []core.FrontierCell{{Ref: st.tree.Root, Cube: st.tree.RootCube()}},
 		myBodies:  make([][]int32, p),
 		myCell:    make([][]int32, p),
@@ -232,7 +249,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 
 	// Assign subspaces (processor 0) and build them, lock-free.
 	if sp.w == 0 {
-		core.AssignSubspaces(st.tree.RootCube(), ss.subs, p)
+		assignSubspaces(st.tree.RootCube(), ss.subs, p)
 	}
 	sp.mp.Barrier(lbl("sassign", step))
 	for i := range ss.subs {
@@ -323,4 +340,39 @@ func (st *runState) spaceRebucket(sp *sproc) {
 	}
 	ss.myBodies[w] = keepB
 	ss.myCell[w] = keepC
+}
+
+// assignSubspaces assigns subspaces to processors in spatially
+// contiguous groups of roughly equal body count: sorted by Morton key
+// (octree depth-first order) and cut into P cost zones, the grouping the
+// paper's Figure 5 draws. Contiguity limits the locality loss SPACE
+// trades for its zero locking.
+func assignSubspaces(root vec.Cube, subs []core.Subspace, p int) {
+	k := partition.NewKeyer(root)
+	order := make([]int, len(subs))
+	keys := make([]uint64, len(subs))
+	total := 0
+	for i := range order {
+		order[i] = i
+		keys[i] = k.Key(subs[i].Cube.Center)
+		total += subs[i].Count
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if ka, kb := keys[order[a]], keys[order[b]]; ka != kb {
+			return ka < kb
+		}
+		return order[a] < order[b]
+	})
+	if total == 0 {
+		return
+	}
+	acc := 0
+	for _, i := range order {
+		w := acc * p / total
+		if w >= p {
+			w = p - 1
+		}
+		subs[i].Owner = w
+		acc += subs[i].Count
+	}
 }
