@@ -96,10 +96,13 @@ bench-smoke:
 # them no longer assert) — and what -check costs per build
 # (BenchmarkVerifyBuild: a 64-body tree and serve-build's) — and the
 # fork/join under all of it: back-to-back par.Do calls with ns/op and the
-# forked shares' start lag p50/p95 (BenchmarkDo).
+# forked shares' start lag p50/p95 (BenchmarkDo) — and the force walk a
+# step spends most of its time in: one body's Barnes-Hut walk on a
+# Plummer 64k tree, with interactions per body and ns per interaction
+# (BenchmarkAccel).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild|Accel' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify ./internal/force
 
 microbench:
 	$(MICROBENCH)

@@ -32,7 +32,6 @@ var nbodyCmd = command{
 	bind: func(fs *flag.FlagSet, c *command) func() int {
 		var (
 			energy = fs.Bool("energy", false, "report energy drift (O(N²), slow for large N)")
-			quad   = fs.Bool("quad", false, "use quadrupole cell expansions (better accuracy per θ)")
 			load   = fs.String("load", "", "restart from a snapshot file instead of generating bodies")
 			save   = fs.String("save", "", "write a snapshot file after the last step")
 		)
@@ -40,8 +39,8 @@ var nbodyCmd = command{
 			spec, out := c.spec, c.stdout
 			if c.json {
 				for name, set := range map[string]bool{
-					"-energy": *energy, "-quad": *quad,
-					"-load": *load != "", "-save": *save != "",
+					"-energy": *energy,
+					"-load":   *load != "", "-save": *save != "",
 				} {
 					if set {
 						slog.Error("flag is not supported with -json (the spec grid covers the standard path)", "flag", name)
@@ -64,7 +63,6 @@ var nbodyCmd = command{
 				bodies = phys.Generate(m, spec.Bodies, spec.Seed)
 			}
 			sim := runner.NewSimulation(spec, bodies, nil)
-			sim.Opts.Force.Quadrupole = *quad
 			fmt.Fprintf(out, "nbody: %d bodies (%s), %d procs, builder %v, θ=%.2f, k=%d\n",
 				bodies.N(), sim.Opts.Model, spec.Procs, spec.Alg, spec.Theta, spec.LeafCap)
 

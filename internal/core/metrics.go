@@ -18,8 +18,6 @@ type procCounters struct {
 	Leaves      int64 // leaves allocated
 	Retries     int64 // descents restarted after losing a race
 	BodiesMoved int64 // UPDATE: bodies that crossed a leaf boundary
-	MergeOps    int64 // PARTREE: nodes processed while merging
-	Attached    int64 // PARTREE/SPACE: subtrees transplanted whole
 	BodiesBuilt int64 // bodies this processor loaded into the tree
 	// PhaseNs is this processor's time in each phase, indexed by
 	// trace.Phase: the wall time of its shares of the phase's forks, and
@@ -27,7 +25,7 @@ type procCounters struct {
 	// share. The phase driver stamps it on every build, traced or not.
 	PhaseNs [trace.NumPhases]int64
 	finish  int64 // when this processor's share of the current fork ended
-	_       [3]int64
+	_       [5]int64
 }
 
 // Reasons an UPDATE build rebuilt from scratch (Metrics.FreshReason).

@@ -15,13 +15,13 @@ import (
 // their bits so the comparison is exact.
 type nodeMoments struct {
 	ref   octree.Ref
-	f     [10]uint64 // Mass, COM, Quad
+	f     [4]uint64 // Mass, COM
 	nbody int32
 	cost  int64
 }
 
-func bitsOf(mass float64, com vec.V3, q octree.Quadrupole) (f [10]uint64) {
-	for i, v := range [...]float64{mass, com.X, com.Y, com.Z, q[0], q[1], q[2], q[3], q[4], q[5]} {
+func bitsOf(mass float64, com vec.V3) (f [4]uint64) {
+	for i, v := range [...]float64{mass, com.X, com.Y, com.Z} {
 		f[i] = math.Float64bits(v)
 	}
 	return f
@@ -36,12 +36,12 @@ func liveMoments(t *octree.Tree) []nodeMoments {
 	octree.Walk(t, func(r octree.Ref, _ int) bool {
 		if r.IsLeaf() {
 			l := s.Leaf(r)
-			out = append(out, nodeMoments{r, bitsOf(l.Mass, l.COM, l.Quad), int32(len(l.Bodies)), l.Cost})
-			l.Mass, l.COM, l.Quad, l.Cost = math.NaN(), vec.V3{X: math.NaN()}, octree.Quadrupole{math.NaN()}, -1
+			out = append(out, nodeMoments{r, bitsOf(l.Mass, l.COM), int32(len(l.Bodies)), l.Cost})
+			l.Mass, l.COM, l.Cost = math.NaN(), vec.V3{X: math.NaN()}, -1
 		} else {
 			c := s.Cell(r)
-			out = append(out, nodeMoments{r, bitsOf(c.Mass, c.COM, c.Quad), c.NBody, c.Cost})
-			c.Mass, c.COM, c.Quad, c.NBody, c.Cost = math.NaN(), vec.V3{X: math.NaN()}, octree.Quadrupole{math.NaN()}, -1, -1
+			out = append(out, nodeMoments{r, bitsOf(c.Mass, c.COM), c.NBody, c.Cost})
+			c.Mass, c.COM, c.NBody, c.Cost = math.NaN(), vec.V3{X: math.NaN()}, -1, -1
 		}
 		return true
 	})

@@ -62,7 +62,6 @@ func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, gdepth int, pos []vec.V3) {
 	s := ins.s
 	for {
-		ins.pc.MergeOps++
 		c := s.Cell(gcell)
 		slot := c.Child(o)
 		switch {
@@ -80,7 +79,6 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 				s.Cell(lc).Parent = gcell
 			}
 			c.SetChild(o, lc)
-			ins.pc.Attached++
 			mu.Unlock()
 			return
 
@@ -125,7 +123,6 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 			s.Cell(lc).Parent = gcell
 			l.Retired = true
 			c.SetChild(o, lc)
-			ins.pc.Attached++
 			mu.Unlock()
 			return
 

@@ -231,7 +231,6 @@ func (c *claimant) claim(w, k int) {
 	ins.publishLeaves(node)
 	// Attach without locking: this slot is ours alone.
 	ins.s.Cell(ss.Parent).SetChild(ss.Oct, node)
-	ins.pc.Attached++
 	ins.pc.BodiesBuilt += int64(n)
 }
 
@@ -324,9 +323,10 @@ func returnCarried(cols *[2][]vec.V3) {
 
 // spaceScratch is the memory SPACE's counting sort works in. It lives on
 // the builder, so a warm build allocates none of it: three body-sized
-// index arrays, one octant byte per body, the frontier bookkeeping and
-// the insert phase's claims; the subtree sorts reuse fin and nxt, and
-// borrow their position columns (borrowCarried).
+// index arrays, one octant byte per body, the frontier bookkeeping, the
+// runs its forks deal the slices by and the insert phase's claims; the
+// subtree sorts reuse fin and nxt, and borrow their position columns
+// (borrowCarried).
 type spaceScratch struct {
 	cur, nxt []int32 // bodies in flight this round, and their order next round
 	fin      []int32 // finalized bodies; every Subspace.Bodies is a range of it
@@ -338,7 +338,11 @@ type spaceScratch struct {
 	frontier, next []FrontierCell
 	off, nextOff   []int // frontier cell fc owns cur[off[fc]:off[fc+1]]
 	subs           []Subspace
-	claims         spaceClaims
+	// runs deals the slices to the count and scatter forks, re-dealt
+	// before each over share bounds 0, slicesPerProc, …, slicesPerProc·p.
+	runs   par.Runs
+	bounds []int
+	claims spaceClaims
 }
 
 // grown returns s resized to n elements of unspecified content,
@@ -408,6 +412,11 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 		sc.hist = make([][]int32, k)
 	}
 	cur, nxt, fin, oct := sc.cur, sc.nxt, sc.fin, sc.oct
+	sc.bounds = grown(sc.bounds, p+1)
+	for w := range sc.bounds {
+		sc.bounds[w] = slicesPerProc * w
+	}
+	runs := &sc.runs
 
 	frontier := append(sc.frontier[:0], FrontierCell{tree.Root, tree.RootCube(), 0})
 	off := append(sc.off[:0], 0, n)
@@ -417,9 +426,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	for first := true; len(frontier) > 0; first = false {
 		f := len(frontier)
 		from, to := cur, nxt
-		counted := par.EvenRuns(k, p)
+		runs.Reset(sc.bounds)
 		m.fork(trace.PhasePartition, p, func(w int) {
-			for s := counted.Next(w); s >= 0; s = counted.Next(w) {
+			for s := runs.Next(w); s >= 0; s = runs.Next(w) {
 				h := grown(sc.hist[s], f*vec.NOctants)
 				clear(h)
 				sc.hist[s] = h
@@ -480,9 +489,9 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 			}
 		}
 
-		scattered := par.EvenRuns(k, p)
+		runs.Reset(sc.bounds)
 		m.fork(trace.PhasePartition, p, func(w int) {
-			for s := scattered.Next(w); s >= 0; s = scattered.Next(w) {
+			for s := runs.Next(w); s >= 0; s = runs.Next(w) {
 				h := sc.hist[s]
 				eachPiece(off, s, k, func(fc, lo, hi int) {
 					cursor := h[fc*vec.NOctants:][:vec.NOctants]

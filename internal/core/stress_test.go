@@ -113,6 +113,9 @@ func TestBuildersWithSpatialAssignment(t *testing.T) {
 
 // TestSpaceEmptyProcessors exercises SPACE when some processors own no
 // subspaces: 64 bodies leave 22 subspaces, fewer than the 32 processors.
+// A SPACE processor's BodiesBuilt counts the bodies of the subspaces it
+// claimed, and no subspace is empty, so a processor that built no body
+// claimed none.
 func TestSpaceEmptyProcessors(t *testing.T) {
 	b := phys.Generate(phys.ModelUniform, 64, 3)
 	bld := New(SPACE, Config{P: 32, LeafCap: 8})
@@ -126,12 +129,12 @@ func TestSpaceEmptyProcessors(t *testing.T) {
 	}
 	idle := 0
 	for w := range m.PerP {
-		if m.PerP[w].Attached == 0 {
+		if m.PerP[w].BodiesBuilt == 0 {
 			idle++
 		}
 	}
 	if idle == 0 {
-		t.Fatal("every one of the 32 processors attached a subspace, want some to attach none")
+		t.Fatal("every one of the 32 processors built bodies, want some to claim no subspace")
 	}
 }
 

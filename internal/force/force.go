@@ -24,10 +24,6 @@ type Params struct {
 	Eps float64
 	// G is the gravitational constant (1 in model units).
 	G float64
-	// Quadrupole adds the second-order term of each approximated cell's
-	// multipole expansion, as the original BARNES code can: markedly
-	// better accuracy at the same θ for a few extra flops per cell.
-	Quadrupole bool
 }
 
 // DefaultParams mirror the SPLASH-2 BARNES defaults.
@@ -93,11 +89,8 @@ func accelAt(t *octree.Tree, d octree.BodyData, pos vec.V3, self int32, p Params
 		}
 		dist2 := pos.Dist2(c.COM)
 		if c.Cube.Size*c.Cube.Size < p.Theta*p.Theta*dist2 {
-			// Far enough: one interaction with the cell's moments.
+			// Far enough: one interaction with the cell's monopole.
 			res.Acc = res.Acc.Add(pairAccel(pos, c.COM, c.Mass, eps2, p.G))
-			if p.Quadrupole {
-				res.Acc = res.Acc.Add(quadAccel(pos.Sub(c.COM), c.Quad, eps2, p.G))
-			}
 			res.Interactions++
 			return
 		}
@@ -118,20 +111,6 @@ func pairAccel(pos, q vec.V3, m, eps2, g float64) vec.V3 {
 	d2 := dv.Len2() + eps2
 	inv := 1 / (d2 * math.Sqrt(d2))
 	return dv.Scale(g * m * inv)
-}
-
-// quadAccel is the quadrupole correction to the acceleration at offset r
-// from the expansion center (r = field point − COM):
-//
-//	a_Q = G [ Q·r / r⁵ − (5/2) (rᵀQr) r / r⁷ ]
-//
-// which is −∇ of the quadrupole potential φ_Q = −G (rᵀQr) / (2 r⁵).
-func quadAccel(r vec.V3, q octree.Quadrupole, eps2, g float64) vec.V3 {
-	r2 := r.Len2() + eps2
-	r1 := math.Sqrt(r2)
-	inv5 := 1 / (r2 * r2 * r1)
-	qr, rqr := q.Apply(r)
-	return qr.Scale(g*inv5).MulAdd(-2.5*g*rqr*inv5/r2, r)
 }
 
 // Direct computes the exact softened acceleration on body self by summing

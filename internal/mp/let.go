@@ -11,7 +11,6 @@ import (
 type MassPoint struct {
 	COM  vec.V3
 	Mass float64
-	Quad octree.Quadrupole
 }
 
 // RemoteBody is an individual body shipped because its leaf sat too close
@@ -21,9 +20,12 @@ type RemoteBody struct {
 	Mass float64
 }
 
-// Wire sizes (bytes) used for communication accounting.
+// Wire sizes (bytes) used for communication accounting. A MassPoint is
+// charged COM(24) + mass(8) + 48 B for the second-order tensor a
+// locally-essential-tree code would send with it; this baseline
+// evaluates only the monopole, so it carries no tensor.
 const (
-	MassPointBytes  = 80 // COM(24) + mass(8) + quadrupole(48)
+	MassPointBytes  = 80
 	RemoteBodyBytes = 32 // pos(24) + mass(8)
 	HeaderBytes     = 16
 )
@@ -46,7 +48,7 @@ func Essential(t *octree.Tree, d octree.BodyData, box vec.Box, theta float64) ([
 			l := t.Store.Leaf(r)
 			dist := box.Dist(l.COM)
 			if l.Cube.Size < theta*dist {
-				mps = append(mps, MassPoint{COM: l.COM, Mass: l.Mass, Quad: l.Quad})
+				mps = append(mps, MassPoint{COM: l.COM, Mass: l.Mass})
 				return
 			}
 			for _, b := range l.Bodies {
@@ -60,7 +62,7 @@ func Essential(t *octree.Tree, d octree.BodyData, box vec.Box, theta float64) ([
 		}
 		dist := box.Dist(c.COM)
 		if c.Cube.Size < theta*dist {
-			mps = append(mps, MassPoint{COM: c.COM, Mass: c.Mass, Quad: c.Quad})
+			mps = append(mps, MassPoint{COM: c.COM, Mass: c.Mass})
 			return
 		}
 		for o := vec.Octant(0); o < vec.NOctants; o++ {

@@ -54,25 +54,6 @@ func momentsRec(s *Store, r Ref, depth int, d BodyData, acc *statsAcc) {
 	combineChildren(s, c)
 }
 
-// cellQuad fills c.Quad from its children's completed moments by
-// parallel-axis transport to c.COM.
-func cellQuad(s *Store, c *Cell) {
-	c.Quad = Quadrupole{}
-	for o := vec.Octant(0); o < vec.NOctants; o++ {
-		ch := c.Child(o)
-		if ch.IsNil() {
-			continue
-		}
-		if ch.IsLeaf() {
-			l := s.Leaf(ch)
-			c.Quad.AddShifted(l.Mass, l.Quad, l.COM.Sub(c.COM))
-		} else {
-			cc := s.Cell(ch)
-			c.Quad.AddShifted(cc.Mass, cc.Quad, cc.COM.Sub(c.COM))
-		}
-	}
-}
-
 func leafMoments(l *Leaf, d BodyData) {
 	var mass float64
 	var wsum vec.V3
@@ -88,10 +69,6 @@ func leafMoments(l *Leaf, d BodyData) {
 		l.COM = wsum.Scale(1 / mass)
 	} else {
 		l.COM = l.Cube.Center
-	}
-	l.Quad = Quadrupole{}
-	for _, b := range l.Bodies {
-		l.Quad.AddPoint(d.Mass[b], d.Pos[b].Sub(l.COM))
 	}
 }
 
@@ -262,5 +239,4 @@ func combineChildren(s *Store, c *Cell) {
 	} else {
 		c.COM = c.Cube.Center
 	}
-	cellQuad(s, c)
 }

@@ -9,7 +9,8 @@ import (
 // Cell is an internal octree node with up to eight children. Children are
 // published with atomic stores and read with atomic loads; everything else
 // is written either before publication or by the one moments worker that
-// reaches the node.
+// reaches the node. Its moments are the monopole the force walk reads: a
+// far cell acts through its mass at its centre of mass, as in the paper.
 type Cell struct {
 	child [vec.NOctants]uint32 // Ref values, accessed atomically
 
@@ -33,47 +34,6 @@ type Cell struct {
 	COM   vec.V3
 	NBody int32
 	Cost  int64 // subtree force-calculation cost, consumed by costzones
-
-	// Quad is the traceless quadrupole tensor about COM, packed as
-	// (xx, yy, zz, xy, xz, yz). The force phase can use it for a
-	// second-order cell approximation, as the original BARNES code does.
-	Quad Quadrupole
-}
-
-// Quadrupole is a symmetric traceless 3×3 tensor packed as
-// (xx, yy, zz, xy, xz, yz).
-type Quadrupole [6]float64
-
-// AddPoint accumulates a point mass m at offset d from the expansion
-// center: Q += m (3 d dᵀ - |d|² I).
-func (q *Quadrupole) AddPoint(m float64, d vec.V3) {
-	r2 := d.Len2()
-	q[0] += m * (3*d.X*d.X - r2)
-	q[1] += m * (3*d.Y*d.Y - r2)
-	q[2] += m * (3*d.Z*d.Z - r2)
-	q[3] += m * 3 * d.X * d.Y
-	q[4] += m * 3 * d.X * d.Z
-	q[5] += m * 3 * d.Y * d.Z
-}
-
-// AddShifted accumulates a child expansion (mass mc, tensor qc) whose
-// center sits at offset d from this expansion's center (parallel-axis
-// transport plus the child's own tensor).
-func (q *Quadrupole) AddShifted(mc float64, qc Quadrupole, d vec.V3) {
-	for i := range q {
-		q[i] += qc[i]
-	}
-	q.AddPoint(mc, d)
-}
-
-// Apply returns Q·r and rᵀQr.
-func (q Quadrupole) Apply(r vec.V3) (vec.V3, float64) {
-	qr := vec.V3{
-		X: q[0]*r.X + q[3]*r.Y + q[4]*r.Z,
-		Y: q[3]*r.X + q[1]*r.Y + q[5]*r.Z,
-		Z: q[4]*r.X + q[5]*r.Y + q[2]*r.Z,
-	}
-	return qr, qr.Dot(r)
 }
 
 // Child atomically loads the child reference in octant o.
@@ -121,7 +81,9 @@ func (c *Cell) initChildren() {
 }
 
 // Leaf is a terminal octree node holding body indices. All mutation of a
-// live leaf happens under the Store's striped lock for its Ref.
+// live leaf happens under the Store's striped lock for its Ref. Its
+// moments are a cell's monopole; the force walk reads them only when it
+// approximates the leaf, and otherwise visits its bodies.
 type Leaf struct {
 	Cube   vec.Cube
 	Parent Ref
@@ -137,12 +99,10 @@ type Leaf struct {
 	// restart its descent.
 	Retired bool
 
-	// Moments, filled by the moments pass. Quad is only consumed when a
-	// leaf's moments roll up into an ancestor cell's expansion.
+	// Moments, filled by the moments pass.
 	Mass float64
 	COM  vec.V3
 	Cost int64
-	Quad Quadrupole
 }
 
 // NBody returns the number of bodies in the leaf.

@@ -107,32 +107,31 @@ func TestMomentsConserveMass(t *testing.T) {
 }
 
 // momentBits snapshots every moment the passes write on each live node —
-// Mass, COM and Quad as their bits, then NBody and Cost — and poisons
-// them, so the next pass has to write each one again to match.
-func momentBits(t *Tree) [][12]uint64 {
-	var out [][12]uint64
+// Mass and COM as their bits, then NBody and Cost — and poisons them, so
+// the next pass has to write each one again to match.
+func momentBits(t *Tree) [][6]uint64 {
+	var out [][6]uint64
 	s := t.Store
 	Walk(t, func(r Ref, _ int) bool {
-		var m [12]uint64
+		var m [6]uint64
 		var mass *float64
 		var com *vec.V3
-		var q *Quadrupole
 		var cost *int64
 		if r.IsLeaf() {
 			l := s.Leaf(r)
-			mass, com, q, cost = &l.Mass, &l.COM, &l.Quad, &l.Cost
-			m[10] = uint64(len(l.Bodies))
+			mass, com, cost = &l.Mass, &l.COM, &l.Cost
+			m[4] = uint64(len(l.Bodies))
 		} else {
 			c := s.Cell(r)
-			mass, com, q, cost = &c.Mass, &c.COM, &c.Quad, &c.Cost
-			m[10] = uint64(c.NBody)
+			mass, com, cost = &c.Mass, &c.COM, &c.Cost
+			m[4] = uint64(c.NBody)
 			c.NBody = -1
 		}
-		for i, v := range [...]float64{*mass, com.X, com.Y, com.Z, q[0], q[1], q[2], q[3], q[4], q[5]} {
+		for i, v := range [...]float64{*mass, com.X, com.Y, com.Z} {
 			m[i] = math.Float64bits(v)
 		}
-		m[11] = uint64(*cost)
-		*mass, *com, *q, *cost = math.NaN(), vec.V3{X: math.NaN()}, Quadrupole{math.NaN()}, -1
+		m[5] = uint64(*cost)
+		*mass, *com, *cost = math.NaN(), vec.V3{X: math.NaN()}, -1
 		out = append(out, m)
 		return true
 	})
@@ -142,7 +141,7 @@ func momentBits(t *Tree) [][12]uint64 {
 // parallelMomentsMismatch runs the parallel pass with w workers on a tree
 // the serial pass just filled and snapshotted as want (its Stats as
 // wantSt), and describes the first difference, or returns "".
-func parallelMomentsMismatch(tr *Tree, d BodyData, w int, want [][12]uint64, wantSt Stats) string {
+func parallelMomentsMismatch(tr *Tree, d BodyData, w int, want [][6]uint64, wantSt Stats) string {
 	if st := ComputeMomentsParallel(tr, d, w); st != wantSt {
 		return fmt.Sprintf("workers=%d: pass counted %v, serial %v", w, st, wantSt)
 	}

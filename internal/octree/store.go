@@ -116,7 +116,6 @@ func (s *Store) AllocCell(arenaID int, cube vec.Cube, parent Ref, owner int) (Re
 	c.Parent = parent
 	c.Owner = int32(owner)
 	c.Mass, c.COM, c.NBody, c.Cost = 0, vec.V3{}, 0, 0
-	c.Quad = Quadrupole{}
 	return CellRef(arenaID, idx), c
 }
 
@@ -144,7 +143,6 @@ func (s *Store) AllocLeaf(arenaID int, cube vec.Cube, parent Ref, owner int) (Re
 		l.Bodies = l.Bodies[:0]
 	}
 	l.Mass, l.COM, l.Cost = 0, vec.V3{}, 0
-	l.Quad = Quadrupole{}
 	return LeafRef(arenaID, idx), l
 }
 
