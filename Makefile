@@ -132,7 +132,10 @@ cmds:
 # own copy as the byte-compatibility witness), no command re-declares
 # a wire record, and internal/workload stays traffic only: the daemon
 # generates every body set from a phys model, so no body generator or
-# integrator grows back beside the arrival model.
+# integrator grows back beside the arrival model. It also holds the
+# SPLASH-2 time step 0.025 and leaf capacity 8 to one non-test file each
+# outside benchmark/ and examples/ (nbody.DefaultOptions and
+# core.Config.Normalized): every other layer reads them from there.
 surface:
 	@n=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build 'http\.StatusMethodNotAllowed' . | wc -l); \
 		test "$$n" = 1 || { echo "http.StatusMethodNotAllowed must appear in exactly one non-test file (found $$n)" >&2; exit 1; }
@@ -142,6 +145,10 @@ surface:
 		{ echo "cmd/ must not declare wire records; they live in internal/wire" >&2; exit 1; }
 	@! grep -rlE --include='*.go' --exclude='*_test.go' '"partree/internal/(phys|force|octree)"' internal/workload || \
 		{ echo "internal/workload must not import phys, force or octree outside its tests" >&2; exit 1; }
+	@n=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.bench_build '0\.025\b' . | wc -l); \
+		test "$$n" = 1 || { echo "the time step 0.025 must be written in exactly one non-test file outside benchmark/ and examples/, nbody.DefaultOptions (found $$n)" >&2; exit 1; }
+	@n=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=examples --exclude-dir=.bench_build '[Ll]eafCap *(=|:|,) *8\b' . | wc -l); \
+		test "$$n" = 1 || { echo "the leaf capacity default 8 must be written in exactly one non-test file outside benchmark/ and examples/, core.Config.Normalized (found $$n)" >&2; exit 1; }
 
 # reach holds every package under internal/ to being read by a shipped
 # program: a binary under cmd/, a hypothesis driver, or the benchmark

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"partree/internal/core"
+	"partree/internal/force"
 	"partree/internal/harness"
 	"partree/internal/memsim"
 	"partree/internal/mp"
@@ -29,8 +30,10 @@ const (
 
 func benchBodies(n int) *phys.Bodies { return phys.Generate(phys.ModelPlummer, n, 1998) }
 
+// simCfg is one measured step at the SPLASH-2 k, θ and Δt, which
+// simalg.Run takes as given.
 func simCfg(pl memsim.Platform, p int) simalg.Config {
-	return simalg.Config{Platform: pl, P: p, LeafCap: 8, MeasuredSteps: 1}
+	return simalg.Config{Platform: pl, P: p, LeafCap: 8, Theta: 1, Dt: 0.025, MeasuredSteps: 1}
 }
 
 func seqCfg(pl memsim.Platform) simalg.Config {
@@ -147,7 +150,7 @@ func BenchmarkMessagePassingStep(b *testing.B) {
 			var bytes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st := mp.Step(bodies, mp.Options{P: p})
+				st := mp.Step(bodies, mp.Options{P: p, LeafCap: 8, Force: force.DefaultParams(), Dt: 0.025})
 				bytes = st.TotalBytes()
 			}
 			b.ReportMetric(float64(bytes), "commBytes")

@@ -48,6 +48,7 @@ import (
 
 	"partree/internal/obs"
 	"partree/internal/phys"
+	"partree/internal/runner"
 	"partree/internal/workload"
 )
 
@@ -90,7 +91,7 @@ func bindFlags(fs *flag.FlagSet) func() error {
 		n        = fs.Int("n", 2048, "bodies per request")
 		procs    = fs.Int("procs", 2, "processors per request")
 		steps    = fs.Int("steps", 8, "timesteps per session")
-		seed     = fs.Int64("seed", 1998, "base seed; request i uses seed+i")
+		seed     = fs.Int64("seed", runner.Spec{}.Normalized().Seed, "base seed; request i uses seed+i")
 		timeout  = fs.Duration("timeout", 60*time.Second, "mandatory wall-clock bound for the whole run")
 		idleMs   = fs.Int64("idle-ms", 0, "per-session idle eviction timeout in ms (0 = server default)")
 		linger   = fs.Bool("linger", false, "sessions hold their lease open after their steps instead of closing (eviction pressure)")

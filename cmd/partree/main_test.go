@@ -181,7 +181,6 @@ func TestUsageErrors(t *testing.T) {
 		{"bad algorithm", []string{"nbody", "-alg", "SPCAE"}, []string{"ORIG, LOCAL, UPDATE, PARTREE, SPACE"}},
 		{"bad log level", []string{"treebench", "-v", "loud"}, []string{"debug, info, warn, error"}},
 		{"bad platform", []string{"simbench", "-platform", "cray"}, []string{"challenge, origin, paragon, typhoon-hlrc, typhoon-sc"}},
-		{"extras under -json", []string{"nbody", "-json", "-energy"}, []string{"not supported with -json", "-energy"}},
 		{"bad processor list", []string{"treebench", "-p", "1,x"}, []string{"bad processor count"}},
 		// One node arena per processor, octree.MaxArenas of them: past that a
 		// build used to panic in a runner goroutine nothing recovers.

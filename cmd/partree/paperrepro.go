@@ -31,7 +31,7 @@ var paperreproCmd = command{
 	// Of the shared flags the row takes -leafcap; the sweep supplies each
 	// cell's platform, algorithm, procs and bodies, and the row words its
 	// own -steps, -seed, -check and -json (a file).
-	spec: runner.Spec{Backend: runner.Simulated, Steps: 2, Seed: 1998},
+	spec: runner.Spec{Backend: runner.Simulated},
 	omit: []string{"alg", "platform", "n", "p", "steps", "theta", "dt", "seed", "timeout", "check", "json"},
 	bind: func(fs *flag.FlagSet, c *command) func() int {
 		var ids []string

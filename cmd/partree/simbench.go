@@ -22,7 +22,6 @@ var simbenchCmd = command{
 		Alg:      core.SPACE,
 		Bodies:   16384,
 		Procs:    16,
-		Steps:    2,
 	},
 	omit: []string{"dt", "theta"},
 	bind: func(fs *flag.FlagSet, c *command) func() int {

@@ -59,44 +59,57 @@ func BenchmarkSpacePartition(b *testing.B) {
 }
 
 // BenchmarkSpaceBuild times a warm SPACE build end to end at the two tree
-// workloads' shapes and serve-build's uniform n = 20 000, on the spatial assignment every caller passes, and
-// reports where it went: the bounds phase (the counting partition
-// included), the insert phase (sorting and attaching the subtrees) and
-// the moments pass, in µs per build.
+// workloads' shapes and serve-build's uniform n = 20 000, on the spatial
+// assignment, and reports where it went: the bounds phase (the counting
+// partition included), the insert phase (sorting and attaching the
+// subtrees) and the moments pass, in µs per build. The -even arms pass
+// EvenAssign instead — the bodies in generator order, as loadgen's build
+// specs, the cluster shards and verify.Algorithm feed SPACE — and show
+// what the sorts lose on input that is not already in Morton order.
 func BenchmarkSpaceBuild(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		model phys.Model
 		n     int
+		even  bool // also time the generator-order arms
 	}{
-		{"plummer-200k", phys.ModelPlummer, 200000},
-		{"hierarchical-10k", phys.ModelHierarchical, 10000},
-		{"uniform-20k", phys.ModelUniform, 20000},
+		{"plummer-200k", phys.ModelPlummer, 200000, true},
+		{"hierarchical-10k", phys.ModelHierarchical, 10000, false},
+		{"uniform-20k", phys.ModelUniform, 20000, true},
 	} {
 		bodies := phys.Generate(c.model, c.n, 1)
 		for _, p := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {
-				bld := New(SPACE, Config{P: p, LeafCap: 8})
-				in := &Input{Bodies: bodies, Assign: SpatialAssign(bodies, p)}
-				bld.Build(in)
-				var ph Timing
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, m := bld.Build(in)
-					ph.Bounds += m.Timing.Bounds
-					ph.Insert += m.Timing.Insert
-					ph.Moments += m.Timing.Moments
-				}
-				perBuild := func(d time.Duration) float64 {
-					return float64(d.Microseconds()) / float64(b.N)
-				}
-				b.ReportMetric(perBuild(ph.Bounds), "bounds-µs/build")
-				b.ReportMetric(perBuild(ph.Insert), "insert-µs/build")
-				b.ReportMetric(perBuild(ph.Moments), "moments-µs/build")
+				benchSpaceBuild(b, bodies, SpatialAssign(bodies, p))
 			})
+			if c.even {
+				b.Run(fmt.Sprintf("%s/p=%d-even", c.name, p), func(b *testing.B) {
+					benchSpaceBuild(b, bodies, EvenAssign(bodies.N(), p))
+				})
+			}
 		}
 	}
+}
+
+func benchSpaceBuild(b *testing.B, bodies *phys.Bodies, assign [][]int32) {
+	bld := New(SPACE, Config{P: len(assign), LeafCap: 8})
+	in := &Input{Bodies: bodies, Assign: assign}
+	bld.Build(in)
+	var ph Timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, m := bld.Build(in)
+		ph.Bounds += m.Timing.Bounds
+		ph.Insert += m.Timing.Insert
+		ph.Moments += m.Timing.Moments
+	}
+	perBuild := func(d time.Duration) float64 {
+		return float64(d.Microseconds()) / float64(b.N)
+	}
+	b.ReportMetric(perBuild(ph.Bounds), "bounds-µs/build")
+	b.ReportMetric(perBuild(ph.Insert), "insert-µs/build")
+	b.ReportMetric(perBuild(ph.Moments), "moments-µs/build")
 }
 
 // BenchmarkSessionStep times what a /v1/session step costs inside the

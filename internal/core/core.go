@@ -161,10 +161,10 @@ type Config struct {
 }
 
 // Normalized returns c with the documented defaults filled in: at least
-// one processor, leaf capacity 8. It is the one place
-// those defaults are written; New applies it, and callers that size
-// companion state before New runs (pool keys, trace recorders)
-// call it rather than restate them.
+// one processor, leaf capacity 8 (SPLASH-2's k). It is the one place
+// those defaults are written; New applies it, and every layer that takes
+// a P or k before a builder exists (runner specs, nbody options, session
+// open records, pool keys) calls it rather than restate them.
 func (c Config) Normalized() Config {
 	if c.P <= 0 {
 		c.P = 1

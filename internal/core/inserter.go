@@ -138,7 +138,7 @@ func (ins *inserter) insert(from octree.Ref, fromDepth int, b int32, pos []vec.V
 				continue
 			}
 			l := s.Leaf(ch)
-			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
+			if len(l.Bodies) < s.LeafCap || depth+1 >= octree.MaxDepth {
 				l.Bodies = insertInOrder(l.Bodies, b)
 				ins.setBodyLeaf(b, ch)
 				mu.Unlock()
@@ -199,7 +199,7 @@ func (ins *inserter) insertPrivate(root octree.Ref, rootDepth int, b int32, pos 
 			return
 		case ch.IsLeaf():
 			nl := s.Leaf(ch)
-			if len(nl.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
+			if len(nl.Bodies) < s.LeafCap || depth+1 >= octree.MaxDepth {
 				nl.Bodies = insertInOrder(nl.Bodies, b)
 				return
 			}

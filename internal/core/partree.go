@@ -92,7 +92,7 @@ func (ins *inserter) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, g
 			l := s.Leaf(slot)
 			if lc.IsLeaf() {
 				ll := s.Leaf(lc)
-				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= s.MaxDepth {
+				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= octree.MaxDepth {
 					// Two part-full leaves combine into one.
 					for _, ob := range ll.Bodies {
 						l.Bodies = insertInOrder(l.Bodies, ob)

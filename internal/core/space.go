@@ -248,7 +248,7 @@ func (c *claimant) claim(w, k int) {
 // order) in the index order BuildSerial inserts in, so the moments come
 // out bit for bit the same. No leaf is allocated only to be split.
 func (ins *inserter) sortSubtree(cube vec.Cube, depth int, parent octree.Ref, idx, spare []int32, pos, pos2 []vec.V3) octree.Ref {
-	if len(idx) <= ins.s.LeafCap || depth >= ins.s.MaxDepth {
+	if len(idx) <= ins.s.LeafCap || depth >= octree.MaxDepth {
 		lr, l := ins.allocLeaf(cube, parent)
 		for _, b := range idx {
 			l.Bodies = insertInOrder(l.Bodies, b)
@@ -463,7 +463,7 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 					continue
 				}
 				var base int
-				final[slot] = total <= threshold || cell.Depth+1 >= s.MaxDepth
+				final[slot] = total <= threshold || cell.Depth+1 >= octree.MaxDepth
 				if final[slot] {
 					base, nFin = nFin, nFin+total
 					subs = append(subs, Subspace{

@@ -8,6 +8,7 @@ import (
 
 	"partree/internal/octree"
 	"partree/internal/par"
+	"partree/internal/partition"
 	"partree/internal/phys"
 	"partree/internal/vec"
 )
@@ -74,7 +75,7 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 				switch {
 				case total == 0:
 					newIndex[slot] = -1
-				case int(total) > threshold && frontier[fc].Depth+1 < s.MaxDepth:
+				case int(total) > threshold && frontier[fc].Depth+1 < octree.MaxDepth:
 					cr, _ := s.AllocCell(0, frontier[fc].Cube.Child(o), frontier[fc].Ref, 0)
 					m.PerP[0].Cells++
 					s.Cell(frontier[fc].Ref).SetChild(o, cr)
@@ -133,10 +134,16 @@ func refSpacePartition(s *octree.Store, tree *octree.Tree, in *Input, threshold 
 
 // partitionBoth runs the reference and the counting-sort partition on
 // fresh stores over the same input and fails on the first difference in
-// the subspaces they return or the prefix cells they allocate. sc is the caller's scratch, reused across calls the way a
-// resident builder reuses it across builds of different sizes.
+// the subspaces they return or the prefix cells they allocate. The
+// assignment must hold every body once: both sides read only the listed
+// bodies, so a fixture that dropped some would pass on fewer. sc is the
+// caller's scratch, reused across calls the way a resident builder reuses
+// it across builds of different sizes.
 func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]int32, threshold int) []Subspace {
 	t.Helper()
+	if err := partition.Validate(assign, b.N()); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
 	p := len(assign)
 	in := &Input{Bodies: b, Assign: assign}
 	root := parallelBounds(in, newMetrics(SPACE, p))
@@ -192,8 +199,12 @@ func TestSpacePartitionMatchesReference(t *testing.T) {
 		{"even", func(b *phys.Bodies, p int) [][]int32 { return EvenAssign(b.N(), p) }},
 		{"one-empty", func(b *phys.Bodies, p int) [][]int32 {
 			a := SpatialAssign(b, p)
-			if p > 1 {
-				a[p-1] = append(a[p-1], a[p/2]...)
+			if p > 1 { // processor p/2's list moves to another processor
+				to := p - 1
+				if to == p/2 {
+					to = 0
+				}
+				a[to] = append(a[to], a[p/2]...)
 				a[p/2] = nil
 			}
 			return a
@@ -265,9 +276,9 @@ func TestSpacePartitionCoincidentBodies(t *testing.T) {
 				deepest = ss
 			}
 		}
-		if deepest.Depth != octree.DefaultMaxDepth || deepest.Count != same {
+		if deepest.Depth != octree.MaxDepth || deepest.Count != same {
 			t.Errorf("p=%d: deepest subspace at depth %d holds %d bodies, want depth %d holding %d",
-				p, deepest.Depth, deepest.Count, octree.DefaultMaxDepth, same)
+				p, deepest.Depth, deepest.Count, octree.MaxDepth, same)
 		}
 	}
 }

@@ -22,12 +22,11 @@ type Params struct {
 	Theta float64
 	// Eps is the Plummer softening length.
 	Eps float64
-	// G is the gravitational constant (1 in model units).
-	G float64
 }
 
-// DefaultParams mirror the SPLASH-2 BARNES defaults.
-func DefaultParams() Params { return Params{Theta: 1.0, Eps: 0.05, G: 1} }
+// DefaultParams mirror the SPLASH-2 BARNES defaults; it is the one place
+// θ and ε are written. The gravitational constant is 1 in model units.
+func DefaultParams() Params { return Params{Theta: 1.0, Eps: 0.05} }
 
 // Result is the outcome of one body's tree traversal.
 type Result struct {
@@ -78,7 +77,7 @@ func accelAt(t *octree.Tree, d octree.BodyData, pos vec.V3, self int32, p Params
 				if b == self {
 					continue
 				}
-				res.Acc = res.Acc.Add(pairAccel(pos, d.Pos[b], d.Mass[b], eps2, p.G))
+				res.Acc = res.Acc.Add(pairAccel(pos, d.Pos[b], d.Mass[b], eps2))
 				res.Interactions++
 			}
 			return
@@ -90,7 +89,7 @@ func accelAt(t *octree.Tree, d octree.BodyData, pos vec.V3, self int32, p Params
 		dist2 := pos.Dist2(c.COM)
 		if c.Cube.Size*c.Cube.Size < p.Theta*p.Theta*dist2 {
 			// Far enough: one interaction with the cell's monopole.
-			res.Acc = res.Acc.Add(pairAccel(pos, c.COM, c.Mass, eps2, p.G))
+			res.Acc = res.Acc.Add(pairAccel(pos, c.COM, c.Mass, eps2))
 			res.Interactions++
 			return
 		}
@@ -105,12 +104,12 @@ func accelAt(t *octree.Tree, d octree.BodyData, pos vec.V3, self int32, p Params
 }
 
 // pairAccel is the softened gravitational acceleration at pos due to a
-// point mass m at q.
-func pairAccel(pos, q vec.V3, m, eps2, g float64) vec.V3 {
+// point mass m at q (G = 1).
+func pairAccel(pos, q vec.V3, m, eps2 float64) vec.V3 {
 	dv := q.Sub(pos)
 	d2 := dv.Len2() + eps2
 	inv := 1 / (d2 * math.Sqrt(d2))
-	return dv.Scale(g * m * inv)
+	return dv.Scale(m * inv)
 }
 
 // Direct computes the exact softened acceleration on body self by summing
@@ -123,7 +122,7 @@ func Direct(d octree.BodyData, self int32, p Params) vec.V3 {
 		if int32(b) == self {
 			continue
 		}
-		acc = acc.Add(pairAccel(pos, d.Pos[b], d.Mass[b], eps2, p.G))
+		acc = acc.Add(pairAccel(pos, d.Pos[b], d.Mass[b], eps2))
 	}
 	return acc
 }

@@ -27,7 +27,7 @@ func TestAccelMatchesDirectSmallTheta(t *testing.T) {
 	// θ→0 forces the traversal to open every cell: Barnes-Hut must
 	// reduce to the direct sum exactly (up to summation order).
 	b, tr, d := setup(t, 300, 5)
-	p := Params{Theta: 1e-9, Eps: 0.05, G: 1}
+	p := Params{Theta: 1e-9, Eps: 0.05}
 	for i := 0; i < b.N(); i += 17 {
 		bh := Accel(tr, d, int32(i), p).Acc
 		ex := Direct(d, int32(i), p)
@@ -39,7 +39,7 @@ func TestAccelMatchesDirectSmallTheta(t *testing.T) {
 
 func TestAccelAccuracyModerateTheta(t *testing.T) {
 	b, tr, d := setup(t, 2000, 7)
-	p := Params{Theta: 0.8, Eps: 0.05, G: 1}
+	p := Params{Theta: 0.8, Eps: 0.05}
 	var worst float64
 	for i := 0; i < b.N(); i += 13 {
 		bh := Accel(tr, d, int32(i), p).Acc
@@ -56,8 +56,8 @@ func TestAccelAccuracyModerateTheta(t *testing.T) {
 
 func TestAccelFewerInteractionsLargerTheta(t *testing.T) {
 	_, tr, d := setup(t, 4000, 3)
-	small := Accel(tr, d, 0, Params{Theta: 0.3, Eps: 0.05, G: 1})
-	large := Accel(tr, d, 0, Params{Theta: 1.2, Eps: 0.05, G: 1})
+	small := Accel(tr, d, 0, Params{Theta: 0.3, Eps: 0.05})
+	large := Accel(tr, d, 0, Params{Theta: 1.2, Eps: 0.05})
 	if large.Interactions >= small.Interactions {
 		t.Fatalf("θ=1.2 interactions %d not below θ=0.3's %d", large.Interactions, small.Interactions)
 	}
@@ -73,7 +73,7 @@ func TestAccelExcludesSelf(t *testing.T) {
 	tr := octree.BuildSerial(pos, 8)
 	d := octree.BodyData{Pos: pos, Mass: mass}
 	octree.ComputeMomentsSerial(tr, d)
-	p := Params{Theta: 0.5, Eps: 0, G: 1}
+	p := Params{Theta: 0.5, Eps: 0}
 	a0 := Accel(tr, d, 0, p)
 	if a0.Interactions != 1 {
 		t.Fatalf("interactions = %d, want 1", a0.Interactions)
@@ -86,7 +86,7 @@ func TestAccelExcludesSelf(t *testing.T) {
 func TestNewtonThirdLawSymmetry(t *testing.T) {
 	// Direct accelerations weighted by mass must cancel pairwise.
 	b, _, d := setup(t, 50, 9)
-	p := Params{Theta: 1, Eps: 0.01, G: 1}
+	p := Params{Theta: 1, Eps: 0.01}
 	var net vec.V3
 	for i := 0; i < b.N(); i++ {
 		net = net.MulAdd(b.Mass[i], Direct(d, int32(i), p))

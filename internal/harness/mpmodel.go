@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"partree/internal/core"
+	"partree/internal/force"
 	"partree/internal/memsim"
 	"partree/internal/mp"
 	"partree/internal/phys"
@@ -35,10 +36,14 @@ func mpCosts(pl memsim.Platform) (latencyNs, nsPerByte float64) {
 // measureMP takes X3's one native measurement: the message-passing step
 // of the session's Plummer bodies on p ranks — per-rank work and traffic
 // counts. The distribution settles for one step and the second is
-// measured, mirroring the shared-memory methodology.
+// measured, mirroring the shared-memory methodology. It runs at the
+// cells' k, seed, θ and Δt, read off a normalized cell spec.
 func (s *Session) measureMP(p, n int) mp.StepStats {
-	bodies := s.r.Bodies(phys.ModelPlummer, n, s.Opts.Seed).Clone()
-	opts := mp.Options{P: p, LeafCap: s.Opts.LeafCap}
+	sp := s.run("", core.LOCAL, p, n).Normalized()
+	bodies := s.r.Bodies(phys.ModelPlummer, n, sp.Seed).Clone()
+	fp := force.DefaultParams()
+	fp.Theta = sp.Theta
+	opts := mp.Options{P: p, LeafCap: sp.LeafCap, Force: fp, Dt: sp.Dt}
 	s.mpStep(bodies, opts)
 	return s.mpStep(bodies, opts)
 }

@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -69,11 +68,12 @@ type Session struct {
 
 // NewSession creates a session executing its sweep cells through r,
 // whose engine bounds how many run at once. Zero Options fields select
-// the quick configuration.
+// the quick configuration; a zero k, step count or seed is the runner's
+// default, resolved here so the texts print, and X3 measures with, what
+// the cells run with.
 func NewSession(r *runner.Runner, opts Options) *Session {
-	opts.LeafCap = cmp.Or(opts.LeafCap, 8)
-	opts.MeasuredSteps = cmp.Or(opts.MeasuredSteps, 2)
-	opts.Seed = cmp.Or(opts.Seed, 1998)
+	def := runner.Spec{LeafCap: opts.LeafCap, Steps: opts.MeasuredSteps, Seed: opts.Seed}.Normalized()
+	opts.LeafCap, opts.MeasuredSteps, opts.Seed = def.LeafCap, def.Steps, def.Seed
 	if len(opts.Sizes) == 0 {
 		opts.Sizes = []int{4096, 8192, 16384}
 	}

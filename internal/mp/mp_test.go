@@ -94,7 +94,7 @@ func TestMPForcesMatchDirect(t *testing.T) {
 	// error may exceed single-tree BH's by a modest factor — but it must
 	// stay the same order of magnitude and small in absolute terms.
 	b := phys.Generate(phys.ModelPlummer, 1500, 9)
-	params := force.Params{Theta: 0.8, Eps: 0.05, G: 1}
+	params := force.Params{Theta: 0.8, Eps: 0.05}
 
 	// Single-tree BH reference.
 	tr := octree.BuildSerial(b.Pos, 8)
@@ -129,7 +129,7 @@ func TestMPConservesMomentumish(t *testing.T) {
 	b := phys.Generate(phys.ModelPlummer, 1000, 11)
 	p0 := b.Momentum()
 	for step := 0; step < 3; step++ {
-		Step(b, Options{P: 4, Dt: 0.01})
+		Step(b, Options{P: 4, LeafCap: 8, Force: force.DefaultParams(), Dt: 0.01})
 	}
 	if b.Momentum().Sub(p0).Len() > 1e-3 {
 		t.Fatalf("momentum drifted: %v -> %v", p0, b.Momentum())
@@ -140,7 +140,7 @@ func TestMPBytesScaleSublinearly(t *testing.T) {
 	// The point of LETs: communication grows far slower than N².
 	bytes := func(n int) int64 {
 		b := phys.Generate(phys.ModelPlummer, n, 13)
-		st := Step(b, Options{P: 8, Dt: 0})
+		st := Step(b, Options{P: 8, LeafCap: 8, Force: force.DefaultParams(), Dt: 0})
 		return st.TotalBytes()
 	}
 	b1, b4 := bytes(2000), bytes(8000)
@@ -154,7 +154,7 @@ func TestMPBytesScaleSublinearly(t *testing.T) {
 
 func TestMPStatspopulated(t *testing.T) {
 	b := phys.Generate(phys.ModelPlummer, 2000, 3)
-	st := Step(b, Options{P: 4})
+	st := Step(b, Options{P: 4, LeafCap: 8, Force: force.DefaultParams(), Dt: 0.025})
 	if st.TotalInteractions() == 0 {
 		t.Fatal("no interactions")
 	}

@@ -8,7 +8,8 @@ import (
 	"partree/internal/vec"
 )
 
-// Options configure the message-passing run.
+// Options configure the message-passing run. Step takes every field as
+// given: P ≥ 1 ranks, leaf capacity, force parameters and time step.
 type Options struct {
 	P       int
 	LeafCap int
@@ -60,18 +61,6 @@ type letMsg struct {
 // stores (separate "address spaces"), all-to-all locally-essential-tree
 // exchange over channels, then fully local force evaluation and update.
 func Step(b *phys.Bodies, opts Options) StepStats {
-	if opts.P <= 0 {
-		opts.P = 1
-	}
-	if opts.LeafCap <= 0 {
-		opts.LeafCap = 8
-	}
-	if opts.Force.Theta == 0 {
-		opts.Force = force.DefaultParams()
-	}
-	if opts.Dt == 0 {
-		opts.Dt = 0.025
-	}
 	p := opts.P
 	st := StepStats{PerRank: make([]RankStats, p)}
 	doms := ORB(b, p)

@@ -47,14 +47,17 @@ type Options struct {
 	Builder core.Builder
 }
 
-// DefaultOptions mirror the SPLASH-2 BARNES defaults at a small size.
+// DefaultOptions mirror the SPLASH-2 BARNES defaults at a small size. It
+// is the one place the time step Δt is written; P and k are core's
+// defaults, θ and ε force's.
 func DefaultOptions() Options {
+	c := core.Config{}.Normalized()
 	return Options{
 		Model:   phys.ModelPlummer,
 		N:       16384,
 		Seed:    1,
-		P:       1,
-		LeafCap: 8,
+		P:       c.P,
+		LeafCap: c.LeafCap,
 		Alg:     core.LOCAL,
 		Force:   force.DefaultParams(),
 		Dt:      0.025,
@@ -108,16 +111,11 @@ type Simulation struct {
 	step   int
 }
 
-// New generates the bodies and prepares the builder.
+// New generates the bodies and prepares the builder. Start opts from
+// DefaultOptions: New takes Δt and the force parameters as given.
 func New(opts Options) *Simulation {
 	c := core.Config{P: opts.P, LeafCap: opts.LeafCap}.Normalized()
 	opts.P, opts.LeafCap = c.P, c.LeafCap
-	if opts.Dt == 0 {
-		opts.Dt = 0.025
-	}
-	if opts.Force.Theta == 0 {
-		opts.Force = force.DefaultParams()
-	}
 	b := phys.Generate(opts.Model, opts.N, opts.Seed)
 	return NewFromBodies(opts, b)
 }

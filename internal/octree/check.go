@@ -70,7 +70,7 @@ func Check(t *Tree, d BodyData, opt CheckOptions) error {
 			if len(l.Bodies) == 0 {
 				return fail("empty live leaf %v", r)
 			}
-			if len(l.Bodies) > s.LeafCap && depth < s.MaxDepth {
+			if len(l.Bodies) > s.LeafCap && depth < MaxDepth {
 				return fail("leaf %v holds %d bodies > cap %d at depth %d", r, len(l.Bodies), s.LeafCap, depth)
 			}
 			for _, b := range l.Bodies {
@@ -238,7 +238,7 @@ func checkMoments(t *Tree, d BodyData) error {
 func Equal(a, b *Tree) error {
 	// path spells the octants from the root to the node being compared
 	// ("/3/5"); it becomes a string only when a difference is reported.
-	path := make([]byte, 0, 2*DefaultMaxDepth)
+	path := make([]byte, 0, 2*MaxDepth)
 	at := func() string { return "root" + string(path) }
 	var rec func(ra, rb Ref) error
 	rec = func(ra, rb Ref) error {

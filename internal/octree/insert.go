@@ -35,7 +35,7 @@ func (s *Store) Insert(root Ref, rootDepth, arenaID, owner int, b int32, pos []v
 
 		case ch.IsLeaf():
 			l := s.Leaf(ch)
-			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
+			if len(l.Bodies) < s.LeafCap || depth+1 >= MaxDepth {
 				l.Bodies = append(l.Bodies, b)
 				return
 			}

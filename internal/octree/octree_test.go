@@ -291,8 +291,8 @@ func TestCoincidentBodiesDepthCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := CollectStats(tr)
-	if st.MaxDepth > tr.Store.MaxDepth {
-		t.Fatalf("depth %d exceeded cap %d", st.MaxDepth, tr.Store.MaxDepth)
+	if st.MaxDepth > MaxDepth {
+		t.Fatalf("depth %d exceeded cap %d", st.MaxDepth, MaxDepth)
 	}
 	if st.MaxLeafLen < n {
 		t.Fatalf("expected an overflow leaf with ≥%d bodies, max is %d", n, st.MaxLeafLen)

@@ -22,11 +22,11 @@ const (
 	// false contention negligible for the processor counts studied.
 	nLockStripes = 1024
 
-	// DefaultMaxDepth bounds subdivision. Beyond it a leaf accepts any
+	// MaxDepth bounds subdivision. Beyond it a leaf accepts any
 	// number of bodies, which keeps coincident bodies from recursing
 	// forever. 48 halvings of any realistic root cube reach below
 	// physical resolution long before this.
-	DefaultMaxDepth = 48
+	MaxDepth = 48
 )
 
 // arena holds the cells and leaves created by one allocator (one processor,
@@ -49,8 +49,6 @@ type Store struct {
 	// LeafCap is k, the subdivision threshold: a leaf with more than
 	// LeafCap bodies splits (except at MaxDepth).
 	LeafCap int
-	// MaxDepth bounds subdivision depth.
-	MaxDepth int
 
 	arenas []arena
 	locks  [nLockStripes]sync.Mutex
@@ -71,9 +69,8 @@ func NewStore(nArenas, leafCap int) *Store {
 		panic("octree: leafCap must be ≥ 1")
 	}
 	return &Store{
-		LeafCap:  leafCap,
-		MaxDepth: DefaultMaxDepth,
-		arenas:   make([]arena, nArenas),
+		LeafCap: leafCap,
+		arenas:  make([]arena, nArenas),
 	}
 }
 

@@ -5,14 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-
-	"partree/internal/vec"
 )
 
-// Snapshot I/O: a compact binary format for checkpointing and restarting
-// simulations. Layout: magic, version, body count, then per-body records
-// (pos, vel, acc, mass, cost), all little-endian float64/int64.
+// A snapshot is a body set's every field in a compact binary layout:
+// magic, version, body count, then per-body records (pos, vel, acc, mass,
+// cost), all little-endian. The generators' goldens hash these bytes.
 
 const (
 	snapshotMagic   = uint64(0x7061727472656531) // "partree1"
@@ -41,70 +38,4 @@ func (b *Bodies) WriteSnapshot(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSnapshot deserializes a body set written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (*Bodies, error) {
-	br := bufio.NewReader(r)
-	var magic uint64
-	var version uint32
-	var n uint64
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("phys: snapshot magic: %w", err)
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("phys: not a partree snapshot (magic %#x)", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("phys: snapshot version: %w", err)
-	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("phys: unsupported snapshot version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("phys: snapshot count: %w", err)
-	}
-	const maxBodies = 1 << 28
-	if n > maxBodies {
-		return nil, fmt.Errorf("phys: snapshot claims %d bodies (corrupt?)", n)
-	}
-	b := NewBodies(int(n))
-	var rec [11]float64
-	for i := 0; i < int(n); i++ {
-		if err := binary.Read(br, binary.LittleEndian, rec[:]); err != nil {
-			return nil, fmt.Errorf("phys: snapshot body %d: %w", i, err)
-		}
-		b.Pos[i] = vec.V3{X: rec[0], Y: rec[1], Z: rec[2]}
-		b.Vel[i] = vec.V3{X: rec[3], Y: rec[4], Z: rec[5]}
-		b.Acc[i] = vec.V3{X: rec[6], Y: rec[7], Z: rec[8]}
-		b.Mass[i] = rec[9]
-		b.Cost[i] = int64(rec[10])
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("phys: snapshot contents invalid: %w", err)
-	}
-	return b, nil
-}
-
-// SaveSnapshot writes the bodies to the named file.
-func (b *Bodies) SaveSnapshot(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := b.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadSnapshot reads a body set from the named file.
-func LoadSnapshot(path string) (*Bodies, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }

@@ -29,7 +29,7 @@ func TestSimulatedMatchesDirectRun(t *testing.T) {
 		t.Fatalf("run failed: %s", res.Err)
 	}
 	direct := simalg.Run(core.SPACE, phys.Generate(phys.ModelPlummer, 512, 7), simalg.Config{
-		Platform: memsim.Challenge(), P: 4, LeafCap: 8, MeasuredSteps: 1,
+		Platform: memsim.Challenge(), P: 4, LeafCap: 8, Theta: 1, Dt: 0.025, MeasuredSteps: 1,
 	})
 	if res.TotalNs != direct.TotalNs() {
 		t.Fatalf("runner %v != direct %v", res.TotalNs, direct.TotalNs())

@@ -20,7 +20,9 @@ import (
 	"time"
 
 	"partree/internal/core"
+	"partree/internal/force"
 	"partree/internal/memsim"
+	"partree/internal/nbody"
 	"partree/internal/octree"
 	"partree/internal/phys"
 )
@@ -84,20 +86,18 @@ func (s Spec) withDefaults() Spec {
 	if s.Sequential {
 		s.Procs = 1
 	}
-	if s.Procs <= 0 {
-		s.Procs = 1
-	}
 	if s.Bodies <= 0 {
 		s.Bodies = 4096
 	}
-	if s.LeafCap <= 0 {
-		s.LeafCap = 8
-	}
+	// k, P, θ and Δt are read from the layers that own them; the step
+	// count and seed are the runner's own.
+	c := core.Config{P: s.Procs, LeafCap: s.LeafCap}.Normalized()
+	s.Procs, s.LeafCap = c.P, c.LeafCap
 	if s.Theta == 0 {
-		s.Theta = 1.0
+		s.Theta = force.DefaultParams().Theta
 	}
 	if s.Dt == 0 {
-		s.Dt = 0.025
+		s.Dt = nbody.DefaultOptions().Dt
 	}
 	if s.Steps <= 0 {
 		s.Steps = 2

@@ -111,7 +111,7 @@ func (sp *sproc) mergeChild(gcell octree.Ref, o vec.Octant, lc octree.Ref, gdept
 			l := s.Leaf(slot)
 			if lc.IsLeaf() {
 				ll := s.Leaf(lc)
-				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= s.MaxDepth {
+				if len(l.Bodies)+len(ll.Bodies) <= s.LeafCap || gdepth+2 >= octree.MaxDepth {
 					l.Bodies = append(l.Bodies, ll.Bodies...)
 					sp.writeNode(slot)
 					sp.unlockNode(lockOf(slot))
@@ -258,7 +258,7 @@ func (st *runState) spaceBuild(sp *sproc, step int) {
 			continue
 		}
 		var node octree.Ref
-		if sub.Count <= s.LeafCap || sub.Depth >= s.MaxDepth {
+		if sub.Count <= s.LeafCap || sub.Depth >= octree.MaxDepth {
 			lr, l := sp.allocLeaf(sub.Cube, sub.Parent)
 			l.Bodies = append(l.Bodies, sub.Bodies...)
 			sp.readChunks(st.bodyAddrs(sub.Bodies))
@@ -296,7 +296,7 @@ func (st *runState) spaceReduce(sp *sproc) {
 			switch {
 			case total == 0:
 				ss.newIndex[slot] = -1
-			case int(total) > ss.threshold && ss.frontier[fc].Depth+1 < s.MaxDepth:
+			case int(total) > ss.threshold && ss.frontier[fc].Depth+1 < octree.MaxDepth:
 				cr, _ := sp.allocCell(ss.frontier[fc].Cube.Child(o), ss.frontier[fc].Ref)
 				s.Cell(ss.frontier[fc].Ref).SetChild(o, cr)
 				sp.writeNode(ss.frontier[fc].Ref)

@@ -170,7 +170,7 @@ func (sp *sproc) insert(from octree.Ref, fromDepth int, b int32) {
 				continue
 			}
 			l := s.Leaf(ch)
-			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
+			if len(l.Bodies) < s.LeafCap || depth+1 >= octree.MaxDepth {
 				l.Bodies = append(l.Bodies, b)
 				sp.setBodyLeaf(b, ch)
 				sp.writeNode(ch)
@@ -229,7 +229,7 @@ func (sp *sproc) insertPrivate(root octree.Ref, rootDepth int, b int32) {
 			return
 		case ch.IsLeaf():
 			l := s.Leaf(ch)
-			if len(l.Bodies) < s.LeafCap || depth+1 >= s.MaxDepth {
+			if len(l.Bodies) < s.LeafCap || depth+1 >= octree.MaxDepth {
 				l.Bodies = append(l.Bodies, b)
 				sp.setBodyLeaf(b, ch)
 				sp.writeNode(ch)

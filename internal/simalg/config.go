@@ -20,15 +20,15 @@ const (
 	countCycles       = 8  // per body per SPACE counting round
 	momentCycles      = 24 // per node, center-of-mass pass
 
-	// eps is the force softening length.
-	eps = 0.05
 	// warmSteps run at full detail but unmeasured (the paper begins
 	// timing after two steps "to eliminate unrepresentative cold-start
 	// and let the partitioning scheme settle down").
 	warmSteps = 1
 )
 
-// Config parameterizes one simulated whole-application run.
+// Config parameterizes one simulated whole-application run. Run takes
+// every field as given: its caller (the runner's simulated backend) has
+// already resolved the defaults.
 type Config struct {
 	Platform memsim.Platform
 	P        int
@@ -47,30 +47,10 @@ type Config struct {
 	Sequential bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.P <= 0 {
-		c.P = 1
-	}
-	if c.LeafCap <= 0 {
-		c.LeafCap = 8
-	}
-	if c.Theta == 0 {
-		c.Theta = 1.0
-	}
-	if c.Dt == 0 {
-		c.Dt = 0.025
-	}
-	if c.MeasuredSteps == 0 {
-		c.MeasuredSteps = 2
-	}
-	if c.Sequential && c.P != 1 {
-		panic("simalg: Sequential requires P == 1")
-	}
-	return c
-}
-
 func (c Config) forceParams() force.Params {
-	return force.Params{Theta: c.Theta, Eps: eps, G: 1}
+	p := force.DefaultParams()
+	p.Theta = c.Theta
+	return p
 }
 
 // Outcome is the simulated result of the measured steps. It does not

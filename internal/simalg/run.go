@@ -69,7 +69,9 @@ func Run(alg core.Algorithm, bodies *phys.Bodies, cfg Config) Outcome {
 // run is Run exposing the final state, for white-box tests that verify
 // the simulated builders produced a correct tree.
 func run(alg core.Algorithm, bodies *phys.Bodies, cfg Config) (*runState, memsim.Result) {
-	cfg = cfg.withDefaults()
+	if cfg.Sequential && cfg.P != 1 {
+		panic("simalg: Sequential requires P == 1")
+	}
 	p := cfg.P
 	st := &runState{
 		cfg:    cfg,

@@ -8,8 +8,10 @@ import (
 	"partree/internal/phys"
 )
 
+// smallCfg is one measured step at the SPLASH-2 k, θ and Δt, which Run
+// takes as given.
 func smallCfg(pl memsim.Platform, p int) Config {
-	return Config{Platform: pl, P: p, LeafCap: 8, MeasuredSteps: 1}
+	return Config{Platform: pl, P: p, LeafCap: 8, Theta: 1, Dt: 0.025, MeasuredSteps: 1}
 }
 
 func TestRunAllAlgorithmsAllPlatforms(t *testing.T) {

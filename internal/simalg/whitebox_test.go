@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"partree/internal/core"
-	"partree/internal/force"
 	"partree/internal/memsim"
 	"partree/internal/nbody"
 	"partree/internal/octree"
@@ -104,7 +103,6 @@ func TestSimulatedLockCountsMatchShape(t *testing.T) {
 
 		opts := nbody.DefaultOptions()
 		opts.Alg, opts.P, opts.LeafCap, opts.Dt = alg, 1, 8, 0.025
-		opts.Force = force.Params{Theta: 1, Eps: eps, G: 1}
 		native := nbody.NewFromBodies(opts, b.Clone())
 		native.Step()
 		m := native.Step().Build

@@ -29,15 +29,6 @@ func (v V3) Scale(s float64) V3 { return V3{s * v.X, s * v.Y, s * v.Z} }
 // Dot returns the inner product v·w.
 func (v V3) Dot(w V3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the vector cross product v×w.
-func (v V3) Cross(w V3) V3 {
-	return V3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Len2 returns |v|².
 func (v V3) Len2() float64 { return v.Dot(v) }
 
@@ -52,9 +43,6 @@ func (v V3) Dist2(w V3) float64 {
 
 // Dist returns |v-w|.
 func (v V3) Dist(w V3) float64 { return math.Sqrt(v.Dist2(w)) }
-
-// Neg returns -v.
-func (v V3) Neg() V3 { return V3{-v.X, -v.Y, -v.Z} }
 
 // MulAdd returns v + s*w, the fused form used by the integrator.
 func (v V3) MulAdd(s float64, w V3) V3 {

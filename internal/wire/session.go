@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"partree/internal/core"
 	"partree/internal/octree"
 	"partree/internal/phys"
 	"partree/internal/runner"
@@ -136,13 +137,13 @@ func (r *SessionRecord) UnmarshalJSON(line []byte) error {
 	return nil
 }
 
-// DecodeSessionOpen reads and validates the open record, defaulting an
-// empty model to plummer. A streamed request must not be able to
-// allocate unbounded server memory, so the record is held to the
-// one-shot specs' limits. A field the record does not declare is refused
-// rather than ignored: a misspelt or retired option would otherwise
-// silently run a session other than the one asked for. The refusal
-// holds for every later record dec reads.
+// DecodeSessionOpen reads and validates the open record, defaulting procs
+// and leaf capacity as core.Config does and an empty model to plummer. A
+// streamed request must not be able to allocate unbounded server memory,
+// so the record is held to the one-shot specs' limits. A field the record
+// does not declare is refused rather than ignored: a misspelt or retired
+// option would otherwise silently run a session other than the one asked
+// for. The refusal holds for every later record dec reads.
 func DecodeSessionOpen(dec *json.Decoder) (SessionOpen, phys.Model, error) {
 	var o SessionOpen
 	dec.DisallowUnknownFields()
@@ -152,17 +153,13 @@ func DecodeSessionOpen(dec *json.Decoder) (SessionOpen, phys.Model, error) {
 	if o.Bodies <= 0 || o.Bodies > runner.MaxServiceBodies {
 		return o, 0, fmt.Errorf("bodies must be in 1..%d, got %d", runner.MaxServiceBodies, o.Bodies)
 	}
-	if o.Procs <= 0 {
-		o.Procs = 1
-	}
+	c := core.Config{P: o.Procs, LeafCap: o.LeafCap}.Normalized()
+	o.Procs, o.LeafCap = c.P, c.LeafCap
 	if o.Procs > runner.MaxServiceProcsPerCPU*runtime.GOMAXPROCS(0) {
 		return o, 0, fmt.Errorf("procs %d exceeds %dx GOMAXPROCS", o.Procs, runner.MaxServiceProcsPerCPU)
 	}
 	if o.Procs > octree.MaxArenas {
 		return o, 0, fmt.Errorf("procs %d exceeds the builders' limit %d", o.Procs, octree.MaxArenas)
-	}
-	if o.LeafCap <= 0 {
-		o.LeafCap = 8
 	}
 	if o.LeafCap > runner.MaxServiceLeafCap {
 		return o, 0, fmt.Errorf("leaf_cap %d exceeds the service limit %d", o.LeafCap, runner.MaxServiceLeafCap)
