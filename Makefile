@@ -82,7 +82,9 @@ bench-smoke:
 # serve-build's, p = 1 and 2, with its bounds (the counting partition's
 # rounds, which stop at one processor's share), insert (claiming and
 # sorting the subspaces) and moments µs per build beside
-# ns/op (BenchmarkSpaceBuild), and two of those phases alone: the
+# ns/op (BenchmarkSpaceBuild; BenchmarkPartreeBuild times PARTREE's
+# build, its local sorts and merge as insert, at the same shapes), and
+# two of those phases alone: the
 # counting partition down to the build's round threshold and the
 # moments pass (serial against two and eight
 # workers, also on serve-build's and tree-small's trees) — then what a resident
@@ -102,7 +104,7 @@ bench-smoke:
 # (BenchmarkAccel).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild|Accel' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify ./internal/force
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|PartreeBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild|Accel' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify ./internal/force
 
 microbench:
 	$(MICROBENCH)

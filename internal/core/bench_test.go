@@ -45,7 +45,7 @@ func BenchmarkSpacePartition(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {
 				in := &Input{Bodies: bodies, Assign: SpatialAssign(bodies, p)}
 				m := newMetrics(SPACE, p)
-				root := parallelBounds(in, m)
+				root := parallelBounds(in, m, &phaseScratch{})
 				s := octree.NewStore(p, 8)
 				var sc spaceScratch
 				b.ReportAllocs()
@@ -66,7 +66,14 @@ func BenchmarkSpacePartition(b *testing.B) {
 // EvenAssign instead — the bodies in generator order, as loadgen's build
 // specs, the cluster shards and verify.Algorithm feed SPACE — and show
 // what the sorts lose on input that is not already in Morton order.
-func BenchmarkSpaceBuild(b *testing.B) {
+func BenchmarkSpaceBuild(b *testing.B) { benchBuilds(b, SPACE) }
+
+// BenchmarkPartreeBuild times a warm PARTREE build at the same shapes and
+// arms: its insert phase is every processor's sorted local tree and the
+// merge of the local trees.
+func BenchmarkPartreeBuild(b *testing.B) { benchBuilds(b, PARTREE) }
+
+func benchBuilds(b *testing.B, alg Algorithm) {
 	for _, c := range []struct {
 		name  string
 		model phys.Model
@@ -80,19 +87,19 @@ func BenchmarkSpaceBuild(b *testing.B) {
 		bodies := phys.Generate(c.model, c.n, 1)
 		for _, p := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(b *testing.B) {
-				benchSpaceBuild(b, bodies, SpatialAssign(bodies, p))
+				benchBuild(b, alg, bodies, SpatialAssign(bodies, p))
 			})
 			if c.even {
 				b.Run(fmt.Sprintf("%s/p=%d-even", c.name, p), func(b *testing.B) {
-					benchSpaceBuild(b, bodies, EvenAssign(bodies.N(), p))
+					benchBuild(b, alg, bodies, EvenAssign(bodies.N(), p))
 				})
 			}
 		}
 	}
 }
 
-func benchSpaceBuild(b *testing.B, bodies *phys.Bodies, assign [][]int32) {
-	bld := New(SPACE, Config{P: len(assign), LeafCap: 8})
+func benchBuild(b *testing.B, alg Algorithm, bodies *phys.Bodies, assign [][]int32) {
+	bld := New(alg, Config{P: len(assign), LeafCap: 8})
 	in := &Input{Bodies: bodies, Assign: assign}
 	bld.Build(in)
 	var ph Timing

@@ -35,15 +35,7 @@ func TestSpaceClaimsBuildTheSerialTree(t *testing.T) {
 	for _, m := range phys.Models() {
 		sets = append(sets, bodySet{m.String(), phys.Generate(m, n, 5)})
 	}
-	coincident := phys.Generate(phys.ModelPlummer, n, 6)
-	for i := 0; i < 120; i++ {
-		coincident.Pos[i*12] = vec.V3{X: 0.01, Y: 0.02, Z: 0.03}
-	}
-	cluster := phys.Generate(phys.ModelPlummer, n, 7)
-	for i := range cluster.Pos {
-		cluster.Pos[i] = cluster.Pos[i].Scale(1e-3).Add(vec.V3{X: 0.1, Y: 0.1, Z: 0.1})
-	}
-	cluster.Pos[n-1] = vec.V3{X: 1, Y: 1, Z: 1}
+	coincident, cluster := sortStressSets(n)
 	sets = append(sets, bodySet{"coincident", coincident}, bodySet{"one-octant", cluster})
 
 	for _, set := range sets {
@@ -86,4 +78,22 @@ func TestSpaceClaimsBuildTheSerialTree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortStressSets returns two sets of n bodies that stress a sort by
+// octant: coincident, where every twelfth body of the first 1 440 sits
+// at one point, which a chain of one-child cells follows to MaxDepth;
+// and cluster, which sits, all but one outlier, deep inside one root
+// octant.
+func sortStressSets(n int) (coincident, cluster *phys.Bodies) {
+	coincident = phys.Generate(phys.ModelPlummer, n, 6)
+	for i := 0; i < 120; i++ {
+		coincident.Pos[i*12] = vec.V3{X: 0.01, Y: 0.02, Z: 0.03}
+	}
+	cluster = phys.Generate(phys.ModelPlummer, n, 7)
+	for i := range cluster.Pos {
+		cluster.Pos[i] = cluster.Pos[i].Scale(1e-3).Add(vec.V3{X: 0.1, Y: 0.1, Z: 0.1})
+	}
+	cluster.Pos[n-1] = vec.V3{X: 1, Y: 1, Z: 1}
+	return coincident, cluster
 }

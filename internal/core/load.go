@@ -7,9 +7,10 @@ import "partree/internal/octree"
 // as it modifies them. The two algorithms differ only in their allocation
 // layout, captured by arenaFor.
 type loadBuilder struct {
-	cfg   Config
-	alg   Algorithm
-	store *octree.Store
+	cfg    Config
+	alg    Algorithm
+	store  *octree.Store
+	phases phaseScratch
 	// arenaFor maps a processor to the arena it allocates nodes from:
 	// ORIG returns 0 for everyone (the single shared global array with a
 	// shared allocation cursor); LOCAL returns the processor's own arena
@@ -42,7 +43,7 @@ func (lb *loadBuilder) Store() *octree.Store { return lb.store }
 func (lb *loadBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(lb.alg, in.P())
 	pos := in.Bodies.Pos
-	tree := runPhases(lb.cfg, in, m, freshTree(lb.store), func(tree *octree.Tree, w int) {
+	tree := runPhases(lb.cfg, &lb.phases, in, m, freshTree(lb.store), func(tree *octree.Tree, w int) {
 		ins := &inserter{s: lb.store, arena: lb.arenaFor(w), proc: w, pc: &m.PerP[w]}
 		for _, b := range in.Assign[w] {
 			ins.insert(tree.Root, 0, b, pos)

@@ -11,9 +11,18 @@ import (
 // cell or whole subtree rather than a single body, which cuts the number
 // of global (locked) insert operations dramatically — the paper's step
 // between the lock-per-body algorithms and the lock-free SPACE.
+//
+// This builder departs from the paper in how a local tree is built: the
+// paper inserts the bodies one by one, this one sorts them (sortLocal),
+// as SPACE sorts its subspaces. A canonical tree is a function of its
+// bodies, so the local trees — and so everything the merge does — are
+// the ones insertion built; only the leaves insertion split and
+// discarded are never allocated. internal/simalg replays the paper's
+// insertion.
 type partreeBuilder struct {
-	cfg   Config
-	store *octree.Store
+	cfg    Config
+	store  *octree.Store
+	phases phaseScratch
 }
 
 func newPartree(cfg Config) Builder {
@@ -30,17 +39,14 @@ func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 	m := newMetrics(PARTREE, in.P())
 	s := pb.store
 	pos := in.Bodies.Pos
-	tree := runPhases(pb.cfg, in, m, freshTree(s), func(tree *octree.Tree, w int) {
+	tree := runPhases(pb.cfg, &pb.phases, in, m, freshTree(s), func(tree *octree.Tree, w int) {
 		ins := &inserter{s: s, arena: w, proc: w, pc: &m.PerP[w]}
 
 		// Phase 1: private local tree; InsertParticlesInTree in the
 		// paper's skeleton. The local root's dimensions are precomputed
 		// to match the global root, so a cell in one tree represents
 		// exactly the same subspace as in any other.
-		localRoot, _ := ins.allocCell(tree.RootCube(), octree.Nil)
-		for _, b := range in.Assign[w] {
-			ins.insertPrivate(localRoot, 0, b, pos)
-		}
+		localRoot := ins.sortLocal(tree.RootCube(), in.Assign[w], pos)
 		m.PerP[w].BodiesBuilt += int64(len(in.Assign[w]))
 
 		// Phase 2: MergeLocalTrees.
@@ -52,6 +58,54 @@ func (pb *partreeBuilder) Build(in *Input) (*octree.Tree, *Metrics) {
 		}
 	})
 	return tree, m
+}
+
+// sortLocal builds the private local tree of bodies under a new root cell
+// over cube root, and returns that cell: it stays a cell however few
+// bodies there are, as the paper's local root is. The bodies are
+// counted by root octant and scattered stably into a borrowed index
+// pair; each octant's positions are then gathered into a borrowed pair
+// sized to the largest octant, and sortSubtree sorts the octant's
+// subtree from depth 1. Nothing is locked: the tree is this processor's
+// until the merge publishes it.
+func (ins *inserter) sortLocal(root vec.Cube, bodies []int32, pos []vec.V3) octree.Ref {
+	lr, lc := ins.allocCell(root, octree.Nil)
+	idx := spares.borrow(len(bodies))
+	// idx[1] holds each body's root octant until the scatter has read it;
+	// then the sorts take it as their spare.
+	oct := idx[1]
+	var start [vec.NOctants + 1]int
+	for i, b := range bodies {
+		o := root.OctantOf(pos[b])
+		oct[i] = int32(o)
+		start[o+1]++
+	}
+	largest := 0
+	for o := 1; o <= vec.NOctants; o++ {
+		largest = max(largest, start[o])
+		start[o] += start[o-1]
+	}
+	cursor := start
+	for i, b := range bodies {
+		o := oct[i]
+		idx[0][cursor[o]] = b
+		cursor[o]++
+	}
+	cols := carried.borrow(largest)
+	for o := vec.Octant(0); o < vec.NOctants; o++ {
+		lo, hi := start[o], start[o+1]
+		if lo == hi {
+			continue
+		}
+		p, p2 := cols[0][:hi-lo], cols[1][:hi-lo]
+		for i, b := range idx[0][lo:hi] {
+			p[i] = pos[b]
+		}
+		lc.SetChild(o, ins.sortSubtree(root.Child(o), 1, lr, idx[0][lo:hi], idx[1][lo:hi], p, p2))
+	}
+	carried.give(cols)
+	spares.give(idx)
+	return lr
 }
 
 // mergeChild merges local node lc (private to this processor) into the

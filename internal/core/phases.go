@@ -26,8 +26,9 @@ type insertFn func(tree *octree.Tree, w int)
 // written down: the three timed brackets, the insert and moments forks
 // and the tree stats the latter counts, Metrics.Timing, the trace
 // summary, and the publication into the live per-algorithm totals all
-// happen here. An algorithm is its prepare and insert hooks.
-func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
+// happen here. An algorithm is its prepare and insert hooks, and the
+// scratch ps its builder keeps for the bounds sweep.
+func runPhases(cfg Config, ps *phaseScratch, in *Input, m *Metrics, prepare prepareFn, insert insertFn) *octree.Tree {
 	p := in.P()
 	// Checked here, on the caller's goroutine: past this line a list
 	// without an arena indexes out of range inside a worker, which no
@@ -45,7 +46,7 @@ func runPhases(cfg Config, in *Input, m *Metrics, prepare prepareFn, insert inse
 	}
 	t0 := time.Now()
 	m.epoch = t0
-	tree := prepare(parallelBounds(in, m))
+	tree := prepare(parallelBounds(in, m, ps))
 	t1 := time.Now()
 
 	m.fork(trace.PhaseInsert, p, func(w int) { insert(tree, w) })

@@ -259,13 +259,14 @@ func TestEveryBuilderVerifiesAtEightProcs(t *testing.T) {
 }
 
 // TestWarmSpaceBuildAllocatesNothingBodySized: everything the counting
-// partition needs that grows with n lives on the builder, so the third
-// build of a resident SPACE builder — and a session's requested SPACE
-// rebuild inside UPDATE — allocates a few KB of per-build bookkeeping
-// whatever n is (it was 28 n bytes).
+// partition needs that grows with n lives on the builder or is borrowed
+// from the process's free lists, so the third build of a resident SPACE
+// builder — a session's requested SPACE rebuild inside UPDATE, and a
+// PARTREE build, whose local trees are sorted the same way — allocates a
+// few KB of per-build bookkeeping whatever n is (SPACE's was 28 n bytes).
 func TestWarmSpaceBuildAllocatesNothingBodySized(t *testing.T) {
 	const p, limitKB = 2, 64
-	for _, alg := range []core.Algorithm{core.SPACE, core.UPDATE} {
+	for _, alg := range []core.Algorithm{core.SPACE, core.UPDATE, core.PARTREE} {
 		for _, n := range []int{20000, 80000} {
 			b := phys.Generate(phys.ModelPlummer, n, 21)
 			bld := core.New(alg, core.Config{P: p, LeafCap: 8})

@@ -106,7 +106,7 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 	s, sc, cfg := sb.store, &sb.scratch, sb.cfg
 	p := in.P()
 	var cols *[2][]vec.V3
-	tree := runPhases(cfg, in, m,
+	tree := runPhases(cfg, &sc.phaseScratch, in, m,
 		func(root vec.Cube) *octree.Tree {
 			th := sb.threshold
 			if th <= 0 {
@@ -114,7 +114,7 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 			}
 			tree := freshTree(s)(root)
 			subs := spacePartition(sc, s, tree, in, th, m)
-			cols = borrowCarried(sc.claims.deal(subs, p))
+			cols = carried.borrow(sc.claims.deal(subs, p))
 			return tree
 		},
 		func(_ *octree.Tree, w int) {
@@ -129,7 +129,7 @@ func (sb *spaceBuilder) build(in *Input, m *Metrics, bodyLeaf []uint32) *octree.
 				c.claim(w, k)
 			}
 		})
-	returnCarried(cols)
+	carried.give(cols)
 	return tree
 }
 
@@ -278,56 +278,65 @@ func (ins *inserter) sortSubtree(cube vec.Cube, depth int, parent octree.Ref, id
 	return cr
 }
 
-// carried lends out the pairs of position columns SPACE's insert phase
-// carries its bodies' positions in (spaceClaims.deal sizes them). A
-// build borrows one and gives it back when it ends, so a process holds
-// one pair per SPACE build in flight, not one per builder. It is a
-// plain free list, not a sync.Pool: a pool may drop what it is given,
-// and a warm build must allocate nothing body-sized.
-var carried struct {
-	sync.Mutex
-	free []*[2][]vec.V3
+// lender lends out pairs of columns a build sorts in. A build borrows
+// what it needs and gives it back when it ends, so a process holds one
+// pair per build (or per processor's share of one) in flight, not one
+// per builder. It is a plain free list, not a sync.Pool: a pool may drop
+// what it is given, and a warm build must allocate nothing body-sized.
+type lender[T any] struct {
+	mu   sync.Mutex
+	free []*[2][]T
 }
 
-// borrowCarried lends a pair of columns of n positions, preferring the
-// shortest one already that long, else the longest, so a small build
-// does not take a long pair from a large one.
-func borrowCarried(n int) *[2][]vec.V3 {
-	carried.Lock()
-	var cols *[2][]vec.V3
-	if len(carried.free) > 0 {
+// carried lends the position columns the sorts carry their bodies'
+// positions in: SPACE's insert phase (spaceClaims.deal sizes them) and
+// each PARTREE processor's largest root octant (sortLocal). spares lends
+// the index pairs sortLocal splits a processor's bodies into.
+var (
+	carried lender[vec.V3]
+	spares  lender[int32]
+)
+
+// borrow lends a pair of columns of n elements, preferring the shortest
+// one already that long, else the longest, so a small build does not
+// take a long pair from a large one.
+func (l *lender[T]) borrow(n int) *[2][]T {
+	l.mu.Lock()
+	var cols *[2][]T
+	if len(l.free) > 0 {
 		i := 0
-		for j, c := range carried.free {
-			have, best := cap(c[0]), cap(carried.free[i][0])
+		for j, c := range l.free {
+			have, best := cap(c[0]), cap(l.free[i][0])
 			if fits := have >= n; fits && (best < n || have < best) || !fits && have > best {
 				i = j
 			}
 		}
-		cols = carried.free[i]
-		carried.free = slices.Delete(carried.free, i, i+1)
+		cols = l.free[i]
+		l.free = slices.Delete(l.free, i, i+1)
 	}
-	carried.Unlock()
+	l.mu.Unlock()
 	if cols == nil {
-		cols = new([2][]vec.V3)
+		cols = new([2][]T)
 	}
 	cols[0], cols[1] = grown(cols[0], n), grown(cols[1], n)
 	return cols
 }
 
-// returnCarried gives a borrowed pair back.
-func returnCarried(cols *[2][]vec.V3) {
-	carried.Lock()
-	carried.free = append(carried.free, cols)
-	carried.Unlock()
+// give takes a borrowed pair back.
+func (l *lender[T]) give(cols *[2][]T) {
+	l.mu.Lock()
+	l.free = append(l.free, cols)
+	l.mu.Unlock()
 }
 
 // spaceScratch is the memory SPACE's counting sort works in. It lives on
 // the builder, so a warm build allocates none of it: three body-sized
 // index arrays, one octant byte per body, the frontier bookkeeping, the
-// runs its forks deal the slices by and the insert phase's claims; the
-// subtree sorts reuse fin and nxt, and borrow their position columns
-// (borrowCarried).
+// phase scratch whose runs its forks deal the slices by and the insert
+// phase's claims; the subtree sorts reuse fin and nxt, and borrow their
+// position columns (carried).
 type spaceScratch struct {
+	phaseScratch
 	cur, nxt []int32 // bodies in flight this round, and their order next round
 	fin      []int32 // finalized bodies; every Subspace.Bodies is a range of it
 	oct      []uint8 // octant of cur[i] within its frontier cell, count → scatter
@@ -338,11 +347,7 @@ type spaceScratch struct {
 	frontier, next []FrontierCell
 	off, nextOff   []int // frontier cell fc owns cur[off[fc]:off[fc+1]]
 	subs           []Subspace
-	// runs deals the slices to the count and scatter forks, re-dealt
-	// before each over share bounds 0, slicesPerProc, …, slicesPerProc·p.
-	runs   par.Runs
-	bounds []int
-	claims spaceClaims
+	claims         spaceClaims
 }
 
 // grown returns s resized to n elements of unspecified content,
@@ -412,10 +417,6 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 		sc.hist = make([][]int32, k)
 	}
 	cur, nxt, fin, oct := sc.cur, sc.nxt, sc.fin, sc.oct
-	sc.bounds = grown(sc.bounds, p+1)
-	for w := range sc.bounds {
-		sc.bounds[w] = slicesPerProc * w
-	}
 	runs := &sc.runs
 
 	frontier := append(sc.frontier[:0], FrontierCell{tree.Root, tree.RootCube(), 0})
@@ -426,7 +427,7 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 	for first := true; len(frontier) > 0; first = false {
 		f := len(frontier)
 		from, to := cur, nxt
-		runs.Reset(sc.bounds)
+		sc.dealSlices(p)
 		m.fork(trace.PhasePartition, p, func(w int) {
 			for s := runs.Next(w); s >= 0; s = runs.Next(w) {
 				h := grown(sc.hist[s], f*vec.NOctants)
@@ -489,7 +490,7 @@ func spacePartition(sc *spaceScratch, s *octree.Store, tree *octree.Tree, in *In
 			}
 		}
 
-		runs.Reset(sc.bounds)
+		sc.dealSlices(p)
 		m.fork(trace.PhasePartition, p, func(w int) {
 			for s := runs.Next(w); s >= 0; s = runs.Next(w) {
 				h := sc.hist[s]

@@ -146,7 +146,7 @@ func partitionBoth(t *testing.T, sc *spaceScratch, b *phys.Bodies, assign [][]in
 	}
 	p := len(assign)
 	in := &Input{Bodies: b, Assign: assign}
-	root := parallelBounds(in, newMetrics(SPACE, p))
+	root := parallelBounds(in, newMetrics(SPACE, p), &phaseScratch{})
 	run := func(part func(*octree.Store, *octree.Tree, *Metrics) []Subspace) ([]Subspace, *octree.Store, *Metrics) {
 		s := octree.NewStore(p, 8)
 		m := newMetrics(SPACE, p)

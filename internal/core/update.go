@@ -85,7 +85,7 @@ func (ub *updateBuilder) build(in *Input, m *Metrics) *octree.Tree {
 	}
 
 	p, s, pos := in.P(), ub.store, in.Bodies.Pos
-	runPhases(ub.cfg, in, m,
+	runPhases(ub.cfg, &ub.scratch.phaseScratch, in, m,
 		// Refresh the root bounds and rescale every node's cube; the
 		// tree keeps its shape but the space it maps onto breathes.
 		func(root vec.Cube) *octree.Tree {

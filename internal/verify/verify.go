@@ -119,7 +119,10 @@ var refStores = sync.Pool{New: func() any { return octree.NewStore(1, 1) }}
 //     the inequality holds. SPACE sorts its subtrees rather than
 //     inserting them, so it never splits a leaf either: on its path —
 //     SPACE and every fresh UPDATE build — the leaf bound is an equality
-//     too.
+//     too. PARTREE sorts its local trees the same way, but its merge
+//     drops a local leaf it combines into a global one and, on
+//     overflow, inserts into a private cell that can split a leaf, so
+//     its leaf bound stays an inequality.
 //  5. On the inserting paths, ORIG and LOCAL, every allocated cell
 //     replaced exactly one subdivided (retired) leaf: TotalLeaves ==
 //     live leaves + TotalCells. They also lock at least once per body
