@@ -14,8 +14,8 @@ func NewTree(s *Store, arenaID, owner int, cube vec.Cube) *Tree {
 // Insert adds body b (with positions supplied by pos) into the subtree
 // rooted at the cell root, which sits at depth rootDepth. It is
 // single-threaded with respect to that subtree: the sequential builder
-// and PARTREE's private local trees use it (SPACE sorts its private
-// subtrees instead, into the same tree).
+// and the message-passing baseline use it (SPACE and PARTREE sort their
+// private subtrees instead).
 // Concurrent insertion into a shared tree lives in internal/core, which
 // adds the locking discipline the paper describes.
 func (s *Store) Insert(root Ref, rootDepth, arenaID, owner int, b int32, pos []vec.V3) {
