@@ -77,7 +77,9 @@ bench-smoke:
 # microbench times the kernels a fresh request pays before its build:
 # generating the body set (every model, at the cluster workloads' sizes)
 # and ordering it layer by layer — one Morton key, the radix sort of a
-# body set, and the whole SpatialAssign a spatial:true request pays — and
+# body set, the whole SpatialAssign the benchmark's tree section pays, and
+# SortBodies, the Morton sort and permutation a fresh native set pays once
+# where the runner makes it — and
 # a whole SPACE build at the two tree workloads' shapes and
 # serve-build's, p = 1 and 2, with its bounds (the counting partition's
 # rounds, which stop at one processor's share), insert (claiming and
@@ -104,7 +106,7 @@ bench-smoke:
 # (BenchmarkAccel).
 # microbench-smoke runs each once, so check compiles and executes them
 # without asserting a wall-clock value.
-MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SpacePartition|SpaceBuild|PartreeBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild|Accel' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify ./internal/force
+MICROBENCH = $(GO) test -run '^$$' -bench 'Generate|Keyer|Order|SpatialAssign|SortBodies|SpacePartition|SpaceBuild|PartreeBuild|SessionStep|Moments|BuildNoRecorder|BuildTracing|DisabledHooks|RecordedRequest|Do|VerifyBuild|Accel' ./internal/phys ./internal/partition ./internal/core ./internal/octree ./internal/trace ./internal/reqtrace ./internal/par ./internal/verify ./internal/force
 
 microbench:
 	$(MICROBENCH)
@@ -208,6 +210,7 @@ pairs-smoke:
 	@h=$$(mktemp) && out=$$(bash scripts/pairs.sh -s 1 -o $$h HEAD tree-small 1) && echo "$$out" && \
 		echo "$$out" | grep -Eq '^pair seed=1 first=parent probe( [0-9.]+){4} (kept|refused)' && \
 		echo "$$out" | grep -q '^metric  *parent median \[q1 q3\]  *change median \[q1 q3\]  *better$$' && \
+		echo "$$out" | grep -q '^raw ms (lower is better)  *parent median \[q1 q3\]  *change median \[q1 q3\]  *better$$' && \
 		echo "$$out" | grep -Eq '^failed operations: parent [0-9]+/[0-9]+, change [0-9]+/[0-9]+$$' && \
-		jq -se 'length == 2 and all(.[]; has("commit") and has("cores") and has("gomaxprocs") and has("go") and has("probe") and has("medians"))' $$h >/dev/null && \
+		jq -se 'length == 2 and all(.[]; has("commit") and has("cores") and has("gomaxprocs") and has("go") and has("probe") and has("medians") and has("raw_medians"))' $$h >/dev/null && \
 		rm -f $$h

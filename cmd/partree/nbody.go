@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"partree/internal/core"
-	"partree/internal/phys"
 	"partree/internal/runner"
 )
 
@@ -36,11 +35,9 @@ var nbodyCmd = command{
 				return c.emit(c.r.Run(context.Background(), spec))
 			}
 
-			m, _ := phys.ParseModel(spec.Model)
-			bodies := phys.Generate(m, spec.Bodies, spec.Seed)
-			sim := runner.NewSimulation(spec, bodies, nil)
+			sim := runner.NewSimulation(spec, nil, nil)
 			fmt.Fprintf(out, "nbody: %d bodies (%s), %d procs, builder %v, θ=%.2f, k=%d\n",
-				bodies.N(), sim.Opts.Model, spec.Procs, spec.Alg, spec.Theta, spec.LeafCap)
+				sim.Bodies.N(), sim.Opts.Model, spec.Procs, spec.Alg, spec.Theta, spec.LeafCap)
 
 			var deadline time.Time
 			if spec.Timeout > 0 {

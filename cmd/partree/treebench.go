@@ -37,7 +37,6 @@ var treebenchCmd = command{
 		Steps:     5,
 		Seed:      1,
 		BuildOnly: true,
-		Spatial:   true,
 	},
 	omit:    []string{"alg", "p", "steps", "theta", "dt"},
 	workers: 1,
@@ -45,7 +44,6 @@ var treebenchCmd = command{
 		algFlag := fs.String("alg", "", "restrict the sweep to one tree builder: "+strings.Join(core.AlgorithmNames(), ", ")+" (default all)")
 		procs := fs.String("p", hostProcs(), "comma-separated processor counts")
 		fs.IntVar(&c.spec.Steps, "reps", c.spec.Steps, "builds per configuration (best time reported)")
-		fs.BoolVar(&c.spec.Spatial, "spatial", c.spec.Spatial, "spatially coherent body partition (like settled costzones)")
 		return func() int {
 			base, out := c.spec, c.stdout
 			algs := core.Algorithms()

@@ -231,7 +231,7 @@ func TestShardBuildIsTheRunnersBuild(t *testing.T) {
 	for _, spec := range []runner.Spec{
 		// Lock counts depend on interleaving at p > 1; SPACE takes none.
 		{Alg: core.LOCAL, Procs: 1},
-		{Alg: core.SPACE, Procs: 2, Spatial: true},
+		{Alg: core.SPACE, Procs: 2},
 	} {
 		spec.Backend, spec.BuildOnly = runner.Native, true
 		spec.Bodies, spec.Steps, spec.Seed, spec.Check = 3000, 2, 7, true

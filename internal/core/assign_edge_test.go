@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"partree/internal/phys"
@@ -105,5 +106,41 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 	if m.TotalCells() != 2 || m.TotalLeaves() != 4 || m.TotalRetries() != 3 || m.TotalBodiesMoved() != 9 {
 		t.Fatalf("aggregation wrong: %s", m)
+	}
+}
+
+// TestSortBodiesMakesEvenAssignSpatial: on a set SortBodies has ordered,
+// SpatialAssign's lists are EvenAssign's element for element, so a caller
+// that sorts where the bodies are made needs only the even assignment.
+// The sort moves whole bodies: ID is a permutation of 0..n-1 naming each
+// slot's generator index, and the spent order is that permutation.
+func TestSortBodiesMakesEvenAssignSpatial(t *testing.T) {
+	for _, m := range phys.Models() {
+		for _, n := range []int{0, 1, 7, 4097} {
+			gen := phys.Generate(m, n, 3)
+			b := gen.Clone()
+			order := SortBodies(b, nil)
+			if !slices.Equal(order, b.ID) {
+				t.Fatalf("%v n=%d: spent order is not the new ID column", m, n)
+			}
+			seen := make([]bool, n)
+			for i, id := range b.ID {
+				if id < 0 || int(id) >= n || seen[id] {
+					t.Fatalf("%v n=%d: ID is not a permutation of 0..%d: %v", m, n, n-1, b.ID)
+				}
+				seen[id] = true
+				if b.Pos[i] != gen.Pos[id] || b.Vel[i] != gen.Vel[id] || b.Mass[i] != gen.Mass[id] {
+					t.Fatalf("%v n=%d: slot %d does not hold generated body %d", m, n, i, id)
+				}
+			}
+			for _, p := range []int{1, 2, 3, 8} {
+				even, spatial := EvenAssign(n, p), SpatialAssign(b, p)
+				for w := range even {
+					if !slices.Equal(spatial[w], even[w]) {
+						t.Fatalf("%v n=%d p=%d: share %d spatial %v, even %v", m, n, p, w, spatial[w], even[w])
+					}
+				}
+			}
+		}
 	}
 }

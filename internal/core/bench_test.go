@@ -8,13 +8,16 @@ import (
 
 	"partree/internal/octree"
 	"partree/internal/par"
+	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/vec"
 )
 
 var assignSink [][]int32
 
-// BenchmarkSpatialAssign times the ordering a spatial:true request pays
-// before its build: bounds, partition.Order, cut.
+// BenchmarkSpatialAssign times the ordering the benchmark's tree section
+// pays on its generator-order sets before it builds: bounds,
+// partition.Order, cut.
 func BenchmarkSpatialAssign(b *testing.B) {
 	for _, c := range []struct {
 		model phys.Model
@@ -26,6 +29,38 @@ func BenchmarkSpatialAssign(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				assignSink = SpatialAssign(bodies, c.p)
 			}
+		})
+	}
+}
+
+// BenchmarkSortBodies times the ordering a fresh native body set pays
+// once, where the runner's memo admits it: SortBodies with a throwaway
+// Sorter, as the memo calls it, at serve-build's and tree-large's shapes.
+// Beside ns/op it reports SortBodies' two steps apart: the Morton sort
+// (bounds and partition.Order) and the permutation of every column.
+func BenchmarkSortBodies(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		model phys.Model
+		n     int
+	}{{"uniform-20k", phys.ModelUniform, 20000}, {"plummer-200k", phys.ModelPlummer, 200000}} {
+		gen := phys.Generate(c.model, c.n, 1)
+		b.Run(c.name, func(b *testing.B) {
+			var sort, permute time.Duration
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := gen.Clone()
+				b.StartTimer()
+				t0 := time.Now()
+				order := new(partition.Sorter).Order(w.Pos, w.Bounds(vec.RootMargin))
+				t1 := time.Now()
+				w.Permute(order)
+				sort += t1.Sub(t0)
+				permute += time.Since(t1)
+			}
+			b.ReportMetric(float64(sort.Microseconds())/float64(b.N), "sort-µs/op")
+			b.ReportMetric(float64(permute.Microseconds())/float64(b.N), "permute-µs/op")
 		})
 	}
 }
@@ -63,9 +98,9 @@ func BenchmarkSpacePartition(b *testing.B) {
 // assignment, and reports where it went: the bounds phase (the counting
 // partition included), the insert phase (sorting and attaching the
 // subtrees) and the moments pass, in µs per build. The -even arms pass
-// EvenAssign instead — the bodies in generator order, as loadgen's build
-// specs, the cluster shards and verify.Algorithm feed SPACE — and show
-// what the sorts lose on input that is not already in Morton order.
+// EvenAssign instead — the bodies in generator order, as the cluster
+// shards and verify.Algorithm feed SPACE — and show what the sorts lose
+// on input that is not already in Morton order.
 func BenchmarkSpaceBuild(b *testing.B) { benchBuilds(b, SPACE) }
 
 // BenchmarkPartreeBuild times a warm PARTREE build at the same shapes and

@@ -211,11 +211,11 @@ func EvenAssign(n, p int) [][]int32 {
 // SpatialAssign splits the bodies into p spatially compact even chunks:
 // contiguous ranges of the Morton order (partition.Order, one radix sort)
 // — a stand-in for a settled costzones partition when benchmarking a
-// single build outside a full simulation. The paper's
-// ORIG/LOCAL/UPDATE/PARTREE builds all assume the body partition carries
-// physical locality ("if the partitioning incorporates physical locality,
-// this overhead should be small"). The chunks share one backing array,
-// each capped at its own end so appending to one cannot reach the next.
+// build over bodies in generator order (on a SortBodies set they are
+// EvenAssign's). The paper's ORIG/LOCAL/UPDATE/PARTREE builds all assume
+// the body partition carries physical locality ("if the partitioning
+// incorporates physical locality, this overhead should be small"). The
+// chunks share one backing array, each capped at its own end.
 func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 	n := b.N()
 	order := partition.Order(b.Pos, b.Bounds(vec.RootMargin))
@@ -225,6 +225,18 @@ func SpatialAssign(b *phys.Bodies, p int) [][]int32 {
 		out[w] = order[lo:hi:hi]
 	}
 	return out
+}
+
+// SortBodies permutes b in place into the Morton order of its bounds and
+// returns the spent order, one of s's arrays (a nil s sorts in a
+// throwaway Sorter). b.ID keeps each slot's generator index.
+func SortBodies(b *phys.Bodies, s *partition.Sorter) []int32 {
+	if s == nil {
+		s = new(partition.Sorter)
+	}
+	order := s.Order(b.Pos, b.Bounds(vec.RootMargin))
+	b.Permute(order)
+	return order
 }
 
 // slicesPerProc is how many slices per processor a phase that sweeps

@@ -6,7 +6,6 @@ import (
 	"partree/internal/octree"
 	"partree/internal/partition"
 	"partree/internal/phys"
-	"partree/internal/vec"
 )
 
 // StepInput is one timestep of a long-lived session driven through a
@@ -101,9 +100,7 @@ var clockEpoch = time.Now()
 // starts from scratch (which rewrites the builder's body→leaf map). The
 // cuts are positions, not bodies, so they — and the zones — survive it.
 func (st *Stepper) resort() {
-	b := st.bodies
-	order := st.sorter.Order(b.Pos, b.Bounds(vec.RootMargin))
-	b.Permute(order)
+	order := SortBodies(st.bodies, &st.sorter)
 	for i := range order {
 		order[i] = int32(i)
 	}

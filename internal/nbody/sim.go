@@ -111,12 +111,13 @@ type Simulation struct {
 	step   int
 }
 
-// New generates the bodies and prepares the builder. Start opts from
-// DefaultOptions: New takes Δt and the force parameters as given.
+// New generates the bodies, Morton-sorts them (core.SortBodies) and
+// prepares the builder; opts start from DefaultOptions, taken as given.
 func New(opts Options) *Simulation {
 	c := core.Config{P: opts.P, LeafCap: opts.LeafCap}.Normalized()
 	opts.P, opts.LeafCap = c.P, c.LeafCap
 	b := phys.Generate(opts.Model, opts.N, opts.Seed)
+	core.SortBodies(b, nil)
 	return NewFromBodies(opts, b)
 }
 

@@ -5,9 +5,9 @@ import "partree/internal/vec"
 // The Morton keying below is the one spatial-ordering primitive every
 // layer shares, and this file is its only implementation: Keyer turns a
 // position into a Z-order key, Order sorts a body set by that key. The
-// callers are core.SpatialAssign (the spatially compact body partition
-// of every spatial:true build and example), core.Stepper (which makes
-// Order's result the storage order of a session's bodies), the
+// callers are core.SortBodies (which makes Order's result the storage
+// order of every native body set: the runner's memo, nbody.New,
+// core.Stepper), core's assignment of a generator-order set, the
 // simulated SPACE replay's subspace-to-processor assignment
 // (simalg's assignSubspaces), and — at the cluster level — the shard
 // map that splits the domain into spatially contiguous key ranges

@@ -34,13 +34,14 @@ func admissionResult(spec Spec, err error) Result {
 // NewSimulation is the one Spec → nbody.Options mapping: the
 // whole-application simulation a Normalized native spec names, over
 // bodies, which the simulation advances in place (a caller sharing them
-// clones first). bld, when non-nil, is a pooled builder an engine
-// session lends; otherwise the simulation constructs its own.
+// clones first; nil generates them sorted, as Run does, by nbody.New).
+// bld, when non-nil, is a pooled builder an engine session lends;
+// otherwise the simulation constructs its own.
 func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simulation {
 	m, _ := phys.ParseModel(spec.Model)
 	opts := nbody.DefaultOptions()
 	opts.Model = m
-	opts.N = bodies.N()
+	opts.N = spec.Bodies
 	opts.Seed = spec.Seed
 	opts.P = spec.Procs
 	opts.Alg = spec.Alg
@@ -49,6 +50,9 @@ func NewSimulation(spec Spec, bodies *phys.Bodies, bld core.Builder) *nbody.Simu
 	opts.Force.Theta = spec.Theta
 	opts.Check = spec.Check
 	opts.Builder = bld
+	if bodies == nil {
+		return nbody.New(opts)
+	}
 	return nbody.NewFromBodies(opts, bodies)
 }
 
@@ -112,9 +116,10 @@ func runNative(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Bui
 // verification of every repetition. It is the one build-repetition loop:
 // Run executes build-only specs through it (on a slot it took before
 // generating the bodies), and a cluster shard calls it directly on its
-// owned subset. spec must be Normalized; bodies are only read — no
-// builder, SpatialAssign, verify.Build or moments pass stores to them —
-// so concurrent builds may share one set. The repetitions run through a
+// owned subset, each with the even assignment (spatially compact on
+// Run's Morton-sorted sets). spec must be Normalized; bodies are only
+// read — no builder, verify.Build or moments pass stores to them — so
+// concurrent builds may share one set. The repetitions run through a
 // pooled session, so only the first-ever rep for a key pays store
 // allocation; an admission rejection comes back as a Result whose Err
 // satisfies engine.Rejected.
@@ -130,9 +135,6 @@ func BuildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, eng *engine.
 // buildOnly is BuildOnly's loop on an acquired session's builder.
 func buildOnly(ctx context.Context, spec Spec, bodies *phys.Bodies, bld core.Builder) Result {
 	assign := core.EvenAssign(bodies.N(), spec.Procs)
-	if spec.Spatial {
-		assign = core.SpatialAssign(bodies, spec.Procs)
-	}
 	in := &core.Input{Bodies: bodies, Assign: assign}
 	rq := reqtrace.FromContext(ctx)
 	res := Result{Spec: spec}

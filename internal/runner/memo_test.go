@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +11,9 @@ import (
 
 	"partree/internal/core"
 	"partree/internal/engine"
+	"partree/internal/partition"
 	"partree/internal/phys"
+	"partree/internal/vec"
 )
 
 // memoHolds reports which of the seeds' uniform n-body sets the memo
@@ -20,7 +23,7 @@ func memoHolds(r *Runner, n int, seeds ...int64) []bool {
 	defer r.bodies.mu.Unlock()
 	out := make([]bool, len(seeds))
 	for i, s := range seeds {
-		_, out[i] = r.bodies.entries[memoKey("uniform", n, s)]
+		_, out[i] = r.bodies.entries[memoKey("uniform", n, s, false)]
 	}
 	return out
 }
@@ -35,7 +38,7 @@ func TestBodyMemoEvictsByBytes(t *testing.T) {
 	r.bodies.max = 3 * small
 	get := func(n int, seed int64) {
 		t.Helper()
-		if _, _, err := r.bodiesFor("uniform", n, seed); err != nil {
+		if _, _, err := r.bodiesFor("uniform", n, seed, false); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.bodies.charged(); got > r.bodies.max {
@@ -78,14 +81,14 @@ func TestOversizedBodySetIsSharedNotHeld(t *testing.T) {
 	r.bodies.max = phys.NewBodies(n).Bytes() - 1
 
 	// A generation in flight, as bodiesFor starts one.
-	f, created := r.bodies.lookup(memoKey("uniform", n, 9))
+	f, created := r.bodies.lookup(memoKey("uniform", n, 9, false))
 	if !created {
 		t.Fatal("fresh memo already held the key")
 	}
 	r.obs.memoMisses.Inc()
 	shared := make(chan *phys.Bodies)
 	go func() {
-		b, _, _ := r.bodiesFor("uniform", n, 9)
+		b, _, _ := r.bodiesFor("uniform", n, 9, false)
 		shared <- b
 	}()
 	for r.obs.memoHits.Value() == 0 { // the second lookup joined the flight
@@ -100,7 +103,7 @@ func TestOversizedBodySetIsSharedNotHeld(t *testing.T) {
 		t.Fatalf("memo holds %d bytes of an oversized set", got)
 	}
 
-	again, _, err := r.bodiesFor("uniform", n, 9)
+	again, _, err := r.bodiesFor("uniform", n, 9, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +168,58 @@ func TestQueueFullSpecGeneratesNoBodies(t *testing.T) {
 	}
 	release()
 	if err := r.AuditObs(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNativeSetsAreSortedOnce: a native spec's body set is Morton-sorted
+// once, as the memo admits it, while a simulated spec of the same
+// (model, n, seed) and Bodies read the generator's set unchanged; the two
+// orders are separate memo entries, never one shared set.
+func TestNativeSetsAreSortedOnce(t *testing.T) {
+	const n = 2000
+	ctx := context.Background()
+	r := New(1)
+	gen := phys.Generate(phys.ModelPlummer, n, 7)
+	native := Spec{Backend: Native, Alg: core.SPACE, Procs: 2, Bodies: n, Steps: 1, Seed: 7, BuildOnly: true}
+	for _, spec := range []Spec{native, simSpec(core.SPACE, 2, n)} {
+		if res := r.Run(ctx, spec); res.Failed() {
+			t.Fatalf("%s: %s", spec, res.FailureMessage())
+		}
+	}
+	held := func(sorted bool) *phys.Bodies {
+		t.Helper()
+		r.bodies.mu.Lock()
+		f, ok := r.bodies.entries[memoKey("plummer", n, 7, sorted)]
+		r.bodies.mu.Unlock()
+		if !ok {
+			t.Fatalf("memo holds no set with sorted=%t", sorted)
+		}
+		return f.val.b
+	}
+	sorted, unsorted := held(true), held(false)
+	if len(r.bodies.completed()) != 2 || sorted == unsorted {
+		t.Fatalf("memo holds %d sets, want the sorted and the generator-order one apart", len(r.bodies.completed()))
+	}
+
+	if !reflect.DeepEqual(unsorted, gen) {
+		t.Fatal("the simulated spec's set differs from phys.Generate's")
+	}
+	if r.Bodies(phys.ModelPlummer, n, 7) != unsorted {
+		t.Fatal("Runner.Bodies did not return the generator-order set")
+	}
+	order := partition.Order(sorted.Pos, sorted.Bounds(vec.RootMargin))
+	for i := range order {
+		if order[i] != int32(i) {
+			t.Fatalf("the native set is not in Morton order: key %d is in slot %d", i, order[i])
+		}
+	}
+	for i, id := range sorted.ID {
+		if sorted.Pos[i] != gen.Pos[id] || sorted.Vel[i] != gen.Vel[id] || sorted.Mass[i] != gen.Mass[id] {
+			t.Fatalf("native slot %d does not hold generated body %d", i, id)
+		}
+	}
+	if err := sorted.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

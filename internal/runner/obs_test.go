@@ -107,7 +107,7 @@ func TestObsConservationConcurrent(t *testing.T) {
 func TestObsInFlightVisibleMidRun(t *testing.T) {
 	r := New(1)
 	spec := Spec{Backend: Native, Alg: core.LOCAL, Procs: 2, Bodies: 131072,
-		Steps: 3, Seed: 11, BuildOnly: true, Spatial: true}
+		Steps: 3, Seed: 11, BuildOnly: true}
 	done := make(chan Result, 1)
 	go func() { done <- r.Run(context.Background(), spec) }()
 

@@ -46,8 +46,8 @@ type Result struct {
 
 	// WallNs is the real time the execution took on this machine,
 	// excluding memoized body generation, which is reported separately as
-	// GenNs (the full generation time for this spec's body set, charged
-	// identically to every spec that shares it).
+	// GenNs (the full generation time for this spec's body set, plus its
+	// sort for a native spec, charged identically to every sharer).
 	WallNs int64  `json:"wall_ns"`
 	GenNs  int64  `json:"gen_ns,omitempty"`
 	Err    string `json:"error,omitempty"`

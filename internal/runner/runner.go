@@ -24,8 +24,8 @@ import (
 // execution passes the engine's one admission gate: native specs hold a
 // pooled builder session (Acquire), simulated ones a bare slot
 // (Admit), before their bodies are generated. Bodies are memoized per
-// (model, n, seed) and shared read-only across runs, so every backend
-// sees the same deterministic initial conditions. Both caches are
+// (model, n, seed, order) and shared read-only across runs, so every
+// backend sees the same deterministic initial conditions. Both caches are
 // bounded LRUs — results by entry count (resultCacheEntries), body sets
 // by bytes (bodiesCacheBytes) — so a long-lived process (partreed
 // serving requests forever) holds a fixed working set instead of
@@ -393,7 +393,7 @@ func (r *Runner) admitAndRun(ctx context.Context, spec Spec) (res Result, gen ti
 		return admissionResult(spec, err), 0
 	}
 	genStart := time.Now()
-	bodies, genNs, err := r.bodiesFor(spec.Model, spec.Bodies, spec.Seed)
+	bodies, genNs, err := r.bodiesFor(spec.Model, spec.Bodies, spec.Seed, spec.Backend == Native)
 	gen = time.Since(genStart)
 	if err != nil {
 		release()
@@ -409,26 +409,25 @@ func (r *Runner) admitAndRun(ctx context.Context, spec Spec) (res Result, gen ti
 	return res, gen
 }
 
-// Bodies returns the memoized body system for (model, n, seed). The
-// returned slice set is shared and must be treated as read-only;
-// backends clone before mutating.
+// Bodies returns the memoized body system for (model, n, seed) in
+// generator order. The returned slice set is shared and must be treated
+// as read-only; backends clone before mutating.
 func (r *Runner) Bodies(model phys.Model, n int, seed int64) *phys.Bodies {
-	b, _, _ := r.bodiesFor(model.String(), n, seed) // typed models always parse
+	b, _, _ := r.bodiesFor(model.String(), n, seed, false) // typed models always parse
 	return b
 }
 
-// memoKey names a body set in the memo.
-func memoKey(model string, n int, seed int64) string {
-	return fmt.Sprintf("%s|%d|%d", model, n, seed)
+// memoKey names a body set, sorted or in generator order, in the memo.
+func memoKey(model string, n int, seed int64, sorted bool) string {
+	return fmt.Sprintf("%s|%d|%d|sorted=%t", model, n, seed, sorted)
 }
 
-// bodiesFor returns the (model, n, seed) body set and its generation
-// time, generating it on a memo miss. Concurrent callers of one key
-// share one generation; a set larger than bodiesCacheBytes is shared
-// while it is generated but not held after, so each later miss
-// generates it again.
-func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64, error) {
-	f, created := r.bodies.lookup(memoKey(model, n, seed))
+// bodiesFor returns the (model, n, seed) body set, sorted by
+// core.SortBodies if asked, and the time making it took, making it on a
+// memo miss. Concurrent callers of one key share one making; a set larger
+// than bodiesCacheBytes is shared while it is made but not held after.
+func (r *Runner) bodiesFor(model string, n int, seed int64, sorted bool) (*phys.Bodies, int64, error) {
+	f, created := r.bodies.lookup(memoKey(model, n, seed, sorted))
 	if !created {
 		r.obs.memoHits.Inc()
 		<-f.done
@@ -438,6 +437,9 @@ func (r *Runner) bodiesFor(model string, n int, seed int64) (*phys.Bodies, int64
 	if m, ok := phys.ParseModel(model); ok {
 		start := time.Now()
 		f.val.b = phys.Generate(m, n, seed)
+		if sorted {
+			core.SortBodies(f.val.b, nil)
+		}
 		f.val.genNs = time.Since(start).Nanoseconds()
 	} else {
 		f.val.err = fmt.Errorf("runner: unknown mass model %q (valid: %s)",

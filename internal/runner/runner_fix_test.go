@@ -30,12 +30,12 @@ func TestUnknownModelRejected(t *testing.T) {
 	}
 
 	r := New(0)
-	b, _, err := r.bodiesFor("bogus", 64, 1)
+	b, _, err := r.bodiesFor("bogus", 64, 1, false)
 	if err == nil || b != nil {
 		t.Fatalf("bodiesFor generated %v bodies from an unknown model (err %v)", b, err)
 	}
 	// The error is memoized like a body set: the second caller sees it too.
-	if _, _, err2 := r.bodiesFor("bogus", 64, 1); err2 == nil {
+	if _, _, err2 := r.bodiesFor("bogus", 64, 1, false); err2 == nil {
 		t.Fatal("memoized bodiesFor error lost on second call")
 	}
 }

@@ -174,7 +174,7 @@ func TestNativeWholeApp(t *testing.T) {
 func TestBuildOnly(t *testing.T) {
 	r := New(1)
 	mk := func(alg core.Algorithm) Spec {
-		return Spec{Backend: Native, Alg: alg, Procs: 4, Bodies: 2048, Steps: 2, Seed: 3, BuildOnly: true, Spatial: true}
+		return Spec{Backend: Native, Alg: alg, Procs: 4, Bodies: 2048, Steps: 2, Seed: 3, BuildOnly: true}
 	}
 	local := r.Run(context.Background(), mk(core.LOCAL))
 	space := r.Run(context.Background(), mk(core.SPACE))
@@ -214,7 +214,7 @@ func TestBuildOnlyLeavesBodiesUntouched(t *testing.T) {
 			bodies := phys.Generate(phys.ModelPlummer, 3000, 5)
 			before := hash(bodies)
 			spec := Spec{Backend: Native, Alg: alg, Procs: p, Bodies: bodies.N(), Steps: 2,
-				BuildOnly: true, Spatial: true, Check: true}.Normalized()
+				BuildOnly: true, Check: true}.Normalized()
 			var wg sync.WaitGroup
 			for g := 0; g < 2; g++ {
 				wg.Add(1)
@@ -323,5 +323,11 @@ func TestKeyDistinguishesSpecs(t *testing.T) {
 			t.Fatalf("variant %d collides: %s", i, k)
 		}
 		seen[k] = true
+	}
+	// Spatial selects nothing, so it names no other result.
+	spatial := base
+	spatial.Spatial = true
+	if spatial.Key() != base.Key() {
+		t.Fatalf("Spatial changes the key: %s vs %s", spatial.Key(), base.Key())
 	}
 }

@@ -67,8 +67,8 @@ type Spec struct {
 	// BuildOnly benchmarks just the tree-building phase natively,
 	// best-of-Steps repetitions (`partree treebench`).
 	BuildOnly bool `json:"build_only,omitempty"`
-	// Spatial uses a Morton-ordered body assignment for BuildOnly runs,
-	// standing in for a settled costzones partition.
+	// Spatial selects nothing and is not in Key: native sets are sorted, so
+	// the even assignment is spatial. Ignored until the benchmark drops it.
 	Spatial bool `json:"spatial,omitempty"`
 	// Check verifies every tree built during the run against the serial
 	// reference (internal/verify) and audits the metrics conservation
@@ -216,9 +216,9 @@ func (s Spec) Validate() error {
 // produce interchangeable results.
 func (s Spec) Key() string {
 	s = s.withDefaults()
-	return fmt.Sprintf("%s|%s|%s|p%d|n%d|k%d|th%g|dt%g|s%d|seed%d|%s|seq%t|build%t|spat%t|chk%t|to%d",
+	return fmt.Sprintf("%s|%s|%s|p%d|n%d|k%d|th%g|dt%g|s%d|seed%d|%s|seq%t|build%t|chk%t|to%d",
 		s.Backend, s.Platform, s.Alg, s.Procs, s.Bodies, s.LeafCap, s.Theta, s.Dt,
-		s.Steps, s.Seed, s.Model, s.Sequential, s.BuildOnly, s.Spatial, s.Check, int64(s.Timeout))
+		s.Steps, s.Seed, s.Model, s.Sequential, s.BuildOnly, s.Check, int64(s.Timeout))
 }
 
 // String renders the spec compactly for logs and labels.

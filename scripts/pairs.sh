@@ -15,9 +15,11 @@
 # prints each side's median and quartiles over the kept pairs and in how
 # many of them the change read better — ending the row with "unresolved"
 # when the parent's own interquartile spread exceeds the metric's bound —
-# and appends one line per side to
-# the history file (default BENCH_HISTORY.ndjson): commit, cores,
-# GOMAXPROCS, Go version, the probe's median and the metric medians.
+# then the same for the milliseconds each run's log prints as `raw` lines
+# (lower is better; a row that reads 0, a time the workload does not take,
+# is skipped), and appends one line per side to the history file (default
+# BENCH_HISTORY.ndjson): commit, cores, GOMAXPROCS, Go version, the
+# probe's median, the metric medians and the raw medians.
 set -euo pipefail
 
 usage() {
@@ -67,11 +69,14 @@ run() { # side pair seed
     (cd "${dir[$side]}" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0) >"$log" 2>&1 || status=$?
     after=$("$work/spinprobe")
+    # The log's "raw <name> <value> ms" lines, as one JSON object.
+    raw=$(awk '$1 == "raw" { printf "%s\"%s\": %s", (n++ ? ", " : "{"), $2, $3 }
+        END { print (n ? "}" : "{}") }' "$log")
     # A run whose operations failed exits 1 but still ends with its result
     # line; a run without one is an error of the benchmark, not a sample.
     tail -n 1 "$log" | jq -ec --arg side "$side" --argjson pair "$pair" --argjson seed "$seed" \
-        --argjson probe "[$before, $after]" 'select(.metrics)
-        | {side: $side, pair: $pair, seed: $seed, probe: $probe, result: .}' >>"$runs" ||
+        --argjson probe "[$before, $after]" --argjson raw "$raw" 'select(.metrics)
+        | {side: $side, pair: $pair, seed: $seed, probe: $probe, raw: $raw, result: .}' >>"$runs" ||
         { echo "pairs: the $side run of seed $seed (exit $status) printed no result line; see $log" >&2; exit 1; }
 }
 
@@ -96,30 +101,41 @@ def q(p): sort | if length == 0 then null else (p * (length - 1)) as $x
 def kept: group_by(.pair) | map(select([.[].probe[]] | max - min <= 0.3));
 def side($s): map(select(.side == $s));
 def value($m): .result.metrics[$m].value;
-'
-
-# One tab-separated row per metric: name, each side's median q1 q3, k, n,
-# and whether the parent's own interquartile spread, (q3 - q1) / |median|,
-# exceeds the metric's bound: such a row cannot resolve a change within
-# the bound either way, and ends with "unresolved".
-printf '\n%-28s %-28s %-28s %s\n' metric "parent median [q1 q3]" "change median [q1 q3]" better
-jq -rs --slurpfile bench BENCHMARK.json "$stats"'
-    kept as $k | $bench[0].end_to_end[] as $m
-    | [$k[] | {p: (side("parent")[0] | value($m.name)), c: (side("change")[0] | value($m.name))}
+# row: one tab-separated row over the kept pairs (its input) of the value
+# f reads from a run: name, the median q1 q3 of each side, k, n, and
+# whether the interquartile spread of the parent, (q3 - q1) / |median|,
+# exceeds $bound (null: no bound): such a row cannot resolve a change
+# within the bound either way, and ends with "unresolved". A pair where f
+# reads nothing on either side is left out, and a row with no pair is
+# skipped.
+def row($name; $better; $bound; f):
+    [.[] | {p: (side("parent")[0] | f), c: (side("change")[0] | f)}
        | select(.p != null and .c != null)] as $v
     | select($v | length > 0)
     | [$v[].p] as $p | [$v[].c] as $c
     | ($p | q(0.5)) as $pm | ($p | q(0.75) - q(0.25)) as $iqr
-    | [$m.name, $pm, ($p | q(0.25), q(0.75)), ($c | q(0.5), q(0.25), q(0.75)),
-       ($v | map(select(if $m.better == "higher" then .c > .p else .c < .p end)) | length), ($v | length),
-       (if (if $pm == 0 then $iqr > 0 else $iqr / (if $pm < 0 then -$pm else $pm end) > $m.bound end)
+    | [$name, $pm, ($p | q(0.25), q(0.75)), ($c | q(0.5), q(0.25), q(0.75)),
+       ($v | map(select(if $better == "higher" then .c > .p else .c < .p end)) | length), ($v | length),
+       (if $bound != null and (if $pm == 0 then $iqr > 0 else $iqr / (if $pm < 0 then -$pm else $pm end) > $bound end)
         then "unresolved" else "" end)]
-    | @tsv' "$runs" |
+    | @tsv;
+'
+
+table() { # header, then the rows on stdin
+    printf '\n%-28s %-28s %-28s %s\n' "$1" "parent median [q1 q3]" "change median [q1 q3]" better
     while IFS=$'\t' read -r name pm p1 p3 cm c1 c3 k n wide; do
         printf -v ps '%.4g [%.4g %.4g]' "$pm" "$p1" "$p3"
         printf -v cs '%.4g [%.4g %.4g]' "$cm" "$c1" "$c3"
         printf '%-28s %-28s %-28s %s/%s%s\n' "$name" "$ps" "$cs" "$k" "$n" "${wide:+ $wide}"
     done
+}
+jq -rs --slurpfile bench BENCHMARK.json "$stats"'
+    kept as $k | $bench[0].end_to_end[] as $m | $k | row($m.name; $m.better; $m.bound; value($m.name))' "$runs" |
+    table metric
+jq -rs "$stats"'
+    kept as $k | (first(.[].raw | keys_unsorted) // [])[] as $n
+    | $k | row($n; "lower"; null; .raw[$n] | select(. != 0))' "$runs" |
+    table "raw ms (lower is better)"
 jq -rs '"failed operations: " + ([("parent", "change") as $s | "\($s) \(map(select(.side == $s) | .result.failed) | add)/\(map(select(.side == $s) | .result.attempted) | add)"] | join(", "))' "$runs"
 
 jq -cs --slurpfile bench BENCHMARK.json --arg workload "$workload" --arg parent "$parent" \
@@ -131,5 +147,7 @@ jq -cs --slurpfile bench BENCHMARK.json --arg workload "$workload" --arg parent 
        workload: $workload, seeds: map(select(.side == $s) | .seed), pairs_kept: ($k | length),
        cores: $cores, gomaxprocs: $gomaxprocs, go: $go, probe: ([$r[].probe[]] | q(0.5)),
        medians: ([$bench[0].end_to_end[].name as $n | [$r[] | value($n) | select(. != null)]
-                  | select(length > 0) | {($n): q(0.5)}] | add // {})}' "$runs" >>"$history"
+                  | select(length > 0) | {($n): q(0.5)}] | add // {}),
+       raw_medians: ([$r[].raw | to_entries[] | select(.value != 0)] | group_by(.key)
+                     | map({(.[0].key): (map(.value) | q(0.5))}) | add // {})}' "$runs" >>"$history"
 echo "appended 2 lines to $history; every run's record is in $runs"
